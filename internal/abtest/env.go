@@ -36,6 +36,12 @@ type SessionEnv struct {
 // non-nil the fault schedule drawn from (fcfg, fseed) reshapes the trace
 // and arms the injector, exactly as PlayUser always did.
 func NewSessionEnv(u User, video *media.Video, fcfg *faults.ScheduleConfig, fseed int64) (SessionEnv, error) {
+	return new(Scratch).NewSessionEnv(u, video, fcfg, fseed)
+}
+
+// NewSessionEnv is the package's NewSessionEnv drawing the schedule from
+// the scratch's RNG and reshaping the trace in its builder.
+func (sc *Scratch) NewSessionEnv(u User, video *media.Video, fcfg *faults.ScheduleConfig, fseed int64) (SessionEnv, error) {
 	env := SessionEnv{
 		User:      u,
 		Stream:    abr.NewStream(video, u.Rmin),
@@ -43,8 +49,8 @@ func NewSessionEnv(u User, video *media.Video, fcfg *faults.ScheduleConfig, fsee
 		FaultSeed: fseed,
 	}
 	if fcfg != nil {
-		sched := faults.GenerateSeeded(*fcfg, fseed)
-		tr, err := sched.ApplyToTrace(u.Trace)
+		sched := faults.Generate(*fcfg, sc.Rand(fseed))
+		tr, err := sched.ApplyWith(&sc.tb, u.Trace)
 		if err != nil {
 			return SessionEnv{}, fmt.Errorf("fault trace: %w", err)
 		}

@@ -25,6 +25,7 @@
 package abtest
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -118,6 +119,12 @@ func (c *PopulationConfig) applyDefaults() {
 // from rng. The harshness of the session's window shifts both the
 // congestion discount on capacity and the variability mixture.
 func DrawUser(cfg PopulationConfig, window, day int, rng *rand.Rand) User {
+	return new(Scratch).DrawUser(cfg, window, day, rng)
+}
+
+// DrawUser is the package's DrawUser with every intermediate of the trace
+// synthesis kept in the scratch; only the finished User.Trace is allocated.
+func (sc *Scratch) DrawUser(cfg PopulationConfig, window, day int, rng *rand.Rand) User {
 	cfg.applyDefaults()
 	h := DiurnalHarshness(window)
 
@@ -162,7 +169,7 @@ func DrawUser(cfg PopulationConfig, window, day int, rng *rand.Rand) User {
 	// occasional deep fades (floor well below R_min, so even the R_min
 	// Always group rebuffers occasionally — the nonzero lower bound in
 	// Figure 7).
-	tr := trace.Markov(trace.MarkovConfig{
+	sc.tb.Markov(trace.MarkovConfig{
 		Base:      base,
 		Sigma:     sigma,
 		MeanDwell: 8 * time.Second,
@@ -171,7 +178,7 @@ func DrawUser(cfg PopulationConfig, window, day int, rng *rand.Rand) User {
 	}, rng)
 
 	// Overlay sustained congestion fades and the occasional hard outage.
-	var overrides []trace.Override
+	overrides := sc.overrides[:0]
 	meanFades := cfg.FadesPerHour * (0.25 + 0.75*h) * watch.Hours()
 	for n := poisson(meanFades, rng); n > 0; n-- {
 		// Durations are log-spread from ~30 s bursts to multi-minute
@@ -196,7 +203,14 @@ func DrawUser(cfg PopulationConfig, window, day int, rng *rand.Rand) User {
 			Rate:     0,
 		})
 	}
-	tr = applyOverrides(tr, overrides)
+	sc.overrides = overrides
+	tr, err := fade(&sc.tb, overrides)
+	if err != nil {
+		// The draw above yields only positive durations and rates and fade
+		// drops colliding spans, so this is a bug, not a property of the
+		// population: fail with the draw rather than stream an un-faded user.
+		panic(fmt.Sprintf("abtest: drawing a trace for base %v sigma %.3f watch %v with overrides %+v: %v", base, sigma, watch, overrides, err))
+	}
 
 	return User{
 		BaseCapacity: base,
@@ -214,28 +228,27 @@ func DrawUser(cfg PopulationConfig, window, day int, rng *rand.Rand) User {
 // Pick returns the user's title from the catalogue.
 func (u User) Pick(c *media.Catalog) *media.Video { return c.Pick(u.TitleIndex) }
 
-// applyOverrides overlays the given spans on tr, dropping overrides that
-// overlap an earlier one or start beyond the trace (random draws may
-// collide; losing a colliding fade keeps the draw simple and unbiased).
-func applyOverrides(tr *trace.Trace, overrides []trace.Override) *trace.Trace {
-	if len(overrides) == 0 {
-		return tr
-	}
-	sort.Slice(overrides, func(i, j int) bool { return overrides[i].Start < overrides[j].Start })
-	kept := overrides[:0]
-	cursor := time.Duration(0)
-	for _, o := range overrides {
-		if o.Start < cursor || o.Start > tr.Total() {
-			continue
+// fade overlays the given spans on the trace composed in tb and
+// materialises it, dropping overrides that overlap an earlier one or start
+// beyond the trace (random draws may collide; losing a colliding fade keeps
+// the draw simple and unbiased).
+func fade(tb *trace.Builder, overrides []trace.Override) (*trace.Trace, error) {
+	if len(overrides) > 0 {
+		sort.Slice(overrides, func(i, j int) bool { return overrides[i].Start < overrides[j].Start })
+		kept := overrides[:0]
+		cursor := time.Duration(0)
+		for _, o := range overrides {
+			if o.Start < cursor || o.Start > tb.Total() {
+				continue
+			}
+			kept = append(kept, o)
+			cursor = o.Start + o.Duration
 		}
-		kept = append(kept, o)
-		cursor = o.Start + o.Duration
+		if err := tb.Override(kept); err != nil {
+			return nil, err
+		}
 	}
-	out, err := trace.WithOverrides(tr, kept)
-	if err != nil {
-		return tr
-	}
-	return out
+	return tb.Trace()
 }
 
 // poisson draws a Poisson variate by Knuth's method; fine for small means.

@@ -1,10 +1,11 @@
-// Package batch is the campaign execution kernel: it advances many
-// streaming sessions concurrently through flat, reusable lane state
-// instead of running one player session at a time to completion.
+// Package batch is the campaign execution kernel, the one path every
+// campaign shard runs through: it advances paired sessions through flat,
+// reusable lane state — Width draws at a time, one draw at a time at
+// Width 1 — instead of building a player per session.
 //
 // The kernel owns no simulation arithmetic. Every lane is a
-// player.Session — the same step engine the scalar path drives — so a
-// batch-executed campaign is byte-identical to a scalar one; the kernel
+// player.Session — the same step engine player.Run and the A/B harness
+// drive — so a campaign's report does not depend on the width; the kernel
 // only changes *when* each session's next chunk is simulated and what
 // gets amortized across sessions:
 //
@@ -12,19 +13,22 @@
 //     counters) lives value-embedded in a flat lane array plus parallel
 //     bookkeeping slices, allocated once per Runner and reused for every
 //     session the Runner ever executes — steady state allocates nothing
-//     for lane state.
+//     for lane or kernel state.
 //   - Per-title reservoir plans (abr.TitlePlan) are built once per
 //     (title, R_min) a shard draws and shared read-only by every lane
 //     playing that title, via the Runner's abr.PlanCache.
 //   - Sessions run with player.Config.SkipChunkRecords: campaigns never
-//     read Result.Chunks, and dropping the per-chunk log removes the
-//     scalar path's dominant allocation.
+//     read Result.Chunks, and the per-chunk log would be a fresh
+//     session's dominant allocation.
+//   - One abtest.Scratch holds every intermediate of drawing a user and
+//     building its env: a reseeded RNG and the trace builder's buffers.
+//     Only the traces that leave a draw are allocated.
 //   - The cancellation check happens once per kernel round (one chunk
 //     per active lane) instead of once per chunk.
 //
 // A Runner is not safe for concurrent use; each campaign worker owns one
-// and keeps it across shards, so plan and lane reuse spans a worker's
-// whole share of the campaign.
+// and keeps it across shards, so plan, lane and scratch reuse spans a
+// worker's whole share of the campaign.
 package batch
 
 import (
@@ -49,7 +53,7 @@ type Draw struct {
 
 // Config parameterizes a Runner.
 type Config struct {
-	// Groups are the experiment arms, exactly as in the scalar harness:
+	// Groups are the experiment arms, exactly as in the A/B harness:
 	// each draw is streamed once per group under identical inputs.
 	Groups []abtest.Group
 	// Faults, when non-nil, applies per-draw fault weather exactly as
@@ -86,8 +90,19 @@ type Runner struct {
 
 	// Draw slots: one per in-flight paired draw. A slot keeps the shared
 	// env alive and collects the per-group metrics until the draw folds.
+	// parked[off%Width] holds the slot (+1) of the completed draw at offset
+	// off until the fold catches up; slots stay claimed while parked, so
+	// the offsets in flight or parked always fit one window of Width.
 	slots     []drawSlot
 	freeSlots []int
+	parked    []int
+	foldNext  int // the next offset to fold
+
+	// scratch holds the intermediates of the draw being started. Drawing a
+	// user and building its env run to completion before the next draw
+	// begins, and nothing they return points into it, so one serves every
+	// slot.
+	scratch abtest.Scratch
 }
 
 type drawSlot struct {
@@ -116,6 +131,7 @@ func NewRunner(cfg Config) *Runner {
 		idle:      make([]int, 0, lanes),
 		slots:     make([]drawSlot, cfg.Width),
 		freeSlots: make([]int, 0, cfg.Width),
+		parked:    make([]int, cfg.Width),
 	}
 	for lane := lanes - 1; lane >= 0; lane-- {
 		r.idle = append(r.idle, lane)
@@ -127,12 +143,49 @@ func NewRunner(cfg Config) *Runner {
 	return r
 }
 
+// Scratch returns the draw scratch a RunShard draw callback may draw its
+// user through; it is valid only inside the callback.
+func (r *Runner) Scratch() *abtest.Scratch { return &r.scratch }
+
+// flush folds every parked draw the fold has caught up with.
+func (r *Runner) flush(fold func(off int, ms []metrics.Session) error) error {
+	for {
+		p := &r.parked[r.foldNext%len(r.parked)]
+		if *p == 0 {
+			return nil
+		}
+		s := *p - 1
+		*p = 0
+		if err := fold(r.foldNext, r.slots[s].ms); err != nil {
+			return err
+		}
+		r.freeSlots = append(r.freeSlots, s)
+		r.foldNext++
+	}
+}
+
+// fail abandons every in-flight lane and parked draw, so the Runner is
+// reusable after an aborted shard.
+func (r *Runner) fail(err error) error {
+	r.active = r.active[:0]
+	r.idle = r.idle[:0]
+	for lane := len(r.sessions) - 1; lane >= 0; lane-- {
+		r.idle = append(r.idle, lane)
+	}
+	r.freeSlots = r.freeSlots[:0]
+	for s := len(r.slots) - 1; s >= 0; s-- {
+		r.freeSlots = append(r.freeSlots, s)
+	}
+	clear(r.parked)
+	return err
+}
+
 // RunShard executes n paired draws. draw(off) supplies the draw for each
 // offset in [0, n); it is called in ascending offset order, at most Width
 // draws ahead of the fold. fold(off, ms) receives one metrics.Session per
 // group, in group order, and is called exactly once per offset in
-// ascending offset order — the same fold discipline as the scalar shard
-// loop, which is what keeps campaign reports byte-identical. fold must
+// ascending offset order whatever the width, which is what keeps campaign
+// reports byte-identical. fold must
 // not retain ms; the backing array is reused.
 //
 // An error from draw, fold, or any session aborts the shard. The context
@@ -141,53 +194,22 @@ func (r *Runner) RunShard(ctx context.Context, n int, draw func(off int) (Draw, 
 	if len(r.active) != 0 {
 		return fmt.Errorf("batch: Runner reused while a shard is in flight")
 	}
-	// parked maps a completed draw's offset to its slot until the fold
-	// catches up; slots stay claimed while parked, so in-flight plus
-	// parked draws never exceed Width.
-	parked := make(map[int]int, r.cfg.Width)
-	nextOff, foldNext := 0, 0
+	nextOff := 0
+	r.foldNext = 0
 
-	flush := func() error {
-		for {
-			s, ok := parked[foldNext]
-			if !ok {
-				return nil
-			}
-			delete(parked, foldNext)
-			if err := fold(foldNext, r.slots[s].ms); err != nil {
-				return err
-			}
-			r.freeSlots = append(r.freeSlots, s)
-			foldNext++
-		}
-	}
-	fail := func(err error) error {
-		// Abandon every in-flight lane so the Runner is reusable.
-		r.active = r.active[:0]
-		r.idle = r.idle[:0]
-		for lane := len(r.sessions) - 1; lane >= 0; lane-- {
-			r.idle = append(r.idle, lane)
-		}
-		r.freeSlots = r.freeSlots[:0]
-		for s := len(r.slots) - 1; s >= 0; s-- {
-			r.freeSlots = append(r.freeSlots, s)
-		}
-		return err
-	}
-
-	for foldNext < n {
+	for r.foldNext < n {
 		if err := ctx.Err(); err != nil {
-			return fail(err)
+			return r.fail(err)
 		}
 		// Refill: start draws while slots (and therefore lanes) are free.
 		for len(r.freeSlots) > 0 && nextOff < n {
 			d, err := draw(nextOff)
 			if err != nil {
-				return fail(err)
+				return r.fail(err)
 			}
-			env, err := abtest.NewSessionEnv(d.User, d.Video, r.cfg.Faults, d.Fseed)
+			env, err := r.scratch.NewSessionEnv(d.User, d.Video, r.cfg.Faults, d.Fseed)
 			if err != nil {
-				return fail(fmt.Errorf("batch: draw %d: %w", nextOff, err))
+				return r.fail(fmt.Errorf("batch: draw %d: %w", nextOff, err))
 			}
 			s := r.freeSlots[len(r.freeSlots)-1]
 			r.freeSlots = r.freeSlots[:len(r.freeSlots)-1]
@@ -204,7 +226,7 @@ func (r *Runner) RunShard(ctx context.Context, n int, draw func(off int) (Draw, 
 					pl.UsePlans(r.plans)
 				}
 				if err := r.sessions[lane].Start(pc); err != nil {
-					return fail(fmt.Errorf("batch: draw %d group %s: %w", nextOff, g.Name, err))
+					return r.fail(fmt.Errorf("batch: draw %d group %s: %w", nextOff, g.Name, err))
 				}
 				r.laneSlot[lane] = s
 				r.laneGroup[lane] = gi
@@ -221,7 +243,7 @@ func (r *Runner) RunShard(ctx context.Context, n int, draw func(off int) (Draw, 
 			if err != nil {
 				s := &r.slots[r.laneSlot[lane]]
 				g := r.cfg.Groups[r.laneGroup[lane]]
-				return fail(fmt.Errorf("batch: draw %d group %s: %w", s.off, g.Name, err))
+				return r.fail(fmt.Errorf("batch: draw %d group %s: %w", s.off, g.Name, err))
 			}
 			if !done {
 				i++
@@ -241,9 +263,9 @@ func (r *Runner) RunShard(ctx context.Context, n int, draw func(off int) (Draw, 
 			r.idle = append(r.idle, lane)
 			slot.remaining--
 			if slot.remaining == 0 {
-				parked[slot.off] = si
-				if err := flush(); err != nil {
-					return fail(err)
+				r.parked[slot.off%len(r.parked)] = si + 1
+				if err := r.flush(fold); err != nil {
+					return r.fail(err)
 				}
 			}
 		}

@@ -105,6 +105,7 @@ func TestRunShardMatchesScalar(t *testing.T) {
 		seed  int64
 	}{
 		{"clean_width1", nil, 1, 41},
+		{"faults_width1", &fcfg, 1, 40}, // the campaign's scalar setting
 		{"clean_width3", nil, 3, 42},
 		{"faults_width5", &fcfg, 5, 43},
 		{"faults_wider_than_shard", &fcfg, 64, 44},

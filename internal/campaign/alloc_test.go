@@ -1,0 +1,154 @@
+package campaign
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"testing"
+
+	"bba/internal/abr"
+	"bba/internal/abtest"
+	"bba/internal/faults"
+	"bba/internal/media"
+	"bba/internal/metrics"
+	"bba/internal/player"
+)
+
+// campaignAlloc returns the bytes one campaign.Run of cfg allocates
+// (MemStats.TotalAlloc delta) and the player sessions it ran.
+func campaignAlloc(t *testing.T, cfg Config) (bytes uint64, sessions int64) {
+	t.Helper()
+	var mem runtime.MemStats
+	runtime.ReadMemStats(&mem)
+	before := mem.TotalAlloc
+	out, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&mem)
+	return mem.TotalAlloc - before, out.Stats.PlayerSessions
+}
+
+// TestAllocationBudget is the benchmark's bytes_per_op estimator —
+// MemStats.TotalAlloc per player session of a campaign of the benchmark's
+// shape on one worker — as a tier-1 test. The benchmark spreads
+// a campaign's set-up (the catalog and 48 title plans, ≈11 MB) over 24 576
+// sessions; a 256-draw campaign cannot, so the test takes the marginal
+// cost: a three-shard campaign minus a one-shard one, per extra session.
+// Its floor is the traces that leave each draw (≈1.8 KB a session per
+// trace with six arms); a session log, a plan rebuild, an RNG source or an
+// intermediate trace creeping back into the shard path lands well above
+// the budgets.
+func TestAllocationBudget(t *testing.T) {
+	fc := faults.DefaultScheduleConfig()
+	for _, tc := range []struct {
+		name   string
+		batch  bool
+		faults *faults.ScheduleConfig
+		budget float64 // bytes per player session
+	}{
+		{"clean_scalar", false, nil, 4 << 10},
+		{"clean_batch", true, nil, 4 << 10},
+		{"faulted_scalar", false, &fc, 7 << 10},
+		{"faulted_batch", true, &fc, 7 << 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			one := Config{Seed: 7, Sessions: 256, ShardSize: 256, Parallelism: 1, Batch: tc.batch, Faults: tc.faults, FaultSeed: 8}
+			three := one
+			three.Sessions = 768
+			// The one-shard run goes first, so one-off initialisation lands
+			// in the term that is subtracted.
+			b1, s1 := campaignAlloc(t, one)
+			b3, s3 := campaignAlloc(t, three)
+			per := float64(b3-b1) / float64(s3-s1)
+			t.Logf("%.0f B per player session (%.0f with a 256-draw campaign's set-up)", per, float64(b1)/float64(s1))
+			if per > tc.budget {
+				t.Errorf("%.0f B allocated per player session, budget %.0f", per, tc.budget)
+			}
+		})
+	}
+}
+
+// TestRetainedUsersReplayExactly is the retained-trace contract: every
+// abtest.User a campaign hands to an arm factory — trace included — stays
+// valid after the draw retires and the run returns. The users are captured
+// exactly as bench/trace.go's capturingGroups does, then replayed through
+// NewSessionEnv and fresh player.Sessions (the independent scalar path),
+// and must fold to the byte-identical report. A scratch buffer backing a
+// trace that escaped, or a kernel that strays from the player, fails here.
+func TestRetainedUsersReplayExactly(t *testing.T) {
+	fc := faults.DefaultScheduleConfig()
+	for _, fcfg := range []*faults.ScheduleConfig{nil, &fc} {
+		for _, batch := range []bool{false, true} {
+			t.Run(fmt.Sprintf("faults=%v/batch=%v", fcfg != nil, batch), func(t *testing.T) {
+				var users []abtest.User
+				groups := abtest.StandardGroups()
+				first := groups[0].New
+				groups[0].New = func(u abtest.User) abr.Algorithm {
+					users = append(users, u)
+					return first(u)
+				}
+				cfg := Config{Seed: 11, Sessions: 150, ShardSize: 64, CatalogSize: 6, Parallelism: 1,
+					Groups: groups, Batch: batch, Faults: fcfg, FaultSeed: 12}
+				out, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := reportBytes(t, out.Report)
+				if len(users) != cfg.Sessions {
+					t.Fatalf("captured %d users, want %d", len(users), cfg.Sessions)
+				}
+
+				cfg.applyDefaults()
+				catalog, err := media.NewCatalog(cfg.CatalogSize, cfg.Ladder, cfg.Seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				groups[0].New = first
+				cp := NewCheckpoint(cfg.Identity())
+				var accums []*GroupAccum
+				for i, u := range users {
+					shard, off := i/cfg.ShardSize, i%cfg.ShardSize
+					if off == 0 {
+						accums = NewGroupAccums(cfg.identity().Groups, cfg.SketchSize)
+					}
+					var fseed int64
+					if fcfg != nil {
+						fseed = shardFaultSeed(cfg.FaultSeed, shard, off)
+					}
+					env, err := abtest.NewSessionEnv(u, u.Pick(catalog), fcfg, fseed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for gi, g := range groups {
+						var ss player.Session
+						if err := ss.Start(env.PlayerConfig(g)); err != nil {
+							t.Fatal(err)
+						}
+						for done := false; !done; {
+							if done, err = ss.Step(); err != nil {
+								t.Fatal(err)
+							}
+						}
+						ms := metrics.FromResult(ss.Result(), u.Window, u.Day)
+						if err := accums[gi].AddSession(sessionKey(int64(i), gi), ms); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if off == cfg.ShardSize-1 || i == len(users)-1 {
+						if err := cp.Record(shard, accums); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				rep, err := FinalReport(cp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(reportBytes(t, rep), want) {
+					t.Error("replaying the retained users does not reproduce the campaign's report")
+				}
+			})
+		}
+	}
+}

@@ -32,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"reflect"
 	"runtime"
 	"sync"
@@ -74,16 +73,18 @@ type Config struct {
 	Ladder media.Ladder
 	// Parallelism bounds worker goroutines (default GOMAXPROCS).
 	Parallelism int
-	// Batch routes session execution through the internal/batch kernel:
-	// each worker owns a batch.Runner that advances many paired draws
-	// concurrently through reusable lanes with shared per-title reservoir
-	// plans and no per-chunk logging. Draw keying, fold order and
-	// accumulator arithmetic are unchanged, so reports are byte-identical
-	// to scalar execution. Batch is not part of the campaign identity.
+	// Batch chooses the width of the internal/batch kernel every shard runs
+	// through. Each worker owns a batch.Runner — reusable lanes, shared
+	// per-title reservoir plans, no per-chunk logging, one draw scratch —
+	// and advances BatchWidth paired draws concurrently when Batch is set,
+	// or one draw at a time ("scalar") when it is not. Draw keying, fold
+	// order and accumulator arithmetic do not depend on the width, so
+	// reports are byte-identical either way. Batch is not part of the
+	// campaign identity.
 	Batch bool
-	// BatchWidth is the kernel's paired-draws-in-flight per worker
-	// (default batch.DefaultWidth). Display/throughput only — never part
-	// of the identity.
+	// BatchWidth is the kernel's paired-draws-in-flight per worker when
+	// Batch is set (default batch.DefaultWidth). Display/throughput only —
+	// never part of the identity.
 	BatchWidth int
 	// Faults, when non-nil, runs every session under per-session fault
 	// weather exactly as the A/B harness does.
@@ -240,9 +241,9 @@ type RunStats struct {
 	ShardsRun int
 	// Parallelism is the worker count used.
 	Parallelism int
-	// Engine names the execution path sessions ran through: "scalar" or
-	// "batch". Display only — the engine is never part of the campaign
-	// identity.
+	// Engine names the kernel width sessions ran at: "scalar" (one paired
+	// draw at a time) or "batch". Display only — never part of the
+	// campaign identity.
 	Engine string
 	// PeakPending is the maximum number of completed shard accumulator
 	// sets held beyond the folded prefix at any point — the memory-ceiling
@@ -278,11 +279,11 @@ type Outcome struct {
 	Stats RunStats
 }
 
-// shardRNG derives the per-session RNG from (seed, shard, offset) — the
-// campaign's determinism key. The extra constant decorrelates campaign
+// shardSeed derives the per-session RNG seed from (seed, shard, offset) —
+// the campaign's determinism key. The extra constant decorrelates campaign
 // draws from abtest.SessionRNG streams with the same seed.
-func shardRNG(seed int64, shard, off int) *rand.Rand {
-	return rand.New(rand.NewSource(int64(shardMix(uint64(seed), uint64(shard), uint64(off), 0xCA3A16))))
+func shardSeed(seed int64, shard, off int) int64 {
+	return int64(shardMix(uint64(seed), uint64(shard), uint64(off), 0xCA3A16))
 }
 
 // shardFaultSeed derives the per-session fault seed from (faultSeed, shard,
@@ -313,13 +314,12 @@ func splitmix(z uint64) uint64 {
 }
 
 // shardDraw draws the user for one (shard, offset) — the campaign's
-// determinism key, identical for scalar and batch execution.
-func shardDraw(cfg *Config, catalog *media.Catalog, shard, off int) (abtest.User, *media.Video, int64) {
+// determinism key — through the worker's draw scratch.
+func shardDraw(cfg *Config, catalog *media.Catalog, sc *abtest.Scratch, shard, off int) (abtest.User, *media.Video, int64) {
 	global := int64(shard)*int64(cfg.ShardSize) + int64(off)
 	window := int(global % int64(metrics.WindowsPerDay))
 	day := int(global / int64(metrics.WindowsPerDay) % int64(cfg.Days))
-	rng := shardRNG(cfg.Seed, shard, off)
-	u := abtest.DrawUser(cfg.Population, window, day, rng)
+	u := sc.DrawUser(cfg.Population, window, day, sc.Rand(shardSeed(cfg.Seed, shard, off)))
 	var fseed int64
 	if cfg.Faults != nil {
 		fseed = shardFaultSeed(cfg.FaultSeed, shard, off)
@@ -328,7 +328,7 @@ func shardDraw(cfg *Config, catalog *media.Catalog, shard, off int) (abtest.User
 }
 
 // shardFold folds one paired draw's metrics into the shard's accumulators,
-// in group order — the arithmetic both execution paths share.
+// in group order.
 func shardFold(cfg *Config, accums []*GroupAccum, extra Extra, shard, off int, ms []metrics.Session) error {
 	global := int64(shard)*int64(cfg.ShardSize) + int64(off)
 	for gi := range cfg.Groups {
@@ -344,41 +344,28 @@ func shardFold(cfg *Config, accums []*GroupAccum, extra Extra, shard, off int, m
 	return nil
 }
 
-// runShard executes one shard: for each offset it draws the user keyed by
-// (seed, shard, offset) and streams the paired session once per group,
-// folding the metrics straight into fresh per-group accumulators. The
-// result depends only on (identity, shard). retired counts player sessions
-// as they finish, for live progress.
-func runShard(ctx context.Context, cfg *Config, catalog *media.Catalog, shard int, retired *atomic.Int64) ([]*GroupAccum, Extra, error) {
-	accums := NewGroupAccums(cfg.identity().Groups, cfg.SketchSize)
-	var extra Extra
-	if cfg.NewExtra != nil {
-		extra = cfg.NewExtra()
+// newRunner builds a worker's kernel: BatchWidth draws in flight with
+// cfg.Batch, one otherwise.
+func newRunner(cfg *Config, retired *atomic.Int64) *batch.Runner {
+	width := 1
+	if cfg.Batch {
+		width = cfg.BatchWidth
 	}
-	n := cfg.identity().shardSessions(shard)
-	for off := 0; off < n; off++ {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		u, video, fseed := shardDraw(cfg, catalog, shard, off)
-		ms, err := abtest.PlayUser(ctx, u, video, cfg.Groups, cfg.Faults, fseed, nil)
-		if err != nil {
-			return nil, nil, fmt.Errorf("campaign: shard %d session %d: %w", shard, off, err)
-		}
-		retired.Add(int64(len(cfg.Groups)))
-		if err := shardFold(cfg, accums, extra, shard, off, ms); err != nil {
-			return nil, nil, err
-		}
-	}
-	return accums, extra, nil
+	return batch.NewRunner(batch.Config{
+		Groups:   cfg.Groups,
+		Faults:   cfg.Faults,
+		Width:    width,
+		OnRetire: func() { retired.Add(1) },
+	})
 }
 
-// runShardBatch executes one shard through a worker-owned batch Runner.
-// The kernel calls draw in ascending offset order with the exact keying
-// runShard uses, and folds completed draws back in ascending offset order,
-// so the accumulators receive the same values in the same order and the
-// shard result is bit-identical to scalar execution.
-func runShardBatch(ctx context.Context, cfg *Config, catalog *media.Catalog, shard int, r *batch.Runner) ([]*GroupAccum, Extra, error) {
+// runShard executes one shard through a worker-owned batch Runner: the
+// kernel calls draw in ascending offset order, keyed by (seed, shard,
+// offset), streams the paired session once per group and folds completed
+// draws back in ascending offset order into fresh per-group accumulators.
+// The result depends only on (identity, shard), never on the Runner's
+// width.
+func runShard(ctx context.Context, cfg *Config, catalog *media.Catalog, shard int, r *batch.Runner) ([]*GroupAccum, Extra, error) {
 	accums := NewGroupAccums(cfg.identity().Groups, cfg.SketchSize)
 	var extra Extra
 	if cfg.NewExtra != nil {
@@ -387,7 +374,7 @@ func runShardBatch(ctx context.Context, cfg *Config, catalog *media.Catalog, sha
 	n := cfg.identity().shardSessions(shard)
 	err := r.RunShard(ctx, n,
 		func(off int) (batch.Draw, error) {
-			u, video, fseed := shardDraw(cfg, catalog, shard, off)
+			u, video, fseed := shardDraw(cfg, catalog, r.Scratch(), shard, off)
 			return batch.Draw{User: u, Video: video, Fseed: fseed}, nil
 		},
 		func(off int, ms []metrics.Session) error {
@@ -494,9 +481,8 @@ func RunContext(ctx context.Context, cfg Config) (*Outcome, error) {
 		}
 	}()
 
-	// retired counts player sessions the execution path has actually
-	// finished — the scalar path bumps it per paired draw, the batch kernel
-	// per retired lane — so progress throughput and ETA reflect real
+	// retired counts player sessions the kernel has actually finished (one
+	// per retired lane), so progress throughput and ETA reflect real
 	// session completions even while shards are in flight.
 	var retired atomic.Int64
 
@@ -505,27 +491,12 @@ func RunContext(ctx context.Context, cfg Config) (*Outcome, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each batch worker owns one Runner for its whole share of the
-			// campaign: lane arenas and the per-title plan cache are reused
-			// across every shard the worker executes.
-			var runner *batch.Runner
-			if cfg.Batch {
-				runner = batch.NewRunner(batch.Config{
-					Groups:   cfg.Groups,
-					Faults:   cfg.Faults,
-					Width:    cfg.BatchWidth,
-					OnRetire: func() { retired.Add(1) },
-				})
-			}
+			// Each worker owns one Runner for its whole share of the
+			// campaign: lanes, the per-title plan cache and the draw scratch
+			// are reused across every shard the worker executes.
+			runner := newRunner(&cfg, &retired)
 			for s := range shards {
-				var accums []*GroupAccum
-				var extra Extra
-				var err error
-				if cfg.Batch {
-					accums, extra, err = runShardBatch(ctx, &cfg, catalog, s, runner)
-				} else {
-					accums, extra, err = runShard(ctx, &cfg, catalog, s, &retired)
-				}
+				accums, extra, err := runShard(ctx, &cfg, catalog, s, runner)
 				select {
 				case results <- shardResult{shard: s, accums: accums, extra: extra, err: err}:
 				case <-ctx.Done():
@@ -686,8 +657,7 @@ func progressSnapshot(rs RunStats, elapsed time.Duration, resumedShards int, res
 		SessionsTotal: stripeSessions,
 		Elapsed:       elapsed,
 	}
-	// Throughput and ETA come from sessions the execution path has retired
-	// (scalar: per paired draw; batch: per kernel-retired lane), not from
+	// Throughput and ETA come from sessions the kernel has retired, not from
 	// shard completions — with wide shards in flight, retired sessions are
 	// the honest measure of pace.
 	if elapsed > 0 {

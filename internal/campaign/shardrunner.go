@@ -25,19 +25,19 @@ func engineName(batchOn bool) string {
 // bit-identical to the ones a local run computes, and the coordinator's
 // in-order checkpoint fold reassembles the byte-identical report.
 //
-// A ShardRunner is not safe for concurrent use: the batch engine reuses
-// lane arenas and per-title plan caches across shards. Create one per
+// A ShardRunner is not safe for concurrent use: its kernel reuses lanes,
+// per-title plan caches and the draw scratch across shards. Create one per
 // worker goroutine.
 type ShardRunner struct {
 	cfg     Config
 	id      Identity
 	catalog *media.Catalog
-	runner  *batch.Runner // non-nil when cfg.Batch
+	runner  *batch.Runner
 	retired atomic.Int64
 }
 
-// NewShardRunner validates the config and prepares the catalog and (with
-// cfg.Batch) the batch kernel. Orchestration fields — Stripe/Stripes,
+// NewShardRunner validates the config and prepares the catalog and the
+// kernel. Orchestration fields — Stripe/Stripes,
 // Resume, CheckpointPath, NewExtra, OnShard, Progress — are ignored: the
 // caller owns scheduling and folding.
 func NewShardRunner(cfg Config) (*ShardRunner, error) {
@@ -47,21 +47,14 @@ func NewShardRunner(cfg Config) (*ShardRunner, error) {
 		return nil, err
 	}
 	r := &ShardRunner{cfg: cfg, id: cfg.identity(), catalog: catalog}
-	if cfg.Batch {
-		r.runner = batch.NewRunner(batch.Config{
-			Groups:   cfg.Groups,
-			Faults:   cfg.Faults,
-			Width:    cfg.BatchWidth,
-			OnRetire: func() { r.retired.Add(1) },
-		})
-	}
+	r.runner = newRunner(&r.cfg, &r.retired)
 	return r, nil
 }
 
 // Identity returns the campaign identity the runner executes under.
 func (r *ShardRunner) Identity() Identity { return r.id }
 
-// Engine names the execution path: "scalar" or "batch".
+// Engine names the kernel width: "scalar" (one draw at a time) or "batch".
 func (r *ShardRunner) Engine() string { return engineName(r.cfg.Batch) }
 
 // ShardSessions returns how many paired sessions shard s covers.
@@ -79,10 +72,6 @@ func (r *ShardRunner) RunShard(ctx context.Context, shard int) ([]*GroupAccum, e
 	if shard < 0 || shard >= r.id.Shards() {
 		return nil, fmt.Errorf("campaign: shard %d outside [0,%d)", shard, r.id.Shards())
 	}
-	if r.cfg.Batch {
-		accums, _, err := runShardBatch(ctx, &r.cfg, r.catalog, shard, r.runner)
-		return accums, err
-	}
-	accums, _, err := runShard(ctx, &r.cfg, r.catalog, shard, &r.retired)
+	accums, _, err := runShard(ctx, &r.cfg, r.catalog, shard, r.runner)
 	return accums, err
 }

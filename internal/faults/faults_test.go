@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -228,6 +229,62 @@ func TestApplyToTraceEmptySchedule(t *testing.T) {
 	got, err = onlyHTTP.ApplyToTrace(base)
 	if err != nil || got != base {
 		t.Fatalf("HTTP-only schedule: got %v, %v; want base unchanged", got, err)
+	}
+}
+
+// TestApplyToTraceMatchesCapacityAt checks the builder-composed trace
+// against the schedule's own pointwise definition on randomized heavy
+// weather (overlapping blackouts and collapses, spans past the base's end):
+// every segment of the result carries base rate × capacityAt — the minimum
+// factor where episodes overlap — across its whole length, and the result
+// ends one second past the last capacity fault or at the base's
+// end, whichever is later. One reused Builder serves every draw.
+func TestApplyToTraceMatchesCapacityAt(t *testing.T) {
+	cfg := ScheduleConfig{
+		Horizon:   20 * time.Minute,
+		Blackouts: EpisodeConfig{PerHour: 20, MinDuration: 5 * time.Second, MaxDuration: 90 * time.Second},
+		Collapses: EpisodeConfig{PerHour: 30, MinDuration: 10 * time.Second, MaxDuration: 3 * time.Minute},
+	}
+	var b trace.Builder
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		base := trace.Markov(trace.MarkovConfig{
+			Base: 3 * units.Mbps, Sigma: 0.7, MeanDwell: 8 * time.Second,
+			Duration: time.Duration(1+rng.Intn(25)) * time.Minute,
+		}, rng)
+		s := GenerateSeeded(cfg, seed)
+		got, err := s.ApplyWith(&b, base)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		var lastEnd time.Duration
+		for _, f := range s.Faults() {
+			lastEnd = max(lastEnd, f.End())
+		}
+		wantTotal := base.Total()
+		if lastEnd >= wantTotal {
+			wantTotal = lastEnd + time.Second
+		}
+		if got.Total() != wantTotal {
+			t.Fatalf("seed %d: total %v, want %v", seed, got.Total(), wantTotal)
+		}
+		at := time.Duration(0)
+		for i, seg := range got.Segments() {
+			mid := at + seg.Duration/2
+			for _, probe := range []time.Duration{at, mid, at + seg.Duration - 1} {
+				want := base.RateAt(probe)
+				if c := s.capacityAt(probe); c < 1 {
+					want = want.Scale(c)
+				}
+				if seg.Rate != want {
+					t.Fatalf("seed %d: segment %d rate %v at %v, want %v", seed, i, seg.Rate, probe, want)
+				}
+			}
+			at += seg.Duration
+		}
+		if fresh, err := s.ApplyToTrace(base); err != nil || !reflect.DeepEqual(fresh.Segments(), got.Segments()) {
+			t.Fatalf("seed %d: a reused Builder and a fresh one disagree (%v)", seed, err)
+		}
 	}
 }
 

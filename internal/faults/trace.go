@@ -19,6 +19,12 @@ import (
 // explicit), so a schedule drawn over a longer horizon composes with any
 // base.
 func (s *Schedule) ApplyToTrace(base *trace.Trace) (*trace.Trace, error) {
+	return s.ApplyWith(new(trace.Builder), base)
+}
+
+// ApplyWith is ApplyToTrace composing in b's recycled buffers; the
+// returned trace shares nothing with b.
+func (s *Schedule) ApplyWith(b *trace.Builder, base *trace.Trace) (*trace.Trace, error) {
 	if s.Empty() {
 		return base, nil
 	}
@@ -26,66 +32,25 @@ func (s *Schedule) ApplyToTrace(base *trace.Trace) (*trace.Trace, error) {
 	if len(spans) == 0 {
 		return base, nil
 	}
-
+	b.Load(base)
 	// Extend the base so every span fits strictly inside it — one second
 	// past the last span, so the rate that persists beyond the trace is
 	// the restored base rate, not the tail of a fault.
-	segs := base.Segments()
-	total := base.Total()
-	if end := spans[len(spans)-1].end; end >= total {
-		segs[len(segs)-1].Duration += end - total + time.Second
-		total = end + time.Second
+	last := spans[len(spans)-1]
+	if end := last.Start + last.Duration; end >= b.Total() {
+		b.Extend(end - b.Total() + time.Second)
 	}
-	extended, err := trace.New(segs)
-	if err != nil {
+	if err := b.Override(spans); err != nil {
 		return nil, err
 	}
-
-	bounds := segBounds(extended)
-	var ovs []trace.Override
-	for _, sp := range spans {
-		start, end := sp.start, sp.end
-		if start >= total {
-			continue
-		}
-		if end > total {
-			end = total
-		}
-		if sp.factor == 0 {
-			ovs = append(ovs, trace.Override{Start: start, Duration: end - start})
-			continue
-		}
-		// A collapse scales whatever the base was doing, so it needs one
-		// override per underlying segment it crosses.
-		for cursor := start; cursor < end; {
-			// The base rate next changes at the first segment boundary
-			// strictly after cursor.
-			i := sort.Search(len(bounds), func(i int) bool { return bounds[i] > cursor })
-			segEnd := end
-			if i < len(bounds) && bounds[i] < segEnd {
-				segEnd = bounds[i]
-			}
-			ovs = append(ovs, trace.Override{
-				Start:    cursor,
-				Duration: segEnd - cursor,
-				Rate:     extended.RateAt(cursor).Scale(sp.factor),
-			})
-			cursor = segEnd
-		}
-	}
-	return trace.WithOverrides(extended, ovs)
-}
-
-// capacitySpan is a maximal interval with a uniform capacity factor < 1.
-type capacitySpan struct {
-	start, end time.Duration
-	factor     float64
+	return b.Trace()
 }
 
 // capacitySpans flattens the (possibly overlapping) blackout and collapse
-// episodes into disjoint spans, taking the minimum factor where they
-// overlap.
-func (s *Schedule) capacitySpans() []capacitySpan {
+// episodes into disjoint, start-ordered overrides — maximal intervals with
+// a uniform capacity factor < 1, a blackout being factor (and rate) zero —
+// taking the minimum factor where episodes overlap.
+func (s *Schedule) capacitySpans() []trace.Override {
 	type episode struct {
 		start, end time.Duration
 		factor     float64
@@ -107,7 +72,7 @@ func (s *Schedule) capacitySpans() []capacitySpan {
 		bounds = append(bounds, e.start, e.end)
 	}
 	sort.Slice(bounds, func(i, j int) bool { return bounds[i] < bounds[j] })
-	var spans []capacitySpan
+	var spans []trace.Override
 	for i := 0; i+1 < len(bounds); i++ {
 		a, b := bounds[i], bounds[i+1]
 		if a == b {
@@ -123,23 +88,11 @@ func (s *Schedule) capacitySpans() []capacitySpan {
 			continue
 		}
 		// Merge with the previous span when contiguous and same factor.
-		if n := len(spans); n > 0 && spans[n-1].end == a && spans[n-1].factor == factor {
-			spans[n-1].end = b
+		if n := len(spans); n > 0 && spans[n-1].Start+spans[n-1].Duration == a && spans[n-1].Factor == factor {
+			spans[n-1].Duration = b - spans[n-1].Start
 			continue
 		}
-		spans = append(spans, capacitySpan{a, b, factor})
+		spans = append(spans, trace.Override{Start: a, Duration: b - a, Factor: factor})
 	}
 	return spans
-}
-
-// segBounds returns the start time of every segment of t, ascending.
-func segBounds(t *trace.Trace) []time.Duration {
-	segs := t.Segments()
-	out := make([]time.Duration, len(segs))
-	var at time.Duration
-	for i, s := range segs {
-		out[i] = at
-		at += s.Duration
-	}
-	return out
 }

@@ -36,15 +36,20 @@ type Segment struct {
 	Rate     units.BitRate
 }
 
+// seg is a segment with the fields the download integrals derive from it,
+// side by side so a trace is one backing array.
+type seg struct {
+	Segment
+	start, end time.Duration // end = start + Duration
+	rateF      float64       // float64(Rate)
+}
+
 // Trace is an immutable piecewise-constant capacity process. The zero value
 // is unusable; construct traces with New or a generator. After the final
 // segment the last rate persists indefinitely.
 type Trace struct {
-	segments []Segment
-	starts   []time.Duration // start time of each segment
-	ends     []time.Duration // end time of each segment (starts[i]+Duration)
-	rateF    []float64       // float64(Rate), hoisted for the download integrals
-	total    time.Duration
+	segs  []seg
+	total time.Duration
 }
 
 // ErrEmpty is returned when constructing a trace with no segments.
@@ -56,26 +61,21 @@ func New(segments []Segment) (*Trace, error) {
 	if len(segments) == 0 {
 		return nil, ErrEmpty
 	}
-	t := &Trace{
-		segments: make([]Segment, len(segments)),
-		starts:   make([]time.Duration, len(segments)),
-		ends:     make([]time.Duration, len(segments)),
-		rateF:    make([]float64, len(segments)),
-	}
-	copy(t.segments, segments)
-	for i, s := range t.segments {
+	segs := make([]seg, len(segments))
+	var total time.Duration
+	for i, s := range segments {
 		if s.Duration <= 0 {
 			return nil, fmt.Errorf("trace: segment %d has non-positive duration %v", i, s.Duration)
 		}
 		if s.Rate < 0 {
 			return nil, fmt.Errorf("trace: segment %d has negative rate %v", i, s.Rate)
 		}
-		t.starts[i] = t.total
-		t.total += s.Duration
-		t.ends[i] = t.total
-		t.rateF[i] = float64(s.Rate)
+		d := &segs[i]
+		d.Segment, d.start = s, total
+		total += s.Duration
+		d.end, d.rateF = total, float64(s.Rate)
 	}
-	return t, nil
+	return &Trace{segs: segs, total: total}, nil
 }
 
 // MustNew is New but panics on error, for tests and literals.
@@ -92,9 +92,14 @@ func (t *Trace) Total() time.Duration { return t.total }
 
 // Segments returns a copy of the trace's segments.
 func (t *Trace) Segments() []Segment {
-	out := make([]Segment, len(t.segments))
-	copy(out, t.segments)
-	return out
+	return t.appendSegments(make([]Segment, 0, len(t.segs)))
+}
+
+func (t *Trace) appendSegments(dst []Segment) []Segment {
+	for i := range t.segs {
+		dst = append(dst, t.segs[i].Segment)
+	}
+	return dst
 }
 
 // index returns the segment index containing time at (clamped to the last
@@ -104,7 +109,7 @@ func (t *Trace) index(at time.Duration) int {
 		return 0
 	}
 	// Find the first segment whose start is after at, then step back.
-	i := sort.Search(len(t.starts), func(i int) bool { return t.starts[i] > at })
+	i := sort.Search(len(t.segs), func(i int) bool { return t.segs[i].start > at })
 	if i == 0 {
 		return 0
 	}
@@ -114,7 +119,7 @@ func (t *Trace) index(at time.Duration) int {
 // RateAt returns the capacity at time at. Before zero it reports the first
 // segment's rate; after the end, the last segment's rate.
 func (t *Trace) RateAt(at time.Duration) units.BitRate {
-	return t.segments[t.index(at)].Rate
+	return t.segs[t.index(at)].Rate
 }
 
 // BytesBetween integrates capacity over [from, to] and returns the number of
@@ -139,8 +144,8 @@ func (t *Trace) bytesBetweenFrom(i int, from, to time.Duration) (int64, int) {
 	cursor := from
 	for cursor < to {
 		segEnd := t.total
-		if i < len(t.segments)-1 {
-			segEnd = t.starts[i] + t.segments[i].Duration
+		if i < len(t.segs)-1 {
+			segEnd = t.segs[i].end
 		} else {
 			segEnd = to // last segment extends forever
 		}
@@ -148,9 +153,9 @@ func (t *Trace) bytesBetweenFrom(i int, from, to time.Duration) (int64, int) {
 		if end > to {
 			end = to
 		}
-		bits += float64(t.segments[i].Rate) * (end - cursor).Seconds()
+		bits += float64(t.segs[i].Rate) * (end - cursor).Seconds()
 		cursor = end
-		if i < len(t.segments)-1 && cursor >= t.starts[i]+t.segments[i].Duration {
+		if i < len(t.segs)-1 && cursor >= t.segs[i].end {
 			i++
 		}
 	}
@@ -178,9 +183,9 @@ func (t *Trace) DownloadTime(start time.Duration, n int64) (time.Duration, bool)
 func (t *Trace) downloadTimeFrom(i int, start time.Duration, n int64) (time.Duration, int, bool) {
 	remaining := float64(n * 8) // bits
 	cursor := start
-	last := len(t.segments) - 1
+	last := len(t.segs) - 1
 	for {
-		rate := t.rateF[i]
+		rate := t.segs[i].rateF
 		if i == last {
 			if rate <= 0 {
 				return 0, i, false
@@ -188,7 +193,7 @@ func (t *Trace) downloadTimeFrom(i int, start time.Duration, n int64) (time.Dura
 			cursor += units.SecondsToDuration(remaining / rate)
 			return cursor - start, i, true
 		}
-		segEnd := t.ends[i]
+		segEnd := t.segs[i].end
 		span := (segEnd - cursor).Seconds()
 		capacity := rate * span
 		if capacity >= remaining && rate > 0 {
@@ -279,44 +284,9 @@ func SigmaForQuartileRatio(ratio float64) float64 {
 // Markov generates a Markov-modulated capacity trace. It is deterministic
 // given rng's state.
 func Markov(cfg MarkovConfig, rng *rand.Rand) *Trace {
-	if cfg.Duration <= 0 {
-		cfg.Duration = time.Hour
-	}
-	if cfg.MeanDwell <= 0 {
-		cfg.MeanDwell = 10 * time.Second
-	}
-	if cfg.Base <= 0 {
-		cfg.Base = 5 * units.Mbps
-	}
-	floor := cfg.Floor
-	if floor <= 0 {
-		floor = 64 * units.Kbps
-	}
-	ceiling := cfg.Ceiling
-	if ceiling <= 0 {
-		ceiling = 100 * units.Mbps
-	}
-	// Dwell times average MeanDwell, so presizing near the expected count
-	// keeps the generator to one allocation for typical traces.
-	segs := make([]Segment, 0, cfg.Duration/cfg.MeanDwell+cfg.Duration/cfg.MeanDwell/4+1)
-	var elapsed time.Duration
-	for elapsed < cfg.Duration {
-		factor := math.Exp(cfg.Sigma * rng.NormFloat64())
-		rate := cfg.Base.Scale(factor).Clamp(floor, ceiling)
-		dwell := units.SecondsToDuration(rng.ExpFloat64() * cfg.MeanDwell.Seconds())
-		if dwell < 100*time.Millisecond {
-			dwell = 100 * time.Millisecond
-		}
-		if elapsed+dwell > cfg.Duration {
-			dwell = cfg.Duration - elapsed
-		}
-		segs = append(segs, Segment{Duration: dwell, Rate: rate})
-		elapsed += dwell
-	}
-	if len(segs) == 0 {
-		segs = append(segs, Segment{Duration: cfg.Duration, Rate: cfg.Base})
-	}
-	return MustNew(segs)
+	var b Builder
+	b.Markov(cfg, rng)
+	return MustNew(b.segs)
 }
 
 // Outage is a span of zero capacity overlaid on a base trace, modelling the
@@ -328,11 +298,15 @@ type Outage struct {
 
 // Override forces a span of a base trace to a fixed rate. A zero Rate is an
 // outage; a low non-zero Rate models a sustained congestion episode of the
-// kind that produces the deep fades in Figure 1.
+// kind that produces the deep fades in Figure 1. With a positive Factor the
+// span instead scales whatever the base was doing, segment by segment, and
+// Rate is ignored — a throughput collapse that stays proportional to a
+// varying base.
 type Override struct {
 	Start    time.Duration
 	Duration time.Duration
 	Rate     units.BitRate
+	Factor   float64
 }
 
 // WithOutages returns a copy of base with capacity forced to zero during
@@ -352,46 +326,12 @@ func WithOverrides(base *Trace, overrides []Override) (*Trace, error) {
 	sorted := make([]Override, len(overrides))
 	copy(sorted, overrides)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })
-	var segs []Segment
-	cursor := time.Duration(0)
-	appendSpan := func(from, to time.Duration) {
-		for from < to {
-			i := base.index(from)
-			segEnd := base.starts[i] + base.segments[i].Duration
-			if i == len(base.segments)-1 && segEnd < to {
-				segEnd = to
-			}
-			end := segEnd
-			if end > to {
-				end = to
-			}
-			if end > from {
-				segs = append(segs, Segment{Duration: end - from, Rate: base.segments[i].Rate})
-			}
-			from = end
-		}
+	var b Builder
+	b.Load(base)
+	if err := b.Override(sorted); err != nil {
+		return nil, err
 	}
-	for i, o := range sorted {
-		if o.Duration <= 0 {
-			return nil, fmt.Errorf("trace: override %d has non-positive duration", i)
-		}
-		if o.Rate < 0 {
-			return nil, fmt.Errorf("trace: override %d has negative rate", i)
-		}
-		if o.Start < cursor {
-			return nil, fmt.Errorf("trace: override %d overlaps a previous override", i)
-		}
-		if o.Start > base.Total() {
-			return nil, fmt.Errorf("trace: override %d starts after trace end", i)
-		}
-		appendSpan(cursor, o.Start)
-		segs = append(segs, Segment{Duration: o.Duration, Rate: o.Rate})
-		cursor = o.Start + o.Duration
-	}
-	if cursor < base.Total() {
-		appendSpan(cursor, base.Total())
-	}
-	return New(segs)
+	return b.Trace()
 }
 
 // Concat joins traces end to end. It requires at least one trace.
@@ -401,7 +341,7 @@ func Concat(traces ...*Trace) (*Trace, error) {
 	}
 	var segs []Segment
 	for _, t := range traces {
-		segs = append(segs, t.segments...)
+		segs = t.appendSegments(segs)
 	}
 	return New(segs)
 }
@@ -411,9 +351,9 @@ func (t *Trace) Repeat(n int) (*Trace, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("trace: repeat count %d", n)
 	}
-	segs := make([]Segment, 0, n*len(t.segments))
+	segs := make([]Segment, 0, n*len(t.segs))
 	for i := 0; i < n; i++ {
-		segs = append(segs, t.segments...)
+		segs = t.appendSegments(segs)
 	}
 	return New(segs)
 }
@@ -429,15 +369,15 @@ func (t *Trace) Slice(from, to time.Duration) (*Trace, error) {
 	cursor := from
 	for cursor < to {
 		i := t.index(cursor)
-		segEnd := t.starts[i] + t.segments[i].Duration
-		if i == len(t.segments)-1 && segEnd < to {
+		segEnd := t.segs[i].end
+		if i == len(t.segs)-1 && segEnd < to {
 			segEnd = to
 		}
 		end := segEnd
 		if end > to {
 			end = to
 		}
-		segs = append(segs, Segment{Duration: end - cursor, Rate: t.segments[i].Rate})
+		segs = append(segs, Segment{Duration: end - cursor, Rate: t.segs[i].Rate})
 		cursor = end
 	}
 	return New(segs)
@@ -446,7 +386,7 @@ func (t *Trace) Slice(from, to time.Duration) (*Trace, error) {
 // WriteCSV writes the trace as "duration_seconds,rate_bps" rows.
 func (t *Trace) WriteCSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	for _, s := range t.segments {
+	for _, s := range t.segs {
 		if _, err := fmt.Fprintf(bw, "%.6f,%d\n", s.Duration.Seconds(), int64(s.Rate)); err != nil {
 			return err
 		}

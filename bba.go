@@ -33,7 +33,7 @@ import (
 	"time"
 
 	"bba/internal/abr"
-	"bba/internal/abtest"
+	"bba/internal/campaign"
 	"bba/internal/media"
 	"bba/internal/player"
 	"bba/internal/replay"
@@ -56,7 +56,7 @@ const (
 type Algorithm = abr.Algorithm
 
 // Factory builds a fresh single-session Algorithm instance. Batch runners
-// (the A/B harness, campaigns, the arena) take factories rather than
+// (campaigns, the weekend experiment, the arena) take factories rather than
 // instances so every session gets its own state machine.
 type Factory = abr.Factory
 
@@ -273,10 +273,6 @@ func ObservedTrace(res *Result) (*Trace, error) {
 // population calibrated to the paper's variability statistics. days and
 // sessionsPerWindow size the population; the result is deterministic in
 // seed.
-func Experiment(seed int64, days, sessionsPerWindow int) (*abtest.Outcome, error) {
-	return abtest.Run(abtest.Config{
-		Seed:              seed,
-		Days:              days,
-		SessionsPerWindow: sessionsPerWindow,
-	})
+func Experiment(seed int64, days, sessionsPerWindow int) (*campaign.WeekendOutcome, error) {
+	return campaign.RunWeekend(context.Background(), campaign.WeekendConfig(seed, days, sessionsPerWindow))
 }

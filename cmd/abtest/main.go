@@ -1,16 +1,19 @@
 // Command abtest runs the weekend-scale A/B experiment and regenerates the
-// paper's figures as text tables. Figure generation fans out across cores
-// with the shared weekend experiment computed once; SIGINT cancels a run in
-// flight, marks any partial output "# TRUNCATED" and exits non-zero. After
-// any path that runs the weekend experiment, the wall-clock time and
-// simulated sessions/sec are reported on stderr.
+// paper's figures as text tables. The experiment is a campaign in the
+// Weekend layout (campaign.RunWeekend): the same shard kernel, worker pool
+// and fold as bbacampaign, with every session retained for the per-window
+// aggregates. Figure generation fans out across cores with the shared
+// weekend experiment computed once; SIGINT cancels a run in flight, marks
+// any partial output "# TRUNCATED" and exits non-zero. After any path that
+// runs the weekend experiment, the wall-clock time and simulated
+// sessions/sec are reported on stderr.
 //
 // Examples:
 //
 //	abtest                       # every figure, quick scale
 //	abtest -fig Fig18SteadyStateRate
 //	abtest -scale full -experiments-md > EXPERIMENTS.md
-//	abtest -stream-agg           # constant-memory accumulator report
+//	abtest -stream-agg           # the weekend campaign's per-group report
 //	abtest -list
 package main
 
@@ -30,7 +33,6 @@ import (
 	"bba/internal/campaign"
 	"bba/internal/faults"
 	"bba/internal/figures"
-	"bba/internal/metrics"
 )
 
 func main() {
@@ -41,13 +43,13 @@ func main() {
 		mdOut     = flag.Bool("experiments-md", false, "emit the EXPERIMENTS.md body to stdout")
 		csvOut    = flag.Bool("csv", false, "emit the weekend experiment's per-window aggregates as CSV")
 		faultsOn  = flag.Bool("faults", false, "replay the weekend experiment under the standard fault schedule and emit its CSV (fault counters go to stderr)")
-		streamAgg = flag.Bool("stream-agg", false, "run the weekend experiment through the campaign accumulators (constant memory) and emit the per-group JSON report")
+		streamAgg = flag.Bool("stream-agg", false, "run the weekend experiment as a plain campaign (constant memory, no per-window aggregates) and emit the report's per-group JSON")
 		groups    = flag.String("groups", "", "comma-separated experiment arms for -csv/-faults/-stream-agg (default the paper's standard groups); registered: "+strings.Join(abr.Names(), ", "))
 	)
 	flag.Parse()
 
 	// SIGINT cancels the experiment and figure generation promptly: the
-	// context reaches every harness worker's per-chunk check.
+	// context reaches every campaign worker's per-round check.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
@@ -114,12 +116,7 @@ func dispatch(ctx context.Context, out io.Writer, scale figures.Scale, figName, 
 		fc := faults.DefaultScheduleConfig()
 		cfg.Faults = &fc
 		cfg.FaultSeed = figures.ExperimentSeed
-		o, err := abtest.RunContext(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		printRunStats(o.Stats)
-		return o.WriteCSV(out)
+		return runWeekendCSV(ctx, out, cfg)
 	}
 
 	if mdOut {
@@ -131,12 +128,7 @@ func dispatch(ctx context.Context, out io.Writer, scale figures.Scale, figName, 
 			// Custom arms bypass the shared cached weekend experiment.
 			cfg := figures.ExperimentConfig(scale)
 			cfg.Groups = arms
-			o, err := abtest.RunContext(ctx, cfg)
-			if err != nil {
-				return err
-			}
-			printRunStats(o.Stats)
-			return o.WriteCSV(out)
+			return runWeekendCSV(ctx, out, cfg)
 		}
 		o, err := figures.ExperimentOutcomeContext(ctx, scale)
 		if err != nil {
@@ -169,51 +161,30 @@ func dispatch(ctx context.Context, out io.Writer, scale figures.Scale, figName, 
 	return nil
 }
 
-// runStreamAgg runs the weekend experiment in streaming-aggregation mode:
-// no raw session retention; every merged session folds into the campaign
-// layer's per-group constant-memory accumulators, and the per-group report
-// is emitted as JSON. This is the -stream-agg path the campaign runner is
-// built on, exposed at weekend scale.
-func runStreamAgg(ctx context.Context, out io.Writer, scale figures.Scale, arms []abtest.Group) error {
-	cfg := figures.ExperimentConfig(scale)
-	cfg.Groups = arms
-	if len(cfg.Groups) == 0 {
-		cfg.Groups = abtest.StandardGroups()
-	}
-	index := make(map[string]int, len(cfg.Groups))
-	counts := make([]uint64, len(cfg.Groups))
-	accums := make([]*campaign.GroupAccum, len(cfg.Groups))
-	for gi, g := range cfg.Groups {
-		index[g.Name] = gi
-		accums[gi] = campaign.NewGroupAccum(g.Name, 512)
-	}
-	var foldErr error
-	cfg.OnSession = func(group string, s metrics.Session) {
-		gi := index[group]
-		// Key = (per-group ordinal, group): unique across the run, so the
-		// sketches keep exact set-union semantics.
-		key := counts[gi]<<8 | uint64(gi)
-		counts[gi]++
-		if err := accums[gi].AddSession(key, s); err != nil && foldErr == nil {
-			foldErr = err
-		}
-	}
-	o, err := abtest.RunContext(ctx, cfg)
+// runWeekendCSV runs an uncached variant of the weekend experiment and
+// emits its per-window CSV, with the run's stats on stderr.
+func runWeekendCSV(ctx context.Context, out io.Writer, cfg campaign.Config) error {
+	o, err := campaign.RunWeekend(ctx, cfg)
 	if err != nil {
 		return err
 	}
-	if foldErr != nil {
-		return foldErr
-	}
-	if n := len(o.Sessions[cfg.Groups[0].Name]); n != 0 {
-		return fmt.Errorf("streaming run retained %d raw sessions", n)
+	printRunStats(o.Stats)
+	return o.WriteCSV(out)
+}
+
+// runStreamAgg runs the weekend experiment as a plain campaign — no raw
+// session retention, every session folded into its shard's per-group
+// constant-memory accumulators — and emits the report's per-group
+// aggregates as JSON.
+func runStreamAgg(ctx context.Context, out io.Writer, scale figures.Scale, arms []abtest.Group) error {
+	cfg := figures.ExperimentConfig(scale)
+	cfg.Groups = arms
+	o, err := campaign.RunContext(ctx, cfg)
+	if err != nil {
+		return err
 	}
 	printRunStats(o.Stats)
-	reports := make([]campaign.GroupReport, len(accums))
-	for gi, a := range accums {
-		reports[gi] = a.Report()
-	}
-	return writeJSON(out, reports)
+	return writeJSON(out, o.Report.Groups)
 }
 
 // parseGroups resolves a comma-separated -groups list against the
@@ -250,9 +221,9 @@ func reportExperimentStats(scale figures.Scale) {
 
 // printRunStats writes one run's wall-clock line, and — when any fault
 // activity occurred — its fault-injection counters, to stderr.
-func printRunStats(stats abtest.RunStats) {
+func printRunStats(stats campaign.RunStats) {
 	fmt.Fprintf(os.Stderr, "weekend experiment: %d sessions in %v (%.0f sessions/s, parallelism %d)\n",
-		stats.Sessions, stats.Elapsed.Round(time.Millisecond), stats.SessionsPerSecond(), stats.Parallelism)
+		stats.PlayerSessions, stats.Elapsed.Round(time.Millisecond), stats.SessionsPerSecond(), stats.Parallelism)
 	if stats.Faults > 0 || stats.Retries > 0 || stats.Degradations > 0 || stats.Failovers > 0 {
 		fmt.Fprintf(os.Stderr, "fault injection: %d faults, %d retries, %d degradations, %d failovers\n",
 			stats.Faults, stats.Retries, stats.Degradations, stats.Failovers)

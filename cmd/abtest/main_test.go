@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -43,9 +45,31 @@ func TestBadInputs(t *testing.T) {
 	}
 }
 
-// TestStreamAgg pins the -stream-agg path: the weekend experiment routed
-// through the campaign accumulators, emitting per-group JSON with no raw
-// session retention.
+// TestWeekendGolden pins the weekend experiment's bytes across the move from
+// the abtest runner onto the campaign: the sha256 of quick-scale `abtest
+// -csv` and `abtest -faults` stdout, taken with the old runner.
+func TestWeekendGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		csvOut, faults bool
+		want           string
+	}{
+		{"csv", true, false, "0ca1b08689b186d9b811d7f1be15ad3d7bd28682aa2d6e9694c0900edb2a7db0"},
+		{"faults", false, true, "48ea5d3ccf1cb17afe49938d57392717d04028a3b198a21963aa37bb9ed381da"},
+	} {
+		var out bytes.Buffer
+		if err := run(context.Background(), &out, "quick", "", "", false, false, tc.csvOut, tc.faults, false); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(out.Bytes())); got != tc.want {
+			t.Errorf("abtest -%s: sha256 %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestStreamAgg pins the -stream-agg path: the weekend experiment run as a
+// plain campaign, emitting its report's per-group JSON with no raw session
+// retention.
 func TestStreamAgg(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(context.Background(), &out, "quick", "", "", false, false, false, false, true); err != nil {

@@ -10,8 +10,8 @@ import (
 
 // The registry maps algorithm names — the experiment-group names used
 // throughout the paper and the arena — to single-session factories. It
-// replaces the hand-written name switch: commands, the facade, the A/B
-// harness and the arena all enumerate Names() for help text and derive
+// replaces the hand-written name switch: commands, the facade, campaigns
+// and the arena all enumerate Names() for help text and derive
 // unknown-name errors from New, so a newly registered algorithm is
 // immediately selectable everywhere without touching any of them.
 var registry = struct {
@@ -73,9 +73,9 @@ func New(name string) (Algorithm, error) {
 
 // CapacitySeeded is implemented by algorithms whose first decisions use a
 // stored capacity estimate — production players seed their estimator with
-// the user's throughput history. The A/B harness probes it when building an
-// arm from a factory, so history seeding works for any registered
-// algorithm without per-algorithm wiring.
+// the user's throughput history. abtest.FactoryGroup probes it when
+// building an arm from a factory, so history seeding works for any
+// registered algorithm without per-algorithm wiring.
 type CapacitySeeded interface {
 	// SeedCapacity installs the stored throughput history used before the
 	// first chunk's measurement arrives.

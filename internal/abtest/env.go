@@ -1,11 +1,13 @@
 package abtest
 
 import (
+	"context"
 	"fmt"
 
 	"bba/internal/abr"
 	"bba/internal/faults"
 	"bba/internal/media"
+	"bba/internal/metrics"
 	"bba/internal/player"
 	"bba/internal/trace"
 )
@@ -13,10 +15,10 @@ import (
 // SessionEnv is the per-draw environment of one paired session: the
 // stream view, the (possibly fault-reshaped) trace, and the shared fault
 // injector — everything the paired common-random-numbers design shares
-// across groups. PlayUser builds one and streams the groups sequentially;
-// the batch kernel builds the same env and advances the groups' sessions
-// as concurrent lanes. Either way each group sees identical inputs, so
-// results are identical.
+// across groups. The batch kernel builds one per draw and advances the
+// groups' sessions as concurrent lanes; PlayUser, the test oracle, builds
+// the same env and streams the groups sequentially. Either way each group
+// sees identical inputs, so results are identical.
 type SessionEnv struct {
 	// User is the drawn viewer (trace, title pick, watch time, R_min).
 	User User
@@ -34,7 +36,7 @@ type SessionEnv struct {
 
 // NewSessionEnv builds the environment for one paired draw. When fcfg is
 // non-nil the fault schedule drawn from (fcfg, fseed) reshapes the trace
-// and arms the injector, exactly as PlayUser always did.
+// and arms the injector.
 func NewSessionEnv(u User, video *media.Video, fcfg *faults.ScheduleConfig, fseed int64) (SessionEnv, error) {
 	return new(Scratch).NewSessionEnv(u, video, fcfg, fseed)
 }
@@ -74,4 +76,26 @@ func (e *SessionEnv) PlayerConfig(g Group) player.Config {
 		pc.Retry = player.RetryPolicy{Seed: e.FaultSeed}
 	}
 	return pc
+}
+
+// PlayUser streams the drawn user u's identical session once per group,
+// each through a fresh player.RunContext, returning one metrics.Session per
+// group in group order. When fcfg is non-nil every group runs under the
+// identical fault schedule drawn from (fcfg, fseed). No population runs
+// through it: it is the straight-line reference the tests hold the batch
+// kernel and the campaign layouts to.
+func PlayUser(ctx context.Context, u User, video *media.Video, groups []Group, fcfg *faults.ScheduleConfig, fseed int64) ([]metrics.Session, error) {
+	env, err := NewSessionEnv(u, video, fcfg, fseed)
+	if err != nil {
+		return nil, err
+	}
+	ms := make([]metrics.Session, len(groups))
+	for gi, g := range groups {
+		res, err := player.RunContext(ctx, env.PlayerConfig(g))
+		if err != nil {
+			return nil, fmt.Errorf("group %s: %w", g.Name, err)
+		}
+		ms[gi] = metrics.FromResult(res, u.Window, u.Day)
+	}
+	return ms, nil
 }

@@ -6,9 +6,30 @@ import (
 	"bba/internal/abr"
 )
 
+// Group is one experiment arm: a name and a per-session algorithm factory.
+// The factory receives the session's user so estimator-based algorithms can
+// be seeded with the user's stored throughput history, as in production.
+type Group struct {
+	Name string
+	New  func(u User) abr.Algorithm
+}
+
+// StandardGroups returns the arms used across the paper's three
+// experiments: the production Control, the R_min Always lower bound, and
+// the four buffer-based algorithms. They come out of the registry via the
+// same FactoryGroup path every other arm uses; Control is CapacitySeeded,
+// so it (and only it, among these six) is primed with the user's history.
+func StandardGroups() []Group {
+	gs, err := Groups("Control", "Rmin Always", "BBA-0", "BBA-1", "BBA-2", "BBA-Others")
+	if err != nil {
+		panic(err) // the built-in names are always registered
+	}
+	return gs
+}
+
 // FactoryGroup adapts a per-session factory into an experiment arm. It is
-// the one code path between the algorithm registry and every batch runner
-// (A/B harness, campaigns, the arena): the factory builds a fresh state
+// the one code path between the algorithm registry and every campaign (the
+// weekend experiment and the arena included): the factory builds a fresh state
 // machine per session, and when the algorithm is CapacitySeeded the user's
 // stored throughput history primes it — the production seeding previously
 // hand-wired per group.

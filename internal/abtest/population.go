@@ -22,6 +22,12 @@
 // duration); only the algorithm differs. This is a stronger variance
 // reduction than the paper's independent groups could achieve and lets a
 // much smaller population reproduce the same comparisons.
+//
+// The package is the population model only — users, arms, the per-draw
+// session environment and the seeds that key a draw. Running a population
+// is internal/campaign's job (campaign.RunWeekend is the paper's weekend
+// experiment); PlayUser is the straight-line reference its tests hold the
+// runner to.
 package abtest
 
 import (

@@ -162,11 +162,11 @@ func TestPoisson(t *testing.T) {
 
 func TestSessionRNGSeparation(t *testing.T) {
 	// Neighbouring coordinates must produce unrelated streams.
-	a := sessionRNG(1, 0, 0, 0).Int63()
-	b := sessionRNG(1, 0, 0, 1).Int63()
-	c := sessionRNG(1, 0, 1, 0).Int63()
-	d := sessionRNG(1, 1, 0, 0).Int63()
-	e := sessionRNG(2, 0, 0, 0).Int63()
+	a := SessionRNG(1, 0, 0, 0).Int63()
+	b := SessionRNG(1, 0, 0, 1).Int63()
+	c := SessionRNG(1, 0, 1, 0).Int63()
+	d := SessionRNG(1, 1, 0, 0).Int63()
+	e := SessionRNG(2, 0, 0, 0).Int63()
 	seen := map[int64]bool{a: true}
 	for _, v := range []int64{b, c, d, e} {
 		if seen[v] {
@@ -175,7 +175,7 @@ func TestSessionRNGSeparation(t *testing.T) {
 		seen[v] = true
 	}
 	// And identical coordinates reproduce.
-	if sessionRNG(1, 2, 3, 4).Int63() != sessionRNG(1, 2, 3, 4).Int63() {
+	if SessionRNG(1, 2, 3, 4).Int63() != SessionRNG(1, 2, 3, 4).Int63() {
 		t.Error("session RNG not deterministic")
 	}
 }

@@ -2,42 +2,38 @@ package abtest
 
 import (
 	"math/rand"
+
+	"bba/internal/stats"
 )
 
 // SessionRNG derives a deterministic, well-separated RNG for one session
-// from the experiment seed and the session's calendar coordinates. It is
-// exported so custom experiments (the figure generators, for instance) can
-// draw the exact population the main harness would.
+// from the experiment seed and the session's calendar coordinates. The
+// weekend campaign draws every user from it, so custom experiments (the
+// figure generators, for instance) can draw the exact same population.
 func SessionRNG(seed int64, day, window, i int) *rand.Rand {
-	return sessionRNG(seed, day, window, i)
+	return rand.New(rand.NewSource(SessionSeed(seed, day, window, i)))
 }
 
-// sessionRNG mixes the coordinates SplitMix64-style so neighbouring
+// SessionSeed is the seed of SessionRNG's stream, for callers that reseed
+// a Scratch's generator instead of allocating a fresh one.
+func SessionSeed(seed int64, day, window, i int) int64 {
+	return int64(coordMix(uint64(seed), uint64(day)+1, uint64(window)+1, uint64(i)+1))
+}
+
+// SessionFaultSeed derives the per-session fault-schedule seed. It folds
+// an extra constant into the SessionSeed mix so the fault weather stays
+// decorrelated from the population draw even when the fault seed equals
+// the experiment seed.
+func SessionFaultSeed(seed int64, day, window, i int) int64 {
+	return int64(coordMix(uint64(seed), uint64(day)+1, uint64(window)+1, uint64(i)+1, 0xFA5E1))
+}
+
+// coordMix folds the coordinates into x SplitMix64-style so neighbouring
 // coordinates produce unrelated streams regardless of worker scheduling.
-func sessionRNG(seed int64, day, window, i int) *rand.Rand {
-	x := uint64(seed)
-	for _, v := range [...]uint64{uint64(day) + 1, uint64(window) + 1, uint64(i) + 1} {
+func coordMix(x uint64, coords ...uint64) uint64 {
+	for _, v := range coords {
 		x += v * 0x9E3779B97F4A7C15
-		x = mix64(x)
+		x = stats.SplitMix64(x)
 	}
-	return rand.New(rand.NewSource(int64(x)))
-}
-
-// sessionFaultSeed derives the per-session fault-schedule seed. It folds
-// an extra constant into the sessionRNG mix so the fault weather stays
-// decorrelated from the population draw even when FaultSeed equals the
-// experiment Seed.
-func sessionFaultSeed(seed int64, day, window, i int) int64 {
-	x := uint64(seed)
-	for _, v := range [...]uint64{uint64(day) + 1, uint64(window) + 1, uint64(i) + 1, 0xFA5E1} {
-		x += v * 0x9E3779B97F4A7C15
-		x = mix64(x)
-	}
-	return int64(x)
-}
-
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
+	return x
 }

@@ -1,27 +1,42 @@
-package abtest
+// The weekend experiment — this package's population run as a Weekend-layout
+// campaign — checked from outside the package, since campaign imports it.
+package abtest_test
 
 import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"bba/internal/abr"
+	"bba/internal/abtest"
+	"bba/internal/campaign"
+	"bba/internal/faults"
 	"bba/internal/metrics"
 )
 
 // smallConfig keeps experiment tests fast while exercising every code path.
-func smallConfig(seed int64) Config {
-	return Config{Seed: seed, Days: 1, SessionsPerWindow: 4, CatalogSize: 6}
+func smallConfig(seed int64) campaign.Config {
+	cfg := campaign.WeekendConfig(seed, 1, 4)
+	cfg.CatalogSize = 6
+	return cfg
 }
 
-func TestRunProducesAllGroups(t *testing.T) {
-	out, err := Run(smallConfig(1))
+func run(t *testing.T, cfg campaign.Config) *campaign.WeekendOutcome {
+	t.Helper()
+	out, err := campaign.RunWeekend(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return out
+}
+
+func TestRunProducesAllGroups(t *testing.T) {
+	out := run(t, smallConfig(1))
 	want := []string{"Control", "Rmin Always", "BBA-0", "BBA-1", "BBA-2", "BBA-Others"}
 	for _, g := range want {
 		ws, ok := out.Windows[g]
@@ -38,14 +53,8 @@ func TestRunProducesAllGroups(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	a, err := Run(smallConfig(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(smallConfig(7))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := run(t, smallConfig(7))
+	b := run(t, smallConfig(7))
 	for g := range a.Windows {
 		for i := range a.Windows[g] {
 			wa, wb := a.Windows[g][i], b.Windows[g][i]
@@ -59,10 +68,7 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 func TestRunPairsSessionsAcrossGroups(t *testing.T) {
-	out, err := Run(smallConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := run(t, smallConfig(3))
 	// Paired design: every group plays the same (window, day) session
 	// slots, so play-hours line up closely (identical watch limits; small
 	// differences only from stall-truncated tails).
@@ -84,13 +90,10 @@ func TestRunPairsSessionsAcrossGroups(t *testing.T) {
 
 func TestRunCustomGroups(t *testing.T) {
 	cfg := smallConfig(5)
-	cfg.Groups = []Group{
-		{Name: "only", New: func(User) abr.Algorithm { return abr.RminAlways{} }},
+	cfg.Groups = []abtest.Group{
+		{Name: "only", New: func(abtest.User) abr.Algorithm { return abr.RminAlways{} }},
 	}
-	out, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := run(t, cfg)
 	if len(out.Windows) != 1 {
 		t.Fatalf("got %d groups", len(out.Windows))
 	}
@@ -109,10 +112,7 @@ func TestRunHeadlineOrderings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("moderate-scale experiment")
 	}
-	out, err := Run(Config{Seed: 42, Days: 2, SessionsPerWindow: 90})
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := run(t, campaign.WeekendConfig(42, 2, 90))
 	peak := func(g string) (rb, rate, sw float64) {
 		var ph float64
 		for _, w := range out.Windows[g] {
@@ -155,7 +155,7 @@ func TestRunHeadlineOrderings(t *testing.T) {
 func TestRunContextCanceledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunContext(ctx, smallConfig(1))
+	_, err := campaign.RunWeekend(ctx, smallConfig(1))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -166,34 +166,36 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	var calls atomic.Int64
 	cfg := smallConfig(3)
 	cfg.Parallelism = 2
-	cfg.Groups = []Group{{Name: "cancel-probe", New: func(User) abr.Algorithm {
+	cfg.Groups = []abtest.Group{{Name: "cancel-probe", New: func(abtest.User) abr.Algorithm {
 		if calls.Add(1) == 4 {
 			cancel()
 		}
 		return abr.NewBBA0()
 	}}}
-	_, err := RunContext(ctx, cfg)
+	_, err := campaign.RunWeekend(ctx, cfg)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// Cancellation must stop the run before all 48 jobs have started; the
-	// bound only catches a harness that ran to completion anyway.
+	// Cancellation must stop the run before all 48 draws have started; the
+	// bound only catches a runner that ran to completion anyway.
 	if calls.Load() >= 48 {
-		t.Errorf("run completed all %d jobs despite cancellation", calls.Load())
+		t.Errorf("run completed all %d draws despite cancellation", calls.Load())
 	}
 }
 
-// TestRunFailsFastOnWorkerError pins the fail-fast satellite: a session
-// error must abort the run without executing the remaining jobs.
+// TestRunFailsFastOnWorkerError pins fail-fast through the weekend entry
+// point: a session error must abort the run, surface as the error and leave
+// the remaining draws unexecuted.
 func TestRunFailsFastOnWorkerError(t *testing.T) {
 	var calls atomic.Int64
-	cfg := Config{Seed: 9, Days: 2, SessionsPerWindow: 20, CatalogSize: 4, Parallelism: 2}
-	cfg.Groups = []Group{{Name: "boom", New: func(User) abr.Algorithm {
+	cfg := campaign.WeekendConfig(9, 2, 20)
+	cfg.CatalogSize, cfg.Parallelism = 4, 2
+	cfg.Groups = []abtest.Group{{Name: "boom", New: func(abtest.User) abr.Algorithm {
 		calls.Add(1)
-		// A nil algorithm makes player.Run return an error immediately.
+		// A nil algorithm makes the session fail to start.
 		return nil
 	}}}
-	_, err := Run(cfg)
+	_, err := campaign.RunWeekend(context.Background(), cfg)
 	if err == nil {
 		t.Fatal("run succeeded with a nil-algorithm factory")
 	}
@@ -202,18 +204,15 @@ func TestRunFailsFastOnWorkerError(t *testing.T) {
 	}
 	total := int64(2 * metrics.WindowsPerDay * 20)
 	if got := calls.Load(); got >= total {
-		t.Errorf("all %d jobs ran despite an immediate error (want fail fast)", got)
+		t.Errorf("all %d draws ran despite an immediate error (want fail fast)", got)
 	}
 }
 
 func TestRunReportsStats(t *testing.T) {
-	out, err := Run(smallConfig(13))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSessions := metrics.WindowsPerDay * 4 * len(StandardGroups())
-	if out.Stats.Sessions != wantSessions {
-		t.Errorf("Stats.Sessions = %d, want %d", out.Stats.Sessions, wantSessions)
+	out := run(t, smallConfig(13))
+	wantSessions := int64(metrics.WindowsPerDay * 4 * len(abtest.StandardGroups()))
+	if out.Stats.PlayerSessions != wantSessions {
+		t.Errorf("Stats.PlayerSessions = %d, want %d", out.Stats.PlayerSessions, wantSessions)
 	}
 	if out.Stats.Elapsed <= 0 {
 		t.Errorf("Stats.Elapsed = %v, want > 0", out.Stats.Elapsed)
@@ -227,10 +226,7 @@ func TestRunReportsStats(t *testing.T) {
 }
 
 func TestSignificanceRebuffers(t *testing.T) {
-	out, err := Run(smallConfig(11))
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := run(t, smallConfig(11))
 	// A group against itself: identical samples, p = 1.
 	res, err := out.SignificanceRebuffers("BBA-1", "BBA-1", nil)
 	if err != nil {
@@ -246,10 +242,7 @@ func TestSignificanceRebuffers(t *testing.T) {
 }
 
 func TestOutcomeWriteCSV(t *testing.T) {
-	out, err := Run(smallConfig(21))
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := run(t, smallConfig(21))
 	var buf bytes.Buffer
 	if err := out.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -270,5 +263,50 @@ func TestOutcomeWriteCSV(t *testing.T) {
 		if got := strings.Count(line, ","); got != 9 {
 			t.Fatalf("row %q has %d commas, want 9", line, got)
 		}
+	}
+}
+
+// stormConfig is a deliberately hostile fault load so even short test
+// sessions see every kind: roughly one episode of each kind every five
+// minutes of session time.
+func stormConfig() *faults.ScheduleConfig {
+	return &faults.ScheduleConfig{
+		Blackouts:     faults.EpisodeConfig{PerHour: 12, MinDuration: 5 * time.Second, MaxDuration: 20 * time.Second},
+		Collapses:     faults.EpisodeConfig{PerHour: 12, MinDuration: 10 * time.Second, MaxDuration: 30 * time.Second},
+		LatencySpikes: faults.EpisodeConfig{PerHour: 12, MinDuration: 10 * time.Second, MaxDuration: 30 * time.Second},
+		ServerErrors:  faults.EpisodeConfig{PerHour: 12, MinDuration: 10 * time.Second, MaxDuration: 30 * time.Second},
+		StallBodies:   faults.EpisodeConfig{PerHour: 6, MinDuration: 5 * time.Second, MaxDuration: 15 * time.Second},
+		ConnResets:    faults.EpisodeConfig{PerHour: 6, MinDuration: 5 * time.Second, MaxDuration: 15 * time.Second},
+		Horizon:       4 * time.Hour,
+	}
+}
+
+// TestFaultWeatherIsPaired pins the paired design under faults: every
+// group of one session faces the identical schedule, so every group sees
+// fault activity under the storm and the totals do not depend on the
+// worker count; and a clean config reports no fault activity at all.
+func TestFaultWeatherIsPaired(t *testing.T) {
+	cfg := campaign.WeekendConfig(11, 1, 2)
+	cfg.CatalogSize = 4
+	clean := run(t, cfg)
+	if s := clean.Stats; s.Faults != 0 || s.Retries != 0 || s.Degradations != 0 || s.Failovers != 0 {
+		t.Errorf("clean run reports fault activity: %+v", s)
+	}
+
+	cfg.Faults, cfg.FaultSeed = stormConfig(), 7
+	cfg.Parallelism = 1
+	serial := run(t, cfg)
+	for g, ss := range serial.Sessions {
+		var total int
+		for _, s := range ss {
+			total += s.Faults + s.Retries
+		}
+		if total == 0 {
+			t.Errorf("group %s saw no fault activity under the storm", g)
+		}
+	}
+	cfg.Parallelism = 8
+	if wide := run(t, cfg); !reflect.DeepEqual(wide.Sessions, serial.Sessions) {
+		t.Error("faulted sessions differ between Parallelism=1 and Parallelism=8")
 	}
 }

@@ -69,33 +69,24 @@ func (p *PairAccum) add(key uint64, a, b metrics.Session) error {
 	default:
 		p.Ties++
 	}
-	if err := distAdd(&p.DAvgRate, a.AvgRateKbps-b.AvgRateKbps, key); err != nil {
+	if err := stats.IgnoreNonFinite(p.DAvgRate.Add(a.AvgRateKbps-b.AvgRateKbps, key)); err != nil {
 		return err
 	}
 	if a.StartupRateKbps > 0 && b.StartupRateKbps > 0 {
-		if err := distAdd(&p.DStartupRate, a.StartupRateKbps-b.StartupRateKbps, key); err != nil {
+		if err := stats.IgnoreNonFinite(p.DStartupRate.Add(a.StartupRateKbps-b.StartupRateKbps, key)); err != nil {
 			return err
 		}
 	}
 	if a.PlayHours > 0 && b.PlayHours > 0 {
-		if err := distAdd(&p.DQoERate, a.QoE/a.PlayHours-b.QoE/b.PlayHours, key); err != nil {
+		if err := stats.IgnoreNonFinite(p.DQoERate.Add(a.QoE/a.PlayHours-b.QoE/b.PlayHours, key)); err != nil {
 			return err
 		}
-		if err := distAdd(&p.DRebufRate, float64(a.Rebuffers)/a.PlayHours-float64(b.Rebuffers)/b.PlayHours, key); err != nil {
+		if err := stats.IgnoreNonFinite(p.DRebufRate.Add(float64(a.Rebuffers)/a.PlayHours-float64(b.Rebuffers)/b.PlayHours, key)); err != nil {
 			return err
 		}
-		if err := distAdd(&p.DSwitchRate, float64(a.Switches)/a.PlayHours-float64(b.Switches)/b.PlayHours, key); err != nil {
+		if err := stats.IgnoreNonFinite(p.DSwitchRate.Add(float64(a.Switches)/a.PlayHours-float64(b.Switches)/b.PlayHours, key)); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// distAdd mirrors the campaign's fold tolerance: the explicit non-finite
-// filter is counted inside the Dist, real errors propagate.
-func distAdd(d *stats.Dist, x float64, key uint64) error {
-	if err := d.Add(x, key); err != nil && err != stats.ErrNonFinite {
-		return err
 	}
 	return nil
 }

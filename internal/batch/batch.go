@@ -4,10 +4,10 @@
 // Width 1 — instead of building a player per session.
 //
 // The kernel owns no simulation arithmetic. Every lane is a
-// player.Session — the same step engine player.Run and the A/B harness
-// drive — so a campaign's report does not depend on the width; the kernel
-// only changes *when* each session's next chunk is simulated and what
-// gets amortized across sessions:
+// player.Session — the same step engine player.Run drives — so a
+// campaign's report does not depend on the width; the kernel only changes
+// *when* each session's next chunk is simulated and what gets amortized
+// across sessions:
 //
 //   - Lane state (buffer occupancy, trace cursor, rate/stall/switch/play
 //     counters) lives value-embedded in a flat lane array plus parallel
@@ -53,8 +53,8 @@ type Draw struct {
 
 // Config parameterizes a Runner.
 type Config struct {
-	// Groups are the experiment arms, exactly as in the A/B harness:
-	// each draw is streamed once per group under identical inputs.
+	// Groups are the experiment arms: each draw is streamed once per group
+	// under identical inputs.
 	Groups []abtest.Group
 	// Faults, when non-nil, applies per-draw fault weather exactly as
 	// abtest.PlayUser does.

@@ -51,7 +51,7 @@ func scalarReference(t *testing.T, draws []batch.Draw, groups []abtest.Group, fc
 	t.Helper()
 	want := make([][]metrics.Session, len(draws))
 	for off, d := range draws {
-		ms, err := abtest.PlayUser(context.Background(), d.User, d.Video, groups, fcfg, d.Fseed, nil)
+		ms, err := abtest.PlayUser(context.Background(), d.User, d.Video, groups, fcfg, d.Fseed)
 		if err != nil {
 			t.Fatalf("scalar draw %d: %v", off, err)
 		}

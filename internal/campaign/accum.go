@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"errors"
 	"fmt"
 
 	"bba/internal/metrics"
@@ -67,16 +66,6 @@ func NewGroupAccums(names []string, sketchSize int) []*GroupAccum {
 	return out
 }
 
-// distAdd folds a sample in, tolerating the explicit non-finite filter
-// (counted inside the Dist) but propagating real errors such as duplicate
-// keys.
-func distAdd(d *stats.Dist, x float64, key uint64) error {
-	if err := d.Add(x, key); err != nil && !errors.Is(err, stats.ErrNonFinite) {
-		return err
-	}
-	return nil
-}
-
 // AddSession folds one session in. key must be unique per (group, session)
 // — the campaign uses the global paired-session index — so sketch retention
 // stays an unbiased sample and shard merges stay exact set unions.
@@ -91,26 +80,26 @@ func (a *GroupAccum) AddSession(key uint64, s metrics.Session) error {
 		return fmt.Errorf("campaign: group %s play hours: %w", a.Name, err)
 	}
 	if s.PlayHours > 0 {
-		if err := distAdd(&a.RebufferRate, float64(s.Rebuffers)/s.PlayHours, key); err != nil {
+		if err := stats.IgnoreNonFinite(a.RebufferRate.Add(float64(s.Rebuffers)/s.PlayHours, key)); err != nil {
 			return err
 		}
-		if err := distAdd(&a.SwitchRate, float64(s.Switches)/s.PlayHours, key); err != nil {
+		if err := stats.IgnoreNonFinite(a.SwitchRate.Add(float64(s.Switches)/s.PlayHours, key)); err != nil {
 			return err
 		}
-		if err := distAdd(&a.QoERate, s.QoE/s.PlayHours, key); err != nil {
+		if err := stats.IgnoreNonFinite(a.QoERate.Add(s.QoE/s.PlayHours, key)); err != nil {
 			return err
 		}
 	}
-	if err := distAdd(&a.AvgRate, s.AvgRateKbps, key); err != nil {
+	if err := stats.IgnoreNonFinite(a.AvgRate.Add(s.AvgRateKbps, key)); err != nil {
 		return err
 	}
 	if s.SteadyReached {
-		if err := distAdd(&a.SteadyRate, s.SteadyRateKbps, key); err != nil {
+		if err := stats.IgnoreNonFinite(a.SteadyRate.Add(s.SteadyRateKbps, key)); err != nil {
 			return err
 		}
 	}
 	if s.StartupRateKbps > 0 {
-		if err := distAdd(&a.StartupRate, s.StartupRateKbps, key); err != nil {
+		if err := stats.IgnoreNonFinite(a.StartupRate.Add(s.StartupRateKbps, key)); err != nil {
 			return err
 		}
 	}

@@ -1,12 +1,13 @@
-// Package campaign scales the A/B harness from figure-sized experiments to
-// million-session campaigns: constant memory, deterministic sharding, and
-// kill-resume checkpointing.
+// Package campaign is the repo's one population runner, from the paper's
+// figure-sized weekend experiment (RunWeekend) to million-session
+// campaigns: constant memory, deterministic sharding, and kill-resume
+// checkpointing.
 //
 // The unit of work is the shard — a fixed run of ShardSize consecutive
-// global paired-session indices. Everything about a session is keyed by
-// (Seed, shard, offset), and shard boundaries depend only on the campaign
-// identity, never on worker count or process count. The determinism rule is
-// therefore:
+// global paired-session indices. Everything about a session is keyed by the
+// campaign identity and its (shard, offset) — how is the Layout's business —
+// and shard boundaries depend only on the identity, never on worker count
+// or process count. The determinism rule is therefore:
 //
 //	per-shard accumulators are bit-identical however they are computed, and
 //	the campaign state is always the left-to-right fold of those shard
@@ -43,6 +44,7 @@ import (
 	"bba/internal/faults"
 	"bba/internal/media"
 	"bba/internal/metrics"
+	"bba/internal/stats"
 	"bba/internal/telemetry"
 )
 
@@ -60,9 +62,11 @@ type Config struct {
 	// It is part of the campaign identity: changing it changes per-session
 	// RNG keying and therefore the drawn population.
 	ShardSize int
-	// Days is the simulated calendar depth; session g lands in window
-	// g mod 12 of day (g div 12) mod Days (default 3).
+	// Days is the simulated calendar depth (default 3).
 	Days int
+	// Layout maps (shard, offset) to a calendar slot and a draw key; see
+	// Layout. The zero value is Interleaved. Part of the campaign identity.
+	Layout Layout
 	// Groups are the experiment arms; empty means abtest.StandardGroups.
 	Groups []abtest.Group
 	// Population tunes the synthetic user population.
@@ -86,8 +90,10 @@ type Config struct {
 	// Batch is set (default batch.DefaultWidth). Display/throughput only —
 	// never part of the identity.
 	BatchWidth int
-	// Faults, when non-nil, runs every session under per-session fault
-	// weather exactly as the A/B harness does.
+	// Faults, when non-nil, draws a per-session fault schedule from this
+	// config and runs every group of the paired session under the identical
+	// schedule: capacity faults reshape the session's trace, request-path
+	// faults drive the player's retry/degradation loop.
 	Faults *faults.ScheduleConfig
 	// FaultSeed seeds the fault schedules independently of Seed.
 	FaultSeed int64
@@ -190,10 +196,44 @@ func (c *Config) identity() Identity {
 		Sessions:    c.Sessions,
 		ShardSize:   c.ShardSize,
 		Days:        c.Days,
+		Layout:      c.Layout,
 		CatalogSize: c.CatalogSize,
 		SketchSize:  c.SketchSize,
 		Groups:      names,
 	}
+}
+
+// Layout is how a campaign places its paired sessions on the experiment
+// calendar and keys their draws. Shard boundaries, the kernel and the fold
+// are the same under both layouts; only shardDraw reads it.
+type Layout string
+
+const (
+	// Interleaved, the zero value, deals global session index g to window
+	// g mod 12 of day (g div 12) mod Days, so any Sessions and ShardSize fill
+	// every window evenly; draws are keyed (Seed, shard, offset).
+	Interleaved Layout = ""
+	// Weekend is the paper's experiment calendar: shard s is window s mod 12
+	// of day s div 12, ShardSize paired sessions per window per day, so
+	// Sessions must equal Days × 12 × ShardSize; draws are keyed
+	// abtest.SessionRNG(Seed, day, window, offset).
+	Weekend Layout = "weekend"
+)
+
+// checkLayout rejects a layout this build does not know (a checkpoint or
+// config from elsewhere) and a Weekend campaign whose shards are not exactly
+// the calendar's windows.
+func (id Identity) checkLayout() error {
+	switch id.Layout {
+	case Interleaved:
+	case Weekend:
+		if want := id.Days * metrics.WindowsPerDay * id.ShardSize; id.Sessions != want {
+			return fmt.Errorf("campaign: weekend layout needs sessions = days × %d × shard size = %d, have %d", metrics.WindowsPerDay, want, id.Sessions)
+		}
+	default:
+		return fmt.Errorf("campaign: unknown layout %q", id.Layout)
+	}
+	return nil
 }
 
 // Progress is a live snapshot handed to Config.Progress after each
@@ -279,9 +319,9 @@ type Outcome struct {
 	Stats RunStats
 }
 
-// shardSeed derives the per-session RNG seed from (seed, shard, offset) —
-// the campaign's determinism key. The extra constant decorrelates campaign
-// draws from abtest.SessionRNG streams with the same seed.
+// shardSeed derives the Interleaved layout's per-session RNG seed from
+// (seed, shard, offset). The extra constant decorrelates its draws from the
+// Weekend layout's abtest.SessionRNG streams with the same seed.
 func shardSeed(seed int64, shard, off int) int64 {
 	return int64(shardMix(uint64(seed), uint64(shard), uint64(off), 0xCA3A16))
 }
@@ -302,28 +342,33 @@ func shardMix(vs ...uint64) uint64 {
 	x := vs[0]
 	for _, v := range vs[1:] {
 		x += (v + 1) * 0x9E3779B97F4A7C15
-		x = splitmix(x)
+		x = stats.SplitMix64(x)
 	}
 	return x
 }
 
-func splitmix(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
 // shardDraw draws the user for one (shard, offset) — the campaign's
-// determinism key — through the worker's draw scratch.
+// determinism key — through the worker's draw scratch, in the calendar slot
+// and under the seeds the layout assigns.
 func shardDraw(cfg *Config, catalog *media.Catalog, sc *abtest.Scratch, shard, off int) (abtest.User, *media.Video, int64) {
-	global := int64(shard)*int64(cfg.ShardSize) + int64(off)
-	window := int(global % int64(metrics.WindowsPerDay))
-	day := int(global / int64(metrics.WindowsPerDay) % int64(cfg.Days))
-	u := sc.DrawUser(cfg.Population, window, day, sc.Rand(shardSeed(cfg.Seed, shard, off)))
-	var fseed int64
-	if cfg.Faults != nil {
-		fseed = shardFaultSeed(cfg.FaultSeed, shard, off)
+	var window, day int
+	var seed, fseed int64
+	if cfg.Layout == Weekend {
+		window, day = shard%metrics.WindowsPerDay, shard/metrics.WindowsPerDay
+		seed = abtest.SessionSeed(cfg.Seed, day, window, off)
+		if cfg.Faults != nil {
+			fseed = abtest.SessionFaultSeed(cfg.FaultSeed, day, window, off)
+		}
+	} else {
+		global := int64(shard)*int64(cfg.ShardSize) + int64(off)
+		window = int(global % int64(metrics.WindowsPerDay))
+		day = int(global / int64(metrics.WindowsPerDay) % int64(cfg.Days))
+		seed = shardSeed(cfg.Seed, shard, off)
+		if cfg.Faults != nil {
+			fseed = shardFaultSeed(cfg.FaultSeed, shard, off)
+		}
 	}
+	u := sc.DrawUser(cfg.Population, window, day, sc.Rand(seed))
 	return u, u.Pick(catalog), fseed
 }
 
@@ -406,6 +451,9 @@ func RunContext(ctx context.Context, cfg Config) (*Outcome, error) {
 		return nil, fmt.Errorf("campaign: NewExtra requires a single-stripe, non-resumed run (extras are not checkpointed)")
 	}
 	id := cfg.identity()
+	if err := id.checkLayout(); err != nil {
+		return nil, err
+	}
 	catalog, err := media.NewCatalog(cfg.CatalogSize, cfg.Ladder, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -451,14 +499,15 @@ func RunContext(ctx context.Context, cfg Config) (*Outcome, error) {
 		extra  Extra
 		err    error
 	}
-	// The merge window: the producer takes a token per shard, and when the
-	// run's prefix can fold (it starts at the first shard this run will
-	// execute) the collector releases a shard's token only once that shard
-	// has folded into the prefix. That makes the memory ceiling a hard
+	// The merge window: the producer takes a token per shard, and in a
+	// single-stripe run (whose prefix always ends at the first shard still to
+	// execute, so everything it runs eventually folds) the collector releases
+	// a shard's token only once that shard has folded into the prefix. That
+	// makes the memory ceiling a hard
 	// guarantee: dispatched-but-unfolded shards — executing or parked —
 	// never exceed the window, however the scheduler interleaves workers.
-	// A stripe whose prefix cannot fold (its base shard belongs to another
-	// stripe) legitimately retains every completed shard for the
+	// One stripe of several cannot fold past the first shard another
+	// stripe owns and legitimately retains every completed shard for the
 	// cross-process merge, so it releases per recorded shard instead.
 	window := 2 * cfg.Parallelism
 	tokens := make(chan struct{}, window)
@@ -503,7 +552,7 @@ func RunContext(ctx context.Context, cfg Config) (*Outcome, error) {
 					return
 				}
 				if err != nil {
-					cancel() // fail fast, like the A/B harness
+					cancel() // fail fast: the remaining shards cannot rescue the run
 					return
 				}
 			}
@@ -528,7 +577,7 @@ func RunContext(ctx context.Context, cfg Config) (*Outcome, error) {
 	if cfg.NewExtra != nil {
 		extraFold = cfg.NewExtra()
 	}
-	releaseOnFold := len(todo) > 0 && todo[0] == state.PrefixShards
+	releaseOnFold := cfg.Stripes == 1
 	todoFolded := 0
 	sinceSave := 0
 	var firstErr error

@@ -25,6 +25,7 @@ type Identity struct {
 	Sessions    int      `json:"sessions"`
 	ShardSize   int      `json:"shard_size"`
 	Days        int      `json:"days"`
+	Layout      Layout   `json:"layout,omitempty"`
 	CatalogSize int      `json:"catalog_size"`
 	SketchSize  int      `json:"sketch_size"`
 	Groups      []string `json:"groups"`
@@ -169,6 +170,9 @@ func (c *Checkpoint) validate() error {
 	}
 	if c.Identity.Shards() == 0 {
 		return fmt.Errorf("campaign: checkpoint identity has no shards")
+	}
+	if err := c.Identity.checkLayout(); err != nil {
+		return err
 	}
 	if c.PrefixShards > 0 && len(c.Prefix) != len(c.Identity.Groups) {
 		return fmt.Errorf("campaign: checkpoint prefix has %d groups, identity %d", len(c.Prefix), len(c.Identity.Groups))

@@ -42,11 +42,15 @@ type ShardRunner struct {
 // caller owns scheduling and folding.
 func NewShardRunner(cfg Config) (*ShardRunner, error) {
 	cfg.applyDefaults()
+	id := cfg.identity()
+	if err := id.checkLayout(); err != nil {
+		return nil, err
+	}
 	catalog, err := media.NewCatalog(cfg.CatalogSize, cfg.Ladder, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	r := &ShardRunner{cfg: cfg, id: cfg.identity(), catalog: catalog}
+	r := &ShardRunner{cfg: cfg, id: id, catalog: catalog}
 	r.runner = newRunner(&r.cfg, &r.retired)
 	return r, nil
 }

@@ -40,8 +40,8 @@ func (d *discardWriter) WriteHeader(int)             {}
 
 // BenchmarkServeChunk measures the per-request cost of the chunk handler —
 // the unit of work the load rig multiplies by thousands of concurrent
-// clients. The load-mode before/after datapoint in BENCH_load.json tracks
-// this number across server hardening changes.
+// clients. The repo benchmark tracks the same cost as dash.serve_chunk_ns
+// (bash bench/run.sh trace).
 func BenchmarkServeChunk(b *testing.B) {
 	srv, err := NewServer(benchVideo(b))
 	if err != nil {

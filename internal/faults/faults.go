@@ -11,8 +11,8 @@
 // (arXiv:1901.00038) show real-world QoE losses are dominated by exactly
 // these transport-level pathologies. Until now the repo could only express
 // outages as hand-built zero-rate trace segments; this package makes the
-// fault process a first-class, seeded model the A/B harness can treat
-// like any other experimental variable.
+// fault process a first-class, seeded model a campaign can treat like any
+// other experimental variable.
 //
 // Layer mapping. Each fault kind is injected where it is observable:
 //
@@ -29,8 +29,8 @@
 // Determinism. Every decision is a pure function of a seed and discrete
 // coordinates (chunk index, attempt number, request sequence) — never the
 // wall clock — so the same experiment seed and fault seed reproduce the
-// same fault history at any harness parallelism, and the telemetry
-// journal of a fault run is byte-identical across worker counts.
+// same fault history at any parallelism, and a faulted campaign's report
+// is byte-identical across worker counts.
 package faults
 
 import (

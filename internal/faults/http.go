@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"bba/internal/stats"
 )
 
 // HTTPInjector drives a dash server's fault-injecting mode: the server
@@ -67,7 +69,7 @@ func (in *HTTPInjector) Request() (latency time.Duration, kind Kind, fault bool)
 		in.emit(LatencySpike, seq)
 	}
 	f, ok := in.Schedule.ActiveHTTP(at)
-	if !ok || unitFloat(hash(mix64(uint64(in.Seed)), uint64(f.Kind), uint64(seq))) >= AttemptFailProb {
+	if !ok || unitFloat(hash(stats.SplitMix64(uint64(in.Seed)), uint64(f.Kind), uint64(seq))) >= AttemptFailProb {
 		return latency, 0, false
 	}
 	in.emit(f.Kind, seq)

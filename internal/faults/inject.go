@@ -2,23 +2,17 @@ package faults
 
 import (
 	"time"
+
+	"bba/internal/stats"
 )
 
-// mix64 is the SplitMix64 finalizer — the same mixer the A/B harness uses
-// to derive per-session RNGs, reused here so fault decisions are pure
-// functions of their coordinates.
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// hash folds the seed and coordinates into a uniform 64-bit value.
+// hash folds the seed and coordinates into a uniform 64-bit value, so fault
+// decisions are pure functions of their coordinates.
 func hash(seed uint64, coords ...uint64) uint64 {
 	x := seed
 	for _, v := range coords {
 		x += (v + 1) * 0x9E3779B97F4A7C15
-		x = mix64(x)
+		x = stats.SplitMix64(x)
 	}
 	return x
 }
@@ -80,7 +74,7 @@ type SessionInjector struct {
 func NewSessionInjector(s *Schedule, seed int64) *SessionInjector {
 	return &SessionInjector{
 		sched:        s,
-		seed:         mix64(uint64(seed)),
+		seed:         stats.SplitMix64(uint64(seed)),
 		StallTimeout: 8 * time.Second,
 		ErrorDelay:   250 * time.Millisecond,
 		ResetDelay:   time.Second,

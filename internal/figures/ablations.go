@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -8,6 +9,7 @@ import (
 
 	"bba/internal/abr"
 	"bba/internal/abtest"
+	"bba/internal/campaign"
 	"bba/internal/media"
 	"bba/internal/metrics"
 	"bba/internal/sharedlink"
@@ -19,21 +21,18 @@ import (
 // Results are cached by a caller-supplied key.
 var (
 	ablMu    sync.Mutex
-	ablCache = map[string]*abtest.Outcome{}
+	ablCache = map[string]*campaign.WeekendOutcome{}
 )
 
-func ablationExperiment(key string, groups []abtest.Group) (*abtest.Outcome, error) {
+func ablationExperiment(key string, groups []abtest.Group) (*campaign.WeekendOutcome, error) {
 	ablMu.Lock()
 	defer ablMu.Unlock()
 	if out, ok := ablCache[key]; ok {
 		return out, nil
 	}
-	out, err := abtest.Run(abtest.Config{
-		Seed:              ExperimentSeed + 7,
-		Days:              2,
-		SessionsPerWindow: 40,
-		Groups:            groups,
-	})
+	cfg := campaign.WeekendConfig(ExperimentSeed+7, 2, 40)
+	cfg.Groups = groups
+	out, err := campaign.RunWeekend(context.Background(), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -41,7 +40,7 @@ func ablationExperiment(key string, groups []abtest.Group) (*abtest.Outcome, err
 	return out, nil
 }
 
-func groupPeakSummary(out *abtest.Outcome, names []string) []string {
+func groupPeakSummary(out *campaign.WeekendOutcome, names []string) []string {
 	var notes []string
 	for _, g := range names {
 		ws := out.Windows[g]
@@ -53,7 +52,7 @@ func groupPeakSummary(out *abtest.Outcome, names []string) []string {
 	return notes
 }
 
-func summaryFigure(id, title string, out *abtest.Outcome, names []string, paperNote string) *Figure {
+func summaryFigure(id, title string, out *campaign.WeekendOutcome, names []string, paperNote string) *Figure {
 	fig := &Figure{
 		ID:     id,
 		Title:  title,

@@ -1,12 +1,14 @@
 package figures
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
 
 	"bba/internal/abr"
 	"bba/internal/abtest"
+	"bba/internal/campaign"
 	"bba/internal/media"
 	"bba/internal/player"
 	"bba/internal/qoe"
@@ -40,7 +42,7 @@ func ShortVideoSessions() (*Figure, error) {
 		{Name: "BBA-1", New: func(abtest.User) abr.Algorithm { return abr.NewBBA1() }},
 		{Name: "BBA-2", New: func(abtest.User) abr.Algorithm { return abr.NewBBA2() }},
 	}
-	avgRate := func(out *abtest.Outcome, g string) float64 {
+	avgRate := func(out *campaign.WeekendOutcome, g string) float64 {
 		var sum, hours float64
 		for _, w := range out.Windows[g] {
 			sum += w.AvgRateKbps * w.PlayHours
@@ -52,13 +54,10 @@ func ShortVideoSessions() (*Figure, error) {
 		return sum / hours
 	}
 	for _, mean := range []time.Duration{6 * time.Minute, 12 * time.Minute, 25 * time.Minute, 50 * time.Minute} {
-		out, err := abtest.Run(abtest.Config{
-			Seed:              ExperimentSeed + 13,
-			Days:              1,
-			SessionsPerWindow: 50,
-			Groups:            groups,
-			Population:        abtest.PopulationConfig{MeanWatch: mean},
-		})
+		cfg := campaign.WeekendConfig(ExperimentSeed+13, 1, 50)
+		cfg.Groups = groups
+		cfg.Population = abtest.PopulationConfig{MeanWatch: mean}
+		out, err := campaign.RunWeekend(context.Background(), cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -11,18 +11,6 @@ import (
 	"bba/internal/player"
 )
 
-// ExperimentConfig returns the weekend experiment's abtest configuration
-// at a scale — the exact population ExperimentOutcome runs — so callers
-// (cmd/abtest's fault mode) can replay it under modified conditions.
-func ExperimentConfig(scale Scale) abtest.Config {
-	cfg := abtest.Config{Seed: ExperimentSeed, Days: 2, SessionsPerWindow: 80}
-	if scale == Full {
-		cfg.Days = 3
-		cfg.SessionsPerWindow = 160
-	}
-	return cfg
-}
-
 // OutageRobustness sweeps a single mid-session link blackout from seconds
 // to beyond the 240 s player buffer and reports each algorithm's rebuffer
 // rate — the §7.1 design argument made quantitative: the buffer the BBA

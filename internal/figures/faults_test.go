@@ -3,7 +3,7 @@ package figures
 import (
 	"testing"
 
-	"bba/internal/abtest"
+	"bba/internal/campaign"
 )
 
 // TestShapeOutageRobustness pins the figure's acceptance shape: for every
@@ -50,15 +50,14 @@ func TestShapeOutageRobustness(t *testing.T) {
 // populations the cached weekend experiment actually runs.
 func TestExperimentConfigMatchesScales(t *testing.T) {
 	q := ExperimentConfig(Quick)
-	if q.Seed != ExperimentSeed || q.Days != 2 || q.SessionsPerWindow != 80 {
+	if q.Seed != ExperimentSeed || q.Days != 2 || q.ShardSize != 80 || q.Sessions != 2*12*80 || q.Layout != campaign.Weekend {
 		t.Errorf("quick config = %+v", q)
 	}
 	f := ExperimentConfig(Full)
-	if f.Days != 3 || f.SessionsPerWindow != 160 {
+	if f.Days != 3 || f.ShardSize != 160 || f.Sessions != 3*12*160 || f.Layout != campaign.Weekend {
 		t.Errorf("full config = %+v", f)
 	}
 	if q.Faults != nil {
 		t.Error("weekend experiment config must be clean by default")
 	}
-	var _ abtest.Config = q
 }

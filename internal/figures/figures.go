@@ -18,7 +18,7 @@ import (
 	"strings"
 	"sync"
 
-	"bba/internal/abtest"
+	"bba/internal/campaign"
 	"bba/internal/metrics"
 )
 
@@ -118,12 +118,23 @@ func seriesWithPoint(ss []Series, i int) int {
 	return 0
 }
 
+// ExperimentConfig returns the weekend experiment's campaign configuration
+// at a scale — the exact population ExperimentOutcome runs — so callers
+// (cmd/abtest's -faults, -groups and -stream-agg modes) can replay it under
+// modified conditions.
+func ExperimentConfig(scale Scale) campaign.Config {
+	if scale == Full {
+		return campaign.WeekendConfig(ExperimentSeed, 3, 160)
+	}
+	return campaign.WeekendConfig(ExperimentSeed, 2, 80)
+}
+
 // expFlight is the single-flight slot for one scale's weekend experiment:
 // the first caller runs it, concurrent callers block on the same run, and
 // every later caller reads the cached result.
 type expFlight struct {
 	once sync.Once
-	out  *abtest.Outcome
+	out  *campaign.WeekendOutcome
 	err  error
 }
 
@@ -134,7 +145,7 @@ var (
 
 // ExperimentOutcome returns the cached weekend A/B experiment at the given
 // scale, running it on first use.
-func ExperimentOutcome(scale Scale) (*abtest.Outcome, error) {
+func ExperimentOutcome(scale Scale) (*campaign.WeekendOutcome, error) {
 	return ExperimentOutcomeContext(context.Background(), scale)
 }
 
@@ -144,7 +155,7 @@ func ExperimentOutcome(scale Scale) (*abtest.Outcome, error) {
 // context of whichever caller starts the flight governs it. A run that
 // failed (including one canceled mid-flight) is not cached, so a later
 // caller retries.
-func ExperimentOutcomeContext(ctx context.Context, scale Scale) (*abtest.Outcome, error) {
+func ExperimentOutcomeContext(ctx context.Context, scale Scale) (*campaign.WeekendOutcome, error) {
 	expMu.Lock()
 	f, ok := expFlights[scale]
 	if !ok {
@@ -153,12 +164,7 @@ func ExperimentOutcomeContext(ctx context.Context, scale Scale) (*abtest.Outcome
 	}
 	expMu.Unlock()
 	f.once.Do(func() {
-		cfg := abtest.Config{Seed: ExperimentSeed, Days: 2, SessionsPerWindow: 80}
-		if scale == Full {
-			cfg.Days = 3
-			cfg.SessionsPerWindow = 160
-		}
-		f.out, f.err = abtest.RunContext(ctx, cfg)
+		f.out, f.err = campaign.RunWeekend(ctx, ExperimentConfig(scale))
 		if f.err != nil {
 			// Drop the poisoned flight so the next caller can retry.
 			expMu.Lock()
@@ -174,12 +180,12 @@ func ExperimentOutcomeContext(ctx context.Context, scale Scale) (*abtest.Outcome
 // ExperimentStats returns the execution stats of the cached weekend
 // experiment at a scale, and whether that experiment has completed. It
 // never triggers a run.
-func ExperimentStats(scale Scale) (abtest.RunStats, bool) {
+func ExperimentStats(scale Scale) (campaign.RunStats, bool) {
 	expMu.Lock()
 	f, ok := expFlights[scale]
 	expMu.Unlock()
 	if !ok || f.out == nil {
-		return abtest.RunStats{}, false
+		return campaign.RunStats{}, false
 	}
 	return f.out.Stats, true
 }

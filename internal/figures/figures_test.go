@@ -125,7 +125,7 @@ func TestGenerateAll(t *testing.T) {
 	if !ok {
 		t.Fatal("shared experiment did not run")
 	}
-	if stats.Sessions == 0 || stats.Elapsed <= 0 {
+	if stats.PlayerSessions == 0 || stats.Elapsed <= 0 {
 		t.Errorf("stats = %+v, want populated", stats)
 	}
 }

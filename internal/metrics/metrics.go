@@ -100,8 +100,7 @@ func Aggregate(sessions []Session) ([]Window, error) {
 // WindowAccum is the incremental form of Aggregate: sessions stream in one
 // at a time and the twelve window aggregates fall out at any point, with no
 // per-session state retained. Streaming the same sessions in the same order
-// produces bit-identical Windows to a batch Aggregate call — the property
-// the A/B harness's streaming-aggregation mode relies on. Not safe for
+// produces bit-identical Windows to a batch Aggregate call. Not safe for
 // concurrent use.
 type WindowAccum struct {
 	accs []windowAcc

@@ -33,6 +33,7 @@ import (
 	"bba/internal/media"
 	"bba/internal/netem"
 	"bba/internal/player"
+	"bba/internal/stats"
 	"bba/internal/telemetry"
 	"bba/internal/trace"
 	"bba/internal/units"
@@ -211,10 +212,7 @@ func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 func mix(seed int64, vals ...int64) int64 {
 	z := uint64(seed)
 	for _, v := range vals {
-		z ^= uint64(v) * 0x9E3779B97F4A7C15
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		z ^= z >> 31
+		z = stats.SplitMix64(z ^ uint64(v)*0x9E3779B97F4A7C15)
 	}
 	return int64(z &^ (1 << 63))
 }

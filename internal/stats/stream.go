@@ -147,15 +147,21 @@ func NewQuantileSketch(k int) QuantileSketch {
 	return QuantileSketch{K: k}
 }
 
-// sketchMix is SplitMix64's finalizer: bijective, so distinct keys map to
-// distinct hashes, and scrambled enough that bottom-k retention is an
-// unbiased uniform sample even over sequential keys.
-func sketchMix(z uint64) uint64 {
-	z += 0x9E3779B97F4A7C15
+// SplitMix64 is the SplitMix64 finalizer, the one mixer behind every derived
+// seed and hash in the repo (session and shard seeds, fault decisions, soak
+// cycles, sketch keys). Each caller folds its coordinates into z its own
+// way before calling it. It is bijective, so distinct inputs map to
+// distinct outputs.
+func SplitMix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
 }
+
+// sketchMix hashes a sample key: distinct keys keep distinct hashes, and
+// they are scrambled enough that bottom-k retention is an unbiased uniform
+// sample even over sequential keys.
+func sketchMix(z uint64) uint64 { return SplitMix64(z + 0x9E3779B97F4A7C15) }
 
 // Add folds in one sample identified by key. Non-finite values are rejected
 // with ErrNonFinite; duplicate keys are rejected too (they would break the
@@ -262,6 +268,16 @@ func (d *Dist) Add(x float64, key uint64) error {
 		return err
 	}
 	return d.Sketch.Add(x, key)
+}
+
+// IgnoreNonFinite drops the error Dist.Add reports for a sample it filtered
+// and counted — bare or wrapped — and passes every other error (a duplicate
+// key) through: the tolerance every accumulator folding sessions shares.
+func IgnoreNonFinite(err error) error {
+	if errors.Is(err, ErrNonFinite) {
+		return nil
+	}
+	return err
 }
 
 // Merge folds another Dist into d. Folds must run in a fixed order for

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -285,5 +286,28 @@ func TestDistFiltersNonFinite(t *testing.T) {
 	}
 	if d.NonFinite != 2 || d.Moments.N != 3 {
 		t.Errorf("merged NonFinite/N = %d/%d, want 2/3", d.NonFinite, d.Moments.N)
+	}
+}
+
+// TestIgnoreNonFinite pins the fold tolerance campaign and arena share: the
+// filtered-sample report is dropped whether bare or wrapped (the arena's
+// copy compared by identity and aborted on a wrapped one), every other
+// error passes through.
+func TestIgnoreNonFinite(t *testing.T) {
+	d := NewDist(8)
+	if err := IgnoreNonFinite(d.Add(math.NaN(), 1)); err != nil {
+		t.Errorf("bare non-finite report not tolerated: %v", err)
+	}
+	if err := IgnoreNonFinite(fmt.Errorf("group x: %w", ErrNonFinite)); err != nil {
+		t.Errorf("wrapped non-finite report not tolerated: %v", err)
+	}
+	if err := IgnoreNonFinite(d.Add(1, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := IgnoreNonFinite(d.Add(2, 7)); err == nil {
+		t.Error("duplicate-key error swallowed")
+	}
+	if d.NonFinite != 1 {
+		t.Errorf("NonFinite = %d, want the one filtered sample counted", d.NonFinite)
 	}
 }

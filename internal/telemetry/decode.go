@@ -179,8 +179,8 @@ var intFields = []IntColumn{
 // IntColumns returns the integer journal fields in journal order.
 func IntColumns() []IntColumn { return intFields }
 
-// GroupOfSession extracts the experiment group from a session label. The
-// A/B harness stamps sessions "d<day>.w<window>.s<index>.<group>", so the
+// GroupOfSession extracts the experiment group from a session label.
+// Population labels read "d<day>.w<window>.s<index>.<group>", so the
 // group is the suffix after the last dot; labels without one (single
 // sessions, ad-hoc tools) are their own group.
 func GroupOfSession(session string) string {

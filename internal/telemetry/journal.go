@@ -11,8 +11,7 @@ import (
 // function of the event — fixed field order, integer nanoseconds and bits
 // per second, no floats, no wall-clock — so identical event streams
 // produce byte-identical journals. That property is what lets the tests
-// assert "same seed ⇒ same journal", serially and under the parallel A/B
-// harness.
+// assert "same seed ⇒ same journal".
 //
 // Journal is safe for concurrent use; errors are sticky and reported by
 // Err and Flush.

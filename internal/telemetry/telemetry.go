@@ -19,8 +19,8 @@
 //   - Ring — bounded in-memory buffer for tests and live inspection.
 //   - Prom — Prometheus-text counters and histograms, servable over HTTP
 //     (wired to /metrics on cmd/dashserver).
-//   - Capture — unsynchronized per-worker recorder the A/B harness uses to
-//     merge parallel sessions deterministically.
+//   - Capture — unsynchronized in-memory recorder for one session's events
+//     (the soak rig's per-session journals).
 package telemetry
 
 import (
@@ -173,8 +173,8 @@ func ParseKind(name string) (Kind, bool) {
 type Event struct {
 	// Kind is the event type.
 	Kind Kind
-	// Session labels the session; empty for single-session runs. The
-	// A/B harness stamps "d<day>.w<window>.s<index>.<group>".
+	// Session labels the session; empty for single-session runs. Population
+	// labels end in ".<group>" (see GroupOfSession).
 	Session string
 	// At is the session clock (virtual time in the simulator, wall time
 	// since session start over HTTP).
@@ -250,9 +250,8 @@ func (m multi) OnEvent(e Event) {
 }
 
 // Capture records every event into memory, stamping Session on events that
-// do not already carry a label. It is deliberately unsynchronized: the A/B
-// harness gives each worker-owned session its own Capture and merges them
-// deterministically after the workers finish.
+// do not already carry a label. It is deliberately unsynchronized: give
+// each session its own Capture and read Events once the session is done.
 type Capture struct {
 	// Session is stamped onto events whose Session field is empty.
 	Session string

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"strings"
 	"time"
 
@@ -33,6 +32,7 @@ import (
 	"bba/internal/campaign"
 	"bba/internal/faults"
 	"bba/internal/figures"
+	"bba/internal/obs"
 )
 
 func main() {
@@ -48,15 +48,11 @@ func main() {
 	)
 	flag.Parse()
 
-	// SIGINT cancels the experiment and figure generation promptly: the
-	// context reaches every campaign worker's per-round check.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	if err := run(ctx, os.Stdout, *scaleName, *figName, *groups, *list, *mdOut, *csvOut, *faultsOn, *streamAgg); err != nil {
-		fmt.Fprintln(os.Stderr, "abtest:", err)
-		os.Exit(1)
-	}
+	// SIGINT/SIGTERM cancels the experiment and figure generation
+	// promptly: the context reaches every campaign worker's per-round check.
+	obs.Main("abtest", func(ctx context.Context) error {
+		return run(ctx, os.Stdout, *scaleName, *figName, *groups, *list, *mdOut, *csvOut, *faultsOn, *streamAgg)
+	})
 }
 
 func run(ctx context.Context, out io.Writer, scaleName, figName, groups string, list, mdOut, csvOut, faultsOn, streamAgg bool) error {

@@ -17,7 +17,7 @@
 //	bbacampaign -merge cp0.json,cp1.json,cp2.json,cp3.json -report report.json
 //	bbacampaign -worker -coord http://host:8407 -batch
 //
-// SIGINT saves a final checkpoint, emits a truncated report (marked
+// SIGINT or SIGTERM saves a final checkpoint, emits a truncated report (marked
 // "truncated": true) and exits non-zero; re-running with the same flags and
 // -checkpoint resumes without re-running or double-counting any completed
 // shard. Progress — sessions/s, ETA and live per-group deltas — streams to
@@ -34,7 +34,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -46,6 +45,7 @@ import (
 	"bba/internal/collect"
 	"bba/internal/coord"
 	"bba/internal/faults"
+	"bba/internal/obs"
 )
 
 type options struct {
@@ -111,13 +111,9 @@ func main() {
 	flag.DurationVar(&o.progressEvery, "progress-every", 2*time.Second, "progress line interval on stderr (0 disables)")
 	flag.Parse()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	if err := run(ctx, os.Stdout, os.Stderr, o); err != nil {
-		fmt.Fprintln(os.Stderr, "bbacampaign:", err)
-		os.Exit(1)
-	}
+	obs.Main("bbacampaign", func(ctx context.Context) error {
+		return run(ctx, os.Stdout, os.Stderr, o)
+	})
 }
 
 // validateFlags rejects invalid flag combinations up front with a single
@@ -162,9 +158,6 @@ func run(ctx context.Context, out io.Writer, errw io.Writer, o options) error {
 		}
 		if !o.worker && o.stripes != 1 {
 			return errors.New("-ship covers the whole campaign from one process; drop -shards or merge stripe checkpoints locally")
-		}
-		if !strings.HasPrefix(o.ship, "http://") && !strings.HasPrefix(o.ship, "https://") {
-			return fmt.Errorf("-ship requires an http(s) collector URL (the UDP lane is best-effort events only), got %q", o.ship)
 		}
 	}
 	if o.merge != "" {

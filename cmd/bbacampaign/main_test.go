@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
 	"bba/internal/campaign"
 	"bba/internal/collect"
+	"bba/internal/obs"
 )
 
 func testOpts(sessions int) options {
@@ -236,5 +239,42 @@ func TestInterruptResume(t *testing.T) {
 	}
 	if !bytes.Equal(resumed.Bytes(), want.Bytes()) {
 		t.Error("resumed report differs from uninterrupted report")
+	}
+}
+
+// TestSIGTERMWritesCheckpoint sends the process a real SIGTERM mid-campaign
+// under obs.Main, the way main runs: a plain kill must take the same
+// cancel path as Ctrl-C — non-zero exit, resumable checkpoint on disk —
+// rather than ending the process with the shards since the last periodic
+// write lost.
+func TestSIGTERMWritesCheckpoint(t *testing.T) {
+	o := testOpts(40)
+	o.progressEvery = 0
+	o.checkpointEvery = 1 << 20 // only the on-cancel write can produce the file
+	o.checkpoint = filepath.Join(t.TempDir(), "cp.json")
+	var runErr error
+	var errw bytes.Buffer
+	obs.Main("bbacampaign", func(ctx context.Context) error {
+		shards := 0
+		o.progressHook = func(campaign.Progress) {
+			if shards++; shards == 2 {
+				if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
+					t.Error(err)
+				}
+				<-ctx.Done() // signal delivery is asynchronous; hold the fold until it lands
+			}
+		}
+		runErr = run(ctx, new(bytes.Buffer), &errw, o)
+		return nil // the exit code is main's business; the error is checked here
+	})
+	if !errors.Is(runErr, context.Canceled) {
+		t.Fatalf("run under SIGTERM = %v, want a context.Canceled interruption", runErr)
+	}
+	cp, err := campaign.LoadCheckpoint(o.checkpoint)
+	if err != nil {
+		t.Fatalf("no resumable checkpoint after SIGTERM: %v\nstderr: %s", err, errw.String())
+	}
+	if cp.CompletedShards() < 2 || cp.Complete() {
+		t.Errorf("checkpoint holds %d shards (complete=%v), want a partial run of at least 2", cp.CompletedShards(), cp.Complete())
 	}
 }

@@ -1,8 +1,8 @@
 // Command bbacollect is the fleet collection daemon: it ingests telemetry
 // frames shipped by bbacampaign (or any internal/collect Shipper) over
-// HTTP POST and/or UDP, deduplicates them per (run, session) stream, folds
-// shard accumulators into campaign checkpoints exactly once, and serves
-// the finished report.
+// HTTP POST, deduplicates them per (run, session) stream, folds shard
+// accumulators into campaign checkpoints exactly once, and serves the
+// finished report.
 //
 // Endpoints:
 //
@@ -15,20 +15,17 @@
 //	GET  /query         archived events or rollups (-store only)
 //	GET  /tail          live stream of admitted event batches as JSONL
 //
-// Two archive forms, combinable:
-//
-//	-archive FILE   append admitted event batches as flat journal JSONL
-//	-store DIR      columnar archive (internal/archive): WAL + immutable
-//	                blocks, queryable via /query and offline via bbaquery
-//
-// Either way, archiving gates acknowledgement: an event frame whose batch
-// cannot be persisted is NACKed for retry, never silently dropped, and
-// the first failure sticks until restart. SIGINT/SIGTERM drains in-flight
-// ingests, flushes the archive and exits.
+// With -store DIR, admitted event batches are persisted in a columnar
+// archive (internal/archive): WAL + immutable blocks, queryable live via
+// /query and offline via bbaquery, whose -export reproduces the admitted
+// journal JSONL byte for byte. Archiving gates acknowledgement: an event
+// frame whose batch cannot be persisted is NACKed for retry, never
+// silently dropped, and the first failure sticks until restart.
+// SIGINT/SIGTERM drains in-flight ingests, seals the archive and exits.
 //
 // Example:
 //
-//	bbacollect -addr 127.0.0.1:8406 -udp 127.0.0.1:8406 -store fleet.archive &
+//	bbacollect -addr 127.0.0.1:8406 -store fleet.archive &
 //	bbacampaign -sessions 20000 -ship http://127.0.0.1:8406
 //	curl 'http://127.0.0.1:8406/query?run=run-11&group=BBA-0&agg=1'
 package main
@@ -39,77 +36,40 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"bba/internal/archive"
 	"bba/internal/collect"
+	"bba/internal/obs"
 )
 
 type options struct {
 	addr        string
-	udp         string
-	archive     string
 	store       string
 	dedupWindow int
 	grace       time.Duration
-	// ready is a test seam: when non-nil it receives the bound HTTP
-	// address once the daemon is serving, then the UDP address if -udp
-	// was given.
+	// ready is a test seam: receives the bound HTTP address once serving.
 	ready chan<- string
 }
 
 func main() {
 	var o options
 	flag.StringVar(&o.addr, "addr", "127.0.0.1:8406", "HTTP listen address (ingest, reports, metrics)")
-	flag.StringVar(&o.udp, "udp", "", "UDP listen address for the fire-and-forget event lane (default off)")
-	flag.StringVar(&o.archive, "archive", "", "append admitted event batches to this journal JSONL file")
 	flag.StringVar(&o.store, "store", "", "columnar archive directory (enables /query and /runs)")
 	flag.IntVar(&o.dedupWindow, "dedup-window", collect.DefaultDedupWindow, "per-stream out-of-order admission window, in frames")
 	flag.DurationVar(&o.grace, "grace", 5*time.Second, "drain deadline for in-flight ingests on shutdown")
 	flag.Parse()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Stdout, os.Stderr, o); err != nil {
-		fmt.Fprintln(os.Stderr, "bbacollect:", err)
-		os.Exit(1)
-	}
+	obs.Main("bbacollect", func(ctx context.Context) error {
+		return run(ctx, os.Stdout, os.Stderr, o)
+	})
 }
 
-// teeArchiver fans each admitted batch to every archiver; the first error
-// wins, and the collector's sticky NACK handles the rest.
-type teeArchiver []collect.Archiver
-
-func (t teeArchiver) Append(run string, batch []byte) error {
-	for _, a := range t {
-		if err := a.Append(run, batch); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// run serves until ctx is cancelled, then drains and flushes the archive.
+// run serves until ctx is cancelled, then drains and seals the archive.
 func run(ctx context.Context, out, errw io.Writer, o options) error {
-	var archivers teeArchiver
-	var flush func() error
-	if o.archive != "" {
-		f, err := os.OpenFile(o.archive, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return err
-		}
-		// The file is written directly, never through a userspace buffer:
-		// Append returning nil is what lets the collector ACK the frame
-		// (and the shipper drop its copy), so the batch must be with the
-		// OS by then — a buffered batch dies with the process.
-		archivers = append(archivers, collect.WriterArchiver{W: f})
-		flush = f.Close
-	}
+	cfg := collect.CollectorConfig{DedupWindow: o.dedupWindow}
 	var store *archive.Store
 	if o.store != "" {
 		var err error
@@ -117,28 +77,9 @@ func run(ctx context.Context, out, errw io.Writer, o options) error {
 		if err != nil {
 			return err
 		}
-		archivers = append(archivers, store)
-	}
-
-	cfg := collect.CollectorConfig{DedupWindow: o.dedupWindow}
-	if len(archivers) > 0 {
-		cfg.Archive = archivers
+		cfg.Archive = store
 	}
 	c := collect.NewCollector(cfg)
-
-	ln, err := net.Listen("tcp", o.addr)
-	if err != nil {
-		return err
-	}
-	var pc net.PacketConn
-	if o.udp != "" {
-		pc, err = net.ListenPacket("udp", o.udp)
-		if err != nil {
-			ln.Close()
-			return err
-		}
-		go c.ServeUDP(pc)
-	}
 
 	mux := http.NewServeMux()
 	mux.Handle("/", c.Handler())
@@ -146,31 +87,22 @@ func run(ctx context.Context, out, errw io.Writer, o options) error {
 	if store != nil {
 		archive.QueryHandler{Store: store}.Register(mux)
 	}
+	srv, err := obs.Serve(o.addr, mux, o.grace, nil)
+	if err != nil {
+		return err
+	}
 
-	fmt.Fprintf(out, "collecting on http://%s (/ingest, /report/{run}, /metrics, /healthz, /tail)\n", ln.Addr())
+	fmt.Fprintf(out, "collecting on %s (/ingest, /report/{run}, /metrics, /healthz, /tail)\n", srv.URL())
 	if store != nil {
 		fmt.Fprintf(out, "columnar store at %s (/query, /runs)\n", o.store)
 	}
-	if pc != nil {
-		fmt.Fprintf(out, "udp event lane on %s\n", pc.LocalAddr())
-	}
 	if o.ready != nil {
-		o.ready <- ln.Addr().String()
-		if pc != nil {
-			o.ready <- pc.LocalAddr().String()
-		}
+		o.ready <- srv.Addr()
 	}
-
-	hs := &http.Server{Handler: mux}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
 
 	select {
-	case err := <-errc:
-		if pc != nil {
-			pc.Close()
-		}
-		return err
+	case <-srv.Done():
+		return srv.Err()
 	case <-ctx.Done():
 	}
 
@@ -179,20 +111,8 @@ func run(ctx context.Context, out, errw io.Writer, o options) error {
 	// (persistence gates the ACK); what remains is sealing the columnar
 	// WAL tails into blocks for offline readers.
 	fmt.Fprintln(errw, "bbacollect: shutting down")
-	if pc != nil {
-		pc.Close()
-	}
-	shctx, cancel := context.WithTimeout(context.Background(), o.grace)
-	defer cancel()
-	shutdownErr := hs.Shutdown(shctx)
-	if flush != nil {
-		if err := flush(); err != nil {
-			return err
-		}
-	}
+	drainErr := srv.Close(context.Background())
 	if store != nil {
-		// Seal the WAL tails into blocks so offline readers get columnar
-		// data, then flush.
 		if err := store.CompactAll(); err != nil {
 			return err
 		}
@@ -201,8 +121,10 @@ func run(ctx context.Context, out, errw io.Writer, o options) error {
 		}
 	}
 	printStats(errw, c.Stats())
-	if shutdownErr != nil && !errors.Is(shutdownErr, context.DeadlineExceeded) {
-		return shutdownErr
+	// A grace that expired only cut long-lived /tail streams; every ingest
+	// it interrupted was never acknowledged, so the shipper retries it.
+	if drainErr != nil && !errors.Is(drainErr, context.DeadlineExceeded) {
+		return drainErr
 	}
 	return nil
 }

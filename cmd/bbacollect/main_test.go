@@ -5,9 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -19,12 +17,12 @@ import (
 	"bba/internal/telemetry"
 )
 
-// startDaemon runs the daemon on ephemeral ports and returns its bound
-// HTTP and UDP addresses plus a shutdown func that drains and returns its
-// error and output.
-func startDaemon(t *testing.T, o options) (httpAddr, udpAddr string, shutdown func() (error, string, string)) {
+// startDaemon runs the daemon on an ephemeral port and returns its bound
+// HTTP address plus a shutdown func that drains and returns its error and
+// output.
+func startDaemon(t *testing.T, o options) (httpAddr string, shutdown func() (error, string, string)) {
 	t.Helper()
-	ready := make(chan string, 2)
+	ready := make(chan string, 1)
 	o.ready = ready
 	ctx, cancel := context.WithCancel(context.Background())
 	var out, errw bytes.Buffer
@@ -39,10 +37,7 @@ func startDaemon(t *testing.T, o options) (httpAddr, udpAddr string, shutdown fu
 		cancel()
 		t.Fatal("daemon never became ready")
 	}
-	if o.udp != "" {
-		udpAddr = <-ready
-	}
-	return httpAddr, udpAddr, func() (error, string, string) {
+	return httpAddr, func() (error, string, string) {
 		cancel()
 		select {
 		case err := <-errc:
@@ -55,9 +50,9 @@ func startDaemon(t *testing.T, o options) (httpAddr, udpAddr string, shutdown fu
 }
 
 // TestDaemonEndToEnd drives the full daemon lifecycle: ingest a campaign's
-// frames over HTTP (with a duplicate), an extra event batch over UDP,
-// fetch the aggregated report, then drain on cancel and check the archive
-// holds each admitted batch exactly once.
+// frames over HTTP (with a duplicate), an extra event batch from a second
+// session, fetch the aggregated report, then drain on cancel and check the
+// archive holds each admitted batch exactly once.
 func TestDaemonEndToEnd(t *testing.T) {
 	// Ground truth: the same campaign aggregated in-process, its shard
 	// payloads captured as the shipper would send them.
@@ -87,11 +82,9 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	archive := filepath.Join(t.TempDir(), "fleet.jsonl")
 	store := filepath.Join(t.TempDir(), "fleet.archive")
-	httpAddr, udpAddr, shutdown := startDaemon(t, options{
-		addr: "127.0.0.1:0", udp: "127.0.0.1:0",
-		archive: archive, store: store, dedupWindow: collect.DefaultDedupWindow,
+	httpAddr, shutdown := startDaemon(t, options{
+		addr: "127.0.0.1:0", store: store, dedupWindow: collect.DefaultDedupWindow,
 		grace: 5 * time.Second,
 	})
 
@@ -120,33 +113,19 @@ func TestDaemonEndToEnd(t *testing.T) {
 	post(frame(2, collect.PayloadShard, shardJSON[0]), http.StatusNoContent)
 	post(frame(3, collect.PayloadRunEnd, nil), http.StatusNoContent)
 
-	// The fire-and-forget lane: one datagram from a second session.
-	uc, err := net.Dial("udp", udpAddr)
+	// A second session's batch lands beside the first's.
+	post(collect.AppendFrame(nil, collect.Frame{Run: "d", Session: 2, Seq: 0, Kind: collect.PayloadEvents, Payload: events}), http.StatusNoContent)
+
+	// Both batches are counted once on /metrics, then fetch the report.
+	mresp, err := http.Get("http://" + httpAddr + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := uc.Write(collect.AppendFrame(nil, collect.Frame{Run: "d", Session: 2, Seq: 0, Kind: collect.PayloadEvents, Payload: events})); err != nil {
-		t.Fatal(err)
-	}
-	uc.Close()
-
-	// Wait for the UDP frame via metrics, then fetch the report.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Get("http://" + httpAddr + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var m bytes.Buffer
-		m.ReadFrom(resp.Body)
-		resp.Body.Close()
-		if strings.Contains(m.String(), "bba_collect_events_total 2") {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("UDP event never admitted:\n%s", m.String())
-		}
-		time.Sleep(2 * time.Millisecond)
+	var m bytes.Buffer
+	m.ReadFrom(mresp.Body)
+	mresp.Body.Close()
+	if !strings.Contains(m.String(), "bba_collect_events_total 2\n") {
+		t.Fatalf("/metrics does not count two admitted events:\n%s", m.String())
 	}
 	resp, err := http.Get(fmt.Sprintf("http://%s/report/d", httpAddr))
 	if err != nil {
@@ -202,14 +181,19 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 
 	// Persistence gates acknowledgement: both ACKed batches are already
-	// on the flat archive file while the daemon is still running — a
-	// crash here (no drain, no flush) must not lose acknowledged events.
-	live, err := os.ReadFile(archive)
+	// in the store's WAL while the daemon is still running — a crash here
+	// (no drain, no compaction) must not lose acknowledged events.
+	both := append(append([]byte(nil), events...), events...)
+	live, err := archivepkg.OpenReadOnly(store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(live, append(append([]byte(nil), events...), events...)) {
-		t.Fatalf("archive before shutdown:\n%q\nwant both acknowledged batches already on disk", live)
+	var liveExport bytes.Buffer
+	if err := live.Export("d", &liveExport); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(liveExport.Bytes(), both) {
+		t.Fatalf("store before shutdown:\n%q\nwant both acknowledged batches already on disk", liveExport.Bytes())
 	}
 
 	err, stdout, stderr := shutdown()
@@ -223,18 +207,9 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Errorf("stderr missing drain summary: %q", stderr)
 	}
 
-	// The archive holds the HTTP batch once (duplicate discarded) and the
-	// UDP batch once, flushed by the drain.
-	b, err := os.ReadFile(archive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b, append(append([]byte(nil), events...), events...)) {
-		t.Fatalf("archive:\n%q\nwant two batches:\n%q", b, events)
-	}
-
 	// Shutdown compacted the store: the directory holds sealed blocks a
-	// read-only open exports byte-identically to the flat archive file.
+	// read-only open exports as each admitted batch exactly once (the
+	// duplicate delivery discarded).
 	ro, err := archivepkg.OpenReadOnly(store)
 	if err != nil {
 		t.Fatal(err)
@@ -247,14 +222,14 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if err := ro.Export("d", &exported); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(exported.Bytes(), b) {
-		t.Fatalf("columnar export differs from flat archive:\n%q\nvs\n%q", exported.Bytes(), b)
+	if !bytes.Equal(exported.Bytes(), both) {
+		t.Fatalf("columnar export:\n%q\nwant two batches:\n%q", exported.Bytes(), both)
 	}
 }
 
 // TestDaemonTail checks /tail streams admitted batches live.
 func TestDaemonTail(t *testing.T) {
-	httpAddr, _, shutdown := startDaemon(t, options{
+	httpAddr, shutdown := startDaemon(t, options{
 		addr: "127.0.0.1:0", grace: 5 * time.Second,
 	})
 	defer shutdown()

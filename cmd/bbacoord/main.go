@@ -31,17 +31,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"bba/internal/abr"
 	"bba/internal/campaign"
 	"bba/internal/coord"
+	"bba/internal/obs"
 )
 
 type options struct {
@@ -87,12 +84,9 @@ func main() {
 	flag.DurationVar(&o.progressEvery, "progress-every", 2*time.Second, "progress line interval on stderr (0 disables)")
 	flag.Parse()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Stdout, os.Stderr, o); err != nil {
-		fmt.Fprintln(os.Stderr, "bbacoord:", err)
-		os.Exit(1)
-	}
+	obs.Main("bbacoord", func(ctx context.Context) error {
+		return run(ctx, os.Stdout, os.Stderr, o)
+	})
 }
 
 func run(ctx context.Context, out, errw io.Writer, o options) error {
@@ -134,20 +128,16 @@ func run(ctx context.Context, out, errw io.Writer, o options) error {
 		return err
 	}
 
-	ln, err := net.Listen("tcp", o.addr)
+	srv, err := obs.Serve(o.addr, c.Handler(), 5*time.Second, nil)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "coordinating on http://%s (/join, /lease, /heartbeat, /complete, /report, /metrics, /healthz)\n", ln.Addr())
+	fmt.Fprintf(out, "coordinating on %s (/join, /lease, /heartbeat, /complete, /report, /metrics, /healthz)\n", srv.URL())
 	fmt.Fprintf(errw, "campaign: %d sessions in %d shards, lease %d shards / %v ttl\n",
 		c.Identity().Sessions, c.Identity().Shards(), o.leaseShards, o.leaseTTL)
 	if o.ready != nil {
-		o.ready <- ln.Addr().String()
+		o.ready <- srv.Addr()
 	}
-
-	hs := &http.Server{Handler: c.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
 
 	// Background sweep keeps expiry moving while no worker is talking;
 	// progress goes to stderr like bbacampaign's.
@@ -172,8 +162,8 @@ loop:
 		case <-ctx.Done():
 			runErr = ctx.Err()
 			break loop
-		case err := <-errc:
-			return err
+		case <-srv.Done():
+			return srv.Err()
 		case <-ticker.C:
 			c.Sweep()
 		case <-progress.C:
@@ -193,9 +183,7 @@ loop:
 		case <-ctx.Done():
 		}
 	}
-	shctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	shutdownErr := hs.Shutdown(shctx)
+	shutdownErr := srv.Close(context.Background())
 
 	s := c.Stats()
 	fmt.Fprintf(errw, "coordinator: %d shards folded (%d duplicates absorbed) across %d workers, %d leases (%d stolen, %d expired, %d shards re-issued) in %v\n",

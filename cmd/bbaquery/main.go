@@ -29,13 +29,12 @@ import (
 	"net/http"
 	"net/url"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"bba/internal/archive"
+	"bba/internal/obs"
 	"bba/internal/telemetry"
 )
 
@@ -74,12 +73,9 @@ func main() {
 	flag.IntVar(&o.limit, "limit", 100000, "cap on printed events")
 	flag.Parse()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Stdout, o); err != nil {
-		fmt.Fprintln(os.Stderr, "bbaquery:", err)
-		os.Exit(1)
-	}
+	obs.Main("bbaquery", func(ctx context.Context) error {
+		return run(ctx, os.Stdout, o)
+	})
 }
 
 // run executes one query and writes the result to out.

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"strings"
 	"time"
 
@@ -26,6 +25,7 @@ import (
 	"bba/internal/arena"
 	"bba/internal/campaign"
 	"bba/internal/faults"
+	"bba/internal/obs"
 )
 
 type options struct {
@@ -65,13 +65,9 @@ func main() {
 	flag.DurationVar(&o.progress, "progress-every", 2*time.Second, "progress line interval on stderr (0 disables)")
 	flag.Parse()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	if err := run(ctx, os.Stdout, os.Stderr, o); err != nil {
-		fmt.Fprintln(os.Stderr, "bbarena:", err)
-		os.Exit(1)
-	}
+	obs.Main("bbarena", func(ctx context.Context) error {
+		return run(ctx, os.Stdout, os.Stderr, o)
+	})
 }
 
 func run(ctx context.Context, out, errw io.Writer, o options) error {

@@ -1,119 +1,81 @@
-// Command bbasoak is the continuous-verification daemon and the
-// real-socket load rig.
+// Command bbasoak is the continuous-verification daemon.
 //
-// Soak mode (the default) runs cycles forever — or exactly -cycles N in
-// one-shot mode — each cycle booting a primary/secondary origin pair (or
-// targeting -url), driving concurrent netem-shaped real-HTTP sessions
-// under a rotating seeded fault schedule, and checking the paper-level
-// invariants on every captured journal: sessions terminate, no rebuffer
-// begins above reservoir+slack, failover converges back to the primary,
-// the degrade path is bounded, and the collector's archive byte-agrees
-// with the local journals. SLO counters are served as Prometheus text on
-// -metrics (/metrics, /healthz); one-shot mode exits non-zero if any
-// cycle had a violation.
-//
-// Load mode (-mode load) ramps concurrent real-socket clients against
-// -url in steps, measuring per-chunk TTFB and throughput distributions
-// per step, locating the knee where the origin stops scaling, and
-// aborting when the error rate crosses the guard.
+// It runs cycles forever — or exactly -cycles N in one-shot mode — each
+// cycle booting a primary/secondary origin pair (or targeting -url),
+// driving concurrent netem-shaped real-HTTP sessions under a rotating
+// seeded fault schedule, and checking the paper-level invariants on every
+// captured journal: sessions terminate, no rebuffer begins above
+// reservoir+slack, failover converges back to the primary, the degrade
+// path is bounded, and the collector's archive byte-agrees with the local
+// journals. SLO counters are served as Prometheus text on -metrics
+// (/metrics, /healthz); one-shot mode exits non-zero if any cycle had a
+// violation.
 //
 // Examples:
 //
 //	bbasoak -cycles 3 -watch 4s                 # one-shot CI gate
 //	bbasoak -metrics 127.0.0.1:9414             # daemon, scrape /metrics
-//	bbasoak -mode load -url http://host:8404 -target 2000 -load-out ramp.json
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"bba/internal/obs"
 	"bba/internal/soak"
 	"bba/internal/telemetry"
 )
 
 func main() {
 	var (
-		mode     = flag.String("mode", "soak", "soak | load")
-		cycles   = flag.Int("cycles", 0, "soak: run N cycles and exit non-zero on any failure (0 = run until signalled)")
-		interval = flag.Duration("interval", 2*time.Second, "soak: pause between cycles")
-		sessions = flag.Int("sessions", 6, "soak: concurrent sessions per cycle")
+		cycles   = flag.Int("cycles", 0, "run N cycles and exit non-zero on any failure (0 = run until signalled)")
+		interval = flag.Duration("interval", 2*time.Second, "pause between cycles")
+		sessions = flag.Int("sessions", 6, "concurrent sessions per cycle")
 		seed     = flag.Int64("seed", 1, "master seed; cycle N is reproducible from (seed, N)")
-		watch    = flag.Duration("watch", 12*time.Second, "soak: per-session watch window")
-		chunkMS  = flag.Int("chunk-ms", 500, "soak: chunk duration of the cycle titles, milliseconds")
-		shape    = flag.Int("shape-kbps", 4000, "soak: per-session shaped downstream capacity")
-		algs     = flag.String("algs", "", "soak: comma-separated algorithm rotation (default: built-in mix)")
-		url      = flag.String("url", "", "target an already-running origin (soak: disables in-process origins; load: required)")
-		colCheck = flag.Bool("collector-check", true, "soak: ship journals through a real collector and cross-check bytes")
-		faultsOn = flag.Bool("faults", true, "soak: origin-side fault injection + failover secondary")
-		metrics  = flag.String("metrics", "127.0.0.1:0", "soak: /metrics + /healthz listen address (\"\" disables; \":0\" prints the bound port)")
-		journal  = flag.String("journal", "", "soak: append soak_cycle/slo_breach JSONL to this file")
-
-		target    = flag.Int("target", 1000, "load: ramp ceiling, concurrent clients")
-		startAt   = flag.Int("start", 0, "load: first step's client count (0 = one step size)")
-		step      = flag.Int("step", 250, "load: client increment per step")
-		dwell     = flag.Duration("dwell", 1500*time.Millisecond, "load: measurement window per step")
-		abortRate = flag.Float64("abort-error-rate", 0.05, "load: stop the ramp past this error fraction")
-		kneeF     = flag.Float64("knee-factor", 3, "load: knee = first step with p95 TTFB above factor x baseline")
-		rate      = flag.Int("rate", 0, "load: ladder rung the clients request")
-		loadOut   = flag.String("load-out", "", "load: write the ramp result JSON here (default stdout)")
+		watch    = flag.Duration("watch", 12*time.Second, "per-session watch window")
+		chunkMS  = flag.Int("chunk-ms", 500, "chunk duration of the cycle titles, milliseconds")
+		shape    = flag.Int("shape-kbps", 4000, "per-session shaped downstream capacity")
+		algs     = flag.String("algs", "", "comma-separated algorithm rotation (default: built-in mix)")
+		url      = flag.String("url", "", "target an already-running origin (disables in-process origins)")
+		colCheck = flag.Bool("collector-check", true, "ship journals through a real collector and cross-check bytes")
+		faultsOn = flag.Bool("faults", true, "origin-side fault injection + failover secondary")
+		metrics  = flag.String("metrics", "127.0.0.1:0", "/metrics + /healthz listen address (\"\" disables; \":0\" prints the bound port)")
+		journal  = flag.String("journal", "", "append soak_cycle/slo_breach JSONL to this file")
 	)
 	flag.Parse()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	var err error
-	switch *mode {
-	case "soak":
-		cfg := soakConfig{
-			cycles: *cycles, interval: *interval, metricsAddr: *metrics, journal: *journal,
-			soak: soak.Config{
-				Sessions:       *sessions,
-				Seed:           *seed,
-				Watch:          *watch,
-				ChunkMS:        *chunkMS,
-				ShapeKbps:      *shape,
-				Algorithms:     splitAlgs(*algs),
-				BaseURL:        *url,
-				DisableFaults:  !*faultsOn,
-				CollectorCheck: *colCheck,
-			},
-		}
-		err = runSoak(ctx, cfg)
-	case "load":
-		cfg := soak.LoadConfig{
-			URL: *url, Target: *target, Start: *startAt, Step: *step, Dwell: *dwell,
-			AbortErrorRate: *abortRate, KneeFactor: *kneeF, Rate: *rate,
-		}
-		err = runLoad(ctx, cfg, *loadOut)
-	default:
-		err = fmt.Errorf("unknown -mode %q (want soak or load)", *mode)
+	cfg := soakConfig{
+		cycles: *cycles, interval: *interval, metricsAddr: *metrics, journal: *journal,
+		soak: soak.Config{
+			Sessions:       *sessions,
+			Seed:           *seed,
+			Watch:          *watch,
+			ChunkMS:        *chunkMS,
+			ShapeKbps:      *shape,
+			Algorithms:     splitAlgs(*algs),
+			BaseURL:        *url,
+			DisableFaults:  !*faultsOn,
+			CollectorCheck: *colCheck,
+		},
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bbasoak:", err)
-		os.Exit(1)
-	}
+	obs.Main("bbasoak", func(ctx context.Context) error { return runSoak(ctx, cfg) })
 }
 
-// soakConfig carries the soak-mode flag set; onReady is the test seam
-// announcing the bound metrics address.
+// soakConfig carries the flag set.
 type soakConfig struct {
 	cycles      int
 	interval    time.Duration
 	metricsAddr string
 	journal     string
 	soak        soak.Config
-	onReady     func(addr string)
+	// ready is a test seam: receives the bound metrics address once
+	// serving.
+	ready chan<- string
 }
 
 // runSoak drives the cycle loop: bounded one-shot (non-zero exit on any
@@ -143,23 +105,15 @@ func runSoak(ctx context.Context, cfg soakConfig) error {
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", runner.Metrics)
 		mux.Handle("/healthz", runner.Metrics.Healthz())
-		ln, err := net.Listen("tcp", cfg.metricsAddr)
+		srv, err := obs.Serve(cfg.metricsAddr, mux, time.Second, nil)
 		if err != nil {
 			return err
 		}
-		hs := &http.Server{Handler: mux}
-		go hs.Serve(ln)
-		defer func() {
-			sctx, cancel := context.WithTimeout(context.Background(), time.Second)
-			hs.Shutdown(sctx)
-			cancel()
-		}()
-		fmt.Printf("metrics on http://%s (/metrics, /healthz)\n", ln.Addr())
-		if cfg.onReady != nil {
-			cfg.onReady(ln.Addr().String())
+		defer srv.Close(context.Background())
+		fmt.Printf("metrics on %s (/metrics, /healthz)\n", srv.URL())
+		if cfg.ready != nil {
+			cfg.ready <- srv.Addr()
 		}
-	} else if cfg.onReady != nil {
-		cfg.onReady("")
 	}
 
 	failed, err := runner.Run(ctx, cfg.cycles, cfg.interval)
@@ -171,27 +125,6 @@ func runSoak(ctx context.Context, cfg soakConfig) error {
 	}
 	fmt.Printf("soak: %d failed cycles\n", failed)
 	return nil
-}
-
-// runLoad executes one ramp and writes the result JSON.
-func runLoad(ctx context.Context, cfg soak.LoadConfig, out string) error {
-	cfg.Logf = func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
-	}
-	res, err := soak.RunLoad(ctx, cfg)
-	if err != nil {
-		return err
-	}
-	enc, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	enc = append(enc, '\n')
-	if out == "" {
-		_, err = os.Stdout.Write(enc)
-		return err
-	}
-	return os.WriteFile(out, enc, 0o644)
 }
 
 // splitAlgs parses the -algs rotation; empty means the package default.

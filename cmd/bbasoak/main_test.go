@@ -2,10 +2,8 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -13,8 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"bba/internal/dash"
-	"bba/internal/media"
 	"bba/internal/soak"
 	"bba/internal/telemetry"
 )
@@ -30,7 +26,7 @@ func TestSoakOneShot(t *testing.T) {
 		interval:    0,
 		metricsAddr: "127.0.0.1:0",
 		journal:     journal,
-		onReady:     func(addr string) { ready <- addr },
+		ready:       ready,
 		soak: soak.Config{
 			Sessions:       2,
 			Seed:           21,
@@ -121,52 +117,6 @@ func TestSoakOneShotFailureExitsNonZero(t *testing.T) {
 	err := runSoak(context.Background(), cfg)
 	if err == nil || !strings.Contains(err.Error(), "violated invariants") {
 		t.Fatalf("runSoak = %v, want invariant-violation error", err)
-	}
-}
-
-// TestLoadMode runs a miniature ramp against an in-process origin and
-// checks the JSON artifact.
-func TestLoadMode(t *testing.T) {
-	video, err := media.NewVBR(media.VBRConfig{
-		Title:         "loadmode",
-		Ladder:        media.DefaultLadder(),
-		ChunkDuration: 500 * time.Millisecond,
-		NumChunks:     16,
-	}, rand.New(rand.NewSource(7)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := dash.NewServer(video)
-	if err != nil {
-		t.Fatal(err)
-	}
-	origin, err := dash.StartOrigin("127.0.0.1:0", srv, dash.OriginConfig{ShutdownGrace: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer origin.Close(context.Background())
-
-	out := filepath.Join(t.TempDir(), "ramp.json")
-	err = runLoad(context.Background(), soak.LoadConfig{
-		URL:        origin.URL(),
-		Target:     8,
-		Step:       4,
-		Dwell:      150 * time.Millisecond,
-		KneeFactor: 1000,
-	}, out)
-	if err != nil {
-		t.Fatalf("runLoad: %v", err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res soak.LoadResult
-	if err := json.Unmarshal(data, &res); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
-	}
-	if len(res.Steps) != 2 || res.MaxClients != 8 {
-		t.Fatalf("unexpected ramp result: %+v", res)
 	}
 }
 

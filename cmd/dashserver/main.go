@@ -20,14 +20,12 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"bba/internal/dash"
 	"bba/internal/faults"
 	"bba/internal/media"
+	"bba/internal/obs"
 	"bba/internal/telemetry"
 )
 
@@ -44,21 +42,15 @@ func main() {
 	)
 	flag.Parse()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	cfg := serverConfig{
 		addr: *addr, chunks: *chunks, chunkMS: *chunkMS, seed: *seed,
 		latency: *latency, maxConns: *maxConns,
 		withFaults: *withFault, faultSeed: *faultSeed,
 	}
-	if err := run(ctx, cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "dashserver:", err)
-		os.Exit(1)
-	}
+	obs.Main("dashserver", func(ctx context.Context) error { return run(ctx, cfg) })
 }
 
-// serverConfig carries the flag set; onReady is the test seam announcing
-// the bound address.
+// serverConfig carries the flag set.
 type serverConfig struct {
 	addr       string
 	chunks     int
@@ -68,7 +60,8 @@ type serverConfig struct {
 	maxConns   int
 	withFaults bool
 	faultSeed  int64
-	onReady    func(addr string)
+	// ready is a test seam: receives the bound address once serving.
+	ready chan<- string
 }
 
 // run serves until ctx is cancelled (SIGINT/SIGTERM in main), then shuts
@@ -106,8 +99,8 @@ func run(ctx context.Context, cfg serverConfig) error {
 	fmt.Printf("serving %q (%d chunks of %v, ladder %v–%v) on http://%s (/metrics, /healthz)\n",
 		video.Title, video.NumChunks(), video.ChunkDuration,
 		video.Ladder.Min(), video.Ladder.Max(), o.Addr())
-	if cfg.onReady != nil {
-		cfg.onReady(o.Addr())
+	if cfg.ready != nil {
+		cfg.ready <- o.Addr()
 	}
 
 	select {

@@ -49,7 +49,7 @@ func startDaemon(t *testing.T, cfg serverConfig) (addr string, shutdown func()) 
 	t.Helper()
 	ready := make(chan string, 1)
 	cfg.addr = "127.0.0.1:0"
-	cfg.onReady = func(a string) { ready <- a }
+	cfg.ready = ready
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- run(ctx, cfg) }()

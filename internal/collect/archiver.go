@@ -12,19 +12,18 @@ import "io"
 // implementations must not retain the batch slice.
 //
 // archive.Store satisfies Archiver directly, giving the collector a
-// queryable columnar archive; WriterArchiver adapts a flat io.Writer for
-// the plain-JSONL file case.
+// queryable columnar archive (bbacollect -store); WriterArchiver adapts
+// an io.Writer as the in-memory sink soak's collector_agreement check and
+// the collector tests read back.
 type Archiver interface {
 	Append(run string, batch []byte) error
 }
 
 // WriterArchiver adapts an io.Writer into an Archiver: every batch is
 // appended to W verbatim, all runs interleaved, so W accumulates one
-// valid journal JSONL stream in admission order. Because a nil Append
-// return is what lets the collector acknowledge the frame — after which
-// the shipper drops its only other copy — W must persist per Write (an
-// *os.File, not a userspace-buffered writer) whenever the stream is the
-// durable record rather than a test capture.
+// valid journal JSONL stream in admission order. It is a capture, not a
+// durable record: a nil Append return lets the collector acknowledge the
+// frame, after which the shipper drops its only other copy.
 type WriterArchiver struct {
 	W io.Writer
 }

@@ -6,13 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 
 	"bba/internal/campaign"
+	"bba/internal/obs"
 )
 
 // DefaultDedupWindow bounds per-stream out-of-order admission state.
@@ -75,8 +74,8 @@ type CollectorStats struct {
 	ArchiveErrors int64
 }
 
-// Collector is the server half of the pipeline: it ingests frames from any
-// transport, verifies and dedups them, and folds shard aggregates into
+// Collector is the server half of the pipeline: it ingests frames,
+// verifies and dedups them, and folds shard aggregates into
 // per-run campaign checkpoints. Ingest is safe for concurrent use; all
 // state lives behind one mutex, which loopback benchmarks show is nowhere
 // near the bottleneck at the target ingest rate.
@@ -385,7 +384,7 @@ func (c *Collector) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/ingest", c.handleIngest)
 	mux.HandleFunc("/report/", c.handleReport)
-	mux.HandleFunc("/metrics", c.handleMetrics)
+	mux.Handle("/metrics", obs.Handler(c.writeMetrics))
 	mux.HandleFunc("/healthz", c.handleHealthz)
 	return mux
 }
@@ -438,67 +437,35 @@ func (c *Collector) handleReport(w http.ResponseWriter, r *http.Request) {
 
 func (c *Collector) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	s := c.Stats()
-	body := map[string]any{
-		"status":  "ok",
+	fields := map[string]any{
 		"runs":    s.Runs,
 		"streams": s.Streams,
 		"events":  s.Events,
 	}
-	status := http.StatusOK
 	if err := c.ArchiveError(); err != nil {
 		// A sticky archive failure means the collector is refusing event
 		// frames: alive, but not healthy.
-		body["status"] = "degraded"
-		body["archive_error"] = err.Error()
-		status = http.StatusServiceUnavailable
+		fields["archive_error"] = err.Error()
+		obs.WriteHealth(w, false, "degraded", fields)
+		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(body)
+	obs.WriteHealth(w, true, "ok", fields)
 }
 
-// handleMetrics writes Prometheus text exposition by hand, the same
-// stdlib-only approach as telemetry.Prom.
-func (c *Collector) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+// writeMetrics encodes a Stats snapshot through the shared exposition
+// writer.
+func (c *Collector) writeMetrics(w *obs.Writer) {
 	s := c.Stats()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var b bytes.Buffer
-	b.WriteString("# HELP bba_collect_frames_total Frames admitted, by payload kind.\n")
-	b.WriteString("# TYPE bba_collect_frames_total counter\n")
-	kinds := make([]string, 0, len(s.Frames))
-	for k := range s.Frames {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	for _, k := range kinds {
-		fmt.Fprintf(&b, "bba_collect_frames_total{kind=%q} %d\n", k, s.Frames[k])
-	}
-	scalar := func(name, help string, v int64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	scalar("bba_collect_frames_duplicate_total", "Duplicate frames recognized and discarded.", s.FramesDup)
-	scalar("bba_collect_frames_bad_total", "Frames permanently rejected (decode, checksum or payload).", s.FramesBad)
-	scalar("bba_collect_frames_retry_total", "Frames NACKed for retry (dedup window, unknown run).", s.FramesRetry)
-	scalar("bba_collect_events_total", "Telemetry events admitted.", s.Events)
-	scalar("bba_collect_runs_total", "Campaign runs announced.", s.Runs)
-	scalar("bba_collect_runs_ended_total", "Campaign runs marked ended.", s.RunsEnded)
-	scalar("bba_collect_streams_total", "Distinct (run, session) sender streams seen.", s.Streams)
-	scalar("bba_collect_shards_total", "Shard aggregates folded into checkpoints.", s.Shards)
-	scalar("bba_collect_shards_duplicate_total", "Shard aggregates already recorded.", s.ShardsDup)
-	scalar("bba_collect_archive_errors_total", "Event frames NACKed because the archive could not persist them.", s.ArchiveErrors)
-	w.Write(b.Bytes())
-}
-
-// ServeUDP ingests datagrams (one frame each) from conn until it is
-// closed. Decode or dedup failures are counted, never replied to — UDP is
-// the fire-and-forget lane.
-func (c *Collector) ServeUDP(conn net.PacketConn) {
-	buf := make([]byte, 64<<10)
-	for {
-		n, _, err := conn.ReadFrom(buf)
-		if err != nil {
-			return
-		}
-		c.Ingest(buf[:n])
-	}
+	w.CounterVec("bba_collect_frames_total", "Frames admitted, by payload kind.", "kind", s.Frames)
+	counter := func(name, help string, v int64) { w.Counter(name, help, float64(v)) }
+	counter("bba_collect_frames_duplicate_total", "Duplicate frames recognized and discarded.", s.FramesDup)
+	counter("bba_collect_frames_bad_total", "Frames permanently rejected (decode, checksum or payload).", s.FramesBad)
+	counter("bba_collect_frames_retry_total", "Frames NACKed for retry (dedup window, unknown run).", s.FramesRetry)
+	counter("bba_collect_events_total", "Telemetry events admitted.", s.Events)
+	counter("bba_collect_runs_total", "Campaign runs announced.", s.Runs)
+	counter("bba_collect_runs_ended_total", "Campaign runs marked ended.", s.RunsEnded)
+	counter("bba_collect_streams_total", "Distinct (run, session) sender streams seen.", s.Streams)
+	counter("bba_collect_shards_total", "Shard aggregates folded into checkpoints.", s.Shards)
+	counter("bba_collect_shards_duplicate_total", "Shard aggregates already recorded.", s.ShardsDup)
+	counter("bba_collect_archive_errors_total", "Event frames NACKed because the archive could not persist them.", s.ArchiveErrors)
 }

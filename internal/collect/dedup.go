@@ -50,8 +50,8 @@ func (s *stream) admit(seq uint64, window int) (bool, error) {
 
 // admitSlide is the lossy-lane variant used for best-effort event frames:
 // it never rejects, instead sliding the window forward when a gap grows
-// stale. A frame lost in flight (UDP, or an HTTP batch dropped after
-// exhausted retries) leaves a permanent gap; strict admission would park
+// stale. A frame lost in flight (a batch dropped after exhausted
+// retries) leaves a permanent gap; strict admission would park
 // behind it forever. Sliding gives the gap up — duplicates older than the
 // slide are still recognized as long as they arrive within the window, so
 // event delivery is at-most-once within the window and the gap is honest,

@@ -1,6 +1,6 @@
 // Package collect is the fleet telemetry collection pipeline: the
 // client-side Shipper batches session events and shard aggregates into
-// sequence-numbered, checksummed frames and ships them over UDP or HTTP
+// sequence-numbered, checksummed frames and ships them over HTTP
 // with retry and bounded on-disk spill; the server-side Collector decodes
 // frames, verifies checksums, dedups by (run, session, seq) so
 // at-least-once delivery becomes exactly-once aggregation, and folds shard
@@ -15,8 +15,8 @@
 // player fleet and the aggregator, and the aggregate must not care.
 //
 // Delivery semantics. Frames are keyed (run id, session id, seq). The
-// shipper retries until the collector acknowledges (HTTP) or fires and
-// forgets (UDP); the collector admits each key at most once. Aggregation
+// shipper retries until the collector acknowledges; the collector admits
+// each key at most once. Aggregation
 // is therefore exactly-once over whatever frames arrive, and — because the
 // campaign checkpoint folds shards in shard-index order regardless of
 // arrival order — the remote report is byte-identical to a local run of

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -55,10 +54,9 @@ func (r RetryPolicy) backoff(n int, rng *rand.Rand) time.Duration {
 
 // ShipperConfig configures a Shipper.
 type ShipperConfig struct {
-	// Addr is the collector endpoint: "udp://host:port" for fire-and-
-	// forget datagrams, or "http://host:port" (or https) for acknowledged
-	// POSTs to /ingest. HTTP is required for exactly-once aggregation —
-	// UDP has no acknowledgement, so lost event frames stay lost.
+	// Addr is the collector endpoint, "http://host:port" (or https):
+	// frames are POSTed to its /ingest and retried until acknowledged.
+	// Any other scheme is rejected with ErrBadAddr.
 	Addr string
 	// Run is the run id stamped on every frame (required, 1–255 bytes).
 	Run string
@@ -98,8 +96,8 @@ type ShipperStats struct {
 	Queue         QueueStats
 }
 
-// batchBytesCap seals a batch early so every frame fits comfortably in a
-// UDP datagram.
+// batchBytesCap seals a batch early so every frame stays well under
+// MaxFrame.
 const batchBytesCap = 56 << 10
 
 // numBatchBuffers is the event-batch buffer pool size; when all buffers
@@ -118,7 +116,7 @@ const numBatchBuffers = 4
 // acknowledgement.
 type Shipper struct {
 	cfg   ShipperConfig
-	trans transport
+	trans *httpTransport
 	q     *queue
 
 	mu            sync.Mutex // guards cur, curEvents and the event counters
@@ -158,8 +156,10 @@ type sealedBatch struct {
 	events int
 }
 
-// NewShipper validates the config, connects the transport and starts the
-// pipeline goroutines.
+// ErrBadAddr reports a ShipperConfig.Addr that is not an http(s) URL.
+var ErrBadAddr = errors.New("collect: collector address must start with http:// or https://")
+
+// NewShipper validates the config and starts the pipeline goroutines.
 func NewShipper(cfg ShipperConfig) (*Shipper, error) {
 	if len(cfg.Run) == 0 || len(cfg.Run) > 255 {
 		return nil, fmt.Errorf("collect: run id length %d outside 1..255", len(cfg.Run))
@@ -174,13 +174,16 @@ func NewShipper(cfg ShipperConfig) (*Shipper, error) {
 		cfg.Senders = 1
 	}
 	cfg.Retry.applyDefaults()
-	trans, err := dialTransport(cfg)
-	if err != nil {
-		return nil, err
+	if !strings.HasPrefix(cfg.Addr, "http://") && !strings.HasPrefix(cfg.Addr, "https://") {
+		return nil, fmt.Errorf("%w, got %q", ErrBadAddr, cfg.Addr)
+	}
+	client := cfg.HTTPClient
+	if client == nil {
+		client = &http.Client{Timeout: 10 * time.Second}
 	}
 	s := &Shipper{
 		cfg:         cfg,
-		trans:       trans,
+		trans:       &httpTransport{url: strings.TrimSuffix(cfg.Addr, "/") + "/ingest", client: client},
 		q:           newQueue(cfg.Queue),
 		free:        make(chan []byte, numBatchBuffers),
 		full:        make(chan sealedBatch, numBatchBuffers),
@@ -349,7 +352,7 @@ func (s *Shipper) reliable(kind PayloadKind, payload []byte) error {
 }
 
 // Flush seals the current batch and blocks until every queued frame has
-// been shipped (acknowledged, for HTTP) or dropped, the context expires,
+// been shipped (acknowledged) or dropped, the context expires,
 // or a reliable frame fails permanently.
 func (s *Shipper) Flush(ctx context.Context) error {
 	s.Seal()
@@ -469,50 +472,6 @@ func (s *Shipper) shipFrame(frame []byte, rng *rand.Rand) {
 // collector rejected the frame as invalid).
 var errPermanent = errors.New("collect: permanent send failure")
 
-// transport ships encoded frames to a collector.
-type transport interface {
-	ship(frame []byte) error
-	close() error
-}
-
-// dialTransport parses cfg.Addr into a transport.
-func dialTransport(cfg ShipperConfig) (transport, error) {
-	switch {
-	case strings.HasPrefix(cfg.Addr, "udp://"):
-		conn, err := net.Dial("udp", strings.TrimPrefix(cfg.Addr, "udp://"))
-		if err != nil {
-			return nil, fmt.Errorf("collect: dial %s: %w", cfg.Addr, err)
-		}
-		return &udpTransport{conn: conn}, nil
-	case strings.HasPrefix(cfg.Addr, "http://"), strings.HasPrefix(cfg.Addr, "https://"):
-		client := cfg.HTTPClient
-		if client == nil {
-			client = &http.Client{Timeout: 10 * time.Second}
-		}
-		return &httpTransport{url: strings.TrimSuffix(cfg.Addr, "/") + "/ingest", client: client}, nil
-	}
-	return nil, fmt.Errorf("collect: address %q must start with udp://, http:// or https://", cfg.Addr)
-}
-
-// udpTransport fires datagrams and forgets: no acknowledgement, so no
-// retry signal — loss shows up only in the collector's stream gaps.
-type udpTransport struct {
-	mu   sync.Mutex
-	conn net.Conn
-}
-
-func (t *udpTransport) ship(frame []byte) error {
-	if len(frame) > 64<<10 {
-		return fmt.Errorf("%w: frame %d bytes exceeds a datagram", errPermanent, len(frame))
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	_, err := t.conn.Write(frame)
-	return err
-}
-
-func (t *udpTransport) close() error { return t.conn.Close() }
-
 // httpTransport POSTs frames to /ingest; 2xx acknowledges, 4xx is a
 // permanent rejection, anything else (including transport errors) is
 // retryable.
@@ -538,7 +497,4 @@ func (t *httpTransport) ship(frame []byte) error {
 	}
 }
 
-func (t *httpTransport) close() error {
-	t.client.CloseIdleConnections()
-	return nil
-}
+func (t *httpTransport) close() { t.client.CloseIdleConnections() }

@@ -2,7 +2,7 @@ package collect
 
 import (
 	"context"
-	"net"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -200,38 +200,6 @@ func TestShipperSpillsWhileCollectorDown(t *testing.T) {
 	s.Close()
 }
 
-func TestShipperUDP(t *testing.T) {
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pc.Close()
-	c := NewCollector(CollectorConfig{})
-	go c.ServeUDP(pc)
-
-	s := newTestShipper(t, "udp://"+pc.LocalAddr().String(), func(cfg *ShipperConfig) {
-		cfg.BatchEvents = 10
-	})
-	for i := 0; i < 3; i++ {
-		s.OnEvent(testEvent(i))
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := s.Flush(ctx); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	// UDP is fire-and-forget: the flush only guarantees the datagram left;
-	// poll the collector for arrival (loopback, so loss is not expected).
-	deadline := time.Now().Add(5 * time.Second)
-	for c.Stats().Events != 3 {
-		if time.Now().After(deadline) {
-			t.Fatalf("collector got %d events over UDP, want 3", c.Stats().Events)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	s.Close()
-}
-
 func TestShipperOnEventZeroAlloc(t *testing.T) {
 	c := NewCollector(CollectorConfig{})
 	srv := httptest.NewServer(c.Handler())
@@ -253,10 +221,14 @@ func TestShipperOnEventZeroAlloc(t *testing.T) {
 }
 
 func TestShipperBadAddr(t *testing.T) {
-	if _, err := NewShipper(ShipperConfig{Addr: "gopher://x", Run: "r"}); err == nil {
-		t.Fatalf("bad scheme accepted")
+	// Only the acknowledged HTTP lane exists: every other scheme, the
+	// retired udp:// included, is refused with the typed error.
+	for _, addr := range []string{"gopher://x", "udp://127.0.0.1:9", "127.0.0.1:9", ""} {
+		if _, err := NewShipper(ShipperConfig{Addr: addr, Run: "r"}); !errors.Is(err, ErrBadAddr) {
+			t.Errorf("NewShipper(Addr: %q) = %v, want ErrBadAddr", addr, err)
+		}
 	}
-	if _, err := NewShipper(ShipperConfig{Addr: "udp://127.0.0.1:9", Run: ""}); err == nil {
+	if _, err := NewShipper(ShipperConfig{Addr: "http://127.0.0.1:9", Run: ""}); err == nil {
 		t.Fatalf("empty run id accepted")
 	}
 }

@@ -1,10 +1,10 @@
 package coord
 
 import (
-	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
+
+	"bba/internal/obs"
 )
 
 // Handler returns the coordinator's HTTP interface:
@@ -23,7 +23,7 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("/heartbeat", post(c, func(req HeartbeatRequest) (HeartbeatResponse, error) { return c.Heartbeat(req) }))
 	mux.HandleFunc("/complete", post(c, func(req CompleteRequest) (CompleteResponse, error) { return c.Complete(req) }))
 	mux.HandleFunc("/report", c.handleReport)
-	mux.HandleFunc("/metrics", c.handleMetrics)
+	mux.Handle("/metrics", obs.Handler(c.writeMetrics))
 	mux.HandleFunc("/healthz", c.handleHealthz)
 	return mux
 }
@@ -66,9 +66,7 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, _ *http.Request) {
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	s := c.Stats()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
-		"status":         "ok",
+	obs.WriteHealth(w, true, "ok", map[string]any{
 		"workers":        s.WorkersJoined,
 		"shards_done":    s.ShardsDone,
 		"shards_pending": s.ShardsPending,
@@ -77,28 +75,19 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// handleMetrics writes Prometheus text exposition by hand, the same
-// stdlib-only approach as telemetry.Prom and the collect daemon.
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+// writeMetrics encodes a Stats snapshot through the shared exposition
+// writer.
+func (c *Coordinator) writeMetrics(w *obs.Writer) {
 	s := c.Stats()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var b bytes.Buffer
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter("bba_coord_workers_joined_total", "Workers that have registered.", s.WorkersJoined)
-	counter("bba_coord_leases_granted_total", "Shard-range leases issued (including steals).", s.LeasesGranted)
-	counter("bba_coord_leases_stolen_total", "Work-stealing re-leases of straggler tails.", s.LeasesStolen)
-	counter("bba_coord_leases_expired_total", "Leases that lapsed without completion.", s.LeasesExpired)
-	counter("bba_coord_shards_reissued_total", "Shards returned to pending by lease expiry.", s.ShardsReissued)
-	counter("bba_coord_shards_completed_total", "Shard completions folded exactly once.", s.Shards)
-	counter("bba_coord_shards_duplicate_total", "Duplicate shard completions absorbed as no-ops.", s.ShardsDup)
-	gauge("bba_coord_shards_pending", "Shards awaiting a lease.", int64(s.ShardsPending))
-	gauge("bba_coord_shards_leased", "Shards under at least one live lease.", int64(s.ShardsLeased))
-	gauge("bba_coord_shards_done", "Shards folded into the checkpoint.", int64(s.ShardsDone))
-	gauge("bba_coord_leases_active", "Live leases.", int64(s.ActiveLeases))
-	w.Write(b.Bytes())
+	w.Counter("bba_coord_workers_joined_total", "Workers that have registered.", float64(s.WorkersJoined))
+	w.Counter("bba_coord_leases_granted_total", "Shard-range leases issued (including steals).", float64(s.LeasesGranted))
+	w.Counter("bba_coord_leases_stolen_total", "Work-stealing re-leases of straggler tails.", float64(s.LeasesStolen))
+	w.Counter("bba_coord_leases_expired_total", "Leases that lapsed without completion.", float64(s.LeasesExpired))
+	w.Counter("bba_coord_shards_reissued_total", "Shards returned to pending by lease expiry.", float64(s.ShardsReissued))
+	w.Counter("bba_coord_shards_completed_total", "Shard completions folded exactly once.", float64(s.Shards))
+	w.Counter("bba_coord_shards_duplicate_total", "Duplicate shard completions absorbed as no-ops.", float64(s.ShardsDup))
+	w.Gauge("bba_coord_shards_pending", "Shards awaiting a lease.", float64(s.ShardsPending))
+	w.Gauge("bba_coord_shards_leased", "Shards under at least one live lease.", float64(s.ShardsLeased))
+	w.Gauge("bba_coord_shards_done", "Shards folded into the checkpoint.", float64(s.ShardsDone))
+	w.Gauge("bba_coord_leases_active", "Live leases.", float64(s.ActiveLeases))
 }

@@ -2,12 +2,13 @@ package dash
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"sync"
 	"time"
+
+	"bba/internal/obs"
 )
 
 // OriginConfig configures the serving shell around a chunk Server.
@@ -19,7 +20,7 @@ type OriginConfig struct {
 	// (0 = unbounded). Excess dials queue in the kernel accept backlog
 	// instead of each spawning a serving goroutine — the bound that keeps
 	// an overloaded origin degrading by queueing rather than by
-	// collapsing. See DESIGN §14 for the load-ramp evidence.
+	// collapsing. See DESIGN §12 for the load-ramp evidence.
 	MaxConns int
 	// ShutdownGrace bounds how long Close waits for in-flight chunk
 	// downloads before closing their connections (default 5 s).
@@ -27,7 +28,7 @@ type OriginConfig struct {
 }
 
 // Origin is a bound, serving dash origin: the chunk Server plus /metrics
-// and /healthz on one listener. It is the Serve-style entry point both
+// and /healthz on one obs.Server shell. It is the entry point both
 // cmd/dashserver and the soak rig boot instances through — ask for
 // address ":0" and read the bound address back from Addr, so parallel
 // instances never race on a port.
@@ -36,13 +37,7 @@ type Origin struct {
 	// and latency knobs live there).
 	Server *Server
 
-	cfg  OriginConfig
-	ln   net.Listener
-	hs   *http.Server
-	addr string
-
-	done     chan struct{}
-	serveErr error
+	shell *obs.Server
 }
 
 // StartOrigin binds addr (host:port; port 0 picks a free port) and serves
@@ -54,78 +49,55 @@ func StartOrigin(addr string, srv *Server, cfg OriginConfig) (*Origin, error) {
 	if cfg.ShutdownGrace <= 0 {
 		cfg.ShutdownGrace = 5 * time.Second
 	}
-	ln, err := net.Listen("tcp", addr)
+	var wrap func(net.Listener) net.Listener
+	if cfg.MaxConns > 0 {
+		wrap = func(ln net.Listener) net.Listener {
+			return &limitListener{Listener: ln, sem: make(chan struct{}, cfg.MaxConns)}
+		}
+	}
+
+	// The chunk server is mounted bare: no middleware sits between the
+	// listener and ServeChunk.
+	mux := http.NewServeMux()
+	mux.Handle("/", srv)
+	if cfg.Metrics != nil {
+		mux.Handle("/metrics", cfg.Metrics)
+	}
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
+		v := srv.Video()
+		obs.WriteHealth(w, true, "ok", map[string]any{
+			"title":    v.Title,
+			"chunks":   v.NumChunks(),
+			"requests": srv.Requests(),
+		})
+	})
+
+	shell, err := obs.Serve(addr, mux, cfg.ShutdownGrace, wrap)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.MaxConns > 0 {
-		ln = &limitListener{Listener: ln, sem: make(chan struct{}, cfg.MaxConns)}
-	}
-	o := &Origin{
-		Server: srv,
-		cfg:    cfg,
-		ln:     ln,
-		addr:   ln.Addr().String(),
-		done:   make(chan struct{}),
-	}
-	o.hs = &http.Server{Handler: o.mux()}
-	go func() {
-		if err := o.hs.Serve(ln); err != nil && err != http.ErrServerClosed {
-			o.serveErr = err
-		}
-		close(o.done)
-	}()
-	return o, nil
+	return &Origin{Server: srv, shell: shell}, nil
 }
 
 // Addr returns the bound listen address (host:port), with the real port
 // when the origin was started on ":0".
-func (o *Origin) Addr() string { return o.addr }
+func (o *Origin) Addr() string { return o.shell.Addr() }
 
 // URL returns the origin's base URL, the form ClientConfig endpoints take.
-func (o *Origin) URL() string { return "http://" + o.addr }
+func (o *Origin) URL() string { return o.shell.URL() }
 
 // Done is closed when the serve loop exits; Err reports why (nil for a
 // clean shutdown).
-func (o *Origin) Done() <-chan struct{} { return o.done }
+func (o *Origin) Done() <-chan struct{} { return o.shell.Done() }
 
 // Err returns the serve loop's terminal error. Only valid after Done is
 // closed.
-func (o *Origin) Err() error { return o.serveErr }
+func (o *Origin) Err() error { return o.shell.Err() }
 
 // Close shuts the origin down gracefully, draining in-flight downloads up
-// to the configured grace (bounded further by ctx), and returns the serve
-// loop's error, if any.
-func (o *Origin) Close(ctx context.Context) error {
-	shctx, cancel := context.WithTimeout(ctx, o.cfg.ShutdownGrace)
-	defer cancel()
-	err := o.hs.Shutdown(shctx)
-	<-o.done
-	if o.serveErr != nil {
-		return o.serveErr
-	}
-	return err
-}
-
-// mux mounts the chunk server alongside the observability endpoints.
-func (o *Origin) mux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.Handle("/", o.Server)
-	if o.cfg.Metrics != nil {
-		mux.Handle("/metrics", o.cfg.Metrics)
-	}
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		v := o.Server.Video()
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]any{
-			"status":   "ok",
-			"title":    v.Title,
-			"chunks":   v.NumChunks(),
-			"requests": o.Server.Requests(),
-		})
-	})
-	return mux
-}
+// to the configured grace (bounded further by ctx) before closing their
+// connections, and returns the serve loop's error, if any.
+func (o *Origin) Close(ctx context.Context) error { return o.shell.Close(ctx) }
 
 // limitListener bounds concurrently-open accepted connections with a
 // semaphore acquired before each Accept and released when the accepted

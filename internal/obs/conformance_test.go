@@ -1,0 +1,227 @@
+package obs_test
+
+import (
+	"context"
+	"encoding/json"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+	"time"
+
+	"bba/internal/abr"
+	"bba/internal/campaign"
+	"bba/internal/collect"
+	"bba/internal/coord"
+	"bba/internal/faults"
+	"bba/internal/media"
+	"bba/internal/obs"
+	"bba/internal/player"
+	"bba/internal/soak"
+	"bba/internal/telemetry"
+	"bba/internal/trace"
+	"bba/internal/units"
+)
+
+// TestExpositionConformance scrapes the repository's four metric sources,
+// each after real activity, and holds every one of them to the same
+// grammar and the same Content-Type. The wanted samples are a spot check
+// that the numbers the source holds are the numbers that leave it.
+func TestExpositionConformance(t *testing.T) {
+	for _, src := range []struct {
+		name     string
+		handler  http.Handler
+		families int
+		want     map[string]float64 // sample (with label value appended, if any) → value
+	}{
+		{"telemetry.Prom", faultedProm(t), 15, map[string]float64{
+			"bba_sessions_started_total":             1,
+			"bba_sessions_completed_total":           1,
+			"bba_faults_injected_total/server_error": -1, // present, count depends on the draw
+			"bba_chunk_download_seconds_bucket/+Inf": -1,
+			"bba_buffer_level_seconds_count":         -1,
+			"bba_chunk_retries_total":                -1,
+			"bba_downloaded_bytes_total":             -1,
+			"bba_rebuffers_total":                    0,
+			"bba_seeks_total":                        0,
+			"bba_failovers_total":                    0,
+		}},
+		{"collect.Collector", busyCollector(t), 11, map[string]float64{
+			"bba_collect_frames_total/events":    1,
+			"bba_collect_frames_total/run_start": 1,
+			"bba_collect_frames_duplicate_total": 1,
+			"bba_collect_frames_bad_total":       1,
+			"bba_collect_frames_retry_total":     1,
+			"bba_collect_events_total":           2,
+			"bba_collect_runs_total":             1,
+			"bba_collect_streams_total":          1,
+			"bba_collect_archive_errors_total":   0,
+		}},
+		{"coord.Coordinator", finishedCoordinator(t), 11, map[string]float64{
+			"bba_coord_workers_joined_total":   1,
+			"bba_coord_shards_completed_total": 2,
+			"bba_coord_shards_done":            2,
+			"bba_coord_shards_pending":         0,
+			"bba_coord_leases_active":          0,
+		}},
+		{"soak.Metrics", cycledSoakMetrics(), 14, map[string]float64{
+			"soak_cycles_total":                                2,
+			"soak_cycle_failures_total":                        1,
+			"soak_sessions_total":                              3,
+			"soak_session_errors_total":                        1,
+			"soak_rebuffers_total":                             2,
+			"soak_stall_seconds_total":                         1.5,
+			"soak_invariant_checks_total/terminates":           3,
+			"soak_invariant_failures_total/failover_converges": 1,
+			"soak_consecutive_cycle_failures":                  1,
+			"soak_last_cycle_duration_seconds":                 0.25,
+			"soak_last_cycle_index":                            1,
+		}},
+	} {
+		t.Run(src.name, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			src.handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status %d", rec.Code)
+			}
+			if got := rec.Header().Get("Content-Type"); got != obs.ContentType {
+				t.Errorf("Content-Type %q, want %q", got, obs.ContentType)
+			}
+			text := rec.Body.String()
+			fams, err := parseExposition(text)
+			if err != nil {
+				t.Fatalf("%v\n%s", err, text)
+			}
+			if len(fams) != src.families {
+				t.Errorf("%d families, want %d\n%s", len(fams), src.families, text)
+			}
+			got := map[string]float64{}
+			for _, f := range fams {
+				if f.help == "" {
+					t.Errorf("family %s has no HELP text", f.name)
+				}
+				for _, s := range f.samples {
+					key := s.name
+					for _, v := range s.labels {
+						key += "/" + v
+					}
+					got[key] = s.value
+				}
+			}
+			for key, want := range src.want {
+				v, ok := got[key]
+				switch {
+				case !ok:
+					t.Errorf("sample %s missing\n%s", key, text)
+				case want < 0 && v <= 0:
+					t.Errorf("sample %s = %v, want > 0", key, v)
+				case want >= 0 && v != want:
+					t.Errorf("sample %s = %v, want %v", key, v, want)
+				}
+			}
+		})
+	}
+}
+
+// faultedProm streams one simulated session through a 5xx burst with a
+// Prom observing it.
+func faultedProm(t *testing.T) http.Handler {
+	t.Helper()
+	video, err := media.NewVBR(media.VBRConfig{
+		Title: "conformance", Ladder: media.DefaultLadder(), NumChunks: 200,
+	}, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := faults.MustSchedule([]faults.Fault{
+		{Kind: faults.ServerError, Start: time.Minute, Duration: 20 * time.Second},
+	})
+	prom := telemetry.NewProm("")
+	if _, err := player.Run(player.Config{
+		Algorithm:  abr.NewBBA2(),
+		Stream:     abr.NewStream(video, 0),
+		Trace:      trace.Constant(2500*units.Kbps, time.Hour),
+		WatchLimit: 6 * time.Minute,
+		Injector:   faults.NewSessionInjector(sched, 7),
+		Observer:   prom,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return prom
+}
+
+// busyCollector admits a run announcement and an event batch, then sees a
+// duplicate, an undecodable frame and a shard for a run it never heard of.
+func busyCollector(t *testing.T) http.Handler {
+	t.Helper()
+	c := collect.NewCollector(collect.CollectorConfig{})
+	cfg := campaign.Config{Seed: 5, Sessions: 8, ShardSize: 8, SketchSize: 32, CatalogSize: 4}
+	id, err := json.Marshal(cfg.Identity())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := telemetry.Event{Kind: telemetry.BufferSample, Session: "s", RateIndex: -1, PrevRateIndex: -1, Buffer: time.Second}
+	events := collect.AppendFrame(nil, collect.Frame{
+		Run: "r", Session: 1, Seq: 1, Kind: collect.PayloadEvents,
+		Payload: telemetry.AppendJSONL(telemetry.AppendJSONL(nil, ev), ev),
+	})
+	for _, step := range []struct {
+		frame []byte
+		ok    bool
+	}{
+		{collect.AppendFrame(nil, collect.Frame{Run: "r", Session: 1, Seq: 0, Kind: collect.PayloadRunStart, Payload: id}), true},
+		{events, true},
+		{events, true}, // duplicate: acknowledged, counted once
+		{[]byte("not a frame"), false},
+		{collect.AppendFrame(nil, collect.Frame{Run: "unknown", Session: 1, Seq: 0, Kind: collect.PayloadShard, Payload: []byte("{}")}), false},
+	} {
+		if err := c.Ingest(step.frame); (err == nil) != step.ok {
+			t.Fatalf("ingest: %v, want ok=%v", err, step.ok)
+		}
+	}
+	return c.Handler()
+}
+
+// finishedCoordinator runs a two-shard campaign to completion with one
+// in-process worker.
+func finishedCoordinator(t *testing.T) http.Handler {
+	t.Helper()
+	c, err := coord.New(coord.Config{
+		Spec: coord.Spec{
+			Seed: 41, Sessions: 16, ShardSize: 8, CatalogSize: 4, SketchSize: 64,
+			Groups: []string{"Control", "BBA-0"},
+		},
+		LeaseShards: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	if _, err := coord.RunWorker(context.Background(), coord.WorkerConfig{
+		URL: srv.URL, Name: "w", Parallelism: 1, Poll: 5 * time.Millisecond,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	<-c.Done()
+	return c.Handler()
+}
+
+// cycledSoakMetrics folds one passing and one failing cycle.
+func cycledSoakMetrics() http.Handler {
+	m := soak.NewMetrics()
+	m.ObserveCycle(&soak.Cycle{
+		Index:    0,
+		Sessions: []soak.SessionRecord{{Result: &player.Result{Rebuffers: 2, StallTime: 1500 * time.Millisecond}}},
+		Checks:   map[string]int{"terminates": 1},
+		Duration: time.Second,
+	})
+	m.ObserveCycle(&soak.Cycle{
+		Index:      1,
+		Sessions:   []soak.SessionRecord{{Result: &player.Result{}}, {Err: context.Canceled}},
+		Violations: []soak.Violation{{Invariant: "failover_converges", Session: "c1.s0"}},
+		Checks:     map[string]int{"terminates": 2, "failover_converges": 1},
+		Duration:   250 * time.Millisecond,
+	})
+	return m
+}

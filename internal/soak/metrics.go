@@ -1,17 +1,15 @@
 package soak
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
+
+	"bba/internal/obs"
 )
 
 // Metrics accumulates the soak daemon's SLO counters and serves them as
-// Prometheus text (hand-written, like telemetry.Prom — the repository
-// carries no client library). One Metrics instance is shared by the
+// Prometheus text through internal/obs. One Metrics instance is shared by the
 // Runner (writer) and the daemon's HTTP endpoints (readers).
 type Metrics struct {
 	mu sync.Mutex
@@ -85,43 +83,28 @@ func (m *Metrics) Healthy() bool {
 }
 
 // ServeHTTP implements the /metrics endpoint.
-func (m *Metrics) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
+func (m *Metrics) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	obs.Handler(m.write).ServeHTTP(w, r)
+}
+
+// write encodes the counters through the shared exposition writer.
+func (m *Metrics) write(w *obs.Writer) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-	labelled := func(name, help string, vals map[string]int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		keys := make([]string, 0, len(vals))
-		for k := range vals {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(w, "%s{invariant=%q} %d\n", name, k, vals[k])
-		}
-	}
-
-	counter("soak_cycles_total", "Completed soak cycles.", m.cycles)
-	counter("soak_cycle_failures_total", "Cycles with at least one invariant violation.", m.cycleFailures)
-	counter("soak_sessions_total", "Client sessions driven.", m.sessions)
-	counter("soak_session_errors_total", "Sessions ending in a hard error.", m.sessionErrors)
-	counter("soak_rebuffers_total", "Rebuffer events across all sessions.", m.rebuffers)
-	counter("soak_chunks_total", "Chunks downloaded across all sessions.", m.chunks)
-	fmt.Fprintf(w, "# HELP soak_stall_seconds_total Total stall time across all sessions.\n# TYPE soak_stall_seconds_total counter\nsoak_stall_seconds_total %g\n", m.stallSeconds)
-	labelled("soak_invariant_checks_total", "Invariant evaluations by name.", m.checks)
-	labelled("soak_invariant_failures_total", "Invariant violations by name.", m.failures)
-	gauge("soak_consecutive_cycle_failures", "Failing cycles in a row (0 = healthy).", float64(m.consecFailures))
-	gauge("soak_last_cycle_violations", "Violations in the most recent cycle.", float64(m.lastViolations))
-	gauge("soak_last_cycle_duration_seconds", "Wall-clock duration of the most recent cycle.", m.lastSeconds)
-	gauge("soak_last_cycle_index", "Index of the most recent cycle.", float64(m.lastCycle))
-	gauge("soak_up_seconds", "Daemon uptime.", time.Since(m.start).Seconds())
+	w.Counter("soak_cycles_total", "Completed soak cycles.", float64(m.cycles))
+	w.Counter("soak_cycle_failures_total", "Cycles with at least one invariant violation.", float64(m.cycleFailures))
+	w.Counter("soak_sessions_total", "Client sessions driven.", float64(m.sessions))
+	w.Counter("soak_session_errors_total", "Sessions ending in a hard error.", float64(m.sessionErrors))
+	w.Counter("soak_rebuffers_total", "Rebuffer events across all sessions.", float64(m.rebuffers))
+	w.Counter("soak_chunks_total", "Chunks downloaded across all sessions.", float64(m.chunks))
+	w.Counter("soak_stall_seconds_total", "Total stall time across all sessions.", m.stallSeconds)
+	w.CounterVec("soak_invariant_checks_total", "Invariant evaluations by name.", "invariant", m.checks)
+	w.CounterVec("soak_invariant_failures_total", "Invariant violations by name.", "invariant", m.failures)
+	w.Gauge("soak_consecutive_cycle_failures", "Failing cycles in a row (0 = healthy).", float64(m.consecFailures))
+	w.Gauge("soak_last_cycle_violations", "Violations in the most recent cycle.", float64(m.lastViolations))
+	w.Gauge("soak_last_cycle_duration_seconds", "Wall-clock duration of the most recent cycle.", m.lastSeconds)
+	w.Gauge("soak_last_cycle_index", "Index of the most recent cycle.", float64(m.lastCycle))
+	w.Gauge("soak_up_seconds", "Daemon uptime.", time.Since(m.start).Seconds())
 }
 
 // Healthz returns the /healthz handler: 200 with a JSON body while the
@@ -129,21 +112,17 @@ func (m *Metrics) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 func (m *Metrics) Healthz() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		m.mu.Lock()
-		status := "ok"
-		code := http.StatusOK
-		if m.consecFailures > 0 {
-			status = "failing"
-			code = http.StatusServiceUnavailable
-		}
-		body := map[string]any{
-			"status":               status,
+		healthy := m.consecFailures == 0
+		fields := map[string]any{
 			"cycles":               m.cycles,
 			"cycle_failures":       m.cycleFailures,
 			"consecutive_failures": m.consecFailures,
 		}
 		m.mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(code)
-		json.NewEncoder(w).Encode(body)
+		status := "ok"
+		if !healthy {
+			status = "failing"
+		}
+		obs.WriteHealth(w, healthy, status, fields)
 	})
 }

@@ -8,11 +8,6 @@
 // algorithm's reservoir, endpoint failover converging back to the
 // primary once it heals, bounded retry on the degrade path, and the
 // collector's archive byte-agreeing with the local journals it was fed.
-//
-// The same package carries the load rig (see load.go): a step-ramp of
-// concurrent real-socket clients against one origin that measures
-// per-chunk TTFB and throughput distributions per step and locates the
-// knee where the origin stops scaling.
 package soak
 
 import (
@@ -32,6 +27,7 @@ import (
 	"bba/internal/faults"
 	"bba/internal/media"
 	"bba/internal/netem"
+	"bba/internal/obs"
 	"bba/internal/player"
 	"bba/internal/stats"
 	"bba/internal/telemetry"
@@ -277,11 +273,7 @@ func (r *Runner) RunCycle(ctx context.Context, cycle int) (*Cycle, error) {
 		if err != nil {
 			return nil, err
 		}
-		defer func() {
-			if colStop != nil {
-				colStop()
-			}
-		}()
+		defer colStop() // idempotent: the early stop below is the normal path
 	}
 
 	records := make([]SessionRecord, cfg.Sessions)
@@ -328,7 +320,6 @@ func (r *Runner) RunCycle(ctx context.Context, cycle int) (*Cycle, error) {
 			records[i].Dropped += st.EventsDropped + st.FramesDropped
 		}
 		colStop()
-		colStop = nil
 		archived := archive.bytes()
 		for i := range records {
 			records[i].Archive = filterSession(archived, records[i].Session)
@@ -578,20 +569,11 @@ func (b *syncBuffer) bytes() []byte {
 // admitted event batch into sink.
 func startCollector(sink *syncBuffer) (addr string, stop func(), err error) {
 	col := collect.NewCollector(collect.CollectorConfig{Archive: collect.WriterArchiver{W: sink}})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	srv, err := obs.Serve("127.0.0.1:0", col.Handler(), 3*time.Second, nil)
 	if err != nil {
 		return "", nil, err
 	}
-	hs := &http.Server{Handler: col.Handler()}
-	go hs.Serve(ln)
-	var once sync.Once
-	return ln.Addr().String(), func() {
-		once.Do(func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-			hs.Shutdown(ctx)
-			cancel()
-		})
-	}, nil
+	return srv.Addr(), func() { srv.Close(context.Background()) }, nil
 }
 
 // filterSession extracts the archive's JSONL lines belonging to one

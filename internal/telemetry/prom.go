@@ -1,17 +1,17 @@
 package telemetry
 
 import (
-	"fmt"
+	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
+
+	"bba/internal/obs"
 )
 
-// Prom aggregates events into Prometheus-text counters and histograms and
-// serves them in exposition format 0.0.4 — the /metrics endpoint on
-// cmd/dashserver. It depends on nothing outside the standard library (the
-// container bakes no Prometheus client), implements both Observer and
+// Prom aggregates events into counters and histograms and serves them in
+// Prometheus exposition format 0.0.4 through internal/obs — the /metrics
+// endpoint on cmd/dashserver. It implements both Observer and
 // http.Handler, and is safe for concurrent use.
 type Prom struct {
 	mu sync.Mutex
@@ -26,7 +26,7 @@ type Prom struct {
 	rebuffers       uint64
 	seeks           uint64
 	stallSeconds    float64
-	faults          map[string]uint64
+	faults          map[string]int64
 	retries         uint64
 	failovers       uint64
 	degradations    uint64
@@ -77,7 +77,7 @@ func (p *Prom) OnEvent(e Event) {
 		p.seeks++
 	case FaultInject:
 		if p.faults == nil {
-			p.faults = make(map[string]uint64)
+			p.faults = make(map[string]int64)
 		}
 		p.faults[e.Label]++
 	case ChunkRetry:
@@ -89,20 +89,24 @@ func (p *Prom) OnEvent(e Event) {
 	}
 }
 
-// ServeHTTP implements http.Handler, writing the exposition text.
-func (p *Prom) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	p.WriteTo(w)
+// ServeHTTP implements http.Handler, serving the exposition text.
+func (p *Prom) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	obs.Handler(p.write).ServeHTTP(w, r)
 }
 
-// WriteTo writes the metrics in Prometheus text exposition format.
-func (p *Prom) WriteTo(w interface{ Write([]byte) (int, error) }) {
+// WriteTo implements io.WriterTo, writing the exposition text.
+func (p *Prom) WriteTo(w io.Writer) (int64, error) {
+	var ow obs.Writer
+	p.write(&ow)
+	n, err := w.Write(ow.Bytes())
+	return int64(n), err
+}
+
+// write encodes the current counters through the shared exposition writer.
+func (p *Prom) write(w *obs.Writer) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	counter := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s_%s %s\n# TYPE %s_%s counter\n%s_%s %s\n",
-			p.ns, name, help, p.ns, name, p.ns, name, formatFloat(v))
-	}
+	counter := func(name, help string, v float64) { w.Counter(p.ns+"_"+name, help, v) }
 	counter("sessions_started_total", "Streaming sessions begun.", float64(p.sessionsStarted))
 	counter("sessions_completed_total", "Streaming sessions finished.", float64(p.sessionsEnded))
 	counter("chunks_requested_total", "Chunk requests issued.", float64(p.chunksRequested))
@@ -113,29 +117,20 @@ func (p *Prom) WriteTo(w interface{ Write([]byte) (int, error) }) {
 	counter("stall_seconds_total", "Total time playback was frozen.", p.stallSeconds)
 	counter("seeks_total", "Viewer seeks executed.", float64(p.seeks))
 	if len(p.faults) > 0 {
-		fmt.Fprintf(w, "# HELP %s_faults_injected_total Injected faults observed, by kind.\n# TYPE %s_faults_injected_total counter\n", p.ns, p.ns)
-		kinds := make([]string, 0, len(p.faults))
-		for k := range p.faults {
-			kinds = append(kinds, k)
-		}
-		sort.Strings(kinds)
-		for _, k := range kinds {
-			fmt.Fprintf(w, "%s_faults_injected_total{kind=%q} %d\n", p.ns, k, p.faults[k])
-		}
+		w.CounterVec(p.ns+"_faults_injected_total", "Injected faults observed, by kind.", "kind", p.faults)
 	}
 	counter("chunk_retries_total", "Chunk download re-attempts after failure.", float64(p.retries))
 	counter("failovers_total", "Endpoint failovers executed by clients.", float64(p.failovers))
 	counter("degradations_total", "Sessions degraded to minimum rate under faults.", float64(p.degradations))
-	p.download.writeTo(w, p.ns+"_chunk_download_seconds", "Chunk download time.")
-	p.occupancy.writeTo(w, p.ns+"_buffer_level_seconds", "Playback-buffer occupancy at decision points.")
+	w.Histogram(p.ns+"_chunk_download_seconds", "Chunk download time.", p.download.bounds, p.download.counts, p.download.sum)
+	w.Histogram(p.ns+"_buffer_level_seconds", "Playback-buffer occupancy at decision points.", p.occupancy.bounds, p.occupancy.counts, p.occupancy.sum)
 }
 
-// hist is a fixed-bucket cumulative histogram.
+// hist is a fixed-bucket histogram's state; obs.Writer.Histogram encodes it.
 type hist struct {
 	bounds []float64 // upper bounds, ascending; +Inf is implicit
 	counts []uint64  // per-bucket (non-cumulative) counts; last is +Inf
 	sum    float64
-	total  uint64
 }
 
 func newHist(bounds ...float64) hist {
@@ -149,21 +144,4 @@ func (h *hist) observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i]++
 	h.sum += v
-	h.total++
-}
-
-func (h *hist) writeTo(w interface{ Write([]byte) (int, error) }, name, help string) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	var cum uint64
-	for i, ub := range h.bounds {
-		cum += h.counts[i]
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, formatFloat(ub), cum)
-	}
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, h.total)
-	fmt.Fprintf(w, "%s_sum %s\n", name, formatFloat(h.sum))
-	fmt.Fprintf(w, "%s_count %d\n", name, h.total)
-}
-
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }

@@ -24,6 +24,7 @@ import (
 	"bba/internal/dash"
 	"bba/internal/media"
 	"bba/internal/netem"
+	"bba/internal/obs"
 	"bba/internal/player"
 	"bba/internal/replay"
 	"bba/internal/telemetry"
@@ -45,13 +46,14 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := run(os.Stdout, *url, *algName, *watch, *shape, *rmin, *useMPD, *whatIf, *quiet, *journal); err != nil {
-		fmt.Fprintln(os.Stderr, "bbaplay:", err)
-		os.Exit(1)
-	}
+	obs.Main("bbaplay", func(ctx context.Context) error {
+		return run(ctx, os.Stdout, *url, *algName, *watch, *shape, *rmin, *useMPD, *whatIf, *quiet, *journal)
+	})
 }
 
-func run(out io.Writer, url, algName string, watch time.Duration, shapeKbps, rminKbps int, useMPD, whatIf, quiet bool, journalPath string) error {
+// run streams one session until it ends or ctx is cancelled; either way the
+// journal is flushed before it returns.
+func run(ctx context.Context, out io.Writer, url, algName string, watch time.Duration, shapeKbps, rminKbps int, useMPD, whatIf, quiet bool, journalPath string) error {
 	alg, err := abr.New(algName)
 	if err != nil {
 		return err
@@ -93,7 +95,7 @@ func run(out io.Writer, url, algName string, watch time.Duration, shapeKbps, rmi
 		defer j.Flush()
 		cfg.Observer = j
 	}
-	res, err := dash.Stream(context.Background(), cfg)
+	res, err := dash.Stream(ctx, cfg)
 	if err != nil {
 		return err
 	}

@@ -17,7 +17,7 @@ import (
 )
 
 // Buffer tracks playback-buffer occupancy and the quality metrics derived
-// from it. The zero value is not usable; construct with New. Buffer is not
+// from it. The zero value is not usable; initialize with Reset. Buffer is not
 // safe for concurrent use; a player owns one buffer.
 type Buffer struct {
 	level  time.Duration
@@ -42,21 +42,11 @@ const DefaultMax = 240 * time.Second
 // repeat); real players coalesce that into a single longer rebuffer.
 const DefaultResume = 8 * time.Second
 
-// New returns an empty buffer with capacity max and the default resume
-// threshold. It panics if max is not positive: the capacity is a
+// Reset returns the buffer to the empty state with capacity max and the
+// default resume threshold. Buffers live by value inside their session, so
+// a batch kernel keeps them in flat per-lane storage and reuses them across
+// sessions. It panics if max is not positive: the capacity is a
 // configuration constant, not runtime input.
-func New(max time.Duration) *Buffer {
-	if max <= 0 {
-		panic(fmt.Sprintf("buffer: non-positive capacity %v", max))
-	}
-	return &Buffer{max: max, resume: DefaultResume}
-}
-
-// Reset returns the buffer to the empty just-constructed state with
-// capacity max and the default resume threshold — New(max) semantics
-// without the allocation. It lets a batch kernel keep buffers in flat
-// per-lane storage and reuse them across sessions. Like New, it panics on
-// a non-positive capacity.
 func (b *Buffer) Reset(max time.Duration) {
 	if max <= 0 {
 		panic(fmt.Sprintf("buffer: non-positive capacity %v", max))
@@ -75,9 +65,6 @@ func (b *Buffer) SetResume(d time.Duration) {
 
 // Level returns the current occupancy in seconds of video.
 func (b *Buffer) Level() time.Duration { return b.level }
-
-// Max returns the buffer capacity B_max.
-func (b *Buffer) Max() time.Duration { return b.max }
 
 // Playing reports whether video is currently being rendered (playback has
 // started and is not stalled).
@@ -182,16 +169,4 @@ func (b *Buffer) Flush() {
 	b.level = 0
 	b.started = false
 	b.stalled = false
-}
-
-// DrainRemaining plays out whatever is left in the buffer (used at end of a
-// session after the final chunk) and returns the time that took.
-func (b *Buffer) DrainRemaining() time.Duration {
-	if !b.started {
-		return 0
-	}
-	d := b.level
-	b.played += d
-	b.level = 0
-	return d
 }

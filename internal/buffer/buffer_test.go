@@ -7,6 +7,13 @@ import (
 	"time"
 )
 
+// New is the tests' constructor: a fresh buffer Reset to capacity max.
+func New(max time.Duration) *Buffer {
+	b := new(Buffer)
+	b.Reset(max)
+	return b
+}
+
 func TestNewPanicsOnBadCapacity(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -207,26 +214,6 @@ func TestSpaceQueries(t *testing.T) {
 	}
 }
 
-func TestDrainRemaining(t *testing.T) {
-	b := New(DefaultMax)
-	must(t, b.AddChunk(4*time.Second))
-	must(t, b.AddChunk(4*time.Second))
-	b.Advance(time.Second)
-	if got := b.DrainRemaining(); got != 7*time.Second {
-		t.Errorf("DrainRemaining = %v, want 7s", got)
-	}
-	if b.Level() != 0 {
-		t.Errorf("level = %v", b.Level())
-	}
-	if b.Played() != 8*time.Second {
-		t.Errorf("played = %v, want 8s", b.Played())
-	}
-	// Without playback having started, there is nothing to drain.
-	if got := New(DefaultMax).DrainRemaining(); got != 0 {
-		t.Errorf("fresh DrainRemaining = %v", got)
-	}
-}
-
 func TestAdvanceNonPositive(t *testing.T) {
 	b := New(DefaultMax)
 	must(t, b.AddChunk(4*time.Second))
@@ -257,7 +244,7 @@ func TestQuickConservation(t *testing.T) {
 			} else if b.HasSpaceFor(4 * time.Second) {
 				_ = b.AddChunk(4 * time.Second)
 			}
-			if b.Level() < 0 || b.Level() > b.Max() {
+			if b.Level() < 0 || b.Level() > DefaultMax {
 				return false
 			}
 		}

@@ -1,6 +1,7 @@
 package dash
 
 import (
+	"bytes"
 	"context"
 	"encoding/xml"
 	"errors"
@@ -10,7 +11,6 @@ import (
 	"time"
 
 	"bba/internal/abr"
-	"bba/internal/buffer"
 	"bba/internal/faults"
 	"bba/internal/media"
 	"bba/internal/player"
@@ -29,8 +29,7 @@ type ClientConfig struct {
 	// primary once the fallback has proven itself.
 	Endpoints []string
 	// Fetch bounds per-chunk fetching: attempt timeout, backoff and the
-	// attempt budget. The zero value means defaults; a legacy MaxRetries
-	// sets the budget when Fetch.MaxAttempts is unset.
+	// attempt budget. The zero value means defaults.
 	Fetch FetchPolicy
 	// HTTPClient performs the requests; nil means http.DefaultClient.
 	// Shape its transport (see internal/netem) to emulate a constrained
@@ -45,9 +44,6 @@ type ClientConfig struct {
 	// WatchLimit stops after this much delivered video; 0 plays the
 	// whole title.
 	WatchLimit time.Duration
-	// MaxRetries bounds per-chunk retry attempts on transport or server
-	// errors. Deprecated: use Fetch.MaxAttempts; kept as its fallback.
-	MaxRetries int
 	// UseMPD fetches the standards-shaped /manifest.mpd instead of the
 	// JSON manifest. An MPD carries no per-chunk sizes, so the client
 	// models every chunk at its nominal V·R size — the paper's situation
@@ -61,7 +57,7 @@ type ClientConfig struct {
 	// Logf, when non-nil, receives per-chunk progress lines.
 	Logf func(format string, args ...any)
 	// Observer, when non-nil, receives the session's telemetry events
-	// (wall-clock At, measured from session start). Nil costs nothing.
+	// (At on the session clock). Nil costs nothing.
 	Observer telemetry.Observer
 }
 
@@ -70,11 +66,14 @@ type ClientConfig struct {
 var ErrChunkFailed = errors.New("dash: chunk fetch failed")
 
 // Stream runs a real-time HTTP streaming session: it fetches the manifest,
-// then downloads chunks one at a time — choosing each rate with the
-// configured algorithm, pacing requests against the playback buffer exactly
-// like the simulator's player, but over the wall clock and a real HTTP
-// connection. It returns the same Result type as the virtual-time player,
-// so all metrics helpers apply.
+// then drives a player.Session — the simulator's own per-chunk loop — over
+// the wall clock and a real HTTP connection: it sleeps the ON-OFF wait each
+// Request asks for, fetches the chunk, and Delivers the byte count and the
+// measured download time. It returns the same Result type as the
+// virtual-time player, so all metrics helpers apply. Event times and
+// Result.End are on the session clock (the waits plus the downloads, the
+// clock the buffer is advanced on), and the buffered tail is accounted as
+// watched without being slept through.
 func Stream(ctx context.Context, cfg ClientConfig) (*player.Result, error) {
 	if cfg.Algorithm == nil {
 		return nil, errors.New("dash: nil algorithm")
@@ -83,10 +82,6 @@ func Stream(ctx context.Context, cfg ClientConfig) (*player.Result, error) {
 	if httpc == nil {
 		httpc = http.DefaultClient
 	}
-	bufMax := cfg.BufferMax
-	if bufMax <= 0 {
-		bufMax = buffer.DefaultMax
-	}
 	endpoints := cfg.Endpoints
 	if len(endpoints) == 0 {
 		if cfg.BaseURL == "" {
@@ -94,7 +89,6 @@ func Stream(ctx context.Context, cfg ClientConfig) (*player.Result, error) {
 		}
 		endpoints = []string{cfg.BaseURL}
 	}
-	fp := cfg.Fetch.withDefaults(cfg.MaxRetries)
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -136,54 +130,31 @@ func Stream(ctx context.Context, cfg ClientConfig) (*player.Result, error) {
 		}
 	}
 	stream := abr.NewStream(video, cfg.Rmin)
-	ladder := stream.Ladder()
-	v := stream.ChunkDuration()
 
-	buf := buffer.New(bufMax)
-	// A stalled session refills through add-only steps of v, and the
-	// ON-OFF loop stops adding above bufMax-v — so a resume threshold
-	// past that point can never be reached: the session would sit stalled
-	// forever, filling the buffer until AddChunk overflows. Clamp the
-	// default so every stall can end. (With the default 240s buffer this
-	// is a no-op; it matters for small soak/test buffers.)
-	if resume := bufMax - v; resume < buffer.DefaultResume {
-		if resume < 0 {
-			resume = 0
-		}
-		buf.SetResume(resume)
+	var ss player.Session
+	if err := ss.Start(player.Config{
+		Algorithm:  cfg.Algorithm,
+		Stream:     stream,
+		BufferMax:  cfg.BufferMax,
+		WatchLimit: cfg.WatchLimit,
+		Observer:   cfg.Observer,
+	}); err != nil {
+		return nil, err
 	}
-	res := &player.Result{Algorithm: cfg.Algorithm.Name()}
-	sessionStart := time.Now()
-	var (
-		prevIdx   = -1
-		lastTP    units.BitRate
-		lastDl    time.Duration
-		lastBytes int64
-	)
-
+	res := ss.Result()
 	obs := cfg.Observer
-	var (
-		stallBase     time.Duration
-		lastReservoir = time.Duration(-1)
-		reporter      abr.ReservoirReporter
-	)
-	if obs != nil {
-		reporter, _ = cfg.Algorithm.(abr.ReservoirReporter)
-		obs.OnEvent(telemetry.Event{
-			Kind: telemetry.SessionStart, Chunk: -1, RateIndex: -1,
-			PrevRateIndex: -1, Label: res.Algorithm,
-		})
-	}
 
+	// The session clock stands still while a fetch is in flight, so retry
+	// and failover events carry the time of the request they belong to.
 	f := &fetcher{
 		c:  httpc,
 		es: newEndpointSet(endpoints),
-		fp: fp,
+		fp: cfg.Fetch.withDefaults(),
 		onRetry: func(k, attempt int, backoff time.Duration) {
 			res.Retries++
 			if obs != nil {
 				obs.OnEvent(telemetry.Event{
-					Kind: telemetry.ChunkRetry, At: time.Since(sessionStart),
+					Kind: telemetry.ChunkRetry, At: ss.Now(),
 					Chunk: k, RateIndex: -1, PrevRateIndex: -1, Duration: backoff,
 				})
 			}
@@ -193,194 +164,86 @@ func Stream(ctx context.Context, cfg ClientConfig) (*player.Result, error) {
 			logf("failover: endpoint %d -> %d (%s)", from, to, url)
 			if obs != nil {
 				obs.OnEvent(telemetry.Event{
-					Kind: telemetry.Failover, At: time.Since(sessionStart),
+					Kind: telemetry.Failover, At: ss.Now(),
 					Chunk: -1, RateIndex: to, PrevRateIndex: from, Label: url,
 				})
 			}
 		},
 	}
 
-	for k := 0; k < stream.NumChunks(); k++ {
-		if cfg.WatchLimit > 0 && buf.Played()+buf.Level() >= cfg.WatchLimit {
-			break
+	for {
+		req, done := ss.Request()
+		if done {
+			return res, nil
 		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-
-		// ON-OFF pacing.
-		if !buf.HasSpaceFor(v) {
-			wait := buf.TimeUntilSpaceFor(v)
-			time.Sleep(wait)
-			buf.Advance(wait)
-		}
-
-		now := time.Since(sessionStart)
-		st := abr.State{
-			Now:            now,
-			Buffer:         buf.Level(),
-			BufferMax:      bufMax,
-			PrevIndex:      prevIdx,
-			NextChunk:      k,
-			LastThroughput: lastTP,
-			LastDownload:   lastDl,
-			LastChunkBytes: lastBytes,
-		}
-		idx := ladder.Clamp(cfg.Algorithm.Next(st, stream))
-		if obs != nil {
-			obs.OnEvent(telemetry.Event{
-				Kind: telemetry.BufferSample, At: now, Chunk: k,
-				RateIndex: -1, PrevRateIndex: -1,
-				Buffer: buf.Level(), Played: buf.Played(),
-			})
-			if reporter != nil {
-				if r, p, ok := reporter.LastReservoir(); ok && r != lastReservoir {
-					lastReservoir = r
-					obs.OnEvent(telemetry.Event{
-						Kind: telemetry.ReservoirUpdate, At: now, Chunk: k,
-						RateIndex: -1, PrevRateIndex: -1,
-						Reservoir: r, Protection: p, Buffer: buf.Level(),
-					})
-				}
+		if req.Wait > 0 {
+			pace := time.NewTimer(req.Wait)
+			select {
+			case <-ctx.Done():
+				pace.Stop()
+				return nil, ctx.Err()
+			case <-pace.C:
 			}
-			if prevIdx >= 0 && idx != prevIdx {
-				obs.OnEvent(telemetry.Event{
-					Kind: telemetry.RateSwitch, At: now, Chunk: k,
-					RateIndex: idx, PrevRateIndex: prevIdx,
-					Rate: ladder[idx], Buffer: buf.Level(),
-				})
-			}
-			obs.OnEvent(telemetry.Event{
-				Kind: telemetry.ChunkRequest, At: now, Chunk: k,
-				RateIndex: idx, PrevRateIndex: -1,
-				Rate: ladder[idx], Bytes: stream.ChunkSize(idx, k),
-				Buffer: buf.Level(),
-			})
 		}
-
 		start := time.Now()
-		n, err := f.fetchChunk(ctx, stream.VideoIndex(idx), k)
+		n, err := f.fetchChunk(ctx, stream.VideoIndex(req.RateIndex), req.Chunk)
 		dl := time.Since(start)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
-			res.Incomplete = true
-			res.Rebuffers++
-			if obs != nil {
-				obs.OnEvent(telemetry.Event{
-					Kind: telemetry.RebufferStart, At: time.Since(sessionStart) + buf.Level(),
-					Chunk: k, RateIndex: -1, PrevRateIndex: -1, Label: "outage",
-				})
-			}
-			break
+			ss.Abandon(req)
+			return res, nil
 		}
-		var preLevel, preStall time.Duration
-		var preRebuf int
-		if obs != nil {
-			preLevel, preStall, preRebuf = buf.Level(), buf.StallTime(), buf.Rebuffers()
-		}
-		buf.Advance(dl)
-		if obs != nil && buf.Rebuffers() > preRebuf {
-			stallBase = preStall
-			obs.OnEvent(telemetry.Event{
-				Kind: telemetry.RebufferStart, At: time.Since(sessionStart) - dl + preLevel,
-				Chunk: k, RateIndex: -1, PrevRateIndex: -1,
-			})
-		}
-		if k == 0 {
-			res.JoinDelay = time.Since(sessionStart)
-		}
-		stalled := buf.Started() && !buf.Playing()
-		if err := buf.AddChunk(v); err != nil {
+		if _, err := ss.Deliver(req, n, dl); err != nil {
 			return nil, err
 		}
+		c := res.Chunks[len(res.Chunks)-1]
+		logf("chunk %d: rate=%v bytes=%d dl=%v buffer=%v", c.Index, c.Rate, c.Bytes, dl.Round(time.Millisecond), c.BufferAfter.Round(100*time.Millisecond))
+	}
+}
 
-		if prevIdx >= 0 && idx != prevIdx {
-			res.Switches++
-		}
-		lastTP = units.Throughput(n, dl)
-		lastDl = dl
-		lastBytes = n
-		res.Chunks = append(res.Chunks, player.ChunkRecord{
-			Index:       k,
-			RateIndex:   idx,
-			Rate:        ladder[idx],
-			Bytes:       n,
-			Start:       time.Since(sessionStart) - dl,
-			Download:    dl,
-			Throughput:  lastTP,
-			BufferAfter: buf.Level(),
-		})
-		prevIdx = idx
-		if obs != nil {
-			at := time.Since(sessionStart)
-			if stalled && buf.Playing() {
-				obs.OnEvent(telemetry.Event{
-					Kind: telemetry.RebufferEnd, At: at, Chunk: k,
-					RateIndex: -1, PrevRateIndex: -1,
-					Duration: buf.StallTime() - stallBase, Buffer: buf.Level(),
-				})
-			}
-			obs.OnEvent(telemetry.Event{
-				Kind: telemetry.ChunkComplete, At: at, Chunk: k,
-				RateIndex: idx, PrevRateIndex: -1,
-				Rate: ladder[idx], Bytes: n, Duration: dl,
-				Throughput: lastTP, Buffer: buf.Level(), Played: buf.Played(),
-			})
-		}
-		logf("chunk %d: rate=%v bytes=%d dl=%v buffer=%v", k, ladder[idx], n, dl.Round(time.Millisecond), buf.Level().Round(100*time.Millisecond))
+// get fetches url and returns its body, refusing anything but a 200 before
+// reading and anything longer than limit after.
+func get(ctx context.Context, c *http.Client, url string, limit int64) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return nil, err
 	}
+	resp, err := c.Do(req)
+	if err != nil {
+		return nil, fmt.Errorf("dash: GET %s: %w", url, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("dash: GET %s: status %s", url, resp.Status)
+	}
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	if err != nil {
+		return nil, fmt.Errorf("dash: GET %s: %w", url, err)
+	}
+	if int64(len(raw)) > limit {
+		return nil, fmt.Errorf("dash: GET %s: body exceeds %d bytes", url, limit)
+	}
+	return raw, nil
+}
 
-	// Account the buffered tail as watched; no need to sleep through it.
-	if obs != nil && !res.Incomplete && buf.Started() && !buf.Playing() {
-		obs.OnEvent(telemetry.Event{
-			Kind: telemetry.RebufferEnd, At: time.Since(sessionStart), Chunk: -1,
-			RateIndex: -1, PrevRateIndex: -1,
-			Duration: buf.StallTime() - stallBase, Buffer: buf.Level(),
-		})
+func fetchManifest(ctx context.Context, c *http.Client, base string) (Manifest, error) {
+	var m Manifest
+	raw, err := get(ctx, c, base+"/manifest.json", 8<<20)
+	if err != nil {
+		return m, err
 	}
-	buf.Resume()
-	remaining := buf.Level()
-	if cfg.WatchLimit > 0 {
-		if left := cfg.WatchLimit - buf.Played(); left < remaining {
-			remaining = left
-		}
+	if err := jsonDecode(bytes.NewReader(raw), &m); err != nil {
+		return m, fmt.Errorf("dash: manifest decode: %w", err)
 	}
-	if remaining > 0 {
-		buf.Advance(remaining)
-	}
-
-	res.Played = buf.Played()
-	res.Rebuffers += buf.Rebuffers()
-	res.StallTime += buf.StallTime()
-	res.End = time.Since(sessionStart)
-	if obs != nil {
-		obs.OnEvent(telemetry.Event{
-			Kind: telemetry.SessionEnd, At: res.End, Chunk: len(res.Chunks),
-			RateIndex: -1, PrevRateIndex: -1,
-			Duration: res.StallTime, Played: res.Played, Label: res.Algorithm,
-		})
-	}
-	return res, nil
+	return m, nil
 }
 
 // fetchMPD retrieves and parses the standards manifest.
 func fetchMPD(ctx context.Context, c *http.Client, base string) (MPD, error) {
 	var m MPD
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/manifest.mpd", nil)
-	if err != nil {
-		return m, err
-	}
-	resp, err := c.Do(req)
-	if err != nil {
-		return m, fmt.Errorf("dash: MPD fetch: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return m, fmt.Errorf("dash: MPD fetch: status %s", resp.Status)
-	}
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	raw, err := get(ctx, c, base+"/manifest.mpd", 1<<20)
 	if err != nil {
 		return m, err
 	}
@@ -395,37 +258,24 @@ func fetchMPD(ctx context.Context, c *http.Client, base string) (MPD, error) {
 // segment count and duration. Segments are then addressed through the same
 // /chunk/{rate}/{index} convention the playlists point at.
 func videoFromHLS(ctx context.Context, c *http.Client, base string) (*media.Video, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/master.m3u8", nil)
+	raw, err := get(ctx, c, base+"/master.m3u8", 1<<20)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("dash: master playlist fetch: %w", err)
-	}
-	master, err := ParseMasterPlaylist(io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
+	master, err := ParseMasterPlaylist(bytes.NewReader(raw))
 	if err != nil {
 		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("dash: master playlist fetch: status %s", resp.Status)
 	}
 	ladder := master.Ladder()
 	if err := ladder.Validate(); err != nil {
 		return nil, fmt.Errorf("dash: HLS ladder: %w", err)
 	}
 
-	req, err = http.NewRequestWithContext(ctx, http.MethodGet, base+master.Variants[0].URI, nil)
+	raw, err = get(ctx, c, base+master.Variants[0].URI, 8<<20)
 	if err != nil {
 		return nil, err
 	}
-	resp, err = c.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("dash: media playlist fetch: %w", err)
-	}
-	pl, err := ParseMediaPlaylist(io.LimitReader(resp.Body, 8<<20))
-	resp.Body.Close()
+	pl, err := ParseMediaPlaylist(bytes.NewReader(raw))
 	if err != nil {
 		return nil, err
 	}
@@ -455,26 +305,6 @@ func videoFromMPD(m MPD) (*media.Video, error) {
 		return nil, fmt.Errorf("dash: MPD presentation shorter than one segment")
 	}
 	return media.NewCBR("mpd", ladder, v, chunks)
-}
-
-func fetchManifest(ctx context.Context, c *http.Client, base string) (Manifest, error) {
-	var m Manifest
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/manifest.json", nil)
-	if err != nil {
-		return m, err
-	}
-	resp, err := c.Do(req)
-	if err != nil {
-		return m, fmt.Errorf("dash: manifest fetch: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return m, fmt.Errorf("dash: manifest fetch: status %s", resp.Status)
-	}
-	if err := jsonDecode(resp.Body, &m); err != nil {
-		return m, fmt.Errorf("dash: manifest decode: %w", err)
-	}
-	return m, nil
 }
 
 // tryEndpoints runs fetch against each endpoint in preference order until

@@ -221,9 +221,9 @@ func TestStreamGivesUpAfterPersistentFailures(t *testing.T) {
 	defer ts.Close()
 
 	res, err := Stream(context.Background(), ClientConfig{
-		BaseURL:    ts.URL,
-		Algorithm:  abr.NewBBA0(),
-		MaxRetries: 2,
+		BaseURL:   ts.URL,
+		Algorithm: abr.NewBBA0(),
+		Fetch:     FetchPolicy{MaxAttempts: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -311,5 +311,90 @@ func TestStreamRminPromotion(t *testing.T) {
 		if c.Rate != 560*units.Kbps {
 			t.Fatalf("chunk %d at %v, want promoted R_min 560kb/s", c.Index, c.Rate)
 		}
+	}
+}
+
+// TestStreamManifestFetchErrors: every manifest document is fetched the
+// same way — status first, then a bounded read, then the parser. One good
+// session per mode, then each document of each mode answered with a 404, a
+// 500 and an oversized 200: the error must name the status (or the size),
+// never be the parser choking on an error page.
+func TestStreamManifestFetchErrors(t *testing.T) {
+	video := testVideo(t, 4, 500*time.Millisecond)
+	srv, err := NewServer(video)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// origin answers badPath with bad and everything else like the server.
+	origin := func(badPath string, bad func(w http.ResponseWriter)) string {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == badPath {
+				bad(w)
+				return
+			}
+			srv.ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+
+	modes := []struct {
+		name  string
+		cfg   ClientConfig
+		paths []string
+	}{
+		{"json", ClientConfig{}, []string{"/manifest.json"}},
+		{"mpd", ClientConfig{UseMPD: true}, []string{"/manifest.mpd"}},
+		{"hls", ClientConfig{UseHLS: true}, []string{"/master.m3u8", "/playlist/0.m3u8"}},
+	}
+	failures := []struct {
+		name    string
+		respond func(w http.ResponseWriter)
+		want    string
+	}{
+		{"404", func(w http.ResponseWriter) { http.Error(w, "no such document", http.StatusNotFound) }, "status 404"},
+		{"500", func(w http.ResponseWriter) { http.Error(w, "#EXTM3U", http.StatusInternalServerError) }, "status 500"},
+		{"oversized", func(w http.ResponseWriter) { w.Write(make([]byte, 8<<20+1)) }, "exceeds"},
+	}
+	for _, m := range modes {
+		cfg := m.cfg
+		cfg.Algorithm = abr.RminAlways{}
+		cfg.BaseURL = origin("", nil)
+		if res, err := Stream(context.Background(), cfg); err != nil || len(res.Chunks) != 4 {
+			t.Fatalf("%s: good session failed: %v", m.name, err)
+		}
+		for _, path := range m.paths {
+			for _, f := range failures {
+				cfg.BaseURL = origin(path, f.respond)
+				_, err := Stream(context.Background(), cfg)
+				if err == nil || !strings.Contains(err.Error(), f.want) || !strings.Contains(err.Error(), path) {
+					t.Errorf("%s %s answered %s: err = %v, want one naming %q and the document", m.name, path, f.name, err, f.want)
+				}
+			}
+		}
+	}
+}
+
+// TestStreamCancelDuringPacing: the ON-OFF wait is interruptible. Two 2 s
+// chunks fill a 4 s buffer at once and the client idles 2 s for space;
+// cancelling inside that idle returns promptly instead of sleeping it out.
+func TestStreamCancelDuringPacing(t *testing.T) {
+	video := testVideo(t, 10, 2*time.Second)
+	srv, err := NewServer(video)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err = Stream(ctx, ClientConfig{BaseURL: ts.URL, Algorithm: abr.RminAlways{}, BufferMax: 4 * time.Second})
+	if err != context.DeadlineExceeded {
+		t.Fatalf("err = %v, want the context error", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("cancel took %v to take effect; the pacing wait was slept through", took)
 	}
 }

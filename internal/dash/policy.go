@@ -14,9 +14,7 @@ type FetchPolicy struct {
 	// 8 s.
 	ChunkTimeout time.Duration
 	// MaxAttempts is the per-chunk attempt budget, across endpoints
-	// (default 4). When both MaxAttempts and the legacy ClientConfig
-	// MaxRetries are set, MaxAttempts wins; MaxRetries only fills in when
-	// MaxAttempts is unset (<= 0).
+	// (default 4).
 	MaxAttempts int
 	// BackoffBase and BackoffCap bound the exponential backoff between
 	// attempts (defaults 200 ms and 5 s).
@@ -27,10 +25,7 @@ type FetchPolicy struct {
 	JitterSeed int64
 }
 
-func (p FetchPolicy) withDefaults(legacyRetries int) FetchPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = legacyRetries
-	}
+func (p FetchPolicy) withDefaults() FetchPolicy {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 4
 	}

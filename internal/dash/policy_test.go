@@ -5,27 +5,22 @@ import (
 	"time"
 )
 
-// TestFetchPolicyPrecedence pins the withDefaults precedence contract: an
-// explicit Fetch.MaxAttempts always beats the legacy ClientConfig
-// MaxRetries, which in turn only fills in when MaxAttempts is unset, with
-// the built-in default as the last resort.
+// TestFetchPolicyPrecedence pins the withDefaults contract for the attempt
+// budget: an explicit Fetch.MaxAttempts is kept, anything unset (<= 0)
+// takes the built-in default.
 func TestFetchPolicyPrecedence(t *testing.T) {
 	cases := []struct {
-		name          string
-		maxAttempts   int
-		legacyRetries int
-		want          int
+		name        string
+		maxAttempts int
+		want        int
 	}{
-		{"both set: MaxAttempts wins", 7, 3, 7},
-		{"only MaxAttempts", 7, 0, 7},
-		{"only legacy MaxRetries", 0, 3, 3},
-		{"neither: default", 0, 0, 4},
-		{"negative MaxAttempts treated as unset", -1, 3, 3},
-		{"negative legacy treated as unset", 0, -5, 4},
+		{"only MaxAttempts", 7, 7},
+		{"neither: default", 0, 4},
+		{"negative MaxAttempts treated as unset", -1, 4},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			p := FetchPolicy{MaxAttempts: c.maxAttempts}.withDefaults(c.legacyRetries)
+			p := FetchPolicy{MaxAttempts: c.maxAttempts}.withDefaults()
 			if p.MaxAttempts != c.want {
 				t.Errorf("MaxAttempts = %d, want %d", p.MaxAttempts, c.want)
 			}
@@ -36,7 +31,7 @@ func TestFetchPolicyPrecedence(t *testing.T) {
 // TestFetchPolicyDefaults checks the remaining zero-value fills and that
 // explicit values pass through untouched.
 func TestFetchPolicyDefaults(t *testing.T) {
-	p := FetchPolicy{}.withDefaults(0)
+	p := FetchPolicy{}.withDefaults()
 	if p.ChunkTimeout != 8*time.Second || p.BackoffBase != 200*time.Millisecond || p.BackoffCap != 5*time.Second {
 		t.Errorf("zero-value defaults wrong: %+v", p)
 	}
@@ -47,7 +42,7 @@ func TestFetchPolicyDefaults(t *testing.T) {
 		BackoffCap:   time.Second,
 		JitterSeed:   99,
 	}
-	if got := set.withDefaults(9); got != set {
+	if got := set.withDefaults(); got != set {
 		t.Errorf("explicit policy rewritten: %+v -> %+v", set, got)
 	}
 }

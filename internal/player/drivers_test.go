@@ -1,0 +1,160 @@
+package player_test
+
+import (
+	"context"
+	"math/rand"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+	"time"
+
+	"bba/internal/abr"
+	"bba/internal/dash"
+	"bba/internal/media"
+	"bba/internal/netem"
+	"bba/internal/player"
+	"bba/internal/sharedlink"
+	"bba/internal/telemetry"
+	"bba/internal/trace"
+	"bba/internal/units"
+)
+
+// The tests in this file hold the other two drivers of player.Session to
+// what Step is held to. They live in the external test package because dash
+// and sharedlink import player.
+
+// TestSharedLinkAloneMatchesRun: one sharedlink player alone on a constant
+// link is the single-session engine — the same decisions and the same
+// accounting, with download times equal up to the rounding of the
+// processor-sharing float share against the trace's integer integral.
+func TestSharedLinkAloneMatchesRun(t *testing.T) {
+	video, err := media.NewVBR(media.VBRConfig{Ladder: media.DefaultLadder(), NumChunks: 450}, rand.New(rand.NewSource(21)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.Constant(2350*units.Kbps, 2*time.Hour)
+	const watch = 20 * time.Minute
+
+	want, err := player.Run(player.Config{
+		Algorithm: abr.NewBBA2(), Stream: abr.NewStream(video, 0), Trace: tr, WatchLimit: watch,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := sharedlink.Run(sharedlink.Config{
+		Trace: tr,
+		Players: []sharedlink.PlayerConfig{{
+			Algorithm: abr.NewBBA2(), Stream: abr.NewStream(video, 0), WatchLimit: watch,
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := shared.Players[0]
+
+	if got.Switches != want.Switches || got.Rebuffers != want.Rebuffers || got.Played != want.Played {
+		t.Errorf("switches/rebuffers/played = %d/%d/%v, player.Run has %d/%d/%v",
+			got.Switches, got.Rebuffers, got.Played, want.Switches, want.Rebuffers, want.Played)
+	}
+	if want.Switches == 0 {
+		t.Error("scenario never switched rate; test is vacuous")
+	}
+	if len(got.Chunks) != len(want.Chunks) {
+		t.Fatalf("%d chunks, player.Run has %d", len(got.Chunks), len(want.Chunks))
+	}
+	for i, c := range got.Chunks {
+		w := want.Chunks[i]
+		if c.RateIndex != w.RateIndex {
+			t.Fatalf("chunk %d at rate index %d, player.Run chose %d", i, c.RateIndex, w.RateIndex)
+		}
+		if d := c.Download - w.Download; d < -time.Microsecond || d > time.Microsecond {
+			t.Fatalf("chunk %d downloaded in %v, player.Run in %v", i, c.Download, w.Download)
+		}
+	}
+}
+
+// dashOrigin serves a short VBR title of 250 ms chunks.
+func dashOrigin(t *testing.T, chunks int) (*dash.Server, string) {
+	t.Helper()
+	video, err := media.NewVBR(media.VBRConfig{
+		Ladder: media.DefaultLadder(), ChunkDuration: 250 * time.Millisecond, NumChunks: chunks,
+	}, rand.New(rand.NewSource(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := dash.NewServer(video)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	return srv, ts.URL
+}
+
+// TestStreamEventGrammarStarved runs a real dash.Stream session over a
+// netem-shaped link that starves mid-session and holds its events to the
+// grammar the simulator's are held to.
+func TestStreamEventGrammarStarved(t *testing.T) {
+	_, url := dashOrigin(t, 12)
+	// Fast, then far below the lowest rung (a 250 ms chunk at 235 kb/s is
+	// ~7 KB; 40 kb/s moves 5 KB/s), then fast again so the session ends.
+	link := trace.MustNew([]trace.Segment{
+		{Duration: 200 * time.Millisecond, Rate: units.Mbps},
+		{Duration: 1500 * time.Millisecond, Rate: 40 * units.Kbps},
+		{Duration: time.Hour, Rate: 4 * units.Mbps},
+	})
+	shaper := netem.NewShaper(link)
+	capture := &telemetry.Capture{}
+	res, err := dash.Stream(context.Background(), dash.ClientConfig{
+		BaseURL: url,
+		HTTPClient: &http.Client{Transport: &http.Transport{
+			DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+				c, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+				if err != nil {
+					return nil, err
+				}
+				return netem.NewConn(c, shaper), nil
+			},
+		}},
+		Algorithm: abr.RminAlways{},
+		BufferMax: 500 * time.Millisecond,
+		Observer:  capture,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rebuffers == 0 || res.Incomplete {
+		t.Fatalf("rebuffers=%d incomplete=%v; the link was meant to starve the session and let it recover", res.Rebuffers, res.Incomplete)
+	}
+	if len(res.Chunks) != 12 {
+		t.Errorf("downloaded %d chunks, want 12", len(res.Chunks))
+	}
+	player.CheckEventGrammar(t, capture.Events, res)
+}
+
+// TestStreamEventGrammarAbandoned: a chunk that fails past the attempt
+// budget ends a real session the way a terminal outage ends a simulated
+// one — outage marker, no rebuffer_end after it, tail played out.
+func TestStreamEventGrammarAbandoned(t *testing.T) {
+	srv, url := dashOrigin(t, 8)
+	srv.FailChunk = func(rate, chunk int) bool { return chunk == 3 }
+	capture := &telemetry.Capture{}
+	res, err := dash.Stream(context.Background(), dash.ClientConfig{
+		BaseURL:   url,
+		Algorithm: abr.NewBBA0(),
+		Fetch:     dash.FetchPolicy{MaxAttempts: 3, BackoffBase: time.Millisecond, BackoffCap: 5 * time.Millisecond},
+		Observer:  capture,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Incomplete || len(res.Chunks) != 3 || res.Retries != 2 {
+		t.Fatalf("incomplete=%v chunks=%d retries=%d, want an abandoned session after 3 chunks and 2 retries",
+			res.Incomplete, len(res.Chunks), res.Retries)
+	}
+	if res.Played != 750*time.Millisecond {
+		t.Errorf("played %v, want the 750ms buffered before the dead chunk", res.Played)
+	}
+	player.CheckEventGrammar(t, capture.Events, res)
+}

@@ -149,13 +149,16 @@ type ChunkRecord struct {
 	BufferAfter time.Duration // buffer occupancy right after arrival
 }
 
-// Result is the complete outcome of one session.
+// Result is the complete outcome of one session. Every time in it is on
+// the session clock — zero when the session starts (for a sharedlink player,
+// at its StartAt), advanced by the ON-OFF waits and the downloads — whichever
+// driver ran the session.
 type Result struct {
 	Algorithm string
 	Chunks    []ChunkRecord
 
-	// JoinDelay is the time to the first chunk (excluded from playback
-	// metrics, as in the paper).
+	// JoinDelay is the session time at which the first chunk arrived
+	// (excluded from playback metrics, as in the paper).
 	JoinDelay time.Duration
 	// Played is total video time delivered to the viewer.
 	Played time.Duration
@@ -179,7 +182,10 @@ type Result struct {
 	Failovers int
 	// Seeks logs the viewer seeks that executed.
 	Seeks []SeekRecord
-	// End is the session clock when the session finished.
+	// End is the session time at which the viewer stops watching: after
+	// the buffered tail has played out when the session ends on its own
+	// (the tail is accounted, never slept through), or the moment a driver
+	// cut the session short with Finish.
 	End time.Duration
 
 	// Compact recording, used when Config.SkipChunkRecords is set: one

@@ -14,10 +14,25 @@ import (
 )
 
 // Session is the playback engine in resumable, reusable form: the complete
-// state of one streaming session between chunk requests. The scalar Run
-// loop and the batch kernel advance the very same Step function, which is
-// what makes batch-mode campaign reports byte-identical to scalar ones —
-// there is exactly one implementation of the per-chunk arithmetic.
+// state of one streaming session between chunk requests, and the one
+// implementation of the paper's per-chunk loop — wait for buffer space
+// (ON-OFF, Section 8), pick a rate from the buffer, download, account the
+// drain and any rebuffer. The loop is split where its drivers differ, at
+// who makes time pass while the bytes move:
+//
+//	Request  due seek, watch-limit stop, ON-OFF wait, rate decision
+//	Deliver  drain over the download, rebuffer bracketing, the chunk record
+//	Abandon  a chunk that can never arrive: outage marker, Incomplete
+//	Finish   stop early, at the current session clock
+//
+// Three drivers sit between Request and Deliver. Step (under Run, the batch
+// kernel and every campaign) integrates the download over a capacity trace
+// in virtual time; dash.Stream sleeps the wait and fetches over HTTP on the
+// wall clock; sharedlink schedules the wait and the flow on a discrete-event
+// processor-sharing link. Pacing, the resume threshold, what counts as a
+// rebuffer, what JoinDelay and End mean and the order events fire in are
+// decided here and nowhere else, which is also what keeps batch-mode
+// campaign reports byte-identical to scalar ones.
 //
 // A zero Session is ready for Start. Starting again after a session ends
 // reuses every retained allocation — the Result, its record storage, the
@@ -42,9 +57,10 @@ type Session struct {
 	// Reused storage: buffer, cursor and result live inside the Session
 	// so per-lane state can sit in flat arrays with no per-session
 	// allocation.
-	buf  buffer.Buffer
-	link trace.Cursor
-	res  *Result
+	buf    buffer.Buffer
+	link   trace.Cursor
+	traced bool // Start was given a trace; only Step needs one
+	res    *Result
 
 	// The session clock and the per-chunk loop state.
 	k         int
@@ -77,9 +93,6 @@ func (ss *Session) Start(cfg Config) error {
 	if cfg.Algorithm == nil {
 		return errors.New("player: nil algorithm")
 	}
-	if cfg.Trace == nil {
-		return errors.New("player: nil trace")
-	}
 	bufMax := cfg.BufferMax
 	if bufMax <= 0 {
 		bufMax = buffer.DefaultMax
@@ -97,13 +110,24 @@ func (ss *Session) Start(cfg Config) error {
 	}
 
 	ss.buf.Reset(bufMax)
+	// A stalled session refills in add-only steps of V and the ON-OFF wait
+	// stops adding above bufMax-V, so a resume threshold past that point is
+	// unreachable: the stall would never end and the next AddChunk would
+	// overflow. Clamp it so every stall can end (a no-op at the default
+	// 240 s buffer).
+	resume := buffer.DefaultResume
 	if cfg.ResumeThreshold != 0 {
-		ss.buf.SetResume(cfg.ResumeThreshold)
+		resume = cfg.ResumeThreshold
 	}
+	if reachable := bufMax - ss.v; resume > reachable {
+		resume = reachable
+	}
+	ss.buf.SetResume(resume)
 	// The session clock only moves forward, so one trace cursor serves the
 	// whole session: each download resumes the segment walk where the last
 	// one finished instead of re-searching the trace.
 	ss.link.Bind(cfg.Trace)
+	ss.traced = cfg.Trace != nil
 
 	if ss.res == nil {
 		ss.res = &Result{}
@@ -152,10 +176,13 @@ func (ss *Session) Start(cfg Config) error {
 // Done reports whether the session has finished (or failed).
 func (ss *Session) Done() bool { return ss.finished }
 
-// Result returns the session's outcome. It is complete once Step has
-// reported done; the Session retains ownership and the next Start
-// overwrites it.
+// Result returns the session's outcome. It is complete once the session
+// is Done; the Session retains ownership and the next Start overwrites it.
 func (ss *Session) Result() *Result { return ss.res }
+
+// Now returns the session clock: the waits and download times accounted so
+// far. It stands still between Request and Deliver.
+func (ss *Session) Now() time.Duration { return ss.now }
 
 // faultAdvance advances the session clock through a failed attempt or
 // backoff: the buffer keeps draining, and a drain-to-empty is a real
@@ -176,13 +203,56 @@ func (ss *Session) faultAdvance(d time.Duration, chunk int) {
 	}
 }
 
-// Step advances the session by one chunk request — one iteration of the
-// engine loop. It returns done == true once the session has played out
-// (Result is then complete), and a non-nil error on engine failure, after
-// which the session is terminal.
+// Request is the next chunk fetch a Session asks its driver to perform.
+type Request struct {
+	Chunk     int   // title chunk index
+	RateIndex int   // session-ladder index to fetch it at
+	Bytes     int64 // the chunk's size at that rate
+	// Wait is the ON-OFF pause before the request goes out. It is already
+	// on the session clock and drained from the buffer; the driver only
+	// has to let that much of its own time pass first.
+	Wait time.Duration
+}
+
+// Step advances the session by one chunk over the configured trace — one
+// iteration of the engine loop in virtual time. It returns done == true
+// once the session has played out (Result is then complete), and a non-nil
+// error on engine failure, after which the session is terminal.
 func (ss *Session) Step() (bool, error) {
-	if ss.finished {
+	if !ss.traced {
+		ss.finished = true
+		return true, errors.New("player: nil trace")
+	}
+	req, done := ss.Request()
+	if done {
 		return true, nil
+	}
+	if ss.inj != nil {
+		req.RateIndex, req.Bytes = ss.faultLoop(req.Chunk, req.RateIndex, req.Bytes)
+	}
+	dl, ok := ss.link.DownloadTime(ss.now, req.Bytes)
+	if !ok {
+		// Permanent outage. A link dead from the first chunk is an
+		// error; later, playback drains what is buffered and freezes.
+		if req.Chunk == 0 {
+			ss.finished = true
+			return true, ErrNoProgress
+		}
+		ss.Abandon(req)
+		return true, nil
+	}
+	return ss.Deliver(req, req.Bytes, dl)
+}
+
+// Request opens one iteration of the loop: it executes a due seek, stops
+// the session once the buffer holds everything the viewer will watch
+// (done == true; Result is then complete), accounts the ON-OFF wait for
+// buffer space, and asks the algorithm for the next rate. The driver lets
+// req.Wait pass, moves the bytes, and closes the iteration with Deliver or
+// Abandon.
+func (ss *Session) Request() (req Request, done bool) {
+	if ss.finished {
+		return Request{}, true
 	}
 	k := ss.k
 	// Execute a pending seek once enough video has been delivered.
@@ -209,13 +279,14 @@ func (ss *Session) Step() (bool, error) {
 	// viewer will watch — unless a seek is still pending, which will
 	// discard that buffer.
 	if len(ss.seeks) == 0 && ss.watch > 0 && ss.buf.Played()+ss.buf.Level() >= ss.watch {
-		ss.finish()
-		return true, nil
+		ss.playOut()
+		return Request{}, true
 	}
 
 	// ON-OFF: wait for space before the next request.
+	var wait time.Duration
 	if !ss.buf.HasSpaceFor(ss.v) {
-		wait := ss.buf.TimeUntilSpaceFor(ss.v)
+		wait = ss.buf.TimeUntilSpaceFor(ss.v)
 		ss.buf.Advance(wait)
 		ss.now += wait
 	}
@@ -261,32 +332,35 @@ func (ss *Session) Step() (bool, error) {
 			Rate: ss.ladder[idx], Bytes: bytes, Buffer: ss.buf.Level(),
 		})
 	}
+	return Request{Chunk: k, RateIndex: idx, Bytes: bytes, Wait: wait}, false
+}
 
-	if ss.inj != nil {
-		idx, bytes = ss.faultLoop(k, idx, bytes)
+// Abandon closes an iteration whose chunk can never arrive — the trace
+// ended in a permanent outage, or an HTTP fetch ran out of attempts.
+// Playback drains whatever is buffered and freezes forever: the session is
+// marked Incomplete, the freeze counts as a final rebuffer that never
+// ends, and the session finishes.
+func (ss *Session) Abandon(req Request) {
+	ss.res.Incomplete = true
+	ss.res.Rebuffers++
+	if ss.obs != nil {
+		ss.obs.OnEvent(telemetry.Event{
+			Kind: telemetry.RebufferStart, At: ss.now + ss.buf.Level(),
+			Chunk: req.Chunk, RateIndex: -1, PrevRateIndex: -1,
+			Label: "outage",
+		})
 	}
+	ss.playOut()
+}
 
-	dl, ok := ss.link.DownloadTime(ss.now, bytes)
-	if !ok {
-		// Permanent outage: playback drains whatever is buffered
-		// and freezes forever.
-		if k == 0 {
-			ss.finished = true
-			return true, ErrNoProgress
-		}
-		ss.res.Incomplete = true
-		ss.res.Rebuffers++
-		if ss.obs != nil {
-			ss.obs.OnEvent(telemetry.Event{
-				Kind: telemetry.RebufferStart, At: ss.now + ss.buf.Level(),
-				Chunk: k, RateIndex: -1, PrevRateIndex: -1,
-				Label: "outage",
-			})
-		}
-		ss.finish()
-		return true, nil
-	}
-
+// Deliver closes an iteration whose chunk arrived: n bytes in dl of the
+// driver's time, measured from the moment req.Wait had passed. The buffer
+// drains over the download — a drain-to-empty is a rebuffer — and gains the
+// chunk, and the chunk is recorded. It returns done == true when that was
+// the title's last chunk (the session has then finished), and a non-nil
+// error on engine failure, after which the session is terminal.
+func (ss *Session) Deliver(req Request, n int64, dl time.Duration) (bool, error) {
+	k, idx := req.Chunk, req.RateIndex
 	var preLevel, preStall time.Duration
 	var preRebuf int
 	if ss.obs != nil {
@@ -320,9 +394,9 @@ func (ss *Session) Step() (bool, error) {
 	if ss.prevIdx >= 0 && idx != ss.prevIdx {
 		ss.res.Switches++
 	}
-	ss.lastTP = units.Throughput(bytes, dl)
+	ss.lastTP = units.Throughput(n, dl)
 	ss.lastDl = dl
-	ss.lastBytes = bytes
+	ss.lastBytes = n
 	if ss.skip {
 		// Compact recording: the rate index alone reproduces every
 		// rate-derived metric; the Start-time boundary counters stand in
@@ -340,7 +414,7 @@ func (ss *Session) Step() (bool, error) {
 			Index:       k,
 			RateIndex:   idx,
 			Rate:        ss.ladder[idx],
-			Bytes:       bytes,
+			Bytes:       n,
 			Start:       ss.now - dl,
 			Download:    dl,
 			Throughput:  ss.lastTP,
@@ -359,14 +433,14 @@ func (ss *Session) Step() (bool, error) {
 		ss.obs.OnEvent(telemetry.Event{
 			Kind: telemetry.ChunkComplete, At: ss.now, Chunk: k,
 			RateIndex: idx, PrevRateIndex: -1,
-			Rate: ss.ladder[idx], Bytes: bytes, Duration: dl,
+			Rate: ss.ladder[idx], Bytes: n, Duration: dl,
 			Throughput: ss.lastTP, Buffer: ss.buf.Level(), Played: ss.buf.Played(),
 		})
 	}
 
 	ss.k = k + 1
 	if ss.k >= ss.n {
-		ss.finish()
+		ss.playOut()
 		return true, nil
 	}
 	return false, nil
@@ -429,20 +503,13 @@ func (ss *Session) faultLoop(k, idx int, bytes int64) (int, int64) {
 	}
 }
 
-// finish plays out the tail of the buffer (up to the watch limit). For an
-// incomplete session this is the video the viewer still sees before the
-// permanent freeze. With no further downloads coming, a pending stall ends
-// now rather than waiting for the resume threshold.
-func (ss *Session) finish() {
-	res := ss.res
-	if ss.obs != nil && !res.Incomplete && ss.buf.Started() && !ss.buf.Playing() {
-		ss.obs.OnEvent(telemetry.Event{
-			Kind: telemetry.RebufferEnd, At: ss.now, Chunk: -1,
-			RateIndex: -1, PrevRateIndex: -1,
-			Duration: ss.buf.StallTime() - ss.stallBase, Buffer: ss.buf.Level(),
-		})
-	}
-	ss.buf.Resume()
+// playOut ends a session that has no further download coming — the watch
+// limit is buffered, the title is over, or the chunk was abandoned: the
+// viewer watches the tail of the buffer (up to the watch limit), which for
+// an incomplete session is the video still seen before the permanent
+// freeze. The tail is accounted on the session clock, never slept through.
+func (ss *Session) playOut() {
+	ss.endStall()
 	remaining := ss.buf.Level()
 	if ss.watch > 0 {
 		if left := ss.watch - ss.buf.Played(); left < remaining {
@@ -453,7 +520,33 @@ func (ss *Session) finish() {
 		ss.buf.Advance(remaining)
 		ss.now += remaining
 	}
+	ss.Finish()
+}
 
+// endStall ends a pending stall now rather than at the resume threshold,
+// which a session that downloads nothing more would never reach.
+func (ss *Session) endStall() {
+	if ss.obs != nil && !ss.res.Incomplete && ss.buf.Started() && !ss.buf.Playing() {
+		ss.obs.OnEvent(telemetry.Event{
+			Kind: telemetry.RebufferEnd, At: ss.now, Chunk: -1,
+			RateIndex: -1, PrevRateIndex: -1,
+			Duration: ss.buf.StallTime() - ss.stallBase, Buffer: ss.buf.Level(),
+		})
+	}
+	ss.buf.Resume()
+}
+
+// Finish stops the session at the current session clock and completes the
+// Result: the viewer stops watching now, so End is that clock and what is
+// still buffered is not played. A session that ends on its own has played
+// its tail out first; a driver calls Finish to stop one early (a simulation
+// horizon). On a finished session it does nothing.
+func (ss *Session) Finish() {
+	if ss.finished {
+		return
+	}
+	ss.endStall()
+	res := ss.res
 	res.Played = ss.buf.Played()
 	res.Rebuffers += ss.buf.Rebuffers()
 	res.StallTime += ss.buf.StallTime()

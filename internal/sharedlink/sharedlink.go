@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"bba/internal/abr"
-	"bba/internal/buffer"
 	"bba/internal/player"
 	"bba/internal/simclock"
 	"bba/internal/trace"
@@ -50,6 +49,8 @@ type Config struct {
 
 // Result extends the per-player session result with the link-level view.
 type Result struct {
+	// Players are the sessions' results, each on its own session clock
+	// (zero at the player's StartAt), like every other player.Result.
 	Players []*player.Result
 	// BulkBytes is the total traffic the bulk flows moved.
 	BulkBytes int64
@@ -79,19 +80,6 @@ type flow struct {
 	lastSettle time.Duration
 	completion *simclock.Event
 	onDone     func()
-}
-
-type simPlayer struct {
-	cfg     PlayerConfig
-	buf     *buffer.Buffer
-	res     *player.Result
-	prevIdx int
-	lastTP  units.BitRate
-	lastDl  time.Duration
-	lastB   int64
-	chunk   int
-	reqTime time.Duration
-	done    bool
 }
 
 // Run executes the scenario.
@@ -188,124 +176,59 @@ func Run(cfg Config) (*Result, error) {
 		clock.Schedule(0, start)
 	}
 
-	// Streaming players.
-	players := make([]*simPlayer, len(cfg.Players))
+	// Streaming players: each is a player.Session whose download is a
+	// flow on the shared link. The session asks for a chunk, the clock
+	// lets its ON-OFF wait pass, the flow joins, and its completion
+	// delivers the chunk and asks again.
+	sessions := make([]player.Session, len(cfg.Players))
+	var engineErr error
 	for i, pc := range cfg.Players {
-		if pc.Algorithm == nil {
-			return nil, fmt.Errorf("sharedlink: player %d has nil algorithm", i)
+		ss := &sessions[i]
+		if err := ss.Start(player.Config{
+			Algorithm:  pc.Algorithm,
+			Stream:     pc.Stream,
+			BufferMax:  pc.BufferMax,
+			WatchLimit: pc.WatchLimit,
+		}); err != nil {
+			return nil, fmt.Errorf("sharedlink: player %d: %w", i, err)
 		}
-		bufMax := pc.BufferMax
-		if bufMax <= 0 {
-			bufMax = buffer.DefaultMax
-		}
-		sp := &simPlayer{
-			cfg:     pc,
-			buf:     buffer.New(bufMax),
-			res:     &player.Result{Algorithm: pc.Algorithm.Name()},
-			prevIdx: -1,
-		}
-		players[i] = sp
-		out.Players = append(out.Players, sp.res)
+		out.Players = append(out.Players, ss.Result())
 
 		var request func()
 		request = func() {
-			if sp.done {
+			req, done := ss.Request()
+			if done {
 				return
 			}
-			if sp.chunk >= sp.cfg.Stream.NumChunks() ||
-				(sp.cfg.WatchLimit > 0 && sp.buf.Played()+sp.buf.Level() >= sp.cfg.WatchLimit) {
-				sp.finish(clock.Now())
-				return
-			}
-			// ON-OFF: wait for space, draining the buffer meanwhile.
-			v := sp.cfg.Stream.ChunkDuration()
-			if !sp.buf.HasSpaceFor(v) {
-				wait := sp.buf.TimeUntilSpaceFor(v)
-				sp.buf.Advance(wait)
-				clock.After(wait, request)
-				return
-			}
-			st := abr.State{
-				Now:            clock.Now(),
-				Buffer:         sp.buf.Level(),
-				BufferMax:      sp.buf.Max(),
-				PrevIndex:      sp.prevIdx,
-				NextChunk:      sp.chunk,
-				LastThroughput: sp.lastTP,
-				LastDownload:   sp.lastDl,
-				LastChunkBytes: sp.lastB,
-			}
-			idx := sp.cfg.Stream.Ladder().Clamp(sp.cfg.Algorithm.Next(st, sp.cfg.Stream))
-			bytes := sp.cfg.Stream.ChunkSize(idx, sp.chunk)
-			sp.reqTime = clock.Now()
-			f := &flow{bytesLeft: float64(bytes)}
-			f.onDone = func() {
-				now := clock.Now()
-				dl := now - sp.reqTime
-				sp.buf.Advance(dl)
-				if sp.chunk == 0 {
-					sp.res.JoinDelay = now
+			issue := func() {
+				issued := clock.Now()
+				f := &flow{bytesLeft: float64(req.Bytes)}
+				f.onDone = func() {
+					if _, err := ss.Deliver(req, req.Bytes, clock.Now()-issued); err != nil && engineErr == nil {
+						engineErr = fmt.Errorf("sharedlink: player %d: %w", i, err)
+					}
+					request()
 				}
-				if err := sp.buf.AddChunk(v); err != nil {
-					// Cannot happen: request waited for space.
-					sp.finish(now)
-					return
-				}
-				if sp.prevIdx >= 0 && idx != sp.prevIdx {
-					sp.res.Switches++
-				}
-				sp.lastTP = units.Throughput(bytes, dl)
-				sp.lastDl = dl
-				sp.lastB = bytes
-				sp.res.Chunks = append(sp.res.Chunks, player.ChunkRecord{
-					Index:       sp.chunk,
-					RateIndex:   idx,
-					Rate:        sp.cfg.Stream.Ladder()[idx],
-					Bytes:       bytes,
-					Start:       sp.reqTime,
-					Download:    dl,
-					Throughput:  sp.lastTP,
-					BufferAfter: sp.buf.Level(),
-				})
-				sp.prevIdx = idx
-				sp.chunk++
-				request()
+				join(f)
 			}
-			join(f)
+			// A request with no wait joins within the current event, so
+			// simultaneous completions keep their order.
+			if req.Wait > 0 {
+				clock.After(req.Wait, issue)
+			} else {
+				issue()
+			}
 		}
 		clock.Schedule(pc.StartAt, request)
 	}
 
 	clock.Run(horizon)
 
-	// Final accounting for players still mid-session at the horizon.
-	for _, sp := range players {
-		if !sp.done {
-			sp.finish(horizon)
-		}
+	// The horizon cuts short whoever is still mid-session.
+	for i := range sessions {
+		sessions[i].Finish()
 	}
-	return out, nil
-}
-
-func (sp *simPlayer) finish(now time.Duration) {
-	if sp.done {
-		return
-	}
-	sp.done = true
-	sp.buf.Resume()
-	remaining := sp.buf.Level()
-	if sp.cfg.WatchLimit > 0 {
-		if left := sp.cfg.WatchLimit - sp.buf.Played(); left < remaining {
-			remaining = left
-		}
-	}
-	if remaining > 0 {
-		sp.buf.Advance(remaining)
-	}
-	sp.res.Played = sp.buf.Played()
-	sp.res.Rebuffers += sp.buf.Rebuffers()
-	sp.res.StallTime += sp.buf.StallTime()
-	sp.res.End = now
+	return out, engineErr
 }
 
 func finish(f *flow, active map[*flow]struct{}, settle func()) {

@@ -162,11 +162,12 @@ func TestStaggeredJoin(t *testing.T) {
 	// The second player joins mid-session; both must still complete and
 	// the first player's early chunks see the whole link.
 	tr := trace.Constant(5*units.Mbps, 2*time.Hour)
+	const startAt = 3 * time.Minute
 	res, err := Run(Config{
 		Trace: tr,
 		Players: []PlayerConfig{
 			{Algorithm: abr.NewBBA2(), Stream: stream(t, 8, 450), WatchLimit: 10 * time.Minute},
-			{Algorithm: abr.NewBBA2(), Stream: stream(t, 9, 450), WatchLimit: 10 * time.Minute, StartAt: 3 * time.Minute},
+			{Algorithm: abr.NewBBA2(), Stream: stream(t, 9, 450), WatchLimit: 10 * time.Minute, StartAt: startAt},
 		},
 	})
 	if err != nil {
@@ -179,8 +180,18 @@ func TestStaggeredJoin(t *testing.T) {
 	if first.Throughput < 4*units.Mbps {
 		t.Errorf("solo-phase chunk saw %v, want ≈5Mb/s", first.Throughput)
 	}
-	if res.Players[1].Chunks[0].Start < 3*time.Minute {
+	// The late joiner runs on its own session clock: link time is StartAt
+	// plus session time, and its join delay does not include the wait to
+	// join.
+	late := res.Players[1]
+	if startAt+late.Chunks[0].Start < startAt {
 		t.Error("second player started early")
+	}
+	if late.JoinDelay >= 30*time.Second {
+		t.Errorf("late joiner's JoinDelay = %v, want session-relative (< 30s)", late.JoinDelay)
+	}
+	if late.StartupAvgRateKbps() == 0 {
+		t.Error("late joiner has no startup-window chunks; Start is not session-relative")
 	}
 }
 

@@ -334,30 +334,6 @@ func WithOverrides(base *Trace, overrides []Override) (*Trace, error) {
 	return b.Trace()
 }
 
-// Concat joins traces end to end. It requires at least one trace.
-func Concat(traces ...*Trace) (*Trace, error) {
-	if len(traces) == 0 {
-		return nil, ErrEmpty
-	}
-	var segs []Segment
-	for _, t := range traces {
-		segs = t.appendSegments(segs)
-	}
-	return New(segs)
-}
-
-// Repeat tiles the trace n times (n ≥ 1).
-func (t *Trace) Repeat(n int) (*Trace, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("trace: repeat count %d", n)
-	}
-	segs := make([]Segment, 0, n*len(t.segs))
-	for i := 0; i < n; i++ {
-		segs = t.appendSegments(segs)
-	}
-	return New(segs)
-}
-
 // Slice returns the sub-trace covering [from, to) of t; the usual
 // persistence rule applies beyond to. from must lie within the trace and
 // before to.

@@ -399,50 +399,6 @@ func TestQuickBytesAdditive(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	a := Constant(units.Mbps, 10*time.Second)
-	b := Constant(2*units.Mbps, 10*time.Second)
-	tr, err := Concat(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Total() != 20*time.Second {
-		t.Errorf("total = %v", tr.Total())
-	}
-	if tr.RateAt(5*time.Second) != units.Mbps || tr.RateAt(15*time.Second) != 2*units.Mbps {
-		t.Error("concat order wrong")
-	}
-	if _, err := Concat(); err != ErrEmpty {
-		t.Errorf("empty concat err = %v", err)
-	}
-}
-
-func TestRepeat(t *testing.T) {
-	base := MustNew([]Segment{
-		{Duration: time.Second, Rate: units.Mbps},
-		{Duration: time.Second, Rate: 2 * units.Mbps},
-	})
-	tr, err := base.Repeat(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Total() != 6*time.Second {
-		t.Errorf("total = %v", tr.Total())
-	}
-	// Period 2: the pattern tiles.
-	for _, at := range []time.Duration{0, 2 * time.Second, 4 * time.Second} {
-		if tr.RateAt(at) != units.Mbps {
-			t.Errorf("RateAt(%v) = %v", at, tr.RateAt(at))
-		}
-		if tr.RateAt(at+time.Second) != 2*units.Mbps {
-			t.Errorf("RateAt(%v) = %v", at+time.Second, tr.RateAt(at+time.Second))
-		}
-	}
-	if _, err := base.Repeat(0); err == nil {
-		t.Error("repeat 0 accepted")
-	}
-}
-
 func TestSlice(t *testing.T) {
 	base := MustNew([]Segment{
 		{Duration: 10 * time.Second, Rate: units.Mbps},

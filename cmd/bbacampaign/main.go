@@ -1,536 +1,439 @@
-// Command bbacampaign runs a large-scale streaming campaign: the paired A/B
-// population at million-session counts with constant memory, deterministic
-// sharding and kill-resume checkpointing.
+// Command bbacampaign is the front door to every population run, one
+// subcommand per mode: run, weekend, arena, merge, worker (see subcommands
+// below, or run it without arguments).
+//
+// Every subcommand that describes a campaign binds the same identity flags
+// (campaign.Identity.Bind) and every one that executes sessions the same
+// execution flags (execFlags); the rest are the subcommand's own, so a flag
+// that does not belong to a mode is "flag provided but not defined" there
+// rather than a case in a hand-kept rejection matrix.
 //
 // A campaign is split into fixed shards (shard-size paired sessions each).
 // One process can run the whole campaign, the shard space can be striped
-// across processes with -shards/-shard-of and the per-process checkpoints
-// combined afterwards with -merge, or — with -worker -coord — the process
-// joins a bbacoord coordinator that leases it shard ranges dynamically;
-// every mode produces a final report byte-identical to a single-threaded
-// run.
+// across processes with run -shards/-shard-of and the per-process
+// checkpoints combined afterwards with merge, or worker processes join a
+// bbacoord coordinator that leases them shard ranges dynamically; every
+// mode produces a final report byte-identical to a single-threaded run.
 //
-// Examples:
+//	bbacampaign run -sessions 170000 -faults -checkpoint cp.json -report report.json
+//	bbacampaign run -sessions 170000 -shards 4 -shard-of 2 -checkpoint cp2.json
+//	bbacampaign merge -report report.json cp0.json cp1.json cp2.json cp3.json
+//	bbacampaign worker -coord http://host:8407 -batch
+//	bbacampaign weekend -scale full -faults
+//	bbacampaign arena -algos all -sessions 2000 -json -report arena.json
 //
-//	bbacampaign -sessions 170000 -faults -checkpoint cp.json -report report.json
-//	bbacampaign -sessions 170000 -shards 4 -shard-of 2 -checkpoint cp2.json
-//	bbacampaign -merge cp0.json,cp1.json,cp2.json,cp3.json -report report.json
-//	bbacampaign -worker -coord http://host:8407 -batch
-//
-// SIGINT or SIGTERM saves a final checkpoint, emits a truncated report (marked
-// "truncated": true) and exits non-zero; re-running with the same flags and
-// -checkpoint resumes without re-running or double-counting any completed
-// shard. Progress — sessions/s, ETA and live per-group deltas — streams to
-// stderr.
+// SIGINT or SIGTERM during run saves a final checkpoint, emits a truncated
+// report (marked "truncated": true) and exits non-zero; re-running with the
+// same flags and -checkpoint resumes without re-running or double-counting
+// any completed shard. Progress — sessions/s, ETA and live per-group deltas —
+// and execution stats go to stderr; stdout is deterministic.
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"bba/internal/abr"
-	"bba/internal/abtest"
+	"bba/internal/arena"
 	"bba/internal/campaign"
-	"bba/internal/collect"
 	"bba/internal/coord"
-	"bba/internal/faults"
+	"bba/internal/figures"
 	"bba/internal/obs"
 )
 
-type options struct {
-	algos           string
-	sessions        int
-	shardSize       int
-	days            int
-	seed            int64
-	faultSeed       int64
-	faultsOn        bool
-	batch           bool
-	batchWidth      int
-	cpuProfile      string
-	memProfile      string
-	workers         int
-	sketch          int
-	stripes         int
-	stripe          int
-	checkpoint      string
-	checkpointEvery int
-	merge           string
-	report          string
-	ship            string
-	runID           string
-	worker          bool
-	coordURL        string
-	workerName      string
-	progressEvery   time.Duration
-	// progressHook is a test seam: called with every progress snapshot in
-	// addition to the stderr printer.
-	progressHook func(campaign.Progress)
-	// beforeShard is a test seam for worker mode: called before each leased
-	// shard executes; an error abandons the worker mid-lease.
-	beforeShard func(shard int) error
-}
-
 func main() {
-	var o options
-	flag.StringVar(&o.algos, "algos", "", "comma-separated experiment arms (default the paper's standard groups; part of the campaign identity); registered: "+strings.Join(abr.Names(), ", "))
-	flag.IntVar(&o.sessions, "sessions", 10000, "paired session draws (each streamed once per group)")
-	flag.IntVar(&o.shardSize, "shard-size", 1024, "paired sessions per shard (part of the campaign identity)")
-	flag.IntVar(&o.days, "days", 3, "simulated calendar days")
-	flag.Int64Var(&o.seed, "seed", 2014, "campaign seed")
-	flag.Int64Var(&o.faultSeed, "fault-seed", 2014, "fault-weather seed (with -faults)")
-	flag.BoolVar(&o.faultsOn, "faults", false, "run every session under the standard fault schedule")
-	flag.BoolVar(&o.batch, "batch", false, "execute sessions through the batch kernel (byte-identical report, higher throughput)")
-	flag.IntVar(&o.batchWidth, "batch-width", 0, "paired draws in flight per worker with -batch (default 8)")
-	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
-	flag.StringVar(&o.memProfile, "memprofile", "", "write an allocation profile to this file at exit")
-	flag.IntVar(&o.workers, "workers", 0, "worker goroutines (default GOMAXPROCS)")
-	flag.IntVar(&o.sketch, "sketch", 512, "quantile-sketch size per metric (part of the campaign identity)")
-	flag.IntVar(&o.stripes, "shards", 1, "total process stripes the campaign is split across")
-	flag.IntVar(&o.stripe, "shard-of", 0, "this process's stripe index in [0,-shards)")
-	flag.StringVar(&o.checkpoint, "checkpoint", "", "checkpoint file path (written periodically and on exit; resumed from when present)")
-	flag.IntVar(&o.checkpointEvery, "checkpoint-every", 8, "completed shards between checkpoint writes")
-	flag.StringVar(&o.merge, "merge", "", "comma-separated stripe checkpoints to merge into a final report (runs nothing)")
-	flag.StringVar(&o.report, "report", "", "final report path (default stdout)")
-	flag.StringVar(&o.ship, "ship", "", "ship telemetry and shard results to this collector URL (e.g. http://host:8406); the remotely aggregated report is verified byte-for-byte against the local fold")
-	flag.StringVar(&o.runID, "run-id", "", "run identifier at the collector (default campaign-<seed>; required with -worker -ship)")
-	flag.BoolVar(&o.worker, "worker", false, "run as a fleet worker: lease shard ranges from a coordinator instead of running a local campaign")
-	flag.StringVar(&o.coordURL, "coord", "", "coordinator URL for -worker (e.g. http://host:8407)")
-	flag.StringVar(&o.workerName, "worker-name", "", "stable worker name for -worker (default host-pid)")
-	flag.DurationVar(&o.progressEvery, "progress-every", 2*time.Second, "progress line interval on stderr (0 disables)")
-	flag.Parse()
-
 	obs.Main("bbacampaign", func(ctx context.Context) error {
-		return run(ctx, os.Stdout, os.Stderr, o)
+		return env{out: os.Stdout, errw: os.Stderr}.cli(ctx, os.Args[1:])
 	})
 }
 
-// validateFlags rejects invalid flag combinations up front with a single
-// error enumerating every violation, instead of failing mid-run.
-func validateFlags(o options) error {
-	var bad []string
-	if o.worker {
-		if o.coordURL == "" {
-			bad = append(bad, "-worker requires -coord (the coordinator URL)")
-		}
-		if o.merge != "" {
-			bad = append(bad, "-worker cannot combine with -merge (the coordinator owns the fold; merging is for hand-striped runs)")
-		}
-		if o.checkpoint != "" {
-			bad = append(bad, "-worker cannot combine with -checkpoint (resume state lives in the coordinator; pass -checkpoint to bbacoord)")
-		}
-		if o.stripes != 1 || o.stripe != 0 {
-			bad = append(bad, "-worker cannot combine with -shards/-shard-of (the coordinator owns the shard space)")
-		}
-		if o.report != "" {
-			bad = append(bad, "-worker writes no report; fetch it from the coordinator's /report")
-		}
-		if o.ship != "" && o.runID == "" {
-			bad = append(bad, "-worker -ship requires an explicit -run-id (the campaign comes from the coordinator, so no campaign-<seed> default exists)")
-		}
-	} else if o.coordURL != "" {
-		bad = append(bad, "-coord requires -worker")
-	}
-	if len(bad) > 0 {
-		return fmt.Errorf("invalid flags:\n  - %s", strings.Join(bad, "\n  - "))
-	}
-	return nil
+// env is where a subcommand writes.
+type env struct {
+	out, errw io.Writer
+	// progressHook is a test seam: called with every progress snapshot in
+	// addition to the stderr printer.
+	progressHook func(campaign.Progress)
 }
 
-func run(ctx context.Context, out io.Writer, errw io.Writer, o options) error {
-	if err := validateFlags(o); err != nil {
-		return err
-	}
-	if o.ship != "" {
-		if o.merge != "" {
-			return errors.New("-ship and -merge are mutually exclusive: merging is local-only; ship each stripe instead")
-		}
-		if !o.worker && o.stripes != 1 {
-			return errors.New("-ship covers the whole campaign from one process; drop -shards or merge stripe checkpoints locally")
-		}
-	}
-	if o.merge != "" {
-		return runMerge(out, o)
-	}
+// runFunc is a subcommand's body, called once its flag set has parsed.
+type runFunc func(ctx context.Context, e env) error
 
-	if o.cpuProfile != "" {
-		f, err := os.Create(o.cpuProfile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if o.memProfile != "" {
-		defer func() {
-			f, err := os.Create(o.memProfile)
-			if err != nil {
-				fmt.Fprintln(errw, "bbacampaign: memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintln(errw, "bbacampaign: memprofile:", err)
-			}
-		}()
-	}
+// subcommands lists the modes; build declares the mode's flags on fs — the
+// execution block x among them when the mode executes sessions — and returns
+// its body.
+var subcommands = []struct {
+	name, summary string
+	build         func(fs *flag.FlagSet, x *execFlags) runFunc
+}{
+	{"run", "run a campaign, or one stripe of it, and write its JSON report", buildRun},
+	{"weekend", "run the paper's weekend A/B experiment and write its per-window CSV", buildWeekend},
+	{"arena", "run an N-way paired tournament and write its table or JSON report", buildArena},
+	{"merge", "merge stripe checkpoints (positional arguments) into the final report", buildMerge},
+	{"worker", "lease and execute shards for a bbacoord coordinator", buildWorker},
+}
 
-	if o.worker {
-		return runWorker(ctx, errw, o)
-	}
-
-	var groups []abtest.Group
-	if o.algos != "" {
-		var names []string
-		for _, name := range strings.Split(o.algos, ",") {
-			if name = strings.TrimSpace(name); name != "" {
-				names = append(names, name)
+// cli is the whole command below main: dispatch on the subcommand, parse
+// its flags, run it.
+func (e env) cli(ctx context.Context, args []string) error {
+	what := "missing subcommand"
+	if len(args) > 0 {
+		for _, sc := range subcommands {
+			if sc.name != args[0] {
+				continue
 			}
-		}
-		var err error
-		if groups, err = abtest.Groups(names...); err != nil {
-			return err
-		}
-	}
-
-	cfg := campaign.Config{
-		Groups:          groups,
-		Seed:            o.seed,
-		Sessions:        o.sessions,
-		ShardSize:       o.shardSize,
-		Days:            o.days,
-		Batch:           o.batch,
-		BatchWidth:      o.batchWidth,
-		Parallelism:     o.workers,
-		SketchSize:      o.sketch,
-		Stripe:          o.stripe,
-		Stripes:         o.stripes,
-		CheckpointPath:  o.checkpoint,
-		CheckpointEvery: o.checkpointEvery,
-	}
-	if o.faultsOn {
-		fc := faults.DefaultScheduleConfig()
-		cfg.Faults = &fc
-		cfg.FaultSeed = o.faultSeed
-	}
-	if o.checkpoint != "" {
-		if cp, err := campaign.LoadCheckpoint(o.checkpoint); err == nil {
-			if o.ship != "" {
-				return fmt.Errorf("cannot ship a resumed run: shards already in %s would never reach the collector; remove the checkpoint or drop -ship", o.checkpoint)
+			fs := flag.NewFlagSet("bbacampaign "+sc.name, flag.ContinueOnError)
+			fs.SetOutput(e.errw)
+			var x execFlags
+			run := sc.build(fs, &x)
+			if done, err := obs.Parse(fs, args[1:], sc.name == "merge"); done {
+				return err
 			}
-			cfg.Resume = cp
-			fmt.Fprintf(errw, "resuming from %s: %d shards (%d sessions) already recorded\n",
-				o.checkpoint, cp.CompletedShards(), cp.SessionsDone())
-		} else if !errors.Is(err, os.ErrNotExist) {
-			return err
+			return x.profiled(run)(ctx, e)
 		}
+		what = fmt.Sprintf("unknown subcommand %q", args[0])
 	}
-	if o.progressEvery > 0 {
-		cfg.Progress = progressPrinter(errw, o.progressEvery)
+	fmt.Fprintf(e.errw, "bbacampaign: %s; subcommands:\n", what)
+	for _, sc := range subcommands {
+		fmt.Fprintf(e.errw, "  %-8s %s\n", sc.name, sc.summary)
 	}
-	if o.progressHook != nil {
-		printer := cfg.Progress
-		cfg.Progress = func(p campaign.Progress) {
-			if printer != nil {
-				printer(p)
-			}
-			o.progressHook(p)
-		}
-	}
+	fmt.Fprintln(e.errw, "run 'bbacampaign <subcommand> -h' for its flags")
+	return fmt.Errorf("%w: %s", obs.ErrUsage, what)
+}
 
-	var shipper *collect.Shipper
-	runID := o.runID
-	if o.ship != "" {
-		if runID == "" {
-			runID = fmt.Sprintf("campaign-%d", o.seed)
-		}
-		spill, err := os.MkdirTemp("", "bbaship-")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(spill)
-		shipper, err = collect.NewShipper(collect.ShipperConfig{
-			Addr:    o.ship,
-			Run:     runID,
-			Session: uint64(os.Getpid()),
-			Queue:   collect.QueueConfig{SpillDir: spill},
-			Retry:   collect.RetryPolicy{Seed: o.seed},
-		})
-		if err != nil {
-			return err
-		}
-		defer shipper.Close()
-		idJSON, err := json.Marshal(cfg.Identity())
-		if err != nil {
-			return err
-		}
-		if err := shipper.ShipRunStart(idJSON); err != nil {
-			return err
-		}
-		fmt.Fprintf(errw, "shipping run %q to %s (session %d)\n", runID, o.ship, os.Getpid())
-		cfg.Observer = shipper
-		cfg.OnShard = func(shard int, accums []*campaign.GroupAccum) error {
-			p, err := json.Marshal(campaign.ShardAccums{Shard: shard, Groups: accums})
+// execFlags is the execution block: how sessions run, never what they
+// produce.
+type execFlags struct {
+	workers       int
+	batch         bool
+	batchWidth    int
+	progressEvery time.Duration
+	cpuProfile    string
+	memProfile    string
+}
+
+func (x *execFlags) bind(fs *flag.FlagSet) {
+	fs.IntVar(&x.workers, "workers", 0, "worker goroutines (default GOMAXPROCS; never affects report bytes)")
+	fs.BoolVar(&x.batch, "batch", false, "execute sessions through the batch kernel (byte-identical report, higher throughput)")
+	fs.IntVar(&x.batchWidth, "batch-width", 0, "paired draws in flight per worker with -batch (default 8)")
+	fs.DurationVar(&x.progressEvery, "progress-every", 2*time.Second, "progress line interval on stderr (0 disables)")
+	fs.StringVar(&x.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&x.memProfile, "memprofile", "", "write an allocation profile to this file at exit")
+}
+
+// config resolves the identity and lays the execution block over it.
+func (x *execFlags) config(id campaign.Identity, e env) (campaign.Config, error) {
+	cfg, err := id.Config()
+	if err != nil {
+		return cfg, err
+	}
+	cfg.Parallelism = x.workers
+	cfg.Batch = x.batch
+	cfg.BatchWidth = x.batchWidth
+	cfg.Progress = e.progressPrinter(x.progressEvery)
+	return cfg, nil
+}
+
+// profiled wraps a subcommand body in the profiles the flags ask for (none
+// when the subcommand did not bind them).
+func (x *execFlags) profiled(run runFunc) runFunc {
+	return func(ctx context.Context, e env) error {
+		if x.cpuProfile != "" {
+			f, err := os.Create(x.cpuProfile)
 			if err != nil {
 				return err
 			}
-			return shipper.ShipShard(p)
-		}
-	}
-
-	res, runErr := campaign.RunContext(ctx, cfg)
-	if res != nil {
-		printStats(errw, res.Stats)
-	}
-	if runErr != nil {
-		// A cancelled run still has a resumable checkpoint and a best-effort
-		// truncated report; anything else is a hard failure.
-		if errors.Is(runErr, context.Canceled) && res != nil && res.Checkpoint != nil {
-			if trunc, err := campaign.TruncatedReport(res.Checkpoint); err == nil {
-				if err := writeReport(out, o.report, trunc); err != nil {
-					return err
+			if err := pprof.StartCPUProfile(f); err != nil {
+				f.Close()
+				return err
+			}
+			defer func() {
+				pprof.StopCPUProfile()
+				if err := f.Close(); err != nil {
+					fmt.Fprintln(e.errw, "bbacampaign: cpuprofile:", err)
 				}
-			}
-			if o.checkpoint != "" {
-				fmt.Fprintf(errw, "interrupted: checkpoint saved to %s; rerun the same command to resume\n", o.checkpoint)
-			}
-			return fmt.Errorf("interrupted after %d shards: %w", res.Checkpoint.CompletedShards(), runErr)
+			}()
 		}
-		return runErr
-	}
-
-	if res.Report == nil {
-		// A stripe subset: the checkpoint is the product; the report comes
-		// from -merge once every stripe has run.
-		fmt.Fprintf(errw, "stripe %d/%d complete: %d shards in checkpoint; merge all stripes with -merge for the final report\n",
-			o.stripe, o.stripes, res.Checkpoint.CompletedShards())
-		if o.checkpoint == "" {
-			return fmt.Errorf("stripe run without -checkpoint produces no output; pass -checkpoint")
+		if x.memProfile != "" {
+			defer func() {
+				err := writeReport(nil, x.memProfile, func(w io.Writer) error {
+					runtime.GC()
+					return pprof.Lookup("allocs").WriteTo(w, 0)
+				})
+				if err != nil {
+					fmt.Fprintln(e.errw, "bbacampaign: memprofile:", err)
+				}
+			}()
 		}
-		return nil
+		return run(ctx, e)
 	}
-	if shipper != nil {
-		return finishShipped(ctx, out, errw, o, shipper, runID, res.Report)
-	}
-	return writeReport(out, o.report, res.Report)
 }
 
-// finishShipped completes the run protocol — flush outstanding frames,
-// announce run_end, flush again — then fetches the remotely aggregated
-// report, verifies it byte-for-byte against the local fold and emits the
-// remote bytes as the final report.
-func finishShipped(ctx context.Context, out, errw io.Writer, o options, s *collect.Shipper, runID string, local *campaign.Report) error {
-	if err := s.Flush(ctx); err != nil {
-		return fmt.Errorf("flushing shipped frames: %w", err)
-	}
-	if err := s.ShipRunEnd(); err != nil {
-		return err
-	}
-	if err := s.Flush(ctx); err != nil {
-		return fmt.Errorf("flushing run_end: %w", err)
-	}
-	if err := s.Close(); err != nil {
-		return err
-	}
-	ss := s.Stats()
-	fmt.Fprintf(errw, "shipped %d frames (%d events, %d retries, %d spilled, %d dropped)\n",
-		ss.FramesShipped, ss.Events, ss.Retries, ss.Queue.Spilled, ss.FramesDropped)
-
-	remote, err := fetchReport(ctx, o.ship, runID)
-	if err != nil {
-		return err
-	}
-	var localBytes bytes.Buffer
-	if err := local.WriteJSON(&localBytes); err != nil {
-		return err
-	}
-	if !bytes.Equal(remote, localBytes.Bytes()) {
-		return fmt.Errorf("remote report for run %q differs from the local fold — collector state is suspect (mixed runs under one id?)", runID)
-	}
-	fmt.Fprintln(errw, "remote aggregation verified: report byte-identical to the local fold")
-	return writeReportBytes(out, o.report, remote)
+func bindReport(fs *flag.FlagSet) *string {
+	return fs.String("report", "", "output path (default stdout)")
 }
 
-// fetchReport polls the collector for the finished report. The run_end
-// frame was acknowledged before this is called, so anything beyond a brief
-// wait means the collector lost state.
-func fetchReport(ctx context.Context, base, runID string) ([]byte, error) {
-	url := strings.TrimSuffix(base, "/") + "/report/" + runID
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+func buildRun(fs *flag.FlagSet, x *execFlags) runFunc {
+	id := campaign.FlagDefaults()
+	id.Bind(fs)
+	x.bind(fs)
+	var ship shipFlags
+	ship.bind(fs)
+	stripes := fs.Int("shards", 1, "total process stripes the campaign is split across")
+	stripe := fs.Int("shard-of", 0, "this process's stripe index in [0,-shards)")
+	checkpoint := fs.String("checkpoint", "", "checkpoint file path (written periodically and on exit; resumed from when present)")
+	checkpointEvery := fs.Int("checkpoint-every", 8, "completed shards between checkpoint writes")
+	report := bindReport(fs)
+
+	return func(ctx context.Context, e env) error {
+		if ship.addr != "" && *stripes != 1 {
+			return errors.New("-ship covers the whole campaign from one process; drop -shards or merge stripe checkpoints locally")
+		}
+		cfg, err := x.config(id, e)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		resp, err := http.DefaultClient.Do(req)
-		if err == nil {
-			var body bytes.Buffer
-			_, rerr := body.ReadFrom(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK && rerr == nil {
-				return body.Bytes(), nil
+		cfg.Stripe, cfg.Stripes = *stripe, *stripes
+		cfg.CheckpointPath, cfg.CheckpointEvery = *checkpoint, *checkpointEvery
+		if *checkpoint != "" {
+			if cp, err := campaign.LoadCheckpoint(*checkpoint); err == nil {
+				if ship.addr != "" {
+					return fmt.Errorf("cannot ship a resumed run: shards already in %s would never reach the collector; remove the checkpoint or drop -ship", *checkpoint)
+				}
+				cfg.Resume = cp
+				fmt.Fprintf(e.errw, "resuming from %s: %d shards (%d sessions) already recorded\n",
+					*checkpoint, cp.CompletedShards(), cp.SessionsDone())
+			} else if !errors.Is(err, os.ErrNotExist) {
+				return err
 			}
-			if time.Now().After(deadline) {
-				return nil, fmt.Errorf("collector report %s: %s: %s", url, resp.Status, strings.TrimSpace(body.String()))
+		}
+		var sh *shipping
+		if ship.addr != "" {
+			if ship.runID == "" {
+				ship.runID = fmt.Sprintf("campaign-%d", id.Seed)
 			}
-		} else if time.Now().After(deadline) {
-			return nil, err
+			if sh, err = ship.open(e.errw, id.Seed); err != nil {
+				return err
+			}
+			defer sh.close()
+			if err := sh.start(cfg.Identity()); err != nil {
+				return err
+			}
+			cfg.Observer = sh.s
+			cfg.OnShard = sh.onShard
 		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(100 * time.Millisecond):
+
+		res, runErr := campaign.RunContext(ctx, cfg)
+		if res != nil {
+			res.Stats.WriteSummary(e.errw, "campaign", fmt.Sprintf(", peak pending %d shards", res.Stats.PeakPending))
 		}
+		if runErr != nil {
+			// A cancelled run still has a resumable checkpoint and a best-effort
+			// truncated report; anything else is a hard failure.
+			if errors.Is(runErr, context.Canceled) && res != nil && res.Checkpoint != nil {
+				if trunc, err := campaign.TruncatedReport(res.Checkpoint); err == nil {
+					if err := writeReport(e.out, *report, trunc.WriteJSON); err != nil {
+						return err
+					}
+				}
+				if *checkpoint != "" {
+					fmt.Fprintf(e.errw, "interrupted: checkpoint saved to %s; rerun the same command to resume\n", *checkpoint)
+				}
+				return fmt.Errorf("interrupted after %d shards: %w", res.Checkpoint.CompletedShards(), runErr)
+			}
+			return runErr
+		}
+
+		if res.Report == nil {
+			// A stripe subset: the checkpoint is the product; the report comes
+			// from merge once every stripe has run.
+			fmt.Fprintf(e.errw, "stripe %d/%d complete: %d shards in checkpoint; merge all stripes with 'bbacampaign merge' for the final report\n",
+				*stripe, *stripes, res.Checkpoint.CompletedShards())
+			if *checkpoint == "" {
+				return fmt.Errorf("stripe run without -checkpoint produces no output; pass -checkpoint")
+			}
+			return nil
+		}
+		if sh == nil {
+			return writeReport(e.out, *report, res.Report.WriteJSON)
+		}
+		if err := sh.finish(ctx); err != nil {
+			return err
+		}
+		remote, err := sh.verifiedReport(ctx, res.Report)
+		if err != nil {
+			return err
+		}
+		return writeReport(e.out, *report, func(w io.Writer) error {
+			_, err := w.Write(remote)
+			return err
+		})
 	}
 }
 
-func writeReportBytes(out io.Writer, path string, b []byte) error {
-	if path == "" {
-		_, err := out.Write(b)
-		return err
+func buildWeekend(fs *flag.FlagSet, x *execFlags) runFunc {
+	// The weekend is a campaign whose identity the experiment scale picks:
+	// -scale presets the three flags that size it, the rest of the identity
+	// block applies as everywhere.
+	quick := figures.ExperimentConfig(figures.Quick)
+	id := quick.Identity()
+	id.FaultSeed = figures.ExperimentSeed
+	id.Bind(fs)
+	x.bind(fs)
+	fs.Func("scale", "experiment scale: quick (default) or full; presets -days, -shard-size (sessions per two-hour window) and -sessions = days × 12 × shard-size", func(name string) error {
+		scale, err := figures.ParseScale(name)
+		if err != nil {
+			return err
+		}
+		sized := figures.ExperimentConfig(scale)
+		id.Days, id.ShardSize, id.Sessions = sized.Days, sized.ShardSize, sized.Sessions
+		return nil
+	})
+
+	return func(ctx context.Context, e env) error {
+		cfg, err := x.config(id, e)
+		if err != nil {
+			return err
+		}
+		o, err := campaign.RunWeekend(ctx, cfg)
+		if err != nil {
+			return err
+		}
+		o.Stats.WriteSummary(e.errw, "weekend experiment", "")
+		return o.WriteCSV(e.out)
 	}
-	return os.WriteFile(path, b, 0o644)
 }
 
-// runWorker joins a coordinator and executes leased shard ranges until the
-// campaign completes. The report is the coordinator's product; this
+func buildArena(fs *flag.FlagSet, x *execFlags) runFunc {
+	id := campaign.FlagDefaults()
+	id.Sessions = 2000
+	id.Bind(fs)
+	fs.Lookup("algos").Usage += "; here the entrants: default " + fmt.Sprint(arena.DefaultField) + ", 'all' the whole registry"
+	x.bind(fs)
+	jsonOut := fs.Bool("json", false, "emit the full JSON report instead of the table")
+	list := fs.Bool("list", false, "list registered algorithms and exit")
+	report := bindReport(fs)
+
+	return func(ctx context.Context, e env) error {
+		if *list {
+			for _, n := range abr.Names() {
+				fmt.Fprintln(e.out, n)
+			}
+			return nil
+		}
+		switch {
+		case len(id.Groups) == 0:
+			id.Groups = arena.DefaultField
+		case len(id.Groups) == 1 && id.Groups[0] == "all":
+			id.Groups = abr.Names()
+		}
+		cfg, err := x.config(id, e)
+		if err != nil {
+			return err
+		}
+		r, err := arena.RunContext(ctx, arena.Config{Campaign: cfg, Entrants: id.Groups})
+		if err != nil {
+			return err
+		}
+		if *jsonOut {
+			return writeReport(e.out, *report, r.WriteJSON)
+		}
+		return writeReport(e.out, *report, r.WriteTable)
+	}
+}
+
+func buildMerge(fs *flag.FlagSet, _ *execFlags) runFunc {
+	report := bindReport(fs)
+	return func(_ context.Context, e env) error {
+		var cps []*campaign.Checkpoint
+		for _, path := range fs.Args() {
+			cp, err := campaign.LoadCheckpoint(path)
+			if err != nil {
+				return err
+			}
+			cps = append(cps, cp)
+		}
+		merged, err := campaign.MergeCheckpoints(cps...)
+		if err != nil {
+			return err
+		}
+		rep, err := campaign.FinalReport(merged)
+		if err != nil {
+			return err
+		}
+		return writeReport(e.out, *report, rep.WriteJSON)
+	}
+}
+
+// buildWorker joins a coordinator and executes leased shard ranges until
+// the campaign completes. The report is the coordinator's product; this
 // process only prints its own execution stats. With -ship, every locally
 // completed shard's accumulators are mirrored to a bbacollect collector
 // over the frame lane in addition to the coordinator delivery.
-func runWorker(ctx context.Context, errw io.Writer, o options) error {
-	wcfg := coord.WorkerConfig{
-		URL:         o.coordURL,
-		Name:        o.workerName,
-		Parallelism: o.workers,
-		Batch:       o.batch,
-		BatchWidth:  o.batchWidth,
-		BeforeShard: o.beforeShard,
-	}
-	if o.progressEvery > 0 {
-		wcfg.Progress = func(format string, args ...any) {
-			fmt.Fprintf(errw, "worker: "+format+"\n", args...)
-		}
-	}
+func buildWorker(fs *flag.FlagSet, x *execFlags) runFunc {
+	x.bind(fs)
+	var ship shipFlags
+	ship.bind(fs)
+	coordURL := fs.String("coord", "", "coordinator URL (e.g. http://host:8407); required")
+	name := fs.String("worker-name", "", "stable worker name (default host-pid)")
 
-	var shipper *collect.Shipper
-	if o.ship != "" {
-		spill, err := os.MkdirTemp("", "bbaship-")
-		if err != nil {
-			return err
+	return func(ctx context.Context, e env) error {
+		if *coordURL == "" {
+			return errors.New("worker requires -coord (the coordinator URL)")
 		}
-		defer os.RemoveAll(spill)
-		shipper, err = collect.NewShipper(collect.ShipperConfig{
-			Addr:    o.ship,
-			Run:     o.runID,
-			Session: uint64(os.Getpid()),
-			Queue:   collect.QueueConfig{SpillDir: spill},
-			Retry:   collect.RetryPolicy{Seed: int64(os.Getpid())},
-		})
-		if err != nil {
-			return err
+		if ship.addr != "" && ship.runID == "" {
+			return errors.New("worker -ship requires an explicit -run-id (the campaign comes from the coordinator, so no campaign-<seed> default exists)")
 		}
-		defer shipper.Close()
-		wcfg.OnJoin = func(j coord.JoinResponse) error {
-			idJSON, err := json.Marshal(j.Identity)
-			if err != nil {
+		wcfg := coord.WorkerConfig{
+			URL:         *coordURL,
+			Name:        *name,
+			Parallelism: x.workers,
+			Batch:       x.batch,
+			BatchWidth:  x.batchWidth,
+		}
+		if x.progressEvery > 0 {
+			wcfg.Progress = func(format string, args ...any) {
+				fmt.Fprintf(e.errw, "worker: "+format+"\n", args...)
+			}
+		}
+		var sh *shipping
+		if ship.addr != "" {
+			var err error
+			if sh, err = ship.open(e.errw, int64(os.Getpid())); err != nil {
 				return err
 			}
-			if err := shipper.ShipRunStart(idJSON); err != nil {
-				return err
-			}
-			fmt.Fprintf(errw, "mirroring run %q to %s (session %d)\n", o.runID, o.ship, os.Getpid())
-			return nil
+			defer sh.close()
+			wcfg.OnJoin = func(j coord.JoinResponse) error { return sh.start(j.Identity) }
+			wcfg.OnShard = sh.onShard
 		}
-		wcfg.OnShard = func(shard int, accums []*campaign.GroupAccum) error {
-			p, err := json.Marshal(campaign.ShardAccums{Shard: shard, Groups: accums})
-			if err != nil {
-				return err
-			}
-			return shipper.ShipShard(p)
-		}
-	}
 
-	stats, runErr := coord.RunWorker(ctx, wcfg)
-	printWorkerStats(errw, stats)
-	if runErr != nil {
-		return runErr
+		ws, runErr := coord.RunWorker(ctx, wcfg)
+		ws.WriteSummary(e.errw, "worker", fmt.Sprintf(", %d leases, %d stolen, %d duplicate deliveries", ws.Leases, ws.Stolen, ws.Duplicates))
+		if runErr != nil || sh == nil {
+			return runErr
+		}
+		return sh.finish(ctx)
 	}
-	if shipper != nil {
-		if err := shipper.Flush(ctx); err != nil {
-			return fmt.Errorf("flushing shipped frames: %w", err)
-		}
-		if err := shipper.ShipRunEnd(); err != nil {
-			return err
-		}
-		if err := shipper.Flush(ctx); err != nil {
-			return fmt.Errorf("flushing run_end: %w", err)
-		}
-		if err := shipper.Close(); err != nil {
-			return err
-		}
-		ss := shipper.Stats()
-		fmt.Fprintf(errw, "mirrored %d frames (%d retries, %d spilled, %d dropped)\n",
-			ss.FramesShipped, ss.Retries, ss.Queue.Spilled, ss.FramesDropped)
-	}
-	return nil
 }
 
-// printWorkerStats is the worker-mode twin of printStats: same
-// sessions/s (engine=...) form, plus lease accounting.
-func printWorkerStats(w io.Writer, s coord.WorkerStats) {
-	if s.PlayerSessions == 0 {
-		return
-	}
-	fmt.Fprintf(w, "worker: %d player sessions (%d paired, %d shards) in %v (%.0f sessions/s (engine=%s), %d leases, %d stolen, %d duplicate deliveries)\n",
-		s.PlayerSessions, s.SessionsRun, s.ShardsRun, s.Elapsed.Round(time.Millisecond),
-		s.SessionsPerSecond(), s.Engine, s.Leases, s.Stolen, s.Duplicates)
-}
-
-// runMerge combines stripe checkpoints into the final report.
-func runMerge(out io.Writer, o options) error {
-	var cps []*campaign.Checkpoint
-	for _, path := range strings.Split(o.merge, ",") {
-		cp, err := campaign.LoadCheckpoint(strings.TrimSpace(path))
-		if err != nil {
-			return err
-		}
-		cps = append(cps, cp)
-	}
-	merged, err := campaign.MergeCheckpoints(cps...)
-	if err != nil {
-		return err
-	}
-	rep, err := campaign.FinalReport(merged)
-	if err != nil {
-		return err
-	}
-	return writeReport(out, o.report, rep)
-}
-
-func writeReport(out io.Writer, path string, r *campaign.Report) error {
+// writeReport writes one output document to path, or to out when path is
+// empty. A file is closed before success is reported: a short write must
+// not exit 0.
+func writeReport(out io.Writer, path string, write func(io.Writer) error) error {
 	if path == "" {
-		return r.WriteJSON(out)
+		return write(out)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := r.WriteJSON(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -538,11 +441,19 @@ func writeReport(out io.Writer, path string, r *campaign.Report) error {
 }
 
 // progressPrinter returns a Progress callback that writes a throttled
-// status line: shard and session counts, sessions/s, ETA and the live
-// rebuffer-rate delta of each arm against the control.
-func progressPrinter(w io.Writer, every time.Duration) func(campaign.Progress) {
+// status line to stderr: shard and session counts, sessions/s, ETA and the
+// live rebuffer-rate delta of each arm against the control. The test hook
+// sees every snapshot; with every 0 it is all that runs.
+func (e env) progressPrinter(every time.Duration) func(campaign.Progress) {
+	if every <= 0 {
+		return e.progressHook
+	}
+	w := e.errw
 	var last time.Duration
 	return func(p campaign.Progress) {
+		if e.progressHook != nil {
+			e.progressHook(p)
+		}
 		if p.Elapsed-last < every && p.SessionsDone < p.SessionsTotal {
 			return
 		}
@@ -564,18 +475,5 @@ func progressPrinter(w io.Writer, every time.Duration) func(campaign.Progress) {
 			fmt.Fprint(w, "]")
 		}
 		fmt.Fprintln(w)
-	}
-}
-
-func printStats(w io.Writer, s campaign.RunStats) {
-	if s.PlayerSessions == 0 {
-		return
-	}
-	fmt.Fprintf(w, "campaign: %d player sessions (%d paired) in %v (%.0f sessions/s (engine=%s), parallelism %d, peak pending %d shards)\n",
-		s.PlayerSessions, s.SessionsRun, s.Elapsed.Round(time.Millisecond),
-		s.SessionsPerSecond(), s.Engine, s.Parallelism, s.PeakPending)
-	if s.Faults > 0 || s.Retries > 0 || s.Degradations > 0 || s.Failovers > 0 {
-		fmt.Fprintf(w, "fault injection: %d faults, %d retries, %d degradations, %d failovers\n",
-			s.Faults, s.Retries, s.Degradations, s.Failovers)
 	}
 }

@@ -3,10 +3,14 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -17,25 +21,34 @@ import (
 	"bba/internal/obs"
 )
 
-func testOpts(sessions int) options {
-	return options{
-		sessions:        sessions,
-		shardSize:       8,
-		days:            3,
-		seed:            11,
-		workers:         2,
-		sketch:          64,
-		stripes:         1,
-		checkpointEvery: 1,
-		progressEvery:   time.Nanosecond, // print every shard
+// cli drives the binary from argv, the way main does under obs.Main.
+func cli(ctx context.Context, args []string, out, errw *bytes.Buffer) error {
+	return env{out: out, errw: errw}.cli(ctx, args)
+}
+
+// tiny is a small campaign's identity and execution flags; sub is the
+// subcommand, extra its own flags.
+func tiny(sub string, sessions int, extra ...string) []string {
+	args := []string{sub, "-sessions", strconv.Itoa(sessions), "-shard-size", "8", "-days", "3", "-seed", "11",
+		"-sketch", "64", "-workers", "2", "-progress-every", "0"}
+	return append(args, extra...)
+}
+
+// mustRun runs one argv line and returns its stdout.
+func mustRun(t *testing.T, args []string) []byte {
+	t.Helper()
+	var out, errw bytes.Buffer
+	if err := cli(context.Background(), args, &out, &errw); err != nil {
+		t.Fatalf("%v: %v\nstderr: %s", args, err, errw.String())
 	}
+	return out.Bytes()
 }
 
 // TestEndToEndReport runs a tiny campaign through the CLI path and checks
 // the report and the progress stream.
 func TestEndToEndReport(t *testing.T) {
 	var out, errw bytes.Buffer
-	if err := run(context.Background(), &out, &errw, testOpts(24)); err != nil {
+	if err := cli(context.Background(), tiny("run", 24, "-progress-every", "1ns"), &out, &errw); err != nil {
 		t.Fatal(err)
 	}
 	var rep campaign.Report
@@ -57,60 +70,35 @@ func TestEndToEndReport(t *testing.T) {
 // the campaign arms, and an unknown name fails with the registry's
 // enumerating error before any session runs.
 func TestCustomAlgos(t *testing.T) {
-	o := testOpts(16)
-	o.algos = "BBA-2, BOLA ,SmoothThroughput"
-	var out, errw bytes.Buffer
-	if err := run(context.Background(), &out, &errw, o); err != nil {
-		t.Fatal(err)
-	}
 	var rep campaign.Report
-	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+	if err := json.Unmarshal(mustRun(t, tiny("run", 16, "-algos", "BBA-2, BOLA ,SmoothThroughput")), &rep); err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Groups) != 3 || rep.Groups[0].Name != "BBA-2" || rep.Groups[1].Name != "BOLA" {
 		t.Errorf("arms: %+v", rep.Groups)
 	}
 
-	o.algos = "BBA-2,nope"
-	err := run(context.Background(), &out, &errw, o)
+	err := cli(context.Background(), tiny("run", 16, "-algos", "BBA-2,nope"), new(bytes.Buffer), new(bytes.Buffer))
 	if err == nil || !strings.Contains(err.Error(), "nope") {
 		t.Errorf("unknown algorithm: %v", err)
 	}
 }
 
 // TestStripesAndMerge runs each stripe as its own CLI invocation, merges
-// the checkpoints with -merge, and compares against the unsharded report.
+// the checkpoints with merge, and compares against the unsharded report.
 func TestStripesAndMerge(t *testing.T) {
-	var want bytes.Buffer
-	o := testOpts(40)
-	o.progressEvery = 0
-	if err := run(context.Background(), &want, new(bytes.Buffer), o); err != nil {
-		t.Fatal(err)
-	}
+	want := mustRun(t, tiny("run", 40))
 
 	dir := t.TempDir()
-	var paths []string
+	merge := []string{"merge"}
 	for stripe := 0; stripe < 2; stripe++ {
-		so := o
-		so.stripes, so.stripe = 2, stripe
-		so.checkpoint = filepath.Join(dir, "cp"+string(rune('0'+stripe))+".json")
-		paths = append(paths, so.checkpoint)
-		var out, errw bytes.Buffer
-		if err := run(context.Background(), &out, &errw, so); err != nil {
-			t.Fatalf("stripe %d: %v", stripe, err)
-		}
-		if out.Len() != 0 {
+		cp := filepath.Join(dir, fmt.Sprintf("cp%d.json", stripe))
+		merge = append(merge, cp)
+		if out := mustRun(t, tiny("run", 40, "-shards", "2", "-shard-of", strconv.Itoa(stripe), "-checkpoint", cp)); len(out) != 0 {
 			t.Errorf("stripe %d wrote a report on its own", stripe)
 		}
 	}
-
-	var got bytes.Buffer
-	mo := o
-	mo.merge = strings.Join(paths, ",")
-	if err := run(context.Background(), &got, new(bytes.Buffer), mo); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+	if got := mustRun(t, merge); !bytes.Equal(got, want) {
 		t.Error("merged stripe report differs from unsharded report")
 	}
 }
@@ -119,29 +107,20 @@ func TestStripesAndMerge(t *testing.T) {
 // collector and checks the emitted report is the remote aggregation,
 // byte-identical to a plain local run.
 func TestShipRemoteAggregation(t *testing.T) {
-	o := testOpts(24)
-	o.progressEvery = 0
-
-	var want bytes.Buffer
-	if err := run(context.Background(), &want, new(bytes.Buffer), o); err != nil {
-		t.Fatal(err)
-	}
+	want := mustRun(t, tiny("run", 24))
 
 	c := collect.NewCollector(collect.CollectorConfig{})
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 
 	var out, errw bytes.Buffer
-	so := o
-	so.ship = srv.URL
-	so.runID = "cli-ship"
-	if err := run(context.Background(), &out, &errw, so); err != nil {
+	if err := cli(context.Background(), tiny("run", 24, "-ship", srv.URL, "-run-id", "cli-ship"), &out, &errw); err != nil {
 		t.Fatalf("shipped run: %v\nstderr: %s", err, errw.String())
 	}
-	if !bytes.Equal(out.Bytes(), want.Bytes()) {
+	if !bytes.Equal(out.Bytes(), want) {
 		t.Error("shipped report differs from local report")
 	}
-	for _, s := range []string{"shipping run", "remote aggregation verified"} {
+	for _, s := range []string{"shipping run", "shipped ", "remote aggregation verified"} {
 		if !strings.Contains(errw.String(), s) {
 			t.Errorf("stderr missing %q: %q", s, errw.String())
 		}
@@ -151,42 +130,45 @@ func TestShipRemoteAggregation(t *testing.T) {
 	}
 }
 
-// TestShipFlagConflicts pins the modes -ship cannot combine with.
+// TestShipFlagConflicts pins what run -ship cannot combine with. (That
+// merge and worker -checkpoint cannot ship is the parser's business:
+// TestValidateFlags.)
 func TestShipFlagConflicts(t *testing.T) {
-	base := testOpts(8)
-	base.progressEvery = 0
-
-	o := base
-	o.ship = "http://127.0.0.1:1"
-	o.merge = "x.json"
-	if err := run(context.Background(), new(bytes.Buffer), new(bytes.Buffer), o); err == nil {
-		t.Error("-ship with -merge accepted")
+	fails := func(args []string) error {
+		return cli(context.Background(), args, new(bytes.Buffer), new(bytes.Buffer))
 	}
-
-	o = base
-	o.ship = "http://127.0.0.1:1"
-	o.stripes = 2
-	if err := run(context.Background(), new(bytes.Buffer), new(bytes.Buffer), o); err == nil {
+	if err := fails(tiny("run", 8, "-ship", "http://127.0.0.1:1", "-shards", "2")); err == nil {
 		t.Error("-ship with stripes accepted")
 	}
-
-	o = base
-	o.ship = "udp://127.0.0.1:1"
-	if err := run(context.Background(), new(bytes.Buffer), new(bytes.Buffer), o); err == nil {
+	if err := fails(tiny("run", 8, "-ship", "udp://127.0.0.1:1")); err == nil {
 		t.Error("-ship over udp accepted (report fetch needs HTTP)")
 	}
 
 	// A resumable checkpoint on disk conflicts with shipping: its shards
 	// would never reach the collector.
-	o = base
-	o.checkpoint = filepath.Join(t.TempDir(), "cp.json")
-	if err := run(context.Background(), new(bytes.Buffer), new(bytes.Buffer), o); err != nil {
-		t.Fatal(err)
-	}
-	o.ship = "http://127.0.0.1:1"
-	err := run(context.Background(), new(bytes.Buffer), new(bytes.Buffer), o)
+	cp := filepath.Join(t.TempDir(), "cp.json")
+	mustRun(t, tiny("run", 8, "-checkpoint", cp))
+	err := fails(tiny("run", 8, "-checkpoint", cp, "-ship", "http://127.0.0.1:1"))
 	if err == nil || !strings.Contains(err.Error(), "resumed") {
 		t.Errorf("-ship with a resumable checkpoint: %v", err)
+	}
+}
+
+// TestFetchReportDeadline: a collector that accepts the request and never
+// answers must not hold the report poll past its deadline.
+func TestFetchReportDeadline(t *testing.T) {
+	release := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { <-release }))
+	defer srv.Close()
+	defer close(release) // before srv.Close, which waits for the handler
+
+	start := time.Now()
+	_, err := fetchReport(context.Background(), srv.URL, "hung", 200*time.Millisecond)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("fetchReport against a hung collector = %v, want a deadline error", err)
+	}
+	if waited := time.Since(start); waited > 5*time.Second {
+		t.Errorf("fetchReport held for %v past a 200ms deadline", waited)
 	}
 }
 
@@ -195,27 +177,20 @@ func TestShipFlagConflicts(t *testing.T) {
 // a truncated report, and the resumed one must finish with the same report
 // an uninterrupted run produces.
 func TestInterruptResume(t *testing.T) {
-	o := testOpts(40)
-	o.progressEvery = 0
+	want := mustRun(t, tiny("run", 40))
 
-	var want bytes.Buffer
-	if err := run(context.Background(), &want, new(bytes.Buffer), o); err != nil {
-		t.Fatal(err)
-	}
-
-	o.checkpoint = filepath.Join(t.TempDir(), "cp.json")
+	args := tiny("run", 40, "-checkpoint-every", "1", "-checkpoint", filepath.Join(t.TempDir(), "cp.json"))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	shards := 0
+	var out, errw bytes.Buffer
 	// Cancel from the progress stream after two shards, as a SIGINT would.
-	o.progressHook = func(campaign.Progress) {
+	e := env{out: &out, errw: &errw, progressHook: func(campaign.Progress) {
 		if shards++; shards == 2 {
 			cancel()
 		}
-	}
-	var out, errw bytes.Buffer
-	err := run(ctx, &out, &errw, o)
-	if err == nil {
+	}}
+	if err := e.cli(ctx, args); err == nil {
 		t.Fatal("interrupted run returned nil error (must exit non-zero)")
 	}
 	var trunc campaign.Report
@@ -229,15 +204,14 @@ func TestInterruptResume(t *testing.T) {
 		t.Errorf("stderr does not mention resuming: %q", errw.String())
 	}
 
-	o.progressHook = nil
 	var resumed, errw2 bytes.Buffer
-	if err := run(context.Background(), &resumed, &errw2, o); err != nil {
+	if err := cli(context.Background(), args, &resumed, &errw2); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(errw2.String(), "resuming from") {
 		t.Errorf("resume did not load the checkpoint: %q", errw2.String())
 	}
-	if !bytes.Equal(resumed.Bytes(), want.Bytes()) {
+	if !bytes.Equal(resumed.Bytes(), want) {
 		t.Error("resumed report differs from uninterrupted report")
 	}
 }
@@ -248,33 +222,118 @@ func TestInterruptResume(t *testing.T) {
 // rather than ending the process with the shards since the last periodic
 // write lost.
 func TestSIGTERMWritesCheckpoint(t *testing.T) {
-	o := testOpts(40)
-	o.progressEvery = 0
-	o.checkpointEvery = 1 << 20 // only the on-cancel write can produce the file
-	o.checkpoint = filepath.Join(t.TempDir(), "cp.json")
+	cp := filepath.Join(t.TempDir(), "cp.json")
+	// -checkpoint-every: only the on-cancel write can produce the file.
+	args := tiny("run", 40, "-checkpoint-every", "1048576", "-checkpoint", cp)
 	var runErr error
 	var errw bytes.Buffer
 	obs.Main("bbacampaign", func(ctx context.Context) error {
 		shards := 0
-		o.progressHook = func(campaign.Progress) {
+		e := env{out: new(bytes.Buffer), errw: &errw, progressHook: func(campaign.Progress) {
 			if shards++; shards == 2 {
 				if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
 					t.Error(err)
 				}
 				<-ctx.Done() // signal delivery is asynchronous; hold the fold until it lands
 			}
-		}
-		runErr = run(ctx, new(bytes.Buffer), &errw, o)
+		}}
+		runErr = e.cli(ctx, args)
 		return nil // the exit code is main's business; the error is checked here
 	})
 	if !errors.Is(runErr, context.Canceled) {
 		t.Fatalf("run under SIGTERM = %v, want a context.Canceled interruption", runErr)
 	}
-	cp, err := campaign.LoadCheckpoint(o.checkpoint)
+	loaded, err := campaign.LoadCheckpoint(cp)
 	if err != nil {
 		t.Fatalf("no resumable checkpoint after SIGTERM: %v\nstderr: %s", err, errw.String())
 	}
-	if cp.CompletedShards() < 2 || cp.Complete() {
-		t.Errorf("checkpoint holds %d shards (complete=%v), want a partial run of at least 2", cp.CompletedShards(), cp.Complete())
+	if loaded.CompletedShards() < 2 || loaded.Complete() {
+		t.Errorf("checkpoint holds %d shards (complete=%v), want a partial run of at least 2", loaded.CompletedShards(), loaded.Complete())
+	}
+}
+
+// TestEngineLabel pins the unified throughput summary: both engines report
+// sessions/s with an engine= label naming the path that actually ran.
+func TestEngineLabel(t *testing.T) {
+	for _, tc := range []struct {
+		extra []string
+		want  string
+	}{
+		{nil, "(engine=scalar)"},
+		{[]string{"-batch"}, "(engine=batch)"},
+	} {
+		var out, errw bytes.Buffer
+		if err := cli(context.Background(), tiny("run", 16, tc.extra...), &out, &errw); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(errw.String(), "sessions/s "+tc.want) {
+			t.Errorf("%v summary missing %q: %q", tc.extra, tc.want, errw.String())
+		}
+	}
+}
+
+func sha(b []byte) string { return fmt.Sprintf("%x", sha256.Sum256(b)) }
+
+// TestWeekendGolden pins the weekend experiment's bytes across the move from
+// the abtest runner onto the campaign and from `abtest -csv` / `abtest
+// -faults` to `bbacampaign weekend`: the sha256 of the quick-scale CSV,
+// taken with the old runner.
+func TestWeekendGolden(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"weekend", "-progress-every", "0"}, "0ca1b08689b186d9b811d7f1be15ad3d7bd28682aa2d6e9694c0900edb2a7db0"},
+		{[]string{"weekend", "-progress-every", "0", "-faults"}, "48ea5d3ccf1cb17afe49938d57392717d04028a3b198a21963aa37bb9ed381da"},
+	} {
+		if got := sha(mustRun(t, tc.args)); got != tc.want {
+			t.Errorf("%v: sha256 %s, want %s", tc.args, got, tc.want)
+		}
+	}
+	// -scale is a preset of the sizing flags, applied in command-line order
+	// (a later sizing flag wins); a size that is not days × 12 × shard-size
+	// is refused by the layout.
+	small := mustRun(t, []string{"weekend", "-progress-every", "0", "-scale", "full", "-days", "1", "-shard-size", "2", "-sessions", "24"})
+	if rows := bytes.Count(small, []byte("\n")); rows != 1+6*12 {
+		t.Errorf("1 day × 12 windows × 6 groups after -scale full: %d CSV lines, want %d", rows, 1+6*12)
+	}
+	err := cli(context.Background(), []string{"weekend", "-sessions", "100"}, new(bytes.Buffer), new(bytes.Buffer))
+	if err == nil || !strings.Contains(err.Error(), "weekend layout") {
+		t.Errorf("mis-sized weekend: %v", err)
+	}
+}
+
+// TestRunGolden pins `run`'s report bytes to sha256s taken with the parent
+// commit's flag-mode binary (bbacampaign -seed 77 -sessions 1500 -shard-size
+// 256 [-faults]), and holds them under -batch and under 3 stripes + merge.
+func TestRunGolden(t *testing.T) {
+	base := []string{"run", "-seed", "77", "-sessions", "1500", "-shard-size", "256", "-progress-every", "0"}
+	for _, tc := range []struct {
+		name  string
+		extra []string
+		want  string
+	}{
+		{"clean", nil, "40cd5a6e22ceb12a4644481b40ad5b0486353f690d44891f6fd60e6fefe542b4"},
+		{"faults", []string{"-faults"}, "f38d73dcad4f4e462485fb7345f8f7105f1f722e7fb3d5fa5ab11e3aaca36308"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			args := append(append([]string{}, base...), tc.extra...)
+			if got := sha(mustRun(t, args)); got != tc.want {
+				t.Errorf("%v: sha256 %s, want %s", args, got, tc.want)
+			}
+			if got := sha(mustRun(t, append(args, "-batch"))); got != tc.want {
+				t.Errorf("-batch: sha256 %s, want %s", got, tc.want)
+			}
+			dir := t.TempDir()
+			merge := []string{"merge"}
+			for stripe := 0; stripe < 3; stripe++ {
+				cp := filepath.Join(dir, fmt.Sprintf("s%d.ck", stripe))
+				merge = append(merge, cp)
+				mustRun(t, append(args, "-shards", "3", "-shard-of", strconv.Itoa(stripe), "-checkpoint", cp))
+			}
+			if got := sha(mustRun(t, merge)); got != tc.want {
+				t.Errorf("3 stripes + merge: sha256 %s, want %s", got, tc.want)
+			}
+		})
 	}
 }

@@ -6,96 +6,20 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
+	"bba/internal/campaign"
 	"bba/internal/coord"
 )
 
-// TestValidateFlags pins the -worker flag-combination contract: every
-// violation is rejected up front, and multiple violations surface in one
-// enumerated error.
-func TestValidateFlags(t *testing.T) {
-	worker := func(mutate func(*options)) options {
-		o := testOpts(8)
-		o.worker = true
-		o.coordURL = "http://127.0.0.1:1"
-		if mutate != nil {
-			mutate(&o)
-		}
-		return o
-	}
-	cases := []struct {
-		name string
-		o    options
-		want []string // substrings the error must carry; empty = valid
-	}{
-		{"plain run", testOpts(8), nil},
-		{"worker ok", worker(nil), nil},
-		{"worker without coord", worker(func(o *options) { o.coordURL = "" }), []string{"-worker requires -coord"}},
-		{"coord without worker", func() options {
-			o := testOpts(8)
-			o.coordURL = "http://127.0.0.1:1"
-			return o
-		}(), []string{"-coord requires -worker"}},
-		{"worker with merge", worker(func(o *options) { o.merge = "cp.json" }), []string{"-merge"}},
-		{"worker with checkpoint", worker(func(o *options) { o.checkpoint = "cp.json" }), []string{"-checkpoint"}},
-		{"worker with stripes", worker(func(o *options) { o.stripes = 2 }), []string{"-shards"}},
-		{"worker with report", worker(func(o *options) { o.report = "r.json" }), []string{"/report"}},
-		{"worker ship without run-id", worker(func(o *options) { o.ship = "http://127.0.0.1:1" }), []string{"-run-id"}},
-		{"worker ship with run-id", worker(func(o *options) {
-			o.ship = "http://127.0.0.1:1"
-			o.runID = "fleet-1"
-		}), nil},
-		{"everything wrong at once", worker(func(o *options) {
-			o.coordURL = ""
-			o.merge = "cp.json"
-			o.checkpoint = "cp.json"
-			o.stripes = 2
-			o.report = "r.json"
-			o.ship = "http://127.0.0.1:1"
-		}), []string{"-worker requires -coord", "-merge", "-checkpoint", "-shards", "/report", "-run-id"}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := validateFlags(tc.o)
-			if len(tc.want) == 0 {
-				if err != nil {
-					t.Fatalf("valid combination rejected: %v", err)
-				}
-				return
-			}
-			if err == nil {
-				t.Fatal("invalid combination accepted")
-			}
-			for _, w := range tc.want {
-				if !strings.Contains(err.Error(), w) {
-					t.Errorf("error missing %q:\n%v", w, err)
-				}
-			}
-		})
-	}
-}
-
-// TestWorkerMode runs the CLI in -worker mode against an in-process
+// TestWorkerMode runs the worker subcommand against an in-process
 // coordinator: the worker prints its lease/throughput stats, writes no
 // report of its own, and the coordinator's report is byte-identical to the
 // plain CLI run of the same campaign.
 func TestWorkerMode(t *testing.T) {
-	base := testOpts(24)
-	base.progressEvery = 0
-	var want bytes.Buffer
-	if err := run(context.Background(), &want, new(bytes.Buffer), base); err != nil {
-		t.Fatal(err)
-	}
+	want := mustRun(t, tiny("run", 24))
 
 	c, err := coord.New(coord.Config{
-		Spec: coord.Spec{
-			Seed:       base.seed,
-			Sessions:   base.sessions,
-			ShardSize:  base.shardSize,
-			Days:       base.days,
-			SketchSize: base.sketch,
-		},
+		Spec:        campaign.Identity{Seed: 11, Sessions: 24, ShardSize: 8, Days: 3, SketchSize: 64},
 		LeaseShards: 2,
 	})
 	if err != nil {
@@ -104,13 +28,9 @@ func TestWorkerMode(t *testing.T) {
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 
-	o := testOpts(24)
-	o.worker = true
-	o.coordURL = srv.URL
-	o.workerName = "cli-worker"
-	o.progressEvery = time.Nanosecond
 	var out, errw bytes.Buffer
-	if err := run(context.Background(), &out, &errw, o); err != nil {
+	args := []string{"worker", "-coord", srv.URL, "-worker-name", "cli-worker", "-workers", "2", "-progress-every", "1ns"}
+	if err := cli(context.Background(), args, &out, &errw); err != nil {
 		t.Fatalf("worker run: %v\nstderr: %s", err, errw.String())
 	}
 	if out.Len() != 0 {
@@ -131,28 +51,7 @@ func TestWorkerMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want.Bytes()) {
+	if !bytes.Equal(got, want) {
 		t.Error("fleet report differs from plain CLI run")
-	}
-}
-
-// TestEngineLabel pins the unified throughput summary: both engines report
-// sessions/s with an engine= label naming the path that actually ran.
-func TestEngineLabel(t *testing.T) {
-	for _, batch := range []bool{false, true} {
-		o := testOpts(16)
-		o.progressEvery = 0
-		o.batch = batch
-		want := "(engine=scalar)"
-		if batch {
-			want = "(engine=batch)"
-		}
-		var out, errw bytes.Buffer
-		if err := run(context.Background(), &out, &errw, o); err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(errw.String(), "sessions/s "+want) {
-			t.Errorf("batch=%v summary missing %q: %q", batch, want, errw.String())
-		}
 	}
 }

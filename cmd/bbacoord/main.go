@@ -17,7 +17,7 @@
 // Example — one coordinator, three workers, any mix of machines:
 //
 //	bbacoord -sessions 1000000 -faults -checkpoint coord.json -report report.json &
-//	bbacampaign -worker -coord http://host:8407 -batch   # × N
+//	bbacampaign worker -coord http://host:8407 -batch   # × N
 //
 // The coordinator exits 0 once every shard is folded and the report is
 // written. SIGINT/SIGTERM saves the checkpoint (with -checkpoint) and
@@ -32,53 +32,37 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
-	"bba/internal/abr"
 	"bba/internal/campaign"
 	"bba/internal/coord"
 	"bba/internal/obs"
 )
 
 type options struct {
-	addr            string
-	algos           string
-	sessions        int
-	shardSize       int
-	days            int
-	seed            int64
-	faultSeed       int64
-	faultsOn        bool
-	sketch          int
-	leaseShards     int
-	leaseTTL        time.Duration
-	sweepEvery      time.Duration
-	checkpoint      string
-	checkpointEvery int
-	report          string
-	drain           time.Duration
-	progressEvery   time.Duration
+	addr string
+	// coord is bound directly: the campaign (Spec) from the same identity
+	// flags as bbacampaign's, the lease policy and checkpointing from the
+	// daemon's own.
+	coord         coord.Config
+	sweepEvery    time.Duration
+	report        string
+	drain         time.Duration
+	progressEvery time.Duration
 	// ready is a test seam: receives the bound HTTP address once serving.
 	ready chan<- string
 }
 
 func main() {
 	var o options
+	o.coord.Spec = campaign.FlagDefaults()
+	o.coord.Spec.Bind(flag.CommandLine)
 	flag.StringVar(&o.addr, "addr", "127.0.0.1:8407", "HTTP listen address (worker protocol, report, metrics)")
-	flag.StringVar(&o.algos, "algos", "", "comma-separated experiment arms (default the paper's standard groups; part of the campaign identity); registered: "+strings.Join(abr.Names(), ", "))
-	flag.IntVar(&o.sessions, "sessions", 10000, "paired session draws (each streamed once per group)")
-	flag.IntVar(&o.shardSize, "shard-size", 1024, "paired sessions per shard (part of the campaign identity)")
-	flag.IntVar(&o.days, "days", 3, "simulated calendar days")
-	flag.Int64Var(&o.seed, "seed", 2014, "campaign seed")
-	flag.Int64Var(&o.faultSeed, "fault-seed", 2014, "fault-weather seed (with -faults)")
-	flag.BoolVar(&o.faultsOn, "faults", false, "run every session under the standard fault schedule")
-	flag.IntVar(&o.sketch, "sketch", 512, "quantile-sketch size per metric (part of the campaign identity)")
-	flag.IntVar(&o.leaseShards, "lease-shards", coord.DefaultLeaseShards, "maximum shards per lease")
-	flag.DurationVar(&o.leaseTTL, "lease-ttl", coord.DefaultLeaseTTL, "lease expiry without a heartbeat")
+	flag.IntVar(&o.coord.LeaseShards, "lease-shards", coord.DefaultLeaseShards, "maximum shards per lease")
+	flag.DurationVar(&o.coord.LeaseTTL, "lease-ttl", coord.DefaultLeaseTTL, "lease expiry without a heartbeat")
 	flag.DurationVar(&o.sweepEvery, "sweep-every", time.Second, "background lease-expiry sweep interval")
-	flag.StringVar(&o.checkpoint, "checkpoint", "", "checkpoint file path (written periodically and on exit; resumed from when present)")
-	flag.IntVar(&o.checkpointEvery, "checkpoint-every", 8, "folded shards between checkpoint writes")
+	flag.StringVar(&o.coord.CheckpointPath, "checkpoint", "", "checkpoint file path (written periodically and on exit; resumed from when present)")
+	flag.IntVar(&o.coord.CheckpointEvery, "checkpoint-every", 8, "folded shards between checkpoint writes")
 	flag.StringVar(&o.report, "report", "", "final report path (default stdout)")
 	flag.DurationVar(&o.drain, "drain", 2*time.Second, "serve this long after completion so idle workers observe the campaign is done")
 	flag.DurationVar(&o.progressEvery, "progress-every", 2*time.Second, "progress line interval on stderr (0 disables)")
@@ -90,35 +74,12 @@ func main() {
 }
 
 func run(ctx context.Context, out, errw io.Writer, o options) error {
-	spec := coord.Spec{
-		Seed:       o.seed,
-		Sessions:   o.sessions,
-		ShardSize:  o.shardSize,
-		Days:       o.days,
-		SketchSize: o.sketch,
-		Faults:     o.faultsOn,
-		FaultSeed:  o.faultSeed,
-	}
-	if o.algos != "" {
-		for _, name := range strings.Split(o.algos, ",") {
-			if name = strings.TrimSpace(name); name != "" {
-				spec.Groups = append(spec.Groups, name)
-			}
-		}
-	}
-
-	ccfg := coord.Config{
-		Spec:            spec,
-		LeaseShards:     o.leaseShards,
-		LeaseTTL:        o.leaseTTL,
-		CheckpointPath:  o.checkpoint,
-		CheckpointEvery: o.checkpointEvery,
-	}
-	if o.checkpoint != "" {
-		if cp, err := campaign.LoadCheckpoint(o.checkpoint); err == nil {
+	ccfg := o.coord
+	if ccfg.CheckpointPath != "" {
+		if cp, err := campaign.LoadCheckpoint(ccfg.CheckpointPath); err == nil {
 			ccfg.Resume = cp
 			fmt.Fprintf(errw, "resuming from %s: %d shards (%d sessions) already folded\n",
-				o.checkpoint, cp.CompletedShards(), cp.SessionsDone())
+				ccfg.CheckpointPath, cp.CompletedShards(), cp.SessionsDone())
 		} else if !errors.Is(err, os.ErrNotExist) {
 			return err
 		}
@@ -134,22 +95,21 @@ func run(ctx context.Context, out, errw io.Writer, o options) error {
 	}
 	fmt.Fprintf(out, "coordinating on %s (/join, /lease, /heartbeat, /complete, /report, /metrics, /healthz)\n", srv.URL())
 	fmt.Fprintf(errw, "campaign: %d sessions in %d shards, lease %d shards / %v ttl\n",
-		c.Identity().Sessions, c.Identity().Shards(), o.leaseShards, o.leaseTTL)
+		c.Identity().Sessions, c.Identity().Shards(), ccfg.LeaseShards, ccfg.LeaseTTL)
 	if o.ready != nil {
 		o.ready <- srv.Addr()
 	}
 
 	// Background sweep keeps expiry moving while no worker is talking;
-	// progress goes to stderr like bbacampaign's.
+	// progress goes to stderr like bbacampaign's. A nil progress channel
+	// (-progress-every 0) never fires.
 	ticker := time.NewTicker(o.sweepEvery)
 	defer ticker.Stop()
-	var progress *time.Ticker
+	var progress <-chan time.Time
 	if o.progressEvery > 0 {
-		progress = time.NewTicker(o.progressEvery)
-		defer progress.Stop()
-	} else {
-		progress = time.NewTicker(time.Hour)
-		progress.Stop()
+		t := time.NewTicker(o.progressEvery)
+		defer t.Stop()
+		progress = t.C
 	}
 
 	start := time.Now()
@@ -166,7 +126,7 @@ loop:
 			return srv.Err()
 		case <-ticker.C:
 			c.Sweep()
-		case <-progress.C:
+		case <-progress:
 			s := c.Stats()
 			fmt.Fprintf(errw, "shards %d/%d done  %d pending  %d leased (%d leases, %d workers)  %d expired  %d stolen\n",
 				s.ShardsDone, c.Identity().Shards(), s.ShardsPending, s.ShardsLeased,
@@ -191,11 +151,11 @@ loop:
 		time.Since(start).Round(time.Millisecond))
 
 	if runErr != nil {
-		if o.checkpoint != "" {
-			if err := c.Checkpoint(o.checkpoint); err != nil {
+		if ccfg.CheckpointPath != "" {
+			if err := c.Checkpoint(ccfg.CheckpointPath); err != nil {
 				return err
 			}
-			fmt.Fprintf(errw, "interrupted: checkpoint saved to %s (%d shards); rerun the same command to resume\n", o.checkpoint, s.ShardsDone)
+			fmt.Fprintf(errw, "interrupted: checkpoint saved to %s (%d shards); rerun the same command to resume\n", ccfg.CheckpointPath, s.ShardsDone)
 		}
 		return fmt.Errorf("interrupted with %d/%d shards folded: %w", s.ShardsDone, c.Identity().Shards(), runErr)
 	}

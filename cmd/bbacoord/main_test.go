@@ -15,17 +15,15 @@ import (
 
 func testDaemonOpts(sessions int, dir string) options {
 	return options{
-		addr:        "127.0.0.1:0",
-		sessions:    sessions,
-		shardSize:   8,
-		days:        3,
-		seed:        11,
-		sketch:      64,
-		leaseShards: 2,
-		sweepEvery:  10 * time.Millisecond,
-		drain:       50 * time.Millisecond,
-		checkpoint:  filepath.Join(dir, "coord-cp.json"),
-		report:      filepath.Join(dir, "report.json"),
+		addr: "127.0.0.1:0",
+		coord: coord.Config{
+			Spec:           campaign.Identity{Seed: 11, Sessions: sessions, ShardSize: 8, Days: 3, SketchSize: 64},
+			LeaseShards:    2,
+			CheckpointPath: filepath.Join(dir, "coord-cp.json"),
+		},
+		sweepEvery: 10 * time.Millisecond,
+		drain:      50 * time.Millisecond,
+		report:     filepath.Join(dir, "report.json"),
 	}
 }
 
@@ -33,16 +31,7 @@ func testDaemonOpts(sessions int, dir string) options {
 // campaign flags.
 func wantReport(t *testing.T, o options) []byte {
 	t.Helper()
-	spec := coord.Spec{
-		Seed:       o.seed,
-		Sessions:   o.sessions,
-		ShardSize:  o.shardSize,
-		Days:       o.days,
-		SketchSize: o.sketch,
-		Faults:     o.faultsOn,
-		FaultSeed:  o.faultSeed,
-	}
-	cfg, err := spec.CampaignConfig()
+	cfg, err := o.coord.Spec.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +87,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Errorf("stderr missing coordinator summary: %q", errw.String())
 	}
 	// The completion checkpoint is on disk and resumable in principle.
-	cp, err := campaign.LoadCheckpoint(o.checkpoint)
+	cp, err := campaign.LoadCheckpoint(o.coord.CheckpointPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +103,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 func TestDaemonInterruptResume(t *testing.T) {
 	dir := t.TempDir()
 	o := testDaemonOpts(48, dir)
-	o.checkpointEvery = 1
+	o.coord.CheckpointEvery = 1
 	want := wantReport(t, o)
 
 	ready := make(chan string, 1)
@@ -132,7 +121,7 @@ func TestDaemonInterruptResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ccfg, err := join.Spec.CampaignConfig()
+	ccfg, err := join.Identity.Config()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package abr
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -60,13 +61,17 @@ func Lookup(name string) (Factory, bool) {
 	return f, ok
 }
 
+// ErrUnknownAlgorithm reports a name nothing is registered under.
+var ErrUnknownAlgorithm = errors.New("abr: unknown algorithm")
+
 // New builds a fresh single-session algorithm by registered name. The
-// unknown-name error enumerates the registry, so every command's error
-// message stays in sync with what is actually selectable.
+// unknown-name error wraps ErrUnknownAlgorithm and enumerates the registry,
+// so every command's error message stays in sync with what is actually
+// selectable.
 func New(name string) (Algorithm, error) {
 	f, ok := Lookup(name)
 	if !ok {
-		return nil, fmt.Errorf("abr: unknown algorithm %q (registered: %s)", name, strings.Join(Names(), ", "))
+		return nil, fmt.Errorf("%w %q (registered: %s)", ErrUnknownAlgorithm, name, strings.Join(Names(), ", "))
 	}
 	return f(), nil
 }

@@ -11,51 +11,28 @@ import (
 
 	"bba/internal/abtest"
 	"bba/internal/campaign"
-	"bba/internal/faults"
-	"bba/internal/media"
 	"bba/internal/stats"
 	"bba/internal/telemetry"
 )
 
-// Config describes one tournament. The zero value plus Entrants is a
-// runnable clean arena.
+// DefaultField is the tournament run when none is named: the paper's
+// production-tuned estimator Control and its champion BBA-2 against the
+// strongest follow-on rivals — BOLA (Lyapunov buffer control), a smoothed
+// throughput rule, and the dash.js-style hybrid of the two.
+var DefaultField = []string{"Control", "BBA-2", "BOLA", "SmoothThroughput", "Hybrid"}
+
+// Config describes one tournament: a campaign and who plays in it. The zero
+// Campaign plus Entrants is a runnable clean arena.
 type Config struct {
-	// Name labels progress and telemetry (default "arena").
-	Name string
-	// Seed makes the tournament deterministic.
-	Seed int64
-	// Sessions is the number of paired draws; every draw is streamed once
-	// per entrant (default 1000).
-	Sessions int
+	// Campaign is the population every entrant streams and how it executes;
+	// Name defaults to "arena". Its Observer also receives one ArenaMatch
+	// event per pairing when the tournament completes. Groups and NewExtra
+	// are the arena's to set, and extras are not checkpointed, so the
+	// campaign must be single-stripe and not resumed.
+	Campaign campaign.Config
 	// Entrants are registered algorithm names (abr.Names()), 2–23 of them;
 	// every unordered pair becomes a head-to-head match.
 	Entrants []string
-	// Population tunes the synthetic user population.
-	Population abtest.PopulationConfig
-	// CatalogSize is the number of titles (default 24).
-	CatalogSize int
-	// Ladder is the encoding ladder (default media.DefaultLadder).
-	Ladder media.Ladder
-	// Parallelism bounds worker goroutines (default GOMAXPROCS). It never
-	// affects report bytes.
-	Parallelism int
-	// Faults, when non-nil, runs every draw under per-session fault
-	// weather; all entrants of a draw share the identical schedule.
-	Faults *faults.ScheduleConfig
-	// FaultSeed seeds the fault schedules independently of Seed.
-	FaultSeed int64
-	// ShardSize and SketchSize pass through to the campaign identity
-	// (defaults 1024 and 512).
-	ShardSize  int
-	SketchSize int
-	// Days is the simulated calendar depth (default 3).
-	Days int
-	// Observer, when non-nil, receives the campaign's per-shard
-	// CampaignProgress events plus one ArenaMatch event per pairing when
-	// the tournament completes.
-	Observer telemetry.Observer
-	// Progress, when non-nil, receives the campaign's per-shard progress.
-	Progress func(campaign.Progress)
 }
 
 // Run executes the tournament. See RunContext.
@@ -83,35 +60,17 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Name == "" {
-		cfg.Name = "arena"
+	ccfg := cfg.Campaign
+	if ccfg.Name == "" {
+		ccfg.Name = "arena"
 	}
-	sketch := cfg.SketchSize
-	if sketch <= 0 {
-		sketch = 512
+	ccfg.Groups = groups
+	sketch := ccfg.Identity().SketchSize
+	ccfg.NewExtra = func() campaign.Extra {
+		return NewMatchSet(cfg.Entrants, sketch)
 	}
 
 	start := time.Now()
-	ccfg := campaign.Config{
-		Name:        cfg.Name,
-		Seed:        cfg.Seed,
-		Sessions:    cfg.Sessions,
-		ShardSize:   cfg.ShardSize,
-		Days:        cfg.Days,
-		Groups:      groups,
-		Population:  cfg.Population,
-		CatalogSize: cfg.CatalogSize,
-		Ladder:      cfg.Ladder,
-		Parallelism: cfg.Parallelism,
-		Faults:      cfg.Faults,
-		FaultSeed:   cfg.FaultSeed,
-		SketchSize:  sketch,
-		Observer:    cfg.Observer,
-		Progress:    cfg.Progress,
-		NewExtra: func() campaign.Extra {
-			return NewMatchSet(cfg.Entrants, sketch)
-		},
-	}
 	out, err := campaign.RunContext(ctx, ccfg)
 	if err != nil {
 		return nil, err
@@ -119,14 +78,14 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 	matches := out.Extra.(*MatchSet)
 	r := buildReport(cfg.Entrants, out.Report, matches)
 
-	if cfg.Observer != nil {
+	if ccfg.Observer != nil {
 		elapsed := time.Since(start)
 		index := map[string]int{}
 		for i, e := range cfg.Entrants {
 			index[e] = i
 		}
 		for pi, m := range r.Matches {
-			cfg.Observer.OnEvent(telemetry.Event{
+			ccfg.Observer.OnEvent(telemetry.Event{
 				Kind:          telemetry.ArenaMatch,
 				At:            elapsed,
 				Chunk:         pi,

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"bba/internal/abr"
 	"bba/internal/campaign"
 	"bba/internal/faults"
 	"bba/internal/metrics"
@@ -15,14 +16,16 @@ import (
 func testConfig(sessions int) Config {
 	fc := faults.DefaultScheduleConfig()
 	return Config{
-		Seed:        41,
-		FaultSeed:   7,
-		Faults:      &fc,
-		Sessions:    sessions,
-		ShardSize:   8,
-		CatalogSize: 4,
-		SketchSize:  64,
-		Entrants:    []string{"BBA-2", "BOLA", "SmoothThroughput"},
+		Campaign: campaign.Config{
+			Seed:        41,
+			FaultSeed:   7,
+			Faults:      &fc,
+			Sessions:    sessions,
+			ShardSize:   8,
+			CatalogSize: 4,
+			SketchSize:  64,
+		},
+		Entrants: []string{"BBA-2", "BOLA", "SmoothThroughput"},
 	}
 }
 
@@ -41,14 +44,14 @@ func reportBytes(t *testing.T, r *Report) []byte {
 func TestArenaDeterminism(t *testing.T) {
 	cfg := testConfig(28) // 4 shards, last one partial
 
-	cfg.Parallelism = 1
+	cfg.Campaign.Parallelism = 1
 	ref, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := reportBytes(t, ref)
 
-	cfg.Parallelism = 8
+	cfg.Campaign.Parallelism = 8
 	wide, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +67,7 @@ func TestArenaDeterminism(t *testing.T) {
 // in order.
 func TestArenaReportShape(t *testing.T) {
 	cfg := testConfig(12)
-	cfg.Parallelism = 2
+	cfg.Campaign.Parallelism = 2
 	r, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +128,7 @@ func TestArenaReportShape(t *testing.T) {
 func TestArenaTelemetry(t *testing.T) {
 	cfg := testConfig(8)
 	ring := telemetry.NewRing(64)
-	cfg.Observer = ring
+	cfg.Campaign.Observer = ring
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -144,20 +147,20 @@ func TestArenaTelemetry(t *testing.T) {
 }
 
 func TestArenaConfigValidation(t *testing.T) {
-	if _, err := Run(Config{Sessions: 4, Entrants: []string{"BBA-2"}}); err == nil {
+	if _, err := Run(Config{Campaign: campaign.Config{Sessions: 4}, Entrants: []string{"BBA-2"}}); err == nil {
 		t.Error("single entrant accepted")
 	}
-	if _, err := Run(Config{Sessions: 4, Entrants: []string{"BBA-2", "BBA-2"}}); err == nil {
+	if _, err := Run(Config{Campaign: campaign.Config{Sessions: 4}, Entrants: []string{"BBA-2", "BBA-2"}}); err == nil {
 		t.Error("duplicate entrant accepted")
 	}
-	if _, err := Run(Config{Sessions: 4, Entrants: []string{"BBA-2", "no-such-algorithm"}}); err == nil {
+	if _, err := Run(Config{Campaign: campaign.Config{Sessions: 4}, Entrants: []string{"BBA-2", "no-such-algorithm"}}); err == nil {
 		t.Error("unknown entrant accepted")
 	}
 	many := make([]string, maxEntrants+1)
 	for i := range many {
 		many[i] = "x"
 	}
-	if _, err := Run(Config{Sessions: 4, Entrants: many}); err == nil {
+	if _, err := Run(Config{Campaign: campaign.Config{Sessions: 4}, Entrants: many}); err == nil {
 		t.Error("oversized field accepted")
 	}
 }
@@ -226,5 +229,14 @@ func TestArenaExtraGuards(t *testing.T) {
 	}
 	if _, err := campaign.Run(ccfg); err == nil {
 		t.Error("striped run with NewExtra accepted")
+	}
+}
+
+// TestDefaultFieldRegistered: every default entrant must stay registered.
+func TestDefaultFieldRegistered(t *testing.T) {
+	for _, name := range DefaultField {
+		if _, err := abr.New(name); err != nil {
+			t.Errorf("default entrant %q: %v", name, err)
+		}
 	}
 }

@@ -303,6 +303,23 @@ func (s RunStats) SessionsPerSecond() float64 {
 	return float64(s.PlayerSessions) / s.Elapsed.Seconds()
 }
 
+// WriteSummary writes the run's execution summary — the same
+// sessions/s (engine=...) form for every mode; detail, when not empty,
+// continues the parenthesis with the mode's own numbers (", 3 leases") —
+// and its fault-injection counters when there was any fault activity.
+func (s RunStats) WriteSummary(w io.Writer, label, detail string) {
+	if s.PlayerSessions == 0 {
+		return
+	}
+	fmt.Fprintf(w, "%s: %d player sessions (%d paired, %d shards) in %v (%.0f sessions/s (engine=%s), parallelism %d%s)\n",
+		label, s.PlayerSessions, s.SessionsRun, s.ShardsRun, s.Elapsed.Round(time.Millisecond),
+		s.SessionsPerSecond(), s.Engine, s.Parallelism, detail)
+	if s.Faults > 0 || s.Retries > 0 || s.Degradations > 0 || s.Failovers > 0 {
+		fmt.Fprintf(w, "fault injection: %d faults, %d retries, %d degradations, %d failovers\n",
+			s.Faults, s.Retries, s.Degradations, s.Failovers)
+	}
+}
+
 // Outcome is the result of a Run.
 type Outcome struct {
 	// Report is the final campaign report; nil when the run did not

@@ -14,48 +14,6 @@ import (
 // CheckpointSchema identifies the checkpoint file format.
 const CheckpointSchema = "bba-campaign-checkpoint/v1"
 
-// Identity pins everything that determines a campaign's results. Two
-// checkpoints are mergeable — and a checkpoint is resumable under a config —
-// only when their identities are equal; mixing different identities would
-// silently blend incompatible populations.
-type Identity struct {
-	Seed        int64    `json:"seed"`
-	FaultSeed   int64    `json:"fault_seed,omitempty"`
-	Faults      bool     `json:"faults,omitempty"`
-	Sessions    int      `json:"sessions"`
-	ShardSize   int      `json:"shard_size"`
-	Days        int      `json:"days"`
-	Layout      Layout   `json:"layout,omitempty"`
-	CatalogSize int      `json:"catalog_size"`
-	SketchSize  int      `json:"sketch_size"`
-	Groups      []string `json:"groups"`
-}
-
-// Shards returns the campaign's shard count: ⌈Sessions/ShardSize⌉. Shard s
-// covers global paired-session indices [s·ShardSize, min((s+1)·ShardSize,
-// Sessions)). The boundaries depend only on the identity — never on worker
-// count or process split — which is what makes merged results bit-identical
-// at any sharding.
-func (id Identity) Shards() int {
-	if id.Sessions <= 0 || id.ShardSize <= 0 {
-		return 0
-	}
-	return (id.Sessions + id.ShardSize - 1) / id.ShardSize
-}
-
-// shardSessions returns how many paired sessions shard s covers.
-func (id Identity) shardSessions(s int) int {
-	lo := s * id.ShardSize
-	hi := lo + id.ShardSize
-	if hi > id.Sessions {
-		hi = id.Sessions
-	}
-	if hi <= lo {
-		return 0
-	}
-	return hi - lo
-}
-
 // ShardAccums is one completed shard's per-group accumulators, the atomic
 // unit of checkpointing: a shard is recorded only once fully complete, so a
 // resume can never double-count sessions.

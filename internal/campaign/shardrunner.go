@@ -19,7 +19,7 @@ func engineName(batchOn bool) string {
 
 // ShardRunner executes individual shards of a campaign outside RunContext —
 // the worker half of the distributed control plane. A lease-holding worker
-// builds one ShardRunner per goroutine from the coordinator's campaign spec
+// builds one ShardRunner per goroutine from the coordinator's campaign identity
 // and runs whatever shard indices it is granted; because a shard's result
 // depends only on (identity, shard), the accumulators it returns are
 // bit-identical to the ones a local run computes, and the coordinator's

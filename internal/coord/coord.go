@@ -132,10 +132,11 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	id, err := cfg.Spec.Identity()
+	ccfg, err := cfg.Spec.Config()
 	if err != nil {
 		return nil, err
 	}
+	id := ccfg.Identity()
 	cp := campaign.NewCheckpoint(id)
 	if cfg.Resume != nil {
 		if !reflect.DeepEqual(cfg.Resume.Identity, id) {
@@ -227,7 +228,7 @@ func (c *Coordinator) insertPending(s int) {
 	c.pending[i] = s
 }
 
-// Join registers a worker and returns the campaign spec and lease policy.
+// Join registers a worker and returns the campaign identity and lease policy.
 func (c *Coordinator) Join(req JoinRequest) (JoinResponse, error) {
 	if req.Worker == "" {
 		return JoinResponse{}, fmt.Errorf("coord: join without a worker name")
@@ -240,7 +241,6 @@ func (c *Coordinator) Join(req JoinRequest) (JoinResponse, error) {
 	}
 	c.workers[req.Worker] = c.cfg.Now()
 	return JoinResponse{
-		Spec:           c.cfg.Spec,
 		Identity:       c.id,
 		LeaseTTLMillis: c.cfg.LeaseTTL.Milliseconds(),
 		LeaseShards:    c.cfg.LeaseShards,

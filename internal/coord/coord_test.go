@@ -31,7 +31,7 @@ func testSpec(sessions int) Spec {
 // the canonical report bytes every fleet topology must reproduce.
 func localReport(t *testing.T, spec Spec) []byte {
 	t.Helper()
-	cfg, err := spec.CampaignConfig()
+	cfg, err := spec.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func localReport(t *testing.T, spec Spec) []byte {
 // newRunner builds a ShardRunner for the spec.
 func newRunner(t *testing.T, spec Spec) *campaign.ShardRunner {
 	t.Helper()
-	cfg, err := spec.CampaignConfig()
+	cfg, err := spec.Config()
 	if err != nil {
 		t.Fatal(err)
 	}

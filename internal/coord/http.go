@@ -9,7 +9,7 @@ import (
 
 // Handler returns the coordinator's HTTP interface:
 //
-//	POST /join       register a worker; returns the campaign spec
+//	POST /join       register a worker; returns the campaign identity
 //	POST /lease      acquire a shard-range lease
 //	POST /heartbeat  extend held leases
 //	POST /complete   deliver one finished shard's accumulators

@@ -1,84 +1,19 @@
 package coord
 
 import (
-	"fmt"
 	"time"
 
-	"bba/internal/abtest"
 	"bba/internal/campaign"
-	"bba/internal/faults"
 )
 
-// Spec is the campaign description the coordinator hands every worker on
-// join — the JSON-portable subset of campaign.Config that pins the
-// campaign identity. Execution knobs (engine, parallelism, widths) are
-// deliberately absent: they are per-worker choices that never change the
-// result, which is exactly why a mixed fleet of scalar and batch workers
-// still folds to one byte-identical report.
-type Spec struct {
-	// Name labels the run (default "campaign").
-	Name string `json:"name,omitempty"`
-	// Seed makes the campaign deterministic.
-	Seed int64 `json:"seed"`
-	// Sessions is the number of paired session draws.
-	Sessions int `json:"sessions"`
-	// ShardSize is the paired sessions per shard (part of the identity).
-	ShardSize int `json:"shard_size,omitempty"`
-	// Days is the simulated calendar depth.
-	Days int `json:"days,omitempty"`
-	// CatalogSize is the number of titles.
-	CatalogSize int `json:"catalog_size,omitempty"`
-	// SketchSize is each metric sketch's retained-sample capacity.
-	SketchSize int `json:"sketch_size,omitempty"`
-	// Groups are the experiment arms by registered algorithm name; empty
-	// means the paper's standard groups.
-	Groups []string `json:"groups,omitempty"`
-	// Faults runs every session under the standard fault schedule.
-	Faults bool `json:"faults,omitempty"`
-	// FaultSeed seeds the fault weather (with Faults).
-	FaultSeed int64 `json:"fault_seed,omitempty"`
-}
-
-// CampaignConfig resolves the spec into a runnable campaign.Config — the
-// same construction cmd/bbacampaign performs from its flags, so a worker
-// executing the spec and a local run of the same flags share one identity.
-func (s Spec) CampaignConfig() (campaign.Config, error) {
-	cfg := campaign.Config{
-		Name:        s.Name,
-		Seed:        s.Seed,
-		Sessions:    s.Sessions,
-		ShardSize:   s.ShardSize,
-		Days:        s.Days,
-		CatalogSize: s.CatalogSize,
-		SketchSize:  s.SketchSize,
-	}
-	if len(s.Groups) > 0 {
-		groups, err := abtest.Groups(s.Groups...)
-		if err != nil {
-			return campaign.Config{}, err
-		}
-		cfg.Groups = groups
-	}
-	if s.Faults {
-		fc := faults.DefaultScheduleConfig()
-		cfg.Faults = &fc
-		cfg.FaultSeed = s.FaultSeed
-	}
-	return cfg, nil
-}
-
-// Identity returns the campaign identity the spec pins.
-func (s Spec) Identity() (campaign.Identity, error) {
-	cfg, err := s.CampaignConfig()
-	if err != nil {
-		return campaign.Identity{}, err
-	}
-	id := cfg.Identity()
-	if id.Shards() == 0 {
-		return campaign.Identity{}, fmt.Errorf("coord: spec describes no shards (sessions %d, shard size %d)", s.Sessions, s.ShardSize)
-	}
-	return id, nil
-}
+// Spec is the campaign description a coordinator runs and hands every
+// worker on join: the campaign identity itself (the name survives as an
+// alias for callers that spell it coord.Spec). Execution knobs (engine,
+// parallelism, widths) are deliberately absent from an identity: they are
+// per-worker choices that never change the result, which is exactly why a
+// mixed fleet of scalar and batch workers still folds to one byte-identical
+// report.
+type Spec = campaign.Identity
 
 // Wire messages. Every endpoint takes and returns JSON; durations travel
 // as milliseconds so the protocol has no dependence on Go's duration
@@ -93,7 +28,8 @@ type JoinRequest struct {
 
 // JoinResponse hands the worker everything it needs to execute leases.
 type JoinResponse struct {
-	Spec     Spec              `json:"spec"`
+	// Identity is the campaign in normal form (defaults filled in); the
+	// worker resolves it with Identity.Config, as the coordinator did.
 	Identity campaign.Identity `json:"identity"`
 	// LeaseTTLMillis is the lease expiry interval; workers heartbeat at a
 	// fraction of it.

@@ -170,29 +170,19 @@ type WorkerConfig struct {
 	Progress func(format string, args ...any)
 }
 
-// WorkerStats summarizes one RunWorker invocation.
+// WorkerStats summarizes one RunWorker invocation: the execution numbers
+// every campaign run reports (Elapsed is join to exit, Parallelism the
+// executor goroutines; PeakPending and the fault counters stay zero — the
+// fold is the coordinator's) plus the worker's lease accounting.
 type WorkerStats struct {
+	campaign.RunStats
 	// Identity is the campaign the coordinator assigned.
 	Identity campaign.Identity
-	// Engine is "scalar" or "batch".
-	Engine string
 	// Leases counts grants executed (Stolen of them work-stealing).
 	Leases, Stolen int
-	// ShardsRun counts shards executed and delivered; Duplicates counts
-	// deliveries the coordinator had already folded from elsewhere.
-	ShardsRun, Duplicates int
-	// SessionsRun / PlayerSessions count this worker's executed sessions.
-	SessionsRun, PlayerSessions int64
-	// Elapsed is wall-clock time from join to exit.
-	Elapsed time.Duration
-}
-
-// SessionsPerSecond returns this worker's player-session throughput.
-func (s WorkerStats) SessionsPerSecond() float64 {
-	if s.Elapsed <= 0 {
-		return 0
-	}
-	return float64(s.PlayerSessions) / s.Elapsed.Seconds()
+	// Duplicates counts deliveries the coordinator had already folded from
+	// elsewhere.
+	Duplicates int
 }
 
 // RunWorker joins the coordinator and executes leases until the campaign
@@ -214,6 +204,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (stats WorkerStats, err er
 	if cfg.Parallelism <= 0 {
 		cfg.Parallelism = runtime.GOMAXPROCS(0)
 	}
+	stats.Parallelism = cfg.Parallelism
 	stats.Engine = "scalar"
 	if cfg.Batch {
 		stats.Engine = "batch"
@@ -237,17 +228,13 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (stats WorkerStats, err er
 			return stats, err
 		}
 	}
-	ccfg, err := join.Spec.CampaignConfig()
+	ccfg, err := join.Identity.Config()
 	if err != nil {
-		return stats, fmt.Errorf("coord: coordinator spec: %w", err)
+		return stats, fmt.Errorf("coord: coordinator identity: %w", err)
 	}
 	ccfg.Batch = cfg.Batch
 	ccfg.BatchWidth = cfg.BatchWidth
-	probe, err := campaign.NewShardRunner(ccfg)
-	if err != nil {
-		return stats, err
-	}
-	if !reflect.DeepEqual(probe.Identity(), join.Identity) {
+	if !reflect.DeepEqual(ccfg.Identity(), join.Identity) {
 		return stats, fmt.Errorf("coord: local identity diverges from coordinator's — version skew between worker and coordinator")
 	}
 	poll := cfg.Poll

@@ -4,19 +4,14 @@ import (
 	"fmt"
 
 	"bba/internal/arena"
+	"bba/internal/campaign"
 	"bba/internal/faults"
 )
 
-// arenaField is the tournament the extension datapoint runs: the paper's
-// production-tuned estimator Control and its champion BBA-2 against the
-// strongest follow-on rivals — BOLA (Lyapunov buffer control), a smoothed
-// throughput rule, and the dash.js-style hybrid of the two.
-var arenaField = []string{"Control", "BBA-2", "BOLA", "SmoothThroughput", "Hybrid"}
-
-// ArenaMatrix runs the N-way paired tournament under fault weather and
-// renders the head-to-head win-rate matrix: every entrant streams the same
-// (user, trace, fault-weather) draws, so each cell is a pure algorithm
-// effect with common-random-numbers variance cancellation.
+// ArenaMatrix runs the N-way paired tournament over arena.DefaultField under
+// fault weather and renders the head-to-head win-rate matrix: every entrant
+// streams the same (user, trace, fault-weather) draws, so each cell is a
+// pure algorithm effect with common-random-numbers variance cancellation.
 func ArenaMatrix(scale Scale) (*Figure, error) {
 	sessions := 160
 	if scale == Full {
@@ -24,13 +19,15 @@ func ArenaMatrix(scale Scale) (*Figure, error) {
 	}
 	fc := faults.DefaultScheduleConfig()
 	r, err := arena.Run(arena.Config{
-		Name:      "arena-matrix",
-		Seed:      ExperimentSeed + 37,
-		FaultSeed: ExperimentSeed + 37,
-		Faults:    &fc,
-		Sessions:  sessions,
-		ShardSize: 64,
-		Entrants:  arenaField,
+		Campaign: campaign.Config{
+			Name:      "arena-matrix",
+			Seed:      ExperimentSeed + 37,
+			FaultSeed: ExperimentSeed + 37,
+			Faults:    &fc,
+			Sessions:  sessions,
+			ShardSize: 64,
+		},
+		Entrants: arena.DefaultField,
 	})
 	if err != nil {
 		return nil, err

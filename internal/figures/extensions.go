@@ -33,14 +33,9 @@ func ShortVideoSessions() (*Figure, error) {
 	}
 	vsBBA2 := Series{Name: "BBA2−BBA1"}
 	vsCtl := Series{Name: "Ctl−BBA1"}
-	groups := []abtest.Group{
-		{Name: "Control", New: func(u abtest.User) abr.Algorithm {
-			c := abr.NewControl()
-			c.InitialEstimate = u.History
-			return c
-		}},
-		{Name: "BBA-1", New: func(abtest.User) abr.Algorithm { return abr.NewBBA1() }},
-		{Name: "BBA-2", New: func(abtest.User) abr.Algorithm { return abr.NewBBA2() }},
+	groups, err := abtest.Groups("Control", "BBA-1", "BBA-2")
+	if err != nil {
+		return nil, err
 	}
 	avgRate := func(out *campaign.WeekendOutcome, g string) float64 {
 		var sum, hours float64
@@ -85,30 +80,9 @@ func QoERanking() (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	algs := []struct {
-		name string
-		mk   func(abtest.User) abr.Algorithm
-	}{
-		{"Control", func(u abtest.User) abr.Algorithm {
-			c := abr.NewControl()
-			c.InitialEstimate = u.History
-			return c
-		}},
-		{"Rmin Always", func(abtest.User) abr.Algorithm { return abr.RminAlways{} }},
-		{"BBA-0", func(abtest.User) abr.Algorithm { return abr.NewBBA0() }},
-		{"BBA-1", func(abtest.User) abr.Algorithm { return abr.NewBBA1() }},
-		{"BBA-2", func(abtest.User) abr.Algorithm { return abr.NewBBA2() }},
-		{"BBA-Others", func(abtest.User) abr.Algorithm { return abr.NewBBAOthers() }},
-		{"PID", func(u abtest.User) abr.Algorithm {
-			c := abr.NewBufferTarget()
-			c.InitialEstimate = u.History
-			return c
-		}},
-		{"ELASTIC", func(u abtest.User) abr.Algorithm {
-			c := abr.NewElastic()
-			c.InitialEstimate = u.History
-			return c
-		}},
+	algs, err := abtest.Groups("Control", "Rmin Always", "BBA-0", "BBA-1", "BBA-2", "BBA-Others", "PID", "ELASTIC")
+	if err != nil {
+		return nil, err
 	}
 	weights := qoe.Default()
 	const sessions = 250
@@ -120,7 +94,7 @@ func QoERanking() (*Figure, error) {
 		stream := abr.NewStream(u.Pick(catalog), u.Rmin)
 		for ai, a := range algs {
 			res, err := player.Run(player.Config{
-				Algorithm:  a.mk(u),
+				Algorithm:  a.New(u),
 				Stream:     stream,
 				Trace:      u.Trace,
 				WatchLimit: u.WatchTime,
@@ -144,9 +118,9 @@ func QoERanking() (*Figure, error) {
 	best, bestV := "", math.Inf(-1)
 	for ai, a := range algs {
 		v := totals[ai] / hours
-		s.Points = append(s.Points, Point{X: a.name, Y: v})
+		s.Points = append(s.Points, Point{X: a.Name, Y: v})
 		if v > bestV {
-			best, bestV = a.name, v
+			best, bestV = a.Name, v
 		}
 	}
 	fig.Series = []Series{s}
@@ -162,29 +136,15 @@ func QoERanking() (*Figure, error) {
 // [20] and an ELASTIC-style harmonic-filter controller [5] — against BBA-2
 // and the Control, on the same paired weekend population.
 func RelatedWorkComparison() (*Figure, error) {
-	groups := []abtest.Group{
-		{Name: "Control", New: func(u abtest.User) abr.Algorithm {
-			c := abr.NewControl()
-			c.InitialEstimate = u.History
-			return c
-		}},
-		{Name: "BBA-2", New: func(abtest.User) abr.Algorithm { return abr.NewBBA2() }},
-		{Name: "PID", New: func(u abtest.User) abr.Algorithm {
-			c := abr.NewBufferTarget()
-			c.InitialEstimate = u.History
-			return c
-		}},
-		{Name: "ELASTIC", New: func(u abtest.User) abr.Algorithm {
-			c := abr.NewElastic()
-			c.InitialEstimate = u.History
-			return c
-		}},
+	names := []string{"Control", "BBA-2", "PID", "ELASTIC"}
+	groups, err := abtest.Groups(names...)
+	if err != nil {
+		return nil, err
 	}
 	out, err := ablationExperiment("relatedwork", groups)
 	if err != nil {
 		return nil, err
 	}
-	names := []string{"Control", "BBA-2", "PID", "ELASTIC"}
 	fig := summaryFigure("ext-relatedwork",
 		"Extension (§2.2/§8): buffer-aware estimator controllers vs the buffer-based approach",
 		out, names,
@@ -202,20 +162,9 @@ func BufferOccupancy() (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	algs := []struct {
-		name string
-		mk   func(abtest.User) abr.Algorithm
-	}{
-		{"Rmin Always", func(abtest.User) abr.Algorithm { return abr.RminAlways{} }},
-		{"Control", func(u abtest.User) abr.Algorithm {
-			c := abr.NewControl()
-			c.InitialEstimate = u.History
-			return c
-		}},
-		{"BBA-0", func(abtest.User) abr.Algorithm { return abr.NewBBA0() }},
-		{"BBA-1", func(abtest.User) abr.Algorithm { return abr.NewBBA1() }},
-		{"BBA-2", func(abtest.User) abr.Algorithm { return abr.NewBBA2() }},
-		{"BBA-Others", func(abtest.User) abr.Algorithm { return abr.NewBBAOthers() }},
+	algs, err := abtest.Groups("Rmin Always", "Control", "BBA-0", "BBA-1", "BBA-2", "BBA-Others")
+	if err != nil {
+		return nil, err
 	}
 	fig := &Figure{
 		ID:     "ext-buffer",
@@ -234,7 +183,7 @@ func BufferOccupancy() (*Figure, error) {
 			u := abtest.DrawUser(abtest.PopulationConfig{}, 0, 0, rng)
 			stream := abr.NewStream(u.Pick(catalog), u.Rmin)
 			res, err := player.Run(player.Config{
-				Algorithm:  a.mk(u),
+				Algorithm:  a.New(u),
 				Stream:     stream,
 				Trace:      u.Trace,
 				WatchLimit: u.WatchTime,
@@ -254,11 +203,11 @@ func BufferOccupancy() (*Figure, error) {
 		}
 		p50, _ := stats.Percentile(levels, 50)
 		p75, _ := stats.Percentile(levels, 75)
-		p25s.Points = append(p25s.Points, Point{X: a.name, Y: p25})
-		p50s.Points = append(p50s.Points, Point{X: a.name, Y: p50})
-		p75s.Points = append(p75s.Points, Point{X: a.name, Y: p75})
+		p25s.Points = append(p25s.Points, Point{X: a.Name, Y: p25})
+		p50s.Points = append(p50s.Points, Point{X: a.Name, Y: p50})
+		p75s.Points = append(p75s.Points, Point{X: a.Name, Y: p75})
 		fig.Notes = append(fig.Notes, fmt.Sprintf("%-11s buffer p25/median/p75 = %.0f / %.0f / %.0f s",
-			a.name, p25, p50, p75))
+			a.Name, p25, p50, p75))
 	}
 	fig.Series = []Series{p25s, p50s, p75s}
 	fig.Notes = append(fig.Notes,

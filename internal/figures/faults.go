@@ -23,17 +23,9 @@ func OutageRobustness() (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	algs := []struct {
-		name string
-		mk   func(abtest.User) abr.Algorithm
-	}{
-		{"Control", func(u abtest.User) abr.Algorithm {
-			c := abr.NewControl()
-			c.InitialEstimate = u.History
-			return c
-		}},
-		{"BBA-0", func(abtest.User) abr.Algorithm { return abr.NewBBA0() }},
-		{"BBA-1", func(abtest.User) abr.Algorithm { return abr.NewBBA1() }},
+	algs, err := abtest.Groups("Control", "BBA-0", "BBA-1")
+	if err != nil {
+		return nil, err
 	}
 	outages := []time.Duration{
 		15 * time.Second, 30 * time.Second, 60 * time.Second,
@@ -56,7 +48,7 @@ func OutageRobustness() (*Figure, error) {
 	}
 	series := make([]Series, len(algs))
 	for ai, a := range algs {
-		series[ai] = Series{Name: a.name}
+		series[ai] = Series{Name: a.Name}
 	}
 	for _, d := range outages {
 		sched := faults.MustSchedule([]faults.Fault{
@@ -77,7 +69,7 @@ func OutageRobustness() (*Figure, error) {
 			stream := abr.NewStream(u.Pick(catalog), u.Rmin)
 			for ai, a := range algs {
 				res, err := player.Run(player.Config{
-					Algorithm:  a.mk(u),
+					Algorithm:  a.New(u),
 					Stream:     stream,
 					Trace:      tr,
 					WatchLimit: u.WatchTime,

@@ -34,6 +34,17 @@ const (
 	Full
 )
 
+// ParseScale resolves a -scale flag value.
+func ParseScale(name string) (Scale, error) {
+	switch name {
+	case "quick":
+		return Quick, nil
+	case "full":
+		return Full, nil
+	}
+	return Quick, fmt.Errorf("unknown scale %q (want quick or full)", name)
+}
+
 // ExperimentSeed fixes the reference experiment; change it to resample the
 // population.
 const ExperimentSeed = 2014
@@ -120,8 +131,7 @@ func seriesWithPoint(ss []Series, i int) int {
 
 // ExperimentConfig returns the weekend experiment's campaign configuration
 // at a scale — the exact population ExperimentOutcome runs — so callers
-// (cmd/abtest's -faults, -groups and -stream-agg modes) can replay it under
-// modified conditions.
+// (bbacampaign weekend) can replay it under modified conditions.
 func ExperimentConfig(scale Scale) campaign.Config {
 	if scale == Full {
 		return campaign.WeekendConfig(ExperimentSeed, 3, 160)

@@ -95,7 +95,7 @@ func Fig04AggressiveRebuffer() (*Figure, error) {
 	stream := abr.NewStream(video, 0)
 
 	aggressive := abr.NewAggressiveControl()
-	aggressive.InitialEstimate = 5 * units.Mbps
+	aggressive.SeedCapacity(5 * units.Mbps)
 	bad, err := player.Run(player.Config{
 		Algorithm:  aggressive,
 		Stream:     stream,

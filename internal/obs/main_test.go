@@ -1,9 +1,13 @@
 package obs_test
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"flag"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -30,6 +34,41 @@ func TestMainCancelsOnSIGTERM(t *testing.T) {
 	})
 	if !ran {
 		t.Fatal("run not called")
+	}
+}
+
+// TestParse pins the mapping from the flag package's outcomes onto Main's
+// exit codes: -h is done and not an error, an undefined flag or a stray
+// positional argument is ErrUsage with the diagnosis and usage already
+// printed, positional arguments pass where the command takes them.
+func TestParse(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		args       []string
+		positional bool
+		done       bool
+		usage      bool
+		printed    string
+	}{
+		{"accepted", []string{"-n", "3"}, false, false, false, ""},
+		{"help", []string{"-h"}, false, true, false, "Usage of cmd"},
+		{"undefined flag", []string{"-nope"}, false, true, true, "flag provided but not defined: -nope"},
+		{"stray argument", []string{"-n", "3", "stray"}, false, true, true, `unexpected argument "stray"`},
+		{"positional taken", []string{"-n", "3", "a.json", "b.json"}, true, false, false, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var errw bytes.Buffer
+			fs := flag.NewFlagSet("cmd", flag.ContinueOnError)
+			fs.SetOutput(&errw)
+			fs.Int("n", 0, "a number")
+			done, err := obs.Parse(fs, tc.args, tc.positional)
+			if done != tc.done || errors.Is(err, obs.ErrUsage) != tc.usage || (err != nil) != tc.usage {
+				t.Errorf("Parse = (%v, %v), want done=%v usage=%v", done, err, tc.done, tc.usage)
+			}
+			if !strings.Contains(errw.String(), tc.printed) || (tc.printed == "" && errw.Len() > 0) {
+				t.Errorf("printed %q, want it to contain %q", errw.String(), tc.printed)
+			}
+		})
 	}
 }
 

@@ -80,7 +80,7 @@ func TestWhatIfCounterfactual(t *testing.T) {
 	// the counterfactual must be stall-free, as the paper argues.
 	step := trace.Step(5*units.Mbps, 350*units.Kbps, 25*time.Second, time.Hour)
 	aggressive := abr.NewAggressiveControl()
-	aggressive.InitialEstimate = 5 * units.Mbps
+	aggressive.SeedCapacity(5 * units.Mbps)
 	original, stream := session(t, aggressive, step)
 	if original.StallTime == 0 {
 		t.Fatal("the original session should have frozen (it is the Figure 4 scenario)")

@@ -62,8 +62,9 @@ func TestBadInputs(t *testing.T) {
 }
 
 // TestDocCommandLines: every `abtest …` command line quoted in README,
-// DESIGN, EXPERIMENTS and the verify skill parses against the real flag
-// set, so a doc cannot quote a deleted flag (parse only; nothing runs).
+// DESIGN, EXPERIMENTS, the verify skill and the commands' own package
+// comments parses against the real flag set, so a doc cannot quote a
+// deleted flag (parse only; nothing runs).
 func TestDocCommandLines(t *testing.T) {
 	lines := doccmd.Lines(t, "../..", "abtest")
 	if len(lines) == 0 {

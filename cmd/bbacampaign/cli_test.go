@@ -37,6 +37,10 @@ func TestValidateFlags(t *testing.T) {
 			{"run with merge", tiny("run", 8, "-merge", "cp.json"), "usage"},
 			{"run with worker", tiny("run", 8, "-worker"), "usage"},
 			{"run with positional", tiny("run", 8, "cp.json"), "usage"},
+			// -ship and -run-id are gone from every subcommand: shards reach
+			// another process through a coordinator or a stripe checkpoint.
+			{"run with ship", tiny("run", 8, "-ship", shipURL), "usage"},
+			{"run with run-id", tiny("run", 8, "-run-id", "fleet-1"), "usage"},
 		},
 		"weekend": {
 			{"weekend ok", []string{"weekend", "-progress-every", "0", "-days", "1", "-shard-size", "2", "-sessions", "24"}, ""},
@@ -65,13 +69,12 @@ func TestValidateFlags(t *testing.T) {
 			{"merge without checkpoints", []string{"merge"}, "no checkpoints"},
 		},
 		"worker": {
-			// "worker ok" and "worker ship with run-id" parse and pass the
-			// subcommand's checks; nothing listens at the URL, so what they
-			// then report is the join failing.
+			// "worker ok" parses and passes the subcommand's checks; nothing
+			// listens at the URL, so what it then reports is the join failing.
 			{"worker ok", []string{"worker", "-coord", coordURL}, "/join"},
-			{"worker ship with run-id", []string{"worker", "-coord", coordURL, "-ship", shipURL, "-run-id", "fleet-1"}, "/join"},
+			{"worker ship with run-id", []string{"worker", "-coord", coordURL, "-run-id", "fleet-1"}, "usage"},
 			{"worker without coord", []string{"worker"}, "requires -coord"},
-			{"worker ship without run-id", []string{"worker", "-coord", coordURL, "-ship", shipURL}, "-run-id"},
+			{"worker ship without run-id", []string{"worker", "-coord", coordURL, "-ship", shipURL}, "usage"},
 			{"worker with merge", []string{"worker", "-coord", coordURL, "-merge", "cp.json"}, "usage"},
 			{"worker with checkpoint", []string{"worker", "-coord", coordURL, "-checkpoint", "cp.json"}, "usage"},
 			{"worker with stripes", []string{"worker", "-coord", coordURL, "-shards", "2"}, "usage"},
@@ -152,9 +155,9 @@ func TestNoSubcommand(t *testing.T) {
 }
 
 // TestDocCommandLines: every `bbacampaign …` command line quoted in README,
-// DESIGN, EXPERIMENTS and the verify skill names a real subcommand and
-// parses against its real flag set, so a doc cannot quote a deleted flag
-// (parse only; nothing runs).
+// DESIGN, EXPERIMENTS, the verify skill and the commands' own package
+// comments names a real subcommand and parses against its real flag set, so
+// a doc cannot quote a deleted flag (parse only; nothing runs).
 func TestDocCommandLines(t *testing.T) {
 	lines := doccmd.Lines(t, "../..", "bbacampaign")
 	if len(lines) < 10 {

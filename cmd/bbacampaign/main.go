@@ -14,6 +14,9 @@
 // checkpoints combined afterwards with merge, or worker processes join a
 // bbacoord coordinator that leases them shard ranges dynamically; every
 // mode produces a final report byte-identical to a single-threaded run.
+// Those are the two ways shard results reach another process — checkpoint
+// files with no network between the processes, the coordinator online; the
+// bbacollect collector takes players' session events, not shards.
 //
 //	bbacampaign run -sessions 170000 -faults -checkpoint cp.json -report report.json
 //	bbacampaign run -sessions 170000 -shards 4 -shard-of 2 -checkpoint cp2.json
@@ -183,8 +186,6 @@ func buildRun(fs *flag.FlagSet, x *execFlags) runFunc {
 	id := campaign.FlagDefaults()
 	id.Bind(fs)
 	x.bind(fs)
-	var ship shipFlags
-	ship.bind(fs)
 	stripes := fs.Int("shards", 1, "total process stripes the campaign is split across")
 	stripe := fs.Int("shard-of", 0, "this process's stripe index in [0,-shards)")
 	checkpoint := fs.String("checkpoint", "", "checkpoint file path (written periodically and on exit; resumed from when present)")
@@ -192,9 +193,6 @@ func buildRun(fs *flag.FlagSet, x *execFlags) runFunc {
 	report := bindReport(fs)
 
 	return func(ctx context.Context, e env) error {
-		if ship.addr != "" && *stripes != 1 {
-			return errors.New("-ship covers the whole campaign from one process; drop -shards or merge stripe checkpoints locally")
-		}
 		cfg, err := x.config(id, e)
 		if err != nil {
 			return err
@@ -203,30 +201,12 @@ func buildRun(fs *flag.FlagSet, x *execFlags) runFunc {
 		cfg.CheckpointPath, cfg.CheckpointEvery = *checkpoint, *checkpointEvery
 		if *checkpoint != "" {
 			if cp, err := campaign.LoadCheckpoint(*checkpoint); err == nil {
-				if ship.addr != "" {
-					return fmt.Errorf("cannot ship a resumed run: shards already in %s would never reach the collector; remove the checkpoint or drop -ship", *checkpoint)
-				}
 				cfg.Resume = cp
 				fmt.Fprintf(e.errw, "resuming from %s: %d shards (%d sessions) already recorded\n",
 					*checkpoint, cp.CompletedShards(), cp.SessionsDone())
 			} else if !errors.Is(err, os.ErrNotExist) {
 				return err
 			}
-		}
-		var sh *shipping
-		if ship.addr != "" {
-			if ship.runID == "" {
-				ship.runID = fmt.Sprintf("campaign-%d", id.Seed)
-			}
-			if sh, err = ship.open(e.errw, id.Seed); err != nil {
-				return err
-			}
-			defer sh.close()
-			if err := sh.start(cfg.Identity()); err != nil {
-				return err
-			}
-			cfg.Observer = sh.s
-			cfg.OnShard = sh.onShard
 		}
 
 		res, runErr := campaign.RunContext(ctx, cfg)
@@ -260,20 +240,7 @@ func buildRun(fs *flag.FlagSet, x *execFlags) runFunc {
 			}
 			return nil
 		}
-		if sh == nil {
-			return writeReport(e.out, *report, res.Report.WriteJSON)
-		}
-		if err := sh.finish(ctx); err != nil {
-			return err
-		}
-		remote, err := sh.verifiedReport(ctx, res.Report)
-		if err != nil {
-			return err
-		}
-		return writeReport(e.out, *report, func(w io.Writer) error {
-			_, err := w.Write(remote)
-			return err
-		})
+		return writeReport(e.out, *report, res.Report.WriteJSON)
 	}
 }
 
@@ -373,22 +340,15 @@ func buildMerge(fs *flag.FlagSet, _ *execFlags) runFunc {
 
 // buildWorker joins a coordinator and executes leased shard ranges until
 // the campaign completes. The report is the coordinator's product; this
-// process only prints its own execution stats. With -ship, every locally
-// completed shard's accumulators are mirrored to a bbacollect collector
-// over the frame lane in addition to the coordinator delivery.
+// process only prints its own execution stats.
 func buildWorker(fs *flag.FlagSet, x *execFlags) runFunc {
 	x.bind(fs)
-	var ship shipFlags
-	ship.bind(fs)
 	coordURL := fs.String("coord", "", "coordinator URL (e.g. http://host:8407); required")
 	name := fs.String("worker-name", "", "stable worker name (default host-pid)")
 
 	return func(ctx context.Context, e env) error {
 		if *coordURL == "" {
 			return errors.New("worker requires -coord (the coordinator URL)")
-		}
-		if ship.addr != "" && ship.runID == "" {
-			return errors.New("worker -ship requires an explicit -run-id (the campaign comes from the coordinator, so no campaign-<seed> default exists)")
 		}
 		wcfg := coord.WorkerConfig{
 			URL:         *coordURL,
@@ -402,23 +362,9 @@ func buildWorker(fs *flag.FlagSet, x *execFlags) runFunc {
 				fmt.Fprintf(e.errw, "worker: "+format+"\n", args...)
 			}
 		}
-		var sh *shipping
-		if ship.addr != "" {
-			var err error
-			if sh, err = ship.open(e.errw, int64(os.Getpid())); err != nil {
-				return err
-			}
-			defer sh.close()
-			wcfg.OnJoin = func(j coord.JoinResponse) error { return sh.start(j.Identity) }
-			wcfg.OnShard = sh.onShard
-		}
-
-		ws, runErr := coord.RunWorker(ctx, wcfg)
+		ws, err := coord.RunWorker(ctx, wcfg)
 		ws.WriteSummary(e.errw, "worker", fmt.Sprintf(", %d leases, %d stolen, %d duplicate deliveries", ws.Leases, ws.Stolen, ws.Duplicates))
-		if runErr != nil || sh == nil {
-			return runErr
-		}
-		return sh.finish(ctx)
+		return err
 	}
 }
 

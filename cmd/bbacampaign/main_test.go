@@ -7,17 +7,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
 	"testing"
-	"time"
 
 	"bba/internal/campaign"
-	"bba/internal/collect"
 	"bba/internal/obs"
 )
 
@@ -100,75 +96,6 @@ func TestStripesAndMerge(t *testing.T) {
 	}
 	if got := mustRun(t, merge); !bytes.Equal(got, want) {
 		t.Error("merged stripe report differs from unsharded report")
-	}
-}
-
-// TestShipRemoteAggregation runs the CLI with -ship against a live
-// collector and checks the emitted report is the remote aggregation,
-// byte-identical to a plain local run.
-func TestShipRemoteAggregation(t *testing.T) {
-	want := mustRun(t, tiny("run", 24))
-
-	c := collect.NewCollector(collect.CollectorConfig{})
-	srv := httptest.NewServer(c.Handler())
-	defer srv.Close()
-
-	var out, errw bytes.Buffer
-	if err := cli(context.Background(), tiny("run", 24, "-ship", srv.URL, "-run-id", "cli-ship"), &out, &errw); err != nil {
-		t.Fatalf("shipped run: %v\nstderr: %s", err, errw.String())
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Error("shipped report differs from local report")
-	}
-	for _, s := range []string{"shipping run", "shipped ", "remote aggregation verified"} {
-		if !strings.Contains(errw.String(), s) {
-			t.Errorf("stderr missing %q: %q", s, errw.String())
-		}
-	}
-	if cs := c.Stats(); cs.RunsEnded != 1 || cs.Shards == 0 {
-		t.Errorf("collector stats %+v", cs)
-	}
-}
-
-// TestShipFlagConflicts pins what run -ship cannot combine with. (That
-// merge and worker -checkpoint cannot ship is the parser's business:
-// TestValidateFlags.)
-func TestShipFlagConflicts(t *testing.T) {
-	fails := func(args []string) error {
-		return cli(context.Background(), args, new(bytes.Buffer), new(bytes.Buffer))
-	}
-	if err := fails(tiny("run", 8, "-ship", "http://127.0.0.1:1", "-shards", "2")); err == nil {
-		t.Error("-ship with stripes accepted")
-	}
-	if err := fails(tiny("run", 8, "-ship", "udp://127.0.0.1:1")); err == nil {
-		t.Error("-ship over udp accepted (report fetch needs HTTP)")
-	}
-
-	// A resumable checkpoint on disk conflicts with shipping: its shards
-	// would never reach the collector.
-	cp := filepath.Join(t.TempDir(), "cp.json")
-	mustRun(t, tiny("run", 8, "-checkpoint", cp))
-	err := fails(tiny("run", 8, "-checkpoint", cp, "-ship", "http://127.0.0.1:1"))
-	if err == nil || !strings.Contains(err.Error(), "resumed") {
-		t.Errorf("-ship with a resumable checkpoint: %v", err)
-	}
-}
-
-// TestFetchReportDeadline: a collector that accepts the request and never
-// answers must not hold the report poll past its deadline.
-func TestFetchReportDeadline(t *testing.T) {
-	release := make(chan struct{})
-	srv := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { <-release }))
-	defer srv.Close()
-	defer close(release) // before srv.Close, which waits for the handler
-
-	start := time.Now()
-	_, err := fetchReport(context.Background(), srv.URL, "hung", 200*time.Millisecond)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("fetchReport against a hung collector = %v, want a deadline error", err)
-	}
-	if waited := time.Since(start); waited > 5*time.Second {
-		t.Errorf("fetchReport held for %v past a 200ms deadline", waited)
 	}
 }
 

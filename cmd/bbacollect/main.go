@@ -1,14 +1,13 @@
-// Command bbacollect is the fleet collection daemon: it ingests telemetry
-// frames shipped by bbacampaign (or any internal/collect Shipper) over
-// HTTP POST, deduplicates them per (run, session) stream, folds shard
-// accumulators into campaign checkpoints exactly once, and serves the
-// finished report.
+// Command bbacollect is the fleet collection daemon: it ingests the
+// telemetry event frames players ship (bbaplay -journal http://…, or any
+// internal/collect Shipper) over HTTP POST, deduplicates them per (run,
+// session) stream, and persists each admitted batch before acknowledging
+// it. Campaign shards are not its business: those cross processes through
+// bbacoord, or offline as stripe checkpoints.
 //
 // Endpoints:
 //
 //	POST /ingest        one frame per request body
-//	GET  /report/{run}  the aggregated report: 404 unknown run, 409 while
-//	                    shards are outstanding, 200 once complete
 //	GET  /metrics       Prometheus-text counters
 //	GET  /healthz       liveness; degrades (503) on archive failure
 //	GET  /runs          archived runs and storage stats (-store only)
@@ -25,9 +24,10 @@
 //
 // Example:
 //
+//	dashserver -addr 127.0.0.1:8404 &
 //	bbacollect -addr 127.0.0.1:8406 -store fleet.archive &
-//	bbacampaign -sessions 20000 -ship http://127.0.0.1:8406
-//	curl 'http://127.0.0.1:8406/query?run=run-11&group=BBA-0&agg=1'
+//	bbaplay -url http://127.0.0.1:8404 -journal http://127.0.0.1:8406/living-room
+//	curl 'http://127.0.0.1:8406/query?run=living-room&kind=rebuffer_start'
 package main
 
 import (
@@ -56,7 +56,7 @@ type options struct {
 
 func main() {
 	var o options
-	flag.StringVar(&o.addr, "addr", "127.0.0.1:8406", "HTTP listen address (ingest, reports, metrics)")
+	flag.StringVar(&o.addr, "addr", "127.0.0.1:8406", "HTTP listen address (ingest, metrics, queries)")
 	flag.StringVar(&o.store, "store", "", "columnar archive directory (enables /query and /runs)")
 	flag.IntVar(&o.dedupWindow, "dedup-window", collect.DefaultDedupWindow, "per-stream out-of-order admission window, in frames")
 	flag.DurationVar(&o.grace, "grace", 5*time.Second, "drain deadline for in-flight ingests on shutdown")
@@ -92,7 +92,7 @@ func run(ctx context.Context, out, errw io.Writer, o options) error {
 		return err
 	}
 
-	fmt.Fprintf(out, "collecting on %s (/ingest, /report/{run}, /metrics, /healthz, /tail)\n", srv.URL())
+	fmt.Fprintf(out, "collecting on %s (/ingest, /metrics, /healthz, /tail)\n", srv.URL())
 	if store != nil {
 		fmt.Fprintf(out, "columnar store at %s (/query, /runs)\n", o.store)
 	}
@@ -176,9 +176,8 @@ func printStats(w io.Writer, s collect.CollectorStats) {
 	for _, n := range s.Frames {
 		frames += n
 	}
-	fmt.Fprintf(w, "collected: %d frames (%d events, %d shards) across %d runs (%d ended, %d streams); %d duplicates, %d bad, %d retried\n",
-		frames, s.Events, s.Shards, s.Runs, s.RunsEnded, s.Streams,
-		s.FramesDup, s.FramesBad, s.FramesRetry)
+	fmt.Fprintf(w, "collected: %d frames (%d events) across %d streams; %d duplicates, %d bad, %d retried\n",
+		frames, s.Events, s.Streams, s.FramesDup, s.FramesBad, s.FramesRetry)
 	if s.ArchiveErrors > 0 {
 		fmt.Fprintf(w, "ARCHIVE DEGRADED: %d event frames NACKed unpersisted\n", s.ArchiveErrors)
 	}

@@ -5,16 +5,24 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math/rand"
 	"net/http"
 	"path/filepath"
+	"regexp"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"bba/internal/abr"
 	archivepkg "bba/internal/archive"
-	"bba/internal/campaign"
 	"bba/internal/collect"
+	"bba/internal/media"
+	"bba/internal/player"
 	"bba/internal/telemetry"
+	"bba/internal/trace"
+	"bba/internal/units"
 )
 
 // startDaemon runs the daemon on an ephemeral port and returns its bound
@@ -49,102 +57,137 @@ func startDaemon(t *testing.T, o options) (httpAddr string, shutdown func() (err
 	}
 }
 
-// TestDaemonEndToEnd drives the full daemon lifecycle: ingest a campaign's
-// frames over HTTP (with a duplicate), an extra event batch from a second
-// session, fetch the aggregated report, then drain on cancel and check the
-// archive holds each admitted batch exactly once.
-func TestDaemonEndToEnd(t *testing.T) {
-	// Ground truth: the same campaign aggregated in-process, its shard
-	// payloads captured as the shipper would send them.
-	cfg := campaign.Config{
-		Name: "daemon", Seed: 5, Sessions: 8, ShardSize: 8,
-		Parallelism: 2, SketchSize: 32, CatalogSize: 4,
-	}
-	shardJSON := map[int][]byte{}
-	cfg.OnShard = func(shard int, accums []*campaign.GroupAccum) error {
-		p, err := json.Marshal(campaign.ShardAccums{Shard: shard, Groups: accums})
-		if err != nil {
-			return err
-		}
-		shardJSON[shard] = p
-		return nil
-	}
-	local, err := campaign.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := local.Report.WriteJSON(&want); err != nil {
-		t.Fatal(err)
-	}
-	idJSON, err := json.Marshal(cfg.Identity())
-	if err != nil {
-		t.Fatal(err)
-	}
+// resendFirst delivers the first acknowledged /ingest request a second time:
+// the duplicate frame an at-least-once sender produces.
+type resendFirst struct{ sent atomic.Bool }
 
+func (d *resendFirst) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err == nil && resp.StatusCode == http.StatusNoContent && req.URL.Path == "/ingest" && d.sent.CompareAndSwap(false, true) {
+		body, berr := req.GetBody()
+		if berr != nil {
+			return nil, berr
+		}
+		again := req.Clone(req.Context())
+		again.Body = body
+		dup, derr := http.DefaultTransport.RoundTrip(again)
+		if derr != nil {
+			return nil, derr
+		}
+		dup.Body.Close()
+	}
+	return resp, err
+}
+
+// TestDaemonEndToEnd drives the full daemon lifecycle with real session
+// events, shipped the way bbaplay -journal http://… ships them: two players,
+// each a simulated session whose Observer is its own shipper, teed into a
+// local capture; one frame delivered twice. /query, /tail, the live store
+// and — after the drain — an offline read-only open must each reproduce the
+// local journal byte for byte.
+func TestDaemonEndToEnd(t *testing.T) {
 	store := filepath.Join(t.TempDir(), "fleet.archive")
 	httpAddr, shutdown := startDaemon(t, options{
 		addr: "127.0.0.1:0", store: store, dedupWindow: collect.DefaultDedupWindow,
 		grace: 5 * time.Second,
 	})
-
-	events := telemetry.AppendJSONL(nil, telemetry.Event{
-		Kind: telemetry.BufferSample, Session: "s", Chunk: 1,
-		RateIndex: -1, PrevRateIndex: -1, Buffer: 3 * time.Second,
-	})
-	frame := func(seq uint64, kind collect.PayloadKind, payload []byte) []byte {
-		return collect.AppendFrame(nil, collect.Frame{Run: "d", Session: 1, Seq: seq, Kind: kind, Payload: payload})
-	}
-	post := func(body []byte, wantCode int) {
+	base := "http://" + httpAddr
+	get := func(path string) []byte {
 		t.Helper()
-		resp, err := http.Post("http://"+httpAddr+"/ingest", "application/octet-stream", bytes.NewReader(body))
+		resp, err := http.Get(base + path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != wantCode {
-			t.Fatalf("ingest: got %d, want %d", resp.StatusCode, wantCode)
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %s %v: %s", path, resp.Status, err, body)
+		}
+		return body
+	}
+
+	tail, err := http.Get(base + "/tail?run=fleet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tail.Body.Close()
+
+	// The players ship one after the other on one in-order sender each, so
+	// admission order is emission order and the whole run compares as bytes.
+	var (
+		local     []byte // the run's journal: every emitted event, canonically encoded
+		bySession = map[string][]byte{}
+		events    int
+		client    = &http.Client{Transport: new(resendFirst), Timeout: 10 * time.Second}
+	)
+	for i, name := range []string{"BBA-2", "Control"} {
+		alg, err := abr.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 40 chunks stay inside the shipper's four 64-event batch buffers: a
+		// virtual-time session is not paced by a wall clock the way a real
+		// player is, and must not outrun the framer into counted drops.
+		video, err := media.NewVBR(media.VBRConfig{Title: "daemon", Ladder: media.DefaultLadder(), NumChunks: 40}, rand.New(rand.NewSource(int64(i))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		shipper, err := collect.NewShipper(collect.ShipperConfig{
+			Addr: base, Run: "fleet", Session: uint64(i + 1),
+			Queue:      collect.QueueConfig{SpillDir: t.TempDir()},
+			HTTPClient: client,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		session := fmt.Sprintf("player%d.%s", i, name)
+		_, err = player.Run(player.Config{
+			Algorithm: alg,
+			Stream:    abr.NewStream(video, 0),
+			Trace:     trace.Step(4*units.Mbps, 150*units.Kbps, time.Minute, 2*time.Hour),
+			Observer: telemetry.Func(func(e telemetry.Event) {
+				e.Session = session
+				line := telemetry.AppendJSONL(nil, e)
+				local = append(local, line...)
+				bySession[session] = append(bySession[session], line...)
+				events++
+				shipper.OnEvent(e)
+			}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := shipper.Close(); err != nil {
+			t.Fatalf("close shipper %d: %v", i, err)
+		}
+		if ss := shipper.Stats(); ss.EventsDropped != 0 || ss.FramesDropped != 0 {
+			t.Fatalf("shipper %d dropped data: %+v", i, ss)
 		}
 	}
-	post(frame(0, collect.PayloadRunStart, idJSON), http.StatusNoContent)
-	ev := frame(1, collect.PayloadEvents, events)
-	post(ev, http.StatusNoContent)
-	post(ev, http.StatusNoContent) // duplicate: acknowledged, not double-counted
-	post(frame(2, collect.PayloadShard, shardJSON[0]), http.StatusNoContent)
-	post(frame(3, collect.PayloadRunEnd, nil), http.StatusNoContent)
+	if events < 100 || !bytes.Contains(local, []byte(`"kind":"rebuffer_start"`)) {
+		t.Fatalf("only %d events and maybe no rebuffer; the sessions are too tame to mean anything", events)
+	}
 
-	// A second session's batch lands beside the first's.
-	post(collect.AppendFrame(nil, collect.Frame{Run: "d", Session: 2, Seq: 0, Kind: collect.PayloadEvents, Payload: events}), http.StatusNoContent)
-
-	// Both batches are counted once on /metrics, then fetch the report.
-	mresp, err := http.Get("http://" + httpAddr + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m bytes.Buffer
-	m.ReadFrom(mresp.Body)
-	mresp.Body.Close()
-	if !strings.Contains(m.String(), "bba_collect_events_total 2\n") {
-		t.Fatalf("/metrics does not count two admitted events:\n%s", m.String())
-	}
-	resp, err := http.Get(fmt.Sprintf("http://%s/report/d", httpAddr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	got.ReadFrom(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("report: %s: %s", resp.Status, got.String())
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("daemon report differs from local run:\n%s\nvs\n%s", got.String(), want.String())
+	// Everything is counted once on /metrics, the re-delivery as a duplicate.
+	metrics := string(get("/metrics"))
+	for _, want := range []string{
+		fmt.Sprintf("bba_collect_events_total %d\n", events),
+		"bba_collect_frames_duplicate_total 1\n",
+		"bba_collect_streams_total 2\n",
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Fatalf("/metrics lacks %q:\n%s", want, metrics)
+		}
 	}
 
 	// The columnar store answers queries while the daemon is live.
-	qresp, err := http.Get(fmt.Sprintf("http://%s/query?run=d&agg=1", httpAddr))
-	if err != nil {
-		t.Fatal(err)
+	if got := get("/query?run=fleet"); !bytes.Equal(got, local) {
+		t.Fatalf("/query returned %d bytes, the local journal is %d (or they differ)", len(got), len(local))
+	}
+	for session, want := range bySession {
+		if got := get("/query?run=fleet&session=" + session); !bytes.Equal(got, want) {
+			t.Fatalf("/query for %s returned %d bytes, its local journal is %d (or they differ)", session, len(got), len(want))
+		}
 	}
 	var rollup struct {
 		Run    string `json:"run"`
@@ -152,78 +195,66 @@ func TestDaemonEndToEnd(t *testing.T) {
 			Events int64 `json:"events"`
 		} `json:"groups"`
 	}
-	if err := json.NewDecoder(qresp.Body).Decode(&rollup); err != nil {
+	if err := json.Unmarshal(get("/query?run=fleet&agg=1"), &rollup); err != nil {
 		t.Fatal(err)
 	}
-	qresp.Body.Close()
-	if qresp.StatusCode != http.StatusOK || rollup.Run != "d" || len(rollup.Groups) != 1 || rollup.Groups[0].Events != 2 {
-		t.Fatalf("live rollup: %d %+v, want run d with 2 events", qresp.StatusCode, rollup)
+	var rolled int64
+	for _, g := range rollup.Groups {
+		rolled += g.Events
 	}
-	eresp, err := http.Get(fmt.Sprintf("http://%s/query?run=d", httpAddr))
-	if err != nil {
-		t.Fatal(err)
+	if rollup.Run != "fleet" || rolled != int64(events) {
+		t.Fatalf("live rollup %+v, want run fleet with %d events", rollup, events)
 	}
-	var lines bytes.Buffer
-	lines.ReadFrom(eresp.Body)
-	eresp.Body.Close()
-	if !bytes.Equal(lines.Bytes(), append(append([]byte(nil), events...), events...)) {
-		t.Fatalf("live query events:\n%q\nwant both admitted batches", lines.Bytes())
-	}
-	rresp, err := http.Get(fmt.Sprintf("http://%s/runs", httpAddr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var runsBody bytes.Buffer
-	runsBody.ReadFrom(rresp.Body)
-	rresp.Body.Close()
-	if !strings.Contains(runsBody.String(), `"run":"d"`) {
-		t.Fatalf("/runs missing run d: %s", runsBody.String())
+	if runs := get("/runs"); !bytes.Contains(runs, []byte(`"run":"fleet"`)) {
+		t.Fatalf("/runs missing run fleet: %s", runs)
 	}
 
-	// Persistence gates acknowledgement: both ACKed batches are already
-	// in the store's WAL while the daemon is still running — a crash here
-	// (no drain, no compaction) must not lose acknowledged events.
-	both := append(append([]byte(nil), events...), events...)
-	live, err := archivepkg.OpenReadOnly(store)
-	if err != nil {
-		t.Fatal(err)
+	// /tail streamed every admitted batch as it landed.
+	tailed := make([]byte, len(local))
+	if _, err := io.ReadFull(tail.Body, tailed); err != nil || !bytes.Equal(tailed, local) {
+		t.Fatalf("/tail delivered something other than the local journal (%v)", err)
 	}
-	var liveExport bytes.Buffer
-	if err := live.Export("d", &liveExport); err != nil {
-		t.Fatal(err)
+	tail.Body.Close() // or the drain below waits out its grace on this stream
+
+	// Persistence gates acknowledgement: every ACKed batch is already in
+	// the store's WAL while the daemon is still running — a crash here (no
+	// drain, no compaction) must not lose acknowledged events.
+	export := func(when string) *archivepkg.Store {
+		t.Helper()
+		ro, err := archivepkg.OpenReadOnly(store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var exported bytes.Buffer
+		if err := ro.Export("fleet", &exported); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(exported.Bytes(), local) {
+			t.Fatalf("store %s exports %d bytes, the local journal is %d (or they differ)", when, exported.Len(), len(local))
+		}
+		return ro
 	}
-	if !bytes.Equal(liveExport.Bytes(), both) {
-		t.Fatalf("store before shutdown:\n%q\nwant both acknowledged batches already on disk", liveExport.Bytes())
-	}
+	export("before shutdown")
 
 	err, stdout, stderr := shutdown()
 	if err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if !strings.Contains(stdout, "collecting on http://") {
-		t.Errorf("stdout missing listen line: %q", stdout)
+	// bench/proc.go finds the daemon's address on its first stdout line.
+	first, _, _ := strings.Cut(stdout, "\n")
+	if !regexp.MustCompile(`^collecting on http://[0-9.]+:[0-9]+ `).MatchString(first) {
+		t.Errorf("first stdout line %q does not carry http://host:port", first)
 	}
 	if !strings.Contains(stderr, "shutting down") || !strings.Contains(stderr, "collected:") {
 		t.Errorf("stderr missing drain summary: %q", stderr)
 	}
 
-	// Shutdown compacted the store: the directory holds sealed blocks a
-	// read-only open exports as each admitted batch exactly once (the
-	// duplicate delivery discarded).
-	ro, err := archivepkg.OpenReadOnly(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := ro.Stats()
+	// Shutdown compacted the store: the directory holds sealed blocks that
+	// an offline reader (bbaquery -dir … -export) exports as the journal,
+	// the duplicate delivery discarded.
+	st := export("after shutdown").Stats()
 	if len(st) != 1 || st[0].Blocks == 0 || st[0].WALEvents != 0 {
 		t.Fatalf("store stats after shutdown: %+v, want one run fully compacted", st)
-	}
-	var exported bytes.Buffer
-	if err := ro.Export("d", &exported); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(exported.Bytes(), both) {
-		t.Fatalf("columnar export:\n%q\nwant two batches:\n%q", exported.Bytes(), both)
 	}
 }
 

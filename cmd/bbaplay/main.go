@@ -5,6 +5,11 @@
 // Example (with dashserver running):
 //
 //	bbaplay -url http://127.0.0.1:8404 -alg BBA-2 -watch 30s -shape 3000
+//
+// -journal takes a file path, or a bbacollect URL with an optional run id —
+// the paper's own arrangement, players shipping their own logs:
+//
+//	bbaplay -url http://127.0.0.1:8404 -journal http://127.0.0.1:8406/living-room
 package main
 
 import (
@@ -15,12 +20,14 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	neturl "net/url"
 	"os"
 	"strings"
 	"text/tabwriter"
 	"time"
 
 	"bba/internal/abr"
+	"bba/internal/collect"
 	"bba/internal/dash"
 	"bba/internal/media"
 	"bba/internal/netem"
@@ -41,7 +48,7 @@ func main() {
 		rmin    = flag.Int("rmin", 0, "promoted minimum rate in kb/s")
 		useMPD  = flag.Bool("mpd", false, "drive the session from the standards /manifest.mpd (nominal chunk sizes) instead of the JSON manifest")
 		whatIf  = flag.Bool("whatif", false, "after the session, replay every algorithm against the observed network and print the counterfactual comparison")
-		journal = flag.String("journal", "", "write the session's telemetry events as JSONL to this file")
+		journal = flag.String("journal", "", "write the session's telemetry events as JSONL to this file, or ship them to this bbacollect URL (http://host:port[/run-id])")
 		quiet   = flag.Bool("q", false, "suppress per-chunk progress")
 	)
 	flag.Parse()
@@ -52,8 +59,9 @@ func main() {
 }
 
 // run streams one session until it ends or ctx is cancelled; either way the
-// journal is flushed before it returns.
-func run(ctx context.Context, out io.Writer, url, algName string, watch time.Duration, shapeKbps, rminKbps int, useMPD, whatIf, quiet bool, journalPath string) error {
+// journal is flushed before it returns, and a journal that lost events fails
+// the run.
+func run(ctx context.Context, out io.Writer, url, algName string, watch time.Duration, shapeKbps, rminKbps int, useMPD, whatIf, quiet bool, journal string) (err error) {
 	alg, err := abr.New(algName)
 	if err != nil {
 		return err
@@ -85,15 +93,17 @@ func run(ctx context.Context, out io.Writer, url, algName string, watch time.Dur
 			fmt.Fprintf(out, format+"\n", args...)
 		}
 	}
-	if journalPath != "" {
-		f, err := os.Create(journalPath)
-		if err != nil {
-			return err
+	if journal != "" {
+		sink, done, oerr := openJournal(journal)
+		if oerr != nil {
+			return oerr
 		}
-		defer f.Close()
-		j := telemetry.NewJournal(f)
-		defer j.Flush()
-		cfg.Observer = j
+		defer func() {
+			if derr := done(); err == nil {
+				err = derr
+			}
+		}()
+		cfg.Observer = sink
 	}
 	res, err := dash.Stream(ctx, cfg)
 	if err != nil {
@@ -113,6 +123,54 @@ func run(ctx context.Context, out io.Writer, url, algName string, watch time.Dur
 		}
 	}
 	return nil
+}
+
+// openJournal opens the session's event sink. A collector URL ships the
+// events as the run named by its path (default "bbaplay") under a random
+// stream id, spilling to a temporary directory while the collector is away;
+// anything else is a JSONL file path. done flushes and releases the sink and
+// reports what the flush could not deliver.
+func openJournal(target string) (sink telemetry.Observer, done func() error, err error) {
+	if u, perr := neturl.Parse(target); perr == nil && (u.Scheme == "http" || u.Scheme == "https") {
+		run := strings.Trim(u.Path, "/")
+		if run == "" {
+			run = "bbaplay"
+		}
+		spill, err := os.MkdirTemp("", "bbaplay-spill-")
+		if err != nil {
+			return nil, nil, err
+		}
+		s, err := collect.NewShipper(collect.ShipperConfig{
+			Addr:    u.Scheme + "://" + u.Host,
+			Run:     run,
+			Session: rand.Uint64(),
+			Queue:   collect.QueueConfig{SpillDir: spill},
+		})
+		if err != nil {
+			os.RemoveAll(spill)
+			return nil, nil, err
+		}
+		return s, func() error {
+			defer os.RemoveAll(spill)
+			err := s.Close() // seals the partial batch and waits for the acknowledgements
+			if st := s.Stats(); err == nil && st.EventsDropped+st.FramesDropped > 0 {
+				err = fmt.Errorf("journal: %d events and %d frames never reached %s", st.EventsDropped, st.FramesDropped, target)
+			}
+			return err
+		}, nil
+	}
+	f, err := os.Create(target)
+	if err != nil {
+		return nil, nil, err
+	}
+	j := telemetry.NewJournal(f)
+	return j, func() error {
+		err := j.Flush()
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	}, nil
 }
 
 // printWhatIf replays the observed network against every algorithm in

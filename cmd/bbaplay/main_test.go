@@ -5,13 +5,16 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"bba/internal/collect"
 	"bba/internal/dash"
 	"bba/internal/media"
 	"bba/internal/telemetry"
@@ -105,40 +108,132 @@ func TestPlayWithWhatIf(t *testing.T) {
 	}
 }
 
+// testCollector is an in-process bbacollect: it returns the collector, its
+// URL, and a reader for the journal JSONL it has archived for any run.
+func testCollector(t *testing.T) (c *collect.Collector, url string, archived func() []byte) {
+	t.Helper()
+	var (
+		mu  sync.Mutex
+		buf bytes.Buffer
+	)
+	c = collect.NewCollector(collect.CollectorConfig{Archive: archiverFunc(func(_ string, batch []byte) error {
+		mu.Lock()
+		defer mu.Unlock()
+		buf.Write(batch)
+		return nil
+	})})
+	ts := httptest.NewServer(c.Handler())
+	t.Cleanup(ts.Close)
+	return c, ts.URL, func() []byte {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]byte(nil), buf.Bytes()...)
+	}
+}
+
+type archiverFunc func(run string, batch []byte) error
+
+func (f archiverFunc) Append(run string, batch []byte) error { return f(run, batch) }
+
+// TestPlayShipsJournal: -journal with a collector URL ships the session's
+// events there as the run its path names; the session's whole journal has
+// been acknowledged by the time run returns, and the spill directory is
+// gone.
+func TestPlayShipsJournal(t *testing.T) {
+	ts := testServer(t)
+	c, url, archived := testCollector(t)
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	var out bytes.Buffer
+	if err := run(context.Background(), &out, ts.URL, "BBA-2", 2*time.Second, 0, 0, false, false, true, url+"/living-room"); err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(archived(), []byte("\n"))
+	lines = lines[:len(lines)-1]
+	if len(lines) < 3 {
+		t.Fatalf("collector archived %d lines", len(lines))
+	}
+	for i, line := range lines {
+		if _, ok := telemetry.ParseJSONL(line); !ok {
+			t.Fatalf("archived line %d does not parse: %q", i, line)
+		}
+	}
+	if first, last := string(lines[0]), string(lines[len(lines)-1]); !strings.Contains(first, `"kind":"session_start"`) || !strings.Contains(last, `"kind":"session_end"`) {
+		t.Errorf("archived journal is not bracketed: first %q, last %q", first, last)
+	}
+	if cs := c.Stats(); cs.Events != int64(len(lines)) || cs.Streams != 1 || cs.FramesBad != 0 {
+		t.Errorf("collector stats %+v, want %d events on one stream", cs, len(lines))
+	}
+	if left, err := os.ReadDir(tmp); err != nil || len(left) != 0 {
+		t.Errorf("spill directory not removed: %v %v", left, err)
+	}
+}
+
+// TestPlayJournalLossFails: a session whose events the collector never took
+// must not exit 0.
+func TestPlayJournalLossFails(t *testing.T) {
+	ts := testServer(t)
+	refuse := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		http.Error(w, "no", http.StatusBadRequest)
+	}))
+	defer refuse.Close()
+	t.Setenv("TMPDIR", t.TempDir())
+	var out bytes.Buffer
+	err := run(context.Background(), &out, ts.URL, "BBA-2", time.Second, 0, 0, false, false, true, refuse.URL)
+	if err == nil || !strings.Contains(err.Error(), "never reached") {
+		t.Fatalf("run = %v, want the journal's loss reported", err)
+	}
+	if !strings.Contains(out.String(), "session summary") {
+		t.Error("the session itself should still have been summarised")
+	}
+}
+
 // TestPlayCancelFlushesJournal interrupts a session mid-stream, the way
 // Ctrl-C or kill does through obs.Main: run must return the context error
 // and leave a journal whose buffered tail was flushed — every line complete
-// and parseable.
+// and parseable — whether the journal is a file or a collector.
 func TestPlayCancelFlushesJournal(t *testing.T) {
 	ts := testServer(t)
-	var out bytes.Buffer
 	path := filepath.Join(t.TempDir(), "session.jsonl")
-	// 200 kb/s makes each 500 ms chunk take longer than it plays, so the
-	// 12-chunk title is still downloading when the context expires.
-	ctx, cancel := context.WithTimeout(context.Background(), 1500*time.Millisecond)
-	defer cancel()
-	err := run(ctx, &out, ts.URL, "BBA-0", time.Minute, 200, 0, false, false, true, path)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("run = %v, want the context error", err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(raw) == 0 || raw[len(raw)-1] != '\n' {
-		t.Fatalf("journal does not end on a complete line: %q", raw)
-	}
-	lines := bytes.SplitAfter(raw, []byte("\n"))
-	lines = lines[:len(lines)-1]
-	for i, line := range lines {
-		if _, ok := telemetry.ParseJSONL(line); !ok {
-			t.Fatalf("journal line %d does not parse: %q", i, line)
-		}
-	}
-	if bytes.Contains(raw, []byte(`"kind":"session_end"`)) {
-		t.Error("session finished before the cancel; the test is vacuous")
-	}
-	if !bytes.Contains(raw, []byte(`"kind":"chunk_complete"`)) {
-		t.Error("no chunk completed before the cancel; the test is vacuous")
+	_, url, archived := testCollector(t)
+	t.Setenv("TMPDIR", t.TempDir())
+	for _, sink := range []struct {
+		name, journal string
+		read          func() ([]byte, error)
+	}{
+		{"file", path, func() ([]byte, error) { return os.ReadFile(path) }},
+		{"collector", url, func() ([]byte, error) { return archived(), nil }},
+	} {
+		t.Run(sink.name, func(t *testing.T) {
+			var out bytes.Buffer
+			// 200 kb/s makes each 500 ms chunk take longer than it plays, so the
+			// 12-chunk title is still downloading when the context expires.
+			ctx, cancel := context.WithTimeout(context.Background(), 1500*time.Millisecond)
+			defer cancel()
+			err := run(ctx, &out, ts.URL, "BBA-0", time.Minute, 200, 0, false, false, true, sink.journal)
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("run = %v, want the context error", err)
+			}
+			raw, err := sink.read()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(raw) == 0 || raw[len(raw)-1] != '\n' {
+				t.Fatalf("journal does not end on a complete line: %q", raw)
+			}
+			lines := bytes.SplitAfter(raw, []byte("\n"))
+			lines = lines[:len(lines)-1]
+			for i, line := range lines {
+				if _, ok := telemetry.ParseJSONL(line); !ok {
+					t.Fatalf("journal line %d does not parse: %q", i, line)
+				}
+			}
+			if bytes.Contains(raw, []byte(`"kind":"session_end"`)) {
+				t.Error("session finished before the cancel; the test is vacuous")
+			}
+			if !bytes.Contains(raw, []byte(`"kind":"chunk_complete"`)) {
+				t.Error("no chunk completed before the cancel; the test is vacuous")
+			}
+		})
 	}
 }

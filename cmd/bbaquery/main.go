@@ -14,8 +14,8 @@
 //	bbaquery -url http://127.0.0.1:8406 -run run-11 -agg
 //	bbaquery -url http://127.0.0.1:8406 -run run-11 -tail
 //
-// Events print as canonical journal JSONL — the same bytes bbaship
-// journals locally — so output pipes into any existing journal tooling.
+// Events print as canonical journal JSONL — the same bytes bbaplay
+// -journal writes locally — so output pipes into any existing journal tooling.
 // Rollups and -runs print as JSON.
 package main
 

@@ -9,11 +9,14 @@
 // path is bounded, and the collector's archive byte-agrees with the local
 // journals. SLO counters are served as Prometheus text on -metrics
 // (/metrics, /healthz); one-shot mode exits non-zero if any cycle had a
-// violation.
+// violation, or if an invariant the flags themselves gate (failover under
+// -faults, the reservoir claim with a BBA arm in -algs, agreement under
+// -collector-check) was skipped by every session of every cycle; the cycle
+// line and soak_invariant_skipped_total say which.
 //
 // Examples:
 //
-//	bbasoak -cycles 3 -watch 4s                 # one-shot CI gate
+//	bbasoak -cycles 3 -watch 6s                 # one-shot CI gate
 //	bbasoak -metrics 127.0.0.1:9414             # daemon, scrape /metrics
 package main
 
@@ -33,7 +36,7 @@ import (
 
 func main() {
 	var (
-		cycles   = flag.Int("cycles", 0, "run N cycles and exit non-zero on any failure (0 = run until signalled)")
+		cycles   = flag.Int("cycles", 0, "run N cycles and exit non-zero on any violation or never-decided gated invariant (0 = run until signalled)")
 		interval = flag.Duration("interval", 2*time.Second, "pause between cycles")
 		sessions = flag.Int("sessions", 6, "concurrent sessions per cycle")
 		seed     = flag.Int64("seed", 1, "master seed; cycle N is reproducible from (seed, N)")
@@ -116,12 +119,15 @@ func runSoak(ctx context.Context, cfg soakConfig) error {
 		}
 	}
 
-	failed, err := runner.Run(ctx, cfg.cycles, cfg.interval)
+	failed, undecided, err := runner.Run(ctx, cfg.cycles, cfg.interval)
 	if err != nil {
 		return err
 	}
 	if cfg.cycles > 0 && failed > 0 {
 		return fmt.Errorf("%d of %d cycles violated invariants", failed, cfg.cycles)
+	}
+	if cfg.cycles > 0 && len(undecided) > 0 {
+		return fmt.Errorf("%s: never decided in %d cycles, though this configuration exists to check it (a longer -watch?)", strings.Join(undecided, ", "), cfg.cycles)
 	}
 	fmt.Printf("soak: %d failed cycles\n", failed)
 	return nil

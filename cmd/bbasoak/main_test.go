@@ -120,6 +120,20 @@ func TestSoakOneShotFailureExitsNonZero(t *testing.T) {
 	}
 }
 
+// TestSoakOneShotUndecidedExitsNonZero: a watch window too short to leave a
+// fail-back streak after the fault horizon makes every session skip the
+// failover invariant; a gate that ran with faults on and never decided it
+// must say so instead of exiting 0.
+func TestSoakOneShotUndecidedExitsNonZero(t *testing.T) {
+	err := runSoak(context.Background(), soakConfig{
+		cycles: 1,
+		soak:   soak.Config{Sessions: 2, Seed: 7, Watch: 2 * time.Second, Algorithms: []string{"BBA-2", "Control"}},
+	})
+	if err == nil || !strings.Contains(err.Error(), "failover_converges: never decided") {
+		t.Fatalf("runSoak = %v, want the undecided invariant named", err)
+	}
+}
+
 func TestSplitAlgs(t *testing.T) {
 	if got := splitAlgs(""); got != nil {
 		t.Fatalf("splitAlgs(\"\") = %v, want nil", got)

@@ -125,12 +125,6 @@ type Config struct {
 	// match accumulators hook here. Extras are not checkpointed, so
 	// NewExtra requires a single-stripe, non-resumed run.
 	NewExtra func() Extra
-	// OnShard, when non-nil, is called from the collector goroutine with
-	// each completed shard's accumulators before they fold into the run
-	// state; returning an error cancels the run. The collect shipper hooks
-	// here to ship shard aggregates to a remote collector. Callers must not
-	// retain or mutate accums — the run state takes ownership afterwards.
-	OnShard func(shard int, accums []*GroupAccum) error
 	// Progress, when non-nil, is called after every completed shard from
 	// the collector goroutine. It must not block.
 	Progress func(Progress)
@@ -176,7 +170,7 @@ func (c *Config) applyDefaults() {
 }
 
 // Identity returns the campaign identity the config pins, with defaults
-// applied — what a remote collector aggregates under.
+// applied — what a checkpoint stores and a coordinator ships.
 func (c *Config) Identity() Identity {
 	d := *c
 	d.applyDefaults()
@@ -476,7 +470,7 @@ func RunContext(ctx context.Context, cfg Config) (*Outcome, error) {
 		return nil, err
 	}
 
-	state := newCheckpoint(id)
+	state := NewCheckpoint(id)
 	if cfg.Resume != nil {
 		if err := cfg.Resume.validate(); err != nil {
 			return nil, err
@@ -494,7 +488,7 @@ func RunContext(ctx context.Context, cfg Config) (*Outcome, error) {
 	for s := cfg.Stripe; s < id.Shards(); s += cfg.Stripes {
 		stripeShards++
 		stripeSessions += int64(id.shardSessions(s))
-		if !state.has(s) {
+		if !state.Has(s) {
 			todo = append(todo, s)
 		}
 	}
@@ -606,15 +600,6 @@ func RunContext(ctx context.Context, cfg Config) (*Outcome, error) {
 			cancel()
 			continue
 		}
-		if cfg.OnShard != nil {
-			if err := cfg.OnShard(r.shard, r.accums); err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				cancel()
-				continue
-			}
-		}
 		// Tally this shard before record takes ownership of the accums:
 		// when the shard seeds the prefix, later fold cascades merge
 		// parked shards into the very slice r.accums points at, and a
@@ -627,7 +612,7 @@ func RunContext(ctx context.Context, cfg Config) (*Outcome, error) {
 			// live is for display only; errors here cannot corrupt state.
 			_ = live[gi].Merge(a)
 		}
-		if err := state.record(r.shard, r.accums); err != nil {
+		if err := state.Record(r.shard, r.accums); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}

@@ -38,27 +38,16 @@ type Checkpoint struct {
 	Done         []ShardAccums `json:"done,omitempty"`
 }
 
-// newCheckpoint returns an empty checkpoint for the identity.
-func newCheckpoint(id Identity) *Checkpoint {
+// NewCheckpoint returns an empty checkpoint for the identity. A remote
+// fold (internal/coord) seeds its state with it and records delivered
+// shards through the same in-order path a local run uses — that shared
+// fold is what makes the fleet's report byte-identical.
+func NewCheckpoint(id Identity) *Checkpoint {
 	return &Checkpoint{Schema: CheckpointSchema, Identity: id}
 }
 
-// NewCheckpoint returns an empty checkpoint for the identity. Exported for
-// the collect subsystem, which seeds remote aggregation state with it and
-// re-folds shipped shards through the same in-order path a local run uses —
-// that shared fold is what makes the remote report byte-identical.
-func NewCheckpoint(id Identity) *Checkpoint { return newCheckpoint(id) }
-
 // Has reports whether shard s is already recorded.
-func (c *Checkpoint) Has(s int) bool { return c.has(s) }
-
-// Record stores a completed shard's accumulators and folds any newly
-// contiguous prefix. Duplicates are an error — recording the same shard
-// twice means double-counting. Record takes ownership of accums.
-func (c *Checkpoint) Record(s int, accums []*GroupAccum) error { return c.record(s, accums) }
-
-// has reports whether shard s is already recorded.
-func (c *Checkpoint) has(s int) bool {
+func (c *Checkpoint) Has(s int) bool {
 	if s < c.PrefixShards {
 		return true
 	}
@@ -66,11 +55,12 @@ func (c *Checkpoint) has(s int) bool {
 	return i < len(c.Done) && c.Done[i].Shard == s
 }
 
-// record stores a completed shard's accumulators and folds any newly
+// Record stores a completed shard's accumulators and folds any newly
 // contiguous prefix. It returns an error on duplicates — a duplicate means
-// double-counting, the exact bug checkpointing exists to prevent.
-func (c *Checkpoint) record(s int, accums []*GroupAccum) error {
-	if c.has(s) {
+// double-counting, the exact bug checkpointing exists to prevent. Record
+// takes ownership of accums.
+func (c *Checkpoint) Record(s int, accums []*GroupAccum) error {
+	if c.Has(s) {
 		return fmt.Errorf("campaign: shard %d recorded twice", s)
 	}
 	i := sort.Search(len(c.Done), func(i int) bool { return c.Done[i].Shard >= s })
@@ -208,7 +198,7 @@ func MergeCheckpoints(cs ...*Checkpoint) (*Checkpoint, error) {
 		return nil, fmt.Errorf("campaign: no checkpoints to merge")
 	}
 	id := cs[0].Identity
-	out := newCheckpoint(id)
+	out := NewCheckpoint(id)
 	for _, c := range cs {
 		if err := c.validate(); err != nil {
 			return nil, err
@@ -245,10 +235,10 @@ func MergeCheckpoints(cs ...*Checkpoint) (*Checkpoint, error) {
 			out.Prefix = cloneAccums(e.prefix.Prefix)
 			continue
 		}
-		if out.has(e.shard) {
+		if out.Has(e.shard) {
 			return nil, fmt.Errorf("campaign: checkpoints overlap at shard %d", e.shard)
 		}
-		if err := out.record(e.shard, cloneAccums(e.groups)); err != nil {
+		if err := out.Record(e.shard, cloneAccums(e.groups)); err != nil {
 			return nil, err
 		}
 	}

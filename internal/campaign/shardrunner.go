@@ -38,7 +38,7 @@ type ShardRunner struct {
 
 // NewShardRunner validates the config and prepares the catalog and the
 // kernel. Orchestration fields — Stripe/Stripes,
-// Resume, CheckpointPath, NewExtra, OnShard, Progress — are ignored: the
+// Resume, CheckpointPath, NewExtra, Progress — are ignored: the
 // caller owns scheduling and folding.
 func NewShardRunner(cfg Config) (*ShardRunner, error) {
 	cfg.applyDefaults()

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"bba/internal/campaign"
 	"bba/internal/telemetry"
 )
 
@@ -53,143 +52,20 @@ func TestCollectorIngestBad(t *testing.T) {
 	if err := c.Ingest([]byte("not a frame at all")); err == nil {
 		t.Fatalf("garbage ingested")
 	}
-	bad := AppendFrame(nil, Frame{Run: "r", Session: 1, Seq: 0, Kind: PayloadRunStart, Payload: []byte("{not json")})
-	if err := c.Ingest(bad); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("bad run_start payload: %v", err)
-	}
-	unk := AppendFrame(nil, Frame{Run: "r", Session: 1, Seq: 0, Kind: PayloadKind(77), Payload: nil})
-	if err := c.Ingest(unk); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("unknown kind: %v", err)
-	}
-	if s := c.Stats(); s.FramesBad != 3 {
-		t.Fatalf("stats %+v", s)
-	}
-}
-
-// runLocalCampaign runs cfg locally, capturing the shipped artifacts: the
-// identity payload, each shard's JSON, and the canonical report bytes.
-func runLocalCampaign(t *testing.T, cfg campaign.Config) (idJSON []byte, shardJSON map[int][]byte, report []byte) {
-	t.Helper()
-	shardJSON = make(map[int][]byte)
-	cfg.OnShard = func(shard int, accums []*campaign.GroupAccum) error {
-		p, err := json.Marshal(campaign.ShardAccums{Shard: shard, Groups: accums})
-		if err != nil {
-			return err
-		}
-		shardJSON[shard] = p
-		return nil
-	}
-	out, err := campaign.Run(cfg)
-	if err != nil {
-		t.Fatalf("local campaign: %v", err)
-	}
-	if out.Report == nil {
-		t.Fatalf("local campaign produced no report")
-	}
-	var buf bytes.Buffer
-	if err := out.Report.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	idJSON, err = json.Marshal(cfg.Identity())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return idJSON, shardJSON, buf.Bytes()
-}
-
-func testCampaignConfig() campaign.Config {
-	return campaign.Config{
-		Name: "collect-test", Seed: 11, Sessions: 24, ShardSize: 8,
-		Parallelism: 2, SketchSize: 64, CatalogSize: 6,
-	}
-}
-
-func TestCollectorExactlyOnceAggregation(t *testing.T) {
-	idJSON, shards, localReport := runLocalCampaign(t, testCampaignConfig())
-	if len(shards) != 3 {
-		t.Fatalf("campaign produced %d shards, want 3", len(shards))
-	}
-
-	c := NewCollector(CollectorConfig{})
-	frame := func(seq uint64, kind PayloadKind, payload []byte) []byte {
-		return AppendFrame(nil, Frame{Run: "run-11", Session: 1, Seq: seq, Kind: kind, Payload: payload})
-	}
-	start := frame(0, PayloadRunStart, idJSON)
-	sh1 := frame(1, PayloadShard, shards[0])
-	sh2 := frame(2, PayloadShard, shards[1])
-	sh3 := frame(3, PayloadShard, shards[2])
-	end := frame(4, PayloadRunEnd, nil)
-
-	// A shard arriving before its run_start is a retryable NACK, not a loss.
-	if err := c.Ingest(sh2); !errors.Is(err, ErrUnknownRun) {
-		t.Fatalf("shard before run_start: %v", err)
-	}
-	// Delivery is then reordered and duplicated: every frame twice, shards
-	// in reverse. The aggregate must not care.
-	for _, f := range [][]byte{start, sh3, sh3, sh2, start, sh1, end, sh2, sh1, end} {
-		if err := c.Ingest(f); err != nil {
-			t.Fatalf("ingest: %v", err)
+	// Events are the only kind admitted: the retired run_start/shard/run_end
+	// values (2–4) are rejected exactly like a kind that never existed.
+	for _, kind := range []PayloadKind{0, 2, 3, 4, 77} {
+		f := AppendFrame(nil, Frame{Run: "r", Session: 1, Seq: 0, Kind: kind, Payload: eventsPayload(1)})
+		if err := c.Ingest(f); !errors.Is(err, ErrBadFrame) || retryable(err) {
+			t.Fatalf("kind %d: err = %v, want a permanent ErrBadFrame", kind, err)
 		}
 	}
-
-	remote, err := c.Report("run-11")
-	if err != nil {
-		t.Fatalf("report: %v", err)
-	}
-	if !bytes.Equal(remote, localReport) {
-		t.Fatalf("remote report differs from local:\nremote: %s\nlocal:  %s", remote, localReport)
-	}
-	s := c.Stats()
-	if s.Shards != 3 || s.ShardsDup != 0 || s.FramesDup != 5 || s.Runs != 1 || s.RunsEnded != 1 {
-		t.Fatalf("stats %+v", s)
-	}
-}
-
-func TestCollectorCrossSessionShardDup(t *testing.T) {
-	idJSON, shards, _ := runLocalCampaign(t, testCampaignConfig())
-	c := NewCollector(CollectorConfig{})
-	// Two sessions ship overlapping shards (a re-run after a lost process):
-	// the second delivery of a shard is recognized and discarded even
-	// though its (session, seq) key is fresh.
-	mk := func(session, seq uint64, kind PayloadKind, payload []byte) []byte {
-		return AppendFrame(nil, Frame{Run: "r", Session: session, Seq: seq, Kind: kind, Payload: payload})
-	}
-	for _, f := range [][]byte{
-		mk(1, 0, PayloadRunStart, idJSON),
-		mk(1, 1, PayloadShard, shards[0]),
-		mk(2, 0, PayloadRunStart, idJSON),
-		mk(2, 1, PayloadShard, shards[0]), // same shard, different session
-		mk(2, 2, PayloadShard, shards[1]),
-		mk(1, 2, PayloadShard, shards[2]),
-		mk(1, 3, PayloadRunEnd, nil),
-	} {
-		if err := c.Ingest(f); err != nil {
-			t.Fatalf("ingest: %v", err)
-		}
-	}
-	if s := c.Stats(); s.Shards != 3 || s.ShardsDup != 1 || s.Streams != 2 {
-		t.Fatalf("stats %+v", s)
-	}
-	if _, err := c.Report("r"); err != nil {
-		t.Fatalf("report: %v", err)
-	}
-}
-
-func TestCollectorRunRestartIdentityMismatch(t *testing.T) {
-	c := NewCollector(CollectorConfig{})
-	id1, _ := json.Marshal(campaign.Identity{Seed: 1, Sessions: 8, ShardSize: 8, Days: 1, CatalogSize: 1, SketchSize: 8, Groups: []string{"a"}})
-	id2, _ := json.Marshal(campaign.Identity{Seed: 2, Sessions: 8, ShardSize: 8, Days: 1, CatalogSize: 1, SketchSize: 8, Groups: []string{"a"}})
-	if err := c.Ingest(AppendFrame(nil, Frame{Run: "r", Session: 1, Seq: 0, Kind: PayloadRunStart, Payload: id1})); err != nil {
-		t.Fatal(err)
-	}
-	err := c.Ingest(AppendFrame(nil, Frame{Run: "r", Session: 2, Seq: 0, Kind: PayloadRunStart, Payload: id2}))
-	if !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("conflicting identity accepted: %v", err)
+	if s := c.Stats(); s.FramesBad != 6 || s.Streams != 0 || s.Events != 0 {
+		t.Fatalf("stats %+v: a rejected frame must spend no seq and open no stream", s)
 	}
 }
 
 func TestCollectorHandler(t *testing.T) {
-	idJSON, shards, localReport := runLocalCampaign(t, testCampaignConfig())
 	c := NewCollector(CollectorConfig{})
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
@@ -203,39 +79,26 @@ func TestCollectorHandler(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	}
+	frame := func(session, seq uint64, kind PayloadKind) []byte {
+		return AppendFrame(nil, Frame{Run: "h", Session: session, Seq: seq, Kind: kind, Payload: eventsPayload(2)})
+	}
 	if code := post([]byte("garbage")); code != http.StatusBadRequest {
 		t.Fatalf("garbage: %d", code)
 	}
-	orphan := AppendFrame(nil, Frame{Run: "h", Session: 1, Seq: 1, Kind: PayloadShard, Payload: shards[0]})
-	if code := post(orphan); code != http.StatusServiceUnavailable {
-		t.Fatalf("orphan shard must be retryable: %d", code)
+	if code := post(frame(1, 0, PayloadKind(3))); code != http.StatusBadRequest {
+		t.Fatalf("a kind other than events must be a permanent rejection: %d", code)
 	}
-	if resp, err := http.Get(srv.URL + "/report/h"); err != nil || resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("report before run: %v %v", err, resp.Status)
-	}
-
-	frames := [][]byte{
-		AppendFrame(nil, Frame{Run: "h", Session: 1, Seq: 0, Kind: PayloadRunStart, Payload: idJSON}),
-		orphan,
-		AppendFrame(nil, Frame{Run: "h", Session: 1, Seq: 2, Kind: PayloadShard, Payload: shards[1]}),
-		AppendFrame(nil, Frame{Run: "h", Session: 1, Seq: 3, Kind: PayloadShard, Payload: shards[2]}),
-		AppendFrame(nil, Frame{Run: "h", Session: 1, Seq: 4, Kind: PayloadRunEnd, Payload: nil}),
-	}
-	for i, f := range frames {
+	// Two sender sessions reuse the same seqs — distinct streams — out of
+	// order, with one re-delivery: every frame is acknowledged, the
+	// duplicate is not counted twice.
+	for i, f := range [][]byte{frame(1, 1, PayloadEvents), frame(2, 0, PayloadEvents), frame(1, 0, PayloadEvents), frame(1, 1, PayloadEvents), frame(2, 1, PayloadEvents)} {
 		if code := post(f); code != http.StatusNoContent {
 			t.Fatalf("frame %d: %d", i, code)
 		}
 	}
-
-	resp, err := http.Get(srv.URL + "/report/h")
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("report: %v %v", err, resp.Status)
-	}
-	var got bytes.Buffer
-	got.ReadFrom(resp.Body)
-	resp.Body.Close()
-	if !bytes.Equal(got.Bytes(), localReport) {
-		t.Fatalf("remote report differs from local")
+	// The campaign lane's endpoint is gone with it.
+	if resp, err := http.Get(srv.URL + "/report" + "/h"); err != nil || resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET report: %v %v, want 404", err, resp.Status)
 	}
 
 	mresp, err := http.Get(srv.URL + "/metrics")
@@ -246,9 +109,11 @@ func TestCollectorHandler(t *testing.T) {
 	metrics.ReadFrom(mresp.Body)
 	mresp.Body.Close()
 	for _, want := range []string{
-		`bba_collect_frames_total{kind="shard"} 3`,
-		"bba_collect_shards_total 3",
-		"bba_collect_runs_ended_total 1",
+		`bba_collect_frames_total{kind="events"} 4`,
+		"bba_collect_frames_duplicate_total 1",
+		"bba_collect_frames_bad_total 2",
+		"bba_collect_events_total 8",
+		"bba_collect_streams_total 2",
 	} {
 		if !strings.Contains(metrics.String(), want) {
 			t.Fatalf("metrics missing %q:\n%s", want, metrics.String())
@@ -317,11 +182,6 @@ func TestCollectorArchiveFailureNACK(t *testing.T) {
 	if err := c.Ingest(frame(2, 4)); !errors.Is(err, ErrArchive) {
 		t.Fatalf("retry of failed frame: %v", err)
 	}
-	// Reliable frames don't ride the archive lane and still work.
-	idJSON, _, _ := runLocalCampaign(t, testCampaignConfig())
-	if err := c.Ingest(AppendFrame(nil, Frame{Run: "r2", Session: 1, Seq: 0, Kind: PayloadRunStart, Payload: idJSON})); err != nil {
-		t.Fatalf("reliable frame during archive failure: %v", err)
-	}
 
 	s := c.Stats()
 	if s.Events != 5 {
@@ -371,57 +231,5 @@ func TestCollectorArchiveFailureNACK(t *testing.T) {
 	mresp.Body.Close()
 	if !strings.Contains(metrics.String(), "bba_collect_archive_errors_total 4") {
 		t.Fatalf("metrics missing archive errors counter:\n%s", metrics.String())
-	}
-}
-
-// TestCollectorReportStatus pins the report error taxonomy: 404 for a run
-// never announced, 409 while shards are outstanding, 200 once complete —
-// matching bbacoord's /report so pollers need one state machine.
-func TestCollectorReportStatus(t *testing.T) {
-	idJSON, shards, _ := runLocalCampaign(t, testCampaignConfig())
-	c := NewCollector(CollectorConfig{})
-	srv := httptest.NewServer(c.Handler())
-	defer srv.Close()
-
-	get := func() int {
-		t.Helper()
-		resp, err := http.Get(srv.URL + "/report/r")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-	post := func(seq uint64, kind PayloadKind, payload []byte) {
-		t.Helper()
-		f := AppendFrame(nil, Frame{Run: "r", Session: 1, Seq: seq, Kind: kind, Payload: payload})
-		resp, err := http.Post(srv.URL+"/ingest", "application/octet-stream", bytes.NewReader(f))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNoContent {
-			t.Fatalf("ingest seq %d: %d", seq, resp.StatusCode)
-		}
-	}
-
-	if code := get(); code != http.StatusNotFound {
-		t.Fatalf("unknown run: %d, want 404", code)
-	}
-	post(0, PayloadRunStart, idJSON)
-	if code := get(); code != http.StatusConflict {
-		t.Fatalf("no shards yet: %d, want 409", code)
-	}
-	post(1, PayloadShard, shards[0])
-	post(2, PayloadShard, shards[1])
-	if code := get(); code != http.StatusConflict {
-		t.Fatalf("2 of 3 shards: %d, want 409", code)
-	}
-	if _, err := c.Report("r"); !errors.Is(err, ErrRunIncomplete) {
-		t.Fatalf("incomplete Report error = %v, want ErrRunIncomplete", err)
-	}
-	post(3, PayloadShard, shards[2])
-	if code := get(); code != http.StatusOK {
-		t.Fatalf("complete run: %d, want 200", code)
 	}
 }

@@ -1,16 +1,5 @@
 package collect
 
-import "errors"
-
-// ErrDedupWindow reports a frame too far ahead of its stream's contiguous
-// prefix to track exactly. The collector surfaces it as a retryable
-// rejection (HTTP 503): the shipper's bounded in-flight set keeps live
-// streams well inside the window, so hitting it means frames were lost and
-// will be retried — admitting the far-ahead frame instead would force the
-// dedup state to either grow without bound or forget, and forgetting is
-// how double-counting starts.
-var ErrDedupWindow = errors.New("collect: frame beyond dedup window")
-
 // stream is the exactly-once admission state of one (run, session) sender
 // stream: every seq below next has been admitted, and parked holds the
 // out-of-order admitted seqs above it. Memory is bounded by the window —
@@ -20,43 +9,16 @@ type stream struct {
 	parked map[uint64]struct{}
 }
 
-// admit decides frame seq's fate exactly once per key: (true, nil) the
-// first time a seq is offered, (false, nil) for every replay, and
-// (false, ErrDedupWindow) when admitting would exceed the parked window.
-// Callers must only call admit after the frame is otherwise valid — an
-// admitted seq is spent even if downstream processing fails, which is why
-// the collector validates payloads before admission.
-func (s *stream) admit(seq uint64, window int) (bool, error) {
-	if seq < s.next {
-		return false, nil
-	}
-	if _, ok := s.parked[seq]; ok {
-		return false, nil
-	}
-	if seq != s.next && len(s.parked) >= window {
-		return false, ErrDedupWindow
-	}
-	if seq == s.next {
-		s.next++
-		s.foldParked()
-		return true, nil
-	}
-	if s.parked == nil {
-		s.parked = make(map[uint64]struct{})
-	}
-	s.parked[seq] = struct{}{}
-	return true, nil
-}
-
-// admitSlide is the lossy-lane variant used for best-effort event frames:
-// it never rejects, instead sliding the window forward when a gap grows
-// stale. A frame lost in flight (a batch dropped after exhausted
-// retries) leaves a permanent gap; strict admission would park
-// behind it forever. Sliding gives the gap up — duplicates older than the
-// slide are still recognized as long as they arrive within the window, so
-// event delivery is at-most-once within the window and the gap is honest,
-// counted loss rather than silent double-counting. Reliable kinds never
-// ride this path: their retry-until-ack loop cannot leave gaps.
+// admitSlide decides frame seq's fate once per key: true the first time a
+// seq is offered, false for every replay. It never rejects, instead sliding
+// the window forward when a gap grows stale. A frame lost in flight (a batch
+// dropped after exhausted retries) leaves a permanent gap; refusing frames
+// beyond the window would park behind it forever. Sliding gives the gap up —
+// duplicates older than the slide are still recognized as long as they
+// arrive within the window, so event delivery is at-most-once within the
+// window and the gap is honest, counted loss rather than silent
+// double-counting. Callers must only call admitSlide after the frame is
+// otherwise applied — an admitted seq is spent for good.
 func (s *stream) admitSlide(seq uint64, window int) bool {
 	if seq < s.next {
 		return false

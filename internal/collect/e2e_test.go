@@ -3,18 +3,27 @@ package collect
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"bba/internal/campaign"
+	"bba/internal/abr"
+	"bba/internal/archive"
 	"bba/internal/faults"
+	"bba/internal/media"
 	"bba/internal/netem"
+	"bba/internal/player"
+	"bba/internal/telemetry"
 	"bba/internal/trace"
 	"bba/internal/units"
 )
@@ -63,65 +72,10 @@ func (t *lossDupTransport) RoundTrip(req *http.Request) (*http.Response, error) 
 	return resp, err
 }
 
-// shipCampaign runs cfg with its shards and progress events shipped
-// through s, propagating the run protocol: run_start, shards via OnShard,
-// flush, run_end, final flush.
-func shipCampaign(ctx context.Context, cfg campaign.Config, s *Shipper) error {
-	idJSON, err := json.Marshal(cfg.Identity())
-	if err != nil {
-		return err
-	}
-	if err := s.ShipRunStart(idJSON); err != nil {
-		return err
-	}
-	cfg.Observer = s
-	cfg.OnShard = func(shard int, accums []*campaign.GroupAccum) error {
-		p, err := json.Marshal(campaign.ShardAccums{Shard: shard, Groups: accums})
-		if err != nil {
-			return err
-		}
-		return s.ShipShard(p)
-	}
-	if _, err := campaign.RunContext(ctx, cfg); err != nil {
-		return err
-	}
-	if err := s.Flush(ctx); err != nil {
-		return err
-	}
-	if err := s.ShipRunEnd(); err != nil {
-		return err
-	}
-	return s.Flush(ctx)
-}
-
-// TestShipCollectDeterminism is the pipeline's acceptance test, pinned in
-// CI under -race: a campaign shipped through a netem-shaped loopback path
-// with injected loss (edge 503s), duplication (re-sent frames, lost acks)
-// and reordering (three concurrent senders) must aggregate remotely to the
-// byte-identical report a local run of the same seed produces.
-func TestShipCollectDeterminism(t *testing.T) {
-	cfg := campaign.Config{
-		Name: "e2e", Seed: 42, Sessions: 48, ShardSize: 8,
-		Parallelism: 4, SketchSize: 64, CatalogSize: 6,
-	}
-
-	// The ground truth: the same campaign aggregated in-process.
-	local, err := campaign.Run(cfg)
-	if err != nil {
-		t.Fatalf("local campaign: %v", err)
-	}
-	var localBytes bytes.Buffer
-	if err := local.Report.WriteJSON(&localBytes); err != nil {
-		t.Fatal(err)
-	}
-
-	collector := NewCollector(CollectorConfig{})
-	srv := httptest.NewServer(collector.Handler())
-	defer srv.Close()
-
-	// The collection path: every connection netem-shaped, a faults
-	// schedule dropping ~90% of attempts at the edge for the whole run,
-	// and the loss/dup layer above it.
+// hostileClient is the collection path the acceptance tests ship through:
+// every connection netem-shaped, a faults schedule failing ~90% of attempts
+// at the edge for the whole run, and the loss/dup layer above it.
+func hostileClient(t *testing.T) *http.Client {
 	shapedTrace := trace.MustNew([]trace.Segment{{Duration: time.Hour, Rate: 20 * units.Mbps}})
 	dialer := &net.Dialer{Timeout: 5 * time.Second}
 	shaped := &http.Transport{
@@ -133,103 +87,188 @@ func TestShipCollectDeterminism(t *testing.T) {
 			return netem.NewConn(c, netem.NewShaper(shapedTrace)), nil
 		},
 	}
-	defer shaped.CloseIdleConnections()
+	t.Cleanup(shaped.CloseIdleConnections)
 	faulty := &faults.Transport{
 		Base:     shaped,
 		Schedule: faults.MustSchedule([]faults.Fault{{Kind: faults.ServerError, Start: 0, Duration: time.Hour}}),
 		Seed:     99,
 	}
-	client := &http.Client{
+	return &http.Client{
 		Transport: &lossDupTransport{base: faulty, dupEvery: 2, loseAckEvery: 5},
 		Timeout:   10 * time.Second,
 	}
+}
 
-	shipper, err := NewShipper(ShipperConfig{
-		Addr: srv.URL, Run: "e2e-42", Session: 1,
-		BatchEvents: 4, FlushInterval: -1,
-		Queue:      QueueConfig{MemFrames: 64, SpillDir: t.TempDir()},
-		Senders:    3,
-		Retry:      RetryPolicy{MaxAttempts: 400, Base: 200 * time.Microsecond, Cap: 2 * time.Millisecond, Seed: 7},
-		HTTPClient: client,
-	})
+// shipHostile runs hostileSessions simulated players, each sealing a frame
+// every hostileBatch events.
+const (
+	hostileSessions = 6
+	hostileBatch    = 16
+)
+
+// shipHostile plays hostileSessions simulated sessions at once, each with
+// its own three-sender shipper as Observer (teed into a local capture),
+// through hostileClient into a collector backed by a real archive.Store. It
+// returns, per session label, the sorted journal lines the session emitted
+// and the sorted lines the store exports: admission order may legitimately
+// differ across reordered frames, the multiset may not.
+func shipHostile(t *testing.T) (local, archived map[string][]string) {
+	t.Helper()
+	store, err := archive.Open(archive.Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer store.Close()
+	collector := NewCollector(CollectorConfig{Archive: store})
+	srv := httptest.NewServer(collector.Handler())
+	defer srv.Close()
+	client := hostileClient(t)
 
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	if err := shipCampaign(ctx, cfg, shipper); err != nil {
-		t.Fatalf("shipped campaign: %v", err)
+	var (
+		wg       sync.WaitGroup
+		captures [hostileSessions]telemetry.Capture
+		shippers [hostileSessions]*Shipper
+	)
+	algorithms := abr.Names()
+	for i := range shippers {
+		shippers[i], err = NewShipper(ShipperConfig{
+			Addr: srv.URL, Run: "e2e", Session: uint64(i + 1),
+			BatchEvents: hostileBatch, FlushInterval: -1,
+			Queue:      QueueConfig{MemFrames: 64, SpillDir: t.TempDir()},
+			Senders:    3,
+			Retry:      RetryPolicy{MaxAttempts: 400, Base: 200 * time.Microsecond, Cap: 2 * time.Millisecond, Seed: int64(7 + i)},
+			HTTPClient: client,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		captures[i].Session = fmt.Sprintf("e2e.s%d", i)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			alg, err := abr.New(algorithms[i%len(algorithms)])
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			video, err := media.NewVBR(media.VBRConfig{Title: "e2e", Ladder: media.DefaultLadder(), NumChunks: 60}, rand.New(rand.NewSource(int64(i))))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			_, err = player.Run(player.Config{
+				Algorithm: alg,
+				Stream:    abr.NewStream(video, 0),
+				Trace:     trace.Step(4*units.Mbps, 150*units.Kbps, time.Minute, 2*time.Hour),
+				Observer: telemetry.Func(func(e telemetry.Event) {
+					e.Session = captures[i].Session // stamped before the tee: both copies carry the same bytes
+					captures[i].OnEvent(e)
+					shippers[i].OnEvent(e)
+					// A real player is paced by the wall clock; a virtual-time
+					// session outruns any framer. Wait for each sealed batch to
+					// be queued, so a drop would be the pipeline's doing.
+					if n := int64(len(captures[i].Events)); n%hostileBatch == 0 {
+						for ss := shippers[i].Stats(); ss.Queue.Pushed < n/hostileBatch && ss.FramesDropped == 0; ss = shippers[i].Stats() {
+							runtime.Gosched()
+						}
+					}
+				}),
+			})
+			if err != nil {
+				t.Error(err)
+			}
+			if err := shippers[i].Close(); err != nil {
+				t.Errorf("close shipper %d: %v", i, err)
+			}
+		}(i)
 	}
-	if err := shipper.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-
-	resp, err := srv.Client().Get(srv.URL + "/report/e2e-42")
-	if err != nil {
-		t.Fatal(err)
-	}
-	remoteBytes, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("report: %s: %s", resp.Status, remoteBytes)
-	}
-	if !bytes.Equal(remoteBytes, localBytes.Bytes()) {
-		t.Fatalf("remote report differs from local run:\nremote: %s\nlocal:  %s", remoteBytes, localBytes.Bytes())
-	}
+	wg.Wait()
 
 	// The path must actually have been hostile: retries prove loss,
-	// duplicate frames prove at-least-once delivery happened.
-	ss := shipper.Stats()
-	if ss.Retries == 0 {
-		t.Fatalf("no retries — fault injection did not engage: %+v", ss)
+	// duplicate frames prove at-least-once delivery happened — and nothing
+	// may have been given up on.
+	var retries, frames int64
+	for i, s := range shippers {
+		ss := s.Stats()
+		if ss.FramesDropped != 0 || ss.EventsDropped != 0 || ss.Queue.Dropped != 0 {
+			t.Fatalf("shipper %d lost data despite its retry budget: %+v", i, ss)
+		}
+		if ss.Events != int64(len(captures[i].Events)) {
+			t.Fatalf("shipper %d saw %d events, the capture %d", i, ss.Events, len(captures[i].Events))
+		}
+		retries += ss.Retries
+		frames += ss.FramesShipped
 	}
-	if ss.FramesDropped != 0 || ss.EventsDropped != 0 {
-		t.Fatalf("frames lost despite reliable retry budget: %+v", ss)
+	if retries == 0 {
+		t.Fatal("no retries — fault injection did not engage")
 	}
 	cs := collector.Stats()
 	if cs.FramesDup == 0 {
 		t.Fatalf("no duplicate deliveries — dup injection did not engage: %+v", cs)
 	}
-	if cs.Shards != 6 || cs.ShardsDup != 0 || cs.RunsEnded != 1 {
-		t.Fatalf("collector stats %+v", cs)
+	if cs.Frames["events"] != frames || cs.Streams != hostileSessions || cs.FramesBad != 0 || cs.ArchiveErrors != 0 {
+		t.Fatalf("collector stats %+v, want %d frames over %d streams", cs, frames, hostileSessions)
+	}
+
+	local = make(map[string][]string)
+	for i := range captures {
+		for _, e := range captures[i].Events {
+			local[e.Session] = append(local[e.Session], string(telemetry.AppendJSONL(nil, e)))
+		}
+	}
+	var export bytes.Buffer
+	if err := store.Export("e2e", &export); err != nil {
+		t.Fatal(err)
+	}
+	archived = make(map[string][]string)
+	for _, line := range bytes.SplitAfter(export.Bytes(), []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		e, ok := telemetry.ParseJSONL(line)
+		if !ok {
+			t.Fatalf("store exported a line that is not journal JSONL: %q", line)
+		}
+		archived[e.Session] = append(archived[e.Session], string(line))
+	}
+	for _, m := range []map[string][]string{local, archived} {
+		for _, lines := range m {
+			sort.Strings(lines)
+		}
+	}
+	return local, archived
+}
+
+// TestShipCollectDeterminism is the pipeline's acceptance test, pinned in
+// CI under -race: sessions shipped through a netem-shaped loopback path
+// with injected loss (edge 503s), duplication (re-sent frames, lost acks)
+// and reordering (three concurrent senders per stream) must leave the
+// archive holding every journal line each session emitted exactly once.
+func TestShipCollectDeterminism(t *testing.T) {
+	local, archived := shipHostile(t)
+	if len(local) != hostileSessions {
+		t.Fatalf("%d sessions captured, want %d", len(local), hostileSessions)
+	}
+	for session, want := range local {
+		if len(want) < 100 {
+			t.Errorf("%s emitted only %d events; the session is too short to reorder", session, len(want))
+		}
+		if got := archived[session]; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: archive holds %d lines, the session emitted %d (or their bytes differ)", session, len(got), len(want))
+		}
+	}
+	if len(archived) != len(local) {
+		t.Errorf("archive holds %d sessions, want %d", len(archived), len(local))
 	}
 }
 
-// TestShipCollectRepeatable re-runs the shipped campaign against a fresh
-// collector and expects byte-identical remote reports — same seed, same
-// bytes, arrival order notwithstanding.
+// TestShipCollectRepeatable re-runs the hostile shipment against a fresh
+// collector and store and expects the same archive contents — same seeds,
+// same lines, arrival order notwithstanding.
 func TestShipCollectRepeatable(t *testing.T) {
-	cfg := campaign.Config{
-		Name: "rep", Seed: 7, Sessions: 16, ShardSize: 4,
-		Parallelism: 4, SketchSize: 32, CatalogSize: 4,
-	}
-	run := func() []byte {
-		collector := NewCollector(CollectorConfig{})
-		srv := httptest.NewServer(collector.Handler())
-		defer srv.Close()
-		shipper, err := NewShipper(ShipperConfig{
-			Addr: srv.URL, Run: "rep", Session: 1, FlushInterval: -1,
-			Senders: 2,
-			Retry:   RetryPolicy{MaxAttempts: 10, Base: time.Millisecond, Cap: 4 * time.Millisecond},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		defer cancel()
-		if err := shipCampaign(ctx, cfg, shipper); err != nil {
-			t.Fatalf("ship: %v", err)
-		}
-		shipper.Close()
-		body, err := collector.Report("rep")
-		if err != nil {
-			t.Fatalf("report: %v", err)
-		}
-		return body
-	}
-	a, b := run(), run()
-	if !bytes.Equal(a, b) {
-		t.Fatalf("two shipped runs of the same seed differ:\n%s\n%s", a, b)
+	_, a := shipHostile(t)
+	_, b := shipHostile(t)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("two hostile shipments of the same sessions left different archives")
 	}
 }

@@ -1,26 +1,25 @@
 // Package collect is the fleet telemetry collection pipeline: the
-// client-side Shipper batches session events and shard aggregates into
-// sequence-numbered, checksummed frames and ships them over HTTP
-// with retry and bounded on-disk spill; the server-side Collector decodes
-// frames, verifies checksums, dedups by (run, session, seq) so
-// at-least-once delivery becomes exactly-once aggregation, and folds shard
-// summaries into internal/campaign accumulators to produce the same
-// byte-identical report a local run computes.
+// client-side Shipper batches session events into sequence-numbered,
+// checksummed frames and ships them over HTTP with retry and bounded
+// on-disk spill; the server-side Collector decodes frames, verifies
+// checksums, dedups by (run, session, seq) so at-least-once delivery becomes
+// exactly-once admission, and hands each admitted batch to its archive
+// before acknowledging it.
 //
 // The paper's entire evidence base is per-session client logs shipped from
 // millions of players to a central service and aggregated there (§3); the
 // same collection substrate is what makes randomized experiments on a live
 // service possible (Yan et al., NSDI 2020). This package is that substrate
 // in miniature: a lossy, reordering, duplicating network sits between the
-// player fleet and the aggregator, and the aggregate must not care.
+// player fleet and the archive, and the archive must not care.
 //
-// Delivery semantics. Frames are keyed (run id, session id, seq). The
-// shipper retries until the collector acknowledges; the collector admits
-// each key at most once. Aggregation
-// is therefore exactly-once over whatever frames arrive, and — because the
-// campaign checkpoint folds shards in shard-index order regardless of
-// arrival order — the remote report is byte-identical to a local run of
-// the same identity once every shard frame has landed.
+// Delivery semantics. There is one lane: best-effort events with counted
+// loss. Frames are keyed (run id, session id, seq). The shipper retries
+// until the collector acknowledges or the retry budget runs out (a counted
+// drop, never backpressure on the player); the collector admits each key at
+// most once and acknowledges a fresh frame only after its batch is
+// persisted. Shard accumulators do not travel here: the one place they
+// cross a process boundary online is internal/coord.
 package collect
 
 import (
@@ -33,39 +32,19 @@ import (
 // PayloadKind identifies what a frame carries.
 type PayloadKind uint8
 
-const (
-	// PayloadEvents is a batch of telemetry events encoded as journal
-	// JSONL lines (telemetry.AppendJSONL), newline-terminated.
-	PayloadEvents PayloadKind = iota + 1
-	// PayloadRunStart announces a campaign run: the payload is the JSON
-	// campaign.Identity the collector aggregates under.
-	PayloadRunStart
-	// PayloadShard is one completed shard's accumulators: the payload is a
-	// JSON campaign.ShardAccums.
-	PayloadShard
-	// PayloadRunEnd marks the run complete on the sender side; the
-	// collector finalizes the report once every shard has arrived.
-	PayloadRunEnd
-)
+// PayloadEvents is a batch of telemetry events encoded as journal JSONL
+// lines (telemetry.AppendJSONL), newline-terminated. It is the only kind the
+// collector admits; the kind byte stays in the wire format, and a frame
+// carrying any other value decodes but is rejected at ingest.
+const PayloadEvents PayloadKind = 1
 
 // String returns the snake_case name used in collector metrics.
 func (k PayloadKind) String() string {
-	switch k {
-	case PayloadEvents:
+	if k == PayloadEvents {
 		return "events"
-	case PayloadRunStart:
-		return "run_start"
-	case PayloadShard:
-		return "shard"
-	case PayloadRunEnd:
-		return "run_end"
 	}
 	return "unknown"
 }
-
-// Reliable reports whether the kind rides the reliable lane: the shipper
-// never drops it and Flush waits for its acknowledgement.
-func (k PayloadKind) Reliable() bool { return k != PayloadEvents }
 
 // Frame is one unit of shipment. Run, Session and Seq form the dedup key:
 // Seq increases per (Run, Session) sender stream, so replays and retries

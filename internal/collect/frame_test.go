@@ -11,9 +11,9 @@ import (
 func TestFrameRoundTrip(t *testing.T) {
 	cases := []Frame{
 		{Run: "r", Session: 0, Seq: 0, Kind: PayloadEvents, Payload: nil},
-		{Run: "campaign-7", Session: 42, Seq: 9, Kind: PayloadShard, Payload: []byte(`{"shard":3}`)},
-		{Run: strings.Repeat("x", 255), Session: ^uint64(0), Seq: ^uint64(0), Kind: PayloadRunEnd, Payload: bytes.Repeat([]byte{0xAB}, 4096)},
-		{Run: "u", Session: 1, Seq: 2, Kind: PayloadRunStart, Payload: []byte("{}")},
+		{Run: "campaign-7", Session: 42, Seq: 9, Kind: PayloadKind(3), Payload: []byte(`{"shard":3}`)},
+		{Run: strings.Repeat("x", 255), Session: ^uint64(0), Seq: ^uint64(0), Kind: PayloadKind(4), Payload: bytes.Repeat([]byte{0xAB}, 4096)},
+		{Run: "u", Session: 1, Seq: 2, Kind: PayloadKind(2), Payload: []byte("{}")},
 	}
 	for _, want := range cases {
 		enc := AppendFrame(nil, want)
@@ -128,20 +128,12 @@ func TestAppendFramePanics(t *testing.T) {
 }
 
 func TestPayloadKindNames(t *testing.T) {
-	for k := PayloadEvents; k <= PayloadRunEnd; k++ {
-		if k.String() == "unknown" {
-			t.Fatalf("kind %d has no name", k)
-		}
+	if PayloadEvents != 1 || PayloadEvents.String() != "events" {
+		t.Fatalf("PayloadEvents = %d %q: the wire value and metric label are fixed", PayloadEvents, PayloadEvents)
 	}
-	if PayloadKind(0).String() != "unknown" || PayloadKind(200).String() != "unknown" {
-		t.Fatalf("out-of-range kinds must stringify as unknown")
-	}
-	if PayloadEvents.Reliable() {
-		t.Fatalf("events must ride the best-effort lane")
-	}
-	for _, k := range []PayloadKind{PayloadRunStart, PayloadShard, PayloadRunEnd} {
-		if !k.Reliable() {
-			t.Fatalf("%v must be reliable", k)
+	for _, k := range []PayloadKind{0, 2, 3, 4, 200} {
+		if k.String() != "unknown" {
+			t.Fatalf("kind %d stringifies as %q, want unknown", k, k)
 		}
 	}
 }

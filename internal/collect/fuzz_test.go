@@ -14,10 +14,10 @@ import (
 // never decode to a different key and sneak past the window.
 func FuzzFrameDecode(f *testing.F) {
 	f.Add(AppendFrame(nil, Frame{Run: "r", Session: 1, Seq: 2, Kind: PayloadEvents, Payload: []byte("line\n")}))
-	f.Add(AppendFrame(nil, Frame{Run: "campaign-42", Session: 9, Seq: 0, Kind: PayloadShard, Payload: []byte(`{"shard":1}`)}))
-	f.Add(AppendFrame(nil, Frame{Run: "x", Session: 0, Seq: 0, Kind: PayloadRunEnd, Payload: nil}))
+	f.Add(AppendFrame(nil, Frame{Run: "campaign-42", Session: 9, Seq: 0, Kind: PayloadKind(3), Payload: []byte(`{"shard":1}`)}))
+	f.Add(AppendFrame(nil, Frame{Run: "x", Session: 0, Seq: 0, Kind: PayloadKind(4), Payload: nil}))
 	// A doubled frame: the decoder must consume exactly one.
-	one := AppendFrame(nil, Frame{Run: "d", Session: 3, Seq: 4, Kind: PayloadRunStart, Payload: []byte("{}")})
+	one := AppendFrame(nil, Frame{Run: "d", Session: 3, Seq: 4, Kind: PayloadKind(2), Payload: []byte("{}")})
 	f.Add(append(append([]byte(nil), one...), one...))
 	f.Add([]byte{0xB3, 0xAC, 1, 1, 0})
 	f.Add([]byte{0xB3, 0xAC})

@@ -1,0 +1,127 @@
+package collect
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// TestOneRemoteFold keeps the repository at one place where shard
+// accumulators cross a process boundary online — internal/coord — and this
+// package at one payload kind. It fails if internal/collect or
+// internal/archive imports internal/campaign, if a non-test file outside
+// internal/campaign and internal/coord (bench/ is its own module) records a
+// shard into a campaign checkpoint, if a PayloadKind constant other than
+// PayloadEvents is declared, or if a non-test file names any part of the
+// deleted campaign lane again.
+func TestOneRemoteFold(t *testing.T) {
+	root := filepath.Join("..", "..")
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+		t.Fatalf("repository root not at %s: %v", root, err)
+	}
+	const campaignPath, record = "bba/internal/campaign", ".Record("
+	events := map[string]bool{filepath.Join("internal", "collect"): true, filepath.Join("internal", "archive"): true}
+	folds := map[string]bool{filepath.Join("internal", "campaign"): true, filepath.Join("internal", "coord"): true}
+	lane := []string{
+		"PayloadShard", "PayloadRunStart", "PayloadRunEnd", "ShipShard", "ShipRunStart", "ShipRunEnd",
+		"OnShard", "OnJoin", "ErrUnknownRun", "ErrRunIncomplete", "ErrDedupWindow", "/report/",
+	}
+	var kinds []string
+	fset := token.NewFileSet()
+	files := 0
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		if d.IsDir() {
+			if rel == "bench" || strings.HasPrefix(d.Name(), ".") && rel != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		files++
+		dir, test := filepath.Dir(rel), strings.HasSuffix(path, "_test.go")
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if !test && !folds[dir] && strings.Contains(string(src), record) {
+			t.Errorf("%s calls %s): a shard reaches another process's checkpoint through internal/coord", rel, record)
+		}
+		for _, name := range lane {
+			if !test && strings.Contains(string(src), name) {
+				t.Errorf("%s names %s: the collector's campaign lane is gone; shards go through internal/coord or stripe checkpoints", rel, name)
+			}
+		}
+		if !events[dir] {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, src, 0)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == campaignPath {
+				t.Errorf("%s imports %s: the event pipeline admits events, the coordinator aggregates shards", rel, campaignPath)
+			}
+		}
+		if !test && f.Name.Name == "collect" {
+			kinds = append(kinds, payloadKindConsts(f)...)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files < 100 {
+		t.Fatalf("walk saw only %d source files; is the root right?", files)
+	}
+	if want := []string{"PayloadEvents"}; !reflect.DeepEqual(kinds, want) {
+		t.Errorf("PayloadKind constants %v, want only %v: the collector has one payload kind", kinds, want)
+	}
+}
+
+// payloadKindConsts names the constants f declares with type PayloadKind:
+// typed outright, converted, or continuing such a spec in an iota block.
+func payloadKindConsts(f *ast.File) []string {
+	isKind := func(e ast.Expr) bool {
+		id, ok := e.(*ast.Ident)
+		return ok && id.Name == "PayloadKind"
+	}
+	var names []string
+	for _, decl := range f.Decls {
+		gen, ok := decl.(*ast.GenDecl)
+		if !ok || gen.Tok != token.CONST {
+			continue
+		}
+		kind := false // whether the spec an implicit repetition copies is a PayloadKind
+		for _, spec := range gen.Specs {
+			vs := spec.(*ast.ValueSpec)
+			if vs.Type != nil || len(vs.Values) > 0 {
+				kind = vs.Type != nil && isKind(vs.Type)
+				for _, v := range vs.Values {
+					if call, ok := v.(*ast.CallExpr); ok && isKind(call.Fun) {
+						kind = true
+					}
+				}
+			}
+			if kind {
+				for _, n := range vs.Names {
+					names = append(names, n.Name)
+				}
+			}
+		}
+	}
+	return names
+}

@@ -52,10 +52,9 @@ type QueueStats struct {
 	SpillBytes int64
 }
 
-// ErrQueueFull reports a reliable push that found no room in memory or
-// spill. Reliable frames are never dropped silently — the caller decides
-// whether that is fatal.
-var ErrQueueFull = errors.New("collect: queue full")
+// errSpillFull reports that the spill has reached MaxSpillBytes (or that
+// the frame alone exceeds it): the drop policy applies.
+var errSpillFull = errors.New("collect: spill full")
 
 // errQueueClosed reports Push after Close.
 var errQueueClosed = errors.New("collect: queue closed")
@@ -99,11 +98,11 @@ func newQueue(cfg QueueConfig) *queue {
 	return q
 }
 
-// Push enqueues an encoded frame, copying it. Best-effort frames
-// (reliable=false) are dropped per policy when the queue is exhausted and
-// the drop is counted; reliable frames return ErrQueueFull instead.
-// The returned bool reports whether the frame was accepted.
-func (q *queue) Push(frame []byte, reliable bool) (bool, error) {
+// Push enqueues an encoded frame, copying it. When the queue is exhausted
+// the frame is dropped per policy and the drop is counted. The returned
+// bool reports whether the frame was accepted; the error is a spill I/O
+// failure or a closed queue.
+func (q *queue) Push(frame []byte) (bool, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -121,14 +120,11 @@ func (q *queue) Push(frame []byte, reliable bool) (bool, error) {
 			q.stats.Depth++
 			q.cond.Signal()
 			return true, nil
-		} else if !errors.Is(err, ErrQueueFull) {
+		} else if !errors.Is(err, errSpillFull) {
 			return false, err
 		}
 	}
 	// Exhausted: apply the drop policy.
-	if reliable {
-		return false, ErrQueueFull
-	}
 	if q.cfg.DropOldest {
 		q.evictOldest()
 		if len(q.segs) == 0 && len(q.mem) < q.cfg.MemFrames {
@@ -184,7 +180,7 @@ func (q *queue) evictOldest() {
 func (q *queue) spill(frame []byte) error {
 	need := int64(4 + len(frame))
 	if q.stats.SpillBytes+need > q.cfg.MaxSpillBytes {
-		return ErrQueueFull
+		return errSpillFull
 	}
 	tail := q.tailSeg()
 	if tail == nil || tail.f == nil || tail.bytes+need > segMaxBytes {

@@ -22,7 +22,7 @@ func popString(t *testing.T, q *queue) string {
 func TestQueueFIFOMemory(t *testing.T) {
 	q := newQueue(QueueConfig{MemFrames: 8})
 	for i := 0; i < 5; i++ {
-		if ok, err := q.Push([]byte(fmt.Sprintf("f%d", i)), false); !ok || err != nil {
+		if ok, err := q.Push([]byte(fmt.Sprintf("f%d", i))); !ok || err != nil {
 			t.Fatalf("push %d: %v %v", i, ok, err)
 		}
 	}
@@ -38,9 +38,9 @@ func TestQueueFIFOMemory(t *testing.T) {
 
 func TestQueueDropNewestDefault(t *testing.T) {
 	q := newQueue(QueueConfig{MemFrames: 2})
-	q.Push([]byte("a"), false)
-	q.Push([]byte("b"), false)
-	if ok, err := q.Push([]byte("c"), false); ok || err != nil {
+	q.Push([]byte("a"))
+	q.Push([]byte("b"))
+	if ok, err := q.Push([]byte("c")); ok || err != nil {
 		t.Fatalf("overflow push accepted: %v %v", ok, err)
 	}
 	if s := q.Stats(); s.Dropped != 1 || s.Pushed != 2 {
@@ -53,9 +53,9 @@ func TestQueueDropNewestDefault(t *testing.T) {
 
 func TestQueueDropOldest(t *testing.T) {
 	q := newQueue(QueueConfig{MemFrames: 2, DropOldest: true})
-	q.Push([]byte("a"), false)
-	q.Push([]byte("b"), false)
-	if ok, err := q.Push([]byte("c"), false); !ok || err != nil {
+	q.Push([]byte("a"))
+	q.Push([]byte("b"))
+	if ok, err := q.Push([]byte("c")); !ok || err != nil {
 		t.Fatalf("drop-oldest push refused: %v %v", ok, err)
 	}
 	if s := q.Stats(); s.Dropped != 1 || s.Depth != 2 {
@@ -66,24 +66,11 @@ func TestQueueDropOldest(t *testing.T) {
 	}
 }
 
-func TestQueueReliableFull(t *testing.T) {
-	q := newQueue(QueueConfig{MemFrames: 1})
-	q.Push([]byte("a"), false)
-	if _, err := q.Push([]byte("b"), true); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("reliable overflow: %v", err)
-	}
-	// Reliable frames are never silently dropped: the failure is an error,
-	// not a Dropped increment.
-	if s := q.Stats(); s.Dropped != 0 {
-		t.Fatalf("reliable overflow counted as drop: %+v", s)
-	}
-}
-
 func TestQueueSpillFIFO(t *testing.T) {
 	dir := t.TempDir()
 	q := newQueue(QueueConfig{MemFrames: 2, SpillDir: dir})
 	for i := 0; i < 6; i++ {
-		if ok, err := q.Push([]byte(fmt.Sprintf("f%d", i)), false); !ok || err != nil {
+		if ok, err := q.Push([]byte(fmt.Sprintf("f%d", i))); !ok || err != nil {
 			t.Fatalf("push %d: %v %v", i, ok, err)
 		}
 	}
@@ -95,8 +82,8 @@ func TestQueueSpillFIFO(t *testing.T) {
 	if a, b := popString(t, q), popString(t, q); a != "f0" || b != "f1" {
 		t.Fatalf("popped %q %q", a, b)
 	}
-	q.Push([]byte("f6"), false)
-	q.Push([]byte("f7"), false)
+	q.Push([]byte("f6"))
+	q.Push([]byte("f7"))
 	for i := 2; i < 8; i++ {
 		if got := popString(t, q); got != fmt.Sprintf("f%d", i) {
 			t.Fatalf("pop %d: %q", i, got)
@@ -119,10 +106,10 @@ func TestQueueSpillCap(t *testing.T) {
 	dir := t.TempDir()
 	frame := make([]byte, 1024)
 	q := newQueue(QueueConfig{MemFrames: 1, SpillDir: dir, MaxSpillBytes: 4096})
-	q.Push(frame, false) // memory
+	q.Push(frame) // memory
 	accepted := 1
 	for i := 0; i < 10; i++ {
-		if ok, _ := q.Push(frame, false); ok {
+		if ok, _ := q.Push(frame); ok {
 			accepted++
 		}
 	}
@@ -133,8 +120,12 @@ func TestQueueSpillCap(t *testing.T) {
 	if s := q.Stats(); s.Dropped != 7 {
 		t.Fatalf("stats %+v", s)
 	}
-	if _, err := q.Push(frame, true); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("reliable push into full spill: %v", err)
+	// A full spill is a counted drop, never an error the sender must handle.
+	if ok, err := q.Push(frame); ok || err != nil {
+		t.Fatalf("push into full spill: ok=%v err=%v, want a counted drop", ok, err)
+	}
+	if s := q.Stats(); s.Dropped != 8 {
+		t.Fatalf("stats %+v", s)
 	}
 }
 
@@ -150,7 +141,7 @@ func TestQueuePopBlocksUntilPush(t *testing.T) {
 		got <- string(b)
 	}()
 	time.Sleep(10 * time.Millisecond)
-	q.Push([]byte("late"), false)
+	q.Push([]byte("late"))
 	select {
 	case s := <-got:
 		if s != "late" {
@@ -163,7 +154,7 @@ func TestQueuePopBlocksUntilPush(t *testing.T) {
 
 func TestQueueCloseDrains(t *testing.T) {
 	q := newQueue(QueueConfig{})
-	q.Push([]byte("a"), false)
+	q.Push([]byte("a"))
 	q.Close()
 	if got := popString(t, q); got != "a" {
 		t.Fatalf("got %q", got)
@@ -171,7 +162,7 @@ func TestQueueCloseDrains(t *testing.T) {
 	if _, ok := q.Pop(); ok {
 		t.Fatalf("Pop after drain on closed queue")
 	}
-	if _, err := q.Push([]byte("b"), false); !errors.Is(err, errQueueClosed) {
+	if _, err := q.Push([]byte("b")); !errors.Is(err, errQueueClosed) {
 		t.Fatalf("push after close: %v", err)
 	}
 }
@@ -179,13 +170,13 @@ func TestQueueCloseDrains(t *testing.T) {
 func TestQueueDamagedSegment(t *testing.T) {
 	dir := t.TempDir()
 	q := newQueue(QueueConfig{MemFrames: 1, SpillDir: dir})
-	q.Push([]byte("mem"), false)
-	q.Push([]byte("disk0"), false) // segment 0
+	q.Push([]byte("mem"))
+	q.Push([]byte("disk0")) // segment 0
 	// A frame too big to share segment 0 forces a rotation, sealing the
 	// first segment so it can be corrupted independently.
 	big := make([]byte, segMaxBytes)
 	copy(big, "big")
-	if ok, err := q.Push(big, false); !ok || err != nil {
+	if ok, err := q.Push(big); !ok || err != nil {
 		t.Fatalf("big push: %v %v", ok, err)
 	}
 	ents, err := os.ReadDir(dir)
@@ -222,7 +213,7 @@ func TestQueueConcurrent(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < n; i++ {
 			for {
-				if ok, err := q.Push([]byte{byte(i), byte(i >> 8)}, false); ok {
+				if ok, err := q.Push([]byte{byte(i), byte(i >> 8)}); ok {
 					break
 				} else if err != nil {
 					t.Errorf("push: %v", err)
@@ -257,7 +248,7 @@ func TestQueueCloseRemovesSpill(t *testing.T) {
 	dir := t.TempDir()
 	q := newQueue(QueueConfig{MemFrames: 2, SpillDir: dir})
 	for i := 0; i < 8; i++ {
-		if ok, err := q.Push([]byte(fmt.Sprintf("f%d", i)), false); !ok || err != nil {
+		if ok, err := q.Push([]byte(fmt.Sprintf("f%d", i))); !ok || err != nil {
 			t.Fatalf("push %d: %v %v", i, ok, err)
 		}
 	}
@@ -292,12 +283,12 @@ func TestQueueCloseRemovesSpill(t *testing.T) {
 func TestQueueDamagedSegmentAccounting(t *testing.T) {
 	dir := t.TempDir()
 	q := newQueue(QueueConfig{MemFrames: 1, SpillDir: dir})
-	q.Push([]byte("mem"), false)
-	q.Push([]byte("d0"), false)
-	q.Push([]byte("d1"), false) // same segment as d0
+	q.Push([]byte("mem"))
+	q.Push([]byte("d0"))
+	q.Push([]byte("d1")) // same segment as d0
 	big := make([]byte, segMaxBytes)
 	copy(big, "big")
-	if ok, err := q.Push(big, false); !ok || err != nil {
+	if ok, err := q.Push(big); !ok || err != nil {
 		t.Fatalf("big push: %v %v", ok, err)
 	}
 	before := q.Stats()
@@ -344,18 +335,18 @@ func TestQueueEvictOldestSegment(t *testing.T) {
 	// evictOldest reaches for a segment.
 	q2 := newQueue(QueueConfig{MemFrames: 1, SpillDir: dir, MaxSpillBytes: 2 * 1028, DropOldest: true})
 	copy(frame, "g0")
-	q2.Push(frame, false) // memory
+	q2.Push(frame) // memory
 	copy(frame, "g1")
-	q2.Push(frame, false) // segment A
+	q2.Push(frame) // segment A
 	copy(frame, "g2")
-	q2.Push(frame, false) // segment A (full now)
+	q2.Push(frame) // segment A (full now)
 	if got := popString(t, q2); string(got[:2]) != "g0" {
 		t.Fatalf("popped %q", got[:2])
 	}
 	// Memory now empty, spill full. The next push must evict segment A
 	// wholesale: both g1 and g2 dropped.
 	copy(frame, "g3")
-	if ok, err := q2.Push(frame, false); !ok || err != nil {
+	if ok, err := q2.Push(frame); !ok || err != nil {
 		t.Fatalf("segment-evicting push: %v %v", ok, err)
 	}
 	s2 := q2.Stats()

@@ -110,10 +110,6 @@ const numBatchBuffers = 4
 // buffer; full batches hand off to a framer goroutine that encodes and
 // queues them; sender goroutines drain the queue with capped jittered
 // retry, spilling to disk while the collector is unreachable.
-//
-// Shard aggregates and run control frames ride the reliable lane: they are
-// never dropped (enqueue fails loudly instead) and Flush waits for their
-// acknowledgement.
 type Shipper struct {
 	cfg   ShipperConfig
 	trans *httpTransport
@@ -263,7 +259,7 @@ func (s *Shipper) framer() {
 	for {
 		select {
 		case b := <-s.full:
-			if _, err := s.enqueueFrame(PayloadEvents, b.buf, false); err != nil {
+			if err := s.enqueueFrame(b.buf); err != nil {
 				s.setFatal(err)
 			}
 			s.free <- b.buf
@@ -273,7 +269,7 @@ func (s *Shipper) framer() {
 			for {
 				select {
 				case b := <-s.full:
-					if _, err := s.enqueueFrame(PayloadEvents, b.buf, false); err != nil {
+					if err := s.enqueueFrame(b.buf); err != nil {
 						s.setFatal(err)
 					}
 					s.free <- b.buf
@@ -302,58 +298,36 @@ func (s *Shipper) flusher() {
 	}
 }
 
-// enqueueFrame assigns the next sequence number and queues one frame.
+// enqueueFrame assigns the next sequence number and queues one event frame.
 // Sequence numbers are consumed only by accepted frames: a dropped frame
 // never leaves a permanent gap for the collector's dedup window to chase.
-func (s *Shipper) enqueueFrame(kind PayloadKind, payload []byte, reliable bool) (bool, error) {
+// The error is Push's — a spill I/O failure, never a full queue.
+func (s *Shipper) enqueueFrame(payload []byte) error {
 	s.enqMu.Lock()
 	defer s.enqMu.Unlock()
 	s.scratch = AppendFrame(s.scratch[:0], Frame{
 		Run:     s.cfg.Run,
 		Session: s.cfg.Session,
 		Seq:     s.nextSeq,
-		Kind:    kind,
+		Kind:    PayloadEvents,
 		Payload: payload,
 	})
-	ok, err := s.q.Push(s.scratch, reliable)
+	ok, err := s.q.Push(s.scratch)
 	if err != nil {
-		if reliable {
-			return false, fmt.Errorf("collect: reliable frame rejected: %w", err)
-		}
-		return false, err
+		return err
 	}
 	if !ok {
 		s.framesDropped.Add(1)
-		return false, nil
+		return nil
 	}
 	s.nextSeq++
 	s.pending.Add(1)
-	return true, nil
-}
-
-// ShipRunStart announces a run on the reliable lane; payload is typically
-// a JSON campaign identity.
-func (s *Shipper) ShipRunStart(payload []byte) error { return s.reliable(PayloadRunStart, payload) }
-
-// ShipShard ships one completed shard's JSON accumulators on the reliable
-// lane.
-func (s *Shipper) ShipShard(payload []byte) error { return s.reliable(PayloadShard, payload) }
-
-// ShipRunEnd marks the run complete. Call Flush first so every shard frame
-// is acknowledged before the end marker can be.
-func (s *Shipper) ShipRunEnd() error { return s.reliable(PayloadRunEnd, nil) }
-
-func (s *Shipper) reliable(kind PayloadKind, payload []byte) error {
-	if err := s.Err(); err != nil {
-		return err
-	}
-	_, err := s.enqueueFrame(kind, payload, true)
-	return err
+	return nil
 }
 
 // Flush seals the current batch and blocks until every queued frame has
-// been shipped (acknowledged) or dropped, the context expires,
-// or a reliable frame fails permanently.
+// been shipped (acknowledged) or dropped, the context expires, or the spill
+// fails.
 func (s *Shipper) Flush(ctx context.Context) error {
 	s.Seal()
 	t := time.NewTicker(2 * time.Millisecond)
@@ -396,8 +370,7 @@ func (s *Shipper) Close() error {
 	return s.closeErr
 }
 
-// Err returns the sticky fatal error (a reliable frame that exhausted its
-// retries, or a spill failure).
+// Err returns the sticky fatal error (a spill I/O failure).
 func (s *Shipper) Err() error {
 	s.fatalMu.Lock()
 	defer s.fatalMu.Unlock()
@@ -442,9 +415,8 @@ func (s *Shipper) sender(rng *rand.Rand) {
 }
 
 // shipFrame pushes one frame through the transport. Exhausted retries drop
-// the frame; for reliable kinds the drop is also a sticky fatal error.
+// the frame, and the drop is counted.
 func (s *Shipper) shipFrame(frame []byte, rng *rand.Rand) {
-	var lastErr error
 	for attempt := 0; attempt < s.cfg.Retry.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			s.retries.Add(1)
@@ -456,16 +428,11 @@ func (s *Shipper) shipFrame(frame []byte, rng *rand.Rand) {
 			return
 		}
 		s.sendErrors.Add(1)
-		lastErr = err
 		if errors.Is(err, errPermanent) {
 			break
 		}
 	}
 	s.framesDropped.Add(1)
-	// The kind byte is at a fixed offset; reliable frames failing is fatal.
-	if len(frame) > 3 && PayloadKind(frame[3]).Reliable() {
-		s.setFatal(fmt.Errorf("collect: reliable frame lost after %d attempts: %w", s.cfg.Retry.MaxAttempts, lastErr))
-	}
 }
 
 // errPermanent marks transport errors that retrying cannot fix (the

@@ -99,29 +99,6 @@ func TestShipperRetriesUntilAck(t *testing.T) {
 	s.Close()
 }
 
-func TestShipperReliableExhaustionIsFatal(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "down", http.StatusServiceUnavailable)
-	}))
-	defer srv.Close()
-
-	s := newTestShipper(t, srv.URL, func(c *ShipperConfig) {
-		c.Retry.MaxAttempts = 2
-	})
-	if err := s.ShipRunEnd(); err != nil {
-		t.Fatalf("enqueue: %v", err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := s.Flush(ctx); err == nil {
-		t.Fatalf("reliable frame lost without error")
-	}
-	if err := s.Err(); err == nil {
-		t.Fatalf("no sticky error after reliable loss")
-	}
-	s.Close()
-}
-
 func TestShipperPermanentRejection(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "never", http.StatusBadRequest)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,6 +14,11 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"bba/internal/faults"
+	"bba/internal/netem"
+	"bba/internal/trace"
+	"bba/internal/units"
 )
 
 // startCoord serves a coordinator over an in-process HTTP server.
@@ -144,6 +150,133 @@ func TestE2EWorkerKilledMidCampaign(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Error("fleet report after worker death differs from local run")
+	}
+}
+
+// lossDupTransport manufactures the at-least-once pathologies on /complete
+// deterministically (internal/collect's tests hold /ingest to the same two):
+// every dupEvery-th acknowledged completion is delivered a second time, and
+// every loseAckEvery-th has its acknowledgement replaced by a synthesized
+// 503 — the coordinator folded the shard but the worker must assume it did
+// not, so its retry is a duplicate completion.
+type lossDupTransport struct {
+	base                   http.RoundTripper
+	dupEvery, loseAckEvery int64
+	acked                  atomic.Int64
+}
+
+func (t *lossDupTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := t.base.RoundTrip(req)
+	if err != nil || resp.StatusCode != http.StatusOK || req.URL.Path != "/complete" {
+		return resp, err
+	}
+	n := t.acked.Add(1)
+	if n%t.dupEvery == 0 {
+		if body, berr := req.GetBody(); berr == nil {
+			dup := req.Clone(req.Context())
+			dup.Body = body
+			if dresp, derr := t.base.RoundTrip(dup); derr == nil {
+				io.Copy(io.Discard, dresp.Body)
+				dresp.Body.Close()
+			}
+		}
+	}
+	if n%t.loseAckEvery == 0 {
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return &http.Response{
+			Status: "503 Service Unavailable", StatusCode: http.StatusServiceUnavailable,
+			Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+			Header: http.Header{}, Body: io.NopCloser(bytes.NewReader(nil)),
+			Request: req,
+		}, nil
+	}
+	return resp, err
+}
+
+// TestE2EHostileTransport is the fold's acceptance test on the path shard
+// accumulators cross a process boundary by, pinned in CI under -race: two
+// workers whose every call rides a netem-shaped connection, with edge 503s
+// (loss), re-sent completions and lost acknowledgements (duplicates), must
+// still leave the coordinator with the byte-identical report a local run of
+// the same spec produces — each shard folded exactly once.
+func TestE2EHostileTransport(t *testing.T) {
+	spec := testSpec(96) // 12 shards
+	want := localReport(t, spec)
+	c, srv := startCoord(t, Config{Spec: spec, LeaseShards: 2})
+
+	shapedTrace := trace.MustNew([]trace.Segment{{Duration: time.Hour, Rate: 20 * units.Mbps}})
+	dialer := &net.Dialer{Timeout: 5 * time.Second}
+	shaped := &http.Transport{
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			c, err := dialer.DialContext(ctx, network, addr)
+			if err != nil {
+				return nil, err
+			}
+			return netem.NewConn(c, netem.NewShaper(shapedTrace)), nil
+		},
+	}
+	defer shaped.CloseIdleConnections()
+	// The worker's client gives a call five attempts 100–400 ms apart, so
+	// the edge fails (at faults.AttemptFailProb) in 20 ms bursts every 70 ms
+	// for the whole run — a period no retry spacing is a multiple of —
+	// rather than for one unbroken hour as the shipper's 400-attempt budget
+	// is held to.
+	var bursts []faults.Fault
+	for at := time.Duration(0); at < time.Minute; at += 70 * time.Millisecond {
+		bursts = append(bursts, faults.Fault{Kind: faults.ServerError, Start: at, Duration: 20 * time.Millisecond})
+	}
+	var injected atomic.Int64
+	faulty := &faults.Transport{
+		Base:     shaped,
+		Schedule: faults.MustSchedule(bursts),
+		Seed:     99,
+		OnFault:  func(faults.Kind, int64) { injected.Add(1) },
+	}
+	client := &http.Client{
+		Transport: &lossDupTransport{base: faulty, dupEvery: 2, loseAckEvery: 5},
+		Timeout:   10 * time.Second,
+	}
+
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = RunWorker(context.Background(), WorkerConfig{
+				URL: srv.URL, Name: fmt.Sprintf("w%d", i), Parallelism: 1,
+				Poll: 5 * time.Millisecond, HTTP: client,
+			})
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("worker w%d: %v", i, err)
+		}
+	}
+
+	select {
+	case <-c.Done():
+	default:
+		t.Fatal("coordinator not complete after both workers exited")
+	}
+	// The report is fetched the way an operator fetches it, not through the
+	// hostile client.
+	got, err := (&Client{URL: srv.URL}).Report(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("fleet report over the hostile transport differs from local run")
+	}
+	s := c.Stats()
+	if s.Shards != 12 || s.ShardsDup == 0 {
+		t.Errorf("coordinator folded %d shards with %d duplicate completions, want exactly 12 and > 0: the dup injection did not engage", s.Shards, s.ShardsDup)
+	}
+	if injected.Load() == 0 {
+		t.Error("no edge failure was injected — the fault schedule did not engage")
 	}
 }
 

@@ -85,7 +85,7 @@ type CompleteRequest struct {
 	Worker string `json:"worker"`
 	Lease  uint64 `json:"lease"`
 	// Shard and Groups are the campaign.ShardAccums payload — the same
-	// shape the collect lane ships.
+	// shape a checkpoint stores.
 	Shard  int                    `json:"shard"`
 	Groups []*campaign.GroupAccum `json:"groups"`
 }

@@ -153,14 +153,6 @@ type WorkerConfig struct {
 	Poll time.Duration
 	// HTTP overrides the transport (tests inject httptest clients).
 	HTTP *http.Client
-	// OnJoin, when non-nil, is called with the coordinator's join response
-	// before any lease is acquired; the collect shipper announces run_start
-	// from here (the worker only learns the campaign identity at join).
-	OnJoin func(JoinResponse) error
-	// OnShard, when non-nil, is called after each shard completes locally,
-	// before its accums are delivered; the collect shipper mirrors shard
-	// aggregates to a bbacollect from here. Must not mutate accums.
-	OnShard func(shard int, accums []*campaign.GroupAccum) error
 	// BeforeShard is a test seam called with each shard index before it
 	// executes; returning an error abandons the worker mid-lease (the
 	// "worker killed" failure injection).
@@ -223,11 +215,6 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (stats WorkerStats, err er
 		return stats, err
 	}
 	stats.Identity = join.Identity
-	if cfg.OnJoin != nil {
-		if err := cfg.OnJoin(join); err != nil {
-			return stats, err
-		}
-	}
 	ccfg, err := join.Identity.Config()
 	if err != nil {
 		return stats, fmt.Errorf("coord: coordinator identity: %w", err)
@@ -385,13 +372,6 @@ func runLease(ctx context.Context, cfg WorkerConfig, client *Client, runners cha
 					res.err = err
 					results <- res
 					return
-				}
-				if cfg.OnShard != nil {
-					if err := cfg.OnShard(s, accums); err != nil {
-						res.err = err
-						results <- res
-						return
-					}
 				}
 				ack, err := client.Complete(ctx, grant.Lease, s, accums)
 				if err != nil {

@@ -2,7 +2,7 @@ package obs_test
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"bba/internal/abr"
-	"bba/internal/campaign"
 	"bba/internal/collect"
 	"bba/internal/coord"
 	"bba/internal/faults"
@@ -46,16 +45,14 @@ func TestExpositionConformance(t *testing.T) {
 			"bba_seeks_total":                        0,
 			"bba_failovers_total":                    0,
 		}},
-		{"collect.Collector", busyCollector(t), 11, map[string]float64{
+		{"collect.Collector", busyCollector(t), 7, map[string]float64{
 			"bba_collect_frames_total/events":    1,
-			"bba_collect_frames_total/run_start": 1,
 			"bba_collect_frames_duplicate_total": 1,
-			"bba_collect_frames_bad_total":       1,
+			"bba_collect_frames_bad_total":       2,
 			"bba_collect_frames_retry_total":     1,
 			"bba_collect_events_total":           2,
-			"bba_collect_runs_total":             1,
 			"bba_collect_streams_total":          1,
-			"bba_collect_archive_errors_total":   0,
+			"bba_collect_archive_errors_total":   1,
 		}},
 		{"coord.Coordinator", finishedCoordinator(t), 11, map[string]float64{
 			"bba_coord_workers_joined_total":   1,
@@ -64,7 +61,7 @@ func TestExpositionConformance(t *testing.T) {
 			"bba_coord_shards_pending":         0,
 			"bba_coord_leases_active":          0,
 		}},
-		{"soak.Metrics", cycledSoakMetrics(), 14, map[string]float64{
+		{"soak.Metrics", cycledSoakMetrics(), 15, map[string]float64{
 			"soak_cycles_total":                                2,
 			"soak_cycle_failures_total":                        1,
 			"soak_sessions_total":                              3,
@@ -73,6 +70,7 @@ func TestExpositionConformance(t *testing.T) {
 			"soak_stall_seconds_total":                         1.5,
 			"soak_invariant_checks_total/terminates":           3,
 			"soak_invariant_failures_total/failover_converges": 1,
+			"soak_invariant_skipped_total/failover_converges":  1,
 			"soak_consecutive_cycle_failures":                  1,
 			"soak_last_cycle_duration_seconds":                 0.25,
 			"soak_last_cycle_index":                            1,
@@ -150,30 +148,38 @@ func faultedProm(t *testing.T) http.Handler {
 	return prom
 }
 
-// busyCollector admits a run announcement and an event batch, then sees a
-// duplicate, an undecodable frame and a shard for a run it never heard of.
+// fullAfterOne is an archive that persists one batch and then runs out of
+// room.
+type fullAfterOne struct{ taken bool }
+
+func (a *fullAfterOne) Append(string, []byte) error {
+	if a.taken {
+		return errors.New("disk full")
+	}
+	a.taken = true
+	return nil
+}
+
+// busyCollector admits an event batch, then sees its duplicate, an
+// undecodable frame, a frame of a kind it does not admit and a batch its
+// archive cannot persist.
 func busyCollector(t *testing.T) http.Handler {
 	t.Helper()
-	c := collect.NewCollector(collect.CollectorConfig{})
-	cfg := campaign.Config{Seed: 5, Sessions: 8, ShardSize: 8, SketchSize: 32, CatalogSize: 4}
-	id, err := json.Marshal(cfg.Identity())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := collect.NewCollector(collect.CollectorConfig{Archive: new(fullAfterOne)})
 	ev := telemetry.Event{Kind: telemetry.BufferSample, Session: "s", RateIndex: -1, PrevRateIndex: -1, Buffer: time.Second}
-	events := collect.AppendFrame(nil, collect.Frame{
-		Run: "r", Session: 1, Seq: 1, Kind: collect.PayloadEvents,
-		Payload: telemetry.AppendJSONL(telemetry.AppendJSONL(nil, ev), ev),
-	})
+	batch := telemetry.AppendJSONL(telemetry.AppendJSONL(nil, ev), ev)
+	frame := func(seq uint64, kind collect.PayloadKind) []byte {
+		return collect.AppendFrame(nil, collect.Frame{Run: "r", Session: 1, Seq: seq, Kind: kind, Payload: batch})
+	}
 	for _, step := range []struct {
 		frame []byte
 		ok    bool
 	}{
-		{collect.AppendFrame(nil, collect.Frame{Run: "r", Session: 1, Seq: 0, Kind: collect.PayloadRunStart, Payload: id}), true},
-		{events, true},
-		{events, true}, // duplicate: acknowledged, counted once
+		{frame(0, collect.PayloadEvents), true},
+		{frame(0, collect.PayloadEvents), true}, // duplicate: acknowledged, counted once
 		{[]byte("not a frame"), false},
-		{collect.AppendFrame(nil, collect.Frame{Run: "unknown", Session: 1, Seq: 0, Kind: collect.PayloadShard, Payload: []byte("{}")}), false},
+		{frame(1, collect.PayloadKind(3)), false},
+		{frame(1, collect.PayloadEvents), false}, // NACKed: the archive is full
 	} {
 		if err := c.Ingest(step.frame); (err == nil) != step.ok {
 			t.Fatalf("ingest: %v, want ok=%v", err, step.ok)
@@ -214,6 +220,7 @@ func cycledSoakMetrics() http.Handler {
 		Index:    0,
 		Sessions: []soak.SessionRecord{{Result: &player.Result{Rebuffers: 2, StallTime: 1500 * time.Millisecond}}},
 		Checks:   map[string]int{"terminates": 1},
+		Skipped:  map[string]int{"failover_converges": 1},
 		Duration: time.Second,
 	})
 	m.ObserveCycle(&soak.Cycle{

@@ -70,11 +70,12 @@ func (v Violation) String() string {
 }
 
 // CheckSession evaluates every applicable invariant against one session
-// record. It returns the violations found and the names of the
-// invariants that were actually evaluated (an invariant that does not
-// apply — single endpoint, no reservoir reports, collector check off —
-// is neither checked nor violated).
-func CheckSession(rec *SessionRecord) (violations []Violation, checked []string) {
+// record. It returns the violations found, the names of the invariants
+// that were actually evaluated, and the names of those that were not — an
+// invariant that does not apply or cannot be decided (single endpoint or a
+// fault-free tail too short for a fail-back streak, no reservoir reports,
+// collector check off) is neither checked nor violated, and says so.
+func CheckSession(rec *SessionRecord) (violations []Violation, checked, skipped []string) {
 	add := func(inv, detail string) {
 		violations = append(violations, Violation{Invariant: inv, Session: rec.Session, Detail: detail})
 	}
@@ -116,7 +117,16 @@ func CheckSession(rec *SessionRecord) (violations []Violation, checked []string)
 		checked = append(checked, InvCollectorAgreement)
 		violations = append(violations, checkCollector(rec)...)
 	}
-	return violations, checked
+names:
+	for _, name := range InvariantNames() {
+		for _, c := range checked {
+			if c == name {
+				continue names
+			}
+		}
+		skipped = append(skipped, name)
+	}
+	return violations, checked, skipped
 }
 
 // checkDegrade bounds the retry/degrade path: per-chunk retries within

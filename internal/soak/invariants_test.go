@@ -2,6 +2,7 @@ package soak
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -50,7 +51,7 @@ func hasCheck(checked []string, inv string) bool {
 
 func TestCheckSessionCleanPass(t *testing.T) {
 	r := rec(ev(telemetry.SessionStart), ev(telemetry.ChunkRequest), ev(telemetry.SessionEnd))
-	vs, checked := CheckSession(r)
+	vs, checked, skipped := CheckSession(r)
 	if len(vs) != 0 {
 		t.Fatalf("clean session violated: %v", vs)
 	}
@@ -65,6 +66,13 @@ func TestCheckSessionCleanPass(t *testing.T) {
 		if hasCheck(checked, skip) {
 			t.Errorf("%s checked on a session it cannot apply to", skip)
 		}
+	}
+	// … and must say so: every invariant is either checked or skipped.
+	if want := []string{InvNoRebufferAboveReservoir, InvFailoverConverges, InvCollectorAgreement}; !reflect.DeepEqual(skipped, want) {
+		t.Errorf("skipped = %v, want %v", skipped, want)
+	}
+	if len(checked)+len(skipped) != len(InvariantNames()) {
+		t.Errorf("checked %v + skipped %v do not partition the invariants", checked, skipped)
 	}
 }
 
@@ -83,7 +91,7 @@ func TestTerminates(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := rec(ev(telemetry.SessionStart), ev(telemetry.ChunkRequest), ev(telemetry.SessionEnd))
 			tc.mutate(r)
-			vs, checked := CheckSession(r)
+			vs, checked, _ := CheckSession(r)
 			if !hasCheck(checked, InvTerminates) {
 				t.Fatal("terminates not checked")
 			}
@@ -98,12 +106,12 @@ func TestDegradeBoundsRetries(t *testing.T) {
 	retry := ev(telemetry.ChunkRetry)
 	retry.Chunk = 4
 	r.Events = []telemetry.Event{ev(telemetry.SessionStart), retry, retry, retry, ev(telemetry.SessionEnd)}
-	vs, _ := CheckSession(r)
+	vs, _, _ := CheckSession(r)
 	hasViolation(t, vs, InvDegradeTerminates, "retried 3 times, budget 2")
 
 	// Exactly at budget: fine.
 	r.Events = []telemetry.Event{ev(telemetry.SessionStart), retry, retry, ev(telemetry.SessionEnd)}
-	if vs, _ := CheckSession(r); len(vs) != 0 {
+	if vs, _, _ := CheckSession(r); len(vs) != 0 {
 		t.Fatalf("within-budget retries violated: %v", vs)
 	}
 }
@@ -111,13 +119,13 @@ func TestDegradeBoundsRetries(t *testing.T) {
 func TestDegradeIncompleteNeedsOutageMarker(t *testing.T) {
 	r := rec(ev(telemetry.SessionStart), ev(telemetry.SessionEnd))
 	r.Result = &player.Result{Incomplete: true}
-	vs, _ := CheckSession(r)
+	vs, _, _ := CheckSession(r)
 	hasViolation(t, vs, InvDegradeTerminates, "no outage rebuffer marker")
 
 	marker := ev(telemetry.RebufferStart)
 	marker.Label = "outage"
 	r.Events = []telemetry.Event{ev(telemetry.SessionStart), marker, ev(telemetry.SessionEnd)}
-	if vs, _ := CheckSession(r); len(vs) != 0 {
+	if vs, _, _ := CheckSession(r); len(vs) != 0 {
 		t.Fatalf("marked incomplete session violated: %v", vs)
 	}
 }
@@ -132,8 +140,8 @@ func TestReservoirInvariant(t *testing.T) {
 
 	// Buffer far above reservoir+slack when the stall begins: breach.
 	r := rec(ev(telemetry.SessionStart), reservoir, sample, stall, ev(telemetry.SessionEnd))
-	vs, checked := CheckSession(r)
-	if !hasCheck(checked, InvNoRebufferAboveReservoir) {
+	vs, checked, skipped := CheckSession(r)
+	if !hasCheck(checked, InvNoRebufferAboveReservoir) || hasCheck(skipped, InvNoRebufferAboveReservoir) {
 		t.Fatal("reservoir invariant not checked despite a reservoir report")
 	}
 	hasViolation(t, vs, InvNoRebufferAboveReservoir, "above reservoir")
@@ -143,7 +151,7 @@ func TestReservoirInvariant(t *testing.T) {
 	retry := ev(telemetry.ChunkRetry)
 	retry.Chunk = 5
 	r.Events = []telemetry.Event{ev(telemetry.SessionStart), reservoir, sample, retry, stall, ev(telemetry.SessionEnd)}
-	if vs, _ := CheckSession(r); len(vs) != 0 {
+	if vs, _, _ := CheckSession(r); len(vs) != 0 {
 		t.Fatalf("retried-chunk stall violated: %v", vs)
 	}
 
@@ -151,7 +159,7 @@ func TestReservoirInvariant(t *testing.T) {
 	outage := stall
 	outage.Label = "outage"
 	r.Events = []telemetry.Event{ev(telemetry.SessionStart), reservoir, sample, outage, ev(telemetry.SessionEnd)}
-	if vs, _ := CheckSession(r); len(vs) != 0 {
+	if vs, _, _ := CheckSession(r); len(vs) != 0 {
 		t.Fatalf("outage stall violated: %v", vs)
 	}
 
@@ -159,15 +167,15 @@ func TestReservoirInvariant(t *testing.T) {
 	low := ev(telemetry.BufferSample)
 	low.Buffer = 200 * time.Millisecond
 	r.Events = []telemetry.Event{ev(telemetry.SessionStart), reservoir, low, stall, ev(telemetry.SessionEnd)}
-	if vs, _ := CheckSession(r); len(vs) != 0 {
+	if vs, _, _ := CheckSession(r); len(vs) != 0 {
 		t.Fatalf("low-buffer stall violated: %v", vs)
 	}
 
 	// No reservoir report at all (estimator algorithms): not applicable.
 	r.Events = []telemetry.Event{ev(telemetry.SessionStart), sample, stall, ev(telemetry.SessionEnd)}
-	vs, checked = CheckSession(r)
-	if hasCheck(checked, InvNoRebufferAboveReservoir) {
-		t.Fatal("reservoir invariant checked without a reservoir report")
+	vs, checked, skipped = CheckSession(r)
+	if hasCheck(checked, InvNoRebufferAboveReservoir) || !hasCheck(skipped, InvNoRebufferAboveReservoir) {
+		t.Fatal("reservoir invariant checked, or not reported skipped, without a reservoir report")
 	}
 	if len(vs) != 0 {
 		t.Fatalf("unexpected violations: %v", vs)
@@ -183,8 +191,8 @@ func TestFailoverConverges(t *testing.T) {
 	r := rec(ev(telemetry.SessionStart), away, ev(telemetry.SessionEnd))
 	r.Endpoints = 2
 	r.TailChunks = dash.FailBackAfter
-	vs, checked := CheckSession(r)
-	if !hasCheck(checked, InvFailoverConverges) {
+	vs, checked, skipped := CheckSession(r)
+	if !hasCheck(checked, InvFailoverConverges) || hasCheck(skipped, InvFailoverConverges) {
 		t.Fatal("failover invariant not checked on a multi-endpoint session")
 	}
 	hasViolation(t, vs, InvFailoverConverges, "ended on endpoint 1")
@@ -192,9 +200,9 @@ func TestFailoverConverges(t *testing.T) {
 	// A tail too short for a full fail-back streak makes convergence
 	// undecidable: the same non-converged journal is not checked at all.
 	r.TailChunks = dash.FailBackAfter - 1
-	vs, checked = CheckSession(r)
-	if hasCheck(checked, InvFailoverConverges) {
-		t.Fatalf("failover invariant checked with tail %d < %d", r.TailChunks, dash.FailBackAfter)
+	vs, checked, skipped = CheckSession(r)
+	if hasCheck(checked, InvFailoverConverges) || !hasCheck(skipped, InvFailoverConverges) {
+		t.Fatalf("failover invariant checked, or not reported skipped, with tail %d < %d", r.TailChunks, dash.FailBackAfter)
 	}
 	if len(vs) != 0 {
 		t.Fatalf("undecidable-tail session violated: %v", vs)
@@ -202,13 +210,13 @@ func TestFailoverConverges(t *testing.T) {
 	r.TailChunks = dash.FailBackAfter
 
 	r.Events = []telemetry.Event{ev(telemetry.SessionStart), away, back, ev(telemetry.SessionEnd)}
-	if vs, _ := CheckSession(r); len(vs) != 0 {
+	if vs, _, _ := CheckSession(r); len(vs) != 0 {
 		t.Fatalf("converged session violated: %v", vs)
 	}
 
 	// No failover at all converges vacuously.
 	r.Events = []telemetry.Event{ev(telemetry.SessionStart), ev(telemetry.SessionEnd)}
-	if vs, _ := CheckSession(r); len(vs) != 0 {
+	if vs, _, _ := CheckSession(r); len(vs) != 0 {
 		t.Fatalf("failover-free session violated: %v", vs)
 	}
 }
@@ -222,8 +230,8 @@ func TestCollectorAgreement(t *testing.T) {
 
 	r := rec(events...)
 	r.Archive = archived
-	vs, checked := CheckSession(r)
-	if !hasCheck(checked, InvCollectorAgreement) {
+	vs, checked, skipped := CheckSession(r)
+	if !hasCheck(checked, InvCollectorAgreement) || hasCheck(skipped, InvCollectorAgreement) {
 		t.Fatal("collector invariant not checked despite an archive")
 	}
 	if len(vs) != 0 {
@@ -231,12 +239,12 @@ func TestCollectorAgreement(t *testing.T) {
 	}
 
 	r.Archive = archived[:len(archived)-2]
-	vs, _ = CheckSession(r)
+	vs, _, _ = CheckSession(r)
 	hasViolation(t, vs, InvCollectorAgreement, "!= local journal")
 
 	r.Archive = archived
 	r.Dropped = 3
-	vs, _ = CheckSession(r)
+	vs, _, _ = CheckSession(r)
 	hasViolation(t, vs, InvCollectorAgreement, "dropped 3")
 }
 

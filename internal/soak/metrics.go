@@ -24,6 +24,7 @@ type Metrics struct {
 	stallSeconds   float64
 	chunks         int64
 	checks         map[string]int64
+	skipped        map[string]int64
 	failures       map[string]int64
 
 	lastViolations int64
@@ -36,6 +37,7 @@ func NewMetrics() *Metrics {
 	return &Metrics{
 		start:    time.Now(),
 		checks:   make(map[string]int64),
+		skipped:  make(map[string]int64),
 		failures: make(map[string]int64),
 	}
 }
@@ -56,6 +58,9 @@ func (m *Metrics) ObserveCycle(c *Cycle) {
 	}
 	for name, n := range c.Checks {
 		m.checks[name] += int64(n)
+	}
+	for name, n := range c.Skipped {
+		m.skipped[name] += int64(n)
 	}
 	for _, v := range c.Violations {
 		m.failures[v.Invariant]++
@@ -99,6 +104,7 @@ func (m *Metrics) write(w *obs.Writer) {
 	w.Counter("soak_chunks_total", "Chunks downloaded across all sessions.", float64(m.chunks))
 	w.Counter("soak_stall_seconds_total", "Total stall time across all sessions.", m.stallSeconds)
 	w.CounterVec("soak_invariant_checks_total", "Invariant evaluations by name.", "invariant", m.checks)
+	w.CounterVec("soak_invariant_skipped_total", "Sessions an invariant did not apply to or could not be decided on, by name.", "invariant", m.skipped)
 	w.CounterVec("soak_invariant_failures_total", "Invariant violations by name.", "invariant", m.failures)
 	w.Gauge("soak_consecutive_cycle_failures", "Failing cycles in a row (0 = healthy).", float64(m.consecFailures))
 	w.Gauge("soak_last_cycle_violations", "Violations in the most recent cycle.", float64(m.lastViolations))

@@ -98,6 +98,29 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// gated lists the invariants this configuration exists to exercise — a run
+// under it that never decides one has verified nothing about it: the
+// reservoir claim when the rotation reaches an algorithm that reports a
+// reservoir, failover convergence when in-process origins inject faults
+// beside a clean secondary, collector agreement when the check is on.
+func (c Config) gated() []string {
+	var gated []string
+	for i := 0; i < c.Sessions && i < len(c.Algorithms); i++ {
+		alg, _ := abr.New(c.Algorithms[i]) // an unknown name fails its session, and with it the cycle
+		if _, ok := alg.(abr.ReservoirReporter); ok {
+			gated = append(gated, InvNoRebufferAboveReservoir)
+			break
+		}
+	}
+	if c.BaseURL == "" && !c.DisableFaults {
+		gated = append(gated, InvFailoverConverges)
+	}
+	if c.CollectorCheck {
+		gated = append(gated, InvCollectorAgreement)
+	}
+	return gated
+}
+
 // chunkDuration returns the configured chunk duration.
 func (c Config) chunkDuration() time.Duration {
 	return time.Duration(c.ChunkMS) * time.Millisecond
@@ -168,10 +191,11 @@ type Cycle struct {
 	Sessions []SessionRecord
 	// Violations are every invariant breach the cycle's journals show.
 	Violations []Violation
-	// Checks counts invariant evaluations by name (a session that cannot
-	// be checked against an invariant — single endpoint, no reservoir
-	// events — does not count as a check).
-	Checks map[string]int
+	// Checks counts invariant evaluations by name, Skipped the sessions an
+	// invariant could not be checked against (single endpoint, too short a
+	// fault-free tail, no reservoir events, collector check off): per
+	// invariant, every session lands in exactly one of the two.
+	Checks, Skipped map[string]int
 	// Duration is the cycle's wall-clock time.
 	Duration time.Duration
 }
@@ -314,7 +338,7 @@ func (r *Runner) RunCycle(ctx context.Context, cycle int) (*Cycle, error) {
 		for i, s := range shippers {
 			s.Seal()
 			if err := s.Close(); err != nil {
-				records[i].Dropped++ // a lost reliable lane counts as loss
+				records[i].Dropped++ // a failed spill or an unfinished flush counts as loss
 			}
 			st := s.Stats()
 			records[i].Dropped += st.EventsDropped + st.FramesDropped
@@ -334,20 +358,30 @@ func (r *Runner) RunCycle(ctx context.Context, cycle int) (*Cycle, error) {
 		Index:    cycle,
 		Sessions: records,
 		Checks:   make(map[string]int),
+		Skipped:  make(map[string]int),
 		Duration: time.Since(cycleStart),
 	}
 	for i := range records {
-		vs, checked := CheckSession(&records[i])
+		vs, checked, skipped := CheckSession(&records[i])
 		c.Violations = append(c.Violations, vs...)
 		for _, name := range checked {
 			c.Checks[name]++
+		}
+		for _, name := range skipped {
+			c.Skipped[name]++
 		}
 	}
 	r.observeCycle(c)
 	for _, v := range c.Violations {
 		logf("cycle %d: VIOLATION %s", cycle, v)
 	}
-	logf("cycle %d: %d sessions, %d violations in %v", cycle, len(records), len(c.Violations), c.Duration.Round(10*time.Millisecond))
+	skipped := ""
+	for _, name := range InvariantNames() {
+		if n := c.Skipped[name]; n > 0 {
+			skipped += fmt.Sprintf("; %s skipped ×%d", name, n)
+		}
+	}
+	logf("cycle %d: %d sessions, %d violations in %v%s", cycle, len(records), len(c.Violations), c.Duration.Round(10*time.Millisecond), skipped)
 	return c, nil
 }
 
@@ -502,33 +536,44 @@ func (r *Runner) observeCycle(c *Cycle) {
 
 // Run executes cycles sequentially until the count is reached (cycles
 // <= 0 means run until ctx is cancelled), pausing interval between
-// them. It returns the number of failed cycles; the error reports
-// infrastructure failure or context cancellation (a cancelled unbounded
-// run returns failed, nil — that is the daemon's normal exit).
-func (r *Runner) Run(ctx context.Context, cycles int, interval time.Duration) (failed int, err error) {
+// them. It returns the number of failed cycles and the gated invariants
+// (Config.gated) that no session of any cycle decided — a run cannot vouch
+// for what it never evaluated; the error reports infrastructure failure
+// or context cancellation (a cancelled unbounded run returns a nil error —
+// that is the daemon's normal exit).
+func (r *Runner) Run(ctx context.Context, cycles int, interval time.Duration) (failed int, undecided []string, err error) {
+	decided := make(map[string]bool)
 	for i := 0; cycles <= 0 || i < cycles; i++ {
 		c, err := r.RunCycle(ctx, i)
 		if err != nil {
 			if cycles <= 0 && ctx.Err() != nil {
-				return failed, nil
+				return failed, nil, nil
 			}
-			return failed, err
+			return failed, nil, err
 		}
 		if !c.Pass() {
 			failed++
+		}
+		for name := range c.Checks {
+			decided[name] = true
 		}
 		if interval > 0 && (cycles <= 0 || i+1 < cycles) {
 			select {
 			case <-ctx.Done():
 				if cycles <= 0 {
-					return failed, nil
+					return failed, nil, nil
 				}
-				return failed, ctx.Err()
+				return failed, nil, ctx.Err()
 			case <-time.After(interval):
 			}
 		}
 	}
-	return failed, nil
+	for _, name := range r.cfg.gated() {
+		if !decided[name] {
+			undecided = append(undecided, name)
+		}
+	}
+	return failed, undecided, nil
 }
 
 // stamped stamps the session label onto every event BEFORE fan-out, so

@@ -3,6 +3,7 @@ package soak
 import (
 	"context"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -140,12 +141,15 @@ func TestRunCountsFailures(t *testing.T) {
 		Algorithms: []string{"Control"},
 	})
 	r.Metrics = NewMetrics()
-	failed, err := r.Run(context.Background(), 2, 0)
+	failed, undecided, err := r.Run(context.Background(), 2, 0)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if failed != 2 {
 		t.Fatalf("failed = %d, want 2", failed)
+	}
+	if len(undecided) != 0 {
+		t.Errorf("undecided = %v: an external origin, an estimator and no collector gate nothing", undecided)
 	}
 	if r.Metrics.Healthy() {
 		t.Error("metrics report healthy after consecutive failing cycles")
@@ -157,11 +161,30 @@ func TestRunCountsFailures(t *testing.T) {
 	}
 }
 
+// TestGatedInvariants: what a bounded run must have decided at least once
+// follows from the configuration alone.
+func TestGatedInvariants(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want []string
+	}{
+		{"defaults", Config{CollectorCheck: true}, []string{InvNoRebufferAboveReservoir, InvFailoverConverges, InvCollectorAgreement}},
+		{"no faults, fixed-reservoir and estimator arms", Config{Sessions: 2, Algorithms: []string{"BBA-0", "Control"}, DisableFaults: true, CollectorCheck: true}, []string{InvCollectorAgreement}},
+		{"external origin", Config{BaseURL: "http://127.0.0.1:1", Algorithms: []string{"BBA-2"}}, []string{InvNoRebufferAboveReservoir}},
+		{"rotation never reaches the BBA arm", Config{Sessions: 1, Algorithms: []string{"Control", "BBA-2"}, DisableFaults: true}, nil},
+	} {
+		if got := NewRunner(tc.cfg).Config().gated(); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: gated = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestRunUnboundedStopsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	r := NewRunner(Config{Sessions: 1, Watch: time.Second, BaseURL: "http://127.0.0.1:1"})
-	failed, err := r.Run(ctx, 0, time.Hour)
+	failed, _, err := r.Run(ctx, 0, time.Hour)
 	if err != nil {
 		t.Fatalf("cancelled unbounded run must exit clean, got %v", err)
 	}

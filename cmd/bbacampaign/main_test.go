@@ -150,8 +150,12 @@ func TestInterruptResume(t *testing.T) {
 // write lost.
 func TestSIGTERMWritesCheckpoint(t *testing.T) {
 	cp := filepath.Join(t.TempDir(), "cp.json")
+	// 20 shards against a merge window of 4 (2 × -workers): while the hook
+	// holds the fold at 2 the workers can finish at most 4 more, so whatever
+	// the scheduler does the checkpoint is a strict subset (5 shards fitted
+	// inside the window and came out complete when sessions got cheap).
 	// -checkpoint-every: only the on-cancel write can produce the file.
-	args := tiny("run", 40, "-checkpoint-every", "1048576", "-checkpoint", cp)
+	args := tiny("run", 160, "-checkpoint-every", "1048576", "-checkpoint", cp)
 	var runErr error
 	var errw bytes.Buffer
 	obs.Main("bbacampaign", func(ctx context.Context) error {

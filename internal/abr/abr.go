@@ -25,6 +25,16 @@
 // Algorithms are single-session state machines: construct a fresh instance
 // per session (via New or a Factory) and call Next once per chunk request.
 // They are not safe for concurrent use by multiple sessions.
+//
+// The BBA-1 family has one decision path, whoever drives the session:
+// Algorithm1Chunk scans the title's size column for the next chunk
+// (Stream.Column), on a chunk map whose reservoir and endpoints come from a
+// TitlePlan — the Figure 12 calculation for one (title, R_min, window) —
+// and BBA-Others' lookahead reads the title's prefix sums
+// (Stream.WindowSum). An instance builds and owns its plan unless a
+// PlanSource lends it one (PlanConsumer.UsePlans; the batch kernel does, so
+// a worker's sessions of a title share a table). DynamicReservoir is the
+// paper's transcription the plans are tested against.
 package abr
 
 import (
@@ -90,6 +100,17 @@ func (s Stream) VideoIndex(i int) int { return i + s.offset }
 // ChunkSize returns the size of chunk k at session ladder index i.
 func (s Stream) ChunkSize(i, k int) int64 {
 	return s.video.ChunkSize(i+s.offset, k)
+}
+
+// Column returns the sizes of chunk k at every session rate, lowest first,
+// with k clamped into the title so decisions near its end stay defined. It
+// aliases the title's storage: read-only.
+func (s Stream) Column(k int) []int64 { return s.video.Column(k)[s.offset:] }
+
+// WindowSum returns the total size at session index i of the window chunks
+// from k on, each clamped into the title as Column clamps k, in O(1).
+func (s Stream) WindowSum(i, k, window int) int64 {
+	return s.video.WindowSum(i+s.offset, k, window)
 }
 
 // NominalChunkSize returns the average (V·R) chunk size at session index i.

@@ -38,16 +38,16 @@ type BBA1 struct {
 	observed   bool
 	lastRes    time.Duration
 	haveRes    bool
-	resPlan    *reservoirPlan
-	plans      PlanSource
-	shared     *TitlePlan
+	plans      PlanSource // nil: this instance builds and owns its plans
+	bound      *TitlePlan // the plan of the stream view last decided on
 }
 
-// UsePlans implements PlanConsumer: reservoir lookups go through shared
-// per-title plans from src instead of a per-session deficit precompute.
+// UsePlans implements PlanConsumer: plans are borrowed from src instead of
+// built and owned by this instance. Which plan is read changes; nothing
+// computed from it does.
 func (b *BBA1) UsePlans(src PlanSource) {
 	b.plans = src
-	b.shared = nil
+	b.bound = nil
 }
 
 // NewBBA1 returns a BBA1 with the paper's deployed parameters.
@@ -91,86 +91,40 @@ func (b *BBA1) Name() string { return "BBA-1" }
 // buffer capacity: dynamic reservoir plus accrued outage protection,
 // cushion up to RampEndFraction·B_max.
 func (b *BBA1) Map(s Stream, k int, bufferMax time.Duration) ChunkMap {
+	tp := b.plan(s)
 	reservoir := b.FixedReservoir
 	if reservoir <= 0 {
-		reservoir = b.dynamicReservoir(s, k)
+		reservoir = tp.Reservoir(k)
 	}
-	return b.mapWithReservoir(s, reservoir+b.protection, bufferMax)
+	return b.mapWithReservoir(tp, reservoir+b.protection, bufferMax)
 }
 
-// dynamicReservoir is DynamicReservoir through the session-cached deficit
-// plan: identical results, amortized to one title-length precompute per
-// session instead of a full lookahead scan per decision.
-func (b *BBA1) dynamicReservoir(s Stream, k int) time.Duration {
-	if tp := b.sharedPlan(s); tp != nil {
-		return tp.Reservoir(k)
+// plan returns the TitlePlan for s. The bound plan serves until the title,
+// the R_min promotion or the window changes; then a fresh one is borrowed
+// from the plan source, or built when this instance owns its plans.
+func (b *BBA1) plan(s Stream) *TitlePlan {
+	if !b.bound.matches(s, b.ReservoirWindow) {
+		if b.plans != nil {
+			b.bound = b.plans.TitlePlan(s, b.ReservoirWindow)
+		} else {
+			b.bound = NewTitlePlan(s, b.ReservoirWindow)
+		}
 	}
-	if !b.resPlan.matches(s) {
-		b.resPlan = newReservoirPlan(s)
-	}
-	return b.resPlan.reservoir(k, b.ReservoirWindow)
+	return b.bound
 }
 
-// sharedPlan returns the shared per-title plan for s, fetching a fresh one
-// from the plan source on a title or R_min change; nil without UsePlans.
-// The fast path is a few compares — it runs several times per decision.
-func (b *BBA1) sharedPlan(s Stream) *TitlePlan {
-	tp := b.shared
-	if tp != nil && tp.video == s.video && len(s.ladder) > 0 &&
-		tp.rmin == s.ladder[0] && tp.window == b.ReservoirWindow {
-		return tp
-	}
-	return b.sharedPlanSlow(s)
-}
-
-func (b *BBA1) sharedPlanSlow(s Stream) *TitlePlan {
-	if b.plans == nil {
-		return nil
-	}
-	if !b.shared.matches(s, b.ReservoirWindow) {
-		b.shared = b.plans.TitlePlan(s, b.ReservoirWindow)
-	}
-	return b.shared
-}
-
-// chunkCol returns the shared plan's contiguous size column for a decision
-// at chunk k, or nil without a plan source.
-func (b *BBA1) chunkCol(s Stream, k int) []int64 {
-	tp := b.sharedPlan(s)
-	if tp == nil {
-		return nil
-	}
-	return tp.column(k)
-}
-
-// algorithm1 dispatches the Algorithm 1 barrier rule through the shared
-// plan's column when one is attached; choices are identical either way.
-func (b *BBA1) algorithm1(m ChunkMap, s Stream, prev, k int, buf time.Duration) int {
-	if col := b.chunkCol(s, k); col != nil {
-		return algorithm1Col(m, col, prev, buf)
-	}
-	return Algorithm1Chunk(m, s, prev, k, buf)
-}
-
-func (b *BBA1) mapWithReservoir(s Stream, reservoir time.Duration, bufferMax time.Duration) ChunkMap {
+// mapWithReservoir builds the chunk map over tp's endpoints, shifted right
+// by reservoir.
+func (b *BBA1) mapWithReservoir(tp *TitlePlan, reservoir, bufferMax time.Duration) ChunkMap {
 	b.lastRes = reservoir
 	b.haveRes = true
 	cushion := time.Duration(b.RampEndFraction*float64(bufferMax)) - reservoir
 	if cushion < time.Second {
 		cushion = time.Second
 	}
-	var chunkMin, chunkMax int64
-	if tp := b.sharedPlan(s); tp != nil {
-		// The plan cached these very conversions at construction.
-		chunkMin, chunkMax = tp.chunkMin, tp.chunkMax
-	} else {
-		l := s.Ladder()
-		chunkMin = l.Min().BytesIn(s.ChunkDuration())
-		chunkMax = l.Max().BytesIn(s.ChunkDuration())
-	}
 	return ChunkMap{
-		ChunkMin:  chunkMin,
-		ChunkMax:  chunkMax,
+		ChunkMin:  tp.chunkMin,
+		ChunkMax:  tp.chunkMax,
 		Reservoir: reservoir,
 		Cushion:   cushion,
 	}
@@ -180,7 +134,7 @@ func (b *BBA1) mapWithReservoir(s Stream, reservoir time.Duration, bufferMax tim
 func (b *BBA1) Next(st State, s Stream) int {
 	b.observe(st, true)
 	m := b.Map(s, st.NextChunk, st.BufferMax)
-	next := b.algorithm1(m, s, b.prev, st.NextChunk, st.Buffer)
+	next := Algorithm1Chunk(m, s, b.prev, st.NextChunk, st.Buffer)
 	b.prev = next
 	return next
 }

@@ -88,7 +88,7 @@ func (b *BBA2) Next(st State, s Stream) int {
 	b.steady.observe(st, !b.inStartup)
 
 	m := b.steady.Map(s, st.NextChunk, st.BufferMax)
-	mapSuggestion := b.steady.algorithm1(m, s, b.prev, st.NextChunk, st.Buffer)
+	mapSuggestion := Algorithm1Chunk(m, s, b.prev, st.NextChunk, st.Buffer)
 
 	if b.inStartup {
 		if st.Buffer < b.prevBuffer || mapSuggestion > b.prev {

@@ -88,7 +88,8 @@ func (b *BBAOthers) Seeked() {
 func (b *BBAOthers) Next(st State, s Stream) int {
 	// Right-shift-only reservoir: the chunk map may move right, never
 	// left. The clamp in DynamicReservoir bounds the ratchet at 140 s.
-	reservoir := b.core.steady.dynamicReservoir(s, st.NextChunk)
+	tp := b.core.steady.plan(s)
+	reservoir := tp.Reservoir(st.NextChunk)
 	b.lastDynamic = reservoir
 	if reservoir > b.maxReservoir {
 		b.maxReservoir = reservoir
@@ -105,9 +106,9 @@ func (b *BBAOthers) Next(st State, s Stream) int {
 	// Run the BBA2 core, but against the shifted, non-shrinking map. The
 	// core's own dynamic reservoir is bypassed by computing the map here
 	// and replaying its decision logic.
-	m := b.core.steady.mapWithReservoir(s, effective, st.BufferMax)
+	m := b.core.steady.mapWithReservoir(tp, effective, st.BufferMax)
 	prev := b.core.prev
-	mapSuggestion := b.core.steady.algorithm1(m, s, prev, st.NextChunk, st.Buffer)
+	mapSuggestion := Algorithm1Chunk(m, s, prev, st.NextChunk, st.Buffer)
 
 	if b.startupActive {
 		if st.Buffer < b.core.prevBuffer || mapSuggestion > prev {
@@ -156,15 +157,5 @@ func (b *BBAOthers) upSwitchSurvivesLookahead(m ChunkMap, s Stream, candidate in
 	}
 	cap := m.MaxChunk(st.Buffer)
 	below := s.Ladder().NextDown(candidate)
-	var sum int64
-	if tp := b.core.steady.sharedPlan(s); tp != nil {
-		// Prefix sums make the window total two loads; integer addition
-		// is associative, so the value is identical to the loop's.
-		sum = tp.UpcomingSum(below, st.NextChunk, window)
-	} else {
-		for i := 0; i < window; i++ {
-			sum += upcoming(s, below, st.NextChunk+i)
-		}
-	}
-	return cap > sum/int64(window)
+	return cap > s.WindowSum(below, st.NextChunk, window)/int64(window)
 }

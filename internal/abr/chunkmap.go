@@ -28,70 +28,18 @@ func (m ChunkMap) MaxChunk(b time.Duration) int64 {
 	return m.ChunkMin + int64(frac*float64(m.ChunkMax-m.ChunkMin))
 }
 
-// upcoming returns the size of chunk k at session index i, clamping k to
-// the last chunk so decisions near the end of the title stay defined.
-func upcoming(s Stream, i, k int) int64 {
-	if k >= s.NumChunks() {
-		k = s.NumChunks() - 1
-	}
-	if k < 0 {
-		k = 0
-	}
-	return s.ChunkSize(i, k)
-}
-
 // Algorithm1Chunk applies the Algorithm 1 barrier rule on the chunk map:
 // stay at prev as long as the size suggested by the map does not pass the
 // size of the *next upcoming chunk* at the next-higher or next-lower
 // available rate. On an up-crossing it returns the highest rate whose next
 // chunk still fits under the map; on a down-crossing, the lowest rate whose
 // next chunk exceeds it (rounding up, as in Algorithm 1's min{R_i : R_i >
-// f(B)}), floored at R_min.
+// f(B)}), floored at R_min. Every comparison runs against chunk k's size
+// column — one contiguous run of the title's index, k clamped to the last
+// chunk — and this is the only implementation: standalone sessions, batch
+// lanes and Figure 21 all decide here.
 func Algorithm1Chunk(m ChunkMap, s Stream, prev, k int, b time.Duration) int {
-	l := s.Ladder()
-	top := len(l) - 1
-	switch {
-	case b <= m.Reservoir:
-		return 0
-	case b >= m.Reservoir+m.Cushion:
-		return top
-	}
-	if prev < 0 {
-		return highestChunkAtMost(m, s, k, b)
-	}
-	prev = l.Clamp(prev)
-
-	cap := m.MaxChunk(b)
-	upSize := upcoming(s, l.NextUp(prev), k)
-	downSize := upcoming(s, l.NextDown(prev), k)
-	switch {
-	case prev != top && cap >= upSize:
-		// Step up: the highest rate whose upcoming chunk is still under
-		// the map, but at least one step.
-		next := highestChunkBelow(m, s, k, cap)
-		if next <= prev {
-			next = l.NextUp(prev)
-		}
-		return next
-	case prev != 0 && cap <= downSize:
-		// Step down: the lowest rate whose upcoming chunk exceeds the
-		// map (round up), at most one below... the paper allows multi-
-		// step drops, so take the lowest rate above the map value.
-		next := lowestChunkAbove(m, s, k, cap)
-		if next >= prev {
-			next = l.NextDown(prev)
-		}
-		return next
-	default:
-		return prev
-	}
-}
-
-// algorithm1Col is Algorithm1Chunk over a TitlePlan's contiguous size
-// column for the decision chunk: the same comparisons in the same order —
-// bit-identical choices — against one cache-resident run instead of
-// clamped per-rate lookups.
-func algorithm1Col(m ChunkMap, col []int64, prev int, b time.Duration) int {
+	col := s.Column(k)
 	top := len(col) - 1
 	switch {
 	case b <= m.Reservoir:
@@ -101,6 +49,8 @@ func algorithm1Col(m ChunkMap, col []int64, prev int, b time.Duration) int {
 	}
 	cap := m.MaxChunk(b)
 	if prev < 0 {
+		// First request: the highest rate whose chunk fits at or under
+		// the map, or R_min if none does.
 		best := 0
 		for i, sz := range col {
 			if sz <= cap {
@@ -112,74 +62,28 @@ func algorithm1Col(m ChunkMap, col []int64, prev int, b time.Duration) int {
 	if prev > top {
 		prev = top
 	}
-	up, down := prev+1, prev-1
-	if up > top {
-		up = top
-	}
-	if down < 0 {
-		down = 0
-	}
 	switch {
-	case prev != top && cap >= col[up]:
-		best := 0
-		for i, sz := range col {
-			if sz < cap {
+	case prev != top && cap >= col[prev+1]:
+		// Step up: the highest rate whose upcoming chunk is strictly
+		// under the map, but at least one step.
+		best := prev + 1
+		for i := best + 1; i <= top; i++ {
+			if col[i] < cap {
 				best = i
 			}
 		}
-		if best <= prev {
-			best = up
-		}
 		return best
-	case prev != 0 && cap <= col[down]:
-		next := top
-		for i, sz := range col {
+	case prev != 0 && cap <= col[prev-1]:
+		// Step down: the paper allows multi-step drops, so take the
+		// lowest rate whose upcoming chunk exceeds the map (round up),
+		// but at least one step.
+		for i, sz := range col[:prev-1] {
 			if sz > cap {
-				next = i
-				break
+				return i
 			}
 		}
-		if next >= prev {
-			next = down
-		}
-		return next
+		return prev - 1
 	default:
 		return prev
 	}
-}
-
-// highestChunkAtMost returns the highest session index whose upcoming chunk
-// size is ≤ the map value at b, or 0 if none.
-func highestChunkAtMost(m ChunkMap, s Stream, k int, b time.Duration) int {
-	cap := m.MaxChunk(b)
-	best := 0
-	for i := range s.Ladder() {
-		if upcoming(s, i, k) <= cap {
-			best = i
-		}
-	}
-	return best
-}
-
-// highestChunkBelow returns the highest session index whose upcoming chunk
-// is strictly below cap, or 0 if none.
-func highestChunkBelow(m ChunkMap, s Stream, k int, cap int64) int {
-	best := 0
-	for i := range s.Ladder() {
-		if upcoming(s, i, k) < cap {
-			best = i
-		}
-	}
-	return best
-}
-
-// lowestChunkAbove returns the lowest session index whose upcoming chunk is
-// strictly above cap; if every rate fits under cap it returns the top.
-func lowestChunkAbove(m ChunkMap, s Stream, k int, cap int64) int {
-	for i := range s.Ladder() {
-		if upcoming(s, i, k) > cap {
-			return i
-		}
-	}
-	return len(s.Ladder()) - 1
 }

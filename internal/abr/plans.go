@@ -7,137 +7,105 @@ import (
 	"bba/internal/units"
 )
 
-// TitlePlan is the shareable form of the Figure 12 reservoir precompute:
-// the clamped dynamic reservoir for every possible decision chunk of one
-// (title, R_min, window) combination. A per-session reservoirPlan still
-// pays an O(window) deficit scan per decision; the TitlePlan hoists those
-// scans into construction, so a decision becomes one slice load. Each
-// res[k] is produced by the very scan the session path would run — same
-// operands, same order — so results are bit-identical, which the
-// equivalence tests pin.
+// TitlePlan is the Figure 12 reservoir for one (title, R_min, window): what
+// of a BBA-1-family decision really is keyed by the session's promotion and
+// lookahead. It holds the per-chunk deficit series at capacity R_min, the
+// clamped dynamic reservoir of every decision chunk, and the chunk map's two
+// endpoints. (Chunk sizes and their window sums depend on the title alone
+// and live on media.Video.)
 //
-// A TitlePlan is immutable after construction and safe to share across
-// any number of sessions and goroutines. Campaigns build one per title a
-// shard draws (via PlanCache) and amortize it over every session of the
-// shard — the reservoir work that profiles as the hottest block of
-// scalar campaign execution disappears from the per-session cost.
-// Beyond the reservoir table the plan also hoists the other per-decision
-// title scans: the chunk-map endpoints Chunk_min/Chunk_max (unit
-// conversions recomputed by every map construction) and per-rate prefix
-// sums of chunk sizes, which turn the §7.2 lookahead-smoothing window sum
-// from O(window) loads into two. All of it is exact integer or replayed
-// arithmetic, so decisions stay bit-identical.
+// BBA-1 recomputes the reservoir before *every* decision over a 480 s
+// lookahead — ~120 size lookups and unit conversions per chunk if done as
+// DynamicReservoir writes it. The plan pays the conversions once per title
+// pass and each chunk's scan once, on the first decision that asks for it:
+// a session that stops early never scans the chunks it did not reach, and a
+// campaign worker's sessions of one title share one table. The scan
+// accumulates exactly the terms DynamicReservoir accumulates, in the same
+// order — deficit[idx] is the same downloadSecs−vSecs value from the same
+// operands — so every entry is bit-identical to it, which the tests pin.
+//
+// The table fills on first use, so a TitlePlan is not safe for concurrent
+// use: an algorithm instance owns the plan it builds, and a shared plan
+// belongs to the single goroutine that owns its PlanSource.
 type TitlePlan struct {
-	video  *media.Video  // identity of the title the plan was built for
-	rmin   units.BitRate // session R_min the deficits assume
-	window time.Duration // lookahead window X of the Figure 12 scan
-	res    []time.Duration
+	video   *media.Video    // identity of the title the plan was built for
+	rmin    units.BitRate   // session R_min the deficits assume
+	window  time.Duration   // lookahead window X of the Figure 12 scan
+	chunks  int             // X in chunks
+	deficit []float64       // per-chunk buffer deficit at capacity R_min, seconds
+	res     []time.Duration // reservoir per decision chunk; 0 until first asked for
 	// chunkMin/chunkMax are the session ladder's map endpoints
 	// l.Min().BytesIn(V) and l.Max().BytesIn(V).
 	chunkMin, chunkMax int64
-	// prefix[i][k] is the sum of the session-ladder rate-i chunk sizes
-	// over chunks [0, k) — window sums in O(1), exactly (integer adds).
-	prefix [][]int64
-	// cols holds the same sizes column-major: cols[k*nr+i] is chunk k's
-	// size at session rate i, so one decision's ladder scans touch one
-	// contiguous run instead of striding across per-rate rows.
-	cols []int64
-	nr   int
 }
 
-// NewTitlePlan precomputes the reservoir table for s with lookahead
-// window (0 means DefaultReservoirWindow).
+// NewTitlePlan precomputes the deficit series and map endpoints for s with
+// lookahead window (0 means DefaultReservoirWindow).
 func NewTitlePlan(s Stream, window time.Duration) *TitlePlan {
-	if window <= 0 {
-		window = DefaultReservoirWindow
-	}
-	p := newReservoirPlan(s)
-	tp := &TitlePlan{
-		video:  s.Video(),
-		rmin:   s.Ladder().Min(),
-		window: window,
-		res:    make([]time.Duration, s.NumChunks()),
-	}
-	for k := range tp.res {
-		tp.res[k] = p.reservoir(k, window)
-	}
+	window = planWindow(window)
+	v := s.ChunkDuration()
+	vSecs := v.Seconds()
 	l := s.Ladder()
-	tp.chunkMin = l.Min().BytesIn(s.ChunkDuration())
-	tp.chunkMax = l.Max().BytesIn(s.ChunkDuration())
-	tp.prefix = make([][]int64, len(l))
-	tp.nr = len(l)
-	tp.cols = make([]int64, len(l)*s.NumChunks())
-	for i := range l {
-		row := make([]int64, s.NumChunks()+1)
-		for k := 0; k < s.NumChunks(); k++ {
-			sz := s.ChunkSize(i, k)
-			row[k+1] = row[k] + sz
-			tp.cols[k*tp.nr+i] = sz
-		}
-		tp.prefix[i] = row
+	rmin := l.Min()
+	n := s.NumChunks()
+	tp := &TitlePlan{
+		video:    s.Video(),
+		rmin:     rmin,
+		window:   window,
+		chunks:   int(window / v),
+		deficit:  make([]float64, n),
+		res:      make([]time.Duration, n),
+		chunkMin: rmin.BytesIn(v),
+		chunkMax: l.Max().BytesIn(v),
+	}
+	for idx := range tp.deficit {
+		downloadSecs := float64(s.ChunkSize(0, idx)*8) / float64(rmin)
+		tp.deficit[idx] = downloadSecs - vSecs
 	}
 	return tp
 }
 
-// column returns the contiguous size column for a decision at chunk k,
-// with the same end-of-title clamping upcoming applies.
-func (tp *TitlePlan) column(k int) []int64 {
-	n := len(tp.res)
-	if k >= n {
-		k = n - 1
+// planWindow resolves the "0 means default" window convention once, so plan
+// identity compares resolved values.
+func planWindow(window time.Duration) time.Duration {
+	if window <= 0 {
+		return DefaultReservoirWindow
 	}
-	if k < 0 {
-		k = 0
-	}
-	return tp.cols[k*tp.nr : (k+1)*tp.nr]
-}
-
-// UpcomingSum returns the sum of upcoming(s, i, k+j) for j in [0, window)
-// — the §7.2 lookahead window total, with the same end-of-title clamping
-// the per-chunk loop applies — in O(1) via the prefix sums.
-func (tp *TitlePlan) UpcomingSum(i, k, window int) int64 {
-	row := tp.prefix[i]
-	n := len(row) - 1
-	lo, hi := k, k+window
-	var sum int64
-	if lo < 0 { // chunks clamped up to 0 contribute size[0] each
-		stop := hi
-		if stop > 0 {
-			stop = 0
-		}
-		sum += int64(stop-lo) * (row[1] - row[0])
-		lo = 0
-	}
-	if hi > n { // chunks clamped down to n-1 contribute size[n-1] each
-		start := lo
-		if start < n {
-			start = n
-		}
-		sum += int64(hi-start) * (row[n] - row[n-1])
-		hi = n
-	}
-	if hi > lo {
-		sum += row[hi] - row[lo]
-	}
-	return sum
+	return window
 }
 
 // matches reports whether the plan was built for this exact stream view
 // and window: same title, same (possibly promoted) R_min, same lookahead.
 func (tp *TitlePlan) matches(s Stream, window time.Duration) bool {
-	if window <= 0 {
-		window = DefaultReservoirWindow
-	}
-	return tp != nil && tp.video == s.Video() &&
-		tp.rmin == s.Ladder().Min() && tp.window == window
+	return tp != nil && tp.video == s.video &&
+		tp.rmin == s.ladder.Min() && tp.window == planWindow(window)
 }
 
-// Reservoir returns the dynamic reservoir for a decision at chunk k. Out
-// of range k gets the empty-scan value, like the session path.
+// Reservoir returns the dynamic reservoir for a decision at chunk k:
+// DynamicReservoir over the precomputed deficits, scanned once per chunk.
+// Out of range k gets the empty-scan value.
 func (tp *TitlePlan) Reservoir(k int) time.Duration {
 	if k < 0 || k >= len(tp.res) {
 		return clampReservoir(0)
 	}
+	if r := tp.res[k]; r != 0 { // a filled entry is ≥ MinReservoir
+		return r
+	}
+	end := k + tp.chunks
+	if end > len(tp.deficit) {
+		end = len(tp.deficit)
+	}
+	var running, worst float64
+	for _, d := range tp.deficit[k:end] {
+		running += d
+		if running > worst {
+			worst = running
+			if worst >= maxReservoirSecs {
+				break // clamp saturated; see DynamicReservoir
+			}
+		}
+	}
+	tp.res[k] = clampReservoir(worst)
 	return tp.res[k]
 }
 
@@ -148,11 +116,12 @@ type PlanSource interface {
 	TitlePlan(s Stream, window time.Duration) *TitlePlan
 }
 
-// PlanConsumer is implemented by algorithms whose per-session reservoir
-// precompute can be replaced by shared per-title plans. Callers running
-// many sessions over a small catalog (campaigns, arenas, the batch
-// kernel) attach one source to every freshly built algorithm; decisions
-// are bit-identical either way.
+// PlanConsumer is implemented by algorithms that read a TitlePlan. Left
+// alone, an instance builds and owns its plan; a caller running many
+// sessions over a small catalog on one goroutine (the batch kernel, and so
+// every campaign and arena) attaches one source to every freshly built
+// algorithm so they share the tables. Attaching a source changes who owns
+// the plan, never what is computed from it.
 type PlanConsumer interface {
 	UsePlans(PlanSource)
 }
@@ -164,9 +133,9 @@ type planKey struct {
 }
 
 // PlanCache builds TitlePlans on demand and retains them keyed by
-// (title, R_min, window). It is not safe for concurrent use; each
-// campaign worker owns one. The plans it hands out are immutable, so
-// plans may be shared freely once retrieved.
+// (title, R_min, window). Neither it nor the plans it hands out are safe
+// for concurrent use: each campaign worker owns one cache, and every
+// algorithm it is attached to runs on that worker's goroutine.
 type PlanCache struct {
 	m map[planKey]*TitlePlan
 }
@@ -176,9 +145,7 @@ func NewPlanCache() *PlanCache { return &PlanCache{m: make(map[planKey]*TitlePla
 
 // TitlePlan implements PlanSource.
 func (c *PlanCache) TitlePlan(s Stream, window time.Duration) *TitlePlan {
-	if window <= 0 {
-		window = DefaultReservoirWindow
-	}
+	window = planWindow(window)
 	k := planKey{video: s.Video(), rmin: s.Ladder().Min(), window: window}
 	tp := c.m[k]
 	if tp == nil {

@@ -17,32 +17,85 @@ func planStream(t *testing.T, seed int64, chunks int) Stream {
 	return NewStream(v, 0)
 }
 
-// TestTitlePlanMatchesSessionScan pins the shared-plan contract: every
-// table entry equals the per-session deficit scan exactly — not
-// approximately — for the default window and a non-default one.
+// TestTitlePlanMatchesSessionScan pins the plan's contract: every table
+// entry equals the paper's full lookahead scan exactly — not approximately
+// — for the default window and a non-default one, whether the lazily
+// filled table is first read in decision order, out of order (a seek, or a
+// worker's sessions of one title at different positions) or a second time.
 func TestTitlePlanMatchesSessionScan(t *testing.T) {
 	s := planStream(t, 7, 700)
 	for _, window := range []time.Duration{0, DefaultReservoirWindow, 200 * time.Second} {
-		tp := NewTitlePlan(s, window)
-		p := newReservoirPlan(s)
+		inOrder, shuffled := NewTitlePlan(s, window), NewTitlePlan(s, window)
+		for _, k := range rand.New(rand.NewSource(1)).Perm(s.NumChunks()) {
+			if got, want := shuffled.Reservoir(k), DynamicReservoir(s, k, window); got != want {
+				t.Fatalf("window %v chunk %d read out of order: plan %v, scan %v", window, k, got, want)
+			}
+		}
 		for k := 0; k < s.NumChunks(); k++ {
-			if got, want := tp.Reservoir(k), p.reservoir(k, window); got != want {
+			want := DynamicReservoir(s, k, window)
+			if got := inOrder.Reservoir(k); got != want {
 				t.Fatalf("window %v chunk %d: plan %v, scan %v", window, k, got, want)
+			}
+			if got := shuffled.Reservoir(k); got != want {
+				t.Fatalf("window %v chunk %d re-read: plan %v, scan %v", window, k, got, want)
 			}
 		}
 		// Out-of-range decisions get the empty-scan value.
-		if got, want := tp.Reservoir(s.NumChunks()), clampReservoir(0); got != want {
-			t.Errorf("out-of-range reservoir %v, want %v", got, want)
+		for _, k := range []int{-1, s.NumChunks(), s.NumChunks() + 100} {
+			if got, want := inOrder.Reservoir(k), clampReservoir(0); got != want {
+				t.Errorf("out-of-range chunk %d: reservoir %v, want %v", k, got, want)
+			}
 		}
 	}
 }
 
+// planWalk feeds one algorithm instance the decisions of one session over a
+// plausible, reproducible buffer walk, a chunk per step.
+type planWalk struct {
+	alg    Algorithm
+	stream Stream
+	rng    *rand.Rand
+	buf    time.Duration
+	prev   int
+	k      int
+}
+
+func newPlanWalk(alg Algorithm, stream Stream) *planWalk {
+	return &planWalk{alg: alg, stream: stream, rng: rand.New(rand.NewSource(42)), prev: -1}
+}
+
+func (w *planWalk) done() bool { return w.k >= w.stream.NumChunks() }
+
+func (w *planWalk) step() int {
+	w.prev = w.alg.Next(State{
+		Now:       time.Duration(w.k) * w.stream.ChunkDuration(),
+		Buffer:    w.buf,
+		BufferMax: 240 * time.Second,
+		PrevIndex: w.prev,
+		NextChunk: w.k,
+	}, w.stream)
+	w.k++
+	w.buf += time.Duration(w.rng.Int63n(int64(6 * time.Second)))
+	if w.buf > 220*time.Second {
+		w.buf = 40 * time.Second
+	}
+	return w.prev
+}
+
 // TestPlanConsumerDecisionsIdentical runs BBA-1, BBA-2 and BBA-Others
-// with and without a shared PlanCache through identical decision
-// sequences and requires identical rate choices.
+// through identical decision sequences, once owning their plan and once
+// borrowing it from a PlanCache, and requires identical rate choices and
+// reservoir reports: UsePlans moves ownership, not arithmetic. The one
+// cache serves every algorithm, both titles and both promotions, first a
+// session at a time and then with the sessions' decisions interleaved chunk
+// by chunk, as a batch worker's lanes interleave them.
 func TestPlanConsumerDecisionsIdentical(t *testing.T) {
 	s := planStream(t, 11, 600)
-	promoted := NewStream(s.Video(), s.Ladder()[2])
+	other := planStream(t, 12, 450)
+	streams := []Stream{
+		s, NewStream(s.Video(), s.Ladder()[2]),
+		other, NewStream(other.Video(), other.Ladder()[2]),
+	}
 	cache := NewPlanCache()
 	builders := map[string]func() Algorithm{
 		"BBA-1":      func() Algorithm { return NewBBA1() },
@@ -50,42 +103,44 @@ func TestPlanConsumerDecisionsIdentical(t *testing.T) {
 		"BBA-Others": func() Algorithm { return NewBBAOthers() },
 	}
 	for name, build := range builders {
-		for _, stream := range []Stream{s, promoted} {
-			plain := build()
-			shared := build()
-			shared.(PlanConsumer).UsePlans(cache)
-
-			rng := rand.New(rand.NewSource(42))
-			buf := time.Duration(0)
-			prevPlain, prevShared := -1, -1
-			for k := 0; k < stream.NumChunks(); k++ {
-				st := State{
-					Now:       time.Duration(k) * stream.ChunkDuration(),
-					Buffer:    buf,
-					BufferMax: 240 * time.Second,
-					NextChunk: k,
-				}
-				st.PrevIndex = prevPlain
-				a := plain.Next(st, stream)
-				st.PrevIndex = prevShared
-				b := shared.Next(st, stream)
+		borrowing := func(stream Stream) *planWalk {
+			alg := build()
+			alg.(PlanConsumer).UsePlans(cache)
+			return newPlanWalk(alg, stream)
+		}
+		want := make([][]int, len(streams))
+		lanes := make([]*planWalk, len(streams))
+		for i, stream := range streams {
+			owned, shared := newPlanWalk(build(), stream), borrowing(stream)
+			for !owned.done() {
+				a, b := owned.step(), shared.step()
 				if a != b {
-					t.Fatalf("%s chunk %d: plain chose %d, shared chose %d", name, k, a, b)
+					t.Fatalf("%s stream %d chunk %d: owned plan chose %d, shared plan chose %d", name, i, owned.k-1, a, b)
 				}
-				prevPlain, prevShared = a, b
-				// A plausible, reproducible buffer walk.
-				buf += time.Duration(rng.Int63n(int64(6 * time.Second)))
-				if buf > 220*time.Second {
-					buf = 40 * time.Second
-				}
+				want[i] = append(want[i], a)
 			}
-
-			ra, pa, oka := plain.(ReservoirReporter).LastReservoir()
-			rb, pb, okb := shared.(ReservoirReporter).LastReservoir()
+			ra, pa, oka := owned.alg.(ReservoirReporter).LastReservoir()
+			rb, pb, okb := shared.alg.(ReservoirReporter).LastReservoir()
 			if ra != rb || pa != pb || oka != okb {
 				t.Errorf("%s: reservoir report (%v,%v,%v) vs (%v,%v,%v)", name, ra, pa, oka, rb, pb, okb)
 			}
+			lanes[i] = borrowing(stream)
 		}
+		for running := true; running; {
+			running = false
+			for i, lane := range lanes {
+				if lane.done() {
+					continue
+				}
+				running = true
+				if got := lane.step(); got != want[i][lane.k-1] {
+					t.Fatalf("%s interleaved stream %d chunk %d: chose %d, owned plan chose %d", name, i, lane.k-1, got, want[i][lane.k-1])
+				}
+			}
+		}
+	}
+	if got := len(cache.m); got != len(streams) {
+		t.Errorf("cache holds %d plans for %d (title, R_min) views at one window", got, len(streams))
 	}
 }
 

@@ -3,7 +3,6 @@ package abr
 import (
 	"time"
 
-	"bba/internal/media"
 	"bba/internal/units"
 )
 
@@ -27,6 +26,10 @@ const DefaultReservoirWindow = 480 * time.Second
 // (tiny chunks download faster than real time) and for an action scene it
 // can exceed half the buffer, exactly as the paper describes. The result is
 // clamped to [MinReservoir, MaxReservoir].
+//
+// This is the paper transcription: one full lookahead scan per call. The
+// algorithms read the same values through a TitlePlan, which the tests hold
+// to this function bit for bit.
 func DynamicReservoir(s Stream, k int, window time.Duration) time.Duration {
 	if window <= 0 {
 		window = DefaultReservoirWindow
@@ -71,66 +74,4 @@ func clampReservoir(worstSecs float64) time.Duration {
 		return MaxReservoir
 	}
 	return r
-}
-
-// reservoirPlan caches the Figure 12 per-chunk deficit series for one
-// stream, turning every per-decision reservoir recomputation into a tight
-// scan over a float slice. BBA-1 (and everything built on it) recomputes
-// the reservoir before *every* decision over a 480 s lookahead — ~120
-// ChunkSize calls and unit conversions per chunk — which profiling shows
-// dominating whole-session simulation. The plan hoists that work to one
-// O(NumChunks) pass per session.
-//
-// The scan accumulates exactly the terms DynamicReservoir accumulates, in
-// the same order — deficit[idx] is the same downloadSecs−vSecs value, with
-// the same operands — so the result is bit-identical, which the
-// equivalence tests in reservoir_test.go pin.
-type reservoirPlan struct {
-	video   *media.Video  // identity of the title the plan was built for
-	rmin    units.BitRate // session R_min the deficits assume
-	v       time.Duration // chunk duration
-	deficit []float64     // per-chunk buffer deficit at capacity R_min, seconds
-}
-
-// newReservoirPlan precomputes the deficit series for s.
-func newReservoirPlan(s Stream) *reservoirPlan {
-	v := s.ChunkDuration()
-	vSecs := v.Seconds()
-	rmin := s.Ladder().Min()
-	n := s.NumChunks()
-	p := &reservoirPlan{video: s.Video(), rmin: rmin, v: v, deficit: make([]float64, n)}
-	for idx := 0; idx < n; idx++ {
-		downloadSecs := float64(s.ChunkSize(0, idx)*8) / float64(rmin)
-		p.deficit[idx] = downloadSecs - vSecs
-	}
-	return p
-}
-
-// matches reports whether the plan was built for this exact stream view:
-// same title and same (possibly promoted) R_min.
-func (p *reservoirPlan) matches(s Stream) bool {
-	return p != nil && p.video == s.Video() && p.rmin == s.Ladder().Min()
-}
-
-// reservoir is DynamicReservoir over the precomputed deficits.
-func (p *reservoirPlan) reservoir(k int, window time.Duration) time.Duration {
-	if window <= 0 {
-		window = DefaultReservoirWindow
-	}
-	chunks := int(window / p.v)
-	end := k + chunks
-	if end > len(p.deficit) {
-		end = len(p.deficit)
-	}
-	var running, worst float64
-	for idx := k; idx < end; idx++ {
-		running += p.deficit[idx]
-		if running > worst {
-			worst = running
-			if worst >= maxReservoirSecs {
-				break // clamp saturated; see DynamicReservoir
-			}
-		}
-	}
-	return clampReservoir(worst)
 }

@@ -86,10 +86,11 @@ func TestDynamicReservoirWindowDefault(t *testing.T) {
 }
 
 // TestReservoirPlanMatchesDynamicReservoir pins the hot-path cache: on
-// randomized VBR titles (with and without R_min promotion), the per-session
-// deficit plan returns the exact DynamicReservoir result for every chunk
-// and a spread of windows. Bit-identical, not approximately equal — the
-// plan accumulates the same terms in the same order.
+// randomized VBR titles (with and without R_min promotion), the plan
+// returns the exact DynamicReservoir result for every chunk and a spread of
+// windows — shorter than a chunk, the default, longer than the title.
+// Bit-identical, not approximately equal — the plan accumulates the same
+// terms in the same order.
 func TestReservoirPlanMatchesDynamicReservoir(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		s := vbrStream(t, seed)
@@ -98,14 +99,14 @@ func TestReservoirPlanMatchesDynamicReservoir(t *testing.T) {
 			// the encode's full ladder.
 			s = NewStream(s.Video(), s.Ladder()[1])
 		}
-		plan := newReservoirPlan(s)
-		if !plan.matches(s) {
-			t.Fatal("fresh plan does not match its own stream")
-		}
-		for k := 0; k < s.NumChunks(); k += 7 {
-			for _, w := range []time.Duration{0, 30 * time.Second, DefaultReservoirWindow, 1200 * time.Second} {
+		for _, w := range []time.Duration{0, time.Second, 30 * time.Second, DefaultReservoirWindow, 1200 * time.Second, 3000 * time.Second} {
+			plan := NewTitlePlan(s, w)
+			if !plan.matches(s, w) {
+				t.Fatal("fresh plan does not match its own stream")
+			}
+			for k := 0; k < s.NumChunks(); k++ {
 				want := DynamicReservoir(s, k, w)
-				if got := plan.reservoir(k, w); got != want {
+				if got := plan.Reservoir(k); got != want {
 					t.Fatalf("seed %d chunk %d window %v: plan %v, reference %v", seed, k, w, got, want)
 				}
 			}
@@ -114,21 +115,42 @@ func TestReservoirPlanMatchesDynamicReservoir(t *testing.T) {
 }
 
 // TestReservoirPlanRebindsOnStreamChange pins the guard: a BBA-1 instance
-// asked about a different title or a different R_min promotion must rebuild
-// its plan rather than reuse stale deficits.
+// asked about a different title, a different R_min promotion or with a
+// changed window must bind a fresh plan rather than reuse stale deficits
+// and map endpoints — whether it owns its plans or borrows them — and must
+// keep the bound plan while nothing changed.
 func TestReservoirPlanRebindsOnStreamChange(t *testing.T) {
 	a := vbrStream(t, 1)
 	promoted := NewStream(a.Video(), a.Ladder()[2])
-	b := NewBBA1()
-	if got, want := b.dynamicReservoir(a, 10), DynamicReservoir(a, 10, b.ReservoirWindow); got != want {
-		t.Fatalf("first stream: %v, want %v", got, want)
-	}
-	if got, want := b.dynamicReservoir(promoted, 10), DynamicReservoir(promoted, 10, b.ReservoirWindow); got != want {
-		t.Fatalf("promoted stream: %v, want %v", got, want)
-	}
 	other := vbrStream(t, 2)
-	if got, want := b.dynamicReservoir(other, 10), DynamicReservoir(other, 10, b.ReservoirWindow); got != want {
-		t.Fatalf("second title: %v, want %v", got, want)
+	for _, src := range []PlanSource{nil, NewPlanCache()} {
+		b := NewBBA1()
+		if src != nil {
+			b.UsePlans(src)
+		}
+		check := func(what string, s Stream) *TitlePlan {
+			t.Helper()
+			m := b.Map(s, 10, 240*time.Second)
+			if want := DynamicReservoir(s, 10, b.ReservoirWindow); m.Reservoir != want {
+				t.Fatalf("%s: reservoir %v, want %v", what, m.Reservoir, want)
+			}
+			if want := testChunkMap(s); m.ChunkMin != want.ChunkMin || m.ChunkMax != want.ChunkMax {
+				t.Fatalf("%s: map endpoints (%d, %d), want (%d, %d)", what, m.ChunkMin, m.ChunkMax, want.ChunkMin, want.ChunkMax)
+			}
+			if b.plan(s) != b.bound {
+				t.Fatalf("%s: a second look at the same stream rebound the plan", what)
+			}
+			return b.bound
+		}
+		first := check("first stream", a)
+		if check("promoted stream", promoted) == first {
+			t.Fatal("promoted R_min kept the base plan")
+		}
+		check("second title", other)
+		b.ReservoirWindow = 120 * time.Second
+		check("shorter window", other)
+		b.ReservoirWindow = 0 // the zero value means the default window
+		check("zero window", a)
 	}
 }
 

@@ -15,8 +15,11 @@
 //     session the Runner ever executes — steady state allocates nothing
 //     for lane or kernel state.
 //   - Per-title reservoir plans (abr.TitlePlan) are built once per
-//     (title, R_min) a shard draws and shared read-only by every lane
-//     playing that title, via the Runner's abr.PlanCache.
+//     (title, R_min) a worker draws and shared by every lane playing that
+//     title, via the Runner's abr.PlanCache. Lanes fill a plan's table as
+//     they go, which is safe because they all step on the Runner's
+//     goroutine. Sharing changes who owns a plan, not what a lane
+//     computes: a lane runs the decision code player.Run runs.
 //   - Sessions run with player.Config.SkipChunkRecords: campaigns never
 //     read Result.Chunks, and the per-chunk log would be a fresh
 //     session's dominant allocation.

@@ -32,7 +32,7 @@ func campaignAlloc(t *testing.T, cfg Config) (bytes uint64, sessions int64) {
 // TestAllocationBudget is the benchmark's bytes_per_op estimator —
 // MemStats.TotalAlloc per player session of a campaign of the benchmark's
 // shape on one worker — as a tier-1 test. The benchmark spreads
-// a campaign's set-up (the catalog and 48 title plans, ≈11 MB) over 24 576
+// a campaign's set-up (the catalog and 48 title plans, ≈6 MB) over 24 576
 // sessions; a 256-draw campaign cannot, so the test takes the marginal
 // cost: a three-shard campaign minus a one-shard one, per extra session.
 // Its floor is the traces that leave each draw (≈1.8 KB a session per
@@ -66,6 +66,61 @@ func TestAllocationBudget(t *testing.T) {
 				t.Errorf("%.0f B allocated per player session, budget %.0f", per, tc.budget)
 			}
 		})
+	}
+}
+
+// benchShape is the benchmark's campaign-scalar configuration: the paper's
+// six arms over 24 titles, 4 096 paired draws in shards of 256.
+func benchShape(parallelism int) Config {
+	return Config{Seed: 7, Sessions: 4096, ShardSize: 256, Parallelism: parallelism}
+}
+
+// TestPlanFootprint pins what a worker's plan cache costs and that nothing
+// else is per worker. A plan holds only what is keyed by (title, R_min,
+// window) — a deficit series, a reservoir table, two map endpoints — so
+// building every plan the benchmark-shaped campaign touches stays under
+// 1.5 MB (it was 9.09 MB while each plan carried its own copy of the
+// title's sizes and prefix sums); and since the size index lives on the
+// title, a second worker adds a second set of those small plans and no
+// second index: bytes per player session at Parallelism 2 stay within 3 %
+// of Parallelism 1 (they were 12 % apart).
+func TestPlanFootprint(t *testing.T) {
+	cfg := benchShape(1)
+	cfg.applyDefaults()
+	catalog, err := media.NewCatalog(cfg.CatalogSize, cfg.Ladder, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc abtest.Scratch
+	streams := make([]abr.Stream, 0, cfg.Sessions)
+	for i := 0; i < cfg.Sessions; i++ {
+		u, video, _ := shardDraw(&cfg, catalog, &sc, i/cfg.ShardSize, i%cfg.ShardSize)
+		streams = append(streams, abr.NewStream(video, u.Rmin))
+	}
+	plans := map[*abr.TitlePlan]bool{}
+	var mem runtime.MemStats
+	runtime.ReadMemStats(&mem)
+	before := mem.TotalAlloc
+	cache := abr.NewPlanCache()
+	for _, s := range streams {
+		plans[cache.TitlePlan(s, 0)] = true
+	}
+	runtime.ReadMemStats(&mem)
+	built := mem.TotalAlloc - before
+	t.Logf("%d plans for %d draws: %d B", len(plans), len(streams), built)
+	if len(plans) < cfg.CatalogSize {
+		t.Errorf("only %d plans over a %d-title catalog; the draw no longer covers it", len(plans), cfg.CatalogSize)
+	}
+	if built > 1500<<10 {
+		t.Errorf("building the campaign's %d plans allocated %d B, budget 1.5 MB: a plan holds a reservoir, not a copy of the title", len(plans), built)
+	}
+
+	b1, s1 := campaignAlloc(t, benchShape(1))
+	b2, s2 := campaignAlloc(t, benchShape(2))
+	per1, per2 := float64(b1)/float64(s1), float64(b2)/float64(s2)
+	t.Logf("%.0f B per player session on one worker, %.0f on two", per1, per2)
+	if per2 > per1*1.03 {
+		t.Errorf("a second worker raised bytes per player session from %.0f to %.0f (> 3 %%): something title-sized is being built per worker", per1, per2)
 	}
 }
 

@@ -294,7 +294,7 @@ func (c *Collector) writeMetrics(w *obs.Writer) {
 	counter := func(name, help string, v int64) { w.Counter(name, help, float64(v)) }
 	counter("bba_collect_frames_duplicate_total", "Duplicate frames recognized and discarded.", s.FramesDup)
 	counter("bba_collect_frames_bad_total", "Frames permanently rejected (decode, checksum or payload).", s.FramesBad)
-	counter("bba_collect_frames_retry_total", "Frames NACKed for retry (dedup window, unknown run).", s.FramesRetry)
+	counter("bba_collect_frames_retry_total", "Frames NACKed for retry (an archive append failed, or its failure is sticky).", s.FramesRetry)
 	counter("bba_collect_events_total", "Telemetry events admitted.", s.Events)
 	counter("bba_collect_streams_total", "Distinct (run, session) sender streams seen.", s.Streams)
 	counter("bba_collect_archive_errors_total", "Event frames NACKed because the archive could not persist them.", s.ArchiveErrors)

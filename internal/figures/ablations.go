@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"bba/internal/abr"
@@ -17,27 +16,12 @@ import (
 	"bba/internal/units"
 )
 
-// ablationExperiment runs a reduced paired experiment over custom groups.
-// Results are cached by a caller-supplied key.
-var (
-	ablMu    sync.Mutex
-	ablCache = map[string]*campaign.WeekendOutcome{}
-)
-
+// ablationExperiment runs a reduced paired experiment over custom groups,
+// once per caller-supplied key, through the package's one experiment cache.
 func ablationExperiment(key string, groups []abtest.Group) (*campaign.WeekendOutcome, error) {
-	ablMu.Lock()
-	defer ablMu.Unlock()
-	if out, ok := ablCache[key]; ok {
-		return out, nil
-	}
 	cfg := campaign.WeekendConfig(ExperimentSeed+7, 2, 40)
 	cfg.Groups = groups
-	out, err := campaign.RunWeekend(context.Background(), cfg)
-	if err != nil {
-		return nil, err
-	}
-	ablCache[key] = out
-	return out, nil
+	return experiment(context.Background(), "ablation/"+key, cfg)
 }
 
 func groupPeakSummary(out *campaign.WeekendOutcome, names []string) []string {

@@ -139,9 +139,11 @@ func ExperimentConfig(scale Scale) campaign.Config {
 	return campaign.WeekendConfig(ExperimentSeed, 2, 80)
 }
 
-// expFlight is the single-flight slot for one scale's weekend experiment:
-// the first caller runs it, concurrent callers block on the same run, and
-// every later caller reads the cached result.
+// expFlight is the single-flight slot for one population experiment — a
+// scale's weekend, or one ablation's arms: the first caller runs it,
+// concurrent callers block on the same run, and every later caller reads
+// the cached result. Slots are independent, so distinct experiments run
+// side by side under GenerateAll's fan-out.
 type expFlight struct {
 	once sync.Once
 	out  *campaign.WeekendOutcome
@@ -150,8 +152,36 @@ type expFlight struct {
 
 var (
 	expMu      sync.Mutex
-	expFlights = map[Scale]*expFlight{}
+	expFlights = map[string]*expFlight{}
 )
+
+// experiment returns the outcome cached under key, running cfg on first
+// use. The context of whichever caller starts the flight governs it; a run
+// that failed (including one canceled mid-flight) is not cached, so a later
+// caller retries.
+func experiment(ctx context.Context, key string, cfg campaign.Config) (*campaign.WeekendOutcome, error) {
+	expMu.Lock()
+	f, ok := expFlights[key]
+	if !ok {
+		f = &expFlight{}
+		expFlights[key] = f
+	}
+	expMu.Unlock()
+	f.once.Do(func() {
+		f.out, f.err = campaign.RunWeekend(ctx, cfg)
+		if f.err != nil {
+			// Drop the poisoned flight so the next caller can retry.
+			expMu.Lock()
+			if expFlights[key] == f {
+				delete(expFlights, key)
+			}
+			expMu.Unlock()
+		}
+	})
+	return f.out, f.err
+}
+
+func weekendKey(scale Scale) string { return fmt.Sprintf("weekend/%d", scale) }
 
 // ExperimentOutcome returns the cached weekend A/B experiment at the given
 // scale, running it on first use.
@@ -161,30 +191,9 @@ func ExperimentOutcome(scale Scale) (*campaign.WeekendOutcome, error) {
 
 // ExperimentOutcomeContext is ExperimentOutcome with cancellation. The
 // experiment runs at most once per scale (single-flight): concurrent
-// callers — the parallel figure generators — share one run, and the
-// context of whichever caller starts the flight governs it. A run that
-// failed (including one canceled mid-flight) is not cached, so a later
-// caller retries.
+// callers — the parallel figure generators — share one run.
 func ExperimentOutcomeContext(ctx context.Context, scale Scale) (*campaign.WeekendOutcome, error) {
-	expMu.Lock()
-	f, ok := expFlights[scale]
-	if !ok {
-		f = &expFlight{}
-		expFlights[scale] = f
-	}
-	expMu.Unlock()
-	f.once.Do(func() {
-		f.out, f.err = campaign.RunWeekend(ctx, ExperimentConfig(scale))
-		if f.err != nil {
-			// Drop the poisoned flight so the next caller can retry.
-			expMu.Lock()
-			if expFlights[scale] == f {
-				delete(expFlights, scale)
-			}
-			expMu.Unlock()
-		}
-	})
-	return f.out, f.err
+	return experiment(ctx, weekendKey(scale), ExperimentConfig(scale))
 }
 
 // ExperimentStats returns the execution stats of the cached weekend
@@ -192,7 +201,7 @@ func ExperimentOutcomeContext(ctx context.Context, scale Scale) (*campaign.Weeke
 // never triggers a run.
 func ExperimentStats(scale Scale) (campaign.RunStats, bool) {
 	expMu.Lock()
-	f, ok := expFlights[scale]
+	f, ok := expFlights[weekendKey(scale)]
 	expMu.Unlock()
 	if !ok || f.out == nil {
 		return campaign.RunStats{}, false

@@ -10,6 +10,10 @@
 // here reproduces those two statistics with a scene process that is shared
 // across the ladder (scenes are a property of the content, not the encode),
 // which is also what makes the chunk-map crossings of Figure 21 appear.
+//
+// A Video holds the one copy of its chunk sizes in the layout rate decisions
+// read — column-major, plus per-rate prefix sums — so nothing downstream
+// rebuilds a per-session or per-worker index of a title.
 package media
 
 import (

@@ -10,19 +10,49 @@ import (
 // Video is a title encoded at every ladder rate, split into fixed-duration
 // chunks. Chunk sizes are fixed at construction, so a Video is safe for
 // concurrent use.
+//
+// The sizes are stored once, column-major — chunk k's sizes at every rate
+// are one contiguous run, which is what a rate decision scans — next to
+// per-rate prefix sums that make any window total two loads. Both depend on
+// the title alone, so they live here rather than in anything keyed by a
+// session's R_min or lookahead.
 type Video struct {
 	Title         string
 	Ladder        Ladder
 	ChunkDuration time.Duration // V in the paper; 4 s in the Netflix player
-	sizes         [][]int64     // [rateIndex][chunkIndex] bytes
+	nr, n         int           // ladder rates, chunks
+	cols          []int64       // cols[k*nr+rate]: bytes of chunk k at rate
+	prefix        []int64       // prefix[rate*(n+1)+k]: bytes of chunks [0,k) at rate
 }
 
 // DefaultChunkDuration is the paper's chunk length ("four seconds per chunk
 // in our service").
 const DefaultChunkDuration = 4 * time.Second
 
+// newVideo builds the size index of a title whose ladder and chunk count
+// the constructor has validated; fill writes one rate's chunk sizes into row.
+func newVideo(title string, ladder Ladder, chunkDuration time.Duration, numChunks int, fill func(rate int, row []int64)) *Video {
+	nr := len(ladder)
+	v := &Video{
+		Title: title, Ladder: ladder, ChunkDuration: chunkDuration,
+		nr: nr, n: numChunks,
+		cols:   make([]int64, nr*numChunks),
+		prefix: make([]int64, nr*(numChunks+1)),
+	}
+	row := make([]int64, numChunks)
+	for rate := 0; rate < nr; rate++ {
+		fill(rate, row)
+		sums := v.prefix[rate*(numChunks+1):]
+		for k, size := range row {
+			v.cols[k*nr+rate] = size
+			sums[k+1] = sums[k] + size
+		}
+	}
+	return v
+}
+
 // NumChunks returns how many chunks the title has.
-func (v *Video) NumChunks() int { return len(v.sizes[0]) }
+func (v *Video) NumChunks() int { return v.n }
 
 // Duration returns the title's playback duration.
 func (v *Video) Duration() time.Duration {
@@ -33,19 +63,65 @@ func (v *Video) Duration() time.Duration {
 // It panics on out-of-range arguments: indices always originate inside the
 // library, so a violation is a programming error, not an input error.
 func (v *Video) ChunkSize(rate, k int) int64 {
-	if rate < 0 || rate >= len(v.sizes) || k < 0 || k >= len(v.sizes[rate]) {
+	if rate < 0 || rate >= v.nr || k < 0 || k >= v.n {
 		v.chunkRangePanic(rate, k)
 	}
-	return v.sizes[rate][k]
+	return v.cols[k*v.nr+rate]
 }
 
 // chunkRangePanic keeps the panic formatting out of ChunkSize so the hot
 // lookup stays inlinable.
 func (v *Video) chunkRangePanic(rate, k int) {
-	if rate < 0 || rate >= len(v.sizes) {
-		panic(fmt.Sprintf("media: rate index %d out of range [0,%d)", rate, len(v.sizes)))
+	if rate < 0 || rate >= v.nr {
+		panic(fmt.Sprintf("media: rate index %d out of range [0,%d)", rate, v.nr))
 	}
-	panic(fmt.Sprintf("media: chunk index %d out of range [0,%d)", k, len(v.sizes[rate])))
+	panic(fmt.Sprintf("media: chunk index %d out of range [0,%d)", k, v.n))
+}
+
+// Column returns the sizes of chunk k at every ladder rate, lowest rate
+// first, with k clamped into the title so decisions near either end stay
+// defined. The slice aliases the title's storage: callers must not write
+// to it.
+func (v *Video) Column(k int) []int64 {
+	if k >= v.n {
+		k = v.n - 1
+	}
+	if k < 0 {
+		k = 0
+	}
+	return v.cols[k*v.nr : (k+1)*v.nr : (k+1)*v.nr]
+}
+
+// WindowSum returns the total size at one rate of the window chunks
+// starting at chunk k, each index clamped into the title exactly as Column
+// clamps it — so a window hanging off either end counts the first or last
+// chunk once per overhanging position. Integer addition is associative, so
+// the prefix-sum form equals the chunk-by-chunk loop exactly.
+func (v *Video) WindowSum(rate, k, window int) int64 {
+	row := v.prefix[rate*(v.n+1) : (rate+1)*(v.n+1)]
+	n := v.n
+	lo, hi := k, k+window
+	var sum int64
+	if lo < 0 { // positions clamped up to chunk 0
+		stop := hi
+		if stop > 0 {
+			stop = 0
+		}
+		sum += int64(stop-lo) * row[1]
+		lo = 0
+	}
+	if hi > n { // positions clamped down to chunk n-1
+		start := lo
+		if start < n {
+			start = n
+		}
+		sum += int64(hi-start) * (row[n] - row[n-1])
+		hi = n
+	}
+	if hi > lo {
+		sum += row[hi] - row[lo]
+	}
+	return sum
 }
 
 // NominalChunkSize returns the average chunk size V·R implied by the
@@ -57,19 +133,15 @@ func (v *Video) NominalChunkSize(rate int) int64 {
 
 // MeasuredAvgChunkSize returns the empirical mean chunk size at a rate.
 func (v *Video) MeasuredAvgChunkSize(rate int) int64 {
-	var sum int64
-	for _, s := range v.sizes[rate] {
-		sum += s
-	}
-	return sum / int64(len(v.sizes[rate]))
+	return v.WindowSum(rate, 0, v.n) / int64(v.n)
 }
 
 // MaxToAvgRatio returns the ratio of the largest chunk to the nominal
 // average at a rate — the paper's "e", about 2 in their system.
 func (v *Video) MaxToAvgRatio(rate int) float64 {
 	var max int64
-	for _, s := range v.sizes[rate] {
-		if s > max {
+	for k := 0; k < v.n; k++ {
+		if s := v.ChunkSize(rate, k); s > max {
 			max = s
 		}
 	}
@@ -78,8 +150,10 @@ func (v *Video) MaxToAvgRatio(rate int) float64 {
 
 // ChunkSizes returns a copy of all chunk sizes at a rate, in bytes.
 func (v *Video) ChunkSizes(rate int) []int64 {
-	out := make([]int64, len(v.sizes[rate]))
-	copy(out, v.sizes[rate])
+	out := make([]int64, v.n)
+	for k := range out {
+		out[k] = v.ChunkSize(rate, k)
+	}
 	return out
 }
 
@@ -96,17 +170,12 @@ func NewCBR(title string, ladder Ladder, chunkDuration time.Duration, numChunks 
 	if numChunks <= 0 {
 		return nil, fmt.Errorf("media: non-positive chunk count %d", numChunks)
 	}
-	v := &Video{Title: title, Ladder: ladder, ChunkDuration: chunkDuration}
-	v.sizes = make([][]int64, len(ladder))
-	for ri, r := range ladder {
-		size := r.BytesIn(chunkDuration)
-		row := make([]int64, numChunks)
+	return newVideo(title, ladder, chunkDuration, numChunks, func(rate int, row []int64) {
+		size := ladder[rate].BytesIn(chunkDuration)
 		for k := range row {
 			row[k] = size
 		}
-		v.sizes[ri] = row
-	}
-	return v, nil
+	}), nil
 }
 
 // FromSizes builds a Video from an explicit chunk-size matrix indexed as
@@ -125,8 +194,6 @@ func FromSizes(title string, ladder Ladder, chunkDuration time.Duration, sizes [
 	if len(sizes[0]) == 0 {
 		return nil, fmt.Errorf("media: no chunks")
 	}
-	v := &Video{Title: title, Ladder: ladder, ChunkDuration: chunkDuration}
-	v.sizes = make([][]int64, len(sizes))
 	for ri, row := range sizes {
 		if len(row) != len(sizes[0]) {
 			return nil, fmt.Errorf("media: rate %d has %d chunks, rate 0 has %d", ri, len(row), len(sizes[0]))
@@ -136,9 +203,10 @@ func FromSizes(title string, ladder Ladder, chunkDuration time.Duration, sizes [
 				return nil, fmt.Errorf("media: rate %d chunk %d has non-positive size %d", ri, k, s)
 			}
 		}
-		v.sizes[ri] = append([]int64(nil), row...)
 	}
-	return v, nil
+	return newVideo(title, ladder, chunkDuration, len(sizes[0]), func(rate int, row []int64) {
+		copy(row, sizes[rate])
+	}), nil
 }
 
 // VBRConfig parameterizes the scene-based variable-bitrate model.
@@ -215,11 +283,8 @@ func NewVBR(cfg VBRConfig, rng *rand.Rand) (*Video, error) {
 		return nil, err
 	}
 	factors := sceneFactors(cfg, rng)
-	v := &Video{Title: cfg.Title, Ladder: cfg.Ladder, ChunkDuration: cfg.ChunkDuration}
-	v.sizes = make([][]int64, len(cfg.Ladder))
-	for ri, r := range cfg.Ladder {
-		nominal := float64(r.BytesIn(cfg.ChunkDuration))
-		row := make([]int64, cfg.NumChunks)
+	return newVideo(cfg.Title, cfg.Ladder, cfg.ChunkDuration, cfg.NumChunks, func(rate int, row []int64) {
+		nominal := float64(cfg.Ladder[rate].BytesIn(cfg.ChunkDuration))
 		for k, f := range factors {
 			size := int64(nominal * f)
 			if size < 1 {
@@ -227,9 +292,7 @@ func NewVBR(cfg VBRConfig, rng *rand.Rand) (*Video, error) {
 			}
 			row[k] = size
 		}
-		v.sizes[ri] = row
-	}
-	return v, nil
+	}), nil
 }
 
 // sceneFactors draws the shared activity process: a two-level model with

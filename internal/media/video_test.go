@@ -206,3 +206,122 @@ func TestQuickVBREnvelope(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSizeIndex holds the title's derived tables to the plain accessor for
+// all three constructors: a column is the chunk's sizes in ladder order with
+// k clamped at both ends, a window sum is the clamped chunk-by-chunk loop
+// (windows inside the title, straddling chunk 0, straddling the last chunk,
+// hanging entirely off either end, longer than the title, empty), and
+// ChunkSizes still hands out a private copy.
+func TestSizeIndex(t *testing.T) {
+	ladder := DefaultLadder()[:4]
+	explicit := make([][]int64, len(ladder))
+	rng := rand.New(rand.NewSource(5))
+	for ri := range explicit {
+		explicit[ri] = make([]int64, 37)
+		for k := range explicit[ri] {
+			explicit[ri][k] = 1 + rng.Int63n(1_000_000)
+		}
+	}
+	cbr, err := NewCBR("cbr", ladder, DefaultChunkDuration, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vbr, err := NewVBR(VBRConfig{Ladder: ladder, NumChunks: 51}, rand.New(rand.NewSource(6)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromSizes, err := FromSizes("explicit", ladder, DefaultChunkDuration, explicit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ri, row := range explicit {
+		for k, want := range row {
+			if got := fromSizes.ChunkSize(ri, k); got != want {
+				t.Fatalf("FromSizes: ChunkSize(%d,%d) = %d, want the input's %d", ri, k, got, want)
+			}
+		}
+	}
+	explicit[1][3] = -1 // the matrix was copied
+	if fromSizes.ChunkSize(1, 3) <= 0 {
+		t.Error("FromSizes aliases its input matrix")
+	}
+
+	clampK := func(v *Video, k int) int {
+		if k < 0 {
+			return 0
+		}
+		if k >= v.NumChunks() {
+			return v.NumChunks() - 1
+		}
+		return k
+	}
+	for _, v := range []*Video{cbr, vbr, fromSizes} {
+		n := v.NumChunks()
+		for k := -3; k < n+3; k++ {
+			col := v.Column(k)
+			if len(col) != len(ladder) || cap(col) != len(ladder) {
+				t.Fatalf("%s: Column(%d) has len %d cap %d, want %d and no room to append into the next chunk", v.Title, k, len(col), cap(col), len(ladder))
+			}
+			for ri := range ladder {
+				if want := v.ChunkSize(ri, clampK(v, k)); col[ri] != want {
+					t.Fatalf("%s: Column(%d)[%d] = %d, ChunkSize = %d", v.Title, k, ri, col[ri], want)
+				}
+			}
+		}
+		for ri := range ladder {
+			for _, k := range []int{-70, -5, -1, 0, 1, n / 2, n - 2, n - 1, n, n + 4} {
+				for _, window := range []int{0, 1, 2, 5, 60, n, n + 9} {
+					var want int64
+					for j := 0; j < window; j++ {
+						want += v.ChunkSize(ri, clampK(v, k+j))
+					}
+					if got := v.WindowSum(ri, k, window); got != want {
+						t.Fatalf("%s: WindowSum(rate %d, chunk %d, window %d) = %d, clamped loop %d", v.Title, ri, k, window, got, want)
+					}
+				}
+			}
+			sizes := v.ChunkSizes(ri)
+			var sum int64
+			for k, s := range sizes {
+				if s != v.ChunkSize(ri, k) {
+					t.Fatalf("%s: ChunkSizes(%d)[%d] = %d, ChunkSize = %d", v.Title, ri, k, s, v.ChunkSize(ri, k))
+				}
+				sum += s
+			}
+			if got, want := v.MeasuredAvgChunkSize(ri), sum/int64(n); got != want {
+				t.Errorf("%s: MeasuredAvgChunkSize(%d) = %d, want %d", v.Title, ri, got, want)
+			}
+			sizes[0] = -1
+			if v.ChunkSize(ri, 0) <= 0 || v.Column(0)[ri] <= 0 {
+				t.Errorf("%s: ChunkSizes(%d) is not a private copy", v.Title, ri)
+			}
+		}
+	}
+}
+
+// TestFromSizesRejectsBeforeIndexing: ragged and non-positive matrices are
+// refused by validation — an error, not an index panic from building the
+// size index over them.
+func TestFromSizesRejectsBeforeIndexing(t *testing.T) {
+	ladder := DefaultLadder()[:3]
+	for name, sizes := range map[string][][]int64{
+		"short later row":  {{1, 2, 3}, {1, 2}, {1, 2, 3}},
+		"long later row":   {{1, 2}, {1, 2, 3}, {1, 2}},
+		"empty first row":  {{}, {1}, {1}},
+		"zero size":        {{1, 2}, {1, 0}, {1, 2}},
+		"negative size":    {{1, 2}, {1, 2}, {-4, 2}},
+		"too few rows":     {{1, 2}, {1, 2}},
+		"too many rows":    {{1}, {1}, {1}, {1}},
+		"no rows at all":   {},
+		"nil rows":         {nil, nil, nil},
+		"empty later rows": {{1}, {}, {}},
+	} {
+		if v, err := FromSizes(name, ladder, DefaultChunkDuration, sizes); err == nil {
+			t.Errorf("%s: accepted as a %d-chunk title", name, v.NumChunks())
+		}
+	}
+	if _, err := FromSizes("ok", ladder, DefaultChunkDuration, [][]int64{{1}, {1}, {1}}); err != nil {
+		t.Errorf("a one-chunk title was refused: %v", err)
+	}
+}

@@ -2,6 +2,7 @@ package archive
 
 import (
 	"sort"
+	"strings"
 
 	"bba/internal/telemetry"
 )
@@ -42,188 +43,137 @@ type Rollup struct {
 	Groups []GroupRollup `json:"groups"`
 }
 
-// kindClass is the rollup dispatch for one kind-dictionary entry.
-type kindClass uint8
-
-const (
-	classOther kindClass = iota
-	classChunk
-	classRebufStart
-	classRebufEnd
-	classSwitch
-	classSessionEnd
-)
-
-func classify(name string) kindClass {
-	k, ok := telemetry.ParseKind(name)
-	if !ok {
-		return classOther
-	}
-	switch k {
-	case telemetry.ChunkComplete:
-		return classChunk
-	case telemetry.RebufferStart:
-		return classRebufStart
-	case telemetry.RebufferEnd:
-		return classRebufEnd
-	case telemetry.RateSwitch:
-		return classSwitch
-	case telemetry.SessionEnd:
-		return classSessionEnd
-	default:
-		return classOther
-	}
-}
-
 // aggState accumulates a rollup across blocks and the WAL tail.
 type aggState struct {
 	groups map[string]*GroupRollup
-	// seen holds distinct session labels per group, shared across blocks so
-	// a session split over a block boundary counts once.
-	seen map[string]map[string]bool
+	// seen holds the distinct session labels, shared across blocks so a
+	// session split over a block boundary counts once.
+	seen map[string]bool
+	// groupOf is addBlock's dispatch table: the rollup of each
+	// session-dictionary entry, entered when its first row matches.
+	groupOf []*GroupRollup
 }
 
 func newAggState() *aggState {
-	return &aggState{groups: map[string]*GroupRollup{}, seen: map[string]map[string]bool{}}
+	return &aggState{groups: map[string]*GroupRollup{}, seen: map[string]bool{}}
 }
 
-func (a *aggState) group(g string) *GroupRollup {
+// enter returns the rollup of session's group, counting the session the
+// first time any block or WAL line shows it. addBlock calls it once per
+// dictionary entry, never per row.
+func (a *aggState) enter(session string) *GroupRollup {
+	g := telemetry.GroupOfSession(session)
 	gr, ok := a.groups[g]
 	if !ok {
+		g = strings.Clone(g) // the result must not pin a block's dictionary
 		gr = &GroupRollup{Group: g}
 		a.groups[g] = gr
-		a.seen[g] = map[string]bool{}
+	}
+	if !a.seen[session] {
+		a.seen[session] = true
+		gr.Sessions++
 	}
 	return gr
 }
 
-func (a *aggState) session(g, session string) {
-	gr := a.group(g)
-	if !a.seen[g][session] {
-		a.seen[g][session] = true
-		gr.Sessions++
-	}
-}
-
 // addEvent folds one materialized event — the WAL-tail path.
 func (a *aggState) addEvent(e *telemetry.Event) {
-	g := telemetry.GroupOfSession(e.Session)
-	a.session(g, e.Session)
-	gr := a.group(g)
+	gr := a.enter(e.Session)
 	gr.Events++
-	switch classify(e.Kind.String()) {
-	case classChunk:
+	switch e.Kind {
+	case telemetry.ChunkComplete:
 		gr.Chunks++
 		gr.Bytes += e.Bytes
 		gr.RateSumBps += int64(e.Rate)
-	case classRebufStart:
+	case telemetry.RebufferStart:
 		gr.Rebuffers++
-	case classRebufEnd:
+	case telemetry.RebufferEnd:
 		gr.RebufferNS += int64(e.Duration)
-	case classSwitch:
+	case telemetry.RateSwitch:
 		gr.Switches++
 		if e.RateIndex > e.PrevRateIndex {
 			gr.SwitchUp++
 		}
-	case classSessionEnd:
+	case telemetry.SessionEnd:
 		gr.PlayedNS += int64(e.Played)
 	}
 }
 
-// addBlock folds one block column-wise: the kind and session dictionaries
-// resolve to per-entry dispatch tables once, then the row loop is array
-// indexing over the decoded integer slabs — no Event is ever built.
-func (a *aggState) addBlock(b *Block, q Query) error {
-	kindEntries, kindRows, err := b.Dict("kind")
-	if err != nil {
-		return err
+// addBlock folds the open block column-wise, reporting false when filter
+// refused it. Which integer columns are read depends on the kinds the
+// block holds and the query keeps; the row loop is array indexing over
+// their slabs and the per-entry tables — no Event is built, no map
+// consulted per row.
+func (a *aggState) addBlock(b *Block, p *plan) (ok bool, err error) {
+	if ok, err := b.filter(p); !ok {
+		return false, err
 	}
-	sessEntries, sessRows, err := b.Dict("session")
-	if err != nil {
-		return err
-	}
-	classes := make([]kindClass, len(kindEntries))
-	kindOK := make([]bool, len(kindEntries))
-	names := q.kindNames()
-	for i, name := range kindEntries {
-		classes[i] = classify(name)
-		kindOK[i] = names == nil || names[name]
-	}
-	sessGroup := make([]string, len(sessEntries))
-	sessOK := make([]bool, len(sessEntries))
-	for i, sess := range sessEntries {
-		sessGroup[i] = telemetry.GroupOfSession(sess)
-		sessOK[i] = (q.Session == "" || sess == q.Session) &&
-			(q.Group == "" || sessGroup[i] == q.Group)
-	}
-	var at []int64
-	if q.From > 0 || q.To > 0 {
-		if at, err = b.Ints("at_ns", nil); err != nil {
-			return err
+	col := func(name string) []int64 {
+		if err != nil {
+			return nil
 		}
+		var c []int64
+		c, err = b.Ints(name)
+		return c
 	}
-	// Only the columns the rollup reads are decoded; which ones depends on
-	// the kinds actually present in the block.
-	need := map[string]bool{}
-	for _, cl := range classes {
-		switch cl {
-		case classChunk:
-			need["bytes"], need["rate_bps"] = true, true
-		case classRebufEnd:
-			need["duration_ns"] = true
-		case classSwitch:
-			need["rate_index"], need["prev_rate_index"] = true, true
-		case classSessionEnd:
-			need["played_ns"] = true
-		}
-	}
-	cols := map[string][]int64{}
-	for name := range need {
-		if cols[name], err = b.Ints(name, nil); err != nil {
-			return err
-		}
-	}
-	bytesCol, rateCol := cols["bytes"], cols["rate_bps"]
-	durCol := cols["duration_ns"]
-	idxCol, prevCol := cols["rate_index"], cols["prev_rate_index"]
-	playedCol := cols["played_ns"]
-
-	for i := 0; i < b.Rows(); i++ {
-		ki, si := kindRows[i], sessRows[i]
-		if !kindOK[ki] || !sessOK[si] {
+	var bytesCol, rateCol, durCol, idxCol, prevCol, playedCol []int64
+	for ki, k := range b.kinds {
+		if !b.kindOK[ki] {
 			continue
 		}
-		if at != nil && !q.matchesAt(at[i]) {
+		switch k {
+		case telemetry.ChunkComplete:
+			bytesCol, rateCol = col("bytes"), col("rate_bps")
+		case telemetry.RebufferEnd:
+			durCol = col("duration_ns")
+		case telemetry.RateSwitch:
+			idxCol, prevCol = col("rate_index"), col("prev_rate_index")
+		case telemetry.SessionEnd:
+			playedCol = col("played_ns")
+		}
+	}
+	if err != nil {
+		return false, err
+	}
+	kindRows, sess := b.dicts[colKind].rows, &b.dicts[colSession]
+	a.groupOf = sized(a.groupOf, len(sess.entries))
+	clear(a.groupOf)
+	for i, si := range sess.rows {
+		if !b.match(i) {
 			continue
 		}
-		g := sessGroup[si]
-		a.session(g, sessEntries[si])
-		gr := a.group(g)
+		gr := a.groupOf[si]
+		if gr == nil {
+			gr = a.enter(sess.entries[si])
+			a.groupOf[si] = gr
+		}
 		gr.Events++
-		switch classes[ki] {
-		case classChunk:
+		switch b.kinds[kindRows[i]] {
+		case telemetry.ChunkComplete:
 			gr.Chunks++
 			gr.Bytes += bytesCol[i]
 			gr.RateSumBps += rateCol[i]
-		case classRebufStart:
+		case telemetry.RebufferStart:
 			gr.Rebuffers++
-		case classRebufEnd:
+		case telemetry.RebufferEnd:
 			gr.RebufferNS += durCol[i]
-		case classSwitch:
+		case telemetry.RateSwitch:
 			gr.Switches++
 			if idxCol[i] > prevCol[i] {
 				gr.SwitchUp++
 			}
-		case classSessionEnd:
+		case telemetry.SessionEnd:
 			gr.PlayedNS += playedCol[i]
 		}
 	}
-	return nil
+	return true, nil
 }
 
 // Aggregate computes per-group rollups for q without materializing rows
-// from blocks: footer pruning skips irrelevant blocks entirely, and
-// surviving blocks fold column slabs directly. The WAL tail folds row-wise.
+// from blocks: blocks the footer or the session dictionary refuses are
+// skipped, the others fold column slabs directly. The WAL tail folds
+// row-wise. Rollup.Blocks and Rows count the blocks folded and their rows,
+// plus every WAL line.
 func (s *Store) Aggregate(q Query) (Rollup, error) {
 	r := Rollup{Run: q.Run}
 	if q.Run == "" {
@@ -233,32 +183,24 @@ func (s *Store) Aggregate(q Query) (Rollup, error) {
 	if err != nil {
 		return r, err
 	}
+	p := q.compile()
 	st := newAggState()
+	b := s.reader()
+	defer s.release(b)
 	for _, path := range blocks {
-		ft, err := readFooter(path)
-		if err != nil {
+		if err := b.openFile(path); err != nil {
 			return r, err
 		}
-		if q.pruneBlock(ft) {
-			continue
-		}
-		blk, err := readBlock(path)
-		if err != nil {
+		if ok, err := st.addBlock(b, p); err != nil {
 			return r, err
+		} else if ok {
+			r.Blocks++
+			r.Rows += int64(b.Rows())
 		}
-		if err := st.addBlock(blk, q); err != nil {
-			return r, err
-		}
-		r.Blocks++
-		r.Rows += int64(blk.Rows())
 	}
 	for _, line := range walLines {
-		e, ok := telemetry.ParseJSONL(line)
-		if !ok {
-			e = parseLoose(line)
-		}
 		r.Rows++
-		if q.matchesEvent(&e) {
+		if e := parseLine(line); p.matchesEvent(&e) {
 			st.addEvent(&e)
 		}
 	}

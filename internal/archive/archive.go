@@ -83,6 +83,11 @@ type Store struct {
 
 	mu   sync.Mutex
 	runs map[string]*runArchive
+	// spare is the block reader the last query finished with — its page
+	// buffer and slabs, never decoded data or an open file — so the next
+	// query starts with slabs already sized. One, not a pool: a query that
+	// finds it taken makes its own, and the last to finish leaves its.
+	spare *Block
 }
 
 // runArchive is one run's slice of the store.
@@ -200,21 +205,16 @@ func (s *Store) openRun(run, dir string) (*runArchive, error) {
 		ra.nextSeq = 1
 	}
 
-	walPath := filepath.Join(dir, walName)
-	data, err := os.ReadFile(walPath)
-	if errors.Is(err, os.ErrNotExist) {
-		data = nil
-	} else if err != nil {
-		return nil, err
-	}
-	valid := scanWAL(data, func(payload []byte) {
-		ra.events += bytes.Count(payload, []byte{'\n'})
-		ra.bytes += int64(len(payload))
-	})
+	// A read-only view stops here: its queries read the WAL themselves
+	// (walLinesLocked), and only Stats wants it counted.
 	if s.readOnly {
 		return ra, nil
 	}
-	f, err := os.OpenFile(walPath, os.O_CREATE|os.O_RDWR, 0o644)
+	valid, err := ra.countWAL()
+	if err != nil {
+		return nil, err
+	}
+	f, err := os.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -261,6 +261,27 @@ func scanWAL(data []byte, visit func(payload []byte)) int64 {
 		visit(payload)
 		off = start + int64(l) + 4
 	}
+}
+
+// readWAL reads ra's WAL file and walks its intact records (see scanWAL),
+// returning the byte length of the valid prefix. The payloads visit sees
+// are sub-slices of the one private buffer read here, so they stay good
+// after the call. A run with no WAL file yet has an empty one.
+func (ra *runArchive) readWAL(visit func(payload []byte)) (valid int64, err error) {
+	data, err := os.ReadFile(filepath.Join(ra.dir, walName))
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return 0, err
+	}
+	return scanWAL(data, visit), nil
+}
+
+// countWAL sets ra.events and ra.bytes from the WAL file.
+func (ra *runArchive) countWAL() (valid int64, err error) {
+	ra.events, ra.bytes = 0, 0
+	return ra.readWAL(func(payload []byte) {
+		ra.events += bytes.Count(payload, []byte{'\n'})
+		ra.bytes += int64(len(payload))
+	})
 }
 
 // runLocked returns (creating if needed) the named run's archive. Caller
@@ -412,25 +433,21 @@ func (s *Store) compactLocked(ra *runArchive) error {
 	return nil
 }
 
-// walLinesLocked flushes and re-reads ra's WAL, returning its journal
-// lines in admission order. Re-scanning the file (rather than trusting
-// counters) keeps read-only stores honest about a WAL a live writer may
-// have appended to or truncated since Open; refreshLocked does the same
-// for the block list. Caller holds mu.
+// walLinesLocked flushes and re-reads ra's WAL — one read, one scan —
+// returning its journal lines in admission order, each a sub-slice of the
+// buffer just read and so the caller's to keep. Re-scanning the file
+// (rather than trusting counters) keeps read-only stores honest about a
+// WAL a live writer may have appended to or truncated since Open;
+// refreshLocked does the same for the block list. Caller holds mu: a
+// compaction may truncate the file.
 func (ra *runArchive) walLinesLocked() ([][]byte, error) {
 	if ra.wal != nil {
 		if err := ra.walBuf.Flush(); err != nil {
 			return nil, err
 		}
 	}
-	data, err := os.ReadFile(filepath.Join(ra.dir, walName))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	} else if err != nil {
-		return nil, err
-	}
 	var lines [][]byte
-	scanWAL(data, func(payload []byte) {
+	_, err := ra.readWAL(func(payload []byte) {
 		for len(payload) > 0 {
 			nl := bytes.IndexByte(payload, '\n')
 			if nl < 0 {
@@ -441,7 +458,7 @@ func (ra *runArchive) walLinesLocked() ([][]byte, error) {
 			payload = payload[nl+1:]
 		}
 	})
-	return lines, nil
+	return lines, err
 }
 
 // Runs returns the runs present, sorted. A read-only store re-lists the
@@ -476,6 +493,9 @@ func (s *Store) Stats() []RunStats {
 	_ = s.refreshLocked()
 	out := make([]RunStats, 0, len(s.runs))
 	for run, ra := range s.runs {
+		if s.readOnly {
+			_, _ = ra.countWAL() // best effort, like the refresh
+		}
 		st := RunStats{Run: run, Blocks: len(ra.blocks), WALEvents: ra.events, WALBytes: ra.bytes}
 		for _, p := range ra.blocks {
 			if fi, err := os.Stat(p); err == nil {
@@ -489,9 +509,9 @@ func (s *Store) Stats() []RunStats {
 }
 
 // snapshot captures a run's read view: immutable block paths plus the WAL
-// tail's lines (copied), consistent at one instant. Read-only stores
-// re-list the directory first so blocks a live writer sealed — and runs
-// it created — since Open are included rather than silently dropped.
+// tail's lines, consistent at one instant. Read-only stores re-list the
+// directory first so blocks a live writer sealed — and runs it created —
+// since Open are included rather than silently dropped.
 func (s *Store) snapshot(run string) (blocks []string, walLines [][]byte, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -502,15 +522,31 @@ func (s *Store) snapshot(run string) (blocks []string, walLines [][]byte, err er
 	if !ok {
 		return nil, nil, fmt.Errorf("archive: unknown run %q", run)
 	}
-	lines, err := ra.walLinesLocked()
+	walLines, err = ra.walLinesLocked()
 	if err != nil {
 		return nil, nil, err
 	}
-	walLines = make([][]byte, len(lines))
-	for i, l := range lines {
-		walLines[i] = append([]byte(nil), l...)
-	}
 	return append([]string(nil), ra.blocks...), walLines, nil
+}
+
+// reader hands out the store's spare block reader, or a new one while
+// another query holds it; release closes b and keeps it for the next query.
+func (s *Store) reader() *Block {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b := s.spare
+	s.spare = nil
+	if b == nil {
+		b = new(Block)
+	}
+	return b
+}
+
+func (s *Store) release(b *Block) {
+	b.close()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.spare = b
 }
 
 // Export writes run's full archived journal — blocks in admission order,
@@ -522,12 +558,13 @@ func (s *Store) Export(run string, w io.Writer) error {
 		return err
 	}
 	bw := bufio.NewWriterSize(w, 256<<10)
+	b := s.reader()
+	defer s.release(b)
 	for _, path := range blocks {
-		blk, err := readBlock(path)
-		if err != nil {
+		if err := b.openFile(path); err != nil {
 			return err
 		}
-		if err := blk.Export(bw); err != nil {
+		if err := b.Export(bw); err != nil {
 			return err
 		}
 	}
@@ -544,6 +581,7 @@ func (s *Store) Export(run string, w io.Writer) error {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.spare = nil
 	var first error
 	for _, ra := range s.runs {
 		if ra.walBuf == nil {
@@ -558,17 +596,4 @@ func (s *Store) Close() error {
 		ra.wal, ra.walBuf = nil, nil
 	}
 	return first
-}
-
-// readBlock loads and decodes one block file.
-func readBlock(path string) (*Block, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	blk, err := DecodeBlock(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", filepath.Base(path), err)
-	}
-	return blk, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -227,9 +228,10 @@ func TestArchiveCrashRecovery(t *testing.T) {
 // and Aggregate are checked against.
 func referenceFilter(events []telemetry.Event, q Query) []telemetry.Event {
 	var out []telemetry.Event
+	p := q.compile()
 	for _, e := range events {
 		e := e
-		if q.matchesEvent(&e) {
+		if p.matchesEvent(&e) {
 			out = append(out, e)
 		}
 	}
@@ -313,8 +315,9 @@ func TestArchiveScan(t *testing.T) {
 // so the column-wise block path in Aggregate is what the test exercises.
 func referenceRollup(events []telemetry.Event, q Query) []GroupRollup {
 	st := newAggState()
+	p := q.compile()
 	for i := range events {
-		if q.matchesEvent(&events[i]) {
+		if p.matchesEvent(&events[i]) {
 			st.addEvent(&events[i])
 		}
 	}
@@ -425,6 +428,29 @@ func TestBlockRejectsCraftedFooter(t *testing.T) {
 			t.Fatalf("%s: crafted footer accepted by DecodeBlock", name)
 		}
 	}
+	// A row count no page could hold: every slab is sized from it, and
+	// 1<<40 rows used to be an unrecoverable out-of-memory in the first
+	// dictionary decode rather than an error. The pages are honest.
+	blk, err := encodeBlock("r", splitLines(batchOf(0, 4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := DecodeBlock(blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft := b.ft
+	ft.Rows = 1 << 40
+	if _, err := DecodeBlock(refoot(t, blk, ft)); !errors.Is(err, ErrBadBlock) {
+		t.Fatalf("footer claiming 1<<40 rows over %d-byte pages: DecodeBlock error = %v, want ErrBadBlock", ft.Pages[0].Len, err)
+	}
+}
+
+// refoot swaps a real block's footer for ft and re-signs the envelope:
+// honest pages under whatever the footer now claims.
+func refoot(t testing.TB, blk []byte, ft footer) []byte {
+	body := blk[:len(blk)-blockTailLen-int(binary.LittleEndian.Uint32(blk[len(blk)-8:]))]
+	return append(body[:len(body):len(body)], craftBlock(t, ft)[headerLen:]...)
 }
 
 func splitLines(batch []byte) [][]byte {
@@ -512,11 +538,55 @@ func FuzzBlockDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		b.Dict("kind")
-		b.Dict("session")
-		b.Dict("label")
-		b.Ints("at_ns", nil)
-		b.Raws()
-		b.Export(&bytes.Buffer{})
+		touchBlock(b)
+	})
+}
+
+// touchBlock exercises every accessor and both row loops of a decoded
+// block; none may panic or allocate from an unchecked footer field.
+func touchBlock(b *Block) {
+	for c := 0; c < numDicts; c++ {
+		b.dict(c)
+	}
+	b.Ints("at_ns")
+	b.rawRows()
+	b.Export(&bytes.Buffer{})
+	b.scan(Query{}.compile(), func(telemetry.Event) bool { return true })
+	newAggState().addBlock(b, Query{}.compile())
+}
+
+// FuzzBlockDecodeFooter fuzzes the footer's fields under a valid envelope:
+// random bytes never carry a matching footer CRC, so FuzzBlockDecode alone
+// stops at the checksum and never reaches the code that trusts the footer.
+// Here the pages are a real block's and craftBlock re-signs whatever the
+// fuzzer makes of the row count, the raw count and one page's geometry.
+func FuzzBlockDecodeFooter(f *testing.F) {
+	blk, err := encodeBlock("r", splitLines(batchOf(0, 20)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	honest, err := DecodeBlock(blk)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(int64(20), int64(0), uint8(0), int64(0), int64(0))
+	f.Add(int64(1)<<40, int64(0), uint8(1), int64(0), int64(0))
+	f.Add(int64(21), int64(1)<<40, uint8(15), int64(1), int64(-1))
+	f.Add(int64(19), int64(-1), uint8(3), int64(math.MaxInt64-9), int64(math.MaxInt64))
+	f.Fuzz(func(t *testing.T, rows, raws int64, page uint8, dOff, dLen int64) {
+		ft := honest.ft
+		ft.Rows, ft.Raws = int(rows), int(raws)
+		ft.Pages = append([]pageInfo(nil), ft.Pages...)
+		pg := &ft.Pages[int(page)%len(ft.Pages)]
+		pg.Off += dOff
+		pg.Len += dLen
+		b, err := DecodeBlock(refoot(t, blk, ft))
+		if err != nil {
+			if !errors.Is(err, ErrBadBlock) {
+				t.Fatalf("DecodeBlock error %v is not ErrBadBlock", err)
+			}
+			return
+		}
+		touchBlock(b)
 	})
 }

@@ -9,10 +9,13 @@ import (
 	"bba/internal/telemetry"
 )
 
-// benchStore builds a compacted store of n events in b.TempDir.
+// benchStore builds a store of n events in b.TempDir the way a collector
+// leaves one: sealed blocks of 32Ki events and whatever is left over as a
+// live WAL tail (100 000 events: three blocks and a 1 696-event tail), so
+// the benchmarks below cover the tail path as well as the blocks.
 func benchStore(b *testing.B, n int) *Store {
 	b.Helper()
-	s, err := Open(Config{Dir: b.TempDir(), CompactEvents: 1 << 16})
+	s, err := Open(Config{Dir: b.TempDir(), CompactEvents: 1 << 15})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -27,8 +30,8 @@ func benchStore(b *testing.B, n int) *Store {
 			b.Fatal(err)
 		}
 	}
-	if err := s.CompactAll(); err != nil {
-		b.Fatal(err)
+	if st := s.Stats(); st[0].Blocks == 0 || st[0].WALEvents == 0 {
+		b.Fatalf("layout %+v, want sealed blocks and a WAL tail", st)
 	}
 	return s
 }
@@ -38,6 +41,7 @@ func benchStore(b *testing.B, n int) *Store {
 func BenchmarkAggregate(b *testing.B) {
 	const n = 100_000
 	s := benchStore(b, n)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r, err := s.Aggregate(Query{Run: "bench"})
@@ -68,6 +72,7 @@ func BenchmarkJSONLAggregate(b *testing.B) {
 	if err := f.Close(); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		data, err := os.ReadFile(path)
@@ -80,10 +85,7 @@ func BenchmarkJSONLAggregate(b *testing.B) {
 			nl := bytes.IndexByte(data, '\n')
 			line := data[:nl+1]
 			data = data[nl+1:]
-			e, ok := telemetry.ParseJSONL(line)
-			if !ok {
-				e = parseLoose(line)
-			}
+			e := parseLine(line)
 			st.addEvent(&e)
 			rows++
 		}
@@ -99,6 +101,7 @@ func BenchmarkJSONLAggregate(b *testing.B) {
 func BenchmarkScanKind(b *testing.B) {
 	const n = 100_000
 	s := benchStore(b, n)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		count := 0
@@ -113,6 +116,59 @@ func BenchmarkScanKind(b *testing.B) {
 	}
 }
 
+// BenchmarkScanSession measures the needle query: one session of the
+// store. Every block holds it here (testEvent cycles seven sessions), so
+// this is the cost of a block that matches; the block that does not is a
+// footer and one page (TestSessionScanReadsOnlyItsPages).
+func BenchmarkScanSession(b *testing.B) {
+	const n = 100_000
+	s := benchStore(b, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		count := 0
+		err := s.Scan(Query{Run: "bench", Session: "d0.w0.s3.BBA-1"},
+			func(telemetry.Event) bool { count++; return true })
+		if err != nil {
+			b.Fatal(err)
+		}
+		if count == 0 {
+			b.Fatal("scan matched nothing")
+		}
+	}
+}
+
+// BenchmarkExport measures the lossless re-render: every column of every
+// block decoded and every row back to its journal line, then the tail.
+func BenchmarkExport(b *testing.B) {
+	const n = 100_000
+	s := benchStore(b, n)
+	var size countWriter
+	if err := s.Export("bench", &size); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var w countWriter
+		if err := s.Export("bench", &w); err != nil {
+			b.Fatal(err)
+		}
+		if w != size {
+			b.Fatalf("exported %d bytes, want %d", w, size)
+		}
+	}
+}
+
+// countWriter counts the bytes written to it.
+type countWriter int64
+
+func (w *countWriter) Write(p []byte) (int, error) {
+	*w += countWriter(len(p))
+	return len(p), nil
+}
+
 // BenchmarkAppend measures the WAL ingest path the collector calls inline.
 func BenchmarkAppend(b *testing.B) {
 	s, err := Open(Config{Dir: b.TempDir()})
@@ -122,6 +178,7 @@ func BenchmarkAppend(b *testing.B) {
 	defer s.Close()
 	batch := batchOf(0, 64)
 	b.SetBytes(int64(len(batch)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := s.Append("bench", batch); err != nil {

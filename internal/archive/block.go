@@ -1,12 +1,15 @@
 package archive
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"os"
+	"path/filepath"
 	"sort"
 
 	"bba/internal/telemetry"
@@ -266,66 +269,161 @@ func encodeBlock(run string, lines [][]byte) ([]byte, error) {
 	return buf, nil
 }
 
-// Block is a decoded immutable columnar block. Pages decode lazily and
-// independently: a reader that needs three columns never touches the other
-// twelve.
+// Block is the block reader: one open block's validated footer, plus
+// whatever pages a caller asks for — each fetched by its own ReadAt,
+// CRC-verified, and decoded into a slab the Block owns. A reader that needs
+// three columns neither reads nor decodes the other twelve.
+//
+// A query reuses one Block for every block file it visits (and the Store
+// keeps it for the next query), so slabs are made at the footer's row count
+// once and then only refilled. What Ints and the row loops return is
+// therefore valid until the Block opens its next block; a Block from
+// DecodeBlock never does. Strings are the exception: a dictionary's entries
+// are copied out of the page buffer once, as a single string, because they
+// leave the reader inside Events that callers may keep. A Block serves one
+// goroutine at a time.
 type Block struct {
-	data []byte
+	src  io.ReaderAt
+	file *os.File // what close releases; nil over DecodeBlock's memory
 	ft   footer
+
+	buf   []byte // the page read last; the next read overwrites it
+	have  uint32 // columns decoded for this block: bit c, or numDicts+i
+	dicts [numDicts]dictCol
+	kinds []telemetry.Kind // the kind dictionary resolved; unknown names are 0
+	ints  [][]int64        // one slab per telemetry.IntColumns entry
+	raws  []rawRow
+
+	// What filter resolved for this block: a verdict per dictionary entry
+	// and, when the query has a time window, the at_ns slab.
+	plan           *plan
+	kindOK, sessOK []bool
+	at             []int64
 }
 
-// DecodeBlock parses a block from its full file contents. It never panics,
-// whatever the input: truncation, corruption and adversarial length fields
-// all surface as ErrBadBlock (the property FuzzBlockDecode pins).
+// dictCol is one decoded dictionary column.
+type dictCol struct {
+	entries []string
+	rows    []uint32
+}
+
+// The dictionary columns, in page order.
+const (
+	colKind = iota
+	colSession
+	colLabel
+	numDicts
+)
+
+var dictNames = [numDicts]string{"kind", "session", "label"}
+
+// headerLen is the leading magic plus the version byte.
+const headerLen = 4 + 1
+
+// sized returns s with length n, reallocating only when it cannot hold n.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// DecodeBlock opens a block held in memory: the same reader the store runs
+// over block files, here over data. It never panics, whatever the input:
+// truncation, corruption and adversarial length fields all surface as
+// ErrBadBlock (the property FuzzBlockDecode pins).
 func DecodeBlock(data []byte) (*Block, error) {
-	ft, err := decodeFooter(data)
-	if err != nil {
+	b := new(Block)
+	if err := b.open(bytes.NewReader(data), int64(len(data))); err != nil {
 		return nil, err
 	}
-	return &Block{data: data, ft: ft}, nil
+	return b, nil
 }
 
-// decodeFooter validates the envelope and parses the footer index.
-func decodeFooter(data []byte) (footer, error) {
-	var ft footer
-	if len(data) < len(blockMagic)+1+blockTailLen {
-		return ft, fmt.Errorf("%w: %d bytes", ErrBadBlock, len(data))
+// openFile points b at the block file at path, releasing the one before.
+func (b *Block) openFile(path string) error {
+	b.close()
+	f, err := os.Open(path)
+	if err != nil {
+		return err
 	}
-	if string(data[:4]) != string(blockMagic) {
-		return ft, fmt.Errorf("%w: magic %x", ErrBadBlock, data[:4])
+	b.file = f
+	fi, err := f.Stat()
+	if err == nil {
+		err = b.open(f, fi.Size())
 	}
-	if data[4] != blockVersion {
-		return ft, fmt.Errorf("%w: version %d", ErrBadBlock, data[4])
+	if err != nil {
+		return fmt.Errorf("%s: %w", filepath.Base(path), err)
 	}
-	if string(data[len(data)-4:]) != string(blockEndMagic) {
-		return ft, fmt.Errorf("%w: end magic", ErrBadBlock)
+	return nil
+}
+
+// close releases the open file, if any.
+func (b *Block) close() {
+	if b.file != nil {
+		b.file.Close()
 	}
-	flen := int64(binary.LittleEndian.Uint32(data[len(data)-8:]))
-	if flen > maxFooterLen || int64(len(data)-blockTailLen) < flen {
-		return ft, fmt.Errorf("%w: footer length %d", ErrBadBlock, flen)
+	b.src, b.file, b.plan = nil, nil, nil
+}
+
+// open validates the envelope of the size-byte block behind src and parses
+// its footer — once; nothing later re-reads it. It reads the header, the
+// 12-byte trailer and the footer JSON, and no page.
+func (b *Block) open(src io.ReaderAt, size int64) error {
+	b.src, b.have, b.ft = src, 0, footer{}
+	if size < headerLen+blockTailLen {
+		return fmt.Errorf("%w: %d bytes", ErrBadBlock, size)
 	}
-	ftJSON := data[int64(len(data)-blockTailLen)-flen : len(data)-blockTailLen]
-	wantCRC := binary.LittleEndian.Uint32(data[len(data)-12:])
-	if crc32.Checksum(ftJSON, blockCRCTable) != wantCRC {
-		return ft, fmt.Errorf("%w: footer checksum", ErrBadBlock)
+	b.buf = sized(b.buf, headerLen+blockTailLen)
+	head, tail := b.buf[:headerLen], b.buf[headerLen:]
+	if _, err := src.ReadAt(head, 0); err != nil {
+		return err
 	}
-	if err := json.Unmarshal(ftJSON, &ft); err != nil {
-		return ft, fmt.Errorf("%w: footer: %v", ErrBadBlock, err)
+	if _, err := src.ReadAt(tail, size-blockTailLen); err != nil {
+		return err
 	}
-	if ft.Version != blockVersion || ft.Rows < 0 || ft.Raws < 0 {
-		return ft, fmt.Errorf("%w: footer fields", ErrBadBlock)
+	if string(head[:4]) != string(blockMagic) {
+		return fmt.Errorf("%w: magic %x", ErrBadBlock, head[:4])
 	}
-	headerLen := int64(len(blockMagic)) + 1
-	for _, pg := range ft.Pages {
+	if head[4] != blockVersion {
+		return fmt.Errorf("%w: version %d", ErrBadBlock, head[4])
+	}
+	if string(tail[8:]) != string(blockEndMagic) {
+		return fmt.Errorf("%w: end magic", ErrBadBlock)
+	}
+	wantCRC := binary.LittleEndian.Uint32(tail)
+	flen := int64(binary.LittleEndian.Uint32(tail[4:]))
+	if flen > maxFooterLen || size-blockTailLen < flen {
+		return fmt.Errorf("%w: footer length %d", ErrBadBlock, flen)
+	}
+	b.buf = sized(b.buf, int(flen))
+	if _, err := src.ReadAt(b.buf, size-blockTailLen-flen); err != nil {
+		return err
+	}
+	if crc32.Checksum(b.buf, blockCRCTable) != wantCRC {
+		return fmt.Errorf("%w: footer checksum", ErrBadBlock)
+	}
+	if err := json.Unmarshal(b.buf, &b.ft); err != nil {
+		return fmt.Errorf("%w: footer: %v", ErrBadBlock, err)
+	}
+	if b.ft.Version != blockVersion || b.ft.Rows < 0 || b.ft.Raws < 0 {
+		return fmt.Errorf("%w: footer fields", ErrBadBlock)
+	}
+	for _, pg := range b.ft.Pages {
 		// Bounds via subtraction, not pg.Off+pg.Len+4: a crafted footer
 		// (valid CRC, huge offsets) can wrap int64 addition and slip an
-		// out-of-range page past the check into a Block.page panic.
-		if pg.Off < headerLen || pg.Len < 0 || pg.Len > int64(len(data)) ||
-			pg.Off > int64(len(data))-4-pg.Len {
-			return ft, fmt.Errorf("%w: page %q outside block", ErrBadBlock, pg.Name)
+		// out-of-range page past the check into a read far outside the block.
+		if pg.Off < headerLen || pg.Len < 0 || pg.Len > size || pg.Off > size-4-pg.Len {
+			return fmt.Errorf("%w: page %q outside block", ErrBadBlock, pg.Name)
+		}
+		// Every row costs at least a byte in every column page, so a row
+		// count no page could hold is a lie — and the slabs are sized from
+		// it, so it must be refused before anything is.
+		if pg.Name != "raw" && int64(b.ft.Rows) > pg.Len {
+			return fmt.Errorf("%w: %d rows in the %d-byte page %q", ErrBadBlock, b.ft.Rows, pg.Len, pg.Name)
 		}
 	}
-	return ft, nil
+	return nil
 }
 
 // Rows returns the number of events in the block.
@@ -343,15 +441,19 @@ func (b *Block) Groups() []string { return b.ft.Groups }
 // TimeWindow returns the [min, max] at_ns window the block covers.
 func (b *Block) TimeWindow() (minNS, maxNS int64) { return b.ft.MinAtNS, b.ft.MaxAtNS }
 
-// page returns the named page's payload after verifying its CRC.
+// page reads the named page into the reader's buffer and returns its
+// payload after verifying its CRC. The payload is valid until the next read.
 func (b *Block) page(name string) ([]byte, error) {
 	for _, pg := range b.ft.Pages {
 		if pg.Name != name {
 			continue
 		}
-		payload := b.data[pg.Off : pg.Off+pg.Len]
-		want := binary.LittleEndian.Uint32(b.data[pg.Off+pg.Len:])
-		if crc32.Checksum(payload, blockCRCTable) != want {
+		b.buf = sized(b.buf, int(pg.Len)+4)
+		if _, err := b.src.ReadAt(b.buf, pg.Off); err != nil {
+			return nil, fmt.Errorf("page %q: %w", name, err)
+		}
+		payload := b.buf[:pg.Len]
+		if crc32.Checksum(payload, blockCRCTable) != binary.LittleEndian.Uint32(b.buf[pg.Len:]) {
 			return nil, fmt.Errorf("%w: page %q checksum", ErrBadBlock, name)
 		}
 		return payload, nil
@@ -359,79 +461,124 @@ func (b *Block) page(name string) ([]byte, error) {
 	return nil, fmt.Errorf("%w: no page %q", ErrBadBlock, name)
 }
 
-// Dict decodes a dictionary column: the interned entries and one entry
-// index per row.
-func (b *Block) Dict(name string) (entries []string, rows []uint32, err error) {
-	p, err := b.page(name)
-	if err != nil {
-		return nil, nil, err
+// dict decodes dictionary column c — the interned entries and one entry
+// index per row — once per block.
+func (b *Block) dict(c int) (*dictCol, error) {
+	d := &b.dicts[c]
+	if b.have&(1<<c) != 0 {
+		return d, nil
 	}
-	n, off := binary.Uvarint(p)
-	if off <= 0 || n > uint64(len(p)) {
-		return nil, nil, fmt.Errorf("%w: dict %q entry count", ErrBadBlock, name)
+	rest, err := b.dictEntries(c)
+	if err == nil {
+		err = b.dictRows(c, rest)
 	}
-	entries = make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		l, sz := binary.Uvarint(p[off:])
-		if sz <= 0 || l > uint64(len(p)-off-sz) {
-			return nil, nil, fmt.Errorf("%w: dict %q entry", ErrBadBlock, name)
-		}
-		off += sz
-		entries = append(entries, string(p[off:off+int(l)]))
-		off += int(l)
-	}
-	rows = make([]uint32, 0, b.ft.Rows)
-	for i := 0; i < b.ft.Rows; i++ {
-		v, sz := binary.Uvarint(p[off:])
-		if sz <= 0 || v >= uint64(len(entries)) {
-			return nil, nil, fmt.Errorf("%w: dict %q row %d", ErrBadBlock, name, i)
-		}
-		off += sz
-		rows = append(rows, uint32(v))
-	}
-	return entries, rows, nil
+	return d, err
 }
 
-// Ints decodes an integer column into dst (reused when capacity allows),
-// undoing the delta encoding where the column used it.
-func (b *Block) Ints(name string, dst []int64) ([]int64, error) {
-	var delta bool
-	found := false
-	for _, c := range telemetry.IntColumns() {
-		if c.Name == name {
-			delta, found = c.Delta, true
-			break
+// dictEntries reads dictionary column c's page and decodes its entries
+// only, returning the rest of the payload — the row indexes, still in the
+// page buffer — for dictRows. filter stops between the two when no entry
+// of the session dictionary can match.
+func (b *Block) dictEntries(c int) (rest []byte, err error) {
+	name := dictNames[c]
+	p, err := b.page(name)
+	if err != nil {
+		return nil, err
+	}
+	n, start := binary.Uvarint(p)
+	if start <= 0 || n > uint64(len(p)) {
+		return nil, fmt.Errorf("%w: dict %q entry count", ErrBadBlock, name)
+	}
+	d := &b.dicts[c]
+	d.entries = sized(d.entries, int(n))
+	end := start
+	for range d.entries {
+		l, sz := binary.Uvarint(p[end:])
+		if sz <= 0 || l > uint64(len(p)-end-sz) {
+			return nil, fmt.Errorf("%w: dict %q entry", ErrBadBlock, name)
+		}
+		end += sz + int(l)
+	}
+	// The one copy: entries slice this string, never the page buffer.
+	text, off := string(p[start:end]), 0
+	for i := range d.entries {
+		l, sz := binary.Uvarint(p[start+off:])
+		off += sz + int(l)
+		d.entries[i] = text[off-int(l) : off]
+	}
+	if c == colKind {
+		b.kinds = sized(b.kinds, len(d.entries))
+		for i, name := range d.entries {
+			b.kinds[i], _ = telemetry.ParseKind(name) // unknown names decode as 0
 		}
 	}
-	if !found {
+	return p[end:], nil
+}
+
+// dictRows decodes column c's per-row entry indexes from rest, the payload
+// dictEntries left, into the column's exact-size slab.
+func (b *Block) dictRows(c int, rest []byte) error {
+	d := &b.dicts[c]
+	d.rows = sized(d.rows, b.ft.Rows)
+	off := 0
+	for i := range d.rows {
+		v, sz := binary.Uvarint(rest[off:])
+		if sz <= 0 || v >= uint64(len(d.entries)) {
+			return fmt.Errorf("%w: dict %q row %d", ErrBadBlock, dictNames[c], i)
+		}
+		off += sz
+		d.rows[i] = uint32(v)
+	}
+	b.have |= 1 << c
+	return nil
+}
+
+// Ints decodes an integer column, once per block, into its exact-size slab,
+// undoing the delta encoding where the column used it.
+func (b *Block) Ints(name string) ([]int64, error) {
+	cols := telemetry.IntColumns()
+	ci := 0
+	for ci < len(cols) && cols[ci].Name != name {
+		ci++
+	}
+	if ci == len(cols) {
 		return nil, fmt.Errorf("%w: no int column %q", ErrBadBlock, name)
+	}
+	if b.ints == nil {
+		b.ints = make([][]int64, len(cols))
+	}
+	if b.have&(1<<(numDicts+ci)) != 0 {
+		return b.ints[ci], nil
 	}
 	p, err := b.page(name)
 	if err != nil {
 		return nil, err
 	}
-	dst = dst[:0]
+	dst := sized(b.ints[ci], b.ft.Rows)
+	b.ints[ci] = dst
 	var prev int64
 	off := 0
-	for i := 0; i < b.ft.Rows; i++ {
+	for i := range dst {
 		u, sz := binary.Uvarint(p[off:])
 		if sz <= 0 {
 			return nil, fmt.Errorf("%w: int %q row %d", ErrBadBlock, name, i)
 		}
 		off += sz
 		v := unzigzag(u)
-		if delta {
+		if cols[ci].Delta {
 			v += prev
 			prev = v
 		}
-		dst = append(dst, v)
+		dst[i] = v
 	}
+	b.have |= 1 << (numDicts + ci)
 	return dst, nil
 }
 
-// Raws returns the verbatim journal lines of non-canonical rows, keyed by
-// row index.
-func (b *Block) Raws() (map[int][]byte, error) {
+// rawRows reads the raw page: the verbatim journal lines of non-canonical
+// rows, in row order. The lines alias the page buffer, so they are good
+// until the next read.
+func (b *Block) rawRows() ([]rawRow, error) {
 	p, err := b.page("raw")
 	if err != nil {
 		return nil, err
@@ -440,10 +587,12 @@ func (b *Block) Raws() (map[int][]byte, error) {
 	if off <= 0 || n > uint64(len(p)) {
 		return nil, fmt.Errorf("%w: raw count", ErrBadBlock)
 	}
-	raws := make(map[int][]byte, n)
-	for i := uint64(0); i < n; i++ {
+	b.raws = sized(b.raws, int(n))
+	for i := range b.raws {
 		row, sz := binary.Uvarint(p[off:])
-		if sz <= 0 || row > uint64(b.ft.Rows) {
+		// Strictly ascending, as encodeBlock writes them: Export walks this
+		// index with one cursor beside the row counter.
+		if sz <= 0 || row >= uint64(b.ft.Rows) || i > 0 && int(row) <= b.raws[i-1].row {
 			return nil, fmt.Errorf("%w: raw row", ErrBadBlock)
 		}
 		off += sz
@@ -452,73 +601,65 @@ func (b *Block) Raws() (map[int][]byte, error) {
 			return nil, fmt.Errorf("%w: raw length", ErrBadBlock)
 		}
 		off += sz
-		raws[int(row)] = p[off : off+int(l)]
+		b.raws[i] = rawRow{row: int(row), line: p[off : off+int(l)]}
 		off += int(l)
 	}
-	return raws, nil
+	return b.raws, nil
 }
 
-// Export writes every row back as journal JSONL in row order: canonical
-// rows re-render from their columns, raw rows emit their stored bytes.
-// The result is byte-identical to the lines the block was built from.
-func (b *Block) Export(w io.Writer) error {
-	events, raws, err := b.decodeRows()
-	if err != nil {
-		return err
-	}
-	var buf []byte
-	for i := range events {
-		if raw, ok := raws[i]; ok {
-			buf = append(buf[:0], raw...)
-		} else {
-			buf = telemetry.AppendJSONL(buf[:0], events[i])
+// loadRows decodes every column event needs that is not decoded yet.
+func (b *Block) loadRows() error {
+	for c := 0; c < numDicts; c++ {
+		if _, err := b.dict(c); err != nil {
+			return err
 		}
-		if _, err := w.Write(buf); err != nil {
+	}
+	for _, c := range telemetry.IntColumns() {
+		if _, err := b.Ints(c.Name); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// decodeRows materializes every row of the block — the row-oriented read
-// path Scan and Export share. Aggregate deliberately does not use it.
-func (b *Block) decodeRows() ([]telemetry.Event, map[int][]byte, error) {
-	kindEntries, kindRows, err := b.Dict("kind")
+// event materializes row i from the decoded columns (see loadRows) into e,
+// which the caller reuses row after row: the column setters are indirect
+// calls, so an Event made here would be a heap allocation per row.
+func (b *Block) event(i int, e *telemetry.Event) {
+	kind, sess, label := &b.dicts[colKind], &b.dicts[colSession], &b.dicts[colLabel]
+	e.Kind = b.kinds[kind.rows[i]]
+	e.Session = sess.entries[sess.rows[i]]
+	e.Label = label.entries[label.rows[i]]
+	for ci, c := range telemetry.IntColumns() {
+		c.Set(e, b.ints[ci][i])
+	}
+}
+
+// Export writes every row back as journal JSONL in row order: canonical
+// rows re-render straight from their columns, raw rows emit their stored
+// bytes. The result is byte-identical to the lines the block was built from.
+func (b *Block) Export(w io.Writer) error {
+	if err := b.loadRows(); err != nil {
+		return err
+	}
+	raws, err := b.rawRows() // the last read: raw lines live in the page buffer
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	sessEntries, sessRows, err := b.Dict("session")
-	if err != nil {
-		return nil, nil, err
-	}
-	labelEntries, labelRows, err := b.Dict("label")
-	if err != nil {
-		return nil, nil, err
-	}
-	kinds := make([]telemetry.Kind, len(kindEntries))
-	for i, name := range kindEntries {
-		kinds[i], _ = telemetry.ParseKind(name) // unknown names decode as 0
-	}
-	intCols := telemetry.IntColumns()
-	ints := make([][]int64, len(intCols))
-	for i, c := range intCols {
-		if ints[i], err = b.Ints(c.Name, nil); err != nil {
-			return nil, nil, err
+	var e telemetry.Event
+	var buf []byte
+	for i := 0; i < b.ft.Rows; i++ {
+		var line []byte
+		if len(raws) > 0 && raws[0].row == i {
+			line, raws = raws[0].line, raws[1:]
+		} else {
+			b.event(i, &e)
+			buf = telemetry.AppendJSONL(buf[:0], e)
+			line = buf
+		}
+		if _, err := w.Write(line); err != nil {
+			return err
 		}
 	}
-	raws, err := b.Raws()
-	if err != nil {
-		return nil, nil, err
-	}
-	events := make([]telemetry.Event, b.ft.Rows)
-	for i := range events {
-		e := &events[i]
-		e.Kind = kinds[kindRows[i]]
-		e.Session = sessEntries[sessRows[i]]
-		e.Label = labelEntries[labelRows[i]]
-		for ci, c := range intCols {
-			c.Set(e, ints[ci][i])
-		}
-	}
-	return events, raws, nil
+	return nil
 }

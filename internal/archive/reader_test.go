@@ -1,0 +1,401 @@
+package archive
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"runtime"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+
+	"bba/internal/telemetry"
+)
+
+// rawLines are journal lines ParseJSONL refuses — reordered fields, a
+// float, an unknown kind, garbage — so they live in a block's raw page and
+// take the lenient parse in the WAL tail.
+var rawLines = []string{
+	`{"session":"d0.w0.s2.BBA-1","kind":"buffer_sample","at_ns":7}`,
+	`{"kind":"chunk_complete","session":"d0.w0.s1.BBA-1","at_ns":1.5,"bytes":2000,"rate_bps":3000}`,
+	`{"kind":"martian_event","session":"d0.w0.s9.BBA-0","at_ns":40}`,
+	`{"kind":"session_end","session":"solo","played_ns":12,"at_ns":90}`,
+	`not json at all`,
+}
+
+// TestBlockFormatGolden pins the block format to its bytes: encodeBlock
+// over a fixed journal — canonical lines, every rawLines shape, a session
+// that recurs — must keep this SHA-256. A read-path change that also moves
+// this hash has touched the format, whatever else it claims.
+func TestBlockFormatGolden(t *testing.T) {
+	lines := splitLines(batchOf(0, 300))
+	for _, raw := range rawLines {
+		lines = append(lines, []byte(raw+"\n"))
+	}
+	lines = append(lines, splitLines(batchOf(300, 320))...)
+	blk, err := encodeBlock("golden", lines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "5980c6a866e497e103ec1f10fcce9a875e38942488b2e07ca1608e1ef14aa84d"
+	if got := sha256.Sum256(blk); hex.EncodeToString(got[:]) != want {
+		t.Fatalf("encodeBlock over the fixed journal = %d bytes, sha256 %x, want %s: the v1 block format moved",
+			len(blk), got, want)
+	}
+}
+
+// readLog is an io.ReaderAt that records every read.
+type readLog struct {
+	src   io.ReaderAt
+	reads []pageInfo // Off and Len of each ReadAt; Name filled by pages
+}
+
+func (r *readLog) ReadAt(p []byte, off int64) (int, error) {
+	r.reads = append(r.reads, pageInfo{Off: off, Len: int64(len(p))})
+	return r.src.ReadAt(p, off)
+}
+
+// pages names what was read since the last call: "envelope" for the
+// header, trailer and footer, else the page the read covers exactly
+// (payload plus CRC). Any other read fails the test.
+func (r *readLog) pages(t *testing.T, b *Block) []string {
+	t.Helper()
+	footerAt := int64(headerLen) // the footer starts where the last page's CRC ends
+	for _, pg := range b.ft.Pages {
+		footerAt = max(footerAt, pg.Off+pg.Len+4)
+	}
+	var names []string
+	for _, rd := range r.reads {
+		name := ""
+		if rd.Off+rd.Len <= headerLen || rd.Off >= footerAt {
+			name = "envelope"
+		}
+		for _, pg := range b.ft.Pages {
+			if rd.Off == pg.Off && rd.Len == pg.Len+4 {
+				name = pg.Name
+			}
+		}
+		if name == "" {
+			t.Fatalf("read of %d bytes at %d is neither the envelope nor exactly one page", rd.Len, rd.Off)
+		}
+		names = append(names, name)
+	}
+	r.reads = nil
+	return names
+}
+
+// TestSessionScanReadsOnlyItsPages holds the reader to page granularity,
+// counting reads on the very reader DecodeBlock wraps: opening a block is
+// the envelope; a session the block lacks costs the session page and
+// nothing else (and nothing at all when its group is not in the footer); a
+// session it holds reads every page once; and a rollup never reads a page
+// it does not fold.
+func TestSessionScanReadsOnlyItsPages(t *testing.T) {
+	lines := splitLines(batchOf(0, 400))
+	lines = append(lines, []byte(rawLines[0]+"\n"))
+	blk, err := encodeBlock("r", lines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := int64(len(blk))
+	log := &readLog{src: bytes.NewReader(blk)}
+	open := func() *Block {
+		t.Helper()
+		b := new(Block)
+		if err := b.open(log, size); err != nil {
+			t.Fatal(err)
+		}
+		if got := log.pages(t, b); strings.Join(got, ",") != "envelope,envelope,envelope" {
+			t.Fatalf("open read %v, want the header, the trailer and the footer", got)
+		}
+		return b
+	}
+	scan := func(q Query) (pages []string, events int) {
+		t.Helper()
+		b := open()
+		if _, err := b.scan(q.compile(), func(telemetry.Event) bool { events++; return true }); err != nil {
+			t.Fatal(err)
+		}
+		return log.pages(t, b), events
+	}
+
+	if pages, n := scan(Query{Session: "d0.w0.s3.BBA-7"}); len(pages) != 0 || n != 0 {
+		t.Errorf("session of a group the footer does not list: read %v, matched %d; want no page read", pages, n)
+	}
+	if pages, n := scan(Query{Session: "d0.w0.s99.BBA-1"}); strings.Join(pages, ",") != "session" || n != 0 {
+		t.Errorf("session absent from the block: read %v, matched %d; want the session page only", pages, n)
+	}
+	pages, n := scan(Query{Session: "d0.w0.s3.BBA-1"})
+	sort.Strings(pages)
+	var all []string
+	for _, pg := range open().ft.Pages {
+		if pg.Name != "raw" {
+			all = append(all, pg.Name)
+		}
+	}
+	sort.Strings(all)
+	if n == 0 || strings.Join(pages, ",") != strings.Join(all, ",") {
+		t.Errorf("session present: matched %d, read %v; want every column page exactly once: %v", n, pages, all)
+	}
+
+	b := open()
+	if ok, err := newAggState().addBlock(b, Query{}.compile()); !ok || err != nil {
+		t.Fatalf("addBlock = %v, %v", ok, err)
+	}
+	pages = log.pages(t, b)
+	sort.Strings(pages)
+	if want := "bytes,duration_ns,kind,played_ns,prev_rate_index,rate_bps,rate_index,session"; strings.Join(pages, ",") != want {
+		t.Errorf("Aggregate read %v, want exactly %s (never label, at_ns, buffer_ns, ...)", pages, want)
+	}
+}
+
+// distinctEvent gives every block of a CompactEvents: 64 store its own
+// session and label strings, so a string that aliased a reused buffer
+// would change under the test's feet.
+func distinctEvent(i int) telemetry.Event {
+	e := testEvent(i)
+	e.Session = fmt.Sprintf("d%d.w0.s%d.BBA-%d", i/64, i%5, i%2)
+	e.Label = fmt.Sprintf("label-%d-%d", i/64, i%3)
+	return e
+}
+
+// TestScanEventsOutliveTheirBlock retains every event Scan hands out and
+// compares them only at the end: the reader refills the same slabs and
+// page buffer block after block, and nothing a callback kept may move.
+func TestScanEventsOutliveTheirBlock(t *testing.T) {
+	s, err := Open(Config{Dir: t.TempDir(), CompactEvents: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var want []telemetry.Event
+	for i := 0; i < 64*5+10; i += 32 {
+		var batch []byte
+		for j := i; j < i+32 && j < 64*5+10; j++ {
+			want = append(want, distinctEvent(j))
+			batch = telemetry.AppendJSONL(batch, want[j])
+		}
+		if err := s.Append("r", batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st[0].Blocks != 5 || st[0].WALEvents != 10 {
+		t.Fatalf("layout %+v, want 5 blocks and a 10-event tail", st)
+	}
+	var got []telemetry.Event
+	if err := s.Scan(Query{Run: "r"}, func(e telemetry.Event) bool { got = append(got, e); return true }); err != nil {
+		t.Fatal(err)
+	}
+	// A second query refills the same reader's buffers once more.
+	if _, err := s.Aggregate(Query{Run: "r"}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("scan returned %d events, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("event %d, read back after the scan moved on:\n got %+v\nwant %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// queryAlloc returns the bytes run allocates.
+func queryAlloc(t *testing.T, run func() error) uint64 {
+	t.Helper()
+	var mem runtime.MemStats
+	runtime.ReadMemStats(&mem)
+	before := mem.TotalAlloc
+	if err := run(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&mem)
+	return mem.TotalAlloc - before
+}
+
+// TestQueryAllocationBudget holds the read path's allocation per event
+// covered, warm, for each query of the benchmark's mix over four sealed
+// blocks and a WAL tail. What remains is per query and per block, not per
+// row: a 256 KiB export buffer, one WAL read with its line index and the
+// events parsed from it, a footer and three dictionary strings per block —
+// 13.5 to 14.5 B per event on this store, most of it the tail's. While
+// every column slab grew from nil by append and every block was read whole,
+// the same four queries cost 260, 460, 490 and 590 B per event here.
+func TestQueryAllocationBudget(t *testing.T) {
+	const blockEvents, blocks, tail = 8192, 4, 512
+	const n = blockEvents*blocks + tail
+	s, err := Open(Config{Dir: t.TempDir(), CompactEvents: blockEvents})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < n; i += 256 {
+		if err := s.Append("r", batchOf(i, i+256)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st[0].Blocks != blocks || st[0].WALEvents != tail {
+		t.Fatalf("layout %+v, want %d blocks and a %d-event tail", st, blocks, tail)
+	}
+	// scan counts in place (no event is retained) and refuses an empty answer.
+	scan := func(q Query) func() error {
+		return func() error {
+			matched := 0
+			err := s.Scan(q, func(telemetry.Event) bool { matched++; return true })
+			if err == nil && matched == 0 {
+				err = fmt.Errorf("scan %+v matched nothing", q)
+			}
+			return err
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		budget float64 // bytes per event covered
+		run    func() error
+	}{
+		{"aggregate", 24, func() error { _, err := s.Aggregate(Query{Run: "r"}); return err }},
+		{"scan_session", 24, scan(Query{Run: "r", Session: "d0.w0.s3.BBA-1"})},
+		{"scan_kind", 24, scan(Query{Run: "r", Kinds: []telemetry.Kind{telemetry.RebufferStart, telemetry.RebufferEnd}})},
+		{"export", 32, func() error { return s.Export("r", io.Discard) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.run(); err != nil { // warm: the store's spare reader is sized
+				t.Fatal(err)
+			}
+			per := float64(queryAlloc(t, tc.run)) / n
+			t.Logf("%.1f B per event covered", per)
+			if per > tc.budget {
+				t.Errorf("%.1f B allocated per event covered, budget %.0f", per, tc.budget)
+			}
+		})
+	}
+}
+
+// TestQueriesRaceAppendAndCompaction runs Scan, Aggregate and Export from
+// several goroutines against a store that is appending and sealing blocks
+// the whole time (run it under -race). Every read view is taken at one
+// instant, so whatever a reader sees must be a whole number of admitted
+// batches: an export is exactly a prefix of the final journal, and a scan
+// and a rollup count exactly the events of such a prefix.
+func TestQueriesRaceAppendAndCompaction(t *testing.T) {
+	const batch, batches = 16, 120
+	s, err := Open(Config{Dir: t.TempDir(), CompactEvents: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Append("r", batchOf(0, batch)); err != nil {
+		t.Fatal(err)
+	}
+	journal := batchOf(0, batch*batches)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wholeBatches := func(what string, events int64) {
+		if events%batch != 0 || events > batch*batches {
+			t.Errorf("%s saw %d events: not a whole number of the %d-event batches admitted", what, events, batch)
+		}
+	}
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for last := false; !last; {
+				select {
+				case <-done:
+					last = true // one more pass, over the finished store
+				default:
+				}
+				switch r {
+				case 0:
+					var n int64
+					if err := s.Scan(Query{Run: "r"}, func(telemetry.Event) bool { n++; return true }); err != nil {
+						t.Error(err)
+					}
+					wholeBatches("Scan", n)
+				case 1:
+					roll, err := s.Aggregate(Query{Run: "r"})
+					if err != nil {
+						t.Error(err)
+					}
+					var n int64
+					for _, g := range roll.Groups {
+						n += g.Events
+					}
+					wholeBatches("Aggregate", n)
+					if roll.Rows != n {
+						t.Errorf("Aggregate folded %d events of %d rows", n, roll.Rows)
+					}
+				case 2:
+					var got bytes.Buffer
+					if err := s.Export("r", &got); err != nil {
+						t.Error(err)
+					}
+					if !bytes.HasPrefix(journal, got.Bytes()) {
+						t.Errorf("Export's %d bytes are not a prefix of the journal admitted", got.Len())
+					}
+					if last && got.Len() != len(journal) {
+						t.Errorf("final Export = %d bytes, want all %d", got.Len(), len(journal))
+					}
+				}
+			}
+		}(r)
+	}
+	for i := 1; i < batches; i++ {
+		if err := s.Append("r", batchOf(i*batch, (i+1)*batch)); err != nil {
+			t.Fatal(err)
+		}
+		if i%40 == 0 {
+			if err := s.Compact("r"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	close(done)
+	wg.Wait()
+	if st := s.Stats(); st[0].Blocks < 10 {
+		t.Fatalf("only %d blocks sealed under the readers; the test did not race a compaction", st[0].Blocks)
+	}
+}
+
+// TestOneBlockReader keeps the read path single: every query goes through
+// Block — open, page, slabs — so the decoders and whole-file reads it
+// replaced must not come back beside it. The only os.ReadFile left in the
+// package is the WAL's.
+func TestOneBlockReader(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen, walReads := 0, 0
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		seen++
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, gone := range []string{"decodeRows", "readFooter", "readBlock"} {
+			if strings.Contains(string(src), gone) {
+				t.Errorf("%s names %s: blocks are read through Block.open and Block.page, one page at a time; there is no second decoder", path, gone)
+			}
+		}
+		for _, line := range strings.Split(string(src), "\n") {
+			if !strings.Contains(line, "os.ReadFile(") {
+				continue
+			}
+			if walReads++; !strings.Contains(line, "walName") {
+				t.Errorf("%s reads a whole file that is not the WAL: %s", path, strings.TrimSpace(line))
+			}
+		}
+	}
+	if seen < 5 || walReads != 1 {
+		t.Errorf("saw %d source files and %d os.ReadFile calls, want the package's five files and the one WAL read", seen, walReads)
+	}
+}

@@ -1,11 +1,8 @@
 package archive
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
-	"os"
+	"slices"
 	"time"
 
 	"bba/internal/telemetry"
@@ -29,91 +26,142 @@ type Query struct {
 
 func errRunRequired() error { return fmt.Errorf("archive: Query.Run is required") }
 
-// matchesWindow reports whether a [min, max] at_ns window can contain a
-// matching event.
-func (q Query) matchesWindow(minNS, maxNS int64) bool {
-	if maxNS < int64(q.From) {
-		return false
+// plan is a Query compiled once per Scan or Aggregate, so that no block,
+// WAL line or row re-derives anything from it.
+type plan struct {
+	Query
+	// kinds is the queried kind set, indexed by telemetry.Kind; allKinds
+	// when the query names none.
+	allKinds bool
+	kinds    [256]bool
+	// group is the one group a matching row can be in ("" for any): the
+	// queried Group, else the queried Session's own. A footer lists groups,
+	// not sessions, and every matching row's group is in that list.
+	group string
+}
+
+func (q Query) compile() *plan {
+	p := &plan{Query: q, allKinds: len(q.Kinds) == 0, group: q.Group}
+	for _, k := range q.Kinds {
+		p.kinds[k] = true
 	}
-	if q.To > 0 && minNS > int64(q.To) {
-		return false
+	if p.group == "" && q.Session != "" {
+		p.group = telemetry.GroupOfSession(q.Session)
 	}
-	return true
+	return p
 }
 
 // matchesAt reports whether one event time passes the window predicate.
-func (q Query) matchesAt(atNS int64) bool {
-	return atNS >= int64(q.From) && (q.To <= 0 || atNS <= int64(q.To))
+func (p *plan) matchesAt(atNS int64) bool {
+	return atNS >= int64(p.From) && (p.To <= 0 || atNS <= int64(p.To))
 }
 
-// kindNames returns the queried kinds' journal names; nil means all.
-func (q Query) kindNames() map[string]bool {
-	if len(q.Kinds) == 0 {
-		return nil
-	}
-	m := make(map[string]bool, len(q.Kinds))
-	for _, k := range q.Kinds {
-		m[k.String()] = true
-	}
-	return m
+func (p *plan) matchesKind(k telemetry.Kind) bool { return p.allKinds || p.kinds[k] }
+
+func (p *plan) matchesSession(session string) bool {
+	return (p.Session == "" || session == p.Session) &&
+		(p.Group == "" || telemetry.GroupOfSession(session) == p.Group)
 }
 
-// pruneBlock reports whether the block's footer alone proves no row can
-// match: disjoint time window, no queried kind present, or — for group
-// queries — no session of that group.
-func (q Query) pruneBlock(ft footer) bool {
-	if ft.Rows == 0 || !q.matchesWindow(ft.MinAtNS, ft.MaxAtNS) {
+// matchesEvent is the row-at-a-time predicate of the WAL tail.
+func (p *plan) matchesEvent(e *telemetry.Event) bool {
+	return p.matchesAt(int64(e.At)) && p.matchesKind(e.Kind) && p.matchesSession(e.Session)
+}
+
+// prunes reports whether the footer alone proves no row can match: an
+// empty block, a disjoint time window, no queried kind present, or no
+// session of the group a match must be in.
+func (p *plan) prunes(ft *footer) bool {
+	if ft.Rows == 0 || ft.MaxAtNS < int64(p.From) || p.To > 0 && ft.MinAtNS > int64(p.To) {
 		return true
 	}
-	if names := q.kindNames(); names != nil {
-		any := false
-		for _, k := range ft.Kinds {
-			if names[k] {
-				any = true
-				break
-			}
-		}
-		if !any {
-			return true
-		}
+	if !p.allKinds && !slices.ContainsFunc(ft.Kinds, func(name string) bool {
+		k, _ := telemetry.ParseKind(name) // unknown names are kind 0, as in the rows
+		return p.kinds[k]
+	}) {
+		return true
 	}
-	if q.Group != "" {
-		any := false
-		for _, g := range ft.Groups {
-			if g == q.Group {
-				any = true
-				break
-			}
-		}
-		if !any {
-			return true
-		}
-	}
-	return false
+	return p.group != "" && !slices.Contains(ft.Groups, p.group)
 }
 
-// matchesEvent is the row-at-a-time predicate the WAL tail and Scan's
-// materialized path share.
-func (q Query) matchesEvent(e *telemetry.Event) bool {
-	if !q.matchesAt(int64(e.At)) {
-		return false
+// filter resolves p against the open block: the footer first, then one
+// verdict per entry of the session and kind dictionaries, so that match is
+// array indexing. ok is false when no row can match. The session page's
+// entries are decoded before its row indexes and before any other page, so
+// a block that lacks the queried session costs that one page read.
+func (b *Block) filter(p *plan) (ok bool, err error) {
+	if p.prunes(&b.ft) {
+		return false, nil
 	}
-	if names := q.kindNames(); names != nil && !names[e.Kind.String()] {
-		return false
+	rest, err := b.dictEntries(colSession)
+	if err != nil {
+		return false, err
 	}
-	if q.Session != "" && e.Session != q.Session {
-		return false
+	sess := b.dicts[colSession].entries
+	b.sessOK = sized(b.sessOK, len(sess))
+	for i, s := range sess {
+		b.sessOK[i] = p.matchesSession(s)
+		ok = ok || b.sessOK[i]
 	}
-	if q.Group != "" && telemetry.GroupOfSession(e.Session) != q.Group {
-		return false
+	if !ok {
+		return false, nil
 	}
-	return true
+	if err := b.dictRows(colSession, rest); err != nil {
+		return false, err
+	}
+	if _, err := b.dict(colKind); err != nil {
+		return false, err
+	}
+	b.kindOK = sized(b.kindOK, len(b.kinds))
+	for i, k := range b.kinds {
+		b.kindOK[i] = p.matchesKind(k)
+	}
+	b.plan, b.at = p, nil
+	if p.From > 0 || p.To > 0 {
+		b.at, err = b.Ints("at_ns")
+	}
+	return err == nil, err
+}
+
+// match reports whether row i passes the predicate filter resolved.
+func (b *Block) match(i int) bool {
+	return b.kindOK[b.dicts[colKind].rows[i]] && b.sessOK[b.dicts[colSession].rows[i]] &&
+		(b.at == nil || b.plan.matchesAt(b.at[i]))
+}
+
+// scan hands fn every matching row of the open block. The label and
+// integer columns decode only once a first row matches.
+func (b *Block) scan(p *plan, fn func(telemetry.Event) bool) (stop bool, err error) {
+	if ok, err := b.filter(p); !ok {
+		return false, err
+	}
+	var e telemetry.Event
+	loaded := false
+	for i := 0; i < b.ft.Rows; i++ {
+		if !b.match(i) {
+			continue
+		}
+		if !loaded {
+			if err := b.loadRows(); err != nil {
+				return false, err
+			}
+			loaded = true
+		}
+		if b.event(i, &e); !fn(e) {
+			return true, nil
+		}
+	}
+	return false, nil
 }
 
 // Scan streams every matching event in admission order — sealed blocks
 // first, then the live WAL tail — calling fn for each. fn returning false
-// stops the scan early. Blocks whose footer excludes the query are pruned
-// without reading a column page.
+// stops the scan early. A block opens with three small reads (header,
+// trailer, footer); one the footer excludes costs nothing more, one that
+// lacks the queried session costs its session page, and the rest read only
+// the pages the predicate needs until a first row matches. Events handed
+// to fn are fn's to keep: their strings are copies, never views of a
+// buffer the scan goes on to reuse.
 func (s *Store) Scan(q Query, fn func(telemetry.Event) bool) error {
 	if q.Run == "" {
 		return errRunRequired()
@@ -122,167 +170,39 @@ func (s *Store) Scan(q Query, fn func(telemetry.Event) bool) error {
 	if err != nil {
 		return err
 	}
-	kindNames := q.kindNames()
+	p := q.compile()
+	b := s.reader()
+	defer s.release(b)
 	for _, path := range blocks {
-		ft, err := readFooter(path)
-		if err != nil {
+		if err := b.openFile(path); err != nil {
 			return err
 		}
-		if q.pruneBlock(ft) {
-			continue
-		}
-		blk, err := readBlock(path)
-		if err != nil {
+		if stop, err := b.scan(p, fn); stop || err != nil {
 			return err
-		}
-		stop, err := scanBlock(blk, q, kindNames, fn)
-		if err != nil {
-			return err
-		}
-		if stop {
-			return nil
 		}
 	}
 	for _, line := range walLines {
-		e, ok := telemetry.ParseJSONL(line)
-		if !ok {
-			e = parseLoose(line)
-		}
-		if q.matchesEvent(&e) && !fn(e) {
+		if e := parseLine(line); p.matchesEvent(&e) && !fn(e) {
 			return nil
 		}
 	}
 	return nil
 }
 
-// scanBlock walks one block row-wise. It decodes the dictionary columns
-// first and resolves the predicates to dictionary-index sets, so the
-// per-row filter is integer compares; only rows that pass materialize an
-// Event.
-func scanBlock(b *Block, q Query, kindNames map[string]bool, fn func(telemetry.Event) bool) (stop bool, err error) {
-	kindEntries, kindRows, err := b.Dict("kind")
-	if err != nil {
-		return false, err
+// parseLine parses one WAL-tail journal line: strictly when it is
+// canonical, else leniently, mirroring what encodeBlock stores in the
+// columns for raw rows.
+func parseLine(line []byte) telemetry.Event {
+	e, ok := telemetry.ParseJSONL(line)
+	if ok {
+		return e
 	}
-	sessEntries, sessRows, err := b.Dict("session")
-	if err != nil {
-		return false, err
-	}
-	kindOK := make([]bool, len(kindEntries))
-	kinds := make([]telemetry.Kind, len(kindEntries))
-	for i, name := range kindEntries {
-		kindOK[i] = kindNames == nil || kindNames[name]
-		kinds[i], _ = telemetry.ParseKind(name)
-	}
-	sessOK := make([]bool, len(sessEntries))
-	for i, sess := range sessEntries {
-		sessOK[i] = (q.Session == "" || sess == q.Session) &&
-			(q.Group == "" || telemetry.GroupOfSession(sess) == q.Group)
-	}
-	var at []int64
-	if q.From > 0 || q.To > 0 {
-		if at, err = b.Ints("at_ns", nil); err != nil {
-			return false, err
-		}
-	}
-	// Lazily decode the remaining columns only once a row matches.
-	var labelEntries []string
-	var labelRows []uint32
-	var ints [][]int64
-	intCols := telemetry.IntColumns()
-	materialize := func() error {
-		if labelRows != nil {
-			return nil
-		}
-		if labelEntries, labelRows, err = b.Dict("label"); err != nil {
-			return err
-		}
-		ints = make([][]int64, len(intCols))
-		for i, c := range intCols {
-			if ints[i], err = b.Ints(c.Name, nil); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for i := 0; i < b.Rows(); i++ {
-		if !kindOK[kindRows[i]] || !sessOK[sessRows[i]] {
-			continue
-		}
-		if at != nil && !q.matchesAt(at[i]) {
-			continue
-		}
-		if err := materialize(); err != nil {
-			return false, err
-		}
-		e := telemetry.Event{
-			Kind:    kinds[kindRows[i]],
-			Session: sessEntries[sessRows[i]],
-			Label:   labelEntries[labelRows[i]],
-		}
-		for ci, c := range intCols {
-			c.Set(&e, ints[ci][i])
-		}
-		if !fn(e) {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// parseLoose is the lenient fallback for non-canonical WAL lines,
-// mirroring what encodeBlock stores in the columns for raw rows.
-func parseLoose(line []byte) telemetry.Event {
-	var e telemetry.Event
 	le, _ := unmarshalLoose(line)
-	k, _ := telemetry.ParseKind(le.Kind)
-	e.Kind = k
-	e.Session = le.Session
-	e.Label = le.Label
+	e = telemetry.Event{Session: le.Session, Label: le.Label}
+	e.Kind, _ = telemetry.ParseKind(le.Kind)
 	loose := le.ints()
 	for i, c := range telemetry.IntColumns() {
 		c.Set(&e, loose[i])
 	}
 	return e
-}
-
-// readFooter reads only a block's tail — the 12-byte trailer plus the
-// footer JSON — so pruning a block costs two small reads, not the file.
-func readFooter(path string) (footer, error) {
-	var ft footer
-	f, err := os.Open(path)
-	if err != nil {
-		return ft, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return ft, err
-	}
-	size := fi.Size()
-	if size < int64(len(blockMagic))+1+blockTailLen {
-		return ft, fmt.Errorf("%w: %d bytes", ErrBadBlock, size)
-	}
-	var tail [blockTailLen]byte
-	if _, err := f.ReadAt(tail[:], size-blockTailLen); err != nil {
-		return ft, err
-	}
-	if string(tail[8:]) != string(blockEndMagic) {
-		return ft, fmt.Errorf("%w: end magic", ErrBadBlock)
-	}
-	flen := int64(binary.LittleEndian.Uint32(tail[4:8]))
-	if flen > maxFooterLen || size-blockTailLen < flen {
-		return ft, fmt.Errorf("%w: footer length %d", ErrBadBlock, flen)
-	}
-	ftJSON := make([]byte, flen)
-	if _, err := f.ReadAt(ftJSON, size-blockTailLen-flen); err != nil {
-		return ft, err
-	}
-	if crc32.Checksum(ftJSON, blockCRCTable) != binary.LittleEndian.Uint32(tail[:4]) {
-		return ft, fmt.Errorf("%w: footer checksum", ErrBadBlock)
-	}
-	if err := json.Unmarshal(ftJSON, &ft); err != nil {
-		return ft, fmt.Errorf("%w: footer: %v", ErrBadBlock, err)
-	}
-	return ft, nil
 }

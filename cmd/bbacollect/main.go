@@ -8,7 +8,8 @@
 // Endpoints:
 //
 //	POST /ingest        one frame per request body
-//	GET  /metrics       Prometheus-text counters
+//	GET  /metrics       Prometheus-text counters (-store adds the archive's
+//	                    compaction-time histogram and WAL-event gauge)
 //	GET  /healthz       liveness; degrades (503) on archive failure
 //	GET  /runs          archived runs and storage stats (-store only)
 //	GET  /query         archived events or rollups (-store only)
@@ -86,6 +87,11 @@ func run(ctx context.Context, out, errw io.Writer, o options) error {
 	mux.HandleFunc("/tail", tailHandler(c))
 	if store != nil {
 		archive.QueryHandler{Store: store}.Register(mux)
+		// One /metrics: the collector's families, then the store's.
+		mux.Handle("/metrics", obs.Handler(func(w *obs.Writer) {
+			c.WriteMetrics(w)
+			store.WriteMetrics(w)
+		}))
 	}
 	srv, err := obs.Serve(o.addr, mux, o.grace, nil)
 	if err != nil {

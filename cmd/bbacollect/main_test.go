@@ -168,12 +168,16 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatalf("only %d events and maybe no rebuffer; the sessions are too tame to mean anything", events)
 	}
 
-	// Everything is counted once on /metrics, the re-delivery as a duplicate.
+	// Everything is counted once on /metrics, the re-delivery as a duplicate;
+	// the store's families follow the collector's: every admitted event is
+	// in the WAL, and nothing has been compacted yet.
 	metrics := string(get("/metrics"))
 	for _, want := range []string{
 		fmt.Sprintf("bba_collect_events_total %d\n", events),
 		"bba_collect_frames_duplicate_total 1\n",
 		"bba_collect_streams_total 2\n",
+		fmt.Sprintf("bba_archive_wal_events %d\n", events),
+		"bba_archive_compact_seconds_count 0\n",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Fatalf("/metrics lacks %q:\n%s", want, metrics)

@@ -20,6 +20,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -74,12 +75,13 @@ func main() {
 	flag.Parse()
 
 	obs.Main("bbaquery", func(ctx context.Context) error {
-		return run(ctx, os.Stdout, o)
+		return run(ctx, os.Stdout, os.Stderr, o)
 	})
 }
 
-// run executes one query and writes the result to out.
-func run(ctx context.Context, out io.Writer, o options) error {
+// run executes one query and writes the result to out; errw is told when
+// -limit cut the answer short.
+func run(ctx context.Context, out, errw io.Writer, o options) error {
 	if (o.dir == "") == (o.url == "") {
 		return errors.New("exactly one of -dir or -url is required")
 	}
@@ -90,9 +92,15 @@ func run(ctx context.Context, out io.Writer, o options) error {
 		return errors.New("-run is required (or -runs to list)")
 	}
 	if o.url != "" {
-		return runLive(ctx, out, o)
+		return runLive(ctx, out, errw, o)
 	}
-	return runOffline(out, o)
+	return runOffline(out, errw, o)
+}
+
+// warnTruncated says on errw that events matched beyond -limit: without it
+// an answer of exactly -limit events and a cut one look the same.
+func warnTruncated(errw io.Writer, o options) {
+	fmt.Fprintf(errw, "bbaquery: output truncated at -limit %d\n", o.limit)
 }
 
 // query builds the archive query from the flags; kind names are validated
@@ -119,7 +127,7 @@ func (o options) query() (archive.Query, error) {
 
 // runOffline opens the block directory read-only and answers from it
 // directly — pruning, scanning and aggregating exactly as the daemon does.
-func runOffline(out io.Writer, o options) error {
+func runOffline(out, errw io.Writer, o options) error {
 	st, err := archive.OpenReadOnly(o.dir)
 	if err != nil {
 		return err
@@ -142,25 +150,33 @@ func runOffline(out io.Writer, o options) error {
 		}
 		return printJSON(out, rollup)
 	}
+	// One buffered writer, not a write(2) per event; its error is sticky, so
+	// the Flush every path leaves by reports a failed Write too.
+	bw := bufio.NewWriter(out)
 	var line []byte
-	var werr error
-	n := 0
-	if err := st.Scan(q, func(e telemetry.Event) bool {
-		line = telemetry.AppendJSONL(line[:0], e)
-		if _, werr = out.Write(line); werr != nil {
+	n, truncated := 0, false
+	err = st.Scan(q, func(e telemetry.Event) bool {
+		if n == o.limit {
+			truncated = true
 			return false
 		}
 		n++
-		return n < o.limit
-	}); err != nil {
-		return err
+		line = telemetry.AppendJSONL(line[:0], e)
+		_, werr := bw.Write(line)
+		return werr == nil
+	})
+	if ferr := bw.Flush(); err == nil {
+		err = ferr
 	}
-	return werr
+	if truncated {
+		warnTruncated(errw, o)
+	}
+	return err
 }
 
 // runLive translates the flags into the collector's /runs, /query or
 // /tail endpoints and streams the response body to out.
-func runLive(ctx context.Context, out io.Writer, o options) error {
+func runLive(ctx context.Context, out, errw io.Writer, o options) error {
 	if _, err := o.query(); err != nil { // validate kinds client-side
 		return err
 	}
@@ -194,6 +210,9 @@ func runLive(ctx context.Context, out io.Writer, o options) error {
 		return fmt.Errorf("%s: %s: %s", target, resp.Status, strings.TrimSpace(string(body)))
 	}
 	_, err = io.Copy(out, resp.Body)
+	if resp.Header.Get(archive.TruncatedHeader) != "" {
+		warnTruncated(errw, o)
+	}
 	if o.tail && (errors.Is(err, context.Canceled) || ctx.Err() != nil) {
 		return nil // interrupted tail is a clean exit
 	}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -53,10 +55,74 @@ func fixtureStore(t *testing.T) (dir string, journal []byte) {
 func runCLI(t *testing.T, o options) string {
 	t.Helper()
 	var out bytes.Buffer
-	if err := run(context.Background(), &out, o); err != nil {
+	if err := run(context.Background(), &out, io.Discard, o); err != nil {
 		t.Fatalf("bbaquery %+v: %v", o, err)
 	}
 	return out.String()
+}
+
+// TestQueryTruncation holds both modes to saying when -limit cut the answer:
+// the fixture holds 24 events, so a limit one above or exactly at 24 returns
+// everything in silence, and one below returns 23 lines and the warning — an
+// answer that merely fills its limit is not a truncated one.
+func TestQueryTruncation(t *testing.T) {
+	dir, journal := fixtureStore(t)
+	st, err := archive.OpenReadOnly(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	mux := http.NewServeMux()
+	archive.QueryHandler{Store: st}.Register(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	lines := bytes.SplitAfter(journal, []byte("\n"))
+	for _, mode := range []options{{dir: dir}, {url: srv.URL}} {
+		for _, tc := range []struct {
+			limit     int
+			truncated bool
+		}{{25, false}, {24, false}, {23, true}, {1, true}} {
+			o := mode
+			o.run, o.limit = "q", tc.limit
+			var out, errw bytes.Buffer
+			if err := run(context.Background(), &out, &errw, o); err != nil {
+				t.Fatalf("bbaquery %+v: %v", o, err)
+			}
+			if want := bytes.Join(lines[:min(tc.limit, 24)], nil); !bytes.Equal(out.Bytes(), want) {
+				t.Errorf("%+v: printed %d bytes, want the journal's first %d events", o, out.Len(), min(tc.limit, 24))
+			}
+			want := ""
+			if tc.truncated {
+				want = fmt.Sprintf("bbaquery: output truncated at -limit %d\n", tc.limit)
+			}
+			if errw.String() != want {
+				t.Errorf("%+v: stderr %q, want %q", o, &errw, want)
+			}
+		}
+	}
+}
+
+// failAfter is a writer that takes n bytes and then fails.
+type failAfter struct{ n int }
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if w.n -= len(p); w.n < 0 {
+		return 0, errors.New("disk full")
+	}
+	return len(p), nil
+}
+
+// TestQueryOfflineReportsWriteErrors: events go through one buffered writer,
+// and an error from it — mid-scan or at the final flush — is the command's.
+func TestQueryOfflineReportsWriteErrors(t *testing.T) {
+	dir, journal := fixtureStore(t)
+	for _, room := range []int{0, len(journal) - 1} {
+		err := run(context.Background(), &failAfter{n: room}, io.Discard, options{dir: dir, run: "q", limit: 1000})
+		if err == nil || !strings.Contains(err.Error(), "disk full") {
+			t.Errorf("stdout failing after %d bytes: run returned %v", room, err)
+		}
+	}
 }
 
 func TestQueryOffline(t *testing.T) {
@@ -123,7 +189,7 @@ func TestQueryLive(t *testing.T) {
 		t.Fatalf("live runs: %q", got)
 	}
 	// Errors surface with the HTTP status attached.
-	if err := run(context.Background(), new(bytes.Buffer), options{url: srv.URL, run: "nope", agg: true}); err == nil || !strings.Contains(err.Error(), "404") {
+	if err := run(context.Background(), new(bytes.Buffer), io.Discard, options{url: srv.URL, run: "nope", agg: true}); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Fatalf("unknown run: %v", err)
 	}
 }
@@ -137,7 +203,7 @@ func TestQueryFlagValidation(t *testing.T) {
 		{dir: t.TempDir(), run: "r", kinds: "bogus"}, // bad kind
 		{url: "http://0", run: "r", kinds: "bogus"},  // bad kind, live
 	} {
-		if err := run(context.Background(), new(bytes.Buffer), o); err == nil {
+		if err := run(context.Background(), new(bytes.Buffer), io.Discard, o); err == nil {
 			t.Errorf("options %+v accepted", o)
 		}
 	}

@@ -179,14 +179,14 @@ func (s *Store) Aggregate(q Query) (Rollup, error) {
 	if q.Run == "" {
 		return r, errRunRequired()
 	}
-	blocks, walLines, err := s.snapshot(q.Run)
+	b := s.reader()
+	defer s.release(b)
+	blocks, err := s.snapshot(q.Run, b)
 	if err != nil {
 		return r, err
 	}
 	p := q.compile()
 	st := newAggState()
-	b := s.reader()
-	defer s.release(b)
 	for _, path := range blocks {
 		if err := b.openFile(path); err != nil {
 			return r, err
@@ -198,7 +198,7 @@ func (s *Store) Aggregate(q Query) (Rollup, error) {
 			r.Rows += int64(b.Rows())
 		}
 	}
-	for _, line := range walLines {
+	for _, line := range b.walLines {
 		r.Rows++
 		if e := parseLine(line); p.matchesEvent(&e) {
 			st.addEvent(&e)

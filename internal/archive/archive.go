@@ -44,6 +44,9 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"time"
+
+	"bba/internal/obs"
 )
 
 // walName is the active WAL file inside a run directory.
@@ -84,11 +87,21 @@ type Store struct {
 	mu   sync.Mutex
 	runs map[string]*runArchive
 	// spare is the block reader the last query finished with — its page
-	// buffer and slabs, never decoded data or an open file — so the next
-	// query starts with slabs already sized. One, not a pool: a query that
-	// finds it taken makes its own, and the last to finish leaves its.
+	// buffer, slabs and WAL buffer, never decoded data or an open file — so
+	// the next query starts with them already sized. One, not a pool: a
+	// query that finds it taken makes its own, and the last to finish
+	// leaves its.
 	spare *Block
+
+	// compactSeconds is the wall time of every compaction so far, observed
+	// in compactLocked: per-bucket counts over compactBounds, and the sum.
+	compactSeconds [len(compactBounds) + 1]uint64
+	compactSum     float64
 }
+
+// compactBounds are the compaction histogram's upper bounds, in seconds: a
+// default-size block takes a few hundred milliseconds, a shutdown's tail a few.
+var compactBounds = [...]float64{0.001, 0.005, 0.025, 0.1, 0.25, 0.5, 1, 2.5, 10}
 
 // runArchive is one run's slice of the store.
 type runArchive struct {
@@ -205,25 +218,13 @@ func (s *Store) openRun(run, dir string) (*runArchive, error) {
 		ra.nextSeq = 1
 	}
 
-	// A read-only view stops here: its queries read the WAL themselves
-	// (walLinesLocked), and only Stats wants it counted.
+	// A read-only view stops here: it holds no handle, its queries read the
+	// WAL themselves (readWAL), and only Stats wants it counted.
 	if s.readOnly {
 		return ra, nil
 	}
-	valid, err := ra.countWAL()
+	f, err := ra.openWAL(os.O_CREATE | os.O_RDWR)
 	if err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	if err := f.Truncate(valid); err != nil { // drop a torn tail, if any
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(valid, io.SeekStart); err != nil {
-		f.Close()
 		return nil, err
 	}
 	ra.wal = f
@@ -231,6 +232,17 @@ func (s *Store) openRun(run, dir string) (*runArchive, error) {
 	// CRC) into a single syscall; Append flushes it before returning, so
 	// it never holds bytes the collector has already acknowledged.
 	ra.walBuf = bufio.NewWriterSize(f, 64<<10)
+	valid, err := ra.countWAL(new(Block))
+	if err == nil {
+		err = f.Truncate(valid) // drop a torn tail, if any
+	}
+	if err == nil {
+		_, err = f.Seek(valid, io.SeekStart)
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
 	return ra, nil
 }
 
@@ -263,25 +275,67 @@ func scanWAL(data []byte, visit func(payload []byte)) int64 {
 	}
 }
 
-// readWAL reads ra's WAL file and walks its intact records (see scanWAL),
-// returning the byte length of the valid prefix. The payloads visit sees
-// are sub-slices of the one private buffer read here, so they stay good
-// after the call. A run with no WAL file yet has an empty one.
-func (ra *runArchive) readWAL(visit func(payload []byte)) (valid int64, err error) {
-	data, err := os.ReadFile(filepath.Join(ra.dir, walName))
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return 0, err
-	}
-	return scanWAL(data, visit), nil
+// openWAL is the one place ra's WAL file is opened: once, read-write and
+// created if missing, by the store that owns the directory; per read, by a
+// read-only view.
+func (ra *runArchive) openWAL(flag int) (*os.File, error) {
+	return os.OpenFile(filepath.Join(ra.dir, walName), flag, 0o644)
 }
 
-// countWAL sets ra.events and ra.bytes from the WAL file.
-func (ra *runArchive) countWAL() (valid int64, err error) {
-	ra.events, ra.bytes = 0, 0
-	return ra.readWAL(func(payload []byte) {
-		ra.events += bytes.Count(payload, []byte{'\n'})
-		ra.bytes += int64(len(payload))
+// readWAL reads ra's WAL into b — one read, one CRC scan (see scanWAL) —
+// leaving the file's bytes in b.wal and its journal lines, in admission
+// order and each a sub-slice of b.wal, in b.walLines, both good until b's
+// next read; it returns the byte length of the file's valid prefix and the
+// payload bytes in it. It is the only reader of the file, for queries,
+// compaction and counting alike: the store that owns the directory flushes
+// and reads through the handle it appends with, a read-only view opens the
+// file for this one read, and re-reading it (rather than trusting counters)
+// keeps such a view honest about a WAL a live writer may have appended to
+// or truncated since. A run with no WAL file yet has an empty one. Caller
+// holds mu: a compaction may truncate the file.
+func (ra *runArchive) readWAL(b *Block) (valid, payload int64, err error) {
+	b.walLines = b.walLines[:0]
+	f := ra.wal
+	if f == nil {
+		if f, err = ra.openWAL(os.O_RDONLY); errors.Is(err, os.ErrNotExist) {
+			return 0, 0, nil
+		} else if err != nil {
+			return 0, 0, err
+		}
+		defer f.Close()
+	} else if err = ra.walBuf.Flush(); err != nil {
+		return 0, 0, err
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, 0, err
+	}
+	b.wal = sized(b.wal, int(fi.Size()))
+	// A short read is a live writer's truncation racing a read-only view:
+	// what was read is scanned like any other torn tail.
+	n, err := f.ReadAt(b.wal, 0)
+	if err != nil && err != io.EOF {
+		return 0, 0, err
+	}
+	valid = scanWAL(b.wal[:n], func(p []byte) {
+		payload += int64(len(p))
+		for len(p) > 0 {
+			end := bytes.IndexByte(p, '\n') + 1
+			if end == 0 {
+				end = len(p)
+			}
+			b.walLines = append(b.walLines, p[:end])
+			p = p[end:]
+		}
 	})
+	return valid, payload, nil
+}
+
+// countWAL sets ra.events and ra.bytes from the WAL file, read into b.
+func (ra *runArchive) countWAL(b *Block) (valid int64, err error) {
+	valid, ra.bytes, err = ra.readWAL(b)
+	ra.events = len(b.walLines)
+	return valid, err
 }
 
 // runLocked returns (creating if needed) the named run's archive. Caller
@@ -351,7 +405,7 @@ func (s *Store) Append(run string, batch []byte) error {
 	ra.events += bytes.Count(batch, []byte{'\n'})
 	ra.bytes += int64(len(batch))
 	if ra.events >= s.cfg.CompactEvents || ra.bytes >= s.cfg.CompactBytes {
-		return s.compactLocked(ra) // flushes via walLinesLocked
+		return s.compactLocked(ra) // flushes via readWAL
 	}
 	return ra.walBuf.Flush()
 }
@@ -393,11 +447,14 @@ func (s *Store) compactLocked(ra *runArchive) error {
 	if ra.events == 0 {
 		return nil
 	}
-	lines, err := ra.walLinesLocked()
-	if err != nil {
+	start := time.Now()
+	// Read into a reader of its own, not the spare: a WAL-sized buffer kept
+	// live between compactions doubles the heap the collector's GC aims for.
+	var b Block
+	if _, _, err := ra.readWAL(&b); err != nil {
 		return err
 	}
-	blk, err := encodeBlock(ra.run, lines)
+	blk, err := encodeBlock(ra.run, b.walLines)
 	if err != nil {
 		return err
 	}
@@ -430,35 +487,10 @@ func (s *Store) compactLocked(ra *runArchive) error {
 	}
 	ra.walBuf.Reset(ra.wal)
 	ra.events, ra.bytes = 0, 0
+	took := time.Since(start).Seconds()
+	s.compactSeconds[sort.SearchFloat64s(compactBounds[:], took)]++
+	s.compactSum += took
 	return nil
-}
-
-// walLinesLocked flushes and re-reads ra's WAL — one read, one scan —
-// returning its journal lines in admission order, each a sub-slice of the
-// buffer just read and so the caller's to keep. Re-scanning the file
-// (rather than trusting counters) keeps read-only stores honest about a
-// WAL a live writer may have appended to or truncated since Open;
-// refreshLocked does the same for the block list. Caller holds mu: a
-// compaction may truncate the file.
-func (ra *runArchive) walLinesLocked() ([][]byte, error) {
-	if ra.wal != nil {
-		if err := ra.walBuf.Flush(); err != nil {
-			return nil, err
-		}
-	}
-	var lines [][]byte
-	_, err := ra.readWAL(func(payload []byte) {
-		for len(payload) > 0 {
-			nl := bytes.IndexByte(payload, '\n')
-			if nl < 0 {
-				lines = append(lines, payload)
-				return
-			}
-			lines = append(lines, payload[:nl+1])
-			payload = payload[nl+1:]
-		}
-	})
-	return lines, err
 }
 
 // Runs returns the runs present, sorted. A read-only store re-lists the
@@ -492,9 +524,10 @@ func (s *Store) Stats() []RunStats {
 	defer s.mu.Unlock()
 	_ = s.refreshLocked()
 	out := make([]RunStats, 0, len(s.runs))
+	var b Block
 	for run, ra := range s.runs {
 		if s.readOnly {
-			_, _ = ra.countWAL() // best effort, like the refresh
+			_, _ = ra.countWAL(&b) // best effort, like the refresh
 		}
 		st := RunStats{Run: run, Blocks: len(ra.blocks), WALEvents: ra.events, WALBytes: ra.bytes}
 		for _, p := range ra.blocks {
@@ -508,25 +541,39 @@ func (s *Store) Stats() []RunStats {
 	return out
 }
 
-// snapshot captures a run's read view: immutable block paths plus the WAL
-// tail's lines, consistent at one instant. Read-only stores re-list the
-// directory first so blocks a live writer sealed — and runs it created —
-// since Open are included rather than silently dropped.
-func (s *Store) snapshot(run string) (blocks []string, walLines [][]byte, err error) {
+// WriteMetrics writes the store's metric families: how long compactions
+// have taken — each runs under the store's lock, inside the Append whose ACK
+// it delays — and how many events sit in WAL tails, not yet sealed.
+func (s *Store) WriteMetrics(w *obs.Writer) {
+	s.mu.Lock()
+	counts, sum, walEvents := s.compactSeconds, s.compactSum, 0
+	for _, ra := range s.runs {
+		walEvents += ra.events
+	}
+	s.mu.Unlock()
+	w.Histogram("bba_archive_compact_seconds", "Wall time of WAL-to-block compactions.", compactBounds[:], counts[:], sum)
+	w.Gauge("bba_archive_wal_events", "Events in WAL tails, awaiting compaction.", float64(walEvents))
+}
+
+// snapshot captures a run's read view, consistent at one instant: the
+// immutable block paths, returned, and the WAL tail, read into b — the
+// query's reader — whose walLines hold it until release. Read-only stores
+// re-list the directory first so blocks a live writer sealed — and runs it
+// created — since Open are included rather than silently dropped.
+func (s *Store) snapshot(run string, b *Block) (blocks []string, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.refreshLocked(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	ra, ok := s.runs[run]
 	if !ok {
-		return nil, nil, fmt.Errorf("archive: unknown run %q", run)
+		return nil, fmt.Errorf("archive: unknown run %q", run)
 	}
-	walLines, err = ra.walLinesLocked()
-	if err != nil {
-		return nil, nil, err
+	if _, _, err := ra.readWAL(b); err != nil {
+		return nil, err
 	}
-	return append([]string(nil), ra.blocks...), walLines, nil
+	return append([]string(nil), ra.blocks...), nil
 }
 
 // reader hands out the store's spare block reader, or a new one while
@@ -553,27 +600,31 @@ func (s *Store) release(b *Block) {
 // then the WAL tail — to w. The output is byte-identical to the
 // concatenation of every batch Append accepted for the run.
 func (s *Store) Export(run string, w io.Writer) error {
-	blocks, walLines, err := s.snapshot(run)
+	b := s.reader()
+	defer s.release(b)
+	blocks, err := s.snapshot(run, b)
 	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriterSize(w, 256<<10)
-	b := s.reader()
-	defer s.release(b)
+	if b.out == nil {
+		b.out = bufio.NewWriterSize(nil, 256<<10)
+	}
+	b.out.Reset(w)
+	defer b.out.Reset(nil) // the spare must not pin the caller's writer
 	for _, path := range blocks {
 		if err := b.openFile(path); err != nil {
 			return err
 		}
-		if err := b.Export(bw); err != nil {
+		if err := b.Export(b.out); err != nil {
 			return err
 		}
 	}
-	for _, line := range walLines {
-		if _, err := bw.Write(line); err != nil {
+	for _, line := range b.walLines {
+		if _, err := b.out.Write(line); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	return b.out.Flush()
 }
 
 // Close flushes every WAL buffer. Blocks need nothing: they are only ever

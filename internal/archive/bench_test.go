@@ -169,6 +169,23 @@ func (w *countWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// BenchmarkEncodeBlock measures sealing one default-size block: 65 536
+// canonical lines parsed, re-render-checked, dictionary- and varint-encoded.
+// It runs under the store's lock inside the Append that trips the threshold,
+// so this is how long that Append's ACK — and every query — waits.
+func BenchmarkEncodeBlock(b *testing.B) {
+	lines := splitLines(batchOf(0, 1<<16))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		blk, err := encodeBlock("bench", lines)
+		if err != nil || len(blk) == 0 {
+			b.Fatalf("encodeBlock: %d bytes, %v", len(blk), err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(lines)), "ns/line")
+}
+
 // BenchmarkAppend measures the WAL ingest path the collector calls inline.
 func BenchmarkAppend(b *testing.B) {
 	s, err := Open(Config{Dir: b.TempDir()})

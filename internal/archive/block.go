@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
@@ -93,8 +94,9 @@ type dictBuilder struct {
 	rows    []uint64
 }
 
-func newDictBuilder() *dictBuilder {
-	return &dictBuilder{index: make(map[string]uint64)}
+// newDictBuilder returns a builder with room for rows row indexes.
+func newDictBuilder(rows int) *dictBuilder {
+	return &dictBuilder{index: make(map[string]uint64), rows: make([]uint64, 0, rows)}
 }
 
 func (d *dictBuilder) add(s string) {
@@ -147,19 +149,22 @@ type looseEvent struct {
 	Label         string `json:"label"`
 }
 
-// unmarshalLoose best-effort parses a journal line into a looseEvent;
-// fields the line lacks stay zero.
-func unmarshalLoose(line []byte) (looseEvent, error) {
+// parseLoose is the lenient parse of a line ParseJSONL refused: best
+// effort, fields the line lacks stay zero. The kind comes back by name too,
+// because a block's kind dictionary keeps names no Kind has. It is its own
+// function so that the Event the setters reach through func values is
+// heap-allocated here only, not in the callers' strict path.
+func parseLoose(line []byte) (e telemetry.Event, kindName string) {
 	var le looseEvent
-	err := json.Unmarshal(line, &le)
-	return le, err
-}
-
-// ints returns the integer fields in telemetry.IntColumns order.
-func (le *looseEvent) ints() []int64 {
-	return []int64{le.AtNS, le.Chunk, le.RateIndex, le.PrevRateIndex,
+	_ = json.Unmarshal(line, &le) // whatever fields did parse are kept
+	e = telemetry.Event{Session: le.Session, Label: le.Label}
+	e.Kind, _ = telemetry.ParseKind(le.Kind)
+	for i, v := range [...]int64{le.AtNS, le.Chunk, le.RateIndex, le.PrevRateIndex,
 		le.RateBps, le.Bytes, le.DurationNS, le.ThroughputBps,
-		le.BufferNS, le.PlayedNS, le.ReservoirNS, le.ProtectionNS}
+		le.BufferNS, le.PlayedNS, le.ReservoirNS, le.ProtectionNS} {
+		telemetry.IntColumns()[i].Set(&e, v)
+	}
+	return e, le.Kind
 }
 
 // encodeBlock renders one immutable block from journal lines in admission
@@ -168,42 +173,43 @@ func (le *looseEvent) ints() []int64 {
 // verbatim in the raw page, preserving byte-lossless export.
 func encodeBlock(run string, lines [][]byte) ([]byte, error) {
 	intCols := telemetry.IntColumns()
-	kind, session, label := newDictBuilder(), newDictBuilder(), newDictBuilder()
+	n := len(lines)
+	kind, session, label := newDictBuilder(n), newDictBuilder(n), newDictBuilder(n)
+	// Every column is sized from the line count up front: grown from nil by
+	// append, a default block's slabs and output cost ≈ 60 MB of garbage.
+	slab := make([]int64, len(intCols)*n)
 	ints := make([][]int64, len(intCols))
+	for i := range ints {
+		ints[i] = slab[i*n : (i+1)*n]
+	}
 	var raws []rawRow
 	var minAt, maxAt int64
-	groups := map[string]bool{}
 
+	// e is declared once: Get is a func value, so an Event made per row
+	// would be a heap allocation per row.
+	var e telemetry.Event
 	var scratch []byte
 	for row, line := range lines {
-		e, ok := telemetry.ParseJSONL(line)
-		var kindName string
+		var ok bool
+		e, ok = telemetry.ParseJSONL(line)
+		kindName := e.Kind.String()
+		// Belt and braces: the columns must reproduce the line exactly, or
+		// the row goes to the raw page. ParseJSONL guarantees this, but
+		// losslessness is the archive's contract, so it is enforced here,
+		// where it is cheap, rather than trusted.
 		if ok {
-			// Belt and braces: the columns must reproduce the line exactly,
-			// or the row goes to the raw page. ParseJSONL guarantees this,
-			// but losslessness is the archive's contract, so it is enforced
-			// here, where it is cheap, rather than trusted.
 			scratch = telemetry.AppendJSONL(scratch[:0], e)
-			if string(scratch) != string(line) {
-				ok = false
-			}
+			ok = string(scratch) == string(line)
 		}
-		if ok {
-			kindName = e.Kind.String()
-		} else {
-			le, _ := unmarshalLoose(line) // best effort; zero values on failure
-			kindName = le.Kind
-			e = telemetry.Event{Session: le.Session, Label: le.Label}
-			for i, v := range le.ints() {
-				intCols[i].Set(&e, v)
-			}
+		if !ok {
+			e, kindName = parseLoose(line)
 			raws = append(raws, rawRow{row: row, line: line})
 		}
 		kind.add(kindName)
 		session.add(e.Session)
 		label.add(e.Label)
 		for i, c := range intCols {
-			ints[i] = append(ints[i], c.Get(&e))
+			ints[i][row] = c.Get(&e)
 		}
 		at := int64(e.At)
 		if row == 0 || at < minAt {
@@ -212,51 +218,60 @@ func encodeBlock(run string, lines [][]byte) ([]byte, error) {
 		if row == 0 || at > maxAt {
 			maxAt = at
 		}
-		groups[telemetry.GroupOfSession(e.Session)] = true
 	}
 
 	ft := footer{
-		Version: blockVersion, Run: run, Rows: len(lines),
+		Version: blockVersion, Run: run, Rows: n,
 		MinAtNS: minAt, MaxAtNS: maxAt,
 		Kinds: append([]string(nil), kind.entries...),
 		Raws:  len(raws),
+	}
+	// Groups resolve once per session-dictionary entry, never per row.
+	groups := map[string]bool{}
+	for _, s := range session.entries {
+		groups[telemetry.GroupOfSession(s)] = true
 	}
 	for g := range groups {
 		ft.Groups = append(ft.Groups, g)
 	}
 	sort.Strings(ft.Groups)
 
-	buf := append([]byte(nil), blockMagic...)
-	buf = append(buf, blockVersion)
-	page := func(name string, payload []byte) {
-		ft.Pages = append(ft.Pages, pageInfo{Name: name, Off: int64(len(buf)), Len: int64(len(payload))})
-		buf = append(buf, payload...)
-		buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, blockCRCTable))
+	// Pages are rendered in place, each followed by its CRC. 32 B a row is
+	// what a campaign's events come to; a block of raw lines grows past it.
+	buf := make([]byte, 0, headerLen+32*n)
+	buf = append(append(buf, blockMagic...), blockVersion)
+	page := func(name string, render func(dst []byte) []byte) {
+		off := len(buf)
+		buf = render(buf)
+		ft.Pages = append(ft.Pages, pageInfo{Name: name, Off: int64(off), Len: int64(len(buf) - off)})
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[off:], blockCRCTable))
 	}
-	var p []byte
-	page("kind", kind.page(p[:0]))
-	page("session", session.page(p[:0]))
-	page("label", label.page(p[:0]))
+	page("kind", kind.page)
+	page("session", session.page)
+	page("label", label.page)
 	for i, c := range intCols {
-		p = p[:0]
-		var prev int64
-		for _, v := range ints[i] {
-			if c.Delta {
-				p = binary.AppendUvarint(p, zigzag(v-prev))
-				prev = v
-			} else {
-				p = binary.AppendUvarint(p, zigzag(v))
+		page(c.Name, func(p []byte) []byte {
+			var prev int64
+			for _, v := range ints[i] {
+				if c.Delta {
+					p = binary.AppendUvarint(p, zigzag(v-prev))
+					prev = v
+				} else {
+					p = binary.AppendUvarint(p, zigzag(v))
+				}
 			}
+			return p
+		})
+	}
+	page("raw", func(p []byte) []byte {
+		p = binary.AppendUvarint(p, uint64(len(raws)))
+		for _, r := range raws {
+			p = binary.AppendUvarint(p, uint64(r.row))
+			p = binary.AppendUvarint(p, uint64(len(r.line)))
+			p = append(p, r.line...)
 		}
-		page(c.Name, p)
-	}
-	p = binary.AppendUvarint(p[:0], uint64(len(raws)))
-	for _, r := range raws {
-		p = binary.AppendUvarint(p, uint64(r.row))
-		p = binary.AppendUvarint(p, uint64(len(r.line)))
-		p = append(p, r.line...)
-	}
-	page("raw", p)
+		return p
+	})
 
 	ftJSON, err := json.Marshal(ft)
 	if err != nil {
@@ -299,6 +314,12 @@ type Block struct {
 	plan           *plan
 	kindOK, sessOK []bool
 	at             []int64
+
+	// What the reader holds for its query beside the open block: the WAL
+	// tail of the read view (see readWAL) and Export's output buffer.
+	wal      []byte
+	walLines [][]byte
+	out      *bufio.Writer
 }
 
 // dictCol is one decoded dictionary column.

@@ -24,13 +24,18 @@ import (
 //	from_ns   inclusive lower bound on the session clock
 //	to_ns     inclusive upper bound (0 or absent: unbounded)
 //	agg       "1": return the per-group Rollup JSON instead of events
-//	limit     cap on streamed events (default 100000; agg ignores it)
+//	limit     cap on streamed events (default 100000; agg ignores it); an
+//	          answer cut short by it carries the header X-Bba-Truncated: 1
 //
 // Events stream as canonical journal JSONL, one event per line, the same
 // bytes bbaship journals locally — downstream tooling needs one parser.
 type QueryHandler struct {
 	Store *Store
 }
+
+// TruncatedHeader is set to "1" on a /query response that stopped at its
+// limit with matching events still unsent.
+const TruncatedHeader = "X-Bba-Truncated"
 
 // Register mounts the handler's routes on mux.
 func (h QueryHandler) Register(mux *http.ServeMux) {
@@ -118,21 +123,28 @@ func (h QueryHandler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		limit = n
 	}
 	// Buffer the scan before writing: a scan error after the first byte of
-	// a 200 response would corrupt the stream.
+	// a 200 response would corrupt the stream. The scan runs on until a
+	// match past the limit shows, so a cut answer is told from a whole one
+	// that happens to hold exactly limit events.
 	var buf []byte
-	var line []byte
-	n := 0
+	n, truncated := 0, false
 	err = h.Store.Scan(q, func(e telemetry.Event) bool {
-		line = telemetry.AppendJSONL(line[:0], e)
-		buf = append(buf, line...)
+		if n == limit {
+			truncated = true
+			return false
+		}
+		buf = telemetry.AppendJSONL(buf, e)
 		n++
-		return n < limit
+		return true
 	})
 	if err != nil {
 		h.queryError(w, q.Run, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
+	if truncated {
+		w.Header().Set(TruncatedHeader, "1")
+	}
 	w.Write(buf)
 }
 

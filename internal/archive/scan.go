@@ -166,13 +166,13 @@ func (s *Store) Scan(q Query, fn func(telemetry.Event) bool) error {
 	if q.Run == "" {
 		return errRunRequired()
 	}
-	blocks, walLines, err := s.snapshot(q.Run)
+	b := s.reader()
+	defer s.release(b)
+	blocks, err := s.snapshot(q.Run, b)
 	if err != nil {
 		return err
 	}
 	p := q.compile()
-	b := s.reader()
-	defer s.release(b)
 	for _, path := range blocks {
 		if err := b.openFile(path); err != nil {
 			return err
@@ -181,7 +181,7 @@ func (s *Store) Scan(q Query, fn func(telemetry.Event) bool) error {
 			return err
 		}
 	}
-	for _, line := range walLines {
+	for _, line := range b.walLines {
 		if e := parseLine(line); p.matchesEvent(&e) && !fn(e) {
 			return nil
 		}
@@ -191,18 +191,12 @@ func (s *Store) Scan(q Query, fn func(telemetry.Event) bool) error {
 
 // parseLine parses one WAL-tail journal line: strictly when it is
 // canonical, else leniently, mirroring what encodeBlock stores in the
-// columns for raw rows.
+// columns for raw rows. The Event's strings are copies, never views of the
+// WAL buffer the next query refills.
 func parseLine(line []byte) telemetry.Event {
-	e, ok := telemetry.ParseJSONL(line)
-	if ok {
+	if e, ok := telemetry.ParseJSONL(line); ok {
 		return e
 	}
-	le, _ := unmarshalLoose(line)
-	e = telemetry.Event{Session: le.Session, Label: le.Label}
-	e.Kind, _ = telemetry.ParseKind(le.Kind)
-	loose := le.ints()
-	for i, c := range telemetry.IntColumns() {
-		c.Set(&e, loose[i])
-	}
+	e, _ := parseLoose(line)
 	return e
 }

@@ -241,7 +241,7 @@ func retryable(err error) bool { return errors.Is(err, ErrArchive) }
 func (c *Collector) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/ingest", c.handleIngest)
-	mux.Handle("/metrics", obs.Handler(c.writeMetrics))
+	mux.Handle("/metrics", obs.Handler(c.WriteMetrics))
 	mux.HandleFunc("/healthz", c.handleHealthz)
 	return mux
 }
@@ -286,9 +286,10 @@ func (c *Collector) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	obs.WriteHealth(w, true, "ok", fields)
 }
 
-// writeMetrics encodes a Stats snapshot through the shared exposition
-// writer.
-func (c *Collector) writeMetrics(w *obs.Writer) {
+// WriteMetrics encodes a Stats snapshot through the shared exposition
+// writer: what /metrics serves, exported so a daemon can follow it with its
+// archive's families on the same endpoint.
+func (c *Collector) WriteMetrics(w *obs.Writer) {
 	s := c.Stats()
 	w.CounterVec("bba_collect_frames_total", "Frames admitted, by payload kind.", "kind", s.Frames)
 	counter := func(name, help string, v int64) { w.Counter(name, help, float64(v)) }

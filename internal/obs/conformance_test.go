@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"bba/internal/abr"
+	"bba/internal/archive"
 	"bba/internal/collect"
 	"bba/internal/coord"
 	"bba/internal/faults"
@@ -22,7 +23,7 @@ import (
 	"bba/internal/units"
 )
 
-// TestExpositionConformance scrapes the repository's four metric sources,
+// TestExpositionConformance scrapes the repository's five metric sources,
 // each after real activity, and holds every one of them to the same
 // grammar and the same Content-Type. The wanted samples are a spot check
 // that the numbers the source holds are the numbers that leave it.
@@ -53,6 +54,12 @@ func TestExpositionConformance(t *testing.T) {
 			"bba_collect_events_total":           2,
 			"bba_collect_streams_total":          1,
 			"bba_collect_archive_errors_total":   1,
+		}},
+		{"archive.Store", compactedStore(t), 2, map[string]float64{
+			"bba_archive_compact_seconds_bucket/+Inf": 2,
+			"bba_archive_compact_seconds_count":       2,
+			"bba_archive_compact_seconds_sum":         -1,
+			"bba_archive_wal_events":                  3,
 		}},
 		{"coord.Coordinator", finishedCoordinator(t), 11, map[string]float64{
 			"bba_coord_workers_joined_total":   1,
@@ -186,6 +193,29 @@ func busyCollector(t *testing.T) http.Handler {
 		}
 	}
 	return c.Handler()
+}
+
+// compactedStore seals two blocks — one by threshold inside an Append, one
+// on request — and leaves three events in the WAL.
+func compactedStore(t *testing.T) http.Handler {
+	t.Helper()
+	s, err := archive.Open(archive.Config{Dir: t.TempDir(), CompactEvents: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	line := telemetry.AppendJSONL(nil, telemetry.Event{Kind: telemetry.BufferSample, Session: "s", RateIndex: -1, PrevRateIndex: -1})
+	for i := 0; i < 9; i++ {
+		if err := s.Append("r", line); err != nil {
+			t.Fatal(err)
+		}
+		if i == 5 {
+			if err := s.Compact("r"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return obs.Handler(s.WriteMetrics)
 }
 
 // finishedCoordinator runs a two-shard campaign to completion with one

@@ -20,103 +20,122 @@ import (
 // The strictness is the point: the columnar archive uses ParseJSONL to
 // decide whether a line can be stored as columns and losslessly
 // re-rendered, falling back to verbatim raw bytes when it cannot.
+//
+// It is one forward pass that allocates only the two strings the Event
+// carries away (copies: the caller may reuse line). An integer is accepted
+// only as strconv.AppendInt renders it. A quoted string of printable ASCII
+// (0x20–0x7E) holding neither '"' nor '\' is taken as it stands:
+// strconv.Quote escapes only those two bytes, non-printable runes and
+// invalid UTF-8, so such a string is its own canonical quoting and the only
+// quoting of its contents. Anything else — an escape, a control byte, 0x7F,
+// non-ASCII — is unquoted and re-quoted by strconv, and accepted only if
+// that reproduces the bytes.
 func ParseJSONL(line []byte) (e Event, ok bool) {
-	rest := line
-	eat := func(prefix string) bool {
-		if len(rest) < len(prefix) || string(rest[:len(prefix)]) != prefix {
-			return false
-		}
-		rest = rest[len(prefix):]
-		return true
-	}
-	str := func() (string, bool) {
-		// Go-quoted string: find the closing quote, honoring escapes.
-		if len(rest) == 0 || rest[0] != '"' {
-			return "", false
-		}
-		end := -1
-		for i := 1; i < len(rest); i++ {
-			if rest[i] == '\\' {
-				i++
-				continue
-			}
-			if rest[i] == '"' {
-				end = i
-				break
-			}
-		}
-		if end < 0 {
-			return "", false
-		}
-		s, err := strconv.Unquote(string(rest[:end+1]))
-		if err != nil {
-			return "", false
-		}
-		// Canonical quoting only: re-quoting must reproduce the bytes.
-		if strconv.Quote(s) != string(rest[:end+1]) {
-			return "", false
-		}
-		rest = rest[end+1:]
-		return s, true
-	}
-	integer := func() (int64, bool) {
-		i := 0
-		if i < len(rest) && rest[i] == '-' {
-			i++
-		}
-		for i < len(rest) && rest[i] >= '0' && rest[i] <= '9' {
-			i++
-		}
-		v, err := strconv.ParseInt(string(rest[:i]), 10, 64)
-		if err != nil {
-			return 0, false
-		}
-		// Reject non-canonical renderings ("-0", "007"): AppendInt never
-		// produces them, and accepting them would break the round trip.
-		if strconv.FormatInt(v, 10) != string(rest[:i]) {
-			return 0, false
-		}
-		rest = rest[i:]
-		return v, true
-	}
-
-	if !eat(`{"kind":"`) {
+	const head = `{"kind":"`
+	if len(line) < len(head) || string(line[:len(head)]) != head {
 		return e, false
 	}
+	rest := line[len(head):]
 	nameEnd := bytes.IndexByte(rest, '"')
 	if nameEnd < 0 {
 		return e, false
 	}
-	kind, kindOK := ParseKind(string(rest[:nameEnd]))
-	if !kindOK {
+	if e.Kind, ok = kindNamed(rest[:nameEnd]); !ok {
 		return e, false
 	}
-	e.Kind = kind
 	rest = rest[nameEnd+1:]
 
-	if !eat(`,"session":`) {
+	if e.Session, rest, ok = quoted(rest, `,"session":`); !ok {
 		return e, false
 	}
-	if e.Session, ok = str(); !ok {
+	// Read into v and assigned below, not through IntColumn.Set: a call
+	// through a func value would move e to the heap. A refused line returns
+	// what was read of it, so the fields before a bad one are assigned too.
+	var v [numIntFields]int64
+	for i := 0; ok && i < len(v); i++ {
+		v[i], rest, ok = integer(rest, intKeys[i])
+	}
+	e.At, e.Chunk, e.RateIndex, e.PrevRateIndex = time.Duration(v[0]), int(v[1]), int(v[2]), int(v[3])
+	e.Rate, e.Bytes, e.Duration, e.Throughput = units.BitRate(v[4]), v[5], time.Duration(v[6]), units.BitRate(v[7])
+	e.Buffer, e.Played, e.Reservoir, e.Protection = time.Duration(v[8]), time.Duration(v[9]), time.Duration(v[10]), time.Duration(v[11])
+	if !ok {
 		return e, false
 	}
-	for _, c := range intFields {
-		if !eat(`,"` + c.Name + `":`) {
-			return e, false
+	if e.Label, rest, ok = quoted(rest, `,"label":`); !ok {
+		return e, false
+	}
+	return e, string(rest) == "}\n"
+}
+
+// integer reads key and the decimal int64 after it from the head of b,
+// returning the value and what follows it. The digits must be exactly what
+// strconv.AppendInt renders for the value: no '+', no leading zero, no
+// "-0", nothing outside int64.
+func integer(b []byte, key string) (v int64, rest []byte, ok bool) {
+	if len(b) < len(key) || string(b[:len(key)]) != key {
+		return 0, nil, false
+	}
+	b = b[len(key):]
+	neg := len(b) > 0 && b[0] == '-'
+	n := 0
+	if neg {
+		n = 1
+	}
+	start := n
+	var u uint64
+	for ; n < len(b) && b[n]-'0' <= 9; n++ {
+		u = u*10 + uint64(b[n]-'0')
+	}
+	// Nineteen digits cannot wrap a uint64, and no int64 has more.
+	digits := n - start
+	if digits == 0 || digits > 19 || b[start] == '0' && (digits > 1 || neg) {
+		return 0, nil, false
+	}
+	// Only the negative range reaches 1<<63, and -int64(1<<63) is it.
+	if u > 1<<63-1 && !(neg && u == 1<<63) {
+		return 0, nil, false
+	}
+	if neg {
+		return -int64(u), b[n:], true
+	}
+	return int64(u), b[n:], true
+}
+
+// quoted reads key and the canonically Go-quoted string after it from the
+// head of b, returning the string (a copy) and what follows it.
+func quoted(b []byte, key string) (s string, rest []byte, ok bool) {
+	if len(b) <= len(key) || string(b[:len(key)]) != key || b[len(key)] != '"' {
+		return "", nil, false
+	}
+	b = b[len(key):]
+	for i := 1; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '"':
+			return string(b[1:i]), b[i+1:], true
+		case c < 0x20 || c > 0x7e || c == '\\':
+			return quotedSlow(b)
 		}
-		v, vok := integer()
-		if !vok {
-			return e, false
+	}
+	return "", nil, false
+}
+
+// quotedSlow is quoted's general case: find the closing quote, honoring
+// escapes, and accept the literal only if strconv, having unquoted it,
+// quotes it back to the same bytes.
+func quotedSlow(b []byte) (s string, rest []byte, ok bool) {
+	for i := 1; i < len(b); i++ {
+		switch b[i] {
+		case '\\':
+			i++
+		case '"':
+			s, err := strconv.Unquote(string(b[:i+1]))
+			if err != nil || strconv.Quote(s) != string(b[:i+1]) {
+				return "", nil, false
+			}
+			return s, b[i+1:], true
 		}
-		c.Set(&e, v)
 	}
-	if !eat(`,"label":`) {
-		return e, false
-	}
-	if e.Label, ok = str(); !ok {
-		return e, false
-	}
-	return e, eat("}\n") && len(rest) == 0
+	return "", nil, false
 }
 
 // IntColumn describes one integer journal field: its JSONL key and typed
@@ -175,6 +194,17 @@ var intFields = []IntColumn{
 		Get: func(e *Event) int64 { return int64(e.Protection) },
 		Set: func(e *Event, v int64) { e.Protection = time.Duration(v) }},
 }
+
+// numIntFields is len(intFields); intKeys holds each field's rendered key,
+// `,"at_ns":` and so on, built once for ParseJSONL.
+const numIntFields = 12
+
+var intKeys = func() (keys [numIntFields]string) {
+	for i, c := range intFields {
+		keys[i] = `,"` + c.Name + `":`
+	}
+	return keys
+}()
 
 // IntColumns returns the integer journal fields in journal order.
 func IntColumns() []IntColumn { return intFields }

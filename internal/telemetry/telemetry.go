@@ -157,9 +157,13 @@ func (k Kind) String() string {
 // ParseKind maps a journal snake_case name back to its Kind. It returns
 // false for names no Kind produces, including the "unknown" placeholder
 // String falls back to.
-func ParseKind(name string) (Kind, bool) {
+func ParseKind(name string) (Kind, bool) { return kindNamed(name) }
+
+// kindNamed is ParseKind over a string or, for ParseJSONL, over the bytes
+// of a line: the comparison converts nothing.
+func kindNamed[T string | []byte](name T) (Kind, bool) {
 	for k := SessionStart; k < numKinds; k++ {
-		if kindNames[k] == name {
+		if kindNames[k] == string(name) {
 			return k, true
 		}
 	}

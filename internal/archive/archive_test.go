@@ -84,6 +84,7 @@ func TestArchiveExportLossless(t *testing.T) {
 		`{"session":"s","kind":"buffer_sample"}`,
 		`{"kind":"chunk_complete","session":"d0.w0.s1.BBA-1","at_ns":1.5,"bytes":2000}`,
 		`{"kind":"martian_event","session":"x"}`,
+		`{"kind":"lease_grant","session":"","at_ns":2000000000,"chunk":4,"rate_index":-1,"prev_rate_index":-1,"rate_bps":0,"bytes":3,"duration_ns":0,"throughput_bps":0,"buffer_ns":0,"played_ns":0,"reservoir_ns":0,"protection_ns":0,"label":"steal:w1"}`,
 		`not json at all`,
 	} {
 		appendBatch([]byte(raw + "\n"))

@@ -658,7 +658,9 @@ func (b *Block) event(i int, e *telemetry.Event) {
 
 // Export writes every row back as journal JSONL in row order: canonical
 // rows re-render straight from their columns, raw rows emit their stored
-// bytes. The result is byte-identical to the lines the block was built from.
+// bytes. The result is byte-identical to the lines the block was built from,
+// including canonical rows of a kind this build no longer declares: those
+// render as "unknown" and get their dictionary name spliced back in.
 func (b *Block) Export(w io.Writer) error {
 	if err := b.loadRows(); err != nil {
 		return err
@@ -676,6 +678,10 @@ func (b *Block) Export(w io.Writer) error {
 		} else {
 			b.event(i, &e)
 			buf = telemetry.AppendJSONL(buf[:0], e)
+			if e.Kind == 0 {
+				kind := &b.dicts[colKind]
+				buf = append([]byte(`{"kind":"`+kind.entries[kind.rows[i]]), buf[len(`{"kind":"unknown`):]...)
+			}
 			line = buf
 		}
 		if _, err := w.Write(line); err != nil {

@@ -49,6 +49,36 @@ func TestBlockFormatGolden(t *testing.T) {
 	}
 }
 
+// TestExportRetiredKind: testdata/retired-kind.blk was sealed while
+// lease_grant was still a Kind, so its lease_grant row is canonical, not
+// raw. This build no longer has that kind, and Export must still write the
+// row's stored name rather than "unknown": export stays lossless for blocks
+// written before a kind is retired.
+func TestExportRetiredKind(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "retired-kind.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b Block
+	if err := b.openFile(filepath.Join("testdata", "retired-kind.blk")); err != nil {
+		t.Fatal(err)
+	}
+	defer b.close()
+	if b.ft.Raws != 0 {
+		t.Fatalf("fixture has %d raw rows, want every row canonical", b.ft.Raws)
+	}
+	if _, ok := telemetry.ParseKind("lease_grant"); ok {
+		t.Fatal("lease_grant is a Kind again; the fixture no longer exercises a retired kind")
+	}
+	var got bytes.Buffer
+	if err := b.Export(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("export differs from the sealed lines:\ngot  %s\nwant %s", got.Bytes(), want)
+	}
+}
+
 // readLog is an io.ReaderAt that records every read.
 type readLog struct {
 	src   io.ReaderAt

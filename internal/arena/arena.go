@@ -7,12 +7,10 @@ import (
 	"fmt"
 	"io"
 	"text/tabwriter"
-	"time"
 
 	"bba/internal/abtest"
 	"bba/internal/campaign"
 	"bba/internal/stats"
-	"bba/internal/telemetry"
 )
 
 // DefaultField is the tournament run when none is named: the paper's
@@ -24,11 +22,9 @@ var DefaultField = []string{"Control", "BBA-2", "BOLA", "SmoothThroughput", "Hyb
 // Config describes one tournament: a campaign and who plays in it. The zero
 // Campaign plus Entrants is a runnable clean arena.
 type Config struct {
-	// Campaign is the population every entrant streams and how it executes;
-	// Name defaults to "arena". Its Observer also receives one ArenaMatch
-	// event per pairing when the tournament completes. Groups and NewExtra
-	// are the arena's to set, and extras are not checkpointed, so the
-	// campaign must be single-stripe and not resumed.
+	// Campaign is the population every entrant streams and how it executes.
+	// Groups and NewExtra are the arena's to set, and extras are not
+	// checkpointed, so the campaign must be single-stripe and not resumed.
 	Campaign campaign.Config
 	// Entrants are registered algorithm names (abr.Names()), 2–23 of them;
 	// every unordered pair becomes a head-to-head match.
@@ -61,42 +57,17 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 		return nil, err
 	}
 	ccfg := cfg.Campaign
-	if ccfg.Name == "" {
-		ccfg.Name = "arena"
-	}
 	ccfg.Groups = groups
 	sketch := ccfg.Identity().SketchSize
 	ccfg.NewExtra = func() campaign.Extra {
 		return NewMatchSet(cfg.Entrants, sketch)
 	}
 
-	start := time.Now()
 	out, err := campaign.RunContext(ctx, ccfg)
 	if err != nil {
 		return nil, err
 	}
-	matches := out.Extra.(*MatchSet)
-	r := buildReport(cfg.Entrants, out.Report, matches)
-
-	if ccfg.Observer != nil {
-		elapsed := time.Since(start)
-		index := map[string]int{}
-		for i, e := range cfg.Entrants {
-			index[e] = i
-		}
-		for pi, m := range r.Matches {
-			ccfg.Observer.OnEvent(telemetry.Event{
-				Kind:          telemetry.ArenaMatch,
-				At:            elapsed,
-				Chunk:         pi,
-				RateIndex:     index[m.A],
-				PrevRateIndex: index[m.B],
-				Bytes:         m.Sessions,
-				Label:         m.A + " vs " + m.B,
-			})
-		}
-	}
-	return r, nil
+	return buildReport(cfg.Entrants, out.Report, out.Extra.(*MatchSet)), nil
 }
 
 // ReportSchema identifies the arena report file format.

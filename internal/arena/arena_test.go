@@ -10,7 +10,6 @@ import (
 	"bba/internal/campaign"
 	"bba/internal/faults"
 	"bba/internal/metrics"
-	"bba/internal/telemetry"
 )
 
 func testConfig(sessions int) Config {
@@ -120,29 +119,6 @@ func TestArenaReportShape(t *testing.T) {
 		if !strings.Contains(table.String(), want) {
 			t.Errorf("table missing %q:\n%s", want, table.String())
 		}
-	}
-}
-
-// TestArenaTelemetry: one arena_match event per pairing after the
-// campaign's per-shard progress events.
-func TestArenaTelemetry(t *testing.T) {
-	cfg := testConfig(8)
-	ring := telemetry.NewRing(64)
-	cfg.Campaign.Observer = ring
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	var matches []telemetry.Event
-	for _, e := range ring.Events() {
-		if e.Kind == telemetry.ArenaMatch {
-			matches = append(matches, e)
-		}
-	}
-	if len(matches) != 3 {
-		t.Fatalf("%d arena_match events, want 3", len(matches))
-	}
-	if matches[0].Label != "BBA-2 vs BOLA" || matches[0].Bytes != 8 {
-		t.Errorf("first match event = %+v", matches[0])
 	}
 }
 

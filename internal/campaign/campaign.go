@@ -45,14 +45,11 @@ import (
 	"bba/internal/media"
 	"bba/internal/metrics"
 	"bba/internal/stats"
-	"bba/internal/telemetry"
 )
 
 // Config describes one campaign. The zero value plus a Sessions count is a
 // runnable clean campaign over the standard groups.
 type Config struct {
-	// Name labels progress and telemetry (default "campaign").
-	Name string
 	// Seed makes the campaign deterministic.
 	Seed int64
 	// Sessions is the number of paired session draws; each is streamed once
@@ -128,15 +125,9 @@ type Config struct {
 	// Progress, when non-nil, is called after every completed shard from
 	// the collector goroutine. It must not block.
 	Progress func(Progress)
-	// Observer, when non-nil, receives one CampaignProgress telemetry event
-	// per completed shard.
-	Observer telemetry.Observer
 }
 
 func (c *Config) applyDefaults() {
-	if c.Name == "" {
-		c.Name = "campaign"
-	}
 	if c.Sessions <= 0 {
 		c.Sessions = 1000
 	}
@@ -334,28 +325,19 @@ type Outcome struct {
 // (seed, shard, offset). The extra constant decorrelates its draws from the
 // Weekend layout's abtest.SessionRNG streams with the same seed.
 func shardSeed(seed int64, shard, off int) int64 {
-	return int64(shardMix(uint64(seed), uint64(shard), uint64(off), 0xCA3A16))
+	return int64(stats.Mix(uint64(seed), uint64(shard), uint64(off), 0xCA3A16))
 }
 
 // shardFaultSeed derives the per-session fault seed from (faultSeed, shard,
 // offset), decorrelated from the population stream.
 func shardFaultSeed(faultSeed int64, shard, off int) int64 {
-	return int64(shardMix(uint64(faultSeed), uint64(shard), uint64(off), 0xCA3A16FA5E1))
+	return int64(stats.Mix(uint64(faultSeed), uint64(shard), uint64(off), 0xCA3A16FA5E1))
 }
 
 // sessionKey is the unique sketch-sample identity of (global session,
 // group): global index in the high bits, group index in the low bits.
 func sessionKey(global int64, gi int) uint64 {
 	return uint64(global)<<8 | uint64(gi&0xFF)
-}
-
-func shardMix(vs ...uint64) uint64 {
-	x := vs[0]
-	for _, v := range vs[1:] {
-		x += (v + 1) * 0x9E3779B97F4A7C15
-		x = stats.SplitMix64(x)
-	}
-	return x
 }
 
 // shardDraw draws the user for one (shard, offset) — the campaign's
@@ -652,20 +634,8 @@ func RunContext(ctx context.Context, cfg Config) (*Outcome, error) {
 		out.Stats.SessionsRun += ran
 		out.Stats.PlayerSessions += ran * int64(len(id.Groups))
 
-		elapsed := time.Since(start)
-		if cfg.Observer != nil {
-			cfg.Observer.OnEvent(telemetry.Event{
-				Kind:          telemetry.CampaignProgress,
-				At:            elapsed,
-				Chunk:         r.shard,
-				RateIndex:     -1,
-				PrevRateIndex: -1,
-				Bytes:         resumedSessions + out.Stats.SessionsRun,
-				Label:         cfg.Name,
-			})
-		}
 		if cfg.Progress != nil {
-			cfg.Progress(progressSnapshot(out.Stats, elapsed, resumedShards, resumedSessions, stripeShards, stripeSessions, retired.Load(), len(id.Groups), live))
+			cfg.Progress(progressSnapshot(out.Stats, time.Since(start), resumedShards, resumedSessions, stripeShards, stripeSessions, retired.Load(), len(id.Groups), live))
 		}
 		sinceSave++
 		if cfg.CheckpointPath != "" && sinceSave >= cfg.CheckpointEvery {

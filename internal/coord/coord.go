@@ -15,12 +15,13 @@
 //	shard-index order, guarded by campaign.Checkpoint's duplicate check.
 //
 // Leases exist purely for liveness, not correctness: an expired lease's
-// shards return to the pending pool and are re-issued (lease_expire →
-// lease_grant), and when the pool drains a fast worker may steal a
-// straggler's remaining shards outright. Both paths can produce duplicate
-// completions of one shard; Checkpoint.Has makes the second fold a no-op,
-// so the report is byte-identical to a single-process run of the same
-// seed regardless of fleet size, worker churn, or duplicate deliveries.
+// shards return to the pending pool and are re-issued, and when the pool
+// drains a fast worker may steal a straggler's remaining shards outright.
+// Both paths can produce duplicate completions of one shard; Checkpoint.Has
+// makes the second fold a no-op, so the report is byte-identical to a
+// single-process run of the same seed regardless of fleet size, worker
+// churn, or duplicate deliveries. The coordinator reports through Stats
+// (served on /metrics), not through telemetry events.
 package coord
 
 import (
@@ -32,7 +33,6 @@ import (
 	"time"
 
 	"bba/internal/campaign"
-	"bba/internal/telemetry"
 )
 
 // Defaults for the lease policy.
@@ -61,9 +61,6 @@ type Config struct {
 	// CheckpointEvery is the folded-shard interval between checkpoint
 	// writes (default 8).
 	CheckpointEvery int
-	// Observer, when non-nil, receives worker_join, lease_grant and
-	// lease_expire telemetry events.
-	Observer telemetry.Observer
 	// Now is the clock (default time.Now); tests inject a fake to drive
 	// expiry deterministically.
 	Now func() time.Time
@@ -82,6 +79,10 @@ type Stats struct {
 	ShardsLeased   int   // under at least one active lease, not folded
 	ShardsDone     int   // folded
 	ActiveLeases   int
+	// OldestLeaseAge is how long the oldest live lease has been held since
+	// its grant — the straggler. Heartbeats do not reset it; 0 when no
+	// lease is live.
+	OldestLeaseAge time.Duration
 	Complete       bool
 }
 
@@ -89,7 +90,8 @@ type Stats struct {
 type lease struct {
 	id        uint64
 	worker    string
-	expiry    time.Time
+	granted   time.Time
+	expiry    time.Time        // granted + TTL, pushed out by each heartbeat
 	remaining map[int]struct{} // granted shards not yet completed anywhere
 	stolen    bool
 }
@@ -113,8 +115,7 @@ type Coordinator struct {
 	stats     Stats
 	saveErr   error
 
-	start time.Time
-	done  chan struct{}
+	done chan struct{}
 }
 
 // New builds a coordinator for cfg.Spec, optionally resuming the fold from
@@ -151,7 +152,6 @@ func New(cfg Config) (*Coordinator, error) {
 		leases:  make(map[uint64]*lease),
 		active:  make(map[int]int),
 		workers: make(map[string]time.Time),
-		start:   cfg.Now(),
 		done:    make(chan struct{}),
 	}
 	for s := 0; s < id.Shards(); s++ {
@@ -171,22 +171,6 @@ func (c *Coordinator) Identity() campaign.Identity { return c.id }
 // Done is closed when every shard has folded.
 func (c *Coordinator) Done() <-chan struct{} { return c.done }
 
-// emit sends a control-plane telemetry event stamped with elapsed time.
-func (c *Coordinator) emit(kind telemetry.Kind, shard int, n int64, label string) {
-	if c.cfg.Observer == nil {
-		return
-	}
-	c.cfg.Observer.OnEvent(telemetry.Event{
-		Kind:          kind,
-		At:            c.cfg.Now().Sub(c.start),
-		Chunk:         shard,
-		RateIndex:     -1,
-		PrevRateIndex: -1,
-		Bytes:         n,
-		Label:         label,
-	})
-}
-
 // sweepLocked expires lapsed leases, returning their un-folded shards to
 // the pending pool. Callers hold c.mu.
 func (c *Coordinator) sweepLocked() {
@@ -197,7 +181,6 @@ func (c *Coordinator) sweepLocked() {
 		}
 		delete(c.leases, id)
 		c.stats.LeasesExpired++
-		first, reissued := -1, int64(0)
 		for s := range l.remaining {
 			if c.active[s]--; c.active[s] > 0 {
 				continue // another (stolen) lease still covers it
@@ -207,13 +190,8 @@ func (c *Coordinator) sweepLocked() {
 				continue
 			}
 			c.insertPending(s)
-			reissued++
-			if first < 0 || s < first {
-				first = s
-			}
+			c.stats.ShardsReissued++
 		}
-		c.stats.ShardsReissued += reissued
-		c.emit(telemetry.LeaseExpire, first, reissued, l.worker)
 	}
 }
 
@@ -237,7 +215,6 @@ func (c *Coordinator) Join(req JoinRequest) (JoinResponse, error) {
 	defer c.mu.Unlock()
 	if _, known := c.workers[req.Worker]; !known {
 		c.stats.WorkersJoined++
-		c.emit(telemetry.WorkerJoin, -1, 0, req.Worker)
 	}
 	c.workers[req.Worker] = c.cfg.Now()
 	return JoinResponse{
@@ -307,10 +284,12 @@ func (c *Coordinator) Acquire(req LeaseRequest) (LeaseResponse, error) {
 	}
 
 	c.nextLease++
+	now := c.cfg.Now()
 	l := &lease{
 		id:        c.nextLease,
 		worker:    req.Worker,
-		expiry:    c.cfg.Now().Add(c.cfg.LeaseTTL),
+		granted:   now,
+		expiry:    now.Add(c.cfg.LeaseTTL),
 		remaining: make(map[int]struct{}, len(shards)),
 		stolen:    stolen,
 	}
@@ -320,12 +299,9 @@ func (c *Coordinator) Acquire(req LeaseRequest) (LeaseResponse, error) {
 	}
 	c.leases[l.id] = l
 	c.stats.LeasesGranted++
-	label := req.Worker
 	if stolen {
 		c.stats.LeasesStolen++
-		label = "steal:" + req.Worker
 	}
-	c.emit(telemetry.LeaseGrant, shards[0], int64(len(shards)), label)
 	return LeaseResponse{
 		Lease:         l.id,
 		Shards:        shards,
@@ -476,6 +452,12 @@ func (c *Coordinator) Stats() Stats {
 	s.ShardsLeased = len(c.active)
 	s.ShardsDone = c.cp.CompletedShards()
 	s.ActiveLeases = len(c.leases)
+	now := c.cfg.Now()
+	for _, l := range c.leases {
+		if age := now.Sub(l.granted); age > s.OldestLeaseAge {
+			s.OldestLeaseAge = age
+		}
+	}
 	s.Complete = c.cp.Complete()
 	return s
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"bba/internal/campaign"
-	"bba/internal/telemetry"
 )
 
 // testSpec is a cheap two-arm campaign under fault weather — the same
@@ -96,19 +95,17 @@ func (c *fakeClock) Advance(d time.Duration) {
 }
 
 // TestLeaseExpiryReissue pins the liveness path: a worker that takes a
-// lease and dies has its shards re-issued after the TTL — the observer
-// sees lease_expire then a lease_grant covering the same shards — and the
-// final report is byte-identical to a local run.
+// lease and dies has its shards re-issued after the TTL — the counters see
+// one expiry returning its three shards — and the final report is
+// byte-identical to a local run.
 func TestLeaseExpiryReissue(t *testing.T) {
 	spec := testSpec(52) // 7 shards, last one partial
 	want := localReport(t, spec)
 	clock := newFakeClock()
-	ring := telemetry.NewRing(256)
 	c, err := New(Config{
 		Spec:        spec,
 		LeaseShards: 3,
 		LeaseTTL:    10 * time.Second,
-		Observer:    ring,
 		Now:         clock.Now,
 	})
 	if err != nil {
@@ -166,27 +163,6 @@ func TestLeaseExpiryReissue(t *testing.T) {
 		t.Errorf("re-issued shards %v, want all of the doomed lease's [0 1 2]", reissued)
 	}
 
-	// The observer saw the expiry before the re-grant.
-	events := ring.Events()
-	expireAt, regrantAt := -1, -1
-	for i, e := range events {
-		switch e.Kind {
-		case telemetry.LeaseExpire:
-			if expireAt < 0 {
-				expireAt = i
-				if e.Label != "doomed" || e.Bytes != 3 || e.Chunk != 0 {
-					t.Errorf("lease_expire event %+v, want worker doomed, 3 shards from 0", e)
-				}
-			}
-		case telemetry.LeaseGrant:
-			if expireAt >= 0 && regrantAt < 0 && e.Chunk == 0 {
-				regrantAt = i
-			}
-		}
-	}
-	if expireAt < 0 || regrantAt < 0 || regrantAt < expireAt {
-		t.Errorf("no lease_expire → re-grant sequence observed (expire at %d, re-grant at %d)", expireAt, regrantAt)
-	}
 	if s := c.Stats(); s.LeasesExpired != 1 || s.ShardsReissued != 3 {
 		t.Errorf("stats %+v, want 1 expiry re-issuing 3 shards", s)
 	}
@@ -198,6 +174,62 @@ func TestLeaseExpiryReissue(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Error("report after expiry/re-issue differs from local run")
 	}
+}
+
+// TestOldestLeaseAge pins the straggler gauge under the fake clock: the
+// age of the oldest live lease counts from its grant, keeps growing across
+// heartbeats, and falls back when that lease completes or expires.
+func TestOldestLeaseAge(t *testing.T) {
+	spec := testSpec(24) // 3 shards
+	clock := newFakeClock()
+	c, err := New(Config{Spec: spec, LeaseShards: 1, LeaseTTL: 10 * time.Second, Now: clock.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	age := func(want time.Duration, when string) {
+		t.Helper()
+		if got := c.Stats().OldestLeaseAge; got != want {
+			t.Errorf("%s: OldestLeaseAge %v, want %v", when, got, want)
+		}
+	}
+	age(0, "no lease")
+	old, err := c.Acquire(LeaseRequest{Worker: "slow"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(4 * time.Second)
+	age(4*time.Second, "held 4s")
+	young, err := c.Acquire(LeaseRequest{Worker: "fast"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(4 * time.Second)
+	if _, err := c.Heartbeat(HeartbeatRequest{Worker: "slow", Leases: []uint64{old.Lease}}); err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(4 * time.Second)
+	age(12*time.Second, "heartbeat does not reset the grant time")
+
+	r := newRunner(t, spec)
+	complete(t, c, r, "slow", old.Lease, old.Shards[0])
+	age(8*time.Second, "oldest lease completed")
+
+	clock.Advance(3 * time.Second) // young's TTL lapsed 1s ago
+	c.Sweep()
+	if s := c.Stats(); s.LeasesExpired != 1 || s.ActiveLeases != 0 {
+		t.Fatalf("stats %+v, want the young lease expired and none live", s)
+	}
+	age(0, "remaining lease expired")
+
+	regrant, err := c.Acquire(LeaseRequest{Worker: "fast"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if regrant.Shards[0] != young.Shards[0] {
+		t.Fatalf("re-grant covers %v, want the expired %v", regrant.Shards, young.Shards)
+	}
+	clock.Advance(time.Second)
+	age(time.Second, "re-granted lease counts from its own grant")
 }
 
 // TestDuplicateCompletionNoOp pins exactly-once folding: delivering the
@@ -251,8 +283,7 @@ func TestDuplicateCompletionNoOp(t *testing.T) {
 func TestWorkStealing(t *testing.T) {
 	spec := testSpec(40) // 5 shards
 	want := localReport(t, spec)
-	ring := telemetry.NewRing(64)
-	c, err := New(Config{Spec: spec, LeaseShards: 8, Observer: ring})
+	c, err := New(Config{Spec: spec, LeaseShards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

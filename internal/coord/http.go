@@ -90,4 +90,5 @@ func (c *Coordinator) writeMetrics(w *obs.Writer) {
 	w.Gauge("bba_coord_shards_leased", "Shards under at least one live lease.", float64(s.ShardsLeased))
 	w.Gauge("bba_coord_shards_done", "Shards folded into the checkpoint.", float64(s.ShardsDone))
 	w.Gauge("bba_coord_leases_active", "Live leases.", float64(s.ActiveLeases))
+	w.Gauge("bba_coord_oldest_lease_seconds", "Time since the oldest live lease was granted; 0 when none is live.", s.OldestLeaseAge.Seconds())
 }

@@ -69,7 +69,7 @@ func (in *HTTPInjector) Request() (latency time.Duration, kind Kind, fault bool)
 		in.emit(LatencySpike, seq)
 	}
 	f, ok := in.Schedule.ActiveHTTP(at)
-	if !ok || unitFloat(hash(stats.SplitMix64(uint64(in.Seed)), uint64(f.Kind), uint64(seq))) >= AttemptFailProb {
+	if !ok || unitFloat(stats.Mix(stats.SplitMix64(uint64(in.Seed)), uint64(f.Kind), uint64(seq))) >= AttemptFailProb {
 		return latency, 0, false
 	}
 	in.emit(f.Kind, seq)

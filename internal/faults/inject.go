@@ -6,17 +6,6 @@ import (
 	"bba/internal/stats"
 )
 
-// hash folds the seed and coordinates into a uniform 64-bit value, so fault
-// decisions are pure functions of their coordinates.
-func hash(seed uint64, coords ...uint64) uint64 {
-	x := seed
-	for _, v := range coords {
-		x += (v + 1) * 0x9E3779B97F4A7C15
-		x = stats.SplitMix64(x)
-	}
-	return x
-}
-
 // unitFloat maps a hash to [0, 1).
 func unitFloat(h uint64) float64 {
 	return float64(h>>11) / (1 << 53)
@@ -24,7 +13,7 @@ func unitFloat(h uint64) float64 {
 
 // Backoff returns the capped exponential backoff before retry attempt
 // (attempt ≥ 1), with deterministic jitter: the base delay doubles per
-// attempt up to cap, then ±25% jitter derived from hash(seed, chunk,
+// attempt up to cap, then ±25% jitter derived from stats.Mix(seed, chunk,
 // attempt) is applied. No wall-clock or shared RNG is read, so retry
 // timing — and therefore every journal built on it — is reproducible.
 func Backoff(base, cap time.Duration, seed uint64, chunk, attempt int) time.Duration {
@@ -40,7 +29,7 @@ func Backoff(base, cap time.Duration, seed uint64, chunk, attempt int) time.Dura
 	}
 	// Jitter in [0.75, 1.25): desynchronizes retry herds without
 	// sacrificing determinism.
-	j := 0.75 + 0.5*unitFloat(hash(seed, uint64(chunk), uint64(attempt), 0x9e37))
+	j := 0.75 + 0.5*unitFloat(stats.Mix(seed, uint64(chunk), uint64(attempt), 0x9e37))
 	return time.Duration(float64(d) * j)
 }
 
@@ -93,7 +82,7 @@ func (in *SessionInjector) ChunkFault(now time.Duration, chunk, attempt int) (la
 	if !ok {
 		return "", 0, false
 	}
-	if unitFloat(hash(in.seed, uint64(f.Kind), uint64(chunk), uint64(attempt))) >= AttemptFailProb {
+	if unitFloat(stats.Mix(in.seed, uint64(f.Kind), uint64(chunk), uint64(attempt))) >= AttemptFailProb {
 		return "", 0, false
 	}
 	switch f.Kind {

@@ -100,7 +100,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 
 	f, ok := t.Schedule.ActiveHTTP(at)
-	if !ok || unitFloat(hash(stats.SplitMix64(uint64(t.Seed)), uint64(f.Kind), uint64(seq))) >= AttemptFailProb {
+	if !ok || unitFloat(stats.Mix(stats.SplitMix64(uint64(t.Seed)), uint64(f.Kind), uint64(seq))) >= AttemptFailProb {
 		return base.RoundTrip(req)
 	}
 	t.emit(f.Kind, seq)

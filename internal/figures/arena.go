@@ -20,7 +20,6 @@ func ArenaMatrix(scale Scale) (*Figure, error) {
 	fc := faults.DefaultScheduleConfig()
 	r, err := arena.Run(arena.Config{
 		Campaign: campaign.Config{
-			Name:      "arena-matrix",
 			Seed:      ExperimentSeed + 37,
 			FaultSeed: ExperimentSeed + 37,
 			Faults:    &fc,

@@ -61,12 +61,13 @@ func TestExpositionConformance(t *testing.T) {
 			"bba_archive_compact_seconds_sum":         -1,
 			"bba_archive_wal_events":                  3,
 		}},
-		{"coord.Coordinator", finishedCoordinator(t), 11, map[string]float64{
+		{"coord.Coordinator", finishedCoordinator(t), 12, map[string]float64{
 			"bba_coord_workers_joined_total":   1,
 			"bba_coord_shards_completed_total": 2,
 			"bba_coord_shards_done":            2,
 			"bba_coord_shards_pending":         0,
 			"bba_coord_leases_active":          0,
+			"bba_coord_oldest_lease_seconds":   0,
 		}},
 		{"soak.Metrics", cycledSoakMetrics(), 15, map[string]float64{
 			"soak_cycles_total":                                2,

@@ -158,6 +158,18 @@ func SplitMix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
+// Mix folds coordinates into seed, one SplitMix64 round per coordinate, so
+// a value derived from (seed, coords) is a pure function of them: campaign
+// session and fault seeds, fault decisions and retry jitter.
+func Mix(seed uint64, coords ...uint64) uint64 {
+	x := seed
+	for _, v := range coords {
+		x += (v + 1) * 0x9E3779B97F4A7C15
+		x = SplitMix64(x)
+	}
+	return x
+}
+
 // sketchMix hashes a sample key: distinct keys keep distinct hashes, and
 // they are scrambled enough that bottom-k retention is an unbiased uniform
 // sample even over sequential keys.

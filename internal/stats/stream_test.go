@@ -311,3 +311,26 @@ func TestIgnoreNonFinite(t *testing.T) {
 		t.Errorf("NonFinite = %d, want the one filtered sample counted", d.NonFinite)
 	}
 }
+
+// TestMixPinned pins Mix's outputs: campaign session and fault seeds and
+// every fault decision derive from it, so a changed value would redraw the
+// population and the fault weather.
+func TestMixPinned(t *testing.T) {
+	for _, c := range []struct {
+		seed   uint64
+		coords []uint64
+		want   uint64
+	}{
+		{0x0, nil, 0x0},
+		{0x0, []uint64{0x0}, 0xe220a8397b1dcdaf},
+		{0x1, []uint64{0x2, 0x3}, 0xee3bb459e9e297b},
+		{0x29, []uint64{0x5, 0x11, 0xca3a16}, 0x7882144284cccff6},
+		{0x7, []uint64{0x3, 0xc8, 0xca3a16fa5e1}, 0x3d7a7a748314031e},
+		{0xffffffffffffffff, []uint64{0xffffffffffffffff}, 0xb4d055fcf2cbbd7b},
+		{0x9e3779b97f4a7c15, []uint64{0x1, 0x2, 0x3, 0x4}, 0x75db5d54b9b6cab1},
+	} {
+		if got := Mix(c.seed, c.coords...); got != c.want {
+			t.Errorf("Mix(%#x, %#x) = %#x, want %#x", c.seed, c.coords, got, c.want)
+		}
+	}
+}

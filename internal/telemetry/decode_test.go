@@ -350,6 +350,11 @@ func FuzzParseJSONL(f *testing.F) {
 	for _, tc := range parseCases {
 		f.Add([]byte(strings.Replace(goodLine, tc.old, tc.new, 1)))
 	}
+	// Retired kinds: lines a block or journal written before they went may
+	// still hold. They now parse as unknown names and must be refused.
+	for _, name := range []string{"campaign_progress", "arena_match", "worker_join", "lease_grant", "lease_expire"} {
+		f.Add([]byte(strings.Replace(goodLine, `"chunk_complete"`, `"`+name+`"`, 1)))
+	}
 	f.Fuzz(func(t *testing.T, line []byte) {
 		got, ok := ParseJSONL(line)
 		want, wantOK := referenceParseJSONL(line)

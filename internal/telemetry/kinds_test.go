@@ -1,6 +1,13 @@
 package telemetry
 
-import "testing"
+import (
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
 
 // TestKindNamesExhaustive walks every declared Kind and fails if one was
 // added to the taxonomy without a journal name, with a colliding name, or
@@ -43,5 +50,52 @@ func TestKindOutOfRange(t *testing.T) {
 	}
 	if _, ok := ParseKind("not_an_event"); ok {
 		t.Error("ParseKind accepted an undeclared name")
+	}
+}
+
+// TestControlPlaneHasNoEventStream keeps Kind the session and soak
+// vocabulary. The campaign runner, the arena and the lease coordinator
+// report through their own counters (campaign.Progress, coord.Stats and
+// bbacoord's /metrics), so no non-test file in those packages may import
+// this package, and the control-plane kinds they once emitted into an
+// Observer nothing set must not come back.
+func TestControlPlaneHasNoEventStream(t *testing.T) {
+	retired := []string{"campaign_progress", "arena_match", "worker_join", "lease_grant", "lease_expire"}
+	named := 0
+	for _, name := range kindNames {
+		if name == "" {
+			continue
+		}
+		named++
+		for _, r := range retired {
+			if name == r {
+				t.Errorf("kindNames carries the retired control-plane kind %q", name)
+			}
+		}
+	}
+	if named != 16 {
+		t.Errorf("kindNames has %d entries, want 16", named)
+	}
+
+	const self = "bba/internal/telemetry"
+	for _, pkg := range []string{"campaign", "coord", "arena"} {
+		files, err := filepath.Glob(filepath.Join("..", pkg, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no Go files under internal/%s: %v", pkg, err)
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				if p, _ := strconv.Unquote(imp.Path.Value); p == self {
+					t.Errorf("%s imports %s: the control plane reports through its own counters", path, self)
+				}
+			}
+		}
 	}
 }

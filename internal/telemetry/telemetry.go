@@ -81,30 +81,6 @@ const (
 	// the minimum rate: PrevRateIndex → RateIndex, Bytes the shrunken
 	// request size.
 	Degrade
-	// CampaignProgress is emitted by the campaign runner once per completed
-	// shard: Chunk is the shard index, Bytes the paired sessions completed
-	// so far, At the elapsed wall-clock time, Label the campaign name.
-	CampaignProgress
-	// ArenaMatch is emitted by the arena once per head-to-head pairing when
-	// the tournament completes: Label is "A vs B", RateIndex/PrevRateIndex
-	// the two entrants' indices, Chunk the pair index, Bytes the paired
-	// sessions compared, At the elapsed wall-clock time.
-	ArenaMatch
-	// WorkerJoin is emitted by the campaign coordinator when a worker
-	// registers: Label is the worker name, At the elapsed wall-clock time.
-	WorkerJoin
-	// LeaseGrant is emitted by the campaign coordinator when a shard-range
-	// lease is issued: Label is the worker name (prefixed "steal:" for a
-	// work-stealing re-lease of another worker's straggler tail), Chunk the
-	// lease's first shard, Bytes the shard count, At the elapsed wall-clock
-	// time.
-	LeaseGrant
-	// LeaseExpire is emitted by the campaign coordinator when a lease's TTL
-	// lapses without completion: Label is the worker that held it, Chunk
-	// the first re-issued shard (-1 when every shard had completed
-	// elsewhere), Bytes the number of shards returned to the pending pool,
-	// At the elapsed wall-clock time.
-	LeaseExpire
 	// SoakCycle is emitted by the soak daemon once per completed cycle:
 	// Chunk is the cycle index, Bytes the sessions driven, Duration the
 	// cycle's wall-clock time, Label "pass" or "fail", At the elapsed
@@ -123,27 +99,22 @@ const (
 )
 
 var kindNames = [...]string{
-	SessionStart:     "session_start",
-	ChunkRequest:     "chunk_request",
-	ChunkComplete:    "chunk_complete",
-	RateSwitch:       "rate_switch",
-	RebufferStart:    "rebuffer_start",
-	RebufferEnd:      "rebuffer_end",
-	BufferSample:     "buffer_sample",
-	ReservoirUpdate:  "reservoir_update",
-	Seek:             "seek",
-	SessionEnd:       "session_end",
-	FaultInject:      "fault_inject",
-	ChunkRetry:       "chunk_retry",
-	Failover:         "failover",
-	Degrade:          "degrade",
-	CampaignProgress: "campaign_progress",
-	ArenaMatch:       "arena_match",
-	WorkerJoin:       "worker_join",
-	LeaseGrant:       "lease_grant",
-	LeaseExpire:      "lease_expire",
-	SoakCycle:        "soak_cycle",
-	SLOBreach:        "slo_breach",
+	SessionStart:    "session_start",
+	ChunkRequest:    "chunk_request",
+	ChunkComplete:   "chunk_complete",
+	RateSwitch:      "rate_switch",
+	RebufferStart:   "rebuffer_start",
+	RebufferEnd:     "rebuffer_end",
+	BufferSample:    "buffer_sample",
+	ReservoirUpdate: "reservoir_update",
+	Seek:            "seek",
+	SessionEnd:      "session_end",
+	FaultInject:     "fault_inject",
+	ChunkRetry:      "chunk_retry",
+	Failover:        "failover",
+	Degrade:         "degrade",
+	SoakCycle:       "soak_cycle",
+	SLOBreach:       "slo_breach",
 }
 
 // String returns the snake_case name used in the JSONL journal.

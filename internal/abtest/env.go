@@ -15,10 +15,14 @@ import (
 // SessionEnv is the per-draw environment of one paired session: the
 // stream view, the (possibly fault-reshaped) trace, and the shared fault
 // injector — everything the paired common-random-numbers design shares
-// across groups. The batch kernel builds one per draw and advances the
-// groups' sessions as concurrent lanes; PlayUser, the test oracle, builds
-// the same env and streams the groups sequentially. Either way each group
-// sees identical inputs, so results are identical.
+// across groups. The batch kernel keeps one per draw slot and rebuilds it
+// in place for every draw the slot takes; PlayUser, the test oracle,
+// builds the same env fresh and streams the groups sequentially. Either
+// way each group sees identical inputs, so results are identical.
+//
+// Of everything an env points at, only User.Trace outlives the draw: a
+// faulted draw's Trace and Injector live in storage the env owns, which
+// the next Reset rewrites.
 type SessionEnv struct {
 	// User is the drawn viewer (trace, title pick, watch time, R_min).
 	User User
@@ -32,6 +36,19 @@ type SessionEnv struct {
 	Injector *faults.SessionInjector
 	// FaultSeed keyed the schedule and seeds the retry backoff jitter.
 	FaultSeed int64
+
+	// weather is what a faulted draw's Trace and Injector point into,
+	// allocated on the env's first faulted draw and rebuilt by every Reset
+	// after it.
+	weather *weather
+}
+
+// weather is one draw's fault state: the schedule (with its capacity
+// spans), the trace it reshapes and the injector it arms.
+type weather struct {
+	sched faults.Schedule
+	trace trace.Trace
+	inj   faults.SessionInjector
 }
 
 // NewSessionEnv builds the environment for one paired draw. When fcfg is
@@ -42,24 +59,47 @@ func NewSessionEnv(u User, video *media.Video, fcfg *faults.ScheduleConfig, fsee
 }
 
 // NewSessionEnv is the package's NewSessionEnv drawing the schedule from
-// the scratch's RNG and reshaping the trace in its builder.
+// the scratch's RNG and reshaping the trace in its builder. The env it
+// returns owns its fault state, so it stays valid when the scratch moves
+// on.
 func (sc *Scratch) NewSessionEnv(u User, video *media.Video, fcfg *faults.ScheduleConfig, fseed int64) (SessionEnv, error) {
-	env := SessionEnv{
+	var env SessionEnv
+	if err := env.Reset(sc, u, video, fcfg, fseed); err != nil {
+		return SessionEnv{}, err
+	}
+	return env, nil
+}
+
+// Reset rebuilds e in place as sc.NewSessionEnv(u, video, fcfg, fseed)
+// would build it, reusing the storage of e's fault schedule, faulted trace
+// and injector: the allocation-free form for a caller that owns e and
+// takes one draw after another. The previous draw's Trace and Injector
+// are overwritten, so nothing may still be reading them — and a copy of e
+// shares that storage. u.Trace is only ever read.
+func (e *SessionEnv) Reset(sc *Scratch, u User, video *media.Video, fcfg *faults.ScheduleConfig, fseed int64) error {
+	*e = SessionEnv{
 		User:      u,
 		Stream:    abr.NewStream(video, u.Rmin),
 		Trace:     u.Trace,
 		FaultSeed: fseed,
+		weather:   e.weather,
 	}
-	if fcfg != nil {
-		sched := faults.Generate(*fcfg, sc.Rand(fseed))
-		tr, err := sched.ApplyWith(&sc.tb, u.Trace)
-		if err != nil {
-			return SessionEnv{}, fmt.Errorf("fault trace: %w", err)
-		}
-		env.Trace = tr
-		env.Injector = faults.NewSessionInjector(sched, fseed)
+	if fcfg == nil {
+		return nil
 	}
-	return env, nil
+	w := e.weather
+	if w == nil {
+		w = new(weather)
+		e.weather = w
+	}
+	w.sched.Regenerate(*fcfg, sc.Rand(fseed))
+	tr, err := w.sched.ApplyInto(&w.trace, &sc.tb, u.Trace)
+	if err != nil {
+		return fmt.Errorf("fault trace: %w", err)
+	}
+	w.inj.Reset(&w.sched, fseed)
+	e.Trace, e.Injector = tr, &w.inj
+	return nil
 }
 
 // PlayerConfig assembles the player configuration for one group's session

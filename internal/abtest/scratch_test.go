@@ -4,9 +4,11 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"bba/internal/faults"
 	"bba/internal/media"
+	"bba/internal/trace"
 )
 
 // TestRandReseedMatchesFreshSource pins the standard-library assumption the
@@ -82,5 +84,98 @@ func TestScratchReuseMatchesFreshDraw(t *testing.T) {
 		if got.User != ref.User {
 			t.Errorf("draw %d: user %+v, fresh draw %+v", i, got.User, ref.User)
 		}
+	}
+}
+
+// TestSessionEnvResetInPlace is the draw slot's contract: one env rebuilt
+// draw after draw — clean draws, faulted ones, and ones whose weather is
+// HTTP-only — equals a fresh NewSessionEnv every time; a draw without a
+// capacity fault streams the User's own trace; no rebuild writes into a
+// User's trace, the one thing that outlives the draw; and once warmed a
+// rebuild allocates nothing.
+func TestSessionEnvResetInPlace(t *testing.T) {
+	catalog, err := media.NewCatalog(6, media.DefaultLadder(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	weathers := []*faults.ScheduleConfig{
+		nil,
+		{Blackouts: faults.EpisodeConfig{PerHour: 3, MinDuration: 10 * time.Second, MaxDuration: 40 * time.Second},
+			Collapses: faults.EpisodeConfig{PerHour: 4, MinDuration: 30 * time.Second, MaxDuration: 2 * time.Minute}},
+		{ServerErrors: faults.EpisodeConfig{PerHour: 4, MinDuration: 5 * time.Second, MaxDuration: 20 * time.Second}},
+	}
+	dflt := faults.DefaultScheduleConfig()
+	weathers = append(weathers, &dflt)
+
+	type draw struct {
+		u     User
+		fcfg  *faults.ScheduleConfig
+		fseed int64
+		segs  []trace.Segment // the User's trace when it was drawn
+	}
+	var sc Scratch
+	var env SessionEnv
+	var draws []draw
+	var ownTrace, baseTrace int
+	for i := 0; i < 120; i++ {
+		u := sc.DrawUser(PopulationConfig{}, i%12, i/12, sc.Rand(int64(2000+i)))
+		d := draw{u, weathers[i%len(weathers)], int64(9000 + i), u.Trace.Segments()}
+		draws = append(draws, d)
+		if err := env.Reset(&sc, u, u.Pick(catalog), d.fcfg, d.fseed); err != nil {
+			t.Fatal(err)
+		}
+		ref, err := NewSessionEnv(u, u.Pick(catalog), d.fcfg, d.fseed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(env.Trace.Segments(), ref.Trace.Segments()) {
+			t.Fatalf("draw %d: a rebuilt env's trace differs from a fresh env's", i)
+		}
+		if !reflect.DeepEqual(env.Stream, ref.Stream) || env.FaultSeed != ref.FaultSeed || env.User != ref.User {
+			t.Fatalf("draw %d: a rebuilt env's stream, seed or user differs from a fresh env's", i)
+		}
+		if (env.Injector == nil) != (d.fcfg == nil) {
+			t.Fatalf("draw %d: injector %v under weather %v", i, env.Injector, d.fcfg)
+		}
+		if env.Injector != nil {
+			if !reflect.DeepEqual(env.Injector.Schedule().Faults(), ref.Injector.Schedule().Faults()) {
+				t.Fatalf("draw %d: a rebuilt env's schedule differs from a fresh env's", i)
+			}
+			for at := time.Duration(0); at < time.Hour; at += 7 * time.Second {
+				chunk := int(at / time.Second)
+				l1, d1, f1 := env.Injector.ChunkFault(at, chunk, chunk%3)
+				l2, d2, f2 := ref.Injector.ChunkFault(at, chunk, chunk%3)
+				if l1 != l2 || d1 != d2 || f1 != f2 || env.Injector.RequestLatency(at) != ref.Injector.RequestLatency(at) {
+					t.Fatalf("draw %d: a rebuilt injector decides differently at %v", i, at)
+				}
+			}
+		}
+		if env.Trace == u.Trace {
+			baseTrace++
+		} else {
+			ownTrace++
+		}
+	}
+	if ownTrace == 0 || baseTrace <= len(draws)/len(weathers) {
+		t.Fatalf("%d faulted traces, %d draws streaming the User's trace: the sweep missed a path", ownTrace, baseTrace)
+	}
+	for i, d := range draws {
+		if !reflect.DeepEqual(d.u.Trace.Segments(), d.segs) {
+			t.Fatalf("draw %d: a later rebuild wrote into the User's trace", i)
+		}
+	}
+
+	// Every draw below has been rebuilt into this env before, so its
+	// storage is warm for all of them.
+	next := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		d := draws[next%len(draws)]
+		next++
+		if err := env.Reset(&sc, d.u, d.u.Pick(catalog), d.fcfg, d.fseed); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("rebuilding a warmed env allocated %v times per draw, want 0", allocs)
 	}
 }

@@ -25,7 +25,12 @@
 //     session's dominant allocation.
 //   - One abtest.Scratch holds every intermediate of drawing a user and
 //     building its env: a reseeded RNG and the trace builder's buffers.
-//     Only the traces that leave a draw are allocated.
+//     Each draw slot owns its env's fault state — schedule, capacity
+//     spans, faulted trace, injector — and rebuilds it in place for every
+//     draw it takes (abtest.SessionEnv.Reset). The only thing a draw
+//     allocates is the User's trace, the one thing that outlives it: an
+//     arm factory may keep the User it is handed, and the env the slot
+//     holds is never handed to a factory.
 //   - The cancellation check happens once per kernel round (one chunk
 //     per active lane) instead of once per chunk.
 //
@@ -91,8 +96,9 @@ type Runner struct {
 	active    []int
 	idle      []int
 
-	// Draw slots: one per in-flight paired draw. A slot keeps the shared
-	// env alive and collects the per-group metrics until the draw folds.
+	// Draw slots: one per in-flight paired draw. A slot owns the shared
+	// env, rebuilt in place per draw, and collects the per-group metrics
+	// until the draw folds.
 	// parked[off%Width] holds the slot (+1) of the completed draw at offset
 	// off until the fold catches up; slots stay claimed while parked, so
 	// the offsets in flight or parked always fit one window of Width.
@@ -103,13 +109,15 @@ type Runner struct {
 
 	// scratch holds the intermediates of the draw being started. Drawing a
 	// user and building its env run to completion before the next draw
-	// begins, and nothing they return points into it, so one serves every
-	// slot.
+	// begins, and nothing they leave behind points into it, so one serves
+	// every slot.
 	scratch abtest.Scratch
 }
 
 type drawSlot struct {
 	off int
+	// env is rebuilt in place for each draw the slot takes; its lanes
+	// have all retired by then, so nothing still reads the old one.
 	env abtest.SessionEnv
 	// remaining counts the draw's lanes still running; the draw is
 	// complete when it reaches zero.
@@ -210,15 +218,13 @@ func (r *Runner) RunShard(ctx context.Context, n int, draw func(off int) (Draw, 
 			if err != nil {
 				return r.fail(err)
 			}
-			env, err := r.scratch.NewSessionEnv(d.User, d.Video, r.cfg.Faults, d.Fseed)
-			if err != nil {
+			s := r.freeSlots[len(r.freeSlots)-1]
+			slot := &r.slots[s]
+			if err := slot.env.Reset(&r.scratch, d.User, d.Video, r.cfg.Faults, d.Fseed); err != nil {
 				return r.fail(fmt.Errorf("batch: draw %d: %w", nextOff, err))
 			}
-			s := r.freeSlots[len(r.freeSlots)-1]
 			r.freeSlots = r.freeSlots[:len(r.freeSlots)-1]
-			slot := &r.slots[s]
 			slot.off = nextOff
-			slot.env = env
 			slot.remaining = len(r.cfg.Groups)
 			for gi, g := range r.cfg.Groups {
 				lane := r.idle[len(r.idle)-1]

@@ -555,7 +555,7 @@ func RunContext(ctx context.Context, cfg Config) (*Outcome, error) {
 
 	// Collector: record shards as they complete, fold the in-order prefix,
 	// checkpoint periodically, report progress.
-	live := NewGroupAccums(id.Groups, cfg.SketchSize) // display-only, completion order
+	live := make([]liveGroup, len(id.Groups)) // display-only, completion order
 	resumedShards := stripeShards - len(todo)
 	resumedSessions := stripeSessions
 	for _, s := range todo {
@@ -591,8 +591,7 @@ func RunContext(ctx context.Context, cfg Config) (*Outcome, error) {
 			out.Stats.Retries += a.Retries
 			out.Stats.Degradations += a.Degradations
 			out.Stats.Failovers += a.Failovers
-			// live is for display only; errors here cannot corrupt state.
-			_ = live[gi].Merge(a)
+			live[gi].add(a)
 		}
 		if err := state.Record(r.shard, r.accums); err != nil {
 			if firstErr == nil {
@@ -635,7 +634,7 @@ func RunContext(ctx context.Context, cfg Config) (*Outcome, error) {
 		out.Stats.PlayerSessions += ran * int64(len(id.Groups))
 
 		if cfg.Progress != nil {
-			cfg.Progress(progressSnapshot(out.Stats, time.Since(start), resumedShards, resumedSessions, stripeShards, stripeSessions, retired.Load(), len(id.Groups), live))
+			cfg.Progress(progressSnapshot(out.Stats, time.Since(start), resumedShards, resumedSessions, stripeShards, stripeSessions, retired.Load(), id.Groups, live))
 		}
 		sinceSave++
 		if cfg.CheckpointPath != "" && sinceSave >= cfg.CheckpointEvery {
@@ -670,7 +669,22 @@ func isContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-func progressSnapshot(rs RunStats, elapsed time.Duration, resumedShards int, resumedSessions int64, stripeShards int, stripeSessions int64, retired int64, groups int, live []*GroupAccum) Progress {
+// liveGroup is what the progress view shows of one arm — its session count
+// and the moments of two of its metrics — folded in shard completion order.
+// The moments merge exactly as GroupAccum.Merge merges them, so the view
+// reads as a fold of whole accumulators would.
+type liveGroup struct {
+	sessions              int64
+	rebufferRate, avgRate stats.Welford
+}
+
+func (l *liveGroup) add(a *GroupAccum) {
+	l.sessions += a.Sessions
+	l.rebufferRate.Merge(a.RebufferRate.Moments)
+	l.avgRate.Merge(a.AvgRate.Moments)
+}
+
+func progressSnapshot(rs RunStats, elapsed time.Duration, resumedShards int, resumedSessions int64, stripeShards int, stripeSessions int64, retired int64, names []string, live []liveGroup) Progress {
 	p := Progress{
 		ShardsDone:    resumedShards + rs.ShardsRun,
 		ShardsTotal:   stripeShards,
@@ -684,17 +698,17 @@ func progressSnapshot(rs RunStats, elapsed time.Duration, resumedShards int, res
 	if elapsed > 0 {
 		p.SessionsPerSec = float64(retired) / elapsed.Seconds()
 	}
-	if retired > 0 && groups > 0 && p.SessionsDone < p.SessionsTotal {
-		perSession := elapsed.Seconds() / (float64(retired) / float64(groups))
+	if retired > 0 && len(names) > 0 && p.SessionsDone < p.SessionsTotal {
+		perSession := elapsed.Seconds() / (float64(retired) / float64(len(names)))
 		p.ETA = time.Duration(perSession * float64(p.SessionsTotal-p.SessionsDone) * float64(time.Second))
 	}
 	var control float64
-	for gi, a := range live {
+	for gi, l := range live {
 		d := GroupDelta{
-			Name:         a.Name,
-			Sessions:     a.Sessions,
-			RebufferRate: a.RebufferRate.Moments.Mean,
-			AvgRateKbps:  a.AvgRate.Moments.Mean,
+			Name:         names[gi],
+			Sessions:     l.sessions,
+			RebufferRate: l.rebufferRate.Mean,
+			AvgRateKbps:  l.avgRate.Mean,
 		}
 		if gi == 0 {
 			control = d.RebufferRate

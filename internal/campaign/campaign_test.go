@@ -5,12 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math/rand"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
 
 	"bba/internal/abtest"
 	"bba/internal/faults"
+	"bba/internal/metrics"
 )
 
 // twoGroups keeps the test campaigns cheap while still exercising the
@@ -320,5 +322,52 @@ func TestProgress(t *testing.T) {
 	}
 	if out.Report == nil || out.Report.Truncated {
 		t.Error("complete run did not produce a final untruncated report")
+	}
+}
+
+// TestLiveViewMatchesAccumFold holds the progress view to what it replaced:
+// whole GroupAccums folded with Merge in completion order. Shards of random
+// sessions arrive in a shuffled order; after each one, every GroupDelta
+// must equal the one read off the full fold, bit for bit.
+func TestLiveViewMatchesAccumFold(t *testing.T) {
+	names := []string{"Control", "BBA-0", "BBA-2"}
+	rng := rand.New(rand.NewSource(3))
+	shards := make([][]*GroupAccum, 12)
+	key := uint64(0)
+	for s := range shards {
+		shards[s] = NewGroupAccums(names, 16)
+		for n := rng.Intn(40); n > 0; n-- {
+			for _, a := range shards[s] {
+				ms := metrics.Session{PlayHours: rng.Float64(), Rebuffers: rng.Intn(3), AvgRateKbps: 3000 * rng.Float64()}
+				if err := a.AddSession(key, ms); err != nil {
+					t.Fatal(err)
+				}
+				key++
+			}
+		}
+	}
+	full := NewGroupAccums(names, 16)
+	live := make([]liveGroup, len(names))
+	for _, s := range rng.Perm(len(shards)) {
+		for gi, a := range shards[s] {
+			live[gi].add(a)
+			if err := full[gi].Merge(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := progressSnapshot(RunStats{}, 0, 0, 0, 0, 0, 0, names, live).Groups
+		var control float64
+		for gi, a := range full {
+			want := GroupDelta{Name: a.Name, Sessions: a.Sessions, RebufferRate: a.RebufferRate.Moments.Mean, AvgRateKbps: a.AvgRate.Moments.Mean}
+			if gi == 0 {
+				control = want.RebufferRate
+			}
+			if control > 0 {
+				want.VsControl = want.RebufferRate / control
+			}
+			if got[gi] != want {
+				t.Fatalf("after shard %d, group %s: live view %+v, full fold %+v", s, a.Name, got[gi], want)
+			}
+		}
 	}
 }

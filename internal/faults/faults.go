@@ -34,9 +34,12 @@
 package faults
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
+
+	"bba/internal/trace"
 )
 
 // Kind identifies a fault type.
@@ -124,28 +127,43 @@ func (f Fault) validate(i int) error {
 	return nil
 }
 
-// Schedule is an immutable, start-ordered set of fault episodes. Episodes
-// of different kinds may overlap; episodes of the same kind may not.
+// Schedule is a start-ordered set of fault episodes. Episodes of different
+// kinds may overlap; episodes of the same kind may not. Nothing changes a
+// schedule NewSchedule or Generate returns; only Regenerate rewrites one,
+// and only the schedule its caller owns.
 type Schedule struct {
 	faults []Fault
+	// spans are the capacity faults flattened into trace overrides,
+	// derived once per schedule (see capacitySpans).
+	spans []trace.Override
 }
 
 // NewSchedule validates and sorts the episodes into a Schedule.
 func NewSchedule(fs []Fault) (*Schedule, error) {
-	s := &Schedule{faults: make([]Fault, len(fs))}
-	copy(s.faults, fs)
-	sort.SliceStable(s.faults, func(i, j int) bool { return s.faults[i].Start < s.faults[j].Start })
-	lastEnd := map[Kind]time.Duration{}
-	for i, f := range s.faults {
-		if err := f.validate(i); err != nil {
-			return nil, err
-		}
-		if end, ok := lastEnd[f.Kind]; ok && f.Start < end {
-			return nil, fmt.Errorf("faults: episode %d overlaps a previous %s episode", i, f.Kind)
-		}
-		lastEnd[f.Kind] = f.End()
+	s := &Schedule{faults: append(make([]Fault, 0, len(fs)), fs...)}
+	if err := s.settle(); err != nil {
+		return nil, err
 	}
 	return s, nil
+}
+
+// settle sorts the episodes s holds by start, validates them and derives
+// their capacity spans, all in s's own storage.
+func (s *Schedule) settle() error {
+	slices.SortStableFunc(s.faults, func(a, b Fault) int { return cmp.Compare(a.Start, b.Start) })
+	var lastEnd [ConnReset + 1]time.Duration
+	var seen [ConnReset + 1]bool
+	for i, f := range s.faults {
+		if err := f.validate(i); err != nil {
+			return err
+		}
+		if seen[f.Kind] && f.Start < lastEnd[f.Kind] {
+			return fmt.Errorf("faults: episode %d overlaps a previous %s episode", i, f.Kind)
+		}
+		seen[f.Kind], lastEnd[f.Kind] = true, f.End()
+	}
+	s.capacitySpans()
+	return nil
 }
 
 // MustSchedule is NewSchedule but panics on error, for tests and literals.

@@ -105,8 +105,17 @@ func (c ScheduleConfig) withDefaults() ScheduleConfig {
 // episodes never overlap (later arrivals are pushed past the previous
 // episode's end); different kinds may coincide, as they do in the wild.
 func Generate(cfg ScheduleConfig, rng *rand.Rand) *Schedule {
+	s := new(Schedule)
+	s.Regenerate(cfg, rng)
+	return s
+}
+
+// Regenerate redraws s in place — the schedule Generate(cfg, rng) would
+// return, in s's own storage — for a caller that owns s and draws one
+// schedule per session. Whatever s held before is overwritten.
+func (s *Schedule) Regenerate(cfg ScheduleConfig, rng *rand.Rand) {
 	cfg = cfg.withDefaults()
-	var fs []Fault
+	s.faults = s.faults[:0]
 	gen := func(kind Kind, ec EpisodeConfig) {
 		if !ec.enabled() {
 			return
@@ -126,7 +135,7 @@ func Generate(cfg ScheduleConfig, rng *rand.Rand) *Schedule {
 					f.Latency += time.Duration(rng.Int63n(int64(span)))
 				}
 			}
-			fs = append(fs, f)
+			s.faults = append(s.faults, f)
 			// Next arrival starts after this episode ends so same-kind
 			// episodes never overlap.
 			at = f.End() + time.Duration(float64(meanGap)*rng.ExpFloat64())
@@ -138,7 +147,9 @@ func Generate(cfg ScheduleConfig, rng *rand.Rand) *Schedule {
 	gen(ServerError, cfg.ServerErrors)
 	gen(StallBody, cfg.StallBodies)
 	gen(ConnReset, cfg.ConnResets)
-	return MustSchedule(fs)
+	if err := s.settle(); err != nil {
+		panic(err)
+	}
 }
 
 // GenerateSeeded is Generate with a fresh rand.Rand from seed.

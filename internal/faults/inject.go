@@ -61,7 +61,16 @@ type SessionInjector struct {
 // NewSessionInjector builds an injector for the schedule, deterministic in
 // seed.
 func NewSessionInjector(s *Schedule, seed int64) *SessionInjector {
-	return &SessionInjector{
+	in := new(SessionInjector)
+	in.Reset(s, seed)
+	return in
+}
+
+// Reset re-arms in, in place, as NewSessionInjector(s, seed) would build
+// it, default delays included: the allocation-free form for a caller that
+// owns in and arms it once per session.
+func (in *SessionInjector) Reset(s *Schedule, seed int64) {
+	*in = SessionInjector{
 		sched:        s,
 		seed:         stats.SplitMix64(uint64(seed)),
 		StallTimeout: 8 * time.Second,

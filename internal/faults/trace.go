@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"sort"
 	"time"
 
 	"bba/internal/trace"
@@ -12,7 +11,8 @@ import (
 // capacity to zero; collapses scale the base capacity (segment by segment,
 // so a collapse over a varying trace stays proportional to it); where the
 // two overlap the blackout wins. HTTP-path faults and latency spikes do
-// not touch the trace — they are the injectors' business.
+// not touch the trace — they are the injectors' business. A schedule with
+// no capacity fault returns base itself.
 //
 // Episodes extending past the base trace's explicit end are honoured by
 // extending the final segment (the trace's persistence rule made
@@ -25,74 +25,91 @@ func (s *Schedule) ApplyToTrace(base *trace.Trace) (*trace.Trace, error) {
 // ApplyWith is ApplyToTrace composing in b's recycled buffers; the
 // returned trace shares nothing with b.
 func (s *Schedule) ApplyWith(b *trace.Builder, base *trace.Trace) (*trace.Trace, error) {
-	if s.Empty() {
-		return base, nil
-	}
-	spans := s.capacitySpans()
-	if len(spans) == 0 {
+	return s.ApplyInto(new(trace.Trace), b, base)
+}
+
+// ApplyInto is ApplyWith materialising the faulted trace into dst, which
+// the caller owns and recycles across draws (see trace.Builder.Into). It
+// returns dst, or base itself when the schedule has no capacity fault, in
+// which case dst is untouched: base is only ever read.
+func (s *Schedule) ApplyInto(dst *trace.Trace, b *trace.Builder, base *trace.Trace) (*trace.Trace, error) {
+	if s.Empty() || len(s.spans) == 0 {
 		return base, nil
 	}
 	b.Load(base)
 	// Extend the base so every span fits strictly inside it — one second
 	// past the last span, so the rate that persists beyond the trace is
 	// the restored base rate, not the tail of a fault.
-	last := spans[len(spans)-1]
+	last := s.spans[len(s.spans)-1]
 	if end := last.Start + last.Duration; end >= b.Total() {
 		b.Extend(end - b.Total() + time.Second)
 	}
-	if err := b.Override(spans); err != nil {
+	if err := b.Override(s.spans); err != nil {
 		return nil, err
 	}
-	return b.Trace()
+	if err := b.Into(dst); err != nil {
+		return nil, err
+	}
+	return dst, nil
 }
 
 // capacitySpans flattens the (possibly overlapping) blackout and collapse
-// episodes into disjoint, start-ordered overrides — maximal intervals with
-// a uniform capacity factor < 1, a blackout being factor (and rate) zero —
-// taking the minimum factor where episodes overlap.
-func (s *Schedule) capacitySpans() []trace.Override {
-	type episode struct {
-		start, end time.Duration
-		factor     float64
-	}
-	var eps []episode
-	for _, f := range s.faults {
-		switch f.Kind {
-		case Blackout:
-			eps = append(eps, episode{f.Start, f.End(), 0})
-		case Collapse:
-			eps = append(eps, episode{f.Start, f.End(), f.Factor})
-		}
-	}
-	if len(eps) == 0 {
-		return nil
-	}
-	bounds := make([]time.Duration, 0, 2*len(eps))
-	for _, e := range eps {
-		bounds = append(bounds, e.start, e.end)
-	}
-	sort.Slice(bounds, func(i, j int) bool { return bounds[i] < bounds[j] })
-	var spans []trace.Override
-	for i := 0; i+1 < len(bounds); i++ {
-		a, b := bounds[i], bounds[i+1]
-		if a == b {
-			continue
+// episodes into s.spans: disjoint, start-ordered overrides — maximal
+// intervals with a uniform capacity factor < 1, a blackout being factor
+// (and rate) zero — taking the minimum factor where episodes overlap. It
+// walks the episodes' distinct boundaries in order, reusing s.spans.
+func (s *Schedule) capacitySpans() {
+	spans := s.spans[:0]
+	for a, ok := s.nextBound(-1); ok; {
+		b, more := s.nextBound(a)
+		if !more {
+			break
 		}
 		factor := 1.0
-		for _, e := range eps {
-			if e.start <= a && b <= e.end && e.factor < factor {
-				factor = e.factor
+		for _, f := range s.faults {
+			if ff, ok := capacityFactor(f); ok && f.Start <= a && b <= f.End() && ff < factor {
+				factor = ff
 			}
 		}
-		if factor >= 1 {
-			continue
-		}
-		// Merge with the previous span when contiguous and same factor.
-		if n := len(spans); n > 0 && spans[n-1].Start+spans[n-1].Duration == a && spans[n-1].Factor == factor {
+		switch n := len(spans); {
+		case factor >= 1: // no capacity fault over [a, b)
+		case n > 0 && spans[n-1].Start+spans[n-1].Duration == a && spans[n-1].Factor == factor:
+			// Contiguous with the previous span at the same factor: extend it.
 			spans[n-1].Duration = b - spans[n-1].Start
+		default:
+			spans = append(spans, trace.Override{Start: a, Duration: b - a, Factor: factor})
+		}
+		a = b
+	}
+	s.spans = spans
+}
+
+// nextBound returns the first blackout or collapse boundary (a start or an
+// end) after t, and whether there is one.
+func (s *Schedule) nextBound(t time.Duration) (time.Duration, bool) {
+	var next time.Duration
+	found := false
+	for _, f := range s.faults {
+		if _, ok := capacityFactor(f); !ok {
 			continue
 		}
-		spans = append(spans, trace.Override{Start: a, Duration: b - a, Factor: factor})
+		for _, at := range [2]time.Duration{f.Start, f.End()} {
+			if at > t && (!found || at < next) {
+				next, found = at, true
+			}
+		}
 	}
-	return spans
+	return next, found
+}
+
+// capacityFactor returns the capacity multiplier a blackout (0) or
+// collapse (its Factor) imposes; ok is false for every other kind.
+func capacityFactor(f Fault) (factor float64, ok bool) {
+	switch f.Kind {
+	case Blackout:
+		return 0, true
+	case Collapse:
+		return f.Factor, true
+	}
+	return 0, false
 }

@@ -208,31 +208,47 @@ func (q *QuantileSketch) Add(x float64, key uint64) error {
 // Merge unions another sketch into q, keeping the bottom K hashes. The two
 // sketches must not share keys. The result is exactly the sketch a single
 // accumulator would have produced over the union of both sample sets.
+//
+// The merge runs in q's own backing array, growing it only while q holds
+// fewer than K entries: a first pass counts how many of each side survive
+// (and fails on a shared hash before anything is written), then the
+// survivors are merged from the back, so no entry of q is overwritten
+// before it is read. A value copy of q shares that array, so a caller
+// keeping one must copy Entries first.
 func (q *QuantileSketch) Merge(o QuantileSketch) error {
 	if q.K < 1 {
 		q.K = o.K
 	}
-	merged := make([]SketchEntry, 0, min(q.K, len(q.Entries)+len(o.Entries)))
+	a, b := q.Entries, o.Entries
 	i, j := 0, 0
-	for len(merged) < q.K && (i < len(q.Entries) || j < len(o.Entries)) {
+	for i+j < q.K && (i < len(a) || j < len(b)) {
 		switch {
-		case i == len(q.Entries):
-			merged = append(merged, o.Entries[j])
+		case i == len(a):
 			j++
-		case j == len(o.Entries):
-			merged = append(merged, q.Entries[i])
+		case j == len(b), a[i].Hash < b[j].Hash:
 			i++
-		case q.Entries[i].Hash < o.Entries[j].Hash:
-			merged = append(merged, q.Entries[i])
-			i++
-		case q.Entries[i].Hash > o.Entries[j].Hash:
-			merged = append(merged, o.Entries[j])
+		case a[i].Hash > b[j].Hash:
 			j++
 		default:
-			return fmt.Errorf("stats: sketches share hash %d", q.Entries[i].Hash)
+			return fmt.Errorf("stats: sketches share hash %d", a[i].Hash)
 		}
 	}
-	q.Entries = merged
+	n := i + j
+	if a == nil || cap(a) < n { // never nil after a merge: a checkpoint encodes [], not null
+		q.Entries = make([]SketchEntry, n, min(q.K, max(n, 2*cap(a))))
+		copy(q.Entries, a[:i])
+	}
+	out := q.Entries[:n]
+	for k := n - 1; j > 0; k-- {
+		if i > 0 && a[i-1].Hash > b[j-1].Hash {
+			i--
+			out[k] = a[i]
+		} else {
+			j--
+			out[k] = b[j]
+		}
+	}
+	q.Entries = out
 	q.Seen += o.Seen
 	return nil
 }

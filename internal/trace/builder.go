@@ -11,9 +11,9 @@ import (
 
 // Builder composes a trace — a Markov base or a loaded trace, override
 // spans, a lengthened tail — in two recycled segment buffers, and Trace
-// materialises the result once, in one right-sized backing array. Only
-// the traces it returns are immutable and retainable; everything the
-// Builder holds is scratch for the next composition. The zero value is
+// materialises the result once, in one right-sized backing array; Into
+// materialises it into a trace the caller owns and recycles. Everything
+// the Builder holds is scratch for the next composition. The zero value is
 // ready to use. A Builder is not safe for concurrent use.
 type Builder struct {
 	segs  []Segment // the composition so far
@@ -135,6 +135,12 @@ func (b *Builder) Override(ovs []Override) error {
 	return nil
 }
 
-// Trace materialises the composition as an immutable Trace that shares
-// nothing with the Builder.
+// Trace materialises the composition as a new Trace that shares nothing
+// with the Builder.
 func (b *Builder) Trace() (*Trace, error) { return New(b.segs) }
+
+// Into materialises the composition into t in place, reusing t's backing
+// array: the allocation-free form of Trace for a caller that owns t and
+// rebuilds it per draw. Whatever t held before is overwritten, so nothing
+// may still be reading it; t shares nothing with the Builder.
+func (b *Builder) Into(t *Trace) error { return t.set(b.segs) }

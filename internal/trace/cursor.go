@@ -53,7 +53,7 @@ func (c *Cursor) seek(at time.Duration) int {
 
 // RateAt returns the capacity at time at, like Trace.RateAt.
 func (c *Cursor) RateAt(at time.Duration) units.BitRate {
-	return c.t.segs[c.seek(at)].Rate
+	return c.t.segs[c.seek(at)].rate
 }
 
 // BytesBetween integrates capacity over [from, to], like

@@ -36,17 +36,19 @@ type Segment struct {
 	Rate     units.BitRate
 }
 
-// seg is a segment with the fields the download integrals derive from it,
-// side by side so a trace is one backing array.
+// seg is one segment as a trace stores it: where it starts and its rate.
+// Its end is the next segment's start (the trace's total for the last
+// one), so a segment is 16 bytes and a trace is one backing array.
 type seg struct {
-	Segment
-	start, end time.Duration // end = start + Duration
-	rateF      float64       // float64(Rate)
+	start time.Duration
+	rate  units.BitRate
 }
 
-// Trace is an immutable piecewise-constant capacity process. The zero value
-// is unusable; construct traces with New or a generator. After the final
-// segment the last rate persists indefinitely.
+// Trace is a piecewise-constant capacity process. The zero value is
+// unusable; construct traces with New or a generator. After the final
+// segment the last rate persists indefinitely. Nothing in this package
+// changes a trace New or a generator returns; only Builder.Into rewrites
+// one, and only the trace its caller hands it.
 type Trace struct {
 	segs  []seg
 	total time.Duration
@@ -58,24 +60,36 @@ var ErrEmpty = errors.New("trace: no segments")
 // New builds a trace from segments. Segments with non-positive duration or
 // negative rate are rejected; a zero rate is a valid outage.
 func New(segments []Segment) (*Trace, error) {
-	if len(segments) == 0 {
-		return nil, ErrEmpty
+	t := new(Trace)
+	if err := t.set(segments); err != nil {
+		return nil, err
 	}
-	segs := make([]seg, len(segments))
+	return t, nil
+}
+
+// set rebuilds t from segments in place, reusing its backing array when it
+// is large enough. On error t is left unusable.
+func (t *Trace) set(segments []Segment) error {
+	if len(segments) == 0 {
+		return ErrEmpty
+	}
+	if cap(t.segs) < len(segments) {
+		t.segs = make([]seg, len(segments), max(len(segments), 2*cap(t.segs)))
+	}
+	t.segs = t.segs[:len(segments)]
 	var total time.Duration
 	for i, s := range segments {
 		if s.Duration <= 0 {
-			return nil, fmt.Errorf("trace: segment %d has non-positive duration %v", i, s.Duration)
+			return fmt.Errorf("trace: segment %d has non-positive duration %v", i, s.Duration)
 		}
 		if s.Rate < 0 {
-			return nil, fmt.Errorf("trace: segment %d has negative rate %v", i, s.Rate)
+			return fmt.Errorf("trace: segment %d has negative rate %v", i, s.Rate)
 		}
-		d := &segs[i]
-		d.Segment, d.start = s, total
+		t.segs[i] = seg{start: total, rate: s.Rate}
 		total += s.Duration
-		d.end, d.rateF = total, float64(s.Rate)
 	}
-	return &Trace{segs: segs, total: total}, nil
+	t.total = total
+	return nil
 }
 
 // MustNew is New but panics on error, for tests and literals.
@@ -96,10 +110,19 @@ func (t *Trace) Segments() []Segment {
 }
 
 func (t *Trace) appendSegments(dst []Segment) []Segment {
-	for i := range t.segs {
-		dst = append(dst, t.segs[i].Segment)
+	for i, s := range t.segs {
+		dst = append(dst, Segment{Duration: t.end(i) - s.start, Rate: s.rate})
 	}
 	return dst
+}
+
+// end returns where segment i ends: the next segment's start, or the
+// trace's total for the last one.
+func (t *Trace) end(i int) time.Duration {
+	if i+1 < len(t.segs) {
+		return t.segs[i+1].start
+	}
+	return t.total
 }
 
 // index returns the segment index containing time at (clamped to the last
@@ -119,7 +142,7 @@ func (t *Trace) index(at time.Duration) int {
 // RateAt returns the capacity at time at. Before zero it reports the first
 // segment's rate; after the end, the last segment's rate.
 func (t *Trace) RateAt(at time.Duration) units.BitRate {
-	return t.segs[t.index(at)].Rate
+	return t.segs[t.index(at)].rate
 }
 
 // BytesBetween integrates capacity over [from, to] and returns the number of
@@ -143,19 +166,17 @@ func (t *Trace) bytesBetweenFrom(i int, from, to time.Duration) (int64, int) {
 	var bits float64
 	cursor := from
 	for cursor < to {
-		segEnd := t.total
+		segEnd := to // the last segment extends forever
 		if i < len(t.segs)-1 {
-			segEnd = t.segs[i].end
-		} else {
-			segEnd = to // last segment extends forever
+			segEnd = t.segs[i+1].start
 		}
 		end := segEnd
 		if end > to {
 			end = to
 		}
-		bits += float64(t.segs[i].Rate) * (end - cursor).Seconds()
+		bits += float64(t.segs[i].rate) * (end - cursor).Seconds()
 		cursor = end
-		if i < len(t.segs)-1 && cursor >= t.segs[i].end {
+		if i < len(t.segs)-1 && cursor >= segEnd {
 			i++
 		}
 	}
@@ -185,7 +206,7 @@ func (t *Trace) downloadTimeFrom(i int, start time.Duration, n int64) (time.Dura
 	cursor := start
 	last := len(t.segs) - 1
 	for {
-		rate := t.segs[i].rateF
+		rate := float64(t.segs[i].rate)
 		if i == last {
 			if rate <= 0 {
 				return 0, i, false
@@ -193,7 +214,7 @@ func (t *Trace) downloadTimeFrom(i int, start time.Duration, n int64) (time.Dura
 			cursor += units.SecondsToDuration(remaining / rate)
 			return cursor - start, i, true
 		}
-		segEnd := t.segs[i].end
+		segEnd := t.segs[i+1].start
 		span := (segEnd - cursor).Seconds()
 		capacity := rate * span
 		if capacity >= remaining && rate > 0 {
@@ -345,7 +366,7 @@ func (t *Trace) Slice(from, to time.Duration) (*Trace, error) {
 	cursor := from
 	for cursor < to {
 		i := t.index(cursor)
-		segEnd := t.segs[i].end
+		segEnd := t.end(i)
 		if i == len(t.segs)-1 && segEnd < to {
 			segEnd = to
 		}
@@ -353,7 +374,7 @@ func (t *Trace) Slice(from, to time.Duration) (*Trace, error) {
 		if end > to {
 			end = to
 		}
-		segs = append(segs, Segment{Duration: end - cursor, Rate: t.segs[i].Rate})
+		segs = append(segs, Segment{Duration: end - cursor, Rate: t.segs[i].rate})
 		cursor = end
 	}
 	return New(segs)
@@ -362,8 +383,8 @@ func (t *Trace) Slice(from, to time.Duration) (*Trace, error) {
 // WriteCSV writes the trace as "duration_seconds,rate_bps" rows.
 func (t *Trace) WriteCSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	for _, s := range t.segs {
-		if _, err := fmt.Fprintf(bw, "%.6f,%d\n", s.Duration.Seconds(), int64(s.Rate)); err != nil {
+	for i, s := range t.segs {
+		if _, err := fmt.Fprintf(bw, "%.6f,%d\n", (t.end(i) - s.start).Seconds(), int64(s.rate)); err != nil {
 			return err
 		}
 	}

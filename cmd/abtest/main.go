@@ -54,7 +54,7 @@ func main() {
 
 func cli(ctx context.Context, args []string, out, errw io.Writer) error {
 	fs, o := newFlags(errw)
-	if done, err := obs.Parse(fs, args, false); done {
+	if done, err := obs.Parse(fs, args); done {
 		return err
 	}
 	scale, err := figures.ParseScale(o.scale)

@@ -72,7 +72,7 @@ func TestDocCommandLines(t *testing.T) {
 	}
 	for _, l := range lines {
 		fs, _ := newFlags(io.Discard)
-		if done, err := obs.Parse(fs, l.Args, false); done {
+		if done, err := obs.Parse(fs, l.Args); done {
 			t.Errorf("%s: `abtest %s`: %v", l.Where, strings.Join(l.Args, " "), err)
 		}
 	}

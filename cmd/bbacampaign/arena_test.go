@@ -30,7 +30,7 @@ func TestArenaTable(t *testing.T) {
 }
 
 // TestArenaJSON also pins -report: arena writes through the same
-// close-checked writeReport as run and merge, and a path it cannot write is
+// close-checked writeReport as run, and a path it cannot write is
 // an error, not an exit 0.
 func TestArenaJSON(t *testing.T) {
 	want := mustRun(t, tinyArena("-json"))

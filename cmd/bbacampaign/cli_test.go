@@ -6,6 +6,7 @@ import (
 	"errors"
 	"flag"
 	"io"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -18,13 +19,15 @@ import (
 // foreign flag is refused by that subcommand's parser ("flag provided but
 // not defined", a usage error) — there is no hand-kept rejection matrix
 // left to test. The few combinations a parser cannot express are single
-// checks in the subcommand and carry "want".
+// checks in the subcommand and carry "want". The retired merge subcommand
+// keeps a table: whatever follows it, the line is refused before any flag
+// set exists.
 func TestValidateFlags(t *testing.T) {
 	const coordURL, shipURL = "http://127.0.0.1:1", "http://127.0.0.1:1"
 	type row struct {
 		name string
 		args []string
-		want string // "": accepted (the line runs); "usage": the parser refuses; else the run's error
+		want string // "": accepted (the line runs); "usage": the parser refuses; "unknown": no such subcommand; else the run's error
 	}
 	tables := map[string][]row{
 		"run": {
@@ -37,8 +40,9 @@ func TestValidateFlags(t *testing.T) {
 			{"run with merge", tiny("run", 8, "-merge", "cp.json"), "usage"},
 			{"run with worker", tiny("run", 8, "-worker"), "usage"},
 			{"run with positional", tiny("run", 8, "cp.json"), "usage"},
-			// -ship and -run-id are gone from every subcommand: shards reach
-			// another process through a coordinator or a stripe checkpoint.
+			// Stripes are gone, and -ship and -run-id with them from every
+			// subcommand: shards reach another process through a coordinator.
+			{"run with shards", tiny("run", 8, "-shards", "2"), "usage"},
 			{"run with ship", tiny("run", 8, "-ship", shipURL), "usage"},
 			{"run with run-id", tiny("run", 8, "-run-id", "fleet-1"), "usage"},
 		},
@@ -61,12 +65,12 @@ func TestValidateFlags(t *testing.T) {
 			{"arena with scale", tinyArena("-scale", "full"), "usage"},
 		},
 		"merge": {
-			{"merge with ship", []string{"merge", "-ship", shipURL, "cp.json"}, "usage"},
-			{"merge with sessions", []string{"merge", "-sessions", "8", "cp.json"}, "usage"},
-			{"merge with workers", []string{"merge", "-workers", "2", "cp.json"}, "usage"},
-			{"merge with checkpoint", []string{"merge", "-checkpoint", "cp.json"}, "usage"},
-			{"merge with coord", []string{"merge", "-coord", coordURL, "cp.json"}, "usage"},
-			{"merge without checkpoints", []string{"merge"}, "no checkpoints"},
+			{"merge with ship", []string{"merge", "-ship", shipURL, "cp.json"}, "unknown"},
+			{"merge with sessions", []string{"merge", "-sessions", "8", "cp.json"}, "unknown"},
+			{"merge with workers", []string{"merge", "-workers", "2", "cp.json"}, "unknown"},
+			{"merge with checkpoint", []string{"merge", "-checkpoint", "cp.json"}, "unknown"},
+			{"merge with coord", []string{"merge", "-coord", coordURL, "cp.json"}, "unknown"},
+			{"merge without checkpoints", []string{"merge"}, "unknown"},
 		},
 		"worker": {
 			// "worker ok" parses and passes the subcommand's checks; nothing
@@ -111,6 +115,13 @@ func TestValidateFlags(t *testing.T) {
 					}
 					if out.Len() != 0 {
 						t.Errorf("refused line wrote to stdout: %q", out.String())
+					}
+				case "unknown":
+					if !errors.Is(err, obs.ErrUsage) {
+						t.Fatalf("err = %v, want a usage error", err)
+					}
+					if want := "unknown subcommand " + strconv.Quote(sub); !strings.Contains(errw.String(), want) {
+						t.Errorf("stderr lacks %q: %q", want, errw.String())
 					}
 				case "/join":
 					if err == nil || errors.Is(err, obs.ErrUsage) {
@@ -175,7 +186,7 @@ lines:
 			fs := flag.NewFlagSet(sc.name, flag.ContinueOnError)
 			fs.SetOutput(io.Discard)
 			sc.build(fs, new(execFlags))
-			if done, err := obs.Parse(fs, l.Args[1:], sc.name == "merge"); done {
+			if done, err := obs.Parse(fs, l.Args[1:]); done {
 				t.Errorf("%s: `bbacampaign %s`: %v", l.Where, strings.Join(l.Args, " "), err)
 			}
 			continue lines

@@ -1,6 +1,6 @@
 // Command bbacampaign is the front door to every population run, one
-// subcommand per mode: run, weekend, arena, merge, worker (see subcommands
-// below, or run it without arguments).
+// subcommand per mode: run, weekend, arena, worker (see subcommands below,
+// or run it without arguments).
 //
 // Every subcommand that describes a campaign binds the same identity flags
 // (campaign.Identity.Bind) and every one that executes sessions the same
@@ -9,18 +9,13 @@
 // rather than a case in a hand-kept rejection matrix.
 //
 // A campaign is split into fixed shards (shard-size paired sessions each).
-// One process can run the whole campaign, the shard space can be striped
-// across processes with run -shards/-shard-of and the per-process
-// checkpoints combined afterwards with merge, or worker processes join a
-// bbacoord coordinator that leases them shard ranges dynamically; every
-// mode produces a final report byte-identical to a single-threaded run.
-// Those are the two ways shard results reach another process — checkpoint
-// files with no network between the processes, the coordinator online; the
+// One process runs the whole campaign, or worker processes join a bbacoord
+// coordinator that leases them shard ranges and folds what they deliver;
+// either way the final report is byte-identical to a single-threaded run.
+// The coordinator is the one way shard results reach another process; the
 // bbacollect collector takes players' session events, not shards.
 //
 //	bbacampaign run -sessions 170000 -faults -checkpoint cp.json -report report.json
-//	bbacampaign run -sessions 170000 -shards 4 -shard-of 2 -checkpoint cp2.json
-//	bbacampaign merge -report report.json cp0.json cp1.json cp2.json cp3.json
 //	bbacampaign worker -coord http://host:8407 -batch
 //	bbacampaign weekend -scale full -faults
 //	bbacampaign arena -algos all -sessions 2000 -json -report arena.json
@@ -75,10 +70,9 @@ var subcommands = []struct {
 	name, summary string
 	build         func(fs *flag.FlagSet, x *execFlags) runFunc
 }{
-	{"run", "run a campaign, or one stripe of it, and write its JSON report", buildRun},
+	{"run", "run a campaign and write its JSON report", buildRun},
 	{"weekend", "run the paper's weekend A/B experiment and write its per-window CSV", buildWeekend},
 	{"arena", "run an N-way paired tournament and write its table or JSON report", buildArena},
-	{"merge", "merge stripe checkpoints (positional arguments) into the final report", buildMerge},
 	{"worker", "lease and execute shards for a bbacoord coordinator", buildWorker},
 }
 
@@ -95,7 +89,7 @@ func (e env) cli(ctx context.Context, args []string) error {
 			fs.SetOutput(e.errw)
 			var x execFlags
 			run := sc.build(fs, &x)
-			if done, err := obs.Parse(fs, args[1:], sc.name == "merge"); done {
+			if done, err := obs.Parse(fs, args[1:]); done {
 				return err
 			}
 			return x.profiled(run)(ctx, e)
@@ -186,8 +180,6 @@ func buildRun(fs *flag.FlagSet, x *execFlags) runFunc {
 	id := campaign.FlagDefaults()
 	id.Bind(fs)
 	x.bind(fs)
-	stripes := fs.Int("shards", 1, "total process stripes the campaign is split across")
-	stripe := fs.Int("shard-of", 0, "this process's stripe index in [0,-shards)")
 	checkpoint := fs.String("checkpoint", "", "checkpoint file path (written periodically and on exit; resumed from when present)")
 	checkpointEvery := fs.Int("checkpoint-every", 8, "completed shards between checkpoint writes")
 	report := bindReport(fs)
@@ -197,7 +189,6 @@ func buildRun(fs *flag.FlagSet, x *execFlags) runFunc {
 		if err != nil {
 			return err
 		}
-		cfg.Stripe, cfg.Stripes = *stripe, *stripes
 		cfg.CheckpointPath, cfg.CheckpointEvery = *checkpoint, *checkpointEvery
 		if *checkpoint != "" {
 			if cp, err := campaign.LoadCheckpoint(*checkpoint); err == nil {
@@ -228,17 +219,6 @@ func buildRun(fs *flag.FlagSet, x *execFlags) runFunc {
 				return fmt.Errorf("interrupted after %d shards: %w", res.Checkpoint.CompletedShards(), runErr)
 			}
 			return runErr
-		}
-
-		if res.Report == nil {
-			// A stripe subset: the checkpoint is the product; the report comes
-			// from merge once every stripe has run.
-			fmt.Fprintf(e.errw, "stripe %d/%d complete: %d shards in checkpoint; merge all stripes with 'bbacampaign merge' for the final report\n",
-				*stripe, *stripes, res.Checkpoint.CompletedShards())
-			if *checkpoint == "" {
-				return fmt.Errorf("stripe run without -checkpoint produces no output; pass -checkpoint")
-			}
-			return nil
 		}
 		return writeReport(e.out, *report, res.Report.WriteJSON)
 	}
@@ -312,29 +292,6 @@ func buildArena(fs *flag.FlagSet, x *execFlags) runFunc {
 			return writeReport(e.out, *report, r.WriteJSON)
 		}
 		return writeReport(e.out, *report, r.WriteTable)
-	}
-}
-
-func buildMerge(fs *flag.FlagSet, _ *execFlags) runFunc {
-	report := bindReport(fs)
-	return func(_ context.Context, e env) error {
-		var cps []*campaign.Checkpoint
-		for _, path := range fs.Args() {
-			cp, err := campaign.LoadCheckpoint(path)
-			if err != nil {
-				return err
-			}
-			cps = append(cps, cp)
-		}
-		merged, err := campaign.MergeCheckpoints(cps...)
-		if err != nil {
-			return err
-		}
-		rep, err := campaign.FinalReport(merged)
-		if err != nil {
-			return err
-		}
-		return writeReport(e.out, *report, rep.WriteJSON)
 	}
 }
 

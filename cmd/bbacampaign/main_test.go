@@ -80,25 +80,6 @@ func TestCustomAlgos(t *testing.T) {
 	}
 }
 
-// TestStripesAndMerge runs each stripe as its own CLI invocation, merges
-// the checkpoints with merge, and compares against the unsharded report.
-func TestStripesAndMerge(t *testing.T) {
-	want := mustRun(t, tiny("run", 40))
-
-	dir := t.TempDir()
-	merge := []string{"merge"}
-	for stripe := 0; stripe < 2; stripe++ {
-		cp := filepath.Join(dir, fmt.Sprintf("cp%d.json", stripe))
-		merge = append(merge, cp)
-		if out := mustRun(t, tiny("run", 40, "-shards", "2", "-shard-of", strconv.Itoa(stripe), "-checkpoint", cp)); len(out) != 0 {
-			t.Errorf("stripe %d wrote a report on its own", stripe)
-		}
-	}
-	if got := mustRun(t, merge); !bytes.Equal(got, want) {
-		t.Error("merged stripe report differs from unsharded report")
-	}
-}
-
 // TestInterruptResume cancels a run mid-campaign, then resumes it from the
 // checkpoint via the same CLI path: the cancelled invocation must fail with
 // a truncated report, and the resumed one must finish with the same report
@@ -236,7 +217,8 @@ func TestWeekendGolden(t *testing.T) {
 
 // TestRunGolden pins `run`'s report bytes to sha256s taken with the parent
 // commit's flag-mode binary (bbacampaign -seed 77 -sessions 1500 -shard-size
-// 256 [-faults]), and holds them under -batch and under 3 stripes + merge.
+// 256 [-faults]), and holds them under -batch and through a coordinator
+// fleet of two `worker` CLI runs.
 func TestRunGolden(t *testing.T) {
 	base := []string{"run", "-seed", "77", "-sessions", "1500", "-shard-size", "256", "-progress-every", "0"}
 	for _, tc := range []struct {
@@ -255,15 +237,10 @@ func TestRunGolden(t *testing.T) {
 			if got := sha(mustRun(t, append(args, "-batch"))); got != tc.want {
 				t.Errorf("-batch: sha256 %s, want %s", got, tc.want)
 			}
-			dir := t.TempDir()
-			merge := []string{"merge"}
-			for stripe := 0; stripe < 3; stripe++ {
-				cp := filepath.Join(dir, fmt.Sprintf("s%d.ck", stripe))
-				merge = append(merge, cp)
-				mustRun(t, append(args, "-shards", "3", "-shard-of", strconv.Itoa(stripe), "-checkpoint", cp))
-			}
-			if got := sha(mustRun(t, merge)); got != tc.want {
-				t.Errorf("3 stripes + merge: sha256 %s, want %s", got, tc.want)
+			id := campaign.FlagDefaults()
+			id.Seed, id.Sessions, id.ShardSize, id.Faults = 77, 1500, 256, tc.extra != nil
+			if got := sha(fleetReport(t, id, 2)); got != tc.want {
+				t.Errorf("2-worker fleet: sha256 %s, want %s", got, tc.want)
 			}
 		})
 	}

@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"bba/internal/campaign"
@@ -54,4 +56,40 @@ func TestWorkerMode(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Error("fleet report differs from plain CLI run")
 	}
+}
+
+// fleetReport runs the campaign id describes on an in-process coordinator,
+// executed by n concurrent `worker` CLI runs, and returns the
+// coordinator's report.
+func fleetReport(t *testing.T, id campaign.Identity, n int) []byte {
+	t.Helper()
+	c, err := coord.New(coord.Config{Spec: id, LeaseShards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+
+	errs := make([]error, n)
+	stderr := make([]bytes.Buffer, n)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			args := []string{"worker", "-coord", srv.URL, "-worker-name", fmt.Sprintf("w%d", i), "-workers", "1", "-progress-every", "0"}
+			errs[i] = cli(context.Background(), args, new(bytes.Buffer), &stderr[i])
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v\nstderr: %s", i, err, stderr[i].String())
+		}
+	}
+	got, err := c.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
 }

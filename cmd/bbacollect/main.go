@@ -3,7 +3,7 @@
 // internal/collect Shipper) over HTTP POST, deduplicates them per (run,
 // session) stream, and persists each admitted batch before acknowledging
 // it. Campaign shards are not its business: those cross processes through
-// bbacoord, or offline as stripe checkpoints.
+// bbacoord alone.
 //
 // Endpoints:
 //

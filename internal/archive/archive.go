@@ -27,8 +27,10 @@
 //
 // Crash recovery: Open scans each run's WAL and truncates it at the first
 // damaged record (a torn tail write loses only the un-acknowledged
-// suffix), then appends after it. Blocks are immutable and self-verifying
-// (CRC per column page, CRC'd footer), so they need no repair pass.
+// suffix), then appends after it, and removes the temp file of a
+// compaction killed before its rename. Blocks are immutable and
+// self-verifying (CRC per column page, CRC'd footer), so they need no
+// repair pass.
 package archive
 
 import (
@@ -43,6 +45,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -51,6 +54,9 @@ import (
 
 // walName is the active WAL file inside a run directory.
 const walName = "wal.q"
+
+// blockTempPrefix names a block being written, before its rename.
+const blockTempPrefix = ".blk-"
 
 // ErrReadOnly reports a mutating call on a read-only store.
 var ErrReadOnly = errors.New("archive: store is read-only")
@@ -195,7 +201,10 @@ func (s *Store) refreshLocked() error {
 	return s.loadRunsLocked()
 }
 
-// openRun loads one run directory: block list, then WAL scan/repair.
+// openRun loads one run directory: block list, then WAL scan/repair. A
+// writable store also removes the block temp files of compactions killed
+// before their rename; a read-only one leaves them to the live writer
+// whose compaction may be in flight.
 func (s *Store) openRun(run, dir string) (*runArchive, error) {
 	ra := &runArchive{dir: dir, run: run}
 	ents, err := os.ReadDir(dir)
@@ -204,6 +213,14 @@ func (s *Store) openRun(run, dir string) (*runArchive, error) {
 	}
 	for _, ent := range ents {
 		name := ent.Name()
+		if strings.HasPrefix(name, blockTempPrefix) {
+			if !s.readOnly {
+				if err := os.Remove(filepath.Join(dir, name)); err != nil {
+					return nil, err
+				}
+			}
+			continue
+		}
 		var seq int
 		if _, err := fmt.Sscanf(name, "%06d.blk", &seq); err != nil || fmt.Sprintf("%06d.blk", seq) != name {
 			continue
@@ -459,7 +476,7 @@ func (s *Store) compactLocked(ra *runArchive) error {
 		return err
 	}
 	path := filepath.Join(ra.dir, fmt.Sprintf("%06d.blk", ra.nextSeq))
-	tmp, err := os.CreateTemp(ra.dir, ".blk-*")
+	tmp, err := os.CreateTemp(ra.dir, blockTempPrefix+"*")
 	if err != nil {
 		return err
 	}

@@ -225,6 +225,45 @@ func TestArchiveCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestOpenRemovesStrayBlockTemps: a compaction killed between creating its
+// block temp file and renaming it leaves a .blk-* file that no block list
+// reads. A writable Open owns the directory and removes it; a read-only
+// open must leave it, because it may be a live writer's compaction in
+// flight.
+func TestOpenRemovesStrayBlockTemps(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append("run1", batchOf(0, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stray := filepath.Join(dir, "run1", ".blk-1234")
+	if err := os.WriteFile(stray, []byte("half a block"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := OpenReadOnly(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stray); err != nil {
+		t.Fatalf("OpenReadOnly touched a possibly live compaction's temp file: %v", err)
+	}
+
+	s, err = Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := os.Stat(stray); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("stray block temp file after a writable Open: %v, want it removed", err)
+	}
+}
+
 // referenceFilter is the trivially-correct row-wise implementation Scan
 // and Aggregate are checked against.
 func referenceFilter(events []telemetry.Event, q Query) []telemetry.Event {

@@ -24,7 +24,7 @@ var DefaultField = []string{"Control", "BBA-2", "BOLA", "SmoothThroughput", "Hyb
 type Config struct {
 	// Campaign is the population every entrant streams and how it executes.
 	// Groups and NewExtra are the arena's to set, and extras are not
-	// checkpointed, so the campaign must be single-stripe and not resumed.
+	// checkpointed, so the campaign must not be resumed.
 	Campaign campaign.Config
 	// Entrants are registered algorithm names (abr.Names()), 2–23 of them;
 	// every unordered pair becomes a head-to-head match.

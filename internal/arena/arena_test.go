@@ -195,16 +195,16 @@ type fakeExtra struct{}
 func (fakeExtra) AddSessionSet(int64, []metrics.Session) error { return nil }
 func (fakeExtra) Merge(campaign.Extra) error                   { return nil }
 
-// TestArenaExtraGuards: the campaign refuses extras on striped or resumed
-// runs — the modes extras cannot survive.
+// TestArenaExtraGuards: the campaign refuses extras on a resumed run —
+// extras are not checkpointed, so a resume could not restore them.
 func TestArenaExtraGuards(t *testing.T) {
 	ccfg := campaign.Config{
 		Sessions: 8,
-		Stripes:  2,
 		NewExtra: func() campaign.Extra { return NewMatchSet([]string{"A", "B"}, 16) },
 	}
+	ccfg.Resume = campaign.NewCheckpoint(ccfg.Identity())
 	if _, err := campaign.Run(ccfg); err == nil {
-		t.Error("striped run with NewExtra accepted")
+		t.Error("resumed run with NewExtra accepted")
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // quantile sketch) per paper metric. A shard folds its sessions into a
 // fresh GroupAccum; the campaign folds shard accumulators in shard-index
 // order, so the merged state is bit-identical at any worker count or
-// process split. Its JSON form is the checkpoint serialization.
+// fleet size. Its JSON form is the checkpoint serialization.
 type GroupAccum struct {
 	Name     string `json:"name"`
 	Sessions int64  `json:"sessions"`

@@ -9,7 +9,7 @@ import (
 
 // BenchmarkAccumMerge measures the campaign's merge path in isolation:
 // folding 64 populated shard accumulator sets into a prefix in shard order
-// — the per-shard cost every checkpoint fold and stripe merge pays.
+// — the per-shard cost every checkpoint fold, local or coordinator, pays.
 func BenchmarkAccumMerge(b *testing.B) {
 	const shards, perShard = 64, 1024
 	names := []string{"Control", "BBA-2"}

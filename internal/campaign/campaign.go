@@ -16,15 +16,16 @@
 // Quantile sketches are exactly mergeable (set union of hashed samples), so
 // they are order-independent outright; Welford moment merges are
 // deterministic but not exactly associative in floating point, which is why
-// the fold order is pinned. Under this rule a 4-worker run, a 4-process
-// striped run, and a single-threaded run produce byte-identical reports.
+// the fold order is pinned. Under this rule a 4-worker run, a coordinator
+// fleet (internal/coord) of any size, and a single-threaded run produce
+// byte-identical reports.
 //
 // Memory: each session folds immediately into its shard's per-group
-// accumulators (a few KB each); a single-process run folds shards into a
-// running prefix as they complete, holding at most the merge window
-// (2×Parallelism) of out-of-order shards. Checkpoints record completed
-// shards only — a shard is the atomic unit, so resuming after a kill never
-// double-counts a session.
+// accumulators (a few KB each); a run folds shards into a running prefix as
+// they complete, holding at most the merge window (2×Parallelism) of
+// out-of-order shards. Checkpoints record completed shards only — a shard
+// is the atomic unit, so resuming after a kill never double-counts a
+// session.
 package campaign
 
 import (
@@ -97,11 +98,6 @@ type Config struct {
 	// SketchSize is each metric sketch's retained-sample capacity
 	// (default 512). Part of the campaign identity.
 	SketchSize int
-	// Stripe/Stripes split the campaign across processes: this process runs
-	// only shards s with s mod Stripes == Stripe. Defaults to the whole
-	// campaign (Stripes 1, Stripe 0). A striped run's checkpoint is merged
-	// with the other stripes' via MergeCheckpoints.
-	Stripe, Stripes int
 	// Resume, when non-nil, is a previously saved checkpoint: its recorded
 	// shards are skipped (never re-run, never double-counted) and the run
 	// continues from its state. Its identity must match the config's.
@@ -120,7 +116,7 @@ type Config struct {
 	// order into Outcome.Extra — the same fold discipline that makes the
 	// report byte-identical at any worker count. The arena's pairwise
 	// match accumulators hook here. Extras are not checkpointed, so
-	// NewExtra requires a single-stripe, non-resumed run.
+	// NewExtra requires a non-resumed run.
 	NewExtra func() Extra
 	// Progress, when non-nil, is called after every completed shard from
 	// the collector goroutine. It must not block.
@@ -151,9 +147,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.SketchSize <= 0 {
 		c.SketchSize = 512
-	}
-	if c.Stripes <= 0 {
-		c.Stripes = 1
 	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 8
@@ -224,10 +217,10 @@ func (id Identity) checkLayout() error {
 // Progress is a live snapshot handed to Config.Progress after each
 // completed shard.
 type Progress struct {
-	// ShardsDone / ShardsTotal count this run's target shard set (the
-	// stripe's shards), including shards resumed from a checkpoint.
+	// ShardsDone / ShardsTotal count the campaign's shards, including
+	// shards resumed from a checkpoint.
 	ShardsDone, ShardsTotal int
-	// SessionsDone / SessionsTotal count paired sessions over the same set.
+	// SessionsDone / SessionsTotal count paired sessions likewise.
 	SessionsDone, SessionsTotal int64
 	// Elapsed is wall-clock time since the run started.
 	Elapsed time.Duration
@@ -272,8 +265,7 @@ type RunStats struct {
 	Engine string
 	// PeakPending is the maximum number of completed shard accumulator
 	// sets held beyond the folded prefix at any point — the memory-ceiling
-	// witness. Single-process runs keep it within the merge window
-	// (2×Parallelism); striped runs hold their whole stripe by design.
+	// witness; it never exceeds the merge window (2×Parallelism).
 	PeakPending int
 	// Faults, Retries, Degradations and Failovers total fault-injection
 	// activity across this run's sessions.
@@ -308,10 +300,10 @@ func (s RunStats) WriteSummary(w io.Writer, label, detail string) {
 // Outcome is the result of a Run.
 type Outcome struct {
 	// Report is the final campaign report; nil when the run did not
-	// complete the whole campaign (a stripe subset, or a cancelled run).
+	// complete the campaign (it was cancelled or failed).
 	Report *Report
-	// Checkpoint is the run's final state — always present, resumable and
-	// mergeable even when the run was cancelled.
+	// Checkpoint is the run's final state — always present, and resumable
+	// even when the run was cancelled.
 	Checkpoint *Checkpoint
 	// Extra is the extension accumulator folded over every completed shard
 	// in shard-index order; nil unless Config.NewExtra was set. On a
@@ -383,8 +375,9 @@ func shardFold(cfg *Config, accums []*GroupAccum, extra Extra, shard, off int, m
 }
 
 // newRunner builds a worker's kernel: BatchWidth draws in flight with
-// cfg.Batch, one otherwise.
-func newRunner(cfg *Config, retired *atomic.Int64) *batch.Runner {
+// cfg.Batch, one otherwise. onRetire, when non-nil, is called once per
+// finished player session.
+func newRunner(cfg *Config, onRetire func()) *batch.Runner {
 	width := 1
 	if cfg.Batch {
 		width = cfg.BatchWidth
@@ -393,7 +386,7 @@ func newRunner(cfg *Config, retired *atomic.Int64) *batch.Runner {
 		Groups:   cfg.Groups,
 		Faults:   cfg.Faults,
 		Width:    width,
-		OnRetire: func() { retired.Add(1) },
+		OnRetire: onRetire,
 	})
 }
 
@@ -427,21 +420,18 @@ func runShard(ctx context.Context, cfg *Config, catalog *media.Catalog, shard in
 	return accums, extra, nil
 }
 
-// Run executes the campaign (or its stripe). See RunContext.
+// Run executes the campaign. See RunContext.
 func Run(cfg Config) (*Outcome, error) { return RunContext(context.Background(), cfg) }
 
-// RunContext runs the campaign's stripe with cancellation. On cancellation
-// it stops issuing shards, discards partially executed shards, saves a
-// final checkpoint (when CheckpointPath is set) and returns the context's
-// error alongside a non-nil Outcome carrying the resumable checkpoint — the
+// RunContext runs the campaign with cancellation. On cancellation it stops
+// issuing shards, discards partially executed shards, saves a final
+// checkpoint (when CheckpointPath is set) and returns the context's error
+// alongside a non-nil Outcome carrying the resumable checkpoint — the
 // caller decides whether a partial outcome is useful.
 func RunContext(ctx context.Context, cfg Config) (*Outcome, error) {
 	cfg.applyDefaults()
-	if cfg.Stripe < 0 || cfg.Stripe >= cfg.Stripes {
-		return nil, fmt.Errorf("campaign: stripe %d of %d", cfg.Stripe, cfg.Stripes)
-	}
-	if cfg.NewExtra != nil && (cfg.Stripes != 1 || cfg.Resume != nil) {
-		return nil, fmt.Errorf("campaign: NewExtra requires a single-stripe, non-resumed run (extras are not checkpointed)")
+	if cfg.NewExtra != nil && cfg.Resume != nil {
+		return nil, fmt.Errorf("campaign: NewExtra requires a non-resumed run (extras are not checkpointed)")
 	}
 	id := cfg.identity()
 	if err := id.checkLayout(); err != nil {
@@ -463,13 +453,10 @@ func RunContext(ctx context.Context, cfg Config) (*Outcome, error) {
 		state = cfg.Resume
 	}
 
-	// This run's target shard set: the stripe's shards, minus those the
-	// checkpoint already recorded.
+	// This run's shards: every shard the checkpoint has not recorded,
+	// ascending.
 	var todo []int
-	stripeShards, stripeSessions := 0, int64(0)
-	for s := cfg.Stripe; s < id.Shards(); s += cfg.Stripes {
-		stripeShards++
-		stripeSessions += int64(id.shardSessions(s))
+	for s := 0; s < id.Shards(); s++ {
 		if !state.Has(s) {
 			todo = append(todo, s)
 		}
@@ -492,16 +479,13 @@ func RunContext(ctx context.Context, cfg Config) (*Outcome, error) {
 		extra  Extra
 		err    error
 	}
-	// The merge window: the producer takes a token per shard, and in a
-	// single-stripe run (whose prefix always ends at the first shard still to
-	// execute, so everything it runs eventually folds) the collector releases
-	// a shard's token only once that shard has folded into the prefix. That
-	// makes the memory ceiling a hard
-	// guarantee: dispatched-but-unfolded shards — executing or parked —
-	// never exceed the window, however the scheduler interleaves workers.
-	// One stripe of several cannot fold past the first shard another
-	// stripe owns and legitimately retains every completed shard for the
-	// cross-process merge, so it releases per recorded shard instead.
+	// The merge window: the producer takes a token per shard, and the
+	// collector releases a shard's token only once that shard has folded
+	// into the prefix (which always ends at the first shard still to
+	// execute, so everything the run executes eventually folds). That makes
+	// the memory ceiling a hard guarantee: dispatched-but-unfolded shards —
+	// executing or parked — never exceed the window, however the scheduler
+	// interleaves workers.
 	window := 2 * cfg.Parallelism
 	tokens := make(chan struct{}, window)
 	shards := make(chan int)
@@ -536,7 +520,7 @@ func RunContext(ctx context.Context, cfg Config) (*Outcome, error) {
 			// Each worker owns one Runner for its whole share of the
 			// campaign: lanes, the per-title plan cache and the draw scratch
 			// are reused across every shard the worker executes.
-			runner := newRunner(&cfg, &retired)
+			runner := newRunner(&cfg, func() { retired.Add(1) })
 			for s := range shards {
 				accums, extra, err := runShard(ctx, &cfg, catalog, s, runner)
 				select {
@@ -556,21 +540,16 @@ func RunContext(ctx context.Context, cfg Config) (*Outcome, error) {
 	// Collector: record shards as they complete, fold the in-order prefix,
 	// checkpoint periodically, report progress.
 	live := make([]liveGroup, len(id.Groups)) // display-only, completion order
-	resumedShards := stripeShards - len(todo)
-	resumedSessions := stripeSessions
-	for _, s := range todo {
-		resumedSessions -= int64(id.shardSessions(s))
-	}
+	resumedShards, resumedSessions := state.CompletedShards(), state.SessionsDone()
 	// Extension fold: parked extras wait until every lower shard has folded,
 	// mirroring the checkpoint's prefix discipline so Outcome.Extra is as
-	// order-independent as the report. todo is ascending (single stripe).
+	// order-independent as the report. todo is ascending.
 	var extraFold Extra
 	extraParked := map[int]Extra{}
 	extraNext := 0
 	if cfg.NewExtra != nil {
 		extraFold = cfg.NewExtra()
 	}
-	releaseOnFold := cfg.Stripes == 1
 	todoFolded := 0
 	sinceSave := 0
 	var firstErr error
@@ -600,15 +579,11 @@ func RunContext(ctx context.Context, cfg Config) (*Outcome, error) {
 			cancel()
 			continue
 		}
-		if releaseOnFold {
-			// record folded any newly contiguous shards (possibly a
-			// cascade through parked ones); release their tokens.
-			for todoFolded < len(todo) && todo[todoFolded] < state.PrefixShards {
-				<-tokens
-				todoFolded++
-			}
-		} else {
+		// Record folded any newly contiguous shards (possibly a cascade
+		// through parked ones); release their tokens.
+		for todoFolded < len(todo) && todo[todoFolded] < state.PrefixShards {
 			<-tokens
+			todoFolded++
 		}
 		if cfg.NewExtra != nil {
 			extraParked[r.shard] = r.extra
@@ -634,7 +609,7 @@ func RunContext(ctx context.Context, cfg Config) (*Outcome, error) {
 		out.Stats.PlayerSessions += ran * int64(len(id.Groups))
 
 		if cfg.Progress != nil {
-			cfg.Progress(progressSnapshot(out.Stats, time.Since(start), resumedShards, resumedSessions, stripeShards, stripeSessions, retired.Load(), id.Groups, live))
+			cfg.Progress(progressSnapshot(out.Stats, time.Since(start), resumedShards, resumedSessions, retired.Load(), id, live))
 		}
 		sinceSave++
 		if cfg.CheckpointPath != "" && sinceSave >= cfg.CheckpointEvery {
@@ -684,12 +659,13 @@ func (l *liveGroup) add(a *GroupAccum) {
 	l.avgRate.Merge(a.AvgRate.Moments)
 }
 
-func progressSnapshot(rs RunStats, elapsed time.Duration, resumedShards int, resumedSessions int64, stripeShards int, stripeSessions int64, retired int64, names []string, live []liveGroup) Progress {
+func progressSnapshot(rs RunStats, elapsed time.Duration, resumedShards int, resumedSessions, retired int64, id Identity, live []liveGroup) Progress {
+	names := id.Groups
 	p := Progress{
 		ShardsDone:    resumedShards + rs.ShardsRun,
-		ShardsTotal:   stripeShards,
+		ShardsTotal:   id.Shards(),
 		SessionsDone:  resumedSessions + rs.SessionsRun,
-		SessionsTotal: stripeSessions,
+		SessionsTotal: int64(id.Sessions),
 		Elapsed:       elapsed,
 	}
 	// Throughput and ETA come from sessions the kernel has retired, not from
@@ -726,7 +702,7 @@ const ReportSchema = "bba-campaign-report/v1"
 
 // Report is the campaign's final aggregate. Built from a completed
 // checkpoint's folded prefix it is byte-identical for a given identity at
-// any worker count or stripe split.
+// any worker count or fleet size.
 type Report struct {
 	Schema string `json:"schema"`
 	// Truncated marks a report built from an incomplete campaign (for

@@ -49,8 +49,8 @@ func reportBytes(t *testing.T, r *Report) []byte {
 }
 
 // TestShardingDeterminism pins the campaign's central contract: the same
-// identity produces byte-identical reports at any worker count and at any
-// process split (stripes merged via checkpoints).
+// identity produces byte-identical reports at any worker count. (At any
+// fleet size too: internal/coord's end-to-end tests hold that.)
 func TestShardingDeterminism(t *testing.T) {
 	cfg := testConfig(52) // 7 shards, last one partial
 
@@ -68,37 +68,6 @@ func TestShardingDeterminism(t *testing.T) {
 	}
 	if !bytes.Equal(reportBytes(t, wide.Report), want) {
 		t.Error("4-worker report differs from single-worker report")
-	}
-
-	// Separate striped processes, merged. At two stripes and one worker a
-	// stripe owns more shards (4) than the merge window holds (2) and none
-	// past shard 0 can fold, so this also pins that a stripe drains.
-	for _, stripes := range []int{4, 2} {
-		var cps []*Checkpoint
-		for stripe := 0; stripe < stripes; stripe++ {
-			scfg := cfg
-			scfg.Stripe, scfg.Stripes = stripe, stripes
-			scfg.Parallelism = 1
-			out, err := Run(scfg)
-			if err != nil {
-				t.Fatalf("stripe %d of %d: %v", stripe, stripes, err)
-			}
-			if out.Report != nil {
-				t.Fatalf("stripe %d of %d produced a final report on its own", stripe, stripes)
-			}
-			cps = append(cps, out.Checkpoint)
-		}
-		merged, err := MergeCheckpoints(cps...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := FinalReport(merged)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(reportBytes(t, rep), want) {
-			t.Errorf("merged %d-stripe report differs from unsharded report", stripes)
-		}
 	}
 }
 
@@ -215,8 +184,7 @@ func TestResumeNoDoubleCounting(t *testing.T) {
 }
 
 // TestResumeRejectsForeignCheckpoint pins the identity guard: a checkpoint
-// from a different campaign must not resume, and checkpoints from
-// different campaigns must not merge.
+// from a different campaign must not resume.
 func TestResumeRejectsForeignCheckpoint(t *testing.T) {
 	cfg := testConfig(16)
 	out, err := Run(cfg)
@@ -228,16 +196,6 @@ func TestResumeRejectsForeignCheckpoint(t *testing.T) {
 	other.Resume = out.Checkpoint
 	if _, err := Run(other); err == nil {
 		t.Error("resume with mismatched identity succeeded")
-	}
-	o2, err := Run(Config{Seed: cfg.Seed + 1, Sessions: 16, ShardSize: 8, CatalogSize: 4, SketchSize: 64, Groups: twoGroups()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MergeCheckpoints(out.Checkpoint, o2.Checkpoint); err == nil {
-		t.Error("merging checkpoints with different identities succeeded")
-	}
-	if _, err := MergeCheckpoints(out.Checkpoint, out.Checkpoint); err == nil {
-		t.Error("merging overlapping checkpoints succeeded")
 	}
 }
 
@@ -355,7 +313,7 @@ func TestLiveViewMatchesAccumFold(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got := progressSnapshot(RunStats{}, 0, 0, 0, 0, 0, 0, names, live).Groups
+		got := progressSnapshot(RunStats{}, 0, 0, 0, 0, Identity{Groups: names}, live).Groups
 		var control float64
 		for gi, a := range full {
 			want := GroupDelta{Name: a.Name, Sessions: a.Sessions, RebufferRate: a.RebufferRate.Moments.Mean, AvgRateKbps: a.AvgRate.Moments.Mean}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sort"
 
 	"bba/internal/stats"
@@ -24,12 +23,11 @@ type ShardAccums struct {
 
 // Checkpoint is the resumable state of a campaign, written atomically as
 // JSON. Prefix holds the in-order fold of shards [0, PrefixShards); Done
-// holds completed shards beyond the prefix (out-of-order completions, or all
-// completions of a stripe that doesn't own shard 0), sorted by shard index.
+// holds completed shards beyond the prefix — out-of-order completions in
+// one process, or a coordinator's deliveries — sorted by shard index.
 // fold() moves Done entries into the prefix as soon as they become
-// contiguous, so a single-process run's checkpoint stays O(groups) while a
-// stripe's checkpoint is O(completed shards) — exactly the state a merge
-// needs.
+// contiguous, so a checkpoint holds O(groups) state plus only the shards
+// completed out of order.
 type Checkpoint struct {
 	Schema       string        `json:"schema"`
 	Identity     Identity      `json:"identity"`
@@ -111,7 +109,7 @@ func (c *Checkpoint) Complete() bool {
 	return c.PrefixShards == c.Identity.Shards() && len(c.Done) == 0
 }
 
-// validate checks structural invariants after a load or merge.
+// validate checks structural invariants of a loaded or resumed checkpoint.
 func (c *Checkpoint) validate() error {
 	if c.Schema != CheckpointSchema {
 		return fmt.Errorf("campaign: checkpoint schema %q, want %q", c.Schema, CheckpointSchema)
@@ -188,65 +186,8 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	return &c, nil
 }
 
-// MergeCheckpoints combines checkpoints from a striped campaign (one per
-// process) into a single checkpoint. All inputs must share an identity and
-// cover disjoint shards; the merged prefix is re-folded in shard-index
-// order, so the result is bit-identical to an unsharded run over the same
-// identity.
-func MergeCheckpoints(cs ...*Checkpoint) (*Checkpoint, error) {
-	if len(cs) == 0 {
-		return nil, fmt.Errorf("campaign: no checkpoints to merge")
-	}
-	id := cs[0].Identity
-	out := NewCheckpoint(id)
-	for _, c := range cs {
-		if err := c.validate(); err != nil {
-			return nil, err
-		}
-		if !reflect.DeepEqual(c.Identity, id) {
-			return nil, fmt.Errorf("campaign: checkpoint identities differ; refusing to merge")
-		}
-	}
-	// Collect every recorded shard, reject overlaps, then fold ascending.
-	type entry struct {
-		shard  int
-		groups []*GroupAccum
-		prefix *Checkpoint // non-nil when the entry is a folded prefix
-	}
-	var entries []entry
-	for _, c := range cs {
-		if c.PrefixShards > 0 {
-			entries = append(entries, entry{shard: 0, prefix: c})
-		}
-		for _, d := range c.Done {
-			entries = append(entries, entry{shard: d.Shard, groups: d.Groups})
-		}
-	}
-	sort.SliceStable(entries, func(i, j int) bool { return entries[i].shard < entries[j].shard })
-	for _, e := range entries {
-		if e.prefix != nil {
-			// A folded prefix covers shards [0, PrefixShards) as one unit;
-			// it can only merge when out's prefix is still empty (two
-			// overlapping prefixes would double-count shard 0).
-			if out.PrefixShards != 0 {
-				return nil, fmt.Errorf("campaign: checkpoints overlap at shard 0")
-			}
-			out.PrefixShards = e.prefix.PrefixShards
-			out.Prefix = cloneAccums(e.prefix.Prefix)
-			continue
-		}
-		if out.Has(e.shard) {
-			return nil, fmt.Errorf("campaign: checkpoints overlap at shard %d", e.shard)
-		}
-		if err := out.Record(e.shard, cloneAccums(e.groups)); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// cloneAccums deep-copies a shard's accumulators so merging never aliases
-// the source checkpoint's state.
+// cloneAccums deep-copies a shard's accumulators so a report's fold never
+// aliases the checkpoint's state.
 func cloneAccums(src []*GroupAccum) []*GroupAccum {
 	out := make([]*GroupAccum, len(src))
 	for i, a := range src {

@@ -14,10 +14,10 @@ import (
 // Identity pins everything that determines a campaign's results, and is the
 // one serialisable description of a campaign: command lines bind it (Bind),
 // checkpoints and reports store it, a coordinator ships it to its workers,
-// and every runner resolves it into a Config the same way (Config). Two
-// checkpoints are mergeable — and a checkpoint is resumable under a config —
-// only when their identities are equal; mixing different identities would
-// silently blend incompatible populations.
+// and every runner resolves it into a Config the same way (Config). A
+// checkpoint is resumable under a config only when their identities are
+// equal; mixing different identities would silently blend incompatible
+// populations.
 //
 // Zero ShardSize, Days, CatalogSize and SketchSize and empty Groups mean the
 // Config defaults; Config().Identity() is the normal form with them filled
@@ -77,7 +77,7 @@ func splitArms(s string) []string {
 // Config resolves the identity into a runnable Config: Groups through the
 // algorithm registry (abtest.Groups; an unregistered name is
 // abr.ErrUnknownAlgorithm), Faults into the standard fault schedule.
-// Execution choices — parallelism, kernel width, striping, checkpoints —
+// Execution choices — parallelism, kernel width, checkpoints —
 // are not part of an identity; the caller sets them on the result.
 func (id Identity) Config() (Config, error) {
 	if id.Sessions <= 0 {
@@ -110,8 +110,8 @@ func (id Identity) Config() (Config, error) {
 // Shards returns the campaign's shard count: ⌈Sessions/ShardSize⌉. Shard s
 // covers global paired-session indices [s·ShardSize, min((s+1)·ShardSize,
 // Sessions)). The boundaries depend only on the identity — never on worker
-// count or process split — which is what makes merged results bit-identical
-// at any sharding.
+// count or fleet size — which is what makes folded results bit-identical
+// at any split of the work.
 func (id Identity) Shards() int {
 	if id.Sessions <= 0 || id.ShardSize <= 0 {
 		return 0

@@ -3,7 +3,6 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"bba/internal/batch"
 	"bba/internal/media"
@@ -33,13 +32,12 @@ type ShardRunner struct {
 	id      Identity
 	catalog *media.Catalog
 	runner  *batch.Runner
-	retired atomic.Int64
 }
 
 // NewShardRunner validates the config and prepares the catalog and the
-// kernel. Orchestration fields — Stripe/Stripes,
-// Resume, CheckpointPath, NewExtra, Progress — are ignored: the
-// caller owns scheduling and folding.
+// kernel. Orchestration fields — Parallelism, Resume, CheckpointPath,
+// CheckpointEvery, NewExtra, Progress — are ignored: the caller owns
+// scheduling and folding.
 func NewShardRunner(cfg Config) (*ShardRunner, error) {
 	cfg.applyDefaults()
 	id := cfg.identity()
@@ -51,22 +49,12 @@ func NewShardRunner(cfg Config) (*ShardRunner, error) {
 		return nil, err
 	}
 	r := &ShardRunner{cfg: cfg, id: id, catalog: catalog}
-	r.runner = newRunner(&r.cfg, &r.retired)
+	r.runner = newRunner(&r.cfg, nil)
 	return r, nil
 }
 
-// Identity returns the campaign identity the runner executes under.
-func (r *ShardRunner) Identity() Identity { return r.id }
-
-// Engine names the kernel width: "scalar" (one draw at a time) or "batch".
-func (r *ShardRunner) Engine() string { return engineName(r.cfg.Batch) }
-
 // ShardSessions returns how many paired sessions shard s covers.
 func (r *ShardRunner) ShardSessions(s int) int { return r.id.shardSessions(s) }
-
-// Retired returns the player sessions finished so far across every shard
-// this runner executed — the live throughput counter.
-func (r *ShardRunner) Retired() int64 { return r.retired.Load() }
 
 // RunShard executes one shard and returns its per-group accumulators —
 // bit-identical to the same shard of a local run. The caller takes

@@ -61,7 +61,7 @@ func TestOneRemoteFold(t *testing.T) {
 		}
 		for _, name := range lane {
 			if !test && strings.Contains(string(src), name) {
-				t.Errorf("%s names %s: the collector's campaign lane is gone; shards go through internal/coord or stripe checkpoints", rel, name)
+				t.Errorf("%s names %s: the collector's campaign lane is gone; shards go through internal/coord", rel, name)
 			}
 		}
 		if !events[dir] {

@@ -16,16 +16,10 @@ type QueueConfig struct {
 	// SpillDir, when non-empty, receives overflow frames as on-disk
 	// segment files; empty disables spilling, so overflow drops.
 	SpillDir string
-	// MaxSpillBytes bounds the on-disk spill (default 32 MiB). Beyond it
-	// the drop policy applies.
+	// MaxSpillBytes bounds the on-disk spill (default 32 MiB). Once memory
+	// and spill are both full the incoming frame is dropped and counted:
+	// the newest data loses, the oldest backlog is kept.
 	MaxSpillBytes int64
-	// DropOldest selects the drop policy when both memory and spill are
-	// exhausted: false (default) drops the incoming frame — the newest
-	// data loses, preserving the oldest backlog; true evicts from the
-	// front instead — the backlog loses, preserving fresh data. Disk
-	// eviction is per-segment, so DropOldest under spill sheds frames in
-	// segment-sized batches.
-	DropOldest bool
 }
 
 func (c *QueueConfig) applyDefaults() {
@@ -53,7 +47,7 @@ type QueueStats struct {
 }
 
 // errSpillFull reports that the spill has reached MaxSpillBytes (or that
-// the frame alone exceeds it): the drop policy applies.
+// the frame alone exceeds it): the frame is dropped.
 var errSpillFull = errors.New("collect: spill full")
 
 // errQueueClosed reports Push after Close.
@@ -88,7 +82,7 @@ type spillSeg struct {
 }
 
 // segMaxBytes rotates spill segments, bounding how much one Pop refill
-// reads and how coarse DropOldest eviction is.
+// reads into memory and how many frames one damaged segment loses.
 const segMaxBytes = 1 << 20
 
 func newQueue(cfg QueueConfig) *queue {
@@ -99,7 +93,7 @@ func newQueue(cfg QueueConfig) *queue {
 }
 
 // Push enqueues an encoded frame, copying it. When the queue is exhausted
-// the frame is dropped per policy and the drop is counted. The returned
+// the frame is dropped and the drop is counted. The returned
 // bool reports whether the frame was accepted; the error is a spill I/O
 // failure or a closed queue.
 func (q *queue) Push(frame []byte) (bool, error) {
@@ -124,22 +118,6 @@ func (q *queue) Push(frame []byte) (bool, error) {
 			return false, err
 		}
 	}
-	// Exhausted: apply the drop policy.
-	if q.cfg.DropOldest {
-		q.evictOldest()
-		if len(q.segs) == 0 && len(q.mem) < q.cfg.MemFrames {
-			q.memPush(frame)
-			return true, nil
-		}
-		if q.cfg.SpillDir != "" {
-			if err := q.spill(frame); err == nil {
-				q.stats.Pushed++
-				q.stats.Depth++
-				q.cond.Signal()
-				return true, nil
-			}
-		}
-	}
 	q.stats.Dropped++
 	return false, nil
 }
@@ -150,29 +128,6 @@ func (q *queue) memPush(frame []byte) {
 	q.stats.Pushed++
 	q.stats.Depth++
 	q.cond.Signal()
-}
-
-// evictOldest drops the oldest queued data to make room (caller holds mu):
-// the front memory frame, or — when memory is empty — the oldest disk
-// segment wholesale.
-func (q *queue) evictOldest() {
-	if len(q.mem) > 0 {
-		q.mem = q.mem[1:]
-		q.stats.Dropped++
-		q.stats.Depth--
-		return
-	}
-	if len(q.segs) > 0 {
-		seg := q.segs[0]
-		q.segs = q.segs[1:]
-		if seg.f != nil {
-			seg.f.Close()
-		}
-		os.Remove(seg.path)
-		q.stats.Dropped += int64(seg.frames)
-		q.stats.Depth -= int64(seg.frames)
-		q.stats.SpillBytes -= seg.bytes
-	}
 }
 
 // spill appends the frame to the tail segment, rotating at segMaxBytes.

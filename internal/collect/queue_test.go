@@ -51,21 +51,6 @@ func TestQueueDropNewestDefault(t *testing.T) {
 	}
 }
 
-func TestQueueDropOldest(t *testing.T) {
-	q := newQueue(QueueConfig{MemFrames: 2, DropOldest: true})
-	q.Push([]byte("a"))
-	q.Push([]byte("b"))
-	if ok, err := q.Push([]byte("c")); !ok || err != nil {
-		t.Fatalf("drop-oldest push refused: %v %v", ok, err)
-	}
-	if s := q.Stats(); s.Dropped != 1 || s.Depth != 2 {
-		t.Fatalf("stats %+v", s)
-	}
-	if a, b := popString(t, q), popString(t, q); a != "b" || b != "c" {
-		t.Fatalf("kept %q %q, want newest", a, b)
-	}
-}
-
 func TestQueueSpillFIFO(t *testing.T) {
 	dir := t.TempDir()
 	q := newQueue(QueueConfig{MemFrames: 2, SpillDir: dir})
@@ -322,41 +307,5 @@ func TestQueueDamagedSegmentAccounting(t *testing.T) {
 	}
 	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
 		t.Fatalf("%d spill files left, want 0", len(ents))
-	}
-}
-
-// TestQueueEvictOldestSegment pins whole-segment eviction accounting under
-// DropOldest with a full spill: the evicted segment's frames all count as
-// Dropped, Depth and SpillBytes rewind, and the file is gone.
-func TestQueueEvictOldestSegment(t *testing.T) {
-	dir := t.TempDir()
-	frame := make([]byte, 1024)
-	// Force a segment-level eviction: drain memory empty first so
-	// evictOldest reaches for a segment.
-	q2 := newQueue(QueueConfig{MemFrames: 1, SpillDir: dir, MaxSpillBytes: 2 * 1028, DropOldest: true})
-	copy(frame, "g0")
-	q2.Push(frame) // memory
-	copy(frame, "g1")
-	q2.Push(frame) // segment A
-	copy(frame, "g2")
-	q2.Push(frame) // segment A (full now)
-	if got := popString(t, q2); string(got[:2]) != "g0" {
-		t.Fatalf("popped %q", got[:2])
-	}
-	// Memory now empty, spill full. The next push must evict segment A
-	// wholesale: both g1 and g2 dropped.
-	copy(frame, "g3")
-	if ok, err := q2.Push(frame); !ok || err != nil {
-		t.Fatalf("segment-evicting push: %v %v", ok, err)
-	}
-	s2 := q2.Stats()
-	if s2.Dropped != 2 {
-		t.Fatalf("Dropped = %d, want 2 (whole evicted segment)", s2.Dropped)
-	}
-	if got := popString(t, q2); string(got[:2]) != "g3" {
-		t.Fatalf("survivor %q, want g3", got[:2])
-	}
-	if s := q2.Stats(); s.Depth != 0 || s.SpillBytes != 0 {
-		t.Fatalf("final stats %+v", s)
 	}
 }

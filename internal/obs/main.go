@@ -38,16 +38,16 @@ func Main(name string, run func(ctx context.Context) error) {
 // Parse parses a subcommand's or command's arguments with a FlagSet built
 // flag.ContinueOnError, mapping the outcomes onto Main's exit codes: -h is
 // not an error (usage is printed, done reports true), anything the flag
-// package rejects — it has printed why — or a stray positional argument is
-// ErrUsage.
-func Parse(fs *flag.FlagSet, args []string, positional bool) (done bool, err error) {
+// package rejects — it has printed why — or a positional argument is
+// ErrUsage: no command takes one.
+func Parse(fs *flag.FlagSet, args []string) (done bool, err error) {
 	switch err := fs.Parse(args); {
 	case errors.Is(err, flag.ErrHelp):
 		return true, nil
 	case err != nil:
 		return true, fmt.Errorf("%w: %v", ErrUsage, err)
 	}
-	if !positional && fs.NArg() > 0 {
+	if fs.NArg() > 0 {
 		fmt.Fprintf(fs.Output(), "%s: unexpected argument %q\n", fs.Name(), fs.Arg(0))
 		fs.Usage()
 		return true, fmt.Errorf("%w: unexpected argument %q", ErrUsage, fs.Arg(0))

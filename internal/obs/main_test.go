@@ -40,28 +40,26 @@ func TestMainCancelsOnSIGTERM(t *testing.T) {
 // TestParse pins the mapping from the flag package's outcomes onto Main's
 // exit codes: -h is done and not an error, an undefined flag or a stray
 // positional argument is ErrUsage with the diagnosis and usage already
-// printed, positional arguments pass where the command takes them.
+// printed.
 func TestParse(t *testing.T) {
 	for _, tc := range []struct {
-		name       string
-		args       []string
-		positional bool
-		done       bool
-		usage      bool
-		printed    string
+		name    string
+		args    []string
+		done    bool
+		usage   bool
+		printed string
 	}{
-		{"accepted", []string{"-n", "3"}, false, false, false, ""},
-		{"help", []string{"-h"}, false, true, false, "Usage of cmd"},
-		{"undefined flag", []string{"-nope"}, false, true, true, "flag provided but not defined: -nope"},
-		{"stray argument", []string{"-n", "3", "stray"}, false, true, true, `unexpected argument "stray"`},
-		{"positional taken", []string{"-n", "3", "a.json", "b.json"}, true, false, false, ""},
+		{"accepted", []string{"-n", "3"}, false, false, ""},
+		{"help", []string{"-h"}, true, false, "Usage of cmd"},
+		{"undefined flag", []string{"-nope"}, true, true, "flag provided but not defined: -nope"},
+		{"stray argument", []string{"-n", "3", "stray"}, true, true, `unexpected argument "stray"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var errw bytes.Buffer
 			fs := flag.NewFlagSet("cmd", flag.ContinueOnError)
 			fs.SetOutput(&errw)
 			fs.Int("n", 0, "a number")
-			done, err := obs.Parse(fs, tc.args, tc.positional)
+			done, err := obs.Parse(fs, tc.args)
 			if done != tc.done || errors.Is(err, obs.ErrUsage) != tc.usage || (err != nil) != tc.usage {
 				t.Errorf("Parse = (%v, %v), want done=%v usage=%v", done, err, tc.done, tc.usage)
 			}

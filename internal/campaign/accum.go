@@ -2,6 +2,8 @@ package campaign
 
 import (
 	"fmt"
+	"sort"
+	"sync"
 
 	"bba/internal/metrics"
 	"bba/internal/stats"
@@ -119,22 +121,85 @@ func (a *GroupAccum) Merge(o *GroupAccum) error {
 	a.Degradations += o.Degradations
 	a.Failovers += o.Failovers
 	a.PlayHours.Merge(o.PlayHours)
-	for _, m := range []struct {
-		dst *stats.Dist
-		src stats.Dist
-	}{
-		{&a.RebufferRate, o.RebufferRate},
-		{&a.AvgRate, o.AvgRate},
-		{&a.SteadyRate, o.SteadyRate},
-		{&a.SwitchRate, o.SwitchRate},
-		{&a.StartupRate, o.StartupRate},
-		{&a.QoERate, o.QoERate},
-	} {
-		if err := m.dst.Merge(m.src); err != nil {
+	src := o.dists()
+	for i, d := range a.dists() {
+		if err := d.Merge(*src[i]); err != nil {
 			return fmt.Errorf("campaign: group %s: %w", a.Name, err)
 		}
 	}
 	return nil
+}
+
+// dists lists the accumulator's metric distributions.
+func (a *GroupAccum) dists() [6]*stats.Dist {
+	return [6]*stats.Dist{&a.RebufferRate, &a.AvgRate, &a.SteadyRate, &a.SwitchRate, &a.StartupRate, &a.QoERate}
+}
+
+// reset empties a for another shard, as NewGroupAccum(a.Name, k) would
+// build it, but in place: each sketch keeps its Entries array for the
+// shard's Adds.
+func (a *GroupAccum) reset(k int) {
+	emptied := func(old stats.Dist) stats.Dist {
+		d := stats.NewDist(k)
+		d.Sketch.Entries = old.Sketch.Entries[:0]
+		return d
+	}
+	*a = GroupAccum{
+		Name:         a.Name,
+		RebufferRate: emptied(a.RebufferRate),
+		AvgRate:      emptied(a.AvgRate),
+		SteadyRate:   emptied(a.SteadyRate),
+		SwitchRate:   emptied(a.SwitchRate),
+		StartupRate:  emptied(a.StartupRate),
+		QoERate:      emptied(a.QoERate),
+	}
+}
+
+// seal drops the kept array of every sketch that took no sample, so a
+// reset accumulator encodes exactly as a fresh one: "entries": null.
+func (a *GroupAccum) seal() {
+	for _, d := range a.dists() {
+		if len(d.Sketch.Entries) == 0 {
+			d.Sketch.Entries = nil
+		}
+	}
+}
+
+// accumSets is one Run's free list of shard accumulator sets. A shard
+// takes a set from it, Checkpoint.fold gives the set back once it has
+// merged it into the prefix, and the next shard resets it in place. The
+// merge window holds dispatched-but-unfolded shards to 2×Parallelism, so a
+// run builds at most 2×Parallelism+1 sets, the prefix included.
+type accumSets struct {
+	mu    sync.Mutex
+	free  [][]*GroupAccum
+	built int
+}
+
+// get returns an empty set for id's groups: a recycled one reset in place,
+// or a new one when none is free.
+func (p *accumSets) get(id Identity) []*GroupAccum {
+	p.mu.Lock()
+	n := len(p.free)
+	if n == 0 {
+		p.built++
+		p.mu.Unlock()
+		return NewGroupAccums(id.Groups, id.SketchSize)
+	}
+	set := p.free[n-1]
+	p.free = p.free[:n-1]
+	p.mu.Unlock()
+	for _, a := range set {
+		a.reset(id.SketchSize)
+	}
+	return set
+}
+
+// put returns a set nothing references any more.
+func (p *accumSets) put(set []*GroupAccum) {
+	p.mu.Lock()
+	p.free = append(p.free, set)
+	p.mu.Unlock()
 }
 
 // mergeAccumSets folds a shard's per-group accumulators into dst in group
@@ -172,9 +237,14 @@ type MetricSummary struct {
 // SummarizeDist reports a Dist in the campaign's summary form. Exported for
 // extension accumulators (the arena's pairwise deltas) whose reports should
 // read like the campaign's own.
-func SummarizeDist(d stats.Dist) MetricSummary { return summarizeDist(d) }
+func SummarizeDist(d stats.Dist) MetricSummary {
+	var scratch []float64
+	return summarizeDist(d, &scratch)
+}
 
-func summarizeDist(d stats.Dist) MetricSummary {
+// summarizeDist sorts the sketch's retained values once, into *scratch,
+// and reads every reported quantile off that one sort.
+func summarizeDist(d stats.Dist, scratch *[]float64) MetricSummary {
 	s := MetricSummary{
 		N:         d.Moments.N,
 		Mean:      d.Moments.Mean,
@@ -187,10 +257,16 @@ func summarizeDist(d stats.Dist) MetricSummary {
 	if d.Moments.N == 0 {
 		return s
 	}
-	s.P25, _ = d.Sketch.Quantile(25)
-	s.P50, _ = d.Sketch.Quantile(50)
-	s.P75, _ = d.Sketch.Quantile(75)
-	s.P95, _ = d.Sketch.Quantile(95)
+	vals := (*scratch)[:0]
+	for _, e := range d.Sketch.Entries {
+		vals = append(vals, e.Value)
+	}
+	sort.Float64s(vals)
+	*scratch = vals
+	s.P25 = stats.PercentileSorted(vals, 25)
+	s.P50 = stats.PercentileSorted(vals, 50)
+	s.P75 = stats.PercentileSorted(vals, 75)
+	s.P95 = stats.PercentileSorted(vals, 95)
 	return s
 }
 
@@ -216,8 +292,9 @@ type GroupReport struct {
 	QoEPerPlayhour      MetricSummary `json:"qoe_per_playhour"`
 }
 
-// Report summarizes the accumulator into its reported aggregates.
-func (a *GroupAccum) Report() GroupReport {
+// report summarizes the accumulator into its reported aggregates, sorting
+// each sketch in scratch.
+func (a *GroupAccum) report(scratch *[]float64) GroupReport {
 	r := GroupReport{
 		Name:         a.Name,
 		Sessions:     a.Sessions,
@@ -228,12 +305,12 @@ func (a *GroupAccum) Report() GroupReport {
 		Degradations: a.Degradations,
 		Failovers:    a.Failovers,
 
-		RebufferRate:        summarizeDist(a.RebufferRate),
-		AvgRateKbps:         summarizeDist(a.AvgRate),
-		SteadyRateKbps:      summarizeDist(a.SteadyRate),
-		SwitchesPerPlayhour: summarizeDist(a.SwitchRate),
-		StartupRateKbps:     summarizeDist(a.StartupRate),
-		QoEPerPlayhour:      summarizeDist(a.QoERate),
+		RebufferRate:        summarizeDist(a.RebufferRate, scratch),
+		AvgRateKbps:         summarizeDist(a.AvgRate, scratch),
+		SteadyRateKbps:      summarizeDist(a.SteadyRate, scratch),
+		SwitchesPerPlayhour: summarizeDist(a.SwitchRate, scratch),
+		StartupRateKbps:     summarizeDist(a.StartupRate, scratch),
+		QoEPerPlayhour:      summarizeDist(a.QoERate, scratch),
 	}
 	if h := a.PlayHours.Sum(); h > 0 {
 		r.RebufferRatePooled = float64(a.Rebuffers) / h

@@ -393,11 +393,10 @@ func newRunner(cfg *Config, onRetire func()) *batch.Runner {
 // runShard executes one shard through a worker-owned batch Runner: the
 // kernel calls draw in ascending offset order, keyed by (seed, shard,
 // offset), streams the paired session once per group and folds completed
-// draws back in ascending offset order into fresh per-group accumulators.
-// The result depends only on (identity, shard), never on the Runner's
-// width.
-func runShard(ctx context.Context, cfg *Config, catalog *media.Catalog, shard int, r *batch.Runner) ([]*GroupAccum, Extra, error) {
-	accums := NewGroupAccums(cfg.identity().Groups, cfg.SketchSize)
+// draws back in ascending offset order into accums, an empty set fresh or
+// reset. The result depends only on (identity, shard), never on the
+// Runner's width or on where accums came from.
+func runShard(ctx context.Context, cfg *Config, catalog *media.Catalog, shard int, r *batch.Runner, accums []*GroupAccum) (Extra, error) {
 	var extra Extra
 	if cfg.NewExtra != nil {
 		extra = cfg.NewExtra()
@@ -413,11 +412,14 @@ func runShard(ctx context.Context, cfg *Config, catalog *media.Catalog, shard in
 		})
 	if err != nil {
 		if isContextErr(err) {
-			return nil, nil, err
+			return nil, err
 		}
-		return nil, nil, fmt.Errorf("campaign: shard %d: %w", shard, err)
+		return nil, fmt.Errorf("campaign: shard %d: %w", shard, err)
 	}
-	return accums, extra, nil
+	for _, a := range accums {
+		a.seal()
+	}
+	return extra, nil
 }
 
 // Run executes the campaign. See RunContext.
@@ -429,6 +431,11 @@ func Run(cfg Config) (*Outcome, error) { return RunContext(context.Background(),
 // alongside a non-nil Outcome carrying the resumable checkpoint — the
 // caller decides whether a partial outcome is useful.
 func RunContext(ctx context.Context, cfg Config) (*Outcome, error) {
+	return run(ctx, cfg, new(accumSets))
+}
+
+// run is RunContext drawing its shards' accumulator sets from sets.
+func run(ctx context.Context, cfg Config, sets *accumSets) (*Outcome, error) {
 	cfg.applyDefaults()
 	if cfg.NewExtra != nil && cfg.Resume != nil {
 		return nil, fmt.Errorf("campaign: NewExtra requires a non-resumed run (extras are not checkpointed)")
@@ -522,7 +529,8 @@ func RunContext(ctx context.Context, cfg Config) (*Outcome, error) {
 			// are reused across every shard the worker executes.
 			runner := newRunner(&cfg, func() { retired.Add(1) })
 			for s := range shards {
-				accums, extra, err := runShard(ctx, &cfg, catalog, s, runner)
+				accums := sets.get(id)
+				extra, err := runShard(ctx, &cfg, catalog, s, runner, accums)
 				select {
 				case results <- shardResult{shard: s, accums: accums, extra: extra, err: err}:
 				case <-ctx.Done():
@@ -564,7 +572,8 @@ func RunContext(ctx context.Context, cfg Config) (*Outcome, error) {
 		// Tally this shard before record takes ownership of the accums:
 		// when the shard seeds the prefix, later fold cascades merge
 		// parked shards into the very slice r.accums points at, and a
-		// tally after the fact would read those shards twice.
+		// tally after the fact would read those shards twice; when it
+		// folds, record hands the set to the next shard to reset.
 		for gi, a := range r.accums {
 			out.Stats.Faults += a.Faults
 			out.Stats.Retries += a.Retries
@@ -572,7 +581,7 @@ func RunContext(ctx context.Context, cfg Config) (*Outcome, error) {
 			out.Stats.Failovers += a.Failovers
 			live[gi].add(a)
 		}
-		if err := state.Record(r.shard, r.accums); err != nil {
+		if err := state.record(r.shard, r.accums, sets); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -725,9 +734,13 @@ type Report struct {
 // the canonical deterministic aggregate; for a truncated report the fold
 // covers whatever completed, still in pinned order.
 func buildReport(c *Checkpoint, truncated bool) *Report {
-	accums := cloneAccums(c.Prefix)
+	// Summaries only read, so the prefix alone is reported in place; parked
+	// shards fold into a copy, never into the checkpoint's state.
+	accums := c.Prefix
 	if accums == nil {
 		accums = NewGroupAccums(c.Identity.Groups, c.Identity.SketchSize)
+	} else if len(c.Done) > 0 {
+		accums = cloneAccums(c.Prefix)
 	}
 	for _, d := range c.Done {
 		_ = mergeAccumSets(accums, d.Groups)
@@ -740,9 +753,10 @@ func buildReport(c *Checkpoint, truncated bool) *Report {
 		CompletedShards: c.CompletedShards(),
 		Sessions:        c.SessionsDone(),
 	}
+	var scratch []float64
 	for _, a := range accums {
 		r.PlayerSessions += a.Sessions
-		r.Groups = append(r.Groups, a.Report())
+		r.Groups = append(r.Groups, a.report(&scratch))
 	}
 	return r
 }

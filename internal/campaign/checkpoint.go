@@ -57,7 +57,11 @@ func (c *Checkpoint) Has(s int) bool {
 // contiguous prefix. It returns an error on duplicates — a duplicate means
 // double-counting, the exact bug checkpointing exists to prevent. Record
 // takes ownership of accums.
-func (c *Checkpoint) Record(s int, accums []*GroupAccum) error {
+func (c *Checkpoint) Record(s int, accums []*GroupAccum) error { return c.record(s, accums, nil) }
+
+// record is Record handing every set fold merges into the prefix back to
+// free, when free is not nil.
+func (c *Checkpoint) record(s int, accums []*GroupAccum, free *accumSets) error {
 	if c.Has(s) {
 		return fmt.Errorf("campaign: shard %d recorded twice", s)
 	}
@@ -65,19 +69,22 @@ func (c *Checkpoint) Record(s int, accums []*GroupAccum) error {
 	c.Done = append(c.Done, ShardAccums{})
 	copy(c.Done[i+1:], c.Done[i:])
 	c.Done[i] = ShardAccums{Shard: s, Groups: accums}
-	return c.fold()
+	return c.fold(free)
 }
 
 // fold merges Done entries into Prefix while they are contiguous with it.
 // This is the single merge path — always left-to-right in shard-index order —
 // so the folded state is bit-identical no matter which workers or processes
-// computed the shards.
-func (c *Checkpoint) fold() error {
+// computed the shards. A merged set is handed to free, when not nil; the
+// set that seeds the prefix is the prefix, and stays.
+func (c *Checkpoint) fold(free *accumSets) error {
 	for len(c.Done) > 0 && c.Done[0].Shard == c.PrefixShards {
 		if c.Prefix == nil {
 			c.Prefix = c.Done[0].Groups
 		} else if err := mergeAccumSets(c.Prefix, c.Done[0].Groups); err != nil {
 			return err
+		} else if free != nil {
+			free.put(c.Done[0].Groups)
 		}
 		c.PrefixShards++
 		c.Done = c.Done[1:]
@@ -192,12 +199,9 @@ func cloneAccums(src []*GroupAccum) []*GroupAccum {
 	out := make([]*GroupAccum, len(src))
 	for i, a := range src {
 		cp := *a
-		cp.RebufferRate.Sketch.Entries = append([]stats.SketchEntry(nil), a.RebufferRate.Sketch.Entries...)
-		cp.AvgRate.Sketch.Entries = append([]stats.SketchEntry(nil), a.AvgRate.Sketch.Entries...)
-		cp.SteadyRate.Sketch.Entries = append([]stats.SketchEntry(nil), a.SteadyRate.Sketch.Entries...)
-		cp.SwitchRate.Sketch.Entries = append([]stats.SketchEntry(nil), a.SwitchRate.Sketch.Entries...)
-		cp.StartupRate.Sketch.Entries = append([]stats.SketchEntry(nil), a.StartupRate.Sketch.Entries...)
-		cp.QoERate.Sketch.Entries = append([]stats.SketchEntry(nil), a.QoERate.Sketch.Entries...)
+		for _, d := range cp.dists() {
+			d.Sketch.Entries = append([]stats.SketchEntry(nil), d.Sketch.Entries...)
+		}
 		out[i] = &cp
 	}
 	return out

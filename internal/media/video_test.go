@@ -170,16 +170,77 @@ func TestCatalog(t *testing.T) {
 			t.Errorf("title %d duration %v outside [20m, 2h]", i, d)
 		}
 	}
-	// Determinism.
-	c2, err := NewCatalog(5, DefaultLadder(), 99)
+	// Determinism, between two builds: NewCatalog would hand back c itself.
+	a, err := buildCatalog(5, DefaultLadder(), 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Pick(2).NumChunks() != c2.Pick(2).NumChunks() {
-		t.Error("same-seed catalogues differ")
+	b, err := buildCatalog(5, DefaultLadder(), 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < a.Len(); i++ {
+		va, vb := a.Pick(i), b.Pick(i)
+		if va == vb {
+			t.Fatal("buildCatalog shared a title between two builds")
+		}
+		if va.Title != vb.Title || va.NumChunks() != vb.NumChunks() {
+			t.Fatalf("title %d: same-seed builds differ (%s, %d chunks vs %s, %d)", i, va.Title, va.NumChunks(), vb.Title, vb.NumChunks())
+		}
+		for ri := range va.Ladder {
+			for k := 0; k < va.NumChunks(); k++ {
+				if va.ChunkSize(ri, k) != vb.ChunkSize(ri, k) {
+					t.Fatalf("title %d rate %d chunk %d: same-seed builds differ", i, ri, k)
+				}
+			}
+		}
+		if vc := c.Pick(i); vc.NumChunks() != va.NumChunks() || vc.ChunkSize(0, 0) != va.ChunkSize(0, 0) {
+			t.Errorf("title %d: NewCatalog differs from a direct build", i)
+		}
 	}
 	if _, err := NewCatalog(0, DefaultLadder(), 1); err == nil {
 		t.Error("empty catalogue accepted")
+	}
+	if _, err := NewCatalog(3, Ladder{}, 1); err == nil {
+		t.Error("catalogue on an empty ladder accepted")
+	}
+}
+
+// TestCatalogMemo pins NewCatalog's process-wide cache: one *Catalog per
+// (size, ladder rates, seed), keyed by the rates rather than the caller's
+// slice, which the cache copies.
+func TestCatalogMemo(t *testing.T) {
+	ladder := DefaultLadder()
+	c, err := NewCatalog(3, ladder, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := NewCatalog(3, DefaultLadder(), 5); again != c {
+		t.Error("the same size, ladder rates and seed built a second catalog")
+	}
+	want := c.Pick(0).Ladder[0]
+	ladder[0] = 100 * units.Kbps // the caller's slice, not the cache's
+	if got := c.Pick(0).Ladder[0]; got != want {
+		t.Errorf("changing the caller's ladder moved the cached titles' R_min from %v to %v", want, got)
+	}
+	if again, _ := NewCatalog(3, DefaultLadder(), 5); again != c {
+		t.Error("changing the caller's ladder slice changed the cache key")
+	}
+	for name, build := range map[string]func() (*Catalog, error){
+		"size":   func() (*Catalog, error) { return NewCatalog(4, DefaultLadder(), 5) },
+		"seed":   func() (*Catalog, error) { return NewCatalog(3, DefaultLadder(), 6) },
+		"ladder": func() (*Catalog, error) { return NewCatalog(3, ladder, 5) },
+	} {
+		other, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if other == c {
+			t.Errorf("a different %s returned the same catalog", name)
+		}
+	}
+	if got := c.Pick(0).Ladder[0]; got != want {
+		t.Errorf("a catalog on the changed ladder moved the cached titles' R_min to %v", got)
 	}
 }
 

@@ -102,26 +102,36 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	if err := CheckFinite(xs); err != nil {
 		return 0, err
 	}
+	sorted := make([]float64, len(xs))
+	copy(sorted, xs)
+	sort.Float64s(sorted)
+	return PercentileSorted(sorted, p), nil
+}
+
+// PercentileSorted is Percentile of a finite sample already sorted
+// ascending, for a caller reading several percentiles off one sort. It
+// returns 0 for an empty sample.
+func PercentileSorted(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
 	if p < 0 {
 		p = 0
 	}
 	if p > 100 {
 		p = 100
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
 	if len(sorted) == 1 {
-		return sorted[0], nil
+		return sorted[0]
 	}
 	rank := p / 100 * float64(len(sorted)-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
-		return sorted[lo], nil
+		return sorted[lo]
 	}
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // Median returns the 50th percentile of xs.

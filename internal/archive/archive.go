@@ -15,21 +15,26 @@
 // Layout under the store directory, one subdirectory per run (the run id
 // path-escaped):
 //
-//	<dir>/<run>/000001.blk   immutable columnar blocks, in admission order
+//	<dir>/<run>/000001.blk      immutable columnar blocks, in admission order
 //	<dir>/<run>/000002.blk
-//	<dir>/<run>/wal.q        the active WAL tail: CRC-framed JSONL batches
+//	<dir>/<run>/wal-000003.q    the active WAL tail, CRC-framed JSONL
+//	                            batches, named after the block it will become
 //
 // Writes append to the WAL; once the WAL holds CompactEvents events (or
-// CompactBytes bytes) it is rewritten as the next numbered block and
-// truncated. Every byte is always in exactly one of the two forms, so
-// Export — blocks in order, then the WAL tail — reproduces the admitted
-// journal byte for byte, the losslessness contract the tests pin.
+// CompactBytes bytes) it is rewritten as its block, then the next block's
+// WAL is created and the sealed one removed. Every byte is in exactly one
+// of the two forms — a WAL whose block exists is spent, whatever files a
+// crash left — so Export, blocks in order and then the WAL tail, reproduces
+// the admitted journal byte for byte, the losslessness contract the tests
+// pin.
 //
-// Crash recovery: Open scans each run's WAL and truncates it at the first
-// damaged record (a torn tail write loses only the un-acknowledged
-// suffix), then appends after it, and removes the temp file of a
-// compaction killed before its rename. Blocks are immutable and
-// self-verifying (CRC per column page, CRC'd footer), so they need no
+// Crash recovery: a writable Open deletes every WAL whose block exists (a
+// compaction killed after its rename), removes the temp file of one killed
+// before it, and adopts the single wal.q of a store written before WALs
+// were numbered as the next block's WAL. It scans the active WAL and
+// truncates it at the first damaged record (a torn tail write loses only
+// the un-acknowledged suffix), then appends after it. Blocks are immutable
+// and self-verifying (CRC per column page, CRC'd footer), so they need no
 // repair pass.
 package archive
 
@@ -52,8 +57,13 @@ import (
 	"bba/internal/obs"
 )
 
-// walName is the active WAL file inside a run directory.
-const walName = "wal.q"
+// walFile names the WAL that seals into block seq, so a block's presence
+// says its WAL is spent.
+func walFile(seq int) string { return fmt.Sprintf("wal-%06d.q", seq) }
+
+// legacyWAL is the one WAL file of a store written before WALs were named
+// after their block; a writable Open renames it to the next block's.
+const legacyWAL = "wal.q"
 
 // blockTempPrefix names a block being written, before its rename.
 const blockTempPrefix = ".blk-"
@@ -115,6 +125,10 @@ type runArchive struct {
 	run     string
 	blocks  []string // block file paths, in block-sequence order
 	nextSeq int
+	// walName is the WAL file the tail is read from: walFile(nextSeq) in a
+	// writable store; in a read-only view the one the listing found, legacy
+	// included, or "" when there was none.
+	walName string
 	wal     *os.File
 	walBuf  *bufio.Writer
 	events  int   // events in the WAL
@@ -138,10 +152,10 @@ func Open(cfg Config) (*Store, error) {
 // no WAL repair, no appends — the form offline tools use on a directory a
 // live collector may still own. Read views are rebuilt per query (runs
 // and blocks re-listed, the WAL re-scanned), so data the writer sealed
-// after Open still appears. The one caveat of reading a live directory
-// without coordination: a compaction racing a query can transiently show
-// the sealed tail twice (block renamed, WAL not yet truncated). Reads of
-// a quiescent directory are exact.
+// after Open still appears. A compaction racing a query cannot show the
+// sealed tail twice: a WAL whose block is listed is skipped, and one that
+// vanished between the listing and its read — sealed since — makes the
+// view re-list once.
 func OpenReadOnly(dir string) (*Store, error) {
 	cfg := Config{Dir: dir}
 	cfg.applyDefaults()
@@ -201,16 +215,27 @@ func (s *Store) refreshLocked() error {
 	return s.loadRunsLocked()
 }
 
-// openRun loads one run directory: block list, then WAL scan/repair. A
-// writable store also removes the block temp files of compactions killed
-// before their rename; a read-only one leaves them to the live writer
-// whose compaction may be in flight.
+// seqOf parses name as the zero-padded sequence number format names.
+func seqOf(name, format string) (int, bool) {
+	var seq int
+	_, err := fmt.Sscanf(name, format, &seq)
+	return seq, err == nil && fmt.Sprintf(format, seq) == name
+}
+
+// openRun loads one run directory: block list, then the WAL. A writable
+// store settles what a crash left — it removes block temp files and spent
+// WALs, adopts a legacy wal.q — and scans and repairs the active WAL; a
+// read-only one changes nothing, since a live writer may be mid-compaction,
+// and only notes which WAL holds the tail.
 func (s *Store) openRun(run, dir string) (*runArchive, error) {
-	ra := &runArchive{dir: dir, run: run}
+	ra := &runArchive{dir: dir, run: run, nextSeq: 1}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
+	sealed := map[int]bool{}
+	var wals []int
+	legacy := false
 	for _, ent := range ents {
 		name := ent.Name()
 		if strings.HasPrefix(name, blockTempPrefix) {
@@ -219,20 +244,36 @@ func (s *Store) openRun(run, dir string) (*runArchive, error) {
 					return nil, err
 				}
 			}
-			continue
-		}
-		var seq int
-		if _, err := fmt.Sscanf(name, "%06d.blk", &seq); err != nil || fmt.Sprintf("%06d.blk", seq) != name {
-			continue
-		}
-		ra.blocks = append(ra.blocks, filepath.Join(dir, name))
-		if seq >= ra.nextSeq {
-			ra.nextSeq = seq + 1
+		} else if seq, ok := seqOf(name, "%06d.blk"); ok {
+			ra.blocks = append(ra.blocks, filepath.Join(dir, name))
+			sealed[seq] = true
+			ra.nextSeq = max(ra.nextSeq, seq+1)
+		} else if seq, ok := seqOf(name, "wal-%06d.q"); ok {
+			wals = append(wals, seq)
+		} else {
+			legacy = legacy || name == legacyWAL
 		}
 	}
 	sort.Strings(ra.blocks) // zero-padded names: lexical == numeric order
-	if ra.nextSeq == 0 {
-		ra.nextSeq = 1
+	for _, seq := range wals {
+		switch {
+		case sealed[seq]: // compacted, killed before the remove
+			if !s.readOnly {
+				if err := os.Remove(filepath.Join(dir, walFile(seq))); err != nil {
+					return nil, err
+				}
+			}
+		case seq == ra.nextSeq:
+			ra.walName = walFile(seq)
+		case !s.readOnly:
+			// No writer leaves this; a read-only listing racing one can.
+			return nil, fmt.Errorf("%s is neither spent nor the next block's WAL", walFile(seq))
+		}
+	}
+	if legacy && ra.walName == "" {
+		ra.walName = legacyWAL
+	} else if legacy && !s.readOnly {
+		return nil, fmt.Errorf("both %s and %s", legacyWAL, ra.walName)
 	}
 
 	// A read-only view stops here: it holds no handle, its queries read the
@@ -240,15 +281,15 @@ func (s *Store) openRun(run, dir string) (*runArchive, error) {
 	if s.readOnly {
 		return ra, nil
 	}
-	f, err := ra.openWAL(os.O_CREATE | os.O_RDWR)
-	if err != nil {
+	if ra.walName == legacyWAL {
+		if err := os.Rename(filepath.Join(dir, legacyWAL), filepath.Join(dir, walFile(ra.nextSeq))); err != nil {
+			return nil, err
+		}
+	}
+	if err := ra.startWAL(); err != nil {
 		return nil, err
 	}
-	ra.wal = f
-	// walBuf only coalesces one record's three writes (header, payload,
-	// CRC) into a single syscall; Append flushes it before returning, so
-	// it never holds bytes the collector has already acknowledged.
-	ra.walBuf = bufio.NewWriterSize(f, 64<<10)
+	f := ra.wal
 	valid, err := ra.countWAL(new(Block))
 	if err == nil {
 		err = f.Truncate(valid) // drop a torn tail, if any
@@ -261,6 +302,26 @@ func (s *Store) openRun(run, dir string) (*runArchive, error) {
 		return nil, err
 	}
 	return ra, nil
+}
+
+// startWAL makes the WAL that seals into block ra.nextSeq — created if
+// missing — ra's append handle.
+func (ra *runArchive) startWAL() error {
+	ra.walName = walFile(ra.nextSeq)
+	f, err := ra.openWAL(os.O_CREATE | os.O_RDWR)
+	if err != nil {
+		ra.wal = nil
+		return err
+	}
+	ra.wal = f
+	// walBuf only coalesces one record's three writes (header, payload,
+	// CRC) into a single syscall; Append flushes it before returning, so
+	// it never holds bytes the collector has already acknowledged.
+	if ra.walBuf == nil {
+		ra.walBuf = bufio.NewWriterSize(f, 64<<10)
+	}
+	ra.walBuf.Reset(f)
+	return nil
 }
 
 // maxWALRecord bounds one framed WAL record's payload — the same bound
@@ -292,11 +353,11 @@ func scanWAL(data []byte, visit func(payload []byte)) int64 {
 	}
 }
 
-// openWAL is the one place ra's WAL file is opened: once, read-write and
-// created if missing, by the store that owns the directory; per read, by a
-// read-only view.
+// openWAL is the one place ra's WAL file is opened: once per block,
+// read-write and created if missing, by the store that owns the directory;
+// per read, by a read-only view.
 func (ra *runArchive) openWAL(flag int) (*os.File, error) {
-	return os.OpenFile(filepath.Join(ra.dir, walName), flag, 0o644)
+	return os.OpenFile(filepath.Join(ra.dir, ra.walName), flag, 0o644)
 }
 
 // readWAL reads ra's WAL into b — one read, one CRC scan (see scanWAL) —
@@ -308,15 +369,17 @@ func (ra *runArchive) openWAL(flag int) (*os.File, error) {
 // and reads through the handle it appends with, a read-only view opens the
 // file for this one read, and re-reading it (rather than trusting counters)
 // keeps such a view honest about a WAL a live writer may have appended to
-// or truncated since. A run with no WAL file yet has an empty one. Caller
-// holds mu: a compaction may truncate the file.
+// or sealed since. A run with no WAL file listed has an empty one; a listed
+// one that has vanished is an os.ErrNotExist error (see snapshot). Caller
+// holds mu.
 func (ra *runArchive) readWAL(b *Block) (valid, payload int64, err error) {
 	b.walLines = b.walLines[:0]
 	f := ra.wal
 	if f == nil {
-		if f, err = ra.openWAL(os.O_RDONLY); errors.Is(err, os.ErrNotExist) {
+		if ra.walName == "" {
 			return 0, 0, nil
-		} else if err != nil {
+		}
+		if f, err = ra.openWAL(os.O_RDONLY); err != nil {
 			return 0, 0, err
 		}
 		defer f.Close()
@@ -328,8 +391,8 @@ func (ra *runArchive) readWAL(b *Block) (valid, payload int64, err error) {
 		return 0, 0, err
 	}
 	b.wal = sized(b.wal, int(fi.Size()))
-	// A short read is a live writer's truncation racing a read-only view:
-	// what was read is scanned like any other torn tail.
+	// A short read is a writer's Open cutting a torn tail under a read-only
+	// view: what was read is scanned like any other torn tail.
 	n, err := f.ReadAt(b.wal, 0)
 	if err != nil && err != io.EOF {
 		return 0, 0, err
@@ -406,6 +469,9 @@ func (s *Store) Append(run string, batch []byte) error {
 	if err != nil {
 		return err
 	}
+	if ra.wal == nil { // closed, or a compaction failed to start its successor
+		return fmt.Errorf("archive: run %q has no open WAL", run)
+	}
 	var hdr [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(hdr[:], uint64(len(batch)))
 	if _, err := ra.walBuf.Write(hdr[:n]); err != nil {
@@ -458,8 +524,9 @@ func (s *Store) CompactAll() error {
 	return nil
 }
 
-// compactLocked rewrites ra's WAL as the next numbered block, atomically
-// (write temp, fsync, rename), then truncates the WAL. Caller holds mu.
+// compactLocked rewrites ra's WAL as its block, atomically (write temp,
+// fsync, rename), then starts the next block's WAL and removes the sealed
+// one. Caller holds mu.
 func (s *Store) compactLocked(ra *runArchive) error {
 	if ra.events == 0 {
 		return nil
@@ -493,17 +560,20 @@ func (s *Store) compactLocked(ra *runArchive) error {
 		os.Remove(tmp.Name())
 		return err
 	}
+	// The block is durable and the WAL is spent: from here a crash leaves a
+	// WAL whose block exists, which Open deletes, never one read twice.
 	ra.nextSeq++
 	ra.blocks = append(ra.blocks, path)
-	// The block is durable; the WAL bytes are now redundant.
-	if err := ra.wal.Truncate(0); err != nil {
-		return err
-	}
-	if _, err := ra.wal.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	ra.walBuf.Reset(ra.wal)
 	ra.events, ra.bytes = 0, 0
+	sealed, spent := ra.wal, filepath.Join(ra.dir, ra.walName)
+	err = ra.startWAL()
+	sealed.Close()
+	if err == nil {
+		err = os.Remove(spent)
+	}
+	if err != nil {
+		return err
+	}
 	took := time.Since(start).Seconds()
 	s.compactSeconds[sort.SearchFloat64s(compactBounds[:], took)]++
 	s.compactSum += took
@@ -576,21 +646,29 @@ func (s *Store) WriteMetrics(w *obs.Writer) {
 // immutable block paths, returned, and the WAL tail, read into b — the
 // query's reader — whose walLines hold it until release. Read-only stores
 // re-list the directory first so blocks a live writer sealed — and runs it
-// created — since Open are included rather than silently dropped.
+// created — since Open are included rather than silently dropped; when the
+// WAL the listing named has vanished before its read, a compaction sealed
+// it since, and the view re-lists once to pick up its block.
 func (s *Store) snapshot(run string, b *Block) (blocks []string, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.refreshLocked(); err != nil {
-		return nil, err
+	for relisted := false; ; relisted = true {
+		if err := s.refreshLocked(); err != nil {
+			return nil, err
+		}
+		ra, ok := s.runs[run]
+		if !ok {
+			return nil, fmt.Errorf("archive: unknown run %q", run)
+		}
+		_, _, err := ra.readWAL(b)
+		if errors.Is(err, os.ErrNotExist) && s.readOnly && !relisted {
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		return append([]string(nil), ra.blocks...), nil
 	}
-	ra, ok := s.runs[run]
-	if !ok {
-		return nil, fmt.Errorf("archive: unknown run %q", run)
-	}
-	if _, _, err := ra.readWAL(b); err != nil {
-		return nil, err
-	}
-	return append([]string(nil), ra.blocks...), nil
 }
 
 // reader hands out the store's spare block reader, or a new one while
@@ -652,7 +730,7 @@ func (s *Store) Close() error {
 	s.spare = nil
 	var first error
 	for _, ra := range s.runs {
-		if ra.walBuf == nil {
+		if ra.wal == nil {
 			continue
 		}
 		if err := ra.walBuf.Flush(); err != nil && first == nil {

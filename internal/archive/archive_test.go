@@ -10,6 +10,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -91,23 +92,12 @@ func TestArchiveExportLossless(t *testing.T) {
 	}
 	appendBatch(batchOf(300, 305)) // canonical tail after the raws
 
-	check := func(label string, st *Store) {
-		t.Helper()
-		var got bytes.Buffer
-		if err := st.Export("run1", &got); err != nil {
-			t.Fatalf("%s: Export: %v", label, err)
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("%s: export is not byte-identical to the admitted journal (got %d bytes, want %d)",
-				label, got.Len(), want.Len())
-		}
-	}
-	check("live", s)
+	exportIs(t, "live", s, "run1", want.Bytes())
 
 	if err := s.CompactAll(); err != nil {
 		t.Fatal(err)
 	}
-	check("compacted", s)
+	exportIs(t, "compacted", s, "run1", want.Bytes())
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +106,7 @@ func TestArchiveExportLossless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("reopened read-only", ro)
+	exportIs(t, "reopened read-only", ro, "run1", want.Bytes())
 	if err := ro.Append("run1", []byte("{}\n")); err != ErrReadOnly {
 		t.Fatalf("read-only Append error = %v, want ErrReadOnly", err)
 	}
@@ -162,7 +152,7 @@ func TestAppendPersistsBeforeReturn(t *testing.T) {
 	if err := s.Append("run1", batch); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, "run1", walName))
+	data, err := os.ReadFile(filepath.Join(dir, "run1", walFile(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +186,7 @@ func TestArchiveCrashRecovery(t *testing.T) {
 	}
 
 	// Tear the second record: truncate the WAL ten bytes short.
-	walPath := filepath.Join(dir, "run1", walName)
+	walPath := filepath.Join(dir, "run1", walFile(1))
 	fi, err := os.Stat(walPath)
 	if err != nil {
 		t.Fatal(err)
@@ -214,14 +204,172 @@ func TestArchiveCrashRecovery(t *testing.T) {
 	if err := s.Append("run1", tail); err != nil {
 		t.Fatal(err)
 	}
+	exportIs(t, "recovered: the first batch, then the post-recovery one", s, "run1", append(append([]byte(nil), good...), tail...))
+}
+
+// exportIs fails the test unless st exports want for run.
+func exportIs(t *testing.T, view string, st *Store, run string, want []byte) {
+	t.Helper()
 	var got bytes.Buffer
-	if err := s.Export("run1", &got); err != nil {
+	if err := st.Export(run, &got); err != nil {
+		t.Fatalf("%s: Export: %v", view, err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("%s: Export is %d bytes, want the %d admitted", view, got.Len(), len(want))
+	}
+}
+
+// TestCompactionLeavesNoDouble reproduces the compaction window: a kill
+// after a compaction's block rename but before its WAL was retired left the
+// sealed batch in both forms, and the reopened store exported it twice.
+// Putting back every file the run held before Compact — its WAL, whatever
+// the layout names it — is the state such a kill leaves; a writable reopen
+// and a read-only view must both export the batch exactly once.
+func TestCompactionLeavesNoDouble(t *testing.T) {
+	dir := t.TempDir()
+	runDir := filepath.Join(dir, "run1")
+	s, err := Open(Config{Dir: dir, CompactEvents: 1 << 20})
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := append(append([]byte(nil), good...), tail...)
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("recovered export = %d bytes, want %d (first batch + post-recovery batch)",
-			got.Len(), len(want))
+	batch := batchOf(0, 20)
+	if err := s.Append("run1", batch); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(runDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := map[string][]byte{}
+	for _, ent := range ents {
+		data, err := os.ReadFile(filepath.Join(runDir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[ent.Name()] = data
+	}
+	if err := s.Compact("run1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range before {
+		if err := os.WriteFile(filepath.Join(runDir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ro, err := OpenReadOnly(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exportIs(t, "read-only over the kill's leftovers", ro, "run1", batch)
+	s, err = Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	exportIs(t, "reopened", s, "run1", batch)
+	for name := range before {
+		if _, err := os.Stat(filepath.Join(runDir, name)); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("the reopen kept the spent %s (%v)", name, err)
+		}
+	}
+}
+
+// walRecord frames batch as Append does.
+func walRecord(dst, batch []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(batch)))
+	dst = append(dst, batch...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(batch, blockCRCTable))
+}
+
+// TestParentLayoutReopens: a store written before v2 blocks and numbered
+// WALs — testdata/golden-v1.blk as its block, and a wal.q with records —
+// exports byte-identically through a read-only view, through a writable
+// Open, which adopts wal.q as the next block's WAL, and after more appends
+// seal a v2 block beside the v1 one.
+func TestParentLayoutReopens(t *testing.T) {
+	dir := t.TempDir()
+	runDir := filepath.Join(dir, "golden")
+	if err := os.MkdirAll(runDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	v1, err := os.ReadFile(filepath.Join("testdata", "golden-v1.blk"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(runDir, "000001.blk"), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Join(goldenJournal(), nil)
+	var wal []byte
+	for _, batch := range [][]byte{batchOf(320, 330), []byte(rawLines[2] + "\n"), batchOf(330, 335)} {
+		wal = walRecord(wal, batch)
+		want = append(want, batch...)
+	}
+	if err := os.WriteFile(filepath.Join(runDir, legacyWAL), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	ro, err := OpenReadOnly(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exportIs(t, "read-only", ro, "golden", want)
+	s, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	exportIs(t, "writable", s, "golden", want)
+	if _, err := os.Stat(filepath.Join(runDir, legacyWAL)); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("wal.q after a writable Open: %v, want it adopted", err)
+	}
+	if _, err := os.Stat(filepath.Join(runDir, walFile(2))); err != nil {
+		t.Errorf("wal.q not adopted as block 2's WAL: %v", err)
+	}
+	exportIs(t, "read-only after the adoption", ro, "golden", want)
+
+	more := batchOf(335, 340)
+	if err := s.Append("golden", more); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact("golden"); err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, more...)
+	exportIs(t, "a v2 block after the v1 one", s, "golden", want)
+	exportIs(t, "read-only over both versions", ro, "golden", want)
+}
+
+// TestOpenRefusesOrphanWAL: a WAL that is neither spent (its block exists)
+// nor the next block's is nothing any writer leaves, and it may hold
+// acknowledged events; a writable Open refuses to guess, while a read-only
+// view, which a live writer's rotation can show such a listing, skips it.
+func TestOpenRefusesOrphanWAL(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append("run1", batchOf(0, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "run1", walFile(7)), walRecord(nil, batchOf(5, 6)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ro, err := OpenReadOnly(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exportIs(t, "read-only", ro, "run1", batchOf(0, 5))
+	if _, err := Open(Config{Dir: dir}); err == nil || !strings.Contains(err.Error(), walFile(7)) {
+		t.Fatalf("writable Open over an orphan WAL: %v, want it named in an error", err)
 	}
 }
 
@@ -432,14 +580,18 @@ func TestBlockDetectsCorruption(t *testing.T) {
 // version, footer CRC) — the shape an adversary who can write block
 // files controls completely.
 func craftBlock(t testing.TB, ft footer) []byte {
+	return seal(t, append(append([]byte(nil), blockMagic...), blockVersion), ft)
+}
+
+// seal appends ft and the trailer to body — a header and its pages — and
+// signs them as encodeBlock does.
+func seal(t testing.TB, body []byte, ft footer) []byte {
 	t.Helper()
 	ftJSON, err := json.Marshal(ft)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blk := append([]byte(nil), blockMagic...)
-	blk = append(blk, blockVersion)
-	blk = append(blk, ftJSON...)
+	blk := append(body[:len(body):len(body)], ftJSON...)
 	blk = binary.LittleEndian.AppendUint32(blk, crc32.Checksum(ftJSON, blockCRCTable))
 	blk = binary.LittleEndian.AppendUint32(blk, uint32(len(ftJSON)))
 	return append(blk, blockEndMagic...)
@@ -489,8 +641,7 @@ func TestBlockRejectsCraftedFooter(t *testing.T) {
 // refoot swaps a real block's footer for ft and re-signs the envelope:
 // honest pages under whatever the footer now claims.
 func refoot(t testing.TB, blk []byte, ft footer) []byte {
-	body := blk[:len(blk)-blockTailLen-int(binary.LittleEndian.Uint32(blk[len(blk)-8:]))]
-	return append(body[:len(body):len(body)], craftBlock(t, ft)[headerLen:]...)
+	return seal(t, blk[:len(blk)-blockTailLen-int(binary.LittleEndian.Uint32(blk[len(blk)-8:]))], ft)
 }
 
 func splitLines(batch []byte) [][]byte {
@@ -539,21 +690,8 @@ func TestReadOnlySeesLiveWriter(t *testing.T) {
 	if err := w.Append("run2", batchOf(0, 3)); err != nil {
 		t.Fatal(err)
 	}
-	var got bytes.Buffer
-	if err := ro.Export("run1", &got); err != nil {
-		t.Fatal(err)
-	}
-	if want := batchOf(0, 12); !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("read-only export = %d bytes, want all %d admitted bytes (including the block sealed after Open)",
-			got.Len(), len(want))
-	}
-	got.Reset()
-	if err := ro.Export("run2", &got); err != nil {
-		t.Fatalf("run created after the read-only open: %v", err)
-	}
-	if want := batchOf(0, 3); !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("read-only export of new run = %d bytes, want %d", got.Len(), len(want))
-	}
+	exportIs(t, "read-only, a block sealed after its open", ro, "run1", batchOf(0, 12))
+	exportIs(t, "read-only, a run created after its open", ro, "run2", batchOf(0, 3))
 	if runs := ro.Runs(); len(runs) != 2 {
 		t.Fatalf("read-only Runs() = %v, want both runs", runs)
 	}
@@ -571,6 +709,19 @@ func FuzzBlockDecode(f *testing.F) {
 	// invent matching checksums, so seed it past the envelope checks.
 	f.Add(craftBlock(f, footer{Version: blockVersion, Rows: 1,
 		Pages: []pageInfo{{Name: "kind", Off: math.MaxInt64 - 2, Len: 8}}}))
+	// Both versions of the golden journal — raw rows, long runs of
+	// unchanged rows — and a one-row v2 block, every bitmap a single byte.
+	golden, err := encodeBlock("golden", goldenJournal())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add(downgrade(f, golden))
+	one, err := encodeBlock("r", splitLines(batchOf(7, 8)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(one)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// DecodeBlock and every accessor must never panic, whatever the
 		// input; corruption surfaces as errors.
@@ -598,22 +749,33 @@ func touchBlock(b *Block) {
 // FuzzBlockDecodeFooter fuzzes the footer's fields under a valid envelope:
 // random bytes never carry a matching footer CRC, so FuzzBlockDecode alone
 // stops at the checksum and never reaches the code that trusts the footer.
-// Here the pages are a real block's and craftBlock re-signs whatever the
-// fuzzer makes of the row count, the raw count and one page's geometry.
+// Here the pages are a real block's — v2, or v1 when the fuzzer says so —
+// and refoot re-signs whatever the fuzzer makes of the row count, the raw
+// count and one page's geometry.
 func FuzzBlockDecodeFooter(f *testing.F) {
-	blk, err := encodeBlock("r", splitLines(batchOf(0, 20)))
+	v2, err := encodeBlock("r", splitLines(batchOf(0, 20)))
 	if err != nil {
 		f.Fatal(err)
 	}
-	honest, err := DecodeBlock(blk)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(int64(20), int64(0), uint8(0), int64(0), int64(0))
-	f.Add(int64(1)<<40, int64(0), uint8(1), int64(0), int64(0))
-	f.Add(int64(21), int64(1)<<40, uint8(15), int64(1), int64(-1))
-	f.Add(int64(19), int64(-1), uint8(3), int64(math.MaxInt64-9), int64(math.MaxInt64))
-	f.Fuzz(func(t *testing.T, rows, raws int64, page uint8, dOff, dLen int64) {
+	v1 := downgrade(f, v2)
+	f.Add(int64(20), int64(0), uint8(0), int64(0), int64(0), false)
+	f.Add(int64(1)<<40, int64(0), uint8(1), int64(0), int64(0), false)
+	f.Add(int64(21), int64(1)<<40, uint8(15), int64(1), int64(-1), false)
+	f.Add(int64(19), int64(-1), uint8(3), int64(math.MaxInt64-9), int64(math.MaxInt64), false)
+	// v2 rows past a page's bits, a v2 page cut inside its bitmap, and the
+	// v1 block with a row count only its pages' bytes refuse.
+	f.Add(int64(8*3+1), int64(0), uint8(2), int64(0), int64(0), false)
+	f.Add(int64(20), int64(0), uint8(4), int64(0), int64(-2), false)
+	f.Add(int64(33), int64(0), uint8(5), int64(0), int64(0), true)
+	f.Fuzz(func(t *testing.T, rows, raws int64, page uint8, dOff, dLen int64, useV1 bool) {
+		blk := v2
+		if useV1 {
+			blk = v1
+		}
+		honest, err := DecodeBlock(blk)
+		if err != nil {
+			t.Fatal(err)
+		}
 		ft := honest.ft
 		ft.Rows, ft.Raws = int(rows), int(raws)
 		ft.Pages = append([]pageInfo(nil), ft.Pages...)

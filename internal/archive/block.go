@@ -16,12 +16,13 @@ import (
 	"bba/internal/telemetry"
 )
 
-// Block format (all integers little-endian):
+// Block format, version 2 (all integers little-endian):
 //
 //	magic   [4]byte  "BBAC"
-//	version uint8    1
+//	version uint8    2
 //	pages   ...      each page is payload bytes + uint32 CRC-32C(payload)
-//	footer  JSON     locates the pages and summarizes the block
+//	footer  JSON     locates the pages and summarizes the block; its
+//	                 "version" repeats the header's
 //	fcrc    uint32   CRC-32C over the footer JSON
 //	flen    uint32   footer JSON length
 //	magic   [4]byte  "BBAE"
@@ -29,22 +30,31 @@ import (
 // Pages, in file order:
 //
 //	kind, session, label   dictionary columns: uvarint entry count, each
-//	                       entry uvarint length + bytes, then one uvarint
-//	                       dictionary index per row
-//	<int columns>          one page per telemetry.IntColumns entry, one
-//	                       varint per row: zigzag(delta) for near-monotone
-//	                       columns (at_ns, chunk), zigzag(value) otherwise
+//	                       entry uvarint length + bytes, then the rows
+//	<int columns>          one page per telemetry.IntColumns entry: the rows
 //	raw                    rows whose journal line was not canonical
 //	                       ParseJSONL output, stored verbatim so export
 //	                       stays byte-lossless: uvarint count, then per
 //	                       entry uvarint row index, uvarint length, bytes
+//
+// A column page's rows are a change bitmap — ⌈rows/8⌉ bytes, bit i%8 of
+// byte i/8 set when row i differs from row i−1, row 0's always — then one
+// uvarint per set bit: the dictionary index for kind, session and label,
+// zigzag(v−prev) for near-monotone columns (at_ns, chunk), zigzag(v) for the
+// other integers. A row whose bit is clear repeats the row before. Most
+// columns repeat from event to event (a session's label, its reservoir,
+// the buffer level across one chunk's events), so most rows cost one bit.
+//
+// Version 1 pages had no bitmap: one uvarint per row. They read as pages
+// whose every bit is set, through the same decoder (pageRows), so v1
+// blocks stay readable with no second codec.
 //
 // The footer carries the block key — run, row count, [min,max] at_ns
 // window — plus the kind names and session groups present, so readers
 // prune whole blocks from a 12-byte tail read and one footer parse without
 // touching any column page.
 const (
-	blockVersion = 1
+	blockVersion = 2
 	// blockTailLen is fcrc + flen + end magic.
 	blockTailLen = 4 + 4 + 4
 	// maxFooterLen bounds what a decoder will allocate for a footer, so a
@@ -87,22 +97,114 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
+// coding is what a column page stores for a changed row.
+type coding uint8
+
+const (
+	dictIndex   coding = iota // the row's dictionary index
+	zigzagValue               // zigzag(v)
+	zigzagDelta               // zigzag(v − the row before)
+)
+
+// intCoding is the coding of integer column c.
+func intCoding(c telemetry.IntColumn) coding {
+	if c.Delta {
+		return zigzagDelta
+	}
+	return zigzagValue
+}
+
+// appendRows renders a v2 page's rows: the change bitmap, then one uvarint
+// per changed row. Every uvarint is one a v1 page also writes for that row,
+// so the page is never longer than v1's plus the bitmap (FuzzPageCodec).
+func appendRows(dst []byte, rows []int64, how coding) []byte {
+	bits := len(dst)
+	dst = append(dst, make([]byte, (len(rows)+7)/8)...)
+	var prev int64
+	for i, v := range rows {
+		if i > 0 && v == prev {
+			continue
+		}
+		dst[bits+i/8] |= 1 << (i % 8)
+		u := uint64(v)
+		switch how {
+		case zigzagValue:
+			u = zigzag(v)
+		case zigzagDelta:
+			u = zigzag(v - prev)
+		}
+		dst = binary.AppendUvarint(dst, u)
+		prev = v
+	}
+	return dst
+}
+
+// pageRows is the one page decoder, of both block versions: it fills dst
+// from p, the rows of a column page coded how (see the format comment). A
+// v2 page opens with its change bitmap; a v1 page has none and reads as one
+// whose every bit is set. A dictionary index must be below entries. It
+// reports false, never panics, on a page that does not hold len(dst) rows.
+func pageRows[T uint32 | int64](dst []T, p []byte, v2 bool, how coding, entries uint64) bool {
+	var bits []byte
+	if v2 {
+		nb := (len(dst) + 7) / 8
+		if len(p) < nb || nb > 0 && p[0]&1 == 0 {
+			return false
+		}
+		bits, p = p[:nb], p[nb:]
+	}
+	var prev int64
+	for i := 0; i < len(dst); i += 8 {
+		row := dst[i:min(i+8, len(dst))]
+		m := byte(0xFF)
+		if bits != nil {
+			m = bits[i/8]
+		}
+		for j := range row {
+			if m&(1<<j) != 0 {
+				// Most changed values are one byte, and binary.Uvarint is
+				// not inlined: the byte is read here, a few % of a scan.
+				u, sz := uint64(0), 1
+				if len(p) > 0 && p[0] < 0x80 {
+					u = uint64(p[0])
+				} else if u, sz = binary.Uvarint(p); sz <= 0 {
+					return false
+				}
+				p = p[sz:]
+				switch how {
+				case dictIndex:
+					if u >= entries {
+						return false
+					}
+					prev = int64(u)
+				case zigzagValue:
+					prev = unzigzag(u)
+				case zigzagDelta:
+					prev += unzigzag(u)
+				}
+			}
+			row[j] = T(prev)
+		}
+	}
+	return true
+}
+
 // dictBuilder interns strings into first-appearance dictionary order.
 type dictBuilder struct {
-	index   map[string]uint64
+	index   map[string]int64
 	entries []string
-	rows    []uint64
+	rows    []int64
 }
 
 // newDictBuilder returns a builder with room for rows row indexes.
 func newDictBuilder(rows int) *dictBuilder {
-	return &dictBuilder{index: make(map[string]uint64), rows: make([]uint64, 0, rows)}
+	return &dictBuilder{index: make(map[string]int64), rows: make([]int64, 0, rows)}
 }
 
 func (d *dictBuilder) add(s string) {
 	idx, ok := d.index[s]
 	if !ok {
-		idx = uint64(len(d.entries))
+		idx = int64(len(d.entries))
 		d.index[s] = idx
 		d.entries = append(d.entries, s)
 	}
@@ -115,10 +217,7 @@ func (d *dictBuilder) page(dst []byte) []byte {
 		dst = binary.AppendUvarint(dst, uint64(len(e)))
 		dst = append(dst, e...)
 	}
-	for _, r := range d.rows {
-		dst = binary.AppendUvarint(dst, r)
-	}
-	return dst
+	return appendRows(dst, d.rows, dictIndex)
 }
 
 // rawRow is one non-canonical journal line kept verbatim.
@@ -250,18 +349,7 @@ func encodeBlock(run string, lines [][]byte) ([]byte, error) {
 	page("session", session.page)
 	page("label", label.page)
 	for i, c := range intCols {
-		page(c.Name, func(p []byte) []byte {
-			var prev int64
-			for _, v := range ints[i] {
-				if c.Delta {
-					p = binary.AppendUvarint(p, zigzag(v-prev))
-					prev = v
-				} else {
-					p = binary.AppendUvarint(p, zigzag(v))
-				}
-			}
-			return p
-		})
+		page(c.Name, func(p []byte) []byte { return appendRows(p, ints[i], intCoding(c)) })
 	}
 	page("raw", func(p []byte) []byte {
 		p = binary.AppendUvarint(p, uint64(len(raws)))
@@ -406,8 +494,9 @@ func (b *Block) open(src io.ReaderAt, size int64) error {
 	if string(head[:4]) != string(blockMagic) {
 		return fmt.Errorf("%w: magic %x", ErrBadBlock, head[:4])
 	}
-	if head[4] != blockVersion {
-		return fmt.Errorf("%w: version %d", ErrBadBlock, head[4])
+	version := int(head[4])
+	if version < 1 || version > blockVersion {
+		return fmt.Errorf("%w: version %d", ErrBadBlock, version)
 	}
 	if string(tail[8:]) != string(blockEndMagic) {
 		return fmt.Errorf("%w: end magic", ErrBadBlock)
@@ -427,8 +516,15 @@ func (b *Block) open(src io.ReaderAt, size int64) error {
 	if err := json.Unmarshal(b.buf, &b.ft); err != nil {
 		return fmt.Errorf("%w: footer: %v", ErrBadBlock, err)
 	}
-	if b.ft.Version != blockVersion || b.ft.Rows < 0 || b.ft.Raws < 0 {
+	if b.ft.Version != version || b.ft.Rows < 0 || b.ft.Raws < 0 {
 		return fmt.Errorf("%w: footer fields", ErrBadBlock)
+	}
+	// Every row costs at least a bit in every v2 column page (a byte in a
+	// v1 one), so a row count no page could hold is a lie — and the slabs
+	// are sized from it, so it must be refused before anything is.
+	rowsPerByte := int64(1)
+	if b.v2() {
+		rowsPerByte = 8
 	}
 	for _, pg := range b.ft.Pages {
 		// Bounds via subtraction, not pg.Off+pg.Len+4: a crafted footer
@@ -437,15 +533,15 @@ func (b *Block) open(src io.ReaderAt, size int64) error {
 		if pg.Off < headerLen || pg.Len < 0 || pg.Len > size || pg.Off > size-4-pg.Len {
 			return fmt.Errorf("%w: page %q outside block", ErrBadBlock, pg.Name)
 		}
-		// Every row costs at least a byte in every column page, so a row
-		// count no page could hold is a lie — and the slabs are sized from
-		// it, so it must be refused before anything is.
-		if pg.Name != "raw" && int64(b.ft.Rows) > pg.Len {
+		if pg.Name != "raw" && int64(b.ft.Rows) > rowsPerByte*pg.Len {
 			return fmt.Errorf("%w: %d rows in the %d-byte page %q", ErrBadBlock, b.ft.Rows, pg.Len, pg.Name)
 		}
 	}
 	return nil
 }
+
+// v2 reports whether the open block's pages carry change bitmaps.
+func (b *Block) v2() bool { return b.ft.Version >= 2 }
 
 // Rows returns the number of events in the block.
 func (b *Block) Rows() int { return b.ft.Rows }
@@ -541,21 +637,16 @@ func (b *Block) dictEntries(c int) (rest []byte, err error) {
 func (b *Block) dictRows(c int, rest []byte) error {
 	d := &b.dicts[c]
 	d.rows = sized(d.rows, b.ft.Rows)
-	off := 0
-	for i := range d.rows {
-		v, sz := binary.Uvarint(rest[off:])
-		if sz <= 0 || v >= uint64(len(d.entries)) {
-			return fmt.Errorf("%w: dict %q row %d", ErrBadBlock, dictNames[c], i)
-		}
-		off += sz
-		d.rows[i] = uint32(v)
+	if !pageRows(d.rows, rest, b.v2(), dictIndex, uint64(len(d.entries))) {
+		return fmt.Errorf("%w: dict %q rows", ErrBadBlock, dictNames[c])
 	}
 	b.have |= 1 << c
 	return nil
 }
 
 // Ints decodes an integer column, once per block, into its exact-size slab,
-// undoing the delta encoding where the column used it.
+// undoing the change bitmap and the delta encoding where the column used
+// them.
 func (b *Block) Ints(name string) ([]int64, error) {
 	cols := telemetry.IntColumns()
 	ci := 0
@@ -577,20 +668,8 @@ func (b *Block) Ints(name string) ([]int64, error) {
 	}
 	dst := sized(b.ints[ci], b.ft.Rows)
 	b.ints[ci] = dst
-	var prev int64
-	off := 0
-	for i := range dst {
-		u, sz := binary.Uvarint(p[off:])
-		if sz <= 0 {
-			return nil, fmt.Errorf("%w: int %q row %d", ErrBadBlock, name, i)
-		}
-		off += sz
-		v := unzigzag(u)
-		if cols[ci].Delta {
-			v += prev
-			prev = v
-		}
-		dst[i] = v
+	if !pageRows(dst, p, b.v2(), intCoding(cols[ci]), 0) {
+		return nil, fmt.Errorf("%w: int %q rows", ErrBadBlock, name)
 	}
 	b.have |= 1 << (numDicts + ci)
 	return dst, nil

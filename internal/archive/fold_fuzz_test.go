@@ -3,6 +3,8 @@ package archive
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -115,10 +117,10 @@ func foldRollup(events []telemetry.Event) map[string]GroupRollup {
 
 // FuzzQueryMatchesJournalFold is the archive's differential oracle: over
 // fuzzed journals — canonical and raw-page lines interleaved, sessions
-// split across block boundaries, a live WAL tail when the cut leaves one —
-// Scan and Aggregate under every predicate shape, and Export, must equal a
-// row-by-row fold of the JSONL the store was fed, on the writing store and
-// on a read-only reopening of its directory.
+// split across block boundaries, v1 and v2 blocks side by side, a live WAL
+// tail when the cut leaves one — Scan and Aggregate under every predicate
+// shape, and Export, must equal a row-by-row fold of the JSONL the store was
+// fed, on the writing store and on a read-only reopening of its directory.
 func FuzzQueryMatchesJournalFold(f *testing.F) {
 	f.Add([]byte("\x00\x09\x12\x1b\x24\x2d\x36\x3f\xc0\xc9\xd2\xdb\x08\x10\x21\x31\x0a\x33\xe4\xed\xf6\xff\x01\x0b"), uint8(7), uint8(3), uint8(0))
 	f.Add(bytes.Repeat([]byte{0x09, 0x21, 0x19, 0x31, 0xca, 0x0a}, 40), uint8(47), uint8(16), uint8(9))
@@ -152,6 +154,24 @@ func FuzzQueryMatchesJournalFold(f *testing.F) {
 				t.Fatal(err)
 			}
 			journal = append(journal, batch...)
+		}
+		// Every other block as the v1 encoder wrote it, so the store mixes
+		// v1 blocks, v2 blocks and a WAL tail the way an upgraded one does.
+		blocks, err := filepath.Glob(filepath.Join(dir, "r", "*.blk"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, path := range blocks {
+			if (i+int(pick))%2 == 0 {
+				continue
+			}
+			blk, err := os.ReadFile(path)
+			if err == nil {
+				err = os.WriteFile(path, downgrade(t, blk), 0o644)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
 
 		mid := time.Duration(len(data)/6) * time.Millisecond

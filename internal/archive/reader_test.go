@@ -4,15 +4,19 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"bba/internal/telemetry"
 )
@@ -28,24 +32,94 @@ var rawLines = []string{
 	`not json at all`,
 }
 
-// TestBlockFormatGolden pins the block format to its bytes: encodeBlock
-// over a fixed journal — canonical lines, every rawLines shape, a session
-// that recurs — must keep this SHA-256. A read-path change that also moves
-// this hash has touched the format, whatever else it claims.
-func TestBlockFormatGolden(t *testing.T) {
+// goldenJournal is the golden blocks' fixed journal: canonical lines, every
+// rawLines shape, a session that recurs.
+func goldenJournal() [][]byte {
 	lines := splitLines(batchOf(0, 300))
 	for _, raw := range rawLines {
 		lines = append(lines, []byte(raw+"\n"))
 	}
-	lines = append(lines, splitLines(batchOf(300, 320))...)
-	blk, err := encodeBlock("golden", lines)
+	return append(lines, splitLines(batchOf(300, 320))...)
+}
+
+// TestBlockFormatGolden pins the block format to its bytes: encodeBlock
+// over the fixed journal must keep this SHA-256. A read-path change that
+// also moves this hash has touched the format, whatever else it claims.
+func TestBlockFormatGolden(t *testing.T) {
+	blk, err := encodeBlock("golden", goldenJournal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "1561c4c87fcdf3211310e2eb9f7f5af4fd328fa1e10777cce5280beed8cc29c1"
+	if got := sha256.Sum256(blk); hex.EncodeToString(got[:]) != want {
+		t.Fatalf("encodeBlock over the fixed journal = %d bytes, sha256 %x, want %s: the v2 block format moved",
+			len(blk), got, want)
+	}
+}
+
+// TestBlockFormatGoldenV1 pins the version this reader still reads:
+// testdata/golden-v1.blk is what the version-1 encoder sealed from the same
+// journal (its SHA-256 was that format's golden). It must export byte for
+// byte and answer every block-level Scan and Aggregate exactly as the v2
+// block of the journal does; and downgrade, the tests' v1 writer, must
+// reproduce it, so the v1 blocks FuzzQueryMatchesJournalFold mixes into its
+// stores are the ones that encoder wrote.
+func TestBlockFormatGoldenV1(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "golden-v1.blk"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	const want = "5980c6a866e497e103ec1f10fcce9a875e38942488b2e07ca1608e1ef14aa84d"
-	if got := sha256.Sum256(blk); hex.EncodeToString(got[:]) != want {
-		t.Fatalf("encodeBlock over the fixed journal = %d bytes, sha256 %x, want %s: the v1 block format moved",
-			len(blk), got, want)
+	if got := sha256.Sum256(v1); hex.EncodeToString(got[:]) != want {
+		t.Fatalf("fixture sha256 %x, want the v1 golden %s", got, want)
+	}
+	lines := goldenJournal()
+	v2, err := encodeBlock("golden", lines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(downgrade(t, v2), v1) {
+		t.Fatal("downgrade of the v2 block is not the block the v1 encoder sealed")
+	}
+	var export [2]bytes.Buffer
+	for i, blk := range [][]byte{v1, v2} {
+		if err := loaded(t, blk).Export(&export[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if journal := bytes.Join(lines, nil); !bytes.Equal(export[0].Bytes(), journal) || !bytes.Equal(export[1].Bytes(), journal) {
+		t.Fatalf("exports of %d (v1) and %d (v2) bytes, want the %d-byte journal", export[0].Len(), export[1].Len(), len(journal))
+	}
+	for _, q := range []Query{
+		{},
+		{Group: "BBA-1"},
+		{Session: "d0.w0.s3.BBA-1"},
+		{Kinds: []telemetry.Kind{telemetry.ChunkComplete, telemetry.RebufferEnd}},
+		{Kinds: []telemetry.Kind{telemetry.BufferSample}, From: 7},
+		{From: 100 * time.Millisecond, To: 250 * time.Millisecond},
+	} {
+		var scans [2][]telemetry.Event
+		var rolls [2]map[string]GroupRollup
+		for i, blk := range [][]byte{v1, v2} {
+			p := q.compile()
+			if _, err := loaded(t, blk).scan(p, func(e telemetry.Event) bool { scans[i] = append(scans[i], e); return true }); err != nil {
+				t.Fatal(err)
+			}
+			st := newAggState()
+			if _, err := st.addBlock(loaded(t, blk), p); err != nil {
+				t.Fatal(err)
+			}
+			rolls[i] = map[string]GroupRollup{}
+			for g, gr := range st.groups {
+				rolls[i][g] = *gr
+			}
+		}
+		if len(scans[1]) == 0 || !slices.Equal(scans[0], scans[1]) {
+			t.Errorf("Scan %+v: v1 block %d events, v2 block %d, or they differ", q, len(scans[0]), len(scans[1]))
+		}
+		if !maps.Equal(rolls[0], rolls[1]) {
+			t.Errorf("Aggregate %+v:\nv1 %+v\nv2 %+v", q, rolls[0], rolls[1])
+		}
 	}
 }
 
@@ -413,6 +487,77 @@ func TestQueriesRaceAppendAndCompaction(t *testing.T) {
 	}
 }
 
+// TestReadOnlyRacesCompaction holds a read-only view — bbaquery -dir over a
+// live collector's directory — to exactly-once while the writer appends and
+// seals: a WAL the view listed and then finds gone was sealed in between,
+// and the view re-lists rather than fail or miss the block; every export is
+// whole batches of a prefix of the journal, never a sealed tail twice.
+func TestReadOnlyRacesCompaction(t *testing.T) {
+	const batch, batches = 8, 120
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir, CompactEvents: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Append("r", batchOf(0, batch)); err != nil {
+		t.Fatal(err)
+	}
+	ro, err := OpenReadOnly(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The window itself, unraced: a listing taken before a compaction, read
+	// after it.
+	ro.mu.Lock()
+	stale := ro.runs["r"]
+	ro.mu.Unlock()
+	if err := s.Compact("r"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := stale.readWAL(new(Block)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("WAL sealed after the listing: read error %v, want os.ErrNotExist", err)
+	}
+
+	journal := batchOf(0, batch*batches)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for last := false; !last; {
+			select {
+			case <-done:
+				last = true
+			default:
+			}
+			var got bytes.Buffer
+			if err := ro.Export("r", &got); err != nil {
+				t.Error(err)
+				return
+			}
+			if lines := bytes.Count(got.Bytes(), []byte{'\n'}); lines%batch != 0 || !bytes.HasPrefix(journal, got.Bytes()) {
+				t.Errorf("read-only Export of %d lines is not whole batches of a prefix of the journal", lines)
+			}
+			if last && got.Len() != len(journal) {
+				t.Errorf("final read-only Export = %d bytes, want all %d", got.Len(), len(journal))
+			}
+		}
+	}()
+	for i := 1; i < batches; i++ {
+		if err := s.Append("r", batchOf(i*batch, (i+1)*batch)); err != nil {
+			t.Fatal(err)
+		}
+		if i%4 == 0 {
+			if err := s.Compact("r"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	close(done)
+	wg.Wait()
+}
+
 // TestCompactionAllocationBudget holds what sealing a block allocates per
 // line: the two strings ParseJSONL hands over and, amortised, the presized
 // columns, row slabs and output — 12 × 8 B of integers, 3 × 8 B of dictionary
@@ -441,7 +586,7 @@ func TestCompactionAllocationBudget(t *testing.T) {
 // replaced must not come back beside it, and every read of the WAL — a
 // query's, a compaction's, a count's — goes through readWAL into a buffer
 // the reader owns: os.ReadFile appears nowhere in the package, and the WAL
-// file is opened in one function.
+// file is opened in one function, the package's only os.OpenFile.
 func TestOneBlockReader(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -468,12 +613,12 @@ func TestOneBlockReader(t *testing.T) {
 			if strings.HasPrefix(line, "func ") {
 				fn = line
 			}
-			if strings.Contains(line, "walName") && !strings.HasPrefix(line, "//") && !strings.HasPrefix(line, "const walName") {
+			if strings.Contains(line, "os.OpenFile(") {
 				opensWAL = append(opensWAL, fn)
 			}
 		}
 	}
 	if seen < 5 || len(opensWAL) != 1 || !strings.Contains(opensWAL[0], "openWAL(") {
-		t.Errorf("saw %d source files and walName used in %q, want the package's five files and the one openWAL", seen, opensWAL)
+		t.Errorf("saw %d source files and os.OpenFile called in %q, want the package's five files and the one openWAL", seen, opensWAL)
 	}
 }

@@ -17,7 +17,7 @@ func SessionRNG(seed int64, day, window, i int) *rand.Rand {
 // SessionSeed is the seed of SessionRNG's stream, for callers that reseed
 // a Scratch's generator instead of allocating a fresh one.
 func SessionSeed(seed int64, day, window, i int) int64 {
-	return int64(coordMix(uint64(seed), uint64(day)+1, uint64(window)+1, uint64(i)+1))
+	return int64(stats.Mix(uint64(seed), uint64(day), uint64(window), uint64(i)))
 }
 
 // SessionFaultSeed derives the per-session fault-schedule seed. It folds
@@ -25,15 +25,5 @@ func SessionSeed(seed int64, day, window, i int) int64 {
 // decorrelated from the population draw even when the fault seed equals
 // the experiment seed.
 func SessionFaultSeed(seed int64, day, window, i int) int64 {
-	return int64(coordMix(uint64(seed), uint64(day)+1, uint64(window)+1, uint64(i)+1, 0xFA5E1))
-}
-
-// coordMix folds the coordinates into x SplitMix64-style so neighbouring
-// coordinates produce unrelated streams regardless of worker scheduling.
-func coordMix(x uint64, coords ...uint64) uint64 {
-	for _, v := range coords {
-		x += v * 0x9E3779B97F4A7C15
-		x = stats.SplitMix64(x)
-	}
-	return x
+	return int64(stats.Mix(uint64(seed), uint64(day), uint64(window), uint64(i), 0xFA5E0))
 }

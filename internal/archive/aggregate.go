@@ -43,7 +43,9 @@ type Rollup struct {
 	Groups []GroupRollup `json:"groups"`
 }
 
-// aggState accumulates a rollup across blocks and the WAL tail.
+// aggState accumulates a rollup across blocks and the WAL tail. The zero
+// value is ready; a query's reader keeps one and resets it between queries,
+// so its maps and table are grown once, not remade per query.
 type aggState struct {
 	groups map[string]*GroupRollup
 	// seen holds the distinct session labels, shared across blocks so a
@@ -54,14 +56,20 @@ type aggState struct {
 	groupOf []*GroupRollup
 }
 
-func newAggState() *aggState {
-	return &aggState{groups: map[string]*GroupRollup{}, seen: map[string]bool{}}
+// reset empties a for the next query, keeping what its maps have grown to.
+func (a *aggState) reset() {
+	clear(a.groups)
+	clear(a.seen)
+	clear(a.groupOf)
 }
 
 // enter returns the rollup of session's group, counting the session the
 // first time any block or WAL line shows it. addBlock calls it once per
 // dictionary entry, never per row.
 func (a *aggState) enter(session string) *GroupRollup {
+	if a.groups == nil {
+		a.groups, a.seen = map[string]*GroupRollup{}, map[string]bool{}
+	}
 	g := telemetry.GroupOfSession(session)
 	gr, ok := a.groups[g]
 	if !ok {
@@ -181,15 +189,17 @@ func (s *Store) Aggregate(q Query) (Rollup, error) {
 	}
 	b := s.reader()
 	defer s.release(b)
-	blocks, err := s.snapshot(q.Run, b)
-	if err != nil {
+	if err := s.snapshot(q.Run, b); err != nil {
 		return r, err
 	}
 	p := q.compile()
-	st := newAggState()
-	for _, path := range blocks {
-		if err := b.openFile(path); err != nil {
-			return r, err
+	st := &b.agg
+	for _, m := range b.blocks {
+		if ok, err := b.openUnpruned(m, p); !ok {
+			if err != nil {
+				return r, err
+			}
+			continue
 		}
 		if ok, err := st.addBlock(b, p); err != nil {
 			return r, err
@@ -200,7 +210,7 @@ func (s *Store) Aggregate(q Query) (Rollup, error) {
 	}
 	for _, line := range b.walLines {
 		r.Rows++
-		if e := parseLine(line); p.matchesEvent(&e) {
+		if e := parseLine(line, b.names); p.matchesEvent(&e) {
 			st.addEvent(&e)
 		}
 	}

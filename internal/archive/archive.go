@@ -41,6 +41,7 @@ package archive
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -49,17 +50,37 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bba/internal/obs"
+	"bba/internal/telemetry"
 )
 
-// walFile names the WAL that seals into block seq, so a block's presence
-// says its WAL is spent.
+// blockFile names block seq and walFile the WAL that seals into it, so a
+// block's presence says its WAL is spent. The number is zero-padded to six
+// digits and grows past them.
+func blockFile(seq int) string { return fmt.Sprintf("%06d.blk", seq) }
+
 func walFile(seq int) string { return fmt.Sprintf("wal-%06d.q", seq) }
+
+// seqOf parses name as prefix, a sequence number and suffix, written as
+// blockFile and walFile write them: digits only, at least six, and no
+// leading zero beyond the padding.
+func seqOf(name, prefix, suffix string) (int, bool) {
+	digits, okPrefix := strings.CutPrefix(name, prefix)
+	digits, okSuffix := strings.CutSuffix(digits, suffix)
+	if !okPrefix || !okSuffix || len(digits) < 6 || len(digits) > 6 && digits[0] == '0' {
+		return 0, false
+	}
+	seq, err := strconv.ParseUint(digits, 10, strconv.IntSize-1) // digits only: no sign
+	return int(seq), err == nil
+}
 
 // legacyWAL is the one WAL file of a store written before WALs were named
 // after their block; a writable Open renames it to the next block's.
@@ -123,7 +144,7 @@ var compactBounds = [...]float64{0.001, 0.005, 0.025, 0.1, 0.25, 0.5, 1, 2.5, 10
 type runArchive struct {
 	dir     string
 	run     string
-	blocks  []string // block file paths, in block-sequence order
+	blocks  []*blockMeta // in block-sequence order
 	nextSeq int
 	// walName is the WAL file the tail is read from: walFile(nextSeq) in a
 	// writable store; in a read-only view the one the listing found, legacy
@@ -133,6 +154,26 @@ type runArchive struct {
 	walBuf  *bufio.Writer
 	events  int   // events in the WAL
 	bytes   int64 // payload bytes in the WAL
+}
+
+// blockMeta is what the store knows of one sealed block: its file and its
+// verified footer, recorded by the compaction that built the block or by the
+// first query to open it. So a query prunes on the footer in memory and
+// opens only the blocks it reads, and a footer is read and parsed once per
+// store, not once per query. A block is immutable, so the footer holds for
+// as long as the file keeps the size it was verified at; every open checks
+// that, and a changed size sends the reader back to the file (see openFile).
+// Queries record ft outside the store's lock, hence the atomic.
+type blockMeta struct {
+	seq  int
+	path string
+	ft   atomic.Pointer[verifiedFooter]
+}
+
+// verifiedFooter is a block's footer and the file size it was checked at.
+type verifiedFooter struct {
+	size int64
+	footer
 }
 
 // Open opens (creating if needed) a writable store rooted at cfg.Dir,
@@ -155,7 +196,7 @@ func Open(cfg Config) (*Store, error) {
 // after Open still appears. A compaction racing a query cannot show the
 // sealed tail twice: a WAL whose block is listed is skipped, and one that
 // vanished between the listing and its read — sealed since — makes the
-// view re-list once.
+// view re-list, for as long as each listing names a newer WAL.
 func OpenReadOnly(dir string) (*Store, error) {
 	cfg := Config{Dir: dir}
 	cfg.applyDefaults()
@@ -192,7 +233,7 @@ func (s *Store) loadRunsLocked() error {
 		if err != nil {
 			continue // not a run directory this store wrote
 		}
-		ra, err := s.openRun(run, filepath.Join(s.cfg.Dir, ent.Name()))
+		ra, err := s.openRun(run, filepath.Join(s.cfg.Dir, ent.Name()), s.runs[run])
 		if err != nil {
 			return fmt.Errorf("archive: run %q: %w", run, err)
 		}
@@ -215,19 +256,14 @@ func (s *Store) refreshLocked() error {
 	return s.loadRunsLocked()
 }
 
-// seqOf parses name as the zero-padded sequence number format names.
-func seqOf(name, format string) (int, bool) {
-	var seq int
-	_, err := fmt.Sscanf(name, format, &seq)
-	return seq, err == nil && fmt.Sprintf(format, seq) == name
-}
-
 // openRun loads one run directory: block list, then the WAL. A writable
 // store settles what a crash left — it removes block temp files and spent
 // WALs, adopts a legacy wal.q — and scans and repairs the active WAL; a
 // read-only one changes nothing, since a live writer may be mid-compaction,
-// and only notes which WAL holds the tail.
-func (s *Store) openRun(run, dir string) (*runArchive, error) {
+// and only notes which WAL holds the tail. A read-only view re-listing the
+// run keeps prev's block metas, footers and all, for the blocks the listing
+// still shows at the size their footer was verified at.
+func (s *Store) openRun(run, dir string, prev *runArchive) (*runArchive, error) {
 	ra := &runArchive{dir: dir, run: run, nextSeq: 1}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -244,17 +280,17 @@ func (s *Store) openRun(run, dir string) (*runArchive, error) {
 					return nil, err
 				}
 			}
-		} else if seq, ok := seqOf(name, "%06d.blk"); ok {
-			ra.blocks = append(ra.blocks, filepath.Join(dir, name))
+		} else if seq, ok := seqOf(name, "", ".blk"); ok {
+			ra.blocks = append(ra.blocks, prev.carry(seq, ent, filepath.Join(dir, name)))
 			sealed[seq] = true
 			ra.nextSeq = max(ra.nextSeq, seq+1)
-		} else if seq, ok := seqOf(name, "wal-%06d.q"); ok {
+		} else if seq, ok := seqOf(name, "wal-", ".q"); ok {
 			wals = append(wals, seq)
 		} else {
 			legacy = legacy || name == legacyWAL
 		}
 	}
-	sort.Strings(ra.blocks) // zero-padded names: lexical == numeric order
+	slices.SortFunc(ra.blocks, func(a, b *blockMeta) int { return cmp.Compare(a.seq, b.seq) })
 	for _, seq := range wals {
 		switch {
 		case sealed[seq]: // compacted, killed before the remove
@@ -302,6 +338,24 @@ func (s *Store) openRun(run, dir string) (*runArchive, error) {
 		return nil, err
 	}
 	return ra, nil
+}
+
+// carry returns prev's meta for block seq when the listing's entry for it
+// still has the size its footer was verified at, else a fresh meta for path.
+func (prev *runArchive) carry(seq int, ent os.DirEntry, path string) *blockMeta {
+	if prev != nil {
+		if i, ok := slices.BinarySearchFunc(prev.blocks, seq, func(m *blockMeta, seq int) int { return cmp.Compare(m.seq, seq) }); ok {
+			m := prev.blocks[i]
+			vf := m.ft.Load()
+			if vf == nil {
+				return m
+			}
+			if fi, err := ent.Info(); err == nil && fi.Size() == vf.size {
+				return m
+			}
+		}
+	}
+	return &blockMeta{seq: seq, path: path}
 }
 
 // startWAL makes the WAL that seals into block ra.nextSeq — created if
@@ -434,7 +488,7 @@ func (s *Store) runLocked(run string, create bool) (*runArchive, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	ra, err := s.openRun(run, dir)
+	ra, err := s.openRun(run, dir, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -538,11 +592,11 @@ func (s *Store) compactLocked(ra *runArchive) error {
 	if _, _, err := ra.readWAL(&b); err != nil {
 		return err
 	}
-	blk, err := encodeBlock(ra.run, b.walLines)
+	blk, ft, err := encodeBlock(ra.run, b.walLines)
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(ra.dir, fmt.Sprintf("%06d.blk", ra.nextSeq))
+	path := filepath.Join(ra.dir, blockFile(ra.nextSeq))
 	tmp, err := os.CreateTemp(ra.dir, blockTempPrefix+"*")
 	if err != nil {
 		return err
@@ -562,8 +616,10 @@ func (s *Store) compactLocked(ra *runArchive) error {
 	}
 	// The block is durable and the WAL is spent: from here a crash leaves a
 	// WAL whose block exists, which Open deletes, never one read twice.
+	m := &blockMeta{seq: ra.nextSeq, path: path}
+	m.ft.Store(&verifiedFooter{size: int64(len(blk)), footer: *ft})
+	ra.blocks = append(ra.blocks, m)
 	ra.nextSeq++
-	ra.blocks = append(ra.blocks, path)
 	ra.events, ra.bytes = 0, 0
 	sealed, spent := ra.wal, filepath.Join(ra.dir, ra.walName)
 	err = ra.startWAL()
@@ -617,8 +673,8 @@ func (s *Store) Stats() []RunStats {
 			_, _ = ra.countWAL(&b) // best effort, like the refresh
 		}
 		st := RunStats{Run: run, Blocks: len(ra.blocks), WALEvents: ra.events, WALBytes: ra.bytes}
-		for _, p := range ra.blocks {
-			if fi, err := os.Stat(p); err == nil {
+		for _, m := range ra.blocks {
+			if fi, err := os.Stat(m.path); err == nil {
 				st.BlockBytes += fi.Size()
 			}
 		}
@@ -642,50 +698,60 @@ func (s *Store) WriteMetrics(w *obs.Writer) {
 	w.Gauge("bba_archive_wal_events", "Events in WAL tails, awaiting compaction.", float64(walEvents))
 }
 
-// snapshot captures a run's read view, consistent at one instant: the
-// immutable block paths, returned, and the WAL tail, read into b — the
-// query's reader — whose walLines hold it until release. Read-only stores
+// snapshot captures a run's read view, consistent at one instant, into b —
+// the query's reader: the immutable blocks' metas in b.blocks, and the WAL
+// tail, whose walLines hold it until release. Read-only stores
 // re-list the directory first so blocks a live writer sealed — and runs it
 // created — since Open are included rather than silently dropped; when the
 // WAL the listing named has vanished before its read, a compaction sealed
-// it since, and the view re-lists once to pick up its block.
-func (s *Store) snapshot(run string, b *Block) (blocks []string, err error) {
+// it since, and the view re-lists to pick up its block — again while each
+// re-list names a newer WAL, since every such vanishing is a compaction
+// that a busy writer can finish between any listing and its read.
+func (s *Store) snapshot(run string, b *Block) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for relisted := false; ; relisted = true {
+	for gone := ""; ; {
 		if err := s.refreshLocked(); err != nil {
-			return nil, err
+			return err
 		}
 		ra, ok := s.runs[run]
 		if !ok {
-			return nil, fmt.Errorf("archive: unknown run %q", run)
+			return fmt.Errorf("archive: unknown run %q", run)
 		}
 		_, _, err := ra.readWAL(b)
-		if errors.Is(err, os.ErrNotExist) && s.readOnly && !relisted {
+		if errors.Is(err, os.ErrNotExist) && s.readOnly && ra.walName != gone {
+			gone = ra.walName
 			continue
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return append([]string(nil), ra.blocks...), nil
+		b.blocks = append(b.blocks[:0], ra.blocks...)
+		return nil
 	}
 }
 
 // reader hands out the store's spare block reader, or a new one while
-// another query holds it; release closes b and keeps it for the next query.
+// another query holds it; release closes b, empties what it held for the
+// query — block metas, interned tail strings, the rollup's session set — and
+// keeps it for the next query.
 func (s *Store) reader() *Block {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b := s.spare
 	s.spare = nil
 	if b == nil {
-		b = new(Block)
+		b = &Block{names: telemetry.Interner{}}
 	}
 	return b
 }
 
 func (s *Store) release(b *Block) {
 	b.close()
+	clear(b.blocks)
+	b.blocks = b.blocks[:0]
+	clear(b.names)
+	b.agg.reset()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.spare = b
@@ -697,8 +763,7 @@ func (s *Store) release(b *Block) {
 func (s *Store) Export(run string, w io.Writer) error {
 	b := s.reader()
 	defer s.release(b)
-	blocks, err := s.snapshot(run, b)
-	if err != nil {
+	if err := s.snapshot(run, b); err != nil {
 		return err
 	}
 	if b.out == nil {
@@ -706,8 +771,8 @@ func (s *Store) Export(run string, w io.Writer) error {
 	}
 	b.out.Reset(w)
 	defer b.out.Reset(nil) // the spare must not pin the caller's writer
-	for _, path := range blocks {
-		if err := b.openFile(path); err != nil {
+	for _, m := range b.blocks {
+		if err := b.openFile(m); err != nil {
 			return err
 		}
 		if err := b.Export(b.out); err != nil {

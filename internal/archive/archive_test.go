@@ -278,6 +278,88 @@ func TestCompactionLeavesNoDouble(t *testing.T) {
 	}
 }
 
+// TestBlockSequencePastSixDigits: block and WAL names are zero-padded to six
+// digits and grow past them. A run whose blocks are 999 999 and 1 000 000
+// and whose WAL seals into 1 000 001 must reopen with both blocks, in
+// sequence order (not name order, which puts 1000000.blk first), and its
+// tail; the next compaction must seal 1 000 001, not rename a block over
+// 1000000.blk; and a read-only view must agree.
+func TestBlockSequencePastSixDigits(t *testing.T) {
+	dir := t.TempDir()
+	runDir := filepath.Join(dir, "r")
+	s, err := Open(Config{Dir: dir, CompactEvents: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range [][]byte{batchOf(0, 10), batchOf(10, 20)} {
+		if err := s.Append("r", batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Compact("r"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Append("r", batchOf(20, 25)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for from, to := range map[string]string{"000001.blk": "999999.blk", "000002.blk": "1000000.blk", "wal-000003.q": "wal-1000001.q"} {
+		if err := os.Rename(filepath.Join(runDir, from), filepath.Join(runDir, to)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s, err = Open(Config{Dir: dir, CompactEvents: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	exportIs(t, "reopened past six digits", s, "r", batchOf(0, 25))
+	if err := s.Append("r", batchOf(25, 30)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact("r"); err != nil {
+		t.Fatal(err)
+	}
+	exportIs(t, "after the next compaction", s, "r", batchOf(0, 30))
+	ents, err := os.ReadDir(runDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, ent := range ents {
+		names = append(names, ent.Name())
+	}
+	if got, want := strings.Join(names, " "), "1000000.blk 1000001.blk 999999.blk wal-1000002.q"; got != want {
+		t.Errorf("run directory holds %s, want %s", got, want)
+	}
+	ro, err := OpenReadOnly(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exportIs(t, "read-only", ro, "r", batchOf(0, 30))
+
+	// Only the names blockFile and walFile write are block or WAL names.
+	for name, want := range map[string]int{
+		"000007.blk": 7, "1000000.blk": 1000000, "wal-000007.q": 7, "wal-1234567.q": 1234567,
+		"00007.blk": -1, "0000007.blk": -1, "+00007.blk": -1, "-00007.blk": -1, "00000x.blk": -1,
+		"000007.blk.tmp": -1, "wal-0000007.q": -1, "wal--00007.q": -1, "99999999999999999999.blk": -1,
+	} {
+		seq, ok := seqOf(name, "", ".blk")
+		if strings.HasPrefix(name, "wal-") {
+			seq, ok = seqOf(name, "wal-", ".q")
+		}
+		if !ok {
+			seq = -1
+		}
+		if seq != want {
+			t.Errorf("seqOf(%q) = %d, %v; want %d", name, seq, ok, want)
+		}
+	}
+}
+
 // walRecord frames batch as Append does.
 func walRecord(dst, batch []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(batch)))
@@ -502,7 +584,7 @@ func TestArchiveScan(t *testing.T) {
 // referenceRollup folds events row-wise with aggState's own addEvent —
 // so the column-wise block path in Aggregate is what the test exercises.
 func referenceRollup(events []telemetry.Event, q Query) []GroupRollup {
-	st := newAggState()
+	st := new(aggState)
 	p := q.compile()
 	for i := range events {
 		if p.matchesEvent(&events[i]) {
@@ -548,7 +630,7 @@ func TestArchiveAggregate(t *testing.T) {
 // TestBlockDetectsCorruption flips bytes in a sealed block and checks the
 // CRCs catch it instead of returning silently wrong data.
 func TestBlockDetectsCorruption(t *testing.T) {
-	blk, err := encodeBlock("r", splitLines(batchOf(0, 100)))
+	blk, _, err := encodeBlock("r", splitLines(batchOf(0, 100)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -623,7 +705,7 @@ func TestBlockRejectsCraftedFooter(t *testing.T) {
 	// A row count no page could hold: every slab is sized from it, and
 	// 1<<40 rows used to be an unrecoverable out-of-memory in the first
 	// dictionary decode rather than an error. The pages are honest.
-	blk, err := encodeBlock("r", splitLines(batchOf(0, 4)))
+	blk, _, err := encodeBlock("r", splitLines(batchOf(0, 4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -698,7 +780,7 @@ func TestReadOnlySeesLiveWriter(t *testing.T) {
 }
 
 func FuzzBlockDecode(f *testing.F) {
-	blk, err := encodeBlock("r", splitLines(batchOf(0, 20)))
+	blk, _, err := encodeBlock("r", splitLines(batchOf(0, 20)))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -711,13 +793,13 @@ func FuzzBlockDecode(f *testing.F) {
 		Pages: []pageInfo{{Name: "kind", Off: math.MaxInt64 - 2, Len: 8}}}))
 	// Both versions of the golden journal — raw rows, long runs of
 	// unchanged rows — and a one-row v2 block, every bitmap a single byte.
-	golden, err := encodeBlock("golden", goldenJournal())
+	golden, _, err := encodeBlock("golden", goldenJournal())
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(golden)
 	f.Add(downgrade(f, golden))
-	one, err := encodeBlock("r", splitLines(batchOf(7, 8)))
+	one, _, err := encodeBlock("r", splitLines(batchOf(7, 8)))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -743,7 +825,7 @@ func touchBlock(b *Block) {
 	b.rawRows()
 	b.Export(&bytes.Buffer{})
 	b.scan(Query{}.compile(), func(telemetry.Event) bool { return true })
-	newAggState().addBlock(b, Query{}.compile())
+	new(aggState).addBlock(b, Query{}.compile())
 }
 
 // FuzzBlockDecodeFooter fuzzes the footer's fields under a valid envelope:
@@ -753,7 +835,7 @@ func touchBlock(b *Block) {
 // and refoot re-signs whatever the fuzzer makes of the row count, the raw
 // count and one page's geometry.
 func FuzzBlockDecodeFooter(f *testing.F) {
-	v2, err := encodeBlock("r", splitLines(batchOf(0, 20)))
+	v2, _, err := encodeBlock("r", splitLines(batchOf(0, 20)))
 	if err != nil {
 		f.Fatal(err)
 	}

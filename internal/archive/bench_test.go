@@ -79,13 +79,13 @@ func BenchmarkJSONLAggregate(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		st := newAggState()
+		st := new(aggState)
 		rows := 0
 		for len(data) > 0 {
 			nl := bytes.IndexByte(data, '\n')
 			line := data[:nl+1]
 			data = data[nl+1:]
-			e := parseLine(line)
+			e := parseLine(line, nil)
 			st.addEvent(&e)
 			rows++
 		}
@@ -178,7 +178,7 @@ func BenchmarkEncodeBlock(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		blk, err := encodeBlock("bench", lines)
+		blk, _, err := encodeBlock("bench", lines)
 		if err != nil || len(blk) == 0 {
 			b.Fatalf("encodeBlock: %d bytes, %v", len(blk), err)
 		}

@@ -267,10 +267,11 @@ func parseLoose(line []byte) (e telemetry.Event, kindName string) {
 }
 
 // encodeBlock renders one immutable block from journal lines in admission
-// order. Lines are canonical ParseJSONL output in the common case; any
-// other line is parsed leniently for the columns and additionally stored
-// verbatim in the raw page, preserving byte-lossless export.
-func encodeBlock(run string, lines [][]byte) ([]byte, error) {
+// order, and returns the footer it wrote. Lines are canonical ParseJSONL
+// output in the common case; any other line is parsed leniently for the
+// columns and additionally stored verbatim in the raw page, preserving
+// byte-lossless export.
+func encodeBlock(run string, lines [][]byte) ([]byte, *footer, error) {
 	intCols := telemetry.IntColumns()
 	n := len(lines)
 	kind, session, label := newDictBuilder(n), newDictBuilder(n), newDictBuilder(n)
@@ -363,13 +364,13 @@ func encodeBlock(run string, lines [][]byte) ([]byte, error) {
 
 	ftJSON, err := json.Marshal(ft)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	buf = append(buf, ftJSON...)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(ftJSON, blockCRCTable))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ftJSON)))
 	buf = append(buf, blockEndMagic...)
-	return buf, nil
+	return buf, &ft, nil
 }
 
 // Block is the block reader: one open block's validated footer, plus
@@ -403,10 +404,16 @@ type Block struct {
 	kindOK, sessOK []bool
 	at             []int64
 
-	// What the reader holds for its query beside the open block: the WAL
-	// tail of the read view (see readWAL) and Export's output buffer.
+	// What the reader holds for its query beside the open block: the read
+	// view's blocks and WAL tail (see snapshot and readWAL), the table the
+	// tail's strings are interned through, the rollup's state, and Export's
+	// line and output buffers. release empties all but the buffers.
+	blocks   []*blockMeta
 	wal      []byte
 	walLines [][]byte
+	names    telemetry.Interner
+	agg      aggState
+	line     []byte
 	out      *bufio.Writer
 }
 
@@ -449,21 +456,30 @@ func DecodeBlock(data []byte) (*Block, error) {
 	return b, nil
 }
 
-// openFile points b at the block file at path, releasing the one before.
-func (b *Block) openFile(path string) error {
+// openFile points b at m's block file, releasing the one before. The footer
+// is m's when m holds one verified at the file's present size: then nothing
+// but the file's Stat is read until a page is. Otherwise — the first visit,
+// or a file truncated or replaced since — open reads and verifies it from
+// the file, and m keeps it for every later query.
+func (b *Block) openFile(m *blockMeta) error {
 	b.close()
-	f, err := os.Open(path)
+	f, err := os.Open(m.path)
 	if err != nil {
 		return err
 	}
 	b.file = f
 	fi, err := f.Stat()
 	if err == nil {
+		if vf := m.ft.Load(); vf != nil && vf.size == fi.Size() {
+			b.src, b.have, b.ft = f, 0, vf.footer
+			return nil
+		}
 		err = b.open(f, fi.Size())
 	}
 	if err != nil {
-		return fmt.Errorf("%s: %w", filepath.Base(path), err)
+		return fmt.Errorf("%s: %w", filepath.Base(m.path), err)
 	}
+	m.ft.Store(&verifiedFooter{size: fi.Size(), footer: b.ft})
 	return nil
 }
 
@@ -477,7 +493,9 @@ func (b *Block) close() {
 
 // open validates the envelope of the size-byte block behind src and parses
 // its footer — once; nothing later re-reads it. It reads the header, the
-// 12-byte trailer and the footer JSON, and no page.
+// 12-byte trailer and the footer JSON, and no page. The footer is parsed
+// into fresh slices, never b.ft's old ones, because a blockMeta may share
+// them (see openFile).
 func (b *Block) open(src io.ReaderAt, size int64) error {
 	b.src, b.have, b.ft = src, 0, footer{}
 	if size < headerLen+blockTailLen {
@@ -749,19 +767,18 @@ func (b *Block) Export(w io.Writer) error {
 		return err
 	}
 	var e telemetry.Event
-	var buf []byte
 	for i := 0; i < b.ft.Rows; i++ {
 		var line []byte
 		if len(raws) > 0 && raws[0].row == i {
 			line, raws = raws[0].line, raws[1:]
 		} else {
 			b.event(i, &e)
-			buf = telemetry.AppendJSONL(buf[:0], e)
+			b.line = telemetry.AppendJSONL(b.line[:0], e)
 			if e.Kind == 0 {
 				kind := &b.dicts[colKind]
-				buf = append([]byte(`{"kind":"`+kind.entries[kind.rows[i]]), buf[len(`{"kind":"unknown`):]...)
+				b.line = append([]byte(`{"kind":"`+kind.entries[kind.rows[i]]), b.line[len(`{"kind":"unknown`):]...)
 			}
-			line = buf
+			line = b.line
 		}
 		if _, err := w.Write(line); err != nil {
 			return err

@@ -120,7 +120,8 @@ func foldRollup(events []telemetry.Event) map[string]GroupRollup {
 // split across block boundaries, v1 and v2 blocks side by side, a live WAL
 // tail when the cut leaves one — Scan and Aggregate under every predicate
 // shape, and Export, must equal a row-by-row fold of the JSONL the store was
-// fed, on the writing store and on a read-only reopening of its directory.
+// fed: on the writing store, on a cold read-only view (no footer held yet),
+// on a warm one, and on both after a further append and compaction.
 func FuzzQueryMatchesJournalFold(f *testing.F) {
 	f.Add([]byte("\x00\x09\x12\x1b\x24\x2d\x36\x3f\xc0\xc9\xd2\xdb\x08\x10\x21\x31\x0a\x33\xe4\xed\xf6\xff\x01\x0b"), uint8(7), uint8(3), uint8(0))
 	f.Add(bytes.Repeat([]byte{0x09, 0x21, 0x19, 0x31, 0xca, 0x0a}, 40), uint8(47), uint8(16), uint8(9))
@@ -143,12 +144,12 @@ func FuzzQueryMatchesJournalFold(f *testing.F) {
 			t.Fatal(err)
 		}
 		journal := []byte("\n")
-		all := []telemetry.Event{parseLine([]byte("\n"))}
+		all := []telemetry.Event{parseLine([]byte("\n"), nil)}
 		for i := 0; i < len(lines); {
 			var batch []byte
 			for n := 0; n <= int(batchLines)%9 && i < len(lines); n, i = n+1, i+1 {
 				batch = append(batch, lines[i]...)
-				all = append(all, parseLine(lines[i]))
+				all = append(all, parseLine(lines[i], nil))
 			}
 			if err := s.Append("r", batch); err != nil {
 				t.Fatal(err)
@@ -192,7 +193,7 @@ func FuzzQueryMatchesJournalFold(f *testing.F) {
 			{Group: group, Kinds: []telemetry.Kind{k1}, From: mid / 2},
 			{Session: sess, Group: group, To: mid},
 		}
-		check := func(view string, st *Store) {
+		exports := func(view string, st *Store) {
 			t.Helper()
 			var got bytes.Buffer
 			if err := st.Export("r", &got); err != nil {
@@ -201,47 +202,84 @@ func FuzzQueryMatchesJournalFold(f *testing.F) {
 			if !bytes.Equal(got.Bytes(), journal) {
 				t.Fatalf("%s: Export is %d bytes, the journal fed in %d, and they differ", view, got.Len(), len(journal))
 			}
-			for _, q := range queries {
-				q.Run = "r"
-				var want []telemetry.Event
-				for _, e := range all {
-					if foldMatches(q, e) {
-						want = append(want, e)
-					}
+		}
+		answers := func(view string, st *Store, q Query) {
+			t.Helper()
+			q.Run = "r"
+			var want []telemetry.Event
+			for _, e := range all {
+				if foldMatches(q, e) {
+					want = append(want, e)
 				}
-				var scanned []telemetry.Event
-				if err := st.Scan(q, func(e telemetry.Event) bool { scanned = append(scanned, e); return true }); err != nil {
-					t.Fatalf("%s: Scan %+v: %v", view, q, err)
+			}
+			var scanned []telemetry.Event
+			if err := st.Scan(q, func(e telemetry.Event) bool { scanned = append(scanned, e); return true }); err != nil {
+				t.Fatalf("%s: Scan %+v: %v", view, q, err)
+			}
+			if len(scanned) != len(want) {
+				t.Fatalf("%s: Scan %+v returned %d events, the fold %d", view, q, len(scanned), len(want))
+			}
+			for i := range want {
+				if scanned[i] != want[i] {
+					t.Fatalf("%s: Scan %+v event %d:\n got %+v\nfold %+v", view, q, i, scanned[i], want[i])
 				}
-				if len(scanned) != len(want) {
-					t.Fatalf("%s: Scan %+v returned %d events, the fold %d", view, q, len(scanned), len(want))
-				}
-				for i := range want {
-					if scanned[i] != want[i] {
-						t.Fatalf("%s: Scan %+v event %d:\n got %+v\nfold %+v", view, q, i, scanned[i], want[i])
-					}
-				}
-				roll, err := st.Aggregate(q)
-				if err != nil {
-					t.Fatalf("%s: Aggregate %+v: %v", view, q, err)
-				}
-				ref := foldRollup(want)
-				if len(roll.Groups) != len(ref) {
-					t.Fatalf("%s: Aggregate %+v has %d groups, the fold %d", view, q, len(roll.Groups), len(ref))
-				}
-				for _, gr := range roll.Groups {
-					if gr != ref[gr.Group] {
-						t.Fatalf("%s: Aggregate %+v group %s:\n got %+v\nfold %+v", view, q, gr.Group, gr, ref[gr.Group])
-					}
+			}
+			roll, err := st.Aggregate(q)
+			if err != nil {
+				t.Fatalf("%s: Aggregate %+v: %v", view, q, err)
+			}
+			ref := foldRollup(want)
+			if len(roll.Groups) != len(ref) {
+				t.Fatalf("%s: Aggregate %+v has %d groups, the fold %d", view, q, len(roll.Groups), len(ref))
+			}
+			for _, gr := range roll.Groups {
+				if gr != ref[gr.Group] {
+					t.Fatalf("%s: Aggregate %+v group %s:\n got %+v\nfold %+v", view, q, gr.Group, gr, ref[gr.Group])
 				}
 			}
 		}
+		check := func(view string, st *Store) {
+			t.Helper()
+			exports(view, st)
+			for _, q := range queries {
+				answers(view, st, q)
+			}
+		}
+		// The writer holds the footers its compactions built, of blocks since
+		// rewritten as v1: each open must notice the size and re-read.
 		check("writer", s)
+		// Cold: each query's Scan is the first over a fresh read-only view,
+		// which reads each footer before it can prune on it.
+		for _, q := range queries {
+			cold, err := OpenReadOnly(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			answers("cold read-only", cold, q)
+			cold.Close()
+		}
 		ro, err := OpenReadOnly(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer ro.Close()
 		check("read-only", ro)
+		check("warm read-only", ro)
+		// A further append and compaction: the warm view re-lists, keeps the
+		// footers it holds and reads only the new block's.
+		more := fuzzJournal(append([]byte{pick}, data...))[:1+len(data)%17]
+		batch := bytes.Join(more, nil)
+		if err := s.Append("r", batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Compact("r"); err != nil {
+			t.Fatal(err)
+		}
+		journal = append(journal, batch...)
+		for _, line := range more {
+			all = append(all, parseLine(line, nil))
+		}
+		check("warm read-only after a compaction", ro)
+		check("writer after a compaction", s)
 	})
 }

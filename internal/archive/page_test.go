@@ -106,7 +106,7 @@ func downgrade(t testing.TB, blk []byte) []byte {
 // surface as ErrBadBlock, from the open or from the first read of the page.
 func TestBlockRejectsCorruptPages(t *testing.T) {
 	lines := splitLines(batchOf(0, 100))
-	good, err := encodeBlock("r", lines)
+	good, _, err := encodeBlock("r", lines)
 	if err != nil {
 		t.Fatal(err)
 	}

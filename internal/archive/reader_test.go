@@ -3,6 +3,7 @@ package archive
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -46,7 +47,7 @@ func goldenJournal() [][]byte {
 // over the fixed journal must keep this SHA-256. A read-path change that
 // also moves this hash has touched the format, whatever else it claims.
 func TestBlockFormatGolden(t *testing.T) {
-	blk, err := encodeBlock("golden", goldenJournal())
+	blk, _, err := encodeBlock("golden", goldenJournal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestBlockFormatGoldenV1(t *testing.T) {
 		t.Fatalf("fixture sha256 %x, want the v1 golden %s", got, want)
 	}
 	lines := goldenJournal()
-	v2, err := encodeBlock("golden", lines)
+	v2, _, err := encodeBlock("golden", lines)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestBlockFormatGoldenV1(t *testing.T) {
 			if _, err := loaded(t, blk).scan(p, func(e telemetry.Event) bool { scans[i] = append(scans[i], e); return true }); err != nil {
 				t.Fatal(err)
 			}
-			st := newAggState()
+			st := new(aggState)
 			if _, err := st.addBlock(loaded(t, blk), p); err != nil {
 				t.Fatal(err)
 			}
@@ -134,7 +135,7 @@ func TestExportRetiredKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b Block
-	if err := b.openFile(filepath.Join("testdata", "retired-kind.blk")); err != nil {
+	if err := b.openFile(&blockMeta{path: filepath.Join("testdata", "retired-kind.blk")}); err != nil {
 		t.Fatal(err)
 	}
 	defer b.close()
@@ -202,7 +203,7 @@ func (r *readLog) pages(t *testing.T, b *Block) []string {
 func TestSessionScanReadsOnlyItsPages(t *testing.T) {
 	lines := splitLines(batchOf(0, 400))
 	lines = append(lines, []byte(rawLines[0]+"\n"))
-	blk, err := encodeBlock("r", lines)
+	blk, _, err := encodeBlock("r", lines)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func TestSessionScanReadsOnlyItsPages(t *testing.T) {
 	}
 
 	b := open()
-	if ok, err := newAggState().addBlock(b, Query{}.compile()); !ok || err != nil {
+	if ok, err := new(aggState).addBlock(b, Query{}.compile()); !ok || err != nil {
 		t.Fatalf("addBlock = %v, %v", ok, err)
 	}
 	pages = log.pages(t, b)
@@ -328,6 +329,188 @@ func TestScanEventsOutliveTheirBlock(t *testing.T) {
 	}
 }
 
+// groupBatch renders events [from, to) with every session in group g, so a
+// block sealed from them is the only one whose footer lists g.
+func groupBatch(g string, from, to int) []byte {
+	var b []byte
+	for i := from; i < to; i++ {
+		e := testEvent(i)
+		e.Session = fmt.Sprintf("d0.w0.s%d.%s", i%3, g)
+		b = telemetry.AppendJSONL(b, e)
+	}
+	return b
+}
+
+// damageFooter flips one byte in the middle of each block file's footer, in
+// place: the file keeps its size, and only a reader that re-reads the
+// footer can tell.
+func damageFooter(t *testing.T, paths ...string) {
+	t.Helper()
+	for _, path := range paths {
+		blk, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flen := int(binary.LittleEndian.Uint32(blk[len(blk)-8:]))
+		blk[len(blk)-blockTailLen-flen/2] ^= 0x20
+		if err := os.WriteFile(path, blk, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestQueryOpensOnlyTheBlocksItReads holds the store to its footers: a query
+// prunes on the footers it holds and opens only the block files that
+// survive, and reads no footer a second time. Each of four blocks is the one
+// group's; a session query must survive one block.
+func TestQueryOpensOnlyTheBlocksItReads(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir, CompactEvents: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for k := 0; k < 4; k++ { // 64 events a batch: each seals block k+1
+		if err := s.Append("r", groupBatch(fmt.Sprintf("G%d", k), 64*k, 64*(k+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Append("r", groupBatch("G2", 256, 266)); err != nil {
+		t.Fatal(err)
+	}
+	journal := bytes.Join([][]byte{groupBatch("G0", 0, 64), groupBatch("G1", 64, 128),
+		groupBatch("G2", 128, 192), groupBatch("G3", 192, 256), groupBatch("G2", 256, 266)}, nil)
+	var blocks []string
+	for seq := 1; seq <= 4; seq++ {
+		blocks = append(blocks, filepath.Join(dir, "r", blockFile(seq)))
+	}
+	q := Query{Run: "r", Session: "d0.w0.s1.G2"}
+	scan := func(view string, st *Store) []telemetry.Event {
+		t.Helper()
+		var got []telemetry.Event
+		if err := st.Scan(q, func(e telemetry.Event) bool { got = append(got, e); return true }); err != nil {
+			t.Fatalf("%s: %v", view, err)
+		}
+		return got
+	}
+	want := scan("writer", s)
+	if len(want) != 21+4 { // every third of block 3's events and of the tail's
+		t.Fatalf("scan of %s matched %d events, want 25", q.Session, len(want))
+	}
+	same := func(view string, st *Store) {
+		t.Helper()
+		if got := scan(view, st); !slices.Equal(got, want) {
+			t.Errorf("%s: scan returned %d events, want the %d of the first", view, len(got), len(want))
+		}
+	}
+
+	// A read-only view's first query reads every footer; damaged in place
+	// after it, they are never read again — not by a second session query,
+	// nor by an Export, whose page reads are still all CRC-checked. A fresh
+	// view does read them, and refuses.
+	ro, err := OpenReadOnly(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("read-only, cold", ro)
+	damageFooter(t, blocks...)
+	same("read-only, warm", ro)
+	exportIs(t, "read-only, warm", ro, "r", journal)
+	fresh, err := OpenReadOnly(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Scan(q, func(telemetry.Event) bool { return true }); !errors.Is(err, ErrBadBlock) {
+		t.Fatalf("a fresh view over the damaged footers: %v, want ErrBadBlock", err)
+	}
+
+	// The writer holds the footers its compactions built. With every block
+	// but the one holding the session's group gone, its query still answers:
+	// it opened no other file.
+	for i, path := range blocks {
+		if i != 2 {
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	same("writer, pruned blocks removed", s)
+	if _, err := s.Aggregate(Query{Run: "r", Group: "G2"}); err != nil {
+		t.Fatalf("writer, rollup of the one group left: %v", err)
+	}
+}
+
+// TestChangedBlockIsReread: a block is immutable, so a footer verified at one
+// file size holds while the file keeps it. A block replaced by another of a
+// different size — the same rows as the v1 encoder wrote them, at other page
+// offsets — is re-read by the writer that sealed it and by a warm read-only
+// view, and still answers; one truncated after its footer was held is
+// re-read and refused. A read-only view re-lists per query, so it also
+// drops the held footer of a block replaced by one with other rows before
+// pruning on it.
+func TestChangedBlockIsReread(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir, CompactEvents: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	journal := batchOf(0, 64*3)
+	for i := 0; i < 3; i++ {
+		if err := s.Append("r", batchOf(64*i, 64*(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ro, err := OpenReadOnly(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exportIs(t, "read-only, cold", ro, "r", journal)
+	path := filepath.Join(dir, "r", blockFile(2))
+	blk, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := map[string]*Store{"writer": s, "read-only": ro}
+
+	if err := os.WriteFile(path, downgrade(t, blk), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for view, st := range views {
+		exportIs(t, view+", block 2 replaced", st, "r", journal)
+		if _, err := st.Aggregate(Query{Run: "r"}); err != nil {
+			t.Errorf("%s, block 2 replaced: Aggregate: %v", view, err)
+		}
+	}
+
+	if err := os.WriteFile(path, blk[:len(blk)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for view, st := range views {
+		if err := st.Export("r", io.Discard); !errors.Is(err, ErrBadBlock) {
+			t.Errorf("%s, block 2 truncated: Export error %v, want ErrBadBlock", view, err)
+		}
+		if _, err := st.Aggregate(Query{Run: "r"}); !errors.Is(err, ErrBadBlock) {
+			t.Errorf("%s, block 2 truncated: Aggregate error %v, want ErrBadBlock", view, err)
+		}
+	}
+
+	other, _, err := encodeBlock("r", splitLines(groupBatch("G9", 0, 64)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(other) == len(blk) || len(other) == len(blk)-1 {
+		t.Fatalf("the replacement block is %d bytes, as one before it was", len(other))
+	}
+	if err := os.WriteFile(path, other, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	roll, err := ro.Aggregate(Query{Run: "r", Group: "G9"})
+	if err != nil || len(roll.Groups) != 1 || roll.Groups[0].Events != 64 {
+		t.Errorf("read-only, block 2 replaced by group G9's: rollup %+v, %v; want G9's 64 events", roll.Groups, err)
+	}
+}
+
 // queryAlloc returns the bytes run allocates.
 func queryAlloc(t *testing.T, run func() error) uint64 {
 	t.Helper()
@@ -343,14 +526,19 @@ func queryAlloc(t *testing.T, run func() error) uint64 {
 
 // TestQueryAllocationBudget holds the read path's allocation per event
 // covered, warm, for each query of the benchmark's mix over four sealed
-// blocks and a WAL tail. What remains is per block and per tail line, not
-// per row: a footer and three dictionary strings a block, the two strings
-// of each event parsed from the tail — 0.5 to 0.7 B per event on this
-// store. The WAL buffer, its line index and Export's 256 KiB writer belong
-// to the reader and are refilled; while each query read the WAL into a
-// fresh buffer and ParseJSONL allocated 13 times a line the same queries
-// cost 13.5 to 14.5 B, and while every column slab grew from nil by append
-// and every block was read whole, 260, 460, 490 and 590 B.
+// blocks and a WAL tail. What remains is per query and per block opened, not
+// per row: each opened file's os.File and Stat, one string per dictionary a
+// block decodes, the compiled plan, the rollup's result, and one copy per
+// distinct string of the tail — ≈ 4 KB a query, 0.11 to 0.13 B per event on
+// this store; the budgets are those plus half. Footers are parsed once per
+// store, the tail's strings interned per query, and the rollup's session set
+// and the WAL buffer, line index, Export's line and 256 KiB writer belong to
+// the reader and are refilled. While each query re-parsed every footer,
+// copied two strings a tail line and rebuilt the session set, the same
+// queries cost 0.5 to 0.7 B; while each read the WAL into a fresh buffer and
+// ParseJSONL allocated 13 times a line, 13.5 to 14.5 B; and while every
+// column slab grew from nil by append and every block was read whole, 260,
+// 460, 490 and 590 B.
 func TestQueryAllocationBudget(t *testing.T) {
 	const blockEvents, blocks, tail = 8192, 4, 512
 	const n = blockEvents*blocks + tail
@@ -383,19 +571,19 @@ func TestQueryAllocationBudget(t *testing.T) {
 		budget float64 // bytes per event covered
 		run    func() error
 	}{
-		{"aggregate", 2, func() error { _, err := s.Aggregate(Query{Run: "r"}); return err }},
-		{"scan_session", 2, scan(Query{Run: "r", Session: "d0.w0.s3.BBA-1"})},
-		{"scan_kind", 2, scan(Query{Run: "r", Kinds: []telemetry.Kind{telemetry.RebufferStart, telemetry.RebufferEnd}})},
-		{"export", 2, func() error { return s.Export("r", io.Discard) }},
+		{"aggregate", 0.19, func() error { _, err := s.Aggregate(Query{Run: "r"}); return err }},
+		{"scan_session", 0.19, scan(Query{Run: "r", Session: "d0.w0.s3.BBA-1"})},
+		{"scan_kind", 0.19, scan(Query{Run: "r", Kinds: []telemetry.Kind{telemetry.RebufferStart, telemetry.RebufferEnd}})},
+		{"export", 0.17, func() error { return s.Export("r", io.Discard) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := tc.run(); err != nil { // warm: the store's spare reader is sized
 				t.Fatal(err)
 			}
 			per := float64(queryAlloc(t, tc.run)) / n
-			t.Logf("%.1f B per event covered", per)
+			t.Logf("%.3f B per event covered", per)
 			if per > tc.budget {
-				t.Errorf("%.1f B allocated per event covered, budget %.0f", per, tc.budget)
+				t.Errorf("%.3f B allocated per event covered, budget %.2f", per, tc.budget)
 			}
 		})
 	}
@@ -522,28 +710,32 @@ func TestReadOnlyRacesCompaction(t *testing.T) {
 	journal := batchOf(0, batch*batches)
 	done := make(chan struct{})
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for last := false; !last; {
-			select {
-			case <-done:
-				last = true
-			default:
+	// Two readers: each visits every block the writer seals first, and the
+	// view's metas record the footers whichever reads them first.
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for last := false; !last; {
+				select {
+				case <-done:
+					last = true
+				default:
+				}
+				var got bytes.Buffer
+				if err := ro.Export("r", &got); err != nil {
+					t.Error(err)
+					return
+				}
+				if lines := bytes.Count(got.Bytes(), []byte{'\n'}); lines%batch != 0 || !bytes.HasPrefix(journal, got.Bytes()) {
+					t.Errorf("read-only Export of %d lines is not whole batches of a prefix of the journal", lines)
+				}
+				if last && got.Len() != len(journal) {
+					t.Errorf("final read-only Export = %d bytes, want all %d", got.Len(), len(journal))
+				}
 			}
-			var got bytes.Buffer
-			if err := ro.Export("r", &got); err != nil {
-				t.Error(err)
-				return
-			}
-			if lines := bytes.Count(got.Bytes(), []byte{'\n'}); lines%batch != 0 || !bytes.HasPrefix(journal, got.Bytes()) {
-				t.Errorf("read-only Export of %d lines is not whole batches of a prefix of the journal", lines)
-			}
-			if last && got.Len() != len(journal) {
-				t.Errorf("final read-only Export = %d bytes, want all %d", got.Len(), len(journal))
-			}
-		}
-	}()
+		}()
+	}
 	for i := 1; i < batches; i++ {
 		if err := s.Append("r", batchOf(i*batch, (i+1)*batch)); err != nil {
 			t.Fatal(err)
@@ -568,7 +760,7 @@ func TestCompactionAllocationBudget(t *testing.T) {
 	lines := splitLines(batchOf(0, 8192))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	blk, err := encodeBlock("r", lines)
+	blk, _, err := encodeBlock("r", lines)
 	runtime.ReadMemStats(&after)
 	if err != nil || len(blk) == 0 {
 		t.Fatalf("encodeBlock: %d bytes, %v", len(blk), err)

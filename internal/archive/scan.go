@@ -156,11 +156,13 @@ func (b *Block) scan(p *plan, fn func(telemetry.Event) bool) (stop bool, err err
 
 // Scan streams every matching event in admission order — sealed blocks
 // first, then the live WAL tail — calling fn for each. fn returning false
-// stops the scan early. A block opens with three small reads (header,
-// trailer, footer); one the footer excludes costs nothing more, one that
-// lacks the queried session costs its session page, and the rest read only
-// the pages the predicate needs until a first row matches. Events handed
-// to fn are fn's to keep: their strings are copies, never views of a
+// stops the scan early. A block whose footer the store holds and excludes
+// is not opened at all; the first query to visit a block reads its footer
+// (header, trailer, footer: three small reads) for every later one. A block
+// that lacks the queried session costs its session page, and the rest read
+// only the pages the predicate needs until a first row matches. Events
+// handed to fn are fn's to keep: their strings are copies — one per
+// distinct value of a block dictionary or of the tail — never views of a
 // buffer the scan goes on to reuse.
 func (s *Store) Scan(q Query, fn func(telemetry.Event) bool) error {
 	if q.Run == "" {
@@ -168,33 +170,47 @@ func (s *Store) Scan(q Query, fn func(telemetry.Event) bool) error {
 	}
 	b := s.reader()
 	defer s.release(b)
-	blocks, err := s.snapshot(q.Run, b)
-	if err != nil {
+	if err := s.snapshot(q.Run, b); err != nil {
 		return err
 	}
 	p := q.compile()
-	for _, path := range blocks {
-		if err := b.openFile(path); err != nil {
-			return err
+	for _, m := range b.blocks {
+		if ok, err := b.openUnpruned(m, p); !ok {
+			if err != nil {
+				return err
+			}
+			continue
 		}
 		if stop, err := b.scan(p, fn); stop || err != nil {
 			return err
 		}
 	}
 	for _, line := range b.walLines {
-		if e := parseLine(line); p.matchesEvent(&e) && !fn(e) {
+		if e := parseLine(line, b.names); p.matchesEvent(&e) && !fn(e) {
 			return nil
 		}
 	}
 	return nil
 }
 
+// openUnpruned opens m's block unless its footer, already held, proves no
+// row can match p: a query opens only the blocks it reads.
+func (b *Block) openUnpruned(m *blockMeta, p *plan) (ok bool, err error) {
+	if vf := m.ft.Load(); vf != nil && p.prunes(&vf.footer) {
+		return false, nil
+	}
+	if err := b.openFile(m); err != nil {
+		return false, err
+	}
+	return true, nil
+}
+
 // parseLine parses one WAL-tail journal line: strictly when it is
-// canonical, else leniently, mirroring what encodeBlock stores in the
-// columns for raw rows. The Event's strings are copies, never views of the
-// WAL buffer the next query refills.
-func parseLine(line []byte) telemetry.Event {
-	if e, ok := telemetry.ParseJSONL(line); ok {
+// canonical, its strings interned through names, else leniently, mirroring
+// what encodeBlock stores in the columns for raw rows. The Event's strings
+// are copies, never views of the WAL buffer the next query refills.
+func parseLine(line []byte, names telemetry.Interner) telemetry.Event {
+	if e, ok := names.ParseJSONL(line); ok {
 		return e
 	}
 	e, _ := parseLoose(line)

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"sync"
+	"time"
 
 	"bba/internal/obs"
 )
@@ -71,7 +73,19 @@ type Collector struct {
 	archiveErr error
 	subs       map[int]chan TailMsg
 	nextSub    int
+
+	// admitSeconds is the wall time of every Ingest so far, from the frame
+	// in hand to the ACK decision — decode, dedup, the archive append that
+	// gates the ACK and any compaction it runs: per-bucket counts over
+	// admitBounds, and the sum.
+	admitSeconds [len(admitBounds) + 1]uint64
+	admitSum     float64
 }
+
+// admitBounds are the admit histogram's upper bounds, in seconds: a frame
+// is admitted in tens of microseconds, one whose append seals a block waits
+// out the compaction, tens to hundreds of milliseconds.
+var admitBounds = [...]float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.01, 0.05, 0.25, 1}
 
 type streamKey struct {
 	run     string
@@ -100,20 +114,28 @@ func NewCollector(cfg CollectorConfig) *Collector {
 // consumed — otherwise a retry of a failed frame would be discarded as a
 // duplicate and its payload lost.
 func (c *Collector) Ingest(b []byte) error {
+	start := time.Now()
 	f, _, err := DecodeFrame(b)
-	if err != nil {
-		c.mu.Lock()
-		c.stats.FramesBad++
-		c.mu.Unlock()
-		return err
-	}
-	return c.ingestFrame(f)
-}
-
-func (c *Collector) ingestFrame(f Frame) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	defer c.observeAdmitLocked(start)
+	if err != nil {
+		c.stats.FramesBad++
+		return err
+	}
+	return c.ingestFrameLocked(f)
+}
 
+// observeAdmitLocked counts one admit decision that began at start. Caller
+// holds mu.
+func (c *Collector) observeAdmitLocked(start time.Time) {
+	took := time.Since(start).Seconds()
+	c.admitSeconds[sort.SearchFloat64s(admitBounds[:], took)]++
+	c.admitSum += took
+}
+
+// ingestFrameLocked admits one decoded frame. Caller holds mu.
+func (c *Collector) ingestFrameLocked(f Frame) error {
 	if f.Kind != PayloadEvents {
 		c.stats.FramesBad++
 		return fmt.Errorf("%w: kind %d", ErrBadFrame, f.Kind)
@@ -290,6 +312,9 @@ func (c *Collector) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // writer: what /metrics serves, exported so a daemon can follow it with its
 // archive's families on the same endpoint.
 func (c *Collector) WriteMetrics(w *obs.Writer) {
+	c.mu.Lock()
+	counts, sum := c.admitSeconds, c.admitSum
+	c.mu.Unlock()
 	s := c.Stats()
 	w.CounterVec("bba_collect_frames_total", "Frames admitted, by payload kind.", "kind", s.Frames)
 	counter := func(name, help string, v int64) { w.Counter(name, help, float64(v)) }
@@ -299,4 +324,5 @@ func (c *Collector) WriteMetrics(w *obs.Writer) {
 	counter("bba_collect_events_total", "Telemetry events admitted.", s.Events)
 	counter("bba_collect_streams_total", "Distinct (run, session) sender streams seen.", s.Streams)
 	counter("bba_collect_archive_errors_total", "Event frames NACKed because the archive could not persist them.", s.ArchiveErrors)
+	w.Histogram("bba_collect_admit_seconds", "Wall time from a frame received to its ACK decision, the archive append included.", admitBounds[:], counts[:], sum)
 }

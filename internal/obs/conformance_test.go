@@ -46,7 +46,7 @@ func TestExpositionConformance(t *testing.T) {
 			"bba_seeks_total":                        0,
 			"bba_failovers_total":                    0,
 		}},
-		{"collect.Collector", busyCollector(t), 7, map[string]float64{
+		{"collect.Collector", busyCollector(t), 8, map[string]float64{
 			"bba_collect_frames_total/events":    1,
 			"bba_collect_frames_duplicate_total": 1,
 			"bba_collect_frames_bad_total":       2,
@@ -54,6 +54,8 @@ func TestExpositionConformance(t *testing.T) {
 			"bba_collect_events_total":           2,
 			"bba_collect_streams_total":          1,
 			"bba_collect_archive_errors_total":   1,
+			"bba_collect_admit_seconds_count":    5, // every frame, whatever its verdict
+			"bba_collect_admit_seconds_sum":      -1,
 		}},
 		{"archive.Store", compactedStore(t), 2, map[string]float64{
 			"bba_archive_compact_seconds_bucket/+Inf": 2,

@@ -30,7 +30,35 @@ import (
 // quoting of its contents. Anything else — an escape, a control byte, 0x7F,
 // non-ASCII — is unquoted and re-quoted by strconv, and accepted only if
 // that reproduces the bytes.
-func ParseJSONL(line []byte) (e Event, ok bool) {
+func ParseJSONL(line []byte) (e Event, ok bool) { return Interner(nil).ParseJSONL(line) }
+
+// Interner is a table of the strings parses have handed out, keyed by their
+// bytes: one heap copy per distinct value, which every Event carrying that
+// value then shares. A reader that parses many lines naming few sessions —
+// the archive's WAL tail — keeps one per query and clears it between
+// queries. Its strings are copies like ParseJSONL's, never views of a line,
+// so an Event kept after the table is cleared still owns them. A nil
+// Interner interns nothing.
+type Interner map[string]string
+
+// str returns b as a string: the table's copy when it holds one, else a new
+// copy, which the table then keeps.
+func (in Interner) str(b []byte) string {
+	if s, ok := in[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if in != nil {
+		in[s] = s
+	}
+	return s
+}
+
+// ParseJSONL is the package's ParseJSONL — the same verdict and an equal
+// Event on every line — with the session and the label taken from the
+// table, so an accepted line allocates only for a value the table has not
+// seen.
+func (in Interner) ParseJSONL(line []byte) (e Event, ok bool) {
 	const head = `{"kind":"`
 	if len(line) < len(head) || string(line[:len(head)]) != head {
 		return e, false
@@ -45,7 +73,7 @@ func ParseJSONL(line []byte) (e Event, ok bool) {
 	}
 	rest = rest[nameEnd+1:]
 
-	if e.Session, rest, ok = quoted(rest, `,"session":`); !ok {
+	if e.Session, rest, ok = in.quoted(rest, `,"session":`); !ok {
 		return e, false
 	}
 	// Read into v and assigned below, not through IntColumn.Set: a call
@@ -61,7 +89,7 @@ func ParseJSONL(line []byte) (e Event, ok bool) {
 	if !ok {
 		return e, false
 	}
-	if e.Label, rest, ok = quoted(rest, `,"label":`); !ok {
+	if e.Label, rest, ok = in.quoted(rest, `,"label":`); !ok {
 		return e, false
 	}
 	return e, string(rest) == "}\n"
@@ -102,8 +130,9 @@ func integer(b []byte, key string) (v int64, rest []byte, ok bool) {
 }
 
 // quoted reads key and the canonically Go-quoted string after it from the
-// head of b, returning the string (a copy) and what follows it.
-func quoted(b []byte, key string) (s string, rest []byte, ok bool) {
+// head of b, returning the string (a copy, or the table's) and what follows
+// it.
+func (in Interner) quoted(b []byte, key string) (s string, rest []byte, ok bool) {
 	if len(b) <= len(key) || string(b[:len(key)]) != key || b[len(key)] != '"' {
 		return "", nil, false
 	}
@@ -111,9 +140,9 @@ func quoted(b []byte, key string) (s string, rest []byte, ok bool) {
 	for i := 1; i < len(b); i++ {
 		switch c := b[i]; {
 		case c == '"':
-			return string(b[1:i]), b[i+1:], true
+			return in.str(b[1:i]), b[i+1:], true
 		case c < 0x20 || c > 0x7e || c == '\\':
-			return quotedSlow(b)
+			return in.quotedSlow(b)
 		}
 	}
 	return "", nil, false
@@ -122,7 +151,7 @@ func quoted(b []byte, key string) (s string, rest []byte, ok bool) {
 // quotedSlow is quoted's general case: find the closing quote, honoring
 // escapes, and accept the literal only if strconv, having unquoted it,
 // quotes it back to the same bytes.
-func quotedSlow(b []byte) (s string, rest []byte, ok bool) {
+func (in Interner) quotedSlow(b []byte) (s string, rest []byte, ok bool) {
 	for i := 1; i < len(b); i++ {
 		switch b[i] {
 		case '\\':
@@ -131,6 +160,11 @@ func quotedSlow(b []byte) (s string, rest []byte, ok bool) {
 			s, err := strconv.Unquote(string(b[:i+1]))
 			if err != nil || strconv.Quote(s) != string(b[:i+1]) {
 				return "", nil, false
+			}
+			if t, ok := in[s]; ok {
+				s = t
+			} else if in != nil {
+				in[s] = s
 			}
 			return s, b[i+1:], true
 		}

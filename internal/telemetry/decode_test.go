@@ -290,17 +290,22 @@ func TestParseJSONLIntegerBounds(t *testing.T) {
 // Event's strings must be copies, because the archive parses WAL lines out
 // of a buffer the next query refills. A string that was a view of the line
 // (unsafe.String on the fast path) changes here.
+// The interning parse is held to the same, after its table is cleared too.
 func TestParseJSONLCopiesStrings(t *testing.T) {
-	line := []byte(goodLine)
-	e, ok := ParseJSONL(line)
-	if !ok {
-		t.Fatal("the good line was refused")
-	}
-	for i := range line {
-		line[i] = 'x'
-	}
-	if e.Session != "d0.w3.s17.BBA-2" || e.Label != "BBA-2" {
-		t.Fatalf("after the line was overwritten the event reads session %q label %q: its strings alias the input", e.Session, e.Label)
+	in := Interner{}
+	for _, parse := range []func([]byte) (Event, bool){ParseJSONL, in.ParseJSONL} {
+		line := []byte(goodLine)
+		e, ok := parse(line)
+		if !ok {
+			t.Fatal("the good line was refused")
+		}
+		clear(in)
+		for i := range line {
+			line[i] = 'x'
+		}
+		if e.Session != "d0.w3.s17.BBA-2" || e.Label != "BBA-2" {
+			t.Fatalf("after the line was overwritten the event reads session %q label %q: its strings alias the input", e.Session, e.Label)
+		}
 	}
 }
 
@@ -333,12 +338,21 @@ func TestParseJSONLAllocs(t *testing.T) {
 	if n := allocs(goodLine[:len(goodLine)-1], false); n > 2 {
 		t.Errorf("%v allocations refusing a line at its last byte, want at most the two strings read by then", n)
 	}
+	// Through a table, a value costs its copy the first time only.
+	in, line := Interner{}, []byte(goodLine)
+	if _, ok := in.ParseJSONL(line); !ok || len(in) != 2 {
+		t.Fatalf("the good line: ok %v, %d strings interned, want 2", ok, len(in))
+	}
+	if n := testing.AllocsPerRun(200, func() { in.ParseJSONL(line) }); n != 0 {
+		t.Errorf("%v allocations parsing a line whose strings are interned, want 0", n)
+	}
 }
 
 // FuzzParseJSONL is the differential test of the one-pass decoder: on every
 // input it must return exactly what referenceParseJSONL returns — the same
 // verdict and the same Event, field for field — and an accepted line must
-// re-render to itself.
+// re-render to itself. The interning parse must agree with both, through an
+// empty table and through one that already holds the line's strings.
 func FuzzParseJSONL(f *testing.F) {
 	for k := SessionStart; k < numKinds; k++ {
 		f.Add(AppendJSONL(nil, Event{Kind: k, Session: "d1.w2.s3.g", Chunk: -1, RateIndex: -1, PrevRateIndex: -1}))
@@ -363,6 +377,12 @@ func FuzzParseJSONL(f *testing.F) {
 		}
 		if re := AppendJSONL(nil, got); ok && !bytes.Equal(re, line) {
 			t.Fatalf("accepted %q but re-renders as %q", line, re)
+		}
+		in := Interner{}
+		for pass := range 2 {
+			if interned, iok := in.ParseJSONL(line); iok != ok || interned != got {
+				t.Fatalf("Interner.ParseJSONL(%q), pass %d = %+v, %v; ParseJSONL says %+v, %v", line, pass, interned, iok, got, ok)
+			}
 		}
 	})
 }

@@ -178,6 +178,8 @@ func TestDaemonEndToEnd(t *testing.T) {
 		"bba_collect_streams_total 2\n",
 		fmt.Sprintf("bba_archive_wal_events %d\n", events),
 		"bba_archive_compact_seconds_count 0\n",
+		"bba_archive_sealed_bytes_total 0\n",
+		"bba_archive_sealed_rows_total 0\n",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Fatalf("/metrics lacks %q:\n%s", want, metrics)

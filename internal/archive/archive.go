@@ -134,6 +134,10 @@ type Store struct {
 	// in compactLocked: per-bucket counts over compactBounds, and the sum.
 	compactSeconds [len(compactBounds) + 1]uint64
 	compactSum     float64
+	// sealedBytes and sealedRows are what this store's compactions have
+	// written: block file bytes and the events in them. Their ratio is the
+	// store's density, bytes an archived event.
+	sealedBytes, sealedRows int64
 }
 
 // compactBounds are the compaction histogram's upper bounds, in seconds: a
@@ -633,6 +637,8 @@ func (s *Store) compactLocked(ra *runArchive) error {
 	took := time.Since(start).Seconds()
 	s.compactSeconds[sort.SearchFloat64s(compactBounds[:], took)]++
 	s.compactSum += took
+	s.sealedBytes += int64(len(blk))
+	s.sealedRows += int64(ft.Rows)
 	return nil
 }
 
@@ -686,15 +692,19 @@ func (s *Store) Stats() []RunStats {
 
 // WriteMetrics writes the store's metric families: how long compactions
 // have taken — each runs under the store's lock, inside the Append whose ACK
-// it delays — and how many events sit in WAL tails, not yet sealed.
+// it delays — what they sealed, and how many events sit in WAL tails, not
+// yet sealed.
 func (s *Store) WriteMetrics(w *obs.Writer) {
 	s.mu.Lock()
 	counts, sum, walEvents := s.compactSeconds, s.compactSum, 0
+	sealedBytes, sealedRows := s.sealedBytes, s.sealedRows
 	for _, ra := range s.runs {
 		walEvents += ra.events
 	}
 	s.mu.Unlock()
 	w.Histogram("bba_archive_compact_seconds", "Wall time of WAL-to-block compactions.", compactBounds[:], counts[:], sum)
+	w.Counter("bba_archive_sealed_bytes_total", "Block file bytes written by compactions.", float64(sealedBytes))
+	w.Counter("bba_archive_sealed_rows_total", "Events sealed into blocks by compactions.", float64(sealedRows))
 	w.Gauge("bba_archive_wal_events", "Events in WAL tails, awaiting compaction.", float64(walEvents))
 }
 

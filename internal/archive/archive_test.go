@@ -367,25 +367,28 @@ func walRecord(dst, batch []byte) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(batch, blockCRCTable))
 }
 
-// TestParentLayoutReopens: a store written before v2 blocks and numbered
-// WALs — testdata/golden-v1.blk as its block, and a wal.q with records —
-// exports byte-identically through a read-only view, through a writable
-// Open, which adopts wal.q as the next block's WAL, and after more appends
-// seal a v2 block beside the v1 one.
+// TestParentLayoutReopens: a store written before v3 blocks and numbered
+// WALs — testdata/golden-v1.blk and golden-v2.blk as its blocks, and a wal.q
+// with records — exports byte-identically through a read-only view, through
+// a writable Open, which adopts wal.q as the next block's WAL, and after more
+// appends seal a v3 block beside the v1 and v2 ones.
 func TestParentLayoutReopens(t *testing.T) {
 	dir := t.TempDir()
 	runDir := filepath.Join(dir, "golden")
 	if err := os.MkdirAll(runDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	v1, err := os.ReadFile(filepath.Join("testdata", "golden-v1.blk"))
-	if err != nil {
-		t.Fatal(err)
+	var want []byte
+	for seq, fixture := range []string{"golden-v1.blk", "golden-v2.blk"} {
+		blk, err := os.ReadFile(filepath.Join("testdata", fixture))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(runDir, blockFile(seq+1)), blk, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, bytes.Join(goldenJournal(), nil)...)
 	}
-	if err := os.WriteFile(filepath.Join(runDir, "000001.blk"), v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	want := bytes.Join(goldenJournal(), nil)
 	var wal []byte
 	for _, batch := range [][]byte{batchOf(320, 330), []byte(rawLines[2] + "\n"), batchOf(330, 335)} {
 		wal = walRecord(wal, batch)
@@ -409,8 +412,8 @@ func TestParentLayoutReopens(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(runDir, legacyWAL)); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("wal.q after a writable Open: %v, want it adopted", err)
 	}
-	if _, err := os.Stat(filepath.Join(runDir, walFile(2))); err != nil {
-		t.Errorf("wal.q not adopted as block 2's WAL: %v", err)
+	if _, err := os.Stat(filepath.Join(runDir, walFile(3))); err != nil {
+		t.Errorf("wal.q not adopted as block 3's WAL: %v", err)
 	}
 	exportIs(t, "read-only after the adoption", ro, "golden", want)
 
@@ -422,8 +425,8 @@ func TestParentLayoutReopens(t *testing.T) {
 		t.Fatal(err)
 	}
 	want = append(want, more...)
-	exportIs(t, "a v2 block after the v1 one", s, "golden", want)
-	exportIs(t, "read-only over both versions", ro, "golden", want)
+	exportIs(t, "a v3 block after the v1 and v2 ones", s, "golden", want)
+	exportIs(t, "read-only over every version", ro, "golden", want)
 }
 
 // TestOpenRefusesOrphanWAL: a WAL that is neither spent (its block exists)
@@ -791,14 +794,15 @@ func FuzzBlockDecode(f *testing.F) {
 	// invent matching checksums, so seed it past the envelope checks.
 	f.Add(craftBlock(f, footer{Version: blockVersion, Rows: 1,
 		Pages: []pageInfo{{Name: "kind", Off: math.MaxInt64 - 2, Len: 8}}}))
-	// Both versions of the golden journal — raw rows, long runs of
-	// unchanged rows — and a one-row v2 block, every bitmap a single byte.
+	// Every version of the golden journal — raw rows, long runs of
+	// unchanged rows — and a one-row block, every bitmap a single byte.
 	golden, _, err := encodeBlock("golden", goldenJournal())
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(golden)
-	f.Add(downgrade(f, golden))
+	f.Add(downgrade(f, golden, 2))
+	f.Add(downgrade(f, golden, 1))
 	one, _, err := encodeBlock("r", splitLines(batchOf(7, 8)))
 	if err != nil {
 		f.Fatal(err)
@@ -831,26 +835,26 @@ func touchBlock(b *Block) {
 // FuzzBlockDecodeFooter fuzzes the footer's fields under a valid envelope:
 // random bytes never carry a matching footer CRC, so FuzzBlockDecode alone
 // stops at the checksum and never reaches the code that trusts the footer.
-// Here the pages are a real block's — v2, or v1 when the fuzzer says so —
+// Here the pages are a real block's — v3, or v1 when the fuzzer says so —
 // and refoot re-signs whatever the fuzzer makes of the row count, the raw
 // count and one page's geometry.
 func FuzzBlockDecodeFooter(f *testing.F) {
-	v2, _, err := encodeBlock("r", splitLines(batchOf(0, 20)))
+	v3, _, err := encodeBlock("r", splitLines(batchOf(0, 20)))
 	if err != nil {
 		f.Fatal(err)
 	}
-	v1 := downgrade(f, v2)
+	v1 := downgrade(f, v3, 1)
 	f.Add(int64(20), int64(0), uint8(0), int64(0), int64(0), false)
 	f.Add(int64(1)<<40, int64(0), uint8(1), int64(0), int64(0), false)
 	f.Add(int64(21), int64(1)<<40, uint8(15), int64(1), int64(-1), false)
 	f.Add(int64(19), int64(-1), uint8(3), int64(math.MaxInt64-9), int64(math.MaxInt64), false)
-	// v2 rows past a page's bits, a v2 page cut inside its bitmap, and the
+	// v3 rows past a page's bits, a v3 page cut inside its bitmap, and the
 	// v1 block with a row count only its pages' bytes refuse.
 	f.Add(int64(8*3+1), int64(0), uint8(2), int64(0), int64(0), false)
 	f.Add(int64(20), int64(0), uint8(4), int64(0), int64(-2), false)
 	f.Add(int64(33), int64(0), uint8(5), int64(0), int64(0), true)
 	f.Fuzz(func(t *testing.T, rows, raws int64, page uint8, dOff, dLen int64, useV1 bool) {
-		blk := v2
+		blk := v3
 		if useV1 {
 			blk = v1
 		}

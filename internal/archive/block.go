@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"sort"
@@ -16,10 +17,10 @@ import (
 	"bba/internal/telemetry"
 )
 
-// Block format, version 2 (all integers little-endian):
+// Block format, version 3 (all integers little-endian):
 //
 //	magic   [4]byte  "BBAC"
-//	version uint8    2
+//	version uint8    3
 //	pages   ...      each page is payload bytes + uint32 CRC-32C(payload)
 //	footer  JSON     locates the pages and summarizes the block; its
 //	                 "version" repeats the header's
@@ -37,24 +38,42 @@ import (
 //	                       stays byte-lossless: uvarint count, then per
 //	                       entry uvarint row index, uvarint length, bytes
 //
-// A column page's rows are a change bitmap — ⌈rows/8⌉ bytes, bit i%8 of
-// byte i/8 set when row i differs from row i−1, row 0's always — then one
-// uvarint per set bit: the dictionary index for kind, session and label,
-// zigzag(v−prev) for near-monotone columns (at_ns, chunk), zigzag(v) for the
-// other integers. A row whose bit is clear repeats the row before. Most
-// columns repeat from event to event (a session's label, its reservoir,
-// the buffer level across one chunk's events), so most rows cost one bit.
+// A column page's rows open with a mode byte, then a change bitmap —
+// ⌈rows/8⌉ bytes, bit i%8 of byte i/8 set when row i differs from its
+// prediction — then one uvarint per set bit. A row whose bit is clear is its
+// prediction. The mode byte has two bits:
 //
-// Version 1 pages had no bitmap: one uvarint per row. They read as pages
-// whose every bit is set, through the same decoder (pageRows), so v1
-// blocks stay readable with no second codec.
+//	byKind   the predictor: clear, the row before; set, the last row with
+//	         the same context — the row's kind-dictionary index, or, on the
+//	         kind page itself, the kind of the row before, so that page
+//	         stores what followed that kind the last time. A context's first
+//	         row, and row 0 under either predictor, predicts 0.
+//	asDelta  the coding: clear, the value — the dictionary index for kind,
+//	         session and label, zigzag(v) for the integers; set,
+//	         zigzag(v − prediction).
+//
+// encodeBlock sizes all four modes of a column in one pass and writes the
+// smallest, so no page is longer than the same column's v2 page plus the mode
+// byte, whatever the traffic. Most columns repeat from event to event (a
+// session's label, its reservoir, the buffer level across one chunk's
+// events), so most rows cost one bit. The journal interleaves kinds that set
+// disjoint fields — a request carries no duration, a sample no throughput —
+// so against the row before such a field leaves zero and comes back at every
+// change of kind, a varint each way; against the last row of its kind it
+// repeats.
+//
+// Version 2 pages had no mode byte: each predicted from the row before,
+// at_ns and chunk coded as deltas and the rest as values, and row 0's bit was
+// always set. Version 1 pages had no bitmap either: one uvarint per row. Both
+// read through the same decoder (pageRows) as the mode they implied
+// (impliedMode), so old blocks stay readable with no second codec.
 //
 // The footer carries the block key — run, row count, [min,max] at_ns
 // window — plus the kind names and session groups present, so readers
 // prune whole blocks from a 12-byte tail read and one footer parse without
 // touching any column page.
 const (
-	blockVersion = 2
+	blockVersion = 3
 	// blockTailLen is fcrc + flen + end magic.
 	blockTailLen = 4 + 4 + 4
 	// maxFooterLen bounds what a decoder will allocate for a footer, so a
@@ -97,96 +116,273 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// coding is what a column page stores for a changed row.
-type coding uint8
+// uvarintLen is the length of u's uvarint.
+func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
+
+// mode is a v3 column page's leading byte (see the format comment).
+type mode uint8
 
 const (
-	dictIndex   coding = iota // the row's dictionary index
-	zigzagValue               // zigzag(v)
-	zigzagDelta               // zigzag(v − the row before)
+	byKind  mode = 1 << iota // predict from the last row of the context
+	asDelta                  // store zigzag(v − prediction)
+	// modes counts the modes; a mode byte at or above it is undefined.
+	modes
 )
 
-// intCoding is the coding of integer column c.
-func intCoding(c telemetry.IntColumn) coding {
-	if c.Delta {
-		return zigzagDelta
+// impliedMode is the mode of a v1 or v2 page of the named column, which had
+// no mode byte: at_ns and chunk, near-monotone in admission order, coded
+// deltas from the row before, every other column values.
+func impliedMode(column string) mode {
+	if column == "at_ns" || column == "chunk" {
+		return asDelta
 	}
-	return zigzagValue
+	return 0
 }
 
-// appendRows renders a v2 page's rows: the change bitmap, then one uvarint
-// per changed row. Every uvarint is one a v1 page also writes for that row,
-// so the page is never longer than v1's plus the bitmap (FuzzPageCodec).
-func appendRows(dst []byte, rows []int64, how coding) []byte {
-	bits := len(dst)
-	dst = append(dst, make([]byte, (len(rows)+7)/8)...)
+// column is one column page's rows as encodeBlock renders them, with what a
+// by-kind prediction reads: each row's context — its kind-dictionary index,
+// or on the kind page the one before (see follows) — and a scratch table
+// with an entry for every context.
+type column struct {
+	rows, ctx, last []int64
+	dict            bool // the rows are dictionary indexes, stored as is
+}
+
+// follows returns the kind page's contexts: row i's is row i−1's kind, and
+// row 0's is entries, a spare table entry no other row names, so that row 0
+// predicts 0 as every context's first row does.
+func follows(kinds []int64, entries int) []int64 {
+	ctx := make([]int64, len(kinds))
+	if len(ctx) > 0 {
+		ctx[0] = int64(entries)
+		copy(ctx[1:], kinds)
+	}
+	return ctx
+}
+
+// value is what the value coding stores for v.
+func (c *column) value(v int64) uint64 {
+	if c.dict {
+		return uint64(v)
+	}
+	return zigzag(v)
+}
+
+// appendTo renders the column's rows under whichever mode makes them
+// smallest. The bitmap is the same length in every mode, so the varints
+// decide, and one pass sizes all four.
+func (c *column) appendTo(dst []byte) []byte {
+	var size [modes]int
+	clear(c.last)
 	var prev int64
-	for i, v := range rows {
-		if i > 0 && v == prev {
-			continue
+	for i, v := range c.rows {
+		k := c.ctx[i]
+		p := c.last[k]
+		if v == prev && v == p {
+			continue // a clear bit in every mode, and the table stands
 		}
-		dst[bits+i/8] |= 1 << (i % 8)
-		u := uint64(v)
-		switch how {
-		case zigzagValue:
-			u = zigzag(v)
-		case zigzagDelta:
-			u = zigzag(v - prev)
+		n := uvarintLen(c.value(v))
+		if v != prev {
+			size[0] += n
+			size[asDelta] += uvarintLen(zigzag(v - prev))
+			prev = v
 		}
-		dst = binary.AppendUvarint(dst, u)
-		prev = v
+		if v != p {
+			size[byKind] += n
+			size[byKind|asDelta] += uvarintLen(zigzag(v - p))
+			c.last[k] = v
+		}
+	}
+	best := mode(0)
+	for m := range modes {
+		if size[m] < size[best] {
+			best = m
+		}
+	}
+	return c.render(dst, best)
+}
+
+// render appends the rows as a v3 page of mode m: the mode byte, the change
+// bitmap, and one uvarint per row that differs from its prediction.
+func (c *column) render(dst []byte, m mode) []byte {
+	dst = append(dst, byte(m))
+	bitmap := len(dst)
+	dst = append(dst, make([]byte, (len(c.rows)+7)/8)...)
+	clear(c.last)
+	kinds, delta := m&byKind != 0, m&asDelta != 0
+	var prev int64
+	for i := 0; i < len(c.rows); i += 8 {
+		var bits byte
+		for j, v := range c.rows[i:min(i+8, len(c.rows))] {
+			p := prev
+			if kinds {
+				p = c.last[c.ctx[i+j]]
+			}
+			if v != p {
+				bits |= 1 << j
+				u := c.value(v)
+				if delta {
+					u = zigzag(v - p)
+				}
+				dst = binary.AppendUvarint(dst, u)
+				if kinds {
+					c.last[c.ctx[i+j]] = v
+				}
+			}
+			prev = v
+		}
+		dst[bitmap+i/8] = bits
 	}
 	return dst
 }
 
-// pageRows is the one page decoder, of both block versions: it fills dst
-// from p, the rows of a column page coded how (see the format comment). A
-// v2 page opens with its change bitmap; a v1 page has none and reads as one
-// whose every bit is set. A dictionary index must be below entries. It
-// reports false, never panics, on a page that does not hold len(dst) rows.
-func pageRows[T uint32 | int64](dst []T, p []byte, v2 bool, how coding, entries uint64) bool {
-	var bits []byte
-	if v2 {
+// pageRows is the one page decoder, of every block version: it fills dst
+// from p, the rows of a column page of that version past its mode byte,
+// predicted and coded as m says (see the format comment). A v1 page has no
+// bitmap and reads as one whose every bit is set; a v2 page's row 0 bit is
+// always set. A by-kind page predicts row i from last[ctx[i]] — or, with
+// ctx nil, from last[the row before], as the kind page does — and last must
+// arrive zeroed. entries > 0 makes p a dictionary page, whose values are the
+// index and whose every row must be below entries; an integer page's values
+// are zigzag(v). It reports false, never panics, on a page that does not
+// hold len(dst) rows or names a context outside last.
+func pageRows[T uint32 | int64](dst []T, p []byte, version int, m mode, ctx []uint32, last []int64, entries uint64) bool {
+	var changed []byte
+	if version >= 2 {
 		nb := (len(dst) + 7) / 8
-		if len(p) < nb || nb > 0 && p[0]&1 == 0 {
+		if len(p) < nb || version == 2 && nb > 0 && p[0]&1 == 0 {
 			return false
 		}
-		bits, p = p[:nb], p[nb:]
+		changed, p = p[:nb], p[nb:]
 	}
+	r := rowReader{p: p, delta: m&asDelta != 0, entries: entries}
 	var prev int64
-	for i := 0; i < len(dst); i += 8 {
-		row := dst[i:min(i+8, len(dst))]
-		m := byte(0xFF)
-		if bits != nil {
-			m = bits[i/8]
-		}
-		for j := range row {
-			if m&(1<<j) != 0 {
-				// Most changed values are one byte, and binary.Uvarint is
-				// not inlined: the byte is read here, a few % of a scan.
-				u, sz := uint64(0), 1
-				if len(p) > 0 && p[0] < 0x80 {
-					u = uint64(p[0])
-				} else if u, sz = binary.Uvarint(p); sz <= 0 {
-					return false
-				}
-				p = p[sz:]
-				switch how {
-				case dictIndex:
-					if u >= entries {
+	if m&byKind == 0 {
+		for i := 0; i < len(dst); i += 8 {
+			row := dst[i:min(i+8, len(dst))]
+			bm := byte(0xFF)
+			if changed != nil {
+				bm = changed[i/8]
+			}
+			for j := range row {
+				if bm&(1<<j) != 0 {
+					u, sz := uint64(0), 1
+					if len(r.p) > 0 && r.p[0] < 0x80 {
+						u = uint64(r.p[0])
+					} else if u, sz = binary.Uvarint(r.p); sz <= 0 {
 						return false
 					}
-					prev = int64(u)
-				case zigzagValue:
-					prev = unzigzag(u)
-				case zigzagDelta:
-					prev += unzigzag(u)
+					r.p = r.p[sz:]
+					var ok bool
+					if prev, ok = r.value(u, prev); !ok {
+						return false
+					}
 				}
+				row[j] = T(prev)
 			}
-			row[j] = T(prev)
+		}
+		return true
+	}
+	if ctx == nil {
+		return kindRows(dst, changed, &r, last)
+	}
+	if len(ctx) < len(dst) {
+		return false
+	}
+	for i := 0; i < len(dst); i += 8 {
+		row, kinds := dst[i:min(i+8, len(dst))], ctx[i:min(i+8, len(dst))]
+		bm := byte(0xFF)
+		if changed != nil {
+			bm = changed[i/8]
+		}
+		for j, k := range kinds {
+			if int(k) >= len(last) {
+				return false
+			}
+			v := last[k]
+			if bm&(1<<j) != 0 {
+				u, sz := uint64(0), 1
+				if len(r.p) > 0 && r.p[0] < 0x80 {
+					u = uint64(r.p[0])
+				} else if u, sz = binary.Uvarint(r.p); sz <= 0 {
+					return false
+				}
+				r.p = r.p[sz:]
+				var ok bool
+				if v, ok = r.value(u, v); !ok {
+					return false
+				}
+				last[k] = v
+			}
+			row[j] = T(v)
 		}
 	}
 	return true
+}
+
+// kindRows is pageRows for a by-kind page predicting from itself, as the
+// kind page does: row i's context is row i−1, and row 0 predicts 0.
+func kindRows[T uint32 | int64](dst []T, changed []byte, r *rowReader, last []int64) bool {
+	k := -1
+	for i := 0; i < len(dst); i += 8 {
+		row := dst[i:min(i+8, len(dst))]
+		bm := byte(0xFF)
+		if changed != nil {
+			bm = changed[i/8]
+		}
+		for j := range row {
+			v := int64(0)
+			if k >= 0 {
+				v = last[k]
+			}
+			if bm&(1<<j) != 0 {
+				u, sz := uint64(0), 1
+				if len(r.p) > 0 && r.p[0] < 0x80 {
+					u = uint64(r.p[0])
+				} else if u, sz = binary.Uvarint(r.p); sz <= 0 {
+					return false
+				}
+				r.p = r.p[sz:]
+				var ok bool
+				if v, ok = r.value(u, v); !ok {
+					return false
+				}
+				if k >= 0 {
+					last[k] = v
+				}
+			}
+			row[j] = T(v)
+			// v is the next row's context, so it must name a table entry.
+			if uint64(v) >= uint64(len(last)) && i+j+1 < len(dst) {
+				return false
+			}
+			k = int(v)
+		}
+	}
+	return true
+}
+
+// rowReader reads a page's changed rows, one uvarint each, in order. The
+// row loops read each uvarint themselves, a one-byte one first: a call per
+// changed row, or binary.Uvarint for the one byte most rows take, costs a
+// scan 5–20 %.
+type rowReader struct {
+	p       []byte
+	delta   bool   // the page stores zigzag(v − prediction)
+	entries uint64 // > 0: a dictionary page, values are indexes below it
+}
+
+// value is the row that u, as the page stores it, makes of prediction pred.
+// It reports false on an index outside the dictionary.
+func (r *rowReader) value(u uint64, pred int64) (int64, bool) {
+	if r.delta {
+		v := pred + unzigzag(u)
+		return v, r.entries == 0 || uint64(v) < r.entries
+	}
+	if r.entries > 0 {
+		return int64(u), u < r.entries
+	}
+	return unzigzag(u), true
 }
 
 // dictBuilder interns strings into first-appearance dictionary order.
@@ -211,13 +407,14 @@ func (d *dictBuilder) add(s string) {
 	d.rows = append(d.rows, idx)
 }
 
-func (d *dictBuilder) page(dst []byte) []byte {
+// head appends the page's entries: their count, then each length-prefixed.
+func (d *dictBuilder) head(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(d.entries)))
 	for _, e := range d.entries {
 		dst = binary.AppendUvarint(dst, uint64(len(e)))
 		dst = append(dst, e...)
 	}
-	return appendRows(dst, d.rows, dictIndex)
+	return dst
 }
 
 // rawRow is one non-canonical journal line kept verbatim.
@@ -346,11 +543,22 @@ func encodeBlock(run string, lines [][]byte) ([]byte, *footer, error) {
 		ft.Pages = append(ft.Pages, pageInfo{Name: name, Off: int64(off), Len: int64(len(buf) - off)})
 		buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[off:], blockCRCTable))
 	}
-	page("kind", kind.page)
-	page("session", session.page)
-	page("label", label.page)
+	// Every page's by-kind prediction goes through the one table.
+	last := make([]int64, len(kind.entries)+1)
+	dictPage := func(d *dictBuilder, ctx []int64) func([]byte) []byte {
+		return func(p []byte) []byte {
+			c := column{rows: d.rows, ctx: ctx, last: last, dict: true}
+			return c.appendTo(d.head(p))
+		}
+	}
+	page("kind", dictPage(kind, follows(kind.rows, len(kind.entries))))
+	page("session", dictPage(session, kind.rows))
+	page("label", dictPage(label, kind.rows))
 	for i, c := range intCols {
-		page(c.Name, func(p []byte) []byte { return appendRows(p, ints[i], intCoding(c)) })
+		page(c.Name, func(p []byte) []byte {
+			col := column{rows: ints[i], ctx: kind.rows, last: last}
+			return col.appendTo(p)
+		})
 	}
 	page("raw", func(p []byte) []byte {
 		p = binary.AppendUvarint(p, uint64(len(raws)))
@@ -391,12 +599,14 @@ type Block struct {
 	file *os.File // what close releases; nil over DecodeBlock's memory
 	ft   footer
 
-	buf   []byte // the page read last; the next read overwrites it
-	have  uint32 // columns decoded for this block: bit c, or numDicts+i
-	dicts [numDicts]dictCol
-	kinds []telemetry.Kind // the kind dictionary resolved; unknown names are 0
-	ints  [][]int64        // one slab per telemetry.IntColumns entry
-	raws  []rawRow
+	buf     []byte // the page read last; the next read overwrites it
+	kindBuf []byte // the kind page's own buffer (see page)
+	have    uint32 // columns decoded for this block: bit c, or numDicts+i
+	dicts   [numDicts]dictCol
+	kinds   []telemetry.Kind // the kind dictionary resolved; unknown names are 0
+	ints    [][]int64        // one slab per telemetry.IntColumns entry
+	raws    []rawRow
+	last    []int64 // a by-kind page's table, one entry per kind (see pageRows)
 
 	// What filter resolved for this block: a verdict per dictionary entry
 	// and, when the query has a time window, the at_ns slab.
@@ -534,15 +744,22 @@ func (b *Block) open(src io.ReaderAt, size int64) error {
 	if err := json.Unmarshal(b.buf, &b.ft); err != nil {
 		return fmt.Errorf("%w: footer: %v", ErrBadBlock, err)
 	}
-	if b.ft.Version != version || b.ft.Rows < 0 || b.ft.Raws < 0 {
+	if b.ft.Version != version {
+		return fmt.Errorf("%w: footer version %d under a version %d header", ErrBadBlock, b.ft.Version, version)
+	}
+	if b.ft.Rows < 0 || b.ft.Raws < 0 {
 		return fmt.Errorf("%w: footer fields", ErrBadBlock)
 	}
-	// Every row costs at least a bit in every v2 column page (a byte in a
-	// v1 one), so a row count no page could hold is a lie — and the slabs
-	// are sized from it, so it must be refused before anything is.
-	rowsPerByte := int64(1)
-	if b.v2() {
+	// Every row costs at least a bit in every v2 or v3 column page — past a
+	// v3 page's mode byte — and a byte in a v1 one, so a row count no page
+	// could hold is a lie; and the slabs are sized from it, so it must be
+	// refused before anything is.
+	rowsPerByte, lead := int64(1), int64(0)
+	if version >= 2 {
 		rowsPerByte = 8
+	}
+	if version >= 3 {
+		lead = 1
 	}
 	for _, pg := range b.ft.Pages {
 		// Bounds via subtraction, not pg.Off+pg.Len+4: a crafted footer
@@ -551,15 +768,12 @@ func (b *Block) open(src io.ReaderAt, size int64) error {
 		if pg.Off < headerLen || pg.Len < 0 || pg.Len > size || pg.Off > size-4-pg.Len {
 			return fmt.Errorf("%w: page %q outside block", ErrBadBlock, pg.Name)
 		}
-		if pg.Name != "raw" && int64(b.ft.Rows) > rowsPerByte*pg.Len {
+		if pg.Name != "raw" && int64(b.ft.Rows) > rowsPerByte*(pg.Len-lead) {
 			return fmt.Errorf("%w: %d rows in the %d-byte page %q", ErrBadBlock, b.ft.Rows, pg.Len, pg.Name)
 		}
 	}
 	return nil
 }
-
-// v2 reports whether the open block's pages carry change bitmaps.
-func (b *Block) v2() bool { return b.ft.Version >= 2 }
 
 // Rows returns the number of events in the block.
 func (b *Block) Rows() int { return b.ft.Rows }
@@ -578,17 +792,23 @@ func (b *Block) TimeWindow() (minNS, maxNS int64) { return b.ft.MinAtNS, b.ft.Ma
 
 // page reads the named page into the reader's buffer and returns its
 // payload after verifying its CRC. The payload is valid until the next read.
+// The kind page has a buffer of its own: a by-kind page decodes the kind
+// rows midway through its own decode, and its payload must survive that.
 func (b *Block) page(name string) ([]byte, error) {
+	buf := &b.buf
+	if name == dictNames[colKind] {
+		buf = &b.kindBuf
+	}
 	for _, pg := range b.ft.Pages {
 		if pg.Name != name {
 			continue
 		}
-		b.buf = sized(b.buf, int(pg.Len)+4)
-		if _, err := b.src.ReadAt(b.buf, pg.Off); err != nil {
+		*buf = sized(*buf, int(pg.Len)+4)
+		if _, err := b.src.ReadAt(*buf, pg.Off); err != nil {
 			return nil, fmt.Errorf("page %q: %w", name, err)
 		}
-		payload := b.buf[:pg.Len]
-		if crc32.Checksum(payload, blockCRCTable) != binary.LittleEndian.Uint32(b.buf[pg.Len:]) {
+		payload := (*buf)[:pg.Len]
+		if crc32.Checksum(payload, blockCRCTable) != binary.LittleEndian.Uint32((*buf)[pg.Len:]) {
 			return nil, fmt.Errorf("%w: page %q checksum", ErrBadBlock, name)
 		}
 		return payload, nil
@@ -655,16 +875,18 @@ func (b *Block) dictEntries(c int) (rest []byte, err error) {
 func (b *Block) dictRows(c int, rest []byte) error {
 	d := &b.dicts[c]
 	d.rows = sized(d.rows, b.ft.Rows)
-	if !pageRows(d.rows, rest, b.v2(), dictIndex, uint64(len(d.entries))) {
+	if len(d.entries) == 0 && len(d.rows) > 0 {
 		return fmt.Errorf("%w: dict %q rows", ErrBadBlock, dictNames[c])
+	}
+	if err := decodePage(b, d.rows, rest, dictNames[c], uint64(len(d.entries))); err != nil {
+		return err
 	}
 	b.have |= 1 << c
 	return nil
 }
 
 // Ints decodes an integer column, once per block, into its exact-size slab,
-// undoing the change bitmap and the delta encoding where the column used
-// them.
+// undoing the page's prediction and coding.
 func (b *Block) Ints(name string) ([]int64, error) {
 	cols := telemetry.IntColumns()
 	ci := 0
@@ -686,11 +908,43 @@ func (b *Block) Ints(name string) ([]int64, error) {
 	}
 	dst := sized(b.ints[ci], b.ft.Rows)
 	b.ints[ci] = dst
-	if !pageRows(dst, p, b.v2(), intCoding(cols[ci]), 0) {
-		return nil, fmt.Errorf("%w: int %q rows", ErrBadBlock, name)
+	if err := decodePage(b, dst, p, name, 0); err != nil {
+		return nil, err
 	}
 	b.have |= 1 << (numDicts + ci)
 	return dst, nil
+}
+
+// decodePage fills dst from p, the named column's page payload past any
+// dictionary entries: its mode — a v3 page's leading byte, else implied —
+// then, for a by-kind page, the kind rows it predicts from (none on the kind
+// page itself), then the rows. entries is 0 for an integer column.
+func decodePage[T uint32 | int64](b *Block, dst []T, p []byte, name string, entries uint64) error {
+	m := impliedMode(name)
+	if b.ft.Version >= 3 {
+		if len(p) == 0 || mode(p[0]) >= modes {
+			return fmt.Errorf("%w: column %q mode", ErrBadBlock, name)
+		}
+		m, p = mode(p[0]), p[1:]
+	}
+	var ctx []uint32
+	var last []int64
+	if m&byKind != 0 {
+		if name != dictNames[colKind] {
+			kind, err := b.dict(colKind)
+			if err != nil {
+				return err
+			}
+			ctx = kind.rows
+		}
+		b.last = sized(b.last, len(b.dicts[colKind].entries))
+		clear(b.last)
+		last = b.last
+	}
+	if !pageRows(dst, p, b.ft.Version, m, ctx, last, entries) {
+		return fmt.Errorf("%w: column %q rows", ErrBadBlock, name)
+	}
+	return nil
 }
 
 // rawRows reads the raw page: the verbatim journal lines of non-canonical

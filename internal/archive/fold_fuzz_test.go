@@ -117,7 +117,7 @@ func foldRollup(events []telemetry.Event) map[string]GroupRollup {
 
 // FuzzQueryMatchesJournalFold is the archive's differential oracle: over
 // fuzzed journals — canonical and raw-page lines interleaved, sessions
-// split across block boundaries, v1 and v2 blocks side by side, a live WAL
+// split across block boundaries, v1, v2 and v3 blocks side by side, a live WAL
 // tail when the cut leaves one — Scan and Aggregate under every predicate
 // shape, and Export, must equal a row-by-row fold of the JSONL the store was
 // fed: on the writing store, on a cold read-only view (no footer held yet),
@@ -156,19 +156,21 @@ func FuzzQueryMatchesJournalFold(f *testing.F) {
 			}
 			journal = append(journal, batch...)
 		}
-		// Every other block as the v1 encoder wrote it, so the store mixes
-		// v1 blocks, v2 blocks and a WAL tail the way an upgraded one does.
+		// Two blocks in three as the v2 or the v1 encoder wrote them, so the
+		// store mixes every block version and a WAL tail the way an upgraded
+		// one does.
 		blocks, err := filepath.Glob(filepath.Join(dir, "r", "*.blk"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, path := range blocks {
-			if (i+int(pick))%2 == 0 {
+			version := (i + int(pick)) % 3
+			if version == 0 {
 				continue
 			}
 			blk, err := os.ReadFile(path)
 			if err == nil {
-				err = os.WriteFile(path, downgrade(t, blk), 0o644)
+				err = os.WriteFile(path, downgrade(t, blk, version), 0o644)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -246,7 +248,7 @@ func FuzzQueryMatchesJournalFold(f *testing.F) {
 			}
 		}
 		// The writer holds the footers its compactions built, of blocks since
-		// rewritten as v1: each open must notice the size and re-read.
+		// rewritten as v1 or v2: each open must notice the size and re-read.
 		check("writer", s)
 		// Cold: each query's Scan is the first over a fresh read-only view,
 		// which reads each footer before it can prune on it.

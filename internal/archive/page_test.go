@@ -7,27 +7,61 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"bba/internal/telemetry"
 )
 
+// legacyValue is what a v1 or v2 page of implied mode m stored for row v
+// after prev: zigzag(v − prev) in a delta column, a dictionary index as is,
+// any other integer zigzag(v).
+func legacyValue(v, prev int64, m mode, dict bool) uint64 {
+	switch {
+	case m&asDelta != 0:
+		return zigzag(v - prev)
+	case dict:
+		return uint64(v)
+	}
+	return zigzag(v)
+}
+
 // appendRowsV1 renders rows the way a version-1 page did: one uvarint a
 // row, no bitmap.
-func appendRowsV1(dst []byte, rows []int64, how coding) []byte {
+func appendRowsV1(dst []byte, rows []int64, m mode, dict bool) []byte {
 	var prev int64
 	for _, v := range rows {
-		u := uint64(v)
-		switch how {
-		case zigzagValue:
-			u = zigzag(v)
-		case zigzagDelta:
-			u = zigzag(v - prev)
-		}
-		dst = binary.AppendUvarint(dst, u)
+		dst = binary.AppendUvarint(dst, legacyValue(v, prev, m, dict))
 		prev = v
 	}
 	return dst
+}
+
+// appendRowsV2 renders rows the way a version-2 page did: the change
+// bitmap, row 0's bit always set, then one uvarint per changed row.
+func appendRowsV2(dst []byte, rows []int64, m mode, dict bool) []byte {
+	bitmap := len(dst)
+	dst = append(dst, make([]byte, (len(rows)+7)/8)...)
+	var prev int64
+	for i, v := range rows {
+		if i > 0 && v == prev {
+			continue
+		}
+		dst[bitmap+i/8] |= 1 << (i % 8)
+		dst = binary.AppendUvarint(dst, legacyValue(v, prev, m, dict))
+		prev = v
+	}
+	return dst
+}
+
+// dictRows64 returns a decoded dictionary column's rows as int64s.
+func dictRows64(b *Block, c int) []int64 {
+	rows := make([]int64, len(b.dicts[c].rows))
+	for i, r := range b.dicts[c].rows {
+		rows[i] = int64(r)
+	}
+	return rows
 }
 
 // dictHead returns the length of a dictionary page's entries — its count
@@ -75,65 +109,82 @@ func rewrite(t testing.TB, blk []byte, version int, edit func(name string, paylo
 	return seal(t, out, ft)
 }
 
-// downgrade re-renders a block as version 1 — the bytes the v1 encoder
-// wrote for the same lines, which TestBlockFormatGoldenV1 checks against a
-// block that encoder sealed.
-func downgrade(t testing.TB, blk []byte) []byte {
+// downgrade re-renders a block as version 1 or 2 — the bytes that
+// version's encoder wrote for the same lines, which
+// TestBlockFormatGoldenLegacy checks against blocks those encoders sealed.
+func downgrade(t testing.TB, blk []byte, version int) []byte {
 	t.Helper()
 	b := loaded(t, blk)
-	return rewrite(t, blk, 1, func(name string, p []byte) []byte {
+	legacy := appendRowsV1
+	if version == 2 {
+		legacy = appendRowsV2
+	}
+	return rewrite(t, blk, version, func(name string, p []byte) []byte {
 		for c, dn := range dictNames {
 			if name == dn {
-				rows := make([]int64, len(b.dicts[c].rows))
-				for i, r := range b.dicts[c].rows {
-					rows[i] = int64(r)
-				}
-				return appendRowsV1(p[:dictHead(p)], rows, dictIndex)
+				return legacy(p[:dictHead(p)], dictRows64(b, c), 0, true)
 			}
 		}
 		for ci, c := range telemetry.IntColumns() {
 			if name == c.Name {
-				return appendRowsV1(nil, b.ints[ci], intCoding(c))
+				return legacy(nil, b.ints[ci], impliedMode(c.Name), false)
 			}
 		}
 		return p // raw
 	})
 }
 
-// TestBlockRejectsCorruptPages is the v2 page format's negative table: one
-// good block, then one field corrupted per case — each page re-signed, so
+// TestBlockRejectsCorruptPages is the page format's negative table: good v3
+// and v2 blocks, then one field corrupted per case — each page re-signed, so
 // the CRCs pass and the decoder itself must refuse — and every case must
-// surface as ErrBadBlock, from the open or from the first read of the page.
+// surface as ErrBadBlock, from the open or from the first read of the page,
+// naming what it refused.
 func TestBlockRejectsCorruptPages(t *testing.T) {
 	lines := splitLines(batchOf(0, 100))
 	good, _, err := encodeBlock("r", lines)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := len(lines)
-	bitmap := (rows + 7) / 8
-	// page swaps the one named page's payload for what corrupt makes of it.
-	page := func(name string, corrupt func(p []byte) []byte) []byte {
-		return rewrite(t, good, blockVersion, func(n string, p []byte) []byte {
+	good2 := downgrade(t, good, 2)
+	decoded := loaded(t, good)
+	bitmap := (len(lines) + 7) / 8
+	// page swaps the one named page's payload of blk, a block of the given
+	// version, for what corrupt makes of it.
+	page := func(blk []byte, version int, name string, corrupt func(p []byte) []byte) []byte {
+		return rewrite(t, blk, version, func(n string, p []byte) []byte {
 			if n == name {
 				return corrupt(p)
 			}
 			return p
 		})
 	}
-	refooted := func(edit func(ft *footer)) []byte {
-		ft := loaded(t, good).ft
+	// rerender swaps dictionary column c's rows for what edit makes of them,
+	// rendered in mode m as the encoder would — which never checks them
+	// against the entries. Its table has room for one kind past the
+	// dictionary.
+	rerender := func(c int, m mode, edit func(rows []int64)) []byte {
+		kinds, entries := dictRows64(decoded, colKind), len(decoded.dicts[colKind].entries)
+		col := column{rows: dictRows64(decoded, c), ctx: kinds, last: make([]int64, entries+2), dict: true}
+		edit(col.rows)
+		if c == colKind {
+			col.ctx = follows(col.rows, entries+1)
+		}
+		return page(good, blockVersion, dictNames[c], func(p []byte) []byte { return col.render(p[:dictHead(p)], m) })
+	}
+	refooted := func(blk []byte, edit func(ft *footer)) []byte {
+		ft := loaded(t, blk).ft
 		edit(&ft)
-		return refoot(t, good, ft)
+		return refoot(t, blk, ft)
 	}
 	minPage := int64(math.MaxInt64)
-	for _, pg := range loaded(t, good).ft.Pages {
+	for _, pg := range decoded.ft.Pages {
 		if pg.Name != "raw" {
 			minPage = min(minPage, pg.Len)
 		}
 	}
-	v1Header := append([]byte(nil), good...)
+	v1Header := append([]byte(nil), good2...)
 	v1Header[headerLen-1] = 1
+	entries := func(c int) int64 { return int64(len(decoded.dicts[c].entries)) }
 	// Where the lie must be caught: a footer's by the open, before any slab
 	// is sized from it; a page's by the first read of that page.
 	const accepted, byOpen, byPage = "", "the open", "the page read"
@@ -141,30 +192,41 @@ func TestBlockRejectsCorruptPages(t *testing.T) {
 		name string
 		blk  []byte
 		want string
+		says string // what the refusal must name
 	}{
-		{"the good block", good, accepted},
-		{"the good block re-rendered unchanged", page("kind", func(p []byte) []byte { return p }), accepted},
-		{"bitmap shorter than ⌈rows/8⌉", page("session", func(p []byte) []byte {
-			return p[:dictHead(p)+bitmap-1]
-		}), byPage},
-		{"row 0's bit clear in a dictionary page", page("kind", func(p []byte) []byte {
+		{"the good block", good, accepted, ""},
+		{"the good v2 block", good2, accepted, ""},
+		{"the good block re-rendered unchanged", page(good, blockVersion, "kind", func(p []byte) []byte { return p }), accepted, ""},
+		{"the label page re-rendered by kind, as deltas", rerender(colLabel, byKind|asDelta, func([]int64) {}), accepted, ""},
+		{"undefined mode bits", page(good, blockVersion, "at_ns", func(p []byte) []byte {
+			p[0] = byte(modes)
+			return p
+		}), byPage, `"at_ns" mode`},
+		{"a page too short for its mode byte", page(good, blockVersion, "session", func(p []byte) []byte {
+			return p[:dictHead(p)]
+		}), byPage, `"session" mode`},
+		{"bitmap shorter than ⌈rows/8⌉", page(good, blockVersion, "session", func(p []byte) []byte {
+			return p[:dictHead(p)+1+bitmap-1]
+		}), byPage, `"session" rows`},
+		{"row 0's bit clear in a dictionary page", page(good2, 2, "kind", func(p []byte) []byte {
 			p[dictHead(p)] &^= 1
 			return p
-		}), byPage},
-		{"a changed-value varint truncated", page("at_ns", func(p []byte) []byte {
+		}), byPage, `"kind" rows`},
+		{"a changed-value varint truncated", page(good, blockVersion, "at_ns", func(p []byte) []byte {
 			return p[:len(p)-1]
-		}), byPage},
-		{"a dictionary index ≥ the entry count", page("label", func(p []byte) []byte {
-			entries, _ := binary.Uvarint(p)
-			at := dictHead(p) + bitmap
-			_, sz := binary.Uvarint(p[at:])
-			return append(binary.AppendUvarint(p[:at:at], entries), p[at+sz:]...)
-		}), byPage},
-		{"a footer claiming more than 8 rows per page byte", refooted(func(ft *footer) {
-			ft.Rows = int(8*minPage) + 1
-		}), byOpen},
-		{"header version 2, footer version 1", refooted(func(ft *footer) { ft.Version = 1 }), byOpen},
-		{"header version 1, footer version 2", v1Header, byOpen},
+		}), byPage, `"at_ns" rows`},
+		{"a dictionary index ≥ the entry count", rerender(colLabel, 0, func(rows []int64) {
+			rows[len(rows)/2] = entries(colLabel)
+		}), byPage, `"label" rows`},
+		{"a context index ≥ the kind entry count", rerender(colKind, byKind|asDelta, func(rows []int64) {
+			rows[len(rows)/2] = entries(colKind)
+		}), byPage, `"kind" rows`},
+		{"a footer claiming more than 8 rows per page byte", refooted(good, func(ft *footer) {
+			ft.Rows = int(8*(minPage-1)) + 1
+		}), byOpen, "rows in the"},
+		{"header version 3, footer version 2", refooted(good, func(ft *footer) { ft.Version = 2 }), byOpen, "footer version 2 under a version 3 header"},
+		{"header version 2, footer version 1", refooted(good2, func(ft *footer) { ft.Version = 1 }), byOpen, "footer version 1 under a version 2 header"},
+		{"header version 1, footer version 2", v1Header, byOpen, "footer version 2 under a version 1 header"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b, err := DecodeBlock(tc.blk)
@@ -179,6 +241,8 @@ func TestBlockRejectsCorruptPages(t *testing.T) {
 				t.Fatalf("error %v, want ErrBadBlock", err)
 			case tc.want != accepted && got != tc.want:
 				t.Fatalf("refused by %s, want %s: %v", got, tc.want, err)
+			case tc.want != accepted && !strings.Contains(err.Error(), tc.says):
+				t.Fatalf("error %q does not name %s", err, tc.says)
 			}
 		})
 	}
@@ -219,11 +283,13 @@ func pageColumn(data []byte) []int64 {
 	return col
 }
 
-// FuzzPageCodec states the property the v2 gain rests on and bounds its
-// worst case, for every coding: a column encoded and decoded comes back
-// exactly; its v2 page is never longer than the v1 page of the same column
-// plus the ⌈rows/8⌉-byte bitmap; and the decoder, of either version, never
-// panics on arbitrary bytes.
+// FuzzPageCodec states the property the v3 gain rests on and bounds its
+// worst case: a column encoded in any of the four modes — on a dictionary
+// page, an integer page, or the kind page predicting from itself — and
+// decoded comes back exactly; the mode encodeBlock picks is never longer
+// than the v2 page of the same column, in either v2 coding, plus the mode
+// byte; v2 and v1 pages still decode; and the decoder, of any version and
+// mode, never panics on arbitrary bytes under arbitrary context rows.
 func FuzzPageCodec(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 5, 5, 5, 1, 1}, uint8(1))
 	f.Add([]byte{3, 4, 3, 4, 2, 2, 2, 0}, uint8(2))
@@ -232,38 +298,75 @@ func FuzzPageCodec(f *testing.F) {
 	f.Add([]byte{}, uint8(1))
 	f.Fuzz(func(t *testing.T, data []byte, pick uint8) {
 		col := pageColumn(data)
-		how := coding(pick % 3)
+		// The context rows: one of up to eight kinds a row, from the bytes.
+		nk := int(pick>>5) + 1
+		kinds := make([]int64, len(col))
+		ctx := make([]uint32, len(col))
+		for i := range kinds {
+			if i < len(data) {
+				kinds[i] = int64(data[i]>>3) % int64(nk)
+			}
+			ctx[i] = uint32(kinds[i])
+		}
+		c := column{rows: col, ctx: kinds, last: make([]int64, nk+1)}
 		entries := uint64(0)
-		if how == dictIndex {
-			// Dictionary pages hold indexes: fold the column onto
-			// [0, entries).
-			entries = uint64(pick)/3 + 1
+		switch pick % 3 {
+		case 1: // a dictionary page: fold the column onto [0, entries)
+			c.dict, entries = true, uint64(pick>>2&7)+1
+		case 2: // the kind page: each row is the next one's context
+			c.dict, ctx, entries = true, nil, uint64(nk)
+		}
+		if c.dict {
 			for i, v := range col {
 				col[i] = int64(uint64(v) % entries)
 			}
 		}
-		v1 := appendRowsV1(nil, col, how)
-		v2 := appendRows(nil, col, how)
-		if bound := len(v1) + (len(col)+7)/8; len(v2) > bound {
-			t.Fatalf("%d rows coded %d: v2 page %d bytes, over v1's %d plus the bitmap", len(col), how, len(v2), len(v1))
+		if ctx == nil {
+			c.ctx = follows(col, nk)
 		}
-		for _, pg := range []struct {
-			v2   bool
-			page []byte
-		}{{false, v1}, {true, v2}} {
+		last := make([]int64, nk)
+		decodes := func(page []byte, version int, m mode) {
+			t.Helper()
 			got := make([]int64, len(col))
-			if !pageRows(got, pg.page, pg.v2, how, entries) {
-				t.Fatalf("v2=%v: %d rows coded %d did not decode", pg.v2, len(col), how)
+			clear(last)
+			if !pageRows(got, page, version, m, ctx, last, entries) {
+				t.Fatalf("v%d mode %d: %d rows did not decode", version, m, len(col))
 			}
-			for i := range col {
-				if got[i] != col[i] {
-					t.Fatalf("v2=%v coded %d, row %d: decoded %d, encoded %d", pg.v2, how, i, got[i], col[i])
-				}
+			if !slices.Equal(got, col) {
+				t.Fatalf("v%d mode %d: decoded %v, encoded %v", version, m, got, col)
 			}
 		}
-		// Arbitrary bytes, either version, any row count the input implies.
+		for m := range modes {
+			decodes(c.render(nil, m)[1:], blockVersion, m)
+		}
+		chosen := c.appendTo(nil)
+		decodes(chosen[1:], blockVersion, mode(chosen[0]))
+		legacy := []mode{0}
+		if !c.dict {
+			legacy = append(legacy, asDelta)
+		}
+		for _, m := range legacy {
+			v2 := appendRowsV2(nil, col, m, c.dict)
+			if len(chosen) > len(v2)+1 {
+				t.Fatalf("%d rows: v3 page %d bytes, over the mode-%d v2 page's %d plus the mode byte", len(col), len(chosen), m, len(v2))
+			}
+			decodes(v2, 2, m)
+			decodes(appendRowsV1(nil, col, m, c.dict), 1, m)
+		}
+		// Arbitrary bytes, any version and mode, any row count the input
+		// implies, contexts from the bytes and a table that may be short.
 		rows := make([]uint32, int(pick)%(8*len(data)+1))
-		pageRows(rows, data, pick&1 == 0, dictIndex, entries+1)
-		pageRows(make([]int64, len(rows)), data, pick&1 == 1, how, 0)
+		anyCtx := make([]uint32, len(rows))
+		for i := range anyCtx {
+			anyCtx[i] = uint32(data[i%len(data)])
+		}
+		m := mode(pick>>2) % modes
+		short := last[:int(pick)%(nk+1)]
+		clear(short)
+		pageRows(rows, data, int(pick)%3+1, m, anyCtx, short, entries+1)
+		clear(short)
+		pageRows(rows, data, int(pick)%3+1, m, nil, short, entries+1)
+		clear(short)
+		pageRows(make([]int64, len(rows)), data, int(pick>>1)%3+1, m, nil, short, 0)
 	})
 }

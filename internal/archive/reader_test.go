@@ -51,76 +51,92 @@ func TestBlockFormatGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "1561c4c87fcdf3211310e2eb9f7f5af4fd328fa1e10777cce5280beed8cc29c1"
+	const want = "6ffa369db273024a6e6806f2c920a47bdc7d960cb42b5266a7d9997b788e9beb"
 	if got := sha256.Sum256(blk); hex.EncodeToString(got[:]) != want {
-		t.Fatalf("encodeBlock over the fixed journal = %d bytes, sha256 %x, want %s: the v2 block format moved",
+		t.Fatalf("encodeBlock over the fixed journal = %d bytes, sha256 %x, want %s: the v3 block format moved",
 			len(blk), got, want)
 	}
 }
 
-// TestBlockFormatGoldenV1 pins the version this reader still reads:
-// testdata/golden-v1.blk is what the version-1 encoder sealed from the same
-// journal (its SHA-256 was that format's golden). It must export byte for
-// byte and answer every block-level Scan and Aggregate exactly as the v2
-// block of the journal does; and downgrade, the tests' v1 writer, must
-// reproduce it, so the v1 blocks FuzzQueryMatchesJournalFold mixes into its
-// stores are the ones that encoder wrote.
-func TestBlockFormatGoldenV1(t *testing.T) {
-	v1, err := os.ReadFile(filepath.Join("testdata", "golden-v1.blk"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const want = "5980c6a866e497e103ec1f10fcce9a875e38942488b2e07ca1608e1ef14aa84d"
-	if got := sha256.Sum256(v1); hex.EncodeToString(got[:]) != want {
-		t.Fatalf("fixture sha256 %x, want the v1 golden %s", got, want)
-	}
+// TestBlockFormatGoldenLegacy pins the versions this reader still reads:
+// testdata/golden-v1.blk and golden-v2.blk are what those versions'
+// encoders sealed from the same journal (each SHA-256 was its format's
+// golden). Each must export byte for byte and answer every block-level Scan
+// and Aggregate exactly as the v3 block of the journal does; and downgrade,
+// the tests' legacy writer, must reproduce each, so the old blocks
+// FuzzQueryMatchesJournalFold mixes into its stores are the ones those
+// encoders wrote.
+func TestBlockFormatGoldenLegacy(t *testing.T) {
 	lines := goldenJournal()
-	v2, _, err := encodeBlock("golden", lines)
+	journal := bytes.Join(lines, nil)
+	v3, _, err := encodeBlock("golden", lines)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(downgrade(t, v2), v1) {
-		t.Fatal("downgrade of the v2 block is not the block the v1 encoder sealed")
-	}
-	var export [2]bytes.Buffer
-	for i, blk := range [][]byte{v1, v2} {
-		if err := loaded(t, blk).Export(&export[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if journal := bytes.Join(lines, nil); !bytes.Equal(export[0].Bytes(), journal) || !bytes.Equal(export[1].Bytes(), journal) {
-		t.Fatalf("exports of %d (v1) and %d (v2) bytes, want the %d-byte journal", export[0].Len(), export[1].Len(), len(journal))
-	}
-	for _, q := range []Query{
+	queries := []Query{
 		{},
 		{Group: "BBA-1"},
 		{Session: "d0.w0.s3.BBA-1"},
 		{Kinds: []telemetry.Kind{telemetry.ChunkComplete, telemetry.RebufferEnd}},
 		{Kinds: []telemetry.Kind{telemetry.BufferSample}, From: 7},
 		{From: 100 * time.Millisecond, To: 250 * time.Millisecond},
-	} {
-		var scans [2][]telemetry.Event
-		var rolls [2]map[string]GroupRollup
-		for i, blk := range [][]byte{v1, v2} {
+	}
+	// answers is every query's Scan and Aggregate over blk.
+	answers := func(blk []byte) (scans [][]telemetry.Event, rolls []map[string]GroupRollup) {
+		for _, q := range queries {
 			p := q.compile()
-			if _, err := loaded(t, blk).scan(p, func(e telemetry.Event) bool { scans[i] = append(scans[i], e); return true }); err != nil {
+			var scan []telemetry.Event
+			if _, err := loaded(t, blk).scan(p, func(e telemetry.Event) bool { scan = append(scan, e); return true }); err != nil {
 				t.Fatal(err)
 			}
 			st := new(aggState)
 			if _, err := st.addBlock(loaded(t, blk), p); err != nil {
 				t.Fatal(err)
 			}
-			rolls[i] = map[string]GroupRollup{}
+			roll := map[string]GroupRollup{}
 			for g, gr := range st.groups {
-				rolls[i][g] = *gr
+				roll[g] = *gr
 			}
+			scans, rolls = append(scans, scan), append(rolls, roll)
 		}
-		if len(scans[1]) == 0 || !slices.Equal(scans[0], scans[1]) {
-			t.Errorf("Scan %+v: v1 block %d events, v2 block %d, or they differ", q, len(scans[0]), len(scans[1]))
-		}
-		if !maps.Equal(rolls[0], rolls[1]) {
-			t.Errorf("Aggregate %+v:\nv1 %+v\nv2 %+v", q, rolls[0], rolls[1])
-		}
+		return scans, rolls
+	}
+	wantScans, wantRolls := answers(v3)
+	for _, tc := range []struct {
+		version int
+		sha256  string
+	}{
+		{1, "5980c6a866e497e103ec1f10fcce9a875e38942488b2e07ca1608e1ef14aa84d"},
+		{2, "1561c4c87fcdf3211310e2eb9f7f5af4fd328fa1e10777cce5280beed8cc29c1"},
+	} {
+		t.Run(fmt.Sprintf("v%d", tc.version), func(t *testing.T) {
+			blk, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("golden-v%d.blk", tc.version)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sha256.Sum256(blk); hex.EncodeToString(got[:]) != tc.sha256 {
+				t.Fatalf("fixture sha256 %x, want the v%d golden %s", got, tc.version, tc.sha256)
+			}
+			if !bytes.Equal(downgrade(t, v3, tc.version), blk) {
+				t.Fatalf("downgrade of the v3 block is not the block the v%d encoder sealed", tc.version)
+			}
+			var export bytes.Buffer
+			if err := loaded(t, blk).Export(&export); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(export.Bytes(), journal) {
+				t.Fatalf("export of %d bytes, want the %d-byte journal", export.Len(), len(journal))
+			}
+			scans, rolls := answers(blk)
+			for i, q := range queries {
+				if len(wantScans[i]) == 0 || !slices.Equal(scans[i], wantScans[i]) {
+					t.Errorf("Scan %+v: v%d block %d events, v3 block %d, or they differ", q, tc.version, len(scans[i]), len(wantScans[i]))
+				}
+				if !maps.Equal(rolls[i], wantRolls[i]) {
+					t.Errorf("Aggregate %+v:\nv%d %+v\nv3 %+v", q, tc.version, rolls[i], wantRolls[i])
+				}
+			}
+		})
 	}
 }
 
@@ -473,7 +489,7 @@ func TestChangedBlockIsReread(t *testing.T) {
 	}
 	views := map[string]*Store{"writer": s, "read-only": ro}
 
-	if err := os.WriteFile(path, downgrade(t, blk), 0o644); err != nil {
+	if err := os.WriteFile(path, downgrade(t, blk, 1), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for view, st := range views {

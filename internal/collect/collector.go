@@ -149,20 +149,16 @@ func (c *Collector) ingestFrameLocked(f Frame) error {
 		c.stats.FramesRetry++
 		return fmt.Errorf("%w: %v", ErrArchive, c.archiveErr)
 	}
-	payload := f.Payload
-	// The payload outlives this call (archive, tail subscribers); copy
-	// out of the caller's buffer.
-	if c.cfg.Archive != nil || len(c.subs) > 0 {
-		payload = append([]byte(nil), f.Payload...)
-	}
 	if c.cfg.Archive != nil {
 		// Persist BEFORE the seq is spent: an admitted seq is consumed
 		// forever, so archiving after admission turns a failed write
 		// into silent loss — the shipper's retry would be discarded as
 		// a duplicate. Freshness is checked first so re-deliveries of
 		// already-archived frames are re-ACKed without a second write.
+		// The archive keeps no reference to the batch (see Archiver), so
+		// it reads the caller's buffer in place.
 		if st, ok := c.streams[key]; !ok || st.freshSlide(f.Seq) {
-			if err := c.cfg.Archive.Append(f.Run, payload); err != nil {
+			if err := c.cfg.Archive.Append(f.Run, f.Payload); err != nil {
 				c.archiveErr = err
 				c.stats.ArchiveErrors++
 				c.stats.FramesRetry++
@@ -181,8 +177,8 @@ func (c *Collector) ingestFrameLocked(f Frame) error {
 		c.stats.FramesDup++
 		return nil
 	}
-	c.stats.Events += int64(bytes.Count(payload, []byte{'\n'}))
-	c.publish(f.Run, payload)
+	c.stats.Events += int64(bytes.Count(f.Payload, []byte{'\n'}))
+	c.publish(f.Run, f.Payload)
 	c.stats.Frames[f.Kind.String()]++
 	return nil
 }
@@ -241,8 +237,14 @@ func (c *Collector) Subscribe(buf int) (ch <-chan TailMsg, cancel func()) {
 	}
 }
 
-// publish fans an admitted batch out to subscribers. Caller holds mu.
+// publish fans an admitted batch out to subscribers. The batch outlives
+// this call in their channels, so it is copied out of the caller's buffer —
+// once, shared — and only when someone is subscribed. Caller holds mu.
 func (c *Collector) publish(run string, payload []byte) {
+	if len(c.subs) == 0 {
+		return
+	}
+	payload = bytes.Clone(payload)
 	for _, sub := range c.subs {
 		select {
 		case sub <- TailMsg{Run: run, Payload: payload}:

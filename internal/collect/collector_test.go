@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -231,5 +232,71 @@ func TestCollectorArchiveFailureNACK(t *testing.T) {
 	mresp.Body.Close()
 	if !strings.Contains(metrics.String(), "bba_collect_archive_errors_total 4") {
 		t.Fatalf("metrics missing archive errors counter:\n%s", metrics.String())
+	}
+}
+
+// discardArchiver accepts every batch and keeps none of it, as the
+// Archiver contract asks.
+type discardArchiver struct{ batches int }
+
+func (a *discardArchiver) Append(string, []byte) error { a.batches++; return nil }
+
+// TestCollectorCopiesPayloadOnlyForSubscribers: the archive reads a frame's
+// payload in place, so a fresh frame with no tail subscriber, and any
+// duplicate, allocates no copy of it; a fresh frame with a subscriber
+// allocates one, which survives the caller reusing its buffer.
+func TestCollectorCopiesPayloadOnlyForSubscribers(t *testing.T) {
+	arch := new(discardArchiver)
+	c := NewCollector(CollectorConfig{Archive: arch})
+	payload := eventsPayload(400)
+	const frames = 20
+	var fresh [frames + 1][]byte
+	for seq := range fresh {
+		fresh[seq] = AppendFrame(nil, Frame{Run: "r", Session: 1, Seq: uint64(seq), Kind: PayloadEvents, Payload: payload})
+	}
+	// perIngest is the heap bytes each of frames ingests allocates.
+	perIngest := func(frame func(i int) []byte) float64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < frames; i++ {
+			if err := c.Ingest(frame(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / frames
+	}
+	// The first frame opens the stream; what follows is steady state.
+	if err := c.Ingest(fresh[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got := perIngest(func(i int) []byte { return fresh[i+1] }); got > float64(len(payload))/4 {
+		t.Errorf("a fresh frame with no subscriber allocates %.0f B, the payload is %d B: it was copied", got, len(payload))
+	}
+	if got := perIngest(func(i int) []byte { return fresh[i%len(fresh)] }); got > float64(len(payload))/4 {
+		t.Errorf("a duplicate frame allocates %.0f B, the payload is %d B: it was copied", got, len(payload))
+	}
+	if arch.batches != frames+1 {
+		t.Fatalf("archive took %d batches, want %d: duplicates must not be archived", arch.batches, frames+1)
+	}
+
+	tail, cancel := c.Subscribe(1)
+	defer cancel()
+	buf := AppendFrame(nil, Frame{Run: "r", Session: 1, Seq: frames + 1, Kind: PayloadEvents, Payload: payload})
+	if err := c.Ingest(buf); err != nil {
+		t.Fatal(err)
+	}
+	clear(buf)
+	if msg := <-tail; !bytes.Equal(msg.Payload, payload) {
+		t.Fatal("the subscriber's batch changed with the caller's buffer: it was not copied")
+	}
+	if err := c.Ingest(fresh[3]); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case msg := <-tail:
+		t.Fatalf("a duplicate frame reached the subscriber: %d bytes", len(msg.Payload))
+	default:
 	}
 }

@@ -57,10 +57,12 @@ func TestExpositionConformance(t *testing.T) {
 			"bba_collect_admit_seconds_count":    5, // every frame, whatever its verdict
 			"bba_collect_admit_seconds_sum":      -1,
 		}},
-		{"archive.Store", compactedStore(t), 2, map[string]float64{
+		{"archive.Store", compactedStore(t), 4, map[string]float64{
 			"bba_archive_compact_seconds_bucket/+Inf": 2,
 			"bba_archive_compact_seconds_count":       2,
 			"bba_archive_compact_seconds_sum":         -1,
+			"bba_archive_sealed_bytes_total":          -1,
+			"bba_archive_sealed_rows_total":           6,
 			"bba_archive_wal_events":                  3,
 		}},
 		{"coord.Coordinator", finishedCoordinator(t), 12, map[string]float64{
@@ -198,8 +200,8 @@ func busyCollector(t *testing.T) http.Handler {
 	return c.Handler()
 }
 
-// compactedStore seals two blocks — one by threshold inside an Append, one
-// on request — and leaves three events in the WAL.
+// compactedStore seals two blocks — four events by threshold inside an
+// Append, two on request — and leaves three events in the WAL.
 func compactedStore(t *testing.T) http.Handler {
 	t.Helper()
 	s, err := archive.Open(archive.Config{Dir: t.TempDir(), CompactEvents: 4})

@@ -179,11 +179,8 @@ func (in Interner) quotedSlow(b []byte) (s string, rest []byte, ok bool) {
 type IntColumn struct {
 	// Name is the JSONL object key ("at_ns", "chunk", ...).
 	Name string
-	// Delta marks columns that are near-monotone in admission order
-	// (session clocks, chunk indexes) and therefore delta-encode well.
-	Delta bool
-	Get   func(*Event) int64
-	Set   func(*Event, int64)
+	Get  func(*Event) int64
+	Set  func(*Event, int64)
 }
 
 // intFields lists every integer journal field in journal order — the order
@@ -191,10 +188,10 @@ type IntColumn struct {
 // lockstep: the decoder test round-trips each Kind through
 // AppendJSONL/ParseJSONL and fails on any divergence.
 var intFields = []IntColumn{
-	{Name: "at_ns", Delta: true,
+	{Name: "at_ns",
 		Get: func(e *Event) int64 { return int64(e.At) },
 		Set: func(e *Event, v int64) { e.At = time.Duration(v) }},
-	{Name: "chunk", Delta: true,
+	{Name: "chunk",
 		Get: func(e *Event) int64 { return int64(e.Chunk) },
 		Set: func(e *Event, v int64) { e.Chunk = int(v) }},
 	{Name: "rate_index",

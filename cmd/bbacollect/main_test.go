@@ -180,6 +180,9 @@ func TestDaemonEndToEnd(t *testing.T) {
 		"bba_archive_compact_seconds_count 0\n",
 		"bba_archive_sealed_bytes_total 0\n",
 		"bba_archive_sealed_rows_total 0\n",
+		"bba_archive_query_seconds_count 0\n",
+		`bba_archive_query_blocks_total{outcome="read"} 0` + "\n",
+		`bba_archive_query_blocks_total{outcome="pruned"} 0` + "\n",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Fatalf("/metrics lacks %q:\n%s", want, metrics)
@@ -210,6 +213,10 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 	if rollup.Run != "fleet" || rolled != int64(events) {
 		t.Fatalf("live rollup %+v, want run fleet with %d events", rollup, events)
+	}
+	// Every one of those queries is timed; none had a block to read yet.
+	if want := fmt.Sprintf("bba_archive_query_seconds_count %d\n", 2+len(bySession)); !strings.Contains(string(get("/metrics")), want) {
+		t.Fatalf("/metrics lacks %q after the queries", want)
 	}
 	if runs := get("/runs"); !bytes.Contains(runs, []byte(`"run":"fleet"`)) {
 		t.Fatalf("/runs missing run fleet: %s", runs)

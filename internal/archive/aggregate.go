@@ -107,15 +107,18 @@ func (a *aggState) addEvent(e *telemetry.Event) {
 	}
 }
 
-// addBlock folds the open block column-wise, reporting false when filter
-// refused it. Which integer columns are read depends on the kinds the
-// block holds and the query keeps; the row loop is array indexing over
-// their slabs and the per-entry tables — no Event is built, no map
-// consulted per row.
-func (a *aggState) addBlock(b *Block, p *plan) (ok bool, err error) {
+// foldCols are the integer columns a rollup folds, of one prepared block;
+// nil where no row the query keeps reads them.
+type foldCols struct{ bytes, rate, dur, idx, prev, played []int64 }
+
+// prepareFold is Aggregate's work on a block, done by a worker: filter, then
+// the integer columns the kinds the block holds and the query keeps fold,
+// and no others. It reports false when filter refused the block.
+func (b *Block) prepareFold(p *plan) (bool, error) {
 	if ok, err := b.filter(p); !ok {
 		return false, err
 	}
+	var err error
 	col := func(name string) []int64 {
 		if err != nil {
 			return nil
@@ -124,25 +127,34 @@ func (a *aggState) addBlock(b *Block, p *plan) (ok bool, err error) {
 		c, err = b.Ints(name)
 		return c
 	}
-	var bytesCol, rateCol, durCol, idxCol, prevCol, playedCol []int64
+	f := &b.fold
+	*f = foldCols{}
 	for ki, k := range b.kinds {
 		if !b.kindOK[ki] {
 			continue
 		}
 		switch k {
 		case telemetry.ChunkComplete:
-			bytesCol, rateCol = col("bytes"), col("rate_bps")
+			f.bytes, f.rate = col("bytes"), col("rate_bps")
 		case telemetry.RebufferEnd:
-			durCol = col("duration_ns")
+			f.dur = col("duration_ns")
 		case telemetry.RateSwitch:
-			idxCol, prevCol = col("rate_index"), col("prev_rate_index")
+			f.idx, f.prev = col("rate_index"), col("prev_rate_index")
 		case telemetry.SessionEnd:
-			playedCol = col("played_ns")
+			f.played = col("played_ns")
 		}
 	}
-	if err != nil {
-		return false, err
-	}
+	return err == nil, err
+}
+
+// addBlock folds a block prepareFold accepted, column-wise: the row loop is
+// array indexing over its slabs and the per-entry tables — no Event is
+// built, no map consulted per row.
+func (a *aggState) addBlock(b *Block) {
+	// Locals, not b.fold's fields: the loop's stores through gr would make
+	// the compiler reload every field's slice header on every row.
+	bytesCol, rateCol, durCol := b.fold.bytes, b.fold.rate, b.fold.dur
+	idxCol, prevCol, playedCol := b.fold.idx, b.fold.prev, b.fold.played
 	kindRows, sess := b.dicts[colKind].rows, &b.dicts[colSession]
 	a.groupOf = sized(a.groupOf, len(sess.entries))
 	clear(a.groupOf)
@@ -174,12 +186,12 @@ func (a *aggState) addBlock(b *Block, p *plan) (ok bool, err error) {
 			gr.PlayedNS += playedCol[i]
 		}
 	}
-	return true, nil
 }
 
 // Aggregate computes per-group rollups for q without materializing rows
 // from blocks: blocks the footer or the session dictionary refuses are
-// skipped, the others fold column slabs directly. The WAL tail folds
+// skipped, worker readers decode the others' fold columns (see walk), and
+// the caller folds their slabs directly, in block order. The WAL tail folds
 // row-wise. Rollup.Blocks and Rows count the blocks folded and their rows,
 // plus every WAL line.
 func (s *Store) Aggregate(q Query) (Rollup, error) {
@@ -194,19 +206,16 @@ func (s *Store) Aggregate(q Query) (Rollup, error) {
 	}
 	p := q.compile()
 	st := &b.agg
-	for _, m := range b.blocks {
-		if ok, err := b.openUnpruned(m, p); !ok {
-			if err != nil {
-				return r, err
-			}
-			continue
-		}
-		if ok, err := st.addBlock(b, p); err != nil {
-			return r, err
-		} else if ok {
-			r.Blocks++
-			r.Rows += int64(b.Rows())
-		}
+	err := s.walk(b, p, func(blk *Block) (bool, error) {
+		return blk.prepareFold(p)
+	}, func(blk *Block) (bool, error) {
+		st.addBlock(blk)
+		r.Blocks++
+		r.Rows += int64(blk.Rows())
+		return true, nil
+	})
+	if err != nil {
+		return r, err
 	}
 	for _, line := range b.walLines {
 		r.Rows++

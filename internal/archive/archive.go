@@ -59,7 +59,6 @@ import (
 	"time"
 
 	"bba/internal/obs"
-	"bba/internal/telemetry"
 )
 
 // blockFile names block seq and walFile the WAL that seals into it, so a
@@ -123,26 +122,36 @@ type Store struct {
 
 	mu   sync.Mutex
 	runs map[string]*runArchive
-	// spare is the block reader the last query finished with — its page
-	// buffer, slabs and WAL buffer, never decoded data or an open file — so
-	// the next query starts with them already sized. One, not a pool: a
-	// query that finds it taken makes its own, and the last to finish
-	// leaves its.
-	spare *Block
+	// idle are the readers queries finished with — page buffers, slabs and
+	// WAL buffers, never decoded data or an open file — so the next query and
+	// its workers start with them already sized: at most maxIdleReaders,
+	// newest last (see walk). The store owns them, not a sync.Pool, whose
+	// items a GC drops.
+	idle []*Block
 
 	// compactSeconds is the wall time of every compaction so far, observed
-	// in compactLocked: per-bucket counts over compactBounds, and the sum.
-	compactSeconds [len(compactBounds) + 1]uint64
+	// in compactLocked: per-bucket counts over latencyBounds, and the sum.
+	compactSeconds [len(latencyBounds) + 1]uint64
 	compactSum     float64
+	// querySeconds is the wall time of every Aggregate, Scan and Export, as
+	// compactSeconds is of compactions; blocksRead and blocksPruned count the
+	// blocks those queries opened and those they skipped, unopened, on the
+	// footer the store holds. Each is recorded when a query releases its
+	// reader.
+	querySeconds             [len(latencyBounds) + 1]uint64
+	querySum                 float64
+	blocksRead, blocksPruned int64
 	// sealedBytes and sealedRows are what this store's compactions have
 	// written: block file bytes and the events in them. Their ratio is the
 	// store's density, bytes an archived event.
 	sealedBytes, sealedRows int64
 }
 
-// compactBounds are the compaction histogram's upper bounds, in seconds: a
-// default-size block takes a few hundred milliseconds, a shutdown's tail a few.
-var compactBounds = [...]float64{0.001, 0.005, 0.025, 0.1, 0.25, 0.5, 1, 2.5, 10}
+// latencyBounds are the compaction and query histograms' upper bounds, in
+// seconds: a default-size block takes a few hundred milliseconds to seal, a
+// shutdown's tail a few; a query from well under a millisecond (one block's
+// session page) to seconds (an export of millions of events).
+var latencyBounds = [...]float64{0.001, 0.005, 0.025, 0.1, 0.25, 0.5, 1, 2.5, 10}
 
 // runArchive is one run's slice of the store.
 type runArchive struct {
@@ -590,7 +599,7 @@ func (s *Store) compactLocked(ra *runArchive) error {
 		return nil
 	}
 	start := time.Now()
-	// Read into a reader of its own, not the spare: a WAL-sized buffer kept
+	// Read into a reader of its own, not an idle one: a WAL-sized buffer kept
 	// live between compactions doubles the heap the collector's GC aims for.
 	var b Block
 	if _, _, err := ra.readWAL(&b); err != nil {
@@ -635,7 +644,7 @@ func (s *Store) compactLocked(ra *runArchive) error {
 		return err
 	}
 	took := time.Since(start).Seconds()
-	s.compactSeconds[sort.SearchFloat64s(compactBounds[:], took)]++
+	s.compactSeconds[sort.SearchFloat64s(latencyBounds[:], took)]++
 	s.compactSum += took
 	s.sealedBytes += int64(len(blk))
 	s.sealedRows += int64(ft.Rows)
@@ -693,19 +702,24 @@ func (s *Store) Stats() []RunStats {
 // WriteMetrics writes the store's metric families: how long compactions
 // have taken — each runs under the store's lock, inside the Append whose ACK
 // it delays — what they sealed, and how many events sit in WAL tails, not
-// yet sealed.
+// yet sealed; how long queries have taken, and how many blocks they opened
+// and pruned unopened.
 func (s *Store) WriteMetrics(w *obs.Writer) {
 	s.mu.Lock()
 	counts, sum, walEvents := s.compactSeconds, s.compactSum, 0
 	sealedBytes, sealedRows := s.sealedBytes, s.sealedRows
+	queries, querySum := s.querySeconds, s.querySum
+	blocks := map[string]int64{"read": s.blocksRead, "pruned": s.blocksPruned}
 	for _, ra := range s.runs {
 		walEvents += ra.events
 	}
 	s.mu.Unlock()
-	w.Histogram("bba_archive_compact_seconds", "Wall time of WAL-to-block compactions.", compactBounds[:], counts[:], sum)
+	w.Histogram("bba_archive_compact_seconds", "Wall time of WAL-to-block compactions.", latencyBounds[:], counts[:], sum)
 	w.Counter("bba_archive_sealed_bytes_total", "Block file bytes written by compactions.", float64(sealedBytes))
 	w.Counter("bba_archive_sealed_rows_total", "Events sealed into blocks by compactions.", float64(sealedRows))
 	w.Gauge("bba_archive_wal_events", "Events in WAL tails, awaiting compaction.", float64(walEvents))
+	w.Histogram("bba_archive_query_seconds", "Wall time of Aggregate, Scan and Export queries.", latencyBounds[:], queries[:], querySum)
+	w.CounterVec("bba_archive_query_blocks_total", "Blocks queries opened (read) and skipped unopened on their held footer (pruned).", "outcome", blocks)
 }
 
 // snapshot captures a run's read view, consistent at one instant, into b —
@@ -741,32 +755,6 @@ func (s *Store) snapshot(run string, b *Block) error {
 	}
 }
 
-// reader hands out the store's spare block reader, or a new one while
-// another query holds it; release closes b, empties what it held for the
-// query — block metas, interned tail strings, the rollup's session set — and
-// keeps it for the next query.
-func (s *Store) reader() *Block {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b := s.spare
-	s.spare = nil
-	if b == nil {
-		b = &Block{names: telemetry.Interner{}}
-	}
-	return b
-}
-
-func (s *Store) release(b *Block) {
-	b.close()
-	clear(b.blocks)
-	b.blocks = b.blocks[:0]
-	clear(b.names)
-	b.agg.reset()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.spare = b
-}
-
 // Export writes run's full archived journal — blocks in admission order,
 // then the WAL tail — to w. The output is byte-identical to the
 // concatenation of every batch Append accepted for the run.
@@ -780,14 +768,14 @@ func (s *Store) Export(run string, w io.Writer) error {
 		b.out = bufio.NewWriterSize(nil, 256<<10)
 	}
 	b.out.Reset(w)
-	defer b.out.Reset(nil) // the spare must not pin the caller's writer
-	for _, m := range b.blocks {
-		if err := b.openFile(m); err != nil {
-			return err
-		}
-		if err := b.Export(b.out); err != nil {
-			return err
-		}
+	defer b.out.Reset(nil) // the reader must not pin the caller's writer
+	err := s.walk(b, nil, func(blk *Block) (bool, error) {
+		return true, blk.prepareExport()
+	}, func(blk *Block) (bool, error) {
+		return true, blk.render(b.out)
+	})
+	if err != nil {
+		return err
 	}
 	for _, line := range b.walLines {
 		if _, err := b.out.Write(line); err != nil {
@@ -802,7 +790,8 @@ func (s *Store) Export(run string, w io.Writer) error {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.spare = nil
+	clear(s.idle)
+	s.idle = nil
 	var first error
 	for _, ra := range s.runs {
 		if ra.wal == nil {

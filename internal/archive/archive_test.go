@@ -828,8 +828,8 @@ func touchBlock(b *Block) {
 	b.Ints("at_ns")
 	b.rawRows()
 	b.Export(&bytes.Buffer{})
-	b.scan(Query{}.compile(), func(telemetry.Event) bool { return true })
-	new(aggState).addBlock(b, Query{}.compile())
+	scanBlock(b, Query{}.compile(), func(telemetry.Event) bool { return true })
+	foldBlock(new(aggState), b, Query{}.compile())
 }
 
 // FuzzBlockDecodeFooter fuzzes the footer's fields under a valid envelope:

@@ -13,6 +13,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
+	"time"
 
 	"bba/internal/telemetry"
 )
@@ -586,14 +588,15 @@ func encodeBlock(run string, lines [][]byte) ([]byte, *footer, error) {
 // CRC-verified, and decoded into a slab the Block owns. A reader that needs
 // three columns neither reads nor decodes the other twelve.
 //
-// A query reuses one Block for every block file it visits (and the Store
-// keeps it for the next query), so slabs are made at the footer's row count
-// once and then only refilled. What Ints and the row loops return is
-// therefore valid until the Block opens its next block; a Block from
+// A query's worker reuses its Block for every block file it prepares (and
+// the Store keeps it for the next query), so slabs are made at the footer's
+// row count once and then only refilled. What Ints and the row loops return
+// is therefore valid until the Block opens its next block; a Block from
 // DecodeBlock never does. Strings are the exception: a dictionary's entries
 // are copied out of the page buffer once, as a single string, because they
 // leave the reader inside Events that callers may keep. A Block serves one
-// goroutine at a time.
+// goroutine at a time: a worker while it prepares a block, the query's
+// caller while it consumes it (see walk).
 type Block struct {
 	src  io.ReaderAt
 	file *os.File // what close releases; nil over DecodeBlock's memory
@@ -614,17 +617,37 @@ type Block struct {
 	kindOK, sessOK []bool
 	at             []int64
 
-	// What the reader holds for its query beside the open block: the read
-	// view's blocks and WAL tail (see snapshot and readWAL), the table the
-	// tail's strings are interned through, the rollup's state, and Export's
-	// line and output buffers. release empties all but the buffers.
-	blocks   []*blockMeta
-	wal      []byte
-	walLines [][]byte
-	names    telemetry.Interner
-	agg      aggState
-	line     []byte
-	out      *bufio.Writer
+	// What a worker prepared in this block for its query's caller: whether
+	// the query reads it and why not, Scan's first matching row, the columns
+	// a rollup folds; and the channels it hands the reader over on and is
+	// told to go on or stop on (see fanOut).
+	prepOK  bool
+	prepErr error
+	first   int
+	fold    foldCols
+	ev      telemetry.Event // the Event that event fills
+	ready   chan struct{}
+	resume  chan bool
+	line    []byte // Export's rendered line
+
+	// What the reader holds as a query's caller: the read view's blocks and
+	// WAL tail (see snapshot and readWAL), the table the tail's strings are
+	// interned through, the rollup's state, Export's output buffer, the
+	// walk's workers and what they read while it runs (see fanOut), and the
+	// query's start and block counts for the store's metrics. putLocked
+	// empties all but the buffers.
+	blocks       []*blockMeta
+	wal          []byte
+	walLines     [][]byte
+	names        telemetry.Interner
+	agg          aggState
+	out          *bufio.Writer
+	workers      []*Block
+	live         []*blockMeta
+	prep         func(*Block) (bool, error)
+	wg           sync.WaitGroup
+	start        time.Time
+	read, pruned int
 }
 
 // dictCol is one decoded dictionary column.
@@ -668,7 +691,7 @@ func DecodeBlock(data []byte) (*Block, error) {
 
 // openFile points b at m's block file, releasing the one before. The footer
 // is m's when m holds one verified at the file's present size: then nothing
-// but the file's Stat is read until a page is. Otherwise — the first visit,
+// but the file's size is read until a page is. Otherwise — the first visit,
 // or a file truncated or replaced since — open reads and verifies it from
 // the file, and m keeps it for every later query.
 func (b *Block) openFile(m *blockMeta) error {
@@ -678,18 +701,20 @@ func (b *Block) openFile(m *blockMeta) error {
 		return err
 	}
 	b.file = f
-	fi, err := f.Stat()
+	// The size by seeking to the end, not Stat: ReadAt ignores the offset,
+	// and a Stat allocates its FileInfo on every block a query opens.
+	size, err := f.Seek(0, io.SeekEnd)
 	if err == nil {
-		if vf := m.ft.Load(); vf != nil && vf.size == fi.Size() {
+		if vf := m.ft.Load(); vf != nil && vf.size == size {
 			b.src, b.have, b.ft = f, 0, vf.footer
 			return nil
 		}
-		err = b.open(f, fi.Size())
+		err = b.open(f, size)
 	}
 	if err != nil {
 		return fmt.Errorf("%s: %w", filepath.Base(m.path), err)
 	}
-	m.ft.Store(&verifiedFooter{size: fi.Size(), footer: b.ft})
+	m.ft.Store(&verifiedFooter{size: size, footer: b.ft})
 	return nil
 }
 
@@ -994,10 +1019,11 @@ func (b *Block) loadRows() error {
 	return nil
 }
 
-// event materializes row i from the decoded columns (see loadRows) into e,
-// which the caller reuses row after row: the column setters are indirect
-// calls, so an Event made here would be a heap allocation per row.
-func (b *Block) event(i int, e *telemetry.Event) {
+// event materializes row i from the decoded columns (see loadRows) into
+// b.ev, refilled row after row: the column setters are indirect calls, so an
+// Event made by the row loops would be a heap allocation per loop.
+func (b *Block) event(i int) *telemetry.Event {
+	e := &b.ev
 	kind, sess, label := &b.dicts[colKind], &b.dicts[colSession], &b.dicts[colLabel]
 	e.Kind = b.kinds[kind.rows[i]]
 	e.Session = sess.entries[sess.rows[i]]
@@ -1005,6 +1031,7 @@ func (b *Block) event(i int, e *telemetry.Event) {
 	for ci, c := range telemetry.IntColumns() {
 		c.Set(e, b.ints[ci][i])
 	}
+	return e
 }
 
 // Export writes every row back as journal JSONL in row order: canonical
@@ -1013,21 +1040,32 @@ func (b *Block) event(i int, e *telemetry.Event) {
 // including canonical rows of a kind this build no longer declares: those
 // render as "unknown" and get their dictionary name spliced back in.
 func (b *Block) Export(w io.Writer) error {
+	if err := b.prepareExport(); err != nil {
+		return err
+	}
+	return b.render(w)
+}
+
+// prepareExport is Export's decode: every column, then the raw page — the
+// last read, because raw lines live in the page buffer until the next.
+func (b *Block) prepareExport() error {
 	if err := b.loadRows(); err != nil {
 		return err
 	}
-	raws, err := b.rawRows() // the last read: raw lines live in the page buffer
-	if err != nil {
-		return err
-	}
-	var e telemetry.Event
+	_, err := b.rawRows()
+	return err
+}
+
+// render is Export's output, over the columns prepareExport decoded.
+func (b *Block) render(w io.Writer) error {
+	raws := b.raws
 	for i := 0; i < b.ft.Rows; i++ {
 		var line []byte
 		if len(raws) > 0 && raws[0].row == i {
 			line, raws = raws[0].line, raws[1:]
 		} else {
-			b.event(i, &e)
-			b.line = telemetry.AppendJSONL(b.line[:0], e)
+			e := b.event(i)
+			b.line = telemetry.AppendJSONL(b.line[:0], *e)
 			if e.Kind == 0 {
 				kind := &b.dicts[colKind]
 				b.line = append([]byte(`{"kind":"`+kind.entries[kind.rows[i]]), b.line[len(`{"kind":"unknown`):]...)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -121,7 +122,8 @@ func foldRollup(events []telemetry.Event) map[string]GroupRollup {
 // tail when the cut leaves one — Scan and Aggregate under every predicate
 // shape, and Export, must equal a row-by-row fold of the JSONL the store was
 // fed: on the writing store, on a cold read-only view (no footer held yet),
-// on a warm one, and on both after a further append and compaction.
+// on a warm one, and on both after a further append and compaction — each at
+// GOMAXPROCS 1 and 4, so by one worker reader and by several.
 func FuzzQueryMatchesJournalFold(f *testing.F) {
 	f.Add([]byte("\x00\x09\x12\x1b\x24\x2d\x36\x3f\xc0\xc9\xd2\xdb\x08\x10\x21\x31\x0a\x33\xe4\xed\xf6\xff\x01\x0b"), uint8(7), uint8(3), uint8(0))
 	f.Add(bytes.Repeat([]byte{0x09, 0x21, 0x19, 0x31, 0xca, 0x0a}, 40), uint8(47), uint8(16), uint8(9))
@@ -240,11 +242,18 @@ func FuzzQueryMatchesJournalFold(f *testing.F) {
 				}
 			}
 		}
+		// Every view is read at one worker and at up to four (see walk).
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+		widths := [...]int{1, 4}
 		check := func(view string, st *Store) {
 			t.Helper()
-			exports(view, st)
-			for _, q := range queries {
-				answers(view, st, q)
+			for _, procs := range widths {
+				runtime.GOMAXPROCS(procs)
+				at := fmt.Sprintf("%s at GOMAXPROCS %d", view, procs)
+				exports(at, st)
+				for _, q := range queries {
+					answers(at, st, q)
+				}
 			}
 		}
 		// The writer holds the footers its compactions built, of blocks since
@@ -252,13 +261,16 @@ func FuzzQueryMatchesJournalFold(f *testing.F) {
 		check("writer", s)
 		// Cold: each query's Scan is the first over a fresh read-only view,
 		// which reads each footer before it can prune on it.
-		for _, q := range queries {
-			cold, err := OpenReadOnly(dir)
-			if err != nil {
-				t.Fatal(err)
+		for _, procs := range widths {
+			runtime.GOMAXPROCS(procs)
+			for _, q := range queries {
+				cold, err := OpenReadOnly(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				answers(fmt.Sprintf("cold read-only at GOMAXPROCS %d", procs), cold, q)
+				cold.Close()
 			}
-			answers("cold read-only", cold, q)
-			cold.Close()
 		}
 		ro, err := OpenReadOnly(dir)
 		if err != nil {

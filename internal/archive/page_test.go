@@ -88,6 +88,26 @@ func loaded(t testing.TB, blk []byte) *Block {
 	return b
 }
 
+// scanBlock is Scan's work on one open block — a worker's prepareScan, then
+// the caller's scanRows — with no store around it.
+func scanBlock(b *Block, p *plan, fn func(telemetry.Event) bool) error {
+	ok, err := b.prepareScan(p)
+	if ok {
+		b.scanRows(fn)
+	}
+	return err
+}
+
+// foldBlock is Aggregate's work on one open block: prepareFold, then addBlock
+// into a.
+func foldBlock(a *aggState, b *Block, p *plan) error {
+	ok, err := b.prepareFold(p)
+	if ok {
+		a.addBlock(b)
+	}
+	return err
+}
+
 // rewrite re-renders blk with each page's payload passed through edit, in
 // file order, under a header and footer of the given version: the footer is
 // blk's but for its version and page offsets, and the envelope is re-signed.

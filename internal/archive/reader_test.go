@@ -86,11 +86,11 @@ func TestBlockFormatGoldenLegacy(t *testing.T) {
 		for _, q := range queries {
 			p := q.compile()
 			var scan []telemetry.Event
-			if _, err := loaded(t, blk).scan(p, func(e telemetry.Event) bool { scan = append(scan, e); return true }); err != nil {
+			if err := scanBlock(loaded(t, blk), p, func(e telemetry.Event) bool { scan = append(scan, e); return true }); err != nil {
 				t.Fatal(err)
 			}
 			st := new(aggState)
-			if _, err := st.addBlock(loaded(t, blk), p); err != nil {
+			if err := foldBlock(st, loaded(t, blk), p); err != nil {
 				t.Fatal(err)
 			}
 			roll := map[string]GroupRollup{}
@@ -239,7 +239,7 @@ func TestSessionScanReadsOnlyItsPages(t *testing.T) {
 	scan := func(q Query) (pages []string, events int) {
 		t.Helper()
 		b := open()
-		if _, err := b.scan(q.compile(), func(telemetry.Event) bool { events++; return true }); err != nil {
+		if err := scanBlock(b, q.compile(), func(telemetry.Event) bool { events++; return true }); err != nil {
 			t.Fatal(err)
 		}
 		return log.pages(t, b), events
@@ -265,9 +265,10 @@ func TestSessionScanReadsOnlyItsPages(t *testing.T) {
 	}
 
 	b := open()
-	if ok, err := new(aggState).addBlock(b, Query{}.compile()); !ok || err != nil {
-		t.Fatalf("addBlock = %v, %v", ok, err)
+	if ok, err := b.prepareFold(Query{}.compile()); !ok || err != nil {
+		t.Fatalf("prepareFold = %v, %v", ok, err)
 	}
+	new(aggState).addBlock(b)
 	pages = log.pages(t, b)
 	sort.Strings(pages)
 	if want := "bytes,duration_ns,kind,played_ns,prev_rate_index,rate_bps,rate_index,session"; strings.Join(pages, ",") != want {
@@ -542,14 +543,17 @@ func queryAlloc(t *testing.T, run func() error) uint64 {
 
 // TestQueryAllocationBudget holds the read path's allocation per event
 // covered, warm, for each query of the benchmark's mix over four sealed
-// blocks and a WAL tail. What remains is per query and per block opened, not
-// per row: each opened file's os.File and Stat, one string per dictionary a
-// block decodes, the compiled plan, the rollup's result, and one copy per
-// distinct string of the tail — ≈ 4 KB a query, 0.11 to 0.13 B per event on
-// this store; the budgets are those plus half. Footers are parsed once per
-// store, the tail's strings interned per query, and the rollup's session set
-// and the WAL buffer, line index, Export's line and 256 KiB writer belong to
-// the reader and are refilled. While each query re-parsed every footer,
+// blocks and a WAL tail, at whatever width -cpu gives the walker. What
+// remains is per query and per block opened, not per row: each opened
+// file's os.File, one string per dictionary a block decodes, the compiled
+// plan, the worker goroutines, the rollup's result, and one copy per
+// distinct string of the tail — ≈ 3 KB a query, 0.07 to 0.10 B per event on
+// this store, up to ≈ 0.14 when the runtime has no freed goroutine at hand
+// for a query's workers. The budgets were set at half above the 0.11 to 0.13
+// B a query cost with one reader and a Stat per opened file. Footers are
+// parsed once per store, the tail's strings interned per query, and the
+// rollup's session set and the WAL buffer, line index, Export's line and
+// 256 KiB writer belong to the readers and are refilled. While each query re-parsed every footer,
 // copied two strings a tail line and rebuilt the session set, the same
 // queries cost 0.5 to 0.7 B; while each read the WAL into a fresh buffer and
 // ParseJSONL allocated 13 times a line, 13.5 to 14.5 B; and while every
@@ -593,7 +597,7 @@ func TestQueryAllocationBudget(t *testing.T) {
 		{"export", 0.17, func() error { return s.Export("r", io.Discard) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := tc.run(); err != nil { // warm: the store's spare reader is sized
+			if err := tc.run(); err != nil { // warm: the store's idle readers are sized
 				t.Fatal(err)
 			}
 			per := float64(queryAlloc(t, tc.run)) / n
@@ -794,14 +798,16 @@ func TestCompactionAllocationBudget(t *testing.T) {
 // replaced must not come back beside it, and every read of the WAL — a
 // query's, a compaction's, a count's — goes through readWAL into a buffer
 // the reader owns: os.ReadFile appears nowhere in the package, and the WAL
-// file is opened in one function, the package's only os.OpenFile.
+// file is opened in one function, the package's only os.OpenFile. And every
+// query walks its blocks through one loop: a block file is opened for a
+// query only by the walker's prepare.
 func TestOneBlockReader(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := 0
-	var opensWAL []string
+	var opensWAL, opensBlock []string
 	for _, path := range files {
 		if strings.HasSuffix(path, "_test.go") {
 			continue
@@ -824,7 +830,13 @@ func TestOneBlockReader(t *testing.T) {
 			if strings.Contains(line, "os.OpenFile(") {
 				opensWAL = append(opensWAL, fn)
 			}
+			if strings.Contains(line, ".openFile(") {
+				opensBlock = append(opensBlock, fn)
+			}
 		}
+	}
+	if len(opensBlock) != 1 || !strings.Contains(opensBlock[0], ") prepare(") {
+		t.Errorf("block files opened in %q, want the walker's prepare alone", opensBlock)
 	}
 	if seen < 5 || len(opensWAL) != 1 || !strings.Contains(opensWAL[0], "openWAL(") {
 		t.Errorf("saw %d source files and os.OpenFile called in %q, want the package's five files and the one openWAL", seen, opensWAL)

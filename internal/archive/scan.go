@@ -129,41 +129,46 @@ func (b *Block) match(i int) bool {
 		(b.at == nil || b.plan.matchesAt(b.at[i]))
 }
 
-// scan hands fn every matching row of the open block. The label and
-// integer columns decode only once a first row matches.
-func (b *Block) scan(p *plan, fn func(telemetry.Event) bool) (stop bool, err error) {
+// prepareScan is Scan's work on a block, done by a worker: filter, then —
+// once a first row matches, which b.first records — the label and integer
+// columns. It reports false when no row matches.
+func (b *Block) prepareScan(p *plan) (bool, error) {
 	if ok, err := b.filter(p); !ok {
 		return false, err
 	}
-	var e telemetry.Event
-	loaded := false
 	for i := 0; i < b.ft.Rows; i++ {
-		if !b.match(i) {
-			continue
-		}
-		if !loaded {
-			if err := b.loadRows(); err != nil {
-				return false, err
-			}
-			loaded = true
-		}
-		if b.event(i, &e); !fn(e) {
-			return true, nil
+		if b.match(i) {
+			b.first = i
+			err := b.loadRows()
+			return err == nil, err
 		}
 	}
 	return false, nil
 }
 
+// scanRows hands fn every matching row of the block prepareScan accepted,
+// reporting false when fn stopped the scan.
+func (b *Block) scanRows(fn func(telemetry.Event) bool) bool {
+	for i := b.first; i < b.ft.Rows; i++ {
+		if b.match(i) && !fn(*b.event(i)) {
+			return false
+		}
+	}
+	return true
+}
+
 // Scan streams every matching event in admission order — sealed blocks
-// first, then the live WAL tail — calling fn for each. fn returning false
-// stops the scan early. A block whose footer the store holds and excludes
-// is not opened at all; the first query to visit a block reads its footer
-// (header, trailer, footer: three small reads) for every later one. A block
-// that lacks the queried session costs its session page, and the rest read
-// only the pages the predicate needs until a first row matches. Events
-// handed to fn are fn's to keep: their strings are copies — one per
-// distinct value of a block dictionary or of the tail — never views of a
-// buffer the scan goes on to reuse.
+// first, then the live WAL tail — calling fn for each, always on the
+// caller's goroutine and never concurrently, while worker readers may decode
+// the blocks ahead of it (see walk). fn returning false stops the scan
+// early; fn may query the same store. A block whose footer the store holds
+// and excludes is not opened at all; the first query to visit a block reads
+// its footer (header, trailer, footer: three small reads) for every later
+// one. A block that lacks the queried session costs its session page, and
+// the rest read only the pages the predicate needs until a first row
+// matches. Events handed to fn are fn's to keep: their strings are copies —
+// one per distinct value of a block dictionary or of the tail — never views
+// of a buffer the scan goes on to reuse.
 func (s *Store) Scan(q Query, fn func(telemetry.Event) bool) error {
 	if q.Run == "" {
 		return errRunRequired()
@@ -174,16 +179,15 @@ func (s *Store) Scan(q Query, fn func(telemetry.Event) bool) error {
 		return err
 	}
 	p := q.compile()
-	for _, m := range b.blocks {
-		if ok, err := b.openUnpruned(m, p); !ok {
-			if err != nil {
-				return err
-			}
-			continue
-		}
-		if stop, err := b.scan(p, fn); stop || err != nil {
-			return err
-		}
+	more := true
+	err := s.walk(b, p, func(blk *Block) (bool, error) {
+		return blk.prepareScan(p)
+	}, func(blk *Block) (bool, error) {
+		more = blk.scanRows(fn)
+		return more, nil
+	})
+	if err != nil || !more {
+		return err
 	}
 	for _, line := range b.walLines {
 		if e := parseLine(line, b.names); p.matchesEvent(&e) && !fn(e) {
@@ -191,18 +195,6 @@ func (s *Store) Scan(q Query, fn func(telemetry.Event) bool) error {
 		}
 	}
 	return nil
-}
-
-// openUnpruned opens m's block unless its footer, already held, proves no
-// row can match p: a query opens only the blocks it reads.
-func (b *Block) openUnpruned(m *blockMeta, p *plan) (ok bool, err error) {
-	if vf := m.ft.Load(); vf != nil && p.prunes(&vf.footer) {
-		return false, nil
-	}
-	if err := b.openFile(m); err != nil {
-		return false, err
-	}
-	return true, nil
 }
 
 // parseLine parses one WAL-tail journal line: strictly when it is

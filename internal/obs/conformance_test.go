@@ -57,13 +57,18 @@ func TestExpositionConformance(t *testing.T) {
 			"bba_collect_admit_seconds_count":    5, // every frame, whatever its verdict
 			"bba_collect_admit_seconds_sum":      -1,
 		}},
-		{"archive.Store", compactedStore(t), 4, map[string]float64{
+		{"archive.Store", compactedStore(t), 6, map[string]float64{
 			"bba_archive_compact_seconds_bucket/+Inf": 2,
 			"bba_archive_compact_seconds_count":       2,
 			"bba_archive_compact_seconds_sum":         -1,
 			"bba_archive_sealed_bytes_total":          -1,
 			"bba_archive_sealed_rows_total":           6,
 			"bba_archive_wal_events":                  3,
+			"bba_archive_query_seconds_bucket/+Inf":   2,
+			"bba_archive_query_seconds_count":         2,
+			"bba_archive_query_seconds_sum":           -1,
+			"bba_archive_query_blocks_total/read":     2,
+			"bba_archive_query_blocks_total/pruned":   2,
 		}},
 		{"coord.Coordinator", finishedCoordinator(t), 12, map[string]float64{
 			"bba_coord_workers_joined_total":   1,
@@ -201,7 +206,9 @@ func busyCollector(t *testing.T) http.Handler {
 }
 
 // compactedStore seals two blocks — four events by threshold inside an
-// Append, two on request — and leaves three events in the WAL.
+// Append, two on request — and leaves three events in the WAL; then queries
+// it twice: a rollup that reads both blocks, and a scan of a group no block
+// holds, which prunes both on the footers the compactions recorded.
 func compactedStore(t *testing.T) http.Handler {
 	t.Helper()
 	s, err := archive.Open(archive.Config{Dir: t.TempDir(), CompactEvents: 4})
@@ -219,6 +226,12 @@ func compactedStore(t *testing.T) http.Handler {
 				t.Fatal(err)
 			}
 		}
+	}
+	if _, err := s.Aggregate(archive.Query{Run: "r"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Scan(archive.Query{Run: "r", Group: "nobody"}, func(telemetry.Event) bool { return true }); err != nil {
+		t.Fatal(err)
 	}
 	return obs.Handler(s.WriteMetrics)
 }

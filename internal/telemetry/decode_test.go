@@ -352,7 +352,9 @@ func TestParseJSONLAllocs(t *testing.T) {
 // input it must return exactly what referenceParseJSONL returns — the same
 // verdict and the same Event, field for field — and an accepted line must
 // re-render to itself. The interning parse must agree with both, through an
-// empty table and through one that already holds the line's strings.
+// empty table and through one that already holds the line's strings. And the
+// encoder's quoting of the input, taken as a string, must be strconv's, byte
+// for byte.
 func FuzzParseJSONL(f *testing.F) {
 	for k := SessionStart; k < numKinds; k++ {
 		f.Add(AppendJSONL(nil, Event{Kind: k, Session: "d1.w2.s3.g", Chunk: -1, RateIndex: -1, PrevRateIndex: -1}))
@@ -377,6 +379,10 @@ func FuzzParseJSONL(f *testing.F) {
 		}
 		if re := AppendJSONL(nil, got); ok && !bytes.Equal(re, line) {
 			t.Fatalf("accepted %q but re-renders as %q", line, re)
+		}
+		// The encoder's quoting fast path, on the bytes as one string.
+		if q, want := appendQuoted(nil, string(line)), strconv.AppendQuote(nil, string(line)); !bytes.Equal(q, want) {
+			t.Fatalf("appendQuoted(%q) = %s, strconv.AppendQuote %s", line, q, want)
 		}
 		in := Interner{}
 		for pass := range 2 {

@@ -62,6 +62,22 @@ func (j *Journal) Err() error {
 // exposed so tests and merge paths can reproduce it.
 func AppendJSONL(dst []byte, e Event) []byte { return appendEvent(dst, e) }
 
+// appendQuoted appends s as strconv.AppendQuote quotes it. A string of
+// printable ASCII (0x20–0x7E) holding neither '"' nor '\' is its own
+// quoting — the decoder takes exactly these as they stand (see
+// Interner.quoted) — so it is copied between quotes; anything else goes
+// through strconv.
+func appendQuoted(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' {
+			return strconv.AppendQuote(b, s)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
 // appendEvent renders one event as a JSON line. Every field is emitted
 // every time: the few extra bytes buy an encoding with no omit-zero
 // ambiguity to reason about when diffing journals.
@@ -69,7 +85,7 @@ func appendEvent(b []byte, e Event) []byte {
 	b = append(b, `{"kind":"`...)
 	b = append(b, e.Kind.String()...)
 	b = append(b, `","session":`...)
-	b = strconv.AppendQuote(b, e.Session)
+	b = appendQuoted(b, e.Session)
 	b = append(b, `,"at_ns":`...)
 	b = strconv.AppendInt(b, int64(e.At), 10)
 	b = append(b, `,"chunk":`...)
@@ -95,7 +111,7 @@ func appendEvent(b []byte, e Event) []byte {
 	b = append(b, `,"protection_ns":`...)
 	b = strconv.AppendInt(b, int64(e.Protection), 10)
 	b = append(b, `,"label":`...)
-	b = strconv.AppendQuote(b, e.Label)
+	b = appendQuoted(b, e.Label)
 	b = append(b, "}\n"...)
 	return b
 }

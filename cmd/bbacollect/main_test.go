@@ -134,7 +134,6 @@ func TestDaemonEndToEnd(t *testing.T) {
 		}
 		shipper, err := collect.NewShipper(collect.ShipperConfig{
 			Addr: base, Run: "fleet", Session: uint64(i + 1),
-			Queue:      collect.QueueConfig{SpillDir: t.TempDir()},
 			HTTPClient: client,
 		})
 		if err != nil {

@@ -127,31 +127,29 @@ func run(ctx context.Context, out io.Writer, url, algName string, watch time.Dur
 
 // openJournal opens the session's event sink. A collector URL ships the
 // events as the run named by its path (default "bbaplay") under a random
-// stream id, spilling to a temporary directory while the collector is away;
-// anything else is a JSONL file path. done flushes and releases the sink and
-// reports what the flush could not deliver.
+// stream id; anything else is a JSONL file path. done flushes and releases
+// the sink and reports what the flush could not deliver.
 func openJournal(target string) (sink telemetry.Observer, done func() error, err error) {
 	if u, perr := neturl.Parse(target); perr == nil && (u.Scheme == "http" || u.Scheme == "https") {
 		run := strings.Trim(u.Path, "/")
 		if run == "" {
 			run = "bbaplay"
 		}
-		spill, err := os.MkdirTemp("", "bbaplay-spill-")
-		if err != nil {
-			return nil, nil, err
-		}
+		// The default 256-frame queue outlasts any collector outage the
+		// retries ride out. A frame is given up on after ≤ 9.15 s of backoff
+		// (50 ms doubling to the 2 s cap, 10 attempts) plus ≤ 10 × the 10 s
+		// client timeout, ≈ 109 s; the 500 ms flush timer seals ≤ 2 frames/s,
+		// so ≤ ≈ 220 frames queue behind it. A longer outage has already
+		// dropped that frame, and a drop fails the run.
 		s, err := collect.NewShipper(collect.ShipperConfig{
 			Addr:    u.Scheme + "://" + u.Host,
 			Run:     run,
 			Session: rand.Uint64(),
-			Queue:   collect.QueueConfig{SpillDir: spill},
 		})
 		if err != nil {
-			os.RemoveAll(spill)
 			return nil, nil, err
 		}
 		return s, func() error {
-			defer os.RemoveAll(spill)
 			err := s.Close() // seals the partial batch and waits for the acknowledgements
 			if st := s.Stats(); err == nil && st.EventsDropped+st.FramesDropped > 0 {
 				err = fmt.Errorf("journal: %d events and %d frames never reached %s", st.EventsDropped, st.FramesDropped, target)

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -137,8 +138,8 @@ func (f archiverFunc) Append(run string, batch []byte) error { return f(run, bat
 
 // TestPlayShipsJournal: -journal with a collector URL ships the session's
 // events there as the run its path names; the session's whole journal has
-// been acknowledged by the time run returns, and the spill directory is
-// gone.
+// been acknowledged by the time run returns, and bbaplay wrote nothing
+// under TMPDIR.
 func TestPlayShipsJournal(t *testing.T) {
 	ts := testServer(t)
 	c, url, archived := testCollector(t)
@@ -165,7 +166,46 @@ func TestPlayShipsJournal(t *testing.T) {
 		t.Errorf("collector stats %+v, want %d events on one stream", cs, len(lines))
 	}
 	if left, err := os.ReadDir(tmp); err != nil || len(left) != 0 {
-		t.Errorf("spill directory not removed: %v %v", left, err)
+		t.Errorf("bbaplay left %v under TMPDIR (%v)", left, err)
+	}
+}
+
+// TestPlayShipsToLateCollector: a collector that refuses every frame for
+// its first 4 s — inside the shipper's retry budget — still receives the
+// whole journal, session_start through session_end, held in memory
+// meanwhile; run succeeds.
+func TestPlayShipsToLateCollector(t *testing.T) {
+	ts := testServer(t)
+	c, _, archived := testCollector(t)
+	collector := c.Handler()
+	var refused atomic.Int64
+	up := time.Now().Add(4 * time.Second)
+	late := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if time.Now().Before(up) {
+			refused.Add(1)
+			http.Error(w, "not yet", http.StatusServiceUnavailable)
+			return
+		}
+		collector.ServeHTTP(w, r)
+	}))
+	defer late.Close()
+	var out bytes.Buffer
+	if err := run(context.Background(), &out, ts.URL, "BBA-2", 2*time.Second, 0, 0, false, false, true, late.URL); err != nil {
+		t.Fatal(err)
+	}
+	if refused.Load() == 0 {
+		t.Fatal("the collector was up from the start; the test is vacuous")
+	}
+	lines := bytes.SplitAfter(archived(), []byte("\n"))
+	lines = lines[:len(lines)-1]
+	if len(lines) < 3 {
+		t.Fatalf("collector archived %d lines", len(lines))
+	}
+	if first, last := string(lines[0]), string(lines[len(lines)-1]); !strings.Contains(first, `"kind":"session_start"`) || !strings.Contains(last, `"kind":"session_end"`) {
+		t.Errorf("archived journal is not bracketed: first %q, last %q", first, last)
+	}
+	if cs := c.Stats(); cs.Events != int64(len(lines)) || cs.Streams != 1 || cs.FramesBad != 0 {
+		t.Errorf("collector stats %+v, want %d events on one stream", cs, len(lines))
 	}
 }
 
@@ -177,7 +217,6 @@ func TestPlayJournalLossFails(t *testing.T) {
 		http.Error(w, "no", http.StatusBadRequest)
 	}))
 	defer refuse.Close()
-	t.Setenv("TMPDIR", t.TempDir())
 	var out bytes.Buffer
 	err := run(context.Background(), &out, ts.URL, "BBA-2", time.Second, 0, 0, false, false, true, refuse.URL)
 	if err == nil || !strings.Contains(err.Error(), "never reached") {
@@ -196,7 +235,6 @@ func TestPlayCancelFlushesJournal(t *testing.T) {
 	ts := testServer(t)
 	path := filepath.Join(t.TempDir(), "session.jsonl")
 	_, url, archived := testCollector(t)
-	t.Setenv("TMPDIR", t.TempDir())
 	for _, sink := range []struct {
 		name, journal string
 		read          func() ([]byte, error)

@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -327,5 +329,90 @@ func TestLiveViewMatchesAccumFold(t *testing.T) {
 				t.Fatalf("after shard %d, group %s: live view %+v, full fold %+v", s, a.Name, got[gi], want)
 			}
 		}
+	}
+}
+
+// TestCheckpointRejects corrupts one field of a good saved checkpoint per
+// case: LoadCheckpoint must refuse each, naming what failed, before a
+// resume or a report reads it.
+func TestCheckpointRejects(t *testing.T) {
+	cfg := testConfig(32) // 4 shards
+	id := cfg.Identity()
+	cp := NewCheckpoint(id)
+	for _, s := range []int{0, 2} { // prefix = shard 0, done = [shard 2]
+		if err := cp.Record(s, NewGroupAccums(id.Groups, id.SketchSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.json")
+	if err := cp.Save(good); err != nil {
+		t.Fatal(err)
+	}
+	if c, err := LoadCheckpoint(good); err != nil {
+		t.Fatalf("the good checkpoint: %v", err)
+	} else if _, err := TruncatedReport(c); err != nil {
+		t.Fatalf("the good checkpoint's report: %v", err)
+	}
+	raw, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name, want string
+		corrupt    func(m map[string]any)
+	}{
+		{"schema", "schema", func(m map[string]any) { m["schema"] = "bba-campaign-checkpoint/v0" }},
+		{"zero shards", "no shards", func(m map[string]any) { m["identity"].(map[string]any)["sessions"] = 0 }},
+		{"layout", "unknown layout", func(m map[string]any) { m["identity"].(map[string]any)["layout"] = "sideways" }},
+		{"prefix group count", "prefix has 1 groups, identity 2", func(m map[string]any) { m["prefix"] = m["prefix"].([]any)[:1] }},
+		{"null prefix group", "prefix group 0 is null", func(m map[string]any) { m["prefix"].([]any)[0] = nil }},
+		{"renamed prefix group", `prefix group 0 is "Imposter", identity "Control"`, func(m map[string]any) {
+			m["prefix"].([]any)[0].(map[string]any)["name"] = "Imposter"
+		}},
+		{"null done group", "shard 2 group 1 is null", func(m map[string]any) { doneAt(m, 0)["groups"].([]any)[1] = nil }},
+		{"renamed done group", `shard 2 group 1 is "Control", identity "BBA-0"`, func(m map[string]any) {
+			doneAt(m, 0)["groups"].([]any)[1].(map[string]any)["name"] = "Control"
+		}},
+		{"shard out of order", "shard 0 out of order or duplicated", func(m map[string]any) { doneAt(m, 0)["shard"] = 0 }},
+		{"shard duplicated", "shard 2 out of order or duplicated", func(m map[string]any) { m["done"] = append(m["done"].([]any), doneAt(m, 0)) }},
+		{"shard beyond the campaign", "shard 4 beyond campaign's 4 shards", func(m map[string]any) { doneAt(m, 0)["shard"] = 4 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var m map[string]any
+			if err := json.Unmarshal(raw, &m); err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(m)
+			data, err := json.Marshal(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertRefused(t, dir, data, tc.want)
+		})
+	}
+	t.Run("truncated JSON", func(t *testing.T) {
+		assertRefused(t, dir, raw[:len(raw)/2], "parse checkpoint")
+	})
+}
+
+// doneAt returns the JSON object of a checkpoint's i-th parked shard.
+func doneAt(m map[string]any, i int) map[string]any { return m["done"].([]any)[i].(map[string]any) }
+
+// assertRefused saves data as a checkpoint file and requires LoadCheckpoint
+// to refuse it with an error containing want.
+func assertRefused(t *testing.T, dir string, data []byte, want string) {
+	t.Helper()
+	path := filepath.Join(dir, "bad.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := LoadCheckpoint(path)
+	if err == nil {
+		t.Fatalf("LoadCheckpoint accepted the corrupt checkpoint (%d groups in its prefix)", len(c.Prefix))
+	}
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("LoadCheckpoint = %v, want an error naming %q", err, want)
 	}
 }

@@ -127,8 +127,10 @@ func (c *Checkpoint) validate() error {
 	if err := c.Identity.checkLayout(); err != nil {
 		return err
 	}
-	if c.PrefixShards > 0 && len(c.Prefix) != len(c.Identity.Groups) {
-		return fmt.Errorf("campaign: checkpoint prefix has %d groups, identity %d", len(c.Prefix), len(c.Identity.Groups))
+	if c.PrefixShards > 0 {
+		if err := c.checkGroups("prefix", c.Prefix); err != nil {
+			return err
+		}
 	}
 	last := c.PrefixShards - 1
 	for _, d := range c.Done {
@@ -138,10 +140,29 @@ func (c *Checkpoint) validate() error {
 		if d.Shard >= c.Identity.Shards() {
 			return fmt.Errorf("campaign: checkpoint shard %d beyond campaign's %d shards", d.Shard, c.Identity.Shards())
 		}
-		if len(d.Groups) != len(c.Identity.Groups) {
-			return fmt.Errorf("campaign: checkpoint shard %d has %d groups, identity %d", d.Shard, len(d.Groups), len(c.Identity.Groups))
+		if err := c.checkGroups(fmt.Sprintf("shard %d", d.Shard), d.Groups); err != nil {
+			return err
 		}
 		last = d.Shard
+	}
+	return nil
+}
+
+// checkGroups checks that groups holds one accumulator per identity group,
+// each named after its group, in the identity's order: a report names each
+// group after its accumulator, and a fold merges accumulator i of every
+// shard into group i.
+func (c *Checkpoint) checkGroups(where string, groups []*GroupAccum) error {
+	if len(groups) != len(c.Identity.Groups) {
+		return fmt.Errorf("campaign: checkpoint %s has %d groups, identity %d", where, len(groups), len(c.Identity.Groups))
+	}
+	for i, g := range groups {
+		if g == nil {
+			return fmt.Errorf("campaign: checkpoint %s group %d is null", where, i)
+		}
+		if g.Name != c.Identity.Groups[i] {
+			return fmt.Errorf("campaign: checkpoint %s group %d is %q, identity %q", where, i, g.Name, c.Identity.Groups[i])
+		}
 	}
 	return nil
 }

@@ -106,6 +106,27 @@ const (
 	hostileBatch    = 16
 )
 
+// playHostile plays simulated session i into obs. It is deterministic: a
+// second play emits the same events.
+func playHostile(i int, obs telemetry.Observer) error {
+	algorithms := abr.Names()
+	alg, err := abr.New(algorithms[i%len(algorithms)])
+	if err != nil {
+		return err
+	}
+	video, err := media.NewVBR(media.VBRConfig{Title: "e2e", Ladder: media.DefaultLadder(), NumChunks: 60}, rand.New(rand.NewSource(int64(i))))
+	if err != nil {
+		return err
+	}
+	_, err = player.Run(player.Config{
+		Algorithm: alg,
+		Stream:    abr.NewStream(video, 0),
+		Trace:     trace.Step(4*units.Mbps, 150*units.Kbps, time.Minute, 2*time.Hour),
+		Observer:  obs,
+	})
+	return err
+}
+
 // shipHostile plays hostileSessions simulated sessions at once, each with
 // its own three-sender shipper as Observer (teed into a local capture),
 // through hostileClient into a collector backed by a real archive.Store. It
@@ -129,12 +150,18 @@ func shipHostile(t *testing.T) (local, archived map[string][]string) {
 		captures [hostileSessions]telemetry.Capture
 		shippers [hostileSessions]*Shipper
 	)
-	algorithms := abr.Names()
 	for i := range shippers {
+		// The queue holds a whole session's frames, so no scheduling of the
+		// framer against senders stuck in retries can overflow it: a drop
+		// below is the pipeline's doing, not the bound's.
+		frames := 0
+		if err := playHostile(i, telemetry.Func(func(telemetry.Event) { frames++ })); err != nil {
+			t.Fatal(err)
+		}
 		shippers[i], err = NewShipper(ShipperConfig{
 			Addr: srv.URL, Run: "e2e", Session: uint64(i + 1),
 			BatchEvents: hostileBatch, FlushInterval: -1,
-			Queue:      QueueConfig{MemFrames: 64, SpillDir: t.TempDir()},
+			Queue:      QueueConfig{MemFrames: (frames + hostileBatch - 1) / hostileBatch},
 			Senders:    3,
 			Retry:      RetryPolicy{MaxAttempts: 400, Base: 200 * time.Microsecond, Cap: 2 * time.Millisecond, Seed: int64(7 + i)},
 			HTTPClient: client,
@@ -146,34 +173,19 @@ func shipHostile(t *testing.T) (local, archived map[string][]string) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			alg, err := abr.New(algorithms[i%len(algorithms)])
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			video, err := media.NewVBR(media.VBRConfig{Title: "e2e", Ladder: media.DefaultLadder(), NumChunks: 60}, rand.New(rand.NewSource(int64(i))))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			_, err = player.Run(player.Config{
-				Algorithm: alg,
-				Stream:    abr.NewStream(video, 0),
-				Trace:     trace.Step(4*units.Mbps, 150*units.Kbps, time.Minute, 2*time.Hour),
-				Observer: telemetry.Func(func(e telemetry.Event) {
-					e.Session = captures[i].Session // stamped before the tee: both copies carry the same bytes
-					captures[i].OnEvent(e)
-					shippers[i].OnEvent(e)
-					// A real player is paced by the wall clock; a virtual-time
-					// session outruns any framer. Wait for each sealed batch to
-					// be queued, so a drop would be the pipeline's doing.
-					if n := int64(len(captures[i].Events)); n%hostileBatch == 0 {
-						for ss := shippers[i].Stats(); ss.Queue.Pushed < n/hostileBatch && ss.FramesDropped == 0; ss = shippers[i].Stats() {
-							runtime.Gosched()
-						}
+			err := playHostile(i, telemetry.Func(func(e telemetry.Event) {
+				e.Session = captures[i].Session // stamped before the tee: both copies carry the same bytes
+				captures[i].OnEvent(e)
+				shippers[i].OnEvent(e)
+				// A real player is paced by the wall clock; a virtual-time
+				// session outruns any framer. Wait for each sealed batch to
+				// be queued, so a drop would be the pipeline's doing.
+				if n := int64(len(captures[i].Events)); n%hostileBatch == 0 {
+					for ss := shippers[i].Stats(); ss.Queue.Pushed < n/hostileBatch && ss.FramesDropped == 0; ss = shippers[i].Stats() {
+						runtime.Gosched()
 					}
-				}),
-			})
+				}
+			}))
 			if err != nil {
 				t.Error(err)
 			}
@@ -195,6 +207,9 @@ func shipHostile(t *testing.T) (local, archived map[string][]string) {
 		}
 		if ss.Events != int64(len(captures[i].Events)) {
 			t.Fatalf("shipper %d saw %d events, the capture %d", i, ss.Events, len(captures[i].Events))
+		}
+		if ss.Queue.Pushed != int64(cap(s.frames)) {
+			t.Fatalf("shipper %d queued %d frames, its queue was sized to the session's %d", i, ss.Queue.Pushed, cap(s.frames))
 		}
 		retries += ss.Retries
 		frames += ss.FramesShipped

@@ -1,7 +1,7 @@
 // Package collect is the fleet telemetry collection pipeline: the
 // client-side Shipper batches session events into sequence-numbered,
-// checksummed frames and ships them over HTTP with retry and bounded
-// on-disk spill; the server-side Collector decodes frames, verifies
+// checksummed frames and ships them over HTTP with retry from a bounded
+// in-memory queue; the server-side Collector decodes frames, verifies
 // checksums, dedups by (run, session, seq) so at-least-once delivery becomes
 // exactly-once admission, and hands each admitted batch to its archive
 // before acknowledging it.

@@ -125,3 +125,42 @@ func payloadKindConsts(f *ast.File) []string {
 	}
 	return names
 }
+
+// TestCollectWritesNoFiles keeps the shipper's queue in memory: it fails if
+// a non-test file of this package imports os or path/filepath, or names a
+// field of the deleted disk spill. The spill had the shape of a durable
+// queue without its property — nothing survived a restart — so a file
+// writer coming back here needs a durability contract first.
+func TestCollectWritesNoFiles(t *testing.T) {
+	banned := map[string]bool{"SpillDir": true, "MaxSpillBytes": true, "Spilled": true}
+	paths, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	checked := 0
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked++
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "os" || p == "path/filepath" {
+				t.Errorf("%s imports %s: the shipper's frame queue is memory only", path, p)
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && banned[id.Name] {
+				t.Errorf("%s names %s: the disk spill is gone", fset.Position(id.Pos()), id.Name)
+			}
+			return true
+		})
+	}
+	if checked == 0 {
+		t.Fatal("no non-test source files checked")
+	}
+}

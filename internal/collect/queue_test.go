@@ -1,311 +1,170 @@
 package collect
 
 import (
-	"errors"
+	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sync"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
+
+	"bba/internal/telemetry"
 )
 
-func popString(t *testing.T, q *queue) string {
+// bareShipper is a Shipper with only its frame queue: no goroutines, so a
+// test pushes with enqueueFrame and pops from frames itself.
+func bareShipper(memFrames int) *Shipper {
+	return &Shipper{cfg: ShipperConfig{Run: "queue", Session: 1}, frames: make(chan []byte, memFrames)}
+}
+
+// popFrame takes the next frame off the queue and decodes it.
+func popFrame(t *testing.T, s *Shipper) Frame {
 	t.Helper()
-	b, ok := q.Pop()
-	if !ok {
-		t.Fatalf("queue closed early")
+	select {
+	case b := <-s.frames:
+		f, _, err := DecodeFrame(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	default:
+		t.Fatal("queue empty")
+		return Frame{}
 	}
-	return string(b)
 }
 
 func TestQueueFIFOMemory(t *testing.T) {
-	q := newQueue(QueueConfig{MemFrames: 8})
+	s := bareShipper(8)
 	for i := 0; i < 5; i++ {
-		if ok, err := q.Push([]byte(fmt.Sprintf("f%d", i))); !ok || err != nil {
-			t.Fatalf("push %d: %v %v", i, ok, err)
-		}
+		s.enqueueFrame([]byte(fmt.Sprintf("f%d\n", i)))
+	}
+	if q := s.Stats().Queue; q.Pushed != 5 || q.Depth != 5 || q.Dropped != 0 {
+		t.Fatalf("queue stats %+v", q)
 	}
 	for i := 0; i < 5; i++ {
-		if got := popString(t, q); got != fmt.Sprintf("f%d", i) {
-			t.Fatalf("pop %d: %q", i, got)
+		if f := popFrame(t, s); f.Seq != uint64(i) || string(f.Payload) != fmt.Sprintf("f%d\n", i) {
+			t.Fatalf("pop %d: seq %d payload %q", i, f.Seq, f.Payload)
 		}
 	}
-	if q.Len() != 0 {
-		t.Fatalf("depth %d after drain", q.Len())
+	if q := s.Stats().Queue; q.Depth != 0 {
+		t.Fatalf("depth %d after drain", q.Depth)
 	}
 }
 
+// TestQueueDropNewestDefault: a full queue refuses the newest frame and
+// counts it; the refused frame spends no sequence number. The default
+// bound is 256 frames.
 func TestQueueDropNewestDefault(t *testing.T) {
-	q := newQueue(QueueConfig{MemFrames: 2})
-	q.Push([]byte("a"))
-	q.Push([]byte("b"))
-	if ok, err := q.Push([]byte("c")); ok || err != nil {
-		t.Fatalf("overflow push accepted: %v %v", ok, err)
+	s := bareShipper(2)
+	for _, p := range []string{"a\n", "b\n", "c\n"} {
+		s.enqueueFrame([]byte(p))
 	}
-	if s := q.Stats(); s.Dropped != 1 || s.Pushed != 2 {
-		t.Fatalf("stats %+v", s)
+	ss := s.Stats()
+	if ss.Queue.Pushed != 2 || ss.Queue.Dropped != 1 || ss.FramesDropped != 1 {
+		t.Fatalf("stats %+v", ss)
 	}
-	if a, b := popString(t, q), popString(t, q); a != "a" || b != "b" {
-		t.Fatalf("kept %q %q, want oldest", a, b)
+	if f := popFrame(t, s); f.Seq != 0 || string(f.Payload) != "a\n" {
+		t.Fatalf("kept seq %d %q, want the oldest", f.Seq, f.Payload)
 	}
-}
+	s.enqueueFrame([]byte("d\n"))
+	for _, want := range []Frame{{Seq: 1, Payload: []byte("b\n")}, {Seq: 2, Payload: []byte("d\n")}} {
+		if f := popFrame(t, s); f.Seq != want.Seq || string(f.Payload) != string(want.Payload) {
+			t.Fatalf("popped seq %d %q, want seq %d %q", f.Seq, f.Payload, want.Seq, want.Payload)
+		}
+	}
 
-func TestQueueSpillFIFO(t *testing.T) {
-	dir := t.TempDir()
-	q := newQueue(QueueConfig{MemFrames: 2, SpillDir: dir})
-	for i := 0; i < 6; i++ {
-		if ok, err := q.Push([]byte(fmt.Sprintf("f%d", i))); !ok || err != nil {
-			t.Fatalf("push %d: %v %v", i, ok, err)
-		}
-	}
-	if s := q.Stats(); s.Spilled != 4 || s.Depth != 6 || s.SpillBytes == 0 {
-		t.Fatalf("stats %+v", s)
-	}
-	// Drain two, then push two more: the new frames must still come out
-	// after the spilled ones — FIFO holds across the spill boundary.
-	if a, b := popString(t, q), popString(t, q); a != "f0" || b != "f1" {
-		t.Fatalf("popped %q %q", a, b)
-	}
-	q.Push([]byte("f6"))
-	q.Push([]byte("f7"))
-	for i := 2; i < 8; i++ {
-		if got := popString(t, q); got != fmt.Sprintf("f%d", i) {
-			t.Fatalf("pop %d: %q", i, got)
-		}
-	}
-	if s := q.Stats(); s.Depth != 0 || s.SpillBytes != 0 {
-		t.Fatalf("stats after drain %+v", s)
-	}
-	// Drained segments are removed from disk.
-	ents, err := os.ReadDir(dir)
+	d, err := NewShipper(ShipperConfig{Addr: "http://127.0.0.1:9", Run: "queue", FlushInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ents) != 0 {
-		t.Fatalf("%d spill files left after drain", len(ents))
+	defer d.Close()
+	if cap(d.frames) != 256 {
+		t.Fatalf("default queue bound %d frames, want 256", cap(d.frames))
 	}
 }
 
-func TestQueueSpillCap(t *testing.T) {
-	dir := t.TempDir()
-	frame := make([]byte, 1024)
-	q := newQueue(QueueConfig{MemFrames: 1, SpillDir: dir, MaxSpillBytes: 4096})
-	q.Push(frame) // memory
-	accepted := 1
-	for i := 0; i < 10; i++ {
-		if ok, _ := q.Push(frame); ok {
-			accepted++
-		}
-	}
-	// 1 in memory + ⌊4096/1028⌋ = 3 on disk.
-	if accepted != 4 {
-		t.Fatalf("accepted %d frames, want 4", accepted)
-	}
-	if s := q.Stats(); s.Dropped != 7 {
-		t.Fatalf("stats %+v", s)
-	}
-	// A full spill is a counted drop, never an error the sender must handle.
-	if ok, err := q.Push(frame); ok || err != nil {
-		t.Fatalf("push into full spill: ok=%v err=%v, want a counted drop", ok, err)
-	}
-	if s := q.Stats(); s.Dropped != 8 {
-		t.Fatalf("stats %+v", s)
-	}
-}
-
+// TestQueuePopBlocksUntilPush: a sender waiting on an empty queue ships a
+// frame sealed long after it started waiting.
 func TestQueuePopBlocksUntilPush(t *testing.T) {
-	q := newQueue(QueueConfig{})
-	got := make(chan string, 1)
-	go func() {
-		b, ok := q.Pop()
-		if !ok {
-			got <- ""
-			return
-		}
-		got <- string(b)
-	}()
+	c := NewCollector(CollectorConfig{})
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	s := newTestShipper(t, srv.URL, nil)
+	defer s.Close()
 	time.Sleep(10 * time.Millisecond)
-	q.Push([]byte("late"))
-	select {
-	case s := <-got:
-		if s != "late" {
-			t.Fatalf("got %q", s)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatalf("Pop never woke")
+	s.OnEvent(testEvent(0))
+	s.Seal()
+	waitFor(t, s, "the late frame shipped", func(ss ShipperStats) bool { return ss.FramesShipped == 1 })
+	if cs := c.Stats(); cs.Events != 1 {
+		t.Fatalf("collector stats %+v", cs)
 	}
 }
 
+// TestQueueCloseDrains: Close returns only after every frame sealed before
+// it was shipped — including the flush timer's last partial batch — so the
+// ledger balances with nothing left queued.
 func TestQueueCloseDrains(t *testing.T) {
-	q := newQueue(QueueConfig{})
-	q.Push([]byte("a"))
-	q.Close()
-	if got := popString(t, q); got != "a" {
-		t.Fatalf("got %q", got)
-	}
-	if _, ok := q.Pop(); ok {
-		t.Fatalf("Pop after drain on closed queue")
-	}
-	if _, err := q.Push([]byte("b")); !errors.Is(err, errQueueClosed) {
-		t.Fatalf("push after close: %v", err)
-	}
-}
-
-func TestQueueDamagedSegment(t *testing.T) {
-	dir := t.TempDir()
-	q := newQueue(QueueConfig{MemFrames: 1, SpillDir: dir})
-	q.Push([]byte("mem"))
-	q.Push([]byte("disk0")) // segment 0
-	// A frame too big to share segment 0 forces a rotation, sealing the
-	// first segment so it can be corrupted independently.
-	big := make([]byte, segMaxBytes)
-	copy(big, "big")
-	if ok, err := q.Push(big); !ok || err != nil {
-		t.Fatalf("big push: %v %v", ok, err)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil || len(ents) != 2 {
-		t.Fatalf("spill files: %v %d", err, len(ents))
-	}
-	// Corrupt the older segment; its frame must be counted lost — the
-	// queue moves on to the next segment instead of wedging.
-	name := ents[0].Name()
-	if ents[1].Name() < name {
-		name = ents[1].Name()
-	}
-	if err := os.WriteFile(filepath.Join(dir, name), []byte{0xFF, 0xFF}, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got := popString(t, q); got != "mem" {
-		t.Fatalf("got %q", got)
-	}
-	got, ok := q.Pop()
-	if !ok || len(got) != segMaxBytes || string(got[:3]) != "big" {
-		t.Fatalf("pop after damaged segment: ok=%v len=%d", ok, len(got))
-	}
-	if s := q.Stats(); s.Dropped != 1 {
-		t.Fatalf("stats %+v, want damaged frame counted dropped", s)
+	c := NewCollector(CollectorConfig{})
+	inner := c.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(200 * time.Microsecond) // keep frames queued when Close starts
+		inner.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	var events int64
+	for round := 0; round < 20; round++ {
+		s := newTestShipper(t, srv.URL, func(cfg *ShipperConfig) {
+			cfg.Session = uint64(round + 1)
+			cfg.FlushInterval = 100 * time.Microsecond
+		})
+		for i := 0; i < 9; i++ {
+			offer(s, testEvent(i))
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		ss := s.Stats()
+		if ss.Events != 9 {
+			t.Fatalf("round %d: %+v", round, ss)
+		}
+		if q := ss.Queue; q.Pushed != q.Popped || q.Depth != 0 || q.Dropped != 0 || ss.FramesShipped != q.Pushed || ss.FramesDropped != 0 {
+			t.Fatalf("round %d: stats after Close %+v", round, ss)
+		}
+		events += ss.Events
+		if cs := c.Stats(); cs.Events != events {
+			t.Fatalf("round %d: collector holds %d events, the shippers sent %d", round, cs.Events, events)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("second close: %v", err)
+		}
 	}
 }
 
+// TestQueueConcurrent: the framer pushes while the sender pops; with one
+// sender the collector admits every frame once, in sequence order.
 func TestQueueConcurrent(t *testing.T) {
-	q := newQueue(QueueConfig{MemFrames: 64, SpillDir: t.TempDir()})
-	const n = 2000
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < n; i++ {
-			for {
-				if ok, err := q.Push([]byte{byte(i), byte(i >> 8)}); ok {
-					break
-				} else if err != nil {
-					t.Errorf("push: %v", err)
-					return
-				}
-				time.Sleep(time.Microsecond)
-			}
-		}
-	}()
-	seen := 0
-	for seen < n {
-		b, ok := q.Pop()
-		if !ok {
-			t.Fatalf("queue closed at %d", seen)
-		}
-		if got := int(b[0]) | int(b[1])<<8; got != seen {
-			t.Fatalf("frame %d out of order: %d", seen, got)
-		}
-		seen++
+	const n = 500
+	var archived bytes.Buffer
+	c := NewCollector(CollectorConfig{Archive: WriterArchiver{W: &archived}})
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	s := newTestShipper(t, srv.URL, func(cfg *ShipperConfig) {
+		cfg.BatchEvents = 1
+		cfg.Queue = QueueConfig{MemFrames: n} // room for every frame: a drop would be the pipeline's doing
+	})
+	var want bytes.Buffer
+	for i := 0; i < n; i++ {
+		offer(s, testEvent(i))
+		want.Write(telemetry.AppendJSONL(nil, testEvent(i)))
 	}
-	wg.Wait()
-	q.Close()
-}
-
-// TestQueueCloseRemovesSpill is the regression test for the leaked-spill
-// bug: Close documented "spill segments left on disk are removed" but
-// never removed them, leaking .q files on every shutdown with a disk
-// backlog. Close must discard the disk backlog with honest accounting —
-// frames counted Dropped, Depth and SpillBytes rewound — while in-memory
-// frames stay poppable.
-func TestQueueCloseRemovesSpill(t *testing.T) {
-	dir := t.TempDir()
-	q := newQueue(QueueConfig{MemFrames: 2, SpillDir: dir})
-	for i := 0; i < 8; i++ {
-		if ok, err := q.Push([]byte(fmt.Sprintf("f%d", i))); !ok || err != nil {
-			t.Fatalf("push %d: %v %v", i, ok, err)
-		}
-	}
-	if ents, _ := os.ReadDir(dir); len(ents) == 0 {
-		t.Fatal("test setup: nothing spilled")
-	}
-	q.Close()
-	ents, err := os.ReadDir(dir)
-	if err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if len(ents) != 0 {
-		t.Fatalf("%d spill files left after Close, want 0", len(ents))
+	cs := c.Stats() // the collector's lock orders the archive's writes before this read
+	if ss := s.Stats(); ss.FramesShipped != n || ss.FramesDropped != 0 || cs.Events != n || cs.FramesDup != 0 {
+		t.Fatalf("shipper %+v, collector %+v", ss, cs)
 	}
-	s := q.Stats()
-	if s.Dropped != 6 || s.Depth != 2 || s.SpillBytes != 0 {
-		t.Fatalf("stats after Close %+v, want 6 dropped, depth 2, 0 spill bytes", s)
-	}
-	// The in-memory prefix still drains.
-	if a, b := popString(t, q), popString(t, q); a != "f0" || b != "f1" {
-		t.Fatalf("drained %q %q after Close", a, b)
-	}
-	if _, ok := q.Pop(); ok {
-		t.Fatal("Pop returned a frame from the discarded disk backlog")
-	}
-	q.Close() // idempotent
-}
-
-// TestQueueDamagedSegmentAccounting extends the damaged-segment recovery
-// test to the full ledger: the lost frames leave Depth and SpillBytes as
-// well as entering Dropped, and the damaged file is removed from disk.
-func TestQueueDamagedSegmentAccounting(t *testing.T) {
-	dir := t.TempDir()
-	q := newQueue(QueueConfig{MemFrames: 1, SpillDir: dir})
-	q.Push([]byte("mem"))
-	q.Push([]byte("d0"))
-	q.Push([]byte("d1")) // same segment as d0
-	big := make([]byte, segMaxBytes)
-	copy(big, "big")
-	if ok, err := q.Push(big); !ok || err != nil {
-		t.Fatalf("big push: %v %v", ok, err)
-	}
-	before := q.Stats()
-	if before.Depth != 4 {
-		t.Fatalf("setup depth %d, want 4", before.Depth)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil || len(ents) != 2 {
-		t.Fatalf("spill files: %v %d", err, len(ents))
-	}
-	oldest := ents[0].Name()
-	if ents[1].Name() < oldest {
-		oldest = ents[1].Name()
-	}
-	if err := os.Truncate(filepath.Join(dir, oldest), 3); err != nil {
-		t.Fatal(err)
-	}
-	if got := popString(t, q); got != "mem" {
-		t.Fatalf("got %q", got)
-	}
-	// Popping past the damaged segment recovers into the intact one.
-	if got, ok := q.Pop(); !ok || string(got[:3]) != "big" {
-		t.Fatalf("recovery pop: ok=%v", ok)
-	}
-	s := q.Stats()
-	if s.Dropped != 2 {
-		t.Fatalf("Dropped = %d, want 2 (both frames of the damaged segment)", s.Dropped)
-	}
-	if s.Depth != 0 || s.SpillBytes != 0 {
-		t.Fatalf("Depth = %d SpillBytes = %d after drain, want 0/0", s.Depth, s.SpillBytes)
-	}
-	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
-		t.Fatalf("%d spill files left, want 0", len(ents))
+	if !bytes.Equal(archived.Bytes(), want.Bytes()) {
+		t.Fatal("the collector admitted the frames out of order")
 	}
 }

@@ -82,6 +82,24 @@ type ShipperConfig struct {
 	HTTPClient *http.Client
 }
 
+// QueueConfig bounds the frame queue between the framer and the senders.
+type QueueConfig struct {
+	// MemFrames is the queue's capacity in frames (default 256). A frame
+	// sealed while the queue is full is dropped and counted: the newest
+	// data loses, the backlog is kept.
+	MemFrames int
+}
+
+// QueueStats counts frame-queue activity. Dropped counts the frames the
+// full queue refused; they are in ShipperStats.FramesDropped too.
+type QueueStats struct {
+	Pushed  int64
+	Popped  int64
+	Dropped int64
+	// Depth is the number of frames waiting for a sender.
+	Depth int64
+}
+
 // ShipperStats is a snapshot of shipper activity. EventsDropped and
 // FramesDropped are the explicit loss account of the non-blocking hot
 // path: when the pipeline has no capacity, events are counted out, never
@@ -107,13 +125,12 @@ const numBatchBuffers = 4
 // Shipper is the client half of the pipeline. Its OnEvent implements
 // telemetry.Observer without blocking and — once its batch buffer has
 // grown to steady state — without allocating: events append to a pooled
-// buffer; full batches hand off to a framer goroutine that encodes and
-// queues them; sender goroutines drain the queue with capped jittered
-// retry, spilling to disk while the collector is unreachable.
+// buffer; full batches hand off to a framer goroutine that encodes them
+// into the bounded frame queue; sender goroutines drain the queue with
+// capped jittered retry.
 type Shipper struct {
 	cfg   ShipperConfig
 	trans *httpTransport
-	q     *queue
 
 	mu            sync.Mutex // guards cur, curEvents and the event counters
 	cur           []byte
@@ -124,24 +141,29 @@ type Shipper struct {
 	free chan []byte
 	full chan sealedBatch
 
-	enqMu   sync.Mutex // serializes seq assignment with queue admission
-	nextSeq uint64
+	// frames is the frame queue. The framer is its one writer and Close
+	// closes it only after the framer has stopped, so no frame is ever
+	// pushed into a closed queue.
+	frames  chan []byte
+	nextSeq uint64 // framer-owned, as is scratch
 	scratch []byte
 
 	sealedPending atomic.Int64 // batches handed to the framer, not yet queued
 	pending       atomic.Int64 // frames queued, not yet shipped or dropped
 
+	pushed        atomic.Int64
+	popped        atomic.Int64
+	queueDropped  atomic.Int64
 	framesDropped atomic.Int64
 	shipped       atomic.Int64
 	sendErrors    atomic.Int64
 	retries       atomic.Int64
 
-	fatalMu sync.Mutex
-	fatal   error
-
 	stopFlusher chan struct{}
 	stopFramer  chan struct{}
-	wg          sync.WaitGroup
+	flushing    sync.WaitGroup
+	framing     sync.WaitGroup
+	sending     sync.WaitGroup
 
 	closeOnce sync.Once
 	closeErr  error
@@ -169,6 +191,9 @@ func NewShipper(cfg ShipperConfig) (*Shipper, error) {
 	if cfg.Senders <= 0 {
 		cfg.Senders = 1
 	}
+	if cfg.Queue.MemFrames <= 0 {
+		cfg.Queue.MemFrames = 256
+	}
 	cfg.Retry.applyDefaults()
 	if !strings.HasPrefix(cfg.Addr, "http://") && !strings.HasPrefix(cfg.Addr, "https://") {
 		return nil, fmt.Errorf("%w, got %q", ErrBadAddr, cfg.Addr)
@@ -180,24 +205,24 @@ func NewShipper(cfg ShipperConfig) (*Shipper, error) {
 	s := &Shipper{
 		cfg:         cfg,
 		trans:       &httpTransport{url: strings.TrimSuffix(cfg.Addr, "/") + "/ingest", client: client},
-		q:           newQueue(cfg.Queue),
 		free:        make(chan []byte, numBatchBuffers),
 		full:        make(chan sealedBatch, numBatchBuffers),
+		frames:      make(chan []byte, cfg.Queue.MemFrames),
 		stopFlusher: make(chan struct{}),
 		stopFramer:  make(chan struct{}),
 	}
 	for i := 0; i < numBatchBuffers; i++ {
 		s.free <- make([]byte, 0, 64<<10)
 	}
-	s.wg.Add(1)
+	s.framing.Add(1)
 	go s.framer()
 	for i := 0; i < cfg.Senders; i++ {
 		rng := rand.New(rand.NewSource(cfg.Retry.Seed + int64(i)*0x9E3779B9))
-		s.wg.Add(1)
+		s.sending.Add(1)
 		go s.sender(rng)
 	}
 	if cfg.FlushInterval > 0 {
-		s.wg.Add(1)
+		s.flushing.Add(1)
 		go s.flusher()
 	}
 	return s, nil
@@ -255,25 +280,17 @@ func (s *Shipper) Seal() {
 
 // framer encodes sealed event batches into frames and queues them.
 func (s *Shipper) framer() {
-	defer s.wg.Done()
+	defer s.framing.Done()
 	for {
 		select {
 		case b := <-s.full:
-			if err := s.enqueueFrame(b.buf); err != nil {
-				s.setFatal(err)
-			}
-			s.free <- b.buf
-			s.sealedPending.Add(-1)
+			s.frameBatch(b)
 		case <-s.stopFramer:
 			// Drain anything sealed before the stop.
 			for {
 				select {
 				case b := <-s.full:
-					if err := s.enqueueFrame(b.buf); err != nil {
-						s.setFatal(err)
-					}
-					s.free <- b.buf
-					s.sealedPending.Add(-1)
+					s.frameBatch(b)
 				default:
 					return
 				}
@@ -282,10 +299,17 @@ func (s *Shipper) framer() {
 	}
 }
 
+// frameBatch queues one sealed batch as a frame and recycles its buffer.
+func (s *Shipper) frameBatch(b sealedBatch) {
+	s.enqueueFrame(b.buf)
+	s.free <- b.buf
+	s.sealedPending.Add(-1)
+}
+
 // flusher seals partial batches on a timer so low-rate event streams still
 // ship promptly.
 func (s *Shipper) flusher() {
-	defer s.wg.Done()
+	defer s.flushing.Done()
 	t := time.NewTicker(s.cfg.FlushInterval)
 	defer t.Stop()
 	for {
@@ -298,13 +322,11 @@ func (s *Shipper) flusher() {
 	}
 }
 
-// enqueueFrame assigns the next sequence number and queues one event frame.
-// Sequence numbers are consumed only by accepted frames: a dropped frame
-// never leaves a permanent gap for the collector's dedup window to chase.
-// The error is Push's — a spill I/O failure, never a full queue.
-func (s *Shipper) enqueueFrame(payload []byte) error {
-	s.enqMu.Lock()
-	defer s.enqMu.Unlock()
+// enqueueFrame assigns the next sequence number and queues a copy of one
+// event frame, or drops it, counted, when the queue is full. Sequence
+// numbers are consumed only by accepted frames: a dropped frame never
+// leaves a permanent gap for the collector's dedup window to chase.
+func (s *Shipper) enqueueFrame(payload []byte) {
 	s.scratch = AppendFrame(s.scratch[:0], Frame{
 		Run:     s.cfg.Run,
 		Session: s.cfg.Session,
@@ -312,77 +334,52 @@ func (s *Shipper) enqueueFrame(payload []byte) error {
 		Kind:    PayloadEvents,
 		Payload: payload,
 	})
-	ok, err := s.q.Push(s.scratch)
-	if err != nil {
-		return err
-	}
-	if !ok {
+	select {
+	case s.frames <- append([]byte(nil), s.scratch...):
+		s.nextSeq++
+		s.pushed.Add(1)
+		s.pending.Add(1)
+	default:
+		s.queueDropped.Add(1)
 		s.framesDropped.Add(1)
-		return nil
 	}
-	s.nextSeq++
-	s.pending.Add(1)
-	return nil
 }
 
 // Flush seals the current batch and blocks until every queued frame has
-// been shipped (acknowledged) or dropped, the context expires, or the spill
-// fails.
+// been shipped (acknowledged) or dropped, or the context expires.
 func (s *Shipper) Flush(ctx context.Context) error {
 	s.Seal()
 	t := time.NewTicker(2 * time.Millisecond)
 	defer t.Stop()
-	for {
-		if err := s.Err(); err != nil {
-			return err
-		}
-		if s.sealedPending.Load() == 0 && s.pending.Load() == 0 {
-			return nil
-		}
+	for s.sealedPending.Load() != 0 || s.pending.Load() != 0 {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-t.C:
 		}
 	}
+	return nil
 }
 
-// Close flushes with a generous deadline, stops the pipeline and releases
-// the transport. It returns the sticky error, if any. Close is idempotent;
-// repeat calls return the first call's result.
+// Close stops the pipeline in order: the flush timer, a flush with a
+// generous deadline, the framer once it has queued every sealed batch, then
+// the queue, which the senders drain before they exit. It releases the
+// transport and returns the flush's error. Close is idempotent; repeat
+// calls return the first call's result.
 func (s *Shipper) Close() error {
 	s.closeOnce.Do(func() {
-		if s.cfg.FlushInterval > 0 {
-			close(s.stopFlusher)
-		}
+		close(s.stopFlusher)
+		s.flushing.Wait()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		flushErr := s.Flush(ctx)
+		s.closeErr = s.Flush(ctx)
 		cancel()
 		close(s.stopFramer)
-		s.q.Close()
-		s.wg.Wait()
+		s.framing.Wait()
+		close(s.frames)
+		s.sending.Wait()
 		s.trans.close()
-		s.closeErr = flushErr
-		if err := s.Err(); err != nil {
-			s.closeErr = err
-		}
 	})
 	return s.closeErr
-}
-
-// Err returns the sticky fatal error (a spill I/O failure).
-func (s *Shipper) Err() error {
-	s.fatalMu.Lock()
-	defer s.fatalMu.Unlock()
-	return s.fatal
-}
-
-func (s *Shipper) setFatal(err error) {
-	s.fatalMu.Lock()
-	if s.fatal == nil {
-		s.fatal = err
-	}
-	s.fatalMu.Unlock()
 }
 
 // Stats returns a snapshot of the shipper counters.
@@ -397,18 +394,20 @@ func (s *Shipper) Stats() ShipperStats {
 		FramesDropped: s.framesDropped.Load(),
 		SendErrors:    s.sendErrors.Load(),
 		Retries:       s.retries.Load(),
-		Queue:         s.q.Stats(),
+		Queue: QueueStats{
+			Pushed:  s.pushed.Load(),
+			Popped:  s.popped.Load(),
+			Dropped: s.queueDropped.Load(),
+			Depth:   int64(len(s.frames)),
+		},
 	}
 }
 
 // sender drains the queue, shipping each frame with capped jittered retry.
 func (s *Shipper) sender(rng *rand.Rand) {
-	defer s.wg.Done()
-	for {
-		frame, ok := s.q.Pop()
-		if !ok {
-			return
-		}
+	defer s.sending.Done()
+	for frame := range s.frames {
+		s.popped.Add(1)
 		s.shipFrame(frame, rng)
 		s.pending.Add(-1)
 	}

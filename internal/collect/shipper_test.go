@@ -1,6 +1,7 @@
 package collect
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
@@ -121,8 +122,39 @@ func TestShipperPermanentRejection(t *testing.T) {
 	s.Close()
 }
 
-func TestShipperSpillsWhileCollectorDown(t *testing.T) {
-	c := NewCollector(CollectorConfig{})
+// offer hands e to s, re-offering while the non-blocking hot path refuses
+// it: a tight loop outruns the small batch-buffer pool by design, where a
+// player emits at session pace.
+func offer(s *Shipper, e telemetry.Event) {
+	for {
+		before := s.Stats().Events
+		s.OnEvent(e)
+		if s.Stats().Events > before {
+			return
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, s *Shipper, what string, cond func(ShipperStats) bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for ss := s.Stats(); !cond(ss); ss = s.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: never happened: %+v", what, ss)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestShipperDropsBeyondQueueBound: while the collector is down the sender
+// holds one frame in retry and the queue holds MemFrames more; every later
+// frame is dropped and counted, without spending a sequence number, and
+// once the collector is back exactly the accepted events arrive, in order.
+func TestShipperDropsBeyondQueueBound(t *testing.T) {
+	var archived bytes.Buffer
+	c := NewCollector(CollectorConfig{Archive: WriterArchiver{W: &archived}})
 	inner := c.Handler()
 	var up atomic.Bool
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -136,45 +168,42 @@ func TestShipperSpillsWhileCollectorDown(t *testing.T) {
 
 	s := newTestShipper(t, srv.URL, func(cfg *ShipperConfig) {
 		cfg.BatchEvents = 1
-		cfg.Queue = QueueConfig{MemFrames: 2, SpillDir: t.TempDir()}
+		cfg.Queue = QueueConfig{MemFrames: 2}
 		cfg.Retry = RetryPolicy{MaxAttempts: 1 << 20, Base: time.Millisecond, Cap: 4 * time.Millisecond}
 	})
-	// Emit 30 events, re-offering any the non-blocking hot path refuses
-	// while the framer recycles batch buffers (a tight loop outruns the
-	// small buffer pool by design; a player emits at session pace).
-	for i := 0; i < 30; i++ {
-		for {
-			before := s.Stats().Events
-			s.OnEvent(testEvent(i))
-			if s.Stats().Events > before {
-				break
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
+	defer s.Close()
+	const events, bound = 30, 2
+	offer(s, testEvent(0))
+	waitFor(t, s, "the sender retrying frame 0", func(ss ShipperStats) bool { return ss.Queue.Popped == 1 && ss.SendErrors > 0 })
+	for i := 1; i < events; i++ {
+		offer(s, testEvent(i))
 	}
-	// With the collector down the sender blocks retrying the head frame;
-	// the backlog overflows memory onto disk instead of dropping.
-	deadline := time.Now().Add(10 * time.Second)
-	for s.Stats().Queue.Spilled == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("no spill while collector down: %+v", s.Stats())
-		}
-		time.Sleep(5 * time.Millisecond)
+	waitFor(t, s, "every frame queued or dropped", func(ss ShipperStats) bool { return ss.Queue.Pushed+ss.Queue.Dropped == events })
+	ss := s.Stats()
+	if want := int64(events - 1 - bound); ss.Queue.Pushed != 1+bound || ss.Queue.Dropped != want || ss.FramesDropped != want || ss.Queue.Depth != bound {
+		t.Fatalf("shipper stats %+v, want %d frames accepted and %d dropped", ss, 1+bound, want)
 	}
+
 	up.Store(true)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	if err := s.Flush(ctx); err != nil {
 		t.Fatalf("flush after recovery: %v", err)
 	}
-	// Recovery drains the spill completely: every accepted event arrives.
-	if cs := c.Stats(); cs.Events != 30 {
-		t.Fatalf("collector got %d events, want 30", cs.Events)
+	cs := c.Stats() // the collector's lock orders the archive's writes before this read
+	if cs.FramesDup != 0 || cs.Events != 1+bound {
+		t.Fatalf("collector stats %+v, want %d events and no duplicates", cs, 1+bound)
 	}
-	if ss := s.Stats(); ss.FramesDropped != 0 {
-		t.Fatalf("shipper dropped frames during spill: %+v", ss)
+	var want bytes.Buffer
+	for i := 0; i <= bound; i++ {
+		want.Write(telemetry.AppendJSONL(nil, testEvent(i)))
 	}
-	s.Close()
+	if !bytes.Equal(archived.Bytes(), want.Bytes()) {
+		t.Fatalf("collector holds\n%s\nwant the first %d events in order:\n%s", archived.Bytes(), 1+bound, want.Bytes())
+	}
+	if ss := s.Stats(); ss.Events != events || ss.FramesShipped != 1+bound || ss.FramesDropped != events-1-bound {
+		t.Fatalf("shipper stats after recovery %+v", ss)
+	}
 }
 
 func TestShipperOnEventZeroAlloc(t *testing.T) {

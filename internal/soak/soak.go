@@ -338,7 +338,7 @@ func (r *Runner) RunCycle(ctx context.Context, cycle int) (*Cycle, error) {
 		for i, s := range shippers {
 			s.Seal()
 			if err := s.Close(); err != nil {
-				records[i].Dropped++ // a failed spill or an unfinished flush counts as loss
+				records[i].Dropped++ // a flush that missed Close's deadline counts as loss
 			}
 			st := s.Stats()
 			records[i].Dropped += st.EventsDropped + st.FramesDropped

@@ -9,12 +9,11 @@ import (
 // Custom is a buffer-based algorithm over an arbitrary continuous rate map
 // — the paper's Section 3 class in its full generality: "any curve f(B) on
 // the plane within the feasible region defines a rate map". The discrete
-// selection uses the same barrier hysteresis as Algorithm 1: stay at the
-// previous rate until f(B) crosses the next-higher or next-lower ladder
-// rate.
-//
-// Pair it with internal/fluid to check a candidate map against the
-// Section 3.1 criteria before running it against real chunk dynamics.
+// selection is Algorithm 1 over f: R_min where f(B) is pinned at R_min (the
+// reservoir), R_max where it is pinned at R_max (the upper reservoir), and
+// in between the previous rate until f(B) crosses the next-higher or
+// next-lower ladder rate. The §3.1 theorems hold for it on the discrete
+// player under the hypotheses derived in internal/player's TestTheorems.
 type Custom struct {
 	// Label is the reported algorithm name.
 	Label string
@@ -57,6 +56,13 @@ func (c *Custom) Next(st State, s Stream) int {
 	}
 	next := prev
 	switch {
+	case f <= l.Min():
+		// Without this clause a map pinned at R_min steps down from two
+		// or more rungs up to min{R_i : R_i > R_min}, whose chunk cannot
+		// download at R_min before a buffer of V drains.
+		next = 0
+	case f >= l.Max():
+		next = len(l) - 1
 	case f >= ratePlus:
 		next = l.HighestBelow(f)
 		if next <= prev {

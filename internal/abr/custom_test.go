@@ -19,8 +19,8 @@ func bba0Shape(buffer, bufferMax time.Duration) units.BitRate {
 
 func TestCustomMatchesBBA0OnSameMap(t *testing.T) {
 	// A Custom algorithm running BBA-0's exact map must make BBA-0's
-	// decisions chunk for chunk (the region shortcuts in Algorithm 1 are
-	// implied by the pinned map).
+	// decisions chunk for chunk (Custom's pinned-map clauses are Algorithm
+	// 1's region shortcuts).
 	s := cbrStream(t)
 	custom := NewCustom("custom-bba0", bba0Shape)
 	reference := NewBBA0()
@@ -61,6 +61,12 @@ func TestCustomClampsOutOfBandMaps(t *testing.T) {
 	})
 	if got := floor.Next(stateAt(100*time.Second, -1, 0), s); got != 0 {
 		t.Errorf("floored pick = %d, want 0", got)
+	}
+	// From five rungs up, too: Algorithm 1's reservoir clause, not a step
+	// to min{R_i : R_i > R_min}, which rebuffers on a link at R_min.
+	floor.prev = 5
+	if got := floor.Next(stateAt(5*time.Second, 5, 1), s); got != 0 {
+		t.Errorf("floored pick from rung 5 = %d, want 0", got)
 	}
 }
 

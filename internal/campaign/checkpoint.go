@@ -54,9 +54,10 @@ func (c *Checkpoint) Has(s int) bool {
 }
 
 // Record stores a completed shard's accumulators and folds any newly
-// contiguous prefix. It returns an error on duplicates — a duplicate means
-// double-counting, the exact bug checkpointing exists to prevent. Record
-// takes ownership of accums.
+// contiguous prefix. It returns an error, and changes nothing, on
+// duplicates — a duplicate means double-counting, the exact bug
+// checkpointing exists to prevent — and on accumulators that are not the
+// identity's groups in its order. Record takes ownership of accums.
 func (c *Checkpoint) Record(s int, accums []*GroupAccum) error { return c.record(s, accums, nil) }
 
 // record is Record handing every set fold merges into the prefix back to
@@ -64,6 +65,9 @@ func (c *Checkpoint) Record(s int, accums []*GroupAccum) error { return c.record
 func (c *Checkpoint) record(s int, accums []*GroupAccum, free *accumSets) error {
 	if c.Has(s) {
 		return fmt.Errorf("campaign: shard %d recorded twice", s)
+	}
+	if err := c.checkGroups(s, accums); err != nil {
+		return err
 	}
 	i := sort.Search(len(c.Done), func(i int) bool { return c.Done[i].Shard >= s })
 	c.Done = append(c.Done, ShardAccums{})
@@ -128,7 +132,7 @@ func (c *Checkpoint) validate() error {
 		return err
 	}
 	if c.PrefixShards > 0 {
-		if err := c.checkGroups("prefix", c.Prefix); err != nil {
+		if err := c.checkGroups(-1, c.Prefix); err != nil {
 			return err
 		}
 	}
@@ -140,7 +144,7 @@ func (c *Checkpoint) validate() error {
 		if d.Shard >= c.Identity.Shards() {
 			return fmt.Errorf("campaign: checkpoint shard %d beyond campaign's %d shards", d.Shard, c.Identity.Shards())
 		}
-		if err := c.checkGroups(fmt.Sprintf("shard %d", d.Shard), d.Groups); err != nil {
+		if err := c.checkGroups(d.Shard, d.Groups); err != nil {
 			return err
 		}
 		last = d.Shard
@@ -148,23 +152,31 @@ func (c *Checkpoint) validate() error {
 	return nil
 }
 
-// checkGroups checks that groups holds one accumulator per identity group,
-// each named after its group, in the identity's order: a report names each
-// group after its accumulator, and a fold merges accumulator i of every
-// shard into group i.
-func (c *Checkpoint) checkGroups(where string, groups []*GroupAccum) error {
+// checkGroups checks that shard's groups (the prefix's, when shard < 0)
+// hold one accumulator per identity group, each named after its group, in
+// the identity's order: a report names each group after its accumulator,
+// and a fold merges accumulator i of every shard into group i.
+func (c *Checkpoint) checkGroups(shard int, groups []*GroupAccum) error {
 	if len(groups) != len(c.Identity.Groups) {
-		return fmt.Errorf("campaign: checkpoint %s has %d groups, identity %d", where, len(groups), len(c.Identity.Groups))
+		return fmt.Errorf("campaign: %s has %d groups, identity %d", groupsOf(shard), len(groups), len(c.Identity.Groups))
 	}
 	for i, g := range groups {
 		if g == nil {
-			return fmt.Errorf("campaign: checkpoint %s group %d is null", where, i)
+			return fmt.Errorf("campaign: %s group %d is null", groupsOf(shard), i)
 		}
 		if g.Name != c.Identity.Groups[i] {
-			return fmt.Errorf("campaign: checkpoint %s group %d is %q, identity %q", where, i, g.Name, c.Identity.Groups[i])
+			return fmt.Errorf("campaign: %s group %d is %q, identity %q", groupsOf(shard), i, g.Name, c.Identity.Groups[i])
 		}
 	}
 	return nil
+}
+
+// groupsOf names whose groups checkGroups refused.
+func groupsOf(shard int) string {
+	if shard < 0 {
+		return "prefix"
+	}
+	return fmt.Sprintf("shard %d", shard)
 }
 
 // Save writes the checkpoint atomically: marshal, write a temp file in the

@@ -350,14 +350,19 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	if req.Shard < 0 || req.Shard >= c.id.Shards() {
 		return CompleteResponse{}, fmt.Errorf("coord: shard %d outside [0,%d)", req.Shard, c.id.Shards())
 	}
-	if len(req.Groups) != len(c.id.Groups) {
-		return CompleteResponse{}, fmt.Errorf("coord: shard %d completion has %d groups, identity %d", req.Shard, len(req.Groups), len(c.id.Groups))
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.sweepLocked()
 	if req.Worker != "" {
 		c.workers[req.Worker] = c.cfg.Now()
+	}
+	// Record refuses a body it cannot fold before it changes anything, so
+	// the shard stays leased or pending and a good retry folds it.
+	dup := c.cp.Has(req.Shard)
+	if !dup {
+		if err := c.cp.Record(req.Shard, req.Groups); err != nil {
+			return CompleteResponse{}, err
+		}
 	}
 
 	// Retire the shard from every lease covering it, whichever lease the
@@ -380,12 +385,9 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 		c.pending = append(c.pending[:i], c.pending[i+1:]...)
 	}
 
-	if c.cp.Has(req.Shard) {
+	if dup {
 		c.stats.ShardsDup++
 		return CompleteResponse{Duplicate: true, Complete: c.cp.Complete()}, nil
-	}
-	if err := c.cp.Record(req.Shard, req.Groups); err != nil {
-		return CompleteResponse{}, err
 	}
 	c.stats.Shards++
 	c.sinceSave++

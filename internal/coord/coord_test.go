@@ -3,7 +3,11 @@ package coord
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -274,6 +278,75 @@ func TestDuplicateCompletionNoOp(t *testing.T) {
 	}
 	if got2, _ := c.Report(); !bytes.Equal(got, got2) {
 		t.Error("report not stable across calls")
+	}
+}
+
+// TestCompleteRefusesUnfoldableBodies holds /complete to the checkpoint's
+// group contract: a body the fold cannot take is answered 400 naming the
+// fault before anything changes, so the shard stays leased, a good retry
+// is no duplicate, and the report is a local run's.
+func TestCompleteRefusesUnfoldableBodies(t *testing.T) {
+	spec := testSpec(24) // 3 shards
+	want := localReport(t, spec)
+	c, err := New(Config{Spec: spec, LeaseShards: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grant, err := c.Acquire(LeaseRequest{Worker: "w"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newRunner(t, spec)
+	run := func(s int) []*campaign.GroupAccum {
+		accums, err := r.RunShard(context.Background(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return accums
+	}
+	post := func(s int, groups []*campaign.GroupAccum) *httptest.ResponseRecorder {
+		body, err := json.Marshal(CompleteRequest{Worker: "w", Lease: grant.Lease, Shard: s, Groups: groups})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		c.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/complete", bytes.NewReader(body)))
+		return w
+	}
+	if w := post(0, run(0)); w.Code != http.StatusOK {
+		t.Fatalf("good shard 0: %d %s", w.Code, w.Body)
+	}
+	good := run(1)
+	renamed := *good[0]
+	renamed.Name = "BBA-1"
+	for _, tc := range []struct {
+		name   string
+		shard  int
+		groups []*campaign.GroupAccum
+		want   string
+	}{
+		{"null group", 1, []*campaign.GroupAccum{good[0], nil}, "shard 1 group 1 is null"},
+		{"renamed group", 1, []*campaign.GroupAccum{&renamed, good[1]}, `shard 1 group 0 is "BBA-1", identity "Control"`},
+		{"swapped groups", 1, []*campaign.GroupAccum{good[1], good[0]}, `shard 1 group 0 is "BBA-0", identity "Control"`},
+		{"wrong group count", 1, good[:1], "shard 1 has 1 groups, identity 2"},
+		{"shard out of range", 3, good, "shard 3 outside [0,3)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := post(tc.shard, tc.groups)
+			if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), tc.want) {
+				t.Errorf("got %d %q, want 400 naming %q", w.Code, w.Body, tc.want)
+			}
+		})
+	}
+	for s, groups := range map[int][]*campaign.GroupAccum{1: good, 2: run(2)} {
+		w := post(s, groups)
+		var resp CompleteResponse
+		if err := json.NewDecoder(w.Body).Decode(&resp); err != nil || w.Code != http.StatusOK || resp.Duplicate {
+			t.Fatalf("good shard %d after the refusals: %d %+v %v", s, w.Code, resp, err)
+		}
+	}
+	if got, err := c.Report(); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("report after the refusals differs from a local run (err %v)", err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 )
 
 // deviations records where the reproduction knowingly departs from the
@@ -132,8 +131,8 @@ func WriteMarkdownContext(ctx context.Context, w io.Writer, scale Scale) error {
 		}
 	}
 	fmt.Fprintf(w, "# EXPERIMENTS — paper vs. reproduction\n\n")
-	fmt.Fprintf(w, "Generated by `go run ./cmd/abtest -experiments-md` at scale %q with seed %d on %s.\n",
-		scaleName, ExperimentSeed, time.Now().UTC().Format("2006-01-02"))
+	fmt.Fprintf(w, "Generated by `go run ./cmd/abtest -experiments-md` at scale %q with seed %d.\n",
+		scaleName, ExperimentSeed)
 	fmt.Fprintf(w, "Regenerate any single artifact with `go test -bench=Benchmark<Name> -benchtime=1x .`\n\n")
 	fmt.Fprintf(w, "%s\n", deviations)
 	for _, g := range generated {

@@ -152,8 +152,9 @@ func TestRminAlwaysNeverRebuffersAboveRmin(t *testing.T) {
 	}
 }
 
-// The paper's Section 3 theorem: with a CBR encode and C(t) ≥ R_min at all
-// times, a buffer-based algorithm never rebuffers.
+// Theorem 1 on BBA-0 over a CBR encode: its map meets the discrete
+// hypothesis derived in theorems_test.go, so with C(t) ≥ R_min at all times
+// it never rebuffers.
 func TestQuickNoUnnecessaryRebuffersBBA0(t *testing.T) {
 	s := cbrStream(t, 450)
 	f := func(seed int64) bool {
@@ -170,32 +171,6 @@ func TestQuickNoUnnecessaryRebuffersBBA0(t *testing.T) {
 		return res.Rebuffers == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// The VBR counterpart with BBA-1's dynamic reservoir. The theorem is exact
-// only in the fluid limit: with finite chunks, a max-size chunk in flight
-// while capacity sits exactly at R_min can graze the empty buffer for a
-// moment (the reservoir is clamped at 140 s). So the property here is the
-// deployable one: with C(t) ≥ R_min, stalls are negligible — under 2% of
-// playback — rather than strictly zero.
-func TestQuickNoUnnecessaryRebuffersBBA1(t *testing.T) {
-	f := func(seed int64) bool {
-		s := vbrStream(t, seed, 450)
-		tr := trace.Markov(trace.MarkovConfig{
-			Base:     1500 * units.Kbps,
-			Sigma:    1.2,
-			Duration: time.Hour,
-			Floor:    235 * units.Kbps,
-		}, rand.New(rand.NewSource(seed+1)))
-		res, err := Run(Config{Algorithm: abr.NewBBA1(), Stream: s, Trace: tr})
-		if err != nil {
-			return false
-		}
-		return res.StallTime.Seconds() <= 0.02*res.Played.Seconds()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
 }

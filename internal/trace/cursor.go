@@ -41,11 +41,11 @@ func (c *Cursor) seek(at time.Duration) int {
 		c.idx = 0
 		return 0
 	}
-	if at < t.segs[c.idx].start {
+	if at < t.segs[c.idx].start() {
 		c.idx = t.index(at)
 		return c.idx
 	}
-	for c.idx+1 < len(t.segs) && t.segs[c.idx+1].start <= at {
+	for c.idx+1 < len(t.segs) && t.segs[c.idx+1].start() <= at {
 		c.idx++
 	}
 	return c.idx
@@ -53,7 +53,7 @@ func (c *Cursor) seek(at time.Duration) int {
 
 // RateAt returns the capacity at time at, like Trace.RateAt.
 func (c *Cursor) RateAt(at time.Duration) units.BitRate {
-	return c.t.segs[c.seek(at)].rate
+	return c.t.segs[c.seek(at)].rate()
 }
 
 // BytesBetween integrates capacity over [from, to], like

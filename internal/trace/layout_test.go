@@ -20,8 +20,8 @@ import (
 // The reference layout: the 40-byte segment — start, end and the float
 // rate stored beside each (duration, rate) — with New, the two
 // integration cores, Slice and WriteCSV as they were written against it,
-// kept verbatim as the oracle the 16-byte {start, rate} layout is held to,
-// bit for bit.
+// kept verbatim as the oracle the 12-byte packed {start, rate} layout is
+// held to, bit for bit.
 
 type refSeg struct {
 	Segment
@@ -183,7 +183,10 @@ func (t *refTrace) WriteCSV(w io.Writer) error {
 
 // decodeLayout turns fuzz bytes into a segment list and a query stream:
 // 16-bit fields, durations in 10 ms ticks (some a single nanosecond, so
-// boundaries land between ticks), rates including zero. Segments may be
+// boundaries land between ticks), rates in kb/s including zero. A field of
+// 60 000 or more instead draws a long segment, up to 2^51 ns, so starts
+// fill the packed start's high bits, or a rate anywhere in [0, 2^40) b/s;
+// sixteen of either stay inside the layout's range. Segments may be
 // invalid, so New's error path is compared too.
 func decodeLayout(data []byte) (segs []Segment, queries []uint16) {
 	next := func() int {
@@ -194,12 +197,20 @@ func decodeLayout(data []byte) (segs []Segment, queries []uint16) {
 		data = data[2:]
 		return int(v)
 	}
+	const wide = 60000 // a field this large draws from the wide range
 	for n := next()%16 + 1; n > 0; n-- {
-		d := time.Duration(next()%3000) * 10 * time.Millisecond
-		if d == 0 && next()%2 == 0 {
+		var d time.Duration
+		if v := next(); v >= wide {
+			d = time.Duration(next())<<35 | time.Duration(next())
+		} else if d = time.Duration(v%3000) * 10 * time.Millisecond; d == 0 && next()%2 == 0 {
 			d = time.Nanosecond
 		}
-		rate := units.BitRate(next()%5000) * units.Kbps
+		var rate units.BitRate
+		if v := next(); v >= wide {
+			rate = units.BitRate(next())<<24 | units.BitRate(next())<<8 | units.BitRate(next()&0xff)
+		} else {
+			rate = units.BitRate(v%5000) * units.Kbps
+		}
 		if next()%7 == 0 {
 			rate = 0
 		}
@@ -247,8 +258,8 @@ func checkLayout(t *testing.T, segs []Segment, queries []uint16) {
 	now := time.Duration(0)
 	for q := 0; q+1 < len(queries); q += 2 {
 		op, arg := queries[q], time.Duration(queries[q+1])
-		if op%5 == 0 { // a jump, usually backwards
-			now = time.Duration(int64(arg) * int64(span) / 65536)
+		if op%5 == 0 { // a jump, usually backwards: ⌊arg·span/65536⌋ without overflow
+			now = span/65536*arg + span%65536*arg/65536
 		} else {
 			now += arg * time.Millisecond
 		}
@@ -314,6 +325,10 @@ func FuzzTraceLayout(f *testing.F) {
 	f.Add(u16(2, 100, 2000, 1, 0, 1, 800, 1, 200, 700, 1, 3, 300, 5, 60000))
 	// A one-nanosecond segment between two long ones, queried across it.
 	f.Add(u16(2, 1000, 1500, 1, 0, 0, 900, 1, 1000, 4000, 1, 1, 20, 5, 32000, 6, 400, 7, 9, 9, 100))
+	// A segment of ≈ 2^51 ns at the highest rate, 2^40−1 b/s, then one of
+	// 3·2^35 ns at 2^39 b/s: jumps into each, downloads across the boundary.
+	f.Add(u16(1, 65535, 65535, 65535, 65535, 65535, 65535, 255, 1, 60000, 3, 0, 60000, 32768, 0, 0, 1,
+		5, 32000, 4002, 9000, 5, 32767, 4001, 65535, 4000, 5000, 5, 60000, 4003, 100))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		segs, queries := decodeLayout(data)
 		checkLayout(t, segs, queries)
@@ -321,7 +336,9 @@ func FuzzTraceLayout(f *testing.F) {
 }
 
 // TestTraceLayoutMatchesReference runs the fuzz oracle over randomized
-// Markov traces, the shape the campaign draws.
+// Markov traces, the shape the campaign draws, and over the fuzz
+// generator's decoding of random bytes, which reaches the packed fields'
+// high bits.
 func TestTraceLayoutMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -330,18 +347,22 @@ func TestTraceLayoutMatchesReference(t *testing.T) {
 			queries[i] = uint16(rng.Intn(1 << 16))
 		}
 		checkLayout(t, randomTrace(rng).Segments(), queries)
+		data := make([]byte, 2000)
+		rng.Read(data)
+		segs, queries := decodeLayout(data)
+		checkLayout(t, segs, queries)
 	}
 }
 
 // TestTraceFootprint pins the layout's size: an n-segment trace costs its
-// header and one backing array of 16 bytes a segment (was 40). The sizes
-// are chosen so 16·n is an allocator size class.
+// header and one backing array of 12 bytes a segment. The sizes are
+// chosen so 12·n is an allocator size class.
 func TestTraceFootprint(t *testing.T) {
-	if s := unsafe.Sizeof(seg{}); s != 16 {
-		t.Fatalf("a segment is %d bytes, want 16", s)
+	if s := unsafe.Sizeof(seg{}); s != 12 {
+		t.Fatalf("a segment is %d bytes, want 12", s)
 	}
 	header := uint64(unsafe.Sizeof(Trace{}))
-	for _, n := range []int{1, 8, 64, 512} {
+	for _, n := range []int{2, 8, 64, 512} {
 		segs := make([]Segment, n)
 		for i := range segs {
 			segs[i] = Segment{Duration: time.Second, Rate: units.BitRate(i) * units.Kbps}
@@ -354,8 +375,8 @@ func TestTraceFootprint(t *testing.T) {
 			MustNew(segs)
 		}
 		runtime.ReadMemStats(&mem)
-		if per, budget := (mem.TotalAlloc-before)/runs, 16*uint64(n)+header; per > budget {
-			t.Errorf("a %d-segment trace allocates %d B, want ≤ %d (16 B a segment plus a %d-byte header)", n, per, budget, header)
+		if per, budget := (mem.TotalAlloc-before)/runs, 12*uint64(n)+header; per > budget {
+			t.Errorf("a %d-segment trace allocates %d B, want ≤ %d (12 B a segment plus a %d-byte header)", n, per, budget, header)
 		}
 	}
 }

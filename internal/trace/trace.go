@@ -36,13 +36,35 @@ type Segment struct {
 	Rate     units.BitRate
 }
 
-// seg is one segment as a trace stores it: where it starts and its rate.
-// Its end is the next segment's start (the trace's total for the last
-// one), so a segment is 16 bytes and a trace is one backing array.
-type seg struct {
-	start time.Duration
-	rate  units.BitRate
+// seg is one segment as a trace stores it, packed into three 32-bit
+// words: where it starts, in nanoseconds, in the low 56 bits of mid:lo,
+// and its rate, in bits per second, in the high 40 bits of hi:mid. Its end
+// is the next segment's start (the trace's total for the last one), so a
+// segment is 12 bytes and a trace is one backing array. set refuses a
+// trace that runs past maxEnd or a rate above maxRate, so every segment a
+// trace holds packs exactly. The words are fields, not an array, so an
+// unpacked segment lives in registers; both accessors read mid:lo as one
+// word, so a step that takes both loads it once.
+type seg struct{ lo, mid, hi uint32 }
+
+const (
+	maxEnd  = 1<<56 - 1 // ns, ≈ 2.3 years
+	maxRate = 1<<40 - 1 // b/s, ≈ 1.1 Tb/s
+)
+
+func packSeg(start time.Duration, rate units.BitRate) seg {
+	return seg{uint32(start), uint32(start>>32) | uint32(rate)<<24, uint32(rate >> 8)}
 }
+
+func (s seg) start() time.Duration {
+	return time.Duration(s.low() & maxEnd)
+}
+
+func (s seg) rate() units.BitRate {
+	return units.BitRate(s.low()>>56 | uint64(s.hi)<<8)
+}
+
+func (s seg) low() uint64 { return uint64(s.lo) | uint64(s.mid)<<32 }
 
 // Trace is a piecewise-constant capacity process. The zero value is
 // unusable; construct traces with New or a generator. After the final
@@ -58,7 +80,8 @@ type Trace struct {
 var ErrEmpty = errors.New("trace: no segments")
 
 // New builds a trace from segments. Segments with non-positive duration or
-// negative rate are rejected; a zero rate is a valid outage.
+// negative rate are rejected, as are a rate above 2^40−1 b/s and a trace
+// whose total reaches 2^56 ns; a zero rate is a valid outage.
 func New(segments []Segment) (*Trace, error) {
 	t := new(Trace)
 	if err := t.set(segments); err != nil {
@@ -76,20 +99,34 @@ func (t *Trace) set(segments []Segment) error {
 	if cap(t.segs) < len(segments) {
 		t.segs = make([]seg, len(segments), max(len(segments), 2*cap(t.segs)))
 	}
-	t.segs = t.segs[:len(segments)]
+	segs := t.segs[:len(segments)]
+	t.segs = segs
 	var total time.Duration
 	for i, s := range segments {
-		if s.Duration <= 0 {
-			return fmt.Errorf("trace: segment %d has non-positive duration %v", i, s.Duration)
+		if s.Duration <= 0 || s.Rate < 0 || s.Rate > maxRate || s.Duration > maxEnd-total {
+			return badSegment(i, s)
 		}
-		if s.Rate < 0 {
-			return fmt.Errorf("trace: segment %d has negative rate %v", i, s.Rate)
-		}
-		t.segs[i] = seg{start: total, rate: s.Rate}
+		segs[i] = packSeg(total, s.Rate)
 		total += s.Duration
 	}
 	t.total = total
 	return nil
+}
+
+// badSegment says why set refused segment i, checking in set's order: a
+// positive duration, a rate from 0 to maxRate, and an end no later than
+// maxEnd.
+func badSegment(i int, s Segment) error {
+	switch {
+	case s.Duration <= 0:
+		return fmt.Errorf("trace: segment %d has non-positive duration %v", i, s.Duration)
+	case s.Rate < 0:
+		return fmt.Errorf("trace: segment %d has negative rate %v", i, s.Rate)
+	case s.Rate > maxRate:
+		return fmt.Errorf("trace: segment %d has rate %v, above the %v a trace holds", i, s.Rate, units.BitRate(maxRate))
+	default:
+		return fmt.Errorf("trace: segment %d ends past the %v a trace holds", i, time.Duration(maxEnd))
+	}
 }
 
 // MustNew is New but panics on error, for tests and literals.
@@ -111,7 +148,7 @@ func (t *Trace) Segments() []Segment {
 
 func (t *Trace) appendSegments(dst []Segment) []Segment {
 	for i, s := range t.segs {
-		dst = append(dst, Segment{Duration: t.end(i) - s.start, Rate: s.rate})
+		dst = append(dst, Segment{Duration: t.end(i) - s.start(), Rate: s.rate()})
 	}
 	return dst
 }
@@ -120,7 +157,7 @@ func (t *Trace) appendSegments(dst []Segment) []Segment {
 // trace's total for the last one.
 func (t *Trace) end(i int) time.Duration {
 	if i+1 < len(t.segs) {
-		return t.segs[i+1].start
+		return t.segs[i+1].start()
 	}
 	return t.total
 }
@@ -132,7 +169,7 @@ func (t *Trace) index(at time.Duration) int {
 		return 0
 	}
 	// Find the first segment whose start is after at, then step back.
-	i := sort.Search(len(t.segs), func(i int) bool { return t.segs[i].start > at })
+	i := sort.Search(len(t.segs), func(i int) bool { return t.segs[i].start() > at })
 	if i == 0 {
 		return 0
 	}
@@ -142,7 +179,7 @@ func (t *Trace) index(at time.Duration) int {
 // RateAt returns the capacity at time at. Before zero it reports the first
 // segment's rate; after the end, the last segment's rate.
 func (t *Trace) RateAt(at time.Duration) units.BitRate {
-	return t.segs[t.index(at)].rate
+	return t.segs[t.index(at)].rate()
 }
 
 // BytesBetween integrates capacity over [from, to] and returns the number of
@@ -163,20 +200,26 @@ func (t *Trace) BytesBetween(from, to time.Duration) int64 {
 // a Cursor can resume from there. Both the stateless API and the Cursor run
 // this exact code, so their results are bit-identical.
 func (t *Trace) bytesBetweenFrom(i int, from, to time.Duration) (int64, int) {
+	segs := t.segs
+	last := len(segs) - 1
 	var bits float64
 	cursor := from
+	rate := segs[i].rate()
 	for cursor < to {
 		segEnd := to // the last segment extends forever
-		if i < len(t.segs)-1 {
-			segEnd = t.segs[i+1].start
+		var next seg
+		if i < last {
+			next = segs[i+1]
+			segEnd = next.start()
 		}
 		end := segEnd
 		if end > to {
 			end = to
 		}
-		bits += float64(t.segs[i].rate) * (end - cursor).Seconds()
+		bits += float64(rate) * (end - cursor).Seconds()
 		cursor = end
-		if i < len(t.segs)-1 && cursor >= segEnd {
+		if i < last && cursor >= segEnd {
+			rate = next.rate()
 			i++
 		}
 	}
@@ -204,27 +247,26 @@ func (t *Trace) DownloadTime(start time.Duration, n int64) (time.Duration, bool)
 func (t *Trace) downloadTimeFrom(i int, start time.Duration, n int64) (time.Duration, int, bool) {
 	remaining := float64(n * 8) // bits
 	cursor := start
-	last := len(t.segs) - 1
-	for {
-		rate := float64(t.segs[i].rate)
-		if i == last {
-			if rate <= 0 {
-				return 0, i, false
-			}
-			cursor += units.SecondsToDuration(remaining / rate)
-			return cursor - start, i, true
-		}
-		segEnd := t.segs[i+1].start
-		span := (segEnd - cursor).Seconds()
-		capacity := rate * span
+	segs := t.segs
+	last := len(segs) - 1
+	rate := float64(segs[i].rate())
+	for ; i < last; i++ {
+		next := segs[i+1]
+		segEnd := next.start()
+		capacity := rate * (segEnd - cursor).Seconds()
 		if capacity >= remaining && rate > 0 {
 			cursor += units.SecondsToDuration(remaining / rate)
 			return cursor - start, i, true
 		}
 		remaining -= capacity
-		cursor = segEnd
-		i++
+		cursor, rate = segEnd, float64(next.rate())
 	}
+	// The last segment extends forever.
+	if rate <= 0 {
+		return 0, i, false
+	}
+	cursor += units.SecondsToDuration(remaining / rate)
+	return cursor - start, i, true
 }
 
 // Scale returns a new trace with every rate multiplied by f (f ≥ 0).
@@ -374,7 +416,7 @@ func (t *Trace) Slice(from, to time.Duration) (*Trace, error) {
 		if end > to {
 			end = to
 		}
-		segs = append(segs, Segment{Duration: end - cursor, Rate: t.segs[i].rate})
+		segs = append(segs, Segment{Duration: end - cursor, Rate: t.segs[i].rate()})
 		cursor = end
 	}
 	return New(segs)
@@ -384,7 +426,7 @@ func (t *Trace) Slice(from, to time.Duration) (*Trace, error) {
 func (t *Trace) WriteCSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for i, s := range t.segs {
-		if _, err := fmt.Fprintf(bw, "%.6f,%d\n", (t.end(i) - s.start).Seconds(), int64(s.rate)); err != nil {
+		if _, err := fmt.Fprintf(bw, "%.6f,%d\n", (t.end(i) - s.start()).Seconds(), int64(s.rate())); err != nil {
 			return err
 		}
 	}

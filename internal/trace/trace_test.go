@@ -2,7 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -23,6 +27,63 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New([]Segment{{Duration: time.Second, Rate: 0}}); err != nil {
 		t.Error("zero rate (outage) should be valid")
+	}
+}
+
+// TestNewRejectsOutOfRange holds New to what a packed segment holds: its
+// start in 56 bits of nanoseconds and its rate in 40 bits of b/s. A trace
+// that reaches 2^56 ns or a rate of 2^40 b/s is refused, and the error
+// names the segment, where a total past int64 used to wrap negative and
+// be accepted. Everything up to the limits round-trips exactly.
+func TestNewRejectsOutOfRange(t *testing.T) {
+	const longest = time.Duration(1<<56 - 1)
+	good := map[string][]Segment{
+		"1000 Gb/s for an hour": Constant(1000*units.Gbps, time.Hour).Segments(),
+		"highest rate":          {{Duration: time.Second, Rate: 1<<40 - 1}, {Duration: time.Second, Rate: 0}},
+		"longest total":         {{Duration: longest - time.Second, Rate: units.Mbps}, {Duration: time.Second, Rate: 1<<40 - 1}},
+	}
+	for name, segs := range good {
+		tr, err := New(segs)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if got := tr.Segments(); !reflect.DeepEqual(got, segs) {
+			t.Errorf("%s: Segments() = %v, want %v", name, got, segs)
+		}
+		last := segs[len(segs)-1]
+		if at := tr.Total() - last.Duration; tr.RateAt(at) != last.Rate {
+			t.Errorf("%s: RateAt(%v) = %v, want %v", name, at, tr.RateAt(at), last.Rate)
+		}
+	}
+	bad := []struct {
+		name string
+		segs []Segment
+		csv  string // when set, the trace is read from it instead
+		seg  int    // the segment the error must name
+	}{
+		{name: "negative rate", segs: []Segment{{Duration: time.Second, Rate: units.Mbps}, {Duration: time.Second, Rate: -1}}, seg: 1},
+		{name: "zero duration", segs: []Segment{{Duration: time.Second, Rate: units.Mbps}, {Duration: 0, Rate: units.Mbps}}, seg: 1},
+		{name: "rate of 2^40 b/s", segs: []Segment{{Duration: time.Second, Rate: units.Mbps}, {Duration: time.Second, Rate: 1 << 40}}, seg: 1},
+		{name: "total past 2^56 ns", segs: []Segment{{Duration: 1 << 55, Rate: units.Mbps}, {Duration: 1 << 55, Rate: units.Mbps}}, seg: 1},
+		{name: "total past int64", segs: []Segment{{Duration: time.Hour, Rate: units.Mbps}, {Duration: math.MaxInt64, Rate: units.Mbps}}, seg: 1},
+		{name: "CSV of 1e300 s", csv: "1e300,1000000\n1e300,2000000\n1,3000000\n", seg: 0},
+	}
+	for _, c := range bad {
+		var tr *Trace
+		var err error
+		if c.csv != "" {
+			tr, err = ReadCSV(strings.NewReader(c.csv))
+		} else {
+			tr, err = New(c.segs)
+		}
+		if err == nil {
+			t.Errorf("%s: accepted, Total() = %v", c.name, tr.Total())
+			continue
+		}
+		if want := fmt.Sprintf("segment %d ", c.seg); !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not name %q", c.name, err, want)
+		}
 	}
 }
 

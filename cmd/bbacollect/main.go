@@ -1,7 +1,8 @@
 // Command bbacollect is the fleet collection daemon: it ingests the
 // telemetry event frames players ship (bbaplay -journal http://…, or any
-// internal/collect Shipper) over HTTP POST, deduplicates them per (run,
-// session) stream, and persists each admitted batch before acknowledging
+// internal/collect Shipper) over HTTP POST, admits each (run, session)
+// stream's frames above one watermark — replays and late copies are ACKed
+// as duplicates — and persists each admitted batch before acknowledging
 // it. Campaign shards are not its business: those cross processes through
 // bbacoord alone.
 //
@@ -47,10 +48,9 @@ import (
 )
 
 type options struct {
-	addr        string
-	store       string
-	dedupWindow int
-	grace       time.Duration
+	addr  string
+	store string
+	grace time.Duration
 	// ready is a test seam: receives the bound HTTP address once serving.
 	ready chan<- string
 }
@@ -59,7 +59,6 @@ func main() {
 	var o options
 	flag.StringVar(&o.addr, "addr", "127.0.0.1:8406", "HTTP listen address (ingest, metrics, queries)")
 	flag.StringVar(&o.store, "store", "", "columnar archive directory (enables /query and /runs)")
-	flag.IntVar(&o.dedupWindow, "dedup-window", collect.DefaultDedupWindow, "per-stream out-of-order admission window, in frames")
 	flag.DurationVar(&o.grace, "grace", 5*time.Second, "drain deadline for in-flight ingests on shutdown")
 	flag.Parse()
 
@@ -70,7 +69,7 @@ func main() {
 
 // run serves until ctx is cancelled, then drains and seals the archive.
 func run(ctx context.Context, out, errw io.Writer, o options) error {
-	cfg := collect.CollectorConfig{DedupWindow: o.dedupWindow}
+	var cfg collect.CollectorConfig
 	var store *archive.Store
 	if o.store != "" {
 		var err error

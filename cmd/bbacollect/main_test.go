@@ -88,8 +88,7 @@ func (d *resendFirst) RoundTrip(req *http.Request) (*http.Response, error) {
 func TestDaemonEndToEnd(t *testing.T) {
 	store := filepath.Join(t.TempDir(), "fleet.archive")
 	httpAddr, shutdown := startDaemon(t, options{
-		addr: "127.0.0.1:0", store: store, dedupWindow: collect.DefaultDedupWindow,
-		grace: 5 * time.Second,
+		addr: "127.0.0.1:0", store: store, grace: 5 * time.Second,
 	})
 	base := "http://" + httpAddr
 	get := func(path string) []byte {

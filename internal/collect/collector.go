@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -12,9 +13,6 @@ import (
 
 	"bba/internal/obs"
 )
-
-// DefaultDedupWindow bounds per-stream out-of-order admission state.
-const DefaultDedupWindow = 4096
 
 // ErrArchive reports an event frame NACKed because the archive could not
 // persist its batch. It is retryable in protocol terms (the shipper keeps
@@ -26,9 +24,6 @@ var ErrArchive = errors.New("collect: archive unavailable")
 
 // CollectorConfig configures a Collector.
 type CollectorConfig struct {
-	// DedupWindow bounds each stream's out-of-order admission state
-	// (default DefaultDedupWindow); a frame beyond it slides the window.
-	DedupWindow int
 	// Archive, when non-nil, persists every admitted event batch. Batches
 	// are telemetry journal JSONL (telemetry.AppendJSONL) in admission
 	// order. Persistence gates acknowledgement: a fresh event frame is
@@ -42,9 +37,10 @@ type CollectorConfig struct {
 
 // CollectorStats is a snapshot of collector activity.
 type CollectorStats struct {
-	// Frames counts admitted frames by kind name; FramesDup counts
-	// duplicate deliveries recognized and discarded — the at-least-once
-	// overhead the dedup layer absorbs.
+	// Frames counts admitted frames by kind name; FramesDup counts frames
+	// below their stream's watermark, ACKed and discarded — the
+	// at-least-once overhead, plus any late copy of a frame the shipper
+	// gave up on.
 	Frames      map[string]int64
 	FramesDup   int64
 	FramesBad   int64 // undecodable or invalid: permanently rejected
@@ -59,14 +55,25 @@ type CollectorStats struct {
 
 // Collector is the server half of the pipeline: it ingests frames,
 // verifies and dedups them, and persists each admitted event batch before
-// acknowledging it. Ingest is safe for concurrent use; all
-// state lives behind one mutex, which loopback benchmarks show is nowhere
-// near the bottleneck at the target ingest rate.
+// acknowledging it.
+//
+// A shipper sends one stream in order (one sender, each frame settled —
+// acknowledged or given up — before the next is sent), so a stream's
+// admission state is one watermark: next, the seq after the last admitted
+// frame. A frame is fresh iff seq ≥ next; admitting it sets next = seq+1.
+// Anything below the watermark is a replay of an admitted frame or a late
+// copy of one the shipper already gave up on: both are ACKed, counted as
+// duplicates and never archived, so delivery is at-most-once per seq and a
+// stream's archived seqs strictly increase.
+//
+// Ingest is safe for concurrent use; all state lives behind one mutex,
+// which loopback benchmarks show is nowhere near the bottleneck at the
+// target ingest rate.
 type Collector struct {
 	cfg CollectorConfig
 
 	mu      sync.Mutex
-	streams map[streamKey]*stream
+	streams map[streamKey]uint64 // next fresh seq of each stream
 	stats   CollectorStats
 	// archiveErr is the sticky first archive failure; once set, event
 	// frames are NACKed without touching the archive.
@@ -94,12 +101,9 @@ type streamKey struct {
 
 // NewCollector returns a Collector with the config's defaults applied.
 func NewCollector(cfg CollectorConfig) *Collector {
-	if cfg.DedupWindow <= 0 {
-		cfg.DedupWindow = DefaultDedupWindow
-	}
 	return &Collector{
 		cfg:     cfg,
-		streams: make(map[streamKey]*stream),
+		streams: make(map[streamKey]uint64),
 		stats:   CollectorStats{Frames: make(map[string]int64)},
 	}
 }
@@ -140,7 +144,13 @@ func (c *Collector) ingestFrameLocked(f Frame) error {
 		c.stats.FramesBad++
 		return fmt.Errorf("%w: kind %d", ErrBadFrame, f.Kind)
 	}
-	key := streamKey{run: f.Run, session: f.Session}
+	// Admitting seq sets the watermark to seq+1, which the top seq would
+	// wrap to 0, reopening every seq of the stream. A shipper starts at 0
+	// and never gets near it.
+	if f.Seq == math.MaxUint64 {
+		c.stats.FramesBad++
+		return fmt.Errorf("%w: seq %d", ErrBadFrame, f.Seq)
+	}
 
 	// The archive lane is sticky-failed: refuse before any other work,
 	// so the archive stays a clean prefix of the acknowledged stream.
@@ -149,34 +159,30 @@ func (c *Collector) ingestFrameLocked(f Frame) error {
 		c.stats.FramesRetry++
 		return fmt.Errorf("%w: %v", ErrArchive, c.archiveErr)
 	}
-	if c.cfg.Archive != nil {
-		// Persist BEFORE the seq is spent: an admitted seq is consumed
-		// forever, so archiving after admission turns a failed write
-		// into silent loss — the shipper's retry would be discarded as
-		// a duplicate. Freshness is checked first so re-deliveries of
-		// already-archived frames are re-ACKed without a second write.
-		// The archive keeps no reference to the batch (see Archiver), so
-		// it reads the caller's buffer in place.
-		if st, ok := c.streams[key]; !ok || st.freshSlide(f.Seq) {
-			if err := c.cfg.Archive.Append(f.Run, f.Payload); err != nil {
-				c.archiveErr = err
-				c.stats.ArchiveErrors++
-				c.stats.FramesRetry++
-				return fmt.Errorf("%w: %v", ErrArchive, err)
-			}
-		}
-	}
 
-	st, ok := c.streams[key]
-	if !ok {
-		st = &stream{}
-		c.streams[key] = st
-		c.stats.Streams++
-	}
-	if !st.admitSlide(f.Seq, c.cfg.DedupWindow) {
+	key := streamKey{run: f.Run, session: f.Session}
+	next, open := c.streams[key]
+	if f.Seq < next {
 		c.stats.FramesDup++
 		return nil
 	}
+	if c.cfg.Archive != nil {
+		// Persist BEFORE the watermark moves: an admitted seq is spent
+		// forever, so archiving after admission turns a failed write
+		// into silent loss — the shipper's retry would be discarded as
+		// a duplicate. The archive keeps no reference to the batch (see
+		// Archiver), so it reads the caller's buffer in place.
+		if err := c.cfg.Archive.Append(f.Run, f.Payload); err != nil {
+			c.archiveErr = err
+			c.stats.ArchiveErrors++
+			c.stats.FramesRetry++
+			return fmt.Errorf("%w: %v", ErrArchive, err)
+		}
+	}
+	if !open {
+		c.stats.Streams++
+	}
+	c.streams[key] = f.Seq + 1
 	c.stats.Events += int64(bytes.Count(f.Payload, []byte{'\n'}))
 	c.publish(f.Run, f.Payload)
 	c.stats.Frames[f.Kind.String()]++

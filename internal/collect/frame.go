@@ -16,9 +16,12 @@
 // Delivery semantics. There is one lane: best-effort events with counted
 // loss. Frames are keyed (run id, session id, seq). The shipper retries
 // until the collector acknowledges or the retry budget runs out (a counted
-// drop, never backpressure on the player); the collector admits each key at
-// most once and acknowledges a fresh frame only after its batch is
-// persisted. Shard accumulators do not travel here: the one place they
+// drop, never backpressure on the player). One sender per shipper settles
+// each frame before sending the next, so a stream reaches the collector in
+// seq order, apart from copies of frames already settled; the collector
+// keeps one watermark per stream, admits a frame only above it — each key
+// at most once, in increasing order — and acknowledges a fresh frame only
+// after its batch is persisted. Shard accumulators do not travel here: the one place they
 // cross a process boundary online is internal/coord.
 package collect
 

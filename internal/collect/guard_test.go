@@ -126,13 +126,22 @@ func payloadKindConsts(f *ast.File) []string {
 	return names
 }
 
-// TestCollectWritesNoFiles keeps the shipper's queue in memory: it fails if
-// a non-test file of this package imports os or path/filepath, or names a
-// field of the deleted disk spill. The spill had the shape of a durable
-// queue without its property — nothing survived a restart — so a file
-// writer coming back here needs a durability contract first.
+// TestCollectWritesNoFiles keeps the shipper's queue in memory and its
+// stream in order: it fails if a non-test file of this package imports os
+// or path/filepath, or names an identifier of deleted machinery — a field
+// of the disk spill, the shipper's sender count, or the collector's
+// reorder window. The spill had the shape of a durable queue without its
+// property — nothing survived a restart — so a file writer coming back here
+// needs a durability contract first. A second sender would reorder a
+// stream, and the collector keeps one watermark per stream on the promise
+// that nothing does.
 func TestCollectWritesNoFiles(t *testing.T) {
-	banned := map[string]bool{"SpillDir": true, "MaxSpillBytes": true, "Spilled": true}
+	spill, window := "the disk spill is gone", "a stream is one watermark: the reorder window is gone"
+	banned := map[string]string{
+		"SpillDir": spill, "MaxSpillBytes": spill, "Spilled": spill,
+		"Senders":     "a shipper has one in-order sender",
+		"DedupWindow": window, "admitSlide": window, "parked": window,
+	}
 	paths, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
@@ -154,13 +163,41 @@ func TestCollectWritesNoFiles(t *testing.T) {
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && banned[id.Name] {
-				t.Errorf("%s names %s: the disk spill is gone", fset.Position(id.Pos()), id.Name)
+			if id, ok := n.(*ast.Ident); ok && banned[id.Name] != "" {
+				t.Errorf("%s names %s: %s", fset.Position(id.Pos()), id.Name, banned[id.Name])
 			}
 			return true
 		})
 	}
 	if checked == 0 {
 		t.Fatal("no non-test source files checked")
+	}
+}
+
+// TestDashServesNoHLS keeps the origin at the two manifests a client
+// fetches: it fails if a non-test file of internal/dash names an HLS
+// playlist again. No player took the HLS path, and it did the MPD's job —
+// nominal sizes, no chunk map — over two more endpoints.
+func TestDashServesNoHLS(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "dash", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked++
+		if strings.Contains(string(src), "m3u8") {
+			t.Errorf("%s names m3u8: the HLS path is gone; the MPD is the standards manifest", path)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no non-test internal/dash files checked")
 	}
 }

@@ -71,18 +71,15 @@ type ShipperConfig struct {
 	FlushInterval time.Duration
 	// Queue bounds the frame queue between batching and sending.
 	Queue QueueConfig
-	// Senders is the number of concurrent sender goroutines (default 1;
-	// more senders pipeline retries but reorder arrival, which the
-	// collector's dedup absorbs).
-	Senders int
-	// Retry caps the per-frame retry loop.
+	// Retry caps the per-frame retry loop; its Seed drives the one
+	// sender's jitter.
 	Retry RetryPolicy
 	// HTTPClient overrides the HTTP client — the seam tests use to route
 	// shipping through faults.Transport and netem-shaped dials.
 	HTTPClient *http.Client
 }
 
-// QueueConfig bounds the frame queue between the framer and the senders.
+// QueueConfig bounds the frame queue between the framer and the sender.
 type QueueConfig struct {
 	// MemFrames is the queue's capacity in frames (default 256). A frame
 	// sealed while the queue is full is dropped and counted: the newest
@@ -96,7 +93,7 @@ type QueueStats struct {
 	Pushed  int64
 	Popped  int64
 	Dropped int64
-	// Depth is the number of frames waiting for a sender.
+	// Depth is the number of frames waiting for the sender.
 	Depth int64
 }
 
@@ -126,8 +123,10 @@ const numBatchBuffers = 4
 // telemetry.Observer without blocking and — once its batch buffer has
 // grown to steady state — without allocating: events append to a pooled
 // buffer; full batches hand off to a framer goroutine that encodes them
-// into the bounded frame queue; sender goroutines drain the queue with
-// capped jittered retry.
+// into the bounded frame queue; one sender goroutine drains the queue in
+// order, with capped jittered retry, settling each frame — acknowledged or
+// dropped — before it sends the next. That order is what lets the
+// collector keep one watermark per stream.
 type Shipper struct {
 	cfg   ShipperConfig
 	trans *httpTransport
@@ -188,9 +187,6 @@ func NewShipper(cfg ShipperConfig) (*Shipper, error) {
 	if cfg.FlushInterval == 0 {
 		cfg.FlushInterval = 500 * time.Millisecond
 	}
-	if cfg.Senders <= 0 {
-		cfg.Senders = 1
-	}
 	if cfg.Queue.MemFrames <= 0 {
 		cfg.Queue.MemFrames = 256
 	}
@@ -216,11 +212,8 @@ func NewShipper(cfg ShipperConfig) (*Shipper, error) {
 	}
 	s.framing.Add(1)
 	go s.framer()
-	for i := 0; i < cfg.Senders; i++ {
-		rng := rand.New(rand.NewSource(cfg.Retry.Seed + int64(i)*0x9E3779B9))
-		s.sending.Add(1)
-		go s.sender(rng)
-	}
+	s.sending.Add(1)
+	go s.sender()
 	if cfg.FlushInterval > 0 {
 		s.flushing.Add(1)
 		go s.flusher()
@@ -324,8 +317,8 @@ func (s *Shipper) flusher() {
 
 // enqueueFrame assigns the next sequence number and queues a copy of one
 // event frame, or drops it, counted, when the queue is full. Sequence
-// numbers are consumed only by accepted frames: a dropped frame never
-// leaves a permanent gap for the collector's dedup window to chase.
+// numbers are consumed only by accepted frames: a dropped frame leaves no
+// gap in the stream the collector sees.
 func (s *Shipper) enqueueFrame(payload []byte) {
 	s.scratch = AppendFrame(s.scratch[:0], Frame{
 		Run:     s.cfg.Run,
@@ -363,7 +356,7 @@ func (s *Shipper) Flush(ctx context.Context) error {
 
 // Close stops the pipeline in order: the flush timer, a flush with a
 // generous deadline, the framer once it has queued every sealed batch, then
-// the queue, which the senders drain before they exit. It releases the
+// the queue, which the sender drains before it exits. It releases the
 // transport and returns the flush's error. Close is idempotent; repeat
 // calls return the first call's result.
 func (s *Shipper) Close() error {
@@ -403,9 +396,11 @@ func (s *Shipper) Stats() ShipperStats {
 	}
 }
 
-// sender drains the queue, shipping each frame with capped jittered retry.
-func (s *Shipper) sender(rng *rand.Rand) {
+// sender drains the queue in order, shipping each frame with capped
+// jittered retry.
+func (s *Shipper) sender() {
 	defer s.sending.Done()
+	rng := rand.New(rand.NewSource(s.cfg.Retry.Seed))
 	for frame := range s.frames {
 		s.popped.Add(1)
 		s.shipFrame(frame, rng)

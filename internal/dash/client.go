@@ -50,10 +50,6 @@ type ClientConfig struct {
 	// before the Section 5 chunk map, and the reason the native manifest
 	// carries the size matrix.
 	UseMPD bool
-	// UseHLS drives the session from the HLS playlists (/master.m3u8 and
-	// the variant media playlists). Like the MPD it carries no sizes, so
-	// the client models nominal encodes. Mutually exclusive with UseMPD.
-	UseHLS bool
 	// Logf, when non-nil, receives per-chunk progress lines.
 	Logf func(format string, args ...any)
 	// Observer, when non-nil, receives the session's telemetry events
@@ -96,8 +92,6 @@ func Stream(ctx context.Context, cfg ClientConfig) (*player.Result, error) {
 
 	var video *media.Video
 	switch {
-	case cfg.UseMPD && cfg.UseHLS:
-		return nil, errors.New("dash: UseMPD and UseHLS are mutually exclusive")
 	case cfg.UseMPD:
 		mpd, err := tryEndpoints(endpoints, func(base string) (MPD, error) {
 			return fetchMPD(ctx, httpc, base)
@@ -108,14 +102,6 @@ func Stream(ctx context.Context, cfg ClientConfig) (*player.Result, error) {
 		video, err = videoFromMPD(mpd)
 		if err != nil {
 			return nil, fmt.Errorf("dash: bad MPD: %w", err)
-		}
-	case cfg.UseHLS:
-		var err error
-		video, err = tryEndpoints(endpoints, func(base string) (*media.Video, error) {
-			return videoFromHLS(ctx, httpc, base)
-		})
-		if err != nil {
-			return nil, err
 		}
 	default:
 		manifest, err := tryEndpoints(endpoints, func(base string) (Manifest, error) {
@@ -251,39 +237,6 @@ func fetchMPD(ctx context.Context, c *http.Client, base string) (MPD, error) {
 		return m, fmt.Errorf("dash: MPD parse: %w", err)
 	}
 	return m, nil
-}
-
-// videoFromHLS reconstructs a nominal-size title from the HLS playlists:
-// the master supplies the ladder, the first variant's media playlist the
-// segment count and duration. Segments are then addressed through the same
-// /chunk/{rate}/{index} convention the playlists point at.
-func videoFromHLS(ctx context.Context, c *http.Client, base string) (*media.Video, error) {
-	raw, err := get(ctx, c, base+"/master.m3u8", 1<<20)
-	if err != nil {
-		return nil, err
-	}
-	master, err := ParseMasterPlaylist(bytes.NewReader(raw))
-	if err != nil {
-		return nil, err
-	}
-	ladder := master.Ladder()
-	if err := ladder.Validate(); err != nil {
-		return nil, fmt.Errorf("dash: HLS ladder: %w", err)
-	}
-
-	raw, err = get(ctx, c, base+master.Variants[0].URI, 8<<20)
-	if err != nil {
-		return nil, err
-	}
-	pl, err := ParseMediaPlaylist(bytes.NewReader(raw))
-	if err != nil {
-		return nil, err
-	}
-	if len(pl.SegmentSecs) == 0 || pl.SegmentSecs[0] <= 0 {
-		return nil, fmt.Errorf("dash: media playlist has no usable segment durations")
-	}
-	v := units.SecondsToDuration(pl.SegmentSecs[0])
-	return media.NewCBR("hls", ladder, v, len(pl.SegmentURIs))
 }
 
 // videoFromMPD reconstructs a nominal-size (CBR-shaped) title from the MPD.

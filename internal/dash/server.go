@@ -15,7 +15,6 @@
 package dash
 
 import (
-	"bytes"
 	"encoding/json"
 	"encoding/xml"
 	"net/http"
@@ -69,21 +68,16 @@ func (m Manifest) Video() (*media.Video, error) {
 //
 //	GET /manifest.json                 full-information manifest
 //	GET /manifest.mpd                  MPEG-DASH MPD
-//	GET /master.m3u8                   HLS master playlist
-//	GET /playlist/{rateIndex}.m3u8     HLS media playlist
 //	GET /chunk/{rateIndex}/{chunkIndex}
 //
 // It implements http.Handler and is safe for concurrent use. Every
-// manifest-shaped document (JSON, MPD, HLS master and media playlists) is
-// rendered once at construction: the title is immutable, so re-rendering
-// per request only burns CPU under load — the O(chunks) media-playlist
-// render was the first bottleneck the load ramp exposed.
+// manifest-shaped document (JSON, MPD) is rendered once at construction:
+// the title is immutable, so re-rendering per request only burns CPU under
+// load.
 type Server struct {
-	video     *media.Video
-	manifest  []byte
-	mpd       []byte
-	master    []byte
-	playlists [][]byte // per-rate media playlists, rendered once
+	video    *media.Video
+	manifest []byte
+	mpd      []byte
 
 	// Latency is added before each chunk response (first-byte delay).
 	Latency time.Duration
@@ -115,25 +109,11 @@ func NewServer(v *media.Video) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	var master bytes.Buffer
-	if err := WriteMasterPlaylist(&master, v); err != nil {
-		return nil, err
-	}
-	playlists := make([][]byte, len(v.Ladder))
-	for ri := range v.Ladder {
-		var pl bytes.Buffer
-		if err := WriteMediaPlaylist(&pl, v, ri); err != nil {
-			return nil, err
-		}
-		playlists[ri] = pl.Bytes()
-	}
 	return &Server{
-		video:     v,
-		manifest:  raw,
-		mpd:       append([]byte(xml.Header), mpd...),
-		master:    master.Bytes(),
-		playlists: playlists,
-		start:     time.Now(),
+		video:    v,
+		manifest: raw,
+		mpd:      append([]byte(xml.Header), mpd...),
+		start:    time.Now(),
 	}, nil
 }
 
@@ -153,28 +133,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case r.URL.Path == "/manifest.mpd":
 		w.Header().Set("Content-Type", "application/dash+xml")
 		w.Write(s.mpd)
-	case r.URL.Path == "/master.m3u8":
-		w.Header().Set("Content-Type", "application/vnd.apple.mpegurl")
-		w.Write(s.master)
-	case strings.HasPrefix(r.URL.Path, "/playlist/"):
-		s.serveMediaPlaylist(w, r)
 	case strings.HasPrefix(r.URL.Path, "/chunk/"):
 		s.serveChunk(w, r)
 	default:
 		http.NotFound(w, r)
 	}
-}
-
-// serveMediaPlaylist serves /playlist/{rate}.m3u8.
-func (s *Server) serveMediaPlaylist(w http.ResponseWriter, r *http.Request) {
-	name := strings.TrimSuffix(strings.TrimPrefix(r.URL.Path, "/playlist/"), ".m3u8")
-	rate, err := strconv.Atoi(name)
-	if err != nil || rate < 0 || rate >= len(s.video.Ladder) {
-		http.Error(w, "unknown variant", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/vnd.apple.mpegurl")
-	w.Write(s.playlists[rate])
 }
 
 func (s *Server) serveChunk(w http.ResponseWriter, r *http.Request) {

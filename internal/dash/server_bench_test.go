@@ -55,35 +55,3 @@ func BenchmarkServeChunk(b *testing.B) {
 		srv.ServeHTTP(&w, req)
 	}
 }
-
-// BenchmarkMasterPlaylist measures serving the HLS master playlist — a
-// manifest-path request every HLS session opens with.
-func BenchmarkMasterPlaylist(b *testing.B) {
-	srv, err := NewServer(benchVideo(b))
-	if err != nil {
-		b.Fatal(err)
-	}
-	req := httptest.NewRequest(http.MethodGet, "/master.m3u8", nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var w discardWriter
-		srv.ServeHTTP(&w, req)
-	}
-}
-
-// BenchmarkMediaPlaylist measures serving one variant media playlist —
-// re-rendered per request before the playlist cache, O(chunks) each time.
-func BenchmarkMediaPlaylist(b *testing.B) {
-	srv, err := NewServer(benchVideo(b))
-	if err != nil {
-		b.Fatal(err)
-	}
-	req := httptest.NewRequest(http.MethodGet, "/playlist/0.m3u8", nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var w discardWriter
-		srv.ServeHTTP(&w, req)
-	}
-}

@@ -36,7 +36,6 @@ import (
 	"bba/internal/campaign"
 	"bba/internal/media"
 	"bba/internal/player"
-	"bba/internal/replay"
 	"bba/internal/telemetry"
 	"bba/internal/trace"
 	"bba/internal/units"
@@ -265,7 +264,7 @@ func RunSessionContext(ctx context.Context, cfg SessionConfig) (*Result, error) 
 // into RunSession with a different algorithm for a counterfactual — the
 // paper's Figure 4 question ("this rebuffer was entirely unnecessary").
 func ObservedTrace(res *Result) (*Trace, error) {
-	return replay.TraceFromResult(res)
+	return player.ObservedTrace(res)
 }
 
 // Experiment runs a weekend-scale paired A/B test across the paper's six

@@ -33,7 +33,6 @@ import (
 	"bba/internal/netem"
 	"bba/internal/obs"
 	"bba/internal/player"
-	"bba/internal/replay"
 	"bba/internal/telemetry"
 	"bba/internal/trace"
 	"bba/internal/units"
@@ -174,7 +173,7 @@ func openJournal(target string) (sink telemetry.Observer, done func() error, err
 // printWhatIf replays the observed network against every algorithm in
 // virtual time — the counterfactual comparison the paper's Figure 4 makes.
 func printWhatIf(out io.Writer, original *player.Result, watch time.Duration, rminKbps int) error {
-	tr, err := replay.TraceFromResult(original)
+	tr, err := player.ObservedTrace(original)
 	if err != nil {
 		return err
 	}

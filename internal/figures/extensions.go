@@ -10,8 +10,8 @@ import (
 	"bba/internal/abtest"
 	"bba/internal/campaign"
 	"bba/internal/media"
+	"bba/internal/metrics"
 	"bba/internal/player"
-	"bba/internal/qoe"
 	"bba/internal/stats"
 	"bba/internal/trace"
 	"bba/internal/units"
@@ -84,7 +84,6 @@ func QoERanking() (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	weights := qoe.Default()
 	const sessions = 250
 	totals := make([]float64, len(algs))
 	var hours float64
@@ -102,7 +101,7 @@ func QoERanking() (*Figure, error) {
 			if err != nil {
 				return nil, err
 			}
-			totals[ai] += qoe.Score(res, weights).QoE
+			totals[ai] += metrics.QoE(res)
 			if ai == 0 {
 				hours += res.PlayHours()
 			}

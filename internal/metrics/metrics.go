@@ -7,11 +7,11 @@ package metrics
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
 	"bba/internal/player"
-	"bba/internal/qoe"
 	"bba/internal/stats"
 )
 
@@ -34,8 +34,8 @@ type Session struct {
 	SteadyRateKbps  float64 // 0 when the session never reached steady state
 	SteadyReached   bool
 	StartupRateKbps float64
-	// QoE is the session's composite quality-of-experience score under
-	// qoe.Default weights.
+	// QoE is the session's composite quality-of-experience score (see
+	// the QoE function).
 	QoE float64
 	// Faults, Retries and Degradations count fault-injection activity
 	// (zero on clean runs).
@@ -58,12 +58,46 @@ func FromResult(r *player.Result, window, day int) Session {
 		SteadyRateKbps:  steady,
 		SteadyReached:   steady > 0,
 		StartupRateKbps: r.StartupAvgRateKbps(),
-		QoE:             qoe.Score(r, qoe.Default()).QoE,
+		QoE:             QoE(r),
 		Faults:          r.Faults,
 		Retries:         r.Retries,
 		Degradations:    r.Degradations,
 		Failovers:       r.Failovers,
 	}
+}
+
+// The QoE model's weights, the set most evaluations use: μ is the top
+// rate's quality (a stalled second is as bad as a 5 Mb/s second is good)
+// and τ charges each unit of quality change between adjacent chunks.
+const (
+	rebufferPenalty = 5 // μ, quality units per stalled second
+	switchPenalty   = 1 // τ, quality units per unit of |Δq|
+)
+
+// QoE scores a session with the linear quality-of-experience model the
+// literature around the paper settled on (Dobrian et al. [7], Krishnan and
+// Sitaraman [11], and the models later used to train and evaluate ABR
+// systems): per-chunk quality, minus a rebuffering penalty, minus a
+// smoothness penalty for rate switches,
+//
+//	QoE = Σ_k q(R_k) − μ·stall_seconds − τ·Σ_k |q(R_{k+1}) − q(R_k)|
+//
+// with linear quality q = rate in Mb/s. The paper measures the three axes
+// separately ("the buffer-based approach can serve as a foundation when
+// considering other metrics"); this folds them into one comparable score.
+func QoE(r *player.Result) float64 {
+	var quality, switches, prevQ float64
+	// Walk rates through the accessor so compact (SkipChunkRecords)
+	// results score identically to fully-recorded ones.
+	for i, n := 0, r.ChunkCount(); i < n; i++ {
+		q := r.ChunkRateKbps(i) / 1000
+		quality += q
+		if i > 0 {
+			switches += math.Abs(q - prevQ)
+		}
+		prevQ = q
+	}
+	return quality - rebufferPenalty*r.StallTime.Seconds() - switchPenalty*switches
 }
 
 // Window is a two-hour aggregate of one experiment group.

@@ -184,9 +184,49 @@ func TestFromResultQoE(t *testing.T) {
 		},
 	}
 	s := FromResult(r, 0, 0)
-	// Two 3 Mb/s chunks, no stalls, no switches: QoE = 6 under the
-	// default linear weights.
+	// Two 3 Mb/s chunks, no stalls, no switches: QoE = 6 under linear
+	// quality.
 	if !almost(s.QoE, 6, 1e-9) {
 		t.Errorf("QoE = %v, want 6", s.QoE)
+	}
+}
+
+func qoeSession(rates []units.BitRate, stall time.Duration) *player.Result {
+	res := &player.Result{Played: time.Minute, StallTime: stall}
+	for i, r := range rates {
+		res.Chunks = append(res.Chunks, player.ChunkRecord{Index: i, Rate: r})
+	}
+	return res
+}
+
+func TestQoEComponents(t *testing.T) {
+	// Linear quality 1 + 3 + 3 = 7, one switch of |3−1| = 2 and two
+	// stalled seconds: QoE = 7 − 5·2 − 1·2 = −5.
+	res := qoeSession([]units.BitRate{1000 * units.Kbps, 3000 * units.Kbps, 3000 * units.Kbps}, 2*time.Second)
+	if q := QoE(res); !almost(q, -5, 1e-9) {
+		t.Errorf("QoE = %v, want -5", q)
+	}
+	if q := QoE(qoeSession([]units.BitRate{1000 * units.Kbps, 3000 * units.Kbps}, 0)); !almost(q, 2, 1e-9) {
+		t.Errorf("QoE = %v, want 1 + 3 − |3−1| = 2", q)
+	}
+	if q := QoE(qoeSession(nil, 3*time.Second)); !almost(q, -15, 1e-9) {
+		t.Errorf("QoE = %v, want −5·3 = −15", q)
+	}
+}
+
+func TestQoEOrdersObviousCases(t *testing.T) {
+	steadyHigh := QoE(qoeSession([]units.BitRate{3000 * units.Kbps, 3000 * units.Kbps, 3000 * units.Kbps}, 0))
+	steadyLow := QoE(qoeSession([]units.BitRate{500 * units.Kbps, 500 * units.Kbps, 500 * units.Kbps}, 0))
+	flappy := QoE(qoeSession([]units.BitRate{3000 * units.Kbps, 500 * units.Kbps, 3000 * units.Kbps}, 0))
+	stalled := QoE(qoeSession([]units.BitRate{3000 * units.Kbps, 3000 * units.Kbps, 3000 * units.Kbps}, 10*time.Second))
+
+	if steadyHigh <= steadyLow {
+		t.Error("higher rate should score higher")
+	}
+	if flappy >= steadyHigh {
+		t.Error("flapping should cost quality")
+	}
+	if stalled >= steadyHigh {
+		t.Error("stalling should cost quality")
 	}
 }

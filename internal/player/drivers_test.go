@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -24,53 +25,69 @@ import (
 // what Step is held to. They live in the external test package because dash
 // and sharedlink import player.
 
-// TestSharedLinkAloneMatchesRun: one sharedlink player alone on a constant
-// link is the single-session engine — the same decisions and the same
-// accounting, with download times equal up to the rounding of the
-// processor-sharing float share against the trace's integer integral.
+// TestSharedLinkAloneMatchesRun: one sharedlink player alone on the link is
+// the single-session engine — the same decisions, the same accounting and
+// the same chunk records to the nanosecond, on a constant link and on one
+// whose rate steps down in the middle of a download.
 func TestSharedLinkAloneMatchesRun(t *testing.T) {
 	video, err := media.NewVBR(media.VBRConfig{Ladder: media.DefaultLadder(), NumChunks: 450}, rand.New(rand.NewSource(21)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := trace.Constant(2350*units.Kbps, 2*time.Hour)
-	const watch = 20 * time.Minute
+	const (
+		watch = 20 * time.Minute
+		step  = 7*time.Minute + 123456789*time.Nanosecond
+	)
+	for _, tc := range []struct {
+		name string
+		tr   *trace.Trace
+	}{
+		{"constant", trace.Constant(2350*units.Kbps, 2*time.Hour)},
+		{"step", trace.Step(2350*units.Kbps, 1100*units.Kbps, step, 2*time.Hour)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := player.Run(player.Config{
+				Algorithm: abr.NewBBA2(), Stream: abr.NewStream(video, 0), Trace: tc.tr, WatchLimit: watch,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			shared, err := sharedlink.Run(sharedlink.Config{
+				Trace: tc.tr,
+				Players: []sharedlink.PlayerConfig{{
+					Algorithm: abr.NewBBA2(), Stream: abr.NewStream(video, 0), WatchLimit: watch,
+				}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := shared.Players[0]
 
-	want, err := player.Run(player.Config{
-		Algorithm: abr.NewBBA2(), Stream: abr.NewStream(video, 0), Trace: tr, WatchLimit: watch,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared, err := sharedlink.Run(sharedlink.Config{
-		Trace: tr,
-		Players: []sharedlink.PlayerConfig{{
-			Algorithm: abr.NewBBA2(), Stream: abr.NewStream(video, 0), WatchLimit: watch,
-		}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := shared.Players[0]
-
-	if got.Switches != want.Switches || got.Rebuffers != want.Rebuffers || got.Played != want.Played {
-		t.Errorf("switches/rebuffers/played = %d/%d/%v, player.Run has %d/%d/%v",
-			got.Switches, got.Rebuffers, got.Played, want.Switches, want.Rebuffers, want.Played)
-	}
-	if want.Switches == 0 {
-		t.Error("scenario never switched rate; test is vacuous")
-	}
-	if len(got.Chunks) != len(want.Chunks) {
-		t.Fatalf("%d chunks, player.Run has %d", len(got.Chunks), len(want.Chunks))
-	}
-	for i, c := range got.Chunks {
-		w := want.Chunks[i]
-		if c.RateIndex != w.RateIndex {
-			t.Fatalf("chunk %d at rate index %d, player.Run chose %d", i, c.RateIndex, w.RateIndex)
-		}
-		if d := c.Download - w.Download; d < -time.Microsecond || d > time.Microsecond {
-			t.Fatalf("chunk %d downloaded in %v, player.Run in %v", i, c.Download, w.Download)
-		}
+			if got.Switches != want.Switches || got.Rebuffers != want.Rebuffers || got.Played != want.Played {
+				t.Errorf("switches/rebuffers/played = %d/%d/%v, player.Run has %d/%d/%v",
+					got.Switches, got.Rebuffers, got.Played, want.Switches, want.Rebuffers, want.Played)
+			}
+			if want.Switches == 0 {
+				t.Error("scenario never switched rate; test is vacuous")
+			}
+			if !reflect.DeepEqual(got.Chunks, want.Chunks) {
+				for i := range got.Chunks {
+					if i < len(want.Chunks) && got.Chunks[i] != want.Chunks[i] {
+						t.Fatalf("chunk %d is %+v, player.Run has %+v", i, got.Chunks[i], want.Chunks[i])
+					}
+				}
+				t.Fatalf("%d chunks, player.Run has %d", len(got.Chunks), len(want.Chunks))
+			}
+			if tc.name == "step" {
+				straddled := false
+				for _, c := range want.Chunks {
+					straddled = straddled || (c.Start < step && c.Start+c.Download > step)
+				}
+				if !straddled {
+					t.Error("no download spans the rate step; test is vacuous")
+				}
+			}
+		})
 	}
 }
 

@@ -402,3 +402,43 @@ func (r *Result) avgRateRange(from, to int) float64 {
 	}
 	return sum / float64(to-from)
 }
+
+// ErrNoObservations is returned by ObservedTrace for a session with no
+// completed downloads.
+var ErrNoObservations = errors.New("player: session has no download observations")
+
+// ObservedTrace reconstructs the capacity process a finished session
+// experienced, for the counterfactual the paper's Figure 4 poses: given the
+// network one client actually saw, what would another algorithm have done?
+// Run that algorithm over the returned trace.
+//
+// Each download interval carries the chunk's measured throughput, and the
+// idle gap before a download (an ON-OFF pause observes nothing) carries the
+// upcoming measurement backward. Replaying the session's own algorithm over
+// its reconstruction lands close to, not on, its decisions.
+func ObservedTrace(res *Result) (*trace.Trace, error) {
+	if res == nil || len(res.Chunks) == 0 {
+		return nil, ErrNoObservations
+	}
+	var segs []trace.Segment
+	cursor := time.Duration(0)
+	for _, c := range res.Chunks {
+		if c.Download <= 0 || c.Throughput <= 0 {
+			continue
+		}
+		// The client chose not to measure, not the network to vanish.
+		if c.Start > cursor {
+			segs = append(segs, trace.Segment{Duration: c.Start - cursor, Rate: c.Throughput})
+			cursor = c.Start
+		}
+		end := c.Start + c.Download
+		if end > cursor {
+			segs = append(segs, trace.Segment{Duration: end - cursor, Rate: c.Throughput})
+			cursor = end
+		}
+	}
+	if len(segs) == 0 {
+		return nil, ErrNoObservations
+	}
+	return trace.New(segs)
+}

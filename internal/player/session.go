@@ -28,8 +28,8 @@ import (
 // Three drivers sit between Request and Deliver. Step (under Run, the batch
 // kernel and every campaign) integrates the download over a capacity trace
 // in virtual time; dash.Stream sleeps the wait and fetches over HTTP on the
-// wall clock; sharedlink schedules the wait and the flow on a discrete-event
-// processor-sharing link. Pacing, the resume threshold, what counts as a
+// wall clock; sharedlink lets the wait pass and moves the bytes as one flow
+// of a processor-sharing link. Pacing, the resume threshold, what counts as a
 // rebuffer, what JoinDelay and End mean and the order events fire in are
 // decided here and nowhere else, which is also what keeps batch-mode
 // campaign reports byte-identical to scalar ones.

@@ -7,9 +7,12 @@
 // among the flows that are actively downloading, the idealized behaviour of
 // long-lived TCP flows sharing a bottleneck. Chunk completions therefore
 // depend on every other flow's activity — including the ON-OFF pattern of
-// players with full buffers — which requires the discrete-event scheduling
-// of internal/simclock rather than the single-session player's analytic
-// time stepping.
+// players with full buffers. Run needs no event queue for that: between
+// two instants at which a flow joins or leaves, the share is fixed, so one
+// loop over the flows finds the next such instant, charges every active
+// flow its share of the trace integral up to it, and settles the flows in
+// a fixed order. A player alone on the link downloads each chunk in
+// exactly the time player.Run gives it.
 package sharedlink
 
 import (
@@ -19,9 +22,7 @@ import (
 
 	"bba/internal/abr"
 	"bba/internal/player"
-	"bba/internal/simclock"
 	"bba/internal/trace"
-	"bba/internal/units"
 )
 
 // PlayerConfig describes one competing streaming client.
@@ -75,14 +76,54 @@ func (r *Result) FairnessIndex() float64 {
 	return sum * sum / (float64(n) * sumSq)
 }
 
+// bulkBytes is one bulk transfer. A bulk flow starts the next the instant
+// one completes, so it is always downloading.
+const bulkBytes = 4e6
+
+// flow is one sender on the link: a streaming player, or a bulk flow
+// (session nil) whose request is always one bulk transfer.
 type flow struct {
-	bytesLeft  float64
-	lastSettle time.Duration
-	completion *simclock.Event
-	onDone     func()
+	ss     *player.Session
+	req    player.Request // the next chunk fetch, or the one downloading
+	done   bool           // the player's session has ended
+	active bool           // downloading
+	// at is, while idle, when req joins the link (StartAt, or the end of
+	// its ON-OFF wait) and, while active, when it joined.
+	at   time.Duration
+	left float64 // bytes still to move while active
 }
 
-// Run executes the scenario.
+// ask takes the player's next request at link time now.
+func (f *flow) ask(now time.Duration) {
+	req, done := f.ss.Request()
+	f.req, f.done, f.at = req, done, now+req.Wait
+}
+
+// settle runs f's part of instant now: a download with nothing left is
+// delivered and the player asks for its next chunk, and a request whose
+// time has come joins the link.
+func (f *flow) settle(now time.Duration, out *Result) (err error) {
+	if f.active && f.left <= 0 {
+		f.active = false
+		if f.ss == nil {
+			out.BulkBytes += bulkBytes
+			f.at = now
+		} else {
+			_, err = f.ss.Deliver(f.req, f.req.Bytes, now-f.at)
+			f.ask(now)
+		}
+	}
+	if !f.active && !f.done && f.at == now {
+		f.active, f.left = true, float64(f.req.Bytes)
+	}
+	return err
+}
+
+// Run executes the scenario. It steps from instant to instant: the next is
+// the earliest idle flow's wake or the earliest completion at the current
+// share, every active flow is charged its share of the capacity between
+// them, and the flows settle in a fixed order — players as configured,
+// then bulk flows — so identical configurations give identical results.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Trace == nil {
 		return nil, errors.New("sharedlink: nil trace")
@@ -95,93 +136,9 @@ func Run(cfg Config) (*Result, error) {
 		horizon = 6 * time.Hour
 	}
 
-	var clock simclock.Clock
-	active := make(map[*flow]struct{})
 	out := &Result{Horizon: horizon}
-
-	// settle charges the just-ended interval against every active flow —
-	// using the trace integral, so intervals spanning a rate boundary are
-	// charged exactly — and reschedules completions at the new share.
-	// Callers MUST settle before mutating the active set: the interval
-	// being closed out ran under the old membership.
-	var settle func()
-	settle = func() {
-		now := clock.Now()
-		n := len(active)
-		for f := range active {
-			if elapsed := now - f.lastSettle; elapsed > 0 {
-				delivered := cfg.Trace.BytesBetween(f.lastSettle, now)
-				f.bytesLeft -= float64(delivered) / float64(n)
-				f.lastSettle = now
-			}
-		}
-		// Reschedule all completions at the current instantaneous share;
-		// rate-boundary events re-settle before the estimate goes stale.
-		var rate units.BitRate
-		if n > 0 {
-			rate = units.BitRate(int64(cfg.Trace.RateAt(now)) / int64(n))
-		}
-		for f := range active {
-			if f.completion != nil {
-				clock.Cancel(f.completion)
-				f.completion = nil
-			}
-			if f.bytesLeft <= 0 {
-				f := f
-				f.completion = clock.After(0, func() { finish(f, active, settle) })
-				continue
-			}
-			if rate <= 0 {
-				continue // outage: wait for the next rate change
-			}
-			f := f
-			f.completion = clock.After(rate.DurationFor(int64(f.bytesLeft+0.5)), func() {
-				finish(f, active, settle)
-			})
-		}
-	}
-
-	// Rate-change events at every trace segment boundary within the
-	// horizon keep the shares honest.
-	var boundary time.Duration
-	for _, seg := range cfg.Trace.Segments() {
-		boundary += seg.Duration
-		if boundary >= horizon {
-			break
-		}
-		clock.Schedule(boundary, settle)
-	}
-
-	// join settles the outgoing interval under the old membership, then
-	// admits the flow and reschedules everyone at the new share.
-	join := func(f *flow) {
-		settle()
-		f.lastSettle = clock.Now()
-		active[f] = struct{}{}
-		settle()
-	}
-
-	// Bulk flows: each completes a 4 MB transfer and immediately starts
-	// the next, so it is always active.
-	for i := 0; i < cfg.BulkFlows; i++ {
-		var start func()
-		start = func() {
-			f := &flow{bytesLeft: 4e6}
-			f.onDone = func() {
-				out.BulkBytes += 4e6
-				start()
-			}
-			join(f)
-		}
-		clock.Schedule(0, start)
-	}
-
-	// Streaming players: each is a player.Session whose download is a
-	// flow on the shared link. The session asks for a chunk, the clock
-	// lets its ON-OFF wait pass, the flow joins, and its completion
-	// delivers the chunk and asks again.
 	sessions := make([]player.Session, len(cfg.Players))
-	var engineErr error
+	flows := make([]flow, len(cfg.Players)+cfg.BulkFlows)
 	for i, pc := range cfg.Players {
 		ss := &sessions[i]
 		if err := ss.Start(player.Config{
@@ -193,54 +150,68 @@ func Run(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("sharedlink: player %d: %w", i, err)
 		}
 		out.Players = append(out.Players, ss.Result())
-
-		var request func()
-		request = func() {
-			req, done := ss.Request()
-			if done {
-				return
-			}
-			issue := func() {
-				issued := clock.Now()
-				f := &flow{bytesLeft: float64(req.Bytes)}
-				f.onDone = func() {
-					if _, err := ss.Deliver(req, req.Bytes, clock.Now()-issued); err != nil && engineErr == nil {
-						engineErr = fmt.Errorf("sharedlink: player %d: %w", i, err)
-					}
-					request()
-				}
-				join(f)
-			}
-			// A request with no wait joins within the current event, so
-			// simultaneous completions keep their order.
-			if req.Wait > 0 {
-				clock.After(req.Wait, issue)
-			} else {
-				issue()
-			}
-		}
-		clock.Schedule(pc.StartAt, request)
+		flows[i].ss = ss
+		flows[i].ask(pc.StartAt)
+	}
+	for i := len(cfg.Players); i < len(flows); i++ {
+		flows[i].req.Bytes = bulkBytes
 	}
 
-	clock.Run(horizon)
+	var engineErr error
+	for now := time.Duration(0); ; {
+		for i := range flows {
+			if err := flows[i].settle(now, out); err != nil && engineErr == nil {
+				engineErr = fmt.Errorf("sharedlink: player %d: %w", i, err)
+			}
+		}
+
+		n, least := 0, 0.0
+		next, waking := time.Duration(0), false
+		for i := range flows {
+			f := &flows[i]
+			switch {
+			case f.active:
+				if n == 0 || f.left < least {
+					least = f.left
+				}
+				n++
+			case !f.done && (!waking || f.at < next):
+				next, waking = f.at, true
+			}
+		}
+		// The flows holding least finish when n×least bytes have crossed
+		// the link, unless a wake comes first.
+		completes := false
+		if n > 0 {
+			d, ok := cfg.Trace.DownloadTime(now, int64(float64(n)*least+0.5))
+			if ok && (!waking || now+d <= next) {
+				next, completes = now+d, true
+			}
+		}
+		if !completes && !waking || next > horizon {
+			break
+		}
+
+		// The trace integral truncates to whole bytes, so the flows
+		// holding least are finished outright rather than charged.
+		if n > 0 {
+			share := float64(cfg.Trace.BytesBetween(now, next)) / float64(n)
+			for i := range flows {
+				if f := &flows[i]; f.active {
+					if completes && f.left == least {
+						f.left = 0
+					} else {
+						f.left -= share
+					}
+				}
+			}
+		}
+		now = next
+	}
 
 	// The horizon cuts short whoever is still mid-session.
 	for i := range sessions {
 		sessions[i].Finish()
 	}
 	return out, engineErr
-}
-
-func finish(f *flow, active map[*flow]struct{}, settle func()) {
-	if _, ok := active[f]; !ok {
-		return
-	}
-	// Close out the interval under the old membership (f included), then
-	// remove the flow and reschedule the survivors at their new share.
-	settle()
-	delete(active, f)
-	settle()
-	if f.onDone != nil {
-		f.onDone()
-	}
 }

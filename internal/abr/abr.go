@@ -24,7 +24,9 @@
 //
 // Algorithms are single-session state machines: construct a fresh instance
 // per session (via New or a Factory) and call Next once per chunk request.
-// They are not safe for concurrent use by multiple sessions.
+// They are not safe for concurrent use by multiple sessions. A registered
+// built-in may come from instances handed back with Release, reset to its
+// constructor's value, which plays exactly as a fresh one.
 //
 // The BBA-1 family has one decision path, whoever drives the session:
 // Algorithm1Chunk scans the title's size column for the next chunk

@@ -90,17 +90,85 @@ type CapacitySeeded interface {
 // Built-ins, in paper order: the production Control and the degenerate
 // bounds, the four buffer-based algorithms, the related-work controllers,
 // then the arena rivals.
+//
+// Every pointer-typed built-in but Hybrid is recycled: its constructed
+// value holds no non-nil slice, map, pointer, interface, func or chan, so
+// copying that value over a used instance leaves nothing one session
+// could share with the next (TestRecycledPristineHoldsNoReferences).
+// Hybrid's constructor fills two pointers, so it always builds fresh;
+// Rmin/Rmax Always are zero-size values and allocate nothing.
 func init() {
-	Register("Control", func() Algorithm { return NewControl() })
+	registerRecycled("Control", NewControl)
 	Register("Rmin Always", func() Algorithm { return RminAlways{} })
 	Register("Rmax Always", func() Algorithm { return RmaxAlways{} })
-	Register("BBA-0", func() Algorithm { return NewBBA0() })
-	Register("BBA-1", func() Algorithm { return NewBBA1() })
-	Register("BBA-2", func() Algorithm { return NewBBA2() })
-	Register("BBA-Others", func() Algorithm { return NewBBAOthers() })
-	Register("PID", func() Algorithm { return NewBufferTarget() })
-	Register("ELASTIC", func() Algorithm { return NewElastic() })
-	Register("BOLA", func() Algorithm { return NewBOLA() })
-	Register("SmoothThroughput", func() Algorithm { return NewSmoothThroughput() })
+	registerRecycled("BBA-0", NewBBA0)
+	registerRecycled("BBA-1", NewBBA1)
+	registerRecycled("BBA-2", NewBBA2)
+	registerRecycled("BBA-Others", NewBBAOthers)
+	registerRecycled("PID", NewBufferTarget)
+	registerRecycled("ELASTIC", NewElastic)
+	registerRecycled("BOLA", NewBOLA)
+	registerRecycled("SmoothThroughput", NewSmoothThroughput)
 	Register("Hybrid", func() Algorithm { return NewHybrid() })
+}
+
+// recyclers maps each recycled built-in's name to its release function
+// and its constructor. It is filled at init and only read afterwards.
+var recyclers = map[string]recycler{}
+
+type recycler struct {
+	release func(Algorithm)
+	fresh   func() Algorithm // never a released instance
+}
+
+// maxFree bounds each free list: a campaign worker holds at most its width
+// of one arm's released instances, so 64 covers eight workers at the
+// default batch width. Past it an instance is left to the collector.
+const maxFree = 64
+
+// registerRecycled registers name with a factory that hands out the last
+// released instance, reset to build's value, or builds one. The free list
+// is a locked stack rather than a sync.Pool, which under the race detector
+// drops a quarter of what it is given.
+func registerRecycled[T any, P interface {
+	*T
+	Algorithm
+}](name string, build func() P) {
+	pristine := *build()
+	var mu sync.Mutex
+	var free []P
+	fresh := func() Algorithm { return build() }
+	recyclers[name] = recycler{fresh: fresh, release: func(a Algorithm) {
+		if x, ok := a.(P); ok {
+			*x = pristine
+			mu.Lock()
+			if len(free) < maxFree {
+				free = append(free, x)
+			}
+			mu.Unlock()
+		}
+	}}
+	Register(name, func() Algorithm {
+		mu.Lock()
+		defer mu.Unlock()
+		if n := len(free); n > 0 {
+			x := free[n-1]
+			free = free[:n-1]
+			return x
+		}
+		return fresh()
+	})
+}
+
+// Release hands an algorithm instance back to the registry, which resets
+// it to the value its registered constructor builds and hands it out
+// again from a later New or factory call. Call it only on an instance
+// nothing will read again — not the session that played it, not its
+// caller — and only once. An instance of a built-in that is not recycled,
+// or of any other type under a built-in's name (a Custom, a third-party
+// algorithm), is ignored.
+func Release(a Algorithm) {
+	if r, ok := recyclers[a.Name()]; ok {
+		r.release(a)
+	}
 }

@@ -1,6 +1,7 @@
 package abr
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -175,4 +176,70 @@ func FuzzNew(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRecycledPristineHoldsNoReferences is the structural half of the
+// recycling contract: a released instance is reset by copying its
+// constructor's value over it, which is a reset only if that value holds
+// nothing a session writes through — no non-nil slice, map, pointer,
+// interface, func or chan, embedded structs included. A constructor that
+// fills one (Hybrid's two pointers) would have every recycled instance
+// share it.
+func TestRecycledPristineHoldsNoReferences(t *testing.T) {
+	if len(recyclers) == 0 {
+		t.Fatal("no built-in is recycled")
+	}
+	for name, r := range recyclers {
+		pristine := reflect.ValueOf(r.fresh()).Elem()
+		if path, ok := nonNilReference(pristine, pristine.Type().Name()); ok {
+			t.Errorf("%s is recycled, but its constructed value holds a non-nil reference at %s", name, path)
+		}
+	}
+}
+
+// nonNilReference returns the path of the first non-nil reference in v.
+func nonNilReference(v reflect.Value, path string) (string, bool) {
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Interface, reflect.Func, reflect.Chan, reflect.UnsafePointer:
+		return path, !v.IsNil()
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if p, ok := nonNilReference(v.Field(i), path+"."+v.Type().Field(i).Name); ok {
+				return p, true
+			}
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			if p, ok := nonNilReference(v.Index(i), fmt.Sprintf("%s[%d]", path, i)); ok {
+				return p, true
+			}
+		}
+	}
+	return "", false
+}
+
+// TestReleaseIgnoresOtherTypes: Release keys on Name() but takes back only
+// the recycled type registered under it, and resets what it takes to the
+// registered constructor's value whatever the instance was configured as.
+func TestReleaseIgnoresOtherTypes(t *testing.T) {
+	Release(NewCustom("BBA-1", func(_, _ time.Duration) units.BitRate { return 0 }))
+	Release(RminAlways{})
+	if a, err := New("BBA-1"); err != nil {
+		t.Fatal(err)
+	} else if _, ok := a.(*BBA1); !ok {
+		t.Fatalf("New(BBA-1) handed out a %T", a)
+	}
+	h := NewHybrid()
+	Release(h)
+	if a, err := New("Hybrid"); err != nil || a == Algorithm(h) {
+		t.Fatalf("New(Hybrid) = %p, %v: a Hybrid is never recycled", a, err)
+	}
+	Release(NewAggressiveControl())
+	a, err := New("Control")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := a.(*Control); *c != *NewControl() {
+		t.Fatalf("a released Control came back as %+v, want the constructor's %+v", *c, *NewControl())
+	}
 }

@@ -23,6 +23,10 @@
 //   - Sessions run with player.Config.SkipChunkRecords: campaigns never
 //     read Result.Chunks, and the per-chunk log would be a fresh
 //     session's dominant allocation.
+//   - Each lane hands its session's algorithm back with abr.Release
+//     right after the metrics are read, the last read of it, so the arm
+//     factory's next call can reuse it; Group.New is still called once
+//     per session.
 //   - One abtest.Scratch holds every intermediate of drawing a user and
 //     building its env: a reseeded RNG and the trace builder's buffers.
 //     Each draw slot owns its env's fault state — schedule, capacity
@@ -87,12 +91,13 @@ type Runner struct {
 	plans *abr.PlanCache
 
 	// Lane state: sessions is the flat lane array (player state embedded
-	// by value); laneSlot and laneGroup are its parallel bookkeeping
-	// slices. active holds the lane ids currently advancing, idle the
-	// rest.
+	// by value); laneSlot, laneGroup and laneAlg (the session's algorithm)
+	// are its parallel bookkeeping slices. active holds the lane ids
+	// currently advancing, idle the rest.
 	sessions  []player.Session
 	laneSlot  []int
 	laneGroup []int
+	laneAlg   []abr.Algorithm
 	active    []int
 	idle      []int
 
@@ -138,6 +143,7 @@ func NewRunner(cfg Config) *Runner {
 		sessions:  make([]player.Session, lanes),
 		laneSlot:  make([]int, lanes),
 		laneGroup: make([]int, lanes),
+		laneAlg:   make([]abr.Algorithm, lanes),
 		active:    make([]int, 0, lanes),
 		idle:      make([]int, 0, lanes),
 		slots:     make([]drawSlot, cfg.Width),
@@ -239,6 +245,7 @@ func (r *Runner) RunShard(ctx context.Context, n int, draw func(off int) (Draw, 
 				}
 				r.laneSlot[lane] = s
 				r.laneGroup[lane] = gi
+				r.laneAlg[lane] = pc.Algorithm
 				r.active = append(r.active, lane)
 			}
 			nextOff++
@@ -263,6 +270,8 @@ func (r *Runner) RunShard(ctx context.Context, n int, draw func(off int) (Draw, 
 			gi := r.laneGroup[lane]
 			u := slot.env.User
 			slot.ms[gi] = metrics.FromResult(r.sessions[lane].Result(), u.Window, u.Day)
+			abr.Release(r.laneAlg[lane])
+			r.laneAlg[lane] = nil
 			if r.cfg.OnRetire != nil {
 				r.cfg.OnRetire()
 			}

@@ -347,15 +347,16 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) (HeartbeatResponse, error)
 // Late completions from expired leases still count when they arrive first:
 // leases are liveness, the checkpoint is correctness.
 func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
+	if req.Worker == "" {
+		return CompleteResponse{}, fmt.Errorf("coord: completion without a worker name")
+	}
 	if req.Shard < 0 || req.Shard >= c.id.Shards() {
 		return CompleteResponse{}, fmt.Errorf("coord: shard %d outside [0,%d)", req.Shard, c.id.Shards())
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.sweepLocked()
-	if req.Worker != "" {
-		c.workers[req.Worker] = c.cfg.Now()
-	}
+	c.workers[req.Worker] = c.cfg.Now()
 	// Record refuses a body it cannot fold before it changes anything, so
 	// the shard stays leased or pending and a good retry folds it.
 	dup := c.cp.Has(req.Shard)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -347,6 +348,75 @@ func TestCompleteRefusesUnfoldableBodies(t *testing.T) {
 	}
 	if got, err := c.Report(); err != nil || !bytes.Equal(got, want) {
 		t.Errorf("report after the refusals differs from a local run (err %v)", err)
+	}
+}
+
+// TestPostBodies is the wire contract of the four POST endpoints: one good
+// body each, then that body broken one way at a time, each answered with
+// its own status before the coordinator acts on it. A body is exactly one
+// JSON value: a second value or garbage after it is refused, not ignored.
+// Unknown fields are accepted, so a worker and its coordinator may differ
+// by a version.
+func TestPostBodies(t *testing.T) {
+	spec := testSpec(24) // 3 shards
+	c, err := New(Config{Spec: spec, LeaseShards: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grant, err := c.Acquire(LeaseRequest{Worker: "w"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	accums, err := newRunner(t, spec).RunShard(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	completion, err := json.Marshal(CompleteRequest{Worker: "w", Lease: grant.Lease, Shard: 0, Groups: accums})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every good body starts with the worker field, which the rows edit.
+	goods := []struct{ path, body string }{
+		{"/join", `{"worker":"w"}`},
+		{"/lease", `{"worker":"w"}`},
+		{"/heartbeat", fmt.Sprintf(`{"worker":"w","leases":[%d]}`, grant.Lease)},
+		{"/complete", string(completion)},
+	}
+	oversized := `{"worker":"` + strings.Repeat("w", maxBody) + `"}`
+	worker := func(v string) func(string) string {
+		return func(good string) string { return strings.Replace(good, `"worker":"w"`, `"worker":`+v, 1) }
+	}
+	for _, tc := range []struct {
+		name   string
+		method string
+		body   func(good string) string
+		want   int
+	}{
+		{"good", http.MethodPost, func(good string) string { return good }, http.StatusOK},
+		{"unknown field", http.MethodPost, worker(`"w","since":"v2"`), http.StatusOK},
+		{"trailing white space", http.MethodPost, func(good string) string { return good + " \n" }, http.StatusOK},
+		{"wrong method", http.MethodGet, func(good string) string { return good }, http.StatusMethodNotAllowed},
+		{"not JSON", http.MethodPost, func(string) string { return "worker=w" }, http.StatusBadRequest},
+		{"trailing value", http.MethodPost, func(good string) string { return good + `{"worker":"x"}` }, http.StatusBadRequest},
+		{"trailing garbage", http.MethodPost, func(good string) string { return good + " garbage" }, http.StatusBadRequest},
+		{"over maxBody", http.MethodPost, func(string) string { return oversized }, http.StatusBadRequest},
+		{"empty worker", http.MethodPost, worker(`""`), http.StatusBadRequest},
+		{"wrong field type", http.MethodPost, worker(`7`), http.StatusBadRequest},
+	} {
+		for _, g := range goods {
+			t.Run(tc.name+g.path, func(t *testing.T) {
+				w := httptest.NewRecorder()
+				c.Handler().ServeHTTP(w, httptest.NewRequest(tc.method, g.path, strings.NewReader(tc.body(g.body))))
+				if w.Code != tc.want {
+					t.Errorf("%s %s: %d %q, want %d", tc.method, g.path, w.Code, strings.TrimSpace(w.Body.String()), tc.want)
+				}
+			})
+		}
+	}
+	// The good completion folds shard 0; the two other accepted rows are
+	// duplicates of it; no refused body reached the fold.
+	if s := c.Stats(); s.Shards != 1 || s.ShardsDup != 2 {
+		t.Errorf("after the table: %d shards folded and %d duplicates, want 1 and 2", s.Shards, s.ShardsDup)
 	}
 }
 

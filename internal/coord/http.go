@@ -2,6 +2,8 @@ package coord
 
 import (
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 
 	"bba/internal/obs"
@@ -32,7 +34,10 @@ func (c *Coordinator) Handler() http.Handler {
 // sketches per group, far under this.
 const maxBody = 16 << 20
 
-// post adapts a typed request/response exchange to an HTTP handler.
+// post adapts a typed request/response exchange to an HTTP handler. A body
+// is one JSON value: anything after it but white space is refused, as is a
+// malformed or oversized value. Unknown fields are accepted, so a worker
+// and its coordinator may differ by a version.
 func post[Req, Resp any](c *Coordinator, f func(Req) (Resp, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -40,7 +45,15 @@ func post[Req, Resp any](c *Coordinator, f func(Req) (Resp, error)) http.Handler
 			return
 		}
 		var req Req
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
+		if err := dec.Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if _, err := dec.Token(); err != io.EOF {
+			if err == nil {
+				err = errors.New("coord: a second JSON value follows the request")
+			}
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}

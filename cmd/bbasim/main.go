@@ -34,7 +34,7 @@ func main() {
 		chunks   = flag.Int("chunks", 1800, "title length in 4-second chunks")
 		seed     = flag.Int64("seed", 1, "random seed for title and trace generation")
 		rmin     = flag.Int("rmin", 0, "promoted minimum rate in kb/s (0 = full ladder)")
-		traceCSV = flag.String("trace", "", "stream over a capacity trace from a CSV file (see cmd/tracegen) instead of a synthetic scenario")
+		traceCSV = flag.String("trace", "", "stream over a capacity trace from a CSV file of duration_seconds,rate_bps rows instead of a synthetic scenario")
 		chunkCSV = flag.String("chunks-csv", "", "also write the per-chunk log to this CSV file")
 		ladder   = flag.String("ladder", "", "custom encoding ladder, comma-separated kb/s values (default: the paper's 235…5000)")
 		verbose  = flag.Bool("v", false, "print every chunk instead of one line per 30 seconds")

@@ -50,7 +50,7 @@ func warmCatalog(t *testing.T, cfg Config) {
 // K. A short campaign cannot, so the test takes the marginal cost: a
 // five-shard campaign minus a three-shard one — which has already built
 // all of those — per extra session. Its floor is the one trace that leaves
-// each draw, the User's (≈ 0.55 KB a session with six arms at 12 bytes a
+// each draw, the User's (≈ 0.39 KB a session with six arms at ≈ 65 bits a
 // segment): each arm's algorithm object is released when its session
 // retires and handed to the next draw's session. Fault weather adds
 // nothing a draw keeps — each draw slot rebuilds its schedule, faulted
@@ -76,11 +76,12 @@ func TestAllocationBudget(t *testing.T) {
 		t.Logf("faults=%v: %.0f B per player session (%.0f with a three-shard campaign's set-up)", fcfg != nil, per, float64(b3)/float64(s3))
 		return per
 	}
-	// The floor measures ≈ 560 B. A fresh algorithm object per session, as
-	// before the kernel released them, measures ≈ 665 B; 16-byte segments
-	// add ≈ 185 B and a fresh accumulator set per shard ≈ 195 B: each
-	// lands above the budget.
-	const cleanBudget = 600
+	// The floor measures ≈ 390 B. A fresh algorithm object per session, as
+	// before the kernel released them, adds ≈ 105 B; fixed 12-byte
+	// segments, as before a trace's rows took its own width, add ≈ 170 B,
+	// and a fresh accumulator set per shard ≈ 195 B: each lands above the
+	// budget.
+	const cleanBudget = 450
 	clean := map[bool]float64{} // by engine: the faulted budgets build on it
 	for _, tc := range []struct {
 		name   string

@@ -299,7 +299,7 @@ func FuzzTraceBuilder(f *testing.F) {
 
 // TestBuilderAllocatesOncePerTrace pins the materialisation cost: a warmed
 // Builder composes in its own buffers, and each Trace it hands out costs
-// its header and exactly one backing array, 12 bytes a segment.
+// its header and exactly one backing array of rows as wide as it needs.
 func TestBuilderAllocatesOncePerTrace(t *testing.T) {
 	cfg := MarkovConfig{Base: 3 * units.Mbps, Sigma: 0.6, MeanDwell: 8 * time.Second, Duration: 30 * time.Minute}
 	overrides := []Override{{Start: 5 * time.Minute, Duration: time.Minute, Rate: 200 * units.Kbps}}

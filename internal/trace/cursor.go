@@ -7,10 +7,11 @@ import (
 )
 
 // Cursor is a stateful sequential reader over a Trace. It remembers the
-// segment the previous query landed in, so a caller whose query times are
-// monotonically non-decreasing — the playback engine's session clock —
-// advances in amortized O(1) per query instead of paying the stateless
-// API's O(log n) binary search on every chunk.
+// segment the previous query landed in, decoded, so a caller whose query
+// times are monotonically non-decreasing — the playback engine's session
+// clock — advances in amortized O(1) per query instead of paying the
+// stateless API's O(log n) binary search on every chunk, and a chunk that
+// starts inside that segment decodes nothing to find it.
 //
 // Results are bit-identical to the stateless Trace methods: both run the
 // same integration cores, and the cursor only changes how the starting
@@ -19,41 +20,50 @@ import (
 //
 // A Cursor is not safe for concurrent use; sessions each hold their own.
 type Cursor struct {
-	t   *Trace
-	idx int // segment the last query finished in
+	t *Trace
+	s span // the segment the last query finished in, decoded
 }
 
 // Cursor returns a new sequential reader positioned at the start of t.
-func (t *Trace) Cursor() *Cursor { return &Cursor{t: t} }
+func (t *Trace) Cursor() *Cursor {
+	c := new(Cursor)
+	c.Bind(t)
+	return c
+}
 
 // Bind points the cursor at the start of t, reusing the cursor's storage.
 // It is the allocation-free form of Trace.Cursor for callers — the batch
 // session kernel — that keep cursors in flat per-lane arrays and rebind
 // them to a new session's trace instead of allocating one per session.
-func (c *Cursor) Bind(t *Trace) { c.t, c.idx = t, 0 }
+func (c *Cursor) Bind(t *Trace) {
+	c.t, c.s = t, span{}
+	if t != nil {
+		c.s = t.span(0)
+	}
+}
 
-// seek positions idx at the segment containing at. Forward motion walks
-// segment by segment (amortized O(1) for monotone queries); a backward
-// jump — a seek before the current segment — rebinds with binary search.
-func (c *Cursor) seek(at time.Duration) int {
+// seek positions the cursor at the segment containing at. A time inside
+// the current segment decodes nothing; forward motion walks segment by
+// segment (amortized O(1) for monotone queries); a backward jump — a seek
+// before the current segment — rebinds with binary search.
+func (c *Cursor) seek(at time.Duration) {
+	if at >= c.s.start && at < c.s.end {
+		return
+	}
 	t := c.t
-	if at < 0 {
-		c.idx = 0
-		return 0
+	if at < c.s.start {
+		c.s = t.span(t.index(at))
+		return
 	}
-	if at < t.segs[c.idx].start() {
-		c.idx = t.index(at)
-		return c.idx
+	for at >= c.s.end && c.s.i+1 < t.n {
+		c.s = t.next(c.s)
 	}
-	for c.idx+1 < len(t.segs) && t.segs[c.idx+1].start() <= at {
-		c.idx++
-	}
-	return c.idx
 }
 
 // RateAt returns the capacity at time at, like Trace.RateAt.
 func (c *Cursor) RateAt(at time.Duration) units.BitRate {
-	return c.t.segs[c.seek(at)].rate()
+	c.seek(at)
+	return c.s.rate
 }
 
 // BytesBetween integrates capacity over [from, to], like
@@ -65,8 +75,9 @@ func (c *Cursor) BytesBetween(from, to time.Duration) int64 {
 	if from < 0 {
 		from = 0
 	}
-	n, i := c.t.bytesBetweenFrom(c.seek(from), from, to)
-	c.idx = i
+	c.seek(from)
+	n, s := c.t.bytesBetweenFrom(c.s, from, to)
+	c.s = s
 	return n
 }
 
@@ -81,9 +92,10 @@ func (c *Cursor) DownloadTime(start time.Duration, n int64) (time.Duration, bool
 	if start < 0 {
 		start = 0
 	}
-	d, i, ok := c.t.downloadTimeFrom(c.seek(start), start, n)
+	c.seek(start)
+	d, s, ok := c.t.downloadTimeFrom(c.s, start, n)
 	if ok {
-		c.idx = i
+		c.s = s
 	}
 	return d, ok
 }

@@ -1,11 +1,8 @@
 package trace
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -19,9 +16,9 @@ import (
 
 // The reference layout: the 40-byte segment — start, end and the float
 // rate stored beside each (duration, rate) — with New, the two
-// integration cores, Slice and WriteCSV as they were written against it,
-// kept verbatim as the oracle the 12-byte packed {start, rate} layout is
-// held to, bit for bit.
+// integration cores and Slice as they were written against it, kept
+// verbatim as the oracle the packed layout, rows as wide as each trace
+// needs, is held to, bit for bit.
 
 type refSeg struct {
 	Segment
@@ -171,21 +168,11 @@ func (t *refTrace) Slice(from, to time.Duration) (*refTrace, error) {
 	return refNew(segs)
 }
 
-func (t *refTrace) WriteCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, s := range t.segs {
-		if _, err := fmt.Fprintf(bw, "%.6f,%d\n", s.Duration.Seconds(), int64(s.Rate)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // decodeLayout turns fuzz bytes into a segment list and a query stream:
 // 16-bit fields, durations in 10 ms ticks (some a single nanosecond, so
 // boundaries land between ticks), rates in kb/s including zero. A field of
-// 60 000 or more instead draws a long segment, up to 2^51 ns, so starts
-// fill the packed start's high bits, or a rate anywhere in [0, 2^40) b/s;
+// 60 000 or more instead draws a long segment, below 2^52 ns, so starts
+// fill the widest start field, or a rate anywhere in [0, 2^40) b/s;
 // sixteen of either stay inside the layout's range. Segments may be
 // invalid, so New's error path is compared too.
 func decodeLayout(data []byte) (segs []Segment, queries []uint16) {
@@ -201,7 +188,7 @@ func decodeLayout(data []byte) (segs []Segment, queries []uint16) {
 	for n := next()%16 + 1; n > 0; n-- {
 		var d time.Duration
 		if v := next(); v >= wide {
-			d = time.Duration(next())<<35 | time.Duration(next())
+			d = time.Duration(next())<<36 | time.Duration(next())
 		} else if d = time.Duration(v%3000) * 10 * time.Millisecond; d == 0 && next()%2 == 0 {
 			d = time.Nanosecond
 		}
@@ -222,10 +209,85 @@ func decodeLayout(data []byte) (segs []Segment, queries []uint16) {
 	return segs, queries
 }
 
+// encodeLayout is decodeLayout's inverse for the segments it can draw: the
+// fuzz input that decodes to segs, then queries.
+func encodeLayout(segs []Segment, queries ...uint16) []byte {
+	const tick, wide = 10 * time.Millisecond, 60000
+	fields := []uint16{uint16(len(segs) - 1)}
+	for _, s := range segs {
+		switch d := s.Duration; {
+		case d == time.Nanosecond:
+			fields = append(fields, 0, 0)
+		case d > 0 && d%tick == 0 && d/tick < 3000:
+			fields = append(fields, uint16(d/tick))
+		case d>>36 < 1<<16 && d&(1<<36-1) < 1<<16:
+			fields = append(fields, wide, uint16(d>>36), uint16(d))
+		default:
+			panic(fmt.Sprintf("encodeLayout: duration %d has no encoding", d))
+		}
+		switch r := s.Rate; {
+		case r == 0:
+			fields = append(fields, 0, 0)
+		case r%units.Kbps == 0 && r/units.Kbps < 5000:
+			fields = append(fields, uint16(r/units.Kbps), 1)
+		default:
+			fields = append(fields, wide, uint16(r>>24), uint16(r>>8), uint16(r&0xff), 1)
+		}
+	}
+	var out []byte
+	for _, v := range append(fields, queries...) {
+		out = binary.LittleEndian.AppendUint16(out, v)
+	}
+	return out
+}
+
+// edgeLayouts are the traces at the edges of the packed reader, run by
+// TestTraceLayoutMatchesReference and seeded into FuzzTraceLayout, with
+// the bits a row of each takes.
+var edgeLayouts = []struct {
+	name string
+	w    int
+	segs []Segment
+}{
+	// No rate field: a zero-width load at the very end of the rows.
+	{"all rates zero", 28, repeatSegment(5, 30*time.Millisecond, 0)},
+	// 16 rows of 28 and of 32 bits: the rows end on a 64-bit word, with
+	// and without a rate field.
+	{"word-aligned end, no rate", 28, repeatSegment(16, 10*time.Millisecond, 0)},
+	{"word-aligned end", 32, repeatSegment(16, 10*time.Millisecond, 15)},
+	// A total just under 2^56 ns and a rate of 2^40−1 b/s.
+	{"widest row", 96, append(repeatSegment(15, 1<<52-1<<36+1<<16-1, units.Mbps), Segment{Duration: 1<<52 - 1<<36 + 1<<16 - 1, Rate: maxRate})},
+	{"one segment", 24 + 20, []Segment{{Duration: 10 * time.Millisecond, Rate: units.Mbps}}},
+	{"one nanosecond", 1, []Segment{{Duration: time.Nanosecond, Rate: 0}}},
+}
+
+func repeatSegment(n int, d time.Duration, r units.BitRate) []Segment {
+	segs := make([]Segment, n)
+	for i := range segs {
+		segs[i] = Segment{Duration: d, Rate: r}
+	}
+	return segs
+}
+
+// rebuildTargets returns the traces checkLayout rebuilds from segs with
+// Builder.Into, each with room for segs, so the rebuild is in place: one
+// with rows of 96 bits, wider than any segs needs, and one with rows of
+// zero-rate nanoseconds, narrower than most.
+func rebuildTargets(segs []Segment) map[string][]Segment {
+	k := max(len(segs), 2)
+	return map[string][]Segment{
+		"wider":    repeatSegment(k, maxEnd/time.Duration(k), maxRate),
+		"narrower": repeatSegment(16*len(segs)+16, time.Nanosecond, 0),
+	}
+}
+
 // checkLayout compares a trace built from segs against the reference
-// layout: construction, Segments, WriteCSV, then every query — stateless
-// and through one Cursor that mostly moves forward and sometimes jumps
-// back — and Slice on the same windows.
+// layout: construction, Segments, then every query — stateless and through
+// one Cursor that mostly moves forward and sometimes jumps back — and
+// Slice on the same windows. It does so for the trace New builds and for
+// each rebuildTargets trace Builder.Into rewrites in place, which must
+// show nothing of what it held before, or, when segs is refused, still
+// hold it.
 func checkLayout(t *testing.T, segs []Segment, queries []uint16) {
 	t.Helper()
 	ref, refErr := refNew(segs)
@@ -233,24 +295,36 @@ func checkLayout(t *testing.T, segs []Segment, queries []uint16) {
 	if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
 		t.Fatalf("New error %v, reference %v", err, refErr)
 	}
-	if err != nil {
-		return
+	for name, prev := range rebuildTargets(segs) {
+		tr := MustNew(prev)
+		rows := &tr.rows[0]
+		b := Builder{segs: segs}
+		if err := b.Into(tr); err != nil {
+			if refErr == nil || err.Error() != refErr.Error() {
+				t.Fatalf("Into over the %s trace: error %v, reference %v", name, err, refErr)
+			}
+			if !reflect.DeepEqual(tr.Segments(), prev) {
+				t.Fatalf("a refused Into changed the %s trace it was handed", name)
+			}
+			continue
+		}
+		if &tr.rows[0] != rows {
+			t.Fatalf("Into over the %s trace reallocated its rows", name)
+		}
+		checkQueries(t, "Into over the "+name+" trace: ", tr, ref, queries)
 	}
+	if err == nil {
+		checkQueries(t, "", got, ref, queries)
+	}
+}
+
+func checkQueries(t *testing.T, how string, got *Trace, ref *refTrace, queries []uint16) {
+	t.Helper()
 	if got.Total() != ref.total {
-		t.Fatalf("Total %v, reference %v", got.Total(), ref.total)
+		t.Fatalf("%sTotal %v, reference %v", how, got.Total(), ref.total)
 	}
 	if !reflect.DeepEqual(got.Segments(), ref.Segments()) {
-		t.Fatalf("Segments %v, reference %v", got.Segments(), ref.Segments())
-	}
-	var gotCSV, refCSV bytes.Buffer
-	if err := got.WriteCSV(&gotCSV); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.WriteCSV(&refCSV); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotCSV.Bytes(), refCSV.Bytes()) {
-		t.Fatalf("WriteCSV\n%s\nreference\n%s", gotCSV.Bytes(), refCSV.Bytes())
+		t.Fatalf("%sSegments %v, reference %v", how, got.Segments(), ref.Segments())
 	}
 
 	cur := got.Cursor()
@@ -270,28 +344,28 @@ func checkLayout(t *testing.T, segs []Segment, queries []uint16) {
 		case 0:
 			want := ref.RateAt(now)
 			if r := got.RateAt(now); r != want {
-				t.Fatalf("RateAt(%v) = %v, reference %v", now, r, want)
+				t.Fatalf("%sRateAt(%v) = %v, reference %v", how, now, r, want)
 			}
 			if r := cur.RateAt(now); r != want {
-				t.Fatalf("Cursor.RateAt(%v) = %v, reference %v", now, r, want)
+				t.Fatalf("%sCursor.RateAt(%v) = %v, reference %v", how, now, r, want)
 			}
 		case 1:
 			to := now + time.Duration(op>>2)*37*time.Millisecond
 			want := ref.BytesBetween(now, to)
 			if n := got.BytesBetween(now, to); n != want {
-				t.Fatalf("BytesBetween(%v, %v) = %d, reference %d", now, to, n, want)
+				t.Fatalf("%sBytesBetween(%v, %v) = %d, reference %d", how, now, to, n, want)
 			}
 			if n := cur.BytesBetween(now, to); n != want {
-				t.Fatalf("Cursor.BytesBetween(%v, %v) = %d, reference %d", now, to, n, want)
+				t.Fatalf("%sCursor.BytesBetween(%v, %v) = %d, reference %d", how, now, to, n, want)
 			}
 		case 2:
 			n := int64(op>>2) * 997
 			wantD, wantOK := ref.DownloadTime(now, n)
 			if d, ok := got.DownloadTime(now, n); d != wantD || ok != wantOK {
-				t.Fatalf("DownloadTime(%v, %d) = (%v, %v), reference (%v, %v)", now, n, d, ok, wantD, wantOK)
+				t.Fatalf("%sDownloadTime(%v, %d) = (%v, %v), reference (%v, %v)", how, now, n, d, ok, wantD, wantOK)
 			}
 			if d, ok := cur.DownloadTime(now, n); d != wantD || ok != wantOK {
-				t.Fatalf("Cursor.DownloadTime(%v, %d) = (%v, %v), reference (%v, %v)", now, n, d, ok, wantD, wantOK)
+				t.Fatalf("%sCursor.DownloadTime(%v, %d) = (%v, %v), reference (%v, %v)", how, now, n, d, ok, wantD, wantOK)
 			}
 			if wantOK {
 				now += wantD
@@ -301,13 +375,23 @@ func checkLayout(t *testing.T, segs []Segment, queries []uint16) {
 			want, wantErr := ref.Slice(now, to)
 			s, err := got.Slice(now, to)
 			if (err == nil) != (wantErr == nil) {
-				t.Fatalf("Slice(%v, %v) error %v, reference %v", now, to, err, wantErr)
+				t.Fatalf("%sSlice(%v, %v) error %v, reference %v", how, now, to, err, wantErr)
 			}
 			if err == nil && !reflect.DeepEqual(s.Segments(), want.Segments()) {
-				t.Fatalf("Slice(%v, %v) = %v, reference %v", now, to, s.Segments(), want.Segments())
+				t.Fatalf("%sSlice(%v, %v) = %v, reference %v", how, now, to, s.Segments(), want.Segments())
 			}
 		}
 	}
+}
+
+// edgeQueries walks a trace from before its start to past its end, every
+// kind of query at every step, with jumps to each end.
+func edgeQueries() []uint16 {
+	var q []uint16
+	for op := uint16(0); op < 240; op++ {
+		q = append(q, op, 1+op*97)
+	}
+	return q
 }
 
 func FuzzTraceLayout(f *testing.F) {
@@ -325,21 +409,36 @@ func FuzzTraceLayout(f *testing.F) {
 	f.Add(u16(2, 100, 2000, 1, 0, 1, 800, 1, 200, 700, 1, 3, 300, 5, 60000))
 	// A one-nanosecond segment between two long ones, queried across it.
 	f.Add(u16(2, 1000, 1500, 1, 0, 0, 900, 1, 1000, 4000, 1, 1, 20, 5, 32000, 6, 400, 7, 9, 9, 100))
-	// A segment of ≈ 2^51 ns at the highest rate, 2^40−1 b/s, then one of
-	// 3·2^35 ns at 2^39 b/s: jumps into each, downloads across the boundary.
+	// A segment of ≈ 2^52 ns at the highest rate, 2^40−1 b/s, then one of
+	// 3·2^36 ns at 2^39 b/s: jumps into each, downloads across the boundary.
 	f.Add(u16(1, 65535, 65535, 65535, 65535, 65535, 65535, 255, 1, 60000, 3, 0, 60000, 32768, 0, 0, 1,
 		5, 32000, 4002, 9000, 5, 32767, 4001, 65535, 4000, 5000, 5, 60000, 4003, 100))
+	for _, e := range edgeLayouts {
+		f.Add(encodeLayout(e.segs, edgeQueries()...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		segs, queries := decodeLayout(data)
 		checkLayout(t, segs, queries)
 	})
 }
 
-// TestTraceLayoutMatchesReference runs the fuzz oracle over randomized
-// Markov traces, the shape the campaign draws, and over the fuzz
-// generator's decoding of random bytes, which reaches the packed fields'
-// high bits.
+// TestTraceLayoutMatchesReference runs the fuzz oracle over the edge
+// layouts, over randomized Markov traces, the shape the campaign draws,
+// and over the fuzz generator's decoding of random bytes, which reaches
+// the widest fields' high bits.
 func TestTraceLayoutMatchesReference(t *testing.T) {
+	for _, e := range edgeLayouts {
+		t.Run(e.name, func(t *testing.T) {
+			tr := MustNew(e.segs)
+			if w := int(tr.sw + tr.rw); w != e.w {
+				t.Fatalf("rows of %d bits, want %d", w, e.w)
+			}
+			if got, _ := decodeLayout(encodeLayout(e.segs)); !reflect.DeepEqual(got, e.segs) {
+				t.Fatalf("the fuzz seed decodes to %v", got)
+			}
+			checkLayout(t, e.segs, edgeQueries())
+		})
+	}
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		queries := make([]uint16, 800)
@@ -355,17 +454,26 @@ func TestTraceLayoutMatchesReference(t *testing.T) {
 }
 
 // TestTraceFootprint pins the layout's size: an n-segment trace costs its
-// header and one backing array of 12 bytes a segment. The sizes are
-// chosen so 12·n is an allocator size class.
+// header and one backing array of n rows as wide as the trace needs —
+// bits.Len of its total for the start, of its peak rate for the rate —
+// plus 8 bytes of padding. Each case's array is an allocator size class.
 func TestTraceFootprint(t *testing.T) {
-	if s := unsafe.Sizeof(seg{}); s != 12 {
-		t.Fatalf("a segment is %d bytes, want 12", s)
-	}
 	header := uint64(unsafe.Sizeof(Trace{}))
-	for _, n := range []int{2, 8, 64, 512} {
-		segs := make([]Segment, n)
-		for i := range segs {
-			segs[i] = Segment{Duration: time.Second, Rate: units.BitRate(i) * units.Kbps}
+	for _, c := range []struct {
+		n    int
+		d    time.Duration // every segment's
+		rate units.BitRate
+		w    int // bits a row
+	}{
+		{n: 1, d: time.Second, rate: 10 * units.Gbps, w: 30 + 34},
+		{n: 7, d: time.Second, rate: 2 * units.Gbps, w: 33 + 31},
+		{n: 8, d: time.Second, rate: 100, w: 33 + 7},
+		{n: 8, d: 100 * time.Second, rate: 0, w: 40},
+		{n: 63, d: time.Second, rate: 200 * units.Mbps, w: 36 + 28},
+	} {
+		segs := repeatSegment(c.n, c.d, c.rate)
+		if tr := MustNew(segs); int(tr.sw+tr.rw) != c.w {
+			t.Fatalf("a %d-segment trace at %v has %d-bit rows, want %d", c.n, c.rate, tr.sw+tr.rw, c.w)
 		}
 		const runs = 200
 		var mem runtime.MemStats
@@ -375,8 +483,8 @@ func TestTraceFootprint(t *testing.T) {
 			MustNew(segs)
 		}
 		runtime.ReadMemStats(&mem)
-		if per, budget := (mem.TotalAlloc-before)/runs, 12*uint64(n)+header; per > budget {
-			t.Errorf("a %d-segment trace allocates %d B, want ≤ %d (12 B a segment plus a %d-byte header)", n, per, budget, header)
+		if per, budget := (mem.TotalAlloc-before)/runs, header+uint64(c.n*c.w/8+8); per > budget {
+			t.Errorf("a %d-segment trace of %d-bit rows allocates %d B, want ≤ %d (the rows, 8 bytes of padding and a %d-byte header)", c.n, c.w, per, budget, header)
 		}
 	}
 }

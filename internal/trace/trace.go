@@ -17,10 +17,12 @@ package trace
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -36,35 +38,22 @@ type Segment struct {
 	Rate     units.BitRate
 }
 
-// seg is one segment as a trace stores it, packed into three 32-bit
-// words: where it starts, in nanoseconds, in the low 56 bits of mid:lo,
-// and its rate, in bits per second, in the high 40 bits of hi:mid. Its end
-// is the next segment's start (the trace's total for the last one), so a
-// segment is 12 bytes and a trace is one backing array. set refuses a
-// trace that runs past maxEnd or a rate above maxRate, so every segment a
-// trace holds packs exactly. The words are fields, not an array, so an
-// unpacked segment lives in registers; both accessors read mid:lo as one
-// word, so a step that takes both loads it once.
-type seg struct{ lo, mid, hi uint32 }
-
+// A trace stores its segments as n rows of one width, bit-packed into one
+// byte array: row i holds segment i's start, in nanoseconds, in its low sw
+// bits and its rate, in bits per second, in the rw bits above. set sizes
+// the two fields from the trace itself — sw from its total, rw from its
+// peak rate — so a population trace needs about 65 bits a segment where a
+// fixed layout wide enough for every trace needs 96. A segment ends where
+// the next one starts (the last at the trace's total). No field is wider
+// than 56 bits, so one unaligned 64-bit load at the field's first byte,
+// shifted by at most 7, holds all of it; the array ends 8 bytes after
+// byte ⌊n·w/8⌋, so that load stays inside it for every field, a
+// zero-width one at the very end included. set refuses a trace that runs
+// past maxEnd or a rate above maxRate, so every field fits its width.
 const (
 	maxEnd  = 1<<56 - 1 // ns, ≈ 2.3 years
 	maxRate = 1<<40 - 1 // b/s, ≈ 1.1 Tb/s
 )
-
-func packSeg(start time.Duration, rate units.BitRate) seg {
-	return seg{uint32(start), uint32(start>>32) | uint32(rate)<<24, uint32(rate >> 8)}
-}
-
-func (s seg) start() time.Duration {
-	return time.Duration(s.low() & maxEnd)
-}
-
-func (s seg) rate() units.BitRate {
-	return units.BitRate(s.low()>>56 | uint64(s.hi)<<8)
-}
-
-func (s seg) low() uint64 { return uint64(s.lo) | uint64(s.mid)<<32 }
 
 // Trace is a piecewise-constant capacity process. The zero value is
 // unusable; construct traces with New or a generator. After the final
@@ -72,8 +61,53 @@ func (s seg) low() uint64 { return uint64(s.lo) | uint64(s.mid)<<32 }
 // changes a trace New or a generator returns; only Builder.Into rewrites
 // one, and only the trace its caller hands it.
 type Trace struct {
-	segs  []seg
-	total time.Duration
+	rows   []byte // n packed rows, then padding for the last field's load
+	n      int
+	total  time.Duration
+	sw, rw uint8 // bits of start and of rate in a row
+}
+
+// field returns the field of mask's width at bit offset off of rows. The
+// eight bytes are sliced with their capacity, which spares the load the
+// pointer masking an open-ended slice needs.
+func field(rows []byte, off uint, mask uint64) uint64 {
+	k := off >> 3
+	return binary.LittleEndian.Uint64(rows[k:k+8:k+8]) >> (off & 7) & mask
+}
+
+func (t *Trace) start(i int) time.Duration {
+	return time.Duration(field(t.rows, uint(i)*uint(t.sw+t.rw), 1<<t.sw-1))
+}
+
+func (t *Trace) rate(i int) units.BitRate {
+	return units.BitRate(field(t.rows, uint(i)*uint(t.sw+t.rw)+uint(t.sw), 1<<t.rw-1))
+}
+
+// span is segment i decoded: where it starts and ends, and its rate. The
+// last segment ends at forever, so a time in it is below its end however
+// late it is; the integration cores still stop at the last segment by its
+// index, since the persistence rule, not its end, is what makes it last.
+type span struct {
+	i          int
+	start, end time.Duration
+	rate       units.BitRate
+}
+
+const forever = time.Duration(math.MaxInt64)
+
+// span decodes segment i.
+func (t *Trace) span(i int) span { return t.next(span{i: i - 1, end: t.start(i)}) }
+
+// next decodes the segment after s, which must not be the last, from the
+// boundary s already holds: one crossing, two fields.
+func (t *Trace) next(s span) span {
+	i, w := s.i+1, uint(t.sw+t.rw)
+	off := uint(i) * w
+	n := span{i: i, start: s.end, end: forever, rate: units.BitRate(field(t.rows, off+uint(t.sw), 1<<t.rw-1))}
+	if i+1 < t.n {
+		n.end = time.Duration(field(t.rows, off+w, 1<<t.sw-1))
+	}
+	return n
 }
 
 // ErrEmpty is returned when constructing a trace with no segments.
@@ -91,41 +125,68 @@ func New(segments []Segment) (*Trace, error) {
 }
 
 // set rebuilds t from segments in place, reusing its backing array when it
-// is large enough. On error t is left unusable.
+// is large enough. On error t is left as it was.
 func (t *Trace) set(segments []Segment) error {
 	if len(segments) == 0 {
 		return ErrEmpty
 	}
-	if cap(t.segs) < len(segments) {
-		t.segs = make([]seg, len(segments), max(len(segments), 2*cap(t.segs)))
-	}
-	segs := t.segs[:len(segments)]
-	t.segs = segs
 	var total time.Duration
+	var peak units.BitRate
 	for i, s := range segments {
-		if s.Duration <= 0 || s.Rate < 0 || s.Rate > maxRate || s.Duration > maxEnd-total {
-			return badSegment(i, s)
+		if !fits(s, total) {
+			return fmt.Errorf("trace: %w", badSegment(i, s))
 		}
-		segs[i] = packSeg(total, s.Rate)
 		total += s.Duration
+		peak = max(peak, s.Rate)
 	}
-	t.total = total
+	sw, rw := uint(bits.Len64(uint64(total))), uint(bits.Len64(uint64(peak)))
+	size := len(segments)*int(sw+rw)/8 + 8
+	if cap(t.rows) < size {
+		t.rows = make([]byte, size, max(size, 2*cap(t.rows)))
+	}
+	rows := t.rows[:size]
+	// Rows go out through a 64-bit accumulator: each field joins the
+	// fewer than 8 bits still pending, and the 8 bytes from the first
+	// pending one are stored. The stores cover every byte up to the last
+	// field's, so nothing of a previous trace shows in any field; the
+	// padding after it is only ever loaded to be masked off.
+	var acc uint64
+	var pending, at uint
+	put := func(v uint64, width uint) {
+		acc |= v << pending
+		pending += width
+		binary.LittleEndian.PutUint64(rows[at:at+8:at+8], acc)
+		at, acc, pending = at+pending>>3, acc>>(pending&^7), pending&7
+	}
+	var start time.Duration
+	for _, s := range segments {
+		put(uint64(start), sw)
+		put(uint64(s.Rate), rw)
+		start += s.Duration
+	}
+	t.rows, t.n, t.total, t.sw, t.rw = rows, len(segments), total, uint8(sw), uint8(rw)
 	return nil
 }
 
-// badSegment says why set refused segment i, checking in set's order: a
+// fits reports whether a trace holds s as the segment after total: a
 // positive duration, a rate from 0 to maxRate, and an end no later than
 // maxEnd.
+func fits(s Segment, total time.Duration) bool {
+	return s.Duration > 0 && s.Rate >= 0 && s.Rate <= maxRate && s.Duration <= maxEnd-total
+}
+
+// badSegment says why a trace refused s as its segment i, checking in
+// fits's order.
 func badSegment(i int, s Segment) error {
 	switch {
 	case s.Duration <= 0:
-		return fmt.Errorf("trace: segment %d has non-positive duration %v", i, s.Duration)
+		return fmt.Errorf("segment %d has non-positive duration %v", i, s.Duration)
 	case s.Rate < 0:
-		return fmt.Errorf("trace: segment %d has negative rate %v", i, s.Rate)
+		return fmt.Errorf("segment %d has negative rate %v", i, s.Rate)
 	case s.Rate > maxRate:
-		return fmt.Errorf("trace: segment %d has rate %v, above the %v a trace holds", i, s.Rate, units.BitRate(maxRate))
+		return fmt.Errorf("segment %d has rate %v, above the %v a trace holds", i, s.Rate, units.BitRate(maxRate))
 	default:
-		return fmt.Errorf("trace: segment %d ends past the %v a trace holds", i, time.Duration(maxEnd))
+		return fmt.Errorf("segment %d ends past the %v a trace holds", i, time.Duration(maxEnd))
 	}
 }
 
@@ -143,43 +204,47 @@ func (t *Trace) Total() time.Duration { return t.total }
 
 // Segments returns a copy of the trace's segments.
 func (t *Trace) Segments() []Segment {
-	return t.appendSegments(make([]Segment, 0, len(t.segs)))
+	return t.appendSegments(make([]Segment, 0, t.n))
 }
 
 func (t *Trace) appendSegments(dst []Segment) []Segment {
-	for i, s := range t.segs {
-		dst = append(dst, Segment{Duration: t.end(i) - s.start(), Rate: s.rate()})
+	rows, sw, w := t.rows, uint(t.sw), uint(t.sw+t.rw)
+	smask, rmask := uint64(1)<<t.sw-1, uint64(1)<<t.rw-1
+	var start time.Duration // segment 0's
+	rate := units.BitRate(field(rows, sw, rmask))
+	for off := w; off < uint(t.n)*w; off += w {
+		end := time.Duration(field(rows, off, smask))
+		dst = append(dst, Segment{Duration: end - start, Rate: rate})
+		start, rate = end, units.BitRate(field(rows, off+sw, rmask))
 	}
-	return dst
-}
-
-// end returns where segment i ends: the next segment's start, or the
-// trace's total for the last one.
-func (t *Trace) end(i int) time.Duration {
-	if i+1 < len(t.segs) {
-		return t.segs[i+1].start()
-	}
-	return t.total
+	return append(dst, Segment{Duration: t.total - start, Rate: rate})
 }
 
 // index returns the segment index containing time at (clamped to the last
-// segment beyond the end).
+// segment beyond the end): the last segment starting at or before at.
 func (t *Trace) index(at time.Duration) int {
 	if at < 0 {
 		return 0
 	}
-	// Find the first segment whose start is after at, then step back.
-	i := sort.Search(len(t.segs), func(i int) bool { return t.segs[i].start() > at })
-	if i == 0 {
-		return 0
+	rows, w, mask := t.rows, uint(t.sw+t.rw), uint64(1)<<t.sw-1
+	// Segment 0 starts at 0, so segment lo starts at or before at
+	// throughout; every segment from hi on starts after it.
+	lo, hi := 0, t.n
+	for hi-lo > 1 {
+		mid := int(uint(lo+hi) >> 1)
+		if time.Duration(field(rows, uint(mid)*w, mask)) <= at {
+			lo = mid
+		} else {
+			hi = mid
+		}
 	}
-	return i - 1
+	return lo
 }
 
 // RateAt returns the capacity at time at. Before zero it reports the first
 // segment's rate; after the end, the last segment's rate.
 func (t *Trace) RateAt(at time.Duration) units.BitRate {
-	return t.segs[t.index(at)].rate()
+	return t.rate(t.index(at))
 }
 
 // BytesBetween integrates capacity over [from, to] and returns the number of
@@ -191,39 +256,26 @@ func (t *Trace) BytesBetween(from, to time.Duration) int64 {
 	if from < 0 {
 		from = 0
 	}
-	n, _ := t.bytesBetweenFrom(t.index(from), from, to)
+	n, _ := t.bytesBetweenFrom(t.span(t.index(from)), from, to)
 	return n
 }
 
-// bytesBetweenFrom is the BytesBetween core, starting in segment i (which
-// must contain from). It also returns the segment index it finished in, so
-// a Cursor can resume from there. Both the stateless API and the Cursor run
+// bytesBetweenFrom is the BytesBetween core, starting in segment s (which
+// must contain from). It also returns the segment it finished in, so a
+// Cursor can resume from there. Both the stateless API and the Cursor run
 // this exact code, so their results are bit-identical.
-func (t *Trace) bytesBetweenFrom(i int, from, to time.Duration) (int64, int) {
-	segs := t.segs
-	last := len(segs) - 1
-	var bits float64
+func (t *Trace) bytesBetweenFrom(s span, from, to time.Duration) (int64, span) {
+	var sum float64 // bits
 	cursor := from
-	rate := segs[i].rate()
 	for cursor < to {
-		segEnd := to // the last segment extends forever
-		var next seg
-		if i < last {
-			next = segs[i+1]
-			segEnd = next.start()
-		}
-		end := segEnd
-		if end > to {
-			end = to
-		}
-		bits += float64(rate) * (end - cursor).Seconds()
+		end := min(s.end, to) // the last segment extends forever
+		sum += float64(s.rate) * (end - cursor).Seconds()
 		cursor = end
-		if i < last && cursor >= segEnd {
-			rate = next.rate()
-			i++
+		if cursor >= s.end && s.i+1 < t.n {
+			s = t.next(s)
 		}
 	}
-	return int64(bits / 8), i
+	return int64(sum / 8), s
 }
 
 // DownloadTime returns how long a transfer of n bytes starting at time
@@ -236,37 +288,35 @@ func (t *Trace) DownloadTime(start time.Duration, n int64) (time.Duration, bool)
 	if start < 0 {
 		start = 0
 	}
-	d, _, ok := t.downloadTimeFrom(t.index(start), start, n)
+	d, _, ok := t.downloadTimeFrom(t.span(t.index(start)), start, n)
 	return d, ok
 }
 
-// downloadTimeFrom is the DownloadTime core, starting in segment i (which
-// must contain start). It also returns the segment index the transfer
-// completed in, so a Cursor can resume from there. Both the stateless API
-// and the Cursor run this exact code, so their results are bit-identical.
-func (t *Trace) downloadTimeFrom(i int, start time.Duration, n int64) (time.Duration, int, bool) {
+// downloadTimeFrom is the DownloadTime core, starting in segment s (which
+// must contain start). It also returns the segment the transfer completed
+// in, so a Cursor can resume from there. Both the stateless API and the
+// Cursor run this exact code, so their results are bit-identical.
+func (t *Trace) downloadTimeFrom(s span, start time.Duration, n int64) (time.Duration, span, bool) {
 	remaining := float64(n * 8) // bits
 	cursor := start
-	segs := t.segs
-	last := len(segs) - 1
-	rate := float64(segs[i].rate())
-	for ; i < last; i++ {
-		next := segs[i+1]
-		segEnd := next.start()
-		capacity := rate * (segEnd - cursor).Seconds()
+	rate := float64(s.rate)
+	for s.i+1 < t.n {
+		capacity := rate * (s.end - cursor).Seconds()
 		if capacity >= remaining && rate > 0 {
 			cursor += units.SecondsToDuration(remaining / rate)
-			return cursor - start, i, true
+			return cursor - start, s, true
 		}
 		remaining -= capacity
-		cursor, rate = segEnd, float64(next.rate())
+		cursor = s.end
+		s = t.next(s)
+		rate = float64(s.rate)
 	}
 	// The last segment extends forever.
 	if rate <= 0 {
-		return 0, i, false
+		return 0, s, false
 	}
 	cursor += units.SecondsToDuration(remaining / rate)
-	return cursor - start, i, true
+	return cursor - start, s, true
 }
 
 // Scale returns a new trace with every rate multiplied by f (f ≥ 0).
@@ -405,38 +455,23 @@ func (t *Trace) Slice(from, to time.Duration) (*Trace, error) {
 		return nil, fmt.Errorf("trace: bad slice [%v, %v) of a %v trace", from, to, t.total)
 	}
 	var segs []Segment
-	cursor := from
-	for cursor < to {
-		i := t.index(cursor)
-		segEnd := t.end(i)
-		if i == len(t.segs)-1 && segEnd < to {
-			segEnd = to
+	s := t.span(t.index(from))
+	for cursor := from; ; s = t.next(s) {
+		end := min(s.end, to) // the last segment extends forever
+		segs = append(segs, Segment{Duration: end - cursor, Rate: s.rate})
+		if end == to {
+			return New(segs)
 		}
-		end := segEnd
-		if end > to {
-			end = to
-		}
-		segs = append(segs, Segment{Duration: end - cursor, Rate: t.segs[i].rate()})
 		cursor = end
 	}
-	return New(segs)
 }
 
-// WriteCSV writes the trace as "duration_seconds,rate_bps" rows.
-func (t *Trace) WriteCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for i, s := range t.segs {
-		if _, err := fmt.Fprintf(bw, "%.6f,%d\n", (t.end(i) - s.start()).Seconds(), int64(s.rate())); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadCSV parses a trace written by WriteCSV. Blank lines and lines starting
-// with '#' are ignored.
+// ReadCSV parses a trace from "duration_seconds,rate_bps" rows. Blank lines
+// and lines starting with '#' are ignored. A row the trace refuses is
+// reported by its line.
 func ReadCSV(r io.Reader) (*Trace, error) {
 	var segs []Segment
+	var total time.Duration
 	sc := bufio.NewScanner(r)
 	line := 0
 	for sc.Scan() {
@@ -453,11 +488,20 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: bad duration: %w", line, err)
 		}
+		// Checked before converting: a NaN has no Duration.
+		if !(secs > 0 && secs <= math.MaxFloat64) {
+			return nil, fmt.Errorf("trace: line %d: duration %v s is not a positive finite number", line, secs)
+		}
 		bps, err := strconv.ParseInt(strings.TrimSpace(parts[1]), 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: bad rate: %w", line, err)
 		}
-		segs = append(segs, Segment{Duration: units.SecondsToDuration(secs), Rate: units.BitRate(bps)})
+		s := Segment{Duration: units.SecondsToDuration(secs), Rate: units.BitRate(bps)}
+		if !fits(s, total) {
+			return nil, fmt.Errorf("trace: line %d: %w", line, badSegment(len(segs), s))
+		}
+		segs = append(segs, s)
+		total += s.Duration
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -333,56 +332,43 @@ func TestWithOutagesPreservesByteIntegral(t *testing.T) {
 	}
 }
 
-func TestCSVRoundTrip(t *testing.T) {
-	orig := MustNew([]Segment{
-		{Duration: 1500 * time.Millisecond, Rate: 5 * units.Mbps},
-		{Duration: 30 * time.Second, Rate: 0},
-		{Duration: time.Minute, Rate: 235 * units.Kbps},
-	})
-	var buf bytes.Buffer
-	if err := orig.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sa, sb := orig.Segments(), back.Segments()
-	if len(sa) != len(sb) {
-		t.Fatalf("segment count: %d vs %d", len(sa), len(sb))
-	}
-	for i := range sa {
-		if sa[i].Rate != sb[i].Rate {
-			t.Errorf("segment %d rate: %v vs %v", i, sa[i].Rate, sb[i].Rate)
-		}
-		dd := sa[i].Duration - sb[i].Duration
-		if dd < -time.Microsecond || dd > time.Microsecond {
-			t.Errorf("segment %d duration: %v vs %v", i, sa[i].Duration, sb[i].Duration)
-		}
-	}
-}
-
+// TestReadCSVErrors holds ReadCSV to naming the line of every row it
+// refuses, and to reading fractional seconds, outages, blanks and comments.
 func TestReadCSVErrors(t *testing.T) {
-	cases := []string{
-		"1.0",             // too few fields
-		"1.0,2,3",         // too many fields
-		"abc,1000",        // bad duration
-		"1.0,notanumber",  // bad rate
-		"",                // empty -> ErrEmpty
-		"# only comments", // comments only -> ErrEmpty
-	}
-	for _, in := range cases {
-		if _, err := ReadCSV(bytes.NewBufferString(in)); err == nil {
-			t.Errorf("input %q accepted", in)
+	for _, c := range []struct {
+		in   string
+		line int
+		why  string
+	}{
+		{in: "1.0", line: 1, why: "want 2 fields"},
+		{in: "1.0,2,3", line: 1, why: "want 2 fields"},
+		{in: "abc,1000", line: 1, why: "bad duration"},
+		{in: "1.0,notanumber", line: 1, why: "bad rate"},
+		{in: "1,1000\n# NaN next\nNaN,1000", line: 3, why: "duration NaN s is not a positive finite number"},
+		{in: "\n\nInf,1000", line: 3, why: "duration +Inf s is not a positive finite number"},
+		{in: "1,1000\n-Inf,1000", line: 2, why: "duration -Inf s is not a positive finite number"},
+		{in: "# zero\n0,1000", line: 2, why: "duration 0 s is not a positive finite number"},
+		{in: "1,1000\n\n1e-12,1000", line: 3, why: "segment 1 has non-positive duration 0s"},
+		{in: "# a comment\n1,-5", line: 2, why: "segment 0 has negative rate"},
+		{in: "1,1000\n# a comment\n1,2000000000000", line: 3, why: "segment 1 has rate 2000Gb/s, above the"},
+	} {
+		_, err := ReadCSV(strings.NewReader(c.in))
+		if want := fmt.Sprintf("trace: line %d: %s", c.line, c.why); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("ReadCSV(%q) error %v, want %q…", c.in, err, want)
 		}
 	}
-	// Comments and blanks are skipped.
-	tr, err := ReadCSV(bytes.NewBufferString("# header\n\n2.0,1000000\n"))
+	for _, in := range []string{"", "# only comments\n\n"} {
+		if _, err := ReadCSV(strings.NewReader(in)); err != ErrEmpty {
+			t.Errorf("ReadCSV(%q) error %v, want ErrEmpty", in, err)
+		}
+	}
+	tr, err := ReadCSV(strings.NewReader("# header\n\n1.5,5000000\n30,0\n 60 , 235000 \n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.RateAt(0) != units.BitRate(1_000_000) {
-		t.Errorf("rate = %v", tr.RateAt(0))
+	want := []Segment{{Duration: 1500 * time.Millisecond, Rate: 5 * units.Mbps}, {Duration: 30 * time.Second, Rate: 0}, {Duration: time.Minute, Rate: 235 * units.Kbps}}
+	if got := tr.Segments(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Segments() = %v, want %v", got, want)
 	}
 }
 

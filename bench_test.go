@@ -218,7 +218,7 @@ func BenchmarkSessionSimulationObserved(b *testing.B) {
 }
 
 // TestSessionSimulationAllocs pins the hot path's allocation count. The
-// engine currently runs a full 18-minute session in 6 heap allocations
+// engine currently runs a full 18-minute session in 5 heap allocations
 // (Result.Chunks preallocated, the session's own reservoir plan built once,
 // trace cursor and plan allocation-free per chunk); the ceiling leaves slack for benign churn while still
 // catching a per-chunk allocation slipping back in (which would add

@@ -17,36 +17,83 @@ func planStream(t *testing.T, seed int64, chunks int) Stream {
 	return NewStream(v, 0)
 }
 
+// checkPlanReads reads tp at each of ks and requires the paper's full
+// lookahead scan, exactly.
+func checkPlanReads(t *testing.T, what string, tp *TitlePlan, s Stream, window time.Duration, ks []int) {
+	t.Helper()
+	for _, k := range ks {
+		if got, want := tp.Reservoir(k), DynamicReservoir(s, k, window); got != want {
+			t.Fatalf("%d chunks, window %v, chunk %d read %s: plan %v, scan %v", s.NumChunks(), window, k, what, got, want)
+		}
+	}
+}
+
 // TestTitlePlanMatchesSessionScan pins the plan's contract: every table
 // entry equals the paper's full lookahead scan exactly — not approximately
-// — for the default window and a non-default one, whether the lazily
-// filled table is first read in decision order, out of order (a seek, or a
-// worker's sessions of one title at different positions) or a second time.
+// — whether the page-filled table is first read in decision order, out of
+// order (a seek, or a worker's sessions of one title at different
+// positions) or a second time. The titles put their last chunk inside the
+// first page, on its last entry, on the next page's first and far beyond;
+// the windows are the paper's 480 s, a shorter and a longer one, one that
+// is not a multiple of V and one longer than the title, whose fill keeps
+// its deficits on the heap. A fresh plan is first asked for chunk 63, 64
+// or the last, and the fill of that page alone must be right.
 func TestTitlePlanMatchesSessionScan(t *testing.T) {
-	s := planStream(t, 7, 700)
-	for _, window := range []time.Duration{0, DefaultReservoirWindow, 200 * time.Second} {
-		inOrder, shuffled := NewTitlePlan(s, window), NewTitlePlan(s, window)
-		for _, k := range rand.New(rand.NewSource(1)).Perm(s.NumChunks()) {
-			if got, want := shuffled.Reservoir(k), DynamicReservoir(s, k, window); got != want {
-				t.Fatalf("window %v chunk %d read out of order: plan %v, scan %v", window, k, got, want)
+	for _, chunks := range []int{1, 40, 64, 65, 700} {
+		s := planStream(t, 7, chunks)
+		v := s.ChunkDuration()
+		windows := []time.Duration{0, 200 * time.Second, DefaultReservoirWindow, 1000 * time.Second,
+			DefaultReservoirWindow + v/2 + 3*time.Second, time.Duration(chunks+3) * v}
+		for _, window := range windows {
+			var probes []int
+			for _, k := range []int{63, 64, chunks - 1} {
+				if k < chunks {
+					probes = append(probes, k)
+					checkPlanReads(t, "first", NewTitlePlan(s, window), s, window, []int{k})
+				}
 			}
-		}
-		for k := 0; k < s.NumChunks(); k++ {
-			want := DynamicReservoir(s, k, window)
-			if got := inOrder.Reservoir(k); got != want {
-				t.Fatalf("window %v chunk %d: plan %v, scan %v", window, k, got, want)
+			inOrder := make([]int, chunks)
+			for k := range inOrder {
+				inOrder[k] = k
 			}
-			if got := shuffled.Reservoir(k); got != want {
-				t.Fatalf("window %v chunk %d re-read: plan %v, scan %v", window, k, got, want)
-			}
-		}
-		// Out-of-range decisions get the empty-scan value.
-		for _, k := range []int{-1, s.NumChunks(), s.NumChunks() + 100} {
-			if got, want := inOrder.Reservoir(k), clampReservoir(0); got != want {
-				t.Errorf("out-of-range chunk %d: reservoir %v, want %v", k, got, want)
+			shuffled := rand.New(rand.NewSource(int64(chunks))).Perm(chunks)
+
+			tp := NewTitlePlan(s, window)
+			checkPlanReads(t, "in order", tp, s, window, inOrder)
+			checkPlanReads(t, "again, shuffled", tp, s, window, shuffled)
+			tp = NewTitlePlan(s, window)
+			checkPlanReads(t, "at the probes", tp, s, window, probes)
+			checkPlanReads(t, "shuffled", tp, s, window, shuffled)
+			checkPlanReads(t, "again, in order", tp, s, window, inOrder)
+			// Out-of-range decisions get the empty-scan value.
+			for _, k := range []int{-1, chunks, chunks + 100} {
+				if got, want := tp.Reservoir(k), clampReservoir(0); got != want {
+					t.Errorf("%d chunks, window %v: out-of-range chunk %d: reservoir %v, want %v", chunks, window, k, got, want)
+				}
 			}
 		}
 	}
+}
+
+// FuzzTitlePlan holds the page fill to the paper's scan over random VBR
+// titles, promotions, windows and read orders: every entry == the scan.
+func FuzzTitlePlan(f *testing.F) {
+	f.Add(int64(7), uint16(700), uint8(0), uint32(480_000), int64(1))
+	f.Add(int64(3), uint16(64), uint8(2), uint32(4_000), int64(2))
+	f.Add(int64(5), uint16(65), uint8(1), uint32(3_000_000), int64(3))
+	f.Add(int64(9), uint16(1), uint8(0), uint32(1), int64(4))
+	f.Fuzz(func(t *testing.T, seed int64, chunks uint16, promote uint8, windowMs uint32, order int64) {
+		n := 1 + int(chunks)%1200
+		video, err := media.NewVBR(media.VBRConfig{Ladder: media.DefaultLadder(), NumChunks: n}, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ladder := video.Ladder
+		s := NewStream(video, ladder[int(promote)%len(ladder)])
+		window := time.Duration(windowMs%5_000_000) * time.Millisecond
+		tp := NewTitlePlan(s, window)
+		checkPlanReads(t, "in random order", tp, s, window, rand.New(rand.NewSource(order)).Perm(n))
+	})
 }
 
 // planWalk feeds one algorithm instance the decisions of one session over a

@@ -8,11 +8,13 @@ import (
 
 // Scratch is the reusable working memory of one draw pipeline: a single
 // RNG reseeded per draw in place of a fresh 4.9 KB source each, and the
-// trace builder every intermediate trace is composed in. Nothing a draw
-// returns points into it: a User's trace is its own, and a SessionEnv's
-// fault state belongs to the env (see SessionEnv.Reset), so both stay
-// valid when the scratch moves on to the next draw. The zero value is
-// ready to use; a Scratch is not safe for concurrent use.
+// trace builder every intermediate trace is composed in. A User's trace
+// has its rows carved, exactly sized, from the builder's slab; the builder
+// never writes a carved region again, so the trace stays valid when the
+// scratch moves on to the next draw, and a retained trace pins at most
+// one slab (64 KiB). A SessionEnv's fault state belongs to the env (see
+// SessionEnv.Reset). The zero value is ready to use; a Scratch is not
+// safe for concurrent use.
 type Scratch struct {
 	rng       *rand.Rand
 	tb        trace.Builder

@@ -135,8 +135,40 @@ func (a *GroupAccum) dists() [6]*stats.Dist {
 	return [6]*stats.Dist{&a.RebufferRate, &a.AvgRate, &a.SteadyRate, &a.SwitchRate, &a.StartupRate, &a.QoERate}
 }
 
-// reset empties a for another shard, as NewGroupAccum(a.Name, k) would
-// build it, but in place: each sketch keeps its Entries array for the
+// distNames names the accumulator's metric distributions, in dists order,
+// as its JSON form does.
+var distNames = [6]string{"rebuffer_rate", "avg_rate_kbps", "steady_rate_kbps", "switch_rate", "startup_rate_kbps", "qoe_per_playhour"}
+
+// newAccumSet returns an empty accumulator set for id's groups whose
+// sketches retain id.SketchSize samples each, every sketch's Entries
+// carved from one array with capacity size: a shard's sketch never holds
+// more than min(K, ShardSize) entries and the prefix's never more than K,
+// so at those capacities no sketch grows, and the 3-index carve keeps one
+// that did from writing into its neighbour.
+func newAccumSet(id Identity, size int) []*GroupAccum {
+	accums := make([]GroupAccum, len(id.Groups))
+	set := make([]*GroupAccum, len(id.Groups))
+	entries := make([]stats.SketchEntry, len(accums)*len(distNames)*size)
+	for i, name := range id.Groups {
+		a := &accums[i]
+		a.Name = name
+		for j, d := range a.dists() {
+			*d = stats.NewDist(id.SketchSize)
+			off := (i*len(distNames) + j) * size
+			d.Sketch.Entries = entries[off : off : off+size]
+		}
+		set[i] = a
+	}
+	return set
+}
+
+// newShardSet returns an empty set for one of id's shards.
+func newShardSet(id Identity) []*GroupAccum {
+	return newAccumSet(id, min(id.SketchSize, id.ShardSize))
+}
+
+// reset empties a for another shard, as newShardSet would build it, but in
+// place: each sketch keeps its Entries array, carve included, for the
 // shard's Adds.
 func (a *GroupAccum) reset(k int) {
 	emptied := func(old stats.Dist) stats.Dist {
@@ -155,21 +187,12 @@ func (a *GroupAccum) reset(k int) {
 	}
 }
 
-// seal drops the kept array of every sketch that took no sample, so a
-// reset accumulator encodes exactly as a fresh one: "entries": null.
-func (a *GroupAccum) seal() {
-	for _, d := range a.dists() {
-		if len(d.Sketch.Entries) == 0 {
-			d.Sketch.Entries = nil
-		}
-	}
-}
-
 // accumSets is one Run's free list of shard accumulator sets. A shard
 // takes a set from it, Checkpoint.fold gives the set back once it has
 // merged it into the prefix, and the next shard resets it in place. The
 // merge window holds dispatched-but-unfolded shards to 2×Parallelism, so a
-// run builds at most 2×Parallelism+1 sets, the prefix included.
+// run builds at most 2×Parallelism shard sets, each carved by newShardSet;
+// the prefix is a set of its own, seeded by fold.
 type accumSets struct {
 	mu    sync.Mutex
 	free  [][]*GroupAccum
@@ -184,7 +207,7 @@ func (p *accumSets) get(id Identity) []*GroupAccum {
 	if n == 0 {
 		p.built++
 		p.mu.Unlock()
-		return NewGroupAccums(id.Groups, id.SketchSize)
+		return newShardSet(id)
 	}
 	set := p.free[n-1]
 	p.free = p.free[:n-1]

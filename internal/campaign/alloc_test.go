@@ -45,24 +45,30 @@ func warmCatalog(t *testing.T, cfg Config) {
 // MemStats.TotalAlloc of a whole campaign.Run per player session, on one
 // worker, the catalog already built — as a tier-1 test. The benchmark
 // spreads what a run builds once over 24 576 sessions: 48 title plans
-// (≈ 0.9 MB), the merge window's accumulator sets (at most 2×Parallelism+1
-// of them, recycled from shard to shard) and the prefix's sketches grown to
-// K. A short campaign cannot, so the test takes the marginal cost: a
-// five-shard campaign minus a three-shard one — which has already built
-// all of those — per extra session. Its floor is the one trace that leaves
-// each draw, the User's (≈ 0.39 KB a session with six arms at ≈ 65 bits a
-// segment): each arm's algorithm object is released when its session
-// retires and handed to the next draw's session. Fault weather adds
-// nothing a draw keeps — each draw slot rebuilds its schedule, faulted
-// trace and injector in place — so a faulted campaign stays within 256 B
-// of the clean one. A session log, a plan rebuild, an RNG source, an
-// intermediate trace, a fresh accumulator set per shard or an algorithm
-// object per session creeping back into the shard path lands above the
-// budgets. A longer campaign allocating less than a shorter one leaves the
-// marginal cost undecidable, and the test says so rather than passing.
+// (≈ 0.46 MB of reservoir tables), the prefix's sketches seeded at K and
+// the merge window's shard sets carved at min(K, ShardSize) (at most
+// 2×Parallelism of them, recycled from shard to shard). A short campaign
+// cannot, so the test takes two numbers from a three-shard and a
+// five-shard campaign. The marginal cost is the difference per extra
+// session. Its floor is the one trace that leaves each draw, the User's
+// (≈ 0.37 KB a session with six arms at ≈ 65 bits a segment, its rows
+// carved exactly sized from the draw scratch's slab): each arm's algorithm
+// object is released when its session retires and handed to the next
+// draw's session. The set-up is the three-shard campaign's bytes less
+// its sessions at that marginal cost: the plans, the sketches and the
+// kernel's own state. Fault weather adds nothing a draw keeps — each draw
+// slot rebuilds its schedule, faulted trace and injector in place — so a
+// faulted campaign stays within 256 B of the clean one. A session log, a
+// plan rebuild, an RNG source, an intermediate trace, a fresh accumulator
+// set per shard or an algorithm object per session creeping back into the
+// shard path lands above the marginal budgets; a plan carrying a copy of
+// the title's sizes, a sketch growing by doubling or the prefix adopting
+// shard 0's set lands above the set-up budget. A longer campaign
+// allocating less than a shorter one leaves the marginal cost
+// undecidable, and the test says so rather than passing.
 func TestAllocationBudget(t *testing.T) {
 	fc := faults.DefaultScheduleConfig()
-	marginal := func(t *testing.T, batch bool, fcfg *faults.ScheduleConfig) float64 {
+	marginal := func(t *testing.T, batch bool, fcfg *faults.ScheduleConfig) (per, setup float64) {
 		three := Config{Seed: 7, Sessions: 768, ShardSize: 256, Parallelism: 1, Batch: batch, Faults: fcfg, FaultSeed: 8}
 		five := three
 		five.Sessions = 1280
@@ -72,16 +78,22 @@ func TestAllocationBudget(t *testing.T) {
 		if b5 < b3 {
 			t.Fatalf("cannot decide: the five-shard campaign allocated %d B, the three-shard campaign %d B", b5, b3)
 		}
-		per := float64(b5-b3) / float64(s5-s3)
-		t.Logf("faults=%v: %.0f B per player session (%.0f with a three-shard campaign's set-up)", fcfg != nil, per, float64(b3)/float64(s3))
-		return per
+		per = float64(b5-b3) / float64(s5-s3)
+		setup = float64(b3) - float64(s3)*per
+		t.Logf("faults=%v: %.0f B per player session (%.0f with a three-shard campaign's set-up of %.0f B)", fcfg != nil, per, float64(b3)/float64(s3), setup)
+		return per, setup
 	}
-	// The floor measures ≈ 390 B. A fresh algorithm object per session, as
-	// before the kernel released them, adds ≈ 105 B; fixed 12-byte
-	// segments, as before a trace's rows took its own width, add ≈ 170 B,
-	// and a fresh accumulator set per shard ≈ 195 B: each lands above the
-	// budget.
-	const cleanBudget = 450
+	// The floor measures ≈ 372 B on the scalar engine and ≈ 375 B on the
+	// batch one. A fresh algorithm object per session, as before the
+	// kernel released them, adds ≈ 105 B; fixed 12-byte segments, as
+	// before a trace's rows took its own width, add ≈ 170 B; a fresh
+	// accumulator set per shard ≈ 195 B; and trace rows rounded up to a
+	// size class, as before they were carved from a slab, ≈ 18 B: each
+	// lands above the budget. The set-up measures ≈ 1.30 MB scalar and
+	// ≈ 1.47 MB batch; with the per-chunk deficit copy in every plan, the
+	// sketches grown by doubling and shard 0's set kept as the prefix it
+	// was ≈ 2.3 MB.
+	const cleanBudget, setupBudget = 385, 1500 << 10
 	clean := map[bool]float64{} // by engine: the faulted budgets build on it
 	for _, tc := range []struct {
 		name   string
@@ -95,17 +107,21 @@ func TestAllocationBudget(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.faults == nil {
-				clean[tc.batch] = marginal(t, tc.batch, nil)
-				if clean[tc.batch] > cleanBudget {
-					t.Errorf("%.0f B allocated per player session, budget %d B", clean[tc.batch], cleanBudget)
+				per, setup := marginal(t, tc.batch, nil)
+				clean[tc.batch] = per
+				if per > cleanBudget {
+					t.Errorf("%.0f B allocated per player session, budget %d B", per, cleanBudget)
+				}
+				if setup > setupBudget {
+					t.Errorf("a three-shard campaign's set-up allocated %.0f B, budget %d B", setup, setupBudget)
 				}
 				return
 			}
 			base, ok := clean[tc.batch]
 			if !ok {
-				base = marginal(t, tc.batch, nil)
+				base, _ = marginal(t, tc.batch, nil)
 			}
-			if per := marginal(t, tc.batch, tc.faults); per > base+256 {
+			if per, _ := marginal(t, tc.batch, tc.faults); per > base+256 {
 				t.Errorf("%.0f B allocated per player session, budget %.0f (clean + 256 B)", per, base+256)
 			}
 		})
@@ -120,18 +136,22 @@ func benchShape(parallelism int) Config {
 
 // TestPlanFootprint pins what a worker's plan cache costs and that nothing
 // else title-sized is per worker. A plan holds only what is keyed by
-// (title, R_min, window) — a deficit series, a reservoir table, two map
-// endpoints — so building every plan the benchmark-shaped campaign touches
-// stays under 1.5 MB (it was 9.09 MB while each plan carried its own copy
-// of the title's sizes and prefix sums); and since the size index lives on
-// the title, a second worker adds a second set of those small plans and no
-// second index: the same campaign on two workers allocates at most one
-// more plan budget than on one, plus the two accumulator sets the second
-// worker's merge-window tokens may build, computed from the campaign's
-// shape. A title-sized copy per worker (≈ 5 MB for this catalog) fails
-// that; a relative bound would not stay meaningful as the per-session
-// bytes shrink and the plans become a larger share.
+// (title, R_min, window) — a reservoir table, two map endpoints — so
+// building every plan the benchmark-shaped campaign touches stays under
+// 600 KB (it measures ≈ 460 KB; a per-chunk deficit series alongside the
+// table made it ≈ 907 KB, and each plan's own copy of the title's sizes
+// and prefix sums 9.09 MB); and since the size index lives on the title,
+// a second worker adds a second set of those small plans and no second
+// index: the same campaign on two workers allocates at most one more plan
+// budget than on one, plus the two shard sets the second worker's
+// merge-window tokens may build, computed from the campaign's shape, plus
+// the second worker's own draw scratch and lanes (its trace Builder's two
+// segment buffers, its slabs' slack): the second worker measures
+// ≈ 0.79–1.0 MB. A title-sized copy per worker (≈ 5 MB for this catalog)
+// fails that; a relative bound would not stay meaningful as the
+// per-session bytes shrink and the plans become a larger share.
 func TestPlanFootprint(t *testing.T) {
+	const planBudget, scratchBudget = 600 << 10, 256 << 10
 	cfg := benchShape(1)
 	cfg.applyDefaults()
 	catalog, err := media.NewCatalog(cfg.CatalogSize, cfg.Ladder, cfg.Seed)
@@ -158,23 +178,23 @@ func TestPlanFootprint(t *testing.T) {
 	if len(plans) < cfg.CatalogSize {
 		t.Errorf("only %d plans over a %d-title catalog; the draw no longer covers it", len(plans), cfg.CatalogSize)
 	}
-	if built > 1500<<10 {
-		t.Errorf("building the campaign's %d plans allocated %d B, budget 1.5 MB: a plan holds a reservoir, not a copy of the title", len(plans), built)
+	if built > planBudget {
+		t.Errorf("building the campaign's %d plans allocated %d B, budget %d B: a plan holds a reservoir table, not a copy of the title", len(plans), built, planBudget)
 	}
 
-	// A run builds at most 2×Parallelism+1 accumulator sets, so two
-	// workers build at most two more than one. Each of a set's six sketches
-	// per group grows by append to at most min(K, shard size) entries,
-	// allocating under twice that on the way.
+	// A run builds at most 2×Parallelism shard sets, so two workers build
+	// at most two more than one. A set is its groups' accumulators, a
+	// pointer to each, and six sketches per group carved at
+	// min(K, shard size) entries that never grow.
 	entries := int64(min(cfg.SketchSize, cfg.ShardSize))
 	set := int64(len(cfg.Groups)) * (int64(unsafe.Sizeof(GroupAccum{})+unsafe.Sizeof(&GroupAccum{})) +
-		6*2*entries*int64(unsafe.Sizeof(stats.SketchEntry{})))
-	budget := int64(1500<<10) + 2*set
+		int64(len(distNames))*entries*int64(unsafe.Sizeof(stats.SketchEntry{})))
+	budget := int64(planBudget) + 2*set + scratchBudget
 	b1, s1 := campaignAlloc(t, benchShape(1))
 	b2, s2 := campaignAlloc(t, benchShape(2))
 	t.Logf("%.0f B per player session on one worker, %.0f on two; the second worker cost %d B", float64(b1)/float64(s1), float64(b2)/float64(s2), b2-b1)
 	if b2 > b1+budget {
-		t.Errorf("a second worker allocated %d B more than one (budget %d B: one 1.5 MB plan set and two %d B accumulator sets): something title-sized is being built per worker", b2-b1, budget, set)
+		t.Errorf("a second worker allocated %d B more than one (budget %d B: one %d B plan set, two %d B shard sets and %d B of draw scratch): something title-sized is being built per worker", b2-b1, budget, planBudget, set, scratchBudget)
 	}
 }
 

@@ -416,9 +416,6 @@ func runShard(ctx context.Context, cfg *Config, catalog *media.Catalog, shard in
 		}
 		return nil, fmt.Errorf("campaign: shard %d: %w", shard, err)
 	}
-	for _, a := range accums {
-		a.seal()
-	}
 	return extra, nil
 }
 
@@ -570,10 +567,7 @@ func run(ctx context.Context, cfg Config, sets *accumSets) (*Outcome, error) {
 			continue
 		}
 		// Tally this shard before record takes ownership of the accums:
-		// when the shard seeds the prefix, later fold cascades merge
-		// parked shards into the very slice r.accums points at, and a
-		// tally after the fact would read those shards twice; when it
-		// folds, record hands the set to the next shard to reset.
+		// once it folds, record hands the set to the next shard to reset.
 		for gi, a := range r.accums {
 			out.Stats.Faults += a.Faults
 			out.Stats.Retries += a.Retries

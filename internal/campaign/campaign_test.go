@@ -15,6 +15,7 @@ import (
 	"bba/internal/abtest"
 	"bba/internal/faults"
 	"bba/internal/metrics"
+	"bba/internal/stats"
 )
 
 // twoGroups keeps the test campaigns cheap while still exercising the
@@ -395,6 +396,93 @@ func TestCheckpointRejects(t *testing.T) {
 	t.Run("truncated JSON", func(t *testing.T) {
 		assertRefused(t, dir, raw[:len(raw)/2], "parse checkpoint")
 	})
+}
+
+// TestCheckpointRefusesInexactSketches: a checkpoint folds only sketches
+// it can merge exactly. After one good shard, shard 1 comes with one
+// sketch breaking one rule per case — another K than the identity's (a
+// K = 1 sketch would pass its one retained sample off as the bottom k of
+// the union), more entries than K, hashes not strictly ascending, fewer
+// samples seen than held. Record refuses each and leaves the checkpoint
+// as it was; LoadCheckpoint refuses a file holding it as a parked shard
+// or in the prefix.
+func TestCheckpointRefusesInexactSketches(t *testing.T) {
+	cfg := testConfig(32) // 4 shards
+	id := cfg.Identity()
+	r, err := NewShardRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := make([][]*GroupAccum, 2)
+	for s := range shards {
+		if shards[s], err = r.RunShard(context.Background(), s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cp := NewCheckpoint(id)
+	if err := cp.Record(0, shards[0]); err != nil {
+		t.Fatalf("the good shard: %v", err)
+	}
+	if err := cp.checkGroups(1, shards[1]); err != nil {
+		t.Fatalf("shard 1 before its corruption: %v", err)
+	}
+	before, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name, want string
+		corrupt    func(q *stats.QuantileSketch)
+	}{
+		{"K below the identity", "sketch K 1, identity 64", func(q *stats.QuantileSketch) {
+			q.K, q.Entries = 1, q.Entries[:1]
+		}},
+		{"K above the identity", "sketch K 128, identity 64", func(q *stats.QuantileSketch) { q.K = 128 }},
+		{"more entries than K", "sketch holds 65 entries, K 64", func(q *stats.QuantileSketch) {
+			for h := q.Entries[len(q.Entries)-1].Hash + 1; len(q.Entries) <= q.K; h++ {
+				q.Entries = append(q.Entries, stats.SketchEntry{Hash: h})
+			}
+			q.Seen = int64(len(q.Entries))
+		}},
+		{"hashes out of order", "sketch hashes not strictly ascending at entry 1", func(q *stats.QuantileSketch) {
+			q.Entries[0], q.Entries[1] = q.Entries[1], q.Entries[0]
+		}},
+		{"hash repeated", "sketch hashes not strictly ascending at entry 1", func(q *stats.QuantileSketch) { q.Entries[1].Hash = q.Entries[0].Hash }},
+		{"seen below entries", "sketch saw 7 samples but holds 8", func(q *stats.QuantileSketch) { q.Seen = int64(len(q.Entries)) - 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := cloneAccums(shards[1])
+			q := &bad[1].AvgRate.Sketch
+			if len(q.Entries) != 8 || q.Seen != 8 {
+				t.Fatalf("shard 1's avg-rate sketch holds %d of %d samples, want 8 of 8", len(q.Entries), q.Seen)
+			}
+			tc.corrupt(q)
+			want := `shard 1 group "BBA-0" avg_rate_kbps: ` + tc.want
+			if err := cp.Record(1, bad); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Record = %v, want an error naming %q", err, want)
+			}
+			if after, err := json.Marshal(cp); err != nil {
+				t.Fatal(err)
+			} else if !bytes.Equal(after, before) {
+				t.Fatal("a refused Record changed the checkpoint")
+			}
+
+			parked := *cp
+			parked.Done = []ShardAccums{{Shard: 1, Groups: bad}}
+			data, err := json.Marshal(&parked)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertRefused(t, dir, data, want)
+			prefix := *cp
+			prefix.Prefix = bad
+			if data, err = json.Marshal(&prefix); err != nil {
+				t.Fatal(err)
+			}
+			assertRefused(t, dir, data, `prefix group "BBA-0" avg_rate_kbps: `+tc.want)
+		})
+	}
 }
 
 // doneAt returns the JSON object of a checkpoint's i-th parked shard.

@@ -56,8 +56,9 @@ func (c *Checkpoint) Has(s int) bool {
 // Record stores a completed shard's accumulators and folds any newly
 // contiguous prefix. It returns an error, and changes nothing, on
 // duplicates — a duplicate means double-counting, the exact bug
-// checkpointing exists to prevent — and on accumulators that are not the
-// identity's groups in its order. Record takes ownership of accums.
+// checkpointing exists to prevent — on accumulators that are not the
+// identity's groups in its order, and on sketches the fold cannot merge
+// exactly (checkSketch). Record takes ownership of accums.
 func (c *Checkpoint) Record(s int, accums []*GroupAccum) error { return c.record(s, accums, nil) }
 
 // record is Record handing every set fold merges into the prefix back to
@@ -79,15 +80,18 @@ func (c *Checkpoint) record(s int, accums []*GroupAccum, free *accumSets) error 
 // fold merges Done entries into Prefix while they are contiguous with it.
 // This is the single merge path — always left-to-right in shard-index order —
 // so the folded state is bit-identical no matter which workers or processes
-// computed the shards. A merged set is handed to free, when not nil; the
-// set that seeds the prefix is the prefix, and stays.
+// computed the shards. The first merge seeds the prefix, a set of its own
+// with every sketch at capacity K; a merged set is handed to free, when
+// not nil, shard 0's included.
 func (c *Checkpoint) fold(free *accumSets) error {
 	for len(c.Done) > 0 && c.Done[0].Shard == c.PrefixShards {
 		if c.Prefix == nil {
-			c.Prefix = c.Done[0].Groups
-		} else if err := mergeAccumSets(c.Prefix, c.Done[0].Groups); err != nil {
+			c.Prefix = newAccumSet(c.Identity, c.Identity.SketchSize)
+		}
+		if err := mergeAccumSets(c.Prefix, c.Done[0].Groups); err != nil {
 			return err
-		} else if free != nil {
+		}
+		if free != nil {
 			free.put(c.Done[0].Groups)
 		}
 		c.PrefixShards++
@@ -154,7 +158,8 @@ func (c *Checkpoint) validate() error {
 
 // checkGroups checks that shard's groups (the prefix's, when shard < 0)
 // hold one accumulator per identity group, each named after its group, in
-// the identity's order: a report names each group after its accumulator,
+// the identity's order, and that every sketch is one the fold merges
+// exactly (checkSketch): a report names each group after its accumulator,
 // and a fold merges accumulator i of every shard into group i.
 func (c *Checkpoint) checkGroups(shard int, groups []*GroupAccum) error {
 	if len(groups) != len(c.Identity.Groups) {
@@ -166,6 +171,33 @@ func (c *Checkpoint) checkGroups(shard int, groups []*GroupAccum) error {
 		}
 		if g.Name != c.Identity.Groups[i] {
 			return fmt.Errorf("campaign: %s group %d is %q, identity %q", groupsOf(shard), i, g.Name, c.Identity.Groups[i])
+		}
+		for j, d := range g.dists() {
+			if err := checkSketch(d.Sketch, c.Identity.SketchSize); err != nil {
+				return fmt.Errorf("campaign: %s group %q %s: %w", groupsOf(shard), g.Name, distNames[j], err)
+			}
+		}
+	}
+	return nil
+}
+
+// checkSketch refuses a sketch the fold cannot merge exactly under an
+// identity retaining k samples: another K, more entries than K, hashes not
+// strictly ascending, or fewer samples seen than retained. A sketch
+// recorded at a smaller K would pass its few retained samples off as the
+// bottom k of the union, and its quantiles as exact.
+func checkSketch(q stats.QuantileSketch, k int) error {
+	switch {
+	case q.K != k:
+		return fmt.Errorf("sketch K %d, identity %d", q.K, k)
+	case len(q.Entries) > q.K:
+		return fmt.Errorf("sketch holds %d entries, K %d", len(q.Entries), q.K)
+	case q.Seen < int64(len(q.Entries)):
+		return fmt.Errorf("sketch saw %d samples but holds %d", q.Seen, len(q.Entries))
+	}
+	for i := 1; i < len(q.Entries); i++ {
+		if q.Entries[i-1].Hash >= q.Entries[i].Hash {
+			return fmt.Errorf("sketch hashes not strictly ascending at entry %d", i)
 		}
 	}
 	return nil

@@ -64,7 +64,7 @@ func (r *ShardRunner) RunShard(ctx context.Context, shard int) ([]*GroupAccum, e
 	if shard < 0 || shard >= r.id.Shards() {
 		return nil, fmt.Errorf("campaign: shard %d outside [0,%d)", shard, r.id.Shards())
 	}
-	accums := NewGroupAccums(r.id.Groups, r.id.SketchSize)
+	accums := newShardSet(r.id)
 	if _, err := runShard(ctx, &r.cfg, r.catalog, shard, r.runner, accums); err != nil {
 		return nil, err
 	}

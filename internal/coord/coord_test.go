@@ -386,24 +386,42 @@ func TestPostBodies(t *testing.T) {
 	worker := func(v string) func(string) string {
 		return func(good string) string { return strings.Replace(good, `"worker":"w"`, `"worker":`+v, 1) }
 	}
+	// Shard 1's completion with a sketch that retains one sample under the
+	// identity's 64: the fold could not merge it exactly.
+	accums1, err := newRunner(t, spec).RunShard(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := &accums1[0].AvgRate.Sketch
+	q.K, q.Entries = 1, q.Entries[:1]
+	coarseBody, err := json.Marshal(CompleteRequest{Worker: "w", Lease: grant.Lease, Shard: 1, Groups: accums1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coarse := func(string) string { return string(coarseBody) }
 	for _, tc := range []struct {
 		name   string
 		method string
 		body   func(good string) string
 		want   int
+		only   string // the one path the row applies to, when set
 	}{
-		{"good", http.MethodPost, func(good string) string { return good }, http.StatusOK},
-		{"unknown field", http.MethodPost, worker(`"w","since":"v2"`), http.StatusOK},
-		{"trailing white space", http.MethodPost, func(good string) string { return good + " \n" }, http.StatusOK},
-		{"wrong method", http.MethodGet, func(good string) string { return good }, http.StatusMethodNotAllowed},
-		{"not JSON", http.MethodPost, func(string) string { return "worker=w" }, http.StatusBadRequest},
-		{"trailing value", http.MethodPost, func(good string) string { return good + `{"worker":"x"}` }, http.StatusBadRequest},
-		{"trailing garbage", http.MethodPost, func(good string) string { return good + " garbage" }, http.StatusBadRequest},
-		{"over maxBody", http.MethodPost, func(string) string { return oversized }, http.StatusBadRequest},
-		{"empty worker", http.MethodPost, worker(`""`), http.StatusBadRequest},
-		{"wrong field type", http.MethodPost, worker(`7`), http.StatusBadRequest},
+		{"good", http.MethodPost, func(good string) string { return good }, http.StatusOK, ""},
+		{"unknown field", http.MethodPost, worker(`"w","since":"v2"`), http.StatusOK, ""},
+		{"trailing white space", http.MethodPost, func(good string) string { return good + " \n" }, http.StatusOK, ""},
+		{"wrong method", http.MethodGet, func(good string) string { return good }, http.StatusMethodNotAllowed, ""},
+		{"not JSON", http.MethodPost, func(string) string { return "worker=w" }, http.StatusBadRequest, ""},
+		{"trailing value", http.MethodPost, func(good string) string { return good + `{"worker":"x"}` }, http.StatusBadRequest, ""},
+		{"trailing garbage", http.MethodPost, func(good string) string { return good + " garbage" }, http.StatusBadRequest, ""},
+		{"over maxBody", http.MethodPost, func(string) string { return oversized }, http.StatusBadRequest, ""},
+		{"empty worker", http.MethodPost, worker(`""`), http.StatusBadRequest, ""},
+		{"wrong field type", http.MethodPost, worker(`7`), http.StatusBadRequest, ""},
+		{"coarser sketch", http.MethodPost, coarse, http.StatusBadRequest, "/complete"},
 	} {
 		for _, g := range goods {
+			if tc.only != "" && tc.only != g.path {
+				continue
+			}
 			t.Run(tc.name+g.path, func(t *testing.T) {
 				w := httptest.NewRecorder()
 				c.Handler().ServeHTTP(w, httptest.NewRequest(tc.method, g.path, strings.NewReader(tc.body(g.body))))
@@ -414,9 +432,13 @@ func TestPostBodies(t *testing.T) {
 		}
 	}
 	// The good completion folds shard 0; the two other accepted rows are
-	// duplicates of it; no refused body reached the fold.
+	// duplicates of it; no refused body reached the fold, and the coarse
+	// sketch's shard is still leased for a good retry.
 	if s := c.Stats(); s.Shards != 1 || s.ShardsDup != 2 {
 		t.Errorf("after the table: %d shards folded and %d duplicates, want 1 and 2", s.Shards, s.ShardsDup)
+	}
+	if _, leased := c.leases[grant.Lease].remaining[1]; !leased || c.cp.Has(1) {
+		t.Errorf("after the refused completion: shard 1 leased %v, recorded %v; want leased and not recorded", leased, c.cp.Has(1))
 	}
 }
 

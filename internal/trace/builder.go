@@ -11,15 +11,24 @@ import (
 
 // Builder composes a trace — a Markov base or a loaded trace, override
 // spans, a lengthened tail — in two recycled segment buffers, and Trace
-// materialises the result once, in one right-sized backing array; Into
-// materialises it into a trace the caller owns and recycles. Everything
-// the Builder holds is scratch for the next composition. The zero value is
-// ready to use. A Builder is not safe for concurrent use.
+// materialises the result once, its rows carved exactly sized from a slab
+// the Builder owns; Into materialises it into a trace the caller owns and
+// recycles. The segment buffers are scratch for the next composition; a
+// carved region belongs to its trace alone, since its capacity ends where
+// the region does and the Builder never hands it out again. The zero value
+// is ready to use. A Builder is not safe for concurrent use.
 type Builder struct {
 	segs  []Segment // the composition so far
 	spare []Segment // Override writes here, then the two swap
 	total time.Duration
+	slab  []byte // the current slab's part no trace has taken
+	last  int    // the current slab's size; 0 before the first
 }
+
+// maxSlab bounds the slabs Trace carves rows from. A retained trace pins
+// the one slab its rows lie in, so the bound is also what one retained
+// trace can keep alive beyond its own rows.
+const maxSlab = 64 << 10
 
 // Total returns the summed duration of the composition so far.
 func (b *Builder) Total() time.Duration { return b.total }
@@ -135,9 +144,36 @@ func (b *Builder) Override(ovs []Override) error {
 	return nil
 }
 
-// Trace materialises the composition as a new Trace that shares nothing
-// with the Builder.
-func (b *Builder) Trace() (*Trace, error) { return New(b.segs) }
+// Trace materialises the composition as a new Trace whose rows nothing
+// else reads or writes: the Builder carves them from its slab and never
+// touches them again.
+func (b *Builder) Trace() (*Trace, error) {
+	l, err := measure(b.segs)
+	if err != nil {
+		return nil, err
+	}
+	t := new(Trace)
+	t.write(b.carve(l.size), b.segs, l)
+	return t, nil
+}
+
+// carve returns n bytes no trace has taken, capped at n so the trace they
+// go to can never write past them. A slab that cannot hold them is left to
+// the traces already carved from it, and the next is twice the size of the
+// last, at most maxSlab and at least n. The first is exactly n, so a
+// Builder that materialises one trace allocates what New does.
+func (b *Builder) carve(n int) []byte {
+	if len(b.slab) < n {
+		size := n
+		if b.last > 0 {
+			size = max(n, min(2*b.last, maxSlab))
+		}
+		b.slab, b.last = make([]byte, size), size
+	}
+	rows := b.slab[:n:n]
+	b.slab = b.slab[n:]
+	return rows
+}
 
 // Into materialises the composition into t in place, reusing t's backing
 // array: the allocation-free form of Trace for a caller that owns t and

@@ -127,24 +127,46 @@ func New(segments []Segment) (*Trace, error) {
 // set rebuilds t from segments in place, reusing its backing array when it
 // is large enough. On error t is left as it was.
 func (t *Trace) set(segments []Segment) error {
+	l, err := measure(segments)
+	if err != nil {
+		return err
+	}
+	if cap(t.rows) < l.size {
+		t.rows = make([]byte, l.size, max(l.size, 2*cap(t.rows)))
+	}
+	t.write(t.rows[:l.size], segments, l)
+	return nil
+}
+
+// layout is the shape of a trace's rows: its total, the bits of start and
+// of rate in a row, and the bytes the rows and their padding take.
+type layout struct {
+	total  time.Duration
+	sw, rw uint
+	size   int
+}
+
+// measure checks segments and returns the layout of the trace they make.
+func measure(segments []Segment) (layout, error) {
 	if len(segments) == 0 {
-		return ErrEmpty
+		return layout{}, ErrEmpty
 	}
 	var total time.Duration
 	var peak units.BitRate
 	for i, s := range segments {
 		if !fits(s, total) {
-			return fmt.Errorf("trace: %w", badSegment(i, s))
+			return layout{}, fmt.Errorf("trace: %w", badSegment(i, s))
 		}
 		total += s.Duration
 		peak = max(peak, s.Rate)
 	}
 	sw, rw := uint(bits.Len64(uint64(total))), uint(bits.Len64(uint64(peak)))
-	size := len(segments)*int(sw+rw)/8 + 8
-	if cap(t.rows) < size {
-		t.rows = make([]byte, size, max(size, 2*cap(t.rows)))
-	}
-	rows := t.rows[:size]
+	return layout{total: total, sw: sw, rw: rw, size: len(segments)*int(sw+rw)/8 + 8}, nil
+}
+
+// write makes t the trace of segments, measured as l, packed into rows,
+// which must be l.size bytes long.
+func (t *Trace) write(rows []byte, segments []Segment, l layout) {
 	// Rows go out through a 64-bit accumulator: each field joins the
 	// fewer than 8 bits still pending, and the 8 bytes from the first
 	// pending one are stored. The stores cover every byte up to the last
@@ -160,12 +182,11 @@ func (t *Trace) set(segments []Segment) error {
 	}
 	var start time.Duration
 	for _, s := range segments {
-		put(uint64(start), sw)
-		put(uint64(s.Rate), rw)
+		put(uint64(start), l.sw)
+		put(uint64(s.Rate), l.rw)
 		start += s.Duration
 	}
-	t.rows, t.n, t.total, t.sw, t.rw = rows, len(segments), total, uint8(sw), uint8(rw)
-	return nil
+	t.rows, t.n, t.total, t.sw, t.rw = rows, len(segments), l.total, uint8(l.sw), uint8(l.rw)
 }
 
 // fits reports whether a trace holds s as the segment after total: a

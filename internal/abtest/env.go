@@ -20,9 +20,11 @@ import (
 // builds the same env fresh and streams the groups sequentially. Either
 // way each group sees identical inputs, so results are identical.
 //
-// Of everything an env points at, only User.Trace outlives the draw: a
-// faulted draw's Trace and Injector live in storage the env owns, which
-// the next Reset rewrites.
+// The env's Trace is the User's own, read as given, unless the env holds
+// it in rows of its own: the scratch's pending keyed draw, packed from the
+// builder instead of re-derived, or a faulted draw's trace, reshaped in
+// those rows. Of everything an env points at, only User.Trace outlives
+// the draw: what the env owns, the next Reset rewrites.
 type SessionEnv struct {
 	// User is the drawn viewer (trace, title pick, watch time, R_min).
 	User User
@@ -37,17 +39,18 @@ type SessionEnv struct {
 	// FaultSeed keyed the schedule and seeds the retry backoff jitter.
 	FaultSeed int64
 
-	// weather is what a faulted draw's Trace and Injector point into,
-	// allocated on the env's first faulted draw and rebuilt by every Reset
-	// after it.
-	weather *weather
+	// own is what Trace and Injector point into when they are not the
+	// User's, allocated on the env's first such draw and rebuilt by every
+	// Reset after it.
+	own *owned
 }
 
-// weather is one draw's fault state: the schedule (with its capacity
-// spans), the trace it reshapes and the injector it arms.
-type weather struct {
-	sched faults.Schedule
+// owned is one draw's env-owned state: the trace rows a pending draw is
+// packed into and fault weather reshapes, the schedule (with its capacity
+// spans) and the injector it arms.
+type owned struct {
 	trace trace.Trace
+	sched faults.Schedule
 	inj   faults.SessionInjector
 }
 
@@ -59,9 +62,10 @@ func NewSessionEnv(u User, video *media.Video, fcfg *faults.ScheduleConfig, fsee
 }
 
 // NewSessionEnv is the package's NewSessionEnv drawing the schedule from
-// the scratch's RNG and reshaping the trace in its builder. The env it
-// returns owns its fault state, so it stays valid when the scratch moves
-// on.
+// the scratch's RNG and reshaping the trace in its builder, and packing
+// the scratch's pending keyed draw from there (see Reset). The env it
+// returns owns its trace rows and fault state, so it stays valid when the
+// scratch moves on.
 func (sc *Scratch) NewSessionEnv(u User, video *media.Video, fcfg *faults.ScheduleConfig, fseed int64) (SessionEnv, error) {
 	var env SessionEnv
 	if err := env.Reset(sc, u, video, fcfg, fseed); err != nil {
@@ -71,34 +75,48 @@ func (sc *Scratch) NewSessionEnv(u User, video *media.Video, fcfg *faults.Schedu
 }
 
 // Reset rebuilds e in place as sc.NewSessionEnv(u, video, fcfg, fseed)
-// would build it, reusing the storage of e's fault schedule, faulted trace
+// would build it, reusing the storage of e's trace rows, fault schedule
 // and injector: the allocation-free form for a caller that owns e and
 // takes one draw after another. The previous draw's Trace and Injector
 // are overwritten, so nothing may still be reading them — and a copy of e
-// shares that storage. u.Trace is only ever read.
+// shares that storage. u.Trace is only ever read: when it is the
+// scratch's pending keyed draw (Scratch.DrawKeyed), the builder's
+// composition is packed into e's rows in its place, so the deferred trace
+// is not.
 func (e *SessionEnv) Reset(sc *Scratch, u User, video *media.Video, fcfg *faults.ScheduleConfig, fseed int64) error {
 	*e = SessionEnv{
 		User:      u,
 		Stream:    abr.NewStream(video, u.Rmin),
 		Trace:     u.Trace,
 		FaultSeed: fseed,
-		weather:   e.weather,
+		own:       e.own,
+	}
+	pending := u.Trace != nil && u.Trace == sc.pending
+	sc.pending = nil
+	if !pending && fcfg == nil {
+		return nil
+	}
+	o := e.own
+	if o == nil {
+		o = new(owned)
+		e.own = o
+	}
+	if pending {
+		if err := sc.tb.Into(&o.trace); err != nil {
+			return fmt.Errorf("packing the drawn trace: %w", err)
+		}
+		e.Trace = &o.trace
 	}
 	if fcfg == nil {
 		return nil
 	}
-	w := e.weather
-	if w == nil {
-		w = new(weather)
-		e.weather = w
-	}
-	w.sched.Regenerate(*fcfg, sc.Rand(fseed))
-	tr, err := w.sched.ApplyInto(&w.trace, &sc.tb, u.Trace)
+	o.sched.Regenerate(*fcfg, sc.Rand(fseed))
+	tr, err := o.sched.ApplyInto(&o.trace, &sc.tb, e.Trace)
 	if err != nil {
 		return fmt.Errorf("fault trace: %w", err)
 	}
-	w.inj.Reset(&w.sched, fseed)
-	e.Trace, e.Injector = tr, &w.inj
+	o.inj.Reset(&o.sched, fseed)
+	e.Trace, e.Injector = tr, &o.inj
 	return nil
 }
 

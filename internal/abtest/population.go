@@ -58,7 +58,10 @@ type User struct {
 	WatchTime time.Duration
 	// TitleIndex selects the title from the catalogue.
 	TitleIndex int
-	// Trace is the session's capacity process, shared across groups.
+	// Trace is the session's capacity process, shared across groups. A
+	// keyed draw's (Scratch.DrawKeyed) is deferred: it costs its header
+	// until its first read re-derives the draw and writes its rows, so a
+	// factory that keeps the User keeps a trace it can still read.
 	Trace *trace.Trace
 	// Window and Day locate the session in the experiment calendar.
 	Window, Day int
@@ -131,6 +134,37 @@ func DrawUser(cfg PopulationConfig, window, day int, rng *rand.Rand) User {
 // DrawUser is the package's DrawUser with every intermediate of the trace
 // synthesis kept in the scratch; only the finished User.Trace is allocated.
 func (sc *Scratch) DrawUser(cfg PopulationConfig, window, day int, rng *rand.Rand) User {
+	u := sc.compose(cfg, window, day, rng)
+	tr, err := sc.tb.Trace()
+	if err != nil {
+		panic(fmt.Sprintf("abtest: materialising a drawn trace: %v", err))
+	}
+	u.Trace = tr
+	return u
+}
+
+// DrawKeyed is DrawUser(cfg, window, day, rand.New(rand.NewSource(seed)))
+// returning the User with a deferred trace: the draw is a pure function
+// of its arguments, so the trace re-derives the whole draw on its first
+// read instead of keeping rows meanwhile. Until the scratch composes
+// anything else, its builder still holds the trace's composition, and
+// SessionEnv.Reset packs it from there into rows the env owns — the
+// campaign's sessions never read the User's trace, and never pay for it.
+func (sc *Scratch) DrawKeyed(cfg PopulationConfig, window, day int, seed int64) User {
+	u := sc.compose(cfg, window, day, sc.Rand(seed))
+	u.Trace = trace.Deferred(func() *trace.Builder {
+		var re Scratch
+		re.compose(cfg, window, day, re.Rand(seed))
+		return &re.tb
+	})
+	sc.pending = u.Trace
+	return u
+}
+
+// compose draws a user from rng and composes its capacity trace in the
+// scratch's builder, leaving User.Trace nil.
+func (sc *Scratch) compose(cfg PopulationConfig, window, day int, rng *rand.Rand) User {
+	sc.pending = nil
 	cfg.applyDefaults()
 	h := DiurnalHarshness(window)
 
@@ -210,8 +244,7 @@ func (sc *Scratch) DrawUser(cfg PopulationConfig, window, day int, rng *rand.Ran
 		})
 	}
 	sc.overrides = overrides
-	tr, err := fade(&sc.tb, overrides)
-	if err != nil {
+	if err := fade(&sc.tb, overrides); err != nil {
 		// The draw above yields only positive durations and rates and fade
 		// drops colliding spans, so this is a bug, not a property of the
 		// population: fail with the draw rather than stream an un-faded user.
@@ -225,7 +258,6 @@ func (sc *Scratch) DrawUser(cfg PopulationConfig, window, day int, rng *rand.Ran
 		History:      history,
 		WatchTime:    watch,
 		TitleIndex:   rng.Intn(1 << 30),
-		Trace:        tr,
 		Window:       window,
 		Day:          day,
 	}
@@ -234,27 +266,25 @@ func (sc *Scratch) DrawUser(cfg PopulationConfig, window, day int, rng *rand.Ran
 // Pick returns the user's title from the catalogue.
 func (u User) Pick(c *media.Catalog) *media.Video { return c.Pick(u.TitleIndex) }
 
-// fade overlays the given spans on the trace composed in tb and
-// materialises it, dropping overrides that overlap an earlier one or start
-// beyond the trace (random draws may collide; losing a colliding fade keeps
-// the draw simple and unbiased).
-func fade(tb *trace.Builder, overrides []trace.Override) (*trace.Trace, error) {
-	if len(overrides) > 0 {
-		sort.Slice(overrides, func(i, j int) bool { return overrides[i].Start < overrides[j].Start })
-		kept := overrides[:0]
-		cursor := time.Duration(0)
-		for _, o := range overrides {
-			if o.Start < cursor || o.Start > tb.Total() {
-				continue
-			}
-			kept = append(kept, o)
-			cursor = o.Start + o.Duration
-		}
-		if err := tb.Override(kept); err != nil {
-			return nil, err
-		}
+// fade overlays the given spans on the trace composed in tb, dropping
+// overrides that overlap an earlier one or start beyond the trace (random
+// draws may collide; losing a colliding fade keeps the draw simple and
+// unbiased).
+func fade(tb *trace.Builder, overrides []trace.Override) error {
+	if len(overrides) == 0 {
+		return nil
 	}
-	return tb.Trace()
+	sort.Slice(overrides, func(i, j int) bool { return overrides[i].Start < overrides[j].Start })
+	kept := overrides[:0]
+	cursor := time.Duration(0)
+	for _, o := range overrides {
+		if o.Start < cursor || o.Start > tb.Total() {
+			continue
+		}
+		kept = append(kept, o)
+		cursor = o.Start + o.Duration
+	}
+	return tb.Override(kept)
 }
 
 // poisson draws a Poisson variate by Knuth's method; fine for small means.

@@ -8,17 +8,19 @@ import (
 
 // Scratch is the reusable working memory of one draw pipeline: a single
 // RNG reseeded per draw in place of a fresh 4.9 KB source each, and the
-// trace builder every intermediate trace is composed in. A User's trace
-// has its rows carved, exactly sized, from the builder's slab; the builder
-// never writes a carved region again, so the trace stays valid when the
-// scratch moves on to the next draw, and a retained trace pins at most
-// one slab (64 KiB). A SessionEnv's fault state belongs to the env (see
-// SessionEnv.Reset). The zero value is ready to use; a Scratch is not
-// safe for concurrent use.
+// trace builder every intermediate trace is composed in. Nothing a draw
+// hands out points into it: DrawUser's trace has rows of its own, and
+// DrawKeyed's is deferred, so either stays valid when the scratch moves
+// on to the next draw. The builder holds a keyed draw's composition until
+// SessionEnv.Reset packs it into rows the env owns (see SessionEnv). The
+// zero value is ready to use; a Scratch is not safe for concurrent use.
 type Scratch struct {
 	rng       *rand.Rand
 	tb        trace.Builder
 	overrides []trace.Override
+	// pending is the deferred trace of the last keyed draw while tb still
+	// holds its composition; whatever next writes tb clears it.
+	pending *trace.Trace
 }
 
 // Rand reseeds the scratch's generator and returns it: the stream of

@@ -9,6 +9,7 @@ import (
 	"bba/internal/faults"
 	"bba/internal/media"
 	"bba/internal/trace"
+	"bba/internal/units"
 )
 
 // TestRandReseedMatchesFreshSource pins the standard-library assumption the
@@ -89,10 +90,11 @@ func TestScratchReuseMatchesFreshDraw(t *testing.T) {
 
 // TestSessionEnvResetInPlace is the draw slot's contract: one env rebuilt
 // draw after draw — clean draws, faulted ones, and ones whose weather is
-// HTTP-only — equals a fresh NewSessionEnv every time; a draw without a
-// capacity fault streams the User's own trace; no rebuild writes into a
-// User's trace, the one thing that outlives the draw; and once warmed a
-// rebuild allocates nothing.
+// HTTP-only; eager draws, and keyed ones whose composition the env packs
+// from the scratch — equals a fresh NewSessionEnv every time; an eager
+// draw without a capacity fault streams the User's own trace, a keyed
+// draw never does; no rebuild writes into a User's trace, the one thing
+// that outlives the draw; and once warmed a rebuild allocates nothing.
 func TestSessionEnvResetInPlace(t *testing.T) {
 	catalog, err := media.NewCatalog(6, media.DefaultLadder(), 3)
 	if err != nil {
@@ -118,7 +120,13 @@ func TestSessionEnvResetInPlace(t *testing.T) {
 	var draws []draw
 	var ownTrace, baseTrace int
 	for i := 0; i < 120; i++ {
-		u := sc.DrawUser(PopulationConfig{}, i%12, i/12, sc.Rand(int64(2000+i)))
+		keyed := i%3 == 2
+		var u User
+		if seed := int64(2000 + i); keyed {
+			u = sc.DrawKeyed(PopulationConfig{}, i%12, i/12, seed)
+		} else {
+			u = sc.DrawUser(PopulationConfig{}, i%12, i/12, sc.Rand(seed))
+		}
 		d := draw{u, weathers[i%len(weathers)], int64(9000 + i), u.Trace.Segments()}
 		draws = append(draws, d)
 		if err := env.Reset(&sc, u, u.Pick(catalog), d.fcfg, d.fseed); err != nil {
@@ -150,10 +158,24 @@ func TestSessionEnvResetInPlace(t *testing.T) {
 				}
 			}
 		}
-		if env.Trace == u.Trace {
+		switch {
+		case keyed && env.Trace == u.Trace:
+			t.Fatalf("draw %d: a keyed draw's env streams the deferred trace", i)
+		case keyed:
+		case env.Trace == u.Trace:
 			baseTrace++
-		} else {
+		default:
 			ownTrace++
+		}
+		if keyed {
+			// Reset took the scratch's pending draw: rebuilt again, the env
+			// reads the deferred trace, not the builder the weather rewrote.
+			if err := env.Reset(&sc, u, u.Pick(catalog), d.fcfg, d.fseed); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(env.Trace.Segments(), ref.Trace.Segments()) {
+				t.Fatalf("draw %d: an env rebuilt twice from one keyed draw differs from a fresh env", i)
+			}
 		}
 	}
 	if ownTrace == 0 || baseTrace <= len(draws)/len(weathers) {
@@ -178,4 +200,56 @@ func TestSessionEnvResetInPlace(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("rebuilding a warmed env allocated %v times per draw, want 0", allocs)
 	}
+}
+
+// FuzzDeferredDraw: a keyed draw is the eager draw of the same (config,
+// window, day, seed), bit for bit — the User's fields, the rows the env
+// packs from the scratch's builder, and the deferred trace it re-derives
+// on its first read, made after the scratch has moved on to another draw.
+func FuzzDeferredDraw(f *testing.F) {
+	catalog, err := media.NewCatalog(6, media.DefaultLadder(), 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(int64(1), uint8(0), uint8(0), uint16(0), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(-7), uint8(13), uint8(2), uint16(600), uint8(40), uint8(100), uint8(90))
+	f.Add(int64(1<<40), uint8(5), uint8(1), uint16(20000), uint8(3), uint8(5), uint8(200))
+	f.Fuzz(func(t *testing.T, seed int64, window, day uint8, medianKbps uint16, fadesPerHour, outagePct, watchMin uint8) {
+		cfg := PopulationConfig{
+			MedianCapacity: units.BitRate(medianKbps) * units.Kbps,
+			FadesPerHour:   float64(fadesPerHour % 64),
+			OutageProb:     float64(outagePct%101) / 100,
+			MeanWatch:      time.Duration(watchMin) * time.Minute,
+		}
+		w, d := int(window%14)-1, int(day%4) // windows -1 and 12 are outside the calendar
+		want := DrawUser(cfg, w, d, rand.New(rand.NewSource(seed)))
+
+		var sc Scratch
+		u := sc.DrawKeyed(cfg, w, d, seed)
+		var env SessionEnv
+		if err := env.Reset(&sc, u, u.Pick(catalog), nil, 0); err != nil {
+			t.Fatal(err)
+		}
+		if env.Trace == u.Trace {
+			t.Fatal("the env streams the deferred trace instead of packing the scratch's composition")
+		}
+		if got := env.Trace.Segments(); !reflect.DeepEqual(got, want.Trace.Segments()) {
+			t.Fatal("the env's packed trace differs from the eager draw's")
+		}
+		next := sc.DrawKeyed(cfg, w+1, d, seed+1) // the scratch moves on,
+		sc.DrawUser(cfg, w, d, sc.Rand(seed))     // and no keyed draw is pending
+		if err := env.Reset(&sc, next, next.Pick(catalog), nil, 0); err != nil {
+			t.Fatal(err)
+		}
+		if env.Trace != next.Trace {
+			t.Fatal("the env packed a keyed draw the scratch had moved on from")
+		}
+		if got := u.Trace.Segments(); !reflect.DeepEqual(got, want.Trace.Segments()) {
+			t.Fatal("the deferred trace differs from the eager draw's")
+		}
+		u.Trace, want.Trace = nil, nil
+		if u != want {
+			t.Fatalf("keyed user %+v, eager draw %+v", u, want)
+		}
+	})
 }

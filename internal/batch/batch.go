@@ -29,12 +29,16 @@
 //     per session.
 //   - One abtest.Scratch holds every intermediate of drawing a user and
 //     building its env: a reseeded RNG and the trace builder's buffers.
-//     Each draw slot owns its env's fault state — schedule, capacity
-//     spans, faulted trace, injector — and rebuilds it in place for every
-//     draw it takes (abtest.SessionEnv.Reset). The only thing a draw
-//     allocates is the User's trace, the one thing that outlives it: an
-//     arm factory may keep the User it is handed, and the env the slot
-//     holds is never handed to a factory.
+//     Each draw slot owns its env's trace rows and fault state —
+//     schedule, capacity spans, injector — and rebuilds them in place for
+//     every draw it takes (abtest.SessionEnv.Reset): a keyed draw's
+//     (abtest.Scratch.DrawKeyed) trace is packed from the scratch's
+//     builder into the slot's rows, and fault weather reshapes them there.
+//     The only thing a draw allocates is the User, the one thing that
+//     outlives it: an arm factory may keep the User it is handed, and a
+//     keyed User's trace is deferred — a header and the draw's key, its
+//     rows re-derived only if something reads it. The env the slot holds
+//     is never handed to a factory.
 //   - The cancellation check happens once per kernel round (one chunk
 //     per active lane) instead of once per chunk.
 //
@@ -73,7 +77,8 @@ type Config struct {
 	Faults *faults.ScheduleConfig
 	// Width is the number of paired draws in flight (default 8). The
 	// lane count is Width × len(Groups). More width amortizes stalls on
-	// long sessions; memory grows with the traces of in-flight draws.
+	// long sessions; memory grows with the draw slots, each holding rows
+	// for the longest trace it has held.
 	Width int
 	// OnRetire, when non-nil, is called once per retired player session,
 	// from RunShard's goroutine. Campaign progress counts sessions the

@@ -334,7 +334,10 @@ func sessionKey(global int64, gi int) uint64 {
 
 // shardDraw draws the user for one (shard, offset) — the campaign's
 // determinism key — through the worker's draw scratch, in the calendar slot
-// and under the seeds the layout assigns.
+// and under the seeds the layout assigns. The draw is keyed, so the User's
+// trace is deferred: the draw slot's env packs the scratch's composition
+// into rows of its own, and only a reader of a retained User pays to
+// re-derive it.
 func shardDraw(cfg *Config, catalog *media.Catalog, sc *abtest.Scratch, shard, off int) (abtest.User, *media.Video, int64) {
 	var window, day int
 	var seed, fseed int64
@@ -353,7 +356,7 @@ func shardDraw(cfg *Config, catalog *media.Catalog, sc *abtest.Scratch, shard, o
 			fseed = shardFaultSeed(cfg.FaultSeed, shard, off)
 		}
 	}
-	u := sc.DrawUser(cfg.Population, window, day, sc.Rand(seed))
+	u := sc.DrawKeyed(cfg.Population, window, day, seed)
 	return u, u.Pick(catalog), fseed
 }
 

@@ -485,6 +485,55 @@ func TestCheckpointRefusesInexactSketches(t *testing.T) {
 	}
 }
 
+// TestRecordRefusesAnotherShardsSessions: a shard whose accumulators are
+// another recorded shard's — posted under the wrong index — shares every
+// sketch hash with it. Record refuses it whether that shard is in the
+// prefix or parked beyond it, and leaves the checkpoint byte-unchanged,
+// so the shards that are still to come fold as if it had never arrived:
+// accepted, a parked copy would fail the fold of the shard that made it
+// contiguous.
+func TestRecordRefusesAnotherShardsSessions(t *testing.T) {
+	cfg := testConfig(32) // 4 shards
+	id := cfg.Identity()
+	r, err := NewShardRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := make([][]*GroupAccum, 3)
+	for s := range shards {
+		if shards[s], err = r.RunShard(context.Background(), s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cp := NewCheckpoint(id)
+	for _, s := range []int{0, 2} { // prefix = shard 0, done = [shard 2]
+		if err := cp.Record(s, cloneAccums(shards[s])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, from := range []int{0, 2} {
+		err := cp.Record(1, cloneAccums(shards[from]))
+		if want := "shard 1 group \"Control\" rebuffer_rate: stats: sketches share hash"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("shard %d's accumulators as shard 1's: Record = %v, want an error naming %q", from, err, want)
+		}
+		if after, err := json.Marshal(cp); err != nil {
+			t.Fatal(err)
+		} else if !bytes.Equal(after, before) {
+			t.Fatalf("refusing shard %d's accumulators as shard 1's changed the checkpoint", from)
+		}
+	}
+	if err := cp.Record(1, cloneAccums(shards[1])); err != nil {
+		t.Fatalf("shard 1 after the refusals: %v", err)
+	}
+	if cp.PrefixShards != 3 || len(cp.Done) != 0 {
+		t.Errorf("after shard 1: prefix of %d shards, %d parked; want 3 and 0", cp.PrefixShards, len(cp.Done))
+	}
+}
+
 // doneAt returns the JSON object of a checkpoint's i-th parked shard.
 func doneAt(m map[string]any, i int) map[string]any { return m["done"].([]any)[i].(map[string]any) }
 

@@ -57,8 +57,10 @@ func (c *Checkpoint) Has(s int) bool {
 // contiguous prefix. It returns an error, and changes nothing, on
 // duplicates — a duplicate means double-counting, the exact bug
 // checkpointing exists to prevent — on accumulators that are not the
-// identity's groups in its order, and on sketches the fold cannot merge
-// exactly (checkSketch). Record takes ownership of accums.
+// identity's groups in its order, on sketches the fold cannot merge
+// exactly (checkSketch), and on sketches sharing a hash with a recorded
+// shard's (checkDisjoint), which the fold would refuse halfway. Record
+// takes ownership of accums.
 func (c *Checkpoint) Record(s int, accums []*GroupAccum) error { return c.record(s, accums, nil) }
 
 // record is Record handing every set fold merges into the prefix back to
@@ -70,11 +72,47 @@ func (c *Checkpoint) record(s int, accums []*GroupAccum, free *accumSets) error 
 	if err := c.checkGroups(s, accums); err != nil {
 		return err
 	}
+	if err := c.checkDisjoint(s, accums); err != nil {
+		return err
+	}
 	i := sort.Search(len(c.Done), func(i int) bool { return c.Done[i].Shard >= s })
 	c.Done = append(c.Done, ShardAccums{})
 	copy(c.Done[i+1:], c.Done[i:])
 	c.Done[i] = ShardAccums{Shard: s, Groups: accums}
 	return c.fold(free)
+}
+
+// checkDisjoint refuses shard s's accums when one of its sketches shares
+// a hash with the same sketch of the prefix or of a parked shard, among
+// the K smallest of the two: a session counted twice, and the one merge a
+// checked shard can fail in fold, halfway through. Parked shards are
+// checked too, since a hash shared with one would fail the fold of
+// whichever shard joins the two; and a hash among the K smallest of a
+// fold is among the K smallest of any two sets holding it, so checking
+// pairs finds every hash a fold would meet.
+func (c *Checkpoint) checkDisjoint(s int, accums []*GroupAccum) error {
+	check := func(recorded []*GroupAccum) error {
+		for i, g := range accums {
+			have := recorded[i].dists()
+			for j, d := range g.dists() {
+				if err := have[j].Sketch.CheckMerge(d.Sketch); err != nil {
+					return fmt.Errorf("campaign: shard %d group %q %s: %w", s, g.Name, distNames[j], err)
+				}
+			}
+		}
+		return nil
+	}
+	if c.Prefix != nil {
+		if err := check(c.Prefix); err != nil {
+			return err
+		}
+	}
+	for _, d := range c.Done {
+		if err := check(d.Groups); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // fold merges Done entries into Prefix while they are contiguous with it.

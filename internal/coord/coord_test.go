@@ -399,6 +399,13 @@ func TestPostBodies(t *testing.T) {
 		t.Fatal(err)
 	}
 	coarse := func(string) string { return string(coarseBody) }
+	// Shard 0's accumulators posted as shard 1's: every sketch shares its
+	// hashes with the prefix shard 0 folded into.
+	replayBody, err := json.Marshal(CompleteRequest{Worker: "w", Lease: grant.Lease, Shard: 1, Groups: accums})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := func(string) string { return string(replayBody) }
 	for _, tc := range []struct {
 		name   string
 		method string
@@ -417,29 +424,48 @@ func TestPostBodies(t *testing.T) {
 		{"empty worker", http.MethodPost, worker(`""`), http.StatusBadRequest, ""},
 		{"wrong field type", http.MethodPost, worker(`7`), http.StatusBadRequest, ""},
 		{"coarser sketch", http.MethodPost, coarse, http.StatusBadRequest, "/complete"},
+		{"another shard's body", http.MethodPost, replay, http.StatusBadRequest, "/complete"},
 	} {
 		for _, g := range goods {
 			if tc.only != "" && tc.only != g.path {
 				continue
 			}
 			t.Run(tc.name+g.path, func(t *testing.T) {
+				before := checkpointBytes(t, c)
 				w := httptest.NewRecorder()
 				c.Handler().ServeHTTP(w, httptest.NewRequest(tc.method, g.path, strings.NewReader(tc.body(g.body))))
 				if w.Code != tc.want {
 					t.Errorf("%s %s: %d %q, want %d", tc.method, g.path, w.Code, strings.TrimSpace(w.Body.String()), tc.want)
 				}
+				// A refused body changes nothing of the fold.
+				if w.Code != http.StatusOK && !bytes.Equal(checkpointBytes(t, c), before) {
+					t.Errorf("%s %s: refused with %d, but the checkpoint changed", tc.method, g.path, w.Code)
+				}
 			})
 		}
 	}
 	// The good completion folds shard 0; the two other accepted rows are
-	// duplicates of it; no refused body reached the fold, and the coarse
-	// sketch's shard is still leased for a good retry.
+	// duplicates of it; no refused body reached the fold, and shard 1 —
+	// refused with a coarse sketch and with shard 0's body — is still
+	// leased for a good retry.
 	if s := c.Stats(); s.Shards != 1 || s.ShardsDup != 2 {
 		t.Errorf("after the table: %d shards folded and %d duplicates, want 1 and 2", s.Shards, s.ShardsDup)
 	}
 	if _, leased := c.leases[grant.Lease].remaining[1]; !leased || c.cp.Has(1) {
 		t.Errorf("after the refused completion: shard 1 leased %v, recorded %v; want leased and not recorded", leased, c.cp.Has(1))
 	}
+}
+
+// checkpointBytes is the coordinator's checkpoint as it would be saved.
+func checkpointBytes(t *testing.T, c *Coordinator) []byte {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	b, err := json.Marshal(c.cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestWorkStealing pins the straggler path: when the pending pool drains,

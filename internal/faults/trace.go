@@ -31,7 +31,8 @@ func (s *Schedule) ApplyWith(b *trace.Builder, base *trace.Trace) (*trace.Trace,
 // ApplyInto is ApplyWith materialising the faulted trace into dst, which
 // the caller owns and recycles across draws (see trace.Builder.Into). It
 // returns dst, or base itself when the schedule has no capacity fault, in
-// which case dst is untouched: base is only ever read.
+// which case dst is untouched. dst may be base: base is read whole before
+// dst is written, and only then.
 func (s *Schedule) ApplyInto(dst *trace.Trace, b *trace.Builder, base *trace.Trace) (*trace.Trace, error) {
 	if s.Empty() || len(s.spans) == 0 {
 		return base, nil

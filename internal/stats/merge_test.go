@@ -78,13 +78,17 @@ func decodeSketches(data []byte) (q, o QuantileSketch) {
 }
 
 // checkMerge merges o into q both ways and requires the same sketch, the
-// same error, o untouched, and — on a shared hash — q exactly as it was.
+// same error — which CheckMerge reports beforehand — o untouched, and — on
+// a shared hash — q exactly as it was.
 func checkMerge(t *testing.T, q, o QuantileSketch) {
 	t.Helper()
 	before := QuantileSketch{K: q.K, Entries: slices.Clone(q.Entries), Seen: q.Seen}
 	oBefore := slices.Clone(o.Entries)
 	want := QuantileSketch{K: q.K, Entries: slices.Clone(q.Entries), Seen: q.Seen}
 	wantErr := refMerge(&want, o)
+	if err := q.CheckMerge(o); fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("CheckMerge error %v, reference %v", err, wantErr)
+	}
 	err := q.Merge(o)
 	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 		t.Fatalf("Merge error %v, reference %v", err, wantErr)

@@ -219,20 +219,11 @@ func (q *QuantileSketch) Merge(o QuantileSketch) error {
 	if q.K < 1 {
 		q.K = o.K
 	}
-	a, b := q.Entries, o.Entries
-	i, j := 0, 0
-	for i+j < q.K && (i < len(a) || j < len(b)) {
-		switch {
-		case i == len(a):
-			j++
-		case j == len(b), a[i].Hash < b[j].Hash:
-			i++
-		case a[i].Hash > b[j].Hash:
-			j++
-		default:
-			return fmt.Errorf("stats: sketches share hash %d", a[i].Hash)
-		}
+	i, j, err := q.survivors(o)
+	if err != nil {
+		return err
 	}
+	a, b := q.Entries, o.Entries
 	n := i + j
 	if a == nil || cap(a) < n { // never nil after a merge: a checkpoint encodes [], not null
 		q.Entries = make([]SketchEntry, n, min(q.K, max(n, 2*cap(a))))
@@ -251,6 +242,36 @@ func (q *QuantileSketch) Merge(o QuantileSketch) error {
 	q.Entries = out
 	q.Seen += o.Seen
 	return nil
+}
+
+// CheckMerge returns the error Merge(o) would return, changing nothing: a
+// hash the two sketches share among the K smallest of their union.
+func (q QuantileSketch) CheckMerge(o QuantileSketch) error {
+	if q.K < 1 {
+		q.K = o.K
+	}
+	_, _, err := q.survivors(o)
+	return err
+}
+
+// survivors is Merge's first pass: how many of q's entries and of o's the
+// K smallest hashes of their union take, or the hash the two share among
+// them.
+func (q *QuantileSketch) survivors(o QuantileSketch) (i, j int, err error) {
+	a, b := q.Entries, o.Entries
+	for i+j < q.K && (i < len(a) || j < len(b)) {
+		switch {
+		case i == len(a):
+			j++
+		case j == len(b), a[i].Hash < b[j].Hash:
+			i++
+		case a[i].Hash > b[j].Hash:
+			j++
+		default:
+			return 0, 0, fmt.Errorf("stats: sketches share hash %d", a[i].Hash)
+		}
+	}
+	return i, j, nil
 }
 
 // Quantile returns the p-th percentile estimate (0 ≤ p ≤ 100). It is exact

@@ -10,25 +10,16 @@ import (
 )
 
 // Builder composes a trace — a Markov base or a loaded trace, override
-// spans, a lengthened tail — in two recycled segment buffers, and Trace
-// materialises the result once, its rows carved exactly sized from a slab
-// the Builder owns; Into materialises it into a trace the caller owns and
-// recycles. The segment buffers are scratch for the next composition; a
-// carved region belongs to its trace alone, since its capacity ends where
-// the region does and the Builder never hands it out again. The zero value
+// spans, a lengthened tail — in two recycled segment buffers. Trace
+// materialises the result as a new trace, as New would; Into materialises
+// it into a trace the caller owns and recycles. The segment buffers are
+// scratch for the next composition: no trace shares them. The zero value
 // is ready to use. A Builder is not safe for concurrent use.
 type Builder struct {
 	segs  []Segment // the composition so far
 	spare []Segment // Override writes here, then the two swap
 	total time.Duration
-	slab  []byte // the current slab's part no trace has taken
-	last  int    // the current slab's size; 0 before the first
 }
-
-// maxSlab bounds the slabs Trace carves rows from. A retained trace pins
-// the one slab its rows lie in, so the bound is also what one retained
-// trace can keep alive beyond its own rows.
-const maxSlab = 64 << 10
 
 // Total returns the summed duration of the composition so far.
 func (b *Builder) Total() time.Duration { return b.total }
@@ -144,39 +135,19 @@ func (b *Builder) Override(ovs []Override) error {
 	return nil
 }
 
-// Trace materialises the composition as a new Trace whose rows nothing
-// else reads or writes: the Builder carves them from its slab and never
-// touches them again.
-func (b *Builder) Trace() (*Trace, error) {
-	l, err := measure(b.segs)
-	if err != nil {
-		return nil, err
-	}
-	t := new(Trace)
-	t.write(b.carve(l.size), b.segs, l)
-	return t, nil
-}
-
-// carve returns n bytes no trace has taken, capped at n so the trace they
-// go to can never write past them. A slab that cannot hold them is left to
-// the traces already carved from it, and the next is twice the size of the
-// last, at most maxSlab and at least n. The first is exactly n, so a
-// Builder that materialises one trace allocates what New does.
-func (b *Builder) carve(n int) []byte {
-	if len(b.slab) < n {
-		size := n
-		if b.last > 0 {
-			size = max(n, min(2*b.last, maxSlab))
-		}
-		b.slab, b.last = make([]byte, size), size
-	}
-	rows := b.slab[:n:n]
-	b.slab = b.slab[n:]
-	return rows
-}
+// Trace materialises the composition as a new Trace, its rows allocated
+// exactly sized, as New allocates them.
+func (b *Builder) Trace() (*Trace, error) { return New(b.segs) }
 
 // Into materialises the composition into t in place, reusing t's backing
 // array: the allocation-free form of Trace for a caller that owns t and
-// rebuilds it per draw. Whatever t held before is overwritten, so nothing
-// may still be reading it; t shares nothing with the Builder.
-func (b *Builder) Into(t *Trace) error { return t.set(b.segs) }
+// rebuilds it per draw. Whatever t held before is overwritten — a deferred
+// trace's pending composition included — so nothing may still be reading
+// it; t shares nothing with the Builder.
+func (b *Builder) Into(t *Trace) error {
+	if err := t.set(b.segs); err != nil {
+		return err
+	}
+	t.lazy = nil
+	return nil
+}

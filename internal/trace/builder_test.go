@@ -151,8 +151,16 @@ func refChain(base []Segment, overrides, spans []Override) ([]Segment, error) {
 // buildChain composes the same thing through b, exactly as abtest and
 // faults drive it.
 func buildChain(b *Builder, overrides, spans []Override) (*Trace, error) {
-	if err := b.Override(overrides); err != nil {
+	if err := composeChain(b, overrides, spans); err != nil {
 		return nil, err
+	}
+	return b.Trace()
+}
+
+// composeChain is buildChain short of materialising the trace.
+func composeChain(b *Builder, overrides, spans []Override) error {
+	if err := b.Override(overrides); err != nil {
+		return err
 	}
 	if len(spans) > 0 {
 		last := spans[len(spans)-1]
@@ -160,10 +168,10 @@ func buildChain(b *Builder, overrides, spans []Override) (*Trace, error) {
 			b.Extend(end - b.Total() + time.Second)
 		}
 		if err := b.Override(spans); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return b.Trace()
+	return nil
 }
 
 func checkChain(t *testing.T, b *Builder, base []Segment, overrides, spans []Override) {
@@ -299,63 +307,51 @@ func FuzzTraceBuilder(f *testing.F) {
 	})
 }
 
-// TestBuilderAllocatesOncePerTrace pins the materialisation cost: a warmed
-// Builder composes in its own buffers, and each Trace it hands out costs
-// its header and its rows, exactly sized, carved from a slab the Builder
-// replaces once per many traces. So a thousand traces make a thousand
-// allocations plus a few slabs, and allocate their headers, their rows
-// and at most one slab's slack: a retired slab leaves less than one trace
-// unused, and the last may be all but empty. A per-trace backing array
-// doubles the count; rows rounded up to a size class, or slabs that
-// outgrow maxSlab, break the bytes.
+// TestBuilderAllocatesOncePerTrace pins the materialisation cost: each
+// Trace a warmed Builder hands out costs what New's trace of the same
+// segments does — its header and its rows, exactly sized, and nothing of
+// the Builder's buffers. Rows sized for more than their trace, or any part
+// of a composition buffer handed out with them, break it.
 func TestBuilderAllocatesOncePerTrace(t *testing.T) {
 	cfg := MarkovConfig{Base: 3 * units.Mbps, Sigma: 0.6, MeanDwell: 8 * time.Second, Duration: 30 * time.Minute}
 	overrides := []Override{{Start: 5 * time.Minute, Duration: time.Minute, Rate: 200 * units.Kbps}}
 	spans := []Override{{Start: 10 * time.Minute, Duration: 5 * time.Minute, Factor: 0.2}, {Start: 29 * time.Minute, Duration: 2 * time.Minute}}
 	var b Builder
 	rng := rand.New(rand.NewSource(1))
-	compose := func() *Trace {
+	for i := 0; i < 50; i++ {
 		b.Markov(cfg, rng)
-		tr, err := buildChain(&b, overrides, spans)
-		if err != nil {
+		if err := composeChain(&b, overrides, spans); err != nil {
 			t.Fatal(err)
 		}
-		return tr
 	}
-	compose()
-	compose() // both buffers have now held a full composition
 	const runs = 1000
-	traces := make([]*Trace, runs) // kept, so no slab is reused under a test that counts
-	var mem runtime.MemStats
-	runtime.ReadMemStats(&mem)
-	mallocs, bytes := mem.Mallocs, mem.TotalAlloc
-	for i := range traces {
-		traces[i] = compose()
+	kept := make([]*Trace, runs) // kept, so the count sees every one
+	cost := func(materialise func() (*Trace, error)) (mallocs, bytes uint64) {
+		var mem runtime.MemStats
+		runtime.ReadMemStats(&mem)
+		mallocs, bytes = mem.Mallocs, mem.TotalAlloc
+		for i := range kept {
+			tr, err := materialise()
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept[i] = tr
+		}
+		runtime.ReadMemStats(&mem)
+		return (mem.Mallocs - mallocs) / runs, (mem.TotalAlloc - bytes) / runs
 	}
-	runtime.ReadMemStats(&mem)
-	mallocs, bytes = mem.Mallocs-mallocs, mem.TotalAlloc-bytes
-	var rows, widest uint64
-	for _, tr := range traces {
-		rows += uint64(len(tr.rows))
-		widest = max(widest, uint64(len(tr.rows)))
-	}
-	// The slabs double from a few KB to maxSlab, then each holds at least
-	// maxSlab less one trace's rows.
-	slabs := 8 + rows/(maxSlab-widest)
-	header := uint64(unsafe.Sizeof(Trace{}))
-	t.Logf("%d traces: %d allocations, %d B (%d B of rows)", runs, mallocs, bytes, rows)
-	if mallocs > runs+slabs {
-		t.Errorf("%d traces made %d allocations, want at most %d: a header each and %d slabs", runs, mallocs, runs+slabs, slabs)
-	}
-	if limit := runs*header + rows + slabs*widest + maxSlab; bytes > limit {
-		t.Errorf("%d traces allocated %d B, want at most %d: their headers, their %d B of rows and one slab's slack", runs, bytes, limit, rows)
+	mallocs, bytes := cost(b.Trace)
+	newMallocs, newBytes := cost(func() (*Trace, error) { return New(b.segs) })
+	t.Logf("a %d-segment trace: Builder %d allocations, %d B; New %d, %d B", len(b.segs), mallocs, bytes, newMallocs, newBytes)
+	if mallocs > newMallocs || bytes > newBytes {
+		t.Errorf("a warmed Builder's trace makes %d allocations of %d B; New makes %d of %d B for the same segments", mallocs, bytes, newMallocs, newBytes)
 	}
 }
 
 // TestBuilderFirstTraceCostsWhatNewDoes: a Builder that materialises one
 // trace — abtest.DrawUser's, faults.Apply's — allocates no more, in count
-// or bytes, than New does for the same segments. A first slab larger
-// than its one trace fails.
+// or bytes, than New does for the same segments. Rows sized for more
+// than their one trace fail.
 func TestBuilderFirstTraceCostsWhatNewDoes(t *testing.T) {
 	cfg := MarkovConfig{Base: 3 * units.Mbps, Sigma: 0.6, MeanDwell: 8 * time.Second, Duration: 30 * time.Minute}
 	const runs = 64
@@ -388,9 +384,9 @@ func TestBuilderFirstTraceCostsWhatNewDoes(t *testing.T) {
 
 // TestBuilderTracesAreIndependent is the retention contract at its source:
 // a trace handed out earlier is untouched by everything the Builder
-// composes afterwards, and by Into rebuilding a trace carved next to it —
-// narrower, which stays inside its own region, and wider, which must move
-// it off the slab rather than over its neighbour.
+// composes afterwards, and by Into rebuilding another of its traces in
+// place — narrower, which reuses that trace's rows, and wider, which must
+// move it to rows of its own.
 func TestBuilderTracesAreIndependent(t *testing.T) {
 	var b Builder
 	cfg := MarkovConfig{Base: 3 * units.Mbps, Sigma: 0.8, MeanDwell: 4 * time.Second, Duration: 10 * time.Minute}
@@ -410,45 +406,30 @@ func TestBuilderTracesAreIndependent(t *testing.T) {
 		t.Error("a materialised trace changed when its Builder was reused")
 	}
 
-	// Three traces carved back to back from one slab: carve until the last
-	// three are.
-	var carved [3]*Trace
-	adjacent := func(a, b *Trace) bool {
-		return unsafe.Pointer(&b.rows[0]) == unsafe.Add(unsafe.Pointer(&a.rows[0]), len(a.rows))
+	b.Markov(cfg, rand.New(rand.NewSource(20)))
+	second, err := b.Trace()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for seed := int64(20); carved[0] == nil || !adjacent(carved[0], carved[1]) || !adjacent(carved[1], carved[2]); seed++ {
-		if seed == 120 {
-			t.Fatal("no three traces carved back to back from one slab; the case is not exercised")
-		}
-		b.Markov(cfg, rand.New(rand.NewSource(seed)))
-		next, err := b.Trace()
-		if err != nil {
-			t.Fatal(err)
-		}
-		carved = [3]*Trace{carved[1], carved[2], next}
-	}
-	neighbours := func() [2][]byte {
-		return [2][]byte{append([]byte(nil), carved[0].rows...), append([]byte(nil), carved[2].rows...)}
-	}
-	before, region := neighbours(), unsafe.Pointer(&carved[1].rows[0])
+	region := unsafe.Pointer(&second.rows[0])
 	for _, c := range []struct {
 		name     string
 		duration time.Duration
 		inPlace  bool
 	}{{"narrower", time.Minute, true}, {"wider", time.Hour, false}} {
 		b.Markov(MarkovConfig{Base: cfg.Base, Sigma: cfg.Sigma, MeanDwell: cfg.MeanDwell, Duration: c.duration}, rand.New(rand.NewSource(30)))
-		wantMid := append([]Segment(nil), b.segs...)
-		if err := b.Into(carved[1]); err != nil {
+		wantSecond := append([]Segment(nil), b.segs...)
+		if err := b.Into(second); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(neighbours(), before) {
-			t.Errorf("%s: rebuilding a carved trace in place changed its slab neighbours", c.name)
+		if !reflect.DeepEqual(first.Segments(), want) {
+			t.Errorf("%s: rebuilding another trace in place changed the first", c.name)
 		}
-		if !reflect.DeepEqual(carved[1].Segments(), wantMid) {
+		if !reflect.DeepEqual(second.Segments(), wantSecond) {
 			t.Errorf("%s: the rebuilt trace does not hold its composition", c.name)
 		}
-		if inPlace := unsafe.Pointer(&carved[1].rows[0]) == region; inPlace != c.inPlace {
-			t.Errorf("%s: rebuilt in its carved region %v, want %v", c.name, inPlace, c.inPlace)
+		if inPlace := unsafe.Pointer(&second.rows[0]) == region; inPlace != c.inPlace {
+			t.Errorf("%s: rebuilt in its own rows %v, want %v", c.name, inPlace, c.inPlace)
 		}
 	}
 }

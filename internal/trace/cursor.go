@@ -38,6 +38,7 @@ func (t *Trace) Cursor() *Cursor {
 func (c *Cursor) Bind(t *Trace) {
 	c.t, c.s = t, span{}
 	if t != nil {
+		t.ready()
 		c.s = t.span(0)
 	}
 }
@@ -55,7 +56,7 @@ func (c *Cursor) seek(at time.Duration) {
 		c.s = t.span(t.index(at))
 		return
 	}
-	for at >= c.s.end && c.s.i+1 < t.n {
+	for at >= c.s.end && c.s.i+1 < int(t.n) {
 		c.s = t.next(c.s)
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"bba/internal/units"
@@ -49,22 +50,62 @@ type Segment struct {
 // shifted by at most 7, holds all of it; the array ends 8 bytes after
 // byte ⌊n·w/8⌋, so that load stays inside it for every field, a
 // zero-width one at the very end included. set refuses a trace that runs
-// past maxEnd or a rate above maxRate, so every field fits its width.
+// past maxEnd or a rate above maxRate, so every field fits its width, and
+// one of more than maxSegments segments, so n fits its 32 bits.
 const (
-	maxEnd  = 1<<56 - 1 // ns, ≈ 2.3 years
-	maxRate = 1<<40 - 1 // b/s, ≈ 1.1 Tb/s
+	maxEnd      = 1<<56 - 1 // ns, ≈ 2.3 years
+	maxRate     = 1<<40 - 1 // b/s, ≈ 1.1 Tb/s
+	maxSegments = math.MaxInt32
 )
 
 // Trace is a piecewise-constant capacity process. The zero value is
-// unusable; construct traces with New or a generator. After the final
-// segment the last rate persists indefinitely. Nothing in this package
-// changes a trace New or a generator returns; only Builder.Into rewrites
-// one, and only the trace its caller hands it.
+// unusable; construct traces with New, a generator or Deferred. After the
+// final segment the last rate persists indefinitely. Nothing in this
+// package changes a trace New or a generator returns; only Builder.Into
+// rewrites one, and only the trace its caller hands it. A deferred trace
+// writes its rows once, on its first read.
 type Trace struct {
 	rows   []byte // n packed rows, then padding for the last field's load
-	n      int
 	total  time.Duration
+	lazy   *deferral // a deferred trace's composition; nil for any other
+	n      int32
 	sw, rw uint8 // bits of start and of rate in a row
+}
+
+// deferral is a deferred trace's composition, not yet written as rows.
+type deferral struct {
+	once    sync.Once
+	compose func() *Builder
+}
+
+// Deferred returns a trace whose rows are written on its first read, from
+// the composition compose leaves in the Builder it returns. compose runs
+// once, on whichever goroutine reads first, while every other first read
+// waits for it; it must compose a trace New accepts, or that read panics.
+// A deferred trace costs its header until it is read: a caller that can
+// compose the same trace again — a draw re-derived from its seed — need
+// not keep its rows alive meanwhile.
+func Deferred(compose func() *Builder) *Trace {
+	return &Trace{lazy: &deferral{compose: compose}}
+}
+
+// ready writes a deferred trace's rows, once. Every read that does not
+// start from a decoded span goes through it: Cursor.Bind, Total,
+// appendSegments, index, Rates and Slice. It inlines to one test on any
+// other trace.
+func (t *Trace) ready() {
+	if t.lazy != nil {
+		t.lazy.write(t)
+	}
+}
+
+// write writes t's rows from the composition, on the first call only.
+func (d *deferral) write(t *Trace) {
+	d.once.Do(func() {
+		if err := t.set(d.compose().segs); err != nil {
+			panic(fmt.Sprintf("trace: a deferred composition: %v", err))
+		}
+	})
 }
 
 // field returns the field of mask's width at bit offset off of rows. The
@@ -104,7 +145,7 @@ func (t *Trace) next(s span) span {
 	i, w := s.i+1, uint(t.sw+t.rw)
 	off := uint(i) * w
 	n := span{i: i, start: s.end, end: forever, rate: units.BitRate(field(t.rows, off+uint(t.sw), 1<<t.rw-1))}
-	if i+1 < t.n {
+	if i+1 < int(t.n) {
 		n.end = time.Duration(field(t.rows, off+w, 1<<t.sw-1))
 	}
 	return n
@@ -151,6 +192,9 @@ func measure(segments []Segment) (layout, error) {
 	if len(segments) == 0 {
 		return layout{}, ErrEmpty
 	}
+	if len(segments) > maxSegments {
+		return layout{}, fmt.Errorf("trace: %d segments, more than the %d a trace holds", len(segments), maxSegments)
+	}
 	var total time.Duration
 	var peak units.BitRate
 	for i, s := range segments {
@@ -186,7 +230,7 @@ func (t *Trace) write(rows []byte, segments []Segment, l layout) {
 		put(uint64(s.Rate), l.rw)
 		start += s.Duration
 	}
-	t.rows, t.n, t.total, t.sw, t.rw = rows, len(segments), l.total, uint8(l.sw), uint8(l.rw)
+	t.rows, t.n, t.total, t.sw, t.rw = rows, int32(len(segments)), l.total, uint8(l.sw), uint8(l.rw)
 }
 
 // fits reports whether a trace holds s as the segment after total: a
@@ -221,14 +265,19 @@ func MustNew(segments []Segment) *Trace {
 }
 
 // Total returns the summed duration of the explicit segments.
-func (t *Trace) Total() time.Duration { return t.total }
+func (t *Trace) Total() time.Duration {
+	t.ready()
+	return t.total
+}
 
 // Segments returns a copy of the trace's segments.
 func (t *Trace) Segments() []Segment {
+	t.ready()
 	return t.appendSegments(make([]Segment, 0, t.n))
 }
 
 func (t *Trace) appendSegments(dst []Segment) []Segment {
+	t.ready()
 	rows, sw, w := t.rows, uint(t.sw), uint(t.sw+t.rw)
 	smask, rmask := uint64(1)<<t.sw-1, uint64(1)<<t.rw-1
 	var start time.Duration // segment 0's
@@ -244,13 +293,14 @@ func (t *Trace) appendSegments(dst []Segment) []Segment {
 // index returns the segment index containing time at (clamped to the last
 // segment beyond the end): the last segment starting at or before at.
 func (t *Trace) index(at time.Duration) int {
+	t.ready()
 	if at < 0 {
 		return 0
 	}
 	rows, w, mask := t.rows, uint(t.sw+t.rw), uint64(1)<<t.sw-1
 	// Segment 0 starts at 0, so segment lo starts at or before at
 	// throughout; every segment from hi on starts after it.
-	lo, hi := 0, t.n
+	lo, hi := 0, int(t.n)
 	for hi-lo > 1 {
 		mid := int(uint(lo+hi) >> 1)
 		if time.Duration(field(rows, uint(mid)*w, mask)) <= at {
@@ -292,7 +342,7 @@ func (t *Trace) bytesBetweenFrom(s span, from, to time.Duration) (int64, span) {
 		end := min(s.end, to) // the last segment extends forever
 		sum += float64(s.rate) * (end - cursor).Seconds()
 		cursor = end
-		if cursor >= s.end && s.i+1 < t.n {
+		if cursor >= s.end && s.i+1 < int(t.n) {
 			s = t.next(s)
 		}
 	}
@@ -321,7 +371,7 @@ func (t *Trace) downloadTimeFrom(s span, start time.Duration, n int64) (time.Dur
 	remaining := float64(n * 8) // bits
 	cursor := start
 	rate := float64(s.rate)
-	for s.i+1 < t.n {
+	for s.i+1 < int(t.n) {
 		capacity := rate * (s.end - cursor).Seconds()
 		if capacity >= remaining && rate > 0 {
 			cursor += units.SecondsToDuration(remaining / rate)
@@ -353,6 +403,7 @@ func (t *Trace) Scale(f float64) *Trace {
 // trace once per sampleEvery interval. This matches how the paper computes
 // summary variability statistics from regularly reported measurements.
 func (t *Trace) Rates(sampleEvery time.Duration) []float64 {
+	t.ready()
 	if sampleEvery <= 0 {
 		sampleEvery = time.Second
 	}
@@ -472,6 +523,7 @@ func WithOverrides(base *Trace, overrides []Override) (*Trace, error) {
 // persistence rule applies beyond to. from must lie within the trace and
 // before to.
 func (t *Trace) Slice(from, to time.Duration) (*Trace, error) {
+	t.ready()
 	if from < 0 || from >= to || from >= t.total {
 		return nil, fmt.Errorf("trace: bad slice [%v, %v) of a %v trace", from, to, t.total)
 	}

@@ -6,13 +6,15 @@
 // seeded fault schedule, and checking the paper-level invariants on every
 // captured journal: sessions terminate, no rebuffer begins above
 // reservoir+slack, failover converges back to the primary, the degrade
-// path is bounded, and the collector's archive byte-agrees with the local
-// journals. SLO counters are served as Prometheus text on -metrics
-// (/metrics, /healthz); one-shot mode exits non-zero if any cycle had a
-// violation, or if an invariant the flags themselves gate (failover under
-// -faults, the reservoir claim with a BBA arm in -algs, agreement under
-// -collector-check) was skipped by every session of every cycle; the cycle
-// line and soak_invariant_skipped_total say which.
+// path is bounded, and what a real collector archived into the cycle's
+// archive store byte-agrees with the local journals. SLO counters are
+// served as Prometheus text on -metrics (/metrics, /healthz); one-shot mode
+// exits non-zero if any cycle had a violation, or if an invariant the
+// flags themselves gate (failover under -faults, the reservoir claim with
+// a BBA arm in -algs) was skipped by every session of every cycle; the
+// cycle line and soak_invariant_skipped_total say which. Each cycle's store
+// is a temporary directory, removed when the cycle ends; the cycle line
+// reports the blocks it sealed and the events left in its WAL tail.
 //
 // Examples:
 //
@@ -45,7 +47,6 @@ func main() {
 		shape    = flag.Int("shape-kbps", 4000, "per-session shaped downstream capacity")
 		algs     = flag.String("algs", "", "comma-separated algorithm rotation (default: built-in mix)")
 		url      = flag.String("url", "", "target an already-running origin (disables in-process origins)")
-		colCheck = flag.Bool("collector-check", true, "ship journals through a real collector and cross-check bytes")
 		faultsOn = flag.Bool("faults", true, "origin-side fault injection + failover secondary")
 		metrics  = flag.String("metrics", "127.0.0.1:0", "/metrics + /healthz listen address (\"\" disables; \":0\" prints the bound port)")
 		journal  = flag.String("journal", "", "append soak_cycle/slo_breach JSONL to this file")
@@ -55,15 +56,14 @@ func main() {
 	cfg := soakConfig{
 		cycles: *cycles, interval: *interval, metricsAddr: *metrics, journal: *journal,
 		soak: soak.Config{
-			Sessions:       *sessions,
-			Seed:           *seed,
-			Watch:          *watch,
-			ChunkMS:        *chunkMS,
-			ShapeKbps:      *shape,
-			Algorithms:     splitAlgs(*algs),
-			BaseURL:        *url,
-			DisableFaults:  !*faultsOn,
-			CollectorCheck: *colCheck,
+			Sessions:      *sessions,
+			Seed:          *seed,
+			Watch:         *watch,
+			ChunkMS:       *chunkMS,
+			ShapeKbps:     *shape,
+			Algorithms:    splitAlgs(*algs),
+			BaseURL:       *url,
+			DisableFaults: !*faultsOn,
 		},
 	}
 	obs.Main("bbasoak", func(ctx context.Context) error { return runSoak(ctx, cfg) })

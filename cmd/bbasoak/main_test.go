@@ -28,14 +28,13 @@ func TestSoakOneShot(t *testing.T) {
 		journal:     journal,
 		ready:       ready,
 		soak: soak.Config{
-			Sessions:       2,
-			Seed:           21,
-			Watch:          1500 * time.Millisecond,
-			ChunkMS:        250,
-			ShapeKbps:      20000,
-			Algorithms:     []string{"BBA-0", "Control"},
-			DisableFaults:  true,
-			CollectorCheck: true,
+			Sessions:      2,
+			Seed:          21,
+			Watch:         1500 * time.Millisecond,
+			ChunkMS:       250,
+			ShapeKbps:     20000,
+			Algorithms:    []string{"BBA-0", "Control"},
+			DisableFaults: true,
 		},
 	}
 

@@ -1,7 +1,5 @@
 package collect
 
-import "io"
-
 // Archiver persists admitted event batches. The collector calls Append
 // once per fresh event frame, before the frame's sequence number is
 // spent: a nil return means the batch is durably accepted and the frame
@@ -12,28 +10,8 @@ import "io"
 // implementations must not retain the batch slice.
 //
 // archive.Store satisfies Archiver directly, giving the collector a
-// queryable columnar archive (bbacollect -store); WriterArchiver adapts
-// an io.Writer as the in-memory sink soak's collector_agreement check and
-// the collector tests read back.
+// queryable columnar archive: bbacollect -store and every soak cycle run
+// the collector over one.
 type Archiver interface {
 	Append(run string, batch []byte) error
-}
-
-// WriterArchiver adapts an io.Writer into an Archiver: every batch is
-// appended to W verbatim, all runs interleaved, so W accumulates one
-// valid journal JSONL stream in admission order. It is a capture, not a
-// durable record: a nil Append return lets the collector acknowledge the
-// frame, after which the shipper drops its only other copy.
-type WriterArchiver struct {
-	W io.Writer
-}
-
-// Append writes the batch to the underlying writer. A short write is an
-// error: the collector must not acknowledge a half-persisted batch.
-func (a WriterArchiver) Append(run string, batch []byte) error {
-	n, err := a.W.Write(batch)
-	if err == nil && n != len(batch) {
-		err = io.ErrShortWrite
-	}
-	return err
 }

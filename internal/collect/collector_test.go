@@ -26,9 +26,18 @@ func eventsPayload(n int) []byte {
 	return b
 }
 
+// bufArchiver captures every admitted batch, all runs interleaved, in
+// admission order.
+type bufArchiver struct{ *bytes.Buffer }
+
+func (a bufArchiver) Append(_ string, batch []byte) error {
+	_, err := a.Write(batch)
+	return err
+}
+
 func TestCollectorIngestEvents(t *testing.T) {
 	var archive bytes.Buffer
-	c := NewCollector(CollectorConfig{Archive: WriterArchiver{W: &archive}})
+	c := NewCollector(CollectorConfig{Archive: bufArchiver{&archive}})
 	f1 := AppendFrame(nil, Frame{Run: "r", Session: 1, Seq: 0, Kind: PayloadEvents, Payload: eventsPayload(3)})
 	f2 := AppendFrame(nil, Frame{Run: "r", Session: 1, Seq: 1, Kind: PayloadEvents, Payload: eventsPayload(2)})
 	for _, f := range [][]byte{f1, f2, f1, f2, f1} {

@@ -19,8 +19,9 @@ import (
 // internal/archive imports internal/campaign, if a non-test file outside
 // internal/campaign and internal/coord (bench/ is its own module) records a
 // shard into a campaign checkpoint, if a PayloadKind constant other than
-// PayloadEvents is declared, or if a non-test file names any part of the
-// deleted campaign lane again.
+// PayloadEvents is declared, if a non-test file names any part of the
+// deleted campaign lane again, or if a non-test file names WriterArchiver,
+// the in-memory archive lane beside archive.Store, again.
 func TestOneRemoteFold(t *testing.T) {
 	root := filepath.Join("..", "..")
 	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
@@ -63,6 +64,9 @@ func TestOneRemoteFold(t *testing.T) {
 			if !test && strings.Contains(string(src), name) {
 				t.Errorf("%s names %s: the collector's campaign lane is gone; shards go through internal/coord", rel, name)
 			}
+		}
+		if !test && strings.Contains(string(src), "WriterArchiver") {
+			t.Errorf("%s names WriterArchiver: one archive lane: archive.Store", rel)
 		}
 		if !events[dir] {
 			return nil

@@ -18,7 +18,7 @@ type seqCollector struct {
 
 func newSeqCollector() *seqCollector {
 	c := new(seqCollector)
-	c.Collector = NewCollector(CollectorConfig{Archive: WriterArchiver{W: &c.archive}})
+	c.Collector = NewCollector(CollectorConfig{Archive: bufArchiver{&c.archive}})
 	return c
 }
 

@@ -73,8 +73,10 @@ func (v Violation) String() string {
 // record. It returns the violations found, the names of the invariants
 // that were actually evaluated, and the names of those that were not — an
 // invariant that does not apply or cannot be decided (single endpoint or a
-// fault-free tail too short for a fail-back streak, no reservoir reports,
-// collector check off) is neither checked nor violated, and says so.
+// fault-free tail too short for a fail-back streak, no reservoir reports)
+// is neither checked nor violated, and says so. Collector agreement is
+// decided on every session: every cycle ships every session into a store,
+// so an empty archive for a non-empty journal is a loss, not a skip.
 func CheckSession(rec *SessionRecord) (violations []Violation, checked, skipped []string) {
 	add := func(inv, detail string) {
 		violations = append(violations, Violation{Invariant: inv, Session: rec.Session, Detail: detail})
@@ -113,10 +115,8 @@ func CheckSession(rec *SessionRecord) (violations []Violation, checked, skipped 
 		violations = append(violations, checkFailover(rec)...)
 	}
 
-	if rec.Archive != nil || rec.Dropped > 0 {
-		checked = append(checked, InvCollectorAgreement)
-		violations = append(violations, checkCollector(rec)...)
-	}
+	checked = append(checked, InvCollectorAgreement)
+	violations = append(violations, checkCollector(rec)...)
 names:
 	for _, name := range InvariantNames() {
 		for _, c := range checked {
@@ -229,7 +229,7 @@ func checkFailover(rec *SessionRecord) (violations []Violation) {
 }
 
 // checkCollector re-encodes the local capture with the canonical journal
-// encoding and demands the collector's archive for the session be
+// encoding and demands that what the store archived for the session be
 // byte-identical, with zero shipper loss.
 func checkCollector(rec *SessionRecord) (violations []Violation) {
 	if rec.Dropped > 0 {

@@ -12,17 +12,27 @@ import (
 	"bba/internal/telemetry"
 )
 
-// rec builds a baseline session record the tests then distort.
+// rec builds a baseline session record the tests then distort: its
+// archive agrees with its journal, so only the invariant under test fails.
 func rec(events ...telemetry.Event) *SessionRecord {
-	return &SessionRecord{
+	r := &SessionRecord{
 		Session:       "c0.s0.test",
 		Algorithm:     "test",
-		Events:        events,
 		Result:        &player.Result{},
 		Endpoints:     1,
 		MaxAttempts:   6,
 		ChunkDuration: 500 * time.Millisecond,
 		ChunkTimeout:  2 * time.Second,
+	}
+	setEvents(r, events...)
+	return r
+}
+
+// setEvents replaces r's journal and archives exactly that journal.
+func setEvents(r *SessionRecord, events ...telemetry.Event) {
+	r.Events, r.Archive = events, nil
+	for _, e := range events {
+		r.Archive = telemetry.AppendJSONL(r.Archive, e)
 	}
 }
 
@@ -55,20 +65,20 @@ func TestCheckSessionCleanPass(t *testing.T) {
 	if len(vs) != 0 {
 		t.Fatalf("clean session violated: %v", vs)
 	}
-	for _, want := range []string{InvTerminates, InvDegradeTerminates} {
+	for _, want := range []string{InvTerminates, InvDegradeTerminates, InvCollectorAgreement} {
 		if !hasCheck(checked, want) {
 			t.Errorf("%s not checked; checked=%v", want, checked)
 		}
 	}
-	// Single endpoint, no reservoir reports, collector off: those
-	// invariants must not count as evaluated.
-	for _, skip := range []string{InvNoRebufferAboveReservoir, InvFailoverConverges, InvCollectorAgreement} {
+	// Single endpoint, no reservoir reports: those invariants must not
+	// count as evaluated.
+	for _, skip := range []string{InvNoRebufferAboveReservoir, InvFailoverConverges} {
 		if hasCheck(checked, skip) {
 			t.Errorf("%s checked on a session it cannot apply to", skip)
 		}
 	}
 	// … and must say so: every invariant is either checked or skipped.
-	if want := []string{InvNoRebufferAboveReservoir, InvFailoverConverges, InvCollectorAgreement}; !reflect.DeepEqual(skipped, want) {
+	if want := []string{InvNoRebufferAboveReservoir, InvFailoverConverges}; !reflect.DeepEqual(skipped, want) {
 		t.Errorf("skipped = %v, want %v", skipped, want)
 	}
 	if len(checked)+len(skipped) != len(InvariantNames()) {
@@ -105,12 +115,12 @@ func TestDegradeBoundsRetries(t *testing.T) {
 	r.MaxAttempts = 3 // budget: 2 retries per chunk
 	retry := ev(telemetry.ChunkRetry)
 	retry.Chunk = 4
-	r.Events = []telemetry.Event{ev(telemetry.SessionStart), retry, retry, retry, ev(telemetry.SessionEnd)}
+	setEvents(r, ev(telemetry.SessionStart), retry, retry, retry, ev(telemetry.SessionEnd))
 	vs, _, _ := CheckSession(r)
 	hasViolation(t, vs, InvDegradeTerminates, "retried 3 times, budget 2")
 
 	// Exactly at budget: fine.
-	r.Events = []telemetry.Event{ev(telemetry.SessionStart), retry, retry, ev(telemetry.SessionEnd)}
+	setEvents(r, ev(telemetry.SessionStart), retry, retry, ev(telemetry.SessionEnd))
 	if vs, _, _ := CheckSession(r); len(vs) != 0 {
 		t.Fatalf("within-budget retries violated: %v", vs)
 	}
@@ -124,7 +134,7 @@ func TestDegradeIncompleteNeedsOutageMarker(t *testing.T) {
 
 	marker := ev(telemetry.RebufferStart)
 	marker.Label = "outage"
-	r.Events = []telemetry.Event{ev(telemetry.SessionStart), marker, ev(telemetry.SessionEnd)}
+	setEvents(r, ev(telemetry.SessionStart), marker, ev(telemetry.SessionEnd))
 	if vs, _, _ := CheckSession(r); len(vs) != 0 {
 		t.Fatalf("marked incomplete session violated: %v", vs)
 	}
@@ -150,7 +160,7 @@ func TestReservoirInvariant(t *testing.T) {
 	// path's business, not the reservoir claim's.
 	retry := ev(telemetry.ChunkRetry)
 	retry.Chunk = 5
-	r.Events = []telemetry.Event{ev(telemetry.SessionStart), reservoir, sample, retry, stall, ev(telemetry.SessionEnd)}
+	setEvents(r, ev(telemetry.SessionStart), reservoir, sample, retry, stall, ev(telemetry.SessionEnd))
 	if vs, _, _ := CheckSession(r); len(vs) != 0 {
 		t.Fatalf("retried-chunk stall violated: %v", vs)
 	}
@@ -158,7 +168,7 @@ func TestReservoirInvariant(t *testing.T) {
 	// An outage-labelled stall is exempt too.
 	outage := stall
 	outage.Label = "outage"
-	r.Events = []telemetry.Event{ev(telemetry.SessionStart), reservoir, sample, outage, ev(telemetry.SessionEnd)}
+	setEvents(r, ev(telemetry.SessionStart), reservoir, sample, outage, ev(telemetry.SessionEnd))
 	if vs, _, _ := CheckSession(r); len(vs) != 0 {
 		t.Fatalf("outage stall violated: %v", vs)
 	}
@@ -166,13 +176,13 @@ func TestReservoirInvariant(t *testing.T) {
 	// Low buffer at stall time: the paper permits it.
 	low := ev(telemetry.BufferSample)
 	low.Buffer = 200 * time.Millisecond
-	r.Events = []telemetry.Event{ev(telemetry.SessionStart), reservoir, low, stall, ev(telemetry.SessionEnd)}
+	setEvents(r, ev(telemetry.SessionStart), reservoir, low, stall, ev(telemetry.SessionEnd))
 	if vs, _, _ := CheckSession(r); len(vs) != 0 {
 		t.Fatalf("low-buffer stall violated: %v", vs)
 	}
 
 	// No reservoir report at all (estimator algorithms): not applicable.
-	r.Events = []telemetry.Event{ev(telemetry.SessionStart), sample, stall, ev(telemetry.SessionEnd)}
+	setEvents(r, ev(telemetry.SessionStart), sample, stall, ev(telemetry.SessionEnd))
 	vs, checked, skipped = CheckSession(r)
 	if hasCheck(checked, InvNoRebufferAboveReservoir) || !hasCheck(skipped, InvNoRebufferAboveReservoir) {
 		t.Fatal("reservoir invariant checked, or not reported skipped, without a reservoir report")
@@ -209,27 +219,21 @@ func TestFailoverConverges(t *testing.T) {
 	}
 	r.TailChunks = dash.FailBackAfter
 
-	r.Events = []telemetry.Event{ev(telemetry.SessionStart), away, back, ev(telemetry.SessionEnd)}
+	setEvents(r, ev(telemetry.SessionStart), away, back, ev(telemetry.SessionEnd))
 	if vs, _, _ := CheckSession(r); len(vs) != 0 {
 		t.Fatalf("converged session violated: %v", vs)
 	}
 
 	// No failover at all converges vacuously.
-	r.Events = []telemetry.Event{ev(telemetry.SessionStart), ev(telemetry.SessionEnd)}
+	setEvents(r, ev(telemetry.SessionStart), ev(telemetry.SessionEnd))
 	if vs, _, _ := CheckSession(r); len(vs) != 0 {
 		t.Fatalf("failover-free session violated: %v", vs)
 	}
 }
 
 func TestCollectorAgreement(t *testing.T) {
-	events := []telemetry.Event{ev(telemetry.SessionStart), ev(telemetry.ChunkRequest), ev(telemetry.SessionEnd)}
-	var archived []byte
-	for _, e := range events {
-		archived = telemetry.AppendJSONL(archived, e)
-	}
-
-	r := rec(events...)
-	r.Archive = archived
+	r := rec(ev(telemetry.SessionStart), ev(telemetry.ChunkRequest), ev(telemetry.SessionEnd))
+	archived := r.Archive
 	vs, checked, skipped := CheckSession(r)
 	if !hasCheck(checked, InvCollectorAgreement) || hasCheck(skipped, InvCollectorAgreement) {
 		t.Fatal("collector invariant not checked despite an archive")
@@ -237,6 +241,14 @@ func TestCollectorAgreement(t *testing.T) {
 	if len(vs) != 0 {
 		t.Fatalf("byte-identical archive violated: %v", vs)
 	}
+
+	// Nothing archived and nothing dropped is a loss, not a skip.
+	r.Archive = nil
+	vs, checked, skipped = CheckSession(r)
+	if !hasCheck(checked, InvCollectorAgreement) || hasCheck(skipped, InvCollectorAgreement) {
+		t.Fatal("collector invariant skipped on a session whose journal reached no archive")
+	}
+	hasViolation(t, vs, InvCollectorAgreement, "!= local journal")
 
 	r.Archive = archived[:len(archived)-2]
 	vs, _, _ = CheckSession(r)

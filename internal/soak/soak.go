@@ -11,17 +11,18 @@
 package soak
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
 	"net"
 	"net/http"
-	"strconv"
+	"os"
+	"slices"
 	"sync"
 	"time"
 
 	"bba/internal/abr"
+	"bba/internal/archive"
 	"bba/internal/collect"
 	"bba/internal/dash"
 	"bba/internal/faults"
@@ -68,10 +69,6 @@ type Config struct {
 	// secondary origin that exists to absorb failover). Client-side
 	// blackouts still apply.
 	DisableFaults bool
-	// CollectorCheck ships every session's events through a real
-	// internal/collect pipeline (loopback HTTP) and cross-checks the
-	// collector's archive byte-for-byte against the local journals.
-	CollectorCheck bool
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
 }
@@ -102,7 +99,7 @@ func (c Config) withDefaults() Config {
 // under it that never decides one has verified nothing about it: the
 // reservoir claim when the rotation reaches an algorithm that reports a
 // reservoir, failover convergence when in-process origins inject faults
-// beside a clean secondary, collector agreement when the check is on.
+// beside a clean secondary, and always collector agreement.
 func (c Config) gated() []string {
 	var gated []string
 	for i := 0; i < c.Sessions && i < len(c.Algorithms); i++ {
@@ -115,10 +112,7 @@ func (c Config) gated() []string {
 	if c.BaseURL == "" && !c.DisableFaults {
 		gated = append(gated, InvFailoverConverges)
 	}
-	if c.CollectorCheck {
-		gated = append(gated, InvCollectorAgreement)
-	}
-	return gated
+	return append(gated, InvCollectorAgreement)
 }
 
 // chunkDuration returns the configured chunk duration.
@@ -174,9 +168,9 @@ type SessionRecord struct {
 	// ChunkTimeout is the per-attempt timeout; a zero-retry download can
 	// never have taken longer than this.
 	ChunkTimeout time.Duration
-	// Archive is the collector's archived JSONL for this session (nil
-	// when the collector check is off); Dropped counts events the
-	// shipper's hot path lost.
+	// Archive is what the cycle's store holds for this session, read back
+	// with archive.Store.Scan and re-encoded as journal JSONL (empty when
+	// nothing was archived).
 	Archive []byte
 	// Dropped counts shipper-side event and frame loss; any loss fails
 	// the collector-agreement invariant.
@@ -193,9 +187,12 @@ type Cycle struct {
 	Violations []Violation
 	// Checks counts invariant evaluations by name, Skipped the sessions an
 	// invariant could not be checked against (single endpoint, too short a
-	// fault-free tail, no reservoir events, collector check off): per
-	// invariant, every session lands in exactly one of the two.
+	// fault-free tail, no reservoir events): per invariant, every session
+	// lands in exactly one of the two.
 	Checks, Skipped map[string]int
+	// Store is the cycle store's footprint when its collector stopped:
+	// the blocks compaction sealed and the events left in the WAL tail.
+	Store archive.RunStats
 	// Duration is the cycle's wall-clock time.
 	Duration time.Duration
 }
@@ -285,22 +282,27 @@ func (r *Runner) RunCycle(ctx context.Context, cycle int) (*Cycle, error) {
 	}
 	defer shutdown()
 
-	// Optional collector pipeline on loopback HTTP.
-	var (
-		archive  syncBuffer
-		shippers []*collect.Shipper
-		colStop  func()
-	)
-	colAddr := ""
-	if cfg.CollectorCheck {
-		colAddr, colStop, err = startCollector(&archive)
-		if err != nil {
-			return nil, err
-		}
-		defer colStop() // idempotent: the early stop below is the normal path
+	// The collection pipeline on loopback HTTP, archiving into a store
+	// that lives as long as the cycle.
+	run := fmt.Sprintf("soak-c%d", cycle)
+	dir, err := os.MkdirTemp("", "bbasoak-")
+	if err != nil {
+		return nil, err
 	}
+	defer os.RemoveAll(dir)
+	store, err := archive.Open(archive.Config{Dir: dir, CompactEvents: CompactEvents})
+	if err != nil {
+		return nil, err
+	}
+	defer store.Close() // read back and measured before this; the directory goes next
+	colAddr, colStop, err := startCollector(store)
+	if err != nil {
+		return nil, err
+	}
+	defer colStop() // idempotent: the early stop below is the normal path
 
 	records := make([]SessionRecord, cfg.Sessions)
+	shippers := make([]*collect.Shipper, cfg.Sessions)
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Sessions; i++ {
 		alg := cfg.Algorithms[i%len(cfg.Algorithms)]
@@ -311,20 +313,17 @@ func (r *Runner) RunCycle(ctx context.Context, cycle int) (*Cycle, error) {
 		rec.Seed = seed
 		rec.Algorithm = alg
 
-		var shipper *collect.Shipper
-		if cfg.CollectorCheck {
-			shipper, err = collect.NewShipper(collect.ShipperConfig{
-				Addr:          "http://" + colAddr,
-				Run:           fmt.Sprintf("soak-c%d", cycle),
-				Session:       uint64(i + 1),
-				FlushInterval: -1, // sealed explicitly at session end
-				Retry:         collect.RetryPolicy{Seed: seed},
-			})
-			if err != nil {
-				return nil, err
-			}
-			shippers = append(shippers, shipper)
+		shipper, err := collect.NewShipper(collect.ShipperConfig{
+			Addr:          "http://" + colAddr,
+			Run:           run,
+			Session:       uint64(i + 1),
+			FlushInterval: -1, // sealed explicitly at session end
+			Retry:         collect.RetryPolicy{Seed: seed},
+		})
+		if err != nil {
+			return nil, err
 		}
+		shippers[i] = shipper
 
 		wg.Add(1)
 		go func() {
@@ -334,19 +333,18 @@ func (r *Runner) RunCycle(ctx context.Context, cycle int) (*Cycle, error) {
 	}
 	wg.Wait()
 
-	if cfg.CollectorCheck {
-		for i, s := range shippers {
-			s.Seal()
-			if err := s.Close(); err != nil {
-				records[i].Dropped++ // a flush that missed Close's deadline counts as loss
-			}
-			st := s.Stats()
-			records[i].Dropped += st.EventsDropped + st.FramesDropped
+	for i, s := range shippers {
+		s.Seal()
+		if err := s.Close(); err != nil {
+			records[i].Dropped++ // a flush that missed Close's deadline counts as loss
 		}
-		colStop()
-		archived := archive.bytes()
-		for i := range records {
-			records[i].Archive = filterSession(archived, records[i].Session)
+		st := s.Stats()
+		records[i].Dropped += st.EventsDropped + st.FramesDropped
+	}
+	colStop()
+	for i := range records {
+		if records[i].Archive, err = readBack(store, run, records[i].Session); err != nil {
+			return nil, fmt.Errorf("soak: reading back %s: %w", records[i].Session, err)
 		}
 	}
 
@@ -360,6 +358,11 @@ func (r *Runner) RunCycle(ctx context.Context, cycle int) (*Cycle, error) {
 		Checks:   make(map[string]int),
 		Skipped:  make(map[string]int),
 		Duration: time.Since(cycleStart),
+	}
+	for _, st := range store.Stats() {
+		if st.Run == run {
+			c.Store = st
+		}
 	}
 	for i := range records {
 		vs, checked, skipped := CheckSession(&records[i])
@@ -381,7 +384,8 @@ func (r *Runner) RunCycle(ctx context.Context, cycle int) (*Cycle, error) {
 			skipped += fmt.Sprintf("; %s skipped ×%d", name, n)
 		}
 	}
-	logf("cycle %d: %d sessions, %d violations in %v%s", cycle, len(records), len(c.Violations), c.Duration.Round(10*time.Millisecond), skipped)
+	logf("cycle %d: %d sessions, %d violations in %v; store %d blocks + %d WAL events%s",
+		cycle, len(records), len(c.Violations), c.Duration.Round(10*time.Millisecond), c.Store.Blocks, c.Store.WALEvents, skipped)
 	return c, nil
 }
 
@@ -484,10 +488,6 @@ func (r *Runner) runSession(ctx context.Context, rec *SessionRecord, endpoints [
 		return
 	}
 	capture := &telemetry.Capture{}
-	var obs telemetry.Observer = capture
-	if shipper != nil {
-		obs = telemetry.Multi(capture, shipper)
-	}
 	// A quarter of the watch window, floored at two chunks so the ON-OFF
 	// loop always has room to operate even under tiny test windows.
 	bufMax := cfg.Watch / 4
@@ -501,7 +501,7 @@ func (r *Runner) runSession(ctx context.Context, rec *SessionRecord, endpoints [
 		Algorithm:  algorithm,
 		BufferMax:  bufMax,
 		WatchLimit: cfg.Watch,
-		Observer:   stamped{session: rec.Session, next: obs},
+		Observer:   stamped{session: rec.Session, next: telemetry.Multi(capture, shipper)},
 	})
 	rec.Events = capture.Events
 }
@@ -591,29 +591,16 @@ func (s stamped) OnEvent(e telemetry.Event) {
 	s.next.OnEvent(e)
 }
 
-// syncBuffer is an archiver sink safe for use as the collector's archive
-// writer and for reading after the collector stops.
-type syncBuffer struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (b *syncBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
-}
-
-func (b *syncBuffer) bytes() []byte {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return append([]byte(nil), b.buf.Bytes()...)
-}
+// CompactEvents is the WAL size, in events, at which a cycle's store seals
+// a block: one shipper frame's worth, so a CI-gate cycle (four sessions of
+// about 50 events at a 6s watch) seals blocks and every cycle runs the
+// WAL, compaction, the block reader and Scan.
+const CompactEvents = 64
 
 // startCollector boots a real collector on loopback HTTP, archiving every
-// admitted event batch into sink.
-func startCollector(sink *syncBuffer) (addr string, stop func(), err error) {
-	col := collect.NewCollector(collect.CollectorConfig{Archive: collect.WriterArchiver{W: sink}})
+// admitted event batch into store.
+func startCollector(store *archive.Store) (addr string, stop func(), err error) {
+	col := collect.NewCollector(collect.CollectorConfig{Archive: store})
 	srv, err := obs.Serve("127.0.0.1:0", col.Handler(), 3*time.Second, nil)
 	if err != nil {
 		return "", nil, err
@@ -621,24 +608,18 @@ func startCollector(sink *syncBuffer) (addr string, stop func(), err error) {
 	return srv.Addr(), func() { srv.Close(context.Background()) }, nil
 }
 
-// filterSession extracts the archive's JSONL lines belonging to one
-// session, preserving their exact bytes and admitted order. Line format
-// is the canonical journal encoding, so the session field is a fixed
-// early key and a quoted exact match cannot collide across sessions.
-func filterSession(archive []byte, session string) []byte {
-	needle := []byte(`"session":` + strconv.Quote(session))
-	var out []byte
-	for len(archive) > 0 {
-		nl := bytes.IndexByte(archive, '\n')
-		var line []byte
-		if nl < 0 {
-			line, archive = archive, nil
-		} else {
-			line, archive = archive[:nl+1], archive[nl+1:]
-		}
-		if bytes.Contains(line, needle) {
-			out = append(out, line...)
-		}
+// readBack returns what store archived for one session of run: its events
+// in admission order, re-encoded as the journal JSONL the shipper sent.
+// Scan matches the session label exactly. A run the store has never seen —
+// every session failed before emitting — reads as empty.
+func readBack(store *archive.Store, run, session string) ([]byte, error) {
+	if !slices.Contains(store.Runs(), run) {
+		return nil, nil
 	}
-	return out
+	var out []byte
+	err := store.Scan(archive.Query{Run: run, Session: session}, func(e telemetry.Event) bool {
+		out = telemetry.AppendJSONL(out, e)
+		return true
+	})
+	return out, err
 }

@@ -1,31 +1,36 @@
 package soak
 
 import (
+	"bytes"
 	"context"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"bba/internal/archive"
 	"bba/internal/telemetry"
 )
 
 // TestRunCycleClean drives one full cycle — real origin, real sockets,
-// netem-shaped transports, real collector pipeline — with fault
-// injection off, and demands a clean bill: every invariant that applies
-// evaluated, zero violations, collector archive byte-identical.
+// netem-shaped transports, real collector pipeline into an archive store —
+// with fault injection off, and demands a clean bill: every invariant that
+// applies evaluated, zero violations, the store's read-back byte-identical,
+// at least one block sealed, and no store left on disk afterwards.
 func TestRunCycleClean(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
 	r := NewRunner(Config{
-		Sessions:       4,
-		Seed:           11,
-		Watch:          2 * time.Second,
-		ChunkMS:        250,
-		ShapeKbps:      20000,
-		Algorithms:     []string{"BBA-0", "Control", "BBA-2", "SmoothThroughput"},
-		DisableFaults:  true,
-		CollectorCheck: true,
-		Logf:           t.Logf,
+		Sessions:      4,
+		Seed:          11,
+		Watch:         2 * time.Second,
+		ChunkMS:       250,
+		ShapeKbps:     20000,
+		Algorithms:    []string{"BBA-0", "Control", "BBA-2", "SmoothThroughput"},
+		DisableFaults: true,
+		Logf:          t.Logf,
 	})
 	r.Metrics = NewMetrics()
 	capture := &telemetry.Capture{}
@@ -49,6 +54,12 @@ func TestRunCycleClean(t *testing.T) {
 	}
 	if got := c.Checks[InvFailoverConverges]; got != 0 {
 		t.Errorf("failover checked %d times on a single-endpoint cycle, want 0", got)
+	}
+	if c.Store.Blocks < 1 {
+		t.Errorf("cycle store %+v sealed no block: compaction never ran", c.Store)
+	}
+	if left, err := os.ReadDir(tmp); err != nil || len(left) != 0 {
+		t.Errorf("cycle left %v behind in its temp dir (%v): a daemon would fill the disk", left, err)
 	}
 	for i := range c.Sessions {
 		s := &c.Sessions[i]
@@ -149,7 +160,7 @@ func TestRunCountsFailures(t *testing.T) {
 		t.Fatalf("failed = %d, want 2", failed)
 	}
 	if len(undecided) != 0 {
-		t.Errorf("undecided = %v: an external origin, an estimator and no collector gate nothing", undecided)
+		t.Errorf("undecided = %v: an external origin and an estimator gate only collector agreement, which every session decides", undecided)
 	}
 	if r.Metrics.Healthy() {
 		t.Error("metrics report healthy after consecutive failing cycles")
@@ -169,10 +180,10 @@ func TestGatedInvariants(t *testing.T) {
 		cfg  Config
 		want []string
 	}{
-		{"defaults", Config{CollectorCheck: true}, []string{InvNoRebufferAboveReservoir, InvFailoverConverges, InvCollectorAgreement}},
-		{"no faults, fixed-reservoir and estimator arms", Config{Sessions: 2, Algorithms: []string{"BBA-0", "Control"}, DisableFaults: true, CollectorCheck: true}, []string{InvCollectorAgreement}},
-		{"external origin", Config{BaseURL: "http://127.0.0.1:1", Algorithms: []string{"BBA-2"}}, []string{InvNoRebufferAboveReservoir}},
-		{"rotation never reaches the BBA arm", Config{Sessions: 1, Algorithms: []string{"Control", "BBA-2"}, DisableFaults: true}, nil},
+		{"defaults", Config{}, []string{InvNoRebufferAboveReservoir, InvFailoverConverges, InvCollectorAgreement}},
+		{"no faults, fixed-reservoir and estimator arms", Config{Sessions: 2, Algorithms: []string{"BBA-0", "Control"}, DisableFaults: true}, []string{InvCollectorAgreement}},
+		{"external origin", Config{BaseURL: "http://127.0.0.1:1", Algorithms: []string{"BBA-2"}}, []string{InvNoRebufferAboveReservoir, InvCollectorAgreement}},
+		{"rotation never reaches the BBA arm", Config{Sessions: 1, Algorithms: []string{"Control", "BBA-2"}, DisableFaults: true}, []string{InvCollectorAgreement}},
 	} {
 		if got := NewRunner(tc.cfg).Config().gated(); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: gated = %v, want %v", tc.name, got, tc.want)
@@ -240,18 +251,41 @@ func TestProjectAndRender(t *testing.T) {
 	}
 }
 
-func TestFilterSession(t *testing.T) {
-	var archive []byte
-	a := telemetry.Event{Kind: telemetry.SessionStart, Session: "c0.s1.A"}
-	b := telemetry.Event{Kind: telemetry.SessionStart, Session: "c0.s11.A"} // superstring name
-	archive = telemetry.AppendJSONL(archive, a)
-	archive = telemetry.AppendJSONL(archive, b)
-	archive = telemetry.AppendJSONL(archive, a)
-
-	var want []byte
-	want = telemetry.AppendJSONL(want, a)
-	want = telemetry.AppendJSONL(want, a)
-	if got := filterSession(archive, "c0.s1.A"); string(got) != string(want) {
-		t.Fatalf("filterSession mixed sessions:\n got %q\nwant %q", got, want)
+// TestReadBack: a cycle's read-back returns each session's exact bytes in
+// admission order from sealed blocks and the WAL tail alike, never a
+// session whose label merely contains the queried one, and reads a run the
+// store has never seen as empty.
+func TestReadBack(t *testing.T) {
+	store, err := archive.Open(archive.Config{Dir: t.TempDir(), CompactEvents: CompactEvents})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	const run = "soak-c0"
+	sessions := []string{"c0.s1.A", "c0.s11.A"} // a label and its superstring
+	want := make(map[string][]byte)
+	for i := 0; i < CompactEvents*5/4; i++ {
+		s := sessions[i%2]
+		e := telemetry.Event{Kind: telemetry.ChunkRequest, Session: s, Chunk: i, RateIndex: i % 3, PrevRateIndex: -1, Bytes: int64(1000 + i)}
+		batch := telemetry.AppendJSONL(nil, e)
+		want[s] = append(want[s], batch...)
+		if err := store.Append(run, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := store.Stats(); len(st) != 1 || st[0].Blocks < 1 || st[0].WALEvents < 1 {
+		t.Fatalf("store stats %+v, want a sealed block and a non-empty WAL tail", st)
+	}
+	for _, s := range sessions {
+		got, err := readBack(store, run, s)
+		if err != nil {
+			t.Fatalf("readBack %s: %v", s, err)
+		}
+		if !bytes.Equal(got, want[s]) {
+			t.Errorf("readBack %s:\n got %q\nwant %q", s, got, want[s])
+		}
+	}
+	if got, err := readBack(store, "soak-c1", sessions[0]); err != nil || len(got) != 0 {
+		t.Errorf("readBack of an unknown run = %q, %v; want empty, nil", got, err)
 	}
 }

@@ -271,7 +271,10 @@ func ObservedTrace(res *Result) (*Trace, error) {
 // groups (Control, Rmin Always, BBA-0/1/2/Others) over a synthetic
 // population calibrated to the paper's variability statistics. days and
 // sessionsPerWindow size the population; the result is deterministic in
-// seed.
+// seed. The outcome holds each group's per-window aggregates, the campaign
+// report, and every pair of groups compared draw by draw
+// (WeekendOutcome.Pairs, which SignificanceRebuffers reads); no session is
+// retained, so memory does not grow with the population.
 func Experiment(seed int64, days, sessionsPerWindow int) (*campaign.WeekendOutcome, error) {
 	return campaign.RunWeekend(context.Background(), campaign.WeekendConfig(seed, days, sessionsPerWindow))
 }

@@ -96,16 +96,20 @@ func TestArenaEntrants(t *testing.T) {
 	}
 }
 
-// TestArenaGolden pins `arena -json` to sha256s taken from the parent
-// commit's `bbarena -json` and `bbarena -json -faults` (default field, 2000
-// draws).
+// TestArenaGolden pins the arena's table to sha256s taken from the parent
+// commit's `bbarena` and `bbarena -faults` (default field, 2000 draws) —
+// unchanged since, at any worker count, because it prints only each
+// delta's mean and 95% CI — and `arena -json` to the sha256s of the
+// bba-arena-report/v2 form, which dropped v1's unused delta quantiles.
 func TestArenaGolden(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"arena", "-json", "-progress-every", "0"}, "dff3ab8b78e9a7206a68f4d4bd3c9a2251d5bca77544a160be5007407f237db0"},
-		{[]string{"arena", "-json", "-progress-every", "0", "-faults"}, "bf6b1748bb86177afc65d91bc4c1f2b17c56afcce3a76a13fa8dfd55c8cc8f6e"},
+		{[]string{"arena", "-progress-every", "0"}, "2e3c77e217e708f2f6706e71929ec8e0dc863d01fa71d98705637b0a19cc88fa"},
+		{[]string{"arena", "-progress-every", "0", "-faults"}, "3c2bb352bb58f0256b10489eb44d71d63e2600b4ddc94f5a3a15fb3254d2ebbb"},
+		{[]string{"arena", "-json", "-progress-every", "0"}, "9f34cca9631b2b9860dbb01a908ded740cea8cf3887580aab94dd267536f31a4"},
+		{[]string{"arena", "-json", "-progress-every", "0", "-faults"}, "c33759ca7cc6e688ccd152a265460965575e3a2dde504f65bad71b13c6f17af5"},
 	} {
 		if got := sha(mustRun(t, tc.args)); got != tc.want {
 			t.Errorf("%v: sha256 %s, want %s", tc.args, got, tc.want)

@@ -26,7 +26,7 @@ func main() {
 	peak := func(ws []metrics.Window, f func(metrics.Window) float64) float64 {
 		var sum, hours float64
 		for _, w := range ws {
-			if !metrics.PeakWindows()[w.Index] {
+			if !metrics.Peak.Covers(w.Index) {
 				continue
 			}
 			sum += f(w) * w.PlayHours
@@ -52,8 +52,9 @@ func main() {
 	w.Flush()
 
 	// The paper's footnote-style significance check: off-peak, is BBA-1
-	// distinguishable from the Rmin Always lower bound?
-	res, err := outcome.SignificanceRebuffers("BBA-1", "Rmin Always", metrics.OffPeakWindows())
+	// distinguishable from the Rmin Always lower bound? Welch reads the two
+	// arms' Welfords from the outcome's draw-by-draw comparison.
+	res, err := outcome.SignificanceRebuffers("BBA-1", "Rmin Always", metrics.OffPeak)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 	"bba/internal/campaign"
 	"bba/internal/faults"
 	"bba/internal/metrics"
+	"bba/internal/stats"
 )
 
 // smallConfig keeps experiment tests fast while exercising every code path.
@@ -46,9 +47,14 @@ func TestRunProducesAllGroups(t *testing.T) {
 		if len(ws) != metrics.WindowsPerDay {
 			t.Fatalf("group %q has %d windows", g, len(ws))
 		}
-		if len(out.Sessions[g]) != 12*4 {
-			t.Fatalf("group %q has %d sessions, want 48", g, len(out.Sessions[g]))
+	}
+	for _, g := range out.Report.Groups {
+		if g.Sessions != 12*4 {
+			t.Fatalf("group %q has %d sessions, want 48", g.Name, g.Sessions)
 		}
+	}
+	if got := len(out.Report.Groups); got != len(want) {
+		t.Fatalf("report carries %d groups, want %d", got, len(want))
 	}
 }
 
@@ -73,11 +79,11 @@ func TestRunPairsSessionsAcrossGroups(t *testing.T) {
 	// slots, so play-hours line up closely (identical watch limits; small
 	// differences only from stall-truncated tails).
 	var ctrl, bound float64
-	for _, s := range out.Sessions["Control"] {
-		ctrl += s.PlayHours
+	for _, w := range out.Windows["Control"] {
+		ctrl += w.PlayHours
 	}
-	for _, s := range out.Sessions["Rmin Always"] {
-		bound += s.PlayHours
+	for _, w := range out.Windows["Rmin Always"] {
+		bound += w.PlayHours
 	}
 	if ctrl == 0 || bound == 0 {
 		t.Fatal("no play hours accumulated")
@@ -116,7 +122,7 @@ func TestRunHeadlineOrderings(t *testing.T) {
 	peak := func(g string) (rb, rate, sw float64) {
 		var ph float64
 		for _, w := range out.Windows[g] {
-			if !metrics.PeakWindows()[w.Index] {
+			if !metrics.Peak.Covers(w.Index) {
 				continue
 			}
 			rb += w.RebuffersPerPlayhour * w.PlayHours
@@ -228,16 +234,29 @@ func TestRunReportsStats(t *testing.T) {
 func TestSignificanceRebuffers(t *testing.T) {
 	out := run(t, smallConfig(11))
 	// A group against itself: identical samples, p = 1.
-	res, err := out.SignificanceRebuffers("BBA-1", "BBA-1", nil)
+	p, err := out.Pairs.Compare("BBA-1", "Control", metrics.AllWindows, campaign.MetricRebuffer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := stats.WelchTTest(p.A, p.A)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.P != 1 {
 		t.Errorf("self-comparison p = %v, want 1", res.P)
 	}
-	// Restricting to a window set must not error with enough sessions.
-	if _, err := out.SignificanceRebuffers("Control", "Rmin Always", metrics.OffPeakWindows()); err != nil {
-		t.Errorf("off-peak comparison failed: %v", err)
+	// The test is symmetric in its groups, and restricting to a window
+	// class must not error with enough sessions.
+	ab, err := out.SignificanceRebuffers("Control", "Rmin Always", metrics.OffPeak)
+	if err != nil {
+		t.Fatalf("off-peak comparison failed: %v", err)
+	}
+	ba, err := out.SignificanceRebuffers("Rmin Always", "Control", metrics.OffPeak)
+	if err != nil || ba.P != ab.P || ba.T != -ab.T {
+		t.Errorf("swapped groups: %+v, %v; want p %v, t %v", ba, err, ab.P, -ab.T)
+	}
+	if _, err := out.SignificanceRebuffers("BBA-1", "BBA-1", metrics.AllWindows); err == nil {
+		t.Error("a group compared with itself has no pair, yet no error")
 	}
 }
 
@@ -296,17 +315,15 @@ func TestFaultWeatherIsPaired(t *testing.T) {
 	cfg.Faults, cfg.FaultSeed = stormConfig(), 7
 	cfg.Parallelism = 1
 	serial := run(t, cfg)
-	for g, ss := range serial.Sessions {
-		var total int
-		for _, s := range ss {
-			total += s.Faults + s.Retries
-		}
-		if total == 0 {
-			t.Errorf("group %s saw no fault activity under the storm", g)
+	for _, g := range serial.Report.Groups {
+		if g.Faults+g.Retries == 0 {
+			t.Errorf("group %s saw no fault activity under the storm", g.Name)
 		}
 	}
 	cfg.Parallelism = 8
-	if wide := run(t, cfg); !reflect.DeepEqual(wide.Sessions, serial.Sessions) {
-		t.Error("faulted sessions differ between Parallelism=1 and Parallelism=8")
+	wide := run(t, cfg)
+	if !reflect.DeepEqual(wide.Report, serial.Report) || !reflect.DeepEqual(wide.Windows, serial.Windows) ||
+		!reflect.DeepEqual(wide.Pairs, serial.Pairs) {
+		t.Error("faulted outcome differs between Parallelism=1 and Parallelism=8")
 	}
 }

@@ -1,3 +1,12 @@
+// Package arena runs N-way paired tournaments between registered ABR
+// algorithms: every entrant plays the same (user, trace, fault-weather)
+// draw for every seed, so head-to-head differences are pure algorithm
+// effects — the paper's paired A/B design generalized from arms-vs-control
+// to a full round-robin.
+//
+// Entrants become campaign groups (per-entrant marginals are ordinary
+// GroupReports) and the pairwise state is the campaign's paired comparison,
+// campaign.Pairs, so reports are byte-identical at any worker count.
 package arena
 
 import (
@@ -10,8 +19,13 @@ import (
 
 	"bba/internal/abtest"
 	"bba/internal/campaign"
+	"bba/internal/metrics"
 	"bba/internal/stats"
 )
+
+// maxEntrants bounds the field, and so the pairwise state every shard
+// carries: 23 entrants are 253 pairs.
+const maxEntrants = 23
 
 // DefaultField is the tournament run when none is named: the paper's
 // production-tuned estimator Control and its champion BBA-2 against the
@@ -36,8 +50,8 @@ func Run(cfg Config) (*Report, error) { return RunContext(context.Background(), 
 
 // RunContext runs the tournament with cancellation: every entrant streams
 // every drawn session, the campaign layer folds per-entrant marginals and
-// the MatchSet folds pairwise deltas, both in shard-index order, so the
-// report is byte-identical at any Parallelism.
+// the paired comparison folds pairwise deltas, both in shard-index order,
+// so the report is byte-identical at any Parallelism.
 func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 	if len(cfg.Entrants) < 2 {
 		return nil, fmt.Errorf("arena: %d entrants; a tournament needs at least 2", len(cfg.Entrants))
@@ -58,26 +72,27 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	ccfg := cfg.Campaign
 	ccfg.Groups = groups
-	sketch := ccfg.Identity().SketchSize
-	ccfg.NewExtra = func() campaign.Extra {
-		return NewMatchSet(cfg.Entrants, sketch)
-	}
+	ccfg.NewExtra = func() campaign.Extra { return campaign.NewPairs(cfg.Entrants) }
 
 	out, err := campaign.RunContext(ctx, ccfg)
 	if err != nil {
 		return nil, err
 	}
-	return buildReport(cfg.Entrants, out.Report, out.Extra.(*MatchSet)), nil
+	return buildReport(cfg.Entrants, out.Report, out.Extra.(*campaign.Pairs)), nil
 }
 
 // ReportSchema identifies the arena report file format.
-const ReportSchema = "bba-arena-report/v1"
+const ReportSchema = "bba-arena-report/v2"
 
-// Delta summarizes one paired-delta distribution with a 95% CI on its mean
-// — the head-to-head evidence a pairing reports. A CI excluding zero is a
-// significant difference at that level.
+// Delta summarizes one metric's per-draw A−B differences with a 95% CI on
+// their mean — the head-to-head evidence a pairing reports. A CI excluding
+// zero is a significant difference at that level.
 type Delta struct {
-	campaign.MetricSummary
+	N      int64   `json:"n"`
+	Mean   float64 `json:"mean"`
+	StdDev float64 `json:"stddev"`
+	Min    float64 `json:"min"`
+	Max    float64 `json:"max"`
 	CI95Lo float64 `json:"ci95_lo"`
 	CI95Hi float64 `json:"ci95_hi"`
 }
@@ -115,27 +130,28 @@ type Report struct {
 	Matches  []MatchReport    `json:"matches"`
 }
 
-func buildReport(entrants []string, cr *campaign.Report, m *MatchSet) *Report {
+func buildReport(entrants []string, cr *campaign.Report, ps *campaign.Pairs) *Report {
 	r := &Report{
 		Schema:   ReportSchema,
 		Entrants: entrants,
 		Campaign: cr,
 	}
-	for _, p := range m.Pairs() {
+	for _, p := range ps.List() {
+		all := &p.By[metrics.AllWindows]
 		mr := MatchReport{
 			A:        p.A,
 			B:        p.B,
-			Sessions: p.Sessions,
+			Sessions: p.Draws,
 			WinsA:    p.WinsA,
 			WinsB:    p.WinsB,
 			Ties:     p.Ties,
 			WinRateA: 0.5,
 
-			DQoEPerPlayhour:    delta(p.DQoERate),
-			DRebufferRate:      delta(p.DRebufRate),
-			DAvgRateKbps:       delta(p.DAvgRate),
-			DSwitchesPerPlayhr: delta(p.DSwitchRate),
-			DStartupRateKbps:   delta(p.DStartupRate),
+			DQoEPerPlayhour:    delta(all[campaign.MetricQoE].D),
+			DRebufferRate:      delta(all[campaign.MetricRebuffer].D),
+			DAvgRateKbps:       delta(all[campaign.MetricAvgRate].D),
+			DSwitchesPerPlayhr: delta(all[campaign.MetricSwitch].D),
+			DStartupRateKbps:   delta(all[campaign.MetricStartup].D),
 		}
 		if decided := p.WinsA + p.WinsB; decided > 0 {
 			mr.WinRateA = float64(p.WinsA) / float64(decided)
@@ -145,9 +161,9 @@ func buildReport(entrants []string, cr *campaign.Report, m *MatchSet) *Report {
 	return r
 }
 
-func delta(d stats.Dist) Delta {
-	out := Delta{MetricSummary: campaign.SummarizeDist(d)}
-	out.CI95Lo, out.CI95Hi = d.Moments.MeanCI95()
+func delta(d stats.Welford) Delta {
+	out := Delta{N: d.N, Mean: d.Mean, StdDev: d.StdDev(), Min: d.Min, Max: d.Max}
+	out.CI95Lo, out.CI95Hi = d.MeanCI95()
 	return out
 }
 

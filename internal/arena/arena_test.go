@@ -2,14 +2,12 @@ package arena
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
 
 	"bba/internal/abr"
 	"bba/internal/campaign"
 	"bba/internal/faults"
-	"bba/internal/metrics"
 )
 
 func testConfig(sessions int) Config {
@@ -141,66 +139,12 @@ func TestArenaConfigValidation(t *testing.T) {
 	}
 }
 
-// TestMatchSetAccounting drives the accumulator directly with hand-built
-// sessions and checks wins, ties and deltas.
-func TestMatchSetAccounting(t *testing.T) {
-	m := NewMatchSet([]string{"A", "B"}, 16)
-	mk := func(qoe, rate float64, rebuf int) metrics.Session {
-		return metrics.Session{PlayHours: 1, QoE: qoe, AvgRateKbps: rate, Rebuffers: rebuf}
-	}
-	sets := [][]metrics.Session{
-		{mk(10, 2000, 0), mk(5, 1500, 2)}, // A wins
-		{mk(3, 1000, 1), mk(7, 1800, 0)},  // B wins
-		{mk(4, 1200, 1), mk(4, 1300, 1)},  // tie on QoE
-	}
-	for g, ms := range sets {
-		if err := m.AddSessionSet(int64(g), ms); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p := m.Pairs()[0]
-	if p.Sessions != 3 || p.WinsA != 1 || p.WinsB != 1 || p.Ties != 1 {
-		t.Errorf("accounting: %+v", p)
-	}
-	if got := p.DAvgRate.Moments.Mean; math.Abs(got-(500.0-800.0-100.0)/3) > 1e-9 {
-		t.Errorf("mean rate delta = %v", got)
-	}
-	if got := p.DRebufRate.Moments.Mean; math.Abs(got-(-2.0+1.0+0.0)/3) > 1e-9 {
-		t.Errorf("mean rebuffer delta = %v", got)
-	}
-
-	// Merge must preserve exact totals and reject foreign shapes.
-	m2 := NewMatchSet([]string{"A", "B"}, 16)
-	if err := m2.AddSessionSet(100, []metrics.Session{mk(1, 500, 0), mk(2, 600, 0)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Merge(m2); err != nil {
-		t.Fatal(err)
-	}
-	p = m.Pairs()[0]
-	if p.Sessions != 4 || p.WinsB != 2 {
-		t.Errorf("after merge: %+v", p)
-	}
-	if err := m.Merge(NewMatchSet([]string{"A", "B", "C"}, 16)); err == nil {
-		t.Error("mismatched pair count accepted")
-	}
-	var notMatches campaign.Extra = fakeExtra{}
-	if err := m.Merge(notMatches); err == nil {
-		t.Error("foreign Extra type accepted")
-	}
-}
-
-type fakeExtra struct{}
-
-func (fakeExtra) AddSessionSet(int64, []metrics.Session) error { return nil }
-func (fakeExtra) Merge(campaign.Extra) error                   { return nil }
-
 // TestArenaExtraGuards: the campaign refuses extras on a resumed run —
 // extras are not checkpointed, so a resume could not restore them.
 func TestArenaExtraGuards(t *testing.T) {
 	ccfg := campaign.Config{
 		Sessions: 8,
-		NewExtra: func() campaign.Extra { return NewMatchSet([]string{"A", "B"}, 16) },
+		NewExtra: func() campaign.Extra { return campaign.NewPairs([]string{"A", "B"}) },
 	}
 	ccfg.Resume = campaign.NewCheckpoint(ccfg.Identity())
 	if _, err := campaign.Run(ccfg); err == nil {

@@ -29,7 +29,7 @@ type GroupAccum struct {
 	// total play time).
 	PlayHours stats.Welford `json:"play_hours"`
 	// RebufferRate is the per-session rebuffers-per-playhour distribution
-	// (sessions with zero play time excluded, as in RebufferSamples).
+	// (sessions with zero play time excluded).
 	RebufferRate stats.Dist `json:"rebuffer_rate"`
 	// AvgRate is the per-session delivered video rate in kb/s.
 	AvgRate stats.Dist `json:"avg_rate_kbps"`
@@ -255,14 +255,6 @@ type MetricSummary struct {
 	Max       float64 `json:"max"`
 	Exact     bool    `json:"exact"`
 	NonFinite int64   `json:"non_finite,omitempty"`
-}
-
-// SummarizeDist reports a Dist in the campaign's summary form. Exported for
-// extension accumulators (the arena's pairwise deltas) whose reports should
-// read like the campaign's own.
-func SummarizeDist(d stats.Dist) MetricSummary {
-	var scratch []float64
-	return summarizeDist(d, &scratch)
 }
 
 // summarizeDist sorts the sketch's retained values once, into *scratch,

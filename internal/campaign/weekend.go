@@ -26,71 +26,87 @@ func WeekendConfig(seed int64, days, sessionsPerWindow int) Config {
 }
 
 // WeekendOutcome is what the paper's figures read off a weekend experiment:
-// every group's two-hour-window aggregates and the raw per-session metrics
-// behind them.
+// every group's two-hour-window aggregates, every pair of groups compared
+// draw by draw, and the run's campaign report.
 type WeekendOutcome struct {
 	// Windows holds each group's per-two-hour-window aggregates.
 	Windows map[string][]metrics.Window
-	// Sessions holds each group's per-session metrics in calendar order
-	// (day, window, session), for significance testing.
-	Sessions map[string][]metrics.Session
+	// Pairs compares every pair of groups on the draws they shared.
+	Pairs *Pairs
+	// Report is the campaign report: each group's session distributions.
+	Report *Report
 	// Stats describes the run's execution.
 	Stats RunStats
 }
 
-// sessionLog is the Extra that retains every group's sessions: a shard logs
-// its draws in offset order and shards merge in shard-index order, so each
-// group's log is in global session order at any worker count or width.
-type sessionLog struct {
-	groups [][]metrics.Session
+// weekendFold is RunWeekend's Extra: the paired comparison, plus a shard's
+// sessions, which the run's fold streams into each group's windows in
+// calendar order and then drops. A shard is one (day, window) and shards
+// merge in shard-index order, so every WindowAccum sees its sessions in the
+// order Aggregate over the whole log would, while only the merge window's
+// shards are ever held.
+type weekendFold struct {
+	*Pairs
+	perShard int
+	log      []metrics.Session      // a shard's draws, group-major within each draw
+	windows  []*metrics.WindowAccum // per group; only the run's fold adds to them
 }
 
-func (l *sessionLog) AddSessionSet(_ int64, ms []metrics.Session) error {
-	for gi, s := range ms {
-		l.groups[gi] = append(l.groups[gi], s)
+func newWeekendFold(groups []string, perShard int) *weekendFold {
+	f := &weekendFold{Pairs: NewPairs(groups), perShard: perShard, windows: make([]*metrics.WindowAccum, len(groups))}
+	for gi := range f.windows {
+		f.windows[gi] = metrics.NewWindowAccum()
 	}
-	return nil
+	return f
 }
 
-func (l *sessionLog) Merge(o Extra) error {
-	for gi, ss := range o.(*sessionLog).groups {
-		l.groups[gi] = append(l.groups[gi], ss...)
+func (f *weekendFold) AddSessionSet(global int64, ms []metrics.Session) error {
+	if f.log == nil {
+		f.log = make([]metrics.Session, 0, f.perShard*len(ms))
 	}
-	return nil
+	f.log = append(f.log, ms...)
+	return f.Pairs.AddSessionSet(global, ms)
 }
 
-// RunWeekend runs a Weekend-layout campaign (see WeekendConfig) retaining
-// every session, and aggregates each group's sessions into windows in
-// calendar order (metrics.Aggregate, the figures' float operations in the
-// figures' order) — so the outcome is identical at any Parallelism and
-// kernel width. A cancelled or failed run returns the error and no outcome.
+func (f *weekendFold) Merge(o Extra) error {
+	s := o.(*weekendFold)
+	for gi, wa := range f.windows {
+		for i := gi; i < len(s.log); i += len(f.groups) {
+			if err := wa.Add(s.log[i]); err != nil {
+				return err
+			}
+		}
+	}
+	s.log = nil
+	return f.Pairs.Merge(s.Pairs)
+}
+
+// RunWeekend runs a Weekend-layout campaign (see WeekendConfig), folding
+// each group's sessions into windows in calendar order (metrics.WindowAccum,
+// the figures' float operations in the figures' order) and every pair of
+// groups into its paired sample — so the outcome is identical at any
+// Parallelism and kernel width, and memory does not grow with the run. A
+// cancelled or failed run returns the error and no outcome.
 func RunWeekend(ctx context.Context, cfg Config) (*WeekendOutcome, error) {
 	if cfg.Layout != Weekend {
 		return nil, fmt.Errorf("campaign: RunWeekend needs the weekend layout, have %q", cfg.Layout)
 	}
 	cfg.applyDefaults()
-	cfg.NewExtra = func() Extra {
-		l := &sessionLog{groups: make([][]metrics.Session, len(cfg.Groups))}
-		for gi := range l.groups {
-			l.groups[gi] = make([]metrics.Session, 0, cfg.ShardSize)
-		}
-		return l
-	}
+	names := cfg.identity().Groups
+	cfg.NewExtra = func() Extra { return newWeekendFold(names, cfg.ShardSize) }
 	run, err := RunContext(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
+	fold := run.Extra.(*weekendFold)
 	out := &WeekendOutcome{
-		Windows:  make(map[string][]metrics.Window, len(cfg.Groups)),
-		Sessions: make(map[string][]metrics.Session, len(cfg.Groups)),
-		Stats:    run.Stats,
+		Windows: make(map[string][]metrics.Window, len(names)),
+		Pairs:   fold.Pairs,
+		Report:  run.Report,
+		Stats:   run.Stats,
 	}
-	for gi, ss := range run.Extra.(*sessionLog).groups {
-		name := cfg.Groups[gi].Name
-		out.Sessions[name] = ss
-		if out.Windows[name], err = metrics.Aggregate(ss); err != nil {
-			return nil, err
-		}
+	for gi, name := range names {
+		out.Windows[name] = fold.windows[gi].Windows()
 	}
 	return out, nil
 }
@@ -124,25 +140,15 @@ func (o *WeekendOutcome) WriteCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
-// RebufferSamples returns a group's per-session rebuffers-per-playhour
-// samples, optionally restricted to a window set (nil = all windows).
-func (o *WeekendOutcome) RebufferSamples(group string, windows map[int]bool) []float64 {
-	var xs []float64
-	for _, s := range o.Sessions[group] {
-		if windows != nil && !windows[s.Window] {
-			continue
-		}
-		if s.PlayHours > 0 {
-			xs = append(xs, float64(s.Rebuffers)/s.PlayHours)
-		}
-	}
-	return xs
-}
-
-// SignificanceRebuffers runs a Welch t-test on per-session rebuffer rates
-// of two groups restricted to a window set — the test behind the paper's
+// SignificanceRebuffers runs a Welch t-test on the per-session rebuffer
+// rates of two groups over one window class — the test behind the paper's
 // footnotes 4 and 5 ("the hypothesis ... is not rejected at the 95%
-// confidence level").
-func (o *WeekendOutcome) SignificanceRebuffers(groupA, groupB string, windows map[int]bool) (stats.TTestResult, error) {
-	return stats.WelchTTest(o.RebufferSamples(groupA, windows), o.RebufferSamples(groupB, windows))
+// confidence level"). It reads the pair's paired sample: the draws on which
+// both groups played.
+func (o *WeekendOutcome) SignificanceRebuffers(groupA, groupB string, c metrics.Class) (stats.TTestResult, error) {
+	p, err := o.Pairs.Compare(groupA, groupB, c, MetricRebuffer)
+	if err != nil {
+		return stats.TTestResult{}, err
+	}
+	return stats.WelchTTest(p.A, p.B)
 }

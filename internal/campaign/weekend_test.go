@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"math"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -16,10 +17,15 @@ import (
 )
 
 // TestWeekendMatchesPlayUserOracle holds the weekend campaign to the
-// straight-line reference: every retained session must equal abtest.PlayUser
-// on the abtest.SessionRNG(seed, day, window, i) draw — the population the
-// figures have always been drawn from — clean and under fault weather, at
-// any worker count and kernel width.
+// straight-line reference: every session must equal abtest.PlayUser on the
+// abtest.SessionRNG(seed, day, window, i) draw — the population the figures
+// have always been drawn from — clean and under fault weather, at any
+// worker count and kernel width. It is also the reference for the weekend's
+// fold: run under an Extra that retains every session beside the fold,
+// the fold's windows must equal metrics.Aggregate over the retained
+// sessions and its every pair Welford one built sequentially from them,
+// the folded Extra must hold no session, and RunWeekend must return those
+// same windows.
 func TestWeekendMatchesPlayUserOracle(t *testing.T) {
 	const seed, days, perWindow = 17, 2, 3
 	fc := faults.DefaultScheduleConfig()
@@ -28,6 +34,10 @@ func TestWeekendMatchesPlayUserOracle(t *testing.T) {
 		base.CatalogSize = 6
 		base.Faults, base.FaultSeed = fcfg, 23
 		groups := abtest.StandardGroups()
+		names := make([]string, len(groups))
+		for gi, g := range groups {
+			names[gi] = g.Name
+		}
 
 		catalog, err := media.NewCatalog(base.CatalogSize, media.DefaultLadder(), seed)
 		if err != nil {
@@ -55,12 +65,29 @@ func TestWeekendMatchesPlayUserOracle(t *testing.T) {
 				t.Run(fmt.Sprintf("faults=%v/par=%d/width=%d", fcfg != nil, par, width), func(t *testing.T) {
 					cfg := base
 					cfg.Parallelism, cfg.Batch, cfg.BatchWidth = par, width > 1, width
+					retained := cfg
+					retained.NewExtra = func() Extra {
+						return &retainingFold{weekendFold: newWeekendFold(names, perWindow), kept: make([][]metrics.Session, len(names))}
+					}
+					run, err := RunContext(context.Background(), retained)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fold := run.Extra.(*retainingFold)
+					if len(fold.merged) != days*metrics.WindowsPerDay {
+						t.Errorf("the fold merged %d shards, want %d", len(fold.merged), days*metrics.WindowsPerDay)
+					}
+					for _, e := range append(fold.merged, fold) {
+						if e.log != nil {
+							t.Errorf("a folded Extra still holds %d sessions", len(e.log))
+						}
+					}
 					out, err := RunWeekend(context.Background(), cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
 					for gi, g := range groups {
-						got := out.Sessions[g.Name]
+						got := fold.kept[gi]
 						if len(got) != len(want[gi]) {
 							t.Fatalf("group %s: %d sessions, want %d", g.Name, len(got), len(want[gi]))
 						}
@@ -69,16 +96,102 @@ func TestWeekendMatchesPlayUserOracle(t *testing.T) {
 								t.Fatalf("group %s session %d: %+v, PlayUser gives %+v", g.Name, i, got[i], want[gi][i])
 							}
 						}
-						ws, err := metrics.Aggregate(want[gi])
+						ws, err := metrics.Aggregate(got)
 						if err != nil {
 							t.Fatal(err)
 						}
+						if !reflect.DeepEqual(fold.windows[gi].Windows(), ws) {
+							t.Errorf("group %s: folded windows differ from aggregating the retained sessions", g.Name)
+						}
 						if !reflect.DeepEqual(out.Windows[g.Name], ws) {
-							t.Errorf("group %s: windows differ from aggregating the oracle's sessions", g.Name)
+							t.Errorf("group %s: RunWeekend's windows differ from aggregating the retained sessions", g.Name)
 						}
 					}
+					checkPairs(t, fold.Pairs, fold.kept)
+					checkPairs(t, out.Pairs, fold.kept)
 				})
 			}
+		}
+	}
+}
+
+// retainingFold is the weekend's fold that also keeps every group's
+// sessions, in global order, and every shard Extra it merged, for the
+// reference checks.
+type retainingFold struct {
+	*weekendFold
+	kept   [][]metrics.Session
+	merged []*retainingFold
+}
+
+func (r *retainingFold) AddSessionSet(global int64, ms []metrics.Session) error {
+	for gi, s := range ms {
+		r.kept[gi] = append(r.kept[gi], s)
+	}
+	return r.weekendFold.AddSessionSet(global, ms)
+}
+
+func (r *retainingFold) Merge(o Extra) error {
+	or := o.(*retainingFold)
+	for gi, ss := range or.kept {
+		r.kept[gi] = append(r.kept[gi], ss...)
+	}
+	r.merged = append(r.merged, or)
+	return r.weekendFold.Merge(or.weekendFold)
+}
+
+// checkPairs holds every pair Welford of ps to one built sequentially over
+// the retained sessions, under the same inclusion rules, within 1e-12.
+func checkPairs(t *testing.T, ps *Pairs, kept [][]metrics.Session) {
+	t.Helper()
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Max(1, math.Abs(b)) }
+	k := 0
+	for i := range kept {
+		for j := i + 1; j < len(kept); j++ {
+			var want [metrics.NumClasses][numMetrics]Paired
+			for d := range kept[i] {
+				a, b := kept[i][d], kept[j][d]
+				for _, c := range []metrics.Class{metrics.AllWindows, metrics.ClassOf(a.Window)} {
+					ref := func(m Metric, x, y float64) {
+						for _, w := range []struct {
+							acc *stats.Welford
+							v   float64
+						}{{&want[c][m].A, x}, {&want[c][m].B, y}, {&want[c][m].D, x - y}} {
+							if err := w.acc.Add(w.v); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					ref(MetricAvgRate, a.AvgRateKbps, b.AvgRateKbps)
+					if a.StartupRateKbps > 0 && b.StartupRateKbps > 0 {
+						ref(MetricStartup, a.StartupRateKbps, b.StartupRateKbps)
+					}
+					if a.PlayHours > 0 && b.PlayHours > 0 {
+						ref(MetricQoE, a.QoE/a.PlayHours, b.QoE/b.PlayHours)
+						ref(MetricRebuffer, float64(a.Rebuffers)/a.PlayHours, float64(b.Rebuffers)/b.PlayHours)
+						ref(MetricSwitch, float64(a.Switches)/a.PlayHours, float64(b.Switches)/b.PlayHours)
+					}
+					if c == metrics.ClassOf(a.Window) {
+						break // a window outside both classes counts once, in metrics.AllWindows
+					}
+				}
+			}
+			p := ps.List()[k]
+			if p.Draws != int64(len(kept[i])) {
+				t.Errorf("pair %s/%s: %d draws, want %d", p.A, p.B, p.Draws, len(kept[i]))
+			}
+			for c := range want {
+				for m := range want[c] {
+					got, ref := p.By[c][m], want[c][m]
+					for _, w := range [][2]stats.Welford{{got.A, ref.A}, {got.B, ref.B}, {got.D, ref.D}} {
+						g, r := w[0], w[1]
+						if g.N != r.N || !near(g.Mean, r.Mean) || !near(g.M2, r.M2) || g.Min != r.Min || g.Max != r.Max {
+							t.Fatalf("pair %s/%s class %d metric %d: %+v, sequential %+v", p.A, p.B, c, m, g, r)
+						}
+					}
+				}
+			}
+			k++
 		}
 	}
 }

@@ -3,6 +3,7 @@ package figures
 import (
 	"fmt"
 
+	"bba/internal/campaign"
 	"bba/internal/metrics"
 	"bba/internal/stats"
 )
@@ -28,42 +29,52 @@ func rebufferFigure(scale Scale, id, title string, groups []string, paperNote st
 		if !ok {
 			return nil, fmt.Errorf("figures: group %q missing from experiment", g)
 		}
-		ys := make([]float64, len(ws))
-		for i, w := range ws {
-			ys[i] = w.RebuffersPerPlayhour
-		}
-		fig.Series = append(fig.Series, Series{Name: g, Points: windowPoints(ys)})
+		fig.Series = append(fig.Series, windowSeries(g, ws, func(w metrics.Window) float64 { return w.RebuffersPerPlayhour }))
 	}
 	for _, g := range groups {
 		norm := metrics.NormalizeRebuffers(out.Windows[g], control)
 		fig.Series = append(fig.Series, Series{Name: g + "/Ctl", Points: windowPoints(norm)})
 	}
-	ctrlPeak := peakAvg(control, func(w metrics.Window) float64 { return w.RebuffersPerPlayhour })
-	ctrlSamples := out.RebufferSamples("Control", metrics.PeakWindows())
+	ctrlPeak := classAvg(control, metrics.Peak, func(w metrics.Window) float64 { return w.RebuffersPerPlayhour })
 	for _, g := range groups {
-		gPeak := peakAvg(out.Windows[g], func(w metrics.Window) float64 { return w.RebuffersPerPlayhour })
+		gPeak := classAvg(out.Windows[g], metrics.Peak, func(w metrics.Window) float64 { return w.RebuffersPerPlayhour })
 		if ctrlPeak <= 0 {
 			continue
 		}
-		note := fmt.Sprintf("%s peak rebuffer rate = %.3f/h vs Control %.3f/h: a %.0f%% reduction",
-			g, gPeak, ctrlPeak, 100*(1-gPeak/ctrlPeak))
-		gSamples := out.RebufferSamples(g, metrics.PeakWindows())
-		if lo, hi, err := stats.BootstrapRatioCI(gSamples, ctrlSamples, 1000, 0.9, ExperimentSeed); err == nil {
-			note += fmt.Sprintf(" (90%% bootstrap CI on the ratio: %.2f–%.2f)", lo, hi)
+		ci, err := pairedRatioNote(out, g)
+		if err != nil {
+			return nil, err
 		}
-		fig.Notes = append(fig.Notes, note)
+		fig.Notes = append(fig.Notes, fmt.Sprintf("%s peak rebuffer rate = %.3f/h vs Control %.3f/h: a %.0f%% reduction%s",
+			g, gPeak, ctrlPeak, 100*(1-gPeak/ctrlPeak), ci))
 	}
 	// Section 4.2's headline quantification: the gap between the Control
 	// and the Rmin Always bound is the share of rebuffers "caused by poor
 	// choice of video rate".
 	if boundWs, ok := out.Windows["Rmin Always"]; ok && ctrlPeak > 0 {
-		bound := peakAvg(boundWs, func(w metrics.Window) float64 { return w.RebuffersPerPlayhour })
+		bound := classAvg(boundWs, metrics.Peak, func(w metrics.Window) float64 { return w.RebuffersPerPlayhour })
 		fig.Notes = append(fig.Notes, fmt.Sprintf(
 			"unnecessary-rebuffer share at peak (Control vs bound): %.0f%% (paper §4.2: 20–30%%)",
 			100*(1-bound/ctrlPeak)))
 	}
 	fig.Notes = append(fig.Notes, paperNote)
 	return fig, nil
+}
+
+// pairedRatioNote is the parenthetical of a peak-reduction note: the 90%
+// delta-method CI on the ratio of g's mean peak rebuffer rate to Control's
+// over the draws both played, or, when the draws cannot decide one (fewer
+// than two, or Control never rebuffered), how many there were.
+func pairedRatioNote(out *campaign.WeekendOutcome, g string) (string, error) {
+	p, err := out.Pairs.Compare(g, "Control", metrics.Peak, campaign.MetricRebuffer)
+	if err != nil {
+		return "", err
+	}
+	lo, hi, err := stats.PairedRatioCI(p.A, p.B, p.D, 0.9)
+	if err != nil {
+		return fmt.Sprintf(" (paired CI undecided: n = %d draws)", p.D.N), nil
+	}
+	return fmt.Sprintf(" (90%% paired CI on the ratio: %.2f–%.2f)", lo, hi), nil
 }
 
 // rateFigure builds the Figure 8/15/17/23 family: per-window average video
@@ -81,22 +92,17 @@ func rateFigure(scale Scale, id, title string, groups []string, paperNote string
 		YLabel: "average video rate (kb/s) and Control − group delta",
 	}
 	for _, g := range append([]string{"Control"}, groups...) {
-		ws := out.Windows[g]
-		ys := make([]float64, len(ws))
-		for i, w := range ws {
-			ys[i] = w.AvgRateKbps
-		}
-		fig.Series = append(fig.Series, Series{Name: g, Points: windowPoints(ys)})
+		fig.Series = append(fig.Series, windowSeries(g, out.Windows[g], func(w metrics.Window) float64 { return w.AvgRateKbps }))
 	}
 	for _, g := range groups {
 		delta := metrics.RateDeltaKbps(control, out.Windows[g])
 		fig.Series = append(fig.Series, Series{Name: "Ctl−" + g, Points: windowPoints(delta)})
 	}
 	for _, g := range groups {
-		dPeak := peakAvg(control, func(w metrics.Window) float64 { return w.AvgRateKbps }) -
-			peakAvg(out.Windows[g], func(w metrics.Window) float64 { return w.AvgRateKbps })
-		dOff := offPeakAvg(control, func(w metrics.Window) float64 { return w.AvgRateKbps }) -
-			offPeakAvg(out.Windows[g], func(w metrics.Window) float64 { return w.AvgRateKbps })
+		dPeak := classAvg(control, metrics.Peak, func(w metrics.Window) float64 { return w.AvgRateKbps }) -
+			classAvg(out.Windows[g], metrics.Peak, func(w metrics.Window) float64 { return w.AvgRateKbps })
+		dOff := classAvg(control, metrics.OffPeak, func(w metrics.Window) float64 { return w.AvgRateKbps }) -
+			classAvg(out.Windows[g], metrics.OffPeak, func(w metrics.Window) float64 { return w.AvgRateKbps })
 		fig.Notes = append(fig.Notes, fmt.Sprintf(
 			"Control − %s: %+.0f kb/s at peak, %+.0f kb/s off-peak", g, dPeak, dOff))
 	}
@@ -121,8 +127,8 @@ func switchFigure(scale Scale, id, title string, groups []string, paperNote stri
 	for _, g := range groups {
 		norm := metrics.NormalizeSwitches(out.Windows[g], control)
 		fig.Series = append(fig.Series, Series{Name: g + "/Ctl", Points: windowPoints(norm)})
-		peakRatio := peakAvg(out.Windows[g], func(w metrics.Window) float64 { return w.SwitchesPerPlayhour }) /
-			peakAvg(control, func(w metrics.Window) float64 { return w.SwitchesPerPlayhour })
+		peakRatio := classAvg(out.Windows[g], metrics.Peak, func(w metrics.Window) float64 { return w.SwitchesPerPlayhour }) /
+			classAvg(control, metrics.Peak, func(w metrics.Window) float64 { return w.SwitchesPerPlayhour })
 		fig.Notes = append(fig.Notes, fmt.Sprintf("%s switch rate = %.2f× Control at peak", g, peakRatio))
 	}
 	fig.Notes = append(fig.Notes, paperNote)
@@ -198,20 +204,15 @@ func Fig18SteadyStateRate(scale Scale) (*Figure, error) {
 		YLabel: "steady-state video rate (kb/s) and BBA-2 − Control delta",
 	}
 	for _, g := range []string{"Control", "BBA-2"} {
-		ws := out.Windows[g]
-		ys := make([]float64, len(ws))
-		for i, w := range ws {
-			ys[i] = w.SteadyRateKbps
-		}
-		fig.Series = append(fig.Series, Series{Name: g, Points: windowPoints(ys)})
+		fig.Series = append(fig.Series, windowSeries(g, out.Windows[g], func(w metrics.Window) float64 { return w.SteadyRateKbps }))
 	}
 	delta := metrics.SteadyRateDeltaKbps(control, out.Windows["BBA-2"])
 	for i := range delta {
 		delta[i] = -delta[i] // plot BBA-2 − Control, the paper's direction
 	}
 	fig.Series = append(fig.Series, Series{Name: "BBA2−Ctl", Points: windowPoints(delta)})
-	dPeak := peakAvg(out.Windows["BBA-2"], func(w metrics.Window) float64 { return w.SteadyRateKbps }) -
-		peakAvg(control, func(w metrics.Window) float64 { return w.SteadyRateKbps })
+	dPeak := classAvg(out.Windows["BBA-2"], metrics.Peak, func(w metrics.Window) float64 { return w.SteadyRateKbps }) -
+		classAvg(control, metrics.Peak, func(w metrics.Window) float64 { return w.SteadyRateKbps })
 	fig.Notes = append(fig.Notes,
 		fmt.Sprintf("BBA-2 − Control steady-state rate at peak: %+.0f kb/s", dPeak),
 		"paper: excluding the first two minutes, BBA-2's rate is mostly higher than Control — the buffer-based approach better utilizes capacity in steady state")
@@ -276,7 +277,7 @@ func Sec4Significance(scale Scale) (*Figure, error) {
 	}
 	s := Series{Name: "p-value"}
 	for _, g := range []string{"BBA-0", "BBA-1", "BBA-2", "BBA-Others", "Control"} {
-		res, err := out.SignificanceRebuffers(g, "Rmin Always", metrics.OffPeakWindows())
+		res, err := out.SignificanceRebuffers(g, "Rmin Always", metrics.OffPeak)
 		if err != nil {
 			return nil, err
 		}

@@ -28,9 +28,9 @@ func groupPeakSummary(out *campaign.WeekendOutcome, names []string) []string {
 	var notes []string
 	for _, g := range names {
 		ws := out.Windows[g]
-		rb := peakAvg(ws, func(w metrics.Window) float64 { return w.RebuffersPerPlayhour })
-		rate := peakAvg(ws, func(w metrics.Window) float64 { return w.AvgRateKbps })
-		sw := peakAvg(ws, func(w metrics.Window) float64 { return w.SwitchesPerPlayhour })
+		rb := classAvg(ws, metrics.Peak, func(w metrics.Window) float64 { return w.RebuffersPerPlayhour })
+		rate := classAvg(ws, metrics.Peak, func(w metrics.Window) float64 { return w.AvgRateKbps })
+		sw := classAvg(ws, metrics.Peak, func(w metrics.Window) float64 { return w.SwitchesPerPlayhour })
 		notes = append(notes, fmt.Sprintf("%-28s peak: %.3f rebuf/h, %.0f kb/s, %.1f switches/h", g, rb, rate, sw))
 	}
 	return notes
@@ -44,12 +44,7 @@ func summaryFigure(id, title string, out *campaign.WeekendOutcome, names []strin
 		YLabel: "rebuffers per playhour",
 	}
 	for _, g := range names {
-		ws := out.Windows[g]
-		ys := make([]float64, len(ws))
-		for i, w := range ws {
-			ys[i] = w.RebuffersPerPlayhour
-		}
-		fig.Series = append(fig.Series, Series{Name: g, Points: windowPoints(ys)})
+		fig.Series = append(fig.Series, windowSeries(g, out.Windows[g], func(w metrics.Window) float64 { return w.RebuffersPerPlayhour }))
 	}
 	fig.Notes = append(fig.Notes, groupPeakSummary(out, names)...)
 	fig.Notes = append(fig.Notes, paperNote)
@@ -120,16 +115,9 @@ func AblationStartupThreshold() (*Figure, error) {
 	fig := summaryFigure("abl-startup", "Ablation: BBA-2 startup ΔB threshold", out, names,
 		"design claim (§6): 0.875·V steps up only when a chunk downloads 8× faster than real time; lower thresholds ramp faster but rebuffer more, disabling the ramp reverts to BBA-1's slow start")
 	// Startup rate is the interesting axis here; add it to the notes.
-	for _, g := range names {
-		var sum, n float64
-		for _, s := range out.Sessions[g] {
-			if s.StartupRateKbps > 0 {
-				sum += s.StartupRateKbps
-				n++
-			}
-		}
-		if n > 0 {
-			fig.Notes = append(fig.Notes, fmt.Sprintf("%-26s first-minute avg rate: %.0f kb/s", g, sum/n))
+	for _, g := range out.Report.Groups {
+		if g.StartupRateKbps.N > 0 {
+			fig.Notes = append(fig.Notes, fmt.Sprintf("%-26s first-minute avg rate: %.0f kb/s", g.Name, g.StartupRateKbps.Mean))
 		}
 	}
 	return fig, nil
@@ -160,12 +148,7 @@ func AblationLookahead() (*Figure, error) {
 		YLabel: "switches per playhour",
 	}
 	for _, g := range names {
-		ws := out.Windows[g]
-		ys := make([]float64, len(ws))
-		for i, w := range ws {
-			ys[i] = w.SwitchesPerPlayhour
-		}
-		fig.Series = append(fig.Series, Series{Name: g, Points: windowPoints(ys)})
+		fig.Series = append(fig.Series, windowSeries(g, out.Windows[g], func(w metrics.Window) float64 { return w.SwitchesPerPlayhour }))
 	}
 	fig.Notes = groupPeakSummary(out, names)
 	fig.Notes = append(fig.Notes,

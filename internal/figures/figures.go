@@ -252,6 +252,15 @@ func GenerateAll(ctx context.Context, scale Scale) []Generated {
 	return out
 }
 
+// windowSeries is one group's per-window metric as a series.
+func windowSeries(name string, ws []metrics.Window, f func(metrics.Window) float64) Series {
+	ys := make([]float64, len(ws))
+	for i, w := range ws {
+		ys[i] = f(w)
+	}
+	return Series{Name: name, Points: windowPoints(ys)}
+}
+
 // windowPoints converts a per-window series into labelled points.
 func windowPoints(ys []float64) []Point {
 	pts := make([]Point, len(ys))
@@ -261,28 +270,12 @@ func windowPoints(ys []float64) []Point {
 	return pts
 }
 
-// peakAvg averages a per-window metric over the paper's peak windows,
-// weighting by each window's play-hours.
-func peakAvg(ws []metrics.Window, f func(metrics.Window) float64) float64 {
+// classAvg averages a per-window metric over one window class, weighting
+// by each window's play-hours.
+func classAvg(ws []metrics.Window, c metrics.Class, f func(metrics.Window) float64) float64 {
 	var sum, hours float64
 	for _, w := range ws {
-		if !metrics.PeakWindows()[w.Index] {
-			continue
-		}
-		sum += f(w) * w.PlayHours
-		hours += w.PlayHours
-	}
-	if hours == 0 {
-		return 0
-	}
-	return sum / hours
-}
-
-// offPeakAvg is peakAvg over the off-peak windows.
-func offPeakAvg(ws []metrics.Window, f func(metrics.Window) float64) float64 {
-	var sum, hours float64
-	for _, w := range ws {
-		if !metrics.OffPeakWindows()[w.Index] {
+		if !c.Covers(w.Index) {
 			continue
 		}
 		sum += f(w) * w.PlayHours

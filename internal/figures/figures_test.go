@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"bba/internal/campaign"
 	"bba/internal/metrics"
 )
 
@@ -81,7 +82,7 @@ func TestHeadlineShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	rb := func(g string) float64 {
-		return peakAvg(out.Windows[g], func(w metrics.Window) float64 { return w.RebuffersPerPlayhour })
+		return classAvg(out.Windows[g], metrics.Peak, func(w metrics.Window) float64 { return w.RebuffersPerPlayhour })
 	}
 	ctrl := rb("Control")
 	bound := rb("Rmin Always")
@@ -155,5 +156,46 @@ func TestWriteMarkdownQuickSmoke(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("markdown missing %q", want)
 		}
+	}
+}
+
+// TestPairedRatioNoteUndecided: a peak-reduction note whose draws cannot
+// decide a ratio CI says so and how many draws it had, rather than dropping
+// the parenthetical. A two-draw weekend in which Control never rebuffered
+// has no ratio; a third draw where it does decides one.
+func TestPairedRatioNoteUndecided(t *testing.T) {
+	out := &campaign.WeekendOutcome{Pairs: campaign.NewPairs([]string{"Control", "BBA-1"})}
+	draw := func(global int64, ctrl, bba1 int) {
+		t.Helper()
+		ms := []metrics.Session{
+			{Window: 1, PlayHours: 1, Rebuffers: ctrl},
+			{Window: 1, PlayHours: 1, Rebuffers: bba1},
+		}
+		if err := out.Pairs.AddSessionSet(global, ms); err != nil {
+			t.Fatal(err)
+		}
+	}
+	note := func() string {
+		t.Helper()
+		s, err := pairedRatioNote(out, "BBA-1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	draw(0, 0, 1)
+	if got, want := note(), " (paired CI undecided: n = 1 draws)"; got != want {
+		t.Errorf("one draw: %q, want %q", got, want)
+	}
+	draw(1, 0, 2)
+	if got, want := note(), " (paired CI undecided: n = 2 draws)"; got != want {
+		t.Errorf("two draws, Control at 0: %q, want %q", got, want)
+	}
+	draw(2, 3, 0)
+	if got := note(); !strings.HasPrefix(got, " (90% paired CI on the ratio: ") {
+		t.Errorf("three draws: %q, want a decided CI", got)
+	}
+	if _, err := pairedRatioNote(out, "BBA-2"); err == nil {
+		t.Error("a group outside the outcome gave a note")
 	}
 }

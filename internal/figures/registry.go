@@ -22,9 +22,11 @@ checked here are the *shapes*: who wins, roughly by how much, and where.
    five years of production tuning we cannot recover from a qualitative
    description; our Control (EWMA estimator, F(B) adjustment, panic floor,
    fast-down collapse detection) is competent but gives the buffer-based
-   algorithms a somewhat larger win. Every ordering the paper reports
-   holds: bound < BBA-1 < BBA-2 < Control, BBA-1 better than BBA-0,
-   improvements concentrated at peak, off-peak statistically at the bound.
+   algorithms a somewhat larger win. The orderings bound < BBA-1 < BBA-2 <
+   Control, improvements concentrated at peak, and off-peak statistically
+   at the bound all hold. The paper's "BBA-1 better than BBA-0" does not:
+   Figure 14's table has BBA-0 below BBA-1 at peak (0.161/h against
+   0.189/h).
 
 2. **Figures 15/17's small rate deltas flip sign.** The paper has Control
    50-120 kb/s above BBA-1 and roughly equal to BBA-2; here BBA-1/BBA-2

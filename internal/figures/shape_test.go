@@ -23,15 +23,15 @@ func quickOutcome(t *testing.T) map[string][]metrics.Window {
 }
 
 func peakRebuf(ws []metrics.Window) float64 {
-	return peakAvg(ws, func(w metrics.Window) float64 { return w.RebuffersPerPlayhour })
+	return classAvg(ws, metrics.Peak, func(w metrics.Window) float64 { return w.RebuffersPerPlayhour })
 }
 
 func peakRate(ws []metrics.Window) float64 {
-	return peakAvg(ws, func(w metrics.Window) float64 { return w.AvgRateKbps })
+	return classAvg(ws, metrics.Peak, func(w metrics.Window) float64 { return w.AvgRateKbps })
 }
 
 func peakSwitch(ws []metrics.Window) float64 {
-	return peakAvg(ws, func(w metrics.Window) float64 { return w.SwitchesPerPlayhour })
+	return classAvg(ws, metrics.Peak, func(w metrics.Window) float64 { return w.SwitchesPerPlayhour })
 }
 
 // Figure 7: bound < BBA-0 < Control at peak, with BBA-0's reduction in a
@@ -61,8 +61,8 @@ func TestShapeFig08(t *testing.T) {
 	if d := peakRate(w["Control"]) - peakRate(w["BBA-0"]); d <= 0 {
 		t.Errorf("Control − BBA-0 at peak = %.0f kb/s, want positive (paper: ≈100)", d)
 	}
-	off := offPeakAvg(w["Control"], func(x metrics.Window) float64 { return x.AvgRateKbps }) -
-		offPeakAvg(w["BBA-0"], func(x metrics.Window) float64 { return x.AvgRateKbps })
+	off := classAvg(w["Control"], metrics.OffPeak, func(x metrics.Window) float64 { return x.AvgRateKbps }) -
+		classAvg(w["BBA-0"], metrics.OffPeak, func(x metrics.Window) float64 { return x.AvgRateKbps })
 	if off <= 0 {
 		t.Errorf("Control − BBA-0 off-peak = %.0f kb/s, want positive (paper: ≈175)", off)
 	}
@@ -123,7 +123,7 @@ func TestShapeFig18(t *testing.T) {
 	}
 	w := quickOutcome(t)
 	steady := func(ws []metrics.Window) float64 {
-		return peakAvg(ws, func(x metrics.Window) float64 { return x.SteadyRateKbps })
+		return classAvg(ws, metrics.Peak, func(x metrics.Window) float64 { return x.SteadyRateKbps })
 	}
 	if d := steady(w["BBA-2"]) - steady(w["Control"]); d <= 0 {
 		t.Errorf("BBA-2 − Control steady-state = %.0f kb/s, want positive", d)
@@ -187,7 +187,7 @@ func TestShapeOffPeakAtTheBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, g := range []string{"BBA-0", "BBA-1"} {
-		res, err := out.SignificanceRebuffers(g, "Rmin Always", metrics.OffPeakWindows())
+		res, err := out.SignificanceRebuffers(g, "Rmin Always", metrics.OffPeak)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -288,13 +288,33 @@ func WindowLabel(i int) string {
 	return fmt.Sprintf("%02d-%02d GMT", i*2, i*2+2)
 }
 
-// PeakWindows reports which windows cover the US evening peak the paper
-// highlights (8pm–1am EDT = 0:00–5:00 GMT, windows 0, 1 and 2).
-func PeakWindows() map[int]bool { return map[int]bool{0: true, 1: true, 2: true} }
+// Class is a window class: every window, or one of the two periods the
+// paper compares — Peak, the US evening peak it highlights (8pm–1am EDT =
+// 0:00–5:00 GMT, windows 0, 1 and 2), and OffPeak, the "middle-of-night
+// period in the USA just after peak viewing (6am–12pm GMT)", windows 3, 4
+// and 5.
+type Class int
 
-// OffPeakWindows reports the "middle-of-night period in the USA just after
-// peak viewing (6am–12pm GMT)": windows 3, 4 and 5.
-func OffPeakWindows() map[int]bool { return map[int]bool{3: true, 4: true, 5: true} }
+const (
+	AllWindows Class = iota
+	Peak
+	OffPeak
+	NumClasses
+)
+
+// ClassOf returns window i's period, or AllWindows for a window in neither.
+func ClassOf(i int) Class {
+	switch {
+	case 0 <= i && i < 3:
+		return Peak
+	case 3 <= i && i < 6:
+		return OffPeak
+	}
+	return AllWindows
+}
+
+// Covers reports whether window i is in class c.
+func (c Class) Covers(i int) bool { return c == AllWindows || ClassOf(i) == c }
 
 // WindowStart returns the GMT start offset of window i within a day.
 func WindowStart(i int) time.Duration { return time.Duration(i) * 2 * time.Hour }

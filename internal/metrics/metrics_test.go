@@ -150,11 +150,20 @@ func TestWindowHelpers(t *testing.T) {
 	if got := WindowLabel(11); got != "22-24 GMT" {
 		t.Errorf("label = %q", got)
 	}
-	if !PeakWindows()[0] || PeakWindows()[5] {
-		t.Error("peak windows wrong")
-	}
-	if !OffPeakWindows()[4] || OffPeakWindows()[0] {
-		t.Error("off-peak windows wrong")
+	for i := 0; i < WindowsPerDay; i++ {
+		want := AllWindows
+		switch {
+		case i <= 2:
+			want = Peak
+		case i <= 5:
+			want = OffPeak
+		}
+		if got := ClassOf(i); got != want {
+			t.Errorf("ClassOf(%d) = %d, want %d", i, got, want)
+		}
+		if !AllWindows.Covers(i) || Peak.Covers(i) != (want == Peak) || OffPeak.Covers(i) != (want == OffPeak) {
+			t.Errorf("window %d covered wrongly", i)
+		}
 	}
 	if WindowStart(3) != 6*time.Hour {
 		t.Errorf("WindowStart(3) = %v", WindowStart(3))

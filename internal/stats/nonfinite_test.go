@@ -38,24 +38,29 @@ func TestPercentileRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// TestWelchTTestRejectsNonFinite: a non-finite sample never reaches the
+// test — Welford.Add refuses it — and an accumulator whose moments went
+// non-finite from finite samples (an overflowing spread) is refused by the
+// test itself.
 func TestWelchTTestRejectsNonFinite(t *testing.T) {
-	good := []float64{1, 2, 3, 4}
+	good, err := fold([]float64{1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, xs := range badSamples() {
-		if _, err := WelchTTest(xs, good); !errors.Is(err, ErrNonFinite) {
-			t.Errorf("%s: WelchTTest(bad, good) err = %v, want ErrNonFinite", name, err)
-		}
-		if _, err := WelchTTest(good, xs); !errors.Is(err, ErrNonFinite) {
-			t.Errorf("%s: WelchTTest(good, bad) err = %v, want ErrNonFinite", name, err)
+		if _, err := fold(xs); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("%s: folding the sample err = %v, want ErrNonFinite", name, err)
 		}
 	}
-}
-
-func TestBootstrapRatioCIRejectsNonFinite(t *testing.T) {
-	good := []float64{1, 2, 3, 4}
-	for name, xs := range badSamples() {
-		if _, _, err := BootstrapRatioCI(xs, good, 100, 0.9, 1); !errors.Is(err, ErrNonFinite) {
-			t.Errorf("%s: BootstrapRatioCI err = %v, want ErrNonFinite", name, err)
-		}
+	overflow, err := fold([]float64{1e308, -1e308, 1e308})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := WelchTTest(overflow, good); !errors.Is(err, ErrNonFinite) {
+		t.Errorf("WelchTTest(overflowed, good) err = %v, want ErrNonFinite", err)
+	}
+	if _, err := WelchTTest(good, overflow); !errors.Is(err, ErrNonFinite) {
+		t.Errorf("WelchTTest(good, overflowed) err = %v, want ErrNonFinite", err)
 	}
 }
 

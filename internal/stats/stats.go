@@ -14,7 +14,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"sort"
 )
 
@@ -210,55 +209,32 @@ func Summarize(xs []float64) (Summary, error) {
 	return s, nil
 }
 
-// BootstrapRatioCI estimates a percentile-bootstrap confidence interval for
-// the ratio mean(treatment)/mean(control) — the statistic behind the
-// paper's "reduce the rebuffer rate by 10–20%" claims. It resamples both
-// groups with replacement resamples times (deterministically from seed) and
-// returns the (1−conf)/2 and 1−(1−conf)/2 percentiles of the resampled
-// ratios. Each group needs at least two observations and the control a
-// non-zero mean.
-func BootstrapRatioCI(treatment, control []float64, resamples int, conf float64, seed int64) (lo, hi float64, err error) {
-	if len(treatment) < 2 || len(control) < 2 {
+// PairedRatioCI returns the delta-method confidence interval, at level
+// conf, for the ratio mean(t)/mean(c) of two arms measured on the same
+// draws — the statistic behind the paper's "reduce the rebuffer rate by
+// 10–20%" claims. t and c hold each arm's values over the paired draws and
+// d their per-draw differences t−c; the arms' covariance comes from the
+// three variances, (s_t² + s_c² − s_d²)/2, so no sample is retained:
+//
+//	Var(r) ≈ (s_t² − 2r·cov + r²·s_c²) / (n·mean(c)²),  r = mean(t)/mean(c)
+//
+// and the interval is r ± z·√Var(r), z the two-sided normal quantile of
+// conf. It needs two draws or more, counted alike in all three
+// accumulators (ErrNoData otherwise), and a non-zero control mean.
+func PairedRatioCI(t, c, d Welford, conf float64) (lo, hi float64, err error) {
+	n := t.N
+	if n < 2 || c.N != n || d.N != n {
 		return 0, 0, ErrNoData
 	}
-	if err := CheckFinite(treatment, control); err != nil {
-		return 0, 0, err
-	}
-	if Mean(control) == 0 {
+	if c.Mean == 0 {
 		return 0, 0, errors.New("stats: control mean is zero")
 	}
-	if resamples <= 0 {
-		resamples = 1000
-	}
-	if conf <= 0 || conf >= 1 {
-		conf = 0.9
-	}
-	rng := rand.New(rand.NewSource(seed))
-	ratios := make([]float64, 0, resamples)
-	resample := func(xs []float64) float64 {
-		var sum float64
-		for i := 0; i < len(xs); i++ {
-			sum += xs[rng.Intn(len(xs))]
-		}
-		return sum / float64(len(xs))
-	}
-	for i := 0; i < resamples; i++ {
-		c := resample(control)
-		if c == 0 {
-			continue // a degenerate resample of a sparse control group
-		}
-		ratios = append(ratios, resample(treatment)/c)
-	}
-	if len(ratios) < 2 {
-		return 0, 0, ErrNoData
-	}
-	alpha := (1 - conf) / 2
-	lo, err = Percentile(ratios, 100*alpha)
-	if err != nil {
-		return 0, 0, err
-	}
-	hi, err = Percentile(ratios, 100*(1-alpha))
-	return lo, hi, err
+	r := t.Mean / c.Mean
+	vt, vc := t.Variance(), c.Variance()
+	cov := (vt + vc - d.Variance()) / 2
+	v := (vt - 2*r*cov + r*r*vc) / (float64(n) * c.Mean * c.Mean)
+	half := math.Sqrt2 * math.Erfinv(conf) * math.Sqrt(max(v, 0))
+	return r - half, r + half, nil
 }
 
 // Autocorrelation returns the lag-k sample autocorrelation of xs — the
@@ -293,21 +269,22 @@ type TTestResult struct {
 }
 
 // WelchTTest performs a two-sided Welch two-sample t-test of the null
-// hypothesis that xs and ys have equal means. This is the test behind the
-// paper's footnotes 4 and 5 (p-values 0.25 and 0.74 for BBA-0/BBA-1 versus
-// Rmin Always off-peak). Each sample needs at least two observations; a
-// sample containing NaN or ±Inf is rejected with ErrNonFinite rather than
-// yielding a NaN statistic.
-func WelchTTest(xs, ys []float64) (TTestResult, error) {
-	if len(xs) < 2 || len(ys) < 2 {
+// hypothesis that the samples folded into x and y have equal means. This is
+// the test behind the paper's footnotes 4 and 5 (p-values 0.25 and 0.74 for
+// BBA-0/BBA-1 versus Rmin Always off-peak); it needs only each sample's
+// count, mean and variance. Each sample needs at least two observations; an
+// accumulator whose moments are not finite is rejected with ErrNonFinite
+// rather than yielding a NaN statistic.
+func WelchTTest(x, y Welford) (TTestResult, error) {
+	if x.N < 2 || y.N < 2 {
 		return TTestResult{}, ErrNoData
 	}
-	if err := CheckFinite(xs, ys); err != nil {
+	if err := CheckFinite([]float64{x.Mean, x.M2, y.Mean, y.M2}); err != nil {
 		return TTestResult{}, err
 	}
-	mx, my := Mean(xs), Mean(ys)
-	vx, vy := Variance(xs), Variance(ys)
-	nx, ny := float64(len(xs)), float64(len(ys))
+	mx, my := x.Mean, y.Mean
+	vx, vy := x.Variance(), y.Variance()
+	nx, ny := float64(x.N), float64(y.N)
 	se2 := vx/nx + vy/ny
 	if se2 == 0 {
 		// Identical constant samples: no evidence against the null.

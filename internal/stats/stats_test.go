@@ -117,7 +117,7 @@ func TestWelchTTestEqualSamples(t *testing.T) {
 		xs[i] = rng.NormFloat64()
 		ys[i] = rng.NormFloat64()
 	}
-	res, err := WelchTTest(xs, ys)
+	res, err := WelchTTest(welford(t, xs), welford(t, ys))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestWelchTTestDifferentMeans(t *testing.T) {
 		xs[i] = rng.NormFloat64()
 		ys[i] = rng.NormFloat64() + 1.0
 	}
-	res, err := WelchTTest(xs, ys)
+	res, err := WelchTTest(welford(t, xs), welford(t, ys))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestWelchTTestKnownValue(t *testing.T) {
 	// hand-computed value. xs mean 3, ys mean 5.
 	xs := []float64{1, 2, 3, 4, 5}
 	ys := []float64{3, 4, 5, 6, 7}
-	res, err := WelchTTest(xs, ys)
+	res, err := WelchTTest(welford(t, xs), welford(t, ys))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,17 +168,17 @@ func TestWelchTTestKnownValue(t *testing.T) {
 }
 
 func TestWelchTTestDegenerate(t *testing.T) {
-	if _, err := WelchTTest([]float64{1}, []float64{1, 2}); err != ErrNoData {
+	if _, err := WelchTTest(welford(t, []float64{1}), welford(t, []float64{1, 2})); err != ErrNoData {
 		t.Errorf("want ErrNoData, got %v", err)
 	}
-	res, err := WelchTTest([]float64{2, 2, 2}, []float64{2, 2, 2})
+	res, err := WelchTTest(welford(t, []float64{2, 2, 2}), welford(t, []float64{2, 2, 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.P != 1 {
 		t.Errorf("identical constant samples: p = %v, want 1", res.P)
 	}
-	res, err = WelchTTest([]float64{2, 2, 2}, []float64{3, 3, 3})
+	res, err = WelchTTest(welford(t, []float64{2, 2, 2}), welford(t, []float64{3, 3, 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestQuickWelchPValueRange(t *testing.T) {
 		for i := range ys {
 			ys[i] = rng.NormFloat64() + math.Mod(shift, 10)
 		}
-		res, err := WelchTTest(xs, ys)
+		res, err := WelchTTest(welford(t, xs), welford(t, ys))
 		if err != nil {
 			return false
 		}
@@ -339,47 +339,74 @@ func TestAutocorrelationMatchesSceneModelIntent(t *testing.T) {
 	}
 }
 
-func TestBootstrapRatioCI(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	treatment := make([]float64, 300)
-	control := make([]float64, 300)
-	for i := range treatment {
-		treatment[i] = 0.7 + 0.3*rng.Float64() // mean ≈ 0.85
-		control[i] = 0.9 + 0.3*rng.Float64()   // mean ≈ 1.05
+// TestPairedRatioCIKnownValue holds the delta-method interval to a value
+// worked by hand on five paired draws:
+//
+//	t = 1 3 2 5 4    mean 3, s² = 10/4 = 2.5
+//	c = 2 4 6 8 10   mean 6, s² = 40/4 = 10
+//	d = t−c          mean −3, s² = 18/4 = 4.5
+//
+// cov = (2.5 + 10 − 4.5)/2 = 4 (directly: (8 + 0 + 0 + 4 + 4)/4), r = 0.5,
+// Var(r) = (2.5 − 2·0.5·4 + 0.25·10)/(5·36) = 1/180, and at 90% the
+// interval is 0.5 ± 1.6448536269514722/√180 = [0.37740, 0.62260].
+func TestPairedRatioCIKnownValue(t *testing.T) {
+	tv := []float64{1, 3, 2, 5, 4}
+	cv := []float64{2, 4, 6, 8, 10}
+	dv := make([]float64, len(tv))
+	for i := range tv {
+		dv[i] = tv[i] - cv[i]
 	}
-	lo, hi, err := BootstrapRatioCI(treatment, control, 500, 0.9, 1)
+	lo, hi, err := PairedRatioCI(welford(t, tv), welford(t, cv), welford(t, dv), 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trueRatio := Mean(treatment) / Mean(control)
-	if lo >= hi {
-		t.Fatalf("degenerate interval [%v, %v]", lo, hi)
+	half := 1.6448536269514722 / math.Sqrt(180)
+	if !almost(lo, 0.5-half, 1e-12) || !almost(hi, 0.5+half, 1e-12) {
+		t.Errorf("CI = [%.15f, %.15f], want [%.15f, %.15f]", lo, hi, 0.5-half, 0.5+half)
 	}
-	if trueRatio < lo || trueRatio > hi {
-		t.Errorf("true ratio %.3f outside the CI [%.3f, %.3f]", trueRatio, lo, hi)
-	}
-	if hi >= 1 {
-		t.Errorf("CI [%.3f, %.3f] should exclude 1 for clearly separated groups", lo, hi)
-	}
-	// Deterministic in seed.
-	lo2, hi2, err := BootstrapRatioCI(treatment, control, 500, 0.9, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo != lo2 || hi != hi2 {
-		t.Error("bootstrap not deterministic for a fixed seed")
+	if !almost(lo, 0.37740, 1e-5) || !almost(hi, 0.62260, 1e-5) {
+		t.Errorf("CI = [%.5f, %.5f], want [0.37740, 0.62260]", lo, hi)
 	}
 }
 
-func TestBootstrapRatioCIDegenerate(t *testing.T) {
-	if _, _, err := BootstrapRatioCI([]float64{1}, []float64{1, 2}, 100, 0.9, 1); err != ErrNoData {
-		t.Errorf("short treatment: %v", err)
+func TestPairedRatioCIDegenerate(t *testing.T) {
+	one := welford(t, []float64{1})
+	if _, _, err := PairedRatioCI(one, one, one, 0.9); err != ErrNoData {
+		t.Errorf("one draw: %v, want ErrNoData", err)
 	}
-	if _, _, err := BootstrapRatioCI([]float64{1, 2}, []float64{0, 0}, 100, 0.9, 1); err == nil {
+	two, three := welford(t, []float64{1, 2}), welford(t, []float64{1, 2, 3})
+	if _, _, err := PairedRatioCI(two, three, two, 0.9); err != ErrNoData {
+		t.Errorf("unpaired counts: %v, want ErrNoData", err)
+	}
+	zero := welford(t, []float64{0, 0})
+	if _, _, err := PairedRatioCI(two, zero, two, 0.9); err == nil {
 		t.Error("zero-mean control accepted")
 	}
-	// Defaults kick in for bad knobs.
-	if _, _, err := BootstrapRatioCI([]float64{1, 2, 3}, []float64{2, 3, 4}, -1, 2, 1); err != nil {
-		t.Errorf("defaulted knobs failed: %v", err)
+	// Identical arms: the differences are all zero, the covariance is the
+	// arms' variance and the interval collapses onto the ratio 1.
+	lo, hi, err := PairedRatioCI(three, three, welford(t, []float64{0, 0, 0}), 0.9)
+	if err != nil || !almost(lo, 1, 1e-12) || !almost(hi, 1, 1e-12) {
+		t.Errorf("identical arms: [%v, %v], %v; want [1, 1]", lo, hi, err)
 	}
+}
+
+// welford folds xs into a Welford, failing the test on a rejected sample.
+func welford(t *testing.T, xs []float64) Welford {
+	t.Helper()
+	w, err := fold(xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// fold folds xs into a Welford, stopping at the first rejected sample.
+func fold(xs []float64) (Welford, error) {
+	var w Welford
+	for _, x := range xs {
+		if err := w.Add(x); err != nil {
+			return w, err
+		}
+	}
+	return w, nil
 }

@@ -102,8 +102,7 @@ func (w Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 // MeanCI95 returns the normal-approximation 95% confidence interval for the
 // mean (mean ± 1.96·s/√n). Below two samples the interval collapses to the
 // mean. For the session counts campaigns aggregate (thousands per arm) the
-// normal approximation is the appropriate tool; small-sample runs should
-// bootstrap instead.
+// normal approximation is the appropriate tool.
 func (w Welford) MeanCI95() (lo, hi float64) {
 	if w.N < 2 {
 		return w.Mean, w.Mean

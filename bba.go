@@ -273,8 +273,9 @@ func ObservedTrace(res *Result) (*Trace, error) {
 // sessionsPerWindow size the population; the result is deterministic in
 // seed. The outcome holds each group's per-window aggregates, the campaign
 // report, and every pair of groups compared draw by draw
-// (WeekendOutcome.Pairs, which SignificanceRebuffers reads); no session is
-// retained, so memory does not grow with the population.
+// (WeekendOutcome.Pairs, whose pooled rebuffer ratio SignificanceRebuffers
+// tests); no session is retained, so memory does not grow with the
+// population.
 func Experiment(seed int64, days, sessionsPerWindow int) (*campaign.WeekendOutcome, error) {
 	return campaign.RunWeekend(context.Background(), campaign.WeekendConfig(seed, days, sessionsPerWindow))
 }

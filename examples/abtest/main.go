@@ -6,6 +6,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"os"
@@ -13,6 +14,7 @@ import (
 
 	"bba"
 	"bba/internal/metrics"
+	"bba/internal/stats"
 )
 
 func main() {
@@ -52,15 +54,21 @@ func main() {
 	w.Flush()
 
 	// The paper's footnote-style significance check: off-peak, is BBA-1
-	// distinguishable from the Rmin Always lower bound? Welch reads the two
-	// arms' Welfords from the outcome's draw-by-draw comparison.
+	// distinguishable from the Rmin Always lower bound? The paired test on
+	// the two arms' pooled rebuffer rates reads the outcome's draw-by-draw
+	// comparison.
 	res, err := outcome.SignificanceRebuffers("BBA-1", "Rmin Always", metrics.OffPeak)
-	if err != nil {
+	switch {
+	case errors.Is(err, stats.ErrUndecided):
+		// An arm that never rebuffered off-peak has no pooled ratio to test.
+		fmt.Printf("\nBBA-1 vs Rmin Always off-peak: undecided: n = %d draws\n", res.N)
+		return
+	case err != nil:
 		log.Fatal(err)
 	}
 	fmt.Printf("\nBBA-1 vs Rmin Always off-peak: p = %.2f ", res.P)
 	if res.P >= 0.05 {
-		fmt.Println("(same-distribution hypothesis not rejected — as in the paper)")
+		fmt.Println("(equal pooled rebuffer rate not rejected — as in the paper)")
 	} else {
 		fmt.Println("(distinguishable at 95%)")
 	}

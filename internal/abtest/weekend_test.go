@@ -6,6 +6,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -17,7 +18,6 @@ import (
 	"bba/internal/campaign"
 	"bba/internal/faults"
 	"bba/internal/metrics"
-	"bba/internal/stats"
 )
 
 // smallConfig keeps experiment tests fast while exercising every code path.
@@ -232,28 +232,31 @@ func TestRunReportsStats(t *testing.T) {
 }
 
 func TestSignificanceRebuffers(t *testing.T) {
+	// A group compared with itself — Control and a twin playing Control on
+	// the same draws — has identical arms: ratio 1, p = 1.
+	ctrl, err := abtest.GroupFor("Control")
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := ctrl
+	twin.Name = "Control twin"
+	cfg := smallConfig(11)
+	cfg.Groups = []abtest.Group{ctrl, twin}
+	self, err := run(t, cfg).SignificanceRebuffers("Control", "Control twin", metrics.AllWindows)
+	if err != nil || self.Ratio != 1 || self.P != 1 {
+		t.Errorf("self-comparison: %+v, %v; want ratio 1, p 1", self, err)
+	}
+
+	// Swapping the groups gives the reciprocal ratio and the same p.
 	out := run(t, smallConfig(11))
-	// A group against itself: identical samples, p = 1.
-	p, err := out.Pairs.Compare("BBA-1", "Control", metrics.AllWindows, campaign.MetricRebuffer)
+	ab, err := out.SignificanceRebuffers("Control", "Rmin Always", metrics.Peak)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("peak comparison failed: %v", err)
 	}
-	res, err := stats.WelchTTest(p.A, p.A)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.P != 1 {
-		t.Errorf("self-comparison p = %v, want 1", res.P)
-	}
-	// The test is symmetric in its groups, and restricting to a window
-	// class must not error with enough sessions.
-	ab, err := out.SignificanceRebuffers("Control", "Rmin Always", metrics.OffPeak)
-	if err != nil {
-		t.Fatalf("off-peak comparison failed: %v", err)
-	}
-	ba, err := out.SignificanceRebuffers("Rmin Always", "Control", metrics.OffPeak)
-	if err != nil || ba.P != ab.P || ba.T != -ab.T {
-		t.Errorf("swapped groups: %+v, %v; want p %v, t %v", ba, err, ab.P, -ab.T)
+	ba, err := out.SignificanceRebuffers("Rmin Always", "Control", metrics.Peak)
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12 }
+	if err != nil || ba.N != ab.N || !near(ba.Ratio, 1/ab.Ratio) || !near(ba.Lo, 1/ab.Hi) || !near(ba.Hi, 1/ab.Lo) || !near(ba.P, ab.P) {
+		t.Errorf("swapped groups: %+v, %v; from %+v", ba, err, ab)
 	}
 	if _, err := out.SignificanceRebuffers("BBA-1", "BBA-1", metrics.AllWindows); err == nil {
 		t.Error("a group compared with itself has no pair, yet no error")

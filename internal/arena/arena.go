@@ -147,11 +147,11 @@ func buildReport(entrants []string, cr *campaign.Report, ps *campaign.Pairs) *Re
 			Ties:     p.Ties,
 			WinRateA: 0.5,
 
-			DQoEPerPlayhour:    delta(all[campaign.MetricQoE].D),
-			DRebufferRate:      delta(all[campaign.MetricRebuffer].D),
-			DAvgRateKbps:       delta(all[campaign.MetricAvgRate].D),
-			DSwitchesPerPlayhr: delta(all[campaign.MetricSwitch].D),
-			DStartupRateKbps:   delta(all[campaign.MetricStartup].D),
+			DQoEPerPlayhour:    delta(all[campaign.MetricQoE]),
+			DRebufferRate:      delta(all[campaign.MetricRebuffer]),
+			DAvgRateKbps:       delta(all[campaign.MetricAvgRate]),
+			DSwitchesPerPlayhr: delta(all[campaign.MetricSwitch]),
+			DStartupRateKbps:   delta(all[campaign.MetricStartup]),
 		}
 		if decided := p.WinsA + p.WinsB; decided > 0 {
 			mr.WinRateA = float64(p.WinsA) / float64(decided)

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"bba/internal/metrics"
@@ -24,48 +23,22 @@ const (
 	numMetrics
 )
 
-// Paired is one metric's paired sample between two arms: arm A's values,
-// arm B's and their per-draw differences A−B, each over the same draws —
-// those where both arms qualify for the metric and the difference is
-// finite. Welch needs A and B; a paired interval needs D too.
-type Paired struct {
-	A, B, D stats.Welford
-}
-
-func (p *Paired) add(a, b float64) {
-	d := a - b
-	if math.IsNaN(d) || math.IsInf(d, 0) {
-		return // a non-finite arm value; the group report counts it
-	}
-	// d is finite only when a and b are, so no Add can refuse its sample.
-	_ = p.A.Add(a)
-	_ = p.B.Add(b)
-	_ = p.D.Add(d)
-}
-
-func (p *Paired) merge(o *Paired) {
-	p.A.Merge(o.A)
-	p.B.Merge(o.B)
-	p.D.Merge(o.D)
-}
-
-// swapped is the same sample seen from B: the arms trade places and every
-// difference changes sign, which IEEE negation does exactly.
-func (p Paired) swapped() Paired {
-	d := p.D
-	d.Mean, d.Min, d.Max = -d.Mean, -d.Max, -d.Min
-	return Paired{A: p.B, B: p.A, D: d}
-}
-
 // Pair is one unordered pair of arms compared draw by draw: QoE win counts
-// over every draw, and a Paired sample per window class and metric.
+// over every draw, per window class and metric the A−B differences, and per
+// window class the pooled rebuffer rates.
 type Pair struct {
 	A, B  string
 	Draws int64
 	// WinsA, WinsB and Ties compare total session QoE (both arms stream the
 	// same watch budget, so totals are commensurable).
 	WinsA, WinsB, Ties int64
-	By                 [metrics.NumClasses][numMetrics]Paired
+	// By holds each metric's per-draw differences A−B, over the draws
+	// where both arms qualify for the metric and the difference is finite.
+	By [metrics.NumClasses][numMetrics]stats.Welford
+	// Rebuffers holds both arms' rebuffers and play hours over every draw
+	// in the class: the pooled rates the figures print and the footnote
+	// test compares.
+	Rebuffers [metrics.NumClasses]stats.RatioPair
 }
 
 func (p *Pair) add(a, b metrics.Session) {
@@ -78,22 +51,27 @@ func (p *Pair) add(a, b metrics.Session) {
 	default:
 		p.Ties++
 	}
-	addDraw(&p.By[metrics.AllWindows], a, b)
+	p.addDraw(metrics.AllWindows, a, b)
 	if c := metrics.ClassOf(a.Window); c != metrics.AllWindows {
-		addDraw(&p.By[c], a, b)
+		p.addDraw(c, a, b)
 	}
 }
 
-// addDraw folds one draw into each metric the two sessions qualify for.
-func addDraw(by *[numMetrics]Paired, a, b metrics.Session) {
-	by[MetricAvgRate].add(a.AvgRateKbps, b.AvgRateKbps)
+// addDraw folds one draw into class c: its rebuffers, and each metric the
+// two sessions qualify for. Add refuses a non-finite draw or difference (a
+// difference is finite only when both arm values are), and the group
+// report counts the non-finite values, so the errors are dropped.
+func (p *Pair) addDraw(c metrics.Class, a, b metrics.Session) {
+	by := &p.By[c]
+	_ = p.Rebuffers[c].Add(float64(a.Rebuffers), a.PlayHours, float64(b.Rebuffers), b.PlayHours)
+	_ = by[MetricAvgRate].Add(a.AvgRateKbps - b.AvgRateKbps)
 	if a.StartupRateKbps > 0 && b.StartupRateKbps > 0 {
-		by[MetricStartup].add(a.StartupRateKbps, b.StartupRateKbps)
+		_ = by[MetricStartup].Add(a.StartupRateKbps - b.StartupRateKbps)
 	}
 	if a.PlayHours > 0 && b.PlayHours > 0 {
-		by[MetricQoE].add(a.QoE/a.PlayHours, b.QoE/b.PlayHours)
-		by[MetricRebuffer].add(float64(a.Rebuffers)/a.PlayHours, float64(b.Rebuffers)/b.PlayHours)
-		by[MetricSwitch].add(float64(a.Switches)/a.PlayHours, float64(b.Switches)/b.PlayHours)
+		_ = by[MetricQoE].Add(a.QoE/a.PlayHours - b.QoE/b.PlayHours)
+		_ = by[MetricRebuffer].Add(float64(a.Rebuffers)/a.PlayHours - float64(b.Rebuffers)/b.PlayHours)
+		_ = by[MetricSwitch].Add(float64(a.Switches)/a.PlayHours - float64(b.Switches)/b.PlayHours)
 	}
 }
 
@@ -104,8 +82,9 @@ func (p *Pair) merge(o *Pair) {
 	p.Ties += o.Ties
 	for c := range p.By {
 		for m := range p.By[c] {
-			p.By[c][m].merge(&o.By[c][m])
+			p.By[c][m].Merge(o.By[c][m])
 		}
+		p.Rebuffers[c].Merge(o.Rebuffers[c])
 	}
 }
 
@@ -114,8 +93,8 @@ func (p *Pair) merge(o *Pair) {
 // Every arm plays the same user, title and trace in a draw, so a per-draw
 // difference carries none of the between-user variance that dominates a
 // heavy-tailed rebuffer rate. Each shard adds its draws in offset order and
-// the campaign merges shards in shard order, so every Welford is the same
-// at any worker count or kernel width.
+// the campaign merges shards in shard order, so every accumulator is the
+// same at any worker count or kernel width.
 type Pairs struct {
 	groups []string
 	pairs  []Pair
@@ -134,21 +113,6 @@ func NewPairs(groups []string) *Pairs {
 
 // List returns every pair in canonical order: (0,1), (0,2), …, (1,2), ….
 func (ps *Pairs) List() []Pair { return ps.pairs }
-
-// Compare returns the paired sample of groups a and b for one window class
-// and metric, oriented so that A holds a's values and D is a − b.
-func (ps *Pairs) Compare(a, b string, c metrics.Class, m Metric) (Paired, error) {
-	for i := range ps.pairs {
-		p := &ps.pairs[i]
-		switch {
-		case p.A == a && p.B == b:
-			return p.By[c][m], nil
-		case p.A == b && p.B == a:
-			return p.By[c][m].swapped(), nil
-		}
-	}
-	return Paired{}, fmt.Errorf("campaign: no pair of groups %q and %q", a, b)
-}
 
 // AddSessionSet implements Extra: ms holds one session per group, in group
 // order.

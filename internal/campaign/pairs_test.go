@@ -8,8 +8,8 @@ import (
 )
 
 // TestPairsAccounting drives the paired comparison directly with hand-built
-// draws and checks wins, ties, per-draw differences, window classes,
-// orientation and merging.
+// draws and checks wins, ties, per-draw differences, pooled rebuffers,
+// window classes, orientation and merging.
 func TestPairsAccounting(t *testing.T) {
 	ps := NewPairs([]string{"A", "B"})
 	mk := func(window int, qoe, rate float64, rebuf int) metrics.Session {
@@ -30,29 +30,28 @@ func TestPairsAccounting(t *testing.T) {
 		t.Errorf("accounting: %s/%s draws %d wins %d−%d ties %d", p.A, p.B, p.Draws, p.WinsA, p.WinsB, p.Ties)
 	}
 	all := p.By[metrics.AllWindows]
-	if got := all[MetricAvgRate].D.Mean; math.Abs(got-(500.0-800.0-100.0)/3) > 1e-9 {
+	if got := all[MetricAvgRate].Mean; math.Abs(got-(500.0-800.0-100.0)/3) > 1e-9 {
 		t.Errorf("mean rate difference = %v", got)
 	}
-	if got := all[MetricRebuffer].D.Mean; math.Abs(got-(-2.0+1.0+0.0)/3) > 1e-9 {
+	if got := all[MetricRebuffer].Mean; math.Abs(got-(-2.0+1.0+0.0)/3) > 1e-9 {
 		t.Errorf("mean rebuffer difference = %v", got)
 	}
-	if n := all[MetricStartup].D.N; n != 0 {
+	if n := all[MetricStartup].N; n != 0 {
 		t.Errorf("startup sample holds %d draws with no startup rate", n)
 	}
-	if peak, off := p.By[metrics.Peak][MetricAvgRate], p.By[metrics.OffPeak][MetricAvgRate]; peak.D.N != 1 || peak.D.Mean != 500 || off.D.N != 1 || off.D.Mean != -800 {
-		t.Errorf("classes: peak %+v, off-peak %+v", peak.D, off.D)
+	if peak, off := p.By[metrics.Peak][MetricAvgRate], p.By[metrics.OffPeak][MetricAvgRate]; peak.N != 1 || peak.Mean != 500 || off.N != 1 || off.Mean != -800 {
+		t.Errorf("classes: peak %+v, off-peak %+v", peak, off)
+	}
+	if r := p.Rebuffers[metrics.AllWindows]; r.N != 3 || r.Mean != [4]float64{2.0 / 3, 1, 1, 1} {
+		t.Errorf("pooled rebuffers: %+v, want 3 draws, means 2/3, 1, 1, 1", r)
 	}
 
-	// Seen from B, the arms trade places and the differences change sign.
-	ba, err := ps.Compare("B", "A", metrics.AllWindows, MetricAvgRate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ab := all[MetricAvgRate]
-	if ba.A != ab.B || ba.B != ab.A || ba.D.Mean != -ab.D.Mean || ba.D.M2 != ab.D.M2 || ba.D.Min != -ab.D.Max || ba.D.Max != -ab.D.Min {
+	// Seen from B, the arms trade places.
+	if ab, ba := p.Rebuffers[metrics.AllWindows], p.Rebuffers[metrics.AllWindows].Swapped(); ba.N != ab.N || ba.Mean != [4]float64{ab.Mean[2], ab.Mean[3], ab.Mean[0], ab.Mean[1]} || ba.C[0][3] != ab.C[2][1] || ba.C[1][2] != ab.C[3][0] {
 		t.Errorf("swapped: %+v, from %+v", ba, ab)
 	}
-	if _, err := ps.Compare("A", "C", metrics.AllWindows, MetricAvgRate); err == nil {
+	out := &WeekendOutcome{Pairs: ps}
+	if _, err := out.SignificanceRebuffers("A", "C", metrics.AllWindows); err == nil {
 		t.Error("unknown group compared")
 	}
 
@@ -64,8 +63,8 @@ func TestPairsAccounting(t *testing.T) {
 	if err := ps.Merge(ps2); err != nil {
 		t.Fatal(err)
 	}
-	if p := ps.List()[0]; p.Draws != 4 || p.WinsB != 2 || p.By[metrics.Peak][MetricAvgRate].D.N != 2 {
-		t.Errorf("after merge: draws %d, B wins %d, peak draws %d", p.Draws, p.WinsB, p.By[metrics.Peak][MetricAvgRate].D.N)
+	if p := ps.List()[0]; p.Draws != 4 || p.WinsB != 2 || p.By[metrics.Peak][MetricAvgRate].N != 2 || p.Rebuffers[metrics.Peak].N != 2 {
+		t.Errorf("after merge: draws %d, B wins %d, peak draws %d and %d", p.Draws, p.WinsB, p.By[metrics.Peak][MetricAvgRate].N, p.Rebuffers[metrics.Peak].N)
 	}
 	if err := ps.Merge(NewPairs([]string{"A", "B", "C"})); err == nil {
 		t.Error("mismatched pair count accepted")

@@ -140,15 +140,20 @@ func (o *WeekendOutcome) WriteCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
-// SignificanceRebuffers runs a Welch t-test on the per-session rebuffer
-// rates of two groups over one window class — the test behind the paper's
-// footnotes 4 and 5 ("the hypothesis ... is not rejected at the 95%
-// confidence level"). It reads the pair's paired sample: the draws on which
-// both groups played.
-func (o *WeekendOutcome) SignificanceRebuffers(groupA, groupB string, c metrics.Class) (stats.TTestResult, error) {
-	p, err := o.Pairs.Compare(groupA, groupB, c, MetricRebuffer)
-	if err != nil {
-		return stats.TTestResult{}, err
+// SignificanceRebuffers is the paired test of two groups' pooled rebuffer
+// rates over one window class — the test behind the paper's footnotes 4
+// and 5 ("the hypothesis ... is not rejected at the 95% confidence level").
+// Its interval is at 90%, the level the figures' notes print. It returns
+// stats.ErrUndecided, with the draw count, when either group never
+// rebuffered in the class.
+func (o *WeekendOutcome) SignificanceRebuffers(groupA, groupB string, c metrics.Class) (stats.RatioTest, error) {
+	for i := range o.Pairs.pairs {
+		switch p := &o.Pairs.pairs[i]; {
+		case p.A == groupA && p.B == groupB:
+			return p.Rebuffers[c].Test(0.9)
+		case p.A == groupB && p.B == groupA:
+			return p.Rebuffers[c].Swapped().Test(0.9)
+		}
 	}
-	return stats.WelchTTest(p.A, p.B)
+	return stats.RatioTest{}, fmt.Errorf("campaign: no pair of groups %q and %q", groupA, groupB)
 }

@@ -23,7 +23,7 @@ import (
 // worker count and kernel width. It is also the reference for the weekend's
 // fold: run under an Extra that retains every session beside the fold,
 // the fold's windows must equal metrics.Aggregate over the retained
-// sessions and its every pair Welford one built sequentially from them,
+// sessions and its every pair accumulator a reference built from them,
 // the folded Extra must hold no session, and RunWeekend must return those
 // same windows.
 func TestWeekendMatchesPlayUserOracle(t *testing.T) {
@@ -140,28 +140,27 @@ func (r *retainingFold) Merge(o Extra) error {
 	return r.weekendFold.Merge(or.weekendFold)
 }
 
-// checkPairs holds every pair Welford of ps to one built sequentially over
-// the retained sessions, under the same inclusion rules, within 1e-12.
+// checkPairs holds every pair accumulator of ps to a reference over the
+// retained sessions, under the same inclusion rules: each A−B Welford to
+// one built draw by draw within 1e-12, and each class's pooled rebuffer
+// test — ratio, CI ends and p — to a two-pass computation within 1e-9.
 func checkPairs(t *testing.T, ps *Pairs, kept [][]metrics.Session) {
 	t.Helper()
 	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Max(1, math.Abs(b)) }
 	k := 0
 	for i := range kept {
 		for j := i + 1; j < len(kept); j++ {
-			var want [metrics.NumClasses][numMetrics]Paired
+			var want [metrics.NumClasses][numMetrics]stats.Welford
+			var rebufs [metrics.NumClasses][][4]float64
 			for d := range kept[i] {
 				a, b := kept[i][d], kept[j][d]
 				for _, c := range []metrics.Class{metrics.AllWindows, metrics.ClassOf(a.Window)} {
 					ref := func(m Metric, x, y float64) {
-						for _, w := range []struct {
-							acc *stats.Welford
-							v   float64
-						}{{&want[c][m].A, x}, {&want[c][m].B, y}, {&want[c][m].D, x - y}} {
-							if err := w.acc.Add(w.v); err != nil {
-								t.Fatal(err)
-							}
+						if err := want[c][m].Add(x - y); err != nil {
+							t.Fatal(err)
 						}
 					}
+					rebufs[c] = append(rebufs[c], [4]float64{float64(a.Rebuffers), a.PlayHours, float64(b.Rebuffers), b.PlayHours})
 					ref(MetricAvgRate, a.AvgRateKbps, b.AvgRateKbps)
 					if a.StartupRateKbps > 0 && b.StartupRateKbps > 0 {
 						ref(MetricStartup, a.StartupRateKbps, b.StartupRateKbps)
@@ -182,18 +181,56 @@ func checkPairs(t *testing.T, ps *Pairs, kept [][]metrics.Session) {
 			}
 			for c := range want {
 				for m := range want[c] {
-					got, ref := p.By[c][m], want[c][m]
-					for _, w := range [][2]stats.Welford{{got.A, ref.A}, {got.B, ref.B}, {got.D, ref.D}} {
-						g, r := w[0], w[1]
-						if g.N != r.N || !near(g.Mean, r.Mean) || !near(g.M2, r.M2) || g.Min != r.Min || g.Max != r.Max {
-							t.Fatalf("pair %s/%s class %d metric %d: %+v, sequential %+v", p.A, p.B, c, m, g, r)
-						}
+					g, r := p.By[c][m], want[c][m]
+					if g.N != r.N || !near(g.Mean, r.Mean) || !near(g.M2, r.M2) || g.Min != r.Min || g.Max != r.Max {
+						t.Fatalf("pair %s/%s class %d metric %d: %+v, sequential %+v", p.A, p.B, c, m, g, r)
 					}
+				}
+				got, gotErr := p.Rebuffers[c].Test(0.9)
+				ref, refErr := twoPassRatioTest(rebufs[c], 0.9)
+				close := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(1, math.Abs(b)) }
+				if gotErr != refErr || got.N != ref.N || !close(got.Ratio, ref.Ratio) || !close(got.Lo, ref.Lo) || !close(got.Hi, ref.Hi) || !close(got.P, ref.P) {
+					t.Fatalf("pair %s/%s class %d rebuffers: %+v (%v), two-pass %+v (%v)", p.A, p.B, c, got, gotErr, ref, refErr)
 				}
 			}
 			k++
 		}
 	}
+}
+
+// twoPassRatioTest is stats.RatioPair.Test computed the textbook way over
+// retained draws: the means first, then each draw's influence on log R,
+// g·(x − mean), whose sample variance over n is se².
+func twoPassRatioTest(draws [][4]float64, conf float64) (stats.RatioTest, error) {
+	res := stats.RatioTest{N: int64(len(draws))}
+	var m [4]float64
+	for _, x := range draws {
+		for i := range m {
+			m[i] += x[i]
+		}
+	}
+	for i := range m {
+		m[i] /= float64(len(draws))
+	}
+	if len(draws) < 2 || m[0] <= 0 || m[1] <= 0 || m[2] <= 0 || m[3] <= 0 {
+		return res, stats.ErrUndecided
+	}
+	var ss float64
+	for _, x := range draws {
+		psi := (x[0]-m[0])/m[0] - (x[1]-m[1])/m[1] - (x[2]-m[2])/m[2] + (x[3]-m[3])/m[3]
+		ss += psi * psi
+	}
+	n := float64(len(draws))
+	se := math.Sqrt(ss / (n - 1) / n)
+	res.Ratio = m[0] / m[1] / (m[2] / m[3])
+	lr := math.Log(res.Ratio)
+	z := math.Sqrt2 * math.Erfinv(conf)
+	res.Lo, res.Hi = math.Exp(lr-z*se), math.Exp(lr+z*se)
+	res.P = 1
+	if lr != 0 {
+		res.P = math.Erfc(math.Abs(lr) / se / math.Sqrt2)
+	}
+	return res, nil
 }
 
 // TestWeekendLayoutIsIdentity pins that the layout is part of the campaign

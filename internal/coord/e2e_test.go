@@ -217,25 +217,37 @@ func TestE2EHostileTransport(t *testing.T) {
 		},
 	}
 	defer shaped.CloseIdleConnections()
-	// The worker's client gives a call five attempts 100–400 ms apart, so
-	// the edge fails (at faults.AttemptFailProb) in 20 ms bursts every 70 ms
-	// for the whole run — a period no retry spacing is a multiple of —
-	// rather than for one unbroken hour as the shipper's 400-attempt budget
-	// is held to.
+	// Each worker has its own client, and its edge's clock is that worker's
+	// request count, one millisecond a request: one request in seven falls
+	// in a 503 burst (and fails at faults.AttemptFailProb), however fast
+	// the machine runs. Five attempts a call are then enough. With Parallelism 1 a
+	// worker's calls follow one another, so a call's requests are
+	// consecutive on its count but for two intruders: one duplicate re-send
+	// after an ack, and at most one heartbeat call of ≤ five attempts (one
+	// comes every TTL/3 = 5 s; a call's back-off spans ≈ 1 s). Those eleven
+	// consecutive requests hold at most two faulted ones. A lost
+	// acknowledgement costs one more attempt, and only one: the retry's ack
+	// is the next count, not a multiple of loseAckEvery. So at most three of
+	// a call's five attempts fail.
 	var bursts []faults.Fault
-	for at := time.Duration(0); at < time.Minute; at += 70 * time.Millisecond {
-		bursts = append(bursts, faults.Fault{Kind: faults.ServerError, Start: at, Duration: 20 * time.Millisecond})
+	for at := time.Duration(0); at < 10*time.Second; at += 7 * time.Millisecond {
+		bursts = append(bursts, faults.Fault{Kind: faults.ServerError, Start: at, Duration: time.Millisecond})
 	}
+	schedule := faults.MustSchedule(bursts)
 	var injected atomic.Int64
-	faulty := &faults.Transport{
-		Base:     shaped,
-		Schedule: faults.MustSchedule(bursts),
-		Seed:     99,
-		OnFault:  func(faults.Kind, int64) { injected.Add(1) },
-	}
-	client := &http.Client{
-		Transport: &lossDupTransport{base: faulty, dupEvery: 2, loseAckEvery: 5},
-		Timeout:   10 * time.Second,
+	hostile := func() *http.Client {
+		var requests atomic.Int64
+		faulty := &faults.Transport{
+			Base:     shaped,
+			Schedule: schedule,
+			Seed:     99,
+			OnFault:  func(faults.Kind, int64) { injected.Add(1) },
+			Now:      func() time.Time { return time.Unix(0, 0).Add(time.Duration(requests.Add(1)) * time.Millisecond) },
+		}
+		return &http.Client{
+			Transport: &lossDupTransport{base: faulty, dupEvery: 2, loseAckEvery: 5},
+			Timeout:   10 * time.Second,
+		}
 	}
 
 	var wg sync.WaitGroup
@@ -246,7 +258,7 @@ func TestE2EHostileTransport(t *testing.T) {
 			defer wg.Done()
 			_, errs[i] = RunWorker(context.Background(), WorkerConfig{
 				URL: srv.URL, Name: fmt.Sprintf("w%d", i), Parallelism: 1,
-				Poll: 5 * time.Millisecond, HTTP: client,
+				Poll: 5 * time.Millisecond, HTTP: hostile(),
 			})
 		}(i)
 	}

@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"errors"
 	"fmt"
 
 	"bba/internal/campaign"
@@ -62,19 +63,17 @@ func rebufferFigure(scale Scale, id, title string, groups []string, paperNote st
 }
 
 // pairedRatioNote is the parenthetical of a peak-reduction note: the 90%
-// delta-method CI on the ratio of g's mean peak rebuffer rate to Control's
-// over the draws both played, or, when the draws cannot decide one (fewer
-// than two, or Control never rebuffered), how many there were.
+// paired CI on the pooled ratio the note prints, g's peak rebuffer rate to
+// Control's, or, when the draws cannot decide one, how many there were.
 func pairedRatioNote(out *campaign.WeekendOutcome, g string) (string, error) {
-	p, err := out.Pairs.Compare(g, "Control", metrics.Peak, campaign.MetricRebuffer)
-	if err != nil {
+	res, err := out.SignificanceRebuffers(g, "Control", metrics.Peak)
+	switch {
+	case errors.Is(err, stats.ErrUndecided):
+		return fmt.Sprintf(" (paired CI undecided: n = %d draws)", res.N), nil
+	case err != nil:
 		return "", err
 	}
-	lo, hi, err := stats.PairedRatioCI(p.A, p.B, p.D, 0.9)
-	if err != nil {
-		return fmt.Sprintf(" (paired CI undecided: n = %d draws)", p.D.N), nil
-	}
-	return fmt.Sprintf(" (90%% paired CI on the ratio: %.2f–%.2f)", lo, hi), nil
+	return fmt.Sprintf(" (90%% paired CI on the ratio: %.2f–%.2f)", res.Lo, res.Hi), nil
 }
 
 // rateFigure builds the Figure 8/15/17/23 family: per-window average video
@@ -262,22 +261,32 @@ func Fig24RebufferRateBBAOthers(scale Scale) (*Figure, error) {
 }
 
 // Sec4Significance reproduces the paper's footnote significance tests: the
-// hypothesis that a buffer-based group and Rmin Always share the same
-// off-peak rebuffer distribution is not rejected at the 95% level.
+// hypothesis that a buffer-based group and Rmin Always have the same
+// off-peak pooled rebuffer rate is not rejected at the 95% level.
 func Sec4Significance(scale Scale) (*Figure, error) {
 	out, err := ExperimentOutcome(scale)
 	if err != nil {
 		return nil, err
 	}
+	return sec4Figure(out)
+}
+
+// sec4Figure is Sec4Significance over an outcome. A comparison the draws
+// cannot decide has a note saying so and no point.
+func sec4Figure(out *campaign.WeekendOutcome) (*Figure, error) {
 	fig := &Figure{
 		ID:     "sec4",
-		Title:  "Off-peak rebuffer-rate significance vs the Rmin Always bound (Welch t-test)",
+		Title:  "Off-peak rebuffer-rate significance vs the Rmin Always bound (paired test on the pooled ratio)",
 		XLabel: "comparison",
 		YLabel: "two-sided p-value",
 	}
 	s := Series{Name: "p-value"}
 	for _, g := range []string{"BBA-0", "BBA-1", "BBA-2", "BBA-Others", "Control"} {
 		res, err := out.SignificanceRebuffers(g, "Rmin Always", metrics.OffPeak)
+		if errors.Is(err, stats.ErrUndecided) {
+			fig.Notes = append(fig.Notes, fmt.Sprintf("%s vs Rmin Always off-peak: undecided: n = %d draws", g, res.N))
+			continue
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -287,7 +296,7 @@ func Sec4Significance(scale Scale) (*Figure, error) {
 			verdict = "REJECTED"
 		}
 		fig.Notes = append(fig.Notes, fmt.Sprintf(
-			"%s vs Rmin Always off-peak: p = %.2f (same-distribution hypothesis %s at 95%%)", g, res.P, verdict))
+			"%s vs Rmin Always off-peak: p = %.2f (equal pooled rebuffer rate %s at 95%%)", g, res.P, verdict))
 	}
 	fig.Series = []Series{s}
 	fig.Notes = append(fig.Notes,

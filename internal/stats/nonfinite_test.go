@@ -38,29 +38,37 @@ func TestPercentileRejectsNonFinite(t *testing.T) {
 	}
 }
 
-// TestWelchTTestRejectsNonFinite: a non-finite sample never reaches the
-// test — Welford.Add refuses it — and an accumulator whose moments went
-// non-finite from finite samples (an overflowing spread) is refused by the
-// test itself.
-func TestWelchTTestRejectsNonFinite(t *testing.T) {
-	good, err := fold([]float64{1, 2, 3, 4})
-	if err != nil {
+// TestRatioPairRejectsNonFinite: a draw with a non-finite value never
+// reaches the accumulator — Add refuses it and leaves the moments as they
+// were — and co-moments that went non-finite from finite draws (an
+// overflowing spread) are refused by the test rather than yielding a NaN
+// p-value.
+func TestRatioPairRejectsNonFinite(t *testing.T) {
+	var r RatioPair
+	if err := r.Add(1, 1, 2, 1); err != nil {
 		t.Fatal(err)
 	}
-	for name, xs := range badSamples() {
-		if _, err := fold(xs); !errors.Is(err, ErrNonFinite) {
-			t.Errorf("%s: folding the sample err = %v, want ErrNonFinite", name, err)
+	before := r
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for i := 0; i < 4; i++ {
+			d := [4]float64{1, 1, 1, 1}
+			d[i] = bad
+			if err := r.Add(d[0], d[1], d[2], d[3]); !errors.Is(err, ErrNonFinite) {
+				t.Errorf("draw %v: err = %v, want ErrNonFinite", d, err)
+			}
 		}
 	}
-	overflow, err := fold([]float64{1e308, -1e308, 1e308})
-	if err != nil {
-		t.Fatal(err)
+	if r != before {
+		t.Error("a refused draw changed the accumulator")
 	}
-	if _, err := WelchTTest(overflow, good); !errors.Is(err, ErrNonFinite) {
-		t.Errorf("WelchTTest(overflowed, good) err = %v, want ErrNonFinite", err)
+	var overflow RatioPair
+	for _, c := range []float64{1e300, 1, 1e300} {
+		if err := overflow.Add(c, 1, c, 1e-300); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := WelchTTest(good, overflow); !errors.Is(err, ErrNonFinite) {
-		t.Errorf("WelchTTest(good, overflowed) err = %v, want ErrNonFinite", err)
+	if _, err := overflow.Test(0.9); !errors.Is(err, ErrNonFinite) {
+		t.Errorf("overflowed co-moments: err = %v, want ErrNonFinite", err)
 	}
 }
 
@@ -73,23 +81,6 @@ func TestMeanPropagatesNonFinite(t *testing.T) {
 	}
 	if m := Mean([]float64{1, math.Inf(1), 3}); !math.IsInf(m, 1) {
 		t.Errorf("Mean with +Inf = %v, want +Inf", m)
-	}
-}
-
-func TestDropNonFinite(t *testing.T) {
-	xs := []float64{1, math.NaN(), 2, math.Inf(1), 3, math.Inf(-1)}
-	kept, dropped := DropNonFinite(xs)
-	if dropped != 3 || len(kept) != 3 {
-		t.Fatalf("dropped %d kept %d", dropped, len(kept))
-	}
-	for i, want := range []float64{1, 2, 3} {
-		if kept[i] != want {
-			t.Errorf("kept[%d] = %v, want %v", i, kept[i], want)
-		}
-	}
-	clean := []float64{1, 2}
-	if kept, dropped := DropNonFinite(clean); dropped != 0 || &kept[0] != &clean[0] {
-		t.Error("clean slice should be returned unchanged")
 	}
 }
 

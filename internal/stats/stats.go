@@ -2,13 +2,12 @@
 // the paper's evaluation relies on: means, percentiles, variance across
 // repeated days (the error bars in Figures 7, 8, 14, 19 and 24), the
 // 75th/25th and median/95th percentile throughput-variability ratios from
-// Sections 1–2, and the two-sample significance tests behind statements such
-// as "the hypothesis that BBA-1 and Rmin Always share the same distribution
-// is not rejected at the 95% confidence level (p-value = 0.74)".
+// Sections 1–2, and the paired test on two arms' pooled rates behind
+// statements such as "the hypothesis that BBA-1 and Rmin Always share the
+// same distribution is not rejected at the 95% confidence level (p-value =
+// 0.74)".
 //
-// Everything is implemented from scratch on the standard library; the only
-// nontrivial piece is the regularized incomplete beta function used for the
-// Student-t CDF.
+// Everything is implemented from scratch on the standard library.
 package stats
 
 import (
@@ -35,32 +34,10 @@ func CheckFinite(xss ...[]float64) error {
 	return nil
 }
 
-// DropNonFinite returns xs with NaN/±Inf samples removed, and how many were
-// dropped. It never modifies xs; when nothing is dropped it returns xs
-// itself.
-func DropNonFinite(xs []float64) ([]float64, int) {
-	dropped := 0
-	for _, x := range xs {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			dropped++
-		}
-	}
-	if dropped == 0 {
-		return xs, 0
-	}
-	kept := make([]float64, 0, len(xs)-dropped)
-	for _, x := range xs {
-		if !math.IsNaN(x) && !math.IsInf(x, 0) {
-			kept = append(kept, x)
-		}
-	}
-	return kept, dropped
-}
-
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 // Non-finite samples propagate into the result (the sum makes them visible
 // as NaN/±Inf rather than a silently wrong finite number); callers that
-// need rejection use CheckFinite or DropNonFinite first.
+// need rejection use CheckFinite first.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
@@ -209,34 +186,6 @@ func Summarize(xs []float64) (Summary, error) {
 	return s, nil
 }
 
-// PairedRatioCI returns the delta-method confidence interval, at level
-// conf, for the ratio mean(t)/mean(c) of two arms measured on the same
-// draws — the statistic behind the paper's "reduce the rebuffer rate by
-// 10–20%" claims. t and c hold each arm's values over the paired draws and
-// d their per-draw differences t−c; the arms' covariance comes from the
-// three variances, (s_t² + s_c² − s_d²)/2, so no sample is retained:
-//
-//	Var(r) ≈ (s_t² − 2r·cov + r²·s_c²) / (n·mean(c)²),  r = mean(t)/mean(c)
-//
-// and the interval is r ± z·√Var(r), z the two-sided normal quantile of
-// conf. It needs two draws or more, counted alike in all three
-// accumulators (ErrNoData otherwise), and a non-zero control mean.
-func PairedRatioCI(t, c, d Welford, conf float64) (lo, hi float64, err error) {
-	n := t.N
-	if n < 2 || c.N != n || d.N != n {
-		return 0, 0, ErrNoData
-	}
-	if c.Mean == 0 {
-		return 0, 0, errors.New("stats: control mean is zero")
-	}
-	r := t.Mean / c.Mean
-	vt, vc := t.Variance(), c.Variance()
-	cov := (vt + vc - d.Variance()) / 2
-	v := (vt - 2*r*cov + r*r*vc) / (float64(n) * c.Mean * c.Mean)
-	half := math.Sqrt2 * math.Erfinv(conf) * math.Sqrt(max(v, 0))
-	return r - half, r + half, nil
-}
-
 // Autocorrelation returns the lag-k sample autocorrelation of xs — the
 // statistic that distinguishes a scene-structured VBR chunk-size process
 // (strong short-lag correlation) from independent noise. It returns
@@ -259,127 +208,4 @@ func Autocorrelation(xs []float64, k int) (float64, error) {
 		return 0, nil
 	}
 	return num / den, nil
-}
-
-// TTestResult reports a two-sample Welch t-test.
-type TTestResult struct {
-	T  float64 // test statistic
-	DF float64 // Welch–Satterthwaite degrees of freedom
-	P  float64 // two-sided p-value
-}
-
-// WelchTTest performs a two-sided Welch two-sample t-test of the null
-// hypothesis that the samples folded into x and y have equal means. This is
-// the test behind the paper's footnotes 4 and 5 (p-values 0.25 and 0.74 for
-// BBA-0/BBA-1 versus Rmin Always off-peak); it needs only each sample's
-// count, mean and variance. Each sample needs at least two observations; an
-// accumulator whose moments are not finite is rejected with ErrNonFinite
-// rather than yielding a NaN statistic.
-func WelchTTest(x, y Welford) (TTestResult, error) {
-	if x.N < 2 || y.N < 2 {
-		return TTestResult{}, ErrNoData
-	}
-	if err := CheckFinite([]float64{x.Mean, x.M2, y.Mean, y.M2}); err != nil {
-		return TTestResult{}, err
-	}
-	mx, my := x.Mean, y.Mean
-	vx, vy := x.Variance(), y.Variance()
-	nx, ny := float64(x.N), float64(y.N)
-	se2 := vx/nx + vy/ny
-	if se2 == 0 {
-		// Identical constant samples: no evidence against the null.
-		if mx == my {
-			return TTestResult{T: 0, DF: nx + ny - 2, P: 1}, nil
-		}
-		return TTestResult{T: math.Inf(1), DF: nx + ny - 2, P: 0}, nil
-	}
-	t := (mx - my) / math.Sqrt(se2)
-	df := se2 * se2 / ((vx*vx)/(nx*nx*(nx-1)) + (vy*vy)/(ny*ny*(ny-1)))
-	p := 2 * studentTTail(math.Abs(t), df)
-	if p > 1 {
-		p = 1
-	}
-	return TTestResult{T: t, DF: df, P: p}, nil
-}
-
-// studentTTail returns P(T > t) for T ~ Student-t with df degrees of
-// freedom, t ≥ 0.
-func studentTTail(t, df float64) float64 {
-	if math.IsInf(t, 1) {
-		return 0
-	}
-	x := df / (df + t*t)
-	return 0.5 * regIncBeta(df/2, 0.5, x)
-}
-
-// regIncBeta computes the regularized incomplete beta function I_x(a, b)
-// using the continued-fraction expansion (Numerical Recipes §6.4 form).
-func regIncBeta(a, b, x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	if x >= 1 {
-		return 1
-	}
-	lbeta := lgamma(a) + lgamma(b) - lgamma(a+b)
-	logTerm := a*math.Log(x) + b*math.Log(1-x) - lbeta
-	if x < (a+1)/(a+b+2) {
-		return math.Exp(logTerm) / a * betaCF(a, b, x)
-	}
-	// Use the symmetry relation I_x(a,b) = 1 − I_{1−x}(b,a) for convergence.
-	return 1 - math.Exp(logTerm)/b*betaCF(b, a, 1-x)
-}
-
-// betaCF evaluates the continued fraction for the incomplete beta function
-// by the modified Lentz method.
-func betaCF(a, b, x float64) float64 {
-	const (
-		maxIter = 300
-		eps     = 1e-14
-		tiny    = 1e-300
-	)
-	qab, qap, qam := a+b, a+1, a-1
-	c := 1.0
-	d := 1 - qab*x/qap
-	if math.Abs(d) < tiny {
-		d = tiny
-	}
-	d = 1 / d
-	h := d
-	for m := 1; m <= maxIter; m++ {
-		fm := float64(m)
-		m2 := 2 * fm
-		aa := fm * (b - fm) * x / ((qam + m2) * (a + m2))
-		d = 1 + aa*d
-		if math.Abs(d) < tiny {
-			d = tiny
-		}
-		c = 1 + aa/c
-		if math.Abs(c) < tiny {
-			c = tiny
-		}
-		d = 1 / d
-		h *= d * c
-		aa = -(a + fm) * (qab + fm) * x / ((a + m2) * (qap + m2))
-		d = 1 + aa*d
-		if math.Abs(d) < tiny {
-			d = tiny
-		}
-		c = 1 + aa/c
-		if math.Abs(c) < tiny {
-			c = tiny
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < eps {
-			break
-		}
-	}
-	return h
-}
-
-func lgamma(x float64) float64 {
-	v, _ := math.Lgamma(x)
-	return v
 }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -109,118 +110,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestWelchTTestEqualSamples(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	xs := make([]float64, 200)
-	ys := make([]float64, 200)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-		ys[i] = rng.NormFloat64()
-	}
-	res, err := WelchTTest(welford(t, xs), welford(t, ys))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.P < 0.01 {
-		t.Errorf("same-distribution samples rejected: p = %v", res.P)
-	}
-}
-
-func TestWelchTTestDifferentMeans(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	xs := make([]float64, 100)
-	ys := make([]float64, 100)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-		ys[i] = rng.NormFloat64() + 1.0
-	}
-	res, err := WelchTTest(welford(t, xs), welford(t, ys))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.P > 1e-6 {
-		t.Errorf("clearly different means not detected: p = %v", res.P)
-	}
-	if res.T >= 0 {
-		t.Errorf("t should be negative (mean(xs) < mean(ys)), got %v", res.T)
-	}
-}
-
-func TestWelchTTestKnownValue(t *testing.T) {
-	// Classic example (from Welch's original domain): verify against a
-	// hand-computed value. xs mean 3, ys mean 5.
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{3, 4, 5, 6, 7}
-	res, err := WelchTTest(welford(t, xs), welford(t, ys))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(res.T, -2, 1e-9) {
-		t.Errorf("t = %v, want -2", res.T)
-	}
-	if !almost(res.DF, 8, 1e-9) {
-		t.Errorf("df = %v, want 8", res.DF)
-	}
-	// Two-sided p for t=2, df=8 is 0.0805 (standard tables).
-	if !almost(res.P, 0.0805, 0.001) {
-		t.Errorf("p = %v, want ~0.0805", res.P)
-	}
-}
-
-func TestWelchTTestDegenerate(t *testing.T) {
-	if _, err := WelchTTest(welford(t, []float64{1}), welford(t, []float64{1, 2})); err != ErrNoData {
-		t.Errorf("want ErrNoData, got %v", err)
-	}
-	res, err := WelchTTest(welford(t, []float64{2, 2, 2}), welford(t, []float64{2, 2, 2}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.P != 1 {
-		t.Errorf("identical constant samples: p = %v, want 1", res.P)
-	}
-	res, err = WelchTTest(welford(t, []float64{2, 2, 2}), welford(t, []float64{3, 3, 3}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.P != 0 {
-		t.Errorf("different constant samples: p = %v, want 0", res.P)
-	}
-}
-
-func TestStudentTTailAgainstTables(t *testing.T) {
-	// Standard t-table checkpoints: P(T > t) one-sided.
-	cases := []struct {
-		t, df, want float64
-	}{
-		{1.812, 10, 0.05},
-		{2.228, 10, 0.025},
-		{1.645, 1e6, 0.05}, // approaches the normal distribution
-		{0, 5, 0.5},
-	}
-	for _, c := range cases {
-		got := studentTTail(c.t, c.df)
-		if !almost(got, c.want, 0.002) {
-			t.Errorf("tail(t=%v, df=%v) = %v, want %v", c.t, c.df, got, c.want)
-		}
-	}
-}
-
-func TestRegIncBetaBounds(t *testing.T) {
-	if regIncBeta(2, 3, 0) != 0 || regIncBeta(2, 3, 1) != 1 {
-		t.Error("boundary values wrong")
-	}
-	// I_x(1,1) = x (uniform distribution CDF).
-	for _, x := range []float64{0.1, 0.42, 0.9} {
-		if got := regIncBeta(1, 1, x); !almost(got, x, 1e-10) {
-			t.Errorf("I_%v(1,1) = %v", x, got)
-		}
-	}
-	// Symmetry: I_x(a,b) = 1 − I_{1−x}(b,a).
-	if got := regIncBeta(2.5, 4, 0.3) + regIncBeta(4, 2.5, 0.7); !almost(got, 1, 1e-10) {
-		t.Errorf("symmetry violated: sum = %v", got)
-	}
-}
-
 // Percentiles are monotone in p, and bounded by the sample extremes.
 func TestQuickPercentileMonotone(t *testing.T) {
 	f := func(raw []float64, p1, p2 uint8) bool {
@@ -244,34 +133,6 @@ func TestQuickPercentileMonotone(t *testing.T) {
 		return va <= vb && va >= mn && vb <= mx
 	}
 	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// The Welch p-value is always a valid probability.
-func TestQuickWelchPValueRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	f := func(n1, n2 uint8, shift float64) bool {
-		if math.IsNaN(shift) || math.IsInf(shift, 0) {
-			return true
-		}
-		nx := int(n1%50) + 2
-		ny := int(n2%50) + 2
-		xs := make([]float64, nx)
-		ys := make([]float64, ny)
-		for i := range xs {
-			xs[i] = rng.NormFloat64()
-		}
-		for i := range ys {
-			ys[i] = rng.NormFloat64() + math.Mod(shift, 10)
-		}
-		res, err := WelchTTest(welford(t, xs), welford(t, ys))
-		if err != nil {
-			return false
-		}
-		return res.P >= 0 && res.P <= 1 && !math.IsNaN(res.P)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -339,74 +200,218 @@ func TestAutocorrelationMatchesSceneModelIntent(t *testing.T) {
 	}
 }
 
-// TestPairedRatioCIKnownValue holds the delta-method interval to a value
-// worked by hand on five paired draws:
-//
-//	t = 1 3 2 5 4    mean 3, s² = 10/4 = 2.5
-//	c = 2 4 6 8 10   mean 6, s² = 40/4 = 10
-//	d = t−c          mean −3, s² = 18/4 = 4.5
-//
-// cov = (2.5 + 10 − 4.5)/2 = 4 (directly: (8 + 0 + 0 + 4 + 4)/4), r = 0.5,
-// Var(r) = (2.5 − 2·0.5·4 + 0.25·10)/(5·36) = 1/180, and at 90% the
-// interval is 0.5 ± 1.6448536269514722/√180 = [0.37740, 0.62260].
-func TestPairedRatioCIKnownValue(t *testing.T) {
-	tv := []float64{1, 3, 2, 5, 4}
-	cv := []float64{2, 4, 6, 8, 10}
-	dv := make([]float64, len(tv))
-	for i := range tv {
-		dv[i] = tv[i] - cv[i]
-	}
-	lo, hi, err := PairedRatioCI(welford(t, tv), welford(t, cv), welford(t, dv), 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	half := 1.6448536269514722 / math.Sqrt(180)
-	if !almost(lo, 0.5-half, 1e-12) || !almost(hi, 0.5+half, 1e-12) {
-		t.Errorf("CI = [%.15f, %.15f], want [%.15f, %.15f]", lo, hi, 0.5-half, 0.5+half)
-	}
-	if !almost(lo, 0.37740, 1e-5) || !almost(hi, 0.62260, 1e-5) {
-		t.Errorf("CI = [%.5f, %.5f], want [0.37740, 0.62260]", lo, hi)
-	}
-}
-
-func TestPairedRatioCIDegenerate(t *testing.T) {
-	one := welford(t, []float64{1})
-	if _, _, err := PairedRatioCI(one, one, one, 0.9); err != ErrNoData {
-		t.Errorf("one draw: %v, want ErrNoData", err)
-	}
-	two, three := welford(t, []float64{1, 2}), welford(t, []float64{1, 2, 3})
-	if _, _, err := PairedRatioCI(two, three, two, 0.9); err != ErrNoData {
-		t.Errorf("unpaired counts: %v, want ErrNoData", err)
-	}
-	zero := welford(t, []float64{0, 0})
-	if _, _, err := PairedRatioCI(two, zero, two, 0.9); err == nil {
-		t.Error("zero-mean control accepted")
-	}
-	// Identical arms: the differences are all zero, the covariance is the
-	// arms' variance and the interval collapses onto the ratio 1.
-	lo, hi, err := PairedRatioCI(three, three, welford(t, []float64{0, 0, 0}), 0.9)
-	if err != nil || !almost(lo, 1, 1e-12) || !almost(hi, 1, 1e-12) {
-		t.Errorf("identical arms: [%v, %v], %v; want [1, 1]", lo, hi, err)
-	}
-}
-
-// welford folds xs into a Welford, failing the test on a rejected sample.
-func welford(t *testing.T, xs []float64) Welford {
+// ratioPair folds draws of (count A, exposure A, count B, exposure B) into
+// a RatioPair, failing the test on a rejected draw.
+func ratioPair(t *testing.T, draws [][4]float64) RatioPair {
 	t.Helper()
-	w, err := fold(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w
-}
-
-// fold folds xs into a Welford, stopping at the first rejected sample.
-func fold(xs []float64) (Welford, error) {
-	var w Welford
-	for _, x := range xs {
-		if err := w.Add(x); err != nil {
-			return w, err
+	var r RatioPair
+	for _, d := range draws {
+		if err := r.Add(d[0], d[1], d[2], d[3]); err != nil {
+			t.Fatal(err)
 		}
 	}
-	return w, nil
+	return r
+}
+
+// The paired ratio test replaced a Welch t-test on per-draw means and a
+// separate delta-method interval on the ratio of means; the tests that held
+// those two keep their names and now hold RatioPair.Test, which gives both
+// the interval and the p-value behind Footnotes 4–5.
+
+// knownDraws are five paired draws with unit exposures, worked by hand:
+//
+//	count A = 1 3 2 5 4     mean 3
+//	count B = 2 4 6 8 10    mean 6,   R = 3/6 = 0.5
+//
+// Each draw's influence on log R is g·(x − mean) = (a−3)/3 − (b−6)/6 =
+// (2a − b)/6 = 0, 1/3, −1/3, 1/3, −1/3, so se² = (4/9)/(5·4) = 1/45, the
+// 90% interval is 0.5·exp(±1.6448536269514722/√45) = [0.39127, 0.63894]
+// and p = erfc(ln 2·√45/√2) ≈ 3.3e-6.
+func knownDraws() [][4]float64 {
+	a := []float64{1, 3, 2, 5, 4}
+	b := []float64{2, 4, 6, 8, 10}
+	var draws [][4]float64
+	for i := range a {
+		draws = append(draws, [4]float64{a[i], 1, b[i], 1})
+	}
+	return draws
+}
+
+// knownTests runs the 90% test on knownDraws seen from A and from B.
+func knownTests(t *testing.T) (ab, ba RatioTest) {
+	t.Helper()
+	ab, err := ratioPair(t, knownDraws()).Test(0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ba, err = ratioPair(t, knownDraws()).Swapped().Test(0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ab, ba
+}
+
+// TestPairedRatioCIKnownValue holds the ratio and its interval to the
+// hand-worked values of knownDraws; seen from B they are the reciprocals.
+func TestPairedRatioCIKnownValue(t *testing.T) {
+	res, ba := knownTests(t)
+	se := 1 / math.Sqrt(45)
+	wantLo, wantHi := 0.5*math.Exp(-1.6448536269514722*se), 0.5*math.Exp(1.6448536269514722*se)
+	if res.N != 5 || !almost(res.Ratio, 0.5, 1e-15) || !almost(res.Lo, wantLo, 1e-12) || !almost(res.Hi, wantHi, 1e-12) {
+		t.Errorf("test = %+v, want n 5, ratio 0.5, CI [%.15f, %.15f]", res, wantLo, wantHi)
+	}
+	if !almost(res.Lo, 0.39127, 1e-5) || !almost(res.Hi, 0.63894, 1e-5) {
+		t.Errorf("CI = [%.5f, %.5f], want [0.39127, 0.63894]", res.Lo, res.Hi)
+	}
+	if !almost(ba.Ratio, 1/res.Ratio, 1e-12) || !almost(ba.Lo, 1/res.Hi, 1e-12) || !almost(ba.Hi, 1/res.Lo, 1e-12) {
+		t.Errorf("swapped = %+v, from %+v", ba, res)
+	}
+}
+
+// TestWelchTTestKnownValue holds the p-value to the hand-worked value of
+// knownDraws; seen from B it is the same.
+func TestWelchTTestKnownValue(t *testing.T) {
+	res, ba := knownTests(t)
+	se := 1 / math.Sqrt(45)
+	if want := math.Erfc(math.Ln2 / se / math.Sqrt2); !almost(res.P, want, 1e-15) || !almost(res.P, 3.3e-6, 0.1e-6) {
+		t.Errorf("p = %v, want %v", res.P, want)
+	}
+	if !almost(ba.P, res.P, 1e-12) {
+		t.Errorf("swapped p = %v, from %v", ba.P, res.P)
+	}
+}
+
+// TestPairedRatioCIDegenerate: draws that cannot decide a ratio say so, and
+// identical arms give R = 1 with a collapsed interval and p = 1.
+func TestPairedRatioCIDegenerate(t *testing.T) {
+	for name, draws := range map[string][][4]float64{
+		"no draws":         nil,
+		"one draw":         {{1, 1, 2, 1}},
+		"A never counts":   {{0, 1, 2, 1}, {0, 2, 1, 1}},
+		"B never counts":   {{1, 1, 0, 1}, {2, 2, 0, 1}},
+		"no exposure in A": {{1, 0, 2, 1}, {2, 0, 1, 1}},
+	} {
+		res, err := ratioPair(t, draws).Test(0.9)
+		if !errors.Is(err, ErrUndecided) || res.N != int64(len(draws)) {
+			t.Errorf("%s: %+v, %v; want ErrUndecided with n = %d", name, res, err, len(draws))
+		}
+	}
+	// Identical arms: every draw's influence is zero, R = 1 and p = 1.
+	res, err := ratioPair(t, [][4]float64{{1, 0.5, 1, 0.5}, {0, 2, 0, 2}, {3, 1, 3, 1}}).Test(0.9)
+	if err != nil || res.Ratio != 1 || res.Lo != 1 || res.Hi != 1 || res.P != 1 {
+		t.Errorf("identical arms: %+v, %v; want ratio, CI and p all 1", res, err)
+	}
+}
+
+// TestWelchTTestDegenerate: draws alike in every way yet with different
+// rates have no spread, so the interval collapses onto the ratio and p = 0.
+func TestWelchTTestDegenerate(t *testing.T) {
+	res, err := ratioPair(t, [][4]float64{{1, 1, 2, 1}, {1, 1, 2, 1}, {1, 1, 2, 1}}).Test(0.9)
+	if err != nil || res.Ratio != 0.5 || res.Lo != 0.5 || res.Hi != 0.5 || res.P != 0 {
+		t.Errorf("constant draws: %+v, %v; want ratio and CI 0.5, p 0", res, err)
+	}
+}
+
+// TestRatioPairMergeMatchesSequential: shards merged in order hold every
+// moment to the sequential fold's, and merging an empty accumulator
+// either way changes nothing.
+func TestRatioPairMergeMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var seq, merged RatioPair
+	for shard := 0; shard < 7; shard++ {
+		var part RatioPair
+		for i := 0; i < 1+shard*13; i++ {
+			d := [4]float64{float64(rng.Intn(4)), rng.ExpFloat64(), float64(rng.Intn(3)), rng.ExpFloat64()}
+			for _, r := range []*RatioPair{&seq, &part} {
+				if err := r.Add(d[0], d[1], d[2], d[3]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		merged.Merge(part)
+	}
+	if merged.N != seq.N {
+		t.Fatalf("merged n = %d, sequential %d", merged.N, seq.N)
+	}
+	for i := range seq.Mean {
+		if !almost(merged.Mean[i], seq.Mean[i], 1e-12) {
+			t.Errorf("mean %d: merged %v, sequential %v", i, merged.Mean[i], seq.Mean[i])
+		}
+		for j := range seq.C[i] {
+			if !almost(merged.C[i][j], seq.C[i][j], 1e-9*math.Max(1, math.Abs(seq.C[i][j]))) {
+				t.Errorf("co-moment %d,%d: merged %v, sequential %v", i, j, merged.C[i][j], seq.C[i][j])
+			}
+			if merged.C[i][j] != merged.C[j][i] {
+				t.Errorf("co-moments %d,%d not symmetric: %v vs %v", i, j, merged.C[i][j], merged.C[j][i])
+			}
+		}
+	}
+	before := merged
+	merged.Merge(RatioPair{})
+	var empty RatioPair
+	empty.Merge(before)
+	if merged != before || empty != before {
+		t.Error("merging an empty accumulator changed the result")
+	}
+}
+
+// The p-value is always a valid probability and the interval holds the
+// ratio, whatever the draws.
+func TestQuickRatioPairPValueRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	f := func(n uint8, shift float64) bool {
+		if math.IsNaN(shift) || math.IsInf(shift, 0) {
+			return true
+		}
+		var r RatioPair
+		for i := 0; i < int(n%50)+2; i++ {
+			if err := r.Add(1+float64(rng.Intn(5)), rng.ExpFloat64(), 1+float64(rng.Intn(5))+math.Abs(math.Mod(shift, 10)), rng.ExpFloat64()); err != nil {
+				return false
+			}
+		}
+		res, err := r.Test(0.9)
+		if err != nil {
+			return false
+		}
+		return res.P >= 0 && res.P <= 1 && res.Lo <= res.Ratio && res.Ratio <= res.Hi
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sameAndDoubled folds 400 draws of two arms whose counts and exposures
+// come from one distribution, and the same draws with arm A's counts
+// doubled.
+func sameAndDoubled(t *testing.T) (same, double RatioPair) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 400; i++ {
+		ea, eb := rng.ExpFloat64(), rng.ExpFloat64()
+		ca, cb := float64(rng.Intn(4)), float64(rng.Intn(4))
+		if err := same.Add(ca, ea, cb, eb); err != nil {
+			t.Fatal(err)
+		}
+		if err := double.Add(2*ca, ea, cb, eb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return same, double
+}
+
+// Two arms drawing counts and exposures from one distribution are not told
+// apart.
+func TestWelchTTestEqualSamples(t *testing.T) {
+	same, _ := sameAndDoubled(t)
+	if res, err := same.Test(0.9); err != nil || res.P < 0.01 {
+		t.Errorf("same-distribution arms: %+v, %v; want p ≥ 0.01", res, err)
+	}
+}
+
+// Doubling one arm's counts is told apart.
+func TestWelchTTestDifferentMeans(t *testing.T) {
+	_, double := sameAndDoubled(t)
+	if res, err := double.Test(0.9); err != nil || res.P > 1e-6 || res.Ratio <= 1 {
+		t.Errorf("doubled counts: %+v, %v; want ratio > 1 and p ≤ 1e-6", res, err)
+	}
 }

@@ -111,6 +111,129 @@ func (w Welford) MeanCI95() (lo, hi float64) {
 	return w.Mean - half, w.Mean + half
 }
 
+// RatioPair is a constant-memory accumulator for comparing two arms'
+// pooled rates, Σcount/Σexposure (rebuffers per play hour), over paired
+// draws. Per draw it takes each arm's count and exposure and keeps the draw
+// count, the four means and their co-moments. Two accumulators merge with
+// the Chan et al. update as Welfords do, so merging shards in a fixed order
+// gives one result at any worker count.
+type RatioPair struct {
+	N int64
+	// Mean holds the per-draw means: count A, exposure A, count B, exposure B.
+	Mean [4]float64
+	// C holds the co-moments Σ (x_i − mean_i)(x_j − mean_j), symmetric.
+	C [4][4]float64
+}
+
+// ErrUndecided is returned by RatioPair.Test when its draws cannot decide a
+// ratio: fewer than two of them, or a pooled count or exposure of zero.
+var ErrUndecided = errors.New("stats: ratio undecided")
+
+// Add folds one draw in. A draw with a non-finite value is rejected with
+// ErrNonFinite and leaves the accumulator unchanged.
+func (r *RatioPair) Add(countA, expA, countB, expB float64) error {
+	x := [4]float64{countA, expA, countB, expB}
+	if err := CheckFinite(x[:]); err != nil {
+		return err
+	}
+	r.N++
+	var d [4]float64
+	for i := range x {
+		d[i] = x[i] - r.Mean[i]
+		r.Mean[i] += d[i] / float64(r.N)
+	}
+	f := float64(r.N-1) / float64(r.N)
+	for i := range d {
+		for j := range d {
+			r.C[i][j] += d[i] * d[j] * f
+		}
+	}
+	return nil
+}
+
+// Merge folds another accumulator into r (Chan et al.); like Welford.Merge,
+// a fixed merge order is deterministic.
+func (r *RatioPair) Merge(o RatioPair) {
+	if o.N == 0 {
+		return
+	}
+	if r.N == 0 {
+		*r = o
+		return
+	}
+	n := r.N + o.N
+	f := float64(r.N) * float64(o.N) / float64(n)
+	var d [4]float64
+	for i := range d {
+		d[i] = o.Mean[i] - r.Mean[i]
+		r.Mean[i] += d[i] * float64(o.N) / float64(n)
+	}
+	for i := range d {
+		for j := range d {
+			r.C[i][j] += o.C[i][j] + d[i]*d[j]*f
+		}
+	}
+	r.N = n
+}
+
+// Swapped is the same draws with the arms trading places.
+func (r RatioPair) Swapped() RatioPair {
+	perm := [4]int{2, 3, 0, 1}
+	s := RatioPair{N: r.N}
+	for i, pi := range perm {
+		s.Mean[i] = r.Mean[pi]
+		for j, pj := range perm {
+			s.C[i][j] = r.C[pi][pj]
+		}
+	}
+	return s
+}
+
+// RatioTest is the paired test of two arms' pooled rates over N draws: the
+// ratio R = (Σcount_A/Σexp_A)/(Σcount_B/Σexp_B), its confidence interval
+// [Lo, Hi] and the two-sided p-value of R = 1.
+type RatioTest struct {
+	N                int64
+	Ratio, Lo, Hi, P float64
+}
+
+// Test is the delta-method test on log R at confidence level conf. log R is
+// a smooth function of the four means; with its gradient
+// g = (1/c̄_A, −1/ē_A, −1/c̄_B, 1/ē_B) and Σ the draws' sample covariance,
+// se² = gᵀΣg/n, the interval is exp(log R ± z·se), z the two-sided normal
+// quantile of conf, and p = erfc(|log R|/(se·√2)). Identical arms give
+// R = 1 exactly, and p = 1. With fewer than two draws or a zero pooled
+// count or exposure Test returns ErrUndecided (and N); with co-moments past
+// the float range, ErrNonFinite.
+func (r RatioPair) Test(conf float64) (RatioTest, error) {
+	t := RatioTest{N: r.N}
+	m := r.Mean
+	if r.N < 2 || m[0] <= 0 || m[1] <= 0 || m[2] <= 0 || m[3] <= 0 {
+		return t, ErrUndecided
+	}
+	// gᵀCg by blocks: A's, B's, twice the cross term. For identical arms B's
+	// gradient is the negation of A's and all four blocks are equal, so the
+	// three terms cancel exactly and se = 0.
+	a, b := [2]float64{1 / m[0], -1 / m[1]}, [2]float64{-1 / m[2], 1 / m[3]}
+	form := func(x, y [2]float64, i, j int) float64 {
+		return x[0]*y[0]*r.C[i][j] + x[0]*y[1]*r.C[i][j+1] + x[1]*y[0]*r.C[i+1][j] + x[1]*y[1]*r.C[i+1][j+1]
+	}
+	q := form(a, a, 0, 0) + form(b, b, 2, 2) + 2*form(a, b, 0, 2)
+	if math.IsNaN(q) || math.IsInf(q, 0) {
+		return t, ErrNonFinite
+	}
+	se := math.Sqrt(max(q, 0) / (float64(r.N-1) * float64(r.N)))
+	t.Ratio = (m[0] / m[1]) / (m[2] / m[3])
+	lr := math.Log(t.Ratio)
+	half := math.Sqrt2 * math.Erfinv(conf) * se
+	t.Lo, t.Hi = math.Exp(lr-half), math.Exp(lr+half)
+	t.P = 1
+	if lr != 0 {
+		t.P = math.Erfc(math.Abs(lr) / se / math.Sqrt2)
+	}
+	return t, nil
+}
+
 // SketchEntry is one retained sample of a QuantileSketch: the sample value
 // and the hash of its identity key, which decides retention.
 type SketchEntry struct {

@@ -29,13 +29,14 @@
 // pin.
 //
 // Crash recovery: a writable Open deletes every WAL whose block exists (a
-// compaction killed after its rename), removes the temp file of one killed
-// before it, and adopts the single wal.q of a store written before WALs
-// were numbered as the next block's WAL. It scans the active WAL and
-// truncates it at the first damaged record (a torn tail write loses only
-// the un-acknowledged suffix), then appends after it. Blocks are immutable
-// and self-verifying (CRC per column page, CRC'd footer), so they need no
-// repair pass.
+// compaction killed after its rename) and removes the temp file of one
+// killed before it. It scans the active WAL and truncates it at the first
+// damaged record (a torn tail write loses only the un-acknowledged suffix),
+// then appends after it. Blocks are immutable and self-verifying (CRC per
+// column page, CRC'd footer), so they need no repair pass. A run directory
+// holding the unnumbered wal.q of a store written before WALs were named
+// after their block is refused by every Open, writable or read-only: its
+// tail is neither adopted nor skipped.
 package archive
 
 import (
@@ -82,7 +83,7 @@ func seqOf(name, prefix, suffix string) (int, bool) {
 }
 
 // legacyWAL is the one WAL file of a store written before WALs were named
-// after their block; a writable Open renames it to the next block's.
+// after their block, which no Open accepts.
 const legacyWAL = "wal.q"
 
 // blockTempPrefix names a block being written, before its rename.
@@ -130,16 +131,14 @@ type Store struct {
 	idle []*Block
 
 	// compactSeconds is the wall time of every compaction so far, observed
-	// in compactLocked: per-bucket counts over latencyBounds, and the sum.
-	compactSeconds [len(latencyBounds) + 1]uint64
-	compactSum     float64
+	// in compactLocked.
+	compactSeconds obs.Histogram
 	// querySeconds is the wall time of every Aggregate, Scan and Export, as
 	// compactSeconds is of compactions; blocksRead and blocksPruned count the
 	// blocks those queries opened and those they skipped, unopened, on the
 	// footer the store holds. Each is recorded when a query releases its
 	// reader.
-	querySeconds             [len(latencyBounds) + 1]uint64
-	querySum                 float64
+	querySeconds             obs.Histogram
 	blocksRead, blocksPruned int64
 	// sealedBytes and sealedRows are what this store's compactions have
 	// written: block file bytes and the events in them. Their ratio is the
@@ -151,7 +150,7 @@ type Store struct {
 // seconds: a default-size block takes a few hundred milliseconds to seal, a
 // shutdown's tail a few; a query from well under a millisecond (one block's
 // session page) to seconds (an export of millions of events).
-var latencyBounds = [...]float64{0.001, 0.005, 0.025, 0.1, 0.25, 0.5, 1, 2.5, 10}
+var latencyBounds = []float64{0.001, 0.005, 0.025, 0.1, 0.25, 0.5, 1, 2.5, 10}
 
 // runArchive is one run's slice of the store.
 type runArchive struct {
@@ -160,8 +159,8 @@ type runArchive struct {
 	blocks  []*blockMeta // in block-sequence order
 	nextSeq int
 	// walName is the WAL file the tail is read from: walFile(nextSeq) in a
-	// writable store; in a read-only view the one the listing found, legacy
-	// included, or "" when there was none.
+	// writable store; in a read-only view the one the listing found, or ""
+	// when there was none.
 	walName string
 	wal     *os.File
 	walBuf  *bufio.Writer
@@ -220,7 +219,8 @@ func OpenReadOnly(dir string) (*Store, error) {
 }
 
 func open(cfg Config, readOnly bool) (*Store, error) {
-	s := &Store{cfg: cfg, readOnly: readOnly, runs: make(map[string]*runArchive)}
+	s := &Store{cfg: cfg, readOnly: readOnly, runs: make(map[string]*runArchive),
+		compactSeconds: obs.NewHistogram(latencyBounds...), querySeconds: obs.NewHistogram(latencyBounds...)}
 	if err := s.loadRunsLocked(); err != nil {
 		return nil, err
 	}
@@ -271,11 +271,11 @@ func (s *Store) refreshLocked() error {
 
 // openRun loads one run directory: block list, then the WAL. A writable
 // store settles what a crash left — it removes block temp files and spent
-// WALs, adopts a legacy wal.q — and scans and repairs the active WAL; a
-// read-only one changes nothing, since a live writer may be mid-compaction,
-// and only notes which WAL holds the tail. A read-only view re-listing the
-// run keeps prev's block metas, footers and all, for the blocks the listing
-// still shows at the size their footer was verified at.
+// WALs — and scans and repairs the active WAL; a read-only one changes
+// nothing, since a live writer may be mid-compaction, and only notes which
+// WAL holds the tail. A read-only view re-listing the run keeps prev's block
+// metas, footers and all, for the blocks the listing still shows at the size
+// their footer was verified at.
 func (s *Store) openRun(run, dir string, prev *runArchive) (*runArchive, error) {
 	ra := &runArchive{dir: dir, run: run, nextSeq: 1}
 	ents, err := os.ReadDir(dir)
@@ -284,9 +284,11 @@ func (s *Store) openRun(run, dir string, prev *runArchive) (*runArchive, error) 
 	}
 	sealed := map[int]bool{}
 	var wals []int
-	legacy := false
 	for _, ent := range ents {
 		name := ent.Name()
+		if name == legacyWAL {
+			return nil, fmt.Errorf("%s: a WAL of a store written before WALs were numbered", name)
+		}
 		if strings.HasPrefix(name, blockTempPrefix) {
 			if !s.readOnly {
 				if err := os.Remove(filepath.Join(dir, name)); err != nil {
@@ -299,8 +301,6 @@ func (s *Store) openRun(run, dir string, prev *runArchive) (*runArchive, error) 
 			ra.nextSeq = max(ra.nextSeq, seq+1)
 		} else if seq, ok := seqOf(name, "wal-", ".q"); ok {
 			wals = append(wals, seq)
-		} else {
-			legacy = legacy || name == legacyWAL
 		}
 	}
 	slices.SortFunc(ra.blocks, func(a, b *blockMeta) int { return cmp.Compare(a.seq, b.seq) })
@@ -319,21 +319,11 @@ func (s *Store) openRun(run, dir string, prev *runArchive) (*runArchive, error) 
 			return nil, fmt.Errorf("%s is neither spent nor the next block's WAL", walFile(seq))
 		}
 	}
-	if legacy && ra.walName == "" {
-		ra.walName = legacyWAL
-	} else if legacy && !s.readOnly {
-		return nil, fmt.Errorf("both %s and %s", legacyWAL, ra.walName)
-	}
 
 	// A read-only view stops here: it holds no handle, its queries read the
 	// WAL themselves (readWAL), and only Stats wants it counted.
 	if s.readOnly {
 		return ra, nil
-	}
-	if ra.walName == legacyWAL {
-		if err := os.Rename(filepath.Join(dir, legacyWAL), filepath.Join(dir, walFile(ra.nextSeq))); err != nil {
-			return nil, err
-		}
 	}
 	if err := ra.startWAL(); err != nil {
 		return nil, err
@@ -643,9 +633,7 @@ func (s *Store) compactLocked(ra *runArchive) error {
 	if err != nil {
 		return err
 	}
-	took := time.Since(start).Seconds()
-	s.compactSeconds[sort.SearchFloat64s(latencyBounds[:], took)]++
-	s.compactSum += took
+	s.compactSeconds.Observe(time.Since(start).Seconds())
 	s.sealedBytes += int64(len(blk))
 	s.sealedRows += int64(ft.Rows)
 	return nil
@@ -706,20 +694,18 @@ func (s *Store) Stats() []RunStats {
 // and pruned unopened.
 func (s *Store) WriteMetrics(w *obs.Writer) {
 	s.mu.Lock()
-	counts, sum, walEvents := s.compactSeconds, s.compactSum, 0
-	sealedBytes, sealedRows := s.sealedBytes, s.sealedRows
-	queries, querySum := s.querySeconds, s.querySum
-	blocks := map[string]int64{"read": s.blocksRead, "pruned": s.blocksPruned}
+	defer s.mu.Unlock()
+	walEvents := 0
 	for _, ra := range s.runs {
 		walEvents += ra.events
 	}
-	s.mu.Unlock()
-	w.Histogram("bba_archive_compact_seconds", "Wall time of WAL-to-block compactions.", latencyBounds[:], counts[:], sum)
-	w.Counter("bba_archive_sealed_bytes_total", "Block file bytes written by compactions.", float64(sealedBytes))
-	w.Counter("bba_archive_sealed_rows_total", "Events sealed into blocks by compactions.", float64(sealedRows))
+	w.Histogram("bba_archive_compact_seconds", "Wall time of WAL-to-block compactions.", &s.compactSeconds)
+	w.Counter("bba_archive_sealed_bytes_total", "Block file bytes written by compactions.", float64(s.sealedBytes))
+	w.Counter("bba_archive_sealed_rows_total", "Events sealed into blocks by compactions.", float64(s.sealedRows))
 	w.Gauge("bba_archive_wal_events", "Events in WAL tails, awaiting compaction.", float64(walEvents))
-	w.Histogram("bba_archive_query_seconds", "Wall time of Aggregate, Scan and Export queries.", latencyBounds[:], queries[:], querySum)
-	w.CounterVec("bba_archive_query_blocks_total", "Blocks queries opened (read) and skipped unopened on their held footer (pruned).", "outcome", blocks)
+	w.Histogram("bba_archive_query_seconds", "Wall time of Aggregate, Scan and Export queries.", &s.querySeconds)
+	w.CounterVec("bba_archive_query_blocks_total", "Blocks queries opened (read) and skipped unopened on their held footer (pruned).", "outcome",
+		map[string]int64{"read": s.blocksRead, "pruned": s.blocksPruned})
 }
 
 // snapshot captures a run's read view, consistent at one instant, into b —

@@ -367,66 +367,42 @@ func walRecord(dst, batch []byte) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(batch, blockCRCTable))
 }
 
-// TestParentLayoutReopens: a store written before v3 blocks and numbered
-// WALs — testdata/golden-v1.blk and golden-v2.blk as its blocks, and a wal.q
-// with records — exports byte-identically through a read-only view, through
-// a writable Open, which adopts wal.q as the next block's WAL, and after more
-// appends seal a v3 block beside the v1 and v2 ones.
-func TestParentLayoutReopens(t *testing.T) {
+// TestOpenRefusesLegacyWAL: a run directory laid out before WALs were
+// numbered — its blocks and one wal.q holding the tail — is refused by a
+// writable Open and by a read-only one, each naming the file, and the
+// file is left as it was: its tail is neither adopted nor silently skipped.
+func TestOpenRefusesLegacyWAL(t *testing.T) {
 	dir := t.TempDir()
-	runDir := filepath.Join(dir, "golden")
-	if err := os.MkdirAll(runDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	var want []byte
-	for seq, fixture := range []string{"golden-v1.blk", "golden-v2.blk"} {
-		blk, err := os.ReadFile(filepath.Join("testdata", fixture))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(runDir, blockFile(seq+1)), blk, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, bytes.Join(goldenJournal(), nil)...)
-	}
-	var wal []byte
-	for _, batch := range [][]byte{batchOf(320, 330), []byte(rawLines[2] + "\n"), batchOf(330, 335)} {
-		wal = walRecord(wal, batch)
-		want = append(want, batch...)
-	}
-	if err := os.WriteFile(filepath.Join(runDir, legacyWAL), wal, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	ro, err := OpenReadOnly(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exportIs(t, "read-only", ro, "golden", want)
 	s, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	exportIs(t, "writable", s, "golden", want)
-	if _, err := os.Stat(filepath.Join(runDir, legacyWAL)); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("wal.q after a writable Open: %v, want it adopted", err)
-	}
-	if _, err := os.Stat(filepath.Join(runDir, walFile(3))); err != nil {
-		t.Errorf("wal.q not adopted as block 3's WAL: %v", err)
-	}
-	exportIs(t, "read-only after the adoption", ro, "golden", want)
-
-	more := batchOf(335, 340)
-	if err := s.Append("golden", more); err != nil {
+	if err := s.Append("run1", batchOf(0, 5)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Compact("golden"); err != nil {
+	if err := s.Compact("run1"); err != nil {
 		t.Fatal(err)
 	}
-	want = append(want, more...)
-	exportIs(t, "a v3 block after the v1 and v2 ones", s, "golden", want)
-	exportIs(t, "read-only over every version", ro, "golden", want)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	runDir := filepath.Join(dir, "run1")
+	wal := walRecord(nil, batchOf(5, 8))
+	if err := os.Remove(filepath.Join(runDir, walFile(2))); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(runDir, legacyWAL), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(Config{Dir: dir}); err == nil || !strings.Contains(err.Error(), legacyWAL) {
+		t.Errorf("writable Open over a wal.q: %v, want an error naming it", err)
+	}
+	if _, err := OpenReadOnly(dir); err == nil || !strings.Contains(err.Error(), legacyWAL) {
+		t.Errorf("read-only Open over a wal.q: %v, want an error naming it", err)
+	}
+	if got, err := os.ReadFile(filepath.Join(runDir, legacyWAL)); err != nil || !bytes.Equal(got, wal) {
+		t.Errorf("wal.q after the refused opens: %d bytes, %v; want its %d bytes untouched", len(got), err, len(wal))
+	}
 }
 
 // TestOpenRefusesOrphanWAL: a WAL that is neither spent (its block exists)
@@ -794,8 +770,9 @@ func FuzzBlockDecode(f *testing.F) {
 	// invent matching checksums, so seed it past the envelope checks.
 	f.Add(craftBlock(f, footer{Version: blockVersion, Rows: 1,
 		Pages: []pageInfo{{Name: "kind", Off: math.MaxInt64 - 2, Len: 8}}}))
-	// Every version of the golden journal — raw rows, long runs of
-	// unchanged rows — and a one-row block, every bitmap a single byte.
+	// The golden journal — raw rows, long runs of unchanged rows — as v3 and
+	// as the v2 and v1 encoders wrote it, which the open refuses; and a
+	// one-row block, every bitmap a single byte.
 	golden, _, err := encodeBlock("golden", goldenJournal())
 	if err != nil {
 		f.Fatal(err)
@@ -835,29 +812,23 @@ func touchBlock(b *Block) {
 // FuzzBlockDecodeFooter fuzzes the footer's fields under a valid envelope:
 // random bytes never carry a matching footer CRC, so FuzzBlockDecode alone
 // stops at the checksum and never reaches the code that trusts the footer.
-// Here the pages are a real block's — v3, or v1 when the fuzzer says so —
-// and refoot re-signs whatever the fuzzer makes of the row count, the raw
-// count and one page's geometry.
+// Here the pages are a real block's, and refoot re-signs whatever the
+// fuzzer makes of the row count, the raw count and one page's geometry.
 func FuzzBlockDecodeFooter(f *testing.F) {
-	v3, _, err := encodeBlock("r", splitLines(batchOf(0, 20)))
+	blk, _, err := encodeBlock("r", splitLines(batchOf(0, 20)))
 	if err != nil {
 		f.Fatal(err)
 	}
-	v1 := downgrade(f, v3, 1)
-	f.Add(int64(20), int64(0), uint8(0), int64(0), int64(0), false)
-	f.Add(int64(1)<<40, int64(0), uint8(1), int64(0), int64(0), false)
-	f.Add(int64(21), int64(1)<<40, uint8(15), int64(1), int64(-1), false)
-	f.Add(int64(19), int64(-1), uint8(3), int64(math.MaxInt64-9), int64(math.MaxInt64), false)
-	// v3 rows past a page's bits, a v3 page cut inside its bitmap, and the
-	// v1 block with a row count only its pages' bytes refuse.
-	f.Add(int64(8*3+1), int64(0), uint8(2), int64(0), int64(0), false)
-	f.Add(int64(20), int64(0), uint8(4), int64(0), int64(-2), false)
-	f.Add(int64(33), int64(0), uint8(5), int64(0), int64(0), true)
-	f.Fuzz(func(t *testing.T, rows, raws int64, page uint8, dOff, dLen int64, useV1 bool) {
-		blk := v3
-		if useV1 {
-			blk = v1
-		}
+	f.Add(int64(20), int64(0), uint8(0), int64(0), int64(0))
+	f.Add(int64(1)<<40, int64(0), uint8(1), int64(0), int64(0))
+	f.Add(int64(21), int64(1)<<40, uint8(15), int64(1), int64(-1))
+	f.Add(int64(19), int64(-1), uint8(3), int64(math.MaxInt64-9), int64(math.MaxInt64))
+	// Rows past a page's bits, a page cut inside its bitmap, and the first
+	// page reaching back into the header.
+	f.Add(int64(8*3+1), int64(0), uint8(2), int64(0), int64(0))
+	f.Add(int64(20), int64(0), uint8(4), int64(0), int64(-2))
+	f.Add(int64(20), int64(0), uint8(0), int64(-1), int64(0))
+	f.Fuzz(func(t *testing.T, rows, raws int64, page uint8, dOff, dLen int64) {
 		honest, err := DecodeBlock(blk)
 		if err != nil {
 			t.Fatal(err)

@@ -55,20 +55,18 @@ import (
 //	         zigzag(v − prediction).
 //
 // encodeBlock sizes all four modes of a column in one pass and writes the
-// smallest, so no page is longer than the same column's v2 page plus the mode
-// byte, whatever the traffic. Most columns repeat from event to event (a
-// session's label, its reservoir, the buffer level across one chunk's
-// events), so most rows cost one bit. The journal interleaves kinds that set
-// disjoint fields — a request carries no duration, a sample no throughput —
-// so against the row before such a field leaves zero and comes back at every
-// change of kind, a varint each way; against the last row of its kind it
-// repeats.
+// smallest, so no page is longer than the same column coded as version 2
+// coded it — every row predicted from the row before, at_ns and chunk as
+// deltas, the rest as values — plus the mode byte, whatever the traffic.
+// Most columns repeat from event to event (a session's label, its
+// reservoir, the buffer level across one chunk's events), so most rows cost
+// one bit. The journal interleaves kinds that set disjoint fields — a
+// request carries no duration, a sample no throughput — so against the row
+// before such a field leaves zero and comes back at every change of kind, a
+// varint each way; against the last row of its kind it repeats.
 //
-// Version 2 pages had no mode byte: each predicted from the row before,
-// at_ns and chunk coded as deltas and the rest as values, and row 0's bit was
-// always set. Version 1 pages had no bitmap either: one uvarint per row. Both
-// read through the same decoder (pageRows) as the mode they implied
-// (impliedMode), so old blocks stay readable with no second codec.
+// The reader reads version 3 only, the one version the encoder writes: a
+// block of any other version is refused as ErrBadBlock, naming it.
 //
 // The footer carries the block key — run, row count, [min,max] at_ns
 // window — plus the kind names and session groups present, so readers
@@ -121,7 +119,7 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // uvarintLen is the length of u's uvarint.
 func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
 
-// mode is a v3 column page's leading byte (see the format comment).
+// mode is a column page's leading byte (see the format comment).
 type mode uint8
 
 const (
@@ -130,16 +128,6 @@ const (
 	// modes counts the modes; a mode byte at or above it is undefined.
 	modes
 )
-
-// impliedMode is the mode of a v1 or v2 page of the named column, which had
-// no mode byte: at_ns and chunk, near-monotone in admission order, coded
-// deltas from the row before, every other column values.
-func impliedMode(column string) mode {
-	if column == "at_ns" || column == "chunk" {
-		return asDelta
-	}
-	return 0
-}
 
 // column is one column page's rows as encodeBlock renders them, with what a
 // by-kind prediction reads: each row's context — its kind-dictionary index,
@@ -204,7 +192,7 @@ func (c *column) appendTo(dst []byte) []byte {
 	return c.render(dst, best)
 }
 
-// render appends the rows as a v3 page of mode m: the mode byte, the change
+// render appends the rows as a page of mode m: the mode byte, the change
 // bitmap, and one uvarint per row that differs from its prediction.
 func (c *column) render(dst []byte, m mode) []byte {
 	dst = append(dst, byte(m))
@@ -238,34 +226,26 @@ func (c *column) render(dst []byte, m mode) []byte {
 	return dst
 }
 
-// pageRows is the one page decoder, of every block version: it fills dst
-// from p, the rows of a column page of that version past its mode byte,
-// predicted and coded as m says (see the format comment). A v1 page has no
-// bitmap and reads as one whose every bit is set; a v2 page's row 0 bit is
-// always set. A by-kind page predicts row i from last[ctx[i]] — or, with
-// ctx nil, from last[the row before], as the kind page does — and last must
-// arrive zeroed. entries > 0 makes p a dictionary page, whose values are the
-// index and whose every row must be below entries; an integer page's values
-// are zigzag(v). It reports false, never panics, on a page that does not
-// hold len(dst) rows or names a context outside last.
-func pageRows[T uint32 | int64](dst []T, p []byte, version int, m mode, ctx []uint32, last []int64, entries uint64) bool {
-	var changed []byte
-	if version >= 2 {
-		nb := (len(dst) + 7) / 8
-		if len(p) < nb || version == 2 && nb > 0 && p[0]&1 == 0 {
-			return false
-		}
-		changed, p = p[:nb], p[nb:]
+// pageRows is the one page decoder: it fills dst from p, the rows of a
+// column page past its mode byte — the change bitmap, then the changed rows
+// — predicted and coded as m says (see the format comment). A by-kind page
+// predicts row i from last[ctx[i]] — or, with ctx nil, from last[the row
+// before], as the kind page does — and last must arrive zeroed. entries > 0
+// makes p a dictionary page, whose values are the index and whose every row
+// must be below entries; an integer page's values are zigzag(v). It reports
+// false, never panics, on a page that does not hold len(dst) rows or names a
+// context outside last.
+func pageRows[T uint32 | int64](dst []T, p []byte, m mode, ctx []uint32, last []int64, entries uint64) bool {
+	nb := (len(dst) + 7) / 8
+	if len(p) < nb {
+		return false
 	}
-	r := rowReader{p: p, delta: m&asDelta != 0, entries: entries}
+	changed := p[:nb]
+	r := rowReader{p: p[nb:], delta: m&asDelta != 0, entries: entries}
 	var prev int64
 	if m&byKind == 0 {
 		for i := 0; i < len(dst); i += 8 {
-			row := dst[i:min(i+8, len(dst))]
-			bm := byte(0xFF)
-			if changed != nil {
-				bm = changed[i/8]
-			}
+			row, bm := dst[i:min(i+8, len(dst))], changed[i/8]
 			for j := range row {
 				if bm&(1<<j) != 0 {
 					u, sz := uint64(0), 1
@@ -292,11 +272,7 @@ func pageRows[T uint32 | int64](dst []T, p []byte, version int, m mode, ctx []ui
 		return false
 	}
 	for i := 0; i < len(dst); i += 8 {
-		row, kinds := dst[i:min(i+8, len(dst))], ctx[i:min(i+8, len(dst))]
-		bm := byte(0xFF)
-		if changed != nil {
-			bm = changed[i/8]
-		}
+		row, kinds, bm := dst[i:min(i+8, len(dst))], ctx[i:min(i+8, len(dst))], changed[i/8]
 		for j, k := range kinds {
 			if int(k) >= len(last) {
 				return false
@@ -327,11 +303,7 @@ func pageRows[T uint32 | int64](dst []T, p []byte, version int, m mode, ctx []ui
 func kindRows[T uint32 | int64](dst []T, changed []byte, r *rowReader, last []int64) bool {
 	k := -1
 	for i := 0; i < len(dst); i += 8 {
-		row := dst[i:min(i+8, len(dst))]
-		bm := byte(0xFF)
-		if changed != nil {
-			bm = changed[i/8]
-		}
+		row, bm := dst[i:min(i+8, len(dst))], changed[i/8]
 		for j := range row {
 			v := int64(0)
 			if k >= 0 {
@@ -747,9 +719,8 @@ func (b *Block) open(src io.ReaderAt, size int64) error {
 	if string(head[:4]) != string(blockMagic) {
 		return fmt.Errorf("%w: magic %x", ErrBadBlock, head[:4])
 	}
-	version := int(head[4])
-	if version < 1 || version > blockVersion {
-		return fmt.Errorf("%w: version %d", ErrBadBlock, version)
+	if version := head[4]; version != blockVersion {
+		return fmt.Errorf("%w: version %d, and only version %d is read", ErrBadBlock, version, blockVersion)
 	}
 	if string(tail[8:]) != string(blockEndMagic) {
 		return fmt.Errorf("%w: end magic", ErrBadBlock)
@@ -769,23 +740,15 @@ func (b *Block) open(src io.ReaderAt, size int64) error {
 	if err := json.Unmarshal(b.buf, &b.ft); err != nil {
 		return fmt.Errorf("%w: footer: %v", ErrBadBlock, err)
 	}
-	if b.ft.Version != version {
-		return fmt.Errorf("%w: footer version %d under a version %d header", ErrBadBlock, b.ft.Version, version)
+	if b.ft.Version != blockVersion {
+		return fmt.Errorf("%w: footer version %d under a version %d header", ErrBadBlock, b.ft.Version, blockVersion)
 	}
 	if b.ft.Rows < 0 || b.ft.Raws < 0 {
 		return fmt.Errorf("%w: footer fields", ErrBadBlock)
 	}
-	// Every row costs at least a bit in every v2 or v3 column page — past a
-	// v3 page's mode byte — and a byte in a v1 one, so a row count no page
-	// could hold is a lie; and the slabs are sized from it, so it must be
-	// refused before anything is.
-	rowsPerByte, lead := int64(1), int64(0)
-	if version >= 2 {
-		rowsPerByte = 8
-	}
-	if version >= 3 {
-		lead = 1
-	}
+	// Every row costs at least a bit in every column page past its mode
+	// byte, so a row count no page could hold is a lie; and the slabs are
+	// sized from it, so it must be refused before anything is.
 	for _, pg := range b.ft.Pages {
 		// Bounds via subtraction, not pg.Off+pg.Len+4: a crafted footer
 		// (valid CRC, huge offsets) can wrap int64 addition and slip an
@@ -793,7 +756,7 @@ func (b *Block) open(src io.ReaderAt, size int64) error {
 		if pg.Off < headerLen || pg.Len < 0 || pg.Len > size || pg.Off > size-4-pg.Len {
 			return fmt.Errorf("%w: page %q outside block", ErrBadBlock, pg.Name)
 		}
-		if pg.Name != "raw" && int64(b.ft.Rows) > rowsPerByte*(pg.Len-lead) {
+		if pg.Name != "raw" && int64(b.ft.Rows) > 8*(pg.Len-1) {
 			return fmt.Errorf("%w: %d rows in the %d-byte page %q", ErrBadBlock, b.ft.Rows, pg.Len, pg.Name)
 		}
 	}
@@ -941,17 +904,14 @@ func (b *Block) Ints(name string) ([]int64, error) {
 }
 
 // decodePage fills dst from p, the named column's page payload past any
-// dictionary entries: its mode — a v3 page's leading byte, else implied —
-// then, for a by-kind page, the kind rows it predicts from (none on the kind
-// page itself), then the rows. entries is 0 for an integer column.
+// dictionary entries: its mode byte, then, for a by-kind page, the kind rows
+// it predicts from (none on the kind page itself), then the rows. entries is
+// 0 for an integer column.
 func decodePage[T uint32 | int64](b *Block, dst []T, p []byte, name string, entries uint64) error {
-	m := impliedMode(name)
-	if b.ft.Version >= 3 {
-		if len(p) == 0 || mode(p[0]) >= modes {
-			return fmt.Errorf("%w: column %q mode", ErrBadBlock, name)
-		}
-		m, p = mode(p[0]), p[1:]
+	if len(p) == 0 || mode(p[0]) >= modes {
+		return fmt.Errorf("%w: column %q mode", ErrBadBlock, name)
 	}
+	m, p := mode(p[0]), p[1:]
 	var ctx []uint32
 	var last []int64
 	if m&byKind != 0 {
@@ -966,7 +926,7 @@ func decodePage[T uint32 | int64](b *Block, dst []T, p []byte, name string, entr
 		clear(b.last)
 		last = b.last
 	}
-	if !pageRows(dst, p, b.ft.Version, m, ctx, last, entries) {
+	if !pageRows(dst, p, m, ctx, last, entries) {
 		return fmt.Errorf("%w: column %q rows", ErrBadBlock, name)
 	}
 	return nil

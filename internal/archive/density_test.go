@@ -1,8 +1,10 @@
 package archive
 
 import (
+	"bytes"
 	"fmt"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"bba/internal/abtest"
@@ -101,5 +103,14 @@ func TestStoreBytesBudget(t *testing.T) {
 	}
 	if v3 > v2 {
 		t.Errorf("v3 blocks are %d bytes, the v2 encoding of the same lines %d", v3, v2)
+	}
+	// The v2 encoding is downgrade's, so downgrade must be the v2 encoder:
+	// it reproduces the block that encoder sealed from the golden journal.
+	golden, _, err := encodeBlock("golden", goldenJournal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := os.ReadFile(filepath.Join("testdata", "golden-v2.blk")); err != nil || !bytes.Equal(downgrade(t, golden, 2), want) {
+		t.Errorf("downgrade of the golden journal's block is not testdata/golden-v2.blk (%v)", err)
 	}
 }

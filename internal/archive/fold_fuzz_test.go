@@ -118,8 +118,8 @@ func foldRollup(events []telemetry.Event) map[string]GroupRollup {
 
 // FuzzQueryMatchesJournalFold is the archive's differential oracle: over
 // fuzzed journals — canonical and raw-page lines interleaved, sessions
-// split across block boundaries, v1, v2 and v3 blocks side by side, a live WAL
-// tail when the cut leaves one — Scan and Aggregate under every predicate
+// split across block boundaries, blocks re-rendered in every page mode side
+// by side, a live WAL tail when the cut leaves one — Scan and Aggregate under every predicate
 // shape, and Export, must equal a row-by-row fold of the JSONL the store was
 // fed: on the writing store, on a cold read-only view (no footer held yet),
 // on a warm one, and on both after a further append and compaction — each at
@@ -158,21 +158,21 @@ func FuzzQueryMatchesJournalFold(f *testing.F) {
 			}
 			journal = append(journal, batch...)
 		}
-		// Two blocks in three as the v2 or the v1 encoder wrote them, so the
-		// store mixes every block version and a WAL tail the way an upgraded
-		// one does.
+		// Most blocks re-rendered with every column page in one mode, a
+		// different one each, so the store's blocks read through every
+		// predictor and coding and not only the one the encoder picks.
 		blocks, err := filepath.Glob(filepath.Join(dir, "r", "*.blk"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, path := range blocks {
-			version := (i + int(pick)) % 3
-			if version == 0 {
+			m := mode(i+int(pick)) % (modes + 1)
+			if m == modes {
 				continue
 			}
 			blk, err := os.ReadFile(path)
 			if err == nil {
-				err = os.WriteFile(path, downgrade(t, blk, version), 0o644)
+				err = os.WriteFile(path, remode(t, blk, m), 0o644)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -257,7 +257,7 @@ func FuzzQueryMatchesJournalFold(f *testing.F) {
 			}
 		}
 		// The writer holds the footers its compactions built, of blocks since
-		// rewritten as v1 or v2: each open must notice the size and re-read.
+		// re-rendered: each open must notice the size and re-read.
 		check("writer", s)
 		// Cold: each query's Scan is the first over a fresh read-only view,
 		// which reads each footer before it can prune on it.

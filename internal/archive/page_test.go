@@ -7,12 +7,24 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 
 	"bba/internal/telemetry"
 )
+
+// impliedMode is the mode a v1 or v2 page of the named column had no byte
+// for: at_ns and chunk, near-monotone in admission order, coded deltas from
+// the row before, every other column values.
+func impliedMode(column string) mode {
+	if column == "at_ns" || column == "chunk" {
+		return asDelta
+	}
+	return 0
+}
 
 // legacyValue is what a v1 or v2 page of implied mode m stored for row v
 // after prev: zigzag(v − prev) in a delta column, a dictionary index as is,
@@ -129,49 +141,75 @@ func rewrite(t testing.TB, blk []byte, version int, edit func(name string, paylo
 	return seal(t, out, ft)
 }
 
-// downgrade re-renders a block as version 1 or 2 — the bytes that
-// version's encoder wrote for the same lines, which
-// TestBlockFormatGoldenLegacy checks against blocks those encoders sealed.
-func downgrade(t testing.TB, blk []byte, version int) []byte {
+// recode re-renders blk under a header and footer of the given version,
+// each dictionary and integer page's rows as render makes them of the
+// decoded column — a dictionary page keeping its entries — and the raw page
+// as it is.
+func recode(t testing.TB, blk []byte, version int, render func(dst []byte, c column, name string) []byte) []byte {
 	t.Helper()
 	b := loaded(t, blk)
-	legacy := appendRowsV1
-	if version == 2 {
-		legacy = appendRowsV2
-	}
+	kinds, entries := dictRows64(b, colKind), len(b.dicts[colKind].entries)
+	last := make([]int64, entries+1)
 	return rewrite(t, blk, version, func(name string, p []byte) []byte {
 		for c, dn := range dictNames {
 			if name == dn {
-				return legacy(p[:dictHead(p)], dictRows64(b, c), 0, true)
+				col := column{rows: dictRows64(b, c), ctx: kinds, last: last, dict: true}
+				if c == colKind {
+					col.ctx = follows(col.rows, entries)
+				}
+				return render(p[:dictHead(p)], col, name)
 			}
 		}
 		for ci, c := range telemetry.IntColumns() {
 			if name == c.Name {
-				return legacy(nil, b.ints[ci], impliedMode(c.Name), false)
+				return render(nil, column{rows: b.ints[ci], ctx: kinds, last: last}, name)
 			}
 		}
 		return p // raw
 	})
 }
 
-// TestBlockRejectsCorruptPages is the page format's negative table: good v3
-// and v2 blocks, then one field corrupted per case — each page re-signed, so
-// the CRCs pass and the decoder itself must refuse — and every case must
+// downgrade re-renders a block as version 1 or 2 — the bytes that version's
+// encoder wrote for the same lines (TestStoreBytesBudget checks v2 against
+// testdata/golden-v2.blk) — which the reader refuses, and whose v2 size
+// bounds the v3 encoder's (FuzzPageCodec, TestStoreBytesBudget).
+func downgrade(t testing.TB, blk []byte, version int) []byte {
+	legacy := appendRowsV1
+	if version == 2 {
+		legacy = appendRowsV2
+	}
+	return recode(t, blk, version, func(dst []byte, c column, name string) []byte {
+		return legacy(dst, c.rows, impliedMode(name), c.dict)
+	})
+}
+
+// remode re-renders every column page of blk in mode m: the same rows as
+// the encoder would have written them had m been every column's smallest,
+// a valid block at other page lengths.
+func remode(t testing.TB, blk []byte, m mode) []byte {
+	return recode(t, blk, blockVersion, func(dst []byte, c column, _ string) []byte {
+		return c.render(dst, m)
+	})
+}
+
+// TestBlockRejectsCorruptPages is the page format's negative table: a good
+// block, then one field corrupted per case — each page re-signed, so the
+// CRCs pass and the decoder itself must refuse — and every case must
 // surface as ErrBadBlock, from the open or from the first read of the page,
-// naming what it refused.
+// naming what it refused. Blocks of the versions before 3, which the reader
+// no longer decodes, are refused by the open, naming their version.
 func TestBlockRejectsCorruptPages(t *testing.T) {
 	lines := splitLines(batchOf(0, 100))
 	good, _, err := encodeBlock("r", lines)
 	if err != nil {
 		t.Fatal(err)
 	}
-	good2 := downgrade(t, good, 2)
 	decoded := loaded(t, good)
 	bitmap := (len(lines) + 7) / 8
-	// page swaps the one named page's payload of blk, a block of the given
-	// version, for what corrupt makes of it.
-	page := func(blk []byte, version int, name string, corrupt func(p []byte) []byte) []byte {
-		return rewrite(t, blk, version, func(n string, p []byte) []byte {
+	// page swaps the one named page's payload of the good block for what
+	// corrupt makes of it.
+	page := func(name string, corrupt func(p []byte) []byte) []byte {
+		return rewrite(t, good, blockVersion, func(n string, p []byte) []byte {
 			if n == name {
 				return corrupt(p)
 			}
@@ -189,7 +227,7 @@ func TestBlockRejectsCorruptPages(t *testing.T) {
 		if c == colKind {
 			col.ctx = follows(col.rows, entries+1)
 		}
-		return page(good, blockVersion, dictNames[c], func(p []byte) []byte { return col.render(p[:dictHead(p)], m) })
+		return page(dictNames[c], func(p []byte) []byte { return col.render(p[:dictHead(p)], m) })
 	}
 	refooted := func(blk []byte, edit func(ft *footer)) []byte {
 		ft := loaded(t, blk).ft
@@ -202,8 +240,19 @@ func TestBlockRejectsCorruptPages(t *testing.T) {
 			minPage = min(minPage, pg.Len)
 		}
 	}
-	v1Header := append([]byte(nil), good2...)
-	v1Header[headerLen-1] = 1
+	fixture := func(name string) []byte {
+		blk, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blk
+	}
+	// envelope is the good block under the header and footer versions given.
+	envelope := func(header byte, fv int) []byte {
+		blk := refooted(good, func(ft *footer) { ft.Version = fv })
+		blk[headerLen-1] = header
+		return blk
+	}
 	entries := func(c int) int64 { return int64(len(decoded.dicts[c].entries)) }
 	// Where the lie must be caught: a footer's by the open, before any slab
 	// is sized from it; a page's by the first read of that page.
@@ -215,24 +264,19 @@ func TestBlockRejectsCorruptPages(t *testing.T) {
 		says string // what the refusal must name
 	}{
 		{"the good block", good, accepted, ""},
-		{"the good v2 block", good2, accepted, ""},
-		{"the good block re-rendered unchanged", page(good, blockVersion, "kind", func(p []byte) []byte { return p }), accepted, ""},
+		{"the good block re-rendered unchanged", page("kind", func(p []byte) []byte { return p }), accepted, ""},
 		{"the label page re-rendered by kind, as deltas", rerender(colLabel, byKind|asDelta, func([]int64) {}), accepted, ""},
-		{"undefined mode bits", page(good, blockVersion, "at_ns", func(p []byte) []byte {
+		{"undefined mode bits", page("at_ns", func(p []byte) []byte {
 			p[0] = byte(modes)
 			return p
 		}), byPage, `"at_ns" mode`},
-		{"a page too short for its mode byte", page(good, blockVersion, "session", func(p []byte) []byte {
+		{"a page too short for its mode byte", page("session", func(p []byte) []byte {
 			return p[:dictHead(p)]
 		}), byPage, `"session" mode`},
-		{"bitmap shorter than ⌈rows/8⌉", page(good, blockVersion, "session", func(p []byte) []byte {
+		{"bitmap shorter than ⌈rows/8⌉", page("session", func(p []byte) []byte {
 			return p[:dictHead(p)+1+bitmap-1]
 		}), byPage, `"session" rows`},
-		{"row 0's bit clear in a dictionary page", page(good2, 2, "kind", func(p []byte) []byte {
-			p[dictHead(p)] &^= 1
-			return p
-		}), byPage, `"kind" rows`},
-		{"a changed-value varint truncated", page(good, blockVersion, "at_ns", func(p []byte) []byte {
+		{"a changed-value varint truncated", page("at_ns", func(p []byte) []byte {
 			return p[:len(p)-1]
 		}), byPage, `"at_ns" rows`},
 		{"a dictionary index ≥ the entry count", rerender(colLabel, 0, func(rows []int64) {
@@ -244,9 +288,12 @@ func TestBlockRejectsCorruptPages(t *testing.T) {
 		{"a footer claiming more than 8 rows per page byte", refooted(good, func(ft *footer) {
 			ft.Rows = int(8*(minPage-1)) + 1
 		}), byOpen, "rows in the"},
-		{"header version 3, footer version 2", refooted(good, func(ft *footer) { ft.Version = 2 }), byOpen, "footer version 2 under a version 3 header"},
-		{"header version 2, footer version 1", refooted(good2, func(ft *footer) { ft.Version = 1 }), byOpen, "footer version 1 under a version 2 header"},
-		{"header version 1, footer version 2", v1Header, byOpen, "footer version 2 under a version 1 header"},
+		{"header version 3, footer version 2", envelope(3, 2), byOpen, "footer version 2 under a version 3 header"},
+		{"header version 2, footer version 1", envelope(2, 1), byOpen, "version 2"},
+		{"header version 1, footer version 2", envelope(1, 2), byOpen, "version 1"},
+		{"header version 4, footer version 3", envelope(4, 3), byOpen, "version 4"},
+		{"golden-v2.blk, a block the v2 encoder sealed", fixture("golden-v2.blk"), byOpen, "version 2"},
+		{"golden-v1.blk, a block the v1 encoder sealed", fixture("golden-v1.blk"), byOpen, "version 1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b, err := DecodeBlock(tc.blk)
@@ -308,8 +355,8 @@ func pageColumn(data []byte) []int64 {
 // page, an integer page, or the kind page predicting from itself — and
 // decoded comes back exactly; the mode encodeBlock picks is never longer
 // than the v2 page of the same column, in either v2 coding, plus the mode
-// byte; v2 and v1 pages still decode; and the decoder, of any version and
-// mode, never panics on arbitrary bytes under arbitrary context rows.
+// byte; and the decoder, in any mode, never panics on arbitrary bytes under
+// arbitrary context rows.
 func FuzzPageCodec(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 5, 5, 5, 1, 1}, uint8(1))
 	f.Add([]byte{3, 4, 3, 4, 2, 2, 2, 0}, uint8(2))
@@ -345,22 +392,22 @@ func FuzzPageCodec(f *testing.F) {
 			c.ctx = follows(col, nk)
 		}
 		last := make([]int64, nk)
-		decodes := func(page []byte, version int, m mode) {
+		decodes := func(page []byte, m mode) {
 			t.Helper()
 			got := make([]int64, len(col))
 			clear(last)
-			if !pageRows(got, page, version, m, ctx, last, entries) {
-				t.Fatalf("v%d mode %d: %d rows did not decode", version, m, len(col))
+			if !pageRows(got, page, m, ctx, last, entries) {
+				t.Fatalf("mode %d: %d rows did not decode", m, len(col))
 			}
 			if !slices.Equal(got, col) {
-				t.Fatalf("v%d mode %d: decoded %v, encoded %v", version, m, got, col)
+				t.Fatalf("mode %d: decoded %v, encoded %v", m, got, col)
 			}
 		}
 		for m := range modes {
-			decodes(c.render(nil, m)[1:], blockVersion, m)
+			decodes(c.render(nil, m)[1:], m)
 		}
 		chosen := c.appendTo(nil)
-		decodes(chosen[1:], blockVersion, mode(chosen[0]))
+		decodes(chosen[1:], mode(chosen[0]))
 		legacy := []mode{0}
 		if !c.dict {
 			legacy = append(legacy, asDelta)
@@ -370,11 +417,9 @@ func FuzzPageCodec(f *testing.F) {
 			if len(chosen) > len(v2)+1 {
 				t.Fatalf("%d rows: v3 page %d bytes, over the mode-%d v2 page's %d plus the mode byte", len(col), len(chosen), m, len(v2))
 			}
-			decodes(v2, 2, m)
-			decodes(appendRowsV1(nil, col, m, c.dict), 1, m)
 		}
-		// Arbitrary bytes, any version and mode, any row count the input
-		// implies, contexts from the bytes and a table that may be short.
+		// Arbitrary bytes, any mode, any row count the input implies,
+		// contexts from the bytes and a table that may be short.
 		rows := make([]uint32, int(pick)%(8*len(data)+1))
 		anyCtx := make([]uint32, len(rows))
 		for i := range anyCtx {
@@ -383,10 +428,10 @@ func FuzzPageCodec(f *testing.F) {
 		m := mode(pick>>2) % modes
 		short := last[:int(pick)%(nk+1)]
 		clear(short)
-		pageRows(rows, data, int(pick)%3+1, m, anyCtx, short, entries+1)
+		pageRows(rows, data, m, anyCtx, short, entries+1)
 		clear(short)
-		pageRows(rows, data, int(pick)%3+1, m, nil, short, entries+1)
+		pageRows(rows, data, m, nil, short, entries+1)
 		clear(short)
-		pageRows(make([]int64, len(rows)), data, int(pick>>1)%3+1, m, nil, short, 0)
+		pageRows(make([]int64, len(rows)), data, m, nil, short, 0)
 	})
 }

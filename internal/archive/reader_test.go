@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -17,7 +16,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"bba/internal/telemetry"
 )
@@ -58,91 +56,12 @@ func TestBlockFormatGolden(t *testing.T) {
 	}
 }
 
-// TestBlockFormatGoldenLegacy pins the versions this reader still reads:
-// testdata/golden-v1.blk and golden-v2.blk are what those versions'
-// encoders sealed from the same journal (each SHA-256 was its format's
-// golden). Each must export byte for byte and answer every block-level Scan
-// and Aggregate exactly as the v3 block of the journal does; and downgrade,
-// the tests' legacy writer, must reproduce each, so the old blocks
-// FuzzQueryMatchesJournalFold mixes into its stores are the ones those
-// encoders wrote.
-func TestBlockFormatGoldenLegacy(t *testing.T) {
-	lines := goldenJournal()
-	journal := bytes.Join(lines, nil)
-	v3, _, err := encodeBlock("golden", lines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := []Query{
-		{},
-		{Group: "BBA-1"},
-		{Session: "d0.w0.s3.BBA-1"},
-		{Kinds: []telemetry.Kind{telemetry.ChunkComplete, telemetry.RebufferEnd}},
-		{Kinds: []telemetry.Kind{telemetry.BufferSample}, From: 7},
-		{From: 100 * time.Millisecond, To: 250 * time.Millisecond},
-	}
-	// answers is every query's Scan and Aggregate over blk.
-	answers := func(blk []byte) (scans [][]telemetry.Event, rolls []map[string]GroupRollup) {
-		for _, q := range queries {
-			p := q.compile()
-			var scan []telemetry.Event
-			if err := scanBlock(loaded(t, blk), p, func(e telemetry.Event) bool { scan = append(scan, e); return true }); err != nil {
-				t.Fatal(err)
-			}
-			st := new(aggState)
-			if err := foldBlock(st, loaded(t, blk), p); err != nil {
-				t.Fatal(err)
-			}
-			roll := map[string]GroupRollup{}
-			for g, gr := range st.groups {
-				roll[g] = *gr
-			}
-			scans, rolls = append(scans, scan), append(rolls, roll)
-		}
-		return scans, rolls
-	}
-	wantScans, wantRolls := answers(v3)
-	for _, tc := range []struct {
-		version int
-		sha256  string
-	}{
-		{1, "5980c6a866e497e103ec1f10fcce9a875e38942488b2e07ca1608e1ef14aa84d"},
-		{2, "1561c4c87fcdf3211310e2eb9f7f5af4fd328fa1e10777cce5280beed8cc29c1"},
-	} {
-		t.Run(fmt.Sprintf("v%d", tc.version), func(t *testing.T) {
-			blk, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("golden-v%d.blk", tc.version)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := sha256.Sum256(blk); hex.EncodeToString(got[:]) != tc.sha256 {
-				t.Fatalf("fixture sha256 %x, want the v%d golden %s", got, tc.version, tc.sha256)
-			}
-			if !bytes.Equal(downgrade(t, v3, tc.version), blk) {
-				t.Fatalf("downgrade of the v3 block is not the block the v%d encoder sealed", tc.version)
-			}
-			var export bytes.Buffer
-			if err := loaded(t, blk).Export(&export); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(export.Bytes(), journal) {
-				t.Fatalf("export of %d bytes, want the %d-byte journal", export.Len(), len(journal))
-			}
-			scans, rolls := answers(blk)
-			for i, q := range queries {
-				if len(wantScans[i]) == 0 || !slices.Equal(scans[i], wantScans[i]) {
-					t.Errorf("Scan %+v: v%d block %d events, v3 block %d, or they differ", q, tc.version, len(scans[i]), len(wantScans[i]))
-				}
-				if !maps.Equal(rolls[i], wantRolls[i]) {
-					t.Errorf("Aggregate %+v:\nv%d %+v\nv3 %+v", q, tc.version, rolls[i], wantRolls[i])
-				}
-			}
-		})
-	}
-}
-
-// TestExportRetiredKind: testdata/retired-kind.blk was sealed while
-// lease_grant was still a Kind, so its lease_grant row is canonical, not
-// raw. This build no longer has that kind, and Export must still write the
+// TestExportRetiredKind: testdata/retired-kind.blk holds a canonical row —
+// not raw — whose kind-dictionary name, lease_grant, is no longer a Kind, as
+// a block sealed before that kind was retired does. (It was sealed by
+// encodeBlock from retired-kind.jsonl with that row's kind written as
+// fault_inject, then that dictionary entry and the footer's kind list
+// renamed lease_grant and the block re-signed.) Export must still write the
 // row's stored name rather than "unknown": export stays lossless for blocks
 // written before a kind is retired.
 func TestExportRetiredKind(t *testing.T) {
@@ -459,8 +378,8 @@ func TestQueryOpensOnlyTheBlocksItReads(t *testing.T) {
 
 // TestChangedBlockIsReread: a block is immutable, so a footer verified at one
 // file size holds while the file keeps it. A block replaced by another of a
-// different size — the same rows as the v1 encoder wrote them, at other page
-// offsets — is re-read by the writer that sealed it and by a warm read-only
+// different size — the same rows with every column page in mode 0, at
+// other page offsets — is re-read by the writer that sealed it and by a warm read-only
 // view, and still answers; one truncated after its footer was held is
 // re-read and refused. A read-only view re-lists per query, so it also
 // drops the held footer of a block replaced by one with other rows before
@@ -490,7 +409,11 @@ func TestChangedBlockIsReread(t *testing.T) {
 	}
 	views := map[string]*Store{"writer": s, "read-only": ro}
 
-	if err := os.WriteFile(path, downgrade(t, blk, 1), 0o644); err != nil {
+	remoded := remode(t, blk, 0)
+	if len(remoded) == len(blk) {
+		t.Fatalf("block 2 re-rendered in mode 0 is %d bytes, as it was", len(blk))
+	}
+	if err := os.WriteFile(path, remoded, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for view, st := range views {

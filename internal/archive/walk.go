@@ -2,7 +2,6 @@ package archive
 
 import (
 	"runtime"
-	"sort"
 	"time"
 
 	"bba/internal/telemetry"
@@ -65,8 +64,7 @@ func (s *Store) release(b *Block) {
 	took := time.Since(b.start).Seconds()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.querySeconds[sort.SearchFloat64s(latencyBounds[:], took)]++
-	s.querySum += took
+	s.querySeconds.Observe(took)
 	s.blocksRead += int64(b.read)
 	s.blocksPruned += int64(b.pruned)
 	b.read, b.pruned = 0, 0

@@ -43,7 +43,9 @@ func settled(t *testing.T, s *Store, want, before int) {
 		t.Errorf("the store holds %d idle readers after the query, want the %d it took", got, want)
 	}
 	// A worker that has called Done may not have exited yet; one still
-	// parked on a channel never does.
+	// parked on a channel never does. Its exit after Done is its deferred
+	// return, microseconds even on a loaded CPU, so the 2 s wait is the
+	// margin, not a measurement: only a parked worker outlasts it.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
@@ -205,6 +207,9 @@ func TestScanCallbackMayQueryTheStore(t *testing.T) {
 				t.Fatal(err)
 			}
 		case <-time.After(30 * time.Second):
+			// The scan and its nested rollups take milliseconds (under -race,
+			// tens); 30 s is the margin that tells a deadlock — a rollup
+			// waiting on a reader the scan holds — from a slow machine.
 			t.Fatal("a Scan whose callback queries the same store did not finish")
 		}
 	})

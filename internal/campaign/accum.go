@@ -191,24 +191,31 @@ func (a *GroupAccum) reset(k int) {
 // takes a set from it, Checkpoint.fold gives the set back once it has
 // merged it into the prefix, and the next shard resets it in place. The
 // merge window holds dispatched-but-unfolded shards to 2×Parallelism, so a
-// run builds at most 2×Parallelism shard sets, each carved by newShardSet;
-// the prefix is a set of its own, seeded by fold.
+// run carves min(2×Parallelism, its shards) sets up front, each by
+// newShardSet, and never runs short: how many it builds is a function of
+// the shards it runs, not of whether the collector folded shard s before a
+// worker asked for shard s+1. The prefix is a set of its own, seeded by
+// fold.
 type accumSets struct {
 	mu    sync.Mutex
 	free  [][]*GroupAccum
 	built int
 }
 
-// get returns an empty set for id's groups: a recycled one reset in place,
-// or a new one when none is free.
+// carve adds n empty sets for id's shards to the free list.
+func (p *accumSets) carve(id Identity, n int) {
+	for range n {
+		p.put(newShardSet(id))
+	}
+	p.built += n
+}
+
+// get returns an empty set for id's groups, recycled and reset in place.
+// A set is free whenever a shard is dispatched: fold puts a shard's set back
+// before its window token is released.
 func (p *accumSets) get(id Identity) []*GroupAccum {
 	p.mu.Lock()
 	n := len(p.free)
-	if n == 0 {
-		p.built++
-		p.mu.Unlock()
-		return newShardSet(id)
-	}
 	set := p.free[n-1]
 	p.free = p.free[:n-1]
 	p.mu.Unlock()

@@ -154,7 +154,7 @@ func benchShape(parallelism int) Config {
 // a second worker adds a second set of those small plans and no second
 // index: the same campaign on two workers allocates at most one more plan
 // budget than on one, plus the two shard sets the second worker's
-// merge-window tokens may build, computed from the campaign's shape, plus
+// merge-window tokens build, computed from the campaign's shape, plus
 // the second worker's own draw scratch and lanes (its trace Builder's two
 // segment buffers, its draw slot's rows): the second worker measures
 // ≈ 0.79–1.0 MB. A title-sized copy per worker (≈ 5 MB for this catalog)
@@ -192,8 +192,8 @@ func TestPlanFootprint(t *testing.T) {
 		t.Errorf("building the campaign's %d plans allocated %d B, budget %d B: a plan holds a reservoir table, not a copy of the title", len(plans), built, planBudget)
 	}
 
-	// A run builds at most 2×Parallelism shard sets, so two workers build
-	// at most two more than one. A set is its groups' accumulators, a
+	// A run builds min(2×Parallelism, shards) shard sets, so two workers
+	// build two more than one. A set is its groups' accumulators, a
 	// pointer to each, and six sketches per group carved at
 	// min(K, shard size) entries that never grow.
 	entries := int64(min(cfg.SketchSize, cfg.ShardSize))

@@ -494,6 +494,7 @@ func run(ctx context.Context, cfg Config, sets *accumSets) (*Outcome, error) {
 	// executing or parked — never exceed the window, however the scheduler
 	// interleaves workers.
 	window := 2 * cfg.Parallelism
+	sets.carve(id, min(window, len(todo)))
 	tokens := make(chan struct{}, window)
 	shards := make(chan int)
 	results := make(chan shardResult, window)

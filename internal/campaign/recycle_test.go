@@ -44,6 +44,69 @@ func TestAccumSetsBoundedByWindow(t *testing.T) {
 	}
 }
 
+// startedExtra calls started with each shard as its first draw runs, on
+// the worker running it.
+type startedExtra struct {
+	shardSize int
+	started   func(shard int)
+}
+
+func (e *startedExtra) AddSessionSet(global int64, _ []metrics.Session) error {
+	if global%int64(e.shardSize) == 0 {
+		e.started(int(global) / e.shardSize)
+	}
+	return nil
+}
+
+func (e *startedExtra) Merge(Extra) error { return nil }
+
+// TestAccumSetsIndependentOfSchedule: how many shard sets a run builds is
+// a function of the shards it runs, min(window, shards), not of whether
+// the collector folded shard s before the worker asked for shard s+1's
+// set — which, left to the scheduler, goes either way. One worker, a
+// window of two, five shards. The count is read as shard 0's first draw
+// runs, before any shard has folded, and after the run, under two
+// schedules: one left to the scheduler, and one whose progress hook parks
+// the collector, as it reports shard s−1 folded, until the worker has
+// begun shard s+1, so every ask comes before the fold of the shard before
+// it. All four readings must be the same.
+func TestAccumSetsIndependentOfSchedule(t *testing.T) {
+	cfg := testConfig(40) // 5 shards
+	cfg.Parallelism = 1
+	const shards, want = 5, 2
+	for _, parked := range []bool{false, true} {
+		var sets accumSets
+		var atFirst int
+		started := make(chan int, shards)
+		cfg.NewExtra = func() Extra {
+			return &startedExtra{shardSize: cfg.ShardSize, started: func(s int) {
+				if s == 0 {
+					sets.mu.Lock()
+					atFirst = sets.built
+					sets.mu.Unlock()
+				}
+				started <- s
+			}}
+		}
+		cfg.Progress = nil
+		if parked {
+			begun := -1
+			cfg.Progress = func(p Progress) {
+				for begun < min(p.ShardsDone+1, shards-1) {
+					begun = <-started
+				}
+			}
+		}
+		if _, err := run(context.Background(), cfg, &sets); err != nil {
+			t.Fatal(err)
+		}
+		if atFirst != want || sets.built != want {
+			t.Errorf("parked collector %v: %d shard sets built as shard 0 began, %d by the end; want %d both times",
+				parked, atFirst, sets.built, want)
+		}
+	}
+}
+
 // randomSessions draws sessions that leave some distributions empty: no
 // play time, steady state not reached, no startup chunks.
 func randomSessions(rng *rand.Rand, n int) []metrics.Session {

@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -83,16 +82,11 @@ type Collector struct {
 
 	// admitSeconds is the wall time of every Ingest so far, from the frame
 	// in hand to the ACK decision — decode, dedup, the archive append that
-	// gates the ACK and any compaction it runs: per-bucket counts over
-	// admitBounds, and the sum.
-	admitSeconds [len(admitBounds) + 1]uint64
-	admitSum     float64
+	// gates the ACK and any compaction it runs. Its bounds: a frame is
+	// admitted in tens of microseconds, one whose append seals a block waits
+	// out the compaction, tens to hundreds of milliseconds.
+	admitSeconds obs.Histogram
 }
-
-// admitBounds are the admit histogram's upper bounds, in seconds: a frame
-// is admitted in tens of microseconds, one whose append seals a block waits
-// out the compaction, tens to hundreds of milliseconds.
-var admitBounds = [...]float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.01, 0.05, 0.25, 1}
 
 type streamKey struct {
 	run     string
@@ -102,9 +96,10 @@ type streamKey struct {
 // NewCollector returns a Collector with the config's defaults applied.
 func NewCollector(cfg CollectorConfig) *Collector {
 	return &Collector{
-		cfg:     cfg,
-		streams: make(map[streamKey]uint64),
-		stats:   CollectorStats{Frames: make(map[string]int64)},
+		cfg:          cfg,
+		streams:      make(map[streamKey]uint64),
+		stats:        CollectorStats{Frames: make(map[string]int64)},
+		admitSeconds: obs.NewHistogram(0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.01, 0.05, 0.25, 1),
 	}
 }
 
@@ -122,20 +117,12 @@ func (c *Collector) Ingest(b []byte) error {
 	f, _, err := DecodeFrame(b)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	defer c.observeAdmitLocked(start)
+	defer func() { c.admitSeconds.Observe(time.Since(start).Seconds()) }()
 	if err != nil {
 		c.stats.FramesBad++
 		return err
 	}
 	return c.ingestFrameLocked(f)
-}
-
-// observeAdmitLocked counts one admit decision that began at start. Caller
-// holds mu.
-func (c *Collector) observeAdmitLocked(start time.Time) {
-	took := time.Since(start).Seconds()
-	c.admitSeconds[sort.SearchFloat64s(admitBounds[:], took)]++
-	c.admitSum += took
 }
 
 // ingestFrameLocked admits one decoded frame. Caller holds mu.
@@ -320,9 +307,6 @@ func (c *Collector) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // writer: what /metrics serves, exported so a daemon can follow it with its
 // archive's families on the same endpoint.
 func (c *Collector) WriteMetrics(w *obs.Writer) {
-	c.mu.Lock()
-	counts, sum := c.admitSeconds, c.admitSum
-	c.mu.Unlock()
 	s := c.Stats()
 	w.CounterVec("bba_collect_frames_total", "Frames admitted, by payload kind.", "kind", s.Frames)
 	counter := func(name, help string, v int64) { w.Counter(name, help, float64(v)) }
@@ -332,5 +316,7 @@ func (c *Collector) WriteMetrics(w *obs.Writer) {
 	counter("bba_collect_events_total", "Telemetry events admitted.", s.Events)
 	counter("bba_collect_streams_total", "Distinct (run, session) sender streams seen.", s.Streams)
 	counter("bba_collect_archive_errors_total", "Event frames NACKed because the archive could not persist them.", s.ArchiveErrors)
-	w.Histogram("bba_collect_admit_seconds", "Wall time from a frame received to its ACK decision, the archive append included.", admitBounds[:], counts[:], sum)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	w.Histogram("bba_collect_admit_seconds", "Wall time from a frame received to its ACK decision, the archive append included.", &c.admitSeconds)
 }

@@ -60,20 +60,43 @@ func (w *Writer) CounterVec(name, help, label string, vals map[string]int64) {
 	}
 }
 
-// Histogram writes a fixed-bucket histogram family. bounds are the
-// ascending finite upper bounds; counts holds the per-bucket (not
-// cumulative) observation counts, one per bound plus a final overflow
-// bucket; sum is the sum of all observations.
-func (w *Writer) Histogram(name, help string, bounds []float64, counts []uint64, sum float64) {
+// Histogram is a fixed-bucket histogram's state, which Writer.Histogram
+// encodes: ascending finite upper bounds, per-bucket (not cumulative)
+// counts with a final overflow bucket, and the sum of every observation.
+// It is not safe for concurrent use; its owner guards it with the lock its
+// other metrics share.
+type Histogram struct {
+	bounds []float64
+	counts []uint64
+	sum    float64
+}
+
+// NewHistogram returns an empty histogram over bounds, which must ascend.
+func NewHistogram(bounds ...float64) Histogram {
+	if !sort.Float64sAreSorted(bounds) {
+		panic("obs: histogram bounds must ascend")
+	}
+	return Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
+}
+
+// Observe counts v in the first bucket whose bound is at least v. It does
+// not allocate.
+func (h *Histogram) Observe(v float64) {
+	h.counts[sort.SearchFloat64s(h.bounds, v)]++
+	h.sum += v
+}
+
+// Histogram writes h as a histogram family.
+func (w *Writer) Histogram(name, help string, h *Histogram) {
 	w.header(name, help, "histogram")
 	var cum uint64
-	for i, ub := range bounds {
-		cum += counts[i]
+	for i, ub := range h.bounds {
+		cum += h.counts[i]
 		w.sample(name, "_bucket", "le", formatFloat(ub), float64(cum))
 	}
-	cum += counts[len(bounds)]
+	cum += h.counts[len(h.bounds)]
 	w.sample(name, "_bucket", "le", "+Inf", float64(cum))
-	w.sample(name, "_sum", "", "", sum)
+	w.sample(name, "_sum", "", "", h.sum)
 	w.sample(name, "_count", "", "", float64(cum))
 }
 

@@ -335,7 +335,13 @@ func TestWriter(t *testing.T) {
 		"plain": 1, "q\"uote": 2, "back\\slash": 3, "new\nline": 4, "tab\there": 5, "é": 6,
 	})
 	w.CounterVec("d_total", "Empty family.", "kind", nil)
-	w.Histogram("h_seconds", "A histogram.", []float64{0.5, 1, 2.5}, []uint64{1, 0, 2, 3}, 12.75)
+	// One observation at or under 0.5, none in (0.5, 1], two in (1, 2.5] —
+	// one on the bound, which its bucket holds — and three past it.
+	h := obs.NewHistogram(0.5, 1, 2.5)
+	for _, v := range []float64{0.25, 2, 2.5, 2.625, 2.625, 2.75} {
+		h.Observe(v)
+	}
+	w.Histogram("h_seconds", "A histogram.", &h)
 	w.Gauge("big", "Large and non-finite values.", 12345678)
 	w.Gauge("inf", "Infinity.", math.Inf(1))
 
@@ -373,13 +379,16 @@ func TestWriter(t *testing.T) {
 	if f := byName["d_total"]; f.typ != "counter" || len(f.samples) != 0 {
 		t.Errorf("empty family: %+v", f)
 	}
-	h := byName["h_seconds"]
+	hf := byName["h_seconds"]
 	var cum []float64
-	for _, s := range h.samples {
+	for _, s := range hf.samples {
 		cum = append(cum, s.value)
 	}
 	if fmt.Sprint(cum) != "[1 1 3 6 12.75 6]" {
 		t.Errorf("histogram samples %v, want buckets 1 1 3 6, sum 12.75, count 6", cum)
+	}
+	if n := testing.AllocsPerRun(100, func() { h.Observe(0.75) }); n != 0 {
+		t.Errorf("Observe allocates %v times a call, want none: it is on every event path", n)
 	}
 	for _, line := range []string{
 		"b -0.25\n", "big 1.2345678e+07\n", "inf +Inf\n", `h_seconds_bucket{le="0.5"} 1` + "\n", `h_seconds_bucket{le="+Inf"} 6` + "\n",

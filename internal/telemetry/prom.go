@@ -3,7 +3,6 @@ package telemetry
 import (
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 
 	"bba/internal/obs"
@@ -31,8 +30,8 @@ type Prom struct {
 	failovers       uint64
 	degradations    uint64
 
-	download  hist // chunk download time, seconds
-	occupancy hist // buffer level at sample points, seconds
+	download  obs.Histogram // chunk download time, seconds
+	occupancy obs.Histogram // buffer level at sample points, seconds
 }
 
 // NewProm returns a Prom whose metric names are prefixed "<namespace>_"
@@ -43,8 +42,8 @@ func NewProm(namespace string) *Prom {
 	}
 	return &Prom{
 		ns:        namespace,
-		download:  newHist(0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30),
-		occupancy: newHist(5, 15, 30, 60, 90, 120, 180, 240),
+		download:  obs.NewHistogram(0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30),
+		occupancy: obs.NewHistogram(5, 15, 30, 60, 90, 120, 180, 240),
 	}
 }
 
@@ -64,7 +63,7 @@ func (p *Prom) OnEvent(e Event) {
 		if e.Bytes > 0 {
 			p.bytesTotal += uint64(e.Bytes)
 		}
-		p.download.observe(e.Duration.Seconds())
+		p.download.Observe(e.Duration.Seconds())
 	case RateSwitch:
 		p.switches++
 	case RebufferStart:
@@ -72,7 +71,7 @@ func (p *Prom) OnEvent(e Event) {
 	case RebufferEnd:
 		p.stallSeconds += e.Duration.Seconds()
 	case BufferSample:
-		p.occupancy.observe(e.Buffer.Seconds())
+		p.occupancy.Observe(e.Buffer.Seconds())
 	case Seek:
 		p.seeks++
 	case FaultInject:
@@ -122,26 +121,6 @@ func (p *Prom) write(w *obs.Writer) {
 	counter("chunk_retries_total", "Chunk download re-attempts after failure.", float64(p.retries))
 	counter("failovers_total", "Endpoint failovers executed by clients.", float64(p.failovers))
 	counter("degradations_total", "Sessions degraded to minimum rate under faults.", float64(p.degradations))
-	w.Histogram(p.ns+"_chunk_download_seconds", "Chunk download time.", p.download.bounds, p.download.counts, p.download.sum)
-	w.Histogram(p.ns+"_buffer_level_seconds", "Playback-buffer occupancy at decision points.", p.occupancy.bounds, p.occupancy.counts, p.occupancy.sum)
-}
-
-// hist is a fixed-bucket histogram's state; obs.Writer.Histogram encodes it.
-type hist struct {
-	bounds []float64 // upper bounds, ascending; +Inf is implicit
-	counts []uint64  // per-bucket (non-cumulative) counts; last is +Inf
-	sum    float64
-}
-
-func newHist(bounds ...float64) hist {
-	if !sort.Float64sAreSorted(bounds) {
-		panic("telemetry: histogram bounds must ascend")
-	}
-	return hist{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-}
-
-func (h *hist) observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i]++
-	h.sum += v
+	w.Histogram(p.ns+"_chunk_download_seconds", "Chunk download time.", &p.download)
+	w.Histogram(p.ns+"_buffer_level_seconds", "Playback-buffer occupancy at decision points.", &p.occupancy)
 }

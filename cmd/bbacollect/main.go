@@ -21,7 +21,8 @@
 // /query and offline via bbaquery, whose -export reproduces the admitted
 // journal JSONL byte for byte. Archiving gates acknowledgement: an event
 // frame whose batch cannot be persisted is NACKed for retry, never
-// silently dropped, and the first failure sticks until restart.
+// silently dropped, and the first failure sticks until restart; a frame
+// holding a line that is not canonical journal JSONL is a 400.
 // SIGINT/SIGTERM drains in-flight ingests, seals the archive and exits.
 //
 // Example:

@@ -219,7 +219,11 @@ func (s *Store) Aggregate(q Query) (Rollup, error) {
 	}
 	for _, line := range b.walLines {
 		r.Rows++
-		if e := parseLine(line, b.names); p.matchesEvent(&e) {
+		e, err := parseLine(line, b.names)
+		if err != nil {
+			return r, err
+		}
+		if p.matchesEvent(&e) {
 			st.addEvent(&e)
 		}
 	}

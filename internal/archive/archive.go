@@ -20,6 +20,9 @@
 //	<dir>/<run>/wal-000003.q    the active WAL tail, CRC-framed JSONL
 //	                            batches, named after the block it will become
 //
+// A batch is admitted only if telemetry.ParseJSONL accepts every line of it;
+// any other batch is refused whole, wrapping telemetry.ErrNotCanonical.
+//
 // Writes append to the WAL; once the WAL holds CompactEvents events (or
 // CompactBytes bytes) it is rewritten as its block, then the next block's
 // WAL is created and the sealed one removed. Every byte is in exactly one
@@ -60,6 +63,7 @@ import (
 	"time"
 
 	"bba/internal/obs"
+	"bba/internal/telemetry"
 )
 
 // blockFile names block seq and walFile the WAL that seals into it, so a
@@ -123,6 +127,9 @@ type Store struct {
 
 	mu   sync.Mutex
 	runs map[string]*runArchive
+	// names interns the strings of Append's admission parse; each seal
+	// clears it.
+	names telemetry.Interner
 	// idle are the readers queries finished with — page buffers, slabs and
 	// WAL buffers, never decoded data or an open file — so the next query and
 	// its workers start with them already sized: at most maxIdleReaders,
@@ -219,7 +226,7 @@ func OpenReadOnly(dir string) (*Store, error) {
 }
 
 func open(cfg Config, readOnly bool) (*Store, error) {
-	s := &Store{cfg: cfg, readOnly: readOnly, runs: make(map[string]*runArchive),
+	s := &Store{cfg: cfg, readOnly: readOnly, runs: make(map[string]*runArchive), names: telemetry.Interner{},
 		compactSeconds: obs.NewHistogram(latencyBounds...), querySeconds: obs.NewHistogram(latencyBounds...)}
 	if err := s.loadRunsLocked(); err != nil {
 		return nil, err
@@ -499,8 +506,9 @@ func (s *Store) runLocked(run string, create bool) (*runArchive, error) {
 	return ra, nil
 }
 
-// Append archives one admitted event batch — whole journal JSONL lines,
-// newline-terminated — for run. The batch is on the WAL file with the OS
+// Append archives one admitted event batch for run: whole canonical journal
+// JSONL lines, or the batch is refused and nothing written. The batch is on
+// the WAL file with the OS
 // (not necessarily the platter) when Append returns nil: the framed
 // record is flushed before returning, never parked in a userspace buffer,
 // because a nil return is the collector's cue to ACK the frame and the
@@ -511,9 +519,6 @@ func (s *Store) Append(run string, batch []byte) error {
 	if len(batch) == 0 {
 		return nil
 	}
-	if batch[len(batch)-1] != '\n' {
-		return fmt.Errorf("archive: batch must be newline-terminated JSONL")
-	}
 	if len(batch) > maxWALRecord {
 		return fmt.Errorf("archive: %d-byte batch exceeds the %d-byte WAL record limit", len(batch), maxWALRecord)
 	}
@@ -521,6 +526,16 @@ func (s *Store) Append(run string, batch []byte) error {
 	defer s.mu.Unlock()
 	if s.readOnly {
 		return ErrReadOnly
+	}
+	// Every line, newline included, must be one ParseJSONL accepts; a last
+	// line without its newline leaves the empty line, which it refuses.
+	events := 0
+	for rest := batch; len(rest) > 0; events++ {
+		end := bytes.IndexByte(rest, '\n') + 1
+		if _, ok := s.names.ParseJSONL(rest[:end]); !ok {
+			return fmt.Errorf("archive: line %d of the batch: %w", events+1, telemetry.ErrNotCanonical)
+		}
+		rest = rest[end:]
 	}
 	ra, err := s.runLocked(run, true)
 	if err != nil {
@@ -542,7 +557,7 @@ func (s *Store) Append(run string, batch []byte) error {
 	if _, err := ra.walBuf.Write(crc[:]); err != nil {
 		return err
 	}
-	ra.events += bytes.Count(batch, []byte{'\n'})
+	ra.events += events
 	ra.bytes += int64(len(batch))
 	if ra.events >= s.cfg.CompactEvents || ra.bytes >= s.cfg.CompactBytes {
 		return s.compactLocked(ra) // flushes via readWAL
@@ -589,6 +604,7 @@ func (s *Store) compactLocked(ra *runArchive) error {
 		return nil
 	}
 	start := time.Now()
+	clear(s.names)
 	// Read into a reader of its own, not an idle one: a WAL-sized buffer kept
 	// live between compactions doubles the heap the collector's GC aims for.
 	var b Block
@@ -756,7 +772,7 @@ func (s *Store) Export(run string, w io.Writer) error {
 	b.out.Reset(w)
 	defer b.out.Reset(nil) // the reader must not pin the caller's writer
 	err := s.walk(b, nil, func(blk *Block) (bool, error) {
-		return true, blk.prepareExport()
+		return true, blk.loadRows()
 	}, func(blk *Block) (bool, error) {
 		return true, blk.render(b.out)
 	})

@@ -60,8 +60,8 @@ func batchOf(from, to int) []byte {
 
 // TestArchiveExportLossless pins the acceptance criterion: re-exporting an
 // archive reproduces the admitted journal byte for byte, across multiple
-// compactions, a live WAL tail, and non-canonical lines that can only
-// survive via the raw page.
+// compactions and a live WAL tail. (What Append refuses, and that a refusal
+// writes nothing, is TestAppendRefusesNonCanonical.)
 func TestArchiveExportLossless(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Config{Dir: dir, CompactEvents: 64})
@@ -79,18 +79,7 @@ func TestArchiveExportLossless(t *testing.T) {
 	for i := 0; i < 300; i += 10 {
 		appendBatch(batchOf(i, i+10))
 	}
-	// Non-canonical lines: reordered fields, floats, unknown kinds, plain
-	// garbage. Each must come back exactly as written.
-	for _, raw := range []string{
-		`{"session":"s","kind":"buffer_sample"}`,
-		`{"kind":"chunk_complete","session":"d0.w0.s1.BBA-1","at_ns":1.5,"bytes":2000}`,
-		`{"kind":"martian_event","session":"x"}`,
-		`{"kind":"lease_grant","session":"","at_ns":2000000000,"chunk":4,"rate_index":-1,"prev_rate_index":-1,"rate_bps":0,"bytes":3,"duration_ns":0,"throughput_bps":0,"buffer_ns":0,"played_ns":0,"reservoir_ns":0,"protection_ns":0,"label":"steal:w1"}`,
-		`not json at all`,
-	} {
-		appendBatch([]byte(raw + "\n"))
-	}
-	appendBatch(batchOf(300, 305)) // canonical tail after the raws
+	appendBatch(batchOf(300, 305))
 
 	exportIs(t, "live", s, "run1", want.Bytes())
 
@@ -122,8 +111,8 @@ func TestArchiveAppendValidation(t *testing.T) {
 	if err := s.Append("r", nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
-	if err := s.Append("r", []byte("no newline")); err == nil {
-		t.Fatal("unterminated batch accepted")
+	if err := s.Append("r", []byte("no newline")); !errors.Is(err, telemetry.ErrNotCanonical) {
+		t.Fatalf("unterminated batch: %v, want ErrNotCanonical", err)
 	}
 	// A batch beyond the WAL record bound must be refused, not persisted:
 	// scanWAL would discard the oversized record as a corrupt tail on the
@@ -770,7 +759,7 @@ func FuzzBlockDecode(f *testing.F) {
 	// invent matching checksums, so seed it past the envelope checks.
 	f.Add(craftBlock(f, footer{Version: blockVersion, Rows: 1,
 		Pages: []pageInfo{{Name: "kind", Off: math.MaxInt64 - 2, Len: 8}}}))
-	// The golden journal — raw rows, long runs of unchanged rows — as v3 and
+	// The golden journal — long runs of unchanged rows — as v3 and
 	// as the v2 and v1 encoders wrote it, which the open refuses; and a
 	// one-row block, every bitmap a single byte.
 	golden, _, err := encodeBlock("golden", goldenJournal())
@@ -803,7 +792,6 @@ func touchBlock(b *Block) {
 		b.dict(c)
 	}
 	b.Ints("at_ns")
-	b.rawRows()
 	b.Export(&bytes.Buffer{})
 	scanBlock(b, Query{}.compile(), func(telemetry.Event) bool { return true })
 	foldBlock(new(aggState), b, Query{}.compile())
@@ -813,7 +801,8 @@ func touchBlock(b *Block) {
 // random bytes never carry a matching footer CRC, so FuzzBlockDecode alone
 // stops at the checksum and never reaches the code that trusts the footer.
 // Here the pages are a real block's, and refoot re-signs whatever the
-// fuzzer makes of the row count, the raw count and one page's geometry.
+// fuzzer makes of the row count, the raw count — which the open refuses
+// unless it is 0 — and one page's geometry.
 func FuzzBlockDecodeFooter(f *testing.F) {
 	blk, _, err := encodeBlock("r", splitLines(batchOf(0, 20)))
 	if err != nil {

@@ -85,7 +85,10 @@ func BenchmarkJSONLAggregate(b *testing.B) {
 			nl := bytes.IndexByte(data, '\n')
 			line := data[:nl+1]
 			data = data[nl+1:]
-			e := parseLine(line, nil)
+			e, err := parseLine(line, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
 			st.addEvent(&e)
 			rows++
 		}

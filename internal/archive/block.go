@@ -35,10 +35,9 @@ import (
 //	kind, session, label   dictionary columns: uvarint entry count, each
 //	                       entry uvarint length + bytes, then the rows
 //	<int columns>          one page per telemetry.IntColumns entry: the rows
-//	raw                    rows whose journal line was not canonical
-//	                       ParseJSONL output, stored verbatim so export
-//	                       stays byte-lossless: uvarint count, then per
-//	                       entry uvarint row index, uvarint length, bytes
+//	raw                    one zero byte under the footer's "raws":0: the
+//	                       page of verbatim lines the archive no longer
+//	                       admits, kept so that version 3 keeps its bytes
 //
 // A column page's rows open with a mode byte, then a change bitmap —
 // ⌈rows/8⌉ bytes, bit i%8 of byte i/8 set when row i differs from its
@@ -66,7 +65,9 @@ import (
 // varint each way; against the last row of its kind it repeats.
 //
 // The reader reads version 3 only, the one version the encoder writes: a
-// block of any other version is refused as ErrBadBlock, naming it.
+// block of any other version, or whose footer counts raw rows, is refused as
+// ErrBadBlock, naming it. A column page's payload must be used up exactly;
+// the raw page must be one byte long, and is never read.
 //
 // The footer carries the block key — run, row count, [min,max] at_ns
 // window — plus the kind names and session groups present, so readers
@@ -233,8 +234,8 @@ func (c *column) render(dst []byte, m mode) []byte {
 // before], as the kind page does — and last must arrive zeroed. entries > 0
 // makes p a dictionary page, whose values are the index and whose every row
 // must be below entries; an integer page's values are zigzag(v). It reports
-// false, never panics, on a page that does not hold len(dst) rows or names a
-// context outside last.
+// false, never panics, on a page that does not hold exactly len(dst) rows —
+// too few, or bytes left over — or names a context outside last.
 func pageRows[T uint32 | int64](dst []T, p []byte, m mode, ctx []uint32, last []int64, entries uint64) bool {
 	nb := (len(dst) + 7) / 8
 	if len(p) < nb {
@@ -263,7 +264,7 @@ func pageRows[T uint32 | int64](dst []T, p []byte, m mode, ctx []uint32, last []
 				row[j] = T(prev)
 			}
 		}
-		return true
+		return len(r.p) == 0
 	}
 	if ctx == nil {
 		return kindRows(dst, changed, &r, last)
@@ -295,7 +296,7 @@ func pageRows[T uint32 | int64](dst []T, p []byte, m mode, ctx []uint32, last []
 			row[j] = T(v)
 		}
 	}
-	return true
+	return len(r.p) == 0
 }
 
 // kindRows is pageRows for a by-kind page predicting from itself, as the
@@ -333,7 +334,7 @@ func kindRows[T uint32 | int64](dst []T, changed []byte, r *rowReader, last []in
 			k = int(v)
 		}
 	}
-	return true
+	return len(r.p) == 0
 }
 
 // rowReader reads a page's changed rows, one uvarint each, in order. The
@@ -391,57 +392,10 @@ func (d *dictBuilder) head(dst []byte) []byte {
 	return dst
 }
 
-// rawRow is one non-canonical journal line kept verbatim.
-type rawRow struct {
-	row  int
-	line []byte
-}
-
-// looseEvent mirrors the journal's field names for the lenient fallback
-// parse of non-canonical lines: the line is preserved verbatim for export,
-// but whatever fields it does carry still land in the columns so scans and
-// rollups see it.
-type looseEvent struct {
-	Kind          string `json:"kind"`
-	Session       string `json:"session"`
-	AtNS          int64  `json:"at_ns"`
-	Chunk         int64  `json:"chunk"`
-	RateIndex     int64  `json:"rate_index"`
-	PrevRateIndex int64  `json:"prev_rate_index"`
-	RateBps       int64  `json:"rate_bps"`
-	Bytes         int64  `json:"bytes"`
-	DurationNS    int64  `json:"duration_ns"`
-	ThroughputBps int64  `json:"throughput_bps"`
-	BufferNS      int64  `json:"buffer_ns"`
-	PlayedNS      int64  `json:"played_ns"`
-	ReservoirNS   int64  `json:"reservoir_ns"`
-	ProtectionNS  int64  `json:"protection_ns"`
-	Label         string `json:"label"`
-}
-
-// parseLoose is the lenient parse of a line ParseJSONL refused: best
-// effort, fields the line lacks stay zero. The kind comes back by name too,
-// because a block's kind dictionary keeps names no Kind has. It is its own
-// function so that the Event the setters reach through func values is
-// heap-allocated here only, not in the callers' strict path.
-func parseLoose(line []byte) (e telemetry.Event, kindName string) {
-	var le looseEvent
-	_ = json.Unmarshal(line, &le) // whatever fields did parse are kept
-	e = telemetry.Event{Session: le.Session, Label: le.Label}
-	e.Kind, _ = telemetry.ParseKind(le.Kind)
-	for i, v := range [...]int64{le.AtNS, le.Chunk, le.RateIndex, le.PrevRateIndex,
-		le.RateBps, le.Bytes, le.DurationNS, le.ThroughputBps,
-		le.BufferNS, le.PlayedNS, le.ReservoirNS, le.ProtectionNS} {
-		telemetry.IntColumns()[i].Set(&e, v)
-	}
-	return e, le.Kind
-}
-
 // encodeBlock renders one immutable block from journal lines in admission
-// order, and returns the footer it wrote. Lines are canonical ParseJSONL
-// output in the common case; any other line is parsed leniently for the
-// columns and additionally stored verbatim in the raw page, preserving
-// byte-lossless export.
+// order, and returns the footer it wrote. Every line must be canonical, as
+// Append admits them; any other fails the seal with an error that is not
+// telemetry.ErrNotCanonical, which means a batch was refused unwritten.
 func encodeBlock(run string, lines [][]byte) ([]byte, *footer, error) {
 	intCols := telemetry.IntColumns()
 	n := len(lines)
@@ -453,7 +407,6 @@ func encodeBlock(run string, lines [][]byte) ([]byte, *footer, error) {
 	for i := range ints {
 		ints[i] = slab[i*n : (i+1)*n]
 	}
-	var raws []rawRow
 	var minAt, maxAt int64
 
 	// e is declared once: Get is a func value, so an Event made per row
@@ -463,20 +416,16 @@ func encodeBlock(run string, lines [][]byte) ([]byte, *footer, error) {
 	for row, line := range lines {
 		var ok bool
 		e, ok = telemetry.ParseJSONL(line)
-		kindName := e.Kind.String()
-		// Belt and braces: the columns must reproduce the line exactly, or
-		// the row goes to the raw page. ParseJSONL guarantees this, but
-		// losslessness is the archive's contract, so it is enforced here,
-		// where it is cheap, rather than trusted.
+		// Belt and braces: ParseJSONL guarantees the columns reproduce the
+		// line, but losslessness is the archive's contract, so it is checked.
 		if ok {
 			scratch = telemetry.AppendJSONL(scratch[:0], e)
 			ok = string(scratch) == string(line)
 		}
 		if !ok {
-			e, kindName = parseLoose(line)
-			raws = append(raws, rawRow{row: row, line: line})
+			return nil, nil, fmt.Errorf("archive: run %q: row %d is not a canonical journal line", run, row)
 		}
-		kind.add(kindName)
+		kind.add(e.Kind.String())
 		session.add(e.Session)
 		label.add(e.Label)
 		for i, c := range intCols {
@@ -495,7 +444,6 @@ func encodeBlock(run string, lines [][]byte) ([]byte, *footer, error) {
 		Version: blockVersion, Run: run, Rows: n,
 		MinAtNS: minAt, MaxAtNS: maxAt,
 		Kinds: append([]string(nil), kind.entries...),
-		Raws:  len(raws),
 	}
 	// Groups resolve once per session-dictionary entry, never per row.
 	groups := map[string]bool{}
@@ -508,7 +456,7 @@ func encodeBlock(run string, lines [][]byte) ([]byte, *footer, error) {
 	sort.Strings(ft.Groups)
 
 	// Pages are rendered in place, each followed by its CRC. 32 B a row is
-	// what a campaign's events come to; a block of raw lines grows past it.
+	// what a campaign's events come to.
 	buf := make([]byte, 0, headerLen+32*n)
 	buf = append(append(buf, blockMagic...), blockVersion)
 	page := func(name string, render func(dst []byte) []byte) {
@@ -534,15 +482,7 @@ func encodeBlock(run string, lines [][]byte) ([]byte, *footer, error) {
 			return col.appendTo(p)
 		})
 	}
-	page("raw", func(p []byte) []byte {
-		p = binary.AppendUvarint(p, uint64(len(raws)))
-		for _, r := range raws {
-			p = binary.AppendUvarint(p, uint64(r.row))
-			p = binary.AppendUvarint(p, uint64(len(r.line)))
-			p = append(p, r.line...)
-		}
-		return p
-	})
+	page("raw", func(p []byte) []byte { return append(p, 0) })
 
 	ftJSON, err := json.Marshal(ft)
 	if err != nil {
@@ -580,8 +520,7 @@ type Block struct {
 	dicts   [numDicts]dictCol
 	kinds   []telemetry.Kind // the kind dictionary resolved; unknown names are 0
 	ints    [][]int64        // one slab per telemetry.IntColumns entry
-	raws    []rawRow
-	last    []int64 // a by-kind page's table, one entry per kind (see pageRows)
+	last    []int64          // a by-kind page's table, one entry per kind (see pageRows)
 
 	// What filter resolved for this block: a verdict per dictionary entry
 	// and, when the query has a time window, the at_ns slab.
@@ -743,8 +682,8 @@ func (b *Block) open(src io.ReaderAt, size int64) error {
 	if b.ft.Version != blockVersion {
 		return fmt.Errorf("%w: footer version %d under a version %d header", ErrBadBlock, b.ft.Version, blockVersion)
 	}
-	if b.ft.Rows < 0 || b.ft.Raws < 0 {
-		return fmt.Errorf("%w: footer fields", ErrBadBlock)
+	if b.ft.Rows < 0 || b.ft.Raws != 0 {
+		return fmt.Errorf("%w: footer counts %d rows, %d raw rows", ErrBadBlock, b.ft.Rows, b.ft.Raws)
 	}
 	// Every row costs at least a bit in every column page past its mode
 	// byte, so a row count no page could hold is a lie; and the slabs are
@@ -756,7 +695,11 @@ func (b *Block) open(src io.ReaderAt, size int64) error {
 		if pg.Off < headerLen || pg.Len < 0 || pg.Len > size || pg.Off > size-4-pg.Len {
 			return fmt.Errorf("%w: page %q outside block", ErrBadBlock, pg.Name)
 		}
-		if pg.Name != "raw" && int64(b.ft.Rows) > 8*(pg.Len-1) {
+		if pg.Name == "raw" {
+			if pg.Len != 1 {
+				return fmt.Errorf("%w: a %d-byte raw page, not the one zero byte", ErrBadBlock, pg.Len)
+			}
+		} else if int64(b.ft.Rows) > 8*(pg.Len-1) {
 			return fmt.Errorf("%w: %d rows in the %d-byte page %q", ErrBadBlock, b.ft.Rows, pg.Len, pg.Name)
 		}
 	}
@@ -932,38 +875,6 @@ func decodePage[T uint32 | int64](b *Block, dst []T, p []byte, name string, entr
 	return nil
 }
 
-// rawRows reads the raw page: the verbatim journal lines of non-canonical
-// rows, in row order. The lines alias the page buffer, so they are good
-// until the next read.
-func (b *Block) rawRows() ([]rawRow, error) {
-	p, err := b.page("raw")
-	if err != nil {
-		return nil, err
-	}
-	n, off := binary.Uvarint(p)
-	if off <= 0 || n > uint64(len(p)) {
-		return nil, fmt.Errorf("%w: raw count", ErrBadBlock)
-	}
-	b.raws = sized(b.raws, int(n))
-	for i := range b.raws {
-		row, sz := binary.Uvarint(p[off:])
-		// Strictly ascending, as encodeBlock writes them: Export walks this
-		// index with one cursor beside the row counter.
-		if sz <= 0 || row >= uint64(b.ft.Rows) || i > 0 && int(row) <= b.raws[i-1].row {
-			return nil, fmt.Errorf("%w: raw row", ErrBadBlock)
-		}
-		off += sz
-		l, sz := binary.Uvarint(p[off:])
-		if sz <= 0 || l > uint64(len(p)-off-sz) {
-			return nil, fmt.Errorf("%w: raw length", ErrBadBlock)
-		}
-		off += sz
-		b.raws[i] = rawRow{row: int(row), line: p[off : off+int(l)]}
-		off += int(l)
-	}
-	return b.raws, nil
-}
-
 // loadRows decodes every column event needs that is not decoded yet.
 func (b *Block) loadRows() error {
 	for c := 0; c < numDicts; c++ {
@@ -994,45 +905,28 @@ func (b *Block) event(i int) *telemetry.Event {
 	return e
 }
 
-// Export writes every row back as journal JSONL in row order: canonical
-// rows re-render straight from their columns, raw rows emit their stored
-// bytes. The result is byte-identical to the lines the block was built from,
-// including canonical rows of a kind this build no longer declares: those
-// render as "unknown" and get their dictionary name spliced back in.
+// Export writes every row back as journal JSONL in row order, each
+// re-rendered from its columns. The result is byte-identical to the lines the
+// block was built from, including rows of a kind this build no longer
+// declares: those render as "unknown" and get their dictionary name spliced
+// back in.
 func (b *Block) Export(w io.Writer) error {
-	if err := b.prepareExport(); err != nil {
+	if err := b.loadRows(); err != nil {
 		return err
 	}
 	return b.render(w)
 }
 
-// prepareExport is Export's decode: every column, then the raw page — the
-// last read, because raw lines live in the page buffer until the next.
-func (b *Block) prepareExport() error {
-	if err := b.loadRows(); err != nil {
-		return err
-	}
-	_, err := b.rawRows()
-	return err
-}
-
-// render is Export's output, over the columns prepareExport decoded.
+// render is Export's output, over the columns loadRows decoded.
 func (b *Block) render(w io.Writer) error {
-	raws := b.raws
 	for i := 0; i < b.ft.Rows; i++ {
-		var line []byte
-		if len(raws) > 0 && raws[0].row == i {
-			line, raws = raws[0].line, raws[1:]
-		} else {
-			e := b.event(i)
-			b.line = telemetry.AppendJSONL(b.line[:0], *e)
-			if e.Kind == 0 {
-				kind := &b.dicts[colKind]
-				b.line = append([]byte(`{"kind":"`+kind.entries[kind.rows[i]]), b.line[len(`{"kind":"unknown`):]...)
-			}
-			line = b.line
+		e := b.event(i)
+		b.line = telemetry.AppendJSONL(b.line[:0], *e)
+		if e.Kind == 0 {
+			kind := &b.dicts[colKind]
+			b.line = append([]byte(`{"kind":"`+kind.entries[kind.rows[i]]), b.line[len(`{"kind":"unknown`):]...)
 		}
-		if _, err := w.Write(line); err != nil {
+		if _, err := w.Write(b.line); err != nil {
 			return err
 		}
 	}

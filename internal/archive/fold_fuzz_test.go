@@ -29,34 +29,28 @@ func fuzzSession(i int) string {
 	return fmt.Sprintf("d0.w0.s%d.%s", i%8, fuzzGroups[i%8%len(fuzzGroups)])
 }
 
-// fuzzJournal renders one journal line per input byte: the low three bits
-// pick the session, the next three the kind, and the top two the shape —
-// three in four canonical, the fourth one of the renderings only the raw
-// page and the lenient parse can carry. Sessions therefore interleave and
-// straddle whatever block boundaries the store then cuts.
+// fuzzJournal renders one canonical journal line per input byte: the low
+// three bits pick the session, the next three the kind. Sessions therefore
+// interleave and straddle whatever block boundaries the store then cuts.
 func fuzzJournal(data []byte) [][]byte {
 	lines := make([][]byte, len(data))
 	for i, b := range data {
 		e := testEvent(i)
 		e.Kind, e.Session = fuzzKinds[b>>3&7], fuzzSession(int(b))
 		e.At = time.Duration(i/3) * time.Millisecond // ties, and a usable window
-		var line string
-		switch {
-		case b>>6 != 3:
-			line = string(telemetry.AppendJSONL(nil, e))
-		case i%4 == 0: // fields reordered, most of them missing
-			line = fmt.Sprintf(`{"session":%q,"kind":%q,"played_ns":%d,"at_ns":%d,"bytes":%d,"rate_bps":%d,"duration_ns":%d,"rate_index":%d,"prev_rate_index":%d}`+"\n",
-				e.Session, e.Kind, int64(e.Played), int64(e.At), e.Bytes, int64(e.Rate), int64(e.Duration), e.RateIndex, e.PrevRateIndex)
-		case i%4 == 1: // a float where the journal writes integers
-			line = fmt.Sprintf(`{"kind":%q,"session":%q,"at_ns":%d.5,"bytes":%d}`+"\n", e.Kind, e.Session, int64(e.At), e.Bytes)
-		case i%4 == 2: // a kind no Kind produces
-			line = fmt.Sprintf(`{"kind":"martian_event","session":%q,"at_ns":%d}`+"\n", e.Session, int64(e.At))
-		default:
-			line = "not json at all\n"
-		}
-		lines[i] = []byte(line)
+		lines[i] = telemetry.AppendJSONL(nil, e)
 	}
 	return lines
+}
+
+// foldEvent is the reference's parse of a journal line fuzzJournal rendered.
+func foldEvent(t *testing.T, line []byte) telemetry.Event {
+	t.Helper()
+	e, ok := telemetry.ParseJSONL(line)
+	if !ok {
+		t.Fatalf("fuzzJournal rendered %q, which ParseJSONL refuses", line)
+	}
+	return e
 }
 
 // foldMatches is the reference predicate, written from Query's doc comment
@@ -117,10 +111,10 @@ func foldRollup(events []telemetry.Event) map[string]GroupRollup {
 }
 
 // FuzzQueryMatchesJournalFold is the archive's differential oracle: over
-// fuzzed journals — canonical and raw-page lines interleaved, sessions
-// split across block boundaries, blocks re-rendered in every page mode side
-// by side, a live WAL tail when the cut leaves one — Scan and Aggregate under every predicate
-// shape, and Export, must equal a row-by-row fold of the JSONL the store was
+// fuzzed journals — sessions interleaved and split across block boundaries,
+// blocks re-rendered in every page mode side by side, a live WAL tail when
+// the cut leaves one — Scan and Aggregate under every predicate shape, and
+// Export, must equal a row-by-row fold of the JSONL the store was
 // fed: on the writing store, on a cold read-only view (no footer held yet),
 // on a warm one, and on both after a further append and compaction — each at
 // GOMAXPROCS 1 and 4, so by one worker reader and by several.
@@ -133,7 +127,9 @@ func FuzzQueryMatchesJournalFold(f *testing.F) {
 		if len(data) > 256 {
 			data = data[:256]
 		}
-		lines := fuzzJournal(data)
+		// The journal opens with a line of its own, so the run exists even
+		// when data is empty.
+		lines := fuzzJournal(append([]byte{pick}, data...))
 		dir := t.TempDir()
 		// At least 16 events a block: every block is an fsync.
 		s, err := Open(Config{Dir: dir, CompactEvents: 16 + int(compactEvents)%64})
@@ -141,17 +137,13 @@ func FuzzQueryMatchesJournalFold(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		// The run must exist even for an empty journal.
-		if err := s.Append("r", []byte("\n")); err != nil {
-			t.Fatal(err)
-		}
-		journal := []byte("\n")
-		all := []telemetry.Event{parseLine([]byte("\n"), nil)}
+		var journal []byte
+		var all []telemetry.Event
 		for i := 0; i < len(lines); {
 			var batch []byte
 			for n := 0; n <= int(batchLines)%9 && i < len(lines); n, i = n+1, i+1 {
 				batch = append(batch, lines[i]...)
-				all = append(all, parseLine(lines[i], nil))
+				all = append(all, foldEvent(t, lines[i]))
 			}
 			if err := s.Append("r", batch); err != nil {
 				t.Fatal(err)
@@ -291,7 +283,7 @@ func FuzzQueryMatchesJournalFold(f *testing.F) {
 		}
 		journal = append(journal, batch...)
 		for _, line := range more {
-			all = append(all, parseLine(line, nil))
+			all = append(all, foldEvent(t, line))
 		}
 		check("warm read-only after a compaction", ro)
 		check("writer after a compaction", s)

@@ -285,6 +285,20 @@ func TestBlockRejectsCorruptPages(t *testing.T) {
 		{"a context index ≥ the kind entry count", rerender(colKind, byKind|asDelta, func(rows []int64) {
 			rows[len(rows)/2] = entries(colKind)
 		}), byPage, `"kind" rows`},
+		// A page's payload is used up exactly: bytes past its rows are a lie.
+		{"two bytes past the at_ns page's rows", page("at_ns", func(p []byte) []byte {
+			return append(p, 0, 0)
+		}), byPage, `"at_ns" rows`},
+		{"two bytes past the session page's rows", page("session", func(p []byte) []byte {
+			return append(p, 0, 0)
+		}), byPage, `"session" rows`},
+		{"two bytes past the kind page's rows", page("kind", func(p []byte) []byte {
+			return append(p, 0, 0)
+		}), byPage, `"kind" rows`},
+		{"two bytes past the raw page's one zero byte", page("raw", func(p []byte) []byte {
+			return append(p, 0, 0)
+		}), byOpen, "raw page"},
+		{"a footer counting a raw row", refooted(good, func(ft *footer) { ft.Raws = 1 }), byOpen, "raw rows"},
 		{"a footer claiming more than 8 rows per page byte", refooted(good, func(ft *footer) {
 			ft.Rows = int(8*(minPage-1)) + 1
 		}), byOpen, "rows in the"},

@@ -20,26 +20,133 @@ import (
 	"bba/internal/telemetry"
 )
 
-// rawLines are journal lines ParseJSONL refuses — reordered fields, a
-// float, an unknown kind, garbage — so they live in a block's raw page and
-// take the lenient parse in the WAL tail.
-var rawLines = []string{
-	`{"session":"d0.w0.s2.BBA-1","kind":"buffer_sample","at_ns":7}`,
-	`{"kind":"chunk_complete","session":"d0.w0.s1.BBA-1","at_ns":1.5,"bytes":2000,"rate_bps":3000}`,
-	`{"kind":"martian_event","session":"d0.w0.s9.BBA-0","at_ns":40}`,
-	`{"kind":"session_end","session":"solo","played_ns":12,"at_ns":90}`,
-	`not json at all`,
+// TestAppendRefusesNonCanonical is Append's refusal table: a batch holding
+// any line ParseJSONL refuses — reordered fields, a float, an unknown or
+// retired kind, garbage, a bare newline, a last line without its newline —
+// is refused whole with an error wrapping telemetry.ErrNotCanonical, alone
+// or after a canonical line, and writes nothing: the WAL keeps its size, the
+// export its bytes, and a refused batch for a new run creates no run.
+func TestAppendRefusesNonCanonical(t *testing.T) {
+	good := batchOf(0, 1)
+	retired := bytes.Replace(good, []byte(`"kind":"session_start"`), []byte(`"kind":"lease_grant"`), 1)
+	if bytes.Equal(retired, good) {
+		t.Fatal("batchOf(0, 1) no longer opens with a session_start line")
+	}
+	refused := []string{
+		`{"session":"d0.w0.s2.BBA-1","kind":"buffer_sample","at_ns":7}` + "\n",
+		`{"kind":"chunk_complete","session":"d0.w0.s1.BBA-1","at_ns":1.5,"bytes":2000,"rate_bps":3000}` + "\n",
+		`{"kind":"martian_event","session":"d0.w0.s9.BBA-0","at_ns":40}` + "\n",
+		`{"kind":"session_end","session":"solo","played_ns":12,"at_ns":90}` + "\n",
+		"not json at all\n",
+		"\n",
+		string(good[:len(good)-1]),
+		string(retired),
+	}
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir, CompactEvents: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 100; i += 10 {
+		if err := s.Append("r", batchOf(i, i+10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	walSize := func() int64 {
+		t.Helper()
+		wals, err := filepath.Glob(filepath.Join(dir, "r", "wal-*.q"))
+		if err != nil || len(wals) != 1 {
+			t.Fatalf("WAL files %v, %v; want one", wals, err)
+		}
+		fi, err := os.Stat(wals[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	var want bytes.Buffer
+	if err := s.Export("r", &want); err != nil {
+		t.Fatal(err)
+	}
+	size := walSize()
+	for _, line := range refused {
+		for _, batch := range []string{line, string(good) + line} {
+			if err := s.Append("r", []byte(batch)); !errors.Is(err, telemetry.ErrNotCanonical) {
+				t.Fatalf("Append(%q) = %v, want ErrNotCanonical", batch, err)
+			}
+			if err := s.Append("fresh", []byte(batch)); !errors.Is(err, telemetry.ErrNotCanonical) {
+				t.Fatalf("Append(%q) to a new run = %v, want ErrNotCanonical", batch, err)
+			}
+			if got := walSize(); got != size {
+				t.Fatalf("after refusing %q the WAL is %d bytes, was %d", batch, got, size)
+			}
+			var got bytes.Buffer
+			if err := s.Export("r", &got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("after refusing %q the export changed", batch)
+			}
+		}
+	}
+	if runs := s.Runs(); !slices.Equal(runs, []string{"r"}) {
+		t.Fatalf("runs %v after refused batches for a new one, want [r]", runs)
+	}
 }
 
-// goldenJournal is the golden blocks' fixed journal: canonical lines, every
-// rawLines shape, a session that recurs.
-func goldenJournal() [][]byte {
-	lines := splitLines(batchOf(0, 300))
-	for _, raw := range rawLines {
-		lines = append(lines, []byte(raw+"\n"))
+// TestWALLineNotCanonical: a WAL written before Append refused non-canonical
+// lines may hold one. Export still copies it verbatim, but Scan and
+// Aggregate, which must parse it, fail naming it. Sealing it fails too,
+// leaving the WAL in place, and not as a refused batch
+// (telemetry.ErrNotCanonical), since the batches it holds were written.
+func TestWALLineNotCanonical(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return append(lines, splitLines(batchOf(300, 320))...)
+	if err := s.Append("r", batchOf(0, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	foreign := []byte(`{"kind":"martian_event","session":"d0.w0.s9.BBA-0","at_ns":40}` + "\n")
+	wal := filepath.Join(dir, "r", walFile(1))
+	f, err := os.OpenFile(wal, os.O_APPEND|os.O_WRONLY, 0)
+	if err == nil {
+		_, err = f.Write(walRecord(nil, foreign))
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(Config{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	exportIs(t, "a WAL holding a foreign line", s, "r", append(batchOf(0, 3), foreign...))
+	scanned := 0
+	if err := s.Scan(Query{Run: "r"}, func(telemetry.Event) bool { scanned++; return true }); !errors.Is(err, telemetry.ErrNotCanonical) || scanned != 3 {
+		t.Errorf("Scan: %d events, %v; want the 3 before the foreign line, then ErrNotCanonical", scanned, err)
+	}
+	if _, err := s.Aggregate(Query{Run: "r"}); !errors.Is(err, telemetry.ErrNotCanonical) {
+		t.Errorf("Aggregate: %v, want ErrNotCanonical", err)
+	}
+	if err := s.Compact("r"); err == nil || errors.Is(err, telemetry.ErrNotCanonical) {
+		t.Errorf("Compact: %v, want an error that is not ErrNotCanonical", err)
+	}
+	if _, err := os.Stat(wal); err != nil {
+		t.Errorf("the WAL that failed to seal: %v", err)
+	}
 }
+
+// goldenJournal is the golden blocks' fixed journal: canonical lines in
+// which a session recurs.
+func goldenJournal() [][]byte { return splitLines(batchOf(0, 320)) }
 
 // TestBlockFormatGolden pins the block format to its bytes: encodeBlock
 // over the fixed journal must keep this SHA-256. A read-path change that
@@ -49,7 +156,7 @@ func TestBlockFormatGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "6ffa369db273024a6e6806f2c920a47bdc7d960cb42b5266a7d9997b788e9beb"
+	const want = "f81598ef7e91b8ab2bdab888b36946a9a2d702ee0064034c54c48b0197887e08"
 	if got := sha256.Sum256(blk); hex.EncodeToString(got[:]) != want {
 		t.Fatalf("encodeBlock over the fixed journal = %d bytes, sha256 %x, want %s: the v3 block format moved",
 			len(blk), got, want)
@@ -136,9 +243,7 @@ func (r *readLog) pages(t *testing.T, b *Block) []string {
 // session it holds reads every page once; and a rollup never reads a page
 // it does not fold.
 func TestSessionScanReadsOnlyItsPages(t *testing.T) {
-	lines := splitLines(batchOf(0, 400))
-	lines = append(lines, []byte(rawLines[0]+"\n"))
-	blk, _, err := encodeBlock("r", lines)
+	blk, _, err := encodeBlock("r", splitLines(batchOf(0, 400)))
 	if err != nil {
 		t.Fatal(err)
 	}

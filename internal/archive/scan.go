@@ -190,21 +190,24 @@ func (s *Store) Scan(q Query, fn func(telemetry.Event) bool) error {
 		return err
 	}
 	for _, line := range b.walLines {
-		if e := parseLine(line, b.names); p.matchesEvent(&e) && !fn(e) {
+		e, err := parseLine(line, b.names)
+		if err != nil {
+			return err
+		}
+		if p.matchesEvent(&e) && !fn(e) {
 			return nil
 		}
 	}
 	return nil
 }
 
-// parseLine parses one WAL-tail journal line: strictly when it is
-// canonical, its strings interned through names, else leniently, mirroring
-// what encodeBlock stores in the columns for raw rows. The Event's strings
-// are copies, never views of the WAL buffer the next query refills.
-func parseLine(line []byte, names telemetry.Interner) telemetry.Event {
-	if e, ok := names.ParseJSONL(line); ok {
-		return e
+// parseLine parses one WAL-tail journal line, its strings interned through
+// names: copies, never views of the WAL buffer the next query refills. Append
+// admits no line ParseJSONL refuses, so one here is an error.
+func parseLine(line []byte, names telemetry.Interner) (telemetry.Event, error) {
+	e, ok := names.ParseJSONL(line)
+	if !ok {
+		return e, fmt.Errorf("archive: WAL line %q: %w", line, telemetry.ErrNotCanonical)
 	}
-	e, _ := parseLoose(line)
-	return e
+	return e, nil
 }

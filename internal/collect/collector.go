@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"bba/internal/obs"
+	"bba/internal/telemetry"
 )
 
 // ErrArchive reports an event frame NACKed because the archive could not
@@ -18,7 +19,8 @@ import (
 // the frame and retries), but the failure is sticky: once one write
 // fails, the collector refuses every later event frame without attempting
 // the write, so the archive stays a clean prefix of the admitted stream
-// until an operator restarts the collector with a healthy archive.
+// until an operator restarts the collector with a healthy archive. A batch
+// refused as not canonical (telemetry.ErrNotCanonical) is a bad frame.
 var ErrArchive = errors.New("collect: archive unavailable")
 
 // CollectorConfig configures a Collector.
@@ -28,8 +30,10 @@ type CollectorConfig struct {
 	// order. Persistence gates acknowledgement: a fresh event frame is
 	// archived BEFORE its sequence number is spent, and a failed Append
 	// NACKs the frame — the collector never acknowledges an event frame it
-	// did not persist. The first failure is sticky (see ErrArchive):
-	// subsequent event frames are refused outright, /healthz degrades, and
+	// did not persist. A batch refused as not canonical is the frame's
+	// fault: a permanent ErrBadFrame (400) with its seq unspent. Any other
+	// failure is sticky (see ErrArchive): subsequent event frames are
+	// refused outright, /healthz degrades, and
 	// bba_collect_archive_errors_total counts the refusals.
 	Archive Archiver
 }
@@ -159,7 +163,10 @@ func (c *Collector) ingestFrameLocked(f Frame) error {
 		// into silent loss — the shipper's retry would be discarded as
 		// a duplicate. The archive keeps no reference to the batch (see
 		// Archiver), so it reads the caller's buffer in place.
-		if err := c.cfg.Archive.Append(f.Run, f.Payload); err != nil {
+		if err := c.cfg.Archive.Append(f.Run, f.Payload); errors.Is(err, telemetry.ErrNotCanonical) {
+			c.stats.FramesBad++
+			return fmt.Errorf("%w: %v", ErrBadFrame, err)
+		} else if err != nil {
 			c.archiveErr = err
 			c.stats.ArchiveErrors++
 			c.stats.FramesRetry++

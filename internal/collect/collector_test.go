@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"bba/internal/archive"
 	"bba/internal/telemetry"
 )
 
@@ -243,6 +244,61 @@ func TestCollectorArchiveFailureNACK(t *testing.T) {
 	if !strings.Contains(metrics.String(), "bba_collect_archive_errors_total 4") {
 		t.Fatalf("metrics missing archive errors counter:\n%s", metrics.String())
 	}
+
+	// A batch a real store refuses as not canonical JSONL is the frame's
+	// fault, not the archive's: a permanent 400 counted in FramesBad, its
+	// seq unspent and the lane healthy, so the same stream's next try and
+	// another stream's frame are archived.
+	t.Run("a refused batch", func(t *testing.T) {
+		st, err := archive.Open(archive.Config{Dir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		c := NewCollector(CollectorConfig{Archive: st})
+		srv := httptest.NewServer(c.Handler())
+		defer srv.Close()
+		post := func(session uint64, payload []byte) int {
+			t.Helper()
+			f := AppendFrame(nil, Frame{Run: "r", Session: session, Seq: 0, Kind: PayloadEvents, Payload: payload})
+			resp, err := http.Post(srv.URL+"/ingest", "application/octet-stream", bytes.NewReader(f))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			return resp.StatusCode
+		}
+		refused := [][]byte{
+			[]byte("no newline"),
+			[]byte(`{"kind":"martian_event","session":"s"}` + "\n"),
+			append(eventsPayload(2), "not json\n"...),
+		}
+		for _, payload := range refused {
+			if code := post(9, payload); code != http.StatusBadRequest {
+				t.Fatalf("events payload %q: %d, want 400", payload, code)
+			}
+			if err := c.ArchiveError(); err != nil {
+				t.Fatalf("events payload %q stuck the archive lane: %v", payload, err)
+			}
+		}
+		if code := post(9, eventsPayload(2)); code != http.StatusNoContent {
+			t.Fatalf("stream 9's seq 0 after its refusals: %d, want 204", code)
+		}
+		if code := post(1, eventsPayload(3)); code != http.StatusNoContent {
+			t.Fatalf("stream 1's frame after the refusals: %d, want 204", code)
+		}
+		s := c.Stats()
+		if s.FramesBad != int64(len(refused)) || s.ArchiveErrors != 0 || s.FramesRetry != 0 || s.Events != 5 {
+			t.Fatalf("stats %+v, want %d bad frames, no archive errors or retries, 5 events", s, len(refused))
+		}
+		var got bytes.Buffer
+		if err := st.Export("r", &got); err != nil {
+			t.Fatal(err)
+		}
+		if want := append(eventsPayload(2), eventsPayload(3)...); !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("archive holds %q, want the two admitted frames %q", got.Bytes(), want)
+		}
+	})
 }
 
 // discardArchiver accepts every batch and keeps none of it, as the

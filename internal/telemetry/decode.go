@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"errors"
 	"strconv"
 	"strings"
 	"time"
@@ -17,9 +18,9 @@ import (
 // whose kind name no Kind produces. A true return guarantees the round
 // trip: AppendJSONL(nil, e) reproduces line byte for byte.
 //
-// The strictness is the point: the columnar archive uses ParseJSONL to
-// decide whether a line can be stored as columns and losslessly
-// re-rendered, falling back to verbatim raw bytes when it cannot.
+// The strictness is the point: the columnar archive admits a batch only
+// if ParseJSONL accepts every line of it, so every archived line is columns
+// that re-render to it; any other batch is refused with ErrNotCanonical.
 //
 // It is one forward pass that allocates only the two strings the Event
 // carries away (copies: the caller may reuse line). An integer is accepted
@@ -31,6 +32,10 @@ import (
 // non-ASCII — is unquoted and re-quoted by strconv, and accepted only if
 // that reproduces the bytes.
 func ParseJSONL(line []byte) (e Event, ok bool) { return Interner(nil).ParseJSONL(line) }
+
+// ErrNotCanonical reports a line ParseJSONL refuses where only canonical
+// journal lines are admitted.
+var ErrNotCanonical = errors.New("telemetry: not a canonical journal line")
 
 // Interner is a table of the strings parses have handed out, keyed by their
 // bytes: one heap copy per distinct value, which every Event carrying that

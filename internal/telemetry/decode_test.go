@@ -393,6 +393,31 @@ func FuzzParseJSONL(f *testing.F) {
 	})
 }
 
+// FuzzEventRoundTrip is FuzzParseJSONL's converse, the property the
+// archive's admission rests on: every Event the journal carries — a declared
+// Kind, any integers, a session and a label of arbitrary bytes (invalid
+// UTF-8, control bytes, quotes) — renders to a line ParseJSONL accepts and
+// returns as that Event, so a refusal never drops a real frame.
+func FuzzEventRoundTrip(f *testing.F) {
+	const lo, hi = math.MinInt64, math.MaxInt64
+	f.Add(uint8(0), "d1.w2.s3.g", "BBA-0", int64(0), int64(-1), int64(-1), int64(4), int64(2850000), int64(0), int64(0), int64(0), int64(0), int64(0), int64(0), int64(0))
+	f.Add(uint8(7), `quo"ted\`, "new\nline\x00", int64(lo), int64(hi), int64(lo), int64(hi), int64(lo), int64(hi), int64(lo), int64(hi), int64(lo), int64(hi), int64(lo), int64(hi))
+	f.Add(uint8(200), "\xff\xfe", "\x7f\u00ad日本語", int64(-9), int64(1), int64(-1), int64(0), int64(1), int64(-9), int64(10), int64(-10), int64(99), int64(100), int64(-100), int64(1<<62))
+	f.Fuzz(func(t *testing.T, kind uint8, session, label string, at, chunk, rateIndex, prevRateIndex, rate, size, duration, throughput, buffer, played, reservoir, protection int64) {
+		e := Event{Kind: SessionStart + Kind(kind)%(numKinds-SessionStart), Session: session, Label: label}
+		for i, v := range [...]int64{at, chunk, rateIndex, prevRateIndex, rate, size, duration, throughput, buffer, played, reservoir, protection} {
+			IntColumns()[i].Set(&e, v)
+		}
+		line := AppendJSONL(nil, e)
+		if got, ok := ParseJSONL(line); !ok || got != e {
+			t.Fatalf("ParseJSONL(%q) = %+v, %v; want %+v, true", line, got, ok, e)
+		}
+		if got, ok := (Interner{}).ParseJSONL(line); !ok || got != e {
+			t.Fatalf("Interner.ParseJSONL(%q) = %+v, %v; want %+v, true", line, got, ok, e)
+		}
+	})
+}
+
 // BenchmarkParseJSONL is the decoder on a typical line: what every
 // compaction pays per event and every query per WAL-tail line.
 func BenchmarkParseJSONL(b *testing.B) {

@@ -173,6 +173,9 @@ type runArchive struct {
 	walBuf  *bufio.Writer
 	events  int   // events in the WAL
 	bytes   int64 // payload bytes in the WAL
+	// sealErr is a seal that failed inside Append, after its batch was on
+	// the WAL: every later Append or compaction of the run returns it.
+	sealErr error
 }
 
 // blockMeta is what the store knows of one sealed block: its file and its
@@ -513,7 +516,10 @@ func (s *Store) runLocked(run string, create bool) (*runArchive, error) {
 // record is flushed before returning, never parked in a userspace buffer,
 // because a nil return is the collector's cue to ACK the frame and the
 // shipper then drops its only other copy. A non-nil error means the batch
-// was NOT archived and the caller must not acknowledge it upstream.
+// was NOT archived and the caller must not acknowledge it upstream. A seal
+// the batch trips runs after the batch is on the WAL, so its failure does
+// not fail the batch: it sticks to the run instead, and every later Append
+// or Compact of the run returns it before writing anything.
 // Append does not retain batch.
 func (s *Store) Append(run string, batch []byte) error {
 	if len(batch) == 0 {
@@ -544,6 +550,9 @@ func (s *Store) Append(run string, batch []byte) error {
 	if ra.wal == nil { // closed, or a compaction failed to start its successor
 		return fmt.Errorf("archive: run %q has no open WAL", run)
 	}
+	if ra.sealErr != nil {
+		return ra.sealErr
+	}
 	var hdr [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(hdr[:], uint64(len(batch)))
 	if _, err := ra.walBuf.Write(hdr[:n]); err != nil {
@@ -557,12 +566,19 @@ func (s *Store) Append(run string, batch []byte) error {
 	if _, err := ra.walBuf.Write(crc[:]); err != nil {
 		return err
 	}
+	if err := ra.walBuf.Flush(); err != nil {
+		return err
+	}
 	ra.events += events
 	ra.bytes += int64(len(batch))
 	if ra.events >= s.cfg.CompactEvents || ra.bytes >= s.cfg.CompactBytes {
-		return s.compactLocked(ra) // flushes via readWAL
+		if err := s.compactLocked(ra); err != nil {
+			// Formatted, not wrapped: a refusal of the run is no verdict
+			// on the batches that meet it.
+			ra.sealErr = fmt.Errorf("archive: run %q refuses writes: sealing its WAL failed: %v", run, err)
+		}
 	}
-	return ra.walBuf.Flush()
+	return nil
 }
 
 // Compact seals run's WAL tail into a block now, regardless of thresholds
@@ -600,6 +616,9 @@ func (s *Store) CompactAll() error {
 // fsync, rename), then starts the next block's WAL and removes the sealed
 // one. Caller holds mu.
 func (s *Store) compactLocked(ra *runArchive) error {
+	if ra.sealErr != nil {
+		return ra.sealErr
+	}
 	if ra.events == 0 {
 		return nil
 	}

@@ -709,18 +709,6 @@ func (b *Block) open(src io.ReaderAt, size int64) error {
 // Rows returns the number of events in the block.
 func (b *Block) Rows() int { return b.ft.Rows }
 
-// Run returns the run the block belongs to.
-func (b *Block) Run() string { return b.ft.Run }
-
-// Kinds returns the kind names present, in dictionary order.
-func (b *Block) Kinds() []string { return b.ft.Kinds }
-
-// Groups returns the session groups present, sorted.
-func (b *Block) Groups() []string { return b.ft.Groups }
-
-// TimeWindow returns the [min, max] at_ns window the block covers.
-func (b *Block) TimeWindow() (minNS, maxNS int64) { return b.ft.MinAtNS, b.ft.MaxAtNS }
-
 // page reads the named page into the reader's buffer and returns its
 // payload after verifying its CRC. The payload is valid until the next read.
 // The kind page has a buffer of its own: a by-kind page decodes the kind

@@ -144,6 +144,62 @@ func TestWALLineNotCanonical(t *testing.T) {
 	}
 }
 
+// TestAppendSealFailureKeepsBatch: a batch is on the WAL before the seal it
+// trips starts, so a seal that fails does not fail the batch — Append
+// returns nil, and a collector ACKs what Export holds rather than NACKing a
+// batch a retry would archive twice. The failure sticks to the run: the
+// next Append is refused before it writes, with an error that is not
+// ErrNotCanonical, so a collector stops taking frames rather than calling
+// them bad.
+func TestAppendSealFailureKeepsBatch(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append("r", batchOf(0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	foreign := []byte(`{"kind":"martian_event","session":"d0.w0.s9.BBA-0","at_ns":40}` + "\n")
+	wal := filepath.Join(dir, "r", walFile(1))
+	f, err := os.OpenFile(wal, os.O_APPEND|os.O_WRONLY, 0)
+	if err == nil {
+		_, err = f.Write(walRecord(nil, foreign))
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(Config{Dir: dir, CompactEvents: 4}); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Append("r", batchOf(2, 4)); err != nil {
+		t.Fatalf("Append whose seal failed: %v, want nil: the batch is on the WAL", err)
+	}
+	held := append(append(batchOf(0, 1), foreign...), batchOf(2, 4)...)
+	exportIs(t, "after the failed seal", s, "r", held)
+	before, err := os.Stat(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append("r", batchOf(4, 5)); err == nil || errors.Is(err, telemetry.ErrNotCanonical) {
+		t.Errorf("Append after the failed seal: %v, want the seal's error, not ErrNotCanonical", err)
+	}
+	if err := s.Compact("r"); err == nil || errors.Is(err, telemetry.ErrNotCanonical) {
+		t.Errorf("Compact after the failed seal: %v, want the seal's error, not ErrNotCanonical", err)
+	}
+	if after, err := os.Stat(wal); err != nil || after.Size() != before.Size() {
+		t.Errorf("WAL after the refused Append: %v, %v; want %d bytes, unchanged", after, err, before.Size())
+	}
+	exportIs(t, "after the refused Append", s, "r", held)
+}
+
 // goldenJournal is the golden blocks' fixed journal: canonical lines in
 // which a session recurs.
 func goldenJournal() [][]byte { return splitLines(batchOf(0, 320)) }

@@ -23,28 +23,56 @@ import (
 	"bba/internal/media"
 	"bba/internal/netem"
 	"bba/internal/player"
+	"bba/internal/stats"
 	"bba/internal/telemetry"
 	"bba/internal/trace"
 	"bba/internal/units"
 )
 
-// lossDupTransport sits above the fault injector and manufactures the two
-// remaining at-least-once pathologies deterministically:
+// lossDupTransport manufactures the three pathologies of a lossy
+// at-least-once path deterministically:
 //
+//   - request n of its shared count (from 0, re-sends included) fails at the
+//     edge when a hash of (99, n) falls below faults.AttemptFailProb, with a
+//     synthesized 503 that never reaches the collector (loss),
 //   - every dupEvery-th acknowledged ingest is re-sent once (duplicate
 //     delivery on the wire), and
 //   - every loseAckEvery-th acknowledged ingest has its acknowledgement
 //     replaced by a synthesized 503 — the server processed the frame but
 //     the client must assume it didn't, so the retry is a duplicate too.
 type lossDupTransport struct {
-	base         http.RoundTripper
-	dupEvery     int64
-	loseAckEvery int64
-	acked        atomic.Int64
+	base            http.RoundTripper
+	dupEvery        int64
+	loseAckEvery    int64
+	requests, acked atomic.Int64
+}
+
+// unavailable is a 503 synthesized on the shipper's side of the wire.
+func unavailable(req *http.Request) *http.Response {
+	return &http.Response{
+		Status: "503 Service Unavailable", StatusCode: http.StatusServiceUnavailable,
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header: http.Header{}, Body: io.NopCloser(bytes.NewReader(nil)),
+		Request: req,
+	}
+}
+
+// send is the edge: it fails request n of the count by its hash alone, so
+// the same request order meets the same losses however fast the machine
+// runs, and passes the rest to base.
+func (t *lossDupTransport) send(req *http.Request) (*http.Response, error) {
+	n := t.requests.Add(1) - 1
+	if h := stats.Mix(stats.SplitMix64(99), uint64(faults.ServerError), uint64(n)); float64(h>>11)/(1<<53) < faults.AttemptFailProb {
+		if req.Body != nil {
+			req.Body.Close()
+		}
+		return unavailable(req), nil
+	}
+	return t.base.RoundTrip(req)
 }
 
 func (t *lossDupTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	resp, err := t.base.RoundTrip(req)
+	resp, err := t.send(req)
 	if err != nil || resp.StatusCode >= 300 || req.URL.Path != "/ingest" {
 		return resp, err
 	}
@@ -53,7 +81,7 @@ func (t *lossDupTransport) RoundTrip(req *http.Request) (*http.Response, error) 
 		if body, berr := req.GetBody(); berr == nil {
 			dup := req.Clone(req.Context())
 			dup.Body = body
-			if dresp, derr := t.base.RoundTrip(dup); derr == nil {
+			if dresp, derr := t.send(dup); derr == nil {
 				io.Copy(io.Discard, dresp.Body)
 				dresp.Body.Close()
 			}
@@ -62,19 +90,14 @@ func (t *lossDupTransport) RoundTrip(req *http.Request) (*http.Response, error) 
 	if n%t.loseAckEvery == 0 {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		return &http.Response{
-			Status: "503 Service Unavailable", StatusCode: http.StatusServiceUnavailable,
-			Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-			Header: http.Header{}, Body: io.NopCloser(bytes.NewReader(nil)),
-			Request: req,
-		}, nil
+		return unavailable(req), nil
 	}
 	return resp, err
 }
 
 // hostileClient is the collection path the acceptance tests ship through:
-// every connection netem-shaped, a faults schedule failing ~90% of attempts
-// at the edge for the whole run, and the loss/dup layer above it.
+// every connection netem-shaped, ~90% of attempts failed at the edge for
+// the whole run, and the duplicate and lost-ack layer above it.
 func hostileClient(t *testing.T) *http.Client {
 	shapedTrace := trace.MustNew([]trace.Segment{{Duration: time.Hour, Rate: 20 * units.Mbps}})
 	dialer := &net.Dialer{Timeout: 5 * time.Second}
@@ -88,13 +111,8 @@ func hostileClient(t *testing.T) *http.Client {
 		},
 	}
 	t.Cleanup(shaped.CloseIdleConnections)
-	faulty := &faults.Transport{
-		Base:     shaped,
-		Schedule: faults.MustSchedule([]faults.Fault{{Kind: faults.ServerError, Start: 0, Duration: time.Hour}}),
-		Seed:     99,
-	}
 	return &http.Client{
-		Transport: &lossDupTransport{base: faulty, dupEvery: 2, loseAckEvery: 5},
+		Transport: &lossDupTransport{base: shaped, dupEvery: 2, loseAckEvery: 5},
 		Timeout:   10 * time.Second,
 	}
 }

@@ -91,6 +91,9 @@ func TestQueuePopBlocksUntilPush(t *testing.T) {
 	defer srv.Close()
 	s := newTestShipper(t, srv.URL, nil)
 	defer s.Close()
+	// The sleep lets the sender park on the empty queue first. It only
+	// shapes the interleaving and decides no verdict: the frame must ship
+	// whichever goroutine runs first.
 	time.Sleep(10 * time.Millisecond)
 	s.OnEvent(testEvent(0))
 	s.Seal()
@@ -107,7 +110,9 @@ func TestQueueCloseDrains(t *testing.T) {
 	c := NewCollector(CollectorConfig{})
 	inner := c.Handler()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(200 * time.Microsecond) // keep frames queued when Close starts
+		// Keeps frames queued when Close starts; it only shapes the
+		// interleaving and decides no verdict.
+		time.Sleep(200 * time.Microsecond)
 		inner.ServeHTTP(w, r)
 	}))
 	defer srv.Close()

@@ -75,7 +75,7 @@ type ShipperConfig struct {
 	// sender's jitter.
 	Retry RetryPolicy
 	// HTTPClient overrides the HTTP client — the seam tests use to route
-	// shipping through faults.Transport and netem-shaped dials.
+	// shipping through netem-shaped dials and a lossy, duplicating edge.
 	HTTPClient *http.Client
 }
 

@@ -47,6 +47,9 @@ func TestShipperBatchesAndShips(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		s.OnEvent(testEvent(i))
 	}
+	// Three frames over loopback ship in milliseconds (tens under -race):
+	// the 10 s deadline is the margin, not a measurement — only a sender
+	// that never acks outlasts it.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := s.Flush(ctx); err != nil {
@@ -86,6 +89,9 @@ func TestShipperRetriesUntilAck(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		s.OnEvent(testEvent(i))
 	}
+	// Each frame meets two failures, each backing off at most Cap = 4 ms,
+	// so the flush takes milliseconds: the 20 s deadline is the margin, not
+	// a measurement — only a retry loop that never acks outlasts it.
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	if err := s.Flush(ctx); err != nil {
@@ -109,6 +115,8 @@ func TestShipperPermanentRejection(t *testing.T) {
 	s := newTestShipper(t, srv.URL, nil)
 	s.OnEvent(testEvent(0))
 	s.OnEvent(testEvent(1))
+	// One attempt, no retry, in milliseconds: the 10 s deadline is the
+	// margin, not a measurement.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := s.Flush(ctx); err != nil {
@@ -132,11 +140,14 @@ func offer(s *Shipper, e telemetry.Event) {
 		if s.Stats().Events > before {
 			return
 		}
-		time.Sleep(100 * time.Microsecond)
+		time.Sleep(100 * time.Microsecond) // paces the re-offers; decides no verdict
 	}
 }
 
-// waitFor polls cond until it holds, failing the test after 10 s.
+// waitFor polls cond until it holds, failing the test after 10 s. Every
+// condition it waits on holds within milliseconds (tens under -race): the
+// 10 s is the margin that tells a stuck shipper from a slow machine, not a
+// measurement. The 1 ms sleep only paces the polls and decides no verdict.
 func waitFor(t *testing.T, s *Shipper, what string, cond func(ShipperStats) bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -185,6 +196,8 @@ func TestShipperDropsBeyondQueueBound(t *testing.T) {
 	}
 
 	up.Store(true)
+	// Three frames ship within one capped 4 ms backoff of the collector's
+	// return: the 20 s deadline is the margin, not a measurement.
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	if err := s.Flush(ctx); err != nil {

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"bba/internal/faults"
 	"bba/internal/netem"
 	"bba/internal/trace"
 	"bba/internal/units"
@@ -153,20 +152,49 @@ func TestE2EWorkerKilledMidCampaign(t *testing.T) {
 	}
 }
 
-// lossDupTransport manufactures the at-least-once pathologies on /complete
-// deterministically (internal/collect's tests hold /ingest to the same two):
-// every dupEvery-th acknowledged completion is delivered a second time, and
-// every loseAckEvery-th has its acknowledgement replaced by a synthesized
-// 503 — the coordinator folded the shard but the worker must assume it did
-// not, so its retry is a duplicate completion.
+// lossDupTransport manufactures the loss and at-least-once pathologies a
+// worker's calls meet, deterministically (internal/collect's tests hold
+// /ingest to the same three):
+//
+//   - request k of its count (from 0, re-sends included) fails at the edge
+//     iff k%failEvery == 0, with a synthesized 503 that never reaches the
+//     coordinator (loss),
+//   - every dupEvery-th acknowledged completion is delivered a second time,
+//     and
+//   - every loseAckEvery-th has its acknowledgement replaced by a
+//     synthesized 503 — the coordinator folded the shard but the worker
+//     must assume it did not, so its retry is a duplicate completion.
 type lossDupTransport struct {
-	base                   http.RoundTripper
-	dupEvery, loseAckEvery int64
-	acked                  atomic.Int64
+	base                              http.RoundTripper
+	failEvery, dupEvery, loseAckEvery int64
+	requests, failed, acked           atomic.Int64
+}
+
+// unavailable is a 503 synthesized on the worker's side of the wire.
+func unavailable(req *http.Request) *http.Response {
+	return &http.Response{
+		Status: "503 Service Unavailable", StatusCode: http.StatusServiceUnavailable,
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header: http.Header{}, Body: io.NopCloser(bytes.NewReader(nil)),
+		Request: req,
+	}
+}
+
+// send is the edge: it fails request k of the count iff k%failEvery == 0
+// and passes the rest to base.
+func (t *lossDupTransport) send(req *http.Request) (*http.Response, error) {
+	if k := t.requests.Add(1) - 1; k%t.failEvery == 0 {
+		t.failed.Add(1)
+		if req.Body != nil {
+			req.Body.Close()
+		}
+		return unavailable(req), nil
+	}
+	return t.base.RoundTrip(req)
 }
 
 func (t *lossDupTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	resp, err := t.base.RoundTrip(req)
+	resp, err := t.send(req)
 	if err != nil || resp.StatusCode != http.StatusOK || req.URL.Path != "/complete" {
 		return resp, err
 	}
@@ -175,7 +203,7 @@ func (t *lossDupTransport) RoundTrip(req *http.Request) (*http.Response, error) 
 		if body, berr := req.GetBody(); berr == nil {
 			dup := req.Clone(req.Context())
 			dup.Body = body
-			if dresp, derr := t.base.RoundTrip(dup); derr == nil {
+			if dresp, derr := t.send(dup); derr == nil {
 				io.Copy(io.Discard, dresp.Body)
 				dresp.Body.Close()
 			}
@@ -184,12 +212,7 @@ func (t *lossDupTransport) RoundTrip(req *http.Request) (*http.Response, error) 
 	if n%t.loseAckEvery == 0 {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		return &http.Response{
-			Status: "503 Service Unavailable", StatusCode: http.StatusServiceUnavailable,
-			Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-			Header: http.Header{}, Body: io.NopCloser(bytes.NewReader(nil)),
-			Request: req,
-		}, nil
+		return unavailable(req), nil
 	}
 	return resp, err
 }
@@ -217,10 +240,9 @@ func TestE2EHostileTransport(t *testing.T) {
 		},
 	}
 	defer shaped.CloseIdleConnections()
-	// Each worker has its own client, and its edge's clock is that worker's
-	// request count, one millisecond a request: one request in seven falls
-	// in a 503 burst (and fails at faults.AttemptFailProb), however fast
-	// the machine runs. Five attempts a call are then enough. With Parallelism 1 a
+	// Each worker has its own client, and its edge fails a request by that
+	// worker's request count alone: one request in seven, however fast the
+	// machine runs. Five attempts a call are then enough. With Parallelism 1 a
 	// worker's calls follow one another, so a call's requests are
 	// consecutive on its count but for two intruders: one duplicate re-send
 	// after an ack, and at most one heartbeat call of ≤ five attempts (one
@@ -229,25 +251,9 @@ func TestE2EHostileTransport(t *testing.T) {
 	// acknowledgement costs one more attempt, and only one: the retry's ack
 	// is the next count, not a multiple of loseAckEvery. So at most three of
 	// a call's five attempts fail.
-	var bursts []faults.Fault
-	for at := time.Duration(0); at < 10*time.Second; at += 7 * time.Millisecond {
-		bursts = append(bursts, faults.Fault{Kind: faults.ServerError, Start: at, Duration: time.Millisecond})
-	}
-	schedule := faults.MustSchedule(bursts)
-	var injected atomic.Int64
-	hostile := func() *http.Client {
-		var requests atomic.Int64
-		faulty := &faults.Transport{
-			Base:     shaped,
-			Schedule: schedule,
-			Seed:     99,
-			OnFault:  func(faults.Kind, int64) { injected.Add(1) },
-			Now:      func() time.Time { return time.Unix(0, 0).Add(time.Duration(requests.Add(1)) * time.Millisecond) },
-		}
-		return &http.Client{
-			Transport: &lossDupTransport{base: faulty, dupEvery: 2, loseAckEvery: 5},
-			Timeout:   10 * time.Second,
-		}
+	edges := make([]*lossDupTransport, 2)
+	for i := range edges {
+		edges[i] = &lossDupTransport{base: shaped, failEvery: 7, dupEvery: 2, loseAckEvery: 5}
 	}
 
 	var wg sync.WaitGroup
@@ -258,7 +264,7 @@ func TestE2EHostileTransport(t *testing.T) {
 			defer wg.Done()
 			_, errs[i] = RunWorker(context.Background(), WorkerConfig{
 				URL: srv.URL, Name: fmt.Sprintf("w%d", i), Parallelism: 1,
-				Poll: 5 * time.Millisecond, HTTP: hostile(),
+				Poll: 5 * time.Millisecond, HTTP: &http.Client{Transport: edges[i], Timeout: 10 * time.Second},
 			})
 		}(i)
 	}
@@ -287,8 +293,8 @@ func TestE2EHostileTransport(t *testing.T) {
 	if s.Shards != 12 || s.ShardsDup == 0 {
 		t.Errorf("coordinator folded %d shards with %d duplicate completions, want exactly 12 and > 0: the dup injection did not engage", s.Shards, s.ShardsDup)
 	}
-	if injected.Load() == 0 {
-		t.Error("no edge failure was injected — the fault schedule did not engage")
+	if edges[0].failed.Load()+edges[1].failed.Load() == 0 {
+		t.Error("no edge failure was injected — the loss injection did not engage")
 	}
 }
 

@@ -22,15 +22,17 @@
 //     consume.
 //   - ServerError, StallBody, ConnReset are HTTP-path pathologies: on the
 //     simulated path a SessionInjector turns them into per-chunk attempt
-//     failures the player retries through; on the real path a Transport
-//     (client side) or HTTPInjector (dash server side) applies them to
-//     live requests.
+//     failures the player retries through; on the real path the dash
+//     server's HTTPInjector applies them to live requests.
 //
-// Determinism. Every decision is a pure function of a seed and discrete
-// coordinates (chunk index, attempt number, request sequence) — never the
-// wall clock — so the same experiment seed and fault seed reproduce the
-// same fault history at any parallelism, and a faulted campaign's report
-// is byte-identical across worker counts.
+// Determinism. On the simulated path every decision is a pure function of
+// a seed and discrete coordinates (chunk index, attempt number) — never
+// the wall clock — so the same experiment seed and fault seed reproduce
+// the same fault history at any parallelism, and a faulted campaign's
+// report is byte-identical across worker counts. On the real path the
+// origin's episode clock is wall time, from its first request; only its
+// pick of which requests inside an episode fail is hashed, from (seed,
+// request sequence).
 package faults
 
 import (
@@ -56,7 +58,7 @@ const (
 	// LatencySpike adds Latency of first-byte delay to every request in
 	// the episode (bufferbloat, rerouting). The virtual player charges it
 	// per chunk via the SessionInjector; the real path pays it per request
-	// via Transport.
+	// via the origin's HTTPInjector.
 	LatencySpike
 	// ServerError makes chunk requests fail with HTTP 503 for the episode
 	// — an overloaded or misconfigured edge.

@@ -12,8 +12,7 @@ import (
 // asks it, once per chunk request, which fault (if any) to apply. The
 // schedule clock starts at the first request (or an explicit Start), and
 // which requests inside an episode fail is hashed from (seed, request
-// sequence) — the mirror image of Transport, applied at the origin
-// instead of the edge.
+// sequence).
 type HTTPInjector struct {
 	// Schedule holds the episodes to apply; nil or empty disables injection.
 	Schedule *Schedule

@@ -111,9 +111,6 @@ type Conn struct {
 	net.Conn
 	shaper    *Shaper
 	chunkSize int
-	rtt       time.Duration
-	wrote     bool
-	mu        sync.Mutex
 }
 
 // NewConn wraps c with read-side shaping. Multiple Conns may share one
@@ -122,39 +119,10 @@ func NewConn(c net.Conn, s *Shaper) *Conn {
 	return &Conn{Conn: c, shaper: s, chunkSize: 16 * 1024}
 }
 
-// NewConnRTT additionally delays the first read after every write by rtt,
-// emulating the request–response round trip a chunk fetch pays before its
-// first byte arrives.
-func NewConnRTT(c net.Conn, s *Shaper, rtt time.Duration) *Conn {
-	cc := NewConn(c, s)
-	cc.rtt = rtt
-	return cc
-}
-
-// Write implements net.Conn, marking the request boundary for RTT
-// emulation.
-func (c *Conn) Write(p []byte) (int, error) {
-	if c.rtt > 0 {
-		c.mu.Lock()
-		c.wrote = true
-		c.mu.Unlock()
-	}
-	return c.Conn.Write(p)
-}
-
 // Read reads up to the shaping granularity and charges the bytes actually
 // read against the link before returning them, so sustained reads observe
 // the trace's rate.
 func (c *Conn) Read(p []byte) (int, error) {
-	if c.rtt > 0 {
-		c.mu.Lock()
-		pending := c.wrote
-		c.wrote = false
-		c.mu.Unlock()
-		if pending {
-			time.Sleep(c.rtt)
-		}
-	}
 	if len(p) > c.chunkSize {
 		p = p[:c.chunkSize]
 	}
@@ -163,26 +131,4 @@ func (c *Conn) Read(p []byte) (int, error) {
 		c.shaper.Take(n)
 	}
 	return n, err
-}
-
-// Listener wraps a net.Listener so every accepted connection is shaped by
-// a per-connection shaper built from the same trace (each client gets its
-// own bandwidth profile, as in the per-session A/B model).
-type Listener struct {
-	net.Listener
-	tr *trace.Trace
-}
-
-// NewListener shapes all connections accepted from l with tr.
-func NewListener(l net.Listener, tr *trace.Trace) *Listener {
-	return &Listener{Listener: l, tr: tr}
-}
-
-// Accept implements net.Listener.
-func (l *Listener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return NewConn(c, NewShaper(l.tr)), nil
 }

@@ -169,86 +169,8 @@ func TestShapedConnThroughput(t *testing.T) {
 	}
 }
 
-func TestShapedListener(t *testing.T) {
-	raw, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln := NewListener(raw, trace.Constant(8*units.Mbps, time.Hour))
-	defer ln.Close()
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		if _, ok := c.(*Conn); !ok {
-			t.Error("accepted connection is not shaped")
-		}
-		io.Copy(io.Discard, c)
-	}()
-
-	c, err := net.Dial("tcp", raw.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Write([]byte("hello"))
-	c.Close()
-	<-done
-}
-
-func TestConnRTTDelaysFirstByte(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		buf := make([]byte, 16)
-		// Echo two request/response exchanges.
-		for i := 0; i < 2; i++ {
-			n, err := c.Read(buf)
-			if err != nil {
-				return
-			}
-			c.Write(buf[:n])
-		}
-	}()
-
-	raw, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	const rtt = 80 * time.Millisecond
-	conn := NewConnRTT(raw, NewShaper(trace.Constant(100*units.Mbps, time.Hour)), rtt)
-
-	buf := make([]byte, 16)
-	start := time.Now()
-	for i := 0; i < 2; i++ {
-		if _, err := conn.Write([]byte("ping")); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := conn.Read(buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	elapsed := time.Since(start)
-	// Two exchanges, one RTT charge each.
-	if elapsed < 2*rtt || elapsed > 2*rtt+300*time.Millisecond {
-		t.Errorf("two exchanges took %v, want ≈%v", elapsed, 2*rtt)
-	}
-}
-
+// TestConnWithoutRTTDoesNotDelay: a shaped Conn adds no round trip of its
+// own, so a small exchange over a fast link completes at loopback speed.
 func TestConnWithoutRTTDoesNotDelay(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

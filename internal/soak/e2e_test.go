@@ -14,6 +14,7 @@ import (
 	"bba/internal/dash"
 	"bba/internal/media"
 	"bba/internal/netem"
+	"bba/internal/stats"
 	"bba/internal/telemetry"
 	"bba/internal/trace"
 	"bba/internal/units"
@@ -102,7 +103,7 @@ func e2eWave(t *testing.T, url string) []string {
 // shaping rate, session label — derives from the session index alone.
 func e2eSession(url string, i int) (string, error) {
 	alg := e2eAlgorithms[i%len(e2eAlgorithms)]
-	seed := mix(99, int64(i)+1)
+	seed := int64(stats.Mix(99, uint64(i)))
 	// Shape each session differently (20–32 Mb/s), all comfortably above
 	// the top rung so pacing never starves a decision.
 	shaped := trace.Constant(units.BitRate(20000+4000*(i%4))*units.Kbps, time.Minute)

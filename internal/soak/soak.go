@@ -224,16 +224,6 @@ func (r *Runner) Config() Config { return r.cfg }
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// mix folds vals into seed with splitmix64 steps — the derivation every
-// per-cycle and per-session seed uses.
-func mix(seed int64, vals ...int64) int64 {
-	z := uint64(seed)
-	for _, v := range vals {
-		z = stats.SplitMix64(z ^ uint64(v)*0x9E3779B97F4A7C15)
-	}
-	return int64(z &^ (1 << 63))
-}
-
 // originFaultConfig draws the primary origin's HTTP-path fault weather
 // for one cycle: 5xx bursts, stalled bodies, connection resets and
 // latency spikes, all confined to the first quarter of the watch window
@@ -269,7 +259,7 @@ func blackoutConfig(watch time.Duration) faults.ScheduleConfig {
 // cancelled context), never for invariant breaches.
 func (r *Runner) RunCycle(ctx context.Context, cycle int) (*Cycle, error) {
 	cfg := r.cfg
-	cycleSeed := mix(cfg.Seed, int64(cycle))
+	cycleSeed := int64(stats.Mix(uint64(cfg.Seed), uint64(cycle)))
 	cycleStart := time.Now()
 	logf := cfg.Logf
 	if logf == nil {
@@ -306,7 +296,7 @@ func (r *Runner) RunCycle(ctx context.Context, cycle int) (*Cycle, error) {
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Sessions; i++ {
 		alg := cfg.Algorithms[i%len(cfg.Algorithms)]
-		seed := mix(cycleSeed, int64(i)+1)
+		seed := int64(stats.Mix(uint64(cycleSeed), uint64(i)))
 		name := fmt.Sprintf("c%d.s%d.%s", cycle, i, alg)
 		rec := &records[i]
 		rec.Session = name

@@ -202,23 +202,6 @@ func TestRunUnboundedStopsOnCancel(t *testing.T) {
 	_ = failed
 }
 
-func TestMixDeterminism(t *testing.T) {
-	if mix(1, 2) != mix(1, 2) {
-		t.Fatal("mix is not deterministic")
-	}
-	if mix(1, 2) == mix(1, 3) || mix(1, 2) == mix(2, 2) {
-		t.Fatal("mix collides on adjacent inputs")
-	}
-	if mix(7, 9) < 0 {
-		t.Fatal("mix produced a negative seed")
-	}
-	// Pinned before the mixer moved to stats.SplitMix64: cycle and session
-	// seeds are bit-unchanged.
-	if got := mix(2014, 3, 9); got != 5096406068047940140 {
-		t.Fatalf("mix(2014, 3, 9) = %d, want 5096406068047940140", got)
-	}
-}
-
 func TestProjectAndRender(t *testing.T) {
 	events := []telemetry.Event{
 		{Kind: telemetry.SessionStart, Session: "s"},

@@ -3,7 +3,10 @@
 // internal/collect Shipper) over HTTP POST, admits each (run, session)
 // stream's frames above one watermark — replays and late copies are ACKed
 // as duplicates — and persists each admitted batch before acknowledging
-// it. Campaign shards are not its business: those cross processes through
+// it. With -store the watermarks live in the store's WAL beside the
+// batches, so a restarted daemon still answers a frame it ACKed before as
+// a duplicate; without it they are in memory, and a restart forgets them.
+// Campaign shards are not its business: those cross processes through
 // bbacoord alone.
 //
 // Endpoints:

@@ -58,13 +58,23 @@ func startDaemon(t *testing.T, o options) (httpAddr string, shutdown func() (err
 }
 
 // resendFirst delivers the first acknowledged /ingest request a second time:
-// the duplicate frame an at-least-once sender produces.
-type resendFirst struct{ sent atomic.Bool }
+// the duplicate frame an at-least-once sender produces. It keeps that
+// frame, for a re-send after a restart.
+type resendFirst struct {
+	sent  atomic.Bool
+	frame []byte
+}
 
 func (d *resendFirst) RoundTrip(req *http.Request) (*http.Response, error) {
 	resp, err := http.DefaultTransport.RoundTrip(req)
 	if err == nil && resp.StatusCode == http.StatusNoContent && req.URL.Path == "/ingest" && d.sent.CompareAndSwap(false, true) {
 		body, berr := req.GetBody()
+		if berr == nil {
+			d.frame, berr = io.ReadAll(body)
+		}
+		if berr == nil {
+			body, berr = req.GetBody()
+		}
 		if berr != nil {
 			return nil, berr
 		}
@@ -84,7 +94,10 @@ func (d *resendFirst) RoundTrip(req *http.Request) (*http.Response, error) {
 // each a simulated session whose Observer is its own shipper, teed into a
 // local capture; one frame delivered twice. /query, /tail, the live store
 // and — after the drain — an offline read-only open must each reproduce the
-// local journal byte for byte.
+// local journal byte for byte. A second daemon started over the drained
+// store is sent a frame the first one ACKed, as a shipper re-sends one whose
+// 204 a restart lost: it is a duplicate, and the store still exports the
+// local journal.
 func TestDaemonEndToEnd(t *testing.T) {
 	store := filepath.Join(t.TempDir(), "fleet.archive")
 	httpAddr, shutdown := startDaemon(t, options{
@@ -117,7 +130,8 @@ func TestDaemonEndToEnd(t *testing.T) {
 		local     []byte // the run's journal: every emitted event, canonically encoded
 		bySession = map[string][]byte{}
 		events    int
-		client    = &http.Client{Transport: new(resendFirst), Timeout: 10 * time.Second}
+		resend    = new(resendFirst)
+		client    = &http.Client{Transport: resend, Timeout: 10 * time.Second}
 	)
 	for i, name := range []string{"BBA-2", "Control"} {
 		alg, err := abr.New(name)
@@ -267,6 +281,24 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if len(st) != 1 || st[0].Blocks == 0 || st[0].WALEvents != 0 {
 		t.Fatalf("store stats after shutdown: %+v, want one run fully compacted", st)
 	}
+
+	httpAddr, shutdown = startDaemon(t, options{addr: "127.0.0.1:0", store: store, grace: 5 * time.Second})
+	base = "http://" + httpAddr
+	resp, err := http.Post(base+"/ingest", "application/octet-stream", bytes.NewReader(resend.frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("the ACKed frame re-sent after the restart: %s, want 204", resp.Status)
+	}
+	if metrics := string(get("/metrics")); !strings.Contains(metrics, "bba_collect_frames_duplicate_total 1\n") || !strings.Contains(metrics, "bba_collect_events_total 0\n") {
+		t.Fatalf("/metrics after the restart's re-send, want one duplicate and no event:\n%s", metrics)
+	}
+	if err, _, _ := shutdown(); err != nil {
+		t.Fatalf("second drain: %v", err)
+	}
+	export("after the restart's re-send")
 }
 
 // TestDaemonTail checks /tail streams admitted batches live.

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"bba/internal/archive"
 	"bba/internal/collect"
 	"bba/internal/dash"
 	"bba/internal/media"
@@ -117,12 +118,12 @@ func testCollector(t *testing.T) (c *collect.Collector, url string, archived fun
 		mu  sync.Mutex
 		buf bytes.Buffer
 	)
-	c = collect.NewCollector(collect.CollectorConfig{Archive: archiverFunc(func(_ string, batch []byte) error {
+	c = collect.NewCollector(collect.CollectorConfig{Archive: &archiverFunc{fn: func(_ string, batch []byte) error {
 		mu.Lock()
 		defer mu.Unlock()
 		buf.Write(batch)
 		return nil
-	})})
+	}}})
 	ts := httptest.NewServer(c.Handler())
 	t.Cleanup(ts.Close)
 	return c, ts.URL, func() []byte {
@@ -132,9 +133,18 @@ func testCollector(t *testing.T) (c *collect.Collector, url string, archived fun
 	}
 }
 
-type archiverFunc func(run string, batch []byte) error
+// archiverFunc archives each fresh batch, over in-memory watermarks, with fn.
+type archiverFunc struct {
+	archive.Watermarks
+	fn func(run string, batch []byte) error
+}
 
-func (f archiverFunc) Append(run string, batch []byte) error { return f(run, batch) }
+func (f *archiverFunc) Admit(run string, session, seq uint64, batch []byte) (bool, error) {
+	if dup, err := f.Watermarks.Admit(run, session, seq, batch); dup || err != nil {
+		return dup, err
+	}
+	return false, f.fn(run, batch)
+}
 
 // TestPlayShipsJournal: -journal with a collector URL ships the session's
 // events there as the run its path names; the session's whole journal has

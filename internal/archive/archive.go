@@ -17,29 +17,33 @@
 //
 //	<dir>/<run>/000001.blk      immutable columnar blocks, in admission order
 //	<dir>/<run>/000002.blk
-//	<dir>/<run>/wal-000003.q    the active WAL tail, CRC-framed JSONL
-//	                            batches, named after the block it will become
+//	<dir>/<run>/wal-000003.q    the active WAL tail, CRC-framed records,
+//	                            named after the block it will become
 //
-// A batch is admitted only if telemetry.ParseJSONL accepts every line of it;
-// any other batch is refused whole, wrapping telemetry.ErrNotCanonical.
+// Admit archives a frame's batch unless the frame is below its stream's
+// watermark; the WAL record holding the batch also advances the watermark,
+// so admission is one durable fact and a restart never archives a frame
+// twice. Every WAL begins with a snapshot of its run's watermarks. A batch
+// is admitted only if telemetry.ParseJSONL accepts every line of it; any
+// other batch is refused whole, wrapping telemetry.ErrNotCanonical.
 //
-// Writes append to the WAL; once the WAL holds CompactEvents events (or
-// CompactBytes bytes) it is rewritten as its block, then the next block's
-// WAL is created and the sealed one removed. Every byte is in exactly one
-// of the two forms — a WAL whose block exists is spent, whatever files a
-// crash left — so Export, blocks in order and then the WAL tail, reproduces
-// the admitted journal byte for byte, the losslessness contract the tests
-// pin.
+// Once the WAL holds CompactEvents events (or CompactBytes bytes) it is
+// rewritten as its block, the next block's WAL is written and renamed into
+// place, and the sealed one removed. Every line is in exactly one of the
+// two forms — a WAL whose block exists is spent, whatever a crash left —
+// so Export, blocks in order and then the WAL tail, reproduces the
+// admitted journal byte for byte, the losslessness contract the tests pin.
 //
-// Crash recovery: a writable Open deletes every WAL whose block exists (a
-// compaction killed after its rename) and removes the temp file of one
-// killed before it. It scans the active WAL and truncates it at the first
-// damaged record (a torn tail write loses only the un-acknowledged suffix),
-// then appends after it. Blocks are immutable and self-verifying (CRC per
-// column page, CRC'd footer), so they need no repair pass. A run directory
-// holding the unnumbered wal.q of a store written before WALs were named
-// after their block is refused by every Open, writable or read-only: its
-// tail is neither adopted nor skipped.
+// Crash recovery: a writable Open removes temp files, rebuilds the
+// watermarks from the WALs (a spent one is read before it is deleted),
+// truncates the active WAL at its first damaged record (a torn tail loses
+// only the un-acknowledged suffix) and appends after it. Blocks are
+// immutable and self-verifying (CRC per column page, CRC'd footer), so
+// they need no repair pass. What this store did not write is refused by
+// every Open, naming the file, never adopted nor cut as a torn tail: the
+// unnumbered wal.q of a store from before WALs were named after their
+// block, a WAL that does not begin with a snapshot, a record whose CRC
+// holds but whose tag or stream does not parse.
 package archive
 
 import (
@@ -90,8 +94,9 @@ func seqOf(name, prefix, suffix string) (int, bool) {
 // after their block, which no Open accepts.
 const legacyWAL = "wal.q"
 
-// blockTempPrefix names a block being written, before its rename.
-const blockTempPrefix = ".blk-"
+// blockTempPrefix and walTempPrefix name a block and a WAL being written,
+// before their rename: every dot file in a run directory is one.
+const blockTempPrefix, walTempPrefix = ".blk-", ".wal-"
 
 // ErrReadOnly reports a mutating call on a read-only store.
 var ErrReadOnly = errors.New("archive: store is read-only")
@@ -117,16 +122,17 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// Store is the archive: Append feeds admitted event batches in, the query
+// Store is the archive: Admit and Append feed event batches in, the query
 // layer (Scan, Aggregate, Export) reads blocks plus the live WAL tail.
-// Safe for concurrent use. Append implements the collector's Archiver
+// Safe for concurrent use. Admit implements the collector's Archiver
 // seam, so a Store can be wired directly into collect.CollectorConfig.
 type Store struct {
 	cfg      Config
 	readOnly bool
 
-	mu   sync.Mutex
-	runs map[string]*runArchive
+	mu    sync.Mutex
+	runs  map[string]*runArchive
+	marks Watermarks // every stream's, as a writable store's WALs record them
 	// names interns the strings of Append's admission parse; each seal
 	// clears it.
 	names telemetry.Interner
@@ -176,6 +182,45 @@ type runArchive struct {
 	// sealErr is a seal that failed inside Append, after its batch was on
 	// the WAL: every later Append or compaction of the run returns it.
 	sealErr error
+	// spent is set while a spent WAL is in the directory: a WAL with no
+	// whole snapshot after it is a seal's unfinished successor, not foreign.
+	spent bool
+}
+
+// Watermarks is the admission state of streams: for each (run, session),
+// next, the seq after its last admitted frame; a frame is fresh iff its seq
+// ≥ next. A Store keeps its watermarks in its WALs; a Watermarks alone is
+// in memory and archives nothing, what a collector with no store admits
+// through. A seq is below 2^64−1, whose next would wrap to 0.
+type Watermarks struct{ next map[string]map[uint64]uint64 }
+
+// Admit admits frame seq of stream (run, session) unless seq is below the
+// stream's watermark, a duplicate.
+func (w *Watermarks) Admit(run string, session, seq uint64, _ []byte) (dup bool, err error) {
+	if dup = seq < w.next[run][session]; !dup {
+		w.advance(run, session, seq+1)
+	}
+	return dup, nil
+}
+
+// advance raises the watermark of stream (run, session) to next.
+func (w *Watermarks) advance(run string, session, next uint64) {
+	if w.next == nil {
+		w.next = map[string]map[uint64]uint64{}
+	}
+	if w.next[run] == nil {
+		w.next[run] = map[uint64]uint64{}
+	}
+	w.next[run][session] = max(w.next[run][session], next)
+}
+
+// Streams returns how many streams hold a watermark.
+func (w *Watermarks) Streams() int {
+	n := 0
+	for _, m := range w.next {
+		n += len(m)
+	}
+	return n
 }
 
 // blockMeta is what the store knows of one sealed block: its file and its
@@ -234,6 +279,17 @@ func open(cfg Config, readOnly bool) (*Store, error) {
 	if err := s.loadRunsLocked(); err != nil {
 		return nil, err
 	}
+	// A view reads its WALs per query, and once here, snapshots too, so a
+	// WAL this store did not write fails the open as it fails a writable one
+	// (one a live writer sealed since the listing is not such a WAL).
+	if readOnly {
+		b := new(Block)
+		for run, ra := range s.runs {
+			if _, err := ra.readWAL(b, new(Watermarks)); err != nil && !errors.Is(err, os.ErrNotExist) {
+				return nil, fmt.Errorf("archive: run %q: %w", run, err)
+			}
+		}
+	}
 	return s, nil
 }
 
@@ -280,12 +336,12 @@ func (s *Store) refreshLocked() error {
 }
 
 // openRun loads one run directory: block list, then the WAL. A writable
-// store settles what a crash left — it removes block temp files and spent
-// WALs — and scans and repairs the active WAL; a read-only one changes
-// nothing, since a live writer may be mid-compaction, and only notes which
-// WAL holds the tail. A read-only view re-listing the run keeps prev's block
-// metas, footers and all, for the blocks the listing still shows at the size
-// their footer was verified at.
+// store settles what a crash left — it removes temp files and spent WALs —
+// and scans and repairs the active WAL, folding every WAL's watermarks into
+// s.marks; a read-only one changes nothing, since a live writer may be
+// mid-compaction, and only notes which WAL holds the tail. A read-only view
+// re-listing the run keeps prev's block metas, footers and all, for the
+// blocks the listing still shows at the size their footer was verified at.
 func (s *Store) openRun(run, dir string, prev *runArchive) (*runArchive, error) {
 	ra := &runArchive{dir: dir, run: run, nextSeq: 1}
 	ents, err := os.ReadDir(dir)
@@ -293,13 +349,13 @@ func (s *Store) openRun(run, dir string, prev *runArchive) (*runArchive, error) 
 		return nil, err
 	}
 	sealed := map[int]bool{}
-	var wals []int
+	var wals, spent []int
 	for _, ent := range ents {
 		name := ent.Name()
 		if name == legacyWAL {
 			return nil, fmt.Errorf("%s: a WAL of a store written before WALs were numbered", name)
 		}
-		if strings.HasPrefix(name, blockTempPrefix) {
+		if strings.HasPrefix(name, ".") {
 			if !s.readOnly {
 				if err := os.Remove(filepath.Join(dir, name)); err != nil {
 					return nil, err
@@ -317,11 +373,7 @@ func (s *Store) openRun(run, dir string, prev *runArchive) (*runArchive, error) 
 	for _, seq := range wals {
 		switch {
 		case sealed[seq]: // compacted, killed before the remove
-			if !s.readOnly {
-				if err := os.Remove(filepath.Join(dir, walFile(seq))); err != nil {
-					return nil, err
-				}
-			}
+			spent = append(spent, seq)
 		case seq == ra.nextSeq:
 			ra.walName = walFile(seq)
 		case !s.readOnly:
@@ -330,26 +382,49 @@ func (s *Store) openRun(run, dir string, prev *runArchive) (*runArchive, error) 
 		}
 	}
 
-	// A read-only view stops here: it holds no handle, its queries read the
-	// WAL themselves (readWAL), and only Stats wants it counted.
+	// A read-only view stops here: it holds no handle, and its queries read
+	// the WAL themselves (readWAL).
 	if s.readOnly {
+		ra.spent = len(spent) > 0
 		return ra, nil
 	}
-	if err := ra.startWAL(); err != nil {
-		return nil, err
+	// A spent WAL's lines are in its block; its watermarks may be nowhere else.
+	b, live := new(Block), ra.walName
+	for _, seq := range spent {
+		ra.walName = walFile(seq)
+		if _, err := ra.readWAL(b, &s.marks); err != nil {
+			return nil, err
+		}
 	}
-	f := ra.wal
-	valid, err := ra.countWAL(new(Block))
-	if err == nil {
-		err = f.Truncate(valid) // drop a torn tail, if any
+	ra.walName, ra.spent = live, len(spent) > 0
+	if live != "" {
+		if ra.wal, err = ra.openWAL(live, os.O_RDWR|os.O_APPEND); err != nil {
+			return nil, err
+		}
+		ra.walBuf = bufio.NewWriterSize(ra.wal, 64<<10)
+		valid, err := ra.readWAL(b, &s.marks)
+		if err == nil {
+			err = ra.wal.Truncate(valid) // drop a torn tail, if any
+		}
+		if err != nil || valid == 0 { // valid 0: not even its snapshot is whole, so it is rewritten
+			ra.wal.Close()
+			ra.wal = nil
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
-	if err == nil {
-		_, err = f.Seek(valid, io.SeekStart)
+	if ra.wal == nil {
+		if err := ra.startWAL(s.marks.next[run]); err != nil {
+			return nil, err
+		}
 	}
-	if err != nil {
-		f.Close()
-		return nil, err
+	for _, seq := range spent {
+		if err := os.Remove(filepath.Join(dir, walFile(seq))); err != nil {
+			return nil, err
+		}
 	}
+	ra.spent = false
 	return ra, nil
 }
 
@@ -371,23 +446,38 @@ func (prev *runArchive) carry(seq int, ent os.DirEntry, path string) *blockMeta 
 	return &blockMeta{seq: seq, path: path}
 }
 
-// startWAL makes the WAL that seals into block ra.nextSeq — created if
-// missing — ra's append handle.
-func (ra *runArchive) startWAL() error {
-	ra.walName = walFile(ra.nextSeq)
-	f, err := ra.openWAL(os.O_CREATE | os.O_RDWR)
+// startWAL makes a new WAL, the one that seals into block ra.nextSeq, ra's
+// append handle: the snapshot of marks, the run's watermarks, written under
+// a temp name and renamed into place, so no listing shows it without it.
+func (ra *runArchive) startWAL(marks map[uint64]uint64) error {
+	ra.walName, ra.wal, ra.events, ra.bytes = walFile(ra.nextSeq), nil, 0, 0
+	f, err := os.CreateTemp(ra.dir, walTempPrefix+"*")
 	if err != nil {
-		ra.wal = nil
 		return err
 	}
-	ra.wal = f
-	// walBuf only coalesces one record's three writes (header, payload,
-	// CRC) into a single syscall; Append flushes it before returning, so
-	// it never holds bytes the collector has already acknowledged.
+	// walBuf only coalesces a record's writes into one syscall: every record
+	// is flushed as written, so it never holds acknowledged bytes.
 	if ra.walBuf == nil {
 		ra.walBuf = bufio.NewWriterSize(f, 64<<10)
 	}
 	ra.walBuf.Reset(f)
+	snap := []byte{recSnapshot}
+	for session, next := range marks {
+		if len(snap) > maxWALRecord-2*binary.MaxVarintLen64 { // it goes on in a second record
+			ra.writeRecord(snap, nil) // an error sticks to walBuf, for the last write to return
+			snap = snap[:1]
+		}
+		snap = binary.AppendUvarint(binary.AppendUvarint(snap, session), next)
+	}
+	if err = ra.writeRecord(snap, nil); err == nil {
+		err = os.Rename(f.Name(), filepath.Join(ra.dir, ra.walName))
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(f.Name())
+		return err
+	}
+	ra.wal = f
 	return nil
 }
 
@@ -397,74 +487,127 @@ func (ra *runArchive) startWAL() error {
 // acknowledged batch, so it is refused up front instead.
 const maxWALRecord = maxFooterLen
 
-// WAL record framing: uvarint payload length, payload, uint32 LE CRC-32C
-// over the payload. scanWAL walks records from the start, calling visit
-// for each valid one, and returns the byte length of the valid prefix —
-// everything after it is a torn or corrupt tail.
-func scanWAL(data []byte, visit func(payload []byte)) int64 {
+// A WAL record's payload begins with its tag: a snapshot of the run's
+// watermarks (uvarint session and next seq per stream; one too long for a
+// record goes on in the next), a stream's frame (uvarint session and seq,
+// then the batch), or a batch of no stream.
+const recSnapshot, recStream, recBatch = 's', 'f', 'b'
+
+// writeRecord frames head and body as one WAL record — uvarint payload
+// length, payload, uint32 LE CRC-32C over the payload — and flushes it.
+func (ra *runArchive) writeRecord(head, body []byte) error {
+	crc := crc32.Update(crc32.Checksum(head, blockCRCTable), blockCRCTable, body)
+	ra.walBuf.Write(binary.AppendUvarint(nil, uint64(len(head)+len(body))))
+	ra.walBuf.Write(head)
+	ra.walBuf.Write(body)
+	ra.walBuf.Write(binary.LittleEndian.AppendUint32(nil, crc))
+	return ra.walBuf.Flush() // a failed Write sticks to walBuf, and Flush returns it
+}
+
+// scanWAL walks records from the start, calling visit with each valid
+// one's tag, stream and body, and returns the byte length of the valid
+// prefix — after it is a torn tail — and visit's first error. A record
+// whose CRC holds but whose tag or stream does not parse, or a first record
+// that is not a snapshot, this store did not write: an error, not a tail.
+func scanWAL(data []byte, visit func(tag byte, session, seq uint64, body []byte) error) (int64, error) {
 	var off int64
 	for {
 		l, sz := binary.Uvarint(data[off:])
 		rem := int64(len(data)) - off - int64(sz)
-		if sz <= 0 || l > uint64(maxWALRecord) || rem < int64(l)+4 {
-			return off
+		// Every record has a tag, so one of length 0 is a zero-filled tail.
+		if sz <= 0 || l == 0 || l > uint64(maxWALRecord) || rem < int64(l)+4 {
+			return off, nil
 		}
 		start := off + int64(sz)
-		payload := data[start : start+int64(l)]
-		want := binary.LittleEndian.Uint32(data[start+int64(l):])
-		if crc32.Checksum(payload, blockCRCTable) != want {
-			return off
+		p := data[start : start+int64(l)]
+		if crc32.Checksum(p, blockCRCTable) != binary.LittleEndian.Uint32(data[start+int64(l):]) {
+			return off, nil
 		}
-		visit(payload)
+		var session, seq uint64
+		ok := off > 0 || p[0] == recSnapshot
+		if ok && p[0] == recStream {
+			session, seq, p, ok = uvarint2(p[1:])
+		} else if ok {
+			ok, p = p[0] == recSnapshot || p[0] == recBatch, p[1:]
+		}
+		if !ok {
+			return off, fmt.Errorf("the record at byte %d is not one this store writes", off)
+		}
+		if err := visit(data[start], session, seq, p); err != nil {
+			return off, err
+		}
 		off = start + int64(l) + 4
 	}
 }
 
-// openWAL is the one place ra's WAL file is opened: once per block,
-// read-write and created if missing, by the store that owns the directory;
-// per read, by a read-only view.
-func (ra *runArchive) openWAL(flag int) (*os.File, error) {
-	return os.OpenFile(filepath.Join(ra.dir, ra.walName), flag, 0o644)
+// uvarint2 splits two uvarints off the front of b.
+func uvarint2(b []byte) (x, y uint64, rest []byte, ok bool) {
+	x, n := binary.Uvarint(b)
+	y, m := binary.Uvarint(b[max(n, 0):])
+	return x, y, b[max(n, 0)+max(m, 0):], n > 0 && m > 0
+}
+
+// openWAL is the one place a WAL file is opened: read-write by the store
+// that owns the directory, once per Open; otherwise read-only, per read.
+func (ra *runArchive) openWAL(name string, flag int) (*os.File, error) {
+	return os.OpenFile(filepath.Join(ra.dir, name), flag, 0)
 }
 
 // readWAL reads ra's WAL into b — one read, one CRC scan (see scanWAL) —
 // leaving the file's bytes in b.wal and its journal lines, in admission
 // order and each a sub-slice of b.wal, in b.walLines, both good until b's
-// next read; it returns the byte length of the file's valid prefix and the
-// payload bytes in it. It is the only reader of the file, for queries,
+// next read; it returns the byte length of the file's valid prefix, and
+// counts its events and batch bytes in ra.events and ra.bytes. It is the only reader of the file, for queries,
 // compaction and counting alike: the store that owns the directory flushes
 // and reads through the handle it appends with, a read-only view opens the
 // file for this one read, and re-reading it (rather than trusting counters)
 // keeps such a view honest about a WAL a live writer may have appended to
 // or sealed since. A run with no WAL file listed has an empty one; a listed
-// one that has vanished is an os.ErrNotExist error (see snapshot). Caller
-// holds mu.
-func (ra *runArchive) readWAL(b *Block) (valid, payload int64, err error) {
+// one that has vanished is an os.ErrNotExist error (see snapshot). Unless
+// fold is non-nil, to take every watermark the WAL records, snapshots are
+// skipped undecoded. Caller holds mu.
+func (ra *runArchive) readWAL(b *Block, fold *Watermarks) (valid int64, err error) {
 	b.walLines = b.walLines[:0]
 	f := ra.wal
 	if f == nil {
 		if ra.walName == "" {
-			return 0, 0, nil
+			return 0, nil
 		}
-		if f, err = ra.openWAL(os.O_RDONLY); err != nil {
-			return 0, 0, err
+		if f, err = ra.openWAL(ra.walName, os.O_RDONLY); err != nil {
+			return 0, err
 		}
 		defer f.Close()
 	} else if err = ra.walBuf.Flush(); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	fi, err := f.Stat()
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	b.wal = sized(b.wal, int(fi.Size()))
 	// A short read is a writer's Open cutting a torn tail under a read-only
 	// view: what was read is scanned like any other torn tail.
 	n, err := f.ReadAt(b.wal, 0)
 	if err != nil && err != io.EOF {
-		return 0, 0, err
+		return 0, err
 	}
-	valid = scanWAL(b.wal[:n], func(p []byte) {
+	var payload int64
+	valid, err = scanWAL(b.wal[:n], func(tag byte, session, seq uint64, p []byte) error {
+		switch {
+		case fold != nil && tag == recStream:
+			fold.advance(ra.run, session, seq+1)
+		case fold != nil && tag == recSnapshot:
+			for rest := p; len(rest) > 0; {
+				var ok bool
+				if session, seq, rest, ok = uvarint2(rest); !ok {
+					return errors.New("a snapshot that does not parse")
+				}
+				fold.advance(ra.run, session, seq)
+			}
+		}
+		if tag == recSnapshot {
+			return nil
+		}
 		payload += int64(len(p))
 		for len(p) > 0 {
 			end := bytes.IndexByte(p, '\n') + 1
@@ -474,15 +617,16 @@ func (ra *runArchive) readWAL(b *Block) (valid, payload int64, err error) {
 			b.walLines = append(b.walLines, p[:end])
 			p = p[end:]
 		}
+		return nil
 	})
-	return valid, payload, nil
-}
-
-// countWAL sets ra.events and ra.bytes from the WAL file, read into b.
-func (ra *runArchive) countWAL(b *Block) (valid int64, err error) {
-	valid, ra.bytes, err = ra.readWAL(b)
-	ra.events = len(b.walLines)
-	return valid, err
+	if err == nil && valid == 0 && !ra.spent {
+		err = errors.New("does not begin with a watermark snapshot")
+	}
+	if err != nil {
+		return 0, fmt.Errorf("%s: %w", ra.walName, err)
+	}
+	ra.events, ra.bytes = len(b.walLines), payload
+	return valid, nil
 }
 
 // runLocked returns (creating if needed) the named run's archive. Caller
@@ -509,27 +653,47 @@ func (s *Store) runLocked(run string, create bool) (*runArchive, error) {
 	return ra, nil
 }
 
-// Append archives one admitted event batch for run: whole canonical journal
-// JSONL lines, or the batch is refused and nothing written. The batch is on
-// the WAL file with the OS
-// (not necessarily the platter) when Append returns nil: the framed
-// record is flushed before returning, never parked in a userspace buffer,
-// because a nil return is the collector's cue to ACK the frame and the
-// shipper then drops its only other copy. A non-nil error means the batch
-// was NOT archived and the caller must not acknowledge it upstream. A seal
-// the batch trips runs after the batch is on the WAL, so its failure does
-// not fail the batch: it sticks to the run instead, and every later Append
-// or Compact of the run returns it before writing anything.
-// Append does not retain batch.
+// Admit archives batch as frame seq of stream (run, session), as Append
+// does, unless seq is below the stream's watermark (dup). The WAL record
+// holding the batch advances the watermark, as durable as the batch.
+func (s *Store) Admit(run string, session, seq uint64, batch []byte) (dup bool, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if seq < s.marks.next[run][session] {
+		return true, nil
+	}
+	return false, s.appendLocked(run, true, session, seq, batch)
+}
+
+// Append archives one event batch for run, of no stream: whole canonical
+// journal JSONL lines, or the batch is refused and nothing written. The
+// batch is on the WAL file with the OS (not necessarily the platter) when
+// Append returns nil: the framed record is flushed before returning, never
+// parked in a userspace buffer, because a nil return is the collector's cue
+// to ACK the frame and the shipper then drops its only other copy. A
+// non-nil error means the batch was NOT archived and the caller must not
+// acknowledge it upstream. A seal the batch trips runs after the batch is
+// on the WAL, so its failure does not fail the batch: it sticks to the run
+// instead, and every later Append or Compact of the run returns it before
+// writing anything. Append does not retain batch.
 func (s *Store) Append(run string, batch []byte) error {
 	if len(batch) == 0 {
 		return nil
 	}
-	if len(batch) > maxWALRecord {
-		return fmt.Errorf("archive: %d-byte batch exceeds the %d-byte WAL record limit", len(batch), maxWALRecord)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.appendLocked(run, false, 0, 0, batch)
+}
+
+// appendLocked is Append, or Admit's write when stream is set. Caller holds mu.
+func (s *Store) appendLocked(run string, stream bool, session, seq uint64, batch []byte) error {
+	head := []byte{recBatch}
+	if stream {
+		head = binary.AppendUvarint(binary.AppendUvarint([]byte{recStream}, session), seq)
+	}
+	if len(head)+len(batch) > maxWALRecord {
+		return fmt.Errorf("archive: %d-byte batch exceeds the %d-byte WAL record limit", len(batch), maxWALRecord)
+	}
 	if s.readOnly {
 		return ErrReadOnly
 	}
@@ -553,21 +717,11 @@ func (s *Store) Append(run string, batch []byte) error {
 	if ra.sealErr != nil {
 		return ra.sealErr
 	}
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(batch)))
-	if _, err := ra.walBuf.Write(hdr[:n]); err != nil {
+	if err := ra.writeRecord(head, batch); err != nil {
 		return err
 	}
-	if _, err := ra.walBuf.Write(batch); err != nil {
-		return err
-	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(batch, blockCRCTable))
-	if _, err := ra.walBuf.Write(crc[:]); err != nil {
-		return err
-	}
-	if err := ra.walBuf.Flush(); err != nil {
-		return err
+	if stream { // before any seal below, whose next WAL's snapshot must hold it
+		s.marks.advance(run, session, seq+1)
 	}
 	ra.events += events
 	ra.bytes += int64(len(batch))
@@ -597,19 +751,17 @@ func (s *Store) Compact(run string) error {
 	return s.compactLocked(ra)
 }
 
-// CompactAll seals every run's WAL tail.
+// CompactAll seals every run's WAL tail, in run order, and returns every
+// failure joined: a run whose seal fails leaves no other run unsealed.
 func (s *Store) CompactAll() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.readOnly {
 		return ErrReadOnly
 	}
-	for _, ra := range s.runs {
-		if err := s.compactLocked(ra); err != nil {
-			return err
-		}
+	var errs []error
+	for _, run := range s.Runs() {
+		errs = append(errs, s.Compact(run))
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // compactLocked rewrites ra's WAL as its block, atomically (write temp,
@@ -627,7 +779,7 @@ func (s *Store) compactLocked(ra *runArchive) error {
 	// Read into a reader of its own, not an idle one: a WAL-sized buffer kept
 	// live between compactions doubles the heap the collector's GC aims for.
 	var b Block
-	if _, _, err := ra.readWAL(&b); err != nil {
+	if _, err := ra.readWAL(&b, nil); err != nil {
 		return err
 	}
 	blk, ft, err := encodeBlock(ra.run, b.walLines)
@@ -653,14 +805,14 @@ func (s *Store) compactLocked(ra *runArchive) error {
 		return err
 	}
 	// The block is durable and the WAL is spent: from here a crash leaves a
-	// WAL whose block exists, which Open deletes, never one read twice.
+	// WAL whose block exists, whose lines Open never reads twice — it takes
+	// the watermarks from it, and deletes it once the next WAL holds them.
 	m := &blockMeta{seq: ra.nextSeq, path: path}
 	m.ft.Store(&verifiedFooter{size: int64(len(blk)), footer: *ft})
 	ra.blocks = append(ra.blocks, m)
 	ra.nextSeq++
-	ra.events, ra.bytes = 0, 0
 	sealed, spent := ra.wal, filepath.Join(ra.dir, ra.walName)
-	err = ra.startWAL()
+	err = ra.startWAL(s.marks.next[ra.run])
 	sealed.Close()
 	if err == nil {
 		err = os.Remove(spent)
@@ -689,6 +841,13 @@ func (s *Store) Runs() []string {
 	return runs
 }
 
+// Streams returns how many streams hold a watermark in a writable store.
+func (s *Store) Streams() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.marks.Streams()
+}
+
 // RunStats summarizes one run's storage.
 type RunStats struct {
 	Run        string `json:"run"`
@@ -708,7 +867,7 @@ func (s *Store) Stats() []RunStats {
 	var b Block
 	for run, ra := range s.runs {
 		if s.readOnly {
-			_, _ = ra.countWAL(&b) // best effort, like the refresh
+			_, _ = ra.readWAL(&b, nil) // best effort, like the refresh
 		}
 		st := RunStats{Run: run, Blocks: len(ra.blocks), WALEvents: ra.events, WALBytes: ra.bytes}
 		for _, m := range ra.blocks {
@@ -763,7 +922,7 @@ func (s *Store) snapshot(run string, b *Block) error {
 		if !ok {
 			return fmt.Errorf("archive: unknown run %q", run)
 		}
-		_, _, err := ra.readWAL(b)
+		_, err := ra.readWAL(b, nil)
 		if errors.Is(err, os.ErrNotExist) && s.readOnly && ra.walName != gone {
 			gone = ra.walName
 			continue

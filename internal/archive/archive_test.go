@@ -146,8 +146,14 @@ func TestAppendPersistsBeforeReturn(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []byte
-	if n := scanWAL(data, func(p []byte) { got = append(got, p...) }); n != int64(len(data)) {
-		t.Fatalf("WAL has %d unframed tail bytes after a clean Append", int64(len(data))-n)
+	n, err := scanWAL(data, func(tag byte, _, _ uint64, p []byte) error {
+		if tag == recBatch {
+			got = append(got, p...)
+		}
+		return nil
+	})
+	if err != nil || n != int64(len(data)) {
+		t.Fatalf("WAL has %d unframed tail bytes after a clean Append (%v)", int64(len(data))-n, err)
 	}
 	if !bytes.Equal(got, batch) {
 		t.Fatalf("WAL on disk holds %d payload bytes, want the acknowledged %d-byte batch", len(got), len(batch))
@@ -351,9 +357,15 @@ func TestBlockSequencePastSixDigits(t *testing.T) {
 
 // walRecord frames batch as Append does.
 func walRecord(dst, batch []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(batch)))
-	dst = append(dst, batch...)
-	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(batch, blockCRCTable))
+	return rawRecord(dst, append([]byte{recBatch}, batch...))
+}
+
+// rawRecord frames payload as a WAL record, whatever it holds: a record of
+// the format before the tag, when it is a batch.
+func rawRecord(dst, payload []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(payload)))
+	dst = append(dst, payload...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, blockCRCTable))
 }
 
 // TestOpenRefusesLegacyWAL: a run directory laid out before WALs were

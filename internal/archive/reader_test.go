@@ -807,7 +807,7 @@ func TestReadOnlyRacesCompaction(t *testing.T) {
 	if err := s.Compact("r"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := stale.readWAL(new(Block)); !errors.Is(err, os.ErrNotExist) {
+	if _, err := stale.readWAL(new(Block), nil); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("WAL sealed after the listing: read error %v, want os.ErrNotExist", err)
 	}
 

@@ -1,19 +1,22 @@
 package collect
 
-// Archiver persists admitted event batches. The collector calls Append
-// once per fresh event frame, before the frame's sequence number is
-// spent: a nil return means the batch is durably accepted and the frame
-// will be acknowledged; one wrapping telemetry.ErrNotCanonical refuses
-// the batch itself, and the frame is rejected permanently (a 400). Any other
-// non-nil return means the batch was NOT persisted, the frame is NACKed for
-// retry, and the collector's archive lane goes sticky-failed (see
-// CollectorConfig.Archive). Batches are telemetry journal JSONL. Calls are
-// serialized by the collector's lock; implementations must not retain the
-// batch slice.
+// Archiver admits event batches and owns the watermarks that decide it.
+// The collector calls Admit once per event frame it does not refuse
+// outright: below the watermark of stream (run, session) the frame is a
+// duplicate (dup, nothing archived); otherwise its batch is archived and
+// the watermark moves past seq, as one fact. A nil error admits the frame,
+// to be acknowledged; one wrapping telemetry.ErrNotCanonical refuses the
+// batch itself, a permanent 400. Any other error means neither batch nor
+// watermark moved: the frame is NACKed for retry and the archive lane goes
+// sticky-failed (see CollectorConfig.Archive). Batches are telemetry
+// journal JSONL. Calls are serialized by the collector's lock;
+// implementations must not retain the batch slice.
 //
-// archive.Store satisfies Archiver directly, giving the collector a
-// queryable columnar archive: bbacollect -store and every soak cycle run
-// the collector over one.
+// archive.Store keeps the watermarks in its WALs, so a restart still knows
+// every admitted frame: bbacollect -store and every soak cycle run over
+// one. archive.Watermarks keeps them in memory and archives nothing: what a
+// collector with no Archive admits through. Both count the streams they
+// hold (Streams), which the collector reports.
 type Archiver interface {
-	Append(run string, batch []byte) error
+	Admit(run string, session, seq uint64, batch []byte) (dup bool, err error)
 }

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"bba/internal/archive"
 	"bba/internal/obs"
 	"bba/internal/telemetry"
 )
@@ -25,16 +26,14 @@ var ErrArchive = errors.New("collect: archive unavailable")
 
 // CollectorConfig configures a Collector.
 type CollectorConfig struct {
-	// Archive, when non-nil, persists every admitted event batch. Batches
-	// are telemetry journal JSONL (telemetry.AppendJSONL) in admission
-	// order. Persistence gates acknowledgement: a fresh event frame is
-	// archived BEFORE its sequence number is spent, and a failed Append
-	// NACKs the frame — the collector never acknowledges an event frame it
-	// did not persist. A batch refused as not canonical is the frame's
-	// fault: a permanent ErrBadFrame (400) with its seq unspent. Any other
-	// failure is sticky (see ErrArchive): subsequent event frames are
-	// refused outright, /healthz degrades, and
-	// bba_collect_archive_errors_total counts the refusals.
+	// Archive admits every event frame and persists its batch, telemetry
+	// journal JSONL in admission order; when nil, an in-memory
+	// archive.Watermarks admits and nothing is persisted. Persistence gates
+	// acknowledgement: a failed Admit NACKs the frame, never acknowledged
+	// unpersisted. A batch refused as not canonical is the frame's fault: a
+	// permanent ErrBadFrame (400) with its seq unspent. Any other failure is
+	// sticky (see ErrArchive): subsequent event frames are refused outright,
+	// /healthz degrades, and bba_collect_archive_errors_total counts them.
 	Archive Archiver
 }
 
@@ -49,7 +48,7 @@ type CollectorStats struct {
 	FramesBad   int64 // undecodable or invalid: permanently rejected
 	FramesRetry int64 // NACKed retryable (archive unavailable)
 	Events      int64 // events admitted across all event frames
-	Streams     int64 // distinct (run, session) streams seen
+	Streams     int64 // (run, session) streams the archive holds a watermark for
 	// ArchiveErrors counts event frames NACKed because the archive could
 	// not persist them: the first failed write plus every sticky refusal
 	// after it.
@@ -62,12 +61,12 @@ type CollectorStats struct {
 //
 // A shipper sends one stream in order (one sender, each frame settled —
 // acknowledged or given up — before the next is sent), so a stream's
-// admission state is one watermark: next, the seq after the last admitted
-// frame. A frame is fresh iff seq ≥ next; admitting it sets next = seq+1.
-// Anything below the watermark is a replay of an admitted frame or a late
-// copy of one the shipper already gave up on: both are ACKed, counted as
-// duplicates and never archived, so delivery is at-most-once per seq and a
-// stream's archived seqs strictly increase.
+// admission state is one watermark, which the Archiver holds: next, the seq
+// after the last admitted frame. A frame is fresh iff seq ≥ next; admitting
+// it sets next = seq+1. Anything below the watermark is a replay of an
+// admitted frame or a late copy of one the shipper already gave up on: both
+// are ACKed, counted as duplicates and never archived, so delivery is
+// at-most-once per seq and a stream's archived seqs strictly increase.
 //
 // Ingest is safe for concurrent use; all state lives behind one mutex,
 // which loopback benchmarks show is nowhere near the bottleneck at the
@@ -75,9 +74,8 @@ type CollectorStats struct {
 type Collector struct {
 	cfg CollectorConfig
 
-	mu      sync.Mutex
-	streams map[streamKey]uint64 // next fresh seq of each stream
-	stats   CollectorStats
+	mu    sync.Mutex
+	stats CollectorStats
 	// archiveErr is the sticky first archive failure; once set, event
 	// frames are NACKed without touching the archive.
 	archiveErr error
@@ -92,16 +90,13 @@ type Collector struct {
 	admitSeconds obs.Histogram
 }
 
-type streamKey struct {
-	run     string
-	session uint64
-}
-
 // NewCollector returns a Collector with the config's defaults applied.
 func NewCollector(cfg CollectorConfig) *Collector {
+	if cfg.Archive == nil {
+		cfg.Archive = new(archive.Watermarks)
+	}
 	return &Collector{
 		cfg:          cfg,
-		streams:      make(map[streamKey]uint64),
 		stats:        CollectorStats{Frames: make(map[string]int64)},
 		admitSeconds: obs.NewHistogram(0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.01, 0.05, 0.25, 1),
 	}
@@ -112,10 +107,10 @@ func NewCollector(cfg CollectorConfig) *Collector {
 // stops retry loops). An error matching ErrArchive is a retryable NACK;
 // anything else is a permanent rejection.
 //
-// Persistence runs before admission: an admitted (run, session, seq) is
-// spent forever, so a frame must be fully applied before its seq is
-// consumed — otherwise a retry of a failed frame would be discarded as a
-// duplicate and its payload lost.
+// Persistence and admission are one step, the Archiver's: an admitted
+// (run, session, seq) is spent forever, so its seq is consumed only with
+// its batch persisted — otherwise a retry of a failed frame would be
+// discarded as a duplicate and its payload lost.
 func (c *Collector) Ingest(b []byte) error {
 	start := time.Now()
 	f, _, err := DecodeFrame(b)
@@ -145,38 +140,28 @@ func (c *Collector) ingestFrameLocked(f Frame) error {
 
 	// The archive lane is sticky-failed: refuse before any other work,
 	// so the archive stays a clean prefix of the acknowledged stream.
-	if c.cfg.Archive != nil && c.archiveErr != nil {
+	if c.archiveErr != nil {
 		c.stats.ArchiveErrors++
 		c.stats.FramesRetry++
 		return fmt.Errorf("%w: %v", ErrArchive, c.archiveErr)
 	}
 
-	key := streamKey{run: f.Run, session: f.Session}
-	next, open := c.streams[key]
-	if f.Seq < next {
+	// The archive keeps no reference to the batch (see Archiver), so it
+	// reads the caller's buffer in place.
+	dup, err := c.cfg.Archive.Admit(f.Run, f.Session, f.Seq, f.Payload)
+	switch {
+	case errors.Is(err, telemetry.ErrNotCanonical):
+		c.stats.FramesBad++
+		return fmt.Errorf("%w: %v", ErrBadFrame, err)
+	case err != nil:
+		c.archiveErr = err
+		c.stats.ArchiveErrors++
+		c.stats.FramesRetry++
+		return fmt.Errorf("%w: %v", ErrArchive, err)
+	case dup:
 		c.stats.FramesDup++
 		return nil
 	}
-	if c.cfg.Archive != nil {
-		// Persist BEFORE the watermark moves: an admitted seq is spent
-		// forever, so archiving after admission turns a failed write
-		// into silent loss — the shipper's retry would be discarded as
-		// a duplicate. The archive keeps no reference to the batch (see
-		// Archiver), so it reads the caller's buffer in place.
-		if err := c.cfg.Archive.Append(f.Run, f.Payload); errors.Is(err, telemetry.ErrNotCanonical) {
-			c.stats.FramesBad++
-			return fmt.Errorf("%w: %v", ErrBadFrame, err)
-		} else if err != nil {
-			c.archiveErr = err
-			c.stats.ArchiveErrors++
-			c.stats.FramesRetry++
-			return fmt.Errorf("%w: %v", ErrArchive, err)
-		}
-	}
-	if !open {
-		c.stats.Streams++
-	}
-	c.streams[key] = f.Seq + 1
 	c.stats.Events += int64(bytes.Count(f.Payload, []byte{'\n'}))
 	c.publish(f.Run, f.Payload)
 	c.stats.Frames[f.Kind.String()]++
@@ -188,6 +173,9 @@ func (c *Collector) Stats() CollectorStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats
+	if a, ok := c.cfg.Archive.(interface{ Streams() int }); ok {
+		s.Streams = int64(a.Streams())
+	}
 	s.Frames = make(map[string]int64, len(c.stats.Frames))
 	for k, v := range c.stats.Frames {
 		s.Frames[k] = v
@@ -321,7 +309,7 @@ func (c *Collector) WriteMetrics(w *obs.Writer) {
 	counter("bba_collect_frames_bad_total", "Frames permanently rejected (decode, checksum or payload).", s.FramesBad)
 	counter("bba_collect_frames_retry_total", "Frames NACKed for retry (an archive append failed, or its failure is sticky).", s.FramesRetry)
 	counter("bba_collect_events_total", "Telemetry events admitted.", s.Events)
-	counter("bba_collect_streams_total", "Distinct (run, session) sender streams seen.", s.Streams)
+	counter("bba_collect_streams_total", "Distinct (run, session) sender streams the archive holds a watermark for.", s.Streams)
 	counter("bba_collect_archive_errors_total", "Event frames NACKed because the archive could not persist them.", s.ArchiveErrors)
 	c.mu.Lock()
 	defer c.mu.Unlock()

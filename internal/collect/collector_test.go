@@ -28,17 +28,25 @@ func eventsPayload(n int) []byte {
 }
 
 // bufArchiver captures every admitted batch, all runs interleaved, in
-// admission order.
-type bufArchiver struct{ *bytes.Buffer }
+// admission order, over in-memory watermarks.
+type bufArchiver struct {
+	*archive.Watermarks
+	*bytes.Buffer
+}
 
-func (a bufArchiver) Append(_ string, batch []byte) error {
+func newBufArchiver(buf *bytes.Buffer) bufArchiver { return bufArchiver{new(archive.Watermarks), buf} }
+
+func (a bufArchiver) Admit(run string, session, seq uint64, batch []byte) (bool, error) {
+	if dup, err := a.Watermarks.Admit(run, session, seq, batch); dup || err != nil {
+		return dup, err
+	}
 	_, err := a.Write(batch)
-	return err
+	return false, err
 }
 
 func TestCollectorIngestEvents(t *testing.T) {
-	var archive bytes.Buffer
-	c := NewCollector(CollectorConfig{Archive: bufArchiver{&archive}})
+	var archived bytes.Buffer
+	c := NewCollector(CollectorConfig{Archive: newBufArchiver(&archived)})
 	f1 := AppendFrame(nil, Frame{Run: "r", Session: 1, Seq: 0, Kind: PayloadEvents, Payload: eventsPayload(3)})
 	f2 := AppendFrame(nil, Frame{Run: "r", Session: 1, Seq: 1, Kind: PayloadEvents, Payload: eventsPayload(2)})
 	for _, f := range [][]byte{f1, f2, f1, f2, f1} {
@@ -53,8 +61,8 @@ func TestCollectorIngestEvents(t *testing.T) {
 	// The archive holds each admitted batch exactly once, and is valid
 	// journal JSONL.
 	want := append(eventsPayload(3), eventsPayload(2)...)
-	if !bytes.Equal(archive.Bytes(), want) {
-		t.Fatalf("archive:\n%q\nwant:\n%q", archive.Bytes(), want)
+	if !bytes.Equal(archived.Bytes(), want) {
+		t.Fatalf("archive:\n%q\nwant:\n%q", archived.Bytes(), want)
 	}
 }
 
@@ -147,13 +155,13 @@ type failingArchiver struct {
 	accepted  bytes.Buffer
 }
 
-func (a *failingArchiver) Append(run string, batch []byte) error {
+func (a *failingArchiver) Admit(_ string, _, _ uint64, batch []byte) (bool, error) {
 	a.calls++
 	if a.calls > a.failAfter {
-		return errors.New("disk full")
+		return false, errors.New("disk full")
 	}
 	a.accepted.Write(batch)
-	return nil
+	return false, nil
 }
 
 // TestCollectorArchiveFailureNACK is the regression test for the silent
@@ -301,11 +309,20 @@ func TestCollectorArchiveFailureNACK(t *testing.T) {
 	})
 }
 
-// discardArchiver accepts every batch and keeps none of it, as the
-// Archiver contract asks.
-type discardArchiver struct{ batches int }
+// discardArchiver admits every fresh batch over in-memory watermarks and
+// keeps none of it, as the Archiver contract asks.
+type discardArchiver struct {
+	archive.Watermarks
+	batches int
+}
 
-func (a *discardArchiver) Append(string, []byte) error { a.batches++; return nil }
+func (a *discardArchiver) Admit(run string, session, seq uint64, batch []byte) (bool, error) {
+	dup, err := a.Watermarks.Admit(run, session, seq, batch)
+	if !dup && err == nil {
+		a.batches++
+	}
+	return dup, err
+}
 
 // TestCollectorCopiesPayloadOnlyForSubscribers: the archive reads a frame's
 // payload in place, so a fresh frame with no tail subscriber, and any
@@ -364,5 +381,62 @@ func TestCollectorCopiesPayloadOnlyForSubscribers(t *testing.T) {
 	case msg := <-tail:
 		t.Fatalf("a duplicate frame reached the subscriber: %d bytes", len(msg.Payload))
 	default:
+	}
+}
+
+// TestRestartArchivesNoFrameTwice reproduces the restart duplicate: a
+// collector admits a frame into a store, the store is closed and reopened,
+// and a second collector over it is sent the same frame again — as a
+// shipper does when a restart loses the frame's 204. The store knows the
+// frame was admitted, whether its batch is still in the live WAL at the
+// reopen, was sealed into a block before it, or was sealed by the frame's
+// own admission: the second copy is a duplicate, and the archive holds one.
+func TestRestartArchivesNoFrameTwice(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		compactEvents int
+		compact       bool
+	}{
+		{"in the live WAL", 0, false},
+		{"sealed into a block", 0, true},
+		{"sealed by its own admission", 2, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := archive.Config{Dir: t.TempDir(), CompactEvents: tc.compactEvents}
+			frame := AppendFrame(nil, Frame{Run: "r", Session: 1, Seq: 0, Kind: PayloadEvents, Payload: eventsPayload(2)})
+			st, err := archive.Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := NewCollector(CollectorConfig{Archive: st}).Ingest(frame); err != nil {
+				t.Fatal(err)
+			}
+			if tc.compact {
+				if err := st.Compact("r"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if st, err = archive.Open(cfg); err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			if stats := st.Stats(); len(stats) != 1 || (stats[0].Blocks == 1) != (tc.compact || tc.compactEvents > 0) {
+				t.Fatalf("store before the re-send: %+v", stats)
+			}
+			c := NewCollector(CollectorConfig{Archive: st})
+			if err := c.Ingest(frame); err != nil {
+				t.Fatalf("the frame re-sent after the restart: %v, want it ACKed", err)
+			}
+			var got bytes.Buffer
+			if err := st.Export("r", &got); err != nil {
+				t.Fatal(err)
+			}
+			if s := c.Stats(); !bytes.Equal(got.Bytes(), eventsPayload(2)) || s.FramesDup != 1 || s.Events != 0 {
+				t.Fatalf("archive holds %d lines, stats %+v; want the frame's 2 lines once and FramesDup 1", bytes.Count(got.Bytes(), []byte("\n")), s)
+			}
+		})
 	}
 }

@@ -53,22 +53,33 @@ func FuzzFrameDecode(f *testing.F) {
 }
 
 // FuzzIngestOrder holds admission to its contract over any arrival order:
-// duplicates, reorders, gaps and seqs at the top of the range, one stream.
-// No seq is archived twice, archived seqs strictly increase, and every
-// arrival above all earlier ones is archived — except 2^64−1, which is
-// refused. Each input byte is one arrival: below 0xF0 it is that seq, from
-// 0xF0 up it is one of the sixteen seqs ending at 2^64−1.
+// duplicates, reorders, gaps and seqs at the top of the range, one stream,
+// into a real archive store that is restarted — closed, reopened under a
+// new collector — before the arrival restartAt and sealed before the
+// arrival sealAt. No seq is archived twice, archived seqs strictly
+// increase, and every arrival above all earlier ones is archived — except
+// 2^64−1, which is refused. Each input byte is one arrival: below 0xF0 it
+// is that seq, from 0xF0 up it is one of the sixteen seqs ending at 2^64−1.
 func FuzzIngestOrder(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3})
-	f.Add([]byte{2, 1, 0, 2, 3})
-	f.Add([]byte{0, 1, 2, 3, 4, 6, 7, 8, 9, 5})
-	f.Add([]byte{0, 0xF0, 0xFE, 0xFF, 0})
-	f.Add([]byte{0xFF, 0xFF, 3})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		c := newSeqCollector()
+	f.Add(uint8(2), uint8(1), []byte{0, 1, 2, 3})
+	f.Add(uint8(3), uint8(2), []byte{2, 1, 0, 2, 3})
+	f.Add(uint8(9), uint8(5), []byte{0, 1, 2, 3, 4, 6, 7, 8, 9, 5})
+	f.Add(uint8(1), uint8(4), []byte{0, 0xF0, 0xFE, 0xFF, 0})
+	f.Add(uint8(1), uint8(1), []byte{0xFF, 0xFF, 3})
+	f.Add(uint8(1), uint8(0), []byte{0, 0, 1, 1})
+	f.Fuzz(func(t *testing.T, restartAt, sealAt uint8, data []byte) {
+		c := newSeqCollector(t)
 		var must []uint64 // arrivals above every earlier one
 		highest := -1     // the largest byte so far; bytes order as their seqs do
 		for i, b := range data {
+			if i == int(restartAt) {
+				c.restart()
+			}
+			if i == int(sealAt) {
+				if err := c.store.CompactAll(); err != nil {
+					t.Fatal(err)
+				}
+			}
 			seq := uint64(b)
 			if b >= 0xF0 {
 				seq = math.MaxUint64 - uint64(0xFF-b)

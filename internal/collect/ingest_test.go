@@ -7,24 +7,45 @@ import (
 	"reflect"
 	"strconv"
 	"testing"
+
+	"bba/internal/archive"
+	"bba/internal/telemetry"
 )
 
-// seqCollector is a collector whose archive is a capture of the batches it
-// admitted, each batch one line naming its frame's seq.
+// seqCollector is a collector over a real archive store, each batch one
+// canonical journal line whose session label names its frame's seq.
 type seqCollector struct {
 	*Collector
-	archive bytes.Buffer
+	t     testing.TB
+	dir   string
+	store *archive.Store
 }
 
-func newSeqCollector() *seqCollector {
-	c := new(seqCollector)
-	c.Collector = NewCollector(CollectorConfig{Archive: bufArchiver{&c.archive}})
+func newSeqCollector(t testing.TB) *seqCollector {
+	c := &seqCollector{t: t, dir: t.TempDir()}
+	c.restart()
+	t.Cleanup(func() { c.store.Close() })
 	return c
+}
+
+// restart closes the store, if open, and reopens it under a new collector,
+// as a restarted bbacollect -store does.
+func (c *seqCollector) restart() {
+	if c.store != nil {
+		if err := c.store.Close(); err != nil {
+			c.t.Fatal(err)
+		}
+	}
+	st, err := archive.Open(archive.Config{Dir: c.dir})
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	c.store, c.Collector = st, NewCollector(CollectorConfig{Archive: st})
 }
 
 // ingest offers the frame of stream ("r", 1) at seq.
 func (c *seqCollector) ingest(seq uint64) error {
-	payload := append(strconv.AppendUint(nil, seq, 10), '\n')
+	payload := telemetry.AppendJSONL(nil, telemetry.Event{Kind: telemetry.BufferSample, Session: strconv.FormatUint(seq, 10), RateIndex: -1, PrevRateIndex: -1})
 	return c.Ingest(AppendFrame(nil, Frame{Run: "r", Session: 1, Seq: seq, Kind: PayloadEvents, Payload: payload}))
 }
 
@@ -32,9 +53,20 @@ func (c *seqCollector) ingest(seq uint64) error {
 func (c *seqCollector) archived(t testing.TB) []uint64 {
 	t.Helper()
 	seqs := []uint64{}
-	for _, line := range bytes.Fields(c.archive.Bytes()) {
-		seq, err := strconv.ParseUint(string(line), 10, 64)
-		if err != nil {
+	if len(c.store.Runs()) == 0 {
+		return seqs
+	}
+	var journal bytes.Buffer
+	if err := c.store.Export("r", &journal); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range bytes.SplitAfter(journal.Bytes(), []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		e, ok := telemetry.ParseJSONL(line)
+		seq, err := strconv.ParseUint(e.Session, 10, 64)
+		if !ok || err != nil {
 			t.Fatalf("archive line %q: %v", line, err)
 		}
 		seqs = append(seqs, seq)
@@ -82,7 +114,7 @@ func TestIngestOrder(t *testing.T) {
 		{"top seq opens no stream", []uint64{top}, []uint64{}, 0, 1, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newSeqCollector()
+			c := newSeqCollector(t)
 			for _, seq := range tc.arrivals {
 				err := c.ingest(seq)
 				if seq == top {
@@ -109,7 +141,7 @@ func TestIngestOrder(t *testing.T) {
 // 2^64−1, then seq 0 again. Had the top seq been admitted, the watermark
 // would wrap past it to 0 and archive seq 0 a second time.
 func TestIngestTopSeqWraparound(t *testing.T) {
-	c := newSeqCollector()
+	c := newSeqCollector(t)
 	want := append([]uint64{0}, seqRange(math.MaxUint64-4096, math.MaxUint64)...)
 	for _, seq := range append(want, math.MaxUint64, 0) {
 		c.ingest(seq) // the stats below account for every answer

@@ -150,7 +150,7 @@ func TestQueueCloseDrains(t *testing.T) {
 func TestQueueConcurrent(t *testing.T) {
 	const n = 500
 	var archived bytes.Buffer
-	c := NewCollector(CollectorConfig{Archive: bufArchiver{&archived}})
+	c := NewCollector(CollectorConfig{Archive: newBufArchiver(&archived)})
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 	s := newTestShipper(t, srv.URL, func(cfg *ShipperConfig) {

@@ -165,7 +165,7 @@ func waitFor(t *testing.T, s *Shipper, what string, cond func(ShipperStats) bool
 // once the collector is back exactly the accepted events arrive, in order.
 func TestShipperDropsBeyondQueueBound(t *testing.T) {
 	var archived bytes.Buffer
-	c := NewCollector(CollectorConfig{Archive: bufArchiver{&archived}})
+	c := NewCollector(CollectorConfig{Archive: newBufArchiver(&archived)})
 	inner := c.Handler()
 	var up atomic.Bool
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

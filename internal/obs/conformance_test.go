@@ -165,16 +165,22 @@ func faultedProm(t *testing.T) http.Handler {
 	return prom
 }
 
-// fullAfterOne is an archive that persists one batch and then runs out of
-// room.
-type fullAfterOne struct{ taken bool }
+// fullAfterOne is an archive, over in-memory watermarks, that persists one
+// batch and then runs out of room.
+type fullAfterOne struct {
+	archive.Watermarks
+	taken bool
+}
 
-func (a *fullAfterOne) Append(string, []byte) error {
+func (a *fullAfterOne) Admit(run string, session, seq uint64, batch []byte) (bool, error) {
+	if dup, err := a.Watermarks.Admit(run, session, seq, batch); dup || err != nil {
+		return dup, err
+	}
 	if a.taken {
-		return errors.New("disk full")
+		return false, errors.New("disk full")
 	}
 	a.taken = true
-	return nil
+	return false, nil
 }
 
 // busyCollector admits an event batch, then sees its duplicate, an

@@ -268,9 +268,9 @@ func TestPairedRatioCIKnownValue(t *testing.T) {
 	}
 }
 
-// TestWelchTTestKnownValue holds the p-value to the hand-worked value of
+// TestRatioPairKnownValue holds the p-value to the hand-worked value of
 // knownDraws; seen from B it is the same.
-func TestWelchTTestKnownValue(t *testing.T) {
+func TestRatioPairKnownValue(t *testing.T) {
 	res, ba := knownTests(t)
 	se := 1 / math.Sqrt(45)
 	if want := math.Erfc(math.Ln2 / se / math.Sqrt2); !almost(res.P, want, 1e-15) || !almost(res.P, 3.3e-6, 0.1e-6) {
@@ -303,9 +303,9 @@ func TestPairedRatioCIDegenerate(t *testing.T) {
 	}
 }
 
-// TestWelchTTestDegenerate: draws alike in every way yet with different
+// TestRatioPairDegenerate: draws alike in every way yet with different
 // rates have no spread, so the interval collapses onto the ratio and p = 0.
-func TestWelchTTestDegenerate(t *testing.T) {
+func TestRatioPairDegenerate(t *testing.T) {
 	res, err := ratioPair(t, [][4]float64{{1, 1, 2, 1}, {1, 1, 2, 1}, {1, 1, 2, 1}}).Test(0.9)
 	if err != nil || res.Ratio != 0.5 || res.Lo != 0.5 || res.Hi != 0.5 || res.P != 0 {
 		t.Errorf("constant draws: %+v, %v; want ratio and CI 0.5, p 0", res, err)
@@ -401,7 +401,7 @@ func sameAndDoubled(t *testing.T) (same, double RatioPair) {
 
 // Two arms drawing counts and exposures from one distribution are not told
 // apart.
-func TestWelchTTestEqualSamples(t *testing.T) {
+func TestRatioPairEqualSamples(t *testing.T) {
 	same, _ := sameAndDoubled(t)
 	if res, err := same.Test(0.9); err != nil || res.P < 0.01 {
 		t.Errorf("same-distribution arms: %+v, %v; want p ≥ 0.01", res, err)
@@ -409,7 +409,7 @@ func TestWelchTTestEqualSamples(t *testing.T) {
 }
 
 // Doubling one arm's counts is told apart.
-func TestWelchTTestDifferentMeans(t *testing.T) {
+func TestRatioPairDifferentMeans(t *testing.T) {
 	_, double := sameAndDoubled(t)
 	if res, err := double.Test(0.9); err != nil || res.P > 1e-6 || res.Ratio <= 1 {
 		t.Errorf("doubled counts: %+v, %v; want ratio > 1 and p ≤ 1e-6", res, err)

@@ -4,6 +4,10 @@
 // /metrics and a liveness probe at /healthz. It shuts down gracefully on
 // SIGINT/SIGTERM, draining in-flight chunk downloads.
 //
+// With -faults every chunk request must name its session, attempt and
+// session clock (?s=&a=&t=, as the dash client does; else a 400), and the
+// origin acts out the simulator's fault decision for them.
+//
 // Pass "-addr :0" to bind a free port; the bound address is printed on the
 // first line of output, so scripted harnesses (and the soak rig) can run
 // parallel instances without port races.
@@ -37,8 +41,8 @@ func main() {
 		seed      = flag.Int64("seed", 1, "seed for the synthetic title")
 		latency   = flag.Duration("latency", 0, "added first-byte latency per chunk")
 		maxConns  = flag.Int("max-conns", 0, "cap on concurrently served connections (0 = unbounded)")
-		withFault = flag.Bool("faults", false, "serve in fault-injecting mode (seeded 5xx bursts, stalled bodies, resets, latency spikes)")
-		faultSeed = flag.Int64("fault-seed", 1, "seed for the fault schedule and per-request decisions")
+		withFault = flag.Bool("faults", false, "serve in fault-injecting mode (seeded 5xx bursts, stalled bodies, resets, latency spikes, on each session's clock; chunk requests must carry s, a and t)")
+		faultSeed = flag.Int64("fault-seed", 1, "seed for the fault schedule and, mixed with each request's session, its fault decisions")
 	)
 	flag.Parse()
 
@@ -84,7 +88,6 @@ func run(ctx context.Context, cfg serverConfig) error {
 		fc.Collapses = faults.EpisodeConfig{}
 		sched := faults.GenerateSeeded(fc, cfg.faultSeed)
 		srv.Injector = &faults.HTTPInjector{Schedule: sched, Seed: cfg.faultSeed}
-		srv.Injector.Start(time.Now())
 		fmt.Printf("fault mode: %d episodes scheduled over 24h (seed %d)\n", sched.Len(), cfg.faultSeed)
 	}
 

@@ -172,7 +172,7 @@ func Stream(ctx context.Context, cfg ClientConfig) (*player.Result, error) {
 			}
 		}
 		start := time.Now()
-		n, err := f.fetchChunk(ctx, stream.VideoIndex(req.RateIndex), req.Chunk)
+		n, err := f.fetchChunk(ctx, stream.VideoIndex(req.RateIndex), req.Chunk, ss.Now())
 		dl := time.Since(start)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -285,12 +285,17 @@ type fetcher struct {
 }
 
 // fetchChunk downloads one chunk, retrying with deterministic backoff and
-// failing over between endpoints, and returns the byte count.
-func (f *fetcher) fetchChunk(ctx context.Context, rate, k int) (int64, error) {
+// failing over between endpoints, and returns the byte count. now is the
+// session clock at issue; each attempt names itself to the origin at now
+// plus the wall time the chunk's earlier attempts and backoffs took, as the
+// simulator's fault loop advances its clock over failed attempts.
+func (f *fetcher) fetchChunk(ctx context.Context, rate, k int, now time.Duration) (int64, error) {
 	var lastErr error
+	start := time.Now()
 	for attempt := 0; attempt < f.fp.MaxAttempts; attempt++ {
+		at := now
 		if attempt > 0 {
-			backoff := faults.Backoff(f.fp.BackoffBase, f.fp.BackoffCap, uint64(f.fp.JitterSeed), k, attempt)
+			backoff := faults.Backoff(f.fp.BackoffBase, f.fp.BackoffCap, uint64(f.fp.Seed), k, attempt)
 			if f.onRetry != nil {
 				f.onRetry(k, attempt, backoff)
 			}
@@ -299,9 +304,10 @@ func (f *fetcher) fetchChunk(ctx context.Context, rate, k int) (int64, error) {
 				return 0, ctx.Err()
 			case <-time.After(backoff):
 			}
+			at += time.Since(start)
 		}
 		_, base := f.es.current()
-		n, err := f.try(ctx, base, rate, k)
+		n, err := f.try(ctx, fmt.Sprintf("%s/chunk/%d/%d?s=%d&a=%d&t=%d", base, rate, k, uint64(f.fp.Seed), attempt, at))
 		if err == nil {
 			if switched, from, to := f.es.success(); switched && f.onFailover != nil {
 				f.onFailover(from, to, f.es.urls[to])
@@ -319,14 +325,14 @@ func (f *fetcher) fetchChunk(ctx context.Context, rate, k int) (int64, error) {
 	return 0, fmt.Errorf("%w: chunk %d/%d after %d attempts: %v", ErrChunkFailed, rate, k, f.fp.MaxAttempts, lastErr)
 }
 
-// try performs a single attempt against base under the per-chunk timeout.
-func (f *fetcher) try(ctx context.Context, base string, rate, k int) (int64, error) {
+// try performs a single attempt at url under the per-chunk timeout.
+func (f *fetcher) try(ctx context.Context, url string) (int64, error) {
 	if f.fp.ChunkTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, f.fp.ChunkTimeout)
 		defer cancel()
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, fmt.Sprintf("%s/chunk/%d/%d", base, rate, k), nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -2,12 +2,14 @@ package dash
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,6 +19,19 @@ import (
 	"bba/internal/trace"
 	"bba/internal/units"
 )
+
+// failChunks serves h, except that chunk requests fail matches are
+// answered 503.
+func failChunks(h http.Handler, fail func(rate, chunk int) bool) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var rate, chunk int
+		if _, err := fmt.Sscanf(r.URL.Path, "/chunk/%d/%d", &rate, &chunk); err == nil && fail(rate, chunk) {
+			http.Error(w, "injected failure", http.StatusServiceUnavailable)
+			return
+		}
+		h.ServeHTTP(w, r)
+	})
+}
 
 func testVideo(t testing.TB, chunks int, v time.Duration) *media.Video {
 	t.Helper()
@@ -184,15 +199,10 @@ func TestStreamRetriesTransientFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Chunk 3 fails on its first attempt only.
-	failed := false
-	srv.FailChunk = func(rate, chunk int) bool {
-		if chunk == 3 && !failed {
-			failed = true
-			return true
-		}
-		return false
-	}
-	ts := httptest.NewServer(srv)
+	var failed atomic.Bool
+	ts := httptest.NewServer(failChunks(srv, func(rate, chunk int) bool {
+		return chunk == 3 && failed.CompareAndSwap(false, true)
+	}))
 	defer ts.Close()
 
 	res, err := Stream(context.Background(), ClientConfig{
@@ -216,8 +226,7 @@ func TestStreamGivesUpAfterPersistentFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.FailChunk = func(rate, chunk int) bool { return chunk == 2 }
-	ts := httptest.NewServer(srv)
+	ts := httptest.NewServer(failChunks(srv, func(rate, chunk int) bool { return chunk == 2 }))
 	defer ts.Close()
 
 	res, err := Stream(context.Background(), ClientConfig{

@@ -2,6 +2,7 @@ package dash
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -77,12 +78,11 @@ func TestStreamFailsOverToHealthyEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad.FailChunk = func(rate, chunk int) bool { return true }
 	good, err := NewServer(video)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tsBad := httptest.NewServer(bad)
+	tsBad := httptest.NewServer(failChunks(bad, func(rate, chunk int) bool { return true }))
 	defer tsBad.Close()
 	tsGood := httptest.NewServer(good)
 	defer tsGood.Close()
@@ -175,13 +175,12 @@ func TestServerInjectorFaultMode(t *testing.T) {
 		}),
 		Seed: 9,
 	}
-	srv.Injector.Start(time.Now())
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	var ok503, ok200 int
 	for i := 0; i < 40; i++ {
-		resp, err := http.Get(ts.URL + "/chunk/0/0")
+		resp, err := http.Get(fmt.Sprintf("%s/chunk/0/0?s=1&a=%d&t=0", ts.URL, i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,13 +220,12 @@ func TestServerInjectorConnReset(t *testing.T) {
 		}),
 		Seed: 2,
 	}
-	srv.Injector.Start(time.Now())
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	sawReset := false
 	for i := 0; i < 40 && !sawReset; i++ {
-		resp, err := http.Get(ts.URL + "/chunk/0/0")
+		resp, err := http.Get(fmt.Sprintf("%s/chunk/0/0?s=1&a=%d&t=0", ts.URL, i))
 		if err != nil {
 			// Reset before headers — also a valid observation.
 			sawReset = true

@@ -20,9 +20,10 @@ type FetchPolicy struct {
 	// attempts (defaults 200 ms and 5 s).
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
-	// JitterSeed drives the deterministic backoff jitter, so a replayed
-	// session retries on the same schedule.
-	JitterSeed int64
+	// Seed drives the backoff jitter and names the session to a
+	// fault-mode origin, so a replayed session retries on the same
+	// schedule and meets the same faults.
+	Seed int64
 }
 
 func (p FetchPolicy) withDefaults() FetchPolicy {

@@ -40,7 +40,7 @@ func TestFetchPolicyDefaults(t *testing.T) {
 		MaxAttempts:  2,
 		BackoffBase:  10 * time.Millisecond,
 		BackoffCap:   time.Second,
-		JitterSeed:   99,
+		Seed:         99,
 	}
 	if got := set.withDefaults(); got != set {
 		t.Errorf("explicit policy rewritten: %+v -> %+v", set, got)

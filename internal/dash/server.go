@@ -9,15 +9,20 @@
 // The server publishes a JSON manifest (ladder, chunk duration and the full
 // per-chunk size matrix, which BBA-1's reservoir and chunk map need), a
 // standards-shaped MPEG-DASH MPD at /manifest.mpd for interop, and serves
-// deterministic filler bytes for every (rate, chunk) pair. Fault injection —
-// added latency and per-chunk failures — supports testing the client's
-// error handling.
+// deterministic filler bytes for every (rate, chunk) pair. In fault mode the
+// server acts out the simulator's own fault decisions — added latency,
+// 503s, stalled bodies, resets — on the session, attempt and session clock
+// each chunk request names, so a socket session's faults replay in
+// player.Run.
 package dash
 
 import (
+	"cmp"
 	"encoding/json"
 	"encoding/xml"
+	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -81,13 +86,12 @@ type Server struct {
 
 	// Latency is added before each chunk response (first-byte delay).
 	Latency time.Duration
-	// FailChunk, when non-nil, makes matching chunk requests fail with
-	// a 503 — fault injection for client retry tests.
-	FailChunk func(rate, chunk int) bool
 	// Injector, when non-nil, puts the server in fault-injecting mode:
 	// chunk requests inside scheduled episodes suffer 503s, stalled
 	// bodies, mid-download aborts and added first-byte latency, as the
-	// injector decides.
+	// injector decides from the session, attempt and session clock each
+	// request names (?s=&a=&t=); a chunk request that does not name them
+	// is a 400.
 	Injector *faults.HTTPInjector
 	// Observer, when non-nil, receives server-side telemetry: a
 	// ChunkRequest when a chunk request arrives and a ChunkComplete when
@@ -155,16 +159,17 @@ func (s *Server) serveChunk(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "chunk out of range", http.StatusNotFound)
 		return
 	}
-	if s.FailChunk != nil && s.FailChunk(rate, chunk) {
-		http.Error(w, "injected failure", http.StatusServiceUnavailable)
-		return
-	}
 	if s.Latency > 0 {
 		time.Sleep(s.Latency)
 	}
 	size := s.video.ChunkSize(rate, chunk)
 	if s.Injector != nil {
-		latency, kind, fault := s.Injector.Request()
+		session, at, attempt, err := requestCoords(r.URL.Query())
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		latency, kind, fault := s.Injector.Decide(session, at, chunk, attempt)
 		if latency > 0 {
 			time.Sleep(latency)
 		}
@@ -190,7 +195,7 @@ func (s *Server) serveChunk(w http.ResponseWriter, r *http.Request) {
 				if kind == faults.ConnReset {
 					panic(http.ErrAbortHandler)
 				}
-				time.Sleep(s.Injector.Stall())
+				time.Sleep(cmp.Or(s.Injector.StallSleep, 30*time.Second))
 				return
 			}
 		}
@@ -214,6 +219,21 @@ func (s *Server) serveChunk(w http.ResponseWriter, r *http.Request) {
 			Duration: time.Since(served),
 		})
 	}
+}
+
+// requestCoords reads what a fault-mode origin decides a chunk request
+// on: its session (s), session clock in ns (t) and 0-based attempt (a). A
+// parameter that is missing, malformed, negative or overflows is an error
+// naming it.
+func requestCoords(q url.Values) (session uint64, at time.Duration, attempt int, err error) {
+	names, bits := [3]string{"s", "t", "a"}, [3]int{64, 63, strconv.IntSize - 1}
+	var n [3]uint64
+	for i, name := range names {
+		if n[i], err = strconv.ParseUint(q.Get(name), 10, bits[i]); err != nil {
+			return 0, 0, 0, fmt.Errorf("fault mode: parameter %s: %w", name, err)
+		}
+	}
+	return n[0], time.Duration(n[1]), int(n[2]), nil
 }
 
 // observeFault reports an injected fault through the server's Observer.

@@ -20,19 +20,17 @@
 //     with trace.Trace via Schedule.ApplyToTrace, which both the
 //     virtual-time player and the netem.Shaper-shaped real HTTP path
 //     consume.
-//   - ServerError, StallBody, ConnReset are HTTP-path pathologies: on the
-//     simulated path a SessionInjector turns them into per-chunk attempt
-//     failures the player retries through; on the real path the dash
-//     server's HTTPInjector applies them to live requests.
+//   - ServerError, StallBody, ConnReset are HTTP-path pathologies: a
+//     SessionInjector decides per chunk attempt whether one fails, for the
+//     simulated player and, through HTTPInjector, for the dash server,
+//     which acts the decision out on the live request.
 //
-// Determinism. On the simulated path every decision is a pure function of
-// a seed and discrete coordinates (chunk index, attempt number) — never
-// the wall clock — so the same experiment seed and fault seed reproduce
-// the same fault history at any parallelism, and a faulted campaign's
-// report is byte-identical across worker counts. On the real path the
-// origin's episode clock is wall time, from its first request; only its
-// pick of which requests inside an episode fail is hashed, from (seed,
-// request sequence).
+// Determinism. Every decision is a pure function of a seed, the session
+// clock and discrete coordinates (chunk index, attempt number) — never the
+// wall clock — so the same experiment seed and fault seed reproduce the
+// same fault history at any parallelism, and a session's faults over a
+// socket replay in player.Run. An origin keys each session by
+// stats.Mix(origin seed, session), so sessions do not share fault draws.
 package faults
 
 import (

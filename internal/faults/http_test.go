@@ -3,60 +3,71 @@ package faults
 import (
 	"testing"
 	"time"
+
+	"bba/internal/stats"
 )
 
-// fixedClock steps an HTTPInjector through schedule time without
-// wall-clock reads.
-type fixedClock struct{ at time.Time }
-
-func (c *fixedClock) now() time.Time             { return c.at }
-func (c *fixedClock) advance(d time.Duration)    { c.at = c.at.Add(d) }
-func epoch() time.Time                           { return time.Unix(1_700_000_000, 0) }
-func newFixedClock(at time.Duration) *fixedClock { return &fixedClock{at: epoch().Add(at)} }
-
-func TestHTTPInjectorRequest(t *testing.T) {
-	s := MustSchedule([]Fault{
-		{Kind: LatencySpike, Start: 0, Duration: 10 * time.Second, Latency: time.Second},
-		{Kind: ServerError, Start: 5 * time.Second, Duration: 5 * time.Second},
-	})
-	clock := newFixedClock(6 * time.Second)
-	in := &HTTPInjector{Schedule: s, Seed: 3, Now: clock.now}
-	in.Start(epoch())
-	sawBoth := false
-	for i := 0; i < 64 && !sawBoth; i++ {
-		lat, kind, fault := in.Request()
-		if lat != time.Second {
-			t.Fatalf("latency %v, want the spike's 1s", lat)
-		}
-		if fault {
-			if kind != ServerError {
-				t.Fatalf("fault kind %v, want server_error", kind)
+// TestHTTPInjectorDecidesAsSessionInjector holds the origin to the
+// simulator's decision: for every session, chunk and attempt, at each
+// episode's edges and 1 ns either side, Decide answers what a
+// SessionInjector seeded by stats.Mix(seed, session) answers in the
+// player's fault loop — the latency at the issue time, then the attempt at
+// the issue time plus that latency.
+func TestHTTPInjectorDecidesAsSessionInjector(t *testing.T) {
+	cfg := ScheduleConfig{
+		Horizon:       time.Minute,
+		ServerErrors:  EpisodeConfig{PerHour: 240, MinDuration: time.Second, MaxDuration: 5 * time.Second},
+		StallBodies:   EpisodeConfig{PerHour: 120, MinDuration: time.Second, MaxDuration: 5 * time.Second},
+		ConnResets:    EpisodeConfig{PerHour: 120, MinDuration: time.Second, MaxDuration: 5 * time.Second},
+		LatencySpikes: EpisodeConfig{PerHour: 120, MinDuration: time.Second, MaxDuration: 5 * time.Second},
+	}
+	faulted := map[Kind]int{}
+	var spiked int
+	for _, seed := range []int64{1, 7, 127, -3} {
+		sched := GenerateSeeded(cfg, seed)
+		in := &HTTPInjector{Schedule: sched, Seed: seed}
+		var times []time.Duration
+		for _, f := range sched.Faults() {
+			for _, edge := range []time.Duration{f.Start, f.End()} {
+				times = append(times, edge-1, edge, edge+1)
 			}
-			sawBoth = true
+		}
+		for _, session := range []uint64{0, 1, 42, 1 << 63} {
+			ref := NewSessionInjector(sched, int64(stats.Mix(uint64(seed), session)))
+			for _, at := range times {
+				for chunk := 0; chunk < 6; chunk++ {
+					for attempt := 0; attempt < 4; attempt++ {
+						lat, kind, fault := in.Decide(session, at, chunk, attempt)
+						wantLat := ref.RequestLatency(at)
+						label, _, failed := ref.ChunkFault(at+wantLat, chunk, attempt)
+						if lat != wantLat || fault != failed || (fault && kind.String() != label) {
+							t.Fatalf("seed %d session %d at %v chunk %d attempt %d: Decide (%v, %v, %v), SessionInjector (%v, %q, %v)",
+								seed, session, at, chunk, attempt, lat, kind, fault, wantLat, label, failed)
+						}
+						if fault {
+							faulted[kind]++
+						}
+						if lat > 0 {
+							spiked++
+						}
+					}
+				}
+			}
 		}
 	}
-	if !sawBoth {
-		t.Fatal("no server_error in 64 requests at p=0.9")
-	}
-	// Decisions replay identically for the same seed and sequence.
-	rerun := &HTTPInjector{Schedule: s, Seed: 3, Now: clock.now}
-	rerun.Start(epoch())
-	a := &HTTPInjector{Schedule: s, Seed: 3, Now: clock.now}
-	a.Start(epoch())
-	for i := 0; i < 32; i++ {
-		l1, k1, f1 := rerun.Request()
-		l2, k2, f2 := a.Request()
-		if l1 != l2 || k1 != k2 || f1 != f2 {
-			t.Fatal("same seed and sequence disagreed")
+	for _, k := range []Kind{ServerError, StallBody, ConnReset} {
+		if faulted[k] == 0 {
+			t.Errorf("no %v decided over the grid: the comparison never saw that kind", k)
 		}
 	}
-	// Outside episodes: inert.
-	clock.advance(20 * time.Second)
-	if lat, _, fault := in.Request(); lat != 0 || fault {
-		t.Error("injector fired outside every episode")
+	if spiked == 0 {
+		t.Error("no latency spike decided over the grid")
 	}
-	var nilInj *HTTPInjector
-	if lat, _, fault := nilInj.Request(); lat != 0 || fault {
-		t.Error("nil injector fired")
+}
+
+func TestHTTPInjectorWithoutScheduleIsInert(t *testing.T) {
+	empty := &HTTPInjector{Seed: 3}
+	if lat, _, fault := empty.Decide(1, time.Second, 0, 0); lat != 0 || fault {
+		t.Error("injector without a schedule fired")
 	}
 }

@@ -84,25 +84,33 @@ func (in *SessionInjector) Reset(s *Schedule, seed int64) {
 // failure costs, and whether the attempt failed. It implements the
 // player's injector hook.
 func (in *SessionInjector) ChunkFault(now time.Duration, chunk, attempt int) (label string, delay time.Duration, failed bool) {
-	if in == nil || in.sched.Empty() {
+	kind, failed := in.fault(now, chunk, attempt)
+	switch {
+	case !failed:
 		return "", 0, false
+	case kind == StallBody:
+		delay = in.StallTimeout
+	case kind == ConnReset:
+		delay = in.ResetDelay
+	default:
+		delay = in.ErrorDelay
+	}
+	return kind.String(), delay, true
+}
+
+// fault is the one fault decision, shared by the simulator (ChunkFault)
+// and the origin (HTTPInjector.Decide): attempt (0-based) of chunk fails
+// at session time now when an HTTP-path episode is active and the hash of
+// (seed, kind, chunk, attempt) falls below AttemptFailProb.
+func (in *SessionInjector) fault(now time.Duration, chunk, attempt int) (Kind, bool) {
+	if in == nil || in.sched.Empty() {
+		return 0, false
 	}
 	f, ok := in.sched.ActiveHTTP(now)
-	if !ok {
-		return "", 0, false
+	if !ok || unitFloat(stats.Mix(in.seed, uint64(f.Kind), uint64(chunk), uint64(attempt))) >= AttemptFailProb {
+		return 0, false
 	}
-	if unitFloat(stats.Mix(in.seed, uint64(f.Kind), uint64(chunk), uint64(attempt))) >= AttemptFailProb {
-		return "", 0, false
-	}
-	switch f.Kind {
-	case ServerError:
-		return f.Kind.String(), in.ErrorDelay, true
-	case StallBody:
-		return f.Kind.String(), in.StallTimeout, true
-	case ConnReset:
-		return f.Kind.String(), in.ResetDelay, true
-	}
-	return "", 0, false
+	return f.Kind, true
 }
 
 // RequestLatency returns the extra first-byte delay a request issued at

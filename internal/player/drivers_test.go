@@ -2,6 +2,7 @@ package player_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"net"
 	"net/http"
@@ -91,8 +92,9 @@ func TestSharedLinkAloneMatchesRun(t *testing.T) {
 	}
 }
 
-// dashOrigin serves a short VBR title of 250 ms chunks.
-func dashOrigin(t *testing.T, chunks int) (*dash.Server, string) {
+// dashOrigin serves a short VBR title of 250 ms chunks; every request for
+// chunk dead (any rate) is answered 503, and dead < 0 fails none.
+func dashOrigin(t *testing.T, chunks, dead int) string {
 	t.Helper()
 	video, err := media.NewVBR(media.VBRConfig{
 		Ladder: media.DefaultLadder(), ChunkDuration: 250 * time.Millisecond, NumChunks: chunks,
@@ -104,16 +106,23 @@ func dashOrigin(t *testing.T, chunks int) (*dash.Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var rate, chunk int
+		if _, err := fmt.Sscanf(r.URL.Path, "/chunk/%d/%d", &rate, &chunk); err == nil && chunk == dead {
+			http.Error(w, "injected failure", http.StatusServiceUnavailable)
+			return
+		}
+		srv.ServeHTTP(w, r)
+	}))
 	t.Cleanup(ts.Close)
-	return srv, ts.URL
+	return ts.URL
 }
 
 // TestStreamEventGrammarStarved runs a real dash.Stream session over a
 // netem-shaped link that starves mid-session and holds its events to the
 // grammar the simulator's are held to.
 func TestStreamEventGrammarStarved(t *testing.T) {
-	_, url := dashOrigin(t, 12)
+	url := dashOrigin(t, 12, -1)
 	// Fast, then far below the lowest rung (a 250 ms chunk at 235 kb/s is
 	// ~7 KB; 40 kb/s moves 5 KB/s), then fast again so the session ends.
 	link := trace.MustNew([]trace.Segment{
@@ -154,8 +163,7 @@ func TestStreamEventGrammarStarved(t *testing.T) {
 // budget ends a real session the way a terminal outage ends a simulated
 // one — outage marker, no rebuffer_end after it, tail played out.
 func TestStreamEventGrammarAbandoned(t *testing.T) {
-	srv, url := dashOrigin(t, 8)
-	srv.FailChunk = func(rate, chunk int) bool { return chunk == 3 }
+	url := dashOrigin(t, 8, 3)
 	capture := &telemetry.Capture{}
 	res, err := dash.Stream(context.Background(), dash.ClientConfig{
 		BaseURL:   url,

@@ -130,7 +130,7 @@ func fetchPolicy(seed int64) dash.FetchPolicy {
 		MaxAttempts:  6,
 		BackoffBase:  50 * time.Millisecond,
 		BackoffCap:   400 * time.Millisecond,
-		JitterSeed:   seed,
+		Seed:         seed,
 	}
 }
 
@@ -406,7 +406,6 @@ func (r *Runner) bootOrigins(cycle int, cycleSeed int64) (endpoints []string, sh
 			Seed:       cycleSeed,
 			StallSleep: 2 * time.Second,
 		}
-		primary.Injector.Start(time.Now())
 	}
 	origins := make([]*dash.Origin, 0, 2)
 	o, err := dash.StartOrigin("127.0.0.1:0", primary, dash.OriginConfig{ShutdownGrace: 3 * time.Second})

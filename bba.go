@@ -13,7 +13,8 @@
 //
 // This file is the facade: the handful of entry points a downstream user
 // needs. The full API lives in the internal packages and is exercised by
-// the examples under examples/ and the figure benchmarks in bench_test.go.
+// the Example functions in examples_test.go and the figure benchmarks in
+// bench_test.go.
 //
 // Quick start — simulate one session:
 //

@@ -1,6 +1,8 @@
 // Command bbaplay streams a title from a dashserver over real HTTP,
 // optionally through an emulated bandwidth-limited link, and reports the
-// session's quality metrics.
+// session's quality metrics. With dashserver running, bbaplay -shape 3000
+// -watch 30s -whatif is the manual real-socket streaming demo; tests hold
+// the same path (dash.Stream through a shaped link, and over a starved one).
 //
 // Example (with dashserver running):
 //

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -104,23 +103,24 @@ func TestSocketFaultsReplayInSimulator(t *testing.T) {
 				t.Fatal(err)
 			}
 			srv.Injector = &faults.HTTPInjector{Schedule: sched, Seed: originSeed}
-			// A session issues one request at a time, so the attempt the
-			// handler last saw is the one its fault event belongs to.
-			var attempt atomic.Int64
+			// On one origin a chunk's faults are its leading attempts, so
+			// the k-th fault event for a chunk is its attempt k.
 			var mu sync.Mutex
 			var origin []faultAt
+			originAttempts := map[int]int{}
 			srv.Observer = telemetry.Func(func(e telemetry.Event) {
-				if e.Kind == telemetry.FaultInject {
-					mu.Lock()
-					origin = append(origin, faultAt{e.Label, e.Chunk, int(attempt.Load())})
-					mu.Unlock()
+				if e.Kind != telemetry.FaultInject {
+					return
 				}
+				mu.Lock()
+				defer mu.Unlock()
+				if e.Session != strconv.Itoa(session) {
+					t.Errorf("origin fault_inject names session %q, want %d", e.Session, session)
+				}
+				origin = append(origin, faultAt{e.Label, e.Chunk, originAttempts[e.Chunk]})
+				originAttempts[e.Chunk]++
 			})
-			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				a, _ := strconv.ParseInt(r.URL.Query().Get("a"), 10, 64)
-				attempt.Store(a)
-				srv.ServeHTTP(w, r)
-			}))
+			ts := httptest.NewServer(srv)
 			defer ts.Close()
 
 			res, err := Stream(context.Background(), ClientConfig{
@@ -169,7 +169,8 @@ func TestSocketFaultsReplayInSimulator(t *testing.T) {
 
 // TestSessionsDoNotShareFaultDraws runs four sessions concurrently against
 // one fault-mode origin: each session's (chunk, attempt) retry history is
-// the one it has streaming alone.
+// the one it has streaming alone, and the origin's fault_inject events,
+// grouped by the session they name, are that same history.
 func TestSessionsDoNotShareFaultDraws(t *testing.T) {
 	video := testVideo(t, 10, 500*time.Millisecond)
 	srv, err := NewServer(video)
@@ -180,6 +181,23 @@ func TestSessionsDoNotShareFaultDraws(t *testing.T) {
 		Schedule: faults.MustSchedule([]faults.Fault{{Kind: faults.ServerError, Start: 0, Duration: time.Hour}}),
 		Seed:     3,
 	}
+	var mu sync.Mutex
+	origin := map[string][]faultAt{}
+	srv.Observer = telemetry.Func(func(e telemetry.Event) {
+		if e.Kind != telemetry.FaultInject {
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		retries := origin[e.Session]
+		attempt := 1
+		for _, r := range retries {
+			if r.Chunk == e.Chunk {
+				attempt++
+			}
+		}
+		origin[e.Session] = append(retries, faultAt{Chunk: e.Chunk, Attempt: attempt})
+	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -217,6 +235,11 @@ func TestSessionsDoNotShareFaultDraws(t *testing.T) {
 	if reflect.DeepEqual(alone[0], alone[1]) {
 		t.Fatal("two sessions drew the same retry history: sessions are not keyed apart")
 	}
+	// An injected 503 is observed before it is written, so every event of
+	// the solo sessions is in by now.
+	mu.Lock()
+	origin = map[string][]faultAt{}
+	mu.Unlock()
 	together := make([][]faultAt, len(seeds))
 	errs := make([]error, len(seeds))
 	var wg sync.WaitGroup
@@ -234,6 +257,16 @@ func TestSessionsDoNotShareFaultDraws(t *testing.T) {
 		}
 		if !reflect.DeepEqual(together[i], alone[i]) {
 			t.Errorf("session %d: concurrent retry history %v, alone %v", seed, together[i], alone[i])
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(origin) != len(seeds) {
+		t.Errorf("origin fault_inject events name %d sessions, want %d", len(origin), len(seeds))
+	}
+	for i, seed := range seeds {
+		if got := origin[strconv.FormatInt(seed, 10)]; !reflect.DeepEqual(got, together[i]) {
+			t.Errorf("session %d: origin injected %v, client retried %v", seed, got, together[i])
 		}
 	}
 }

@@ -94,9 +94,11 @@ type Server struct {
 	// is a 400.
 	Injector *faults.HTTPInjector
 	// Observer, when non-nil, receives server-side telemetry: a
-	// ChunkRequest when a chunk request arrives and a ChunkComplete when
-	// its body has been written (At is time since server start). Wire a
-	// telemetry.Prom here to feed a /metrics endpoint.
+	// ChunkRequest when a chunk request arrives, a ChunkComplete when its
+	// body has been written, and in fault mode a FaultInject per injected
+	// fault whose Session is the request's s in decimal (At is time since
+	// server start). Wire a telemetry.Prom here to feed a /metrics
+	// endpoint.
 	Observer telemetry.Observer
 
 	start    time.Time
@@ -174,7 +176,7 @@ func (s *Server) serveChunk(w http.ResponseWriter, r *http.Request) {
 			time.Sleep(latency)
 		}
 		if fault {
-			s.observeFault(kind, rate, chunk, size)
+			s.observeFault(session, kind, rate, chunk, size)
 			switch kind {
 			case faults.ServerError:
 				http.Error(w, "injected failure", http.StatusServiceUnavailable)
@@ -236,13 +238,14 @@ func requestCoords(q url.Values) (session uint64, at time.Duration, attempt int,
 	return n[0], time.Duration(n[1]), int(n[2]), nil
 }
 
-// observeFault reports an injected fault through the server's Observer.
-func (s *Server) observeFault(kind faults.Kind, rate, chunk int, size int64) {
+// observeFault reports an injected fault through the server's Observer,
+// naming the session it was decided for.
+func (s *Server) observeFault(session uint64, kind faults.Kind, rate, chunk int, size int64) {
 	if s.Observer == nil {
 		return
 	}
 	s.Observer.OnEvent(telemetry.Event{
-		Kind: telemetry.FaultInject, At: time.Since(s.start),
+		Kind: telemetry.FaultInject, At: time.Since(s.start), Session: strconv.FormatUint(session, 10),
 		Chunk: chunk, RateIndex: rate, PrevRateIndex: -1,
 		Rate: s.video.Ladder[rate], Bytes: size, Label: kind.String(),
 	})

@@ -219,7 +219,7 @@ func (s *Store) Aggregate(q Query) (Rollup, error) {
 	}
 	for _, line := range b.walLines {
 		r.Rows++
-		e, err := parseLine(line, b.names)
+		e, err := b.parseLine(line)
 		if err != nil {
 			return r, err
 		}

@@ -944,25 +944,20 @@ func (s *Store) Export(run string, w io.Writer) error {
 	if err := s.snapshot(run, b); err != nil {
 		return err
 	}
-	if b.out == nil {
-		b.out = bufio.NewWriterSize(nil, 256<<10)
-	}
-	b.out.Reset(w)
-	defer b.out.Reset(nil) // the reader must not pin the caller's writer
 	err := s.walk(b, nil, func(blk *Block) (bool, error) {
-		return true, blk.loadRows()
+		return true, blk.render()
 	}, func(blk *Block) (bool, error) {
-		return true, blk.render(b.out)
+		return true, blk.writeLines(w)
 	})
 	if err != nil {
 		return err
 	}
+	b.line = b.line[:0] // the tail goes out in pieces too, not a write a line
 	for _, line := range b.walLines {
-		if _, err := b.out.Write(line); err != nil {
-			return err
-		}
+		p := b.piece(len(line))
+		*p = append(*p, line...)
 	}
-	return b.out.Flush()
+	return b.writeLines(w)
 }
 
 // Close flushes every WAL buffer. Blocks need nothing: they are only ever

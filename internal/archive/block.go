@@ -1,7 +1,6 @@
 package archive
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
@@ -12,6 +11,7 @@ import (
 	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -504,15 +504,16 @@ func encodeBlock(run string, lines [][]byte) ([]byte, *footer, error) {
 // the Store keeps it for the next query), so slabs are made at the footer's
 // row count once and then only refilled. What Ints and the row loops return
 // is therefore valid until the Block opens its next block; a Block from
-// DecodeBlock never does. Strings are the exception: a dictionary's entries
-// are copied out of the page buffer once, as a single string, because they
-// leave the reader inside Events that callers may keep. A Block serves one
-// goroutine at a time: a worker while it prepares a block, the query's
-// caller while it consumes it (see walk).
+// DecodeBlock never does. Strings are the exception: they leave the reader
+// inside Events that callers may keep, so a dictionary's entries are never
+// views of the page buffer but the strings of the reader's intern table (see
+// dictEntries). A Block serves one goroutine at a time: a worker while it
+// prepares a block, the query's caller while it consumes it (see walk).
 type Block struct {
-	src  io.ReaderAt
-	file *os.File // what close releases; nil over DecodeBlock's memory
-	ft   footer
+	src   io.ReaderAt
+	file  *os.File // what close releases; nil over DecodeBlock's memory
+	ft    footer
+	names telemetry.Interner // kept from query to query (see intern); nil over DecodeBlock's
 
 	buf     []byte // the page read last; the next read overwrites it
 	kindBuf []byte // the kind page's own buffer (see page)
@@ -530,8 +531,8 @@ type Block struct {
 
 	// What a worker prepared in this block for its query's caller: whether
 	// the query reads it and why not, Scan's first matching row, the columns
-	// a rollup folds; and the channels it hands the reader over on and is
-	// told to go on or stop on (see fanOut).
+	// a rollup folds, Export's lines; and the channels it hands the reader
+	// over on and is told to go on or stop on (see fanOut).
 	prepOK  bool
 	prepErr error
 	first   int
@@ -539,20 +540,17 @@ type Block struct {
 	ev      telemetry.Event // the Event that event fills
 	ready   chan struct{}
 	resume  chan bool
-	line    []byte // Export's rendered line
+	line    [][]byte // journal lines, in pieces (see piece)
 
 	// What the reader holds as a query's caller: the read view's blocks and
-	// WAL tail (see snapshot and readWAL), the table the tail's strings are
-	// interned through, the rollup's state, Export's output buffer, the
-	// walk's workers and what they read while it runs (see fanOut), and the
-	// query's start and block counts for the store's metrics. putLocked
-	// empties all but the buffers.
+	// WAL tail (see snapshot and readWAL), the rollup's state, the walk's
+	// workers and what they read while it runs (see fanOut), and the query's
+	// start and block counts for the store's metrics. putLocked empties all
+	// but the buffers.
 	blocks       []*blockMeta
 	wal          []byte
 	walLines     [][]byte
-	names        telemetry.Interner
 	agg          aggState
-	out          *bufio.Writer
 	workers      []*Block
 	live         []*blockMeta
 	prep         func(*Block) (bool, error)
@@ -765,20 +763,25 @@ func (b *Block) dictEntries(c int) (rest []byte, err error) {
 	}
 	d := &b.dicts[c]
 	d.entries = sized(d.entries, int(n))
-	end := start
-	for range d.entries {
+	// Entries are the reader's interned strings: a warm query copies none.
+	// One that does not fit in the table, or has none, is one copy.
+	interned, end := b.names != nil && uint64(len(b.names))+n <= maxNames, start
+	for i := range d.entries {
 		l, sz := binary.Uvarint(p[end:])
 		if sz <= 0 || l > uint64(len(p)-end-sz) {
 			return nil, fmt.Errorf("%w: dict %q entry", ErrBadBlock, name)
 		}
-		end += sz + int(l)
+		if end += sz + int(l); interned {
+			d.entries[i] = b.intern(p[end-int(l) : end])
+		}
 	}
-	// The one copy: entries slice this string, never the page buffer.
-	text, off := string(p[start:end]), 0
-	for i := range d.entries {
-		l, sz := binary.Uvarint(p[start+off:])
-		off += sz + int(l)
-		d.entries[i] = text[off-int(l) : off]
+	if !interned {
+		text, off := string(p[start:end]), 0
+		for i := range d.entries {
+			l, sz := binary.Uvarint(p[start+off:])
+			off += sz + int(l)
+			d.entries[i] = text[off-int(l) : off]
+		}
 	}
 	if c == colKind {
 		b.kinds = sized(b.kinds, len(d.entries))
@@ -787,6 +790,16 @@ func (b *Block) dictEntries(c int) (rest []byte, err error) {
 		}
 	}
 	return p[end:], nil
+}
+
+// intern returns e as the string of the reader's table, copied in when new.
+func (b *Block) intern(e []byte) string {
+	s, ok := b.names[string(e)]
+	if !ok {
+		s = string(e)
+		b.names[s] = s
+	}
+	return s
 }
 
 // dictRows decodes column c's per-row entry indexes from rest, the payload
@@ -893,28 +906,51 @@ func (b *Block) event(i int) *telemetry.Event {
 	return e
 }
 
-// Export writes every row back as journal JSONL in row order, each
-// re-rendered from its columns. The result is byte-identical to the lines the
-// block was built from, including rows of a kind this build no longer
-// declares: those render as "unknown" and get their dictionary name spliced
-// back in.
+// Export writes every row back as journal JSONL in row order (see render).
 func (b *Block) Export(w io.Writer) error {
+	if err := b.render(); err != nil {
+		return err
+	}
+	return b.writeLines(w)
+}
+
+// render decodes every column and re-renders the rows into b.line as the
+// lines the block was built from, a retired kind's "unknown" spliced back.
+func (b *Block) render() error {
 	if err := b.loadRows(); err != nil {
 		return err
 	}
-	return b.render(w)
-}
-
-// render is Export's output, over the columns loadRows decoded.
-func (b *Block) render(w io.Writer) error {
-	for i := 0; i < b.ft.Rows; i++ {
-		e := b.event(i)
-		b.line = telemetry.AppendJSONL(b.line[:0], *e)
+	b.line = b.line[:0]
+	for i, longest := 0, 0; i < b.ft.Rows; i++ {
+		p := b.piece(longest)
+		n, e := len(*p), b.event(i)
+		*p = telemetry.AppendJSONL(*p, *e)
 		if e.Kind == 0 {
 			kind := &b.dicts[colKind]
-			b.line = append([]byte(`{"kind":"`+kind.entries[kind.rows[i]]), b.line[len(`{"kind":"unknown`):]...)
+			*p = slices.Replace(*p, n+len(`{"kind":"`), n+len(`{"kind":"unknown`), []byte(kind.entries[kind.rows[i]])...)
 		}
-		if _, err := w.Write(b.line); err != nil {
+		longest = max(longest, len(*p)-n)
+	}
+	return nil
+}
+
+// piece returns the piece of b.line to append up to n bytes to: the last, or
+// the next — kept from a block before, or a new MiB — when that has no room.
+func (b *Block) piece(n int) *[]byte {
+	k := len(b.line)
+	if k == 0 || cap(b.line[k-1])-len(b.line[k-1]) < n {
+		if b.line = slices.Grow(b.line, 1)[:k+1]; cap(b.line[k]) == 0 {
+			b.line[k] = make([]byte, 0, 1<<20)
+		}
+		b.line[k], k = b.line[k][:0], k+1
+	}
+	return &b.line[k-1]
+}
+
+// writeLines writes b.line's pieces, in order.
+func (b *Block) writeLines(w io.Writer) error {
+	for _, p := range b.line {
+		if _, err := w.Write(p); err != nil {
 			return err
 		}
 	}

@@ -629,20 +629,26 @@ func queryAlloc(t *testing.T, run func() error) uint64 {
 // covered, warm, for each query of the benchmark's mix over four sealed
 // blocks and a WAL tail, at whatever width -cpu gives the walker. What
 // remains is per query and per block opened, not per row: each opened
-// file's os.File, one string per dictionary a block decodes, the compiled
-// plan, the worker goroutines, the rollup's result, and one copy per
-// distinct string of the tail — ≈ 3 KB a query, 0.07 to 0.10 B per event on
-// this store, up to ≈ 0.14 when the runtime has no freed goroutine at hand
-// for a query's workers. The budgets were set at half above the 0.11 to 0.13
-// B a query cost with one reader and a Stat per opened file. Footers are
-// parsed once per store, the tail's strings interned per query, and the
-// rollup's session set and the WAL buffer, line index, Export's line and
-// 256 KiB writer belong to the readers and are refilled. While each query re-parsed every footer,
-// copied two strings a tail line and rebuilt the session set, the same
-// queries cost 0.5 to 0.7 B; while each read the WAL into a fresh buffer and
-// ParseJSONL allocated 13 times a line, 13.5 to 14.5 B; and while every
-// column slab grew from nil by append and every block was read whole, 260,
-// 460, 490 and 590 B.
+// file's os.File, the compiled plan, the worker goroutines and the rollup's
+// result — 0.026 to 0.056 B per event on this store. Footers are parsed once
+// per store; the dictionaries' and the tail's strings are interned on the
+// readers from query to query; the rollup's session set, the WAL buffer,
+// line index and Export's rendered pieces belong to the readers and are
+// refilled. The least of seven warm runs is held to the budget: at -cpu 4
+// on two cores the runtime makes fresh goroutines for about half the
+// queries, ≈ 1.5 KB (0.03 to 0.05 B an event) that a single run would
+// charge to the query. The median of the seven is held to the budgets
+// before these, so an allocation that comes back in most queries still
+// fails; one in fewer than half of them, as the runtime's are, is out of
+// this test's reach.
+// While each query copied every dictionary it decoded and the tail's
+// distinct strings, the same queries cost 0.101, 0.085, 0.085 and 0.066 B,
+// and the budgets were 0.19, 0.19, 0.19 and 0.17;
+// while each re-parsed every footer, copied two strings a tail line and
+// rebuilt the session set, 0.5 to 0.7 B; while each read the WAL into a
+// fresh buffer and ParseJSONL allocated 13 times a line, 13.5 to 14.5 B;
+// and while every column slab grew from nil by append and every block was
+// read whole, 260, 460, 490 and 590 B.
 func TestQueryAllocationBudget(t *testing.T) {
 	const blockEvents, blocks, tail = 8192, 4, 512
 	const n = blockEvents*blocks + tail
@@ -672,22 +678,28 @@ func TestQueryAllocationBudget(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name   string
-		budget float64 // bytes per event covered
+		budget float64 // bytes per event covered, the least of seven runs
+		most   float64 // and their median
 		run    func() error
 	}{
-		{"aggregate", 0.19, func() error { _, err := s.Aggregate(Query{Run: "r"}); return err }},
-		{"scan_session", 0.19, scan(Query{Run: "r", Session: "d0.w0.s3.BBA-1"})},
-		{"scan_kind", 0.19, scan(Query{Run: "r", Kinds: []telemetry.Kind{telemetry.RebufferStart, telemetry.RebufferEnd}})},
-		{"export", 0.17, func() error { return s.Export("r", io.Discard) }},
+		{"aggregate", 0.09, 0.19, func() error { _, err := s.Aggregate(Query{Run: "r"}); return err }},
+		{"scan_session", 0.07, 0.19, scan(Query{Run: "r", Session: "d0.w0.s3.BBA-1"})},
+		{"scan_kind", 0.07, 0.19, scan(Query{Run: "r", Kinds: []telemetry.Kind{telemetry.RebufferStart, telemetry.RebufferEnd}})},
+		{"export", 0.05, 0.17, func() error { return s.Export("r", io.Discard) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := tc.run(); err != nil { // warm: the store's idle readers are sized
 				t.Fatal(err)
 			}
-			per := float64(queryAlloc(t, tc.run)) / n
-			t.Logf("%.3f B per event covered", per)
-			if per > tc.budget {
-				t.Errorf("%.3f B allocated per event covered, budget %.2f", per, tc.budget)
+			runs := make([]float64, 7)
+			for i := range runs {
+				runs[i] = float64(queryAlloc(t, tc.run)) / n
+			}
+			slices.Sort(runs)
+			lo, med := runs[0], runs[len(runs)/2]
+			t.Logf("%.3f B per event covered, %.3f in the median", lo, med)
+			if lo > tc.budget || med > tc.most {
+				t.Errorf("%.3f B allocated per event covered, %.3f in the median; budgets %.2f and %.2f", lo, med, tc.budget, tc.most)
 			}
 		})
 	}

@@ -190,7 +190,7 @@ func (s *Store) Scan(q Query, fn func(telemetry.Event) bool) error {
 		return err
 	}
 	for _, line := range b.walLines {
-		e, err := parseLine(line, b.names)
+		e, err := b.parseLine(line)
 		if err != nil {
 			return err
 		}
@@ -202,10 +202,10 @@ func (s *Store) Scan(q Query, fn func(telemetry.Event) bool) error {
 }
 
 // parseLine parses one WAL-tail journal line, its strings interned through
-// names: copies, never views of the WAL buffer the next query refills. Append
-// admits no line ParseJSONL refuses, so one here is an error.
-func parseLine(line []byte, names telemetry.Interner) (telemetry.Event, error) {
-	e, ok := names.ParseJSONL(line)
+// b.names: copies, never views of the WAL buffer the next query refills.
+// Append admits no line ParseJSONL refuses, so one here is an error.
+func (b *Block) parseLine(line []byte) (telemetry.Event, error) {
+	e, ok := b.names.ParseJSONL(line)
 	if !ok {
 		return e, fmt.Errorf("archive: WAL line %q: %w", line, telemetry.ErrNotCanonical)
 	}

@@ -11,13 +11,17 @@ import (
 // reader holds the slabs of the block it prepared — twelve integer columns
 // at 8 B and three dictionary columns at 4 B a row, plus its page buffers:
 // ≈ 8 MB at the default 65 536 rows — so a query costs up to maxWorkers × 8 MB
-// of slabs beside its caller's reader, and the store keeps as much between
-// queries.
+// of slabs beside its caller's reader (and an Export as many blocks' lines),
+// and the store keeps as much between queries.
 const maxWorkers = 4
 
 // maxIdleReaders is how many readers the store keeps between queries: one
 // query's worth, its caller's reader and maxWorkers workers.
 const maxIdleReaders = maxWorkers + 1
+
+// maxNames bounds a reader's intern table between queries (≈ 0.4 MB of
+// 20-byte labels); a WAL tail may grow it for its query (see putLocked).
+const maxNames = 4096
 
 // reader hands out the caller's reader for one query — the store's most
 // recently released one, or a new one when it holds none — and starts the
@@ -43,14 +47,19 @@ func (s *Store) takeLocked() *Block {
 }
 
 // putLocked empties b of what it held for its query — the open file, block
-// metas, interned tail strings, the rollup's session set — and keeps it,
-// with the buffers those have grown to, while the store holds fewer than
-// maxIdleReaders. Caller holds mu.
+// metas, the rollup's session set, its intern table's strings past maxNames
+// — and keeps it, with the buffers those have grown to and the rest of that
+// table, while the store holds fewer than maxIdleReaders. Caller holds mu.
 func (s *Store) putLocked(b *Block) {
 	b.close()
 	clear(b.blocks)
 	b.blocks = b.blocks[:0]
-	clear(b.names)
+	for k := range b.names { // which go does not matter: the table stays full
+		if len(b.names) <= maxNames {
+			break
+		}
+		delete(b.names, k)
+	}
 	b.agg.reset()
 	if len(s.idle) < maxIdleReaders {
 		s.idle = append(s.idle, b)

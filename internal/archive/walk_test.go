@@ -9,6 +9,9 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -245,5 +248,121 @@ func TestReaderSetBounded(t *testing.T) {
 	}
 	if n := s.idleReaders(); n != 0 {
 		t.Errorf("%d idle readers after Close, want none", n)
+	}
+}
+
+// TestQueryInternTableBounded: a store naming more distinct sessions than a
+// reader's intern table holds — one block alone names more, six others
+// fewer but more together, and so does the tail — still answers Scan,
+// Aggregate and Export exactly, no reader it keeps holds a table past
+// maxNames, and a warm rollup over it makes no string per dictionary entry:
+// a dictionary past the table's room is one copy, as with no table. Over a
+// small store, a second rollup copies no dictionary entry: its readers'
+// tables already hold them.
+func TestQueryInternTableBounded(t *testing.T) {
+	s, err := Open(Config{Dir: t.TempDir(), CompactEvents: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var events []telemetry.Event
+	var journal []byte
+	few := 3 * maxNames / 8
+	sizes := []int{maxNames + maxNames/4, few, few, few, few, few, few, maxNames + maxNames/4}
+	tail := sizes[len(sizes)-1]
+	for k, n := range sizes {
+		var batch []byte
+		for range n {
+			e := testEvent(len(events))
+			e.Session = fmt.Sprintf("d0.w0.s%d.BBA-%d", len(events), len(events)%2)
+			events = append(events, e)
+			batch = telemetry.AppendJSONL(batch, e)
+		}
+		journal = append(journal, batch...)
+		if err := s.Append("r", batch); err != nil {
+			t.Fatal(err)
+		}
+		if k < len(sizes)-1 { // the last is the tail
+			if err := s.Compact("r"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if st := s.Stats(); st[0].Blocks != len(sizes)-1 || st[0].WALEvents != tail {
+		t.Fatalf("layout %+v, want %d blocks and a %d-event tail", st, len(sizes)-1, tail)
+	}
+	walkerWidths(t, func(t *testing.T) {
+		for _, q := range []Query{{Run: "r"}, {Run: "r", Group: "BBA-1"}} {
+			var got []telemetry.Event
+			if err := s.Scan(q, func(e telemetry.Event) bool { got = append(got, e); return true }); err != nil {
+				t.Fatal(err)
+			}
+			if want := referenceFilter(events, q); !slices.Equal(got, want) {
+				t.Errorf("Scan %+v: %d events, not the reference's %d", q, len(got), len(want))
+			}
+		}
+		roll, err := s.Aggregate(Query{Run: "r"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := referenceRollup(events, Query{Run: "r"})
+		sort.Slice(want, func(i, j int) bool { return want[i].Group < want[j].Group })
+		if !slices.Equal(roll.Groups, want) {
+			t.Errorf("Aggregate:\n got %+v\nwant %+v", roll.Groups, want)
+		}
+		var out bytes.Buffer
+		if err := s.Export("r", &out); err != nil || !bytes.Equal(out.Bytes(), journal) {
+			t.Errorf("Export: %d bytes, %v; want the %d-byte journal", out.Len(), err, len(journal))
+		}
+	})
+	s.mu.Lock()
+	most := 0
+	for _, b := range s.idle {
+		most = max(most, len(b.names))
+	}
+	s.mu.Unlock()
+	if most == 0 || most > maxNames {
+		t.Errorf("the largest intern table the store keeps holds %d strings, want 1 to %d", most, maxNames)
+	}
+	var mem runtime.MemStats
+	runtime.ReadMemStats(&mem)
+	before := mem.Mallocs
+	if _, err := s.Aggregate(Query{Run: "r"}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&mem)
+	n := mem.Mallocs - before
+	t.Logf("a warm rollup over the large store made %d allocations", n)
+	// At most one string per distinct tail value, as a table made per query
+	// copies, and a few per query and block opened.
+	if n > uint64(tail)+256 {
+		t.Errorf("a warm rollup over %d blocks and a %d-session tail made %d allocations: it copied dictionary entries one by one", len(sizes)-1, tail, n)
+	}
+
+	small, err := Open(Config{Dir: t.TempDir(), CompactEvents: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer small.Close()
+	long := strings.Repeat("x", 8<<10) // a copy of one session would show
+	for i := 0; i < 64; i += 16 {
+		var batch []byte
+		for j := i; j < i+16; j++ {
+			e := testEvent(j)
+			e.Session = fmt.Sprintf("d0.w0.s%d.%s.BBA-%d", j%4, long, j%2)
+			batch = telemetry.AppendJSONL(batch, e)
+		}
+		if err := small.Append("r", batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rollup := func() error { _, err := small.Aggregate(Query{Run: "r"}); return err }
+	if err := rollup(); err != nil {
+		t.Fatal(err)
+	}
+	got := queryAlloc(t, rollup)
+	t.Logf("a warm rollup allocated %d B", got)
+	if got >= uint64(len(long)) {
+		t.Errorf("a warm rollup of four blocks naming four %d-byte sessions allocated %d B: it copied dictionary entries", len(long), got)
 	}
 }

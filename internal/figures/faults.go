@@ -101,7 +101,7 @@ func OutageRobustness() (*Figure, error) {
 		fmt.Sprintf("past the %v player buffer (%s outage) every algorithm must freeze: Control %.2f vs BBA-1 %.2f",
 			4*time.Minute, series[0].Points[last].X, series[0].Points[last].Y, series[2].Points[last].Y),
 		"design claim (§7.1): buffer occupancy is outage insurance — the deliberately accrued buffer rides out any outage shorter than itself, with no estimator in the loop to mispredict through the gap",
-		"demo: `go test -run Example_outage -v .` replays one such blackout (plus a 5xx burst and a latency spike) through the same faults.Schedule against four algorithm variants",
+		"demo: `Example_outage` in examples_test.go replays one such blackout (plus a 5xx burst and a latency spike) through the same faults.Schedule against four algorithm variants; its `// Output:` is the table, and `go test -run Example_outage .` holds the code to it",
 	)
 	return fig, nil
 }

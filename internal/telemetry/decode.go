@@ -40,10 +40,10 @@ var ErrNotCanonical = errors.New("telemetry: not a canonical journal line")
 // Interner is a table of the strings parses have handed out, keyed by their
 // bytes: one heap copy per distinct value, which every Event carrying that
 // value then shares. A reader that parses many lines naming few sessions —
-// the archive's WAL tail — keeps one per query and clears it between
-// queries. Its strings are copies like ParseJSONL's, never views of a line,
-// so an Event kept after the table is cleared still owns them. A nil
-// Interner interns nothing.
+// the archive's WAL tail — keeps one from query to query, trimmed to a
+// bound. Its strings are copies like ParseJSONL's, never views of a line, so
+// an Event kept after they leave the table still owns them. A nil Interner
+// interns nothing.
 type Interner map[string]string
 
 // str returns b as a string: the table's copy when it holds one, else a new

@@ -33,10 +33,12 @@
 // (Stream.Column), on a chunk map whose reservoir and endpoints come from a
 // TitlePlan — the Figure 12 calculation for one (title, R_min, window) —
 // and BBA-Others' lookahead reads the title's prefix sums
-// (Stream.WindowSum). An instance builds and owns its plan unless a
-// PlanSource lends it one (PlanConsumer.UsePlans; the batch kernel does, so
-// a worker's sessions of a title share a table). DynamicReservoir is the
-// paper's transcription the plans are tested against.
+// (Stream.WindowSum). There is one plan per (title, R_min, window) per
+// process, kept on the title (media.Video.Derived) and safe for concurrent
+// use, so every session of a title reads the same table, whoever drives
+// it and on whichever goroutine, and the plan dies with the title.
+// DynamicReservoir is the paper's transcription the plans are tested
+// against.
 package abr
 
 import (

@@ -38,16 +38,7 @@ type BBA1 struct {
 	observed   bool
 	lastRes    time.Duration
 	haveRes    bool
-	plans      PlanSource // nil: this instance builds and owns its plans
 	bound      *TitlePlan // the plan of the stream view last decided on
-}
-
-// UsePlans implements PlanConsumer: plans are borrowed from src instead of
-// built and owned by this instance. Which plan is read changes; nothing
-// computed from it does.
-func (b *BBA1) UsePlans(src PlanSource) {
-	b.plans = src
-	b.bound = nil
 }
 
 // NewBBA1 returns a BBA1 with the paper's deployed parameters.
@@ -100,15 +91,11 @@ func (b *BBA1) Map(s Stream, k int, bufferMax time.Duration) ChunkMap {
 }
 
 // plan returns the TitlePlan for s. The bound plan serves until the title,
-// the R_min promotion or the window changes; then a fresh one is borrowed
-// from the plan source, or built when this instance owns its plans.
+// the R_min promotion or the window changes; then the title's shared plan
+// for the new view is bound.
 func (b *BBA1) plan(s Stream) *TitlePlan {
 	if !b.bound.matches(s, b.ReservoirWindow) {
-		if b.plans != nil {
-			b.bound = b.plans.TitlePlan(s, b.ReservoirWindow)
-		} else {
-			b.bound = NewTitlePlan(s, b.ReservoirWindow)
-		}
+		b.bound = s.plan(b.ReservoirWindow)
 	}
 	return b.bound
 }

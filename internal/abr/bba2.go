@@ -50,9 +50,6 @@ func (b *BBA2) Name() string { return "BBA-2" }
 // InStartup reports whether the algorithm is still in its startup phase.
 func (b *BBA2) InStartup() bool { return b.inStartup }
 
-// UsePlans implements PlanConsumer, forwarding to the steady-state BBA1.
-func (b *BBA2) UsePlans(src PlanSource) { b.steady.UsePlans(src) }
-
 // LastReservoir implements ReservoirReporter, forwarding the steady-state
 // machinery's chunk-map reservoir.
 func (b *BBA2) LastReservoir() (time.Duration, time.Duration, bool) {

@@ -48,10 +48,6 @@ func NewBBAOthers() *BBAOthers {
 // Name implements Algorithm.
 func (b *BBAOthers) Name() string { return "BBA-Others" }
 
-// UsePlans implements PlanConsumer, forwarding to the BBA2 core (and so
-// to the BBA1 reservoir machinery this algorithm's ratchet reads).
-func (b *BBAOthers) UsePlans(src PlanSource) { b.core.UsePlans(src) }
-
 // Protection returns the current outage protection: the excess of the
 // ratcheted reservoir over what the instantaneous Figure 12 calculation
 // requires.

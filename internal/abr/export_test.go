@@ -10,3 +10,17 @@ func Fresh(name string) (Algorithm, bool) {
 	}
 	return r.fresh(), true
 }
+
+// BoundPlan returns the plan a BBA-1-family instance last decided on, or
+// nil for any other algorithm.
+func BoundPlan(a Algorithm) *TitlePlan {
+	switch x := a.(type) {
+	case *BBA1:
+		return x.bound
+	case *BBA2:
+		return x.steady.bound
+	case *BBAOthers:
+		return x.core.steady.bound
+	}
+	return nil
+}

@@ -14,7 +14,8 @@ import (
 // reservoir, media.Video's window sum. It fails if a non-test file (bench/
 // is its own module) names any part of the deleted second copy — the
 // per-session reservoir scan, the three ladder-scan helpers, the
-// plan-or-no-plan dispatch — or if this package evaluates the chunk map
+// plan-or-no-plan dispatch, the plan-lending interfaces that came before
+// plans were shared on the title — or if this package evaluates the chunk map
 // anywhere but in the barrier rule and the lookahead test, which is where a
 // re-forked decision would have to start.
 func TestOneDecisionPath(t *testing.T) {
@@ -22,7 +23,8 @@ func TestOneDecisionPath(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
 		t.Fatalf("repository root not at %s: %v", root, err)
 	}
-	gone := []string{"reservoirPlan", "highestChunkAtMost", "highestChunkBelow", "lowestChunkAbove", "sharedPlan", "chunkCol"}
+	gone := []string{"reservoirPlan", "highestChunkAtMost", "highestChunkBelow", "lowestChunkAbove", "sharedPlan", "chunkCol",
+		"PlanSource", "PlanConsumer", "UsePlans"}
 	const evaluate = ".MaxChunk("
 	evaluates := map[string]int{}
 	files := 0

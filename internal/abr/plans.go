@@ -1,6 +1,8 @@
 package abr
 
 import (
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"bba/internal/media"
@@ -19,21 +21,24 @@ import (
 // chunks at a time, on the first decision that asks for a chunk of the
 // page: the page's deficits, and its lookahead's, are converted once, on
 // the stack, and each chunk of the page scans them. A session that stops
-// early never fills the pages it did not reach, and a campaign worker's
-// sessions of one title share one table. Each deficit is the same
+// early never fills the pages it did not reach. Each deficit is the same
 // downloadSecs−vSecs value DynamicReservoir computes from the same
 // operands, summed in the same order, so every entry is bit-identical to
 // it, which the tests pin.
 //
-// The table fills on first use, so a TitlePlan is not safe for concurrent
-// use: an algorithm instance owns the plan it builds, and a shared plan
-// belongs to the single goroutine that owns its PlanSource.
+// A TitlePlan is safe for concurrent use, and the plans sessions decide on
+// are shared: Stream.plan keeps one per (title, R_min, window) per process,
+// on the title. A page is filled under the plan's mutex and published by
+// its flag, so a read is one atomic load and a table index, and every
+// reader of a published page sees the filled entries.
 type TitlePlan struct {
 	stream Stream          // the view the plan was built for; its title is the plan's identity
 	rmin   units.BitRate   // session R_min the deficits assume
 	window time.Duration   // lookahead window X of the Figure 12 scan
 	chunks int             // X in chunks
-	res    []time.Duration // reservoir per decision chunk; 0 until its page fills
+	res    []time.Duration // reservoir per decision chunk, valid once its page is filled
+	filled []atomic.Bool   // per page: res[page*planPage:][:planPage] is written
+	mu     sync.Mutex      // serialises fills
 	// chunkMin/chunkMax are the session ladder's map endpoints
 	// l.Min().BytesIn(V) and l.Max().BytesIn(V).
 	chunkMin, chunkMax int64
@@ -62,6 +67,7 @@ func NewTitlePlan(s Stream, window time.Duration) *TitlePlan {
 		window:   window,
 		chunks:   int(window / v),
 		res:      make([]time.Duration, s.NumChunks()),
+		filled:   make([]atomic.Bool, (s.NumChunks()+planPage-1)/planPage),
 		chunkMin: rmin.BytesIn(v),
 		chunkMax: l.Max().BytesIn(v),
 	}
@@ -90,17 +96,23 @@ func (tp *TitlePlan) Reservoir(k int) time.Duration {
 	if k < 0 || k >= len(tp.res) {
 		return clampReservoir(0)
 	}
-	if tp.res[k] == 0 { // a filled entry is ≥ MinReservoir
-		tp.fill(k - k%planPage)
+	if !tp.filled[k/planPage].Load() {
+		tp.fill(k / planPage)
 	}
 	return tp.res[k]
 }
 
-// fill computes the page of entries from chunk first: DynamicReservoir's
-// scan of each, over deficits converted once for the page and its
-// lookahead.
-func (tp *TitlePlan) fill(first int) {
+// fill computes page's entries, unless another reader got there first:
+// DynamicReservoir's scan of each, over deficits converted once for the
+// page and its lookahead.
+func (tp *TitlePlan) fill(page int) {
+	tp.mu.Lock()
+	defer tp.mu.Unlock()
+	if tp.filled[page].Load() {
+		return
+	}
 	n := len(tp.res)
+	first := page * planPage
 	last := min(first+planPage, n)
 	end := min(last-1+tp.chunks, n) // the last entry's scan ends here
 	var stack [planSpan]float64
@@ -128,23 +140,7 @@ func (tp *TitlePlan) fill(first int) {
 		}
 		tp.res[k] = clampReservoir(worst)
 	}
-}
-
-// PlanSource supplies shared TitlePlans. The algorithm asks for the plan
-// it needs (its own window, the session's stream view), so sources stay
-// ignorant of algorithm parameters.
-type PlanSource interface {
-	TitlePlan(s Stream, window time.Duration) *TitlePlan
-}
-
-// PlanConsumer is implemented by algorithms that read a TitlePlan. Left
-// alone, an instance builds and owns its plan; a caller running many
-// sessions over a small catalog on one goroutine (the batch kernel, and so
-// every campaign and arena) attaches one source to every freshly built
-// algorithm so they share the tables. Attaching a source changes who owns
-// the plan, never what is computed from it.
-type PlanConsumer interface {
-	UsePlans(PlanSource)
+	tp.filled[page].Store(true)
 }
 
 type planKey struct {
@@ -154,9 +150,8 @@ type planKey struct {
 }
 
 // PlanCache builds TitlePlans on demand and retains them keyed by
-// (title, R_min, window). Neither it nor the plans it hands out are safe
-// for concurrent use: each campaign worker owns one cache, and every
-// algorithm it is attached to runs on that worker's goroutine.
+// (title, R_min, window): a private set of plans, apart from the shared
+// ones sessions decide on. It is not safe for concurrent use.
 type PlanCache struct {
 	m map[planKey]*TitlePlan
 }
@@ -164,7 +159,8 @@ type PlanCache struct {
 // NewPlanCache returns an empty cache.
 func NewPlanCache() *PlanCache { return &PlanCache{m: make(map[planKey]*TitlePlan)} }
 
-// TitlePlan implements PlanSource.
+// TitlePlan returns the cache's plan for s's view at window, building it
+// on the first ask.
 func (c *PlanCache) TitlePlan(s Stream, window time.Duration) *TitlePlan {
 	window = planWindow(window)
 	k := planKey{video: s.Video(), rmin: s.Ladder().Min(), window: window}
@@ -174,4 +170,23 @@ func (c *PlanCache) TitlePlan(s Stream, window time.Duration) *TitlePlan {
 		c.m[k] = tp
 	}
 	return tp
+}
+
+// titlePlans is what abr keeps in a title's derived slot: its shared
+// plans, one per (R_min, window) any session has asked for.
+type titlePlans struct {
+	mu    sync.Mutex
+	cache PlanCache
+}
+
+func newTitlePlans() any { return &titlePlans{cache: PlanCache{m: make(map[planKey]*TitlePlan)}} }
+
+// plan returns the process's one plan for s's view at window: every session
+// of the title at that R_min and window reads the same table, and the plan
+// lives on the title (media.Video.Derived), so it dies with it.
+func (s Stream) plan(window time.Duration) *TitlePlan {
+	tps := s.video.Derived(newTitlePlans).(*titlePlans)
+	tps.mu.Lock()
+	defer tps.mu.Unlock()
+	return tps.cache.TitlePlan(s, window)
 }

@@ -1,7 +1,9 @@
 package abr
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -129,49 +131,46 @@ func (w *planWalk) step() int {
 	return w.prev
 }
 
-// TestPlanConsumerDecisionsIdentical runs BBA-1, BBA-2 and BBA-Others
-// through identical decision sequences, once owning their plan and once
-// borrowing it from a PlanCache, and requires identical rate choices and
-// reservoir reports: UsePlans moves ownership, not arithmetic. The one
-// cache serves every algorithm, both titles and both promotions, first a
-// session at a time and then with the sessions' decisions interleaved chunk
-// by chunk, as a batch worker's lanes interleave them.
-func TestPlanConsumerDecisionsIdentical(t *testing.T) {
-	s := planStream(t, 11, 600)
-	other := planStream(t, 12, 450)
-	streams := []Stream{
-		s, NewStream(s.Video(), s.Ladder()[2]),
-		other, NewStream(other.Video(), other.Ladder()[2]),
+// TestSharedPlanDecisionsIdentical runs BBA-1, BBA-2 and BBA-Others
+// through identical decision sequences, once on a private copy of the title
+// (so the session alone fills its plan, in its own order) and once on the
+// title every session shares, and requires identical rate choices and
+// reservoir reports: sharing a plan moves who fills it, not arithmetic. The
+// shared titles serve every algorithm, both titles and both promotions,
+// first a session at a time and then with the sessions' decisions
+// interleaved chunk by chunk, as a batch worker's lanes interleave them.
+func TestSharedPlanDecisionsIdentical(t *testing.T) {
+	views := func() []Stream {
+		s, other := planStream(t, 11, 600), planStream(t, 12, 450)
+		return []Stream{
+			s, NewStream(s.Video(), s.Ladder()[2]),
+			other, NewStream(other.Video(), other.Ladder()[2]),
+		}
 	}
-	cache := NewPlanCache()
+	streams := views()
 	builders := map[string]func() Algorithm{
 		"BBA-1":      func() Algorithm { return NewBBA1() },
 		"BBA-2":      func() Algorithm { return NewBBA2() },
 		"BBA-Others": func() Algorithm { return NewBBAOthers() },
 	}
 	for name, build := range builders {
-		borrowing := func(stream Stream) *planWalk {
-			alg := build()
-			alg.(PlanConsumer).UsePlans(cache)
-			return newPlanWalk(alg, stream)
-		}
 		want := make([][]int, len(streams))
 		lanes := make([]*planWalk, len(streams))
 		for i, stream := range streams {
-			owned, shared := newPlanWalk(build(), stream), borrowing(stream)
-			for !owned.done() {
-				a, b := owned.step(), shared.step()
+			alone, shared := newPlanWalk(build(), views()[i]), newPlanWalk(build(), stream)
+			for !alone.done() {
+				a, b := alone.step(), shared.step()
 				if a != b {
-					t.Fatalf("%s stream %d chunk %d: owned plan chose %d, shared plan chose %d", name, i, owned.k-1, a, b)
+					t.Fatalf("%s stream %d chunk %d: private title chose %d, shared title chose %d", name, i, alone.k-1, a, b)
 				}
 				want[i] = append(want[i], a)
 			}
-			ra, pa, oka := owned.alg.(ReservoirReporter).LastReservoir()
+			ra, pa, oka := alone.alg.(ReservoirReporter).LastReservoir()
 			rb, pb, okb := shared.alg.(ReservoirReporter).LastReservoir()
 			if ra != rb || pa != pb || oka != okb {
 				t.Errorf("%s: reservoir report (%v,%v,%v) vs (%v,%v,%v)", name, ra, pa, oka, rb, pb, okb)
 			}
-			lanes[i] = borrowing(stream)
+			lanes[i] = newPlanWalk(build(), stream)
 		}
 		for running := true; running; {
 			running = false
@@ -181,13 +180,53 @@ func TestPlanConsumerDecisionsIdentical(t *testing.T) {
 				}
 				running = true
 				if got := lane.step(); got != want[i][lane.k-1] {
-					t.Fatalf("%s interleaved stream %d chunk %d: chose %d, owned plan chose %d", name, i, lane.k-1, got, want[i][lane.k-1])
+					t.Fatalf("%s interleaved stream %d chunk %d: chose %d, private title chose %d", name, i, lane.k-1, got, want[i][lane.k-1])
 				}
 			}
 		}
 	}
-	if got := len(cache.m); got != len(streams) {
-		t.Errorf("cache holds %d plans for %d (title, R_min) views at one window", got, len(streams))
+	for _, i := range []int{0, 2} {
+		tps := streams[i].Video().Derived(newTitlePlans).(*titlePlans)
+		if got := len(tps.cache.m); got != 2 {
+			t.Errorf("title %d holds %d plans for its two R_min views at one window", i, got)
+		}
+	}
+}
+
+// TestTitlePlanConcurrentReaders has eight goroutines read one shared plan
+// at once, each in its own random chunk order, so pages are filled while
+// others are read; every entry must equal the paper's scan. go test -race
+// checks that each page is written once, under the plan's mutex, and
+// published to every reader by its flag.
+func TestTitlePlanConcurrentReaders(t *testing.T) {
+	s := planStream(t, 21, 700)
+	tp := s.plan(0)
+	want := make([]time.Duration, s.NumChunks())
+	for k := range want {
+		want[k] = DynamicReservoir(s, k, 0)
+	}
+	start := make(chan struct{})
+	errs := make(chan string, 8)
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			order := rand.New(rand.NewSource(int64(g))).Perm(len(want))
+			<-start
+			for _, k := range order {
+				if got := tp.Reservoir(k); got != want[k] {
+					errs <- fmt.Sprintf("goroutine %d chunk %d: plan %v, scan %v", g, k, got, want[k])
+					return
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 

@@ -42,15 +42,11 @@ func recycleSession(t *testing.T, seed int64) player.Config {
 	}
 }
 
-// arm prepares an instance the way a campaign arm and the batch kernel do:
-// the user's history seeds a CapacitySeeded algorithm, and a plan source,
-// when given, is lent to a PlanConsumer.
-func arm(a abr.Algorithm, history units.BitRate, plans abr.PlanSource) abr.Algorithm {
+// arm prepares an instance the way a campaign arm does: the user's history
+// seeds a CapacitySeeded algorithm.
+func arm(a abr.Algorithm, history units.BitRate) abr.Algorithm {
 	if cs, ok := a.(abr.CapacitySeeded); ok {
 		cs.SeedCapacity(history)
-	}
-	if pc, ok := a.(abr.PlanConsumer); ok && plans != nil {
-		pc.UsePlans(plans)
 	}
 	return a
 }
@@ -67,15 +63,18 @@ func playRecycle(t *testing.T, a abr.Algorithm, cfg player.Config) *player.Resul
 
 // FuzzRecycledPlaysFresh holds the registry's recycling to the fresh
 // instance it stands in for: an instance that has been released once plays
-// session A (history seeded, plans lent), is released and handed out
-// again, and then plays session B exactly — every Result field, chunk log
-// included — as an instance straight from the constructor does.
+// session A (history seeded), is released and handed out again, and then
+// plays session B exactly — every Result field, chunk log included — as an
+// instance straight from the constructor does. With sharedTitle the two
+// play B's title itself, so the recycled instance reads the plan the fresh
+// one filled; without it, the recycled one plays an identical copy of the
+// title whose plan nothing has read yet.
 func FuzzRecycledPlaysFresh(f *testing.F) {
 	for i, name := range abr.Names() {
 		f.Add(name, int64(2*i+1), int64(2*i+2), uint16(0), false)
 		f.Add(name, int64(2*i+1), int64(2*i+2), uint16(2500), true)
 	}
-	f.Fuzz(func(t *testing.T, name string, seedA, seedB int64, historyKbps uint16, plans bool) {
+	f.Fuzz(func(t *testing.T, name string, seedA, seedB int64, historyKbps uint16, sharedTitle bool) {
 		factory, ok := abr.Lookup(name)
 		if !ok {
 			t.Skip("not a registered name")
@@ -84,24 +83,23 @@ func FuzzRecycledPlaysFresh(f *testing.F) {
 		if !recycled {
 			t.Skip("not recycled: TestReleaseIgnoresOtherTypes")
 		}
-		var src abr.PlanSource
-		if plans {
-			src = abr.NewPlanCache()
-		}
 		history := units.BitRate(historyKbps) * units.Kbps
 		sa, sb := recycleSession(t, seedA), recycleSession(t, seedB)
-		want := playRecycle(t, arm(fresh, history, src), sb)
+		want := playRecycle(t, arm(fresh, history), sb)
+		if !sharedTitle {
+			sb = recycleSession(t, seedB)
+		}
 		x := factory()
 		abr.Release(x)
 		a := factory()
 		if a != x {
 			t.Fatalf("%s: a released instance was not the next one handed out", name)
 		}
-		playRecycle(t, arm(a, 3*units.Mbps, abr.NewPlanCache()), sa)
+		playRecycle(t, arm(a, 3*units.Mbps), sa)
 		abr.Release(a)
 		if b := factory(); b != a {
 			t.Fatalf("%s: a released instance was not the next one handed out", name)
-		} else if got := playRecycle(t, arm(b, history, src), sb); !reflect.DeepEqual(got, want) {
+		} else if got := playRecycle(t, arm(b, history), sb); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: a recycled instance played session %d unlike a fresh one: %s", name, seedB, firstDifference(got, want))
 		}
 	})

@@ -116,41 +116,41 @@ func TestReservoirPlanMatchesDynamicReservoir(t *testing.T) {
 
 // TestReservoirPlanRebindsOnStreamChange pins the guard: a BBA-1 instance
 // asked about a different title, a different R_min promotion or with a
-// changed window must bind a fresh plan rather than reuse stale deficits
-// and map endpoints — whether it owns its plans or borrows them — and must
-// keep the bound plan while nothing changed.
+// changed window must bind that view's plan rather than reuse stale
+// deficits and map endpoints, must bind the title's shared plan for the
+// view, and must keep the bound plan while nothing changed.
 func TestReservoirPlanRebindsOnStreamChange(t *testing.T) {
 	a := vbrStream(t, 1)
 	promoted := NewStream(a.Video(), a.Ladder()[2])
 	other := vbrStream(t, 2)
-	for _, src := range []PlanSource{nil, NewPlanCache()} {
-		b := NewBBA1()
-		if src != nil {
-			b.UsePlans(src)
+	b := NewBBA1()
+	check := func(what string, s Stream) *TitlePlan {
+		t.Helper()
+		m := b.Map(s, 10, 240*time.Second)
+		if want := DynamicReservoir(s, 10, b.ReservoirWindow); m.Reservoir != want {
+			t.Fatalf("%s: reservoir %v, want %v", what, m.Reservoir, want)
 		}
-		check := func(what string, s Stream) *TitlePlan {
-			t.Helper()
-			m := b.Map(s, 10, 240*time.Second)
-			if want := DynamicReservoir(s, 10, b.ReservoirWindow); m.Reservoir != want {
-				t.Fatalf("%s: reservoir %v, want %v", what, m.Reservoir, want)
-			}
-			if want := testChunkMap(s); m.ChunkMin != want.ChunkMin || m.ChunkMax != want.ChunkMax {
-				t.Fatalf("%s: map endpoints (%d, %d), want (%d, %d)", what, m.ChunkMin, m.ChunkMax, want.ChunkMin, want.ChunkMax)
-			}
-			if b.plan(s) != b.bound {
-				t.Fatalf("%s: a second look at the same stream rebound the plan", what)
-			}
-			return b.bound
+		if want := testChunkMap(s); m.ChunkMin != want.ChunkMin || m.ChunkMax != want.ChunkMax {
+			t.Fatalf("%s: map endpoints (%d, %d), want (%d, %d)", what, m.ChunkMin, m.ChunkMax, want.ChunkMin, want.ChunkMax)
 		}
-		first := check("first stream", a)
-		if check("promoted stream", promoted) == first {
-			t.Fatal("promoted R_min kept the base plan")
+		if b.plan(s) != b.bound {
+			t.Fatalf("%s: a second look at the same stream rebound the plan", what)
 		}
-		check("second title", other)
-		b.ReservoirWindow = 120 * time.Second
-		check("shorter window", other)
-		b.ReservoirWindow = 0 // the zero value means the default window
-		check("zero window", a)
+		if b.bound != s.plan(b.ReservoirWindow) {
+			t.Fatalf("%s: bound a plan that is not the title's shared one", what)
+		}
+		return b.bound
+	}
+	first := check("first stream", a)
+	if check("promoted stream", promoted) == first {
+		t.Fatal("promoted R_min kept the base plan")
+	}
+	check("second title", other)
+	b.ReservoirWindow = 120 * time.Second
+	check("shorter window", other)
+	b.ReservoirWindow = 0 // the zero value means the default window
+	if check("zero window", a) != first {
+		t.Fatal("the zero window did not share the default window's plan")
 	}
 }
 

@@ -31,10 +31,11 @@
 package abtest
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"bba/internal/media"
@@ -274,7 +275,7 @@ func fade(tb *trace.Builder, overrides []trace.Override) error {
 	if len(overrides) == 0 {
 		return nil
 	}
-	sort.Slice(overrides, func(i, j int) bool { return overrides[i].Start < overrides[j].Start })
+	slices.SortFunc(overrides, func(a, b trace.Override) int { return cmp.Compare(a.Start, b.Start) })
 	kept := overrides[:0]
 	cursor := time.Duration(0)
 	for _, o := range overrides {

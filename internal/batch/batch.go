@@ -14,12 +14,11 @@
 //     bookkeeping slices, allocated once per Runner and reused for every
 //     session the Runner ever executes — steady state allocates nothing
 //     for lane or kernel state.
-//   - Per-title reservoir plans (abr.TitlePlan) are built once per
-//     (title, R_min) a worker draws and shared by every lane playing that
-//     title, via the Runner's abr.PlanCache. Lanes fill a plan's table as
-//     they go, which is safe because they all step on the Runner's
-//     goroutine. Sharing changes who owns a plan, not what a lane
-//     computes: a lane runs the decision code player.Run runs.
+//   - The kernel does nothing about reservoir plans: a BBA-1-family
+//     algorithm reads its title's one shared abr.TitlePlan per (R_min,
+//     window), the same table every lane, worker and standalone
+//     player.Run of the title reads, so a lane runs the decision code
+//     player.Run runs and a Runner builds no plan of its own.
 //   - Sessions run with player.Config.SkipChunkRecords: campaigns never
 //     read Result.Chunks, and the per-chunk log would be a fresh
 //     session's dominant allocation.
@@ -43,8 +42,8 @@
 //     per active lane) instead of once per chunk.
 //
 // A Runner is not safe for concurrent use; each campaign worker owns one
-// and keeps it across shards, so plan, lane and scratch reuse spans a
-// worker's whole share of the campaign.
+// and keeps it across shards, so lane and scratch reuse spans a worker's
+// whole share of the campaign.
 package batch
 
 import (
@@ -92,8 +91,7 @@ const DefaultWidth = 8
 
 // Runner executes shards of paired sessions through reusable lanes.
 type Runner struct {
-	cfg   Config
-	plans *abr.PlanCache
+	cfg Config
 
 	// Lane state: sessions is the flat lane array (player state embedded
 	// by value); laneSlot, laneGroup and laneAlg (the session's algorithm)
@@ -144,7 +142,6 @@ func NewRunner(cfg Config) *Runner {
 	lanes := cfg.Width * groups
 	r := &Runner{
 		cfg:       cfg,
-		plans:     abr.NewPlanCache(),
 		sessions:  make([]player.Session, lanes),
 		laneSlot:  make([]int, lanes),
 		laneGroup: make([]int, lanes),
@@ -242,9 +239,6 @@ func (r *Runner) RunShard(ctx context.Context, n int, draw func(off int) (Draw, 
 				r.idle = r.idle[:len(r.idle)-1]
 				pc := slot.env.PlayerConfig(g)
 				pc.SkipChunkRecords = true
-				if pl, ok := pc.Algorithm.(abr.PlanConsumer); ok {
-					pl.UsePlans(r.plans)
-				}
 				if err := r.sessions[lane].Start(pc); err != nil {
 					return r.fail(fmt.Errorf("batch: draw %d group %s: %w", nextOff, g.Name, err))
 				}

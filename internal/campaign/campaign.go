@@ -76,13 +76,12 @@ type Config struct {
 	// Parallelism bounds worker goroutines (default GOMAXPROCS).
 	Parallelism int
 	// Batch chooses the width of the internal/batch kernel every shard runs
-	// through. Each worker owns a batch.Runner — reusable lanes, shared
-	// per-title reservoir plans, no per-chunk logging, one draw scratch —
-	// and advances BatchWidth paired draws concurrently when Batch is set,
-	// or one draw at a time ("scalar") when it is not. Draw keying, fold
-	// order and accumulator arithmetic do not depend on the width, so
-	// reports are byte-identical either way. Batch is not part of the
-	// campaign identity.
+	// through. Each worker owns a batch.Runner — reusable lanes, no
+	// per-chunk logging, one draw scratch — and advances BatchWidth paired
+	// draws concurrently when Batch is set, or one draw at a time
+	// ("scalar") when it is not. Draw keying, fold order and accumulator
+	// arithmetic do not depend on the width, so reports are byte-identical
+	// either way. Batch is not part of the campaign identity.
 	Batch bool
 	// BatchWidth is the kernel's paired-draws-in-flight per worker when
 	// Batch is set (default batch.DefaultWidth). Display/throughput only —
@@ -526,8 +525,8 @@ func run(ctx context.Context, cfg Config, sets *accumSets) (*Outcome, error) {
 		go func() {
 			defer wg.Done()
 			// Each worker owns one Runner for its whole share of the
-			// campaign: lanes, the per-title plan cache and the draw scratch
-			// are reused across every shard the worker executes.
+			// campaign: lanes and the draw scratch are reused across every
+			// shard the worker executes.
 			runner := newRunner(&cfg, func() { retired.Add(1) })
 			for s := range shards {
 				accums := sets.get(id)

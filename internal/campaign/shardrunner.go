@@ -24,9 +24,10 @@ func engineName(batchOn bool) string {
 // bit-identical to the ones a local run computes, and the coordinator's
 // in-order checkpoint fold reassembles the byte-identical report.
 //
-// A ShardRunner is not safe for concurrent use: its kernel reuses lanes,
-// per-title plan caches and the draw scratch across shards. Create one per
-// worker goroutine.
+// A ShardRunner is not safe for concurrent use: its kernel reuses lanes
+// and the draw scratch across shards. Create one per worker goroutine. The
+// reservoir plans are not its state: they live on the catalog's titles,
+// shared by every runner in the process.
 type ShardRunner struct {
 	cfg     Config
 	id      Identity

@@ -270,7 +270,8 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (stats WorkerStats, err er
 	}()
 
 	// One ShardRunner per executor goroutine: the batch engine's lane
-	// arenas and plan caches are per-runner state.
+	// arenas and draw scratch are per-runner state; the reservoir plans
+	// live on the catalog's titles and are shared by all of them.
 	runners := make(chan *campaign.ShardRunner, cfg.Parallelism)
 	for i := 0; i < cfg.Parallelism; i++ {
 		r, err := campaign.NewShardRunner(ccfg)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"time"
 )
 
@@ -15,7 +16,8 @@ import (
 // are one contiguous run, which is what a rate decision scans — next to
 // per-rate prefix sums that make any window total two loads. Both depend on
 // the title alone, so they live here rather than in anything keyed by a
-// session's R_min or lookahead.
+// session's R_min or lookahead. What is keyed by those lives in the
+// title's derived slot (Derived), so it dies with the title.
 type Video struct {
 	Title         string
 	Ladder        Ladder
@@ -23,6 +25,19 @@ type Video struct {
 	nr, n         int           // ladder rates, chunks
 	cols          []int64       // cols[k*nr+rate]: bytes of chunk k at rate
 	prefix        []int64       // prefix[rate*(n+1)+k]: bytes of chunks [0,k) at rate
+	derivedOnce   sync.Once
+	derived       any
+}
+
+// Derived returns the value build made on the title's first call; every
+// later call, from any goroutine, gets that same value and build is not
+// called. It is the one slot for tables computed from the title's sizes —
+// abr keeps the title's reservoir plans in it — so they are shared by
+// every session of the title and live exactly as long as the title, with
+// no process-wide map to pin it. The value must be safe for concurrent use.
+func (v *Video) Derived(build func() any) any {
+	v.derivedOnce.Do(func() { v.derived = build() })
+	return v.derived
 }
 
 // DefaultChunkDuration is the paper's chunk length ("four seconds per chunk

@@ -138,10 +138,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// 40 chunks stay inside the shipper's four 64-event batch buffers: a
-		// virtual-time session is not paced by a wall clock the way a real
-		// player is, and must not outrun the framer into counted drops.
-		video, err := media.NewVBR(media.VBRConfig{Title: "daemon", Ladder: media.DefaultLadder(), NumChunks: 40}, rand.New(rand.NewSource(int64(i))))
+		video, err := media.NewVBR(media.VBRConfig{Title: "daemon", Ladder: media.DefaultLadder(), NumChunks: 120}, rand.New(rand.NewSource(int64(i))))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -81,8 +81,14 @@ func run(ctx context.Context, out io.Writer, url, algName string, watch time.Dur
 		}}
 	}
 
+	// One id per run names the session everywhere: to the origin (a
+	// fault-mode origin draws this viewer's faults from it, and its
+	// fault_inject events carry it) and as the shipped journal's stream, so
+	// the two join.
+	id := rand.Uint64()
 	cfg := dash.ClientConfig{
 		BaseURL:    url,
+		Fetch:      dash.FetchPolicy{Seed: int64(id)},
 		HTTPClient: httpc,
 		Algorithm:  alg,
 		Rmin:       units.BitRate(rminKbps) * units.Kbps,
@@ -95,7 +101,7 @@ func run(ctx context.Context, out io.Writer, url, algName string, watch time.Dur
 		}
 	}
 	if journal != "" {
-		sink, done, oerr := openJournal(journal)
+		sink, done, oerr := openJournal(journal, id)
 		if oerr != nil {
 			return oerr
 		}
@@ -111,6 +117,7 @@ func run(ctx context.Context, out io.Writer, url, algName string, watch time.Dur
 		return err
 	}
 	fmt.Fprintf(out, "\nsession summary (%s over HTTP)\n", alg.Name())
+	fmt.Fprintf(out, "  session id        %d\n", id)
 	fmt.Fprintf(out, "  chunks            %d\n", len(res.Chunks))
 	fmt.Fprintf(out, "  played            %v\n", res.Played.Round(time.Second))
 	fmt.Fprintf(out, "  join delay        %v\n", res.JoinDelay.Round(time.Millisecond))
@@ -127,25 +134,26 @@ func run(ctx context.Context, out io.Writer, url, algName string, watch time.Dur
 }
 
 // openJournal opens the session's event sink. A collector URL ships the
-// events as the run named by its path (default "bbaplay") under a random
-// stream id; anything else is a JSONL file path. done flushes and releases
-// the sink and reports what the flush could not deliver.
-func openJournal(target string) (sink telemetry.Observer, done func() error, err error) {
+// events as the run named by its path (default "bbaplay") on stream id;
+// anything else is a JSONL file path. done flushes and releases the sink
+// and reports what the flush could not deliver.
+func openJournal(target string, id uint64) (sink telemetry.Observer, done func() error, err error) {
 	if u, perr := neturl.Parse(target); perr == nil && (u.Scheme == "http" || u.Scheme == "https") {
 		run := strings.Trim(u.Path, "/")
 		if run == "" {
 			run = "bbaplay"
 		}
 		// The default 256-frame queue outlasts any collector outage the
-		// retries ride out. A frame is given up on after ≤ 9.15 s of backoff
-		// (50 ms doubling to the 2 s cap, 10 attempts) plus ≤ 10 × the 10 s
-		// client timeout, ≈ 109 s; the 500 ms flush timer seals ≤ 2 frames/s,
-		// so ≤ ≈ 220 frames queue behind it. A longer outage has already
-		// dropped that frame, and a drop fails the run.
+		// retries ride out. A frame is given up on after ≤ ≈ 11.44 s of
+		// backoff (50 ms doubling to the 2 s cap, ±25 % jitter, 10 attempts)
+		// plus ≤ 10 × the 10 s client timeout, ≈ 111 s; the 500 ms flush
+		// timer seals ≤ 2 frames/s, so ≤ ≈ 223 frames queue behind it. A
+		// longer outage has already dropped that frame, and a drop fails the
+		// run.
 		s, err := collect.NewShipper(collect.ShipperConfig{
 			Addr:    u.Scheme + "://" + u.Host,
 			Run:     run,
-			Session: rand.Uint64(),
+			Session: id,
 		})
 		if err != nil {
 			return nil, nil, err

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -118,7 +119,7 @@ func testCollector(t *testing.T) (c *collect.Collector, url string, archived fun
 		mu  sync.Mutex
 		buf bytes.Buffer
 	)
-	c = collect.NewCollector(collect.CollectorConfig{Archive: &archiverFunc{fn: func(_ string, batch []byte) error {
+	c = collect.NewCollector(collect.CollectorConfig{Archive: &archiverFunc{fn: func(_ string, _ uint64, batch []byte) error {
 		mu.Lock()
 		defer mu.Unlock()
 		buf.Write(batch)
@@ -136,14 +137,81 @@ func testCollector(t *testing.T) (c *collect.Collector, url string, archived fun
 // archiverFunc archives each fresh batch, over in-memory watermarks, with fn.
 type archiverFunc struct {
 	archive.Watermarks
-	fn func(run string, batch []byte) error
+	fn func(run string, session uint64, batch []byte) error
 }
 
 func (f *archiverFunc) Admit(run string, session, seq uint64, batch []byte) (bool, error) {
 	if dup, err := f.Watermarks.Admit(run, session, seq, batch); dup || err != nil {
 		return dup, err
 	}
-	return false, f.fn(run, batch)
+	return false, f.fn(run, session, batch)
+}
+
+// TestPlayOneSessionID: each run draws one session id and sends it as every
+// chunk request's s=, so a fault-mode origin tells its viewers apart; the
+// shipped journal's stream is the same id, and the summary prints it. Two
+// runs send two different, non-zero ids.
+func TestPlayOneSessionID(t *testing.T) {
+	ts := testServer(t)
+	var (
+		mu      sync.Mutex
+		fetched []string // each chunk request's s=
+		shipped []uint64 // each admitted frame's stream
+	)
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/chunk/") {
+			mu.Lock()
+			fetched = append(fetched, r.URL.Query().Get("s"))
+			mu.Unlock()
+		}
+		ts.Config.Handler.ServeHTTP(w, r)
+	}))
+	defer origin.Close()
+	c := collect.NewCollector(collect.CollectorConfig{Archive: &archiverFunc{fn: func(_ string, session uint64, _ []byte) error {
+		mu.Lock()
+		defer mu.Unlock()
+		shipped = append(shipped, session)
+		return nil
+	}}})
+	col := httptest.NewServer(c.Handler())
+	defer col.Close()
+
+	var ids []string
+	for i := 0; i < 2; i++ {
+		mu.Lock()
+		fetched, shipped = nil, nil
+		mu.Unlock()
+		var out bytes.Buffer
+		if err := run(context.Background(), &out, origin.URL, "BBA-2", 2*time.Second, 0, 0, false, false, true, col.URL); err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		if len(fetched) == 0 || len(shipped) == 0 {
+			t.Fatalf("run %d: %d chunk requests, %d frames shipped", i, len(fetched), len(shipped))
+		}
+		id := fetched[0]
+		if id == "" || id == "0" {
+			t.Fatalf("run %d named itself s=%q to the origin, want a drawn non-zero id", i, id)
+		}
+		for _, s := range fetched {
+			if s != id {
+				t.Fatalf("run %d sent s=%s and s=%s: one session, two names", i, id, s)
+			}
+		}
+		for _, s := range shipped {
+			if strconv.FormatUint(s, 10) != id {
+				t.Fatalf("run %d shipped its journal as stream %d, fetched as session %s", i, s, id)
+			}
+		}
+		mu.Unlock()
+		if !strings.Contains(out.String(), "session id        "+id+"\n") {
+			t.Errorf("run %d: summary does not print session id %s:\n%s", i, id, out.String())
+		}
+		ids = append(ids, id)
+	}
+	if ids[0] == ids[1] {
+		t.Fatalf("both runs named themselves %s", ids[0])
+	}
 }
 
 // TestPlayShipsJournal: -journal with a collector URL ships the session's

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -169,9 +168,9 @@ func shipHostile(t *testing.T) (local, archived map[string][]string) {
 		shippers [hostileSessions]*Shipper
 	)
 	for i := range shippers {
-		// The queue holds a whole session's frames, so no scheduling of the
-		// framer against senders stuck in retries can overflow it: a drop
-		// below is the pipeline's doing, not the bound's.
+		// The queue holds a whole session's frames, so a virtual-time
+		// session that outruns senders stuck in retries cannot overflow
+		// it: a drop below is the pipeline's doing, not the bound's.
 		frames := 0
 		if err := playHostile(i, telemetry.Func(func(telemetry.Event) { frames++ })); err != nil {
 			t.Fatal(err)
@@ -194,14 +193,6 @@ func shipHostile(t *testing.T) (local, archived map[string][]string) {
 				e.Session = captures[i].Session // stamped before the tee: both copies carry the same bytes
 				captures[i].OnEvent(e)
 				shippers[i].OnEvent(e)
-				// A real player is paced by the wall clock; a virtual-time
-				// session outruns any framer. Wait for each sealed batch to
-				// be queued, so a drop would be the pipeline's doing.
-				if n := int64(len(captures[i].Events)); n%hostileBatch == 0 {
-					for ss := shippers[i].Stats(); ss.Queue.Pushed < n/hostileBatch && ss.FramesDropped == 0; ss = shippers[i].Stats() {
-						runtime.Gosched()
-					}
-				}
 			}))
 			if err != nil {
 				t.Error(err)

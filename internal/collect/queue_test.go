@@ -12,19 +12,32 @@ import (
 )
 
 // bareShipper is a Shipper with only its frame queue: no goroutines, so a
-// test pushes with enqueueFrame and pops from frames itself.
+// test seals batches with sealPayload and pops from frames itself.
 func bareShipper(memFrames int) *Shipper {
-	return &Shipper{cfg: ShipperConfig{Run: "queue", Session: 1}, frames: make(chan []byte, memFrames)}
+	return &Shipper{cfg: ShipperConfig{Run: "queue", Session: 1}, frames: make(chan queuedFrame, memFrames)}
 }
 
-// popFrame takes the next frame off the queue and decodes it.
+// sealPayload seals payload as one batch through the shipper's seal path.
+func sealPayload(s *Shipper, payload string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.cur = append(s.cur, payload...)
+	s.curEvents = 1
+	s.sealLocked()
+}
+
+// popFrame takes the next frame off the queue and decodes it; the seq the
+// queue carries must be the frame's.
 func popFrame(t *testing.T, s *Shipper) Frame {
 	t.Helper()
 	select {
-	case b := <-s.frames:
-		f, _, err := DecodeFrame(b)
+	case q := <-s.frames:
+		f, _, err := DecodeFrame(q.buf)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if f.Seq != q.seq {
+			t.Fatalf("queue carries seq %d for a frame of seq %d", q.seq, f.Seq)
 		}
 		return f
 	default:
@@ -36,7 +49,7 @@ func popFrame(t *testing.T, s *Shipper) Frame {
 func TestQueueFIFOMemory(t *testing.T) {
 	s := bareShipper(8)
 	for i := 0; i < 5; i++ {
-		s.enqueueFrame([]byte(fmt.Sprintf("f%d\n", i)))
+		sealPayload(s, fmt.Sprintf("f%d\n", i))
 	}
 	if q := s.Stats().Queue; q.Pushed != 5 || q.Depth != 5 || q.Dropped != 0 {
 		t.Fatalf("queue stats %+v", q)
@@ -57,7 +70,7 @@ func TestQueueFIFOMemory(t *testing.T) {
 func TestQueueDropNewestDefault(t *testing.T) {
 	s := bareShipper(2)
 	for _, p := range []string{"a\n", "b\n", "c\n"} {
-		s.enqueueFrame([]byte(p))
+		sealPayload(s, p)
 	}
 	ss := s.Stats()
 	if ss.Queue.Pushed != 2 || ss.Queue.Dropped != 1 || ss.FramesDropped != 1 {
@@ -66,7 +79,7 @@ func TestQueueDropNewestDefault(t *testing.T) {
 	if f := popFrame(t, s); f.Seq != 0 || string(f.Payload) != "a\n" {
 		t.Fatalf("kept seq %d %q, want the oldest", f.Seq, f.Payload)
 	}
-	s.enqueueFrame([]byte("d\n"))
+	sealPayload(s, "d\n")
 	for _, want := range []Frame{{Seq: 1, Payload: []byte("b\n")}, {Seq: 2, Payload: []byte("d\n")}} {
 		if f := popFrame(t, s); f.Seq != want.Seq || string(f.Payload) != string(want.Payload) {
 			t.Fatalf("popped seq %d %q, want seq %d %q", f.Seq, f.Payload, want.Seq, want.Payload)
@@ -123,7 +136,7 @@ func TestQueueCloseDrains(t *testing.T) {
 			cfg.FlushInterval = 100 * time.Microsecond
 		})
 		for i := 0; i < 9; i++ {
-			offer(s, testEvent(i))
+			s.OnEvent(testEvent(i))
 		}
 		if err := s.Close(); err != nil {
 			t.Fatalf("close: %v", err)
@@ -145,8 +158,8 @@ func TestQueueCloseDrains(t *testing.T) {
 	}
 }
 
-// TestQueueConcurrent: the framer pushes while the sender pops; with one
-// sender the collector admits every frame once, in sequence order.
+// TestQueueConcurrent: OnEvent seals and pushes while the sender pops; with
+// one sender the collector admits every frame once, in sequence order.
 func TestQueueConcurrent(t *testing.T) {
 	const n = 500
 	var archived bytes.Buffer
@@ -159,7 +172,7 @@ func TestQueueConcurrent(t *testing.T) {
 	})
 	var want bytes.Buffer
 	for i := 0; i < n; i++ {
-		offer(s, testEvent(i))
+		s.OnEvent(testEvent(i))
 		want.Write(telemetry.AppendJSONL(nil, testEvent(i)))
 	}
 	if err := s.Close(); err != nil {

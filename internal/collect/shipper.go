@@ -6,18 +6,19 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"bba/internal/faults"
 	"bba/internal/telemetry"
 )
 
 // RetryPolicy caps the shipper's per-frame retry loop: exponential backoff
-// from Base to Cap with seeded jitter, up to MaxAttempts tries.
+// from Base to Cap with seeded jitter (faults.Backoff, keyed by the frame's
+// seq and the attempt), up to MaxAttempts tries.
 type RetryPolicy struct {
 	// MaxAttempts bounds tries per frame (default 10).
 	MaxAttempts int
@@ -41,17 +42,6 @@ func (r *RetryPolicy) applyDefaults() {
 	}
 }
 
-// backoff returns the jittered delay before attempt n (0-based).
-func (r RetryPolicy) backoff(n int, rng *rand.Rand) time.Duration {
-	d := r.Base << uint(n)
-	if d <= 0 || d > r.Cap {
-		d = r.Cap
-	}
-	// Jitter uniformly over [d/2, d): desynchronizes a fleet of shippers
-	// hammering a recovering collector.
-	return d/2 + time.Duration(rng.Int63n(int64(d/2)+1))
-}
-
 // ShipperConfig configures a Shipper.
 type ShipperConfig struct {
 	// Addr is the collector endpoint, "http://host:port" (or https):
@@ -66,8 +56,8 @@ type ShipperConfig struct {
 	// BatchEvents seals an event frame after this many events
 	// (default 64).
 	BatchEvents int
-	// FlushInterval seals partial event batches on a timer (default
-	// 500ms; 0 keeps the default, negative disables the timer).
+	// FlushInterval seals a partial batch this long after its first event
+	// (default 500ms; 0 keeps the default, negative disables the timer).
 	FlushInterval time.Duration
 	// Queue bounds the frame queue between batching and sending.
 	Queue QueueConfig
@@ -79,7 +69,7 @@ type ShipperConfig struct {
 	HTTPClient *http.Client
 }
 
-// QueueConfig bounds the frame queue between the framer and the sender.
+// QueueConfig bounds the frame queue between sealing and sending.
 type QueueConfig struct {
 	// MemFrames is the queue's capacity in frames (default 256). A frame
 	// sealed while the queue is full is dropped and counted: the newest
@@ -97,10 +87,10 @@ type QueueStats struct {
 	Depth int64
 }
 
-// ShipperStats is a snapshot of shipper activity. EventsDropped and
-// FramesDropped are the explicit loss account of the non-blocking hot
-// path: when the pipeline has no capacity, events are counted out, never
-// blocked on.
+// ShipperStats is a snapshot of shipper activity. FramesDropped is the
+// explicit loss account of the non-blocking hot path: a batch sealed while
+// the queue is full is counted out, never blocked on, as is a frame the
+// sender gave up on. EventsDropped counts the events offered after Close.
 type ShipperStats struct {
 	Events        int64
 	EventsDropped int64
@@ -115,42 +105,36 @@ type ShipperStats struct {
 // MaxFrame.
 const batchBytesCap = 56 << 10
 
-// numBatchBuffers is the event-batch buffer pool size; when all buffers
-// are in flight the hot path drops instead of blocking or allocating.
-const numBatchBuffers = 4
+// maxSpare bounds the free list of frame buffers.
+const maxSpare = 4
 
 // Shipper is the client half of the pipeline. Its OnEvent implements
-// telemetry.Observer without blocking and — once its batch buffer has
-// grown to steady state — without allocating: events append to a pooled
-// buffer; full batches hand off to a framer goroutine that encodes them
-// into the bounded frame queue; one sender goroutine drains the queue in
-// order, with capped jittered retry, settling each frame — acknowledged or
-// dropped — before it sends the next. That order is what lets the
-// collector keep one watermark per stream.
+// telemetry.Observer without blocking and — once its buffers have grown to
+// steady state — without allocating: events append to the current batch; a
+// full batch is framed in place, reusing an acknowledged frame's buffer, and
+// pushed onto the bounded frame queue, or dropped and counted when the queue
+// is full. The queue is the only bound on loss. One sender goroutine drains
+// it in order, with capped jittered retry, settling each frame —
+// acknowledged or dropped — before it sends the next. That order is what
+// lets the collector keep one watermark per stream.
 type Shipper struct {
-	cfg   ShipperConfig
-	trans *httpTransport
+	cfg    ShipperConfig
+	url    string // the collector's /ingest
+	client *http.Client
+	timer  *time.Timer // seals a partial batch FlushInterval after its first event; nil when disabled
 
-	mu            sync.Mutex // guards cur, curEvents and the event counters
+	mu            sync.Mutex // guards the fields below it, and every send on frames
 	cur           []byte
 	curEvents     int
 	events        int64
 	eventsDropped int64
+	nextSeq       uint64   // spent only by frames the queue accepts: their count
+	spare         [][]byte // acknowledged frames' buffers, for sealLocked to reuse
+	closed        bool     // set, and frames closed, by Close
 
-	free chan []byte
-	full chan sealedBatch
+	frames  chan queuedFrame
+	pending atomic.Int64 // frames queued, not yet shipped or dropped
 
-	// frames is the frame queue. The framer is its one writer and Close
-	// closes it only after the framer has stopped, so no frame is ever
-	// pushed into a closed queue.
-	frames  chan []byte
-	nextSeq uint64 // framer-owned, as is scratch
-	scratch []byte
-
-	sealedPending atomic.Int64 // batches handed to the framer, not yet queued
-	pending       atomic.Int64 // frames queued, not yet shipped or dropped
-
-	pushed        atomic.Int64
 	popped        atomic.Int64
 	queueDropped  atomic.Int64
 	framesDropped atomic.Int64
@@ -158,25 +142,21 @@ type Shipper struct {
 	sendErrors    atomic.Int64
 	retries       atomic.Int64
 
-	stopFlusher chan struct{}
-	stopFramer  chan struct{}
-	flushing    sync.WaitGroup
-	framing     sync.WaitGroup
-	sending     sync.WaitGroup
-
+	sending   sync.WaitGroup
 	closeOnce sync.Once
 	closeErr  error
 }
 
-type sealedBatch struct {
-	buf    []byte
-	events int
+// queuedFrame is one encoded frame and its seq, which keys its retry jitter.
+type queuedFrame struct {
+	seq uint64
+	buf []byte
 }
 
 // ErrBadAddr reports a ShipperConfig.Addr that is not an http(s) URL.
 var ErrBadAddr = errors.New("collect: collector address must start with http:// or https://")
 
-// NewShipper validates the config and starts the pipeline goroutines.
+// NewShipper validates the config and starts the sender.
 func NewShipper(cfg ShipperConfig) (*Shipper, error) {
 	if len(cfg.Run) == 0 || len(cfg.Run) > 255 {
 		return nil, fmt.Errorf("collect: run id length %d outside 1..255", len(cfg.Run))
@@ -199,68 +179,83 @@ func NewShipper(cfg ShipperConfig) (*Shipper, error) {
 		client = &http.Client{Timeout: 10 * time.Second}
 	}
 	s := &Shipper{
-		cfg:         cfg,
-		trans:       &httpTransport{url: strings.TrimSuffix(cfg.Addr, "/") + "/ingest", client: client},
-		free:        make(chan []byte, numBatchBuffers),
-		full:        make(chan sealedBatch, numBatchBuffers),
-		frames:      make(chan []byte, cfg.Queue.MemFrames),
-		stopFlusher: make(chan struct{}),
-		stopFramer:  make(chan struct{}),
+		cfg:    cfg,
+		url:    strings.TrimSuffix(cfg.Addr, "/") + "/ingest",
+		client: client,
+		frames: make(chan queuedFrame, cfg.Queue.MemFrames),
 	}
-	for i := 0; i < numBatchBuffers; i++ {
-		s.free <- make([]byte, 0, 64<<10)
+	if cfg.FlushInterval > 0 {
+		s.timer = time.AfterFunc(cfg.FlushInterval, s.Seal)
 	}
-	s.framing.Add(1)
-	go s.framer()
 	s.sending.Add(1)
 	go s.sender()
-	if cfg.FlushInterval > 0 {
-		s.flushing.Add(1)
-		go s.flusher()
-	}
 	return s, nil
 }
 
 // OnEvent implements telemetry.Observer: append the event to the current
-// batch, sealing when full. It never blocks — with no buffer free the
-// event is dropped and counted.
+// batch, sealing when full. It never blocks; after Close the event is
+// dropped and counted.
 func (s *Shipper) OnEvent(e telemetry.Event) {
 	s.mu.Lock()
-	if s.cur == nil {
-		select {
-		case b := <-s.free:
-			s.cur = b[:0]
-		default:
-			s.eventsDropped++
-			s.mu.Unlock()
-			return
-		}
+	defer s.mu.Unlock()
+	if s.closed {
+		s.eventsDropped++
+		return
 	}
 	s.cur = telemetry.AppendJSONL(s.cur, e)
 	s.curEvents++
 	s.events++
+	if s.curEvents == 1 && s.timer != nil {
+		s.timer.Reset(s.cfg.FlushInterval)
+	}
 	if s.curEvents >= s.cfg.BatchEvents || len(s.cur) >= batchBytesCap {
 		s.sealLocked()
 	}
-	s.mu.Unlock()
 }
 
-// sealLocked hands the current batch to the framer. Caller holds mu.
+// sealLocked frames the current batch and queues it without blocking, or
+// drops it, counted, when the queue is full. The seq is spent only when the
+// queue accepts the frame, so a drop leaves no gap in the stream the
+// collector sees. The batch buffer is reused in place. Caller holds mu;
+// after Close the batch is always empty (OnEvent refuses events), so a late
+// flush timer never reaches the closed queue.
 func (s *Shipper) sealLocked() {
 	if s.curEvents == 0 {
 		return
 	}
-	s.sealedPending.Add(1)
-	select {
-	case s.full <- sealedBatch{buf: s.cur, events: s.curEvents}:
-	default:
-		// Framer backlogged; recycle the buffer and count the loss.
-		s.sealedPending.Add(-1)
-		s.eventsDropped += int64(s.curEvents)
-		s.free <- s.cur
+	var buf []byte
+	if n := len(s.spare); n > 0 {
+		buf, s.spare = s.spare[n-1], s.spare[:n-1]
+	} else {
+		buf = make([]byte, 0, EncodedLen(len(s.cfg.Run), len(s.cur)))
 	}
-	s.cur = nil
+	buf = AppendFrame(buf, Frame{
+		Run:     s.cfg.Run,
+		Session: s.cfg.Session,
+		Seq:     s.nextSeq,
+		Kind:    PayloadEvents,
+		Payload: s.cur,
+	})
+	s.pending.Add(1)
+	select {
+	case s.frames <- queuedFrame{seq: s.nextSeq, buf: buf}:
+		s.nextSeq++
+	default:
+		s.pending.Add(-1)
+		s.queueDropped.Add(1)
+		s.framesDropped.Add(1)
+		s.recycleLocked(buf)
+	}
+	s.cur = s.cur[:0]
 	s.curEvents = 0
+}
+
+// recycleLocked keeps a frame buffer no one reads any more for the next
+// seal, up to maxSpare of them. Caller holds mu.
+func (s *Shipper) recycleLocked(buf []byte) {
+	if len(s.spare) < maxSpare {
+		s.spare = append(s.spare, buf[:0])
+	}
 }
 
 // Seal closes the current partial batch so it ships without waiting for
@@ -271,80 +266,13 @@ func (s *Shipper) Seal() {
 	s.mu.Unlock()
 }
 
-// framer encodes sealed event batches into frames and queues them.
-func (s *Shipper) framer() {
-	defer s.framing.Done()
-	for {
-		select {
-		case b := <-s.full:
-			s.frameBatch(b)
-		case <-s.stopFramer:
-			// Drain anything sealed before the stop.
-			for {
-				select {
-				case b := <-s.full:
-					s.frameBatch(b)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// frameBatch queues one sealed batch as a frame and recycles its buffer.
-func (s *Shipper) frameBatch(b sealedBatch) {
-	s.enqueueFrame(b.buf)
-	s.free <- b.buf
-	s.sealedPending.Add(-1)
-}
-
-// flusher seals partial batches on a timer so low-rate event streams still
-// ship promptly.
-func (s *Shipper) flusher() {
-	defer s.flushing.Done()
-	t := time.NewTicker(s.cfg.FlushInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			s.Seal()
-		case <-s.stopFlusher:
-			return
-		}
-	}
-}
-
-// enqueueFrame assigns the next sequence number and queues a copy of one
-// event frame, or drops it, counted, when the queue is full. Sequence
-// numbers are consumed only by accepted frames: a dropped frame leaves no
-// gap in the stream the collector sees.
-func (s *Shipper) enqueueFrame(payload []byte) {
-	s.scratch = AppendFrame(s.scratch[:0], Frame{
-		Run:     s.cfg.Run,
-		Session: s.cfg.Session,
-		Seq:     s.nextSeq,
-		Kind:    PayloadEvents,
-		Payload: payload,
-	})
-	select {
-	case s.frames <- append([]byte(nil), s.scratch...):
-		s.nextSeq++
-		s.pushed.Add(1)
-		s.pending.Add(1)
-	default:
-		s.queueDropped.Add(1)
-		s.framesDropped.Add(1)
-	}
-}
-
 // Flush seals the current batch and blocks until every queued frame has
 // been shipped (acknowledged) or dropped, or the context expires.
 func (s *Shipper) Flush(ctx context.Context) error {
 	s.Seal()
 	t := time.NewTicker(2 * time.Millisecond)
 	defer t.Stop()
-	for s.sealedPending.Load() != 0 || s.pending.Load() != 0 {
+	for s.pending.Load() != 0 {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
@@ -354,23 +282,27 @@ func (s *Shipper) Flush(ctx context.Context) error {
 	return nil
 }
 
-// Close stops the pipeline in order: the flush timer, a flush with a
-// generous deadline, the framer once it has queued every sealed batch, then
-// the queue, which the sender drains before it exits. It releases the
-// transport and returns the flush's error. Close is idempotent; repeat
-// calls return the first call's result.
+// Close seals the last batch, marks the shipper closed and closes the queue,
+// all under mu, so no later OnEvent or flush timer can reach the queue; then
+// it stops the timer. The sender drains the queue and exits; Close waits for
+// it, reporting a drain that outlasts 30 s as its error, and releases the
+// transport. Close is idempotent; repeat calls return the first call's
+// result.
 func (s *Shipper) Close() error {
 	s.closeOnce.Do(func() {
-		close(s.stopFlusher)
-		s.flushing.Wait()
+		s.mu.Lock()
+		s.sealLocked()
+		s.closed = true
+		close(s.frames)
+		s.mu.Unlock()
+		if s.timer != nil {
+			s.timer.Stop()
+		}
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		s.closeErr = s.Flush(ctx)
 		cancel()
-		close(s.stopFramer)
-		s.framing.Wait()
-		close(s.frames)
 		s.sending.Wait()
-		s.trans.close()
+		s.client.CloseIdleConnections()
 	})
 	return s.closeErr
 }
@@ -378,7 +310,7 @@ func (s *Shipper) Close() error {
 // Stats returns a snapshot of the shipper counters.
 func (s *Shipper) Stats() ShipperStats {
 	s.mu.Lock()
-	events, eventsDropped := s.events, s.eventsDropped
+	events, eventsDropped, pushed := s.events, s.eventsDropped, s.nextSeq
 	s.mu.Unlock()
 	return ShipperStats{
 		Events:        events,
@@ -388,7 +320,7 @@ func (s *Shipper) Stats() ShipperStats {
 		SendErrors:    s.sendErrors.Load(),
 		Retries:       s.retries.Load(),
 		Queue: QueueStats{
-			Pushed:  s.pushed.Load(),
+			Pushed:  int64(pushed),
 			Popped:  s.popped.Load(),
 			Dropped: s.queueDropped.Load(),
 			Depth:   int64(len(s.frames)),
@@ -400,26 +332,36 @@ func (s *Shipper) Stats() ShipperStats {
 // jittered retry.
 func (s *Shipper) sender() {
 	defer s.sending.Done()
-	rng := rand.New(rand.NewSource(s.cfg.Retry.Seed))
-	for frame := range s.frames {
+	for f := range s.frames {
 		s.popped.Add(1)
-		s.shipFrame(frame, rng)
+		if s.shipFrame(f) {
+			s.mu.Lock()
+			s.recycleLocked(f.buf)
+			s.mu.Unlock()
+		}
 		s.pending.Add(-1)
 	}
 }
 
 // shipFrame pushes one frame through the transport. Exhausted retries drop
-// the frame, and the drop is counted.
-func (s *Shipper) shipFrame(frame []byte, rng *rand.Rand) {
-	for attempt := 0; attempt < s.cfg.Retry.MaxAttempts; attempt++ {
+// the frame, and the drop is counted. It reports whether the frame's buffer
+// may be reused: only when its first attempt was acknowledged. The
+// collector's 204 comes after it has read the whole frame, and the HTTP
+// transport hands over a bodiless response only once its write has
+// finished; a failed attempt gives no such order — a response can beat the
+// body's write, which may still be reading the buffer when a later attempt
+// settles — so such a buffer is left to the garbage collector.
+func (s *Shipper) shipFrame(f queuedFrame) (reusable bool) {
+	r := s.cfg.Retry
+	for attempt := 0; attempt < r.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			s.retries.Add(1)
-			time.Sleep(s.cfg.Retry.backoff(attempt-1, rng))
+			time.Sleep(faults.Backoff(r.Base, r.Cap, uint64(r.Seed), int(f.seq), attempt))
 		}
-		err := s.trans.ship(frame)
+		err := s.ship(f.buf)
 		if err == nil {
 			s.shipped.Add(1)
-			return
+			return attempt == 0
 		}
 		s.sendErrors.Add(1)
 		if errors.Is(err, errPermanent) {
@@ -427,22 +369,17 @@ func (s *Shipper) shipFrame(frame []byte, rng *rand.Rand) {
 		}
 	}
 	s.framesDropped.Add(1)
+	return false
 }
 
 // errPermanent marks transport errors that retrying cannot fix (the
 // collector rejected the frame as invalid).
 var errPermanent = errors.New("collect: permanent send failure")
 
-// httpTransport POSTs frames to /ingest; 2xx acknowledges, 4xx is a
-// permanent rejection, anything else (including transport errors) is
-// retryable.
-type httpTransport struct {
-	url    string
-	client *http.Client
-}
-
-func (t *httpTransport) ship(frame []byte) error {
-	resp, err := t.client.Post(t.url, "application/octet-stream", bytes.NewReader(frame))
+// ship POSTs one frame to /ingest; 2xx acknowledges, 4xx is a permanent
+// rejection, anything else (including transport errors) is retryable.
+func (s *Shipper) ship(frame []byte) error {
+	resp, err := s.client.Post(s.url, "application/octet-stream", bytes.NewReader(frame))
 	if err != nil {
 		return err
 	}
@@ -457,5 +394,3 @@ func (t *httpTransport) ship(frame []byte) error {
 		return fmt.Errorf("collect: ship: %s", resp.Status)
 	}
 }
-
-func (t *httpTransport) close() { t.client.CloseIdleConnections() }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -130,20 +131,6 @@ func TestShipperPermanentRejection(t *testing.T) {
 	s.Close()
 }
 
-// offer hands e to s, re-offering while the non-blocking hot path refuses
-// it: a tight loop outruns the small batch-buffer pool by design, where a
-// player emits at session pace.
-func offer(s *Shipper, e telemetry.Event) {
-	for {
-		before := s.Stats().Events
-		s.OnEvent(e)
-		if s.Stats().Events > before {
-			return
-		}
-		time.Sleep(100 * time.Microsecond) // paces the re-offers; decides no verdict
-	}
-}
-
 // waitFor polls cond until it holds, failing the test after 10 s. Every
 // condition it waits on holds within milliseconds (tens under -race): the
 // 10 s is the margin that tells a stuck shipper from a slow machine, not a
@@ -183,14 +170,14 @@ func TestShipperDropsBeyondQueueBound(t *testing.T) {
 		cfg.Retry = RetryPolicy{MaxAttempts: 1 << 20, Base: time.Millisecond, Cap: 4 * time.Millisecond}
 	})
 	defer s.Close()
+	defer up.Store(true) // a failure below must not leave Close retrying against a down collector
 	const events, bound = 30, 2
-	offer(s, testEvent(0))
+	s.OnEvent(testEvent(0))
 	waitFor(t, s, "the sender retrying frame 0", func(ss ShipperStats) bool { return ss.Queue.Popped == 1 && ss.SendErrors > 0 })
 	for i := 1; i < events; i++ {
-		offer(s, testEvent(i))
+		s.OnEvent(testEvent(i))
 	}
-	waitFor(t, s, "every frame queued or dropped", func(ss ShipperStats) bool { return ss.Queue.Pushed+ss.Queue.Dropped == events })
-	ss := s.Stats()
+	ss := s.Stats() // OnEvent seals in place: every frame is already queued or dropped
 	if want := int64(events - 1 - bound); ss.Queue.Pushed != 1+bound || ss.Queue.Dropped != want || ss.FramesDropped != want || ss.Queue.Depth != bound {
 		t.Fatalf("shipper stats %+v, want %d frames accepted and %d dropped", ss, 1+bound, want)
 	}
@@ -219,13 +206,119 @@ func TestShipperDropsBeyondQueueBound(t *testing.T) {
 	}
 }
 
+// TestShipperBurstLosesNothing: a tight loop of events into a shipper whose
+// queue has room for every frame loses nothing — the queue is the only
+// bound — and the collector admits every event, in order. A running
+// shipper is one goroutine, its sender.
+func TestShipperBurstLosesNothing(t *testing.T) {
+	const n, batch = 20000, 64
+	var archived bytes.Buffer
+	c := NewCollector(CollectorConfig{Archive: newBufArchiver(&archived)})
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+
+	before := runtime.NumGoroutine()
+	s := newTestShipper(t, srv.URL, func(cfg *ShipperConfig) {
+		cfg.BatchEvents = batch
+		cfg.Queue = QueueConfig{MemFrames: (n + batch - 1) / batch}
+	})
+	if g := runtime.NumGoroutine() - before; g > 1 {
+		t.Errorf("a running shipper has %d goroutines, want one: the sender", g)
+	}
+	for i := 0; i < n; i++ {
+		s.OnEvent(testEvent(i))
+	}
+	if ss := s.Stats(); ss.Events != n || ss.EventsDropped != 0 || ss.FramesDropped != 0 || ss.Queue.Dropped != 0 {
+		t.Fatalf("shipper stats %+v, want all %d events accepted and nothing dropped", ss, n)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cs := c.Stats() // the collector's lock orders the archive's writes before this read
+	if ss := s.Stats(); ss.FramesShipped != (n+batch-1)/batch || ss.FramesDropped != 0 || cs.Events != n || cs.FramesDup != 0 {
+		t.Fatalf("shipper %+v, collector %+v", ss, cs)
+	}
+	var want bytes.Buffer
+	for i := 0; i < n; i++ {
+		want.Write(telemetry.AppendJSONL(nil, testEvent(i)))
+	}
+	if !bytes.Equal(archived.Bytes(), want.Bytes()) {
+		t.Fatal("the collector holds other events than the burst, or out of order")
+	}
+}
+
+// TestShipperEventAfterClose: a flush timer that fires as Close runs, or
+// after it, and an event offered after Close never touch the closed queue:
+// no panic, the late event counted in EventsDropped, and what was offered
+// before Close shipped.
+func TestShipperEventAfterClose(t *testing.T) {
+	c := NewCollector(CollectorConfig{})
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	const rounds = 20
+	for round := 0; round < rounds; round++ {
+		s := newTestShipper(t, srv.URL, func(cfg *ShipperConfig) {
+			cfg.Session = uint64(round + 1)
+			cfg.BatchEvents = 1 << 10
+			// Armed by the first event, the timer fires before, during or
+			// after Close depending on the round; every order must hold.
+			cfg.FlushInterval = time.Duration(1+round*round) * 5 * time.Microsecond
+		})
+		s.OnEvent(testEvent(0))
+		if err := s.Close(); err != nil {
+			t.Fatalf("round %d: close: %v", round, err)
+		}
+		s.Seal() // what a timer firing after Close does
+		s.OnEvent(testEvent(1))
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		err := s.Flush(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("round %d: flush after close: %v", round, err)
+		}
+		if ss := s.Stats(); ss.Events != 1 || ss.EventsDropped != 1 || ss.FramesShipped != 1 || ss.FramesDropped != 0 || ss.Queue.Pushed != 1 {
+			t.Fatalf("round %d: stats %+v, want one event shipped and the late one dropped", round, ss)
+		}
+	}
+	if cs := c.Stats(); cs.Events != rounds {
+		t.Fatalf("collector holds %d events, want %d", cs.Events, rounds)
+	}
+}
+
+// TestShipperSealZeroAlloc: with each settled frame's buffer back on the
+// free list, as the sender returns it, sealing allocates nothing either.
+func TestShipperSealZeroAlloc(t *testing.T) {
+	s := bareShipper(1)
+	s.cfg.BatchEvents = 4
+	ev := testEvent(7)
+	step := func() {
+		s.OnEvent(ev)
+		select {
+		case f := <-s.frames: // settled, as the sender settles it
+			s.mu.Lock()
+			s.recycleLocked(f.buf)
+			s.mu.Unlock()
+		default:
+		}
+	}
+	for i := 0; i < 64; i++ {
+		step() // grows the batch and frame buffers to their steady size
+	}
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Fatalf("OnEvent with sealing allocates %.2f per call, want 0", allocs)
+	}
+	if ss := s.Stats(); ss.FramesDropped != 0 || ss.Queue.Pushed == 0 {
+		t.Fatalf("stats %+v, want frames sealed and none dropped", ss)
+	}
+}
+
 func TestShipperOnEventZeroAlloc(t *testing.T) {
 	c := NewCollector(CollectorConfig{})
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 
-	// A batch size larger than the test's event count keeps the framer and
-	// senders idle: the measurement isolates the player-visible hot path.
+	// A batch size larger than the test's event count keeps the seal path
+	// and the sender idle: the measurement isolates the append.
 	s := newTestShipper(t, srv.URL, func(cfg *ShipperConfig) {
 		cfg.BatchEvents = 1 << 20
 	})

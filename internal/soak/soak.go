@@ -307,7 +307,7 @@ func (r *Runner) RunCycle(ctx context.Context, cycle int) (*Cycle, error) {
 			Addr:          "http://" + colAddr,
 			Run:           run,
 			Session:       uint64(i + 1),
-			FlushInterval: -1, // sealed explicitly at session end
+			FlushInterval: -1, // Close seals the session's last batch
 			Retry:         collect.RetryPolicy{Seed: seed},
 		})
 		if err != nil {
@@ -324,7 +324,6 @@ func (r *Runner) RunCycle(ctx context.Context, cycle int) (*Cycle, error) {
 	wg.Wait()
 
 	for i, s := range shippers {
-		s.Seal()
 		if err := s.Close(); err != nil {
 			records[i].Dropped++ // a flush that missed Close's deadline counts as loss
 		}

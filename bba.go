@@ -261,11 +261,13 @@ func RunSessionContext(ctx context.Context, cfg SessionConfig) (*Result, error) 
 }
 
 // ObservedTrace reconstructs the capacity process a finished session
-// experienced, from its per-chunk throughput observations. Feed it back
-// into RunSession with a different algorithm for a counterfactual — the
-// paper's Figure 4 question ("this rebuffer was entirely unnecessary").
-func ObservedTrace(res *Result) (*Trace, error) {
-	return player.ObservedTrace(res)
+// experienced, from the per-chunk throughput its EventChunkComplete events
+// carry: record the session's events through SessionConfig.Observer and
+// pass them here. Feed the trace back into RunSession with a different
+// algorithm for a counterfactual — the paper's Figure 4 question ("this
+// rebuffer was entirely unnecessary").
+func ObservedTrace(events []Event) (*Trace, error) {
+	return player.ObservedTrace(events)
 }
 
 // Experiment runs a weekend-scale paired A/B test across the paper's six

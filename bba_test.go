@@ -85,9 +85,9 @@ func TestFacadeRminPromotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range res.Chunks {
-		if c.Rate != 560*Kbps {
-			t.Fatalf("chunk at %v, want promoted 560kb/s", c.Rate)
+	for i := 0; i < res.ChunkCount(); i++ {
+		if r := res.ChunkRateKbps(i); r != 560 {
+			t.Fatalf("chunk %d at %v kb/s, want promoted 560kb/s", i, r)
 		}
 	}
 }
@@ -107,15 +107,17 @@ func TestFacadeObservedTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunSession(SessionConfig{
+	var events []Event
+	_, err = RunSession(SessionConfig{
 		Algorithm: NewBBA2(),
 		Video:     video,
 		Trace:     StepTrace(5*Mbps, 350*Kbps, 25*time.Second, time.Hour),
+		Observer:  ObserverFunc(func(e Event) { events = append(events, e) }),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := ObservedTrace(res)
+	tr, err := ObservedTrace(events)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -219,7 +219,8 @@ func BenchmarkSessionSimulationObserved(b *testing.B) {
 
 // TestSessionSimulationAllocs pins the hot path's allocation count. The
 // engine runs a full 18-minute session on a title already planned in 3
-// heap allocations (Result.Chunks preallocated; the reservoir plan is the
+// heap allocations (the algorithm, the Result and its preallocated rate
+// record, which indexes the stream's own ladder; the reservoir plan is the
 // title's shared one, built by AllocsPerRun's warm-up call; trace cursor
 // and plan allocation-free per chunk). A session building its own plan
 // again (5) or a per-chunk allocation slipping back in (hundreds) exceeds

@@ -24,6 +24,7 @@ import (
 	"net/http"
 	neturl "net/url"
 	"os"
+	"strconv"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -83,8 +84,8 @@ func run(ctx context.Context, out io.Writer, url, algName string, watch time.Dur
 
 	// One id per run names the session everywhere: to the origin (a
 	// fault-mode origin draws this viewer's faults from it, and its
-	// fault_inject events carry it) and as the shipped journal's stream, so
-	// the two join.
+	// fault_inject events carry it), as the shipped journal's stream and as
+	// every event's session label, so the two join.
 	id := rand.Uint64()
 	cfg := dash.ClientConfig{
 		BaseURL:    url,
@@ -100,6 +101,13 @@ func run(ctx context.Context, out io.Writer, url, algName string, watch time.Dur
 			fmt.Fprintf(out, format+"\n", args...)
 		}
 	}
+	var (
+		sinks   []telemetry.Observer
+		capture telemetry.Capture // the -whatif replay's per-chunk log
+	)
+	if whatIf {
+		sinks = append(sinks, &capture)
+	}
 	if journal != "" {
 		sink, done, oerr := openJournal(journal, id)
 		if oerr != nil {
@@ -110,7 +118,10 @@ func run(ctx context.Context, out io.Writer, url, algName string, watch time.Dur
 				err = derr
 			}
 		}()
-		cfg.Observer = sink
+		sinks = append(sinks, sink)
+	}
+	if next := telemetry.Multi(sinks...); next != nil {
+		cfg.Observer = telemetry.Stamp{Session: strconv.FormatUint(id, 10), Next: next}
 	}
 	res, err := dash.Stream(ctx, cfg)
 	if err != nil {
@@ -118,7 +129,7 @@ func run(ctx context.Context, out io.Writer, url, algName string, watch time.Dur
 	}
 	fmt.Fprintf(out, "\nsession summary (%s over HTTP)\n", alg.Name())
 	fmt.Fprintf(out, "  session id        %d\n", id)
-	fmt.Fprintf(out, "  chunks            %d\n", len(res.Chunks))
+	fmt.Fprintf(out, "  chunks            %d\n", res.ChunkCount())
 	fmt.Fprintf(out, "  played            %v\n", res.Played.Round(time.Second))
 	fmt.Fprintf(out, "  join delay        %v\n", res.JoinDelay.Round(time.Millisecond))
 	fmt.Fprintf(out, "  rebuffers         %d (%.1fs frozen)\n", res.Rebuffers, res.StallTime.Seconds())
@@ -126,7 +137,7 @@ func run(ctx context.Context, out io.Writer, url, algName string, watch time.Dur
 	fmt.Fprintf(out, "  switches          %d\n", res.Switches)
 
 	if whatIf {
-		if err := printWhatIf(out, res, watch, rminKbps); err != nil {
+		if err := printWhatIf(out, capture.Events, res.ChunkCount(), watch, rminKbps); err != nil {
 			return fmt.Errorf("what-if replay: %w", err)
 		}
 	}
@@ -180,10 +191,10 @@ func openJournal(target string, id uint64) (sink telemetry.Observer, done func()
 	}, nil
 }
 
-// printWhatIf replays the observed network against every algorithm in
-// virtual time — the counterfactual comparison the paper's Figure 4 makes.
-func printWhatIf(out io.Writer, original *player.Result, watch time.Duration, rminKbps int) error {
-	tr, err := player.ObservedTrace(original)
+// printWhatIf replays the network a session's events observed against every
+// algorithm in virtual time — the counterfactual the paper's Figure 4 poses.
+func printWhatIf(out io.Writer, events []telemetry.Event, chunks int, watch time.Duration, rminKbps int) error {
+	tr, err := player.ObservedTrace(events)
 	if err != nil {
 		return err
 	}
@@ -194,7 +205,7 @@ func printWhatIf(out io.Writer, original *player.Result, watch time.Duration, rm
 		Title:         "whatif",
 		Ladder:        media.DefaultLadder(),
 		ChunkDuration: media.DefaultChunkDuration,
-		NumChunks:     maxInt(len(original.Chunks), 2),
+		NumChunks:     max(chunks, 2),
 	}, rand.New(rand.NewSource(1)))
 	if err != nil {
 		return err
@@ -222,11 +233,4 @@ func printWhatIf(out io.Writer, original *player.Result, watch time.Duration, rm
 			name, res.AvgRateKbps(), res.Rebuffers, res.StallTime.Seconds(), res.Switches)
 	}
 	return w.Flush()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -149,14 +149,16 @@ func (f *archiverFunc) Admit(run string, session, seq uint64, batch []byte) (boo
 
 // TestPlayOneSessionID: each run draws one session id and sends it as every
 // chunk request's s=, so a fault-mode origin tells its viewers apart; the
-// shipped journal's stream is the same id, and the summary prints it. Two
-// runs send two different, non-zero ids.
+// shipped journal's stream is the same id, every shipped event is labelled
+// with it in the decimal the origin's events use, and the summary prints it.
+// Two runs send two different, non-zero ids.
 func TestPlayOneSessionID(t *testing.T) {
 	ts := testServer(t)
 	var (
 		mu      sync.Mutex
 		fetched []string // each chunk request's s=
 		shipped []uint64 // each admitted frame's stream
+		lines   [][]byte // each admitted event
 	)
 	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasPrefix(r.URL.Path, "/chunk/") {
@@ -167,10 +169,15 @@ func TestPlayOneSessionID(t *testing.T) {
 		ts.Config.Handler.ServeHTTP(w, r)
 	}))
 	defer origin.Close()
-	c := collect.NewCollector(collect.CollectorConfig{Archive: &archiverFunc{fn: func(_ string, session uint64, _ []byte) error {
+	c := collect.NewCollector(collect.CollectorConfig{Archive: &archiverFunc{fn: func(_ string, session uint64, batch []byte) error {
 		mu.Lock()
 		defer mu.Unlock()
 		shipped = append(shipped, session)
+		for _, line := range bytes.SplitAfter(batch, []byte("\n")) {
+			if len(line) > 0 {
+				lines = append(lines, line)
+			}
+		}
 		return nil
 	}}})
 	col := httptest.NewServer(c.Handler())
@@ -179,7 +186,7 @@ func TestPlayOneSessionID(t *testing.T) {
 	var ids []string
 	for i := 0; i < 2; i++ {
 		mu.Lock()
-		fetched, shipped = nil, nil
+		fetched, shipped, lines = nil, nil, nil
 		mu.Unlock()
 		var out bytes.Buffer
 		if err := run(context.Background(), &out, origin.URL, "BBA-2", 2*time.Second, 0, 0, false, false, true, col.URL); err != nil {
@@ -201,6 +208,11 @@ func TestPlayOneSessionID(t *testing.T) {
 		for _, s := range shipped {
 			if strconv.FormatUint(s, 10) != id {
 				t.Fatalf("run %d shipped its journal as stream %d, fetched as session %s", i, s, id)
+			}
+		}
+		for _, line := range lines {
+			if !bytes.Contains(line, []byte(`"session":"`+id+`"`)) {
+				t.Fatalf("run %d shipped an event not labelled session %s: %s", i, id, line)
 			}
 		}
 		mu.Unlock()

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -20,6 +21,7 @@ import (
 	"bba/internal/abr"
 	"bba/internal/media"
 	"bba/internal/player"
+	"bba/internal/telemetry"
 	"bba/internal/trace"
 	"bba/internal/units"
 )
@@ -83,11 +85,18 @@ func run(out io.Writer, algName string, capacityKbps int, scenario string, ratio
 		}
 	}
 
+	// The per-chunk log is the session's chunk_complete events.
+	var completed []telemetry.Event
 	res, err := player.Run(player.Config{
 		Algorithm:  alg,
 		Stream:     abr.NewStream(video, units.BitRate(rminKbps)*units.Kbps),
 		Trace:      tr,
 		WatchLimit: watch,
+		Observer: telemetry.Func(func(e telemetry.Event) {
+			if e.Kind == telemetry.ChunkComplete {
+				completed = append(completed, e)
+			}
+		}),
 	})
 	if err != nil {
 		return err
@@ -98,7 +107,7 @@ func run(out io.Writer, algName string, capacityKbps int, scenario string, ratio
 		if err != nil {
 			return err
 		}
-		if err := res.WriteChunkCSV(f); err != nil {
+		if err := writeChunkCSV(f, completed); err != nil {
 			f.Close()
 			return err
 		}
@@ -110,13 +119,14 @@ func run(out io.Writer, algName string, capacityKbps int, scenario string, ratio
 	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "time\tchunk\trate\tthroughput\tdownload\tbuffer")
 	var nextPrint time.Duration
-	for _, c := range res.Chunks {
-		if !verbose && c.Start < nextPrint {
+	for _, c := range completed {
+		start := c.At - c.Duration
+		if !verbose && start < nextPrint {
 			continue
 		}
-		nextPrint = c.Start + 30*time.Second
+		nextPrint = start + 30*time.Second
 		fmt.Fprintf(w, "%.0fs\t%d\t%v\t%v\t%.2fs\t%.0fs\n",
-			c.Start.Seconds(), c.Index, c.Rate, c.Throughput, c.Download.Seconds(), c.BufferAfter.Seconds())
+			start.Seconds(), c.Chunk, c.Rate, c.Throughput, c.Duration.Seconds(), c.Buffer.Seconds())
 	}
 	w.Flush()
 
@@ -132,6 +142,21 @@ func run(out io.Writer, algName string, capacityKbps int, scenario string, ratio
 		fmt.Fprintf(out, "  NOTE: the session could not complete (permanent outage)\n")
 	}
 	return nil
+}
+
+// writeChunkCSV writes the session's chunk_complete events as CSV
+// ("start_s,index,rate_kbps,bytes,download_s,throughput_kbps,buffer_s"),
+// the raw series behind the time-series figures. A failed write sticks in
+// the bufio.Writer, so Flush reports it.
+func writeChunkCSV(w io.Writer, chunks []telemetry.Event) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintln(bw, "start_s,index,rate_kbps,bytes,download_s,throughput_kbps,buffer_s")
+	for _, c := range chunks {
+		fmt.Fprintf(bw, "%.3f,%d,%.0f,%d,%.3f,%.0f,%.3f\n",
+			(c.At - c.Duration).Seconds(), c.Chunk, c.Rate.Kilobits(), c.Bytes,
+			c.Duration.Seconds(), c.Throughput.Kilobits(), c.Buffer.Seconds())
+	}
+	return bw.Flush()
 }
 
 func mkVideo(ladder media.Ladder, chunks int, seed int64) (*media.Video, error) {

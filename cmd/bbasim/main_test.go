@@ -7,6 +7,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"bba/internal/telemetry"
+	"bba/internal/units"
 )
 
 func TestRunScenarios(t *testing.T) {
@@ -68,5 +71,54 @@ func TestRunTraceFileAndChunkCSV(t *testing.T) {
 	}
 	if !strings.HasPrefix(string(raw), "start_s,index,") {
 		t.Error("chunk CSV malformed")
+	}
+}
+
+// TestGoldenStepSession pins the timeline and the chunk CSV, byte for byte,
+// of bbasim -alg BBA-1 -scenario step -watch 5m -v -chunks-csv: both are
+// read off the session's chunk_complete events.
+func TestGoldenStepSession(t *testing.T) {
+	csvPath := filepath.Join(t.TempDir(), "chunks.csv")
+	var out bytes.Buffer
+	if err := run(&out, "BBA-1", 4000, "step", 5.6, 5*time.Minute, 1800, 1, 0, "", csvPath, "", true); err != nil {
+		t.Fatal(err)
+	}
+	gotCSV, err := os.ReadFile(csvPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []struct {
+		file string
+		got  []byte
+	}{
+		{"bba1-step-5m-v.txt", out.Bytes()},
+		{"bba1-step-5m-v.csv", gotCSV},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", g.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g.got, want) {
+			t.Errorf("output differs from testdata/%s:\n%s", g.file, g.got)
+		}
+	}
+}
+
+func TestWriteChunkCSV(t *testing.T) {
+	chunks := []telemetry.Event{
+		{Kind: telemetry.ChunkComplete, At: 1500 * time.Millisecond, Chunk: 0, Rate: 235 * units.Kbps,
+			Bytes: 117500, Duration: 1500 * time.Millisecond, Throughput: 626667, Buffer: 4 * time.Second},
+		{Kind: telemetry.ChunkComplete, At: 2 * time.Second, Chunk: 1, Rate: 750 * units.Kbps,
+			Bytes: 375000, Duration: 500 * time.Millisecond, Throughput: 6 * units.Mbps, Buffer: 7500 * time.Millisecond},
+	}
+	var buf bytes.Buffer
+	if err := writeChunkCSV(&buf, chunks); err != nil {
+		t.Fatal(err)
+	}
+	want := "start_s,index,rate_kbps,bytes,download_s,throughput_kbps,buffer_s\n" +
+		"0.000,0,235,117500,1.500,627,4.000\n" +
+		"1.500,1,750,375000,0.500,6000,7.500\n"
+	if buf.String() != want {
+		t.Errorf("CSV:\n%s\nwant:\n%s", buf.String(), want)
 	}
 }

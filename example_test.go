@@ -38,17 +38,19 @@ func ExampleObservedTrace() {
 		log.Fatal(err)
 	}
 	// Live through a capacity collapse with the degenerate top-rate
-	// policy — guaranteed to freeze.
+	// policy — guaranteed to freeze — recording the session's events.
+	var events []bba.Event
 	original, err := bba.RunSession(bba.SessionConfig{
 		Algorithm:  mustAlg("Rmax Always"),
 		Video:      video,
 		Trace:      bba.StepTrace(5*bba.Mbps, 350*bba.Kbps, 25*time.Second, time.Hour),
 		WatchLimit: 5 * time.Minute,
+		Observer:   bba.ObserverFunc(func(e bba.Event) { events = append(events, e) }),
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	observed, err := bba.ObservedTrace(original)
+	observed, err := bba.ObservedTrace(events)
 	if err != nil {
 		log.Fatal(err)
 	}

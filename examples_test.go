@@ -90,27 +90,23 @@ func Example_startup() {
 	}
 	link := trace.Constant(25*units.Mbps, time.Hour)
 
-	ramp := func(alg bba.Algorithm) *player.Result {
-		res, err := player.Run(player.Config{
+	ramp := func(alg bba.Algorithm) (*player.Result, []bba.Event) {
+		return runLogged(player.Config{
 			Algorithm:  alg,
 			Stream:     abr.NewStream(video, 0),
 			Trace:      link,
 			WatchLimit: 5 * time.Minute,
 		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return res
 	}
-	bba1 := ramp(bba.NewBBA1())
-	bba2 := ramp(bba.NewBBA2())
+	bba1, log1 := ramp(bba.NewBBA1())
+	bba2, log2 := ramp(bba.NewBBA2())
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "chunk\tBBA-1 rate\tBBA-1 buffer\tBBA-2 rate\tBBA-2 buffer")
-	for k := 0; k < 30 && k < len(bba1.Chunks) && k < len(bba2.Chunks); k++ {
-		c1, c2 := bba1.Chunks[k], bba2.Chunks[k]
+	for k := 0; k < 30 && k < len(log1) && k < len(log2); k++ {
+		c1, c2 := log1[k], log2[k]
 		fmt.Fprintf(w, "%d\t%v\t%.0fs\t%v\t%.0fs\n",
-			k, c1.Rate, c1.BufferAfter.Seconds(), c2.Rate, c2.BufferAfter.Seconds())
+			k, c1.Rate, c1.Buffer.Seconds(), c2.Rate, c2.Buffer.Seconds())
 	}
 	w.Flush()
 
@@ -277,19 +273,16 @@ func Example_outage() {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "algorithm\trebuffers\tfrozen\tavg rate\tfaults\tretries\tbuffer@outage")
 	for _, r := range runs {
-		res, err := player.Run(player.Config{
+		res, chunks := runLogged(player.Config{
 			Algorithm:  r.alg,
 			Stream:     abr.NewStream(video, 0),
 			Trace:      link,
 			WatchLimit: 15 * time.Minute,
 			Injector:   inj,
 		})
-		if err != nil {
-			log.Fatal(err)
-		}
 		fmt.Fprintf(w, "%s\t%d\t%.1fs\t%.0f kb/s\t%d\t%d\t%.0fs\n",
 			r.name, res.Rebuffers, res.StallTime.Seconds(), res.AvgRateKbps(),
-			res.Faults, res.Retries, bufferAtOutage(res, 8*time.Minute))
+			res.Faults, res.Retries, bufferAtOutage(chunks, 8*time.Minute))
 	}
 	w.Flush()
 	fmt.Println("\nthe Section 7 mechanisms converge the buffer higher, so an outage that")
@@ -307,15 +300,31 @@ func Example_outage() {
 	// 5xx burst and latency spike cost every player a few deterministic retries
 }
 
+// runLogged runs one session and returns its result with its
+// chunk_complete events, the per-chunk log.
+func runLogged(cfg player.Config) (*player.Result, []bba.Event) {
+	var chunks []bba.Event
+	cfg.Observer = bba.ObserverFunc(func(e bba.Event) {
+		if e.Kind == bba.EventChunkComplete {
+			chunks = append(chunks, e)
+		}
+	})
+	res, err := player.Run(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res, chunks
+}
+
 // bufferAtOutage reports the buffer level after the last chunk that
 // completed before the outage hit.
-func bufferAtOutage(res *player.Result, at time.Duration) float64 {
+func bufferAtOutage(chunks []bba.Event, at time.Duration) float64 {
 	var level time.Duration
-	for _, c := range res.Chunks {
-		if c.Start+c.Download > at {
+	for _, c := range chunks {
+		if c.At > at {
 			break
 		}
-		level = c.BufferAfter
+		level = c.Buffer
 	}
 	return level.Seconds()
 }

@@ -10,6 +10,7 @@ import (
 	"bba/internal/abr"
 	"bba/internal/media"
 	"bba/internal/player"
+	"bba/internal/telemetry"
 	"bba/internal/trace"
 	"bba/internal/units"
 )
@@ -51,20 +52,28 @@ func arm(a abr.Algorithm, history units.BitRate) abr.Algorithm {
 	return a
 }
 
-func playRecycle(t *testing.T, a abr.Algorithm, cfg player.Config) *player.Result {
+// played is a session's Result and its events, the per-chunk log.
+type played struct {
+	res    *player.Result
+	events []telemetry.Event
+}
+
+func playRecycle(t *testing.T, a abr.Algorithm, cfg player.Config) played {
 	t.Helper()
 	cfg.Algorithm = a
+	capture := &telemetry.Capture{}
+	cfg.Observer = capture
 	res, err := player.Run(cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", a.Name(), err)
 	}
-	return res
+	return played{res, capture.Events}
 }
 
 // FuzzRecycledPlaysFresh holds the registry's recycling to the fresh
 // instance it stands in for: an instance that has been released once plays
 // session A (history seeded), is released and handed out again, and then
-// plays session B exactly — every Result field, chunk log included — as an
+// plays session B exactly — every Result field and every event — as an
 // instance straight from the constructor does. With sharedTitle the two
 // play B's title itself, so the recycled instance reads the plan the fresh
 // one filled; without it, the recycled one plays an identical copy of the
@@ -105,16 +114,16 @@ func FuzzRecycledPlaysFresh(f *testing.F) {
 	})
 }
 
-// firstDifference names the first chunk two Results disagree on, or says
-// they differ elsewhere.
-func firstDifference(got, want *player.Result) string {
-	for i := range min(len(got.Chunks), len(want.Chunks)) {
-		if got.Chunks[i] != want.Chunks[i] {
-			return fmt.Sprintf("chunk %d: recycled %+v, fresh %+v", i, got.Chunks[i], want.Chunks[i])
+// firstDifference names the first event two sessions disagree on, or says
+// their Results differ elsewhere.
+func firstDifference(got, want played) string {
+	for i := range min(len(got.events), len(want.events)) {
+		if got.events[i] != want.events[i] {
+			return fmt.Sprintf("event %d: recycled %+v, fresh %+v", i, got.events[i], want.events[i])
 		}
 	}
-	if len(got.Chunks) != len(want.Chunks) {
-		return fmt.Sprintf("recycled played %d chunks, fresh %d", len(got.Chunks), len(want.Chunks))
+	if len(got.events) != len(want.events) {
+		return fmt.Sprintf("recycled emitted %d events, fresh %d", len(got.events), len(want.events))
 	}
-	return "same chunk log, other Result fields differ"
+	return "same events, other Result fields differ"
 }

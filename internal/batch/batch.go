@@ -19,9 +19,6 @@
 //     window), the same table every lane, worker and standalone
 //     player.Run of the title reads, so a lane runs the decision code
 //     player.Run runs and a Runner builds no plan of its own.
-//   - Sessions run with player.Config.SkipChunkRecords: campaigns never
-//     read Result.Chunks, and the per-chunk log would be a fresh
-//     session's dominant allocation.
 //   - Each lane hands its session's algorithm back with abr.Release
 //     right after the metrics are read, the last read of it, so the arm
 //     factory's next call can reuse it; Group.New is still called once
@@ -238,7 +235,6 @@ func (r *Runner) RunShard(ctx context.Context, n int, draw func(off int) (Draw, 
 				lane := r.idle[len(r.idle)-1]
 				r.idle = r.idle[:len(r.idle)-1]
 				pc := slot.env.PlayerConfig(g)
-				pc.SkipChunkRecords = true
 				if err := r.sessions[lane].Start(pc); err != nil {
 					return r.fail(fmt.Errorf("batch: draw %d group %s: %w", nextOff, g.Name, err))
 				}

@@ -184,8 +184,7 @@ func Stream(ctx context.Context, cfg ClientConfig) (*player.Result, error) {
 		if _, err := ss.Deliver(req, n, dl); err != nil {
 			return nil, err
 		}
-		c := res.Chunks[len(res.Chunks)-1]
-		logf("chunk %d: rate=%v bytes=%d dl=%v buffer=%v", c.Index, c.Rate, c.Bytes, dl.Round(time.Millisecond), c.BufferAfter.Round(100*time.Millisecond))
+		logf("chunk %d: rate=%v bytes=%d dl=%v buffer=%v", req.Chunk, stream.Ladder()[req.RateIndex], n, dl.Round(time.Millisecond), ss.Buffer().Round(100*time.Millisecond))
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"bba/internal/abr"
 	"bba/internal/media"
 	"bba/internal/netem"
+	"bba/internal/telemetry"
 	"bba/internal/trace"
 	"bba/internal/units"
 )
@@ -138,8 +139,8 @@ func TestStreamEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Chunks) != 24 {
-		t.Fatalf("downloaded %d chunks, want 24", len(res.Chunks))
+	if res.ChunkCount() != 24 {
+		t.Fatalf("downloaded %d chunks, want 24", res.ChunkCount())
 	}
 	if res.Played != 12*time.Second {
 		t.Errorf("played %v, want 12s", res.Played)
@@ -148,8 +149,7 @@ func TestStreamEndToEnd(t *testing.T) {
 		t.Errorf("rebuffers = %d on loopback", res.Rebuffers)
 	}
 	// On an unconstrained link the rate must climb off R_min.
-	last := res.Chunks[len(res.Chunks)-1]
-	if last.RateIndex == 0 {
+	if res.ChunkRateKbps(res.ChunkCount()-1) == video.Ladder.Min().Kilobits() {
 		t.Error("rate never climbed on a fast link")
 	}
 }
@@ -175,19 +175,20 @@ func TestStreamThroughShapedLink(t *testing.T) {
 			return netem.NewConn(c, netem.NewShaper(linkTrace)), nil
 		},
 	}
-	res, err := Stream(context.Background(), ClientConfig{
+	capture := &telemetry.Capture{}
+	if _, err := Stream(context.Background(), ClientConfig{
 		BaseURL:    ts.URL,
 		HTTPClient: &http.Client{Transport: transport},
 		Algorithm:  abr.NewBBA2(),
-	})
-	if err != nil {
+		Observer:   capture,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	// Measured throughput on downloads must reflect the shaping: no chunk
 	// can have seen much more than 2 Mb/s.
-	for _, c := range res.Chunks {
-		if c.Throughput > 4*units.Mbps {
-			t.Errorf("chunk %d measured %v through a 2Mb/s link", c.Index, c.Throughput)
+	for _, e := range capture.Events {
+		if e.Kind == telemetry.ChunkComplete && e.Throughput > 4*units.Mbps {
+			t.Errorf("chunk %d measured %v through a 2Mb/s link", e.Chunk, e.Throughput)
 		}
 	}
 }
@@ -215,8 +216,8 @@ func TestStreamRetriesTransientFailures(t *testing.T) {
 	if res.Incomplete {
 		t.Error("transient failure should have been retried")
 	}
-	if len(res.Chunks) != 8 {
-		t.Errorf("downloaded %d chunks, want 8", len(res.Chunks))
+	if res.ChunkCount() != 8 {
+		t.Errorf("downloaded %d chunks, want 8", res.ChunkCount())
 	}
 }
 
@@ -240,8 +241,8 @@ func TestStreamGivesUpAfterPersistentFailures(t *testing.T) {
 	if !res.Incomplete {
 		t.Error("persistent failure should mark the session incomplete")
 	}
-	if len(res.Chunks) != 2 {
-		t.Errorf("downloaded %d chunks before the dead chunk, want 2", len(res.Chunks))
+	if res.ChunkCount() != 2 {
+		t.Errorf("downloaded %d chunks before the dead chunk, want 2", res.ChunkCount())
 	}
 }
 
@@ -299,6 +300,39 @@ func TestStreamBadBaseURL(t *testing.T) {
 	}
 }
 
+// TestStreamRefusesWideLadder: a session's rate record keeps one uint8 rung
+// index per chunk, so a title served with 257 rungs is refused before the
+// first chunk, with the bound named.
+func TestStreamRefusesWideLadder(t *testing.T) {
+	ladder := make(media.Ladder, 257)
+	for i := range ladder {
+		ladder[i] = units.BitRate(100+i) * units.Kbps
+	}
+	video, err := media.NewCBR("wide", ladder, 500*time.Millisecond, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(video)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chunks atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/chunk/") {
+			chunks.Add(1)
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	_, err = Stream(context.Background(), ClientConfig{BaseURL: ts.URL, Algorithm: abr.RminAlways{}})
+	if err == nil || !strings.Contains(err.Error(), "at most 256 rungs") {
+		t.Fatalf("Stream = %v, want a refusal naming the 256-rung bound", err)
+	}
+	if n := chunks.Load(); n != 0 {
+		t.Errorf("%d chunks fetched before the refusal", n)
+	}
+}
+
 func TestStreamRminPromotion(t *testing.T) {
 	video := testVideo(t, 8, 500*time.Millisecond)
 	srv, err := NewServer(video)
@@ -316,9 +350,9 @@ func TestStreamRminPromotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range res.Chunks {
-		if c.Rate != 560*units.Kbps {
-			t.Fatalf("chunk %d at %v, want promoted R_min 560kb/s", c.Index, c.Rate)
+	for i := 0; i < res.ChunkCount(); i++ {
+		if r := res.ChunkRateKbps(i); r != 560 {
+			t.Fatalf("chunk %d at %v kb/s, want promoted R_min 560kb/s", i, r)
 		}
 	}
 }
@@ -368,7 +402,7 @@ func TestStreamManifestFetchErrors(t *testing.T) {
 		cfg := m.cfg
 		cfg.Algorithm = abr.RminAlways{}
 		cfg.BaseURL = origin("", nil)
-		if res, err := Stream(context.Background(), cfg); err != nil || len(res.Chunks) != 4 {
+		if res, err := Stream(context.Background(), cfg); err != nil || res.ChunkCount() != 4 {
 			t.Fatalf("%s: good session failed: %v", m.name, err)
 		}
 		for _, path := range m.paths {

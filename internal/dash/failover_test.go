@@ -104,8 +104,8 @@ func TestStreamFailsOverToHealthyEndpoint(t *testing.T) {
 	if res.Incomplete {
 		t.Fatal("session failed despite a healthy fallback endpoint")
 	}
-	if len(res.Chunks) != 10 {
-		t.Fatalf("downloaded %d chunks, want 10", len(res.Chunks))
+	if res.ChunkCount() != 10 {
+		t.Fatalf("downloaded %d chunks, want 10", res.ChunkCount())
 	}
 	if res.Failovers == 0 {
 		t.Fatal("no failover recorded against a dead primary")
@@ -156,8 +156,8 @@ func TestStreamManifestFallsBackAcrossEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Chunks) != 6 {
-		t.Fatalf("downloaded %d chunks, want 6", len(res.Chunks))
+	if res.ChunkCount() != 6 {
+		t.Fatalf("downloaded %d chunks, want 6", res.ChunkCount())
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"bba/internal/abr"
 	"bba/internal/media"
+	"bba/internal/telemetry"
 	"bba/internal/units"
 )
 
@@ -145,16 +146,18 @@ func TestStreamViaMPD(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
+	capture := &telemetry.Capture{}
 	res, err := Stream(context.Background(), ClientConfig{
 		BaseURL:   ts.URL,
 		Algorithm: abr.NewBBA2(),
 		UseMPD:    true,
+		Observer:  capture,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Chunks) != 20 {
-		t.Fatalf("downloaded %d chunks, want 20", len(res.Chunks))
+	if res.ChunkCount() != 20 {
+		t.Fatalf("downloaded %d chunks, want 20", res.ChunkCount())
 	}
 	if res.Rebuffers != 0 {
 		t.Errorf("rebuffers = %d", res.Rebuffers)
@@ -162,9 +165,9 @@ func TestStreamViaMPD(t *testing.T) {
 	// The client's model used nominal sizes, but the wire carried the
 	// real VBR bytes — the recorded byte counts must match the encode,
 	// not the model.
-	for _, c := range res.Chunks {
-		if c.Bytes != video.ChunkSize(c.RateIndex, c.Index) {
-			t.Fatalf("chunk %d recorded %d bytes, encode has %d", c.Index, c.Bytes, video.ChunkSize(c.RateIndex, c.Index))
+	for _, e := range capture.Events {
+		if e.Kind == telemetry.ChunkComplete && e.Bytes != video.ChunkSize(e.RateIndex, e.Chunk) {
+			t.Fatalf("chunk %d recorded %d bytes, encode has %d", e.Chunk, e.Bytes, video.ChunkSize(e.RateIndex, e.Chunk))
 		}
 	}
 }

@@ -181,7 +181,7 @@ func BufferOccupancy() (*Figure, error) {
 			rng := abtest.SessionRNG(ExperimentSeed+31, 0, 0, i)
 			u := abtest.DrawUser(abtest.PopulationConfig{}, 0, 0, rng)
 			stream := abr.NewStream(u.Pick(catalog), u.Rmin)
-			res, err := player.Run(player.Config{
+			_, chunks, err := runLogged(player.Config{
 				Algorithm:  a.New(u),
 				Stream:     stream,
 				Trace:      u.Trace,
@@ -190,9 +190,9 @@ func BufferOccupancy() (*Figure, error) {
 			if err != nil {
 				return nil, err
 			}
-			for _, c := range res.Chunks {
-				if c.Start >= 2*time.Minute { // steady state per Fig. 18
-					levels = append(levels, c.BufferAfter.Seconds())
+			for _, c := range chunks {
+				if c.At-c.Duration >= 2*time.Minute { // steady state per Fig. 18
+					levels = append(levels, c.Buffer.Seconds())
 				}
 			}
 		}

@@ -10,6 +10,7 @@ import (
 	"bba/internal/media"
 	"bba/internal/player"
 	"bba/internal/stats"
+	"bba/internal/telemetry"
 	"bba/internal/trace"
 	"bba/internal/units"
 )
@@ -21,6 +22,20 @@ func referenceVideo(chunks int) (*media.Video, error) {
 		Ladder:    media.DefaultLadder(),
 		NumChunks: chunks,
 	}, rand.New(rand.NewSource(10)))
+}
+
+// runLogged runs one session and returns its result with its chunk_complete
+// events, the per-chunk log the time-series figures plot. A chunk started
+// at At − Duration.
+func runLogged(cfg player.Config) (*player.Result, []telemetry.Event, error) {
+	var chunks []telemetry.Event
+	cfg.Observer = telemetry.Func(func(e telemetry.Event) {
+		if e.Kind == telemetry.ChunkComplete {
+			chunks = append(chunks, e)
+		}
+	})
+	res, err := player.Run(cfg)
+	return res, chunks, err
 }
 
 // Fig01ThroughputVariability reproduces Figure 1: the per-chunk throughput
@@ -40,7 +55,7 @@ func Fig01ThroughputVariability() (*Figure, error) {
 		Floor:     300 * units.Kbps,
 		Ceiling:   20 * units.Mbps,
 	}, rand.New(rand.NewSource(16)))
-	res, err := player.Run(player.Config{
+	_, chunks, err := runLogged(player.Config{
 		Algorithm:  abr.NewBBA2(),
 		Stream:     abr.NewStream(video, 0),
 		Trace:      tr,
@@ -57,11 +72,11 @@ func Fig01ThroughputVariability() (*Figure, error) {
 	}
 	series := Series{Name: "throughput"}
 	var samples []float64
-	for i, c := range res.Chunks {
+	for i, c := range chunks {
 		samples = append(samples, c.Throughput.Kilobits())
 		if i%8 == 0 { // thin the plotted series; stats use every chunk
 			series.Points = append(series.Points, Point{
-				X: fmt.Sprintf("%4.0fs", c.Start.Seconds()),
+				X: fmt.Sprintf("%4.0fs", (c.At - c.Duration).Seconds()),
 				Y: c.Throughput.Kilobits(),
 			})
 		}
@@ -96,7 +111,7 @@ func Fig04AggressiveRebuffer() (*Figure, error) {
 
 	aggressive := abr.NewAggressiveControl()
 	aggressive.SeedCapacity(5 * units.Mbps)
-	bad, err := player.Run(player.Config{
+	bad, badChunks, err := runLogged(player.Config{
 		Algorithm:  aggressive,
 		Stream:     stream,
 		Trace:      tr,
@@ -124,10 +139,10 @@ func Fig04AggressiveRebuffer() (*Figure, error) {
 	var rate, buffer Series
 	rate.Name = "agg. video rate"
 	buffer.Name = "agg. buffer"
-	for _, c := range bad.Chunks {
-		x := fmt.Sprintf("%4.0fs", c.Start.Seconds())
+	for _, c := range badChunks {
+		x := fmt.Sprintf("%4.0fs", (c.At - c.Duration).Seconds())
 		rate.Points = append(rate.Points, Point{X: x, Y: c.Rate.Kilobits()})
-		buffer.Points = append(buffer.Points, Point{X: x, Y: c.BufferAfter.Seconds()})
+		buffer.Points = append(buffer.Points, Point{X: x, Y: c.Buffer.Seconds()})
 	}
 	fig.Series = []Series{rate, buffer}
 	fig.Notes = append(fig.Notes,
@@ -250,7 +265,7 @@ func Fig16StartupRamp() (*Figure, error) {
 	}
 	reach := map[string]float64{}
 	for _, r := range []run{{"BBA-1", abr.NewBBA1()}, {"BBA-2", abr.NewBBA2()}} {
-		res, err := player.Run(player.Config{
+		_, chunks, err := runLogged(player.Config{
 			Algorithm:  r.alg,
 			Stream:     stream,
 			Trace:      tr,
@@ -260,16 +275,17 @@ func Fig16StartupRamp() (*Figure, error) {
 			return nil, err
 		}
 		s := Series{Name: r.name}
-		for _, c := range res.Chunks {
-			if c.Start > 6*time.Minute {
+		for _, c := range chunks {
+			start := c.At - c.Duration
+			if start > 6*time.Minute {
 				break
 			}
 			s.Points = append(s.Points, Point{
-				X: fmt.Sprintf("%4.0fs", c.Start.Seconds()),
+				X: fmt.Sprintf("%4.0fs", start.Seconds()),
 				Y: c.Rate.Kilobits(),
 			})
 		}
-		reach[r.name] = sustainTime(res, steadyRung, 3)
+		reach[r.name] = sustainTime(chunks, steadyRung, 3)
 		fig.Series = append(fig.Series, s)
 	}
 	fig.Notes = append(fig.Notes,
@@ -282,13 +298,13 @@ func Fig16StartupRamp() (*Figure, error) {
 
 // sustainTime returns the first time the session held rate ≥ target for at
 // least run consecutive chunks, or -1.
-func sustainTime(res *player.Result, target units.BitRate, run int) float64 {
+func sustainTime(chunks []telemetry.Event, target units.BitRate, run int) float64 {
 	streak := 0
-	for _, c := range res.Chunks {
+	for _, c := range chunks {
 		if c.Rate >= target {
 			streak++
 			if streak >= run {
-				return c.Start.Seconds()
+				return (c.At - c.Duration).Seconds()
 			}
 		} else {
 			streak = 0

@@ -87,8 +87,6 @@ const (
 // considering other metrics"); this folds them into one comparable score.
 func QoE(r *player.Result) float64 {
 	var quality, switches, prevQ float64
-	// Walk rates through the accessor so compact (SkipChunkRecords)
-	// results score identically to fully-recorded ones.
 	for i, n := 0, r.ChunkCount(); i < n; i++ {
 		q := r.ChunkRateKbps(i) / 1000
 		quality += q

@@ -2,28 +2,65 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
+	"bba/internal/abr"
+	"bba/internal/media"
 	"bba/internal/player"
 	"bba/internal/units"
 )
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestFromResult(t *testing.T) {
-	r := &player.Result{
-		Algorithm: "BBA-2",
-		Played:    30 * time.Minute,
-		Rebuffers: 2,
-		Switches:  7,
-		Chunks: []player.ChunkRecord{
-			{Start: 0, Rate: 235 * units.Kbps},
-			{Start: 30 * time.Second, Rate: 1050 * units.Kbps},
-			{Start: 3 * time.Minute, Rate: 3000 * units.Kbps},
-			{Start: 4 * time.Minute, Rate: 3000 * units.Kbps},
-		},
+// script fetches chunk k at rung script[k].
+type script []int
+
+func (script) Name() string                          { return "script" }
+func (s script) Next(st abr.State, _ abr.Stream) int { return s[st.NextChunk] }
+
+// played drives a player.Session by hand: chunk k is fetched at rates[k],
+// its download started at starts[k] (a second after the previous one when
+// starts is nil). Callers set the Result's scalar fields they test.
+func played(t *testing.T, rates []units.BitRate, starts []time.Duration) *player.Result {
+	t.Helper()
+	ladder := slices.Clone(rates)
+	slices.Sort(ladder)
+	ladder = slices.Compact(ladder)
+	rungs := make(script, len(rates))
+	for k, r := range rates {
+		rungs[k] = slices.Index(ladder, r)
 	}
+	v, err := media.NewCBR("played", ladder, media.DefaultChunkDuration, len(rates))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ss player.Session
+	if err := ss.Start(player.Config{Algorithm: rungs, Stream: abr.NewStream(v, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	for k := range rates {
+		req, done := ss.Request()
+		if done || starts != nil && ss.Now() != starts[k] {
+			t.Fatalf("chunk %d requested at %v (done %v)", k, ss.Now(), done)
+		}
+		dl := time.Second
+		if starts != nil && k+1 < len(starts) {
+			dl = starts[k+1] - starts[k]
+		}
+		if _, err := ss.Deliver(req, req.Bytes, dl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ss.Result()
+}
+
+func TestFromResult(t *testing.T) {
+	r := played(t,
+		[]units.BitRate{235 * units.Kbps, 1050 * units.Kbps, 3000 * units.Kbps, 3000 * units.Kbps},
+		[]time.Duration{0, 30 * time.Second, 3 * time.Minute, 4 * time.Minute})
+	r.Algorithm, r.Played, r.Rebuffers, r.Switches = "BBA-2", 30*time.Minute, 2, 7
 	s := FromResult(r, 3, 1)
 	if s.Window != 3 || s.Day != 1 {
 		t.Errorf("window/day = %d/%d", s.Window, s.Day)
@@ -185,13 +222,8 @@ func TestQoEAggregation(t *testing.T) {
 }
 
 func TestFromResultQoE(t *testing.T) {
-	r := &player.Result{
-		Played: time.Hour,
-		Chunks: []player.ChunkRecord{
-			{Rate: 3000 * units.Kbps},
-			{Rate: 3000 * units.Kbps},
-		},
-	}
+	r := played(t, []units.BitRate{3000 * units.Kbps, 3000 * units.Kbps}, nil)
+	r.Played, r.StallTime = time.Hour, 0
 	s := FromResult(r, 0, 0)
 	// Two 3 Mb/s chunks, no stalls, no switches: QoE = 6 under linear
 	// quality.
@@ -200,34 +232,35 @@ func TestFromResultQoE(t *testing.T) {
 	}
 }
 
-func qoeSession(rates []units.BitRate, stall time.Duration) *player.Result {
-	res := &player.Result{Played: time.Minute, StallTime: stall}
-	for i, r := range rates {
-		res.Chunks = append(res.Chunks, player.ChunkRecord{Index: i, Rate: r})
+func qoeSession(t *testing.T, rates []units.BitRate, stall time.Duration) *player.Result {
+	res := &player.Result{}
+	if len(rates) > 0 {
+		res = played(t, rates, nil)
 	}
+	res.Played, res.StallTime = time.Minute, stall
 	return res
 }
 
 func TestQoEComponents(t *testing.T) {
 	// Linear quality 1 + 3 + 3 = 7, one switch of |3−1| = 2 and two
 	// stalled seconds: QoE = 7 − 5·2 − 1·2 = −5.
-	res := qoeSession([]units.BitRate{1000 * units.Kbps, 3000 * units.Kbps, 3000 * units.Kbps}, 2*time.Second)
+	res := qoeSession(t, []units.BitRate{1000 * units.Kbps, 3000 * units.Kbps, 3000 * units.Kbps}, 2*time.Second)
 	if q := QoE(res); !almost(q, -5, 1e-9) {
 		t.Errorf("QoE = %v, want -5", q)
 	}
-	if q := QoE(qoeSession([]units.BitRate{1000 * units.Kbps, 3000 * units.Kbps}, 0)); !almost(q, 2, 1e-9) {
+	if q := QoE(qoeSession(t, []units.BitRate{1000 * units.Kbps, 3000 * units.Kbps}, 0)); !almost(q, 2, 1e-9) {
 		t.Errorf("QoE = %v, want 1 + 3 − |3−1| = 2", q)
 	}
-	if q := QoE(qoeSession(nil, 3*time.Second)); !almost(q, -15, 1e-9) {
+	if q := QoE(qoeSession(t, nil, 3*time.Second)); !almost(q, -15, 1e-9) {
 		t.Errorf("QoE = %v, want −5·3 = −15", q)
 	}
 }
 
 func TestQoEOrdersObviousCases(t *testing.T) {
-	steadyHigh := QoE(qoeSession([]units.BitRate{3000 * units.Kbps, 3000 * units.Kbps, 3000 * units.Kbps}, 0))
-	steadyLow := QoE(qoeSession([]units.BitRate{500 * units.Kbps, 500 * units.Kbps, 500 * units.Kbps}, 0))
-	flappy := QoE(qoeSession([]units.BitRate{3000 * units.Kbps, 500 * units.Kbps, 3000 * units.Kbps}, 0))
-	stalled := QoE(qoeSession([]units.BitRate{3000 * units.Kbps, 3000 * units.Kbps, 3000 * units.Kbps}, 10*time.Second))
+	steadyHigh := QoE(qoeSession(t, []units.BitRate{3000 * units.Kbps, 3000 * units.Kbps, 3000 * units.Kbps}, 0))
+	steadyLow := QoE(qoeSession(t, []units.BitRate{500 * units.Kbps, 500 * units.Kbps, 500 * units.Kbps}, 0))
+	flappy := QoE(qoeSession(t, []units.BitRate{3000 * units.Kbps, 500 * units.Kbps, 3000 * units.Kbps}, 0))
+	stalled := QoE(qoeSession(t, []units.BitRate{3000 * units.Kbps, 3000 * units.Kbps, 3000 * units.Kbps}, 10*time.Second))
 
 	if steadyHigh <= steadyLow {
 		t.Error("higher rate should score higher")

@@ -27,9 +27,9 @@ import (
 // and sharedlink import player.
 
 // TestSharedLinkAloneMatchesRun: one sharedlink player alone on the link is
-// the single-session engine — the same decisions, the same accounting and
-// the same chunk records to the nanosecond, on a constant link and on one
-// whose rate steps down in the middle of a download.
+// the single-session engine — the same decisions chunk by chunk and the same
+// accounting to the nanosecond, on a constant link and on one whose rate
+// steps down in the middle of a download.
 func TestSharedLinkAloneMatchesRun(t *testing.T) {
 	video, err := media.NewVBR(media.VBRConfig{Ladder: media.DefaultLadder(), NumChunks: 450}, rand.New(rand.NewSource(21)))
 	if err != nil {
@@ -47,8 +47,10 @@ func TestSharedLinkAloneMatchesRun(t *testing.T) {
 		{"step", trace.Step(2350*units.Kbps, 1100*units.Kbps, step, 2*time.Hour)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			var events []telemetry.Event
 			want, err := player.Run(player.Config{
 				Algorithm: abr.NewBBA2(), Stream: abr.NewStream(video, 0), Trace: tc.tr, WatchLimit: watch,
+				Observer: telemetry.Func(func(e telemetry.Event) { events = append(events, e) }),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -64,25 +66,16 @@ func TestSharedLinkAloneMatchesRun(t *testing.T) {
 			}
 			got := shared.Players[0]
 
-			if got.Switches != want.Switches || got.Rebuffers != want.Rebuffers || got.Played != want.Played {
-				t.Errorf("switches/rebuffers/played = %d/%d/%v, player.Run has %d/%d/%v",
-					got.Switches, got.Rebuffers, got.Played, want.Switches, want.Rebuffers, want.Played)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("sharedlink result %+v\nplayer.Run result %+v", got, want)
 			}
 			if want.Switches == 0 {
 				t.Error("scenario never switched rate; test is vacuous")
 			}
-			if !reflect.DeepEqual(got.Chunks, want.Chunks) {
-				for i := range got.Chunks {
-					if i < len(want.Chunks) && got.Chunks[i] != want.Chunks[i] {
-						t.Fatalf("chunk %d is %+v, player.Run has %+v", i, got.Chunks[i], want.Chunks[i])
-					}
-				}
-				t.Fatalf("%d chunks, player.Run has %d", len(got.Chunks), len(want.Chunks))
-			}
 			if tc.name == "step" {
 				straddled := false
-				for _, c := range want.Chunks {
-					straddled = straddled || (c.Start < step && c.Start+c.Download > step)
+				for _, e := range events {
+					straddled = straddled || (e.Kind == telemetry.ChunkComplete && e.At-e.Duration < step && e.At > step)
 				}
 				if !straddled {
 					t.Error("no download spans the rate step; test is vacuous")
@@ -153,8 +146,8 @@ func TestStreamEventGrammarStarved(t *testing.T) {
 	if res.Rebuffers == 0 || res.Incomplete {
 		t.Fatalf("rebuffers=%d incomplete=%v; the link was meant to starve the session and let it recover", res.Rebuffers, res.Incomplete)
 	}
-	if len(res.Chunks) != 12 {
-		t.Errorf("downloaded %d chunks, want 12", len(res.Chunks))
+	if res.ChunkCount() != 12 {
+		t.Errorf("downloaded %d chunks, want 12", res.ChunkCount())
 	}
 	player.CheckEventGrammar(t, capture.Events, res)
 }
@@ -174,9 +167,9 @@ func TestStreamEventGrammarAbandoned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Incomplete || len(res.Chunks) != 3 || res.Retries != 2 {
+	if !res.Incomplete || res.ChunkCount() != 3 || res.Retries != 2 {
 		t.Fatalf("incomplete=%v chunks=%d retries=%d, want an abandoned session after 3 chunks and 2 retries",
-			res.Incomplete, len(res.Chunks), res.Retries)
+			res.Incomplete, res.ChunkCount(), res.Retries)
 	}
 	if res.Played != 750*time.Millisecond {
 		t.Errorf("played %v, want the 750ms buffered before the dead chunk", res.Played)

@@ -48,22 +48,13 @@ func TestInjectorDeterministic(t *testing.T) {
 		{Kind: faults.StallBody, Start: 90 * time.Second, Duration: 15 * time.Second},
 		{Kind: faults.LatencySpike, Start: 150 * time.Second, Duration: 30 * time.Second, Latency: time.Second},
 	})
-	a, err := Run(faultedConfig(t, sched, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(faultedConfig(t, sched, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
+	a, aLog, _ := runLogged(t, faultedConfig(t, sched, 7))
+	b, bLog, _ := runLogged(t, faultedConfig(t, sched, 7))
+	if !reflect.DeepEqual(a, b) || !reflect.DeepEqual(aLog, bLog) {
 		t.Fatal("identical fault configs produced different results")
 	}
-	c, err := Run(faultedConfig(t, sched, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Faults == c.Faults && a.Retries == c.Retries && reflect.DeepEqual(a.Chunks, c.Chunks) {
+	c, cLog, _ := runLogged(t, faultedConfig(t, sched, 8))
+	if a.Faults == c.Faults && a.Retries == c.Retries && reflect.DeepEqual(aLog, cLog) {
 		t.Fatal("different injector seeds produced identical sessions")
 	}
 }

@@ -17,7 +17,7 @@ import (
 // rebuffer_start and rebuffer_end alternating and summing to the Result's
 // count and stall time, an incomplete session's final rebuffer being the
 // outage marker that never ends, and chunk and switch events agreeing with
-// the chunk log. It is exported (from a test file) so the external tests in
+// the rate record. It is exported (from a test file) so the external tests in
 // this directory can hold dash.Stream's real-socket sessions to it too.
 func CheckEventGrammar(t testing.TB, evs []telemetry.Event, res *Result) {
 	t.Helper()
@@ -83,9 +83,14 @@ func CheckEventGrammar(t testing.TB, evs []telemetry.Event, res *Result) {
 		}
 	}
 
-	// Chunk events agree with the chunk log.
-	if n := countKind(evs, telemetry.ChunkComplete); n != len(res.Chunks) {
-		t.Errorf("chunk_complete events = %d, chunk records = %d", n, len(res.Chunks))
+	// Chunk events agree with the rate record.
+	if n := countKind(evs, telemetry.ChunkComplete); n != res.ChunkCount() {
+		t.Errorf("chunk_complete events = %d, Result.ChunkCount = %d", n, res.ChunkCount())
+	}
+	for i, c := range chunkLog(evs) {
+		if i < res.ChunkCount() && c.Rate.Kilobits() != res.ChunkRateKbps(i) {
+			t.Fatalf("chunk_complete %d at %v, Result.ChunkRateKbps = %v kb/s", i, c.Rate, res.ChunkRateKbps(i))
+		}
 	}
 	if n := countKind(evs, telemetry.RateSwitch); n != res.Switches {
 		t.Errorf("rate_switch events = %d, Result.Switches = %d", n, res.Switches)
@@ -94,8 +99,8 @@ func CheckEventGrammar(t testing.TB, evs []telemetry.Event, res *Result) {
 
 // TestOneSessionLoop walks the repository's non-test Go source and fails if
 // anything outside this package (and outside bench/, which is its own
-// module) builds an abr.State, adds a chunk to a playback buffer or writes a
-// ChunkRecord — the per-chunk loop this package exists to hold in one place.
+// module) builds an abr.State or adds a chunk to a playback buffer — the
+// per-chunk loop this package exists to hold in one place.
 // A new driver sits between Session.Request and Session.Deliver instead.
 func TestOneSessionLoop(t *testing.T) {
 	root := filepath.Join("..", "..")
@@ -103,7 +108,7 @@ func TestOneSessionLoop(t *testing.T) {
 		t.Fatalf("repository root not at %s: %v", root, err)
 	}
 	// Assembled so this file does not contain them.
-	banned := []string{"abr.State" + "{", ".AddChunk" + "(", "player.ChunkRecord" + "{"}
+	banned := []string{"abr.State" + "{", ".AddChunk" + "("}
 	files := 0
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {

@@ -16,17 +16,14 @@
 package player
 
 import (
-	"bufio"
 	"context"
 	"errors"
-	"fmt"
-	"io"
 	"time"
 
 	"bba/internal/abr"
+	"bba/internal/media"
 	"bba/internal/telemetry"
 	"bba/internal/trace"
-	"bba/internal/units"
 )
 
 // Config describes one streaming session.
@@ -68,13 +65,6 @@ type Config struct {
 	// Retry tunes the retry/degradation policy; the zero value means
 	// defaults (budget 3, backoff 200 ms doubling to a 5 s cap).
 	Retry RetryPolicy
-	// SkipChunkRecords drops the per-chunk Result.Chunks log, recording
-	// only a compact per-chunk rate index instead. Every Result metric
-	// method still returns bit-identical values; only Chunks itself (and
-	// WriteChunkCSV, which reads it) comes back empty. Campaign-scale
-	// runs that never read the per-chunk log use this to avoid the
-	// dominant allocation of the session hot path.
-	SkipChunkRecords bool
 }
 
 // FaultInjector decides per-attempt chunk failures and per-request latency
@@ -137,25 +127,14 @@ type SeekRecord struct {
 	JoinDelay time.Duration
 }
 
-// ChunkRecord logs one downloaded chunk.
-type ChunkRecord struct {
-	Index       int           // chunk index within the title
-	RateIndex   int           // session-ladder index it was fetched at
-	Rate        units.BitRate // nominal rate of that ladder entry
-	Bytes       int64         // actual chunk size
-	Start       time.Duration // session clock when the request was issued
-	Download    time.Duration // transfer duration
-	Throughput  units.BitRate // measured capacity during the transfer
-	BufferAfter time.Duration // buffer occupancy right after arrival
-}
-
 // Result is the complete outcome of one session. Every time in it is on
 // the session clock — zero when the session starts (for a sharedlink player,
 // at its StartAt), advanced by the ON-OFF waits and the downloads — whichever
-// driver ran the session.
+// driver ran the session. The per-chunk log is the session's ChunkComplete
+// events (Config.Observer); the Result keeps only the rate record every
+// metric reads.
 type Result struct {
 	Algorithm string
-	Chunks    []ChunkRecord
 
 	// JoinDelay is the session time at which the first chunk arrived
 	// (excluded from playback metrics, as in the paper).
@@ -188,49 +167,38 @@ type Result struct {
 	// cut the session short with Finish.
 	End time.Duration
 
-	// Compact recording, used when Config.SkipChunkRecords is set: one
-	// session-ladder index per downloaded chunk plus the ladder's kb/s
-	// values. Together with the two Start-time boundary counters below,
-	// this reproduces every rate-derived metric bit-identically without
-	// per-chunk records: chunk start times are monotone non-decreasing,
-	// so "chunks starting before the cutoff" is a prefix count.
-	rateIdx    []uint8
-	ladderKbps []float64
-	// startupChunks counts chunks whose Start is < 1 minute, steadySkip
-	// those with Start < 2 minutes.
+	// The rate record: the session-ladder index of each downloaded chunk
+	// in download order, and the ladder it indexes (the stream's own,
+	// shared, never copied). With the two start-time boundary counters
+	// below it reproduces every rate-derived metric: chunk start times are
+	// monotone non-decreasing, so "chunks starting before the cutoff" is a
+	// prefix count.
+	rateIdx []uint8
+	ladder  media.Ladder
+	// startupChunks counts chunks that started before 1 minute,
+	// steadySkip those that started before 2 minutes.
 	startupChunks int
 	steadySkip    int
 }
 
+// maxRungs bounds a session ladder: the rate record keeps one uint8 rung
+// index per chunk.
+const maxRungs = 256
+
 // reset clears r for reuse, retaining record storage so a long-lived
 // Session re-running sessions allocates nothing here in steady state.
-func (r *Result) reset(alg string) {
-	chunks := r.Chunks[:0]
+func (r *Result) reset(alg string, ladder media.Ladder) {
 	rates := r.rateIdx[:0]
-	kbps := r.ladderKbps[:0]
 	seeks := r.Seeks[:0]
-	*r = Result{Algorithm: alg, Chunks: chunks, rateIdx: rates, ladderKbps: kbps, Seeks: seeks}
+	*r = Result{Algorithm: alg, rateIdx: rates, ladder: ladder, Seeks: seeks}
 }
 
-// ChunkCount returns the number of downloaded chunks, whether or not
-// per-chunk records were kept.
-func (r *Result) ChunkCount() int {
-	if len(r.Chunks) > 0 {
-		return len(r.Chunks)
-	}
-	return len(r.rateIdx)
-}
+// ChunkCount returns the number of downloaded chunks.
+func (r *Result) ChunkCount() int { return len(r.rateIdx) }
 
 // ChunkRateKbps returns chunk i's nominal video rate in kb/s, in download
-// order, in either recording mode. Metric consumers (QoE scoring, the
-// average-rate methods) use this instead of reading Chunks directly so
-// they work on compact results too.
-func (r *Result) ChunkRateKbps(i int) float64 {
-	if len(r.Chunks) > 0 {
-		return r.Chunks[i].Rate.Kilobits()
-	}
-	return r.ladderKbps[r.rateIdx[i]]
-}
+// order.
+func (r *Result) ChunkRateKbps(i int) float64 { return r.ladder[r.rateIdx[i]].Kilobits() }
 
 // ErrNoProgress is returned when the first chunk can never download (the
 // trace is a dead link from the start).
@@ -272,7 +240,7 @@ func run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 }
 
-// chunkCapacity sizes the Result.Chunks preallocation: the title length,
+// chunkCapacity sizes the rate record's preallocation: the title length,
 // tightened by the watch limit when one applies. A couple of extra slots
 // absorb the chunks a stall-truncated or seek-shifted session downloads
 // beyond the limit; the hint only avoids growth reallocations, correctness
@@ -285,26 +253,6 @@ func chunkCapacity(s abr.Stream, v time.Duration, watchLimit time.Duration) int 
 		}
 	}
 	return n
-}
-
-// WriteChunkCSV emits the per-chunk log as CSV
-// ("start_s,index,rate_kbps,bytes,download_s,throughput_kbps,buffer_s"),
-// the raw series behind the time-series figures. It needs full per-chunk
-// records: a Config.SkipChunkRecords session has none and emits only the
-// header.
-func (r *Result) WriteChunkCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, "start_s,index,rate_kbps,bytes,download_s,throughput_kbps,buffer_s"); err != nil {
-		return err
-	}
-	for _, c := range r.Chunks {
-		if _, err := fmt.Fprintf(bw, "%.3f,%d,%.0f,%d,%.3f,%.0f,%.3f\n",
-			c.Start.Seconds(), c.Index, c.Rate.Kilobits(), c.Bytes,
-			c.Download.Seconds(), c.Throughput.Kilobits(), c.BufferAfter.Seconds()); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 // PlayHours returns the played time in hours.
@@ -331,74 +279,29 @@ func (r *Result) SwitchesPerPlayhour() float64 {
 
 // AvgRateKbps is the delivered average video rate: each chunk contributes
 // its nominal rate weighted by its fixed playback duration.
-func (r *Result) AvgRateKbps() float64 {
-	n := r.ChunkCount()
-	if n == 0 {
-		return 0
-	}
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.ChunkRateKbps(i)
-	}
-	return sum / float64(n)
-}
+func (r *Result) AvgRateKbps() float64 { return r.avgRateRange(0, len(r.rateIdx)) }
 
 // SteadyAvgRateKbps is the average video rate excluding the session's first
 // two minutes — the paper's Figure 18 approximation of steady state. It
 // returns 0 when the session never reaches steady state.
 func (r *Result) SteadyAvgRateKbps() float64 {
-	if len(r.Chunks) == 0 && len(r.rateIdx) > 0 {
-		// Compact mode: chunk starts are monotone, so "Start >= 2 min"
-		// is exactly the suffix beyond the boundary counter.
-		return r.avgRateRange(r.steadySkip, len(r.rateIdx))
-	}
-	var sum float64
-	n := 0
-	for _, c := range r.Chunks {
-		if c.Start < 2*time.Minute {
-			continue
-		}
-		sum += c.Rate.Kilobits()
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
+	return r.avgRateRange(r.steadySkip, len(r.rateIdx))
 }
 
 // StartupAvgRateKbps is the average rate over the first minute, the metric
 // behind "the BBA-1 algorithm achieves 700kb/s less than the Control" in
 // the first 60 seconds.
-func (r *Result) StartupAvgRateKbps() float64 {
-	if len(r.Chunks) == 0 && len(r.rateIdx) > 0 {
-		return r.avgRateRange(0, r.startupChunks)
-	}
-	var sum float64
-	n := 0
-	for _, c := range r.Chunks {
-		if c.Start >= time.Minute {
-			break
-		}
-		sum += c.Rate.Kilobits()
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
+func (r *Result) StartupAvgRateKbps() float64 { return r.avgRateRange(0, r.startupChunks) }
 
-// avgRateRange averages the compact rate records over [from, to). The sum
-// runs in the same chunk order with the same per-chunk values as the
-// record-walking loops, so the result is bit-identical to full mode.
+// avgRateRange averages the rates of chunks [from, to) in download order,
+// or returns 0 for an empty range.
 func (r *Result) avgRateRange(from, to int) float64 {
 	if to <= from {
 		return 0
 	}
 	var sum float64
 	for i := from; i < to; i++ {
-		sum += r.ladderKbps[r.rateIdx[i]]
+		sum += r.ChunkRateKbps(i)
 	}
 	return sum / float64(to-from)
 }
@@ -408,33 +311,30 @@ func (r *Result) avgRateRange(from, to int) float64 {
 var ErrNoObservations = errors.New("player: session has no download observations")
 
 // ObservedTrace reconstructs the capacity process a finished session
-// experienced, for the counterfactual the paper's Figure 4 poses: given the
-// network one client actually saw, what would another algorithm have done?
-// Run that algorithm over the returned trace.
+// experienced from its events (Config.Observer), for the counterfactual the
+// paper's Figure 4 poses: given the network one client actually saw, what
+// would another algorithm have done? Run that algorithm over the returned
+// trace. Only ChunkComplete events are read.
 //
 // Each download interval carries the chunk's measured throughput, and the
 // idle gap before a download (an ON-OFF pause observes nothing) carries the
 // upcoming measurement backward. Replaying the session's own algorithm over
 // its reconstruction lands close to, not on, its decisions.
-func ObservedTrace(res *Result) (*trace.Trace, error) {
-	if res == nil || len(res.Chunks) == 0 {
-		return nil, ErrNoObservations
-	}
+func ObservedTrace(events []telemetry.Event) (*trace.Trace, error) {
 	var segs []trace.Segment
 	cursor := time.Duration(0)
-	for _, c := range res.Chunks {
-		if c.Download <= 0 || c.Throughput <= 0 {
+	for _, e := range events {
+		if e.Kind != telemetry.ChunkComplete || e.Duration <= 0 || e.Throughput <= 0 {
 			continue
 		}
 		// The client chose not to measure, not the network to vanish.
-		if c.Start > cursor {
-			segs = append(segs, trace.Segment{Duration: c.Start - cursor, Rate: c.Throughput})
-			cursor = c.Start
+		if start := e.At - e.Duration; start > cursor {
+			segs = append(segs, trace.Segment{Duration: start - cursor, Rate: e.Throughput})
+			cursor = start
 		}
-		end := c.Start + c.Download
-		if end > cursor {
-			segs = append(segs, trace.Segment{Duration: end - cursor, Rate: c.Throughput})
-			cursor = end
+		if e.At > cursor {
+			segs = append(segs, trace.Segment{Duration: e.At - cursor, Rate: e.Throughput})
+			cursor = e.At
 		}
 	}
 	if len(segs) == 0 {

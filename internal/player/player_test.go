@@ -1,15 +1,14 @@
 package player
 
 import (
-	"bytes"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"bba/internal/abr"
 	"bba/internal/media"
+	"bba/internal/telemetry"
 	"bba/internal/trace"
 	"bba/internal/units"
 )
@@ -44,14 +43,11 @@ func TestRunValidation(t *testing.T) {
 
 func TestHappyPathNoRebuffers(t *testing.T) {
 	s := cbrStream(t, 450) // 30 minutes
-	res, err := Run(Config{
+	res, log, _ := runLogged(t, Config{
 		Algorithm: abr.NewBBA2(),
 		Stream:    s,
 		Trace:     trace.Constant(10*units.Mbps, time.Hour),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.Rebuffers != 0 || res.StallTime != 0 {
 		t.Errorf("rebuffers=%d stall=%v on a 10Mb/s link", res.Rebuffers, res.StallTime)
 	}
@@ -62,7 +58,7 @@ func TestHappyPathNoRebuffers(t *testing.T) {
 		t.Error("marked incomplete")
 	}
 	// With capacity over R_max, the rate must reach and hold the top.
-	last := res.Chunks[len(res.Chunks)-1]
+	last := log[len(log)-1]
 	if last.Rate != s.Ladder().Max() {
 		t.Errorf("final rate %v, want R_max", last.Rate)
 	}
@@ -90,8 +86,8 @@ func TestWatchLimit(t *testing.T) {
 	}
 	// Downloads should not have run far past the limit.
 	maxChunks := int(limit/s.ChunkDuration()) + int(240/4) + 2
-	if len(res.Chunks) > maxChunks {
-		t.Errorf("downloaded %d chunks for a %v session", len(res.Chunks), limit)
+	if res.ChunkCount() > maxChunks {
+		t.Errorf("downloaded %d chunks for a %v session", res.ChunkCount(), limit)
 	}
 }
 
@@ -231,18 +227,15 @@ func TestMidSessionOutageWithRecovery(t *testing.T) {
 
 func TestSwitchCounting(t *testing.T) {
 	s := cbrStream(t, 60)
-	res, err := Run(Config{
+	res, log, _ := runLogged(t, Config{
 		Algorithm: abr.NewBBA2(),
 		Stream:    s,
 		Trace:     trace.Constant(10*units.Mbps, time.Hour),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Count transitions in the log and compare.
 	want := 0
-	for i := 1; i < len(res.Chunks); i++ {
-		if res.Chunks[i].RateIndex != res.Chunks[i-1].RateIndex {
+	for i := 1; i < len(log); i++ {
+		if log[i].RateIndex != log[i-1].RateIndex {
 			want++
 		}
 	}
@@ -321,16 +314,13 @@ func TestMetricsHelpers(t *testing.T) {
 
 func TestChunkRecordsConsistent(t *testing.T) {
 	s := vbrStream(t, 9, 200)
-	res, err := Run(Config{
+	_, log, _ := runLogged(t, Config{
 		Algorithm: abr.NewBBAOthers(),
 		Stream:    s,
 		Trace:     trace.Constant(4*units.Mbps, time.Hour),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var prevStart time.Duration
-	for i, c := range res.Chunks {
+	for i, c := range log {
 		if c.Index != i {
 			t.Fatalf("chunk %d has index %d (no skips or repeats allowed)", i, c.Index)
 		}
@@ -350,84 +340,57 @@ func TestChunkRecordsConsistent(t *testing.T) {
 	}
 }
 
-func TestWriteChunkCSV(t *testing.T) {
-	s := cbrStream(t, 30)
-	res, err := Run(Config{
-		Algorithm: abr.NewBBA0(),
-		Stream:    s,
-		Trace:     trace.Constant(4*units.Mbps, time.Hour),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := res.WriteChunkCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 1+len(res.Chunks) {
-		t.Fatalf("CSV has %d lines, want %d", len(lines), 1+len(res.Chunks))
-	}
-	if !strings.HasPrefix(lines[0], "start_s,index,") {
-		t.Errorf("header = %q", lines[0])
-	}
-	for _, line := range lines[1:] {
-		if strings.Count(line, ",") != 6 {
-			t.Fatalf("row %q malformed", line)
-		}
-	}
-}
-
 func TestRunDeterministic(t *testing.T) {
 	s := vbrStream(t, 17, 450)
 	tr := trace.Markov(trace.MarkovConfig{Base: 3 * units.Mbps, Sigma: 1.0, Duration: time.Hour}, rand.New(rand.NewSource(4)))
-	run := func() *Result {
-		res, err := Run(Config{Algorithm: abr.NewBBA2(), Stream: s, Trace: tr, WatchLimit: 15 * time.Minute})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	run := func() (*Result, []chunk) {
+		res, log, _ := runLogged(t, Config{Algorithm: abr.NewBBA2(), Stream: s, Trace: tr, WatchLimit: 15 * time.Minute})
+		return res, log
 	}
-	a, b := run(), run()
-	if a.Rebuffers != b.Rebuffers || a.Played != b.Played || a.Switches != b.Switches || len(a.Chunks) != len(b.Chunks) {
+	a, aLog := run()
+	b, bLog := run()
+	if a.Rebuffers != b.Rebuffers || a.Played != b.Played || a.Switches != b.Switches || len(aLog) != len(bLog) {
 		t.Fatal("identical configs diverged")
 	}
-	for i := range a.Chunks {
-		if a.Chunks[i] != b.Chunks[i] {
+	for i := range aLog {
+		if aLog[i] != bLog[i] {
 			t.Fatalf("chunk %d differs", i)
 		}
 	}
 }
 
-// observedSession plays 10 minutes of a VBR title over tr.
-func observedSession(t *testing.T, alg abr.Algorithm, tr *trace.Trace) (*Result, abr.Stream) {
+// observedSession plays 10 minutes of a VBR title over tr and returns the
+// result with the session's events.
+func observedSession(t *testing.T, alg abr.Algorithm, tr *trace.Trace) (*Result, []telemetry.Event, abr.Stream) {
 	t.Helper()
 	v, err := media.NewVBR(media.VBRConfig{Ladder: media.DefaultLadder(), NumChunks: 450}, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := abr.NewStream(v, 0)
-	res, err := Run(Config{Algorithm: alg, Stream: s, Trace: tr, WatchLimit: 10 * time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, s
+	res, _, events := runLogged(t, Config{Algorithm: alg, Stream: s, Trace: tr, WatchLimit: 10 * time.Minute})
+	return res, events, s
 }
 
 func TestObservedTraceValidation(t *testing.T) {
 	if _, err := ObservedTrace(nil); err != ErrNoObservations {
-		t.Errorf("nil result: %v", err)
+		t.Errorf("no events: %v", err)
 	}
-	if _, err := ObservedTrace(&Result{}); err != ErrNoObservations {
-		t.Errorf("empty result: %v", err)
+	noChunks := []telemetry.Event{
+		{Kind: telemetry.SessionStart}, {Kind: telemetry.ChunkRequest, Chunk: 0},
+		{Kind: telemetry.ChunkComplete, At: time.Second, Duration: 0, Throughput: units.Mbps},
+		{Kind: telemetry.SessionEnd, At: time.Second},
+	}
+	if _, err := ObservedTrace(noChunks); err != ErrNoObservations {
+		t.Errorf("no chunk with a measured download: %v", err)
 	}
 }
 
 func TestObservedTraceMatchesConstantNetwork(t *testing.T) {
 	// On a constant link every observation is the link rate, so the
 	// reconstructed trace is flat at that rate.
-	res, _ := observedSession(t, abr.NewBBA2(), trace.Constant(3*units.Mbps, time.Hour))
-	tr, err := ObservedTrace(res)
+	_, events, _ := observedSession(t, abr.NewBBA2(), trace.Constant(3*units.Mbps, time.Hour))
+	tr, err := ObservedTrace(events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,8 +405,8 @@ func TestObservedTraceMatchesConstantNetwork(t *testing.T) {
 func TestObservedTraceSeesTheStep(t *testing.T) {
 	// A Figure 4-style collapse must be visible in the reconstruction.
 	step := trace.Step(5*units.Mbps, 350*units.Kbps, 25*time.Second, time.Hour)
-	res, _ := observedSession(t, abr.NewBBA2(), step)
-	tr, err := ObservedTrace(res)
+	_, events, _ := observedSession(t, abr.NewBBA2(), step)
+	tr, err := ObservedTrace(events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,11 +427,11 @@ func TestObservedTraceCounterfactual(t *testing.T) {
 	step := trace.Step(5*units.Mbps, 350*units.Kbps, 25*time.Second, time.Hour)
 	aggressive := abr.NewAggressiveControl()
 	aggressive.SeedCapacity(5 * units.Mbps)
-	original, stream := observedSession(t, aggressive, step)
+	original, events, stream := observedSession(t, aggressive, step)
 	if original.StallTime == 0 {
 		t.Fatal("the original session should have frozen (it is the Figure 4 scenario)")
 	}
-	observed, err := ObservedTrace(original)
+	observed, err := ObservedTrace(events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,13 +453,13 @@ func TestObservedTraceSelfReplayIsCalm(t *testing.T) {
 	// Replaying the original algorithm against its own reconstruction is
 	// not bit-identical (idle gaps are interpolated) but must land in the
 	// same regime: similar average rate, no catastrophic divergence.
-	res, stream := observedSession(t, abr.NewBBA2(), trace.Markov(trace.MarkovConfig{
+	res, events, stream := observedSession(t, abr.NewBBA2(), trace.Markov(trace.MarkovConfig{
 		Base:     3 * units.Mbps,
 		Sigma:    0.6,
 		Duration: time.Hour,
 		Floor:    300 * units.Kbps,
 	}, rand.New(rand.NewSource(8))))
-	observed, err := ObservedTrace(res)
+	observed, err := ObservedTrace(events)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 
 func TestSeekJumpsAndFlushes(t *testing.T) {
 	s := cbrStream(t, 900)
-	res, err := Run(Config{
+	res, log, _ := runLogged(t, Config{
 		Algorithm:  abr.NewBBA2(),
 		Stream:     s,
 		Trace:      trace.Constant(8*units.Mbps, time.Hour),
@@ -20,9 +20,6 @@ func TestSeekJumpsAndFlushes(t *testing.T) {
 			{AfterPlayed: 3 * time.Minute, ToChunk: 600},
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(res.Seeks) != 1 {
 		t.Fatalf("executed %d seeks, want 1", len(res.Seeks))
 	}
@@ -38,7 +35,7 @@ func TestSeekJumpsAndFlushes(t *testing.T) {
 	}
 	// Chunks from the seek target were downloaded.
 	seen := false
-	for _, c := range res.Chunks {
+	for _, c := range log {
 		if c.Index >= 600 {
 			seen = true
 			break
@@ -56,22 +53,19 @@ func TestSeekJumpsAndFlushes(t *testing.T) {
 func TestSeekReentersStartup(t *testing.T) {
 	s := cbrStream(t, 900)
 	alg := abr.NewBBA2()
-	res, err := Run(Config{
+	_, log, _ := runLogged(t, Config{
 		Algorithm:  alg,
 		Stream:     s,
 		Trace:      trace.Constant(8*units.Mbps, time.Hour),
 		WatchLimit: 6 * time.Minute,
 		Seeks:      []Seek{{AfterPlayed: 3 * time.Minute, ToChunk: 450}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The first chunk after the seek must be back at R_min: empty buffer,
 	// fresh startup phase.
-	for i := 1; i < len(res.Chunks); i++ {
-		if res.Chunks[i].Index == 450 && res.Chunks[i-1].Index != 449 {
-			if res.Chunks[i].RateIndex != 0 {
-				t.Errorf("first post-seek chunk at index %d, want R_min", res.Chunks[i].RateIndex)
+	for i := 1; i < len(log); i++ {
+		if log[i].Index == 450 && log[i-1].Index != 449 {
+			if log[i].RateIndex != 0 {
+				t.Errorf("first post-seek chunk at index %d, want R_min", log[i].RateIndex)
 			}
 			return
 		}

@@ -2,6 +2,7 @@ package player
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"bba/internal/abr"
@@ -21,7 +22,7 @@ import (
 // who makes time pass while the bytes move:
 //
 //	Request  due seek, watch-limit stop, ON-OFF wait, rate decision
-//	Deliver  drain over the download, rebuffer bracketing, the chunk record
+//	Deliver  drain over the download, rebuffer bracketing, the rate record
 //	Abandon  a chunk that can never arrive: outage marker, Incomplete
 //	Finish   stop early, at the current session clock
 //
@@ -51,7 +52,6 @@ type Session struct {
 	ladder media.Ladder
 	bufMax time.Duration
 	watch  time.Duration
-	skip   bool
 	n      int
 
 	// Reused storage: buffer, cursor and result live inside the Session
@@ -103,10 +103,9 @@ func (ss *Session) Start(cfg Config) error {
 	ss.ladder = ss.s.Ladder()
 	ss.bufMax = bufMax
 	ss.watch = cfg.WatchLimit
-	ss.skip = cfg.SkipChunkRecords
 	ss.n = ss.s.NumChunks()
-	if ss.skip && len(ss.ladder) > 256 {
-		return errors.New("player: SkipChunkRecords supports ladders of at most 256 rungs")
+	if len(ss.ladder) > maxRungs {
+		return fmt.Errorf("player: a session ladder holds at most %d rungs, got %d", maxRungs, len(ss.ladder))
 	}
 
 	ss.buf.Reset(bufMax)
@@ -132,16 +131,9 @@ func (ss *Session) Start(cfg Config) error {
 	if ss.res == nil {
 		ss.res = &Result{}
 	}
-	ss.res.reset(ss.alg.Name())
-	if hint := chunkCapacity(ss.s, ss.v, cfg.WatchLimit); ss.skip {
-		if cap(ss.res.rateIdx) < hint {
-			ss.res.rateIdx = make([]uint8, 0, hint)
-		}
-		for _, r := range ss.ladder {
-			ss.res.ladderKbps = append(ss.res.ladderKbps, r.Kilobits())
-		}
-	} else if cap(ss.res.Chunks) < hint {
-		ss.res.Chunks = make([]ChunkRecord, 0, hint)
+	ss.res.reset(ss.alg.Name(), ss.ladder)
+	if hint := chunkCapacity(ss.s, ss.v, cfg.WatchLimit); cap(ss.res.rateIdx) < hint {
+		ss.res.rateIdx = make([]uint8, 0, hint)
 	}
 
 	ss.k = 0
@@ -183,6 +175,9 @@ func (ss *Session) Result() *Result { return ss.res }
 // Now returns the session clock: the waits and download times accounted so
 // far. It stands still between Request and Deliver.
 func (ss *Session) Now() time.Duration { return ss.now }
+
+// Buffer returns the playback buffer's occupancy at the session clock.
+func (ss *Session) Buffer() time.Duration { return ss.buf.Level() }
 
 // faultAdvance advances the session clock through a failed attempt or
 // backoff: the buffer keeps draining, and a drain-to-empty is a real
@@ -397,30 +392,15 @@ func (ss *Session) Deliver(req Request, n int64, dl time.Duration) (bool, error)
 	ss.lastTP = units.Throughput(n, dl)
 	ss.lastDl = dl
 	ss.lastBytes = n
-	if ss.skip {
-		// Compact recording: the rate index alone reproduces every
-		// rate-derived metric; the Start-time boundary counters stand in
-		// for the per-chunk Start fields (chunk starts are monotone).
-		start := ss.now - dl
-		if start < time.Minute {
-			ss.res.startupChunks++
-		}
-		if start < 2*time.Minute {
-			ss.res.steadySkip++
-		}
-		ss.res.rateIdx = append(ss.res.rateIdx, uint8(idx))
-	} else {
-		ss.res.Chunks = append(ss.res.Chunks, ChunkRecord{
-			Index:       k,
-			RateIndex:   idx,
-			Rate:        ss.ladder[idx],
-			Bytes:       n,
-			Start:       ss.now - dl,
-			Download:    dl,
-			Throughput:  ss.lastTP,
-			BufferAfter: ss.buf.Level(),
-		})
+	// The rate record, with the boundary counters standing in for starts.
+	start := ss.now - dl
+	if start < time.Minute {
+		ss.res.startupChunks++
 	}
+	if start < 2*time.Minute {
+		ss.res.steadySkip++
+	}
+	ss.res.rateIdx = append(ss.res.rateIdx, uint8(idx))
 	ss.prevIdx = idx
 	if ss.obs != nil {
 		if stalled && ss.buf.Playing() {

@@ -169,8 +169,8 @@ func TestSmallBufferSessionsEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Played <= 0 || len(res.Chunks) != s.NumChunks() {
-				t.Errorf("played %v over %d chunks, want the whole title", res.Played, len(res.Chunks))
+			if res.Played <= 0 || res.ChunkCount() != s.NumChunks() {
+				t.Errorf("played %v over %d chunks, want the whole title", res.Played, res.ChunkCount())
 			}
 			if res.Rebuffers == 0 {
 				t.Error("a 100 kb/s link did not rebuffer; test is vacuous")

@@ -11,6 +11,7 @@ import (
 	"bba/internal/abr"
 	"bba/internal/buffer"
 	"bba/internal/media"
+	"bba/internal/telemetry"
 	"bba/internal/trace"
 	"bba/internal/units"
 )
@@ -269,7 +270,8 @@ func play(t *testing.T, row theoremRow, seed int64) outcome {
 	o.worstAt = worst(o.at + hypothesisStep)
 
 	var ss Session
-	if err := ss.Start(Config{Algorithm: alg, Stream: s, Trace: tr}); err != nil {
+	capture := &telemetry.Capture{}
+	if err := ss.Start(Config{Algorithm: alg, Stream: s, Trace: tr, Observer: capture}); err != nil {
 		t.Fatal(err)
 	}
 	for done := false; !done; {
@@ -284,15 +286,16 @@ func play(t *testing.T, row theoremRow, seed int64) outcome {
 	res := ss.Result()
 	o.stall = res.StallTime
 
-	last := res.Chunks[len(res.Chunks)-1]
+	log := chunkLog(capture.Events)
+	last := log[len(log)-1]
 	end := last.Start + last.Download
 	var bits float64
 	o.idle = end
-	for _, c := range res.Chunks {
+	for _, c := range log {
 		bits += float64(8 * c.Bytes)
 		o.idle -= c.Download
 	}
-	d := (time.Duration(len(res.Chunks)) * s.ChunkDuration()).Seconds()
+	d := (time.Duration(len(log)) * s.ChunkDuration()).Seconds()
 	o.rbar, o.cbar = bits/d, float64(8*tr.BytesBetween(0, end))/end.Seconds()
 	o.bound = (o.cbar*max(res.JoinDelay+res.StallTime, last.BufferAfter).Seconds() + float64(o.cfg.Ceiling)*o.idle.Seconds()) / d
 	return o

@@ -129,7 +129,7 @@ func e2eSession(url string, i int) (string, error) {
 		Fetch:      fetchPolicy(seed),
 		HTTPClient: &http.Client{Transport: transport},
 		Algorithm:  algorithm,
-		Observer:   stamped{session: fmt.Sprintf("e2e.s%d.%s", i, alg), next: capture},
+		Observer:   telemetry.Stamp{Session: fmt.Sprintf("e2e.s%d.%s", i, alg), Next: capture},
 	})
 	if err != nil {
 		return "", err

@@ -74,7 +74,7 @@ func (m *Metrics) ObserveCycle(c *Cycle) {
 		if s.Result != nil {
 			m.rebuffers += int64(s.Result.Rebuffers)
 			m.stallSeconds += s.Result.StallTime.Seconds()
-			m.chunks += int64(len(s.Result.Chunks))
+			m.chunks += int64(s.Result.ChunkCount())
 		}
 	}
 }

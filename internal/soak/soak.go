@@ -489,7 +489,9 @@ func (r *Runner) runSession(ctx context.Context, rec *SessionRecord, endpoints [
 		Algorithm:  algorithm,
 		BufferMax:  bufMax,
 		WatchLimit: cfg.Watch,
-		Observer:   stamped{session: rec.Session, next: telemetry.Multi(capture, shipper)},
+		// Stamped before the fan-out: the collector-agreement invariant
+		// compares the capture's bytes with the shipped copy's.
+		Observer: telemetry.Stamp{Session: rec.Session, Next: telemetry.Multi(capture, shipper)},
 	})
 	rec.Events = capture.Events
 }
@@ -562,21 +564,6 @@ func (r *Runner) Run(ctx context.Context, cycles int, interval time.Duration) (f
 		}
 	}
 	return failed, undecided, nil
-}
-
-// stamped stamps the session label onto every event BEFORE fan-out, so
-// the local capture and the shipped copy carry identical bytes — the
-// precondition of the collector-agreement invariant.
-type stamped struct {
-	session string
-	next    telemetry.Observer
-}
-
-func (s stamped) OnEvent(e telemetry.Event) {
-	if e.Session == "" {
-		e.Session = s.session
-	}
-	s.next.OnEvent(e)
 }
 
 // CompactEvents is the WAL size, in events, at which a cycle's store seals

@@ -224,6 +224,23 @@ func (m multi) OnEvent(e Event) {
 	}
 }
 
+// Stamp labels every event that carries no Session with Session, then
+// passes it to Next. Put it in front of a fan-out (Multi) so every sink
+// sees the same labelled bytes: a local copy and a shipped one agree, and a
+// player's events join the origin's under one session name.
+type Stamp struct {
+	Session string
+	Next    Observer
+}
+
+// OnEvent implements Observer.
+func (s Stamp) OnEvent(e Event) {
+	if e.Session == "" {
+		e.Session = s.Session
+	}
+	s.Next.OnEvent(e)
+}
+
 // Capture records every event into memory, stamping Session on events that
 // do not already carry a label. It is deliberately unsynchronized: give
 // each session its own Capture and read Events once the session is done.

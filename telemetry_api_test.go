@@ -38,8 +38,8 @@ func TestFacadeObserver(t *testing.T) {
 	if n := ring.CountKind(EventRebufferStart); n != res.Rebuffers {
 		t.Errorf("rebuffer_start events = %d, Result.Rebuffers = %d", n, res.Rebuffers)
 	}
-	if ring.CountKind(EventChunkComplete) != len(res.Chunks) {
-		t.Error("chunk_complete events disagree with chunk log")
+	if ring.CountKind(EventChunkComplete) != res.ChunkCount() {
+		t.Error("chunk_complete events disagree with Result.ChunkCount")
 	}
 }
 

@@ -96,7 +96,7 @@ func run(ctx context.Context, out, errw io.Writer, o options) error {
 			store.WriteMetrics(w)
 		}))
 	}
-	srv, err := obs.Serve(o.addr, mux, o.grace, nil)
+	srv, err := obs.Serve(o.addr, mux, o.grace)
 	if err != nil {
 		return err
 	}

@@ -89,7 +89,7 @@ func run(ctx context.Context, out, errw io.Writer, o options) error {
 		return err
 	}
 
-	srv, err := obs.Serve(o.addr, c.Handler(), 5*time.Second, nil)
+	srv, err := obs.Serve(o.addr, c.Handler(), 5*time.Second)
 	if err != nil {
 		return err
 	}

@@ -48,7 +48,6 @@ func main() {
 		watch   = flag.Duration("watch", 30*time.Second, "how much video to watch (real time!)")
 		shape   = flag.Int("shape", 0, "emulated downstream capacity in kb/s (0 = unshaped)")
 		rmin    = flag.Int("rmin", 0, "promoted minimum rate in kb/s")
-		useMPD  = flag.Bool("mpd", false, "drive the session from the standards /manifest.mpd (nominal chunk sizes) instead of the JSON manifest")
 		whatIf  = flag.Bool("whatif", false, "after the session, replay every algorithm against the observed network and print the counterfactual comparison")
 		journal = flag.String("journal", "", "write the session's telemetry events as JSONL to this file, or ship them to this bbacollect URL (http://host:port[/run-id])")
 		quiet   = flag.Bool("q", false, "suppress per-chunk progress")
@@ -56,14 +55,14 @@ func main() {
 	flag.Parse()
 
 	obs.Main("bbaplay", func(ctx context.Context) error {
-		return run(ctx, os.Stdout, *url, *algName, *watch, *shape, *rmin, *useMPD, *whatIf, *quiet, *journal)
+		return run(ctx, os.Stdout, *url, *algName, *watch, *shape, *rmin, *whatIf, *quiet, *journal)
 	})
 }
 
 // run streams one session until it ends or ctx is cancelled; either way the
 // journal is flushed before it returns, and a journal that lost events fails
 // the run.
-func run(ctx context.Context, out io.Writer, url, algName string, watch time.Duration, shapeKbps, rminKbps int, useMPD, whatIf, quiet bool, journal string) (err error) {
+func run(ctx context.Context, out io.Writer, url, algName string, watch time.Duration, shapeKbps, rminKbps int, whatIf, quiet bool, journal string) (err error) {
 	alg, err := abr.New(algName)
 	if err != nil {
 		return err
@@ -94,7 +93,6 @@ func run(ctx context.Context, out io.Writer, url, algName string, watch time.Dur
 		Algorithm:  alg,
 		Rmin:       units.BitRate(rminKbps) * units.Kbps,
 		WatchLimit: watch,
-		UseMPD:     useMPD,
 	}
 	if !quiet {
 		cfg.Logf = func(format string, args ...any) {

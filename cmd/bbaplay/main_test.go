@@ -45,7 +45,7 @@ func testServer(t *testing.T) *httptest.Server {
 func TestPlayAgainstLocalServer(t *testing.T) {
 	ts := testServer(t)
 	var out bytes.Buffer
-	if err := run(context.Background(), &out, ts.URL, "BBA-2", 3*time.Second, 0, 0, false, false, true, ""); err != nil {
+	if err := run(context.Background(), &out, ts.URL, "BBA-2", 3*time.Second, 0, 0, false, true, ""); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "session summary") {
@@ -53,10 +53,10 @@ func TestPlayAgainstLocalServer(t *testing.T) {
 	}
 }
 
-func TestPlayViaMPDAndShaping(t *testing.T) {
+func TestPlayShaping(t *testing.T) {
 	ts := testServer(t)
 	var out bytes.Buffer
-	if err := run(context.Background(), &out, ts.URL, "BBA-0", 2*time.Second, 8000, 560, true, false, true, ""); err != nil {
+	if err := run(context.Background(), &out, ts.URL, "BBA-0", 2*time.Second, 8000, 560, false, true, ""); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "average rate") {
@@ -66,10 +66,10 @@ func TestPlayViaMPDAndShaping(t *testing.T) {
 
 func TestPlayBadInputs(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(context.Background(), &out, "http://127.0.0.1:1", "BBA-2", time.Second, 0, 0, false, false, true, ""); err == nil {
+	if err := run(context.Background(), &out, "http://127.0.0.1:1", "BBA-2", time.Second, 0, 0, false, true, ""); err == nil {
 		t.Error("dead server accepted")
 	}
-	if err := run(context.Background(), &out, "http://127.0.0.1:1", "NOPE", time.Second, 0, 0, false, false, true, ""); err == nil {
+	if err := run(context.Background(), &out, "http://127.0.0.1:1", "NOPE", time.Second, 0, 0, false, true, ""); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 }
@@ -78,7 +78,7 @@ func TestPlayWritesJournal(t *testing.T) {
 	ts := testServer(t)
 	var out bytes.Buffer
 	path := filepath.Join(t.TempDir(), "session.jsonl")
-	if err := run(context.Background(), &out, ts.URL, "BBA-2", 2*time.Second, 0, 0, false, false, true, path); err != nil {
+	if err := run(context.Background(), &out, ts.URL, "BBA-2", 2*time.Second, 0, 0, false, true, path); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -97,7 +97,7 @@ func TestPlayWritesJournal(t *testing.T) {
 func TestPlayWithWhatIf(t *testing.T) {
 	ts := testServer(t)
 	var out bytes.Buffer
-	if err := run(context.Background(), &out, ts.URL, "BBA-2", 3*time.Second, 0, 0, false, true, true, ""); err != nil {
+	if err := run(context.Background(), &out, ts.URL, "BBA-2", 3*time.Second, 0, 0, true, true, ""); err != nil {
 		t.Fatal(err)
 	}
 	text := out.String()
@@ -189,7 +189,7 @@ func TestPlayOneSessionID(t *testing.T) {
 		fetched, shipped, lines = nil, nil, nil
 		mu.Unlock()
 		var out bytes.Buffer
-		if err := run(context.Background(), &out, origin.URL, "BBA-2", 2*time.Second, 0, 0, false, false, true, col.URL); err != nil {
+		if err := run(context.Background(), &out, origin.URL, "BBA-2", 2*time.Second, 0, 0, false, true, col.URL); err != nil {
 			t.Fatal(err)
 		}
 		mu.Lock()
@@ -236,7 +236,7 @@ func TestPlayShipsJournal(t *testing.T) {
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp)
 	var out bytes.Buffer
-	if err := run(context.Background(), &out, ts.URL, "BBA-2", 2*time.Second, 0, 0, false, false, true, url+"/living-room"); err != nil {
+	if err := run(context.Background(), &out, ts.URL, "BBA-2", 2*time.Second, 0, 0, false, true, url+"/living-room"); err != nil {
 		t.Fatal(err)
 	}
 	lines := bytes.SplitAfter(archived(), []byte("\n"))
@@ -280,7 +280,7 @@ func TestPlayShipsToLateCollector(t *testing.T) {
 	}))
 	defer late.Close()
 	var out bytes.Buffer
-	if err := run(context.Background(), &out, ts.URL, "BBA-2", 2*time.Second, 0, 0, false, false, true, late.URL); err != nil {
+	if err := run(context.Background(), &out, ts.URL, "BBA-2", 2*time.Second, 0, 0, false, true, late.URL); err != nil {
 		t.Fatal(err)
 	}
 	if refused.Load() == 0 {
@@ -308,7 +308,7 @@ func TestPlayJournalLossFails(t *testing.T) {
 	}))
 	defer refuse.Close()
 	var out bytes.Buffer
-	err := run(context.Background(), &out, ts.URL, "BBA-2", time.Second, 0, 0, false, false, true, refuse.URL)
+	err := run(context.Background(), &out, ts.URL, "BBA-2", time.Second, 0, 0, false, true, refuse.URL)
 	if err == nil || !strings.Contains(err.Error(), "never reached") {
 		t.Fatalf("run = %v, want the journal's loss reported", err)
 	}
@@ -338,7 +338,7 @@ func TestPlayCancelFlushesJournal(t *testing.T) {
 			// 12-chunk title is still downloading when the context expires.
 			ctx, cancel := context.WithTimeout(context.Background(), 1500*time.Millisecond)
 			defer cancel()
-			err := run(ctx, &out, ts.URL, "BBA-0", time.Minute, 200, 0, false, false, true, sink.journal)
+			err := run(ctx, &out, ts.URL, "BBA-0", time.Minute, 200, 0, false, true, sink.journal)
 			if !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("run = %v, want the context error", err)
 			}

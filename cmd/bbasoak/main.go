@@ -108,7 +108,7 @@ func runSoak(ctx context.Context, cfg soakConfig) error {
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", runner.Metrics)
 		mux.Handle("/healthz", runner.Metrics.Healthz())
-		srv, err := obs.Serve(cfg.metricsAddr, mux, time.Second, nil)
+		srv, err := obs.Serve(cfg.metricsAddr, mux, time.Second)
 		if err != nil {
 			return err
 		}

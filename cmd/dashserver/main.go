@@ -39,8 +39,6 @@ func main() {
 		chunks    = flag.Int("chunks", 900, "title length in chunks")
 		chunkMS   = flag.Int("chunk-ms", 4000, "chunk duration in milliseconds")
 		seed      = flag.Int64("seed", 1, "seed for the synthetic title")
-		latency   = flag.Duration("latency", 0, "added first-byte latency per chunk")
-		maxConns  = flag.Int("max-conns", 0, "cap on concurrently served connections (0 = unbounded)")
 		withFault = flag.Bool("faults", false, "serve in fault-injecting mode (seeded 5xx bursts, stalled bodies, resets, latency spikes, on each session's clock; chunk requests must carry s, a and t)")
 		faultSeed = flag.Int64("fault-seed", 1, "seed for the fault schedule and, mixed with each request's session, its fault decisions")
 	)
@@ -48,7 +46,6 @@ func main() {
 
 	cfg := serverConfig{
 		addr: *addr, chunks: *chunks, chunkMS: *chunkMS, seed: *seed,
-		latency: *latency, maxConns: *maxConns,
 		withFaults: *withFault, faultSeed: *faultSeed,
 	}
 	obs.Main("dashserver", func(ctx context.Context) error { return run(ctx, cfg) })
@@ -60,8 +57,6 @@ type serverConfig struct {
 	chunks     int
 	chunkMS    int
 	seed       int64
-	latency    time.Duration
-	maxConns   int
 	withFaults bool
 	faultSeed  int64
 	// ready is a test seam: receives the bound address once serving.
@@ -71,7 +66,7 @@ type serverConfig struct {
 // run serves until ctx is cancelled (SIGINT/SIGTERM in main), then shuts
 // the origin down gracefully.
 func run(ctx context.Context, cfg serverConfig) error {
-	srv, video, err := buildServer(cfg.chunks, cfg.chunkMS, cfg.seed, cfg.latency)
+	srv, video, err := buildServer(cfg.chunks, cfg.chunkMS, cfg.seed)
 	if err != nil {
 		return err
 	}
@@ -93,7 +88,6 @@ func run(ctx context.Context, cfg serverConfig) error {
 
 	o, err := dash.StartOrigin(cfg.addr, srv, dash.OriginConfig{
 		Metrics:       prom,
-		MaxConns:      cfg.maxConns,
 		ShutdownGrace: shutdownGrace,
 	})
 	if err != nil {
@@ -120,7 +114,7 @@ func run(ctx context.Context, cfg serverConfig) error {
 const shutdownGrace = 5 * time.Second
 
 // buildServer constructs the synthetic title and its HTTP handler.
-func buildServer(chunks, chunkMS int, seed int64, latency time.Duration) (*dash.Server, *media.Video, error) {
+func buildServer(chunks, chunkMS int, seed int64) (*dash.Server, *media.Video, error) {
 	video, err := media.NewVBR(media.VBRConfig{
 		Title:         "dashserver",
 		Ladder:        media.DefaultLadder(),
@@ -134,6 +128,5 @@ func buildServer(chunks, chunkMS int, seed int64, latency time.Duration) (*dash.
 	if err != nil {
 		return nil, nil, err
 	}
-	srv.Latency = latency
 	return srv, video, nil
 }

@@ -12,15 +12,12 @@ import (
 )
 
 func TestBuildServer(t *testing.T) {
-	srv, video, err := buildServer(30, 4000, 1, 5*time.Millisecond)
+	srv, video, err := buildServer(30, 4000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if video.NumChunks() != 30 {
 		t.Errorf("chunks = %d", video.NumChunks())
-	}
-	if srv.Latency != 5*time.Millisecond {
-		t.Errorf("latency = %v", srv.Latency)
 	}
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -34,7 +31,7 @@ func TestBuildServer(t *testing.T) {
 		t.Errorf("manifest status %s", resp.Status)
 	}
 	// Zero chunks falls back to the VBR default title length.
-	_, v2, err := buildServer(0, 4000, 1, 0)
+	_, v2, err := buildServer(0, 4000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

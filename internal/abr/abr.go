@@ -95,6 +95,10 @@ func NewStream(v *media.Video, rmin units.BitRate) Stream {
 // Ladder returns the session's (possibly promoted) rate ladder.
 func (s Stream) Ladder() media.Ladder { return s.ladder }
 
+// LadderKbps returns the session ladder's rates in kb/s, index for index:
+// the title's table, shared, read-only.
+func (s Stream) LadderKbps() []float64 { return s.video.LadderKbps()[s.offset:] }
+
 // Video returns the underlying title.
 func (s Stream) Video() *media.Video { return s.video }
 

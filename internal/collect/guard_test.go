@@ -178,15 +178,18 @@ func TestCollectWritesNoFiles(t *testing.T) {
 	}
 }
 
-// TestDashServesNoHLS keeps the origin at the two manifests a client
-// fetches: it fails if a non-test file of internal/dash names an HLS
-// playlist again. No player took the HLS path, and it did the MPD's job —
-// nominal sizes, no chunk map — over two more endpoints.
-func TestDashServesNoHLS(t *testing.T) {
+// TestDashServesOneManifest keeps the origin at the one manifest a client
+// fetches, the JSON document carrying every chunk's size: it fails if a
+// non-test file of internal/dash names an HLS playlist or the MPEG-DASH
+// MPD again, or imports encoding/xml to render one. No player took either
+// path; both carried nominal sizes only, without which BBA-1 has no chunk
+// map, and both were a second manifest to serve and keep in step.
+func TestDashServesOneManifest(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("..", "dash", "*.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	fset := token.NewFileSet()
 	checked := 0
 	for _, path := range paths {
 		if strings.HasSuffix(path, "_test.go") {
@@ -197,8 +200,19 @@ func TestDashServesNoHLS(t *testing.T) {
 			t.Fatal(err)
 		}
 		checked++
-		if strings.Contains(string(src), "m3u8") {
-			t.Errorf("%s names m3u8: the HLS path is gone; the MPD is the standards manifest", path)
+		for _, name := range []string{"m3u8", "manifest.mpd"} {
+			if strings.Contains(string(src), name) {
+				t.Errorf("%s names %s: the origin serves one manifest, /manifest.json", path, name)
+			}
+		}
+		f, err := parser.ParseFile(fset, path, src, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "encoding/xml" {
+				t.Errorf("%s imports encoding/xml: the origin renders no XML manifest", path)
+			}
 		}
 	}
 	if checked == 0 {

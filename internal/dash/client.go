@@ -3,7 +3,7 @@ package dash
 import (
 	"bytes"
 	"context"
-	"encoding/xml"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -44,12 +44,6 @@ type ClientConfig struct {
 	// WatchLimit stops after this much delivered video; 0 plays the
 	// whole title.
 	WatchLimit time.Duration
-	// UseMPD fetches the standards-shaped /manifest.mpd instead of the
-	// JSON manifest. An MPD carries no per-chunk sizes, so the client
-	// models every chunk at its nominal V·R size — the paper's situation
-	// before the Section 5 chunk map, and the reason the native manifest
-	// carries the size matrix.
-	UseMPD bool
 	// Logf, when non-nil, receives per-chunk progress lines.
 	Logf func(format string, args ...any)
 	// Observer, when non-nil, receives the session's telemetry events
@@ -90,30 +84,17 @@ func Stream(ctx context.Context, cfg ClientConfig) (*player.Result, error) {
 		logf = func(string, ...any) {}
 	}
 
-	var video *media.Video
-	switch {
-	case cfg.UseMPD:
-		mpd, err := tryEndpoints(endpoints, func(base string) (MPD, error) {
-			return fetchMPD(ctx, httpc, base)
-		})
-		if err != nil {
-			return nil, err
+	var (
+		video *media.Video
+		err   error
+	)
+	for _, base := range endpoints {
+		if video, err = fetchManifest(ctx, httpc, base); err == nil {
+			break
 		}
-		video, err = videoFromMPD(mpd)
-		if err != nil {
-			return nil, fmt.Errorf("dash: bad MPD: %w", err)
-		}
-	default:
-		manifest, err := tryEndpoints(endpoints, func(base string) (Manifest, error) {
-			return fetchManifest(ctx, httpc, base)
-		})
-		if err != nil {
-			return nil, err
-		}
-		video, err = manifest.Video()
-		if err != nil {
-			return nil, fmt.Errorf("dash: bad manifest: %w", err)
-		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	stream := abr.NewStream(video, cfg.Rmin)
 
@@ -213,65 +194,32 @@ func get(ctx context.Context, c *http.Client, url string, limit int64) ([]byte, 
 	return raw, nil
 }
 
-func fetchManifest(ctx context.Context, c *http.Client, base string) (Manifest, error) {
-	var m Manifest
+// fetchManifest fetches base's JSON manifest and returns the title it
+// describes.
+func fetchManifest(ctx context.Context, c *http.Client, base string) (*media.Video, error) {
 	raw, err := get(ctx, c, base+"/manifest.json", 8<<20)
 	if err != nil {
-		return m, err
-	}
-	if err := jsonDecode(bytes.NewReader(raw), &m); err != nil {
-		return m, fmt.Errorf("dash: manifest decode: %w", err)
-	}
-	return m, nil
-}
-
-// fetchMPD retrieves and parses the standards manifest.
-func fetchMPD(ctx context.Context, c *http.Client, base string) (MPD, error) {
-	var m MPD
-	raw, err := get(ctx, c, base+"/manifest.mpd", 1<<20)
-	if err != nil {
-		return m, err
-	}
-	if err := xml.Unmarshal(raw, &m); err != nil {
-		return m, fmt.Errorf("dash: MPD parse: %w", err)
-	}
-	return m, nil
-}
-
-// videoFromMPD reconstructs a nominal-size (CBR-shaped) title from the MPD.
-func videoFromMPD(m MPD) (*media.Video, error) {
-	ladder := m.Ladder()
-	if err := ladder.Validate(); err != nil {
 		return nil, err
 	}
-	v := m.ChunkDuration()
-	if v <= 0 {
-		return nil, fmt.Errorf("dash: MPD has no usable segment duration")
-	}
-	total, err := m.Duration()
+	m, err := decodeManifest(raw)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dash: manifest decode: %w", err)
 	}
-	chunks := int(total / v)
-	if chunks <= 0 {
-		return nil, fmt.Errorf("dash: MPD presentation shorter than one segment")
+	v, err := m.Video()
+	if err != nil {
+		return nil, fmt.Errorf("dash: bad manifest: %w", err)
 	}
-	return media.NewCBR("mpd", ladder, v, chunks)
+	return v, nil
 }
 
-// tryEndpoints runs fetch against each endpoint in preference order until
-// one succeeds.
-func tryEndpoints[T any](endpoints []string, fetch func(base string) (T, error)) (T, error) {
-	var zero T
-	var lastErr error
-	for _, base := range endpoints {
-		v, err := fetch(base)
-		if err == nil {
-			return v, nil
-		}
-		lastErr = err
-	}
-	return zero, lastErr
+// decodeManifest decodes one JSON manifest, refusing unknown fields so
+// manifest drift is caught early.
+func decodeManifest(raw []byte) (Manifest, error) {
+	var m Manifest
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&m)
+	return m, err
 }
 
 // fetcher downloads chunks under a FetchPolicy with endpoint failover.

@@ -83,11 +83,15 @@ func TestServerServesManifestAndChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m Manifest
-	if err := jsonDecode(resp.Body, &m); err != nil {
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
+	m, err := decodeManifest(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if m.NumChunks != 10 || len(m.LadderBps) != len(video.Ladder) {
 		t.Fatalf("manifest shape: %+v", m)
 	}
@@ -275,8 +279,13 @@ func TestStreamContextCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Latency = 50 * time.Millisecond
-	ts := httptest.NewServer(srv)
+	// Every chunk's first byte waits 50 ms, so the deadline lands mid-session.
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/chunk/") {
+			time.Sleep(50 * time.Millisecond)
+		}
+		srv.ServeHTTP(w, r)
+	}))
 	defer ts.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Millisecond)
@@ -357,21 +366,23 @@ func TestStreamRminPromotion(t *testing.T) {
 	}
 }
 
-// TestStreamManifestFetchErrors: every manifest document is fetched the
-// same way — status first, then a bounded read, then the parser. One good
-// session per mode, then each document of each mode answered with a 404, a
-// 500 and an oversized 200: the error must name the status (or the size),
-// never be the parser choking on an error page.
+// TestStreamManifestFetchErrors: the manifest is fetched status first,
+// then a bounded read, then the parser. One good session, then the
+// manifest answered with a 404, a 500 and an oversized 200: the error must
+// name the status (or the size), never be the parser choking on an error
+// page.
 func TestStreamManifestFetchErrors(t *testing.T) {
 	video := testVideo(t, 4, 500*time.Millisecond)
 	srv, err := NewServer(video)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// origin answers badPath with bad and everything else like the server.
-	origin := func(badPath string, bad func(w http.ResponseWriter)) string {
+	const path = "/manifest.json"
+	// origin answers the manifest with bad, when set, and everything else
+	// like the server.
+	origin := func(bad func(w http.ResponseWriter)) string {
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == badPath {
+			if bad != nil && r.URL.Path == path {
 				bad(w)
 				return
 			}
@@ -381,14 +392,6 @@ func TestStreamManifestFetchErrors(t *testing.T) {
 		return ts.URL
 	}
 
-	modes := []struct {
-		name  string
-		cfg   ClientConfig
-		paths []string
-	}{
-		{"json", ClientConfig{}, []string{"/manifest.json"}},
-		{"mpd", ClientConfig{UseMPD: true}, []string{"/manifest.mpd"}},
-	}
 	failures := []struct {
 		name    string
 		respond func(w http.ResponseWriter)
@@ -398,21 +401,15 @@ func TestStreamManifestFetchErrors(t *testing.T) {
 		{"500", func(w http.ResponseWriter) { http.Error(w, "internal error", http.StatusInternalServerError) }, "status 500"},
 		{"oversized", func(w http.ResponseWriter) { w.Write(make([]byte, 8<<20+1)) }, "exceeds"},
 	}
-	for _, m := range modes {
-		cfg := m.cfg
-		cfg.Algorithm = abr.RminAlways{}
-		cfg.BaseURL = origin("", nil)
-		if res, err := Stream(context.Background(), cfg); err != nil || res.ChunkCount() != 4 {
-			t.Fatalf("%s: good session failed: %v", m.name, err)
-		}
-		for _, path := range m.paths {
-			for _, f := range failures {
-				cfg.BaseURL = origin(path, f.respond)
-				_, err := Stream(context.Background(), cfg)
-				if err == nil || !strings.Contains(err.Error(), f.want) || !strings.Contains(err.Error(), path) {
-					t.Errorf("%s %s answered %s: err = %v, want one naming %q and the document", m.name, path, f.name, err, f.want)
-				}
-			}
+	cfg := ClientConfig{Algorithm: abr.RminAlways{}, BaseURL: origin(nil)}
+	if res, err := Stream(context.Background(), cfg); err != nil || res.ChunkCount() != 4 {
+		t.Fatalf("good session failed: %v", err)
+	}
+	for _, f := range failures {
+		cfg.BaseURL = origin(f.respond)
+		_, err := Stream(context.Background(), cfg)
+		if err == nil || !strings.Contains(err.Error(), f.want) || !strings.Contains(err.Error(), path) {
+			t.Errorf("%s answered %s: err = %v, want one naming %q and the document", path, f.name, err, f.want)
 		}
 	}
 }

@@ -1,59 +1,81 @@
 package dash
 
 import (
-	"encoding/xml"
+	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"bba/internal/media"
 )
 
-// The fuzz target exercises the MPD parser with the round-trip property:
-// any input the parser accepts must serialize back into a form the parser
-// accepts again, with the semantic fields (ladder, duration) preserved.
-// Inputs the parser rejects are uninteresting — rejection IS the correct
-// handling of hostile data.
-
-func fuzzVideo(f *testing.F) *media.Video {
-	f.Helper()
+// FuzzManifestRoundTrip holds the one document the client parses from the
+// network to a round trip: any bytes the client's decode and Manifest.Video
+// both accept describe a title whose ManifestFor is the decoded manifest,
+// field for field. A manifest the client accepts but would render back
+// differently — a numChunks no size row has, a chunk duration that
+// overflows — is one the title does not faithfully describe. Inputs either
+// step refuses are uninteresting: refusal is the correct handling of
+// hostile data.
+func FuzzManifestRoundTrip(f *testing.F) {
 	v, err := media.NewCBR("fuzz-seed", media.DefaultLadder(), 4*time.Second, 6)
 	if err != nil {
 		f.Fatal(err)
 	}
-	return v
-}
-
-func FuzzMPDRoundTrip(f *testing.F) {
-	mpd, err := xml.MarshalIndent(MPDFor(fuzzVideo(f)), "", "  ")
+	seed, err := json.Marshal(ManifestFor(v))
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(mpd)
-	f.Add([]byte(`<MPD mediaPresentationDuration="PT24S"></MPD>`))
+	f.Add(seed)
+	f.Add([]byte(`{"title":"t","chunkDurationMs":1,"ladderBps":[1],"numChunks":1,"sizesBytes":[[1]]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var m MPD
-		if xml.Unmarshal(data, &m) != nil {
-			return
-		}
-		out, err := xml.Marshal(m)
+		m, err := decodeManifest(data)
 		if err != nil {
-			// Accepted input that cannot re-serialize (e.g. attribute
-			// values with invalid code points) is tolerable; the round
-			// trip only applies to serializable documents.
 			return
 		}
-		var m2 MPD
-		if err := xml.Unmarshal(out, &m2); err != nil {
-			t.Fatalf("re-parse of serialized MPD failed: %v\n%s", err, out)
+		v, err := m.Video()
+		if err != nil {
+			return
 		}
-		if !reflect.DeepEqual(m.Ladder(), m2.Ladder()) {
-			t.Fatalf("ladder changed across round trip: %v -> %v", m.Ladder(), m2.Ladder())
-		}
-		d1, err1 := m.Duration()
-		d2, err2 := m2.Duration()
-		if (err1 == nil) != (err2 == nil) || d1 != d2 {
-			t.Fatalf("duration changed across round trip: %v/%v -> %v/%v", d1, err1, d2, err2)
+		if back := ManifestFor(v); !reflect.DeepEqual(back, m) {
+			t.Fatalf("accepted manifest renders back differently:\ndecoded  %+v\nrendered %+v", m, back)
 		}
 	})
+}
+
+// TestManifestRefusesInconsistent: a manifest whose numChunks disagrees
+// with its size rows, or whose chunk duration overflows a time.Duration,
+// is refused with an error naming the field, not read as another title.
+func TestManifestRefusesInconsistent(t *testing.T) {
+	for _, c := range []struct {
+		name, doc, field string
+	}{
+		{"numChunks beyond the size rows",
+			`{"title":"t","chunkDurationMs":4000,"ladderBps":[235000,375000],"numChunks":5,"sizesBytes":[[1,2,3],[4,5,6]]}`,
+			"numChunks"},
+		{"numChunks short of the size rows",
+			`{"title":"t","chunkDurationMs":4000,"ladderBps":[235000],"numChunks":2,"sizesBytes":[[1,2,3]]}`,
+			"numChunks"},
+		{"chunkDurationMs overflows",
+			`{"title":"t","chunkDurationMs":9007199254740992,"ladderBps":[235000],"numChunks":3,"sizesBytes":[[1,2,3]]}`,
+			"chunkDurationMs"},
+		{"chunkDurationMs zero",
+			`{"title":"t","chunkDurationMs":0,"ladderBps":[235000],"numChunks":3,"sizesBytes":[[1,2,3]]}`,
+			"chunkDurationMs"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m, err := decodeManifest([]byte(c.doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := m.Video()
+			if err == nil {
+				t.Fatalf("accepted as %d chunks of %v", v.NumChunks(), v.ChunkDuration)
+			}
+			if !strings.Contains(err.Error(), c.field) {
+				t.Errorf("err = %v, want one naming %s", err, c.field)
+			}
+		})
+	}
 }

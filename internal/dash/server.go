@@ -6,21 +6,21 @@
 // chunk a separate HTTP object, with the player measuring "how fast chunks
 // arrive to estimate capacity".
 //
-// The server publishes a JSON manifest (ladder, chunk duration and the full
-// per-chunk size matrix, which BBA-1's reservoir and chunk map need), a
-// standards-shaped MPEG-DASH MPD at /manifest.mpd for interop, and serves
-// deterministic filler bytes for every (rate, chunk) pair. In fault mode the
-// server acts out the simulator's own fault decisions — added latency,
-// 503s, stalled bodies, resets — on the session, attempt and session clock
-// each chunk request names, so a socket session's faults replay in
-// player.Run.
+// The server publishes one manifest, a JSON document carrying the ladder,
+// the chunk duration and the full per-chunk size matrix (BBA-1's reservoir
+// and chunk map are computed from upcoming chunk sizes, which only such a
+// manifest carries), and serves deterministic filler bytes for every
+// (rate, chunk) pair. In fault mode the server acts out the simulator's own
+// fault decisions — added latency, 503s, stalled bodies, resets — on the
+// session, attempt and session clock each chunk request names, so a socket
+// session's faults replay in player.Run.
 package dash
 
 import (
 	"cmp"
 	"encoding/json"
-	"encoding/xml"
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -60,8 +60,21 @@ func ManifestFor(v *media.Video) Manifest {
 	return m
 }
 
-// Video reconstructs the media.Video the manifest describes.
+// maxChunkDurationMS is the longest chunk duration a time.Duration holds.
+const maxChunkDurationMS = math.MaxInt64 / int64(time.Millisecond)
+
+// Video reconstructs the media.Video the manifest describes. A manifest
+// whose chunk duration does not fit a time.Duration, or whose numChunks
+// disagrees with a rate's size row, is refused, naming the field.
 func (m Manifest) Video() (*media.Video, error) {
+	if m.ChunkDurationMS <= 0 || m.ChunkDurationMS > maxChunkDurationMS {
+		return nil, fmt.Errorf("dash: manifest chunkDurationMs %d outside [1, %d]", m.ChunkDurationMS, maxChunkDurationMS)
+	}
+	for ri, row := range m.SizesBytes {
+		if len(row) != m.NumChunks {
+			return nil, fmt.Errorf("dash: manifest numChunks %d, but sizesBytes[%d] holds %d chunks", m.NumChunks, ri, len(row))
+		}
+	}
 	ladder := make(media.Ladder, len(m.LadderBps))
 	for i, bps := range m.LadderBps {
 		ladder[i] = units.BitRate(bps)
@@ -71,21 +84,16 @@ func (m Manifest) Video() (*media.Video, error) {
 
 // Server serves one title over HTTP:
 //
-//	GET /manifest.json                 full-information manifest
-//	GET /manifest.mpd                  MPEG-DASH MPD
+//	GET /manifest.json                 the title's manifest
 //	GET /chunk/{rateIndex}/{chunkIndex}
 //
-// It implements http.Handler and is safe for concurrent use. Every
-// manifest-shaped document (JSON, MPD) is rendered once at construction:
-// the title is immutable, so re-rendering per request only burns CPU under
-// load.
+// It implements http.Handler and is safe for concurrent use. The manifest
+// is rendered once at construction: the title is immutable, so
+// re-rendering per request only burns CPU under load.
 type Server struct {
 	video    *media.Video
 	manifest []byte
-	mpd      []byte
 
-	// Latency is added before each chunk response (first-byte delay).
-	Latency time.Duration
 	// Injector, when non-nil, puts the server in fault-injecting mode:
 	// chunk requests inside scheduled episodes suffer 503s, stalled
 	// bodies, mid-download aborts and added first-byte latency, as the
@@ -111,14 +119,9 @@ func NewServer(v *media.Video) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	mpd, err := xml.MarshalIndent(MPDFor(v), "", "  ")
-	if err != nil {
-		return nil, err
-	}
 	return &Server{
 		video:    v,
 		manifest: raw,
-		mpd:      append([]byte(xml.Header), mpd...),
 		start:    time.Now(),
 	}, nil
 }
@@ -136,9 +139,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case r.URL.Path == "/manifest.json":
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(s.manifest)
-	case r.URL.Path == "/manifest.mpd":
-		w.Header().Set("Content-Type", "application/dash+xml")
-		w.Write(s.mpd)
 	case strings.HasPrefix(r.URL.Path, "/chunk/"):
 		s.serveChunk(w, r)
 	default:
@@ -160,9 +160,6 @@ func (s *Server) serveChunk(w http.ResponseWriter, r *http.Request) {
 		chunk < 0 || chunk >= s.video.NumChunks() {
 		http.Error(w, "chunk out of range", http.StatusNotFound)
 		return
-	}
-	if s.Latency > 0 {
-		time.Sleep(s.Latency)
 	}
 	size := s.video.ChunkSize(rate, chunk)
 	if s.Injector != nil {

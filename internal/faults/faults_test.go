@@ -253,7 +253,7 @@ func TestApplyToTraceMatchesCapacityAt(t *testing.T) {
 			Duration: time.Duration(1+rng.Intn(25)) * time.Minute,
 		}, rng)
 		s := GenerateSeeded(cfg, seed)
-		got, err := s.ApplyWith(&b, base)
+		got, err := s.ApplyInto(new(trace.Trace), &b, base)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

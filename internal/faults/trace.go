@@ -19,17 +19,11 @@ import (
 // explicit), so a schedule drawn over a longer horizon composes with any
 // base.
 func (s *Schedule) ApplyToTrace(base *trace.Trace) (*trace.Trace, error) {
-	return s.ApplyWith(new(trace.Builder), base)
+	return s.ApplyInto(new(trace.Trace), new(trace.Builder), base)
 }
 
-// ApplyWith is ApplyToTrace composing in b's recycled buffers; the
-// returned trace shares nothing with b.
-func (s *Schedule) ApplyWith(b *trace.Builder, base *trace.Trace) (*trace.Trace, error) {
-	return s.ApplyInto(new(trace.Trace), b, base)
-}
-
-// ApplyInto is ApplyWith materialising the faulted trace into dst, which
-// the caller owns and recycles across draws (see trace.Builder.Into). It
+// ApplyInto is ApplyToTrace composing in b's recycled buffers and
+// materialising the faulted trace into dst, which the caller owns and recycles across draws (see trace.Builder.Into). It
 // returns dst, or base itself when the schedule has no capacity fault, in
 // which case dst is untouched. dst may be base: base is read whole before
 // dst is written, and only then.

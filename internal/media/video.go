@@ -23,6 +23,7 @@ type Video struct {
 	Ladder        Ladder
 	ChunkDuration time.Duration // V in the paper; 4 s in the Netflix player
 	nr, n         int           // ladder rates, chunks
+	kbps          []float64     // kbps[rate]: Ladder[rate] in kb/s
 	cols          []int64       // cols[k*nr+rate]: bytes of chunk k at rate
 	prefix        []int64       // prefix[rate*(n+1)+k]: bytes of chunks [0,k) at rate
 	derivedOnce   sync.Once
@@ -51,8 +52,12 @@ func newVideo(title string, ladder Ladder, chunkDuration time.Duration, numChunk
 	v := &Video{
 		Title: title, Ladder: ladder, ChunkDuration: chunkDuration,
 		nr: nr, n: numChunks,
+		kbps:   make([]float64, nr),
 		cols:   make([]int64, nr*numChunks),
 		prefix: make([]int64, nr*(numChunks+1)),
+	}
+	for rate, r := range ladder {
+		v.kbps[rate] = r.Kilobits()
 	}
 	row := make([]int64, numChunks)
 	for rate := 0; rate < nr; rate++ {
@@ -65,6 +70,11 @@ func newVideo(title string, ladder Ladder, chunkDuration time.Duration, numChunk
 	}
 	return v
 }
+
+// LadderKbps returns the ladder's rates in kb/s, index for index, computed
+// once for the title. The slice aliases the title's storage: callers must
+// not write to it.
+func (v *Video) LadderKbps() []float64 { return v.kbps }
 
 // NumChunks returns how many chunks the title has.
 func (v *Video) NumChunks() int { return v.n }

@@ -386,3 +386,32 @@ func TestFromSizesRejectsBeforeIndexing(t *testing.T) {
 		t.Errorf("a one-chunk title was refused: %v", err)
 	}
 }
+
+// TestLadderKbps: the title's kb/s table is its ladder's Kilobits, index
+// for index, bit for bit, whichever constructor built the title.
+func TestLadderKbps(t *testing.T) {
+	ladder := Ladder{235 * units.Kbps, 1050 * units.Kbps, 4300*units.Kbps + 7}
+	cbr, err := NewCBR("cbr", ladder, DefaultChunkDuration, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vbr, err := NewVBR(VBRConfig{Title: "vbr", Ladder: ladder, NumChunks: 3}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sized, err := FromSizes("sized", ladder, DefaultChunkDuration, [][]int64{{1}, {2}, {3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []*Video{cbr, vbr, sized} {
+		kbps := v.LadderKbps()
+		if len(kbps) != len(ladder) {
+			t.Fatalf("%s: %d kb/s entries for %d rungs", v.Title, len(kbps), len(ladder))
+		}
+		for i, r := range ladder {
+			if kbps[i] != r.Kilobits() {
+				t.Errorf("%s: rung %d is %v kb/s, want %v", v.Title, i, kbps[i], r.Kilobits())
+			}
+		}
+	}
+}

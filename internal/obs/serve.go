@@ -26,21 +26,22 @@ type Server struct {
 
 // Serve binds addr (host:port; port 0 picks a free port) and serves h on
 // it in a background goroutine. grace bounds how long Close waits for
-// in-flight requests. wrap, when non-nil, decorates the bound listener
-// before it is served (dash.Origin's connection cap).
-func Serve(addr string, h http.Handler, grace time.Duration, wrap func(net.Listener) net.Listener) (*Server, error) {
+// in-flight requests.
+func Serve(addr string, h http.Handler, grace time.Duration) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
+	return serve(ln, h, grace), nil
+}
+
+// serve serves h on the bound listener ln in a background goroutine.
+func serve(ln net.Listener, h http.Handler, grace time.Duration) *Server {
 	s := &Server{
 		hs:    &http.Server{Handler: h},
 		addr:  ln.Addr().String(),
 		grace: grace,
 		done:  make(chan struct{}),
-	}
-	if wrap != nil {
-		ln = wrap(ln)
 	}
 	go func() {
 		if err := s.hs.Serve(ln); err != nil && err != http.ErrServerClosed {
@@ -48,7 +49,7 @@ func Serve(addr string, h http.Handler, grace time.Duration, wrap func(net.Liste
 		}
 		close(s.done)
 	}()
-	return s, nil
+	return s
 }
 
 // Addr returns the bound listen address (host:port), with the real port

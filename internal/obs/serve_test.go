@@ -40,12 +40,12 @@ func get(url string) (string, error) {
 // TestServePortZero: ":0" binds a free port, Addr reports it, and it can be
 // dialled.
 func TestServePortZero(t *testing.T) {
-	a, err := obs.Serve("127.0.0.1:0", slowHandler(nil, nil), time.Second, nil)
+	a, err := obs.Serve("127.0.0.1:0", slowHandler(nil, nil), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close(context.Background())
-	b, err := obs.Serve("127.0.0.1:0", slowHandler(nil, nil), time.Second, nil)
+	b, err := obs.Serve("127.0.0.1:0", slowHandler(nil, nil), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestServePortZero(t *testing.T) {
 			t.Errorf("GET %s/fast: %q, %v", s.URL(), body, err)
 		}
 	}
-	if _, err := obs.Serve("127.0.0.1:-1", nil, time.Second, nil); err == nil {
+	if _, err := obs.Serve("127.0.0.1:-1", nil, time.Second); err == nil {
 		t.Error("invalid address accepted")
 	}
 }
@@ -74,7 +74,7 @@ func TestServePortZero(t *testing.T) {
 // Close is a no-op with the same result.
 func TestCloseDrainsInsideGrace(t *testing.T) {
 	entered, release := make(chan struct{}, 1), make(chan struct{})
-	s, err := obs.Serve("127.0.0.1:0", slowHandler(entered, release), 5*time.Second, nil)
+	s, err := obs.Serve("127.0.0.1:0", slowHandler(entered, release), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestCloseDrainsInsideGrace(t *testing.T) {
 func TestCloseCutsAfterGrace(t *testing.T) {
 	entered, release := make(chan struct{}, 1), make(chan struct{})
 	defer close(release)
-	s, err := obs.Serve("127.0.0.1:0", slowHandler(entered, release), 50*time.Millisecond, nil)
+	s, err := obs.Serve("127.0.0.1:0", slowHandler(entered, release), 50*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,33 +154,5 @@ func TestCloseCutsAfterGrace(t *testing.T) {
 	}
 	if err2 := s.Close(context.Background()); !errors.Is(err2, context.DeadlineExceeded) {
 		t.Errorf("second Close = %v, want the first call's result", err2)
-	}
-}
-
-// failingListener fails its first Accept with a non-temporary error.
-type failingListener struct{ net.Listener }
-
-var errAccept = errors.New("accept failed")
-
-func (failingListener) Accept() (net.Conn, error) { return nil, errAccept }
-
-// TestServeLoopError: an error that ends the serve loop closes Done and
-// surfaces through Err and Close.
-func TestServeLoopError(t *testing.T) {
-	s, err := obs.Serve("127.0.0.1:0", http.NotFoundHandler(), time.Second,
-		func(ln net.Listener) net.Listener { return failingListener{ln} })
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-s.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("Done not closed after the serve loop failed")
-	}
-	if !errors.Is(s.Err(), errAccept) {
-		t.Errorf("Err = %v, want the accept error", s.Err())
-	}
-	if err := s.Close(context.Background()); !errors.Is(err, errAccept) {
-		t.Errorf("Close = %v, want the accept error", err)
 	}
 }

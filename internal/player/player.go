@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"bba/internal/abr"
-	"bba/internal/media"
 	"bba/internal/telemetry"
 	"bba/internal/trace"
 )
@@ -168,13 +167,13 @@ type Result struct {
 	End time.Duration
 
 	// The rate record: the session-ladder index of each downloaded chunk
-	// in download order, and the ladder it indexes (the stream's own,
-	// shared, never copied). With the two start-time boundary counters
+	// in download order, and the ladder's kb/s values it indexes (the
+	// title's table, shared, never copied). With the two start-time boundary counters
 	// below it reproduces every rate-derived metric: chunk start times are
 	// monotone non-decreasing, so "chunks starting before the cutoff" is a
 	// prefix count.
 	rateIdx []uint8
-	ladder  media.Ladder
+	kbps    []float64
 	// startupChunks counts chunks that started before 1 minute,
 	// steadySkip those that started before 2 minutes.
 	startupChunks int
@@ -187,10 +186,10 @@ const maxRungs = 256
 
 // reset clears r for reuse, retaining record storage so a long-lived
 // Session re-running sessions allocates nothing here in steady state.
-func (r *Result) reset(alg string, ladder media.Ladder) {
+func (r *Result) reset(alg string, kbps []float64) {
 	rates := r.rateIdx[:0]
 	seeks := r.Seeks[:0]
-	*r = Result{Algorithm: alg, rateIdx: rates, ladder: ladder, Seeks: seeks}
+	*r = Result{Algorithm: alg, rateIdx: rates, kbps: kbps, Seeks: seeks}
 }
 
 // ChunkCount returns the number of downloaded chunks.
@@ -198,7 +197,7 @@ func (r *Result) ChunkCount() int { return len(r.rateIdx) }
 
 // ChunkRateKbps returns chunk i's nominal video rate in kb/s, in download
 // order.
-func (r *Result) ChunkRateKbps(i int) float64 { return r.ladder[r.rateIdx[i]].Kilobits() }
+func (r *Result) ChunkRateKbps(i int) float64 { return r.kbps[r.rateIdx[i]] }
 
 // ErrNoProgress is returned when the first chunk can never download (the
 // trace is a dead link from the start).

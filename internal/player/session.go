@@ -131,7 +131,7 @@ func (ss *Session) Start(cfg Config) error {
 	if ss.res == nil {
 		ss.res = &Result{}
 	}
-	ss.res.reset(ss.alg.Name(), ss.ladder)
+	ss.res.reset(ss.alg.Name(), ss.s.LadderKbps())
 	if hint := chunkCapacity(ss.s, ss.v, cfg.WatchLimit); cap(ss.res.rateIdx) < hint {
 		ss.res.rateIdx = make([]uint8, 0, hint)
 	}

@@ -406,7 +406,7 @@ func (r *Runner) bootOrigins(cycle int, cycleSeed int64) (endpoints []string, sh
 			StallSleep: 2 * time.Second,
 		}
 	}
-	origins := make([]*dash.Origin, 0, 2)
+	origins := make([]*obs.Server, 0, 2)
 	o, err := dash.StartOrigin("127.0.0.1:0", primary, dash.OriginConfig{ShutdownGrace: 3 * time.Second})
 	if err != nil {
 		return nil, nil, err
@@ -416,7 +416,7 @@ func (r *Runner) bootOrigins(cycle int, cycleSeed int64) (endpoints []string, sh
 	if !cfg.DisableFaults {
 		secondary, err := dash.NewServer(video)
 		if err == nil {
-			var o2 *dash.Origin
+			var o2 *obs.Server
 			o2, err = dash.StartOrigin("127.0.0.1:0", secondary, dash.OriginConfig{ShutdownGrace: 3 * time.Second})
 			if err == nil {
 				origins = append(origins, o2)
@@ -576,7 +576,7 @@ const CompactEvents = 64
 // admitted event batch into store.
 func startCollector(store *archive.Store) (addr string, stop func(), err error) {
 	col := collect.NewCollector(collect.CollectorConfig{Archive: store})
-	srv, err := obs.Serve("127.0.0.1:0", col.Handler(), 3*time.Second, nil)
+	srv, err := obs.Serve("127.0.0.1:0", col.Handler(), 3*time.Second)
 	if err != nil {
 		return "", nil, err
 	}

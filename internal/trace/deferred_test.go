@@ -17,29 +17,21 @@ func TestDeferredReadsAsEager(t *testing.T) {
 	cfg := MarkovConfig{Base: 3 * units.Mbps, Sigma: 0.8, MeanDwell: 4 * time.Second, Duration: 10 * time.Minute}
 	compose := func(b *Builder) { b.Markov(cfg, rand.New(rand.NewSource(3))) }
 	eager := Markov(cfg, rand.New(rand.NewSource(3)))
-	reads := map[string]func(t *testing.T, tr *Trace) any{
-		"Total":        func(_ *testing.T, tr *Trace) any { return tr.Total() },
-		"Segments":     func(_ *testing.T, tr *Trace) any { return tr.Segments() },
-		"RateAt":       func(_ *testing.T, tr *Trace) any { return tr.RateAt(2 * time.Minute) },
-		"BytesBetween": func(_ *testing.T, tr *Trace) any { return tr.BytesBetween(time.Minute, 3*time.Minute) },
-		"DownloadTime": func(_ *testing.T, tr *Trace) any {
+	reads := map[string]func(tr *Trace) any{
+		"Total":        func(tr *Trace) any { return tr.Total() },
+		"Segments":     func(tr *Trace) any { return tr.Segments() },
+		"RateAt":       func(tr *Trace) any { return tr.RateAt(2 * time.Minute) },
+		"BytesBetween": func(tr *Trace) any { return tr.BytesBetween(time.Minute, 3*time.Minute) },
+		"DownloadTime": func(tr *Trace) any {
 			d, ok := tr.DownloadTime(time.Minute, 1<<20)
 			return [2]any{d, ok}
 		},
-		"Cursor": func(_ *testing.T, tr *Trace) any {
+		"Cursor": func(tr *Trace) any {
 			d, _ := tr.Cursor().DownloadTime(time.Minute, 1<<20)
 			return d
 		},
-		"Rates": func(_ *testing.T, tr *Trace) any { return tr.Rates(time.Second) },
-		"Scale": func(_ *testing.T, tr *Trace) any { return tr.Scale(0.5).Segments() },
-		"Slice": func(t *testing.T, tr *Trace) any {
-			s, err := tr.Slice(time.Minute, 2*time.Minute)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s.Segments()
-		},
-		"Builder.Load": func(_ *testing.T, tr *Trace) any {
+		"Rates": func(tr *Trace) any { return tr.Rates(time.Second) },
+		"Builder.Load": func(tr *Trace) any {
 			var b Builder
 			b.Load(tr)
 			return [2]any{b.segs, b.total}
@@ -57,9 +49,9 @@ func TestDeferredReadsAsEager(t *testing.T) {
 			if composed != 0 {
 				t.Fatal("Deferred composed before any read")
 			}
-			want := read(t, eager)
+			want := read(eager)
 			for i := 0; i < 2; i++ {
-				if got := read(t, tr); !reflect.DeepEqual(got, want) {
+				if got := read(tr); !reflect.DeepEqual(got, want) {
 					t.Errorf("read %d: %v, the eager trace %v", i, got, want)
 				}
 				if composed != 1 {

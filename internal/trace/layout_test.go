@@ -15,8 +15,8 @@ import (
 )
 
 // The reference layout: the 40-byte segment — start, end and the float
-// rate stored beside each (duration, rate) — with New, the two
-// integration cores and Slice as they were written against it, kept
+// rate stored beside each (duration, rate) — with New and the two
+// integration cores as they were written against it, kept
 // verbatim as the oracle the packed layout, rows as wide as each trace
 // needs, is held to, bit for bit.
 
@@ -146,28 +146,6 @@ func (t *refTrace) Segments() []Segment {
 	return out
 }
 
-func (t *refTrace) Slice(from, to time.Duration) (*refTrace, error) {
-	if from < 0 || from >= to || from >= t.total {
-		return nil, fmt.Errorf("trace: bad slice [%v, %v) of a %v trace", from, to, t.total)
-	}
-	var segs []Segment
-	cursor := from
-	for cursor < to {
-		i := t.index(cursor)
-		segEnd := t.segs[i].end
-		if i == len(t.segs)-1 && segEnd < to {
-			segEnd = to
-		}
-		end := segEnd
-		if end > to {
-			end = to
-		}
-		segs = append(segs, Segment{Duration: end - cursor, Rate: t.segs[i].Rate})
-		cursor = end
-	}
-	return refNew(segs)
-}
-
 // decodeLayout turns fuzz bytes into a segment list and a query stream:
 // 16-bit fields, durations in 10 ms ticks (some a single nanosecond, so
 // boundaries land between ticks), rates in kb/s including zero. A field of
@@ -283,8 +261,7 @@ func rebuildTargets(segs []Segment) map[string][]Segment {
 
 // checkLayout compares a trace built from segs against the reference
 // layout: construction, Segments, then every query — stateless and through
-// one Cursor that mostly moves forward and sometimes jumps back — and
-// Slice on the same windows. It does so for the trace New builds and for
+// one Cursor that mostly moves forward and sometimes jumps back. It does so for the trace New builds and for
 // each rebuildTargets trace Builder.Into rewrites in place, which must
 // show nothing of what it held before, or, when segs is refused, still
 // hold it.
@@ -340,7 +317,7 @@ func checkQueries(t *testing.T, how string, got *Trace, ref *refTrace, queries [
 		if op%11 == 0 {
 			now = -now
 		}
-		switch op % 4 {
+		switch op % 3 {
 		case 0:
 			want := ref.RateAt(now)
 			if r := got.RateAt(now); r != want {
@@ -358,7 +335,7 @@ func checkQueries(t *testing.T, how string, got *Trace, ref *refTrace, queries [
 			if n := cur.BytesBetween(now, to); n != want {
 				t.Fatalf("%sCursor.BytesBetween(%v, %v) = %d, reference %d", how, now, to, n, want)
 			}
-		case 2:
+		default:
 			n := int64(op>>2) * 997
 			wantD, wantOK := ref.DownloadTime(now, n)
 			if d, ok := got.DownloadTime(now, n); d != wantD || ok != wantOK {
@@ -369,16 +346,6 @@ func checkQueries(t *testing.T, how string, got *Trace, ref *refTrace, queries [
 			}
 			if wantOK {
 				now += wantD
-			}
-		default:
-			to := now + time.Duration(op>>2)*53*time.Millisecond
-			want, wantErr := ref.Slice(now, to)
-			s, err := got.Slice(now, to)
-			if (err == nil) != (wantErr == nil) {
-				t.Fatalf("%sSlice(%v, %v) error %v, reference %v", how, now, to, err, wantErr)
-			}
-			if err == nil && !reflect.DeepEqual(s.Segments(), want.Segments()) {
-				t.Fatalf("%sSlice(%v, %v) = %v, reference %v", how, now, to, s.Segments(), want.Segments())
 			}
 		}
 	}

@@ -390,15 +390,6 @@ func (t *Trace) downloadTimeFrom(s span, start time.Duration, n int64) (time.Dur
 	return cursor - start, s, true
 }
 
-// Scale returns a new trace with every rate multiplied by f (f ≥ 0).
-func (t *Trace) Scale(f float64) *Trace {
-	segs := t.Segments()
-	for i := range segs {
-		segs[i].Rate = segs[i].Rate.Scale(f)
-	}
-	return MustNew(segs)
-}
-
 // Rates returns the per-segment rates in kb/s, weighted by sampling the
 // trace once per sampleEvery interval. This matches how the paper computes
 // summary variability statistics from regularly reported measurements.
@@ -495,48 +486,20 @@ type Override struct {
 }
 
 // WithOutages returns a copy of base with capacity forced to zero during
-// each outage. Outages must not overlap and must start within the trace.
+// each outage. Outages must not overlap, must have positive durations and
+// must start within the trace.
 func WithOutages(base *Trace, outages []Outage) (*Trace, error) {
 	ov := make([]Override, len(outages))
 	for i, o := range outages {
 		ov[i] = Override{Start: o.Start, Duration: o.Duration}
 	}
-	return WithOverrides(base, ov)
-}
-
-// WithOverrides returns a copy of base with each override span forced to
-// its rate. Overrides must not overlap, must have positive durations and
-// non-negative rates, and must start within the trace.
-func WithOverrides(base *Trace, overrides []Override) (*Trace, error) {
-	sorted := make([]Override, len(overrides))
-	copy(sorted, overrides)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })
+	sort.Slice(ov, func(i, j int) bool { return ov[i].Start < ov[j].Start })
 	var b Builder
 	b.Load(base)
-	if err := b.Override(sorted); err != nil {
+	if err := b.Override(ov); err != nil {
 		return nil, err
 	}
 	return b.Trace()
-}
-
-// Slice returns the sub-trace covering [from, to) of t; the usual
-// persistence rule applies beyond to. from must lie within the trace and
-// before to.
-func (t *Trace) Slice(from, to time.Duration) (*Trace, error) {
-	t.ready()
-	if from < 0 || from >= to || from >= t.total {
-		return nil, fmt.Errorf("trace: bad slice [%v, %v) of a %v trace", from, to, t.total)
-	}
-	var segs []Segment
-	s := t.span(t.index(from))
-	for cursor := from; ; s = t.next(s) {
-		end := min(s.end, to) // the last segment extends forever
-		segs = append(segs, Segment{Duration: end - cursor, Rate: s.rate})
-		if end == to {
-			return New(segs)
-		}
-		cursor = end
-	}
 }
 
 // ReadCSV parses a trace from "duration_seconds,rate_bps" rows. Blank lines

@@ -372,13 +372,6 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	tr := Constant(2*units.Mbps, time.Minute).Scale(0.5)
-	if got := tr.RateAt(0); got != units.Mbps {
-		t.Errorf("scaled rate = %v", got)
-	}
-}
-
 // Property: DownloadTime and BytesBetween are consistent — the bytes
 // deliverable in the returned window equal (within rounding) the requested
 // transfer size.
@@ -442,61 +435,6 @@ func TestQuickBytesAdditive(t *testing.T) {
 		return diff <= 2 // integer truncation at the split point
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSlice(t *testing.T) {
-	base := MustNew([]Segment{
-		{Duration: 10 * time.Second, Rate: units.Mbps},
-		{Duration: 10 * time.Second, Rate: 2 * units.Mbps},
-		{Duration: 10 * time.Second, Rate: 3 * units.Mbps},
-	})
-	tr, err := base.Slice(5*time.Second, 25*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Total() != 20*time.Second {
-		t.Errorf("total = %v", tr.Total())
-	}
-	if tr.RateAt(0) != units.Mbps || tr.RateAt(10*time.Second) != 2*units.Mbps || tr.RateAt(19*time.Second) != 3*units.Mbps {
-		t.Error("slice contents wrong")
-	}
-	// Slicing past the end extends the final rate.
-	ext, err := base.Slice(25*time.Second, 60*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ext.Total() != 35*time.Second || ext.RateAt(30*time.Second) != 3*units.Mbps {
-		t.Errorf("extended slice: total %v rate %v", ext.Total(), ext.RateAt(30*time.Second))
-	}
-	for _, bad := range [][2]time.Duration{{-time.Second, time.Second}, {5 * time.Second, 5 * time.Second}, {40 * time.Second, 50 * time.Second}} {
-		if _, err := base.Slice(bad[0], bad[1]); err == nil {
-			t.Errorf("slice [%v,%v) accepted", bad[0], bad[1])
-		}
-	}
-}
-
-// Slicing then integrating equals integrating the original over the
-// shifted window.
-func TestQuickSliceConsistent(t *testing.T) {
-	f := func(seed int64, aMs, bMs uint16) bool {
-		tr := Markov(MarkovConfig{Base: 2 * units.Mbps, Sigma: 1, Duration: time.Minute}, rand.New(rand.NewSource(seed)))
-		from := time.Duration(aMs%30000) * time.Millisecond
-		length := time.Duration(bMs%20000+1000) * time.Millisecond
-		sub, err := tr.Slice(from, from+length)
-		if err != nil {
-			return false
-		}
-		want := tr.BytesBetween(from, from+length)
-		got := sub.BytesBetween(0, length)
-		diff := got - want
-		if diff < 0 {
-			diff = -diff
-		}
-		return diff <= 16
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

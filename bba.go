@@ -209,15 +209,9 @@ func VariableTrace(base BitRate, quartileRatio float64, d time.Duration, seed in
 
 // SessionConfig describes one simulated streaming session.
 type SessionConfig struct {
-	// Algorithm picks the rate for every chunk. Exactly one of Algorithm
-	// and AlgorithmFactory is normally set; when both are set the factory
-	// takes precedence, because a factory guarantees a fresh state machine
-	// while an instance may carry state from an earlier run.
+	// Algorithm picks the rate for every chunk. Algorithms are stateful:
+	// give each session a fresh instance (NewAlgorithm).
 	Algorithm Algorithm
-	// AlgorithmFactory, when non-nil, builds the session's algorithm,
-	// overriding Algorithm. Use it when reusing one SessionConfig across
-	// runs (or handing it to a batch runner) so each session starts fresh.
-	AlgorithmFactory Factory
 	// Video is the title to stream.
 	Video *Video
 	// Trace is the network capacity over the session.
@@ -246,12 +240,8 @@ func RunSession(cfg SessionConfig) (*Result, error) {
 // checked once per chunk, so long simulations (or batches of them) stop
 // promptly when the caller cancels or a deadline passes.
 func RunSessionContext(ctx context.Context, cfg SessionConfig) (*Result, error) {
-	alg := cfg.Algorithm
-	if cfg.AlgorithmFactory != nil {
-		alg = cfg.AlgorithmFactory()
-	}
 	return player.RunContext(ctx, player.Config{
-		Algorithm:  alg,
+		Algorithm:  cfg.Algorithm,
 		Stream:     abr.NewStream(cfg.Video, cfg.Rmin),
 		Trace:      cfg.Trace,
 		BufferMax:  cfg.BufferMax,

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"bba/internal/abr"
+	"bba/internal/faults"
 	"bba/internal/media"
 	"bba/internal/player"
 	"bba/internal/telemetry"
@@ -182,10 +183,9 @@ func mkTrace(scenario string, base units.BitRate, ratio float64, watch time.Dura
 			Duration: dur,
 		}, newRand(seed+1)), nil
 	case "outage":
-		baseTrace := trace.Constant(base, dur)
-		return trace.WithOutages(baseTrace, []trace.Outage{
-			{Start: 2 * time.Minute, Duration: 25 * time.Second},
-		})
+		return faults.MustSchedule([]faults.Fault{
+			{Kind: faults.Blackout, Start: 2 * time.Minute, Duration: 25 * time.Second},
+		}).ApplyToTrace(trace.Constant(base, dur))
 	default:
 		return nil, fmt.Errorf("unknown scenario %q", scenario)
 	}

@@ -75,31 +75,33 @@ func TestRunTraceFileAndChunkCSV(t *testing.T) {
 }
 
 // TestGoldenStepSession pins the timeline and the chunk CSV, byte for byte,
-// of bbasim -alg BBA-1 -scenario step -watch 5m -v -chunks-csv: both are
-// read off the session's chunk_complete events.
+// of bbasim -alg BBA-1 -scenario step|outage -watch 5m -v -chunks-csv: both
+// are read off the session's chunk_complete events.
 func TestGoldenStepSession(t *testing.T) {
-	csvPath := filepath.Join(t.TempDir(), "chunks.csv")
-	var out bytes.Buffer
-	if err := run(&out, "BBA-1", 4000, "step", 5.6, 5*time.Minute, 1800, 1, 0, "", csvPath, "", true); err != nil {
-		t.Fatal(err)
-	}
-	gotCSV, err := os.ReadFile(csvPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range []struct {
-		file string
-		got  []byte
-	}{
-		{"bba1-step-5m-v.txt", out.Bytes()},
-		{"bba1-step-5m-v.csv", gotCSV},
-	} {
-		want, err := os.ReadFile(filepath.Join("testdata", g.file))
+	for _, scenario := range []string{"step", "outage"} {
+		csvPath := filepath.Join(t.TempDir(), "chunks.csv")
+		var out bytes.Buffer
+		if err := run(&out, "BBA-1", 4000, scenario, 5.6, 5*time.Minute, 1800, 1, 0, "", csvPath, "", true); err != nil {
+			t.Fatal(err)
+		}
+		gotCSV, err := os.ReadFile(csvPath)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(g.got, want) {
-			t.Errorf("output differs from testdata/%s:\n%s", g.file, g.got)
+		for _, g := range []struct {
+			file string
+			got  []byte
+		}{
+			{"bba1-" + scenario + "-5m-v.txt", out.Bytes()},
+			{"bba1-" + scenario + "-5m-v.csv", gotCSV},
+		} {
+			want, err := os.ReadFile(filepath.Join("testdata", g.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(g.got, want) {
+				t.Errorf("output differs from testdata/%s:\n%s", g.file, g.got)
+			}
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Command bbasoak is the continuous-verification daemon.
 //
 // It runs cycles forever — or exactly -cycles N in one-shot mode — each
-// cycle booting a primary/secondary origin pair (or targeting -url),
+// cycle booting a fault-injecting primary origin beside a clean secondary,
 // driving concurrent netem-shaped real-HTTP sessions under a rotating
 // seeded fault schedule, and checking the paper-level invariants on every
 // captured journal: sessions terminate, no rebuffer begins above
@@ -9,10 +9,10 @@
 // path is bounded, and what a real collector archived into the cycle's
 // archive store byte-agrees with the local journals. SLO counters are
 // served as Prometheus text on -metrics (/metrics, /healthz); one-shot mode
-// exits non-zero if any cycle had a violation, or if an invariant the
-// flags themselves gate (failover under -faults, the reservoir claim with
-// a BBA arm in -algs) was skipped by every session of every cycle; the
-// cycle line and soak_invariant_skipped_total say which. Each cycle's store
+// exits non-zero if any cycle had a violation, or if an invariant the run
+// exists to check (failover always, the reservoir claim with a BBA arm in
+// -algs) was skipped by every session of every cycle; the cycle line and
+// soak_invariant_skipped_total say which. Each cycle's store
 // is a temporary directory, removed when the cycle ends; the cycle line
 // reports the blocks it sealed and the events left in its WAL tail.
 //
@@ -46,8 +46,6 @@ func main() {
 		chunkMS  = flag.Int("chunk-ms", 500, "chunk duration of the cycle titles, milliseconds")
 		shape    = flag.Int("shape-kbps", 4000, "per-session shaped downstream capacity")
 		algs     = flag.String("algs", "", "comma-separated algorithm rotation (default: built-in mix)")
-		url      = flag.String("url", "", "target an already-running origin (disables in-process origins)")
-		faultsOn = flag.Bool("faults", true, "origin-side fault injection + failover secondary")
 		metrics  = flag.String("metrics", "127.0.0.1:0", "/metrics + /healthz listen address (\"\" disables; \":0\" prints the bound port)")
 		journal  = flag.String("journal", "", "append soak_cycle/slo_breach JSONL to this file")
 	)
@@ -56,14 +54,12 @@ func main() {
 	cfg := soakConfig{
 		cycles: *cycles, interval: *interval, metricsAddr: *metrics, journal: *journal,
 		soak: soak.Config{
-			Sessions:      *sessions,
-			Seed:          *seed,
-			Watch:         *watch,
-			ChunkMS:       *chunkMS,
-			ShapeKbps:     *shape,
-			Algorithms:    splitAlgs(*algs),
-			BaseURL:       *url,
-			DisableFaults: !*faultsOn,
+			Sessions:   *sessions,
+			Seed:       *seed,
+			Watch:      *watch,
+			ChunkMS:    *chunkMS,
+			ShapeKbps:  *shape,
+			Algorithms: splitAlgs(*algs),
 		},
 	}
 	obs.Main("bbasoak", func(ctx context.Context) error { return runSoak(ctx, cfg) })

@@ -15,9 +15,10 @@ import (
 	"bba/internal/telemetry"
 )
 
-// TestSoakOneShot runs the one-shot gate end to end: two tiny clean
-// cycles, metrics endpoint live while the daemon runs, journal on disk
-// after it exits.
+// TestSoakOneShot runs the one-shot gate end to end: two short faulted
+// cycles (a 3 s watch at 250 ms chunks leaves room for a fail-back streak,
+// so failover is decided and the gate can pass), metrics endpoint live
+// while the daemon runs, journal on disk after it exits.
 func TestSoakOneShot(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "soak.jsonl")
 	ready := make(chan string, 1)
@@ -28,13 +29,12 @@ func TestSoakOneShot(t *testing.T) {
 		journal:     journal,
 		ready:       ready,
 		soak: soak.Config{
-			Sessions:      2,
-			Seed:          21,
-			Watch:         1500 * time.Millisecond,
-			ChunkMS:       250,
-			ShapeKbps:     20000,
-			Algorithms:    []string{"BBA-0", "Control"},
-			DisableFaults: true,
+			Sessions:   2,
+			Seed:       21,
+			Watch:      3 * time.Second,
+			ChunkMS:    250,
+			ShapeKbps:  20000,
+			Algorithms: []string{"BBA-0", "Control"},
 		},
 	}
 
@@ -100,8 +100,9 @@ func probeEndpoints(addr string) error {
 	return nil
 }
 
-// TestSoakOneShotFailureExitsNonZero points the gate at a dead origin:
-// every cycle fails and runSoak must return an error.
+// TestSoakOneShotFailureExitsNonZero runs the gate with an algorithm no
+// registry holds: every session fails to start, every cycle fails, and
+// runSoak must return an error.
 func TestSoakOneShotFailureExitsNonZero(t *testing.T) {
 	cfg := soakConfig{
 		cycles:      1,
@@ -109,8 +110,7 @@ func TestSoakOneShotFailureExitsNonZero(t *testing.T) {
 		soak: soak.Config{
 			Sessions:   1,
 			Watch:      time.Second,
-			BaseURL:    "http://127.0.0.1:1",
-			Algorithms: []string{"Control"},
+			Algorithms: []string{"no-such-algorithm"},
 		},
 	}
 	err := runSoak(context.Background(), cfg)

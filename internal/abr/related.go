@@ -30,8 +30,7 @@ type BufferTarget struct {
 	// InitialEstimate seeds the estimator (stored history).
 	InitialEstimate units.BitRate
 
-	est  units.BitRate
-	prev int
+	est units.BitRate
 }
 
 // NewBufferTarget returns the controller with set-point and gains typical
@@ -42,7 +41,6 @@ func NewBufferTarget() *BufferTarget {
 		Target:      120 * time.Second,
 		Kp:          0.6,
 		PanicBuffer: 15 * time.Second,
-		prev:        -1,
 	}
 }
 
@@ -65,7 +63,6 @@ func (c *BufferTarget) Next(st State, s Stream) int {
 		c.est = c.InitialEstimate
 	}
 	if c.est == 0 || (st.PrevIndex >= 0 && st.Buffer < c.PanicBuffer) {
-		c.prev = 0
 		return 0
 	}
 	err := (st.Buffer - c.Target).Seconds() / c.Target.Seconds()
@@ -73,9 +70,7 @@ func (c *BufferTarget) Next(st State, s Stream) int {
 	if adj < 0.1 {
 		adj = 0.1
 	}
-	target := l.HighestAtMost(c.est.Scale(adj))
-	c.prev = target
-	return target
+	return l.HighestAtMost(c.est.Scale(adj))
 }
 
 // Elastic is a harmonic-filter controller in the style the paper's related
@@ -99,7 +94,6 @@ type Elastic struct {
 
 	samples  []units.BitRate
 	integral float64
-	prev     int
 }
 
 // NewElastic returns the controller with the published shape: a 5-sample
@@ -111,7 +105,6 @@ func NewElastic() *Elastic {
 		Kp:          0.4,
 		Ki:          0.01,
 		PanicBuffer: 15 * time.Second,
-		prev:        -1,
 	}
 }
 
@@ -135,7 +128,6 @@ func (c *Elastic) Next(st State, s Stream) int {
 		est = c.InitialEstimate
 	}
 	if est == 0 || (st.PrevIndex >= 0 && st.Buffer < c.PanicBuffer) {
-		c.prev = 0
 		return 0
 	}
 	err := (st.Buffer - c.Target).Seconds() / c.Target.Seconds()
@@ -152,9 +144,7 @@ func (c *Elastic) Next(st State, s Stream) int {
 	if adj < 0.1 {
 		adj = 0.1
 	}
-	target := l.HighestAtMost(est.Scale(adj))
-	c.prev = target
-	return target
+	return l.HighestAtMost(est.Scale(adj))
 }
 
 // harmonic returns the harmonic mean of the sample window, 0 when empty.

@@ -1,7 +1,6 @@
 package abr
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -32,30 +31,23 @@ func TestDynamicReservoirBounds(t *testing.T) {
 }
 
 func TestDynamicReservoirTracksSceneActivity(t *testing.T) {
-	// Build a title that is quiet for its first half and busy for its
-	// second half; the reservoir computed at the start of the busy part
-	// must exceed the one computed at the start of the quiet part.
+	// A quiet (constant-bitrate) title and a busy one: every chunk at 1.4×
+	// nominal models a sustained action set-piece. At C = R_min each busy
+	// chunk adds a 0.4·V deficit, so the 480 s window accumulates ≈190 s
+	// and the reservoir pins at the 140 s clamp.
 	ladder := media.DefaultLadder()
-	n := 240
-	quiet, err := media.NewVBR(media.VBRConfig{
-		Ladder: ladder, NumChunks: n,
-		SceneSigma: 0.01, MaxToAvg: 1.05, MinToAvg: 0.95,
-	}, rand.New(rand.NewSource(1)))
+	sizes := make([][]int64, len(ladder))
+	for i, r := range ladder {
+		sizes[i] = make([]int64, 240)
+		for k := range sizes[i] {
+			sizes[i][k] = r.BytesIn(media.DefaultChunkDuration) * 14 / 10
+		}
+	}
+	busy, err := media.FromSizes("busy", ladder, media.DefaultChunkDuration, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Forcing every chunk to at least 1.4× nominal (clamps above 1 defeat
-	// mean normalization) models a sustained action set-piece: at
-	// C = R_min each chunk adds a 0.4·V deficit, so the 480 s window
-	// accumulates ≈190 s and the reservoir pins at the 140 s clamp.
-	busy, err := media.NewVBR(media.VBRConfig{
-		Ladder: ladder, NumChunks: n,
-		SceneSigma: 0.8, MaxToAvg: 2, MinToAvg: 1.4,
-	}, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rq := DynamicReservoir(NewStream(quiet, 0), 0, 0)
+	rq := DynamicReservoir(cbrStream(t), 0, 0)
 	rb := DynamicReservoir(NewStream(busy, 0), 0, 0)
 	if rq != MinReservoir {
 		t.Errorf("near-CBR reservoir = %v, want the minimum", rq)

@@ -40,8 +40,8 @@ func densityJournal(t testing.TB, seed int64, sessions int) (batches [][]byte, e
 		}
 		g := groups[i%len(groups)]
 		pc := env.PlayerConfig(g)
-		capture := telemetry.Capture{Session: fmt.Sprintf("d%d.w%d.s%d.%s", day, window, i, g.Name)}
-		pc.Observer = &capture
+		var capture telemetry.Capture
+		pc.Observer = telemetry.Stamp{Session: fmt.Sprintf("d%d.w%d.s%d.%s", day, window, i, g.Name), Next: &capture}
 		if _, err := player.Run(pc); err != nil {
 			t.Fatal(err)
 		}

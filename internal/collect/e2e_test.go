@@ -185,15 +185,14 @@ func shipHostile(t *testing.T) (local, archived map[string][]string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		captures[i].Session = fmt.Sprintf("e2e.s%d", i)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			err := playHostile(i, telemetry.Func(func(e telemetry.Event) {
-				e.Session = captures[i].Session // stamped before the tee: both copies carry the same bytes
-				captures[i].OnEvent(e)
-				shippers[i].OnEvent(e)
-			}))
+			// Stamped before the tee: both copies carry the same bytes.
+			err := playHostile(i, telemetry.Stamp{
+				Session: fmt.Sprintf("e2e.s%d", i),
+				Next:    telemetry.Multi(&captures[i], shippers[i]),
+			})
 			if err != nil {
 				t.Error(err)
 			}

@@ -219,3 +219,80 @@ func TestDashServesOneManifest(t *testing.T) {
 		t.Fatal("no non-test internal/dash files checked")
 	}
 }
+
+// TestNoUnsetKnobs keeps settings that nothing set from coming back: it
+// fails if a non-test file declares one of these names again ("Type.Field",
+// a top-level name, or a "-flag"). Every run took their defaults, which are
+// now constants or the only behaviour; a trace outage is laid by
+// faults.Schedule.ApplyToTrace. Each row's first name stays, so a renamed
+// type cannot make the check vacuous.
+func TestNoUnsetKnobs(t *testing.T) {
+	for dir, names := range map[string][]string{
+		"internal/soak":       {"Config.Seed", "Config.BaseURL", "Config.DisableFaults"},
+		"cmd/bbasoak":         {"-seed", "-url", "-faults"},
+		"internal/player":     {"RetryPolicy.Seed", "Config.ResumeThreshold", "RetryPolicy.Budget", "RetryPolicy.BackoffBase", "RetryPolicy.BackoffCap"},
+		"internal/media":      {"VBRConfig.NumChunks", "VBRConfig.MeanSceneChunks", "VBRConfig.MeanSequenceChunks", "VBRConfig.SequenceSigma", "VBRConfig.SceneSigma", "VBRConfig.ChunkJitter", "VBRConfig.MaxToAvg", "VBRConfig.MinToAvg"},
+		"internal/sharedlink": {"PlayerConfig.WatchLimit", "PlayerConfig.BufferMax"},
+		".":                   {"SessionConfig.Algorithm", "SessionConfig.AlgorithmFactory"},
+		"internal/coord":      {"Client.HTTP", "Client.Retries", "Client.RetryDelay"},
+		"internal/telemetry":  {"Capture.Events", "Capture.Session"},
+		"internal/trace":      {"Override", "WithOutages", "Outage"},
+	} {
+		decl := declared(t, filepath.Join("..", "..", dir))
+		if !decl[names[0]] {
+			t.Errorf("%s declares no %s: the guard no longer sees what it checks", dir, names[0])
+		}
+		for _, name := range names[1:] {
+			if decl[name] {
+				t.Errorf("%s declares %s again: it went because nothing set it", dir, name)
+			}
+		}
+	}
+}
+
+// declared returns what dir's non-test files declare: top-level functions
+// and types, "Type.Field" for the fields of struct types, and "-name" for
+// the flags flag.* calls define.
+func declared(t *testing.T, dir string) map[string]bool {
+	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	out := make(map[string]bool)
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Recv == nil {
+					out[n.Name.Name] = true
+				}
+			case *ast.TypeSpec:
+				out[n.Name.Name] = true
+				if st, ok := n.Type.(*ast.StructType); ok {
+					for _, field := range st.Fields.List {
+						for _, id := range field.Names {
+							out[n.Name.Name+"."+id.Name] = true
+						}
+					}
+				}
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && len(n.Args) > 0 {
+					pkg, _ := sel.X.(*ast.Ident)
+					if lit, ok := n.Args[0].(*ast.BasicLit); ok && pkg != nil && pkg.Name == "flag" {
+						out["-"+strings.Trim(lit.Value, `"`)] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	return out
+}

@@ -25,11 +25,14 @@ type Client struct {
 	Worker string
 	// HTTP is the transport (default http.DefaultClient).
 	HTTP *http.Client
-	// Retries bounds attempts per call (default 5); retries back off
-	// linearly from RetryDelay (default 100ms).
-	Retries    int
-	RetryDelay time.Duration
 }
+
+// A call makes at most callAttempts attempts, backing off linearly in
+// steps of callRetryDelay.
+const (
+	callAttempts   = 5
+	callRetryDelay = 100 * time.Millisecond
+)
 
 // call POSTs a JSON request and decodes the JSON response, retrying
 // transport errors and 5xx; a 4xx is a permanent protocol error.
@@ -38,26 +41,18 @@ func (c *Client) call(ctx context.Context, path string, req, resp any) error {
 	if httpc == nil {
 		httpc = http.DefaultClient
 	}
-	retries := c.Retries
-	if retries <= 0 {
-		retries = 5
-	}
-	delay := c.RetryDelay
-	if delay <= 0 {
-		delay = 100 * time.Millisecond
-	}
 	body, err := json.Marshal(req)
 	if err != nil {
 		return err
 	}
 	url := strings.TrimSuffix(c.URL, "/") + path
 	var lastErr error
-	for attempt := 0; attempt < retries; attempt++ {
+	for attempt := 0; attempt < callAttempts; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
-			case <-time.After(time.Duration(attempt) * delay):
+			case <-time.After(time.Duration(attempt) * callRetryDelay):
 			}
 		}
 		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
@@ -81,7 +76,7 @@ func (c *Client) call(ctx context.Context, path string, req, resp any) error {
 			return fmt.Errorf("coord: %s: %s: %s", path, hresp.Status, strings.TrimSpace(string(rbody)))
 		}
 	}
-	return fmt.Errorf("coord: %s unreachable after %d attempts: %w", path, retries, lastErr)
+	return fmt.Errorf("coord: %s unreachable after %d attempts: %w", path, callAttempts, lastErr)
 }
 
 // Join registers the worker.

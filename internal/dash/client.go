@@ -212,14 +212,21 @@ func fetchManifest(ctx context.Context, c *http.Client, base string) (*media.Vid
 	return v, nil
 }
 
-// decodeManifest decodes one JSON manifest, refusing unknown fields so
-// manifest drift is caught early.
+// decodeManifest decodes a body that is exactly one JSON manifest, refusing
+// unknown fields so manifest drift is caught early, and anything but white
+// space after the value, so a truncated or concatenated body is not read as
+// a title.
 func decodeManifest(raw []byte) (Manifest, error) {
 	var m Manifest
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
-	err := dec.Decode(&m)
-	return m, err
+	if err := dec.Decode(&m); err != nil {
+		return m, err
+	}
+	if rest := bytes.TrimSpace(raw[dec.InputOffset():]); len(rest) > 0 {
+		return m, fmt.Errorf("dash: manifest: %d bytes of trailing data after the JSON value: %.20q", len(rest), rest)
+	}
+	return m, nil
 }
 
 // fetcher downloads chunks under a FetchPolicy with endpoint failover.

@@ -45,8 +45,9 @@ func FuzzManifestRoundTrip(f *testing.F) {
 }
 
 // TestManifestRefusesInconsistent: a manifest whose numChunks disagrees
-// with its size rows, or whose chunk duration overflows a time.Duration,
-// is refused with an error naming the field, not read as another title.
+// with its size rows, whose chunk duration overflows a time.Duration, or
+// that trailing data follows, is refused with an error naming the field or
+// the trailing data, not read as another title.
 func TestManifestRefusesInconsistent(t *testing.T) {
 	for _, c := range []struct {
 		name, doc, field string
@@ -63,15 +64,17 @@ func TestManifestRefusesInconsistent(t *testing.T) {
 		{"chunkDurationMs zero",
 			`{"title":"t","chunkDurationMs":0,"ladderBps":[235000],"numChunks":3,"sizesBytes":[[1,2,3]]}`,
 			"chunkDurationMs"},
+		{"trailing data after the manifest",
+			`{"title":"t","chunkDurationMs":4000,"ladderBps":[235000],"numChunks":3,"sizesBytes":[[1,2,3]]} <html>`,
+			"trailing data"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			m, err := decodeManifest([]byte(c.doc))
-			if err != nil {
-				t.Fatal(err)
-			}
-			v, err := m.Video()
 			if err == nil {
-				t.Fatalf("accepted as %d chunks of %v", v.NumChunks(), v.ChunkDuration)
+				var v *media.Video
+				if v, err = m.Video(); err == nil {
+					t.Fatalf("accepted as %d chunks of %v", v.NumChunks(), v.ChunkDuration)
+				}
 			}
 			if !strings.Contains(err.Error(), c.field) {
 				t.Errorf("err = %v, want one naming %s", err, c.field)

@@ -234,39 +234,42 @@ func FromSizes(title string, ladder Ladder, chunkDuration time.Duration, sizes [
 	}), nil
 }
 
-// VBRConfig parameterizes the scene-based variable-bitrate model.
+// VBRConfig names a scene-based variable-bitrate title. The activity
+// model's shape is fixed by the constants below, so every VBR title has
+// Figure 10's statistics.
 type VBRConfig struct {
 	Title         string
 	Ladder        Ladder
 	ChunkDuration time.Duration // default DefaultChunkDuration
 	NumChunks     int           // default 1800 (a two-hour title at 4 s chunks)
-
-	// MeanSceneChunks is the average scene length in chunks; scene lengths
-	// are geometric. Default 8 (about 30 s scenes).
-	MeanSceneChunks float64
-	// MeanSequenceChunks is the average length of a sequence — a run of
-	// related scenes sharing a baseline activity (an action set-piece, a
-	// quiet dialogue stretch, the opening credits). Default 45 (about
-	// three minutes). Sequences are what make the Figure 12 reservoir
-	// calculation matter: a sustained heavy sequence at R_min needs far
-	// more reservoir than BBA-0's fixed 90 seconds anticipates.
-	MeanSequenceChunks float64
-	// SequenceSigma is the log-stddev of per-sequence baseline activity.
-	// Default 0.35.
-	SequenceSigma float64
-	// MaxToAvg bounds the instantaneous-to-nominal rate ratio; the paper
-	// measures e ≈ 2 (Figure 10). Default 2.
-	MaxToAvg float64
-	// MinToAvg bounds the quiet end (opening credits encode "very few
-	// bits"). Default 0.25.
-	MinToAvg float64
-	// SceneSigma is the log-stddev of per-scene activity. Default 0.45,
-	// which together with the clamps reproduces Figure 10's spread.
-	SceneSigma float64
-	// ChunkJitter is the relative stddev of per-chunk noise within a
-	// scene. Default 0.2.
-	ChunkJitter float64
 }
+
+// The VBR activity model, two levels deep:
+//
+//   - meanSequenceChunks is the average length of a sequence — a run of
+//     related scenes sharing a baseline activity (an action set-piece, a
+//     quiet dialogue stretch, the opening credits): about three minutes.
+//     Sequences are what make the Figure 12 reservoir calculation matter:
+//     a sustained heavy sequence at R_min needs far more reservoir than
+//     BBA-0's fixed 90 seconds anticipates. sequenceSigma is the
+//     log-stddev of per-sequence baseline activity.
+//   - meanSceneChunks is the average scene length in chunks (about 30 s
+//     scenes); scene lengths are geometric. sceneSigma is the log-stddev
+//     of per-scene activity, which together with the clamps reproduces
+//     Figure 10's spread.
+//   - chunkJitter is the relative stddev of per-chunk noise within a scene.
+//   - maxToAvg bounds the instantaneous-to-nominal rate ratio; the paper
+//     measures e ≈ 2 (Figure 10). minToAvg bounds the quiet end (opening
+//     credits encode "very few bits").
+const (
+	meanSequenceChunks = 45
+	sequenceSigma      = 0.35
+	meanSceneChunks    = 8
+	sceneSigma         = 0.45
+	chunkJitter        = 0.2
+	maxToAvg           = 2
+	minToAvg           = 0.25
+)
 
 func (c *VBRConfig) applyDefaults() {
 	if c.ChunkDuration <= 0 {
@@ -274,27 +277,6 @@ func (c *VBRConfig) applyDefaults() {
 	}
 	if c.NumChunks <= 0 {
 		c.NumChunks = 1800
-	}
-	if c.MeanSceneChunks <= 0 {
-		c.MeanSceneChunks = 8
-	}
-	if c.MeanSequenceChunks <= 0 {
-		c.MeanSequenceChunks = 45
-	}
-	if c.SequenceSigma <= 0 {
-		c.SequenceSigma = 0.35
-	}
-	if c.MaxToAvg <= 0 {
-		c.MaxToAvg = 2
-	}
-	if c.MinToAvg <= 0 {
-		c.MinToAvg = 0.25
-	}
-	if c.SceneSigma <= 0 {
-		c.SceneSigma = 0.45
-	}
-	if c.ChunkJitter <= 0 {
-		c.ChunkJitter = 0.2
 	}
 }
 
@@ -307,7 +289,7 @@ func NewVBR(cfg VBRConfig, rng *rand.Rand) (*Video, error) {
 	if err := cfg.Ladder.Validate(); err != nil {
 		return nil, err
 	}
-	factors := sceneFactors(cfg, rng)
+	factors := sceneFactors(cfg.NumChunks, rng)
 	return newVideo(cfg.Title, cfg.Ladder, cfg.ChunkDuration, cfg.NumChunks, func(rate int, row []int64) {
 		nominal := float64(cfg.Ladder[rate].BytesIn(cfg.ChunkDuration))
 		for k, f := range factors {
@@ -322,26 +304,26 @@ func NewVBR(cfg VBRConfig, rng *rand.Rand) (*Video, error) {
 
 // sceneFactors draws the shared activity process: a two-level model with
 // per-sequence baseline activity (minutes) modulated by per-scene activity
-// (tens of seconds) and per-chunk jitter, clamped to [MinToAvg, MaxToAvg]
+// (tens of seconds) and per-chunk jitter, clamped to [minToAvg, maxToAvg]
 // and renormalized to mean 1.
-func sceneFactors(cfg VBRConfig, rng *rand.Rand) []float64 {
-	factors := make([]float64, cfg.NumChunks)
+func sceneFactors(n int, rng *rand.Rand) []float64 {
+	factors := make([]float64, n)
 	k := 0
 	seqLeft := 0
 	seqActivity := 1.0
-	for k < cfg.NumChunks {
+	for k < n {
 		if seqLeft <= 0 {
-			seqLeft = geometric(cfg.MeanSequenceChunks, rng)
-			seqActivity = math.Exp(cfg.SequenceSigma * rng.NormFloat64())
+			seqLeft = geometric(meanSequenceChunks, rng)
+			seqActivity = math.Exp(sequenceSigma * rng.NormFloat64())
 		}
-		sceneLen := geometric(cfg.MeanSceneChunks, rng)
-		activity := clamp(seqActivity*math.Exp(cfg.SceneSigma*rng.NormFloat64()), cfg.MinToAvg, cfg.MaxToAvg)
-		for i := 0; i < sceneLen && k < cfg.NumChunks; i++ {
-			jitter := 1 + cfg.ChunkJitter*rng.NormFloat64()
+		sceneLen := geometric(meanSceneChunks, rng)
+		activity := clamp(seqActivity*math.Exp(sceneSigma*rng.NormFloat64()), minToAvg, maxToAvg)
+		for i := 0; i < sceneLen && k < n; i++ {
+			jitter := 1 + chunkJitter*rng.NormFloat64()
 			if jitter < 0.5 {
 				jitter = 0.5
 			}
-			factors[k] = clamp(activity*jitter, cfg.MinToAvg, cfg.MaxToAvg)
+			factors[k] = clamp(activity*jitter, minToAvg, maxToAvg)
 			k++
 			seqLeft--
 		}
@@ -355,7 +337,7 @@ func sceneFactors(cfg VBRConfig, rng *rand.Rand) []float64 {
 		}
 		mean := sum / float64(len(factors))
 		for i := range factors {
-			factors[i] = clamp(factors[i]/mean, cfg.MinToAvg, cfg.MaxToAvg)
+			factors[i] = clamp(factors[i]/mean, minToAvg, maxToAvg)
 		}
 	}
 	return factors

@@ -41,10 +41,6 @@ type Config struct {
 	// WatchLimit stops the session after this much video has been
 	// delivered to the viewer; 0 watches the whole title.
 	WatchLimit time.Duration
-	// ResumeThreshold is the occupancy a stalled player waits for before
-	// restarting playback; 0 means buffer.DefaultResume, negative means
-	// resume on the first chunk.
-	ResumeThreshold time.Duration
 	// Seeks are viewer seeks, in ascending AfterPlayed order: once that
 	// much video has been delivered, the buffer is flushed and the next
 	// request jumps to ToChunk. Startup-capable algorithms re-enter
@@ -61,8 +57,8 @@ type Config struct {
 	// of aborting. A nil injector costs nothing: the download path is the
 	// uninstrumented one.
 	Injector FaultInjector
-	// Retry tunes the retry/degradation policy; the zero value means
-	// defaults (budget 3, backoff 200 ms doubling to a 5 s cap).
+	// Retry seeds the retry backoff's jitter. The budget (3 attempts) and
+	// the backoff (200 ms doubling to a 5 s cap) are fixed.
 	Retry RetryPolicy
 }
 
@@ -80,33 +76,22 @@ type FaultInjector interface {
 	RequestLatency(now time.Duration) time.Duration
 }
 
-// RetryPolicy bounds the player's chunk-retry behaviour under faults.
+// RetryPolicy seeds the player's chunk-retry behaviour under faults.
 type RetryPolicy struct {
-	// Budget is how many failed attempts at the current rate trigger
-	// degradation to the lowest rate (default 3). At the lowest rate the
-	// player keeps retrying: every attempt advances the session clock, so
-	// it always outlives a finite fault episode.
-	Budget int
-	// BackoffBase and BackoffCap bound the exponential backoff between
-	// attempts (defaults 200 ms and 5 s).
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
 	// Seed drives the deterministic backoff jitter.
 	Seed int64
 }
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.Budget <= 0 {
-		p.Budget = 3
-	}
-	if p.BackoffBase <= 0 {
-		p.BackoffBase = 200 * time.Millisecond
-	}
-	if p.BackoffCap <= 0 {
-		p.BackoffCap = 5 * time.Second
-	}
-	return p
-}
+// The player's one retry behaviour: retryBudget failed attempts at the
+// current rate trigger degradation to the lowest rate, and the backoff
+// between attempts doubles from backoffBase to backoffCap. At the lowest
+// rate the player keeps retrying: every attempt advances the session
+// clock, so it always outlives a finite fault episode.
+const (
+	retryBudget = 3
+	backoffBase = 200 * time.Millisecond
+	backoffCap  = 5 * time.Second
+)
 
 // Seek is one viewer seek.
 type Seek struct {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"bba/internal/abr"
+	"bba/internal/faults"
 	"bba/internal/media"
 	"bba/internal/telemetry"
 	"bba/internal/trace"
@@ -207,7 +208,9 @@ func TestDeadLinkFromStart(t *testing.T) {
 func TestMidSessionOutageWithRecovery(t *testing.T) {
 	s := cbrStream(t, 450)
 	base := trace.Constant(3*units.Mbps, time.Hour)
-	tr, err := trace.WithOutages(base, []trace.Outage{{Start: 5 * time.Minute, Duration: 25 * time.Second}})
+	tr, err := faults.MustSchedule([]faults.Fault{
+		{Kind: faults.Blackout, Start: 5 * time.Minute, Duration: 25 * time.Second},
+	}).ApplyToTrace(base)
 	if err != nil {
 		t.Fatal(err)
 	}

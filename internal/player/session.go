@@ -114,14 +114,7 @@ func (ss *Session) Start(cfg Config) error {
 	// unreachable: the stall would never end and the next AddChunk would
 	// overflow. Clamp it so every stall can end (a no-op at the default
 	// 240 s buffer).
-	resume := buffer.DefaultResume
-	if cfg.ResumeThreshold != 0 {
-		resume = cfg.ResumeThreshold
-	}
-	if reachable := bufMax - ss.v; resume > reachable {
-		resume = reachable
-	}
-	ss.buf.SetResume(resume)
+	ss.buf.SetResume(min(buffer.DefaultResume, bufMax-ss.v))
 	// The session clock only moves forward, so one trace cursor serves the
 	// whole session: each download resumes the segment walk where the last
 	// one finished instead of re-searching the trace.
@@ -160,7 +153,7 @@ func (ss *Session) Start(cfg Config) error {
 
 	ss.inj = cfg.Injector
 	if ss.inj != nil {
-		ss.rp = cfg.Retry.withDefaults()
+		ss.rp = cfg.Retry
 	}
 	return nil
 }
@@ -428,9 +421,9 @@ func (ss *Session) Deliver(req Request, n int64, dl time.Duration) (bool, error)
 
 // faultLoop is the resilience loop: each attempt pays any active latency
 // spike, may fail to an injected fault (costing its virtual delay plus a
-// deterministic backoff), and after Budget failures at the chosen rate the
-// session degrades to the lowest rung with a shrunken request rather than
-// aborting. The loop always terminates: every failed attempt advances the
+// deterministic backoff), and after retryBudget failures at the chosen rate
+// the session degrades to the lowest rung with a shrunken request rather
+// than aborting. The loop always terminates: every failed attempt advances the
 // clock by at least the backoff, so a finite episode is always outlived.
 func (ss *Session) faultLoop(k, idx int, bytes int64) (int, int64) {
 	attempt, budgetUsed := 0, 0
@@ -451,7 +444,7 @@ func (ss *Session) faultLoop(k, idx int, bytes int64) (int, int64) {
 		}
 		attempt++
 		budgetUsed++
-		backoff := faults.Backoff(ss.rp.BackoffBase, ss.rp.BackoffCap, uint64(ss.rp.Seed), k, attempt)
+		backoff := faults.Backoff(backoffBase, backoffCap, uint64(ss.rp.Seed), k, attempt)
 		ss.faultAdvance(cost+backoff, k)
 		ss.res.Retries++
 		if ss.obs != nil {
@@ -460,7 +453,7 @@ func (ss *Session) faultLoop(k, idx int, bytes int64) (int, int64) {
 				RateIndex: idx, PrevRateIndex: -1, Duration: backoff,
 			})
 		}
-		if budgetUsed >= ss.rp.Budget && !degraded && idx > 0 {
+		if budgetUsed >= retryBudget && !degraded && idx > 0 {
 			degraded = true
 			budgetUsed = 0
 			ss.res.Degradations++

@@ -29,7 +29,6 @@ import (
 type PlayerConfig struct {
 	Algorithm  abr.Algorithm
 	Stream     abr.Stream
-	BufferMax  time.Duration // 0 means buffer.DefaultMax
 	WatchLimit time.Duration // 0 plays the whole title
 	StartAt    time.Duration // session join time on the shared link
 }
@@ -144,7 +143,6 @@ func Run(cfg Config) (*Result, error) {
 		if err := ss.Start(player.Config{
 			Algorithm:  pc.Algorithm,
 			Stream:     pc.Stream,
-			BufferMax:  pc.BufferMax,
 			WatchLimit: pc.WatchLimit,
 		}); err != nil {
 			return nil, fmt.Errorf("sharedlink: player %d: %w", i, err)

@@ -61,14 +61,6 @@ type Config struct {
 	// Algorithms are rotated across the cycle's sessions (registry names;
 	// default a mix of buffer-based and estimator algorithms).
 	Algorithms []string
-	// BaseURL targets an already-running origin instead of booting a
-	// primary/secondary pair in-process. Fault injection and failover are
-	// origin-side concerns, so both are disabled in this mode.
-	BaseURL string
-	// DisableFaults turns off origin-side fault injection (and the
-	// secondary origin that exists to absorb failover). Client-side
-	// blackouts still apply.
-	DisableFaults bool
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
 }
@@ -98,8 +90,8 @@ func (c Config) withDefaults() Config {
 // gated lists the invariants this configuration exists to exercise — a run
 // under it that never decides one has verified nothing about it: the
 // reservoir claim when the rotation reaches an algorithm that reports a
-// reservoir, failover convergence when in-process origins inject faults
-// beside a clean secondary, and always collector agreement.
+// reservoir, and always failover convergence (every cycle's primary injects
+// faults beside a clean secondary) and collector agreement.
 func (c Config) gated() []string {
 	var gated []string
 	for i := 0; i < c.Sessions && i < len(c.Algorithms); i++ {
@@ -109,10 +101,7 @@ func (c Config) gated() []string {
 			break
 		}
 	}
-	if c.BaseURL == "" && !c.DisableFaults {
-		gated = append(gated, InvFailoverConverges)
-	}
-	return append(gated, InvCollectorAgreement)
+	return append(gated, InvFailoverConverges, InvCollectorAgreement)
 }
 
 // chunkDuration returns the configured chunk duration.
@@ -251,10 +240,10 @@ func blackoutConfig(watch time.Duration) faults.ScheduleConfig {
 	}
 }
 
-// RunCycle executes one soak cycle: boot (or target) the origins, drive
-// the configured sessions concurrently through shaped connections under
-// the cycle's seeded fault schedules, then check every invariant on the
-// captured journals. The returned Cycle holds the verdicts; the error is
+// RunCycle executes one soak cycle: boot the origins, drive the configured
+// sessions concurrently through shaped connections under the cycle's
+// seeded fault schedules, then check every invariant on the captured
+// journals. The returned Cycle holds the verdicts; the error is
 // reserved for infrastructure failure (a port that will not bind, a
 // cancelled context), never for invariant breaches.
 func (r *Runner) RunCycle(ctx context.Context, cycle int) (*Cycle, error) {
@@ -378,13 +367,11 @@ func (r *Runner) RunCycle(ctx context.Context, cycle int) (*Cycle, error) {
 	return c, nil
 }
 
-// bootOrigins starts the cycle's primary (fault-injecting) and secondary
-// (clean) origins, or returns the external BaseURL when one is set.
+// bootOrigins starts the cycle's two origins on one title: the primary,
+// injecting the cycle's seeded HTTP faults, and the clean secondary that
+// absorbs failover.
 func (r *Runner) bootOrigins(cycle int, cycleSeed int64) (endpoints []string, shutdown func(), err error) {
 	cfg := r.cfg
-	if cfg.BaseURL != "" {
-		return []string{cfg.BaseURL}, func() {}, nil
-	}
 	video, err := media.NewVBR(media.VBRConfig{
 		Title:         fmt.Sprintf("soak-c%d", cycle),
 		Ladder:        media.DefaultLadder(),
@@ -394,45 +381,34 @@ func (r *Runner) bootOrigins(cycle int, cycleSeed int64) (endpoints []string, sh
 	if err != nil {
 		return nil, nil, err
 	}
-	primary, err := dash.NewServer(video)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !cfg.DisableFaults {
-		sched := faults.GenerateSeeded(originFaultConfig(cfg.Watch), cycleSeed)
-		primary.Injector = &faults.HTTPInjector{
-			Schedule:   sched,
-			Seed:       cycleSeed,
-			StallSleep: 2 * time.Second,
-		}
-	}
-	origins := make([]*obs.Server, 0, 2)
-	o, err := dash.StartOrigin("127.0.0.1:0", primary, dash.OriginConfig{ShutdownGrace: 3 * time.Second})
-	if err != nil {
-		return nil, nil, err
-	}
-	origins = append(origins, o)
-	endpoints = []string{o.URL()}
-	if !cfg.DisableFaults {
-		secondary, err := dash.NewServer(video)
-		if err == nil {
-			var o2 *obs.Server
-			o2, err = dash.StartOrigin("127.0.0.1:0", secondary, dash.OriginConfig{ShutdownGrace: 3 * time.Second})
-			if err == nil {
-				origins = append(origins, o2)
-				endpoints = append(endpoints, o2.URL())
-			}
-		}
-		if err != nil {
-			o.Close(context.Background())
-			return nil, nil, err
-		}
-	}
-	return endpoints, func() {
+	var origins []*obs.Server
+	shutdown = func() {
 		for _, o := range origins {
 			o.Close(context.Background())
 		}
-	}, nil
+	}
+	for i := 0; i < 2; i++ {
+		srv, err := dash.NewServer(video)
+		if err != nil {
+			shutdown()
+			return nil, nil, err
+		}
+		if i == 0 {
+			srv.Injector = &faults.HTTPInjector{
+				Schedule:   faults.GenerateSeeded(originFaultConfig(cfg.Watch), cycleSeed),
+				Seed:       cycleSeed,
+				StallSleep: 2 * time.Second,
+			}
+		}
+		o, err := dash.StartOrigin("127.0.0.1:0", srv, dash.OriginConfig{ShutdownGrace: 3 * time.Second})
+		if err != nil {
+			shutdown()
+			return nil, nil, err
+		}
+		origins = append(origins, o)
+		endpoints = append(endpoints, o.URL())
+	}
+	return endpoints, shutdown, nil
 }
 
 // runSession drives one shaped, fault-weathered session and fills rec.

@@ -14,23 +14,24 @@ import (
 	"bba/internal/telemetry"
 )
 
-// TestRunCycleClean drives one full cycle — real origin, real sockets,
-// netem-shaped transports, real collector pipeline into an archive store —
-// with fault injection off, and demands a clean bill: every invariant that
-// applies evaluated, zero violations, the store's read-back byte-identical,
-// at least one block sealed, and no store left on disk afterwards.
+// TestRunCycleClean drives one full cycle under the full weather — a
+// primary origin with seeded HTTP faults, a clean secondary, client-side
+// blackouts, real sockets, netem-shaped transports, the collector pipeline
+// into an archive store — and demands a clean bill: zero violations,
+// failover decided on every session (a 3 s watch at 250 ms chunks leaves a
+// 9-chunk fault-free tail, room for dash.FailBackAfter), the store's
+// read-back byte-identical, a block sealed, and no store left on disk.
 func TestRunCycleClean(t *testing.T) {
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp)
 	r := NewRunner(Config{
-		Sessions:      4,
-		Seed:          11,
-		Watch:         2 * time.Second,
-		ChunkMS:       250,
-		ShapeKbps:     20000,
-		Algorithms:    []string{"BBA-0", "Control", "BBA-2", "SmoothThroughput"},
-		DisableFaults: true,
-		Logf:          t.Logf,
+		Sessions:   4,
+		Seed:       11,
+		Watch:      3 * time.Second,
+		ChunkMS:    250,
+		ShapeKbps:  20000,
+		Algorithms: []string{"BBA-0", "Control", "BBA-2", "SmoothThroughput"},
+		Logf:       t.Logf,
 	})
 	r.Metrics = NewMetrics()
 	capture := &telemetry.Capture{}
@@ -52,8 +53,8 @@ func TestRunCycleClean(t *testing.T) {
 	if got := c.Checks[InvCollectorAgreement]; got != 4 {
 		t.Errorf("collector agreement checked %d times, want 4", got)
 	}
-	if got := c.Checks[InvFailoverConverges]; got != 0 {
-		t.Errorf("failover checked %d times on a single-endpoint cycle, want 0", got)
+	if got := c.Checks[InvFailoverConverges]; got != 4 {
+		t.Errorf("failover checked %d times, want 4 (two endpoints and a fail-back tail per session)", got)
 	}
 	if c.Store.Blocks < 1 {
 		t.Errorf("cycle store %+v sealed no block: compaction never ran", c.Store)
@@ -108,10 +109,11 @@ func TestRunCycleClean(t *testing.T) {
 	}
 }
 
-// TestRunCycleFaulted runs the full weather: primary origin with seeded
-// HTTP faults, clean secondary for failover, client-side blackouts. The
-// invariants must hold — retries bounded, failover converging back to
-// the primary, no rebuffer above reservoir+slack.
+// TestRunCycleFaulted runs the full weather with the default algorithm
+// rotation: primary origin with seeded HTTP faults, clean secondary for
+// failover, client-side blackouts. The invariants must hold — retries
+// bounded, failover converging back to the primary, no rebuffer above
+// reservoir+slack.
 func TestRunCycleFaulted(t *testing.T) {
 	r := NewRunner(Config{
 		Sessions:  3,
@@ -140,16 +142,15 @@ func TestRunCycleFaulted(t *testing.T) {
 }
 
 // TestRunCountsFailures exercises the driver loop's verdict counting
-// with a runner whose sessions cannot reach their origin.
+// with a runner whose sessions cannot start.
 func TestRunCountsFailures(t *testing.T) {
-	// A base URL nothing listens on: every session errs, every cycle
+	// An algorithm no registry holds: every session errs, every cycle
 	// fails, but the infrastructure is fine — Run reports counts.
 	r := NewRunner(Config{
 		Sessions:   2,
 		Seed:       3,
 		Watch:      time.Second,
-		BaseURL:    "http://127.0.0.1:1",
-		Algorithms: []string{"Control"},
+		Algorithms: []string{"no-such-algorithm"},
 	})
 	r.Metrics = NewMetrics()
 	failed, undecided, err := r.Run(context.Background(), 2, 0)
@@ -159,8 +160,8 @@ func TestRunCountsFailures(t *testing.T) {
 	if failed != 2 {
 		t.Fatalf("failed = %d, want 2", failed)
 	}
-	if len(undecided) != 0 {
-		t.Errorf("undecided = %v: an external origin and an estimator gate only collector agreement, which every session decides", undecided)
+	if want := []string{InvFailoverConverges}; !reflect.DeepEqual(undecided, want) {
+		t.Errorf("undecided = %v, want %v: a 1 s watch leaves no fail-back tail, and collector agreement is decided on every session", undecided, want)
 	}
 	if r.Metrics.Healthy() {
 		t.Error("metrics report healthy after consecutive failing cycles")
@@ -181,9 +182,7 @@ func TestGatedInvariants(t *testing.T) {
 		want []string
 	}{
 		{"defaults", Config{}, []string{InvNoRebufferAboveReservoir, InvFailoverConverges, InvCollectorAgreement}},
-		{"no faults, fixed-reservoir and estimator arms", Config{Sessions: 2, Algorithms: []string{"BBA-0", "Control"}, DisableFaults: true}, []string{InvCollectorAgreement}},
-		{"external origin", Config{BaseURL: "http://127.0.0.1:1", Algorithms: []string{"BBA-2"}}, []string{InvNoRebufferAboveReservoir, InvCollectorAgreement}},
-		{"rotation never reaches the BBA arm", Config{Sessions: 1, Algorithms: []string{"Control", "BBA-2"}, DisableFaults: true}, []string{InvCollectorAgreement}},
+		{"rotation never reaches the BBA arm", Config{Sessions: 1, Algorithms: []string{"Control", "BBA-2"}}, []string{InvFailoverConverges, InvCollectorAgreement}},
 	} {
 		if got := NewRunner(tc.cfg).Config().gated(); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: gated = %v, want %v", tc.name, got, tc.want)
@@ -194,7 +193,7 @@ func TestGatedInvariants(t *testing.T) {
 func TestRunUnboundedStopsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := NewRunner(Config{Sessions: 1, Watch: time.Second, BaseURL: "http://127.0.0.1:1"})
+	r := NewRunner(Config{Sessions: 1, Watch: time.Second})
 	failed, _, err := r.Run(ctx, 0, time.Hour)
 	if err != nil {
 		t.Fatalf("cancelled unbounded run must exit clean, got %v", err)

@@ -241,20 +241,13 @@ func (s Stamp) OnEvent(e Event) {
 	s.Next.OnEvent(e)
 }
 
-// Capture records every event into memory, stamping Session on events that
-// do not already carry a label. It is deliberately unsynchronized: give
-// each session its own Capture and read Events once the session is done.
+// Capture records every event into memory; put a Stamp in front of it to
+// label a session's events. It is deliberately unsynchronized: give each
+// session its own Capture and read Events once the session is done.
 type Capture struct {
-	// Session is stamped onto events whose Session field is empty.
-	Session string
-	// Events accumulates the stamped events in emission order.
+	// Events accumulates the events in emission order.
 	Events []Event
 }
 
 // OnEvent implements Observer.
-func (c *Capture) OnEvent(e Event) {
-	if e.Session == "" {
-		e.Session = c.Session
-	}
-	c.Events = append(c.Events, e)
-}
+func (c *Capture) OnEvent(e Event) { c.Events = append(c.Events, e) }

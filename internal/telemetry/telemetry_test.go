@@ -133,10 +133,13 @@ func TestMultiDropsNils(t *testing.T) {
 	}
 }
 
+// TestCaptureStampsSession: a Capture behind a Stamp records every event
+// labelled, and an event that already carries a label keeps it.
 func TestCaptureStampsSession(t *testing.T) {
-	c := &Capture{Session: "d0.w01.s002.BBA-2"}
-	c.OnEvent(Event{Kind: SessionStart})
-	c.OnEvent(Event{Kind: SessionEnd, Session: "explicit"})
+	c := &Capture{}
+	s := Stamp{Session: "d0.w01.s002.BBA-2", Next: c}
+	s.OnEvent(Event{Kind: SessionStart})
+	s.OnEvent(Event{Kind: SessionEnd, Session: "explicit"})
 	if c.Events[0].Session != "d0.w01.s002.BBA-2" {
 		t.Error("empty session not stamped")
 	}

@@ -297,9 +297,13 @@ func FuzzTraceBuilder(f *testing.F) {
 	f.Add(u16(2, 500, 4000, 500, 2000, 500, 800, 1, 100, 50, 300, 2, 300, 900, 50, 0, 200, 0))
 	// Overlapping population overrides: both sides must refuse.
 	f.Add(u16(0, 2000, 1000, 2, 100, 500, 200, 300, 500, 200, 0))
-	// An override starting exactly at the end, and one beyond it.
+	// A 1001-tick base and an outage starting just inside its end, exactly
+	// at it, and beyond it; and a zero-duration outage. Both sides refuse
+	// the last two.
 	f.Add(u16(0, 1000, 1000, 1, 1000, 100, 0, 0))
 	f.Add(u16(0, 1000, 1000, 1, 1001, 100, 0, 0))
+	f.Add(u16(0, 1000, 1000, 1, 1002, 100, 0, 0))
+	f.Add(u16(0, 1000, 1000, 1, 100, 0, 0, 0))
 	var b Builder
 	f.Fuzz(func(t *testing.T, data []byte) {
 		base, overrides, spans := decodeChain(data)

@@ -24,7 +24,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -465,16 +464,10 @@ func Markov(cfg MarkovConfig, rng *rand.Rand) *Trace {
 	return MustNew(b.segs)
 }
 
-// Outage is a span of zero capacity overlaid on a base trace, modelling the
-// Section 7.1 scenario of a DSL retrain or WiFi interference burst.
-type Outage struct {
-	Start    time.Duration
-	Duration time.Duration
-}
-
 // Override forces a span of a base trace to a fixed rate. A zero Rate is an
-// outage; a low non-zero Rate models a sustained congestion episode of the
-// kind that produces the deep fades in Figure 1. With a positive Factor the
+// outage (the Section 7.1 DSL retrain or WiFi interference burst); a low
+// non-zero Rate models a sustained congestion episode of the kind that
+// produces the deep fades in Figure 1. With a positive Factor the
 // span instead scales whatever the base was doing, segment by segment, and
 // Rate is ignored — a throughput collapse that stays proportional to a
 // varying base.
@@ -483,23 +476,6 @@ type Override struct {
 	Duration time.Duration
 	Rate     units.BitRate
 	Factor   float64
-}
-
-// WithOutages returns a copy of base with capacity forced to zero during
-// each outage. Outages must not overlap, must have positive durations and
-// must start within the trace.
-func WithOutages(base *Trace, outages []Outage) (*Trace, error) {
-	ov := make([]Override, len(outages))
-	for i, o := range outages {
-		ov[i] = Override{Start: o.Start, Duration: o.Duration}
-	}
-	sort.Slice(ov, func(i, j int) bool { return ov[i].Start < ov[j].Start })
-	var b Builder
-	b.Load(base)
-	if err := b.Override(ov); err != nil {
-		return nil, err
-	}
-	return b.Trace()
 }
 
 // ReadCSV parses a trace from "duration_seconds,rate_bps" rows. Blank lines

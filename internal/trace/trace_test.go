@@ -273,65 +273,6 @@ func TestMarkovDefaults(t *testing.T) {
 	}
 }
 
-func TestWithOutages(t *testing.T) {
-	base := Constant(5*units.Mbps, 60*time.Second)
-	tr, err := WithOutages(base, []Outage{
-		{Start: 10 * time.Second, Duration: 20 * time.Second},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tr.RateAt(5 * time.Second); got != 5*units.Mbps {
-		t.Errorf("before outage: %v", got)
-	}
-	if got := tr.RateAt(15 * time.Second); got != 0 {
-		t.Errorf("during outage: %v", got)
-	}
-	if got := tr.RateAt(35 * time.Second); got != 5*units.Mbps {
-		t.Errorf("after outage: %v", got)
-	}
-	if tr.Total() != 60*time.Second {
-		t.Errorf("total = %v", tr.Total())
-	}
-}
-
-func TestWithOutagesValidation(t *testing.T) {
-	base := Constant(units.Mbps, time.Minute)
-	if _, err := WithOutages(base, []Outage{{Start: 0, Duration: 0}}); err == nil {
-		t.Error("zero-duration outage accepted")
-	}
-	if _, err := WithOutages(base, []Outage{
-		{Start: 0, Duration: 10 * time.Second},
-		{Start: 5 * time.Second, Duration: time.Second},
-	}); err == nil {
-		t.Error("overlapping outages accepted")
-	}
-	if _, err := WithOutages(base, []Outage{{Start: 2 * time.Minute, Duration: time.Second}}); err == nil {
-		t.Error("outage past trace end accepted")
-	}
-}
-
-func TestWithOutagesPreservesByteIntegral(t *testing.T) {
-	base := MustNew([]Segment{
-		{Duration: 30 * time.Second, Rate: 2 * units.Mbps},
-		{Duration: 30 * time.Second, Rate: 6 * units.Mbps},
-	})
-	tr, err := WithOutages(base, []Outage{{Start: 20 * time.Second, Duration: 20 * time.Second}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Bytes outside the outage must match the base trace.
-	if got, want := tr.BytesBetween(0, 20*time.Second), base.BytesBetween(0, 20*time.Second); got != want {
-		t.Errorf("pre-outage bytes = %d, want %d", got, want)
-	}
-	if got, want := tr.BytesBetween(40*time.Second, 60*time.Second), base.BytesBetween(40*time.Second, 60*time.Second); got != want {
-		t.Errorf("post-outage bytes = %d, want %d", got, want)
-	}
-	if got := tr.BytesBetween(20*time.Second, 40*time.Second); got != 0 {
-		t.Errorf("outage bytes = %d, want 0", got)
-	}
-}
-
 // TestReadCSVErrors holds ReadCSV to naming the line of every row it
 // refuses, and to reading fractional seconds, outages, blanks and comments.
 func TestReadCSVErrors(t *testing.T) {

@@ -888,53 +888,3 @@ func TestCompactionAllocationBudget(t *testing.T) {
 		t.Errorf("encodeBlock allocated %.2f times and %.0f B per line, budget 3 and 400", allocs, bytes)
 	}
 }
-
-// TestOneBlockReader keeps the read path single: every query goes through
-// Block — open, page, slabs — so the decoders and whole-file reads it
-// replaced must not come back beside it, and every read of the WAL — a
-// query's, a compaction's, a count's — goes through readWAL into a buffer
-// the reader owns: os.ReadFile appears nowhere in the package, and the WAL
-// file is opened in one function, the package's only os.OpenFile. And every
-// query walks its blocks through one loop: a block file is opened for a
-// query only by the walker's prepare.
-func TestOneBlockReader(t *testing.T) {
-	files, err := filepath.Glob("*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := 0
-	var opensWAL, opensBlock []string
-	for _, path := range files {
-		if strings.HasSuffix(path, "_test.go") {
-			continue
-		}
-		seen++
-		src, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, gone := range []string{"decodeRows", "readFooter", "readBlock", "os.ReadFile", "walLinesLocked"} {
-			if strings.Contains(string(src), gone) {
-				t.Errorf("%s names %s: blocks are read through Block.open and Block.page, one page at a time, and the WAL through readWAL; there is no second decoder and no whole-file read", path, gone)
-			}
-		}
-		fn := ""
-		for _, line := range strings.Split(string(src), "\n") {
-			if strings.HasPrefix(line, "func ") {
-				fn = line
-			}
-			if strings.Contains(line, "os.OpenFile(") {
-				opensWAL = append(opensWAL, fn)
-			}
-			if strings.Contains(line, ".openFile(") {
-				opensBlock = append(opensBlock, fn)
-			}
-		}
-	}
-	if len(opensBlock) != 1 || !strings.Contains(opensBlock[0], ") prepare(") {
-		t.Errorf("block files opened in %q, want the walker's prepare alone", opensBlock)
-	}
-	if seen < 5 || len(opensWAL) != 1 || !strings.Contains(opensWAL[0], "openWAL(") {
-		t.Errorf("saw %d source files and os.OpenFile called in %q, want the package's five files and the one openWAL", seen, opensWAL)
-	}
-}

@@ -5,9 +5,6 @@ import (
 	"errors"
 	"flag"
 	"io"
-	"io/fs"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -90,69 +87,5 @@ func TestIdentityConfigErrors(t *testing.T) {
 	}
 	if _, err := bindAndParse(t, "-sessions", "0").Config(); !errors.Is(err, ErrNoShards) {
 		t.Errorf("-sessions 0: %v, want ErrNoShards", err)
-	}
-}
-
-// TestOneCampaignFrontDoor walks the repository's Go source (bench/ is its
-// own module) and fails if the identity flags are declared in a second
-// place — the flag names "shard-size", "fault-seed" and "sketch" (as a call
-// argument, which a struct tag is not) belong to exactly one non-test file,
-// Identity.Bind's; dashserver's -fault-seed seeds the origin's own fault
-// schedule, not a campaign's — or if anything outside internal/abr assigns
-// an estimator's InitialEstimate by hand instead of building its arm with
-// abtest.Groups (SeedCapacity is the seam).
-func TestOneCampaignFrontDoor(t *testing.T) {
-	root := filepath.Join("..", "..")
-	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
-		t.Fatalf("repository root not at %s: %v", root, err)
-	}
-	// Assembled so this file does not contain them.
-	flags := []string{`"shard-` + `size",`, `"fault-` + `seed",`, `"sk` + `etch",`}
-	assign := ".Initial" + "Estimate = "
-	declared := map[string][]string{}
-	files := 0
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(root, path)
-		if d.IsDir() {
-			if rel == "bench" || strings.HasPrefix(d.Name(), ".") && rel != "." {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		files++
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		if strings.Contains(string(src), assign) && !strings.HasPrefix(rel, filepath.Join("internal", "abr")+string(filepath.Separator)) {
-			t.Errorf("%s assigns %q: build the arm with abtest.Groups, or call SeedCapacity", rel, strings.TrimSpace(assign))
-		}
-		if strings.HasSuffix(path, "_test.go") || rel == filepath.Join("cmd", "dashserver", "main.go") {
-			return nil
-		}
-		for _, f := range flags {
-			if strings.Contains(string(src), f) {
-				declared[f] = append(declared[f], rel)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if files < 100 {
-		t.Fatalf("walk saw only %d source files; is the root right?", files)
-	}
-	want := []string{filepath.Join("internal", "campaign", "identity.go")}
-	for _, f := range flags {
-		if !reflect.DeepEqual(declared[f], want) {
-			t.Errorf("%s occurs in %v, want only %v: bind the identity flags with campaign.Identity.Bind", f, declared[f], want)
-		}
 	}
 }

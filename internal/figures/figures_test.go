@@ -151,7 +151,7 @@ func TestWriteMarkdownQuickSmoke(t *testing.T) {
 		t.Skip("renders every figure")
 	}
 	var buf bytes.Buffer
-	if err := WriteMarkdown(&buf, Quick); err != nil {
+	if err := WriteMarkdownContext(context.Background(), &buf, Quick); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -112,15 +112,11 @@ func Lookup(name string) (Entry, bool) {
 	return Entry{}, false
 }
 
-// WriteMarkdown renders every figure at the given scale as the body of
+// WriteMarkdownContext renders every figure at the given scale as the body of
 // EXPERIMENTS.md: one section per artifact with the measured series summary
 // and the paper-comparison notes. Generation fans out across cores (see
-// GenerateAll); the rendered order is always registry order.
-func WriteMarkdown(w io.Writer, scale Scale) error {
-	return WriteMarkdownContext(context.Background(), w, scale)
-}
-
-// WriteMarkdownContext is WriteMarkdown with cancellation.
+// GenerateAll); the rendered order is always registry order. A cancelled
+// ctx stops the generation.
 func WriteMarkdownContext(ctx context.Context, w io.Writer, scale Scale) error {
 	scaleName := "quick"
 	if scale == Full {

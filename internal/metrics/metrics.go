@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"bba/internal/player"
 	"bba/internal/stats"
@@ -313,6 +312,3 @@ func ClassOf(i int) Class {
 
 // Covers reports whether window i is in class c.
 func (c Class) Covers(i int) bool { return c == AllWindows || ClassOf(i) == c }
-
-// WindowStart returns the GMT start offset of window i within a day.
-func WindowStart(i int) time.Duration { return time.Duration(i) * 2 * time.Hour }

@@ -202,9 +202,6 @@ func TestWindowHelpers(t *testing.T) {
 			t.Errorf("window %d covered wrongly", i)
 		}
 	}
-	if WindowStart(3) != 6*time.Hour {
-		t.Errorf("WindowStart(3) = %v", WindowStart(3))
-	}
 }
 
 func TestQoEAggregation(t *testing.T) {

@@ -1,10 +1,6 @@
 package player
 
 import (
-	"io/fs"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -94,52 +90,5 @@ func CheckEventGrammar(t testing.TB, evs []telemetry.Event, res *Result) {
 	}
 	if n := countKind(evs, telemetry.RateSwitch); n != res.Switches {
 		t.Errorf("rate_switch events = %d, Result.Switches = %d", n, res.Switches)
-	}
-}
-
-// TestOneSessionLoop walks the repository's non-test Go source and fails if
-// anything outside this package (and outside bench/, which is its own
-// module) builds an abr.State or adds a chunk to a playback buffer — the
-// per-chunk loop this package exists to hold in one place.
-// A new driver sits between Session.Request and Session.Deliver instead.
-func TestOneSessionLoop(t *testing.T) {
-	root := filepath.Join("..", "..")
-	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
-		t.Fatalf("repository root not at %s: %v", root, err)
-	}
-	// Assembled so this file does not contain them.
-	banned := []string{"abr.State" + "{", ".AddChunk" + "("}
-	files := 0
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(root, path)
-		if d.IsDir() {
-			if rel == "bench" || rel == filepath.Join("internal", "player") || strings.HasPrefix(d.Name(), ".") && rel != "." {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		files++
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		for _, b := range banned {
-			if strings.Contains(string(src), b) {
-				t.Errorf("%s contains %q: drive a player.Session (Request, Deliver) instead", rel, b)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if files < 50 {
-		t.Fatalf("walk saw only %d source files; is the root right?", files)
 	}
 }

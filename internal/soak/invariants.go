@@ -110,7 +110,7 @@ func CheckSession(rec *SessionRecord) (violations []Violation, checked, skipped 
 	// to the primary. In tighter windows a session parked on the
 	// secondary is not wrong, just unfinished, so the invariant does not
 	// bind.
-	if rec.Endpoints > 1 && rec.TailChunks >= dash.FailBackAfter {
+	if rec.TailChunks >= dash.FailBackAfter {
 		checked = append(checked, InvFailoverConverges)
 		violations = append(violations, checkFailover(rec)...)
 	}

@@ -19,7 +19,6 @@ func rec(events ...telemetry.Event) *SessionRecord {
 		Session:       "c0.s0.test",
 		Algorithm:     "test",
 		Result:        &player.Result{},
-		Endpoints:     1,
 		MaxAttempts:   6,
 		ChunkDuration: 500 * time.Millisecond,
 		ChunkTimeout:  2 * time.Second,
@@ -199,11 +198,10 @@ func TestFailoverConverges(t *testing.T) {
 	back.RateIndex = 0
 
 	r := rec(ev(telemetry.SessionStart), away, ev(telemetry.SessionEnd))
-	r.Endpoints = 2
 	r.TailChunks = dash.FailBackAfter
 	vs, checked, skipped := CheckSession(r)
 	if !hasCheck(checked, InvFailoverConverges) || hasCheck(skipped, InvFailoverConverges) {
-		t.Fatal("failover invariant not checked on a multi-endpoint session")
+		t.Fatal("failover invariant not checked with a full fail-back tail")
 	}
 	hasViolation(t, vs, InvFailoverConverges, "ended on endpoint 1")
 

@@ -140,8 +140,6 @@ type SessionRecord struct {
 	// cancelled); chunk-level failure is not an error, it shows up as
 	// Result.Incomplete.
 	Err error
-	// Endpoints is how many origins the session could fail over across.
-	Endpoints int
 	// TailChunks is how many chunk fetches the session had left after
 	// the fault horizon closed (the last 3/4 of the watch window). The
 	// failover invariant is only decidable when this leaves room for a
@@ -415,7 +413,6 @@ func (r *Runner) bootOrigins(cycle int, cycleSeed int64) (endpoints []string, sh
 func (r *Runner) runSession(ctx context.Context, rec *SessionRecord, endpoints []string, shipper *collect.Shipper) {
 	cfg := r.cfg
 	fp := fetchPolicy(rec.Seed)
-	rec.Endpoints = len(endpoints)
 	rec.MaxAttempts = fp.MaxAttempts
 	rec.ChunkDuration = cfg.chunkDuration()
 	rec.ChunkTimeout = fp.ChunkTimeout

@@ -1,11 +1,6 @@
 package telemetry
 
 import (
-	"go/parser"
-	"go/token"
-	"path/filepath"
-	"strconv"
-	"strings"
 	"testing"
 )
 
@@ -53,13 +48,13 @@ func TestKindOutOfRange(t *testing.T) {
 	}
 }
 
-// TestControlPlaneHasNoEventStream keeps Kind the session and soak
+// TestNoRetiredControlPlaneKinds keeps Kind the session and soak
 // vocabulary. The campaign runner, the arena and the lease coordinator
 // report through their own counters (campaign.Progress, coord.Stats and
-// bbacoord's /metrics), so no non-test file in those packages may import
-// this package, and the control-plane kinds they once emitted into an
-// Observer nothing set must not come back.
-func TestControlPlaneHasNoEventStream(t *testing.T) {
+// bbacoord's /metrics), so the control-plane kinds they once emitted into
+// an Observer nothing set must not come back. TestGuards keeps those
+// packages from importing this one.
+func TestNoRetiredControlPlaneKinds(t *testing.T) {
 	retired := []string{"campaign_progress", "arena_match", "worker_join", "lease_grant", "lease_expire"}
 	named := 0
 	for _, name := range kindNames {
@@ -77,25 +72,4 @@ func TestControlPlaneHasNoEventStream(t *testing.T) {
 		t.Errorf("kindNames has %d entries, want 16", named)
 	}
 
-	const self = "bba/internal/telemetry"
-	for _, pkg := range []string{"campaign", "coord", "arena"} {
-		files, err := filepath.Glob(filepath.Join("..", pkg, "*.go"))
-		if err != nil || len(files) == 0 {
-			t.Fatalf("no Go files under internal/%s: %v", pkg, err)
-		}
-		for _, path := range files {
-			if strings.HasSuffix(path, "_test.go") {
-				continue
-			}
-			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, imp := range f.Imports {
-				if p, _ := strconv.Unquote(imp.Path.Value); p == self {
-					t.Errorf("%s imports %s: the control plane reports through its own counters", path, self)
-				}
-			}
-		}
-	}
 }

@@ -117,7 +117,7 @@ type execFlags struct {
 
 func (x *execFlags) bind(fs *flag.FlagSet) {
 	fs.IntVar(&x.workers, "workers", 0, "worker goroutines (default GOMAXPROCS; never affects report bytes)")
-	fs.BoolVar(&x.batch, "batch", false, "execute sessions through the batch kernel (byte-identical report, higher throughput)")
+	fs.BoolVar(&x.batch, "batch", false, "advance -batch-width paired draws at a time per worker (byte-identical report)")
 	fs.IntVar(&x.batchWidth, "batch-width", 0, "paired draws in flight per worker with -batch (default 8)")
 	fs.DurationVar(&x.progressEvery, "progress-every", 2*time.Second, "progress line interval on stderr (0 disables)")
 	fs.StringVar(&x.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")

@@ -78,6 +78,8 @@ func TestGuards(t *testing.T) {
 		{name: "one-session-loop", names: []string{"abr.State{", ".AddChunk("}, only: []string{"internal/player"}, why: "drive a player.Session instead"},
 		{name: "control-plane-no-event-stream", dirs: []string{"internal/campaign", "internal/coord", "internal/arena"},
 			names: []string{`"bba/internal/telemetry"`}, why: "the control plane reports through its own counters"},
+		{name: "no-deferred-trace", dirs: []string{"internal/trace", "internal/abtest"}, names: []string{"Deferred", "deferral", `"sync"`},
+			anchors: []string{"DrawKeyed"}, why: "a keyed draw's User holds its key, and SessionEnv composes its trace again from it: no trace is written lazily"},
 	}
 	forms, texts := map[string]bool{}, []string(nil)
 	for _, g := range guards {

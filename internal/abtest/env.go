@@ -2,6 +2,7 @@ package abtest
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"bba/internal/abr"
@@ -21,10 +22,11 @@ import (
 // way each group sees identical inputs, so results are identical.
 //
 // The env's Trace is the User's own, read as given, unless the env holds
-// it in rows of its own: the scratch's pending keyed draw, packed from the
-// builder instead of re-derived, or a faulted draw's trace, reshaped in
-// those rows. Of everything an env points at, only User.Trace outlives
-// the draw: what the env owns, the next Reset rewrites.
+// it in rows of its own: a keyed draw's, packed from the scratch's
+// builder or composed again from the draw's key, or a faulted draw's
+// trace, reshaped in those rows. Of everything an env points at, only
+// User.Trace outlives the draw: what the env owns, the next Reset
+// rewrites.
 type SessionEnv struct {
 	// User is the drawn viewer (trace, title pick, watch time, R_min).
 	User User
@@ -45,7 +47,7 @@ type SessionEnv struct {
 	own *owned
 }
 
-// owned is one draw's env-owned state: the trace rows a pending draw is
+// owned is one draw's env-owned state: the trace rows a keyed draw is
 // packed into and fault weather reshapes, the schedule (with its capacity
 // spans) and the injector it arms.
 type owned struct {
@@ -62,10 +64,9 @@ func NewSessionEnv(u User, video *media.Video, fcfg *faults.ScheduleConfig, fsee
 }
 
 // NewSessionEnv is the package's NewSessionEnv drawing the schedule from
-// the scratch's RNG and reshaping the trace in its builder, and packing
-// the scratch's pending keyed draw from there (see Reset). The env it
-// returns owns its trace rows and fault state, so it stays valid when the
-// scratch moves on.
+// the scratch's RNG, composing a keyed draw's trace and reshaping the
+// trace in its builder (see Reset). The env it returns owns its trace
+// rows and fault state, so it stays valid when the scratch moves on.
 func (sc *Scratch) NewSessionEnv(u User, video *media.Video, fcfg *faults.ScheduleConfig, fseed int64) (SessionEnv, error) {
 	var env SessionEnv
 	if err := env.Reset(sc, u, video, fcfg, fseed); err != nil {
@@ -79,11 +80,16 @@ func (sc *Scratch) NewSessionEnv(u User, video *media.Video, fcfg *faults.Schedu
 // and injector: the allocation-free form for a caller that owns e and
 // takes one draw after another. The previous draw's Trace and Injector
 // are overwritten, so nothing may still be reading them — and a copy of e
-// shares that storage. u.Trace is only ever read: when it is the
-// scratch's pending keyed draw (Scratch.DrawKeyed), the builder's
-// composition is packed into e's rows in its place, so the deferred trace
-// is not.
+// shares that storage. u.Trace is only ever read. A keyed User
+// (Scratch.DrawKeyed) has none: when sc still holds its draw's
+// composition — the draw was sc's last — Reset packs that into e's rows,
+// and otherwise composes the draw again from the User's key first, the
+// replay of a retained User. A User with neither a trace nor a key is an
+// error.
 func (e *SessionEnv) Reset(sc *Scratch, u User, video *media.Video, fcfg *faults.ScheduleConfig, fseed int64) error {
+	if u.Trace == nil && !u.key.ok {
+		return errors.New("a User with neither a trace nor a draw key: draw it with DrawUser or Scratch.DrawKeyed")
+	}
 	*e = SessionEnv{
 		User:      u,
 		Stream:    abr.NewStream(video, u.Rmin),
@@ -91,9 +97,9 @@ func (e *SessionEnv) Reset(sc *Scratch, u User, video *media.Video, fcfg *faults
 		FaultSeed: fseed,
 		own:       e.own,
 	}
-	pending := u.Trace != nil && u.Trace == sc.pending
-	sc.pending = nil
-	if !pending && fcfg == nil {
+	held := sc.held
+	sc.held = drawKey{}
+	if u.Trace != nil && fcfg == nil {
 		return nil
 	}
 	o := e.own
@@ -101,7 +107,10 @@ func (e *SessionEnv) Reset(sc *Scratch, u User, video *media.Video, fcfg *faults
 		o = new(owned)
 		e.own = o
 	}
-	if pending {
+	if u.Trace == nil {
+		if k := u.key; k != held {
+			sc.compose(k.cfg, k.window, k.day, sc.Rand(k.seed))
+		}
 		if err := sc.tb.Into(&o.trace); err != nil {
 			return fmt.Errorf("packing the drawn trace: %w", err)
 		}

@@ -59,13 +59,25 @@ type User struct {
 	WatchTime time.Duration
 	// TitleIndex selects the title from the catalogue.
 	TitleIndex int
-	// Trace is the session's capacity process, shared across groups. A
-	// keyed draw's (Scratch.DrawKeyed) is deferred: it costs its header
-	// until its first read re-derives the draw and writes its rows, so a
-	// factory that keeps the User keeps a trace it can still read.
+	// Trace is the session's capacity process, shared across groups: the
+	// draw's own rows on a DrawUser user, nil on a keyed one
+	// (Scratch.DrawKeyed), which carries the draw's key instead and whose
+	// trace SessionEnv writes into rows the env owns.
 	Trace *trace.Trace
 	// Window and Day locate the session in the experiment calendar.
 	Window, Day int
+
+	key drawKey // a keyed draw's; the zero key on any other User
+}
+
+// drawKey is everything a keyed draw is a pure function of. It repeats the
+// User's Window and Day, so the draw it names does not change with the
+// exported fields. ok tells a key from the zero key.
+type drawKey struct {
+	cfg         PopulationConfig
+	window, day int
+	seed        int64
+	ok          bool
 }
 
 // DiurnalHarshness maps a two-hour GMT window to a 0–1 congestion level.
@@ -145,27 +157,23 @@ func (sc *Scratch) DrawUser(cfg PopulationConfig, window, day int, rng *rand.Ran
 }
 
 // DrawKeyed is DrawUser(cfg, window, day, rand.New(rand.NewSource(seed)))
-// returning the User with a deferred trace: the draw is a pure function
-// of its arguments, so the trace re-derives the whole draw on its first
-// read instead of keeping rows meanwhile. Until the scratch composes
-// anything else, its builder still holds the trace's composition, and
-// SessionEnv.Reset packs it from there into rows the env owns — the
-// campaign's sessions never read the User's trace, and never pay for it.
+// returning the User with its draw's key in place of its trace, and
+// allocates nothing: the draw is a pure function of its key, so
+// SessionEnv.Reset packs the trace from the scratch's builder while the
+// scratch still holds this draw's composition, and composes the draw
+// again from the key once it does not — the campaign's sessions take the
+// first path, a replay of a retained User the second.
 func (sc *Scratch) DrawKeyed(cfg PopulationConfig, window, day int, seed int64) User {
 	u := sc.compose(cfg, window, day, sc.Rand(seed))
-	u.Trace = trace.Deferred(func() *trace.Builder {
-		var re Scratch
-		re.compose(cfg, window, day, re.Rand(seed))
-		return &re.tb
-	})
-	sc.pending = u.Trace
+	u.key = drawKey{cfg: cfg, window: window, day: day, seed: seed, ok: true}
+	sc.held = u.key
 	return u
 }
 
 // compose draws a user from rng and composes its capacity trace in the
 // scratch's builder, leaving User.Trace nil.
 func (sc *Scratch) compose(cfg PopulationConfig, window, day int, rng *rand.Rand) User {
-	sc.pending = nil
+	sc.held = drawKey{}
 	cfg.applyDefaults()
 	h := DiurnalHarshness(window)
 

@@ -91,10 +91,12 @@ func TestScratchReuseMatchesFreshDraw(t *testing.T) {
 // TestSessionEnvResetInPlace is the draw slot's contract: one env rebuilt
 // draw after draw — clean draws, faulted ones, and ones whose weather is
 // HTTP-only; eager draws, and keyed ones whose composition the env packs
-// from the scratch — equals a fresh NewSessionEnv every time; an eager
-// draw without a capacity fault streams the User's own trace, a keyed
-// draw never does; no rebuild writes into a User's trace, the one thing
-// that outlives the draw; and once warmed a rebuild allocates nothing.
+// from the scratch or composes again from the key — equals a fresh
+// NewSessionEnv every time; an eager draw without a capacity fault streams
+// the User's own trace, a keyed draw streams rows the env owns; no rebuild
+// writes into a User's trace, the one thing that outlives the draw; a User
+// with neither a trace nor a key is refused; and once warmed a rebuild
+// allocates nothing.
 func TestSessionEnvResetInPlace(t *testing.T) {
 	catalog, err := media.NewCatalog(6, media.DefaultLadder(), 3)
 	if err != nil {
@@ -113,7 +115,7 @@ func TestSessionEnvResetInPlace(t *testing.T) {
 		u     User
 		fcfg  *faults.ScheduleConfig
 		fseed int64
-		segs  []trace.Segment // the User's trace when it was drawn
+		segs  []trace.Segment // an eager User's trace when it was drawn
 	}
 	var sc Scratch
 	var env SessionEnv
@@ -127,7 +129,10 @@ func TestSessionEnvResetInPlace(t *testing.T) {
 		} else {
 			u = sc.DrawUser(PopulationConfig{}, i%12, i/12, sc.Rand(seed))
 		}
-		d := draw{u, weathers[i%len(weathers)], int64(9000 + i), u.Trace.Segments()}
+		d := draw{u: u, fcfg: weathers[i%len(weathers)], fseed: int64(9000 + i)}
+		if !keyed {
+			d.segs = u.Trace.Segments()
+		}
 		draws = append(draws, d)
 		if err := env.Reset(&sc, u, u.Pick(catalog), d.fcfg, d.fseed); err != nil {
 			t.Fatal(err)
@@ -159,8 +164,8 @@ func TestSessionEnvResetInPlace(t *testing.T) {
 			}
 		}
 		switch {
-		case keyed && env.Trace == u.Trace:
-			t.Fatalf("draw %d: a keyed draw's env streams the deferred trace", i)
+		case keyed && (u.Trace != nil || env.Trace != &env.own.trace):
+			t.Fatalf("draw %d: a keyed draw's env streams a trace it does not own", i)
 		case keyed:
 		case env.Trace == u.Trace:
 			baseTrace++
@@ -168,8 +173,9 @@ func TestSessionEnvResetInPlace(t *testing.T) {
 			ownTrace++
 		}
 		if keyed {
-			// Reset took the scratch's pending draw: rebuilt again, the env
-			// reads the deferred trace, not the builder the weather rewrote.
+			// Reset took the scratch's held draw: rebuilt again, the env
+			// composes the draw from its key, not from the builder the
+			// weather rewrote.
 			if err := env.Reset(&sc, u, u.Pick(catalog), d.fcfg, d.fseed); err != nil {
 				t.Fatal(err)
 			}
@@ -182,9 +188,12 @@ func TestSessionEnvResetInPlace(t *testing.T) {
 		t.Fatalf("%d faulted traces, %d draws streaming the User's trace: the sweep missed a path", ownTrace, baseTrace)
 	}
 	for i, d := range draws {
-		if !reflect.DeepEqual(d.u.Trace.Segments(), d.segs) {
+		if d.u.Trace != nil && !reflect.DeepEqual(d.u.Trace.Segments(), d.segs) {
 			t.Fatalf("draw %d: a later rebuild wrote into the User's trace", i)
 		}
+	}
+	if err := env.Reset(&sc, User{}, catalog.Pick(0), nil, 0); err == nil {
+		t.Error("a User with neither a trace nor a draw key built an env")
 	}
 
 	// Every draw below has been rebuilt into this env before, so its
@@ -202,11 +211,11 @@ func TestSessionEnvResetInPlace(t *testing.T) {
 	}
 }
 
-// FuzzDeferredDraw: a keyed draw is the eager draw of the same (config,
-// window, day, seed), bit for bit — the User's fields, the rows the env
-// packs from the scratch's builder, and the deferred trace it re-derives
-// on its first read, made after the scratch has moved on to another draw.
-func FuzzDeferredDraw(f *testing.F) {
+// FuzzKeyedDraw: a keyed draw is the eager draw of the same (config,
+// window, day, seed), bit for bit — the User's fields, and the env's trace
+// both while the scratch still holds the draw (packed from its builder)
+// and after the scratch has moved on (composed again from the key).
+func FuzzKeyedDraw(f *testing.F) {
 	catalog, err := media.NewCatalog(6, media.DefaultLadder(), 3)
 	if err != nil {
 		f.Fatal(err)
@@ -226,30 +235,62 @@ func FuzzDeferredDraw(f *testing.F) {
 
 		var sc Scratch
 		u := sc.DrawKeyed(cfg, w, d, seed)
+		if u.Trace != nil {
+			t.Fatal("a keyed draw handed out a trace")
+		}
 		var env SessionEnv
 		if err := env.Reset(&sc, u, u.Pick(catalog), nil, 0); err != nil {
 			t.Fatal(err)
 		}
-		if env.Trace == u.Trace {
-			t.Fatal("the env streams the deferred trace instead of packing the scratch's composition")
-		}
 		if got := env.Trace.Segments(); !reflect.DeepEqual(got, want.Trace.Segments()) {
-			t.Fatal("the env's packed trace differs from the eager draw's")
+			t.Fatal("the env's trace packed from the scratch differs from the eager draw's")
 		}
-		next := sc.DrawKeyed(cfg, w+1, d, seed+1) // the scratch moves on,
-		sc.DrawUser(cfg, w, d, sc.Rand(seed))     // and no keyed draw is pending
-		if err := env.Reset(&sc, next, next.Pick(catalog), nil, 0); err != nil {
-			t.Fatal(err)
+		// The scratch moves on to another keyed draw, then to an eager one.
+		for _, moveOn := range []func(){
+			func() { sc.DrawKeyed(cfg, w, d, seed+1) },
+			func() { sc.DrawUser(cfg, w+1, d, sc.Rand(seed+2)) },
+		} {
+			moveOn()
+			if err := env.Reset(&sc, u, u.Pick(catalog), nil, 0); err != nil {
+				t.Fatal(err)
+			}
+			if got := env.Trace.Segments(); !reflect.DeepEqual(got, want.Trace.Segments()) {
+				t.Fatal("the env's trace composed again from the key differs from the eager draw's")
+			}
 		}
-		if env.Trace != next.Trace {
-			t.Fatal("the env packed a keyed draw the scratch had moved on from")
-		}
-		if got := u.Trace.Segments(); !reflect.DeepEqual(got, want.Trace.Segments()) {
-			t.Fatal("the deferred trace differs from the eager draw's")
-		}
-		u.Trace, want.Trace = nil, nil
+		u.key, want.Trace = drawKey{}, nil
 		if u != want {
 			t.Fatalf("keyed user %+v, eager draw %+v", u, want)
 		}
 	})
+}
+
+// TestKeyedDrawAllocatesNothing: on a warmed scratch and env, a keyed
+// draw and the Reset that packs it allocate nothing, clean or faulted —
+// the User holds its key by value, and the env rewrites rows it owns.
+func TestKeyedDrawAllocatesNothing(t *testing.T) {
+	catalog, err := media.NewCatalog(6, media.DefaultLadder(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := faults.DefaultScheduleConfig()
+	for _, fcfg := range []*faults.ScheduleConfig{nil, &fc} {
+		var sc Scratch
+		var env SessionEnv
+		const draws = 64
+		i := 0
+		draw := func() {
+			u := sc.DrawKeyed(PopulationConfig{}, i%12, i/12%3, int64(i%draws))
+			if err := env.Reset(&sc, u, u.Pick(catalog), fcfg, int64(i%draws)); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}
+		for range draws {
+			draw()
+		}
+		if allocs := testing.AllocsPerRun(2*draws, draw); allocs != 0 {
+			t.Errorf("faults=%v: a warmed keyed draw and its Reset allocated %v times, want 0", fcfg != nil, allocs)
+		}
+	}
 }

@@ -30,11 +30,11 @@
 //     every draw it takes (abtest.SessionEnv.Reset): a keyed draw's
 //     (abtest.Scratch.DrawKeyed) trace is packed from the scratch's
 //     builder into the slot's rows, and fault weather reshapes them there.
-//     The only thing a draw allocates is the User, the one thing that
-//     outlives it: an arm factory may keep the User it is handed, and a
-//     keyed User's trace is deferred — a header and the draw's key, its
-//     rows re-derived only if something reads it. The env the slot holds
-//     is never handed to a factory.
+//     A draw allocates nothing: the User, the one thing that outlives it
+//     (an arm factory may keep the User it is handed), holds the draw's
+//     key by value, not a trace, and a replay of a retained User
+//     composes its trace again from that key. The env the slot holds is
+//     never handed to a factory.
 //   - The cancellation check happens once per kernel round (one chunk
 //     per active lane) instead of once per chunk.
 //

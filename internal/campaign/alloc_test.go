@@ -57,26 +57,25 @@ func warm(t *testing.T, cfg Config) {
 // 2×Parallelism of them, recycled from shard to shard) and each draw
 // slot's trace rows. A short campaign cannot, so the test takes two
 // numbers from a three-shard and a five-shard campaign. The marginal cost
-// is the difference per extra session. Its floor is what each draw hands
-// out that outlives it, the User: its deferred trace's 48-byte header and
-// the key the trace re-derives the draw from on a first read the campaign
-// never makes (≈ 150 B a draw, ≈ 25 B a session with six arms). The
-// trace's rows are not on it: the draw slot packs the scratch's
-// composition into rows of its own, rebuilt in place for every draw, and
-// each arm's algorithm object is released when its session retires and
-// handed to the next draw's session. The set-up is the three-shard
-// campaign's bytes less its sessions at that marginal cost: the sketches
-// and the kernel's own state, the slots' rows included. Fault weather adds
-// nothing a draw keeps — each draw slot reshapes its rows and rebuilds its
-// schedule and injector in place — so a faulted campaign stays within
-// 32 B of the clean one. Rows materialised per draw, a session log, a plan
-// rebuild, an RNG source, an intermediate trace, a fresh accumulator set
-// per shard or an algorithm object per session creeping back into the
-// shard path lands above the marginal budgets; a worker or a run building
-// its own plans again, a sketch growing by doubling or the prefix adopting
-// shard 0's set lands above the set-up budget. A longer campaign
-// allocating less than a shorter one leaves the marginal cost
-// undecidable, and the test says so rather than passing.
+// is the difference per extra session, and its floor is nothing: a keyed
+// draw hands out a User that holds its key by value, the draw slot packs
+// the scratch's composition into rows of its own, rebuilt in place for
+// every draw, and each arm's algorithm object is released when its
+// session retires and handed to the next draw's session. At that floor
+// the difference is set-up noise and may come out below zero, so the
+// check is one-sided: a marginal cost at or below the budget passes,
+// negative included. The set-up is the three-shard campaign's bytes less
+// its sessions at the marginal cost clamped at 0 — an upper bound on it:
+// the sketches and the kernel's own state, the slots' rows included.
+// Fault weather adds nothing a draw keeps — each draw slot reshapes its
+// rows and rebuilds its schedule and injector in place — so a faulted
+// campaign stays within 8 B of the clean one. A trace or its header per
+// draw, a session log, a plan rebuild, an RNG source, an intermediate
+// trace, a fresh accumulator set per shard or an algorithm object per
+// session creeping back into the shard path lands above the marginal
+// budgets; a worker or a run building its own plans again, a sketch
+// growing by doubling or the prefix adopting shard 0's set lands above
+// the set-up budget.
 func TestAllocationBudget(t *testing.T) {
 	fc := faults.DefaultScheduleConfig()
 	marginal := func(t *testing.T, batch bool, fcfg *faults.ScheduleConfig) (per, setup float64) {
@@ -86,25 +85,24 @@ func TestAllocationBudget(t *testing.T) {
 		warm(t, five)
 		b3, s3 := campaignAlloc(t, three)
 		b5, s5 := campaignAlloc(t, five)
-		if b5 < b3 {
-			t.Fatalf("cannot decide: the five-shard campaign allocated %d B, the three-shard campaign %d B", b5, b3)
-		}
 		per = float64(b5-b3) / float64(s5-s3)
-		setup = float64(b3) - float64(s3)*per
-		t.Logf("faults=%v: %.0f B per player session (%.0f with a three-shard campaign's set-up of %.0f B)", fcfg != nil, per, float64(b3)/float64(s3), setup)
+		setup = float64(b3) - float64(s3)*max(per, 0)
+		t.Logf("faults=%v: %.1f B per player session (%.0f with a three-shard campaign's set-up of %.0f B)", fcfg != nil, per, float64(b3)/float64(s3), setup)
 		return per, setup
 	}
-	// The floor measures ≈ 26 B on the scalar engine and ≈ 29 B on the
-	// batch one, faulted ≈ 2 B more. Each draw's trace rows, as before a
-	// keyed draw deferred its trace, add ≈ 345 B; a fresh algorithm object
-	// per session, as before the kernel released them, ≈ 105 B; a fresh
-	// accumulator set per shard ≈ 195 B: each lands above the budget. The
-	// set-up measures ≈ 0.79 MB scalar and ≈ 1.05 MB batch, of which the
-	// eight slots' rows, each grown to the longest trace it drew, are
-	// ≈ 45 KB; with each run building its 48 plans again ≈ 1.26 MB and
-	// ≈ 1.51 MB, and with the sketches grown by doubling and shard 0's set
-	// kept as the prefix it was ≈ 2.3 MB.
-	const cleanBudget, faultBudget, setupBudget = 64, 32, 1100 << 10
+	// The floor measures ≈ 0 B on the scalar engine and ≈ 4 B on the
+	// batch one, faulted the same. The deferred trace each keyed draw
+	// handed out before its User held the key added ≈ 25 B (a 48-byte
+	// header, its deferral and the key's closure, ≈ 152 B a draw); each
+	// draw's trace rows ≈ 345 B more; a fresh algorithm object per session,
+	// as before the kernel released them, ≈ 105 B; a fresh accumulator set
+	// per shard ≈ 195 B: each lands above the budget. The set-up measures
+	// ≈ 0.80 MB scalar and ≈ 1.03 MB batch, of which the eight slots' rows,
+	// each grown to the longest trace it drew, are ≈ 45 KB; with each run
+	// building its 48 plans again ≈ 1.26 MB and ≈ 1.51 MB, and with the
+	// sketches grown by doubling and shard 0's set kept as the prefix it
+	// was ≈ 2.3 MB.
+	const cleanBudget, faultBudget, setupBudget = 16, 8, 1100 << 10
 	clean := map[bool]float64{} // by engine: the faulted budgets build on it
 	for _, tc := range []struct {
 		name   string
@@ -121,7 +119,7 @@ func TestAllocationBudget(t *testing.T) {
 				per, setup := marginal(t, tc.batch, nil)
 				clean[tc.batch] = per
 				if per > cleanBudget {
-					t.Errorf("%.0f B allocated per player session, budget %d B", per, cleanBudget)
+					t.Errorf("%.1f B allocated per player session, budget %d B", per, cleanBudget)
 				}
 				if setup > setupBudget {
 					t.Errorf("a three-shard campaign's set-up allocated %.0f B, budget %d B", setup, setupBudget)
@@ -133,9 +131,9 @@ func TestAllocationBudget(t *testing.T) {
 				base, _ = marginal(t, tc.batch, nil)
 			}
 			// Within faultBudget of the clean run, and so of cleanBudget.
-			budget := min(base, cleanBudget) + faultBudget
+			budget := min(max(base, 0), cleanBudget) + faultBudget
 			if per, _ := marginal(t, tc.batch, tc.faults); per > budget {
-				t.Errorf("%.0f B allocated per player session, budget %.0f (clean + %d B)", per, budget, faultBudget)
+				t.Errorf("%.1f B allocated per player session, budget %.1f (clean + %d B)", per, budget, faultBudget)
 			}
 		})
 	}
@@ -298,11 +296,10 @@ func TestRetainedUsersReplayExactly(t *testing.T) {
 }
 
 // TestRetainedTraceConcurrentFirstRead: a User a campaign handed to an arm
-// factory carries a deferred trace, and its first read may come from
-// several goroutines at once — replays of retained users fanned out over
-// workers. Eight goroutines make that first read together; each must see
-// the eager draw of the User's key, which go test -race checks is written
-// once and published to every reader.
+// factory carries its draw's key, not a trace, and replays of retained
+// users may be fanned out over workers. Eight goroutines replay one such
+// User through NewSessionEnv at once; each env must stream the eager draw
+// of the User's key, and go test -race checks the replays share nothing.
 func TestRetainedTraceConcurrentFirstRead(t *testing.T) {
 	var users []abtest.User
 	groups := abtest.StandardGroups()
@@ -315,25 +312,39 @@ func TestRetainedTraceConcurrentFirstRead(t *testing.T) {
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
+	cfg.applyDefaults()
+	catalog, err := media.NewCatalog(cfg.CatalogSize, cfg.Ladder, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const off = 5 // shard 0: window 5 of day 0 in the interleaved layout
 	u := users[off]
+	if u.Trace != nil {
+		t.Fatal("a campaign handed an arm factory a User with a trace")
+	}
 	want := abtest.DrawUser(cfg.Population, u.Window, u.Day, rand.New(rand.NewSource(shardSeed(cfg.Seed, 0, off)))).Trace.Segments()
 	start := make(chan struct{})
 	got := make([][]trace.Segment, 8)
+	errs := make([]error, len(got))
 	var wg sync.WaitGroup
 	for i := range got {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			<-start
-			got[i] = u.Trace.Segments()
+			env, err := abtest.NewSessionEnv(u, u.Pick(catalog), nil, 0)
+			if errs[i] = err; err == nil {
+				got[i] = env.Trace.Segments()
+			}
 		}()
 	}
 	close(start)
 	wg.Wait()
 	for i, segs := range got {
-		if !reflect.DeepEqual(segs, want) {
-			t.Errorf("goroutine %d read a trace of %d segments unlike the eager draw's %d", i, len(segs), len(want))
+		if errs[i] != nil {
+			t.Errorf("goroutine %d: %v", i, errs[i])
+		} else if !reflect.DeepEqual(segs, want) {
+			t.Errorf("goroutine %d replayed a trace of %d segments unlike the eager draw's %d", i, len(segs), len(want))
 		}
 	}
 }

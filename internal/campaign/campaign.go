@@ -84,8 +84,8 @@ type Config struct {
 	// either way. Batch is not part of the campaign identity.
 	Batch bool
 	// BatchWidth is the kernel's paired-draws-in-flight per worker when
-	// Batch is set (default batch.DefaultWidth). Display/throughput only —
-	// never part of the identity.
+	// Batch is set (default batch.DefaultWidth). The report is
+	// byte-identical at any width, so it is never part of the identity.
 	BatchWidth int
 	// Faults, when non-nil, draws a per-session fault schedule from this
 	// config and runs every group of the paired session under the identical
@@ -333,10 +333,10 @@ func sessionKey(global int64, gi int) uint64 {
 
 // shardDraw draws the user for one (shard, offset) — the campaign's
 // determinism key — through the worker's draw scratch, in the calendar slot
-// and under the seeds the layout assigns. The draw is keyed, so the User's
-// trace is deferred: the draw slot's env packs the scratch's composition
-// into rows of its own, and only a reader of a retained User pays to
-// re-derive it.
+// and under the seeds the layout assigns. The draw is keyed, so the User
+// holds its key, not a trace, and the draw allocates nothing: the draw
+// slot's env packs the scratch's composition into rows of its own, and
+// only a replay of a retained User pays to compose it again.
 func shardDraw(cfg *Config, catalog *media.Catalog, sc *abtest.Scratch, shard, off int) (abtest.User, *media.Video, int64) {
 	var window, day int
 	var seed, fseed int64

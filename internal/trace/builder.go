@@ -141,13 +141,6 @@ func (b *Builder) Trace() (*Trace, error) { return New(b.segs) }
 
 // Into materialises the composition into t in place, reusing t's backing
 // array: the allocation-free form of Trace for a caller that owns t and
-// rebuilds it per draw. Whatever t held before is overwritten — a deferred
-// trace's pending composition included — so nothing may still be reading
-// it; t shares nothing with the Builder.
-func (b *Builder) Into(t *Trace) error {
-	if err := t.set(b.segs); err != nil {
-		return err
-	}
-	t.lazy = nil
-	return nil
-}
+// rebuilds it per draw. Whatever t held before is overwritten, so nothing
+// may still be reading it; t shares nothing with the Builder.
+func (b *Builder) Into(t *Trace) error { return t.set(b.segs) }

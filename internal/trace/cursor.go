@@ -38,7 +38,6 @@ func (t *Trace) Cursor() *Cursor {
 func (c *Cursor) Bind(t *Trace) {
 	c.t, c.s = t, span{}
 	if t != nil {
-		t.ready()
 		c.s = t.span(0)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"testing"
 	"time"
-	"unsafe"
 
 	"bba/internal/units"
 )
@@ -423,9 +422,19 @@ func TestTraceLayoutMatchesReference(t *testing.T) {
 // TestTraceFootprint pins the layout's size: an n-segment trace costs its
 // header and one backing array of n rows as wide as the trace needs —
 // bits.Len of its total for the start, of its peak rate for the rate —
-// plus 8 bytes of padding. Each case's array is an allocator size class.
+// plus 8 bytes of padding. Each case's array is an allocator size class;
+// the header is what the allocator charges for one (its 40 bytes take the
+// 48-byte class).
 func TestTraceFootprint(t *testing.T) {
-	header := uint64(unsafe.Sizeof(Trace{}))
+	const runs = 200
+	var mem runtime.MemStats
+	runtime.ReadMemStats(&mem)
+	before := mem.TotalAlloc
+	for i := 0; i < runs; i++ {
+		headerSink = new(Trace)
+	}
+	runtime.ReadMemStats(&mem)
+	header := (mem.TotalAlloc - before) / runs
 	for _, c := range []struct {
 		n    int
 		d    time.Duration // every segment's
@@ -442,8 +451,6 @@ func TestTraceFootprint(t *testing.T) {
 		if tr := MustNew(segs); int(tr.sw+tr.rw) != c.w {
 			t.Fatalf("a %d-segment trace at %v has %d-bit rows, want %d", c.n, c.rate, tr.sw+tr.rw, c.w)
 		}
-		const runs = 200
-		var mem runtime.MemStats
 		runtime.ReadMemStats(&mem)
 		before := mem.TotalAlloc
 		for i := 0; i < runs; i++ {
@@ -455,3 +462,6 @@ func TestTraceFootprint(t *testing.T) {
 		}
 	}
 }
+
+// headerSink keeps TestTraceFootprint's headers on the heap.
+var headerSink *Trace

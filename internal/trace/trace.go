@@ -26,7 +26,6 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"bba/internal/units"
@@ -58,53 +57,15 @@ const (
 )
 
 // Trace is a piecewise-constant capacity process. The zero value is
-// unusable; construct traces with New, a generator or Deferred. After the
-// final segment the last rate persists indefinitely. Nothing in this
-// package changes a trace New or a generator returns; only Builder.Into
-// rewrites one, and only the trace its caller hands it. A deferred trace
-// writes its rows once, on its first read.
+// unusable; construct traces with New or a generator. After the final
+// segment the last rate persists indefinitely. Nothing in this package
+// changes a trace New or a generator returns; only Builder.Into rewrites
+// one, and only the trace its caller hands it.
 type Trace struct {
 	rows   []byte // n packed rows, then padding for the last field's load
 	total  time.Duration
-	lazy   *deferral // a deferred trace's composition; nil for any other
 	n      int32
 	sw, rw uint8 // bits of start and of rate in a row
-}
-
-// deferral is a deferred trace's composition, not yet written as rows.
-type deferral struct {
-	once    sync.Once
-	compose func() *Builder
-}
-
-// Deferred returns a trace whose rows are written on its first read, from
-// the composition compose leaves in the Builder it returns. compose runs
-// once, on whichever goroutine reads first, while every other first read
-// waits for it; it must compose a trace New accepts, or that read panics.
-// A deferred trace costs its header until it is read: a caller that can
-// compose the same trace again — a draw re-derived from its seed — need
-// not keep its rows alive meanwhile.
-func Deferred(compose func() *Builder) *Trace {
-	return &Trace{lazy: &deferral{compose: compose}}
-}
-
-// ready writes a deferred trace's rows, once. Every read that does not
-// start from a decoded span goes through it: Cursor.Bind, Total,
-// appendSegments, index, Rates and Slice. It inlines to one test on any
-// other trace.
-func (t *Trace) ready() {
-	if t.lazy != nil {
-		t.lazy.write(t)
-	}
-}
-
-// write writes t's rows from the composition, on the first call only.
-func (d *deferral) write(t *Trace) {
-	d.once.Do(func() {
-		if err := t.set(d.compose().segs); err != nil {
-			panic(fmt.Sprintf("trace: a deferred composition: %v", err))
-		}
-	})
 }
 
 // field returns the field of mask's width at bit offset off of rows. The
@@ -265,18 +226,15 @@ func MustNew(segments []Segment) *Trace {
 
 // Total returns the summed duration of the explicit segments.
 func (t *Trace) Total() time.Duration {
-	t.ready()
 	return t.total
 }
 
 // Segments returns a copy of the trace's segments.
 func (t *Trace) Segments() []Segment {
-	t.ready()
 	return t.appendSegments(make([]Segment, 0, t.n))
 }
 
 func (t *Trace) appendSegments(dst []Segment) []Segment {
-	t.ready()
 	rows, sw, w := t.rows, uint(t.sw), uint(t.sw+t.rw)
 	smask, rmask := uint64(1)<<t.sw-1, uint64(1)<<t.rw-1
 	var start time.Duration // segment 0's
@@ -292,7 +250,6 @@ func (t *Trace) appendSegments(dst []Segment) []Segment {
 // index returns the segment index containing time at (clamped to the last
 // segment beyond the end): the last segment starting at or before at.
 func (t *Trace) index(at time.Duration) int {
-	t.ready()
 	if at < 0 {
 		return 0
 	}
@@ -393,7 +350,6 @@ func (t *Trace) downloadTimeFrom(s span, start time.Duration, n int64) (time.Dur
 // trace once per sampleEvery interval. This matches how the paper computes
 // summary variability statistics from regularly reported measurements.
 func (t *Trace) Rates(sampleEvery time.Duration) []float64 {
-	t.ready()
 	if sampleEvery <= 0 {
 		sampleEvery = time.Second
 	}
